@@ -101,6 +101,15 @@ def _locate_arc(segments, starts, point: int) -> Optional[int]:
     return None
 
 
+def _discard_from(index: Dict, slot, key: str) -> None:
+    """Remove ``key`` from ``index[slot]``, dropping the slot once empty."""
+    keys = index.get(slot)
+    if keys is not None:
+        keys.discard(key)
+        if not keys:
+            del index[slot]
+
+
 @dataclass
 class CacheServerStats:
     """Counters exposed by a cache server."""
@@ -168,6 +177,9 @@ class CacheServer:
         self._lru: "OrderedDict[str, None]" = OrderedDict()
         #: precise tag -> keys of still-valid entries depending on it.
         self._tag_index: Dict[InvalidationTag, Set[str]] = {}
+        #: table name -> keys of still-valid entries holding that table's
+        #: wildcard tag (a precise invalidation affects these as well).
+        self._wildcard_index: Dict[str, Set[str]] = {}
         #: table name -> keys of still-valid entries with any tag on it
         #: (needed to resolve wildcard invalidations).
         self._table_index: Dict[str, Set[str]] = {}
@@ -555,11 +567,7 @@ class CacheServer:
                 affected_keys.update(self._tag_index.get(tag, ()))
                 # A precise update also affects entries that depend on a
                 # wildcard (scan) of the same table.
-                affected_keys.update(
-                    key
-                    for key in self._table_index.get(tag.table, ())
-                    if self._has_wildcard_dependency(key, tag.table)
-                )
+                affected_keys.update(self._wildcard_index.get(tag.table, ()))
         for key in affected_keys:
             self._truncate_still_valid(key, timestamp)
         if timestamp > self.last_invalidation_timestamp:
@@ -613,6 +621,7 @@ class CacheServer:
         self._entries.clear()
         self._lru.clear()
         self._tag_index.clear()
+        self._wildcard_index.clear()
         self._table_index.clear()
         self._used_bytes = 0
 
@@ -638,29 +647,19 @@ class CacheServer:
 
     def _index_tags(self, key: str, tags: FrozenSet[InvalidationTag]) -> None:
         for tag in tags:
-            self._tag_index.setdefault(tag, set()).add(key)
+            if tag.is_wildcard:
+                self._wildcard_index.setdefault(tag.table, set()).add(key)
+            else:
+                self._tag_index.setdefault(tag, set()).add(key)
             self._table_index.setdefault(tag.table, set()).add(key)
 
     def _unindex_tags(self, key: str, tags: FrozenSet[InvalidationTag]) -> None:
         for tag in tags:
-            keys = self._tag_index.get(tag)
-            if keys is not None:
-                keys.discard(key)
-                if not keys:
-                    del self._tag_index[tag]
-            table_keys = self._table_index.get(tag.table)
-            if table_keys is not None:
-                table_keys.discard(key)
-                if not table_keys:
-                    del self._table_index[tag.table]
-
-    def _has_wildcard_dependency(self, key: str, table: str) -> bool:
-        for entry in self._entries.get(key, ()):
-            if entry.still_valid and any(
-                tag.is_wildcard and tag.table == table for tag in entry.tags
-            ):
-                return True
-        return False
+            if tag.is_wildcard:
+                _discard_from(self._wildcard_index, tag.table, key)
+            else:
+                _discard_from(self._tag_index, tag, key)
+            _discard_from(self._table_index, tag.table, key)
 
     def _truncate_still_valid(self, key: str, timestamp: int) -> None:
         for entry in self._entries.get(key, ()):

@@ -416,7 +416,7 @@ class InProcessTransport:
 
     # -- invalidation stream -------------------------------------------
     def process_invalidation(self, message: InvalidationMessage) -> None:
-        self._count("invalidate")
+        self._count("invalidate_tags")
         self.server.process_invalidation(message)
 
     def process_invalidations(self, messages: Sequence[InvalidationMessage]) -> None:

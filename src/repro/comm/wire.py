@@ -145,7 +145,9 @@ OPCODES = {
     "discard_keys": 12,
     "keys": 13,
     "watermark": 14,
-    "invalidate": 15,
+    # 15 was the pickled single-message ``invalidate``; the stream crosses
+    # the wire only as ``invalidate_tags``.  The number stays unassigned so
+    # an old client's frame is refused rather than misread.
     "note_timestamp": 16,
     "ping": 17,
     # Autonomous cluster plane: membership-digest exchange piggybacked on

@@ -126,7 +126,10 @@ def plan_select(select: Select, table: Table) -> AccessPath:
         if isinstance(part, Eq) and table.has_index_on(part.column):
             return IndexEqualityPath(table=select.table, column=part.column, keys=(part.value,))
         if isinstance(part, In) and table.has_index_on(part.column) and part.values:
-            return IndexEqualityPath(table=select.table, column=part.column, keys=tuple(part.values))
+            # Each key once: a repeated value would yield its versions twice,
+            # and an UPDATE takes its targets from these candidates.
+            keys = tuple(dict.fromkeys(part.values))
+            return IndexEqualityPath(table=select.table, column=part.column, keys=keys)
 
     # Index range scan: Range on an ordered index.
     for part in conjuncts:

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from repro.cache.entry import EntryRecord
 from repro.cache.server import CacheServer
 from repro.clock import ManualClock
 from repro.comm.multicast import InvalidationMessage
@@ -191,6 +194,95 @@ class TestInvalidationProcessing:
         invalidate(server, 9, tag(1), tag(2))
         assert server.versions_of("a")[0].interval.hi == 9
         assert server.versions_of("b")[0].interval.hi == 9
+
+
+def _still_valid_entries(server):
+    return [
+        entry
+        for key in server.keys()
+        for entry in server.versions_of(key)
+        if entry.still_valid
+    ]
+
+
+def _assert_indexes_match_store(server):
+    """The three tag indexes hold exactly the still-valid entries' tags."""
+    precise, wildcard, by_table = {}, {}, {}
+    for entry in _still_valid_entries(server):
+        for t in entry.tags:
+            if t.is_wildcard:
+                wildcard.setdefault(t.table, set()).add(entry.key)
+            else:
+                precise.setdefault(t, set()).add(entry.key)
+            by_table.setdefault(t.table, set()).add(entry.key)
+    assert server._tag_index == precise
+    assert server._wildcard_index == wildcard
+    assert server._table_index == by_table
+
+
+class TestInvalidationIndexAgainstOracle:
+    """The indexed invalidation path against a brute-force scan of the store.
+
+    Truncation is key-granular: an invalidation that overlaps any still-valid
+    version of a key truncates every still-valid version of that key, so the
+    oracle closes the overlapping entries over their keys.
+    """
+
+    KEYS = [f"k{i}" for i in range(16)]
+    TABLES = ("users", "items")
+
+    def _tags(self, rng):
+        tags = {
+            InvalidationTag.key(rng.choice(self.TABLES), "id", rng.randrange(4))
+            for _ in range(rng.randrange(3))
+        }
+        if rng.random() < 0.3:
+            tags.add(InvalidationTag.wildcard(rng.choice(self.TABLES)))
+        return frozenset(tags)
+
+    def _record(self, rng, now):
+        lo = rng.randrange(max(0, now - 3), now + 2)
+        interval = Interval(lo) if rng.random() < 0.8 else Interval(lo, lo + 1 + rng.randrange(3))
+        return EntryRecord(rng.choice(self.KEYS), rng.randrange(1000), interval, self._tags(rng))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_truncated_set_and_indexes_match_brute_force(self, seed):
+        rng = random.Random(seed)
+        # Room for about ten entries, so puts keep evicting whole keys.
+        server = CacheServer(name="c0", capacity_bytes=800, clock=ManualClock())
+        now = 1
+        for _ in range(600):
+            step = rng.random()
+            if step < 0.45:
+                record = self._record(rng, now)
+                server.put(record.key, record.value, record.interval, record.tags)
+            elif step < 0.70:
+                now += 1
+                message_tags = tuple(self._tags(rng)) or (tag(0),)
+                before = _still_valid_entries(server)
+                hit_keys = {
+                    entry.key
+                    for entry in before
+                    if any(mine.overlaps(theirs) for mine in entry.tags for theirs in message_tags)
+                }
+                expected = {id(entry) for entry in before if entry.key in hit_keys}
+                invalidate(server, now, *message_tags)
+                truncated = {id(entry) for entry in before if not entry.still_valid}
+                assert truncated == expected
+                assert all(not entry.tags for entry in before if not entry.still_valid)
+            elif step < 0.78:
+                server.evict_stale(now - rng.randrange(4))
+            elif step < 0.86:
+                server.discard_keys(rng.sample(self.KEYS, 3))
+            elif step < 0.94:
+                server.install_entries([self._record(rng, now) for _ in range(4)])
+            elif step < 0.99:
+                server.lookup(rng.choice(self.KEYS), 0, now)
+            else:
+                server.clear()
+            _assert_indexes_match_store(server)
+        assert server.stats.entries_invalidated > 0
+        assert server.stats.lru_evictions > 0
 
 
 class TestEviction:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import socket
+import sys
 import threading
 import time
 
@@ -335,6 +336,29 @@ def test_socket_transport_close_is_idempotent_and_fails_fast():
         transport.close()  # second close must be a no-op
         with pytest.raises(CacheNodeUnreachableError):
             transport.probe("k", 0, 10)
+
+
+def test_shutdown_racing_accept_never_joins_an_unstarted_handler():
+    """shutdown() right after a connect lands while the accept loop is
+    registering that connection's handler thread; a handler registered but
+    not yet started made ``join`` raise (about 1 round in 30 before the fix,
+    so 400 rounds miss it about once in 10^5 runs).
+    """
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for round_number in range(400):
+            process = CacheServerProcess(CacheServer(name="race", clock=ManualClock()))
+            client = socket.create_connection(process.address, timeout=5.0)
+            try:
+                for _ in range(round_number % 200):
+                    pass  # sweep where in the accept loop the shutdown lands
+                process.shutdown()
+            finally:
+                client.close()
+            assert not process._accept_thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # ----------------------------------------------------------------------

@@ -8,7 +8,8 @@ from repro.comm.multicast import InvalidationBus
 from repro.db.database import Database
 from repro.db.errors import SerializationError, TransactionStateError
 from repro.db.invalidation import InvalidationTag
-from repro.db.query import Eq, Select
+from repro.db.query import And, Eq, Func, In, Range, Select
+from repro.db.tuples import visible_at
 from repro.clock import ManualClock
 from tests.helpers import build_database, simple_schema
 
@@ -155,6 +156,124 @@ class TestSnapshotIsolation:
         second.update("users", Eq("id", 2), {"score": 20.0})
         first.commit()
         second.commit()
+
+
+def _full_scan_targets(tx, predicate):
+    """The reference answer: every stored version, predicate, then visibility."""
+    return [
+        version
+        for version in tx._db.table("users").scan_versions()
+        if predicate.matches(version.values)
+        and visible_at(version, tx.snapshot_timestamp, tx.tx_id)
+    ]
+
+
+def _assert_targets_match_scan(tx, predicate):
+    targets = tx._visible_matching("users", predicate)
+    expected = _full_scan_targets(tx, predicate)
+    assert len(targets) == len(expected)  # no version twice
+    assert {id(v) for v in targets} == {id(v) for v in expected}
+    return targets
+
+
+def _write(tx, kind, predicate):
+    if kind == "update":
+        return tx.update("users", predicate, {"name": "written"})
+    return tx.delete("users", predicate)
+
+
+#: id/name are hash-indexed, region is an ordered index, score is not indexed.
+WRITE_PREDICATES = {
+    "indexed-eq": Eq("id", 2),
+    "indexed-in-with-repeat": In("id", (4, 1, 4)),
+    "secondary-eq": Eq("name", "user3"),
+    "unindexed-eq": Eq("score", 3.0),
+    "unindexed-func": Func(lambda row: row["score"] > 2.5),
+    "and-indexed-unindexed": And(Eq("region", 1), Func(lambda row: row["score"] > 1.5)),
+    "ordered-range": Range("region", 1, 2),
+    "ordered-open-range": Range("region", lo=1, lo_inclusive=False),
+    "matches-nothing": Eq("id", 999),
+}
+
+
+class TestWriteTargetsMatchFullScan:
+    """UPDATE/DELETE take candidates from the planner's access path; the
+    rows they touch must be the ones a scan of every version would find."""
+
+    @pytest.fixture
+    def aged(self):
+        """Nine rows with history: dead versions, a moved row, a deleted row."""
+        db = build_database(rows=9)
+        for score in range(20):  # row 2 gathers twenty dead versions
+            tx = db.begin_rw()
+            tx.update("users", Eq("id", 2), {"score": float(score)})
+            tx.commit()
+        tx = db.begin_rw()
+        tx.update("users", Eq("id", 5), {"region": 1})  # leaves region 2
+        tx.delete("users", Eq("id", 7))
+        tx.commit()
+        return db
+
+    @pytest.mark.parametrize("name", sorted(WRITE_PREDICATES))
+    def test_targets_equal_full_scan(self, aged, name):
+        _assert_targets_match_scan(aged.begin_rw(), WRITE_PREDICATES[name])
+
+    @pytest.mark.parametrize("name", sorted(WRITE_PREDICATES))
+    def test_update_and_delete_counts_equal_full_scan(self, aged, name):
+        predicate = WRITE_PREDICATES[name]
+        tx = aged.begin_rw()
+        expected = len(_full_scan_targets(tx, predicate))
+        assert tx.update("users", predicate, {"name": "touched"}) == expected
+        assert len(tx.query(Select("users", Eq("name", "touched"))).rows) == expected
+        assert tx.delete("users", Eq("name", "touched")) == expected
+        tx.commit()
+        assert aged.begin_ro().query(Select("users", predicate)).rows == []
+
+    def test_row_updated_twice_in_one_transaction(self, aged):
+        tx = aged.begin_rw()
+        assert tx.update("users", Eq("id", 3), {"score": 30.0}) == 1
+        (target,) = _assert_targets_match_scan(tx, Eq("id", 3))
+        assert target.values["score"] == 30.0  # its own new version, not the old one
+        assert tx.update("users", Eq("id", 3), {"score": 31.0}) == 1
+        tx.commit()
+        rows = aged.begin_ro().query(Select("users", Eq("id", 3))).rows
+        assert [row["score"] for row in rows] == [31.0]
+
+    def test_update_that_changes_the_indexed_column(self, aged):
+        tx = aged.begin_rw()
+        in_one = len(_full_scan_targets(tx, Eq("region", 1)))
+        moved = tx.update("users", Eq("region", 1), {"region": 2})
+        assert moved == in_one > 0
+        assert _assert_targets_match_scan(tx, Eq("region", 1)) == []
+        in_two = _assert_targets_match_scan(tx, Range("region", 2, 2))
+        assert len(in_two) > moved  # the moved rows joined the ones already there
+        tx.commit()
+        assert aged.begin_rw().update("users", Eq("region", 2), {"score": 0.0}) == len(in_two)
+
+    def test_row_with_many_dead_versions_yields_one_target(self, aged):
+        assert aged.table("users").version_count() > 9 + 20
+        tx = aged.begin_rw()
+        (target,) = _assert_targets_match_scan(tx, Eq("id", 2))
+        assert target.values["score"] == 19.0
+        assert tx.update("users", Eq("id", 2), {"score": -1.0}) == 1
+
+    @pytest.mark.parametrize("predicate", [Eq("id", 1), Eq("score", 1.0)], ids=["index", "scan"])
+    @pytest.mark.parametrize("write", ["update", "delete"])
+    def test_row_claimed_by_concurrent_transaction_raises(self, db, predicate, write):
+        first, second = db.begin_rw(), db.begin_rw()
+        first.update("users", Eq("id", 1), {"name": "mine"})
+        with pytest.raises(SerializationError):
+            _write(second, write, predicate)
+
+    @pytest.mark.parametrize("predicate", [Eq("id", 1), Eq("score", 1.0)], ids=["index", "scan"])
+    @pytest.mark.parametrize("write", ["update", "delete"])
+    def test_row_deleted_after_the_snapshot_raises(self, db, predicate, write):
+        early = db.begin_rw()
+        other = db.begin_rw()
+        other.delete("users", Eq("id", 1))
+        other.commit()
+        with pytest.raises(SerializationError):
+            _write(early, write, predicate)
 
 
 class TestCommitInvalidations:

@@ -752,6 +752,45 @@ def test_invalidate_tags_truncates_over_a_live_connection(codec):
     assert server.stats.invalidation_messages == 3
 
 
+@pytest.mark.parametrize("codec", WIRE_CODECS)
+def test_single_message_rides_invalidate_tags(codec):
+    """One message is a one-element batch of the one stream op, not an op
+    of its own."""
+    from repro.comm.multicast import InvalidationMessage
+
+    server = make_server()
+    server.put("k", {"v": 1}, Interval(2), frozenset({InvalidationTag.key("items", "id", 1)}))
+    with CacheServerProcess(server, style="eventloop", wire_codec=codec) as process:
+        transport = SocketTransport(process.address, pipelined=True, wire_codec=codec)
+        try:
+            transport.op_counts.clear()
+            transport.process_invalidation(
+                InvalidationMessage(timestamp=4, tags=(InvalidationTag.key("items", "id", 1),))
+            )
+            assert transport.op_counts == {"invalidate_tags": 1}
+        finally:
+            transport.close()
+    (entry,) = server.versions_of("k")
+    assert entry.interval.hi == 4
+    assert server.stats.invalidation_messages == 1
+
+
+def test_retired_invalidate_opcode_is_refused_not_misread():
+    """Opcode 15 (the pickled single-message ``invalidate``) stays
+    unassigned: a frame from a client that still sends it gets OP_ERR."""
+    assert "invalidate" not in wire.OPCODES
+    assert 15 not in wire.OP_NAMES
+    with CacheServerProcess(make_server(), style="eventloop") as process:
+        sock = _dial_binary(process.address)
+        try:
+            sock.sendall(b"".join(bytes(b) for b in wire.encode_mux_frame(3, 15, ())))
+            request_id, status, value = _read_mux_response(sock)
+            assert (request_id, status) == (3, wire.OP_ERR & wire.OPCODE_MASK)
+            assert "unknown cache operation opcode 15" in value
+        finally:
+            sock.close()
+
+
 # ----------------------------------------------------------------------
 # EncodeScratch: the multi-lookup batch path's reusable encode buffer
 # ----------------------------------------------------------------------
