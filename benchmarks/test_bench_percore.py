@@ -38,15 +38,16 @@ PERCORE_POINT_KEYS = (
 )
 
 
-def test_percore_openloop_records_curve_and_scales_on_multicore(benchmark):
+def test_percore_openloop_records_curve_and_scales_on_multicore(benchmark, tmp_path):
     multicore = (os.cpu_count() or 1) >= PERCORE_MIN_CORES
+    target = str(tmp_path / BENCH_WIRE_FILENAME)
     # Small runners measure one smoke cell per hosting (schema, not
     # scaling); multicore runners sweep the full {1,2,4}-node curve.
-    result = run_once(benchmark, percore_openloop, smoke=not multicore)
+    result = run_once(benchmark, percore_openloop, smoke=not multicore, path=target)
     print("\n" + result.format_table())
 
-    assert result.recorded_path
-    document = load_benchmark(BENCH_WIRE_FILENAME, result.recorded_path)
+    assert result.recorded_path == target
+    document = load_benchmark(BENCH_WIRE_FILENAME, target)
     data = latest(document, "percore")
     assert data is not None
     assert data["cpu_count"] == result.cpu_count

@@ -30,8 +30,13 @@ reviewable.
 
 Files are written atomically (temp file + ``os.replace``) because the
 benchmark suites may run under ``pytest -n``-style parallelism; last
-writer wins per append, which is fine for measurements.  Set
-``REPRO_BENCH_DIR`` to redirect the output (CI artifacts, scratch runs).
+writer wins per append, which is fine for measurements.
+
+Recording is opt-in: ``record_*`` writes to an explicit ``path`` argument or
+into ``REPRO_BENCH_DIR`` (created if missing) and does nothing when neither
+is given, so a test run leaves the committed files alone.  To add an entry
+to the committed trajectory, run the benchmark with ``REPRO_BENCH_DIR`` set
+to the repository root.
 """
 
 from __future__ import annotations
@@ -198,14 +203,19 @@ def record_benchmark(
     filename: str,
     path: Optional[str] = None,
     history_limit: int = DEFAULT_HISTORY_LIMIT,
-) -> str:
+) -> Optional[str]:
     """Append a timestamped entry to ``section`` of a ``BENCH_*`` file.
 
     Read-migrate-append-write with an atomic replace; other sections and
     the section's prior entries are preserved (bounded by
-    ``history_limit``, oldest dropped).  Returns the path written.
+    ``history_limit``, oldest dropped).  Returns the path written, or
+    ``None`` when neither ``path`` nor ``REPRO_BENCH_DIR`` says where to
+    record (nothing is written then).
     """
+    if path is None and not os.environ.get("REPRO_BENCH_DIR"):
+        return None
     target = benchmark_path(filename, path)
+    os.makedirs(os.path.dirname(target) or ".", exist_ok=True)
     document = load_benchmark(filename, path)
     section_doc = document["sections"].setdefault(section, {"entries": []})
     entries: List[Dict[str, Any]] = section_doc.setdefault("entries", [])
@@ -218,14 +228,14 @@ def record_benchmark(
 
 def record_wire_benchmark(
     section: str, data: Dict[str, Any], path: Optional[str] = None
-) -> str:
+) -> Optional[str]:
     """Append ``data`` to ``section`` of ``BENCH_wire.json`` (see above)."""
     return record_benchmark(section, data, filename=BENCH_WIRE_FILENAME, path=path)
 
 
 def record_figures_benchmark(
     section: str, data: Dict[str, Any], path: Optional[str] = None
-) -> str:
+) -> Optional[str]:
     """Append ``data`` to ``section`` of ``BENCH_figures.json``."""
     return record_benchmark(section, data, filename=BENCH_FIGURES_FILENAME, path=path)
 

@@ -76,7 +76,17 @@ import threading
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.cache.entry import EntryRecord, LookupRequest, LookupResult
 from repro.cache.hashring import ConsistentHashRing
@@ -101,7 +111,7 @@ from repro.comm.wire import resolve_wire_codec
 from repro.db.invalidation import InvalidationTag
 from repro.interval import Interval
 
-__all__ = ["CacheCluster", "ClusterHealthStats"]
+__all__ = ["CacheCluster", "ClusterHealthStats", "PutOutcome"]
 
 #: Supported values of the ``transport`` constructor argument.
 #: ``"socket"`` is the PR-4 fast path (pooled one-in-flight connections to
@@ -142,6 +152,15 @@ class ClusterHealthStats:
     #: The subset of ``replica_served_lookups`` that were cache hits — the
     #: entries replication saved from becoming degraded misses.
     replica_hits: int = 0
+
+
+class PutOutcome(NamedTuple):
+    """What :meth:`CacheCluster.put` did."""
+
+    #: True if any replica stored the entry.
+    stored: bool
+    #: Replicas the write was sent to — one RPC each, answered or not.
+    replicas: int
 
 
 class _NodeStreamGuard:
@@ -363,7 +382,9 @@ class CacheCluster:
         The server objects live in this process under the in-process and
         thread-hosted socket transports (the socket server serves them from
         a node thread), so they remain available for introspection; live
-        traffic always goes through the transports.  ``"socket-process"``
+        traffic always goes through the transports, and what a socket
+        transport stored is held as :class:`~repro.cache.entry.ValueBlob`
+        bytes — read values through the transport.  ``"socket-process"``
         nodes live in their own address space and have no entry here —
         introspect them over the wire (``stats``/``keys``/``watermark``)
         like any remote node.
@@ -838,7 +859,7 @@ class CacheCluster:
         return LookupResult(hit=False, key=key, degraded=True)
 
     def multi_lookup(self, requests: Sequence[LookupRequest]) -> List[LookupResult]:
-        """Answer a batch of lookups/probes, one round trip per node touched.
+        """Answer a batch of lookups, one round trip per node touched.
 
         Requests are grouped by responsible node, each group is sent as one
         batched operation, and the answers are reassembled in request order.
@@ -920,10 +941,7 @@ class CacheCluster:
                 self._note_success(node)
             for index, answer in zip(indices, answers):
                 results[index] = answer
-                # Probe companions are statistics-free by design; counting
-                # them would double the replica counters per batched read.
-                if not requests[index].probe:
-                    self._record_failover_read(bool(tried[index]), answer.hit)
+                self._record_failover_read(bool(tried[index]), answer.hit)
 
     def put(
         self,
@@ -931,20 +949,22 @@ class CacheCluster:
         value: object,
         interval: Interval,
         tags: FrozenSet[InvalidationTag] = frozenset(),
-    ) -> bool:
+    ) -> PutOutcome:
         """Insert one version of ``key`` on its full replica set.
 
         The write fans out to every replica (one node with
         ``replication_factor=1``); unreachable replicas are skipped after
-        noting the failure.  Returns True if any replica stored the entry;
-        only a write that reached *no* replica counts as degraded.
+        noting the failure.  Only a write that reached *no* replica counts
+        as degraded.
         """
         stored = False
         delivered = False
+        sent = 0
         for node in self.replicas_for(key):
             transport = self._transports.get(node)
             if transport is None:
                 continue
+            sent += 1
             try:
                 accepted = transport.put(key, value, interval, tags)
             except _FAILURE_EXCEPTIONS:
@@ -956,7 +976,7 @@ class CacheCluster:
             stored = stored or accepted
         if not delivered:
             self._bump_health("degraded_puts")
-        return stored
+        return PutOutcome(stored, sent)
 
     def probe(self, key: str, lo: int, hi: int) -> bool:
         """Statistics-free hit check (first reachable replica answers)."""

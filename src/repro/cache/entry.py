@@ -11,7 +11,14 @@ from repro._compat import DATACLASS_SLOTS
 from repro.db.invalidation import InvalidationTag
 from repro.interval import Interval
 
-__all__ = ["CacheEntry", "EntryRecord", "LookupRequest", "LookupResult", "estimate_size"]
+__all__ = [
+    "CacheEntry",
+    "EntryRecord",
+    "LookupRequest",
+    "LookupResult",
+    "ValueBlob",
+    "estimate_size",
+]
 
 # Binary wire layouts (see repro.comm.wire).  Values and tags are encoded by
 # the codec callbacks the wire module passes in, which keeps this module
@@ -20,7 +27,7 @@ __all__ = ["CacheEntry", "EntryRecord", "LookupRequest", "LookupResult", "estima
 # interval bounds with a single struct call — both measured wins over the
 # straightforward one-struct-per-field layout.
 _KEYLEN = struct.Struct("<I")
-_LO_HI_PROBE = struct.Struct("<qqB")
+_LO_HI_FRESH = struct.Struct("<qqq")
 _COUNT = struct.Struct("<I")
 #: Interval bounds of a LookupResult, all packed at once; indexed by count.
 _QS = (
@@ -31,7 +38,7 @@ _QS = (
     struct.Struct("<qqqq"),
 )
 _unpack_keylen = _KEYLEN.unpack_from
-_unpack_lo_hi_probe = _LO_HI_PROBE.unpack_from
+_unpack_lo_hi_fresh = _LO_HI_FRESH.unpack_from
 _QS_PACK = (None,) + tuple(s.pack for s in _QS[1:])
 _QS_UNPACK = (None,) + tuple(s.unpack_from for s in _QS[1:])
 
@@ -56,17 +63,42 @@ _EMPTY_TAGS: FrozenSet[InvalidationTag] = frozenset()
 ENTRY_OVERHEAD_BYTES = 64
 
 
-def estimate_size(key: str, value: Any) -> int:
-    """Approximate memory footprint of a cache entry in bytes.
+class ValueBlob(bytes):
+    """A cached value as the bytes a networked node stores.
 
-    The cache's byte budget models the RAM of a memcached-style server, so
-    the estimate is based on the serialized size of the value (which is also
-    what a networked cache would store) plus the key and a fixed overhead.
+    The client end of a socket connection pickles a value once
+    (:meth:`pack`) and unpickles it once (:meth:`unpack`); in between — on
+    the wire, in the node's store, in a migration chunk — it is this marked
+    byte run, which nothing walks or decodes.  The subclass is the mark: it
+    tells a blob from a user value that happens to be ``bytes``.
     """
-    try:
-        value_bytes = len(pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
-    except Exception:
-        value_bytes = len(repr(value).encode())
+
+    __slots__ = ()
+
+    @classmethod
+    def pack(cls, value: Any) -> "ValueBlob":
+        return cls(pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
+
+    def unpack(self) -> Any:
+        return pickle.loads(self)
+
+
+def estimate_size(key: str, value: Any) -> int:
+    """Bytes charged against a node's capacity for one entry.
+
+    The byte budget models the RAM of a memcached-style server: the key, the
+    serialized value and a fixed overhead.  A :class:`ValueBlob` *is* the
+    serialized value, so its length is charged as it stands; any other value
+    (an in-process node stores the object itself) is pickled with the same
+    protocol just to be measured, which makes the two figures equal.
+    """
+    if type(value) is ValueBlob:
+        value_bytes = len(value)
+    else:
+        try:
+            value_bytes = len(pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
+        except Exception:
+            value_bytes = len(repr(value).encode())
     return len(key.encode()) + value_bytes + ENTRY_OVERHEAD_BYTES
 
 
@@ -187,17 +219,19 @@ class EntryRecord:
 class LookupRequest:
     """One element of a batched (multi-key) cache lookup.
 
-    ``probe=True`` requests a statistics-free hit check instead of a full
-    lookup: the server answers whether a lookup over ``[lo, hi]`` would hit
-    without counting towards hit/miss statistics or touching LRU ordering.
-    Bundling a probe with the lookup it classifies lets the client library
-    resolve a miss's type in the same round trip as the lookup itself.
+    ``[lo, hi]`` are the bounds of the transaction's pin set, which narrows
+    as the transaction reads.  ``fresh_lo`` is the lower bound of the
+    staleness window the transaction started with; on a miss the server
+    reports in :attr:`LookupResult.fresh_version_exists` whether some
+    version reaches past it, which is what tells a consistency miss from a
+    stale one.  The default, 0, is a window open to all of time: any stored
+    version counts.
     """
 
     key: str
     lo: int
     hi: int
-    probe: bool = False
+    fresh_lo: int = 0
 
     # ------------------------------------------------------------------
     # Binary wire codec (see repro.comm.wire)
@@ -215,7 +249,7 @@ class LookupRequest:
             out.append(255)
             out += _KEYLEN.pack(size)
         out += raw
-        out += _LO_HI_PROBE.pack(self.lo, self.hi, 1 if self.probe else 0)
+        out += _LO_HI_FRESH.pack(self.lo, self.hi, self.fresh_lo)
 
     @classmethod
     def unpack_from(cls, buf: bytes, offset: int) -> Tuple["LookupRequest", int]:
@@ -230,13 +264,13 @@ class LookupRequest:
             key = raw.decode("utf-8")
         except UnicodeDecodeError:
             key = raw.decode("utf-8", "surrogatepass")
-        lo, hi, probe = _unpack_lo_hi_probe(buf, end)
+        lo, hi, fresh_lo = _unpack_lo_hi_fresh(buf, end)
         request = _new(cls)
         _set(request, "key", key)
         _set(request, "lo", lo)
         _set(request, "hi", hi)
-        _set(request, "probe", True if probe else False)
-        return request, end + 17
+        _set(request, "fresh_lo", fresh_lo)
+        return request, end + 24
 
 
 @dataclass(frozen=True, **DATACLASS_SLOTS)
@@ -265,9 +299,12 @@ class LookupResult:
     #: True if the key has ever been stored on the contacted server; used by
     #: the client library to classify misses (compulsory vs other).
     key_ever_stored: bool = False
-    #: True if some version of the key exists whose *true* validity interval
-    #: intersects the transaction's staleness window even though it did not
-    #: satisfy this lookup; used to classify consistency misses.
+    #: Set on a miss only: True if some stored version's effective interval
+    #: reaches past the request's ``fresh_lo`` (the transaction's staleness
+    #: window) although none intersects ``[lo, hi]`` — the same answer as
+    #: ``probe(key, fresh_lo, FAR_FUTURE)``.  The client library reads it to
+    #: tell a consistency miss (fresh enough, but not for this pin set) from
+    #: a stale one.
     fresh_version_exists: bool = False
     #: True if this result is a synthetic miss produced because the
     #: responsible cache node was unreachable (failure-aware routing degraded

@@ -37,10 +37,13 @@ request payload decodes to ``(op, args)`` and a response to ``("ok", value)``
 or ``("err", message)``.  Multiplexed frames carry a struct-packed
 ``(request_id, opcode, length)`` header (``!QBI``); the opcode names the
 operation numerically on requests and carries ``OP_OK``/``OP_ERR`` on
-responses, whose body is the bare result (or error string).  Payloads are
-pickled (protocol 5) because cached values are arbitrary Python objects that
-must round-trip exactly; both endpoints of the simulated deployment are
-trusted, the standard caveat for pickle-based RPC.  No path concatenates a
+responses, whose body is the bare result (or error string).  Cached values
+are arbitrary Python objects that must round-trip exactly, so they are
+pickled (protocol 5) — once, by :class:`SocketTransport`, into a
+:class:`~repro.cache.entry.ValueBlob` that the server stores and returns
+without ever loading it; only the transport unpickles.  Both endpoints of
+the simulated deployment are trusted, the standard caveat for pickle-based
+RPC.  No path concatenates a
 header onto a payload: frames are written as buffer vectors with ``sendmsg``
 gather I/O (:func:`repro.comm.wire.send_buffers`).
 
@@ -66,7 +69,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from repro.cache.entry import EntryRecord, LookupRequest, LookupResult
+from repro.cache.entry import EntryRecord, LookupRequest, LookupResult, ValueBlob
 from repro.cache.server import CacheServer, CacheServerStats
 from repro.comm import wire
 from repro.comm.multicast import InvalidationMessage
@@ -1697,11 +1700,19 @@ class SocketTransport:
         return value
 
     # -- cache operations ----------------------------------------------
+    # This is the client end of the wire, the only place a cached value is
+    # pickled (on the way in) or unpickled (on the way out): the node keeps
+    # and returns ValueBlob bytes.  A record that carries no blob (a miss,
+    # or an entry someone put on a thread-hosted node's server directly)
+    # passes through as it is.
     def lookup(self, key: str, lo: int, hi: int) -> LookupResult:
-        return self._call("lookup", key, lo, hi)
+        return _unpack_value(self._call("lookup", key, lo, hi))
 
     def multi_lookup(self, requests: Sequence[LookupRequest]) -> List[LookupResult]:
-        return self._call("multi_lookup", list(requests))
+        results = self._call("multi_lookup", list(requests))
+        for result in results:
+            _unpack_value(result)
+        return results
 
     def put(
         self,
@@ -1710,7 +1721,7 @@ class SocketTransport:
         interval: Interval,
         tags: FrozenSet[InvalidationTag] = frozenset(),
     ) -> bool:
-        return self._call("put", key, value, interval, tags)
+        return self._call("put", key, ValueBlob.pack(value), interval, tags)
 
     def probe(self, key: str, lo: int, hi: int) -> bool:
         return self._call("probe", key, lo, hi)
@@ -1734,10 +1745,19 @@ class SocketTransport:
     def extract_entries(
         self, cursor: Optional[str] = None, limit: int = 64
     ) -> Tuple[List[EntryRecord], Optional[str]]:
-        return self._call("extract_entries", cursor, limit)
+        records, next_cursor = self._call("extract_entries", cursor, limit)
+        for record in records:
+            _unpack_value(record)
+        return records, next_cursor
 
     def install_entries(self, records: Sequence[EntryRecord]) -> int:
-        return self._call("install_entries", list(records))
+        return self._call(
+            "install_entries",
+            [
+                EntryRecord(r.key, ValueBlob.pack(r.value), r.interval, r.tags)
+                for r in records
+            ],
+        )
 
     def discard_keys(self, keys: Sequence[str]) -> int:
         return self._call("discard_keys", list(keys))
@@ -1749,7 +1769,7 @@ class SocketTransport:
         return self._call("watermark")
 
     def versions_of(self, key: str) -> list:
-        return self._call("versions_of", key)
+        return [_unpack_value(entry) for entry in self._call("versions_of", key)]
 
     # -- autonomous cluster plane ---------------------------------------
     def gossip(self, digest: dict) -> dict:
@@ -1803,6 +1823,19 @@ class SocketTransport:
         host, port = self.address
         mode = "pipelined" if self.pipelined else f"pooled[{self.pool_size}]"
         return f"SocketTransport({self.name!r} @ {host}:{port}, {mode})"
+
+
+def _unpack_value(record):
+    """Unpickle, in place, the blob a just-decoded record carries.
+
+    ``record`` is a LookupResult, EntryRecord or CacheEntry fresh off the
+    wire, so nothing else holds it; two of the three are frozen, hence the
+    ``object.__setattr__``.
+    """
+    value = record.value
+    if type(value) is ValueBlob:
+        object.__setattr__(record, "value", value.unpack())
+    return record
 
 
 def _close_quietly(sock: socket.socket) -> None:

@@ -329,25 +329,36 @@ class CacheServer:
     # Lookup
     # ------------------------------------------------------------------
     @_locked
-    def lookup(self, key: str, lo: int, hi: int) -> LookupResult:
+    def lookup(self, key: str, lo: int, hi: int, fresh_lo: int = 0) -> LookupResult:
         """Find a version of ``key`` valid somewhere in ``[lo, hi]``.
 
         ``lo`` and ``hi`` are inclusive timestamp bounds (the bounds of the
         requesting transaction's pin set).  Returns the most recent matching
         version together with its *effective* interval — for a still-valid
         entry, the upper bound reflects only invalidations processed so far.
+
+        A miss also says whether some version reaches past ``fresh_lo``, the
+        lower bound of the transaction's staleness window (see
+        :attr:`LookupResult.fresh_version_exists`): what
+        ``probe(key, fresh_lo, FAR_FUTURE)`` would answer, found in the same
+        pass over the versions.
         """
         self.stats.lookups += 1
         request = Interval(lo, hi + 1)
-        versions = self._entries.get(key, [])
+        versions = self._entries.get(key, ())
         best: Optional[CacheEntry] = None
         best_interval: Optional[Interval] = None
+        fresh = False
         for entry in versions:
             effective = entry.effective_interval(self.last_invalidation_timestamp)
             if effective.intersects(request):
                 if best_interval is None or effective.lo > best_interval.lo:
                     best = entry
                     best_interval = effective
+            elif not fresh:
+                # Effective intervals are bounded; an empty one (an entry
+                # truncated at its own birth) reaches nowhere.
+                fresh = effective.hi > fresh_lo and effective.hi > effective.lo
         if best is not None:
             self.stats.hits += 1
             best.last_access = self.clock.now()
@@ -367,42 +378,31 @@ class CacheServer:
             hit=False,
             key=key,
             key_ever_stored=key in self._keys_ever_stored,
-            fresh_version_exists=bool(versions),
+            fresh_version_exists=fresh,
         )
 
     @_locked
     def multi_lookup(self, requests: Sequence[LookupRequest]) -> List[LookupResult]:
-        """Answer a batch of lookups/probes in one call, in request order.
+        """Answer a batch of lookups in one call, in request order.
 
-        Each :class:`LookupRequest` is served exactly as the corresponding
-        single-key operation would be (:meth:`lookup` for ``probe=False``,
-        :meth:`probe` for ``probe=True``), so batching never changes results
-        or statistics — it only saves round trips on a networked transport.
+        Each :class:`LookupRequest` is served exactly as :meth:`lookup`
+        would serve it, so batching never changes results or statistics —
+        it only saves round trips on a networked transport.
         """
-        results: List[LookupResult] = []
-        for request in requests:
-            if request.probe:
-                results.append(
-                    LookupResult(
-                        hit=self.probe(request.key, request.lo, request.hi),
-                        key=request.key,
-                        key_ever_stored=request.key in self._keys_ever_stored,
-                    )
-                )
-            else:
-                results.append(self.lookup(request.key, request.lo, request.hi))
-        return results
+        return [
+            self.lookup(request.key, request.lo, request.hi, request.fresh_lo)
+            for request in requests
+        ]
 
     @_locked
     def probe(self, key: str, lo: int, hi: int) -> bool:
         """Check whether a lookup over ``[lo, hi]`` would hit.
 
         Unlike :meth:`lookup`, a probe does not count towards hit/miss
-        statistics and does not touch LRU ordering.  The client library uses
-        it to classify consistency misses: a miss is a consistency miss if a
-        sufficiently fresh version existed (a probe over the transaction's
-        original staleness window hits) but the transaction's narrowed pin
-        set could not use it.
+        statistics and does not touch LRU ordering.  A probe over a
+        transaction's staleness window, ``(fresh_lo, FAR_FUTURE)``, is the
+        definition of the ``fresh_version_exists`` flag a missed lookup
+        carries.
         """
         request = Interval(lo, hi + 1)
         for entry in self._entries.get(key, ()):

@@ -20,7 +20,7 @@ so invalidations follow the same path as cache operations regardless of how
 the node is deployed.
 
 The operations mirror the cache server's public surface: ``lookup``,
-``multi_lookup`` (a batch of lookups/probes answered in one round trip),
+``multi_lookup`` (a batch of lookups answered in one round trip),
 ``put``, ``probe``, ``was_ever_stored``, ``evict_stale``, ``clear`` and
 ``stats``, plus the key-migration operations used by the membership
 subsystem (``extract_entries``, ``install_entries``, ``discard_keys``,
@@ -223,7 +223,7 @@ class CacheTransport(Protocol):
         """Versioned lookup of ``key`` over the timestamp range ``[lo, hi]``."""
 
     def multi_lookup(self, requests: Sequence[LookupRequest]) -> List[LookupResult]:
-        """Answer a batch of lookups/probes in one round trip, in order."""
+        """Answer a batch of lookups in one round trip, in order."""
 
     def put(
         self,
@@ -232,7 +232,12 @@ class CacheTransport(Protocol):
         interval: Interval,
         tags: FrozenSet[InvalidationTag] = frozenset(),
     ) -> bool:
-        """Insert one version of ``key``; True if it was stored."""
+        """Insert one version of ``key``; True if it was stored.
+
+        Every transport takes and returns Python values; how the node holds
+        them (the object itself in process, pickled bytes over a socket) is
+        the transport's business.
+        """
 
     def probe(self, key: str, lo: int, hi: int) -> bool:
         """Statistics-free hit check over ``[lo, hi]``."""

@@ -22,14 +22,25 @@ the pickled operation-name string of the legacy payload; the two response
 opcodes ``OP_OK``/``OP_ERR`` carry the result.  The high bit of the opcode
 byte (:data:`FLAG_OOB`) marks a body with out-of-band pickle buffers.
 
+Cached values
+-------------
+A cached value crosses the wire as a :class:`repro.cache.entry.ValueBlob`:
+the client end of a connection (``SocketTransport``) pickles the value once
+on the way in and unpickles it once on the way out, and everything in
+between — both codecs below, the node's store, a migration chunk — carries
+that marked byte run without looking inside.  The binary codec writes it as
+``tag, u32 length, raw bytes``; the pickle codec pickles the ``bytes``
+subclass, which copies the payload and never loads it.  A node therefore
+never runs ``pickle.loads`` or ``pickle.dumps`` on a value.
+
 Codecs
 ------
 Multiplexed frame *bodies* come in two codecs.  The default is a compact
 tagged **binary** encoding (little-endian structs for keys, timestamps,
-intervals, entry records and row dicts — see :func:`encode_binary_body`)
+intervals, lookup and entry records — see :func:`encode_binary_body`)
 used for the hot operations (:data:`BINARY_OPS`); frames carrying it set
 :data:`FLAG_BIN` in the opcode byte.  Everything else — maintenance ops,
-values the binary codec has no tag for — stays **pickle**, so the two codecs
+objects the binary codec has no tag for — stays **pickle**, so the two codecs
 interleave freely on one connection and the server needs no per-connection
 codec state.  A client that wants the binary codec opens with
 :data:`MUX_MAGIC_BINARY` instead of :data:`MUX_MAGIC` and waits for the
@@ -356,6 +367,9 @@ _T_INT8 = 19
 _T_DICT8 = 20
 _T_TUPLE8 = 21
 _T_LIST8 = 22
+# A cached value already serialized by the client end (ValueBlob): one tag
+# byte, a plain u32 length (values outgrow the 24-bit inline length), raw.
+_T_BLOB = 23
 
 #: Longest string/bytes/container the tagged-length u32 can describe.
 _MAX_INLINE_LEN = (1 << 24) - 1
@@ -378,13 +392,14 @@ _IntervalSet = None
 _LookupRequest = None
 _LookupResult = None
 _EntryRecord = None
+_ValueBlob = None
 _InvalidationTag = None
 
 
 def _bind_record_types() -> None:
     global _Interval, _IntervalSet, _LookupRequest, _LookupResult
-    global _EntryRecord, _InvalidationTag
-    from repro.cache.entry import EntryRecord, LookupRequest, LookupResult
+    global _EntryRecord, _ValueBlob, _InvalidationTag
+    from repro.cache.entry import EntryRecord, LookupRequest, LookupResult, ValueBlob
     from repro.db.invalidation import InvalidationTag
     from repro.interval import Interval, IntervalSet
 
@@ -393,6 +408,7 @@ def _bind_record_types() -> None:
     _LookupRequest = LookupRequest
     _LookupResult = LookupResult
     _EntryRecord = EntryRecord
+    _ValueBlob = ValueBlob
     _InvalidationTag = InvalidationTag
 
 
@@ -438,6 +454,12 @@ def _enc_value(out: bytearray, value: object) -> None:
         # this dispatch on the hot path are result records and their tags.
         out.append(_T_LOOKUP_RESULT)
         value.pack_into(out, _enc_value)
+    elif kind is _ValueBlob:
+        # The value of every hit, put and migrated record: appended as it
+        # stands, whatever the value's shape or size.
+        out.append(_T_BLOB)
+        out += _pack_u32(len(value))
+        out += value
     elif kind is _InvalidationTag:
         # The fields come straight out of the instance dict (InvalidationTag
         # is an ordinary, non-slotted dataclass) and the table/column
@@ -622,12 +644,19 @@ def _enc_value(out: bytearray, value: object) -> None:
 # The compare chain is ordered by measured frequency on lookup round trips:
 # with strings/ints/floats inlined into the container loops and requests on
 # the fixed args layout, the values that actually reach this dispatch are
-# result records, tags, and row dicts.  Each position down the chain costs
+# result records, value blobs and tags.  Each position down the chain costs
 # ~18 ns per decoded value.
 def _dec_value(buf: bytes, offset: int) -> Tuple[object, int]:
     tag = buf[offset]
     if tag == _T_LOOKUP_RESULT:
         return _LookupResult.unpack_from(buf, offset + 1, _dec_value)
+    if tag == _T_BLOB:
+        size = _unpack_u32(buf, offset + 1)[0]
+        offset += 5
+        end = offset + size
+        if end > len(buf):
+            raise WireDecodeError("truncated value blob")
+        return _ValueBlob(buf[offset:end]), end
     if tag == _T_TAG:
         # One tag per hit response makes this as hot as the result record
         # itself.  Table and column are short identifier strings and the
@@ -862,8 +891,8 @@ def decode_binary_body(body: Buffer) -> object:
 #: :func:`encode_binary_args` instead of a tagged value walk.
 _SINGLE_KEY_OPCODES = frozenset((OPCODES["lookup"], OPCODES["probe"]))
 
-#: ``put`` gets its own fixed layout: key, packed interval, tag list,
-#: then the value — everything but the value dodges the tagged walk.
+#: ``put`` gets its own fixed layout: key, packed interval, tag list, then
+#: the value — a blob from ``SocketTransport``, so nothing is walked.
 _PUT_OPCODE = OPCODES["put"]
 
 #: Request-body markers: a packed single-key layout, or a generic tagged

@@ -51,7 +51,7 @@ from repro.pincushion.pincushion import Pincushion
 
 __all__ = ["ConsistencyMode", "TxCacheClient"]
 
-#: Upper bound used when probing the cache over "any time from X until now".
+#: Upper bound of a lookup over "any time from X until now".
 _FAR_FUTURE = 2**62
 
 
@@ -306,19 +306,14 @@ class TxCacheClient:
             return fn(*args, **kwargs)
 
         key = cache_key(key_identity, args, kwargs)
-        lookup_bounds = self._lookup_bounds(state)
-        # One batched round trip fetches both the lookup over the pin-set
-        # bounds and the statistics-free probe over the transaction's
-        # original staleness window that classifies an eventual miss, so a
-        # networked transport pays a single RPC either way.
-        probe_bounds = self._probe_bounds(state)
-        requests = [LookupRequest(key, lookup_bounds[0], lookup_bounds[1])]
-        if probe_bounds != lookup_bounds:
-            requests.append(LookupRequest(key, probe_bounds[0], probe_bounds[1], probe=True))
-        responses = self.cache.multi_lookup(requests)
+        lo, hi = self._lookup_bounds(state)
+        # The request carries the lower bound of the staleness window the
+        # transaction started with beside the pin-set bounds, so a miss
+        # comes back already saying whether a fresh enough version exists.
+        (result,) = self.cache.multi_lookup(
+            [LookupRequest(key, lo, hi, self._fresh_lo(state))]
+        )
         self.stats.cache_rpcs += 1
-        result = responses[0]
-        probe_hit = responses[1].hit if len(responses) > 1 else result.hit
 
         if result.hit:
             usable = True
@@ -331,7 +326,7 @@ class TxCacheClient:
                 self.stats.record_hit()
                 return result.value
 
-        self.stats.record_miss(self._classify_miss(result, probe_hit))
+        self.stats.record_miss(self._classify_miss(result))
         return self._execute_and_store(state, fn, key, display_name, args, kwargs)
 
     def _execute_and_store(
@@ -351,12 +346,11 @@ class TxCacheClient:
             state.frames.pop()
         interval = frame.validity
         tags = frozenset(frame.tags) if interval.unbounded else frozenset()
-        self.cache.put(key, value, interval, tags)
         # A replicated put fans out to the key's replica set, so it costs one
         # round trip per replica actually in the ring (one with
         # replication_factor=1, the paper's deployment; fewer than R after a
         # crash shrinks the ring below the factor).
-        self.stats.cache_rpcs += max(1, len(self.cache.replicas_for(key)))
+        self.stats.cache_rpcs += self.cache.put(key, value, interval, tags).replicas
         # The enclosing functions (if any) already accumulated everything the
         # inner function observed, because database/cache observations are
         # folded into every frame on the stack as they happen.
@@ -374,29 +368,31 @@ class TxCacheClient:
             raise TxCacheError("pin set has no concrete timestamps")
         return bounds
 
-    def _probe_bounds(self, state: ReadOnlyState) -> tuple:
-        """The transaction's original staleness window (miss classification).
+    @staticmethod
+    def _fresh_lo(state: ReadOnlyState) -> int:
+        """Lower bound of the transaction's original staleness window.
 
         A miss is a consistency miss if a lookup over this window — ignoring
         the narrowing caused by data already read — would have hit.
         """
         initial = state.initial_bounds
-        lo = initial[0] if initial else 0
-        return (lo, _FAR_FUTURE)
+        return initial[0] if initial else 0
 
     @staticmethod
-    def _classify_miss(result, probe_hit: bool) -> MissType:
+    def _classify_miss(result) -> MissType:
         """Classify a miss as compulsory, stale/capacity, or consistency.
 
         A degraded result (the responsible cache node was unreachable and
         failure-aware routing synthesized a miss) is its own category: it
-        says nothing about whether the key was ever cached.
+        says nothing about whether the key was ever cached.  A hit the pin
+        set could not use is a consistency miss outright: the pin set lies
+        inside the staleness window, so the version that hit is fresh.
         """
         if result.degraded:
             return MissType.DEGRADED
         if not result.key_ever_stored:
             return MissType.COMPULSORY
-        if probe_hit:
+        if result.hit or result.fresh_version_exists:
             return MissType.CONSISTENCY
         return MissType.STALE_OR_CAPACITY
 

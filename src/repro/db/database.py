@@ -36,8 +36,9 @@ takes them in the other direction.
 from __future__ import annotations
 
 import threading
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Deque, Dict, Optional, Tuple
 
 from repro.clock import Clock, SystemClock
 from repro.comm.multicast import InvalidationBus, InvalidationMessage
@@ -46,7 +47,7 @@ from repro.db.executor import Executor
 from repro.db.schema import TableSchema
 from repro.db.table import Table
 from repro.db.transactions import ReadOnlyTransaction, ReadWriteTransaction
-from repro.db.tuples import next_uncommitted_mark_id
+from repro.db.tuples import TupleVersion, next_uncommitted_mark_id
 
 __all__ = ["Database", "DatabaseStats"]
 
@@ -99,6 +100,11 @@ class Database:
         self._pins: Dict[int, int] = {}
         #: snapshots older than this may have been vacuumed away.
         self._oldest_available = 0
+        #: ``(table, version)`` for every version a commit superseded and
+        #: vacuum has not yet removed; appended under the commit lock as
+        #: ``xmax`` is stamped, so in ``xmax`` order.  Vacuum pops dead ones
+        #: off the left.
+        self.superseded: Deque[Tuple[Table, TupleVersion]] = deque()
 
     # ------------------------------------------------------------------
     # Schema management

@@ -167,8 +167,10 @@ class ReadWriteTransaction(_BaseTransaction):
             timestamp = self._db.allocate_commit_timestamp()
             for _table_name, version in self._created:
                 version.xmin = timestamp
-            for _table_name, version in self._deleted:
+            superseded = self._db.superseded
+            for table_name, version in self._deleted:
                 version.xmax = timestamp
+                superseded.append((self._db.table(table_name), version))
 
             tags = self._collect_tags()
             self._finished = True

@@ -10,9 +10,7 @@ see it any more.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Tuple
-
-from repro.db.tuples import TupleVersion, UncommittedMark
+from typing import TYPE_CHECKING, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.db.database import Database
@@ -37,24 +35,20 @@ def vacuum_horizon(database: "Database") -> int:
 def vacuum_database(database: "Database") -> Tuple[int, int]:
     """Remove versions invisible to every retained snapshot.
 
+    A version is visible at ``ts`` only if ``xmax > ts``, so one superseded
+    at or before the horizon is invisible to the horizon and to everything
+    newer, and nothing older than the horizon is retained.  Commits queue
+    the versions they supersede on ``database.superseded`` in ``xmax``
+    order, so the dead ones are a prefix of that queue and a run costs what
+    it removes, not what the tables hold.
+
     Returns ``(removed_count, horizon)``.
     """
     horizon = vacuum_horizon(database)
+    superseded = database.superseded
     removed = 0
-    for table in database.tables.values():
-        dead: List[TupleVersion] = []
-        for version in table.scan_versions():
-            xmax = version.xmax
-            if xmax is None or isinstance(xmax, UncommittedMark):
-                continue
-            if isinstance(version.xmin, UncommittedMark):
-                continue
-            # Visible at ts only if xmax > ts, so a version with
-            # xmax <= horizon is invisible to the horizon and to everything
-            # newer; nothing older than the horizon is retained.
-            if xmax <= horizon:
-                dead.append(version)
-        for version in dead:
-            table.remove_version(version)
-        removed += len(dead)
+    while superseded and superseded[0][1].xmax <= horizon:
+        table, version = superseded.popleft()
+        table.remove_version(version)
+        removed += 1
     return removed, horizon

@@ -58,6 +58,9 @@ def transports_under_test() -> List[str]:
     return [forced]
 
 
+#: "Until now" as an upper lookup bound (the client library's own value).
+FAR_FUTURE = 2**62
+
 #: Wire body codecs of the pipelined transport (see repro.comm.wire).
 WIRE_CODECS = ["binary", "pickle"]
 

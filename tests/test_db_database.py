@@ -137,6 +137,38 @@ class TestVacuum:
         with pytest.raises(SnapshotTooOldError):
             db.begin_ro(snapshot_id=0)
 
+    def test_vacuum_takes_the_dead_from_the_commit_queue_not_a_scan(self, db, monkeypatch):
+        """Commits queue what they supersede in timestamp order; a run pops
+        the prefix at or below the horizon and never walks the tables."""
+        update_user(db, 1, name="v2")  # commit 1
+        pinned = db.pin_latest()
+        update_user(db, 1, name="v3")  # commit 2
+        deleting = db.begin_rw()
+        deleting.delete("users", Eq("id", 2))
+        deleting.commit()  # commit 3
+        both = db.begin_rw()  # creates a version and supersedes it itself
+        both.update("users", Eq("id", 3), {"name": "a"})
+        both.update("users", Eq("id", 3), {"name": "b"})
+        both.commit()  # commit 4
+        aborted = db.begin_rw()
+        aborted.update("users", Eq("id", 4), {"name": "never"})
+        aborted.abort()  # queues nothing
+
+        def no_scans(_table):
+            raise AssertionError("vacuum walked a table")
+
+        monkeypatch.setattr(type(db.table("users")), "scan_versions", no_scans)
+        assert [version.xmax for _table, version in db.superseded] == [1, 2, 3, 4, 4]
+        assert db.vacuum() == 1  # only what was dead at the pinned snapshot
+        assert [version.xmax for _table, version in db.superseded] == [2, 3, 4, 4]
+        db.unpin(pinned)
+        assert db.vacuum() == 4
+        assert not db.superseded
+        assert db.vacuum() == 0
+        monkeypatch.undo()
+        assert db.table("users").version_count() == 4  # five rows, one deleted
+        assert db.stats.versions_vacuumed == 5
+
     def test_vacuum_updates_stats(self, db):
         update_user(db, 1, name="v2")
         db.vacuum()

@@ -226,7 +226,7 @@ class TestLeaveMigration:
             assert len(cluster.ring) == 0
             # Routing degrades rather than raising on an empty ring.
             assert not cluster.lookup("key-1", 0, 5).hit
-            assert cluster.put("key-1", 1, Interval(0)) is False
+            assert cluster.put("key-1", 1, Interval(0)) == (False, 0)
         finally:
             cluster.close()
 

@@ -107,6 +107,23 @@ class TestRecordBenchmark:
         path = record_figures_benchmark("figure5", {"points": []})
         assert path == str(tmp_path / BENCH_FIGURES_FILENAME)
 
+    def test_env_var_directory_is_created(self, tmp_path, monkeypatch):
+        target_dir = tmp_path / "not" / "there" / "yet"
+        monkeypatch.setenv("REPRO_BENCH_DIR", str(target_dir))
+        path = record_wire_benchmark("codec", {"speedup": 2.0})
+        assert path == str(target_dir / "BENCH_wire.json")
+        assert latest(read_json(path), "codec") == {"speedup": 2.0}
+
+    def test_recording_is_a_no_op_when_nothing_says_where(self, monkeypatch):
+        """A test run must leave the committed BENCH_*.json alone."""
+        monkeypatch.delenv("REPRO_BENCH_DIR", raising=False)
+        committed = wire_benchmark_path()
+        before = os.path.getmtime(committed) if os.path.exists(committed) else None
+        assert record_wire_benchmark("codec", {"speedup": 2.0}) is None
+        assert record_figures_benchmark("figure5", {"points": []}) is None
+        after = os.path.getmtime(committed) if os.path.exists(committed) else None
+        assert after == before
+
     def test_default_path_is_repo_root(self, monkeypatch):
         monkeypatch.delenv("REPRO_BENCH_DIR", raising=False)
         path = wire_benchmark_path()

@@ -208,7 +208,8 @@ class TestCrashFailover:
             result = cluster.lookup(key, 0, 5)
             assert not result.hit and result.degraded
             assert cluster.health.degraded_lookups == 1
-            assert cluster.put(key, "new", Interval(1)) is False
+            # Sent to both replicas, stored by neither.
+            assert cluster.put(key, "new", Interval(1)) == (False, 2)
             assert cluster.health.degraded_puts == 1
         finally:
             cluster.close()

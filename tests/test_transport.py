@@ -30,7 +30,7 @@ from repro.db.invalidation import InvalidationTag
 from repro.deployment import TxCacheDeployment
 from repro.interval import Interval
 from tests.test_integration import build_bank_deployment, transfer
-from tests.helpers import node_views, simple_schema, transports_under_test
+from tests.helpers import FAR_FUTURE, node_views, simple_schema, transports_under_test
 
 # Overridable with REPRO_TRANSPORT=inprocess|socket (CI transport matrix).
 TRANSPORTS = transports_under_test()
@@ -80,9 +80,11 @@ def _replay_trace(cluster: CacheCluster, bus: InvalidationBus, seed: int = 7) ->
             results.append(cluster.probe(key, lo, lo + rng.randrange(8)))
         elif op == 4:
             results.append(cluster.was_ever_stored(key))
-        elif op == 5:  # batched lookups + probes spanning several nodes
+        elif op == 5:  # batched lookups spanning several nodes
             requests = [
-                LookupRequest(f"key-{rng.randrange(40)}", 0, timestamp + 1, probe=bool(i % 2))
+                LookupRequest(
+                    f"key-{rng.randrange(40)}", timestamp, timestamp + 1, fresh_lo=i * 2
+                )
                 for i in range(rng.randrange(1, 6))
             ]
             results.append(cluster.multi_lookup(requests))
@@ -156,13 +158,22 @@ def test_multi_lookup_groups_by_node_and_preserves_order(cluster):
     for i, key in enumerate(keys):
         cluster.put(key, i, Interval(0))
     requests = [LookupRequest(key, 0, 5) for key in keys]
-    requests += [LookupRequest("never-stored", 0, 5), LookupRequest(keys[0], 0, 5, probe=True)]
+    # No invalidation has been seen, so every entry is known valid at 0
+    # only: a lookup over [3, 5] misses, and whether "a fresh version
+    # exists" depends on where the staleness window starts.
+    requests += [
+        LookupRequest("never-stored", 0, 5),
+        LookupRequest(keys[0], 3, 5, fresh_lo=0),
+        LookupRequest(keys[0], 3, 5, fresh_lo=1),
+    ]
     results = cluster.multi_lookup(requests)
     assert len(results) == len(requests)
     for i, result in enumerate(results[:30]):
         assert result.hit and result.value == i and result.key == keys[i]
     assert not results[30].hit and not results[30].key_ever_stored
-    assert results[31].hit  # probe over a present key
+    assert not results[30].fresh_version_exists
+    assert not results[31].hit and results[31].fresh_version_exists
+    assert not results[32].hit and not results[32].fresh_version_exists
     # The trace spanned every node.
     assert len({node for node, count in cluster.key_distribution(keys).items() if count}) > 1
 
@@ -170,13 +181,19 @@ def test_multi_lookup_groups_by_node_and_preserves_order(cluster):
 def test_multi_lookup_matches_singleton_lookups(cluster):
     for i in range(20):
         cluster.put(f"key-{i}", i, Interval(0, 3 + i % 4))
-    requests = [LookupRequest(f"key-{i}", 0, 3) for i in range(20)]
-    # Probes first so the comparison lookups see identical LRU/stats state.
-    probes = cluster.multi_lookup([
-        LookupRequest(r.key, r.lo, r.hi, probe=True) for r in requests
-    ])
-    singles = [cluster.probe(r.key, r.lo, r.hi) for r in requests]
-    assert [p.hit for p in probes] == singles
+    # Entries end at 3..6: over [4, 9] half of them hit, and of the misses
+    # only those ending at 4 reach past fresh_lo=3.
+    requests = [LookupRequest(f"key-{i}", 4, 9, fresh_lo=3) for i in range(20)]
+    batched = cluster.multi_lookup(requests)
+    singles = [cluster.lookup(r.key, r.lo, r.hi) for r in requests]
+    assert [b.hit for b in batched] == [s.hit for s in singles] == [i % 4 >= 2 for i in range(20)]
+    assert [b.value for b in batched] == [s.value for s in singles]
+    for request, result in zip(requests, batched):
+        if not result.hit:
+            assert result.fresh_version_exists == cluster.probe(
+                request.key, request.fresh_lo, FAR_FUTURE
+            )
+    assert [b.fresh_version_exists for b in batched] == [i % 4 == 1 for i in range(20)]
 
 
 def test_invalidations_reach_every_node(transport_kind):

@@ -25,7 +25,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from repro.cache.cluster import CacheCluster
-from repro.cache.entry import EntryRecord, LookupRequest, LookupResult
+from repro.cache.entry import EntryRecord, LookupRequest, LookupResult, ValueBlob
 from repro.cache.netserver import (
     CacheNodeUnreachableError,
     CacheServerProcess,
@@ -64,6 +64,7 @@ scalars = (
     | st.floats(allow_nan=False)
     | st.text(max_size=40)  # includes surrogates -> pickle fallback path
     | st.binary(max_size=40)
+    | st.binary(max_size=40).map(ValueBlob)  # a value as a node holds it
 )
 
 values = st.recursive(
@@ -95,9 +96,7 @@ tags = st.frozensets(
 
 keys = st.text(max_size=300)
 
-lookup_requests = st.builds(
-    LookupRequest, keys, timestamps, timestamps, st.booleans()
-)
+lookup_requests = st.builds(LookupRequest, keys, timestamps, timestamps, timestamps)
 
 entry_records = st.builds(EntryRecord, keys, values, intervals, tags)
 
@@ -177,6 +176,60 @@ def test_interval_sets_round_trip(members):
 @settings(deadline=None)
 def test_lookup_requests_round_trip(request):
     assert round_trip(request) == request
+
+
+def test_lookup_request_layout_carries_the_staleness_bound():
+    """key, then lo / hi / fresh_lo as three i64 — no probe byte."""
+    request = LookupRequest("k", 5, 9, fresh_lo=3)
+    body = bytes(wire.encode_binary_body(request))
+    assert len(body) == 1 + 1 + 1 + 24  # tag, key length, key, three bounds
+    assert round_trip(request).fresh_lo == 3
+    assert round_trip(LookupRequest("k", 5, 9)).fresh_lo == 0
+    with pytest.raises(wire.WireDecodeError):
+        wire.decode_binary_body(body[:-8])  # the two-bound layout of old
+
+
+@given(st.binary(max_size=200))
+@settings(deadline=None)
+def test_value_blobs_round_trip_as_blobs_and_bytes_as_bytes(raw):
+    """The mark survives the codec in both directions: a blob stays a blob
+    (so the client end knows to unpickle it) and a user's ``bytes`` value
+    stays plain ``bytes`` (so nobody tries to)."""
+    blob = round_trip(ValueBlob(raw))
+    assert type(blob) is ValueBlob and blob == raw
+    plain = round_trip(raw)
+    assert type(plain) is bytes and plain == raw
+    # The pickle codec (cold ops, legacy frames) carries the mark too.
+    flags, buffers = wire.encode_body([ValueBlob(raw), raw])
+    blob, plain = wire.decode_body(flags, b"".join(buffers))
+    assert type(blob) is ValueBlob and type(plain) is bytes and blob == plain == raw
+
+
+@pytest.mark.parametrize("size", [0, 1, 255, 64 * 1024, (1 << 24) + 1])
+def test_value_blob_sizes_and_truncation(size):
+    """Empty, past the one-byte and 24-bit inline lengths other byte runs
+    use; inside every record that carries a value; and a truncated body is
+    a WireDecodeError wherever it is cut."""
+    blob = ValueBlob(bytes(range(256)) * (size // 256) + bytes(size % 256))
+    hit = LookupResult(True, "k", value=blob, interval=Interval(1, 5), key_ever_stored=True)
+    record = EntryRecord("k", blob, Interval(1))
+    for payload in (hit, record):
+        body = bytes(wire.encode_binary_body(payload))
+        assert len(body) < size + 64  # the bytes as they are, plus a header
+        carried = wire.decode_binary_body(body).value
+        assert type(carried) is ValueBlob and carried == blob
+    body = bytes(wire.encode_binary_body(hit))
+    cuts = range(len(body)) if size <= 255 else (0, 1, 5, len(body) // 2, len(body) - 1)
+    for cut in cuts:
+        with pytest.raises(wire.WireDecodeError):
+            wire.decode_binary_body(body[:cut])
+    opcode = wire.OPCODES["put"]
+    put = bytes(wire.encode_binary_args(opcode, ("k", blob, Interval(1), frozenset())))
+    assert put[0] == 1  # the packed layout
+    carried = wire.decode_binary_args(opcode, put)[1]
+    assert type(carried) is ValueBlob and carried == blob
+    with pytest.raises(wire.WireDecodeError):
+        wire.decode_binary_args(opcode, put[:-1])
 
 
 @given(entry_records)
