@@ -8,6 +8,11 @@ round trip at a time.  The socket runs model the LAN round trip of the
 paper's gigabit testbed (see ``CacheServerProcess.simulated_latency_seconds``)
 — on bare loopback an RPC is pure CPU under the GIL and *no* transport could
 scale, which the in-process series documents.
+
+Asserted as *shape* — zero errors, exact interaction counts, a warm hit
+rate, and how many RPCs a transport really had in flight at once, counted
+from the connections its pool had to dial — never as a ratio of two wall
+clocks.  The scaling curve is still printed.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from repro.bench.experiments import concurrent_churn, concurrent_clients
 
 
 def test_concurrent_clients_scaling_curve(benchmark):
-    """Socket transport: >= 1.8x ops/sec at 4 threads vs 1 thread."""
+    """Socket transport: K threads keep K round trips in flight."""
 
     def run():
         return concurrent_clients(
@@ -31,16 +36,24 @@ def test_concurrent_clients_scaling_curve(benchmark):
         for point in result.results[transport]:
             assert point.errors == 0
             assert point.interactions == point.threads * 300
+            assert point.per_thread_interactions == [300] * point.threads
+            assert point.hit_rate > 0.5  # the warmed cache served the hot table
+            assert point.degraded_lookups == 0 and point.nodes_evicted == 0
 
-    socket_scaling = result.scaling("socket")
-    at_4_threads = socket_scaling[result.thread_counts.index(4)]
-    # The headline claim of the concurrency refactor: pooled connections
-    # genuinely overlap RPCs.  Measured ~3.5x on a single-core container;
-    # 1.8x leaves room for scheduler noise without masking a regression to
-    # the old one-socket-one-lock transport (which measures ~1.0x).
-    assert at_4_threads >= 1.8, f"socket scaling at 4 threads: {at_4_threads:.2f}x"
-    # More threads must never collapse below the 1-thread baseline.
-    assert min(socket_scaling) >= 0.9
+    # Measured ~3.5x at 4 threads on a single-core container; printed above,
+    # not gated.  The headline claim of the concurrency refactor as a count:
+    # pooled connections genuinely overlap RPCs.  A pool dials a further
+    # connection only while all it holds are busy, so one thread never needs
+    # a second, and four threads that overlap need more than one — the old
+    # one-socket-one-lock transport would end every run holding exactly 1.
+    overlapped = {
+        point.threads: point.peak_overlapped_rpcs for point in result.results["socket"]
+    }
+    print(f"socket: most RPCs in flight on one transport, by threads: {overlapped}")
+    assert overlapped[1] == 1
+    for threads in (2, 4, 8):
+        assert 2 <= overlapped[threads] <= threads, overlapped
+    assert all(point.peak_overlapped_rpcs == 0 for point in result.results["inprocess"])
 
 
 def test_concurrent_churn_crash_rejoin_under_load(benchmark):

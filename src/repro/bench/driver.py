@@ -44,6 +44,7 @@ from repro.apps.rubis.schema import create_rubis_schema
 from repro.apps.rubis.workload import BIDDING_MIX, RubisClientSession, WorkloadMix
 from repro.bench.costmodel import ClusterSpec, CostModel, CostParameters, InteractionCost
 from repro.clock import ManualClock, SystemClock
+from repro.comm.wire import WIRE_COUNTERS
 from repro.core.api import ConsistencyMode
 from repro.core.stats import ClientStats, MissType
 from repro.db.errors import SerializationError
@@ -469,6 +470,11 @@ class ConcurrencyResult:
     replica_served_lookups: int
     #: Exceptions escaped from workers (always 0 on a healthy run).
     errors: int
+    #: The most cache RPCs any one pooled transport had in flight at once,
+    #: read off the connections its pool ended up holding (see
+    #: ``SocketTransport.pooled_connections``); 0 for transports without a
+    #: pool.  A count, so "the round trips overlapped" needs no stopwatch.
+    peak_overlapped_rpcs: int = 0
 
     def summary(self) -> str:
         """One-line human-readable summary."""
@@ -623,6 +629,10 @@ def run_concurrent_benchmark(config: ConcurrencyConfig) -> ConcurrencyResult:
             nodes_evicted=health.nodes_evicted,
             replica_served_lookups=health.replica_served_lookups,
             errors=sum(worker.errors for worker in workers),
+            peak_overlapped_rpcs=max(
+                getattr(transport, "pooled_connections", 0)
+                for transport in deployment.cache.transports.values()
+            ),
         )
     finally:
         deployment.shutdown()
@@ -873,13 +883,22 @@ class MultiprocessResult:
     #: Exceptions escaped from worker threads (0 on a healthy run), plus
     #: workers that failed to bootstrap at all.
     errors: int
+    #: Counts the thread-hosted nodes kept over the measured phase — what
+    #: the wire did, whatever the clock says.  Response frames the nodes
+    #: encoded; and, from event-loop nodes only (0 otherwise), ``sendmsg``
+    #: syscalls issued and the most requests one connection had in flight.
+    responses: int = 0
+    sendmsg_calls: int = 0
+    max_in_flight_per_connection: int = 0
 
     def summary(self) -> str:
         """One-line human-readable summary."""
         return (
             f"{self.label or 'run'}: {self.processes} proc x "
             f"{self.threads_per_process} thr ({self.transport}): "
-            f"{self.ops_per_second:8.1f} ops/s  hit rate {self.hit_rate:5.1%}"
+            f"{self.ops_per_second:8.1f} ops/s  hit rate {self.hit_rate:5.1%}  "
+            f"{self.responses} responses in {self.sendmsg_calls} sendmsg, "
+            f"<= {self.max_in_flight_per_connection} in flight per connection"
         )
 
 
@@ -1005,8 +1024,16 @@ def run_multiprocess_benchmark(config: MultiprocessConfig) -> MultiprocessResult
         ]
         for worker in workers:
             worker.start()
+        nodes = list(deployment.cache.processes.values())
+
+        def sendmsg_calls() -> int:
+            return sum(getattr(node, "sendmsg_calls", 0) for node in nodes)
+
         barrier.wait(timeout=120)
         started = time.perf_counter()
+        # Warm-up is over and the workers are other processes: from here on
+        # every frame this process encodes is a node's response.
+        frames_before, sendmsg_before = WIRE_COUNTERS.frames_encoded, sendmsg_calls()
         reports = [queue.get(timeout=600) for _ in workers]
         wall = time.perf_counter() - started
         for worker in workers:
@@ -1030,6 +1057,11 @@ def run_multiprocess_benchmark(config: MultiprocessConfig) -> MultiprocessResult
                 for report in sorted(reports, key=lambda r: r["index"])
             ],
             errors=sum(report["errors"] for report in reports),
+            responses=WIRE_COUNTERS.frames_encoded - frames_before,
+            sendmsg_calls=sendmsg_calls() - sendmsg_before,
+            max_in_flight_per_connection=max(
+                getattr(node, "max_in_flight_per_connection", 0) for node in nodes
+            ),
         )
     finally:
         deployment.shutdown()

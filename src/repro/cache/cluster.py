@@ -31,11 +31,13 @@ networked topology recovers most of its RPC cost.
 must never crash the application: every routed operation catches
 connection-level transport failures, marks the node *suspect*, and degrades
 to the semantics of an empty cache (lookups miss, puts are dropped) instead
-of raising.  After ``failure_threshold`` consecutive failures the node is
-evicted from the ring entirely — its key ranges fall to the surviving
-successors — and the :class:`repro.cache.membership.ClusterMembership`
-coordinator (when attached via :attr:`on_node_evicted`) records a new
-membership epoch.  Counters for all of this live in
+of raising.  All of that is paid for when a call fails, not before: against
+a node that answers, a routed operation is the ring lookup and the plain
+transport call (``CacheCluster._ask``).  After ``failure_threshold``
+consecutive failures the node is evicted from the ring entirely — its key
+ranges fall to the surviving successors — and the
+:class:`repro.cache.membership.ClusterMembership` coordinator (when attached
+via :attr:`on_node_evicted`) records a new membership epoch.  Counters for all of this live in
 :class:`ClusterHealthStats`.
 
 **R-way replication.**  With ``replication_factor=R > 1`` every key lives on
@@ -54,10 +56,13 @@ behaviour.
 
 **Thread safety.**  The routed operations (``lookup``, ``multi_lookup``,
 ``put``, ``probe``, …) are fully thread-safe: any number of application
-threads may share one cluster.  A single internal lock guards the ring, the
-transport registry, and the failure-accounting state (failure counts,
-suspect set, health counters); it is held only for those in-memory updates,
-never across a transport call, so it cannot serialize actual RPCs.  Node
+threads may share one cluster.  A single internal lock guards changes to the
+ring, the transport registry, and the failure-accounting state (failure
+counts, suspect set, health counters); it is held only for those in-memory
+updates, never across a transport call, so it cannot serialize actual RPCs.
+Routing a key takes no lock at all: the ring publishes a membership change
+as a whole (see :mod:`repro.cache.hashring`), and a node that left between
+routing and the call is simply treated as unreachable.  Node
 teardown (bus unsubscription, closing transports, stopping a socket server)
 always happens *outside* that lock — the invalidation bus holds its own lock
 while delivering, and its delivery path re-enters the cluster on failures,
@@ -74,7 +79,6 @@ import os
 import random
 import threading
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import (
     Callable,
@@ -105,7 +109,6 @@ from repro.comm.transport import (
     RetryPolicy,
     current_deadline,
     deadline_scope,
-    remaining_deadline,
 )
 from repro.comm.wire import resolve_wire_codec
 from repro.db.invalidation import InvalidationTag
@@ -125,6 +128,10 @@ TRANSPORT_KINDS = ("inprocess", "socket", "socket-pipelined", "socket-process")
 
 #: Exceptions that mean "the node is unreachable" (never server-side errors).
 _FAILURE_EXCEPTIONS = (CacheNodeUnreachableError, ConnectionError, OSError)
+
+#: What a routed call yields when its node could not be reached (an answer
+#: may be None or False, so absence needs its own value).
+_UNANSWERED = object()
 
 
 @dataclass
@@ -570,12 +577,6 @@ class CacheCluster:
         if process is not None:
             process.shutdown()
 
-    def _detach_node(self, name: str) -> None:
-        """Tear down one node's transport/process/bus state (no ring update)."""
-        with self._state_lock:
-            detached = self._pop_node_state(name)
-        self._teardown_detached(detached)
-
     def _teardown_nodes(self) -> None:
         """Close every transport and stop every node (no ring/bus updates)."""
         for transport in self._transports.values():
@@ -741,100 +742,110 @@ class CacheCluster:
         if self.on_node_evicted is not None:
             self.on_node_evicted(node)
 
-    def _node_for(self, key: str) -> Optional[str]:
-        """The responsible (primary) node, or None when the ring is empty."""
-        with self._state_lock:
-            try:
-                return self.ring.node_for(key)
-            except LookupError:
-                return None
-
     def replicas_for(self, key: str) -> List[str]:
         """The key's replica set: primary first, then the ring successors.
 
         Empty when the ring is empty; shorter than ``replication_factor``
-        when the ring is.  Taken under the state lock so a concurrent
-        eviction can never expose a half-updated ring.
+        when the ring is.  A copy of the tuple the ring precomputed for the
+        virtual point the key lands before.  No lock: a membership change
+        publishes a whole new ring (or new ring tables), so a concurrent
+        eviction can never expose a half-updated one.
         """
-        with self._state_lock:
-            try:
-                return self.ring.successors(key, self.replication_factor)
-            except LookupError:
-                return []
+        return list(self._replicas(key))
 
-    def _record_failover_read(self, failed_over: bool, hit: bool) -> None:
-        """Account a read that a non-primary replica answered."""
-        if failed_over:
-            with self._state_lock:
-                self.health.replica_served_lookups += 1
-                if hit:
-                    self.health.replica_hits += 1
+    def _replicas(self, key: str) -> Tuple[str, ...]:
+        """What :meth:`replicas_for` copies: the ring's own tuple."""
+        try:
+            return self.ring.successors(key, self.replication_factor)
+        except LookupError:
+            return ()
 
     # ------------------------------------------------------------------
-    # Retry / deadline plumbing
+    # The routed call: plain when the node answers, and what a failure costs
     # ------------------------------------------------------------------
-    def _op_scope(self, _op: str):
+    def _op_scope(self) -> deadline_scope:
         """One deadline budget for a whole routed operation.
 
         Opened at the top of every routed read: dial time, per-node
         retries, and the replica-failover walk all draw on the same
         budget, so a hung node cannot multiply the worst case by the
         number of replicas.  A scope already active (a nested routed call)
-        is left to govern — budgets never stack.
+        keeps governing — budgets never stack.
         """
-        if current_deadline() is not None:
-            return nullcontext()
-        budget = self.retry_policy.deadline_seconds
-        if budget is None:
-            budget = self.rpc_timeout_seconds
-        if budget is None:
-            return nullcontext()
-        return deadline_scope(time.monotonic() + budget)
+        deadline = current_deadline()
+        if deadline is None:
+            budget = self.retry_policy.deadline_seconds
+            if budget is None:
+                budget = self.rpc_timeout_seconds
+            if budget is not None:
+                deadline = time.monotonic() + budget
+        return deadline_scope(deadline)
 
-    @staticmethod
-    def _budget_exhausted() -> bool:
-        remaining = remaining_deadline()
-        return remaining is not None and remaining <= 0
+    def _ask(self, node: str, op: str, *args):
+        """``transport.<op>(*args)`` on ``node``; :data:`_UNANSWERED` if it
+        could not be reached.
 
-    def _call_with_retry(self, op: str, call):
-        """Run one transport call under the cluster retry policy."""
-        return self.retry_policy.run(
-            op, call, retry_on=_FAILURE_EXCEPTIONS, rng=self._retry_rng
-        )
+        Where ``lookup``/``multi_lookup``/``put``/``probe`` meet a failure.
+        A node that answers costs the call itself; only a connection-level
+        failure enters the cluster :class:`RetryPolicy` (the failed call is
+        its attempt 1, and only idempotent ops get another), and only a
+        node still failing after that is charged (suspect marking,
+        threshold eviction).  A node whose transport is already gone is
+        nobody's failure.
+        """
+        transport = self._transports.get(node)
+        if transport is None:
+            return _UNANSWERED
+        try:
+            answer = getattr(transport, op)(*args)
+        except _FAILURE_EXCEPTIONS as failure:
+            try:
+                answer = self.retry_policy.run(
+                    op,
+                    lambda: getattr(transport, op)(*args),
+                    retry_on=_FAILURE_EXCEPTIONS,
+                    rng=self._retry_rng,
+                    failure=failure,
+                )
+            except _FAILURE_EXCEPTIONS:
+                self._note_failure(node)
+                return _UNANSWERED
+        if node in self._suspects:
+            self._note_success(node)
+        return answer
 
-    def _read_from_replicas(self, key: str, operation, op: str = "lookup"):
-        """Run a read on the first reachable replica of ``key``.
+    def _read_from_replicas(self, key: str, op: str, *args):
+        """``transport.<op>(*args)`` on the first reachable replica of ``key``.
 
-        The shared failover walk behind ``lookup``/``probe``/
-        ``was_ever_stored``: an unreachable replica is retried per the
-        cluster :class:`RetryPolicy` (idempotent ops only), then noted
-        (suspect marking, threshold eviction) and the next one asked — all
-        under one deadline budget.  Returns ``(answered, failed_over,
-        result)``; ``answered`` is False only when every replica was
+        The failover walk behind ``lookup``/``probe``/``was_ever_stored``,
+        under one deadline budget.  Returns ``(answer, failed_over)``;
+        ``answer`` is :data:`_UNANSWERED` when every replica was
         unreachable or the budget ran out (the caller degrades).
         """
         failed_over = False
-        with self._op_scope(op):
-            for node in self.replicas_for(key):
-                if self._budget_exhausted():
+        with self._op_scope() as deadline:
+            for node in self._replicas(key):
+                if deadline is not None and time.monotonic() >= deadline:
                     # Out of deadline budget: degrade rather than charge a
                     # transport failure to replicas we never actually asked.
                     break
-                transport = self._transports.get(node)
-                if transport is None:
-                    continue
-                try:
-                    result = self._call_with_retry(
-                        op, lambda transport=transport: operation(transport)
-                    )
-                except _FAILURE_EXCEPTIONS:
-                    self._note_failure(node)
-                    failed_over = True
-                    continue
-                if node in self._suspects:
-                    self._note_success(node)
-                return True, failed_over, result
-        return False, failed_over, None
+                answer = self._ask(node, op, *args)
+                if answer is not _UNANSWERED:
+                    return answer, failed_over
+                failed_over = True
+        return _UNANSWERED, failed_over
+
+    def _degraded_lookup(self, key: str) -> LookupResult:
+        """The synthetic miss of a key with no reachable replica."""
+        self._bump_health("degraded_lookups")
+        return LookupResult(hit=False, key=key, degraded=True)
+
+    def _record_failover_read(self, hit: bool) -> None:
+        """Account a read that a non-primary replica answered."""
+        with self._state_lock:
+            self.health.replica_served_lookups += 1
+            if hit:
+                self.health.replica_hits += 1
 
     # ------------------------------------------------------------------
     # Cache operations (routed, degrading on node failure)
@@ -849,99 +860,66 @@ class CacheCluster:
         to the application a fully dead replica set looks like an empty
         cache, never an exception.
         """
-        answered, failed_over, result = self._read_from_replicas(
-            key, lambda transport: transport.lookup(key, lo, hi), op="lookup"
-        )
-        if answered:
-            self._record_failover_read(failed_over, result.hit)
-            return result
-        self._bump_health("degraded_lookups")
-        return LookupResult(hit=False, key=key, degraded=True)
+        result, failed_over = self._read_from_replicas(key, "lookup", key, lo, hi)
+        if result is _UNANSWERED:
+            return self._degraded_lookup(key)
+        if failed_over:
+            self._record_failover_read(result.hit)
+        return result
 
     def multi_lookup(self, requests: Sequence[LookupRequest]) -> List[LookupResult]:
         """Answer a batch of lookups, one round trip per node touched.
 
-        Requests are grouped by responsible node, each group is sent as one
-        batched operation, and the answers are reassembled in request order.
-        Results are identical to issuing the requests one at a time; when a
-        group's node is unreachable, its requests fail over to their next
-        untried replica (re-batched per replica node), and only requests
-        with no reachable replica left are answered with degraded misses.
+        Requests are grouped by primary node in one pass, each group is one
+        plain ``multi_lookup`` call on that node's transport, and the
+        answers are reassembled in request order; a batch of one takes the
+        same steps as a batch of many.  Results are identical to issuing
+        the requests one at a time.  Only when a group's node is
+        unreachable do its requests fail over to their next untried
+        replica (re-batched per replica node), and only requests with no
+        reachable replica left are answered with degraded misses.  When
+        the deadline budget runs out, what is still queued degrades at
+        once instead of charging failures to nodes that were never asked.
         """
         results: List[Optional[LookupResult]] = [None] * len(requests)
-        tried: List[Set[str]] = [set() for _ in requests]
         pending: Dict[str, List[int]] = {}
-
-        def enqueue(index: int) -> None:
-            """Queue the request on its first untried live replica."""
-            for node in self.replicas_for(requests[index].key):
-                if node not in tried[index] and node in self._transports:
-                    pending.setdefault(node, []).append(index)
-                    return
-            self._bump_health("degraded_lookups")
-            results[index] = LookupResult(
-                hit=False, key=requests[index].key, degraded=True
-            )
-
-        for index in range(len(requests)):
-            enqueue(index)
-        scope = self._op_scope("multi_lookup")
-        with scope:
-            self._drain_multi_lookup(requests, results, tried, pending)
+        for index, request in enumerate(requests):
+            replicas = self._replicas(request.key)
+            if replicas:
+                pending.setdefault(replicas[0], []).append(index)
+            else:
+                results[index] = self._degraded_lookup(request.key)
+        #: request index -> the nodes that failed it (failed requests only).
+        tried: Dict[int, Set[str]] = {}
+        with self._op_scope() as deadline:
+            while pending:
+                node, indices = pending.popitem()
+                if deadline is not None and time.monotonic() >= deadline:
+                    for index in indices:
+                        results[index] = self._degraded_lookup(requests[index].key)
+                    continue
+                answers = self._ask(
+                    node, "multi_lookup", [requests[index] for index in indices]
+                )
+                if answers is _UNANSWERED:
+                    # Each request moves to its next untried live replica,
+                    # or degrades when none remain.
+                    for index in indices:
+                        key = requests[index].key
+                        failed = tried.setdefault(index, set())
+                        failed.add(node)
+                        for replica in self._replicas(key):
+                            if replica not in failed and replica in self._transports:
+                                pending.setdefault(replica, []).append(index)
+                                break
+                        else:
+                            results[index] = self._degraded_lookup(key)
+                    continue
+                for index, answer in zip(indices, answers):
+                    results[index] = answer
+                    if index in tried:
+                        self._record_failover_read(answer.hit)
         return results  # type: ignore[return-value]  # every slot is filled
-
-    def _drain_multi_lookup(self, requests, results, tried, pending) -> None:
-        """The per-node round-trip loop of :meth:`multi_lookup`.
-
-        Runs inside the op's deadline scope; when the budget runs out the
-        still-queued requests degrade immediately instead of charging
-        transport failures to nodes that were never actually asked.
-        """
-
-        def enqueue(index: int) -> None:
-            for node in self.replicas_for(requests[index].key):
-                if node not in tried[index] and node in self._transports:
-                    pending.setdefault(node, []).append(index)
-                    return
-            self._bump_health("degraded_lookups")
-            results[index] = LookupResult(
-                hit=False, key=requests[index].key, degraded=True
-            )
-
-        while pending:
-            node, indices = pending.popitem()
-            if self._budget_exhausted():
-                for index in indices:
-                    self._bump_health("degraded_lookups")
-                    results[index] = LookupResult(
-                        hit=False, key=requests[index].key, degraded=True
-                    )
-                continue
-            batch = [requests[i] for i in indices]
-            transport = self._transports.get(node)
-            answers: Optional[List[LookupResult]] = None
-            if transport is not None:
-                try:
-                    answers = self._call_with_retry(
-                        "multi_lookup",
-                        lambda transport=transport, batch=batch: (
-                            transport.multi_lookup(batch)
-                        ),
-                    )
-                except _FAILURE_EXCEPTIONS:
-                    self._note_failure(node)
-            if answers is None:
-                # The node (or its whole batch) failed: each request retries
-                # on its next replica, or degrades when none remain.
-                for index in indices:
-                    tried[index].add(node)
-                    enqueue(index)
-                continue
-            if node in self._suspects:
-                self._note_success(node)
-            for index, answer in zip(indices, answers):
-                results[index] = answer
-                self._record_failover_read(bool(tried[index]), answer.hit)
 
     def put(
         self,
@@ -960,69 +938,57 @@ class CacheCluster:
         stored = False
         delivered = False
         sent = 0
-        for node in self.replicas_for(key):
-            transport = self._transports.get(node)
-            if transport is None:
+        for node in self._replicas(key):
+            if node not in self._transports:
                 continue
             sent += 1
-            try:
-                accepted = transport.put(key, value, interval, tags)
-            except _FAILURE_EXCEPTIONS:
-                self._note_failure(node)
-                continue
-            if node in self._suspects:
-                self._note_success(node)
-            delivered = True
-            stored = stored or accepted
+            accepted = self._ask(node, "put", key, value, interval, tags)
+            if accepted is not _UNANSWERED:
+                delivered = True
+                stored = stored or accepted
         if not delivered:
             self._bump_health("degraded_puts")
         return PutOutcome(stored, sent)
 
     def probe(self, key: str, lo: int, hi: int) -> bool:
         """Statistics-free hit check (first reachable replica answers)."""
-        answered, _failed_over, answer = self._read_from_replicas(
-            key, lambda transport: transport.probe(key, lo, hi), op="probe"
-        )
-        if answered:
-            return answer
-        self._bump_health("degraded_ops")
-        return False
+        answer, _failed_over = self._read_from_replicas(key, "probe", key, lo, hi)
+        if answer is _UNANSWERED:
+            self._bump_health("degraded_ops")
+            return False
+        return answer
 
     def was_ever_stored(self, key: str) -> bool:
         """True if a reachable replica of ``key`` has ever stored it."""
-        answered, _failed_over, answer = self._read_from_replicas(
-            key, lambda transport: transport.was_ever_stored(key), op="was_ever_stored"
-        )
-        if answered:
-            return answer
-        self._bump_health("degraded_ops")
-        return False
+        answer, _failed_over = self._read_from_replicas(key, "was_ever_stored", key)
+        if answer is _UNANSWERED:
+            self._bump_health("degraded_ops")
+            return False
+        return answer
+
+    def _on_every_node(self, op: str, *args) -> list:
+        """``transport.<op>(*args)`` on every node; the answers of those
+        reached.  An unreachable node is skipped: one degraded op, and the
+        failure charged to it."""
+        answers = []
+        for node in list(self._transports):
+            transport = self._transports.get(node)
+            if transport is None:
+                continue
+            try:
+                answers.append(getattr(transport, op)(*args))
+            except _FAILURE_EXCEPTIONS:
+                self._bump_health("degraded_ops")
+                self._note_failure(node)
+        return answers
 
     def evict_stale(self, oldest_useful_timestamp: int) -> int:
         """Eagerly drop too-stale entries on every reachable node."""
-        removed = 0
-        for node in list(self._transports):
-            transport = self._transports.get(node)
-            if transport is None:
-                continue
-            try:
-                removed += transport.evict_stale(oldest_useful_timestamp)
-            except _FAILURE_EXCEPTIONS:
-                self._bump_health("degraded_ops")
-                self._note_failure(node)
-        return removed
+        return sum(self._on_every_node("evict_stale", oldest_useful_timestamp))
 
     def clear(self) -> None:
         """Empty every reachable node."""
-        for node in list(self._transports):
-            transport = self._transports.get(node)
-            if transport is None:
-                continue
-            try:
-                transport.clear()
-            except _FAILURE_EXCEPTIONS:
-                self._bump_health("degraded_ops")
-                self._note_failure(node)
+        self._on_every_node("clear")
 
     # ------------------------------------------------------------------
     # Key migration plumbing (used by the membership coordinator)
@@ -1063,21 +1029,25 @@ class CacheCluster:
         budget, so a repair sweep rides out a transient blip instead of
         writing the node off as a lost source.
         """
-        transport = self._transports[node]
-        with self._op_scope("key_digest"):
-            return self._call_with_retry(
-                "key_digest", lambda: transport.key_digest(list(arcs))
-            )
+        return self._retried_read(node, "key_digest", arcs)
 
     def keys_in_range(self, node: str, arcs) -> List[str]:
         """``node``'s stored keys inside the given hash-space arcs.
 
         Idempotent read: retried like :meth:`key_digest`.
         """
+        return self._retried_read(node, "keys_in_range", arcs)
+
+    def _retried_read(self, node: str, op: str, arcs):
+        """A repair-planning read of one named node; failures are the
+        planner's to handle, so they propagate once retries run out."""
         transport = self._transports[node]
-        with self._op_scope("keys_in_range"):
-            return self._call_with_retry(
-                "keys_in_range", lambda: transport.keys_in_range(list(arcs))
+        with self._op_scope():
+            return self.retry_policy.run(
+                op,
+                lambda: getattr(transport, op)(list(arcs)),
+                retry_on=_FAILURE_EXCEPTIONS,
+                rng=self._retry_rng,
             )
 
     # ------------------------------------------------------------------
@@ -1086,28 +1056,13 @@ class CacheCluster:
     def aggregate_stats(self) -> CacheServerStats:
         """Sum the per-node counters into one stats object."""
         total = CacheServerStats()
-        for node in list(self._transports):
-            transport = self._transports.get(node)
-            if transport is None:
-                continue
-            try:
-                total += transport.stats()
-            except _FAILURE_EXCEPTIONS:
-                self._bump_health("degraded_ops")
-                self._note_failure(node)
+        for stats in self._on_every_node("stats"):
+            total += stats
         return total
 
     def reset_stats(self) -> None:
         """Reset the counters of every reachable node."""
-        for node in list(self._transports):
-            transport = self._transports.get(node)
-            if transport is None:
-                continue
-            try:
-                transport.reset_stats()
-            except _FAILURE_EXCEPTIONS:
-                self._bump_health("degraded_ops")
-                self._note_failure(node)
+        self._on_every_node("reset_stats")
 
     @property
     def used_bytes(self) -> int:

@@ -26,6 +26,14 @@ migration planner stream only the arcs whose replica set actually changed.
 Successor lists are minimally disruptive by construction: adding a node
 inserts it at one position of each key's distinct-owner walk (displacing at
 most the last replica), and removing one promotes the next distinct owner.
+
+**Routing cost.**  The successor list of every virtual point is computed
+once per membership change (per replication factor asked for), so routing a
+key is one hash, one bisect and one index.  The tables are bounded by the
+ring size (about ``virtual_nodes`` points per node) — there is no per-key
+state.  A membership change replaces the point list and drops the tables
+rather than editing them, so a reader racing it sees the old ring or the new
+one, never a mixture, and needs no lock.
 """
 
 from __future__ import annotations
@@ -34,6 +42,10 @@ import bisect
 import hashlib
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
+
+#: What routing reads: the ring's points, and the successor list of the
+#: point a key lands before (one more entry than points: the wrap-around).
+_Routes = Tuple[List[int], List[Tuple[str, ...]]]
 
 __all__ = [
     "ConsistentHashRing",
@@ -110,6 +122,8 @@ class ConsistentHashRing:
         self._points: List[int] = []
         #: node name -> number of virtual points it placed on the ring.
         self._nodes: Dict[str, int] = {}
+        #: replication factor -> routing tables of the current ``_ring``.
+        self._routes: Dict[int, _Routes] = {}
         for node in nodes:
             self.add_node(node)
 
@@ -129,11 +143,13 @@ class ConsistentHashRing:
             raise ValueError("weight must be positive")
         replicas = max(1, round(self._virtual_nodes * weight))
         self._nodes[node] = replicas
+        ring, points = list(self._ring), list(self._points)
         for replica in range(replicas):
             point = _hash(f"{node}#{replica}")
-            index = bisect.bisect(self._points, point)
-            self._points.insert(index, point)
-            self._ring.insert(index, (point, node))
+            index = bisect.bisect(points, point)
+            points.insert(index, point)
+            ring.insert(index, (point, node))
+        self._publish(ring, points)
 
     def remove_node(self, node: str) -> None:
         """Remove a node; its keys fall to their ring successors.
@@ -145,23 +161,32 @@ class ConsistentHashRing:
         replicas = self._nodes.pop(node, None)
         if replicas is None:
             return
+        ring, points = list(self._ring), list(self._points)
         for replica in range(replicas):
             point = _hash(f"{node}#{replica}")
-            index = bisect.bisect_left(self._points, point)
+            index = bisect.bisect_left(points, point)
             # Several nodes could collide on one point; scan the equal run
             # for the entry that belongs to the victim.
-            while index < len(self._ring) and self._points[index] == point:
-                if self._ring[index][1] == node:
-                    del self._points[index]
-                    del self._ring[index]
+            while index < len(ring) and points[index] == point:
+                if ring[index][1] == node:
+                    del points[index]
+                    del ring[index]
                     break
                 index += 1
+        self._publish(ring, points)
+
+    def _publish(self, ring: List[Tuple[int, str]], points: List[int]) -> None:
+        """Switch to a new point list.  Published lists are never edited,
+        and the tables are dropped after the switch, so whichever table
+        dict a reader holds, what it finds there or builds into it belongs
+        to one whole ring."""
+        self._ring, self._points = ring, points
+        self._routes = {}
 
     def copy(self) -> "ConsistentHashRing":
         """An independent copy (used to stage a membership change)."""
         clone = ConsistentHashRing(virtual_nodes=self._virtual_nodes)
-        clone._ring = list(self._ring)
-        clone._points = list(self._points)
+        clone._ring, clone._points = self._ring, self._points  # never edited in place
         clone._nodes = dict(self._nodes)
         return clone
 
@@ -189,43 +214,49 @@ class ConsistentHashRing:
 
     def node_for_point(self, point: int) -> str:
         """Return the node owning a raw hash-space ``point`` (its successor)."""
-        if not self._ring:
-            raise LookupError("hash ring has no nodes")
-        index = bisect.bisect(self._points, point)
-        if index == len(self._points):
-            index = 0
-        return self._ring[index][1]
+        return self.successors_for_point(point, 1)[0]
 
-    def successors(self, key: str, r: int) -> List[str]:
+    def successors(self, key: str, r: int) -> Tuple[str, ...]:
         """The first ``r`` distinct nodes clockwise from ``key``'s point.
 
         This is the key's replica set under R-way replication: the primary
         (``node_for``) first, then the next distinct physical nodes on the
         ring.  Fewer than ``r`` nodes are returned when the ring is smaller
-        than ``r``.
+        than ``r``.  The tuple is the ring's own, shared by every key that
+        lands before the same virtual point.
         """
-        return self.successors_for_point(_hash(key), r)
+        points, table = self._routes.get(r) or self._build_routes(r)
+        return table[bisect.bisect(points, _hash(key))]
 
-    def successors_for_point(self, point: int, r: int) -> List[str]:
+    def successors_for_point(self, point: int, r: int) -> Tuple[str, ...]:
         """Successor list of a raw hash-space point (see :meth:`successors`)."""
+        points, table = self._routes.get(r) or self._build_routes(r)
+        return table[bisect.bisect(points, point)]
+
+    def _build_routes(self, r: int) -> _Routes:
+        """Walk clockwise from every virtual point, collecting distinct
+        owners: once per membership change and factor, not once per key."""
         if r < 1:
             raise ValueError("replication factor must be positive")
-        if not self._ring:
+        routes, ring = self._routes, self._ring  # in this order: see _publish
+        if not ring:
             raise LookupError("hash ring has no nodes")
-        index = bisect.bisect(self._points, point) % len(self._ring)
-        return self._successors_at(index, r)
-
-    def _successors_at(self, index: int, r: int) -> List[str]:
-        """Distinct owners walking the ring from virtual point ``index``."""
-        owners: List[str] = []
-        count = len(self._ring)
-        for step in range(count):
-            owner = self._ring[(index + step) % count][1]
-            if owner not in owners:
-                owners.append(owner)
-                if len(owners) == r:
-                    break
-        return owners
+        count = len(ring)
+        wanted = min(r, len({owner for _, owner in ring}))
+        shared: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
+        table = []
+        for index in range(count):
+            owners: List[str] = []
+            while len(owners) < wanted:
+                owner = ring[index % count][1]
+                if owner not in owners:
+                    owners.append(owner)
+                index += 1
+            replicas = tuple(owners)
+            table.append(shared.setdefault(replicas, replicas))
+        table.append(table[0])  # a key past the last point wraps to the first
+        routes[r] = built = ([point for point, _ in ring], table)
+        return built
 
     def distribution(self, keys: Sequence[str]) -> Dict[str, int]:
         """Count how many of ``keys`` map to each node (for balance tests)."""
@@ -266,13 +297,11 @@ class ConsistentHashRing:
         """
         if node not in self._nodes:
             raise KeyError(node)
-        if r < 1:
-            raise ValueError("replication factor must be positive")
         ranges: List[Tuple[int, int]] = []
-        count = len(self._ring)
-        for index, (point, _owner) in enumerate(self._ring):
-            if node in self._successors_at(index, r):
-                ranges.append((self._points[(index - 1) % count], point))
+        points, table = self._routes.get(r) or self._build_routes(r)
+        for index, point in enumerate(points):
+            if node in table[index]:
+                ranges.append((points[index - 1], point))
         return ranges
 
 
@@ -323,8 +352,8 @@ def diff_replica_ownership(
     count = len(points)
     for index, lo in enumerate(points):
         hi = points[(index + 1) % count]
-        old_owners = tuple(old.successors_for_point(lo, r))
-        new_owners = tuple(new.successors_for_point(lo, r))
+        old_owners = old.successors_for_point(lo, r)
+        new_owners = new.successors_for_point(lo, r)
         if old_owners != new_owners:
             changes.append(
                 ReplicaOwnershipChange(lo=lo, hi=hi, old_owners=old_owners, new_owners=new_owners)

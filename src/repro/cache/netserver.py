@@ -1621,6 +1621,19 @@ class SocketTransport:
         )
 
     # -- pooled mode -----------------------------------------------------
+    @property
+    def pooled_connections(self) -> int:
+        """Connections now idle in the pool (0 in pipelined mode).
+
+        The pool dials another connection only while every one it holds is
+        carrying an RPC, so on a quiet transport that has lost none to a
+        failure this is the most RPCs it ever had in flight at once — the
+        count the concurrency benchmark reads to show round trips really
+        overlapped.
+        """
+        with self._lock:
+            return len(self._idle)
+
     def _checkout(self) -> socket.socket:
         """An idle pooled connection, or a freshly dialled one."""
         with self._lock:

@@ -343,6 +343,10 @@ class CacheServer:
         ``probe(key, fresh_lo, FAR_FUTURE)`` would answer, found in the same
         pass over the versions.
         """
+        return self._lookup(key, lo, hi, fresh_lo)
+
+    def _lookup(self, key: str, lo: int, hi: int, fresh_lo: int) -> LookupResult:
+        """:meth:`lookup`, for a caller that holds the lock."""
         self.stats.lookups += 1
         request = Interval(lo, hi + 1)
         versions = self._entries.get(key, ())
@@ -381,18 +385,19 @@ class CacheServer:
             fresh_version_exists=fresh,
         )
 
-    @_locked
     def multi_lookup(self, requests: Sequence[LookupRequest]) -> List[LookupResult]:
         """Answer a batch of lookups in one call, in request order.
 
         Each :class:`LookupRequest` is served exactly as :meth:`lookup`
         would serve it, so batching never changes results or statistics —
-        it only saves round trips on a networked transport.
+        it only saves round trips on a networked transport.  The lock is
+        taken once for the batch, not once more per request.
         """
-        return [
-            self.lookup(request.key, request.lo, request.hi, request.fresh_lo)
-            for request in requests
-        ]
+        with self._lock:
+            return [
+                self._lookup(request.key, request.lo, request.hi, request.fresh_lo)
+                for request in requests
+            ]
 
     @_locked
     def probe(self, key: str, lo: int, hi: int) -> bool:

@@ -45,13 +45,11 @@ from __future__ import annotations
 import random
 import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Callable,
     FrozenSet,
-    Iterator,
     List,
     Optional,
     Protocol,
@@ -115,36 +113,47 @@ def remaining_deadline() -> Optional[float]:
     return deadline - time.monotonic()
 
 
-@contextmanager
-def deadline_scope(deadline: Optional[float]) -> Iterator[None]:
+class deadline_scope:
     """Establish a per-op deadline for every transport call in the block.
 
-    The deadline is an absolute ``time.monotonic()`` instant.  Scopes nest:
-    the inner scope wins for its duration and the outer one is restored on
-    exit.  Transports treat the scoped deadline as a *cap* on their own
+    The deadline is an absolute ``time.monotonic()`` instant (None: no
+    deadline), and ``with ... as`` binds it.  Scopes nest: the inner scope
+    wins for its duration and the outer one is restored on exit.
+    Transports treat the scoped deadline as a *cap* on their own
     per-attempt timeouts (dial and RPC waits), so one budget bounds an
     entire routed operation — including retries and replica failover —
-    instead of each attempt getting a fresh full timeout.
+    instead of each attempt getting a fresh full timeout.  Entering and
+    leaving cost one thread-local assignment each: every routed cache
+    operation opens one.
     """
-    previous = getattr(_DEADLINE, "value", None)
-    _DEADLINE.value = deadline
-    try:
-        yield
-    finally:
-        _DEADLINE.value = previous
+
+    __slots__ = ("_deadline", "_previous")
+
+    def __init__(self, deadline: Optional[float]) -> None:
+        self._deadline = deadline
+
+    def __enter__(self) -> Optional[float]:
+        self._previous = getattr(_DEADLINE, "value", None)
+        _DEADLINE.value = self._deadline
+        return self._deadline
+
+    def __exit__(self, exc_type, exc, traceback) -> None:
+        _DEADLINE.value = self._previous
 
 
 @dataclass(frozen=True)
 class RetryPolicy:
     """Bounded-retry policy for idempotent cache reads.
 
-    The cluster runs every routed read through :meth:`run`: transient
-    connection failures against one node are retried up to
-    ``max_attempts`` times with exponential backoff and jitter, all under
-    the op's single deadline budget (``deadline_seconds``, defaulting to
-    the cluster's ``rpc_timeout_seconds``).  Only operations in
-    :data:`IDEMPOTENT_OPS` ever retry; everything else gets exactly one
-    attempt, preserving the pre-retry failure semantics of writes.
+    The cluster makes the first attempt of a routed call itself and comes
+    to :meth:`run` only when that attempt failed: transient connection
+    failures against one node are retried up to ``max_attempts`` times
+    (the failed first attempt included) with exponential backoff and
+    jitter, all under the op's single deadline budget
+    (``deadline_seconds``, defaulting to the cluster's
+    ``rpc_timeout_seconds``).  Only operations in :data:`IDEMPOTENT_OPS`
+    ever retry; everything else gets exactly one attempt, preserving the
+    pre-retry failure semantics of writes.
     """
 
     #: Attempts per node per operation (1 = no retries).
@@ -183,30 +192,38 @@ class RetryPolicy:
         retry_on: Tuple[type, ...],
         rng: random.Random,
         sleep: Callable[[float], None] = time.sleep,
+        failure: Optional[BaseException] = None,
     ) -> object:
         """Run ``call`` with retries (idempotent ops only) under the deadline.
 
         Exceptions in ``retry_on`` are retried; anything else propagates
         immediately.  A retry is abandoned (the last failure re-raised)
         when the backoff delay would cross the active deadline scope —
-        retried reads never exceed their propagated deadline.
+        retried reads never exceed their propagated deadline.  ``failure``
+        is what a first attempt the caller already made raised: it counts
+        as attempt 1, so ``run`` starts at the backoff before attempt 2.
         """
         if not self.retries(op):
+            if failure is not None:
+                raise failure
             return call()
         attempt = 0
         while True:
-            try:
-                return call()
-            except retry_on:
-                attempt += 1
-                if attempt >= self.max_attempts:
-                    raise
-                delay = self.backoff_seconds(attempt - 1, rng)
-                remaining = remaining_deadline()
-                if remaining is not None and remaining <= delay:
-                    raise
-                if delay > 0:
-                    sleep(delay)
+            if failure is None:
+                try:
+                    return call()
+                except retry_on as error:
+                    failure = error
+            attempt += 1
+            if attempt >= self.max_attempts:
+                raise failure
+            delay = self.backoff_seconds(attempt - 1, rng)
+            remaining = remaining_deadline()
+            if remaining is not None and remaining <= delay:
+                raise failure
+            if delay > 0:
+                sleep(delay)
+            failure = None
 
 
 @runtime_checkable

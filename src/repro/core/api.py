@@ -28,9 +28,8 @@ entirely (the "No caching" baseline).
 from __future__ import annotations
 
 import functools
-from contextlib import contextmanager
 from enum import Enum
-from typing import Any, Callable, Dict, Iterator, Optional, Union
+from typing import Any, Callable, Dict, Optional, Union
 
 from repro.cache.cluster import CacheCluster
 from repro.cache.entry import LookupRequest
@@ -40,7 +39,7 @@ from repro.core.exceptions import (
     TransactionInProgressError,
     TxCacheError,
 )
-from repro.core.keys import cache_key
+from repro.core.keys import key_maker
 from repro.core.pinset import PinSet
 from repro.core.stats import ClientStats, MissType
 from repro.core.transaction import CacheableFrame, ReadOnlyState, ReadWriteState
@@ -66,6 +65,36 @@ class ConsistencyMode(Enum):
     NO_CONSISTENCY = "no-consistency"
     #: Never use the cache (the "No caching" baseline).
     NO_CACHE = "no-cache"
+
+
+class _TransactionScope:
+    """``with client.read_only(...)`` / ``with client.read_write()``: BEGIN
+    on entry; on exit COMMIT, or ABORT if the block raised — unless the
+    block already finished the transaction itself."""
+
+    __slots__ = ("_client", "_read_only", "_staleness")
+
+    def __init__(
+        self, client: "TxCacheClient", read_only: bool, staleness: Optional[float] = None
+    ) -> None:
+        self._client = client
+        self._read_only = read_only
+        self._staleness = staleness
+
+    def __enter__(self) -> "TxCacheClient":
+        if self._read_only:
+            self._client.begin_ro(self._staleness)
+        else:
+            self._client.begin_rw()
+        return self._client
+
+    def __exit__(self, exc_type, exc, traceback) -> None:
+        client = self._client
+        if client.in_transaction:
+            if exc_type is None:
+                client.commit()
+            else:
+                client.abort()
 
 
 class TxCacheClient:
@@ -180,33 +209,13 @@ class TxCacheClient:
         state = self._require_transaction()
         return state.read_only
 
-    @contextmanager
-    def read_only(self, staleness: Optional[float] = None) -> Iterator["TxCacheClient"]:
+    def read_only(self, staleness: Optional[float] = None) -> _TransactionScope:
         """Context manager form of BEGIN-RO ... COMMIT/ABORT."""
-        self.begin_ro(staleness)
-        try:
-            yield self
-        except BaseException:
-            if self.in_transaction:
-                self.abort()
-            raise
-        else:
-            if self.in_transaction:
-                self.commit()
+        return _TransactionScope(self, True, staleness)
 
-    @contextmanager
-    def read_write(self) -> Iterator["TxCacheClient"]:
+    def read_write(self) -> _TransactionScope:
         """Context manager form of BEGIN-RW ... COMMIT/ABORT."""
-        self.begin_rw()
-        try:
-            yield self
-        except BaseException:
-            if self.in_transaction:
-                self.abort()
-            raise
-        else:
-            if self.in_transaction:
-                self.commit()
+        return _TransactionScope(self, False)
 
     # ==================================================================
     # Cacheable functions
@@ -221,12 +230,14 @@ class TxCacheClient:
         on a miss it runs ``fn``, records the validity interval and
         invalidation tags of everything it observed, and stores the result.
         """
-        key_identity: Union[Callable[..., Any], str] = name if name is not None else fn
+        # The function's share of the key (for an unnamed one, a hash of its
+        # code) is worked out here, not on every call.
+        make_key = key_maker(name if name is not None else fn)
         display_name = name or getattr(fn, "__qualname__", repr(fn))
 
         @functools.wraps(fn)
         def wrapper(*args: Any, **kwargs: Any) -> Any:
-            return self._call_cacheable(fn, key_identity, display_name, args, kwargs)
+            return self._call_cacheable(fn, make_key, display_name, args, kwargs)
 
         wrapper.__txcache_wrapped__ = fn  # type: ignore[attr-defined]
         wrapper.__txcache_name__ = display_name  # type: ignore[attr-defined]
@@ -288,7 +299,7 @@ class TxCacheClient:
     def _call_cacheable(
         self,
         fn: Callable[..., Any],
-        key_identity: Union[Callable[..., Any], str],
+        make_key: Callable[[tuple, dict], str],
         display_name: str,
         args: tuple,
         kwargs: dict,
@@ -305,26 +316,29 @@ class TxCacheClient:
             self.stats.record_bypass()
             return fn(*args, **kwargs)
 
-        key = cache_key(key_identity, args, kwargs)
+        key = make_key(args, kwargs)
         lo, hi = self._lookup_bounds(state)
         # The request carries the lower bound of the staleness window the
         # transaction started with beside the pin-set bounds, so a miss
-        # comes back already saying whether a fresh enough version exists.
+        # comes back already saying whether a fresh enough version exists:
+        # if one does, the miss is a consistency miss — a lookup ignoring
+        # the narrowing caused by data already read would have hit.
+        initial = state.initial_bounds
         (result,) = self.cache.multi_lookup(
-            [LookupRequest(key, lo, hi, self._fresh_lo(state))]
+            [LookupRequest(key, lo, hi, initial[0] if initial else 0)]
         )
         self.stats.cache_rpcs += 1
 
-        if result.hit:
-            usable = True
-            if self.mode is ConsistencyMode.CONSISTENT:
-                usable = state.pin_set.would_survive(result.interval)
-            if usable:
-                if self.mode is ConsistencyMode.CONSISTENT:
-                    state.pin_set.restrict(result.interval)
+        # A hit is usable if it leaves the transaction a serialization
+        # point, and using it narrows the pin set to those that remain.
+        if result.hit and (
+            self.mode is not ConsistencyMode.CONSISTENT
+            or state.pin_set.narrow(result.interval)
+        ):
+            if state.frames:
                 state.accumulate_into_frames(result.raw_interval, result.tags)
-                self.stats.record_hit()
-                return result.value
+            self.stats.record_hit()
+            return result.value
 
         self.stats.record_miss(self._classify_miss(result))
         return self._execute_and_store(state, fn, key, display_name, args, kwargs)
@@ -367,16 +381,6 @@ class TxCacheClient:
         if bounds is None:  # pragma: no cover - begin_ro guarantees bounds
             raise TxCacheError("pin set has no concrete timestamps")
         return bounds
-
-    @staticmethod
-    def _fresh_lo(state: ReadOnlyState) -> int:
-        """Lower bound of the transaction's original staleness window.
-
-        A miss is a consistency miss if a lookup over this window — ignoring
-        the narrowing caused by data already read — would have hit.
-        """
-        initial = state.initial_bounds
-        return initial[0] if initial else 0
 
     @staticmethod
     def _classify_miss(result) -> MissType:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 from typing import Any, Callable, Optional, Tuple
 
-__all__ = ["cache_key", "stable_repr", "function_fingerprint"]
+__all__ = ["cache_key", "key_maker", "stable_repr", "function_fingerprint"]
 
 
 def stable_repr(value: Any) -> str:
@@ -27,6 +27,13 @@ def stable_repr(value: Any) -> str:
     logically equal arguments always produce the same key.  Nested containers
     are handled recursively.
     """
+    kind = type(value)
+    # What almost every argument is, answered before the ladder below (which
+    # gives the same text; subclasses and ``bool`` still go through it).
+    if kind is int or kind is str:
+        return repr(value)
+    if kind is tuple:
+        return "(" + ", ".join(map(stable_repr, value)) + ")"
     if isinstance(value, dict):
         items = ", ".join(
             f"{stable_repr(k)}: {stable_repr(v)}" for k, v in sorted(value.items(), key=lambda kv: repr(kv[0]))
@@ -57,26 +64,37 @@ def function_fingerprint(fn: Callable[..., Any]) -> str:
     return f"{module}.{name}@{digest}"
 
 
+def key_maker(fn_or_name: Callable[..., Any] | str) -> Callable[[Tuple[Any, ...], dict], str]:
+    """The key derivation of one cacheable function: ``make(args, kwargs)``.
+
+    Everything that depends only on the function — fingerprinting its code,
+    the readable prefix — is done here, once; a call pays for rendering and
+    hashing its arguments.  ``fn_or_name`` may be the function itself
+    (preferred — its code fingerprint becomes part of the key) or an
+    explicit name supplied by the application.
+    """
+    if callable(fn_or_name):
+        identity = function_fingerprint(fn_or_name)
+    else:
+        identity = str(fn_or_name)
+    # Keep a readable prefix for debugging plus a hash for uniqueness.
+    readable = identity.split(".")[-1][:40] + ":"
+    identity += "|"
+
+    def make(args: Tuple[Any, ...], kwargs: dict) -> str:
+        raw = identity + stable_repr(args) + "|" + (stable_repr(kwargs) if kwargs else "")
+        return readable + hashlib.sha1(raw.encode()).hexdigest()[:16]
+
+    return make
+
+
 def cache_key(
     fn_or_name: Callable[..., Any] | str,
     args: Tuple[Any, ...] = (),
     kwargs: Optional[dict] = None,
 ) -> str:
-    """Derive the cache key for a call to a cacheable function.
+    """Derive the cache key for one call to a cacheable function.
 
-    ``fn_or_name`` may be the function itself (preferred — its code
-    fingerprint becomes part of the key) or an explicit name supplied by the
-    application.
+    The one-off form of :func:`key_maker`, which see.
     """
-    kwargs = kwargs or {}
-    if callable(fn_or_name):
-        identity = function_fingerprint(fn_or_name)
-    else:
-        identity = str(fn_or_name)
-    arg_part = stable_repr(tuple(args))
-    kwarg_part = stable_repr(kwargs) if kwargs else ""
-    raw = f"{identity}|{arg_part}|{kwarg_part}"
-    digest = hashlib.sha1(raw.encode()).hexdigest()[:16]
-    # Keep a readable prefix for debugging plus a hash for uniqueness.
-    readable = identity.split(".")[-1][:40]
-    return f"{readable}:{digest}"
+    return key_maker(fn_or_name)(tuple(args), kwargs or {})

@@ -18,7 +18,8 @@ Two invariants (paper section 6.2.1) govern the pin set:
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, List, Optional, Set, Tuple
+from bisect import bisect_left, insort
+from typing import FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.core.exceptions import EmptyPinSetError
 from repro.interval import Interval
@@ -48,7 +49,9 @@ class PinSet:
     """The set of timestamps at which a transaction may be serialized."""
 
     def __init__(self, timestamps: Iterable[int] = (), star: bool = True) -> None:
-        self._timestamps: Set[int] = set(int(t) for t in timestamps)
+        #: Ascending and distinct, so the bounds are its two ends and the
+        #: survivors of a validity interval are one slice of it.
+        self._timestamps: List[int] = sorted({int(t) for t in timestamps})
         self._star = bool(star)
         if not self._timestamps and not self._star:
             raise EmptyPinSetError("a pin set must start with at least one element")
@@ -86,24 +89,25 @@ class PinSet:
         cached value whose validity interval overlaps them keeps the
         transaction serializable at one or more timestamps.
         """
-        if not self._timestamps:
-            return None
-        return (min(self._timestamps), max(self._timestamps))
+        timestamps = self._timestamps
+        return (timestamps[0], timestamps[-1]) if timestamps else None
 
     def most_recent(self) -> Optional[int]:
         """The highest concrete timestamp, or ``None`` if only ``?``."""
-        return max(self._timestamps) if self._timestamps else None
+        return self._timestamps[-1] if self._timestamps else None
 
     def sorted_timestamps(self) -> List[int]:
         """All concrete timestamps, ascending."""
-        return sorted(self._timestamps)
+        return list(self._timestamps)
 
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
     def add_timestamp(self, timestamp: int) -> None:
         """Add a concrete timestamp (used when ``?`` is reified)."""
-        self._timestamps.add(int(timestamp))
+        timestamp = int(timestamp)
+        if timestamp not in self._timestamps:
+            insort(self._timestamps, timestamp)
 
     def remove_star(self) -> None:
         """Drop ``?``: the transaction has observed data and can no longer
@@ -123,21 +127,38 @@ class PinSet:
         Removes every timestamp outside ``interval`` and drops ``?`` (the
         observed value need not be valid at a future new snapshot).  Raises
         :class:`EmptyPinSetError` if the restriction would empty the set —
-        callers check :meth:`would_survive` first and treat that case as a
-        cache miss instead.
+        callers that treat that case as a cache miss use :meth:`narrow`.
         """
-        survivors = {t for t in self._timestamps if interval.contains(t)}
-        if not survivors:
+        if not self.narrow(interval):
             raise EmptyPinSetError(
-                f"restricting pin set {sorted(self._timestamps)} to {interval!r} "
+                f"restricting pin set {self._timestamps} to {interval!r} "
                 "would leave no serialization point"
             )
+
+    def narrow(self, interval: Interval) -> bool:
+        """:meth:`restrict` if a timestamp would survive it, else nothing.
+
+        Returns whether the pin set was restricted: one pass for a cache
+        hit's "is it usable, and if so take it".
+        """
+        survivors = self._within(interval)
+        if not survivors:
+            return False
         self._timestamps = survivors
         self._star = False
+        return True
 
     def would_survive(self, interval: Interval) -> bool:
         """True if :meth:`restrict` with ``interval`` would keep a timestamp."""
-        return any(interval.contains(t) for t in self._timestamps)
+        return bool(self._within(interval))
+
+    def _within(self, interval: Interval) -> List[int]:
+        """The timestamps inside ``interval``: a slice, found by bisection."""
+        timestamps = self._timestamps
+        start = bisect_left(timestamps, interval.lo)
+        if interval.hi is None:
+            return timestamps[start:]
+        return timestamps[start : bisect_left(timestamps, interval.hi)]
 
     def copy(self) -> "PinSet":
         """An independent copy (used for what-if checks in tests)."""
@@ -145,7 +166,7 @@ class PinSet:
         return clone
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        elements = [str(t) for t in sorted(self._timestamps)]
+        elements = [str(t) for t in self._timestamps]
         if self._star:
             elements.append("?")
         return "PinSet{" + ", ".join(elements) + "}"

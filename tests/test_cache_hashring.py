@@ -262,7 +262,7 @@ class TestSuccessorProperties:
             # Everyone but the victim keeps replica status; at most one node
             # (the next distinct successor) is promoted in.
             kept = [node for node in old if node != victim]
-            assert kept == new[: len(kept)]
+            assert kept == list(new[: len(kept)])
             assert len(set(new) - set(kept)) <= 1
 
     @given(weighted_nodes, st.integers(min_value=1, max_value=4))
@@ -325,3 +325,123 @@ class TestSuccessorProperties:
             point = _hash(key)
             in_changed = any(range_contains(c.lo, c.hi, point) for c in changes)
             assert in_changed == (old.successors(key, 2) != new.successors(key, 2)), key
+
+
+# ----------------------------------------------------------------------
+# Precomputed routing tables against a walk of the ring written here
+# ----------------------------------------------------------------------
+class TestRoutingTablesAgainstBruteForce:
+    """The ring answers ``successors`` from tables it rebuilds on membership
+    changes.  The oracle below keeps its own point list and walks it
+    clockwise per key, through seeded join/leave sequences."""
+
+    VIRTUAL_NODES = 40
+
+    @staticmethod
+    def _oracle_points(members):
+        from repro.cache.hashring import _hash
+
+        return sorted(
+            (_hash(f"{node}#{replica}"), node)
+            for node, replicas in members.items()
+            for replica in range(replicas)
+        )
+
+    @staticmethod
+    def _walk(points, start, r):
+        """First ``r`` distinct owners clockwise from the first point > start."""
+        owners = []
+        later = [owner for point, owner in points if point > start]
+        for owner in later + [owner for _point, owner in points]:
+            if owner not in owners:
+                owners.append(owner)
+            if len(owners) == r:
+                break
+        return owners
+
+    def _check(self, ring, members, rng):
+        from repro.cache.hashring import _hash
+
+        points = self._oracle_points(members)
+        keys = [f"key-{rng.randrange(10**9)}" for _ in range(500)]
+        if not members:
+            for r in (1, 2, 3):
+                with pytest.raises(LookupError):
+                    ring.successors(keys[0], r)
+            with pytest.raises(LookupError):
+                ring.node_for(keys[0])
+            return
+        for r in (1, 2, 3):
+            for key in keys:
+                expected = self._walk(points, _hash(key), r)
+                assert list(ring.successors(key, r)) == expected, (key, r)
+                assert list(ring.successors_for_point(_hash(key), r)) == expected
+        for key in keys[:50]:
+            assert ring.node_for(key) == self._walk(points, _hash(key), 1)[0]
+            # Asking for more replicas than nodes returns every node once.
+            everyone = ring.successors(key, len(members) + 2)
+            assert sorted(everyone) == sorted(members)
+        # A key hashing exactly onto a point routes to that point's successor.
+        for point, _owner in points[:20]:
+            assert list(ring.successors_for_point(point, 2)) == self._walk(points, point, 2)
+        for node in members:
+            arcs = [
+                (points[index - 1][0], point)
+                for index, (point, owner) in enumerate(points)
+                if owner == node
+            ]
+            assert ring.owned_ranges(node) == arcs
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_successors_equal_a_clockwise_walk_after_every_membership_step(self, seed):
+        import random
+
+        rng = random.Random(seed)
+        ring = ConsistentHashRing(virtual_nodes=self.VIRTUAL_NODES)
+        members = {}
+        self._check(ring, members, rng)
+        for _step in range(14):
+            absent = [f"n{i}" for i in range(6) if f"n{i}" not in members]
+            if absent and (not members or rng.random() < 0.6):
+                node, weight = rng.choice(absent), rng.choice([0.5, 1.0, 1.0, 2.5])
+                ring.add_node(node, weight=weight)
+                members[node] = max(1, round(self.VIRTUAL_NODES * weight))
+            else:
+                node = rng.choice(sorted(members))
+                ring.remove_node(node)
+                del members[node]
+            assert sorted(ring.nodes) == sorted(members)
+            self._check(ring, members, rng)
+
+    def test_diff_ownership_equals_owner_comparison_at_every_combined_point(self):
+        import random
+
+        from repro.cache.hashring import diff_ownership
+
+        rng = random.Random(11)
+        old = ConsistentHashRing(["a", "b", "c"], virtual_nodes=self.VIRTUAL_NODES)
+        old.successors("warm", 2)  # tables built before the copy must not leak into it
+        new = old.copy()
+        new.add_node("d", weight=2.0)
+        new.remove_node("b")
+        members = {name: self.VIRTUAL_NODES for name in "abc"}
+        old_points = self._oracle_points(members)
+        new_points = self._oracle_points({"a": 40, "c": 40, "d": 80})
+        combined = sorted({point for point, _ in old_points} | {point for point, _ in new_points})
+        expected = []
+        for index, lo in enumerate(combined):
+            before = self._walk(old_points, lo, 1)[0]
+            after = self._walk(new_points, lo, 1)[0]
+            if before != after:
+                expected.append((lo, combined[(index + 1) % len(combined)], before, after))
+        changes = diff_ownership(old, new)
+        assert [(c.lo, c.hi, c.old_owner, c.new_owner) for c in changes] == expected
+        # The staged copy left the original ring (and its tables) alone.
+        self._check(old, members, rng)
+
+    def test_replica_tuples_are_shared_not_per_key(self):
+        """Bounded by ring size: keys landing before the same virtual point
+        get the same tuple object, and distinct replica sets are interned."""
+        ring = ConsistentHashRing(["a", "b", "c"], virtual_nodes=self.VIRTUAL_NODES)
+        answers = [ring.successors(f"key-{i}", 2) for i in range(5000)]  # all kept alive
+        assert len({id(answer) for answer in answers}) <= 6  # ordered pairs of three nodes
