@@ -9,10 +9,10 @@ reproduction:
   handler thread to each accepted connection — simple, debuggable, and how
   the server has always run.  ``style="eventloop"`` serves *every*
   connection from one ``selectors``-based loop thread: sockets are
-  non-blocking, partial frames are reassembled per connection, decoded
-  requests are dispatched to a small worker pool, and responses are written
-  back **as they finish** — a slow ``extract_entries`` never head-of-line
-  blocks a ``lookup`` pipelined on the same connection.  Per-connection
+  non-blocking, the request path is answered in the event that read it,
+  maintenance ops are dispatched to a small worker pool, and responses are
+  written back **as they finish** — a slow ``extract_entries`` never
+  head-of-line blocks a ``lookup`` pipelined on the same connection.  Per-connection
   backpressure bounds the number of requests in flight: a connection that
   exceeds ``max_queued_per_connection`` stops being read until its backlog
   drains, so one firehose client cannot swamp the worker pool.
@@ -61,6 +61,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import pickle
+import select
 import selectors
 import socket
 import threading
@@ -83,7 +84,6 @@ from repro.comm.wire import (
     MUX_MAGIC,
     MUX_MAGIC_BINARY,
     OP_ERR,
-    OP_NAMES,
     OP_OK,
     OPCODES,
     OPCODE_MASK,
@@ -130,6 +130,13 @@ DEFAULT_MAX_QUEUED_PER_CONNECTION = 32
 
 #: Supported values of ``CacheServerProcess(style=...)``.
 SERVER_STYLES = ("threaded", "eventloop")
+
+#: How much either end asks the kernel for per ``recv``.  ``recv`` allocates
+#: its result at this size before shrinking it to what arrived, and from
+#: 128 KiB up glibc may serve that with ``mmap``: the node's 256 KiB reads
+#: cost it an mmap, an mremap, a munmap and a page fault per request (25 us
+#: of an 85 us round trip, measured).  A larger frame just takes more reads.
+_RECV_SIZE = 64 * 1024
 
 #: The multi-lookup opcode gets the reusable-scratch encode path on the
 #: pipelined binary client (see :class:`repro.comm.wire.EncodeScratch`).
@@ -270,6 +277,57 @@ def recv_frame(sock: socket.socket) -> object:
 # ----------------------------------------------------------------------
 # Server side
 # ----------------------------------------------------------------------
+def _serves(method: str):
+    """An operation served by the :class:`CacheServer` method of that name.
+
+    The method is looked up per request, not bound here: tests stall a
+    live node by wrapping a method on its server object.
+    """
+
+    def serve(server: CacheServer, *args: object) -> object:
+        return getattr(server, method)(*args)
+
+    return serve
+
+
+def _serve_invalidate_tags(server: CacheServer, batch: Sequence[tuple]) -> int:
+    """The wire-delivered invalidation stream: ``(timestamp, tags)`` pairs.
+
+    This is how out-of-process nodes subscribe to the InvalidationBus — the
+    bus cannot call into another address space, so the guard ships the
+    stream here instead.  Applied in order; returns the batch size so the
+    flush path can account delivered messages.
+    """
+    for timestamp, tags in batch:
+        server.process_invalidation(
+            InvalidationMessage(timestamp=timestamp, tags=tuple(tags))
+        )
+    return len(batch)
+
+
+#: What serves each operation, as ``serve(server, *args)``, by the name a
+#: legacy frame carries and by the opcode a multiplexed one does.
+_SERVE_OP = {
+    op: _serves(op)
+    for op in (
+        "lookup", "multi_lookup", "put", "probe", "was_ever_stored",
+        "evict_stale", "clear", "reset_stats", "extract_entries",
+        "install_entries", "discard_keys", "keys", "note_timestamp",
+        "versions_of", "key_digest", "keys_in_range",
+    )
+}
+_SERVE_OP.update(
+    # A locked snapshot, so the client sees a stable copy of the counters
+    # even while other handler threads mutate them.
+    stats=_serves("stats_snapshot"),
+    gossip=_serves("gossip_exchange"),
+    watermark=lambda server: server.last_invalidation_timestamp,
+    ping=lambda server: server.name,
+    invalidate_tags=_serve_invalidate_tags,
+)
+_SERVE_OPCODE = {OPCODES[op]: serve for op, serve in _SERVE_OP.items()}
+
+
 class CacheServerProcess:
     """One cache node served over TCP in its own thread(s).
 
@@ -486,7 +544,7 @@ class CacheServerProcess:
                 return
             if self.simulated_latency_seconds > 0.0:
                 time.sleep(self.simulated_latency_seconds)
-            buffers = self._execute_mux(request_id, opcode, memoryview(body))
+            buffers = self._execute_mux(request_id, opcode, body)
             try:
                 wire.send_buffers(connection, buffers)
             except OSError:
@@ -496,7 +554,7 @@ class CacheServerProcess:
     # Dispatch (shared by both engines)
     # ------------------------------------------------------------------
     def _execute_mux(
-        self, request_id: int, opcode: int, body: memoryview
+        self, request_id: int, opcode: int, body: bytes
     ) -> List[wire.Buffer]:
         """Serve one multiplexed request; returns the response frame buffers.
 
@@ -507,16 +565,13 @@ class CacheServerProcess:
         """
         binary = opcode & FLAG_BIN
         try:
-            op = OP_NAMES.get(opcode & OPCODE_MASK)
-            if op is None:
+            serve = _SERVE_OPCODE.get(opcode & OPCODE_MASK)
+            if serve is None:
                 raise ValueError(f"unknown cache operation opcode {opcode & OPCODE_MASK}")
             if binary:
-                args = wire.decode_binary_args(opcode & OPCODE_MASK, body)
-            else:
-                args = wire.decode_body(opcode & FLAG_OOB, body)
-            result = self._dispatch(op, args)
-            if binary:
+                result = serve(self.server, *wire.decode_binary_args(opcode & OPCODE_MASK, body))
                 return wire.encode_binary_mux_frame(request_id, OP_OK, result)
+            result = serve(self.server, *wire.decode_body(opcode & FLAG_OOB, body))
             return wire.encode_mux_frame(request_id, OP_OK, result)
         except Exception as exc:  # server must survive bad requests
             message = f"{type(exc).__name__}: {exc}"
@@ -524,8 +579,15 @@ class CacheServerProcess:
                 return wire.encode_binary_mux_frame(request_id, OP_ERR, message)
             return wire.encode_mux_frame(request_id, OP_ERR, message)
 
-    def _execute_legacy(self, body: memoryview) -> List[wire.Buffer]:
-        """Serve one legacy request (event-loop path); returns frame buffers."""
+    def _execute_legacy(
+        self, _request_id: Optional[int], _opcode: int, body: bytes
+    ) -> List[wire.Buffer]:
+        """Serve one legacy request (event-loop path); returns frame buffers.
+
+        Takes the same arguments as :meth:`_execute_mux` (a legacy frame
+        has no id or opcode, and the parser says so) so the engine calls
+        either through one name.
+        """
         try:
             request = pickle.loads(body)
         except Exception as exc:
@@ -539,63 +601,11 @@ class CacheServerProcess:
         return wire.encode_legacy_frame(response)
 
     def _dispatch(self, op: str, args: tuple) -> object:
-        server = self.server
-        if op == "lookup":
-            return server.lookup(*args)
-        if op == "multi_lookup":
-            return server.multi_lookup(*args)
-        if op == "put":
-            return server.put(*args)
-        if op == "probe":
-            return server.probe(*args)
-        if op == "was_ever_stored":
-            return server.was_ever_stored(*args)
-        if op == "evict_stale":
-            return server.evict_stale(*args)
-        if op == "clear":
-            return server.clear()
-        if op == "stats":
-            # A locked snapshot, so the client sees a stable copy of the
-            # counters even while other handler threads mutate them.
-            return server.stats_snapshot()
-        if op == "reset_stats":
-            return server.reset_stats()
-        if op == "extract_entries":
-            return server.extract_entries(*args)
-        if op == "install_entries":
-            return server.install_entries(*args)
-        if op == "discard_keys":
-            return server.discard_keys(*args)
-        if op == "keys":
-            return server.keys()
-        if op == "watermark":
-            return server.last_invalidation_timestamp
-        if op == "invalidate_tags":
-            # Wire-delivered invalidation stream: a batch of (timestamp,
-            # tags) pairs, applied in order.  This is how out-of-process
-            # nodes subscribe to the InvalidationBus — the bus cannot call
-            # into another address space, so the guard ships the stream
-            # here instead.  Returns the batch size so the flush path can
-            # account delivered messages.
-            (batch,) = args
-            for timestamp, tags in batch:
-                server.process_invalidation(
-                    InvalidationMessage(timestamp=timestamp, tags=tuple(tags))
-                )
-            return len(batch)
-        if op == "note_timestamp":
-            return server.note_timestamp(*args)
-        if op == "versions_of":
-            return server.versions_of(*args)
-        if op == "ping":
-            return server.name
-        if op == "gossip":
-            return server.gossip_exchange(*args)
-        if op == "key_digest":
-            return server.key_digest(*args)
-        if op == "keys_in_range":
-            return server.keys_in_range(*args)
-        raise ValueError(f"unknown cache operation {op!r}")
+        """Serve an operation named by a legacy frame."""
+        serve = _SERVE_OP.get(op)
+        if serve is None:
+            raise ValueError(f"unknown cache operation {op!r}")
+        return serve(self.server, *args)
 
     # ------------------------------------------------------------------
     def shutdown(self) -> None:
@@ -657,11 +667,14 @@ class _EventLoopConnection:
         #: True once the codec handshake reply (if any) has been sent; the
         #: binary-codec client blocks on the ACK before its first frame.
         self.greeted = False
-        #: Parsed frames not yet handed to the worker pool (they queue here
-        #: while the connection is over its backpressure bound).
-        self.pending: deque = deque()
-        #: Encoded-but-unwritten response buffers (memoryviews mid-write).
-        self.outgoing: deque = deque()
+        #: Parsed frames parked behind the backpressure bound; empty while
+        #: the connection is under it.
+        self.pending: list = []
+        #: Responses (each the list of its frame's buffers) not yet fully
+        #: written: those the socket would not take, and completions
+        #: waiting for this loop iteration's flush.  Replies to a read
+        #: normally leave without ever being queued here.
+        self.outgoing: list = []
         #: Requests dispatched off this connection whose responses have not
         #: been fully written yet — the quantity backpressure bounds.
         self.in_flight = 0
@@ -673,24 +686,26 @@ class _EventLoopConnection:
 class _EventLoopEngine:
     """A ``selectors`` loop serving every connection of one cache node.
 
-    One thread owns the selector: it accepts, reads, reassembles frames,
-    and writes responses.  Decoded requests are dispatched on a small
-    :class:`ThreadPoolExecutor` (CPython threads; the cache server work is
-    lock-synchronized anyway) and completed responses come back to the loop
+    One thread owns the selector: it accepts, reads, cuts frames, and
+    writes responses.  The request path is answered **in the event that
+    read it**: ``_read`` executes each frame as the parser hands it over
+    and writes all their replies with one ``sendmsg`` before the loop goes
+    back to ``select``.  Everything else is the overflow route, entered
+    only when it is needed.  Maintenance ops are dispatched on a small
+    :class:`ThreadPoolExecutor` and their responses come back to the loop
     through a thread-safe outbox plus a socketpair wakeup, so responses are
     written strictly by the loop thread, in completion order — **not**
     arrival order.  Modelled latency is a timer heap inside the loop: a
-    delayed response occupies no thread while it "travels".
+    delayed response occupies no thread while it "travels".  Both kinds of
+    late response, and whatever a full socket refused, wait in
+    ``connection.outgoing`` for the loop's next flush.
 
     Backpressure: when a connection's :attr:`_EventLoopConnection.in_flight`
-    reaches ``max_queued_per_connection``, its read interest is dropped —
-    the kernel socket buffer then fills and the client's sends stall, which
-    is TCP doing the flow control — and reading resumes once the backlog
-    drains below the bound.
+    reaches ``max_queued_per_connection``, further frames are parked and
+    its read interest is dropped — the kernel socket buffer then fills and
+    the client's sends stall, which is TCP doing the flow control — and
+    reading resumes once the backlog drains below the bound.
     """
-
-    #: How much to ask the kernel for per readable event.
-    _RECV_SIZE = 256 * 1024
 
     #: Operations dispatched to the worker pool instead of running inline
     #: on the loop thread.  The request path (lookups, puts, probes, the
@@ -701,7 +716,7 @@ class _EventLoopEngine:
     #: normally runs inline, reactor style.  Maintenance ops can touch the whole store (an
     #: eviction sweep scans everything under the server lock), so they go
     #: to the pool — and while any is in flight the request path detours to
-    #: the pool too (see ``_dispatch_pending``), so the loop thread never
+    #: the pool too (see ``_dispatch``), so the loop thread never
     #: queues on a lock a whole-store scan is holding.  This split is what
     #: lets a fast lookup overtake a slow extract pipelined on the same
     #: connection.
@@ -710,6 +725,9 @@ class _EventLoopEngine:
          "evict_stale", "key_digest", "keys_in_range"}
     )
     _POOLED_OPCODES = frozenset(OPCODES[op] for op in _POOLED_OPS)
+
+    #: Most buffers handed to one ``sendmsg`` (the kernel's limit is 1024).
+    _MAX_GATHER = 256
 
     def __init__(
         self,
@@ -722,12 +740,14 @@ class _EventLoopEngine:
         self._process = process
         self._listener = listener
         self._max_queued = max_queued_per_connection
-        #: With coalescing on, completed responses are *queued* per
-        #: connection and flushed once per loop iteration — every response
-        #: that completed in the same readiness batch rides one ``sendmsg``
-        #: gather instead of one syscall each.  Touched only by the loop
-        #: thread (workers post via the outbox), so no lock is needed.
+        #: With coalescing on, every whole response a connection has
+        #: waiting — the replies to all the frames of one read; the pool
+        #: completions and fired timers of one loop iteration — rides one
+        #: ``sendmsg`` gather instead of one syscall each.
         self._coalesce = write_coalescing
+        #: Connections given late responses since the last flush.  Touched
+        #: only by the loop thread (workers post via the outbox), so no
+        #: lock is needed.
         self._dirty: set = set()
         self.sendmsg_calls = 0
         self._selector = selectors.DefaultSelector()
@@ -741,7 +761,7 @@ class _EventLoopEngine:
         self._selector.register(self._wake_recv, selectors.EVENT_READ, None)
         self._outbox_lock = threading.Lock()
         self._outbox: deque = deque()  # (connection, response_buffers)
-        #: (deliver_at, seq, connection, buffers) — modelled-latency timers.
+        #: (deliver_at, seq, connection, responses) — modelled-latency timers.
         self._timers: list = []
         self._timer_seq = itertools.count()
         self._pool = ThreadPoolExecutor(
@@ -765,7 +785,8 @@ class _EventLoopEngine:
     def _run(self) -> None:
         try:
             while self._process._running:
-                self._flush_dirty()
+                if self._dirty:
+                    self._flush_dirty()
                 if self._timers:
                     remaining = self._timers[0][0] - time.monotonic()
                     if remaining <= 0.0:
@@ -784,13 +805,17 @@ class _EventLoopEngine:
                 else:
                     events = self._selector.select(None)
                 for key, mask in events:
-                    if key.fileobj is self._listener:
-                        self._accept()
-                    elif key.fileobj is self._wake_recv:
-                        self._drain_wakeups()
-                    else:
-                        self._service(key.data, mask)
-                self._fire_timers()
+                    connection = key.data
+                    if connection is None:
+                        if key.fileobj is self._listener:
+                            self._accept()
+                        else:
+                            self._drain_wakeups()
+                        continue
+                    if mask & selectors.EVENT_WRITE:
+                        self._drain(connection)
+                    if mask & selectors.EVENT_READ and not connection.closed:
+                        self._read(connection)
         finally:
             self._teardown()
 
@@ -818,7 +843,7 @@ class _EventLoopEngine:
                 if not self._outbox:
                     return
                 connection, buffers = self._outbox.popleft()
-            self._queue_response(connection, buffers)
+            self._respond(connection, [buffers])
 
     def _wake(self) -> None:
         try:
@@ -831,33 +856,20 @@ class _EventLoopEngine:
     def _fire_timers(self) -> None:
         now = time.monotonic()
         while self._timers and self._timers[0][0] <= now:
-            _at, _seq, connection, buffers = heapq.heappop(self._timers)
-            self._write_or_queue(connection, buffers)
+            _at, _seq, connection, responses = heapq.heappop(self._timers)
+            self._flush_later(connection, responses)
 
     # -- per-connection I/O ---------------------------------------------
-    def _service(self, connection: _EventLoopConnection, mask: int) -> None:
-        if mask & selectors.EVENT_WRITE:
-            self._flush(connection)
-        if connection.closed:
-            return
-        if mask & selectors.EVENT_READ:
-            self._read(connection)
-
     def _read(self, connection: _EventLoopConnection) -> None:
         try:
-            data = connection.sock.recv(self._RECV_SIZE)
+            data = connection.sock.recv(_RECV_SIZE)
+            # No data is EOF; an oversized/corrupt header cannot be resynced.
+            frames = connection.assembler.feed(data) if data else None
         except (BlockingIOError, InterruptedError):
             return
-        except OSError:
-            self._close_connection(connection)
-            return
-        if not data:
-            self._close_connection(connection)
-            return
-        try:
-            frames = connection.assembler.feed(data)
-        except ValueError:
-            # Oversized/corrupt header: the stream cannot resync.
+        except (OSError, ValueError):
+            frames = None
+        if frames is None:
             self._close_connection(connection)
             return
         if not connection.greeted and connection.assembler.codec is not None:
@@ -879,26 +891,40 @@ class _EventLoopEngine:
                 if reply == BINARY_NAK:
                     self._close_connection(connection)
                     return
-        connection.pending.extend(frames)
-        self._dispatch_pending(connection)
+        if frames:
+            self._dispatch(connection, frames)
 
-    def _dispatch_pending(self, connection: _EventLoopConnection) -> None:
-        """Serve queued frames, up to the backpressure bound.
+    def _dispatch(self, connection: _EventLoopConnection, frames: list) -> None:
+        """Serve ``frames`` behind any parked ones, up to the backpressure bound.
 
         The request path runs inline on the loop thread (the op is cheaper
-        than a pool handoff); maintenance ops and oversized payloads go to
+        than a pool handoff) and its replies are written together, at once;
+        maintenance ops and oversized payloads go to
         the worker pool so they cannot stall the reactor, and while one is
         in flight the request path follows it there (it may be holding the
         server lock; the loop must stay free to read, write, and accept) —
         that split is what lets a fast lookup overtake a slow extract on
         one connection.
-        Frames beyond the bound stay in ``connection.pending`` and the
-        connection stops being read; response completions re-enter here, so
-        the backlog drains in arrival order as capacity frees up.
+        Frames beyond the bound are parked in ``connection.pending`` and the
+        connection stops being read; a flush that completes responses
+        re-enters here, so the backlog drains in arrival order as capacity
+        frees up.
         """
+        if connection.pending:
+            frames, connection.pending = connection.pending + frames, []
         mode = connection.assembler.mode
-        while connection.pending and connection.in_flight < self._max_queued:
-            request_id, opcode, body = connection.pending.popleft()
+        process = self._process
+        execute = process._execute_mux if mode == "mux" else process._execute_legacy
+        replies: list = []
+        for index, (request_id, opcode, body) in enumerate(frames):
+            if connection.in_flight >= self._max_queued:
+                # At the bound: writing the replies so far usually frees it.
+                if replies:
+                    self._respond(connection, replies, now=True)
+                    replies = []
+                if connection.in_flight >= self._max_queued or connection.closed:
+                    connection.pending = frames[index:]
+                    break
             connection.in_flight += 1
             if connection.in_flight > self.max_in_flight:
                 self.max_in_flight = connection.in_flight
@@ -911,18 +937,17 @@ class _EventLoopEngine:
                     with self._pooled_lock:
                         self._pooled_active += 1
                 self._pool.submit(
-                    self._work, connection, mode, request_id, opcode, body, pooled_op
-                )
-            elif mode == "mux":
-                self._queue_response(
-                    connection, self._process._execute_mux(request_id or 0, opcode, body)
+                    self._work, connection, execute, request_id, opcode, body, pooled_op
                 )
             else:
-                self._queue_response(connection, self._process._execute_legacy(body))
+                replies.append(execute(request_id, opcode, body))
+        if replies:
+            self._respond(connection, replies, now=True)
         should_pause = bool(connection.pending) or connection.in_flight >= self._max_queued
-        if should_pause and not connection.paused:
-            connection.paused = True
-            self.backpressure_pauses += 1
+        if should_pause != connection.paused and not connection.closed:
+            connection.paused = should_pause
+            if should_pause:
+                self.backpressure_pauses += 1
             self._update_interest(connection)
 
     #: Bodies above this size are decoded and served on the pool regardless
@@ -934,30 +959,26 @@ class _EventLoopEngine:
     #: the tuple's first element, always within the first few dozen bytes).
     _LEGACY_POOL_TAGS = tuple(op.encode() for op in sorted(_POOLED_OPS))
 
-    def _should_pool(self, mode: str, opcode: int, body: memoryview) -> bool:
+    def _should_pool(self, mode: str, opcode: int, body: bytes) -> bool:
         if len(body) > self._INLINE_BODY_LIMIT:
             return True
         if mode == "mux":
             return (opcode & OPCODE_MASK) in self._POOLED_OPCODES
-        head = bytes(body[:64])
+        head = body[:64]
         return any(tag in head for tag in self._LEGACY_POOL_TAGS)
 
     def _work(
         self,
         connection: _EventLoopConnection,
-        mode: str,
+        execute,
         request_id: Optional[int],
         opcode: int,
-        body: memoryview,
+        body: bytes,
         tracked: bool = False,
     ) -> None:
         """Worker-pool entry: serve one request, post the response."""
         try:
-            process = self._process
-            if mode == "mux":
-                buffers = process._execute_mux(request_id or 0, opcode, body)
-            else:
-                buffers = process._execute_legacy(body)
+            buffers = execute(request_id, opcode, body)
             with self._outbox_lock:
                 self._outbox.append((connection, buffers))
             self._wake()
@@ -966,114 +987,95 @@ class _EventLoopEngine:
                 with self._pooled_lock:
                     self._pooled_active -= 1
 
-    def _queue_response(
-        self, connection: _EventLoopConnection, buffers: List[wire.Buffer]
+    def _respond(
+        self, connection: _EventLoopConnection, responses: list, now: bool = False
     ) -> None:
-        """Route one completed response: deliver now, or after modelled RTT."""
+        """Route completed responses: deliver, or hold for the modelled RTT.
+
+        ``now`` marks the replies to the read in progress, which are written
+        before the loop does anything else; a response that completed
+        elsewhere joins this loop iteration's flush.
+        """
         latency = self._process.simulated_latency_seconds
         if latency > 0.0:
             heapq.heappush(
                 self._timers,
-                (time.monotonic() + latency, next(self._timer_seq), connection, buffers),
+                (time.monotonic() + latency, next(self._timer_seq), connection, responses),
             )
-            return
-        self._write_or_queue(connection, buffers)
+        elif now:
+            self._flush(connection, responses)
+        else:
+            self._flush_later(connection, responses)
 
-    def _write_or_queue(
-        self, connection: _EventLoopConnection, buffers: List[wire.Buffer]
-    ) -> None:
-        if connection.closed:
-            self._response_done(connection)
-            return
-        connection.outgoing.extend(memoryview(b).cast("B") for b in buffers if len(b))
-        connection.outgoing.append(None)  # response boundary marker
-        if self._coalesce:
-            # Defer the write: every response completing in this loop
-            # iteration (inline dispatches, drained outbox, fired timers)
-            # joins the same sendmsg gather in _flush_dirty.
-            self._dirty.add(connection)
-            return
-        self._flush(connection)
+    def _flush_later(self, connection: _EventLoopConnection, responses: list) -> None:
+        connection.outgoing.extend(responses)
+        self._dirty.add(connection)
 
     def _flush_dirty(self) -> None:
-        """Flush every connection that gained output this loop iteration.
+        """Flush every connection given late responses since the last flush.
 
-        Runs at the top of the loop body, which every ``continue`` path
-        re-enters — no response can sit unflushed across a ``select``.
-        Flushing can complete responses, which can dispatch queued frames
-        and dirty connections again, hence the drain loop; backpressure
-        (``max_queued_per_connection``) bounds the work per connection.
+        Runs at the top of the loop body whenever the set is not empty,
+        which every ``continue`` path re-enters — no response can sit
+        unflushed across a ``select``.  Completing responses can unpark
+        frames, whose replies are written at once, not marked dirty.
         """
-        while self._dirty:
-            dirty, self._dirty = self._dirty, set()
-            for connection in dirty:
-                if not connection.closed:
-                    self._flush(connection)
+        dirty, self._dirty = self._dirty, set()
+        for connection in dirty:
+            self._drain(connection)
 
-    def _flush(self, connection: _EventLoopConnection) -> None:
-        """Write as much queued output as the socket accepts right now."""
-        out = connection.outgoing
-        coalesce = self._coalesce
-        while out:
-            views: List[memoryview] = []
-            for item in out:
-                if item is None:
-                    if coalesce or not views:
-                        # Coalescing: a boundary marker does not end the
-                        # gather — one sendmsg spans every queued response.
-                        continue
-                    break
-                views.append(item)
-                if len(views) >= 32:
-                    break
-            if not views:
-                # Only boundary markers left: account them and stop.
-                while out and out[0] is None:
-                    out.popleft()
-                    self._response_done(connection)
-                continue
-            try:
-                sent = connection.sock.sendmsg(views)
-                self.sendmsg_calls += 1
-            except (BlockingIOError, InterruptedError):
-                break
-            except OSError:
-                self._close_connection(connection)
-                return
-            while out and sent:
-                item = out[0]
-                if item is None:
-                    out.popleft()
-                    self._response_done(connection)
-                    continue
-                if sent >= len(item):
-                    sent -= len(item)
-                    out.popleft()
-                else:
-                    out[0] = item[sent:]
-                    sent = 0
-            if out and out[0] is not None:
-                break  # socket is full
-        while out and out[0] is None:
-            out.popleft()
-            self._response_done(connection)
-        want_write = bool(out)
-        if want_write != connection.want_write:
-            connection.want_write = want_write
-            self._update_interest(connection)
+    def _drain(self, connection: _EventLoopConnection) -> None:
+        """Flush queued output, then serve what its completion unparked."""
+        self._flush(connection)
+        if (connection.pending or connection.paused) and not connection.closed:
+            self._dispatch(connection, [])
 
-    def _response_done(self, connection: _EventLoopConnection) -> None:
-        connection.in_flight -= 1
+    def _flush(self, connection: _EventLoopConnection, fresh: Optional[list] = None) -> None:
+        """Write queued responses, then ``fresh`` ones, while the socket takes them.
+
+        With coalescing every whole response waiting rides one ``sendmsg``
+        gather; without it each gets its own.  ``connection.outgoing`` is
+        touched only to keep what the socket refused: replies handed in as
+        ``fresh`` with nothing queued ahead of them — the request path —
+        go from the caller's list to the kernel.
+        """
         if connection.closed:
             return
-        if connection.pending:
-            self._dispatch_pending(connection)
-        if (
-            connection.paused
-            and not connection.pending
-            and connection.in_flight < self._max_queued
-        ):
-            connection.paused = False
+        queue = connection.outgoing
+        if fresh:
+            if queue:
+                queue.extend(fresh)
+            else:
+                queue = fresh
+        done = 0
+        try:
+            while done < len(queue):
+                batch = queue[done:] if self._coalesce else queue[done : done + 1]
+                if len(batch) == 1:
+                    views = batch[0]
+                else:
+                    views = [view for response in batch for view in response]
+                sent = connection.sock.sendmsg(views[: self._MAX_GATHER])
+                self.sendmsg_calls += 1
+                for response in batch:
+                    size = sum(map(len, response))
+                    if sent < size:
+                        # A partial write: keep the unsent tail at the head.
+                        while sent >= len(response[0]):
+                            sent -= len(response.pop(0))
+                        if sent:
+                            response[0] = memoryview(response[0])[sent:]
+                        break
+                    sent -= size
+                    done += 1
+        except (BlockingIOError, InterruptedError):
+            pass  # the socket is full; EVENT_WRITE resumes
+        except OSError:
+            self._close_connection(connection)
+            return
+        connection.in_flight -= done
+        connection.outgoing = queue[done:] if done else queue
+        if bool(connection.outgoing) != connection.want_write:
+            connection.want_write = not connection.want_write
             self._update_interest(connection)
 
     def _update_interest(self, connection: _EventLoopConnection) -> None:
@@ -1144,19 +1146,22 @@ class _EventLoopEngine:
 class _MuxConnection:
     """One multiplexed client connection: many RPCs in flight, one socket.
 
-    Callers register a :class:`ResponseSlot` under a fresh ``request_id``,
-    write their frame (sends serialized by a per-connection lock; the
-    payloads themselves are encoded outside it), and block on their slot.
-    Responses are demultiplexed by ``request_id`` in one of two ways:
+    Callers register a :class:`ResponseSlot` under a fresh ``request_id``
+    and write their frame (sends serialized by a per-connection lock).
+    Responses are read with one ``recv`` into the connection's
+    :class:`FrameAssembler` and demultiplexed by ``request_id`` in one of
+    two ways:
 
-    * ``read_lease=True`` (the default): whichever caller gets there first
-      takes the *read lease* and reads frames off the socket itself,
-      resolving every slot it sees, until its own response lands.  At low
-      concurrency this removes the reader-thread rendezvous entirely — the
-      calling thread parks in ``recv`` and wakes with its own bytes, no
-      cross-thread handoff.  Releasing the lease kicks one waiting caller
-      (without settling its slot) so the lease is never orphaned while
-      requests are outstanding.
+    * ``read_lease=True`` (the default): a caller that has sent and finds
+      the *read lease* free takes it and reads frames off the socket
+      itself, resolving every slot it sees, until its own response lands —
+      a single caller never waits on anything but ``recv`` and pays for no
+      rendezvous.  (Nobody holds the lease while sending: a sender can
+      block, and the node may be unable to read until someone drains its
+      replies.)  A caller that finds the lease held follows:
+      it blocks on its slot while the holder reads for it.  Releasing the
+      lease kicks one waiting follower (without settling its slot) to take
+      over, so the lease is never orphaned while requests are outstanding.
     * ``read_lease=False``: the PR-5 arrangement — a dedicated reader
       thread owns ``recv`` and callers only send and block on their slot.
 
@@ -1198,6 +1203,12 @@ class _MuxConnection:
         self._dead: Optional[BaseException] = None
         #: True while some caller is reading the socket (guarded by _lock).
         self._lease_held = False
+        hello = bytes([MUX_MAGIC_BINARY if self._binary else MUX_MAGIC])
+        #: Cuts responses out of what ``recv`` returns; used only by the
+        #: current reader (lease holder or reader thread).  Primed with the
+        #: hello byte: responses come back in the framing it asks for.
+        self._frames = FrameAssembler()
+        self._frames.feed(hello)
         if self._binary:
             # Handshake under the dial timeout (still set on the socket): a
             # pickle-only server NAKs; a server predating the handshake
@@ -1205,7 +1216,7 @@ class _MuxConnection:
             # waits for a header that never comes) — every one of those is
             # a codec mismatch, reported as such instead of a hang.
             try:
-                sock.sendall(bytes([MUX_MAGIC_BINARY]))
+                sock.sendall(hello)
                 reply = recv_exactly(sock, 1)
             except (ConnectionError, OSError) as exc:
                 _close_quietly(sock)
@@ -1222,11 +1233,15 @@ class _MuxConnection:
                     f"wire_codec='pickle' to talk to this server"
                 )
         else:
-            sock.sendall(bytes([MUX_MAGIC]))
-        # recv has no standing socket timeout (an idle connection is fine);
-        # caller timeouts are enforced on the slot wait, and a leased
-        # reader applies its own deadline per recv.
+            sock.sendall(hello)
+        # The socket blocks from here on (an idle connection is fine, and a
+        # timeout set for one caller's read would also govern — or, flipped
+        # mid-call, fail with EAGAIN — another caller's concurrent send).
+        # Caller timeouts are enforced on the slot wait; a leased reader
+        # waits for readability under its own deadline.
         sock.settimeout(None)
+        self._readable = select.poll()
+        self._readable.register(sock, select.POLLIN)
         self._reader: Optional[threading.Thread] = None
         if not read_lease:
             self._reader = threading.Thread(
@@ -1248,16 +1263,23 @@ class _MuxConnection:
             raise CacheTransportError(
                 f"cache node {self._label}: unknown cache operation {op!r}"
             )
-        remaining = remaining_deadline()
-        if remaining is not None and remaining <= 0:
-            # The op's deadline budget is already spent (dial, earlier
-            # retries, or earlier replicas consumed it): fail before any
-            # I/O.  The connection itself is fine — no poisoning.
-            raise CacheNodeTimeoutError(
-                f"cache node {self._label}: deadline expired before {op!r}",
-                node=self._label,
-                op=op,
-            )
+        # This call's absolute deadline: the per-attempt timeout capped by
+        # the propagated per-op deadline scope (whichever expires first).
+        now = time.monotonic()
+        deadline = None if self._timeout is None else now + self._timeout
+        scoped = current_deadline()
+        if scoped is not None:
+            if scoped <= now:
+                # The op's deadline budget is already spent (dial, earlier
+                # retries, or earlier replicas consumed it): fail before any
+                # I/O.  The connection itself is fine — no poisoning.
+                raise CacheNodeTimeoutError(
+                    f"cache node {self._label}: deadline expired before {op!r}",
+                    node=self._label,
+                    op=op,
+                )
+            if deadline is None or scoped < deadline:
+                deadline = scoped
         slot = ResponseSlot()
         with self._lock:
             if self._dead is not None:
@@ -1269,6 +1291,7 @@ class _MuxConnection:
                 )
             request_id = next(self._ids)
             self._pending[request_id] = slot
+        on_wire = False  # True once part of the frame may have been written
         try:
             if self._binary and opcode == _MULTI_LOOKUP_OPCODE:
                 # Batch requests encode into the connection's reusable
@@ -1282,6 +1305,7 @@ class _MuxConnection:
                         request_id, opcode, args
                     )
                     try:
+                        on_wire = True
                         wire.send_buffers(self._sock, (header, body))
                     finally:
                         body.release()
@@ -1291,22 +1315,51 @@ class _MuxConnection:
                 else:
                     buffers = wire.encode_mux_frame(request_id, opcode, args)
                 with self._send_lock:
+                    on_wire = True
                     wire.send_buffers(self._sock, buffers)
-        except (ConnectionError, OSError) as exc:
+        except BaseException as exc:
+            if not on_wire:
+                # The request would not encode, so no reply will come: a
+                # slot left registered would absorb every lease hand-off
+                # meant for a caller that is really waiting.
+                with self._lock:
+                    self._pending.pop(request_id, None)
+                raise
+            # Half a frame may be out; nothing sent after it would be framed.
             self.fail(exc)
+            if not isinstance(exc, OSError):
+                raise
             raise CacheNodeStreamPoisonedError(
                 f"cache node {self._label} unreachable: {exc}",
                 node=self._label,
                 op=op,
             ) from exc
         if self._read_lease:
-            self._await_leased(slot, op=op)
-        else:
-            wait = self._effective_deadline()
-            if not slot.wait(None if wait is None else wait - time.monotonic()):
-                # The response stream is now untrustworthy (the reply may
-                # land after we stop waiting): poison the connection.
-                self._timeout_poison(op=op)
+            # A caller that finds the lease free reads its own reply.  It
+            # asks only now: a caller still queued for the send lock or
+            # blocked in ``send`` reads nothing, and holding the lease there
+            # would keep every other caller's reply in the kernel buffer —
+            # for good, if the node is itself blocked sending one of them.
+            with self._lock:
+                leader = not (self._lease_held or slot.settled)
+                if leader:
+                    self._lease_held = True
+            if leader:
+                try:
+                    self._read_as_leader(slot, deadline)
+                finally:
+                    self._release_lease()
+                if not slot.settled:
+                    # The leader only returns unsettled when its deadline
+                    # passed mid-wait; the stream may hold a half-read frame
+                    # and can no longer be trusted.
+                    self._timeout_poison(op=op)
+            elif not slot.settled:
+                self._await_leased(slot, deadline, op=op)
+        elif not slot.wait(None if deadline is None else deadline - time.monotonic()):
+            # The response stream is now untrustworthy (the reply may land
+            # after we stop waiting): poison the connection.
+            self._timeout_poison(op=op)
         if slot.error is not None:
             raise _classify_unreachable(
                 f"cache node {self._label} unreachable: {slot.error}",
@@ -1316,27 +1369,17 @@ class _MuxConnection:
             ) from slot.error
         return slot.value  # type: ignore[return-value]
 
-    def _effective_deadline(self) -> Optional[float]:
-        """This call's absolute deadline: per-attempt timeout capped by the
-        propagated per-op deadline scope (whichever expires first)."""
-        local = None if self._timeout is None else time.monotonic() + self._timeout
-        scoped = current_deadline()
-        if scoped is None:
-            return local
-        if local is None:
-            return scoped
-        return min(local, scoped)
-
     # -- read lease ------------------------------------------------------
-    def _await_leased(self, slot: ResponseSlot, op: Optional[str] = None) -> None:
-        """Wait for ``slot`` by reading the socket, or by following a leader.
+    def _await_leased(
+        self, slot: ResponseSlot, deadline: Optional[float], op: Optional[str] = None
+    ) -> None:
+        """Follow whoever holds the lease until ``slot`` settles.
 
-        The contender that finds the lease free takes it and reads frames
-        until its own response lands; everyone else blocks on their slot.
-        A follower woken without a result was *kicked* (the lease was
-        released before its response arrived): it loops to contend again.
+        Entered only by a caller that found the lease held.  It blocks on
+        its slot; woken without a result it was *kicked* (the lease was
+        released before its response arrived), so it takes the lease if it
+        is still free and reads for itself, else goes back to waiting.
         """
-        deadline = self._effective_deadline()
         while True:
             with self._lock:
                 # Re-arm *before* the settled check: a resolve landing
@@ -1358,10 +1401,7 @@ class _MuxConnection:
                     self._release_lease()
                 if slot.settled:
                     return
-                # The leader only returns unsettled when its deadline
-                # passed mid-wait; the stream may hold a half-read frame
-                # and can no longer be trusted.
-                self._timeout_poison(op=op)
+                self._timeout_poison(op=op)  # deadline passed mid-read
             remaining = None if deadline is None else deadline - time.monotonic()
             if remaining is not None and remaining <= 0:
                 self._timeout_poison(op=op)
@@ -1374,34 +1414,19 @@ class _MuxConnection:
 
         Frames for *other* requests are resolved along the way (their
         callers wake directly off this thread's ``recv``).  A deadline is
-        enforced with a per-read socket timeout; hitting it returns with
-        the slot unsettled and the caller poisons the connection.  Any
-        other failure poisons it here.
+        enforced by waiting for the socket to be readable before each read;
+        hitting it returns with the slot unsettled and the caller poisons
+        the connection.  Any other failure poisons it here.
         """
-        sock = self._sock
         try:
             while not slot.settled:
                 if deadline is not None:
                     remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        return
-                    sock.settimeout(remaining)
-                header = recv_exactly(sock, MUX_HEADER.size)
-                request_id, opcode, length = MUX_HEADER.unpack(header)
-                if length > MAX_FRAME_BYTES:
-                    raise ConnectionError(f"oversized frame: {length} bytes")
-                body = recv_exactly(sock, length)
-                self._resolve_frame(request_id, opcode, body)
-        except socket.timeout:
-            return  # deadline hit mid-read; the caller poisons
+                    if remaining <= 0 or not self._readable.poll(remaining * 1000.0):
+                        return  # deadline hit mid-read; the caller poisons
+                self._read_frames()
         except BaseException as exc:  # noqa: BLE001 - fanned out to callers
             self.fail(exc)
-        finally:
-            if deadline is not None:
-                try:
-                    sock.settimeout(None)
-                except OSError:
-                    pass  # poisoned: the socket is already closed
 
     def _release_lease(self) -> None:
         """Free the lease and kick one waiting caller to contend for it.
@@ -1409,13 +1434,14 @@ class _MuxConnection:
         Without the kick a follower could block on its slot with no one
         reading the socket — its response would sit in the kernel buffer
         until its timeout.  Kicking exactly one waiter keeps the handoff
-        O(1); that waiter re-kicks when it releases in turn.
+        cheap; that waiter re-kicks when it releases in turn.  A slot
+        nobody waits on yet is passed over: its caller is still sending,
+        and will look at the lease itself once that is done.
         """
         with self._lock:
             self._lease_held = False
             for pending in self._pending.values():
-                if not pending.settled:
-                    pending.kick()
+                if not pending.settled and pending.kick():
                     return
 
     def _timeout_poison(self, op: Optional[str] = None) -> None:
@@ -1428,28 +1454,25 @@ class _MuxConnection:
         raise exc
 
     # -- frame resolution (leader and reader thread) ---------------------
-    def _resolve_frame(self, request_id: int, opcode: int, body: bytes) -> None:
-        """Decode one response frame and settle the slot that owns it."""
-        status = opcode & OPCODE_MASK
-        if opcode & FLAG_BIN:
-            value = wire.decode_binary_body(memoryview(body))
-        else:
-            value = wire.decode_body(opcode & FLAG_OOB, memoryview(body))
-        with self._lock:
-            slot = self._pending.pop(request_id, None)
-        if slot is not None:
-            slot.resolve((status == OP_OK, value))
+    def _read_frames(self) -> None:
+        """One ``recv``: settle the slot of every response it completed."""
+        data = self._sock.recv(_RECV_SIZE)
+        if not data:
+            raise ConnectionError("connection closed by peer")
+        for request_id, opcode, body in self._frames.feed(data):
+            if opcode & FLAG_BIN:
+                value = wire.decode_binary_body(body)
+            else:
+                value = wire.decode_body(opcode & FLAG_OOB, body)
+            with self._lock:
+                slot = self._pending.pop(request_id, None)
+            if slot is not None:
+                slot.resolve((opcode & OPCODE_MASK == OP_OK, value))
 
     def _read_loop(self) -> None:
-        sock = self._sock
         try:
             while True:
-                header = recv_exactly(sock, MUX_HEADER.size)
-                request_id, opcode, length = MUX_HEADER.unpack(header)
-                if length > MAX_FRAME_BYTES:
-                    raise ConnectionError(f"oversized frame: {length} bytes")
-                body = recv_exactly(sock, length)
-                self._resolve_frame(request_id, opcode, body)
+                self._read_frames()
         except BaseException as exc:  # noqa: BLE001 - fanned out to callers
             self.fail(exc)
 

@@ -1169,25 +1169,31 @@ def encode_legacy_frame(payload: object) -> List[Buffer]:
 def send_buffers(sock: socket.socket, buffers: Sequence[Buffer]) -> None:
     """Write a vector of buffers to ``sock`` without concatenating them.
 
-    Uses ``sendmsg`` gather I/O, resuming correctly after partial writes;
-    falls back to one joined ``sendall`` where ``sendmsg`` is unavailable
-    (the copy is counted in :data:`WIRE_COUNTERS`).
+    The caller's buffers go to one ``sendmsg`` as they are, which is the
+    whole job whenever the kernel takes the frame whole; memoryviews are
+    built only to resume after a partial write.  Falls back to one joined
+    ``sendall`` where ``sendmsg`` is unavailable (the copy is counted in
+    :data:`WIRE_COUNTERS`).
     """
-    total = sum(len(b) for b in buffers)
+    total = sum(map(len, buffers))
     WIRE_COUNTERS.bytes_sent += total
     if not hasattr(sock, "sendmsg"):  # pragma: no cover - exotic platforms
         data = b"".join(buffers)
         WIRE_COUNTERS.bytes_copied += len(data)
         sock.sendall(data)
         return
-    views: List[memoryview] = [memoryview(b).cast("B") for b in buffers if len(b)]
-    while views:
-        sent = sock.sendmsg(views)
-        while views and sent >= len(views[0]):
-            sent -= len(views[0])
-            views.pop(0)
+    sent = sock.sendmsg(buffers)
+    if sent == total:
+        return
+    views = [memoryview(b).cast("B") for b in buffers if len(b)]
+    while True:
+        while sent >= len(views[0]):
+            sent -= len(views.pop(0))
+            if not views:
+                return
         if sent:
             views[0] = views[0][sent:]
+        sent = sock.sendmsg(views)
 
 
 def recv_exactly(sock: socket.socket, count: int) -> bytes:
@@ -1211,78 +1217,83 @@ def recv_exactly(sock: socket.socket, count: int) -> bytes:
 
 
 # ----------------------------------------------------------------------
-# Incremental frame parser (the event-loop server's read path)
+# Incremental frame parser (the read path of both ends of a connection)
 # ----------------------------------------------------------------------
 class FrameAssembler:
-    """Reassembles frames from an arbitrarily chunked byte stream.
+    """Cuts frames out of a byte stream, however ``recv`` chunked it.
 
-    Feed it whatever ``recv`` produced; it yields complete frames and keeps
-    partial ones buffered.  The framing mode is detected from the first byte
+    The one frame parser: the event-loop server feeds it requests, the mux
+    client feeds it responses.  A frame that arrived whole is sliced
+    straight out of the bytes :meth:`feed` was given; the assembler's own
+    buffer holds only the head of a frame split across reads, until the
+    rest arrives.  The framing mode is detected from the first byte
     (``MUX_MAGIC`` or a legacy length header), so one assembler serves
-    both client generations on the same listening socket.
+    both client generations on the same listening socket; a client primes
+    its own with the hello byte it sent, since the responses come back in
+    the framing that byte asked for.
     """
 
     def __init__(self) -> None:
+        #: The head of a split frame; empty between frames.
         self._buffer = bytearray()
+        #: Bytes ``_buffer`` must hold before its frame can be cut: the
+        #: header size until the header is in, then header + body.
+        self._need = 0
         #: None until the first byte arrives; then "mux" or "legacy".
         self.mode: Optional[str] = None
         #: Body codec the connection asked for: None until the first byte,
         #: then "binary" (opened with MUX_MAGIC_BINARY) or "pickle".
         self.codec: Optional[str] = None
 
-    def feed(self, data: Buffer) -> List[Tuple[Optional[int], int, memoryview]]:
+    def feed(self, data: Buffer) -> List[Tuple[Optional[int], int, bytes]]:
         """Add received bytes; return complete ``(request_id, opcode, body)``.
 
         Legacy frames have no header fields, so they come back as
         ``(None, 0, body)``.  Raises :class:`ValueError` on an oversized
         frame (the stream cannot be resynchronized).
         """
-        self._buffer += data
-        if self.mode is None and self._buffer:
-            if self._buffer[0] == MUX_MAGIC:
+        if self._buffer:
+            self._buffer += data
+            if len(self._buffer) < self._need:
+                return []
+            data, self._buffer = bytes(self._buffer), bytearray()
+        elif type(data) is not bytes:
+            data = bytes(data)
+        if not data:
+            return []
+        offset = 0
+        if self.mode is None:
+            if data[0] == MUX_MAGIC or data[0] == MUX_MAGIC_BINARY:
                 self.mode = "mux"
-                self.codec = "pickle"
-                del self._buffer[:1]
-            elif self._buffer[0] == MUX_MAGIC_BINARY:
-                self.mode = "mux"
-                self.codec = "binary"
-                del self._buffer[:1]
+                self.codec = "binary" if data[0] == MUX_MAGIC_BINARY else "pickle"
+                offset = 1
             else:
                 self.mode = "legacy"
                 self.codec = "pickle"
-        frames: List[Tuple[Optional[int], int, memoryview]] = []
-        while True:
-            frame = self._next_frame()
-            if frame is None:
-                return frames
-            frames.append(frame)
-
-    def _next_frame(self) -> Optional[Tuple[Optional[int], int, memoryview]]:
-        if self.mode == "mux":
-            if len(self._buffer) < MUX_HEADER.size:
-                return None
-            request_id, opcode, length = MUX_HEADER.unpack_from(self._buffer, 0)
-            header_size = MUX_HEADER.size
-        elif self.mode == "legacy":
-            if len(self._buffer) < LEGACY_HEADER.size:
-                return None
-            (length,) = LEGACY_HEADER.unpack_from(self._buffer, 0)
-            request_id, opcode = None, 0
-            header_size = LEGACY_HEADER.size
-        else:
-            return None
-        if length > MAX_FRAME_BYTES:
-            raise ValueError(f"oversized frame: {length} bytes")
-        if len(self._buffer) < header_size + length:
-            return None
-        # One copy per frame: the body must outlive the stream buffer
-        # (which keeps filling), so it is materialized from a memoryview
-        # slice — released before the del, or the bytearray can't resize.
-        with memoryview(self._buffer) as view:
-            body = bytes(view[header_size : header_size + length])
-        del self._buffer[: header_size + length]
-        WIRE_COUNTERS.frames_decoded += 1
-        return request_id, opcode, memoryview(body)
+        mux = self.mode == "mux"
+        header = MUX_HEADER if mux else LEGACY_HEADER
+        request_id, opcode = None, 0
+        frames: List[Tuple[Optional[int], int, bytes]] = []
+        end = len(data)
+        need = header.size
+        while end - offset >= header.size:
+            if mux:
+                request_id, opcode, length = header.unpack_from(data, offset)
+            else:
+                (length,) = header.unpack_from(data, offset)
+            if length > MAX_FRAME_BYTES:
+                raise ValueError(f"oversized frame: {length} bytes")
+            stop = offset + header.size + length
+            if stop > end:
+                need += length
+                break
+            frames.append((request_id, opcode, data[offset + header.size : stop]))
+            offset = stop
+        if offset < end:
+            self._buffer += memoryview(data)[offset:]
+            self._need = need
+        WIRE_COUNTERS.frames_decoded += len(frames)
+        return frames
 
 
 # ----------------------------------------------------------------------
@@ -1292,18 +1303,25 @@ class ResponseSlot:
     """One in-flight request's rendezvous between caller and reader.
 
     The reader is either a dedicated thread or, under the read lease,
-    whichever caller currently holds the lease.  A slot can be woken
-    *without* settling (:meth:`kick` — "the lease is free, come take it");
-    waiters must therefore check :attr:`settled` after :meth:`wait` and
-    re-arm with :meth:`clear` when they were merely kicked.  ``settled`` is
-    written after the value/error and before the event, so a waiter that
-    observes the event and then ``settled`` always sees the result.
+    whichever caller currently holds the lease.  A caller that reads its
+    own reply never waits, so the slot builds its ``Event`` on the first
+    :meth:`wait` or :meth:`clear` and the settling side sets it only if it
+    is there.  That loses no wakeup: ``settled`` is written after the
+    value/error and before the event is looked for, and a waiter looks at
+    ``settled`` only after its event is in place.
+
+    A slot can be woken *without* settling (:meth:`kick` — "the lease is
+    free, come take it"); waiters must therefore check :attr:`settled`
+    after :meth:`wait` and re-arm with :meth:`clear` when they were merely
+    kicked.  A kick that finds no event says so and the hand-off goes to
+    another slot: that caller has not started waiting (it may be blocked in
+    ``send``), and looks at the lease itself before it does.
     """
 
     __slots__ = ("_event", "value", "error", "settled")
 
     def __init__(self) -> None:
-        self._event = threading.Event()
+        self._event: Optional[threading.Event] = None
         self.value: object = None
         self.error: Optional[BaseException] = None
         #: True once resolve/fail ran; a set event without it is a kick.
@@ -1312,21 +1330,32 @@ class ResponseSlot:
     def resolve(self, value: object) -> None:
         self.value = value
         self.settled = True
-        self._event.set()
+        if self._event is not None:
+            self._event.set()
 
     def fail(self, error: BaseException) -> None:
         self.error = error
         self.settled = True
-        self._event.set()
+        if self._event is not None:
+            self._event.set()
 
-    def kick(self) -> None:
-        """Wake the waiter without settling (read-lease handoff)."""
+    def kick(self) -> bool:
+        """Wake the waiter without settling (read-lease handoff); False if
+        nobody has started waiting on this slot."""
+        if self._event is None:
+            return False
         self._event.set()
+        return True
 
     def clear(self) -> None:
-        """Re-arm after a kick (caller must have checked ``settled``)."""
-        self._event.clear()
+        """Arm, or re-arm after a kick (caller then checks ``settled``)."""
+        if self._event is None:
+            self._event = threading.Event()
+        else:
+            self._event.clear()
 
     def wait(self, timeout: Optional[float]) -> bool:
-        """True if the slot was woken within ``timeout`` (settled or kicked)."""
-        return self._event.wait(timeout)
+        """True if the slot is settled, or was woken within ``timeout``."""
+        if self._event is None:
+            self._event = threading.Event()
+        return self.settled or self._event.wait(timeout)

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import pickle
+import random
 import socket
 
 import pytest
 
-from repro.cache.entry import LookupRequest
+from repro.cache.entry import LookupRequest, LookupResult, ValueBlob
 from repro.comm import wire
+from repro.db.invalidation import InvalidationTag
+from repro.interval import Interval
 
 
 # ----------------------------------------------------------------------
@@ -110,6 +113,127 @@ def test_multiple_frames_in_one_feed():
         stream += _flatten(wire.encode_mux_frame(i, wire.OPCODES["keys"], ()))
     frames = assembler.feed(stream)
     assert [f[0] for f in frames] == list(range(20))
+
+
+# ----------------------------------------------------------------------
+# Chunking parity: one parser, whatever recv made of the stream
+# ----------------------------------------------------------------------
+_TAGS = frozenset({InvalidationTag("items", "id", 7), InvalidationTag("items", "?")})
+_HIT = LookupResult(
+    hit=True,
+    key="k",
+    value=ValueBlob.pack({"row": 7}),
+    interval=Interval(3, 9),
+    raw_interval=Interval(3, None),
+    tags=_TAGS,
+    key_ever_stored=True,
+)
+_MISS = LookupResult(hit=False, key="absent", fresh_version_exists=True)
+_OP = wire.OPCODES
+
+#: name -> the frames of a recorded stream, as encoded buffer vectors: what
+#: a client receives (responses) and what a node receives (requests).
+_STREAMS = {
+    "hit-with-tags": [wire.encode_binary_mux_frame(1, wire.OP_OK, [_HIT])],
+    "miss": [wire.encode_binary_mux_frame(2, wire.OP_OK, [_MISS])],
+    "put": [
+        wire.encode_binary_request_frame(
+            3, _OP["put"], ("k", ValueBlob.pack([1, 2]), Interval(3, None), _TAGS)
+        )
+    ],
+    "invalidate-batch": [
+        wire.encode_binary_request_frame(
+            4, _OP["invalidate_tags"], ([(t, tuple(_TAGS)) for t in range(5, 9)],)
+        )
+    ],
+    "pickled-maintenance": [
+        wire.encode_mux_frame(5, _OP["extract_entries"], (None, 64)),
+        wire.encode_mux_frame(6, wire.OP_ERR, "ValueError: no"),
+    ],
+    "empty-body": [[wire.MUX_HEADER.pack(7, 15 | wire.FLAG_BIN, 0)]],
+    "32-frames": [
+        wire.encode_binary_mux_frame(100 + i, wire.OP_OK, [_HIT if i % 3 else _MISS])
+        for i in range(32)
+    ],
+}
+_BIG = [
+    wire.encode_binary_request_frame(
+        8, _OP["put"], ("big", ValueBlob(bytes(range(256)) * 1200), Interval(3, None), frozenset())
+    ),
+    wire.encode_mux_frame(9, _OP["ping"], ()),
+]
+
+
+def _expected(frames):
+    return [
+        wire.MUX_HEADER.unpack(bytes(frame[0]))[:2] + (_flatten(frame[1:]),)
+        for frame in frames
+    ]
+
+
+def _fed(chunks, hello=wire.MUX_MAGIC_BINARY):
+    assembler = wire.FrameAssembler()
+    frames = assembler.feed(bytes([hello]))
+    for chunk in chunks:
+        frames.extend(assembler.feed(chunk))
+    assert assembler._buffer == b"", "bytes left over after the last whole frame"
+    return [(request_id, opcode, bytes(body)) for request_id, opcode, body in frames]
+
+
+@pytest.mark.parametrize("name", sorted(_STREAMS))
+def test_assembler_yields_the_same_frames_however_the_stream_is_cut(name):
+    expected = _expected(_STREAMS[name])
+    stream = b"".join(_flatten(frame) for frame in _STREAMS[name])
+    assert _fed([stream]) == expected
+    assert _fed([stream[i : i + 1] for i in range(len(stream))]) == expected
+    for cut in range(len(stream) + 1):
+        assert _fed([stream[:cut], stream[cut:]]) == expected, cut
+    # The hello byte may share a segment with the first frames, or not.
+    hello = bytes([wire.MUX_MAGIC_BINARY])
+    assembler = wire.FrameAssembler()
+    assert [
+        (request_id, opcode, bytes(body))
+        for request_id, opcode, body in assembler.feed(hello + stream)
+    ] == expected
+    assert assembler.mode == "mux" and assembler.codec == "binary"
+
+
+def test_assembler_reassembles_a_300_kb_body_from_any_cut():
+    expected = _expected(_BIG)
+    stream = b"".join(_flatten(frame) for frame in _BIG)
+    assert len(stream) > 300_000
+    assert _fed([stream]) == expected
+    assert _fed([stream[i : i + 1] for i in range(len(stream))]) == expected
+    assert _fed([stream[i : i + 65536] for i in range(0, len(stream), 65536)]) == expected
+    edges = {0, 1, wire.MUX_HEADER.size - 1, wire.MUX_HEADER.size, wire.MUX_HEADER.size + 1}
+    tail = len(stream) - len(_flatten(_BIG[1]))
+    cuts = edges | {tail + edge for edge in edges} | {tail - 1, len(stream) - 1, len(stream)}
+    cuts |= {random.Random(19).randrange(len(stream)) for _ in range(40)}
+    for cut in sorted(cuts):
+        assert _fed([stream[:cut], stream[cut:]]) == expected, cut
+
+
+def test_assembler_cuts_legacy_frames_the_same_way():
+    payloads = [("ping", ()), ("probe", ("k", 0, 5)), ("keys", ())]
+    stream = b"".join(_flatten(wire.encode_legacy_frame(p)) for p in payloads)
+    for cut in range(len(stream) + 1):
+        assembler = wire.FrameAssembler()
+        frames = assembler.feed(stream[:cut]) + assembler.feed(stream[cut:])
+        assert [(f[0], f[1], pickle.loads(f[2])) for f in frames] == [
+            (None, 0, payload) for payload in payloads
+        ], cut
+        assert assembler.mode == "legacy"
+
+
+def test_assembler_keeps_no_copy_of_frames_that_arrived_whole():
+    """Only the head of a frame split across reads is ever buffered."""
+    stream = b"".join(_flatten(frame) for frame in _STREAMS["32-frames"])
+    assembler = wire.FrameAssembler()
+    assembler.feed(bytes([wire.MUX_MAGIC]))
+    assert len(assembler.feed(stream)) == 32 and not assembler._buffer
+    assert len(assembler.feed(stream + stream[:20])) == 32
+    assert bytes(assembler._buffer) == stream[:20]
+    assert len(assembler.feed(stream[20:])) == 32 and not assembler._buffer
 
 
 # ----------------------------------------------------------------------

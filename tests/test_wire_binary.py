@@ -17,7 +17,9 @@ clients keep working against binary servers unchanged.
 from __future__ import annotations
 
 import socket
+import sys
 import threading
+import time
 
 import pytest
 
@@ -677,6 +679,269 @@ def test_timeout_poisons_connection_under_both_reader_arrangements(read_lease):
             assert transport.probe("k", 0, 5) is False
         finally:
             release.set()
+            transport.close()
+
+
+@pytest.mark.parametrize("read_lease", [False, True])
+def test_lazily_built_slot_events_lose_no_wakeup_under_forced_switching(read_lease):
+    """A slot builds its event only when its caller has to wait, while the
+    reader settles it from another thread: with the interpreter switching
+    threads every microsecond, a settle that raced the event's creation
+    and got lost would strand its caller until the timeout."""
+    threads, calls = 8, 250
+    with CacheServerProcess(make_server(), style="eventloop") as process:
+        transport = SocketTransport(
+            process.address, pipelined=True, timeout_seconds=10.0, mux_read_lease=read_lease
+        )
+        for i in range(threads):
+            transport.put(f"k{i}", i, Interval(0))
+        errors = []
+
+        def worker(index):
+            try:
+                for _ in range(calls):
+                    result = transport.lookup(f"k{index}", 0, 5)
+                    assert result.hit and result.value == index
+            except Exception as exc:  # surfaced below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=worker, args=(i,)) for i in range(threads)]
+            for thread in workers:
+                thread.start()
+            for thread in workers:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+            connection = transport._mux[0]
+            transport.close()
+        assert errors == []
+        assert not connection._lease_held
+
+
+def test_unencodable_request_leaves_no_slot_to_absorb_the_lease_handoff():
+    """A request that fails to encode was never sent, so no reply will ever
+    settle its slot.  Left registered, it is the "first unsettled pending
+    slot" every lease release kicks — and the follower that is really
+    waiting is never told to take the lease over: its reply sits in the
+    kernel buffer until its timeout poisons the connection."""
+    server = make_server()
+    gates = {"keys": threading.Event(), "evict_stale": threading.Event()}
+    arrived = {name: threading.Event() for name in gates}
+
+    def stalled(name, original):
+        def call(*args):
+            arrived[name].set()
+            assert gates[name].wait(timeout=30)
+            return original(*args)
+
+        return call
+
+    server.keys = stalled("keys", server.keys)
+    server.evict_stale = stalled("evict_stale", server.evict_stale)
+    timeout = 8.0
+    with CacheServerProcess(server, style="eventloop") as process:
+        transport = SocketTransport(process.address, pipelined=True, timeout_seconds=timeout)
+        try:
+            connection = transport._mux[0]
+            for op in ("keys_in_range", "multi_lookup", "put"):  # pickle and binary bodies
+                with pytest.raises(Exception, match="pickle"):
+                    transport._call(op, lambda: None)
+            assert connection._pending == {} and not connection._lease_held
+
+            results = {}
+
+            def call(name, *args):
+                started = time.monotonic()
+                results[name] = (getattr(transport, name)(*args), time.monotonic() - started)
+
+            leader = threading.Thread(target=call, args=("keys",))
+            leader.start()
+            assert arrived["keys"].wait(timeout=10)  # the leader is reading
+            follower = threading.Thread(target=call, args=("evict_stale", 0))
+            follower.start()
+            assert arrived["evict_stale"].wait(timeout=10)
+            time.sleep(0.2)  # let the follower park on its slot
+            gates["keys"].set()
+            leader.join(timeout=10)
+            assert not leader.is_alive() and results["keys"][0] == []
+            # The leader is gone; only a handed-over lease gets this reply read.
+            released = time.monotonic()
+            gates["evict_stale"].set()
+            follower.join(timeout=timeout + 5)
+            assert not follower.is_alive()
+            assert results["evict_stale"][0] == 0
+            assert time.monotonic() - released < timeout / 4
+            assert connection is transport._mux[0] and not connection.dead
+            assert connection._pending == {} and not connection._lease_held
+        finally:
+            for gate in gates.values():
+                gate.set()
+            transport.close()
+
+
+def test_a_failure_inside_send_poisons_even_when_it_is_not_an_oserror(monkeypatch):
+    """Once ``send`` has been entered half a frame may be on the wire, and
+    whatever is written next would be read as the rest of it: any exception
+    from there on — not only ``OSError`` — costs the connection."""
+    with CacheServerProcess(make_server(), style="eventloop") as process:
+        transport = SocketTransport(process.address, pipelined=True, timeout_seconds=8.0)
+        try:
+            send_buffers = wire.send_buffers
+            caller = threading.current_thread()
+
+            def half_a_frame(sock, buffers):
+                if threading.current_thread() is not caller:
+                    return send_buffers(sock, buffers)
+                sock.sendall(bytes(buffers[0])[:5])
+                raise MemoryError("resuming a partial write")
+
+            for op, args in (("ping", ()), ("multi_lookup", ([LookupRequest("k", 0, 5)],))):
+                connection = transport._mux_connection(0)
+                monkeypatch.setattr(wire, "send_buffers", half_a_frame)
+                with pytest.raises(MemoryError):
+                    connection.call(op, args)
+                monkeypatch.setattr(wire, "send_buffers", send_buffers)
+                assert connection.dead and connection._pending == {}
+                assert not connection._lease_held
+                assert transport._call("ping") == "node"  # on a fresh connection
+                assert transport._mux[0] is not connection
+        finally:
+            transport.close()
+
+
+class _FirstSendsFirst:
+    """A send lock that holds every other thread back until ``first`` has sent."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.first = None
+        self.other_waiting = threading.Event()
+        self._first_sent = threading.Event()
+
+    def __enter__(self):
+        if threading.current_thread() is not self.first:
+            self.other_waiting.set()
+            assert self._first_sent.wait(timeout=30)
+        self._lock.acquire()
+
+    def __exit__(self, *_exc):
+        self._lock.release()
+        if threading.current_thread() is self.first:
+            self._first_sent.set()
+
+
+def test_a_caller_blocked_in_send_does_not_hold_the_read_lease():
+    """The threaded node sends each reply, blocking, before it reads the
+    next request.  Ask it for a reply larger than the socket buffers, then
+    send it a request larger than them on the same connection: the node
+    cannot finish the reply until the client reads, and the client cannot
+    finish the request until the node reads.  Whoever is stuck in ``send``
+    (or queued for the send lock) must therefore not be the one holding the
+    read lease — else both ends wait until a timeout poisons the connection."""
+    payload = bytes(range(256)) * (8 * 1024)  # 2 MB against 32 KB buffers
+    timeout = 8.0
+    with CacheServerProcess(make_server(), style="threaded") as process:
+        for option in (socket.SO_SNDBUF, socket.SO_RCVBUF):  # inherited on accept
+            process._listener.setsockopt(socket.SOL_SOCKET, option, 32 * 1024)
+        transport = SocketTransport(process.address, pipelined=True, timeout_seconds=timeout)
+        try:
+            connection = transport._mux[0]
+            for option in (socket.SO_SNDBUF, socket.SO_RCVBUF):
+                connection._sock.setsockopt(socket.SOL_SOCKET, option, 32 * 1024)
+            transport.put("big", payload, Interval(0))
+            gate = connection._send_lock = _FirstSendsFirst()
+            results, errors = {}, []
+
+            def call(name, *args):
+                try:
+                    results[name] = getattr(transport, name)(*args)
+                except Exception as exc:  # surfaced below
+                    errors.append(exc)
+
+            # The put registers first, the lookup sends first.
+            big_request = threading.Thread(target=call, args=("put", "other", payload, Interval(0)))
+            big_reply = gate.first = threading.Thread(target=call, args=("lookup", "big", 0, 5))
+            started = time.monotonic()
+            big_request.start()
+            assert gate.other_waiting.wait(timeout=10)
+            big_reply.start()
+            for thread in (big_reply, big_request):
+                thread.join(timeout=timeout + 5)
+                assert not thread.is_alive()
+            assert errors == []
+            assert time.monotonic() - started < timeout / 4
+            assert results["lookup"].hit and results["lookup"].value == payload
+            assert transport.lookup("other", 0, 5).value == payload
+            assert connection is transport._mux[0] and not connection.dead
+            assert connection._pending == {} and not connection._lease_held
+        finally:
+            transport.close()
+
+
+def test_the_lease_handoff_passes_over_a_caller_that_is_still_sending():
+    """Same node, same sizes, three callers: the leader waits on a slow op,
+    a follower is parked for the large reply, and a caller that registered
+    before the follower is blocked sending the large request.  When the
+    leader is done the sender's is the oldest unsettled slot, but it reads
+    nothing and nothing it sends is read before the follower's reply is
+    drained: the hand-off has to reach the parked follower."""
+    payload = bytes(range(256)) * (8 * 1024)
+    timeout = 8.0
+    server = make_server()
+    slow_op_arrived, slow_op_may_finish = threading.Event(), threading.Event()
+    keys = server.keys
+
+    def slow_keys():
+        slow_op_arrived.set()
+        assert slow_op_may_finish.wait(timeout=30)
+        return keys()
+
+    server.keys = slow_keys
+    with CacheServerProcess(server, style="threaded") as process:
+        for option in (socket.SO_SNDBUF, socket.SO_RCVBUF):
+            process._listener.setsockopt(socket.SOL_SOCKET, option, 32 * 1024)
+        transport = SocketTransport(process.address, pipelined=True, timeout_seconds=timeout)
+        try:
+            connection = transport._mux[0]
+            for option in (socket.SO_SNDBUF, socket.SO_RCVBUF):
+                connection._sock.setsockopt(socket.SOL_SOCKET, option, 32 * 1024)
+            transport.put("big", payload, Interval(0))
+            results, errors = {}, []
+
+            def call(name, *args):
+                try:
+                    results[name] = getattr(transport, name)(*args)
+                except Exception as exc:  # surfaced below
+                    errors.append(exc)
+
+            leader = threading.Thread(target=call, args=("keys",))
+            leader.start()
+            assert slow_op_arrived.wait(timeout=10)  # the leader is reading
+            gate = connection._send_lock = _FirstSendsFirst()
+            sender = threading.Thread(target=call, args=("put", "other", payload, Interval(0)))
+            follower = gate.first = threading.Thread(target=call, args=("lookup", "big", 0, 5))
+            sender.start()
+            assert gate.other_waiting.wait(timeout=10)  # registered, not sent
+            follower.start()
+            time.sleep(0.3)  # the follower parks on its slot, the sender blocks in send
+            released = time.monotonic()
+            slow_op_may_finish.set()
+            for thread in (leader, follower, sender):
+                thread.join(timeout=timeout + 5)
+                assert not thread.is_alive()
+            assert errors == []
+            assert time.monotonic() - released < timeout / 4
+            assert results["keys"] == ["big"]
+            assert results["lookup"].hit and results["lookup"].value == payload
+            assert transport.lookup("other", 0, 5).value == payload
+            assert connection is transport._mux[0] and not connection.dead
+            assert connection._pending == {} and not connection._lease_held
+        finally:
+            slow_op_may_finish.set()
             transport.close()
 
 
