@@ -346,33 +346,32 @@ class CacheServer:
         return self._lookup(key, lo, hi, fresh_lo)
 
     def _lookup(self, key: str, lo: int, hi: int, fresh_lo: int) -> LookupResult:
-        """:meth:`lookup`, for a caller that holds the lock."""
+        """:meth:`lookup`, for a caller that holds the lock.
+
+        The definition is :meth:`CacheEntry.effective_interval` intersected
+        with the request (``tests/test_cache_server.py`` holds this method to
+        a reference written that way); what runs is :meth:`_newest_usable`,
+        which compares the bounds in place.  A hit builds at most one
+        :class:`Interval`, the effective interval of a still-valid winner.
+        """
         self.stats.lookups += 1
-        request = Interval(lo, hi + 1)
-        versions = self._entries.get(key, ())
-        best: Optional[CacheEntry] = None
-        best_interval: Optional[Interval] = None
-        fresh = False
-        for entry in versions:
-            effective = entry.effective_interval(self.last_invalidation_timestamp)
-            if effective.intersects(request):
-                if best_interval is None or effective.lo > best_interval.lo:
-                    best = entry
-                    best_interval = effective
-            elif not fresh:
-                # Effective intervals are bounded; an empty one (an entry
-                # truncated at its own birth) reaches nowhere.
-                fresh = effective.hi > fresh_lo and effective.hi > effective.lo
+        best, best_lo, best_hi, fresh = self._newest_usable(key, lo, hi, fresh_lo)
         if best is not None:
             self.stats.hits += 1
             best.last_access = self.clock.now()
             self._touch(key)
+            raw_interval = best.interval
             return LookupResult(
                 hit=True,
                 key=key,
                 value=best.value,
-                interval=best_interval,
-                raw_interval=best.interval,
+                # A truncated entry's interval is exact, and is handed out as
+                # both — the same object: the wire codecs preserve that
+                # sharing, and transport parity compares re-pickled results.
+                interval=(
+                    Interval(best_lo, best_hi) if raw_interval.hi is None else raw_interval
+                ),
+                raw_interval=raw_interval,
                 tags=best.tags,
                 key_ever_stored=True,
             )
@@ -409,11 +408,45 @@ class CacheServer:
         definition of the ``fresh_version_exists`` flag a missed lookup
         carries.
         """
-        request = Interval(lo, hi + 1)
+        return self._newest_usable(key, lo, hi, 0)[0] is not None
+
+    def _newest_usable(
+        self, key: str, lo: int, hi: int, fresh_lo: int
+    ) -> Tuple[Optional[CacheEntry], int, int, bool]:
+        """The version of ``key`` a lookup over ``[lo, hi]`` returns.
+
+        Answers ``(entry, effective lo, effective hi, fresh)``: the usable
+        version with the greatest lower bound (``None`` when no version's
+        effective interval meets the request), its effective bounds, and
+        whether some *other* version reaches past ``fresh_lo``.  Touches
+        neither statistics nor LRU order.
+        """
+        watermark = self.last_invalidation_timestamp
+        request_end = hi + 1
+        if request_end < lo:
+            raise ValueError(f"invalid lookup bounds: hi={hi} < lo={lo}")
+        best: Optional[CacheEntry] = None
+        best_lo = best_hi = 0
+        fresh = False
         for entry in self._entries.get(key, ()):
-            if entry.effective_interval(self.last_invalidation_timestamp).intersects(request):
-                return True
-        return False
+            interval = entry.interval
+            e_lo = interval.lo
+            e_hi = interval.hi
+            if e_hi is None:
+                # Still valid: it has survived every invalidation processed
+                # so far, so it is good through the watermark, and no further.
+                e_hi = (e_lo if e_lo > watermark else watermark) + 1
+            # Non-empty intersection with [lo, hi + 1): max(lo) < min(hi).
+            if (e_lo if e_lo > lo else lo) < (e_hi if e_hi < request_end else request_end):
+                if best is None or e_lo > best_lo:
+                    best = entry
+                    best_lo = e_lo
+                    best_hi = e_hi
+            elif not fresh:
+                # An empty interval (an entry truncated at its own birth)
+                # reaches nowhere.
+                fresh = e_hi > fresh_lo and e_hi > e_lo
+        return best, best_lo, best_hi, fresh
 
     # ------------------------------------------------------------------
     # Insertion

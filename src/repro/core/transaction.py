@@ -21,19 +21,43 @@ from repro.interval import Interval
 __all__ = ["CacheableFrame", "ReadOnlyState", "ReadWriteState"]
 
 
-@dataclass
 class CacheableFrame:
-    """Accumulated metadata for one in-flight cacheable function call."""
+    """Accumulated metadata for one in-flight cacheable function call.
 
-    function_name: str
-    key: str
-    validity: Interval = field(default_factory=lambda: Interval(0, None))
-    tags: Set[InvalidationTag] = field(default_factory=set)
+    The cumulative validity is kept as its two bounds (``hi is None``:
+    unbounded) while the function runs; :attr:`validity` builds the
+    :class:`Interval` once, when it returns.
+    """
+
+    __slots__ = ("function_name", "key", "lo", "hi", "tags")
+
+    def __init__(self, function_name: str, key: str) -> None:
+        self.function_name = function_name
+        self.key = key
+        self.lo = 0
+        self.hi: Optional[int] = None
+        self.tags: Set[InvalidationTag] = set()
 
     def accumulate(self, interval: Interval, tags=()) -> None:
         """Fold one observed value's validity interval and tags into the frame."""
-        self.validity = self.validity.intersect(interval)
+        if interval.lo > self.lo:
+            self.lo = interval.lo
+        hi = interval.hi
+        if hi is not None and (self.hi is None or hi < self.hi):
+            self.hi = hi
         self.tags.update(tags)
+
+    @property
+    def validity(self) -> Interval:
+        """The intersection of every interval accumulated so far.
+
+        An empty intersection is normalised to ``[lo, lo)``, as
+        :meth:`Interval.intersect` normalises it.
+        """
+        lo, hi = self.lo, self.hi
+        if hi is not None and hi < lo:
+            hi = lo
+        return Interval(lo, hi)
 
 
 @dataclass

@@ -23,20 +23,41 @@ predicate *before* the visibility check during scans, so the invalidity mask
 only accumulates tuples that actually affect this query, keeping validity
 intervals as wide as possible.  Setting ``track_validity=False`` reproduces
 the stock-database behaviour for the overhead experiment (section 8.1).
+
+What the scan keeps
+-------------------
+Both pieces are kept as integers, because that is all the final interval is
+ever asked.  A version joins the mask only if its validity interval does
+*not* contain the snapshot timestamp ``ts``, so every member lies wholly
+below ``ts`` or wholly above it, and the piece of ``validity minus mask``
+around ``ts`` is bounded by the nearest member edge on each side: the
+greatest upper bound below (``floor``) and the least lower bound above
+(``ceil``).  How the members overlap, merge or sort cannot matter, so no
+member is ever stored.  :meth:`Executor._scan` reads each version's
+``xmin``/``xmax`` once and decides visibility and committed bounds from that
+one pair; :meth:`Executor.execute` builds the query's one
+:class:`~repro.interval.Interval`.
+
+The *definitions* stay where they were and are what the tests hold this
+module to: :func:`repro.db.tuples.visible_at` (visibility),
+:func:`repro.db.tuples.validity_of` (a version's committed interval) and
+:meth:`repro.interval.IntervalSet.piece_containing` (validity minus mask).
+``tests/test_db_executor.py`` runs a reference executor written with those
+three beside this one over seeded histories and requires equal results.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, List, Optional, Set
 
 from repro.db.errors import UnknownTableError
 from repro.db.invalidation import InvalidationTag
-from repro.db.planner import plan_select
-from repro.db.query import Aggregate, And, Eq, Join, Query, Select
+from repro.db.planner import AccessPath, plan_select
+from repro.db.query import Aggregate, And, Eq, Join, Predicate, Query, Select
 from repro.db.table import Table
-from repro.db.tuples import validity_of, visible_at
-from repro.interval import Interval, IntervalSet
+from repro.db.tuples import TupleVersion, UncommittedMark
+from repro.interval import Interval
 
 __all__ = ["QueryResult", "Executor", "ExecutorStats"]
 
@@ -104,15 +125,26 @@ class ExecutorStats:
         self.range_scans = 0
 
 
-@dataclass
 class _Accumulator:
-    """Mutable validity/tag accumulator shared across sub-plans of a query."""
+    """Mutable validity/tag accumulator shared across sub-plans of a query.
 
-    result_validity: Interval = field(default_factory=lambda: Interval(0, None))
-    invalidity_mask: IntervalSet = field(default_factory=IntervalSet)
-    tags: Set[InvalidationTag] = field(default_factory=set)
-    examined: int = 0
-    access_methods: List[str] = field(default_factory=list)
+    ``[lo, hi)`` is the result tuple validity (``hi is None``: unbounded).
+    ``floor`` and ``ceil`` are the invalidity mask (see the module
+    docstring): the greatest ``xmax <= ts`` and the least ``xmin > ts`` over
+    matching, invisible, committed versions; 0 and ``None`` while there is
+    none on that side.
+    """
+
+    __slots__ = ("lo", "hi", "floor", "ceil", "tags", "examined", "access_methods")
+
+    def __init__(self) -> None:
+        self.lo = 0
+        self.hi: Optional[int] = None
+        self.floor = 0
+        self.ceil: Optional[int] = None
+        self.tags: Set[InvalidationTag] = set()
+        self.examined = 0
+        self.access_methods: List[str] = []
 
 
 class Executor:
@@ -159,7 +191,17 @@ class Executor:
         self.stats.rows_returned += len(rows)
 
         if self.track_validity:
-            validity = acc.invalidity_mask.piece_containing(acc.result_validity, timestamp)
+            # Result tuple validity minus the mask, around the snapshot.
+            lo = acc.lo if acc.lo > acc.floor else acc.floor
+            hi = acc.hi
+            if acc.ceil is not None and (hi is None or acc.ceil < hi):
+                hi = acc.ceil
+            if timestamp < lo or (hi is not None and timestamp >= hi):
+                raise ValueError(
+                    f"timestamp {timestamp} not in result validity "
+                    f"[{acc.lo}, {acc.hi}) minus mask (floor {acc.floor}, ceil {acc.ceil})"
+                )
+            validity = Interval(lo, hi)
             tags = frozenset(acc.tags)
         else:
             validity = Interval(timestamp, None)
@@ -199,34 +241,106 @@ class Executor:
         if self.track_validity:
             acc.tags.update(path.tags())
 
-        rows: List[Dict[str, Any]] = []
-        predicate = select.predicate
-        for version in path.candidates(table):
-            acc.examined += 1
-            # Evaluate the predicate before the visibility check so that the
-            # invalidity mask only reflects tuples relevant to this query
-            # (the paper's delayed-visibility-check refinement).
-            if not predicate.matches(version.values):
-                continue
-            if visible_at(version, timestamp, tx_id):
-                rows.append(dict(version.values))
-                if self.track_validity:
-                    interval = validity_of(version)
-                    if interval is not None:
-                        acc.result_validity = acc.result_validity.intersect(interval)
-            elif self.track_validity:
-                # Phantom tracking considers only *committed* facts: a version
-                # may be invisible purely because the current read/write
-                # transaction created or deleted it provisionally, and such a
-                # version must not constrain the result's validity interval.
-                interval = validity_of(version)
-                if interval is not None and not interval.contains(timestamp):
-                    acc.invalidity_mask.add(interval)
-
+        rows = [
+            dict(version.values)
+            for version in self._scan(path, table, select.predicate, timestamp, tx_id, acc)
+        ]
         rows = self._order_limit_project(
             rows, select.order_by, select.descending, select.limit, select.columns
         )
         return rows
+
+    def visible_versions(
+        self, table: Table, predicate: Predicate, timestamp: int, tx_id: Optional[int]
+    ) -> List[TupleVersion]:
+        """The versions an UPDATE/DELETE targets, found the way SELECT finds rows.
+
+        Candidates come from the planner's access path (index lookup or
+        range scan when the predicate allows, sequential scan otherwise), so
+        dead versions of other rows kept for stale snapshots cost nothing.
+        The list is complete before the caller adds or claims any version.
+        Not a query: it counts in no statistic and tracks no validity.
+        """
+        path = plan_select(Select(table.name, predicate), table)
+        return self._scan(path, table, predicate, timestamp, tx_id, None)
+
+    def _scan(
+        self,
+        path: AccessPath,
+        table: Table,
+        predicate: Predicate,
+        timestamp: int,
+        tx_id: Optional[int],
+        acc: Optional[_Accumulator],
+    ) -> List[TupleVersion]:
+        """The candidates of ``path`` that match and are visible, in path order.
+
+        The one place the executor decides visibility.  With an accumulator
+        it also counts the versions examined and, when validity is tracked,
+        folds each matching version's committed bounds into it: a visible
+        one narrows the result tuple validity, an invisible one moves the
+        mask edge on its side of ``timestamp``.
+        """
+        track = acc is not None and self.track_validity
+        if track:
+            lo, hi, floor, ceil = acc.lo, acc.hi, acc.floor, acc.ceil
+        # Evaluate the predicate before the visibility check so that the
+        # invalidity mask only reflects tuples relevant to this query (the
+        # paper's delayed-visibility-check refinement) — unless the access
+        # path has already decided it for every candidate.
+        matches = None if path.decides(predicate) else predicate.matches
+        visible: List[TupleVersion] = []
+        examined = 0
+        for version in path.candidates(table):
+            examined += 1
+            if matches is not None and not matches(version.values):
+                continue
+            xmin = version.xmin
+            xmax = version.xmax
+            # Deletion, as visible_at and validity_of read it: ``deleted`` is
+            # whether this snapshot sees the version gone, ``end`` the
+            # committed upper bound of its validity.  An uncommitted deletion
+            # hides the version from the deleting transaction alone and
+            # bounds nothing.
+            if xmax is None:
+                deleted = False
+                end = None
+            elif type(xmax) is UncommittedMark:
+                deleted = tx_id is not None and xmax.tx_id == tx_id
+                end = None
+            else:
+                deleted = xmax <= timestamp
+                end = xmax
+            if type(xmin) is UncommittedMark:
+                # Creation not committed: visible to its own transaction
+                # only, and its validity is unknown, so it contributes none.
+                if not deleted and tx_id is not None and xmin.tx_id == tx_id:
+                    visible.append(version)
+                continue
+            if xmin <= timestamp and not deleted:
+                visible.append(version)
+                if track:
+                    if xmin > lo:
+                        lo = xmin
+                    if end is not None and (hi is None or end < hi):
+                        hi = end
+            elif track and end != xmin:
+                # A phantom, valid over the committed facts [xmin, end) —
+                # nothing at all when one commit created and deleted it.
+                if xmin > timestamp:
+                    if ceil is None or xmin < ceil:
+                        ceil = xmin
+                elif end is not None and end > floor:
+                    # Deleted at or before the snapshot.  ``end is None``
+                    # here is our own provisional delete: the committed
+                    # interval still contains the snapshot, and a version
+                    # invisible only to us must not constrain the result.
+                    floor = end
+        if acc is not None:
+            acc.examined += examined
+            if track:
+                acc.lo, acc.hi, acc.floor, acc.ceil = lo, hi, floor, ceil
+        return visible
 
     def _execute_join(
         self,

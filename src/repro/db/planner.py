@@ -39,6 +39,15 @@ class AccessPath:
         """Invalidation tags describing what this access depends on."""
         raise NotImplementedError
 
+    def decides(self, predicate: Predicate) -> bool:
+        """True if every candidate is already known to satisfy ``predicate``.
+
+        The executor then does not evaluate it again per version.  A path
+        only needs to produce a superset of the matching rows, so the safe
+        answer, and the default, is False.
+        """
+        return False
+
     @property
     def kind(self) -> str:
         """Short name of the access method (for diagnostics and stats)."""
@@ -52,10 +61,23 @@ class IndexEqualityPath(AccessPath):
     column: str = ""
     keys: Tuple[Any, ...] = ()
 
-    def candidates(self, table: Table) -> Iterable[TupleVersion]:
-        index = table.index_on(self.column)
-        for key in self.keys:
-            yield from index.lookup(key)
+    def candidates(self, table: Table) -> List[TupleVersion]:
+        # ``lookup`` copies the bucket, and that copy is what the executor
+        # iterates: a concurrent vacuum's ``list.remove`` on the live bucket
+        # would make a reader skip a version.
+        lookup = table.index_on(self.column).lookup
+        if len(self.keys) == 1:
+            return lookup(self.keys[0])
+        return [version for key in self.keys for version in lookup(key)]
+
+    def decides(self, predicate: Predicate) -> bool:
+        # A bucket holds the versions whose column ``==`` the key, which is
+        # all a bare Eq asks — of a key that equals itself.  Eq on a NaN
+        # matches nothing, yet a dict finds a NaN key by identity.
+        if type(predicate) is not Eq or predicate.column != self.column:
+            return False
+        value = predicate.value
+        return len(self.keys) == 1 and self.keys[0] is value and value == value
 
     def tags(self) -> FrozenSet[InvalidationTag]:
         return frozenset(
@@ -116,8 +138,9 @@ def plan_select(select: Select, table: Table) -> AccessPath:
     """Choose the access path for ``select`` against ``table``.
 
     Preference order: index equality lookup, then index range scan, then
-    sequential scan.  The full predicate is always re-applied by the
-    executor, so the path only needs to be a superset of the matching rows.
+    sequential scan.  The executor re-applies the full predicate to every
+    candidate unless the path :meth:`~AccessPath.decides` it, so the path
+    only needs to be a superset of the matching rows.
     """
     conjuncts = _conjuncts(select.predicate)
 

@@ -20,10 +20,9 @@ from typing import TYPE_CHECKING, Any, Dict, List, Set, Tuple
 
 from repro.db.errors import SerializationError, TransactionStateError
 from repro.db.invalidation import InvalidationTag, collapse_tags, tags_for_modified_tuple
-from repro.db.query import Predicate, Query, Select
+from repro.db.query import Predicate, Query
 from repro.db.executor import QueryResult
-from repro.db.planner import plan_select
-from repro.db.tuples import TupleVersion, UncommittedMark, visible_at
+from repro.db.tuples import TupleVersion, UncommittedMark
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.db.database import Database
@@ -197,21 +196,11 @@ class ReadWriteTransaction(_BaseTransaction):
     # Internals
     # ------------------------------------------------------------------
     def _visible_matching(self, table_name: str, predicate: Predicate) -> List[TupleVersion]:
-        """The versions an UPDATE/DELETE targets, found the way SELECT finds rows.
-
-        Candidates come from the planner's access path (index lookup or
-        range scan when the predicate allows, sequential scan otherwise), so
-        dead versions of other rows kept for stale snapshots cost nothing.
-        The list is complete before the caller adds or claims any version.
-        """
-        table = self._db.table(table_name)
-        path = plan_select(Select(table_name, predicate), table)
-        return [
-            version
-            for version in path.candidates(table)
-            if predicate.matches(version.values)
-            and visible_at(version, self.snapshot_timestamp, self.tx_id)
-        ]
+        """The versions an UPDATE/DELETE targets: the executor's own scan,
+        at this transaction's snapshot and seeing its own writes."""
+        return self._db.executor.visible_versions(
+            self._db.table(table_name), predicate, self.snapshot_timestamp, self.tx_id
+        )
 
     def _claim_for_write(self, version: TupleVersion) -> None:
         """Mark ``version`` superseded by this transaction, detecting conflicts."""

@@ -78,8 +78,16 @@ class Interval:
         return self.hi is None or timestamp < self.hi
 
     def intersects(self, other: "Interval") -> bool:
-        """True if the two intervals share at least one timestamp."""
-        return not self.intersect(other).empty
+        """True if the two intervals share at least one timestamp.
+
+        ``not self.intersect(other).empty``, asked of the bounds in place.
+        """
+        hi = self.hi
+        if hi is None:
+            hi = other.hi
+        elif other.hi is not None and other.hi < hi:
+            hi = other.hi
+        return hi is None or (self.lo if self.lo > other.lo else other.lo) < hi
 
     def contains_interval(self, other: "Interval") -> bool:
         """True if ``other`` lies entirely within this interval."""

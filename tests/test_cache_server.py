@@ -6,10 +6,11 @@ import random
 
 import pytest
 
-from repro.cache.entry import EntryRecord
+from repro.cache.entry import EntryRecord, LookupRequest, LookupResult
 from repro.cache.server import CacheServer
 from repro.clock import ManualClock
 from repro.comm.multicast import InvalidationMessage
+from repro.core.transaction import CacheableFrame
 from repro.db.invalidation import InvalidationTag
 from repro.interval import Interval
 
@@ -283,6 +284,188 @@ class TestInvalidationIndexAgainstOracle:
             _assert_indexes_match_store(server)
         assert server.stats.entries_invalidated > 0
         assert server.stats.lru_evictions > 0
+
+
+# ----------------------------------------------------------------------
+# Bounds compared in place, against the interval algebra that defines them
+# ----------------------------------------------------------------------
+class _DefinitionServer(CacheServer):
+    """A cache server whose lookup and probe run the *definitions*.
+
+    A version is usable when its :meth:`CacheEntry.effective_interval`
+    intersects the request, asked by building the request ``Interval``, the
+    effective interval and their :meth:`Interval.intersect` for every
+    version.  ``CacheServer`` compares the same bounds in place; everything
+    else (statistics, LRU order, ``last_access``, the store) is shared code.
+    """
+
+    def _lookup(self, key, lo, hi, fresh_lo):
+        self.stats.lookups += 1
+        request = Interval(lo, hi + 1)
+        best = best_interval = None
+        fresh = False
+        for entry in self._entries.get(key, ()):
+            effective = entry.effective_interval(self.last_invalidation_timestamp)
+            if not effective.intersect(request).empty:
+                if best_interval is None or effective.lo > best_interval.lo:
+                    best, best_interval = entry, effective
+            elif not fresh:
+                fresh = effective.hi > fresh_lo and not effective.empty
+        if best is None:
+            self.stats.misses += 1
+            return LookupResult(
+                hit=False,
+                key=key,
+                key_ever_stored=key in self._keys_ever_stored,
+                fresh_version_exists=fresh,
+            )
+        self.stats.hits += 1
+        best.last_access = self.clock.now()
+        self._touch(key)
+        return LookupResult(
+            hit=True,
+            key=key,
+            value=best.value,
+            interval=best_interval,
+            raw_interval=best.interval,
+            tags=best.tags,
+            key_ever_stored=True,
+        )
+
+    def probe(self, key, lo, hi):
+        request = Interval(lo, hi + 1)
+        with self._lock:
+            return any(
+                not entry.effective_interval(self.last_invalidation_timestamp)
+                .intersect(request)
+                .empty
+                for entry in self._entries.get(key, ())
+            )
+
+
+class TestLookupAgainstItsDefinitions:
+    """Two servers fed one seeded history, one of them the definitions."""
+
+    KEYS = [f"k{i}" for i in range(6)]
+
+    def _pair(self, clock):
+        # Room for about a dozen entries: lookups decide who is evicted.
+        return (
+            CacheServer(name="c0", capacity_bytes=1000, clock=clock),
+            _DefinitionServer(name="c0", capacity_bytes=1000, clock=clock),
+        )
+
+    @staticmethod
+    def _store(server):
+        return [
+            (entry.key, entry.interval, entry.tags, entry.last_access)
+            for key in server.keys()
+            for entry in server.versions_of(key)
+        ]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_version_interval_flag_stats_and_lru_order_agree(self, seed):
+        rng = random.Random(seed)
+        clock = ManualClock()
+        server, definition = self._pair(clock)
+        now = 1
+        hits = truncated_hits = flagged = 0
+        for _ in range(1500):
+            step = rng.random()
+            key = rng.choice(self.KEYS)
+            if step < 0.20:  # several versions per key: old bounded, new still valid
+                # Born up to two commits ahead of the stream this node has
+                # seen: the next invalidation truncates such an entry at its
+                # own birth, to an empty interval.
+                lo = rng.randrange(max(0, now - 6), now + 3)
+                if rng.random() < 0.6:
+                    put = (key, step, Interval(lo), frozenset({tag(rng.randrange(3))}))
+                else:
+                    put = (key, step, Interval(lo, lo + rng.randrange(1, 4)))
+                assert server.put(*put) == definition.put(*put)
+            elif step < 0.30:
+                now += 1
+                invalidated = tag(rng.randrange(3))
+                invalidate(server, now, invalidated)
+                invalidate(definition, now, invalidated)
+            elif step < 0.36:  # the watermark moves, nothing is truncated
+                now += 1
+                server.note_timestamp(now)
+                definition.note_timestamp(now)
+            elif step < 0.40:
+                horizon = now - rng.randrange(8)
+                assert server.evict_stale(horizon) == definition.evict_stale(horizon)
+            elif step < 0.50:
+                lo = rng.randrange(max(0, now - 8), now + 2)
+                hi = lo + rng.randrange(-1, 5)
+                assert server.probe(key, lo, hi) == definition.probe(key, lo, hi)
+            else:
+                lo = rng.randrange(max(0, now - 8), now + 2)
+                hi = lo + rng.randrange(-1, 5)  # hi == lo - 1 is the empty request
+                fresh_lo = rng.randrange(max(0, now - 8), now + 2)
+                clock.advance(0.25)
+                if rng.random() < 0.5:
+                    result = server.lookup(key, lo, hi, fresh_lo)
+                    expected = definition.lookup(key, lo, hi, fresh_lo)
+                else:
+                    batch = [LookupRequest(key, lo, hi, fresh_lo), LookupRequest("k0", lo, hi)]
+                    result = server.multi_lookup(batch)[0]
+                    expected = definition.multi_lookup(batch)[0]
+                assert result == expected
+                if result.hit:
+                    hits += 1
+                    (winner,) = [
+                        entry
+                        for entry in server.versions_of(key)
+                        if entry.interval is result.raw_interval
+                    ]
+                    # The winner's effective interval, by its definition ...
+                    assert result.interval == winner.effective_interval(
+                        server.last_invalidation_timestamp
+                    )
+                    # ... which for a truncated winner is the stored object
+                    # itself: the wire codecs preserve exactly this sharing.
+                    truncated = not winner.still_valid
+                    assert (result.interval is result.raw_interval) == truncated
+                    assert (expected.interval is expected.raw_interval) == truncated
+                    truncated_hits += truncated
+                flagged += result.fresh_version_exists
+            assert server.stats == definition.stats
+            assert list(server._lru) == list(definition._lru)
+            assert self._store(server) == self._store(definition)
+        assert hits > 100 and truncated_hits > 20 and flagged > 20, (hits, truncated_hits, flagged)
+        assert server.stats.lru_evictions > 0 and server.stats.entries_invalidated > 0
+
+    def test_bounds_inverted_past_the_empty_request_are_refused(self, server):
+        """``Interval(lo, hi + 1)`` refused them; the in-place compare still does."""
+        server.put("k", "value", Interval(3, 8))
+        assert not server.lookup("k", 5, 4).hit  # [5, 5): empty, a plain miss
+        with pytest.raises(ValueError):
+            server.lookup("k", 5, 3)
+        with pytest.raises(ValueError):
+            server.probe("k", 5, 3)
+
+
+class TestFrameFoldAgainstIntersect:
+    """The client library folds observed intervals the same way: two bounds
+    compared in place, one ``Interval`` when the function returns."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_accumulate_equals_chained_intersect(self, seed):
+        rng = random.Random(seed)
+        for _ in range(400):
+            frame = CacheableFrame("f", "key")
+            chained = Interval(0, None)
+            assert frame.validity == chained
+            for _ in range(rng.randrange(1, 6)):
+                lo = rng.randrange(12)
+                observed = Interval(lo, None if rng.random() < 0.4 else lo + rng.randrange(6))
+                observed_tags = {tag(rng.randrange(3))}
+                frame.accumulate(observed, observed_tags)
+                chained = chained.intersect(observed)
+                # Disjoint observations leave the normalised empty [lo, lo).
+                assert frame.validity == chained
+                assert frame.tags >= observed_tags
 
 
 class TestEviction:

@@ -94,3 +94,59 @@ class TestPlanTags:
         assert plan_select(Select("users", Eq("id", 1)), t).kind == "index_eq"
         assert plan_select(Select("users", Range("region", 0, 1)), t).kind == "index_range"
         assert plan_select(Select("users"), t).kind == "seq_scan"
+
+
+def populated_table():
+    t = table()
+    for i in (1, 2, 3):
+        t.add_version({"id": i, "name": f"u{i % 2}", "region": i, "score": 0.0}, xmin=0)
+    return t
+
+
+class TestPlanCandidates:
+    def test_single_key_candidates_are_a_copy_of_the_bucket(self):
+        """The executor iterates this list while a vacuum may ``remove``
+        from the live bucket; a copy cannot skip a version under it."""
+        t = populated_table()
+        path = plan_select(Select("users", Eq("name", "u1")), t)
+        candidates = path.candidates(t)
+        assert [v.values["id"] for v in candidates] == [1, 3]
+        t.remove_version(candidates[0])
+        assert [v.values["id"] for v in candidates] == [1, 3]
+        assert [v.values["id"] for v in path.candidates(t)] == [3]
+
+    def test_multi_key_candidates_follow_key_order(self):
+        t = populated_table()
+        path = plan_select(Select("users", In("id", [3, 9, 1])), t)
+        assert [v.values["id"] for v in path.candidates(t)] == [3, 1]
+
+
+class TestPathDecidesPredicate:
+    """A path may spare the executor the per-version predicate only when
+    bucket membership is the whole answer."""
+
+    def test_bare_eq_on_its_own_index_is_decided(self):
+        t = table()
+        for predicate in (Eq("id", 3), Eq("id", 3.0), Eq("name", "bob"), Eq("name", None)):
+            assert plan_select(Select("users", predicate), t).decides(predicate)
+
+    def test_anything_more_than_the_index_condition_is_not(self):
+        t = table()
+        for predicate in (
+            And(Eq("id", 3), Eq("region", 1)),  # a second conjunct to evaluate
+            In("id", [3]),
+            Range("region", 1, 2),
+            Eq("score", 1.0),  # no index: a sequential scan decides nothing
+        ):
+            assert not plan_select(Select("users", predicate), t).decides(predicate)
+
+    def test_a_path_decides_only_the_predicate_it_was_planned_for(self):
+        t = table()
+        path = plan_select(Select("users", Eq("id", 3)), t)
+        assert not path.decides(Eq("id", 4))
+        assert not path.decides(Eq("name", 3))
+
+    def test_a_key_that_does_not_equal_itself_is_not_decided(self):
+        nan = float("nan")
+        t = table()
+        assert not plan_select(Select("users", Eq("name", nan)), t).decides(Eq("name", nan))

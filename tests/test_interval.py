@@ -179,6 +179,11 @@ class TestIntervalProperties:
     def test_intersection_commutes(self, a, b):
         assert a.intersect(b) == b.intersect(a)
 
+    @given(interval_strategy, interval_strategy)
+    def test_intersects_is_a_non_empty_intersection(self, a, b):
+        """``intersects`` compares bounds in place; this is what it means."""
+        assert a.intersects(b) == (not a.intersect(b).empty)
+
     @given(interval_strategy, interval_strategy, timestamps)
     def test_subtract_membership(self, a, b, t):
         """t is in a-b exactly when it is in a and not in b."""

@@ -1098,7 +1098,7 @@ def test_retired_invalidate_opcode_is_refused_not_misread():
     unassigned: a frame from a client that still sends it gets OP_ERR."""
     assert "invalidate" not in wire.OPCODES
     assert 15 not in wire.OP_NAMES
-    with CacheServerProcess(make_server(), style="eventloop") as process:
+    with CacheServerProcess(make_server(), style="eventloop", wire_codec="binary") as process:
         sock = _dial_binary(process.address)
         try:
             sock.sendall(b"".join(bytes(b) for b in wire.encode_mux_frame(3, 15, ())))
