@@ -15,6 +15,14 @@ insert/invalidate race: if an entry is inserted *after* the invalidation that
 affects it has already been processed, the server truncates it immediately on
 insert.
 
+One rule decides what "affects" means at both of those sites
+(:func:`_can_end`): an invalidation at T bounds only entries born *before* T.
+An entry ``[lo, inf)`` was computed at a snapshot >= ``lo``, so it already
+reflects the commit at ``lo`` — whose own invalidation carries the entry's
+tags and the timestamp ``lo``, and usually reaches the node before the
+reader's ``put`` does.  Counting it against the entry would store every
+result read from a just-written row as the sliver ``[lo, lo + 1)``.
+
 Eviction uses least-recently-used ordering over a byte budget, plus eager
 removal of entries too stale to satisfy any transaction's staleness limit.
 
@@ -99,6 +107,22 @@ def _locate_arc(segments, starts, point: int) -> Optional[int]:
     if index >= 0 and point < segments[index][1]:
         return segments[index][2]
     return None
+
+
+def _can_end(timestamp: int, lo: int) -> bool:
+    """Whether an invalidation at ``timestamp`` can end an entry born at ``lo``.
+
+    Only a strictly later one can: the database computed ``[lo, inf)`` at a
+    snapshot >= ``lo``, so the value already reflects every commit up to and
+    including ``lo``.  This is exact, not merely safe — "still valid" was as
+    of the database's latest commit L at query time, so a matching
+    invalidation in ``(lo, L]`` is tag coarseness and one after L is a real
+    change, whichever side of the ``put`` it arrives on.  The stream applies
+    the predicate as written (:meth:`CacheServer._truncate_still_valid`);
+    a late insert applies it to a sorted history by ``bisect_right``
+    (:meth:`CacheServer._first_invalidation_after`).
+    """
+    return timestamp > lo
 
 
 def _discard_from(index: Dict, slot, key: str) -> None:
@@ -193,9 +217,10 @@ class CacheServer:
         #: latest timestamp: with concurrent writers, several invalidations
         #: of the same tag can land between a transaction's query and its
         #: cache insert, and the truncation point must be the *first* one
-        #: after the entry's birth (the latest would overclaim validity for
-        #: every intermediate version).  ``evict_stale`` prunes the prefixes
-        #: no lookup can reach.
+        #: strictly after the entry's birth (the latest would overclaim
+        #: validity for every intermediate version; one *at* the birth is
+        #: the commit the entry was read from).  ``evict_stale`` prunes the
+        #: prefixes no lookup can reach.
         self._tag_invalidations: Dict[InvalidationTag, List[int]] = {}
         self._table_invalidations: Dict[str, List[int]] = {}
         self._used_bytes = 0
@@ -443,8 +468,7 @@ class CacheServer:
                     best_lo = e_lo
                     best_hi = e_hi
             elif not fresh:
-                # An empty interval (an entry truncated at its own birth)
-                # reaches nowhere.
+                # An empty interval reaches nowhere.
                 fresh = e_hi > fresh_lo and e_hi > e_lo
         return best, best_lo, best_hi, fresh
 
@@ -464,8 +488,11 @@ class CacheServer:
         Returns True if the entry was stored.  Entries whose interval is
         already covered by an existing version are rejected (they add no
         information).  A still-valid entry whose tags were already
-        invalidated at a timestamp inside its interval is truncated on
-        insert, which closes the insert/invalidate race window.
+        invalidated at a timestamp *after* its lower bound is truncated on
+        insert, which closes the insert/invalidate race window; one whose
+        only matching invalidations are at or before its lower bound is
+        stored still valid, because it was read from those commits'
+        results (:func:`_can_end`).
         """
         if interval.empty:
             self.stats.rejected_insertions += 1
@@ -474,14 +501,14 @@ class CacheServer:
         if interval.unbounded and tags:
             # The insert/invalidate race: this still-valid entry was read
             # before an invalidation of its tags that the server has already
-            # processed.  Truncate at the *first* invalidation at or after
-            # the entry's birth — truncating at the latest one would claim
+            # processed.  Truncate at the *first* invalidation after the
+            # entry's birth — truncating at the latest one would claim
             # validity for every intermediate version, which concurrent
             # writers (several commits between a transaction's query and its
             # cache insert) turn into observable mixed-snapshot reads.
-            first = self._first_invalidation_at_or_after(tags, interval.lo)
+            first = self._first_invalidation_after(tags, interval.lo)
             if first is not None:
-                interval = Interval(interval.lo, max(first, interval.lo + 1))
+                interval = Interval(interval.lo, first)
 
         versions = self._entries.setdefault(key, [])
         for existing in versions:
@@ -554,9 +581,10 @@ class CacheServer:
 
         Installation goes through :meth:`put`, so all of its semantics apply:
         interval-covered duplicates are rejected, and a still-valid record
-        whose tags this node has already seen invalidated is truncated on
-        insert (the same mechanism that closes the insert/invalidate race
-        protects a record that crossed the wire during a migration).
+        whose tags this node has already seen invalidated after its lower
+        bound is truncated on insert (the same mechanism that closes the
+        insert/invalidate race protects a record that crossed the wire
+        during a migration).
         """
         installed = 0
         for record in records:
@@ -700,23 +728,40 @@ class CacheServer:
             _discard_from(self._table_index, tag.table, key)
 
     def _truncate_still_valid(self, key: str, timestamp: int) -> None:
+        """End every still-valid version of ``key`` born before ``timestamp``.
+
+        A version born at or after it stays still valid with its tags
+        indexed: its ``put`` beat the invalidation of the commit it was read
+        from (or of an older one) to this node — a deferred bus, concurrent
+        clients — and it already reflects that commit.
+        """
+        spared: List[CacheEntry] = []
         for entry in self._entries.get(key, ()):
-            if entry.still_valid:
+            if not entry.still_valid:
+                continue
+            if _can_end(timestamp, entry.interval.lo):
                 self._unindex_tags(key, entry.tags)
                 entry.interval = entry.interval.truncate(timestamp)
                 entry.tags = frozenset()
                 self.stats.entries_invalidated += 1
+            else:
+                spared.append(entry)
+        # The indexes are per key, not per version: a truncated sibling took
+        # the tags it shared with a spared version out with it.
+        for entry in spared:
+            self._index_tags(key, entry.tags)
 
-    def _first_invalidation_at_or_after(
+    def _first_invalidation_after(
         self, tags: FrozenSet[InvalidationTag], lo: int
     ) -> Optional[int]:
-        """Earliest processed invalidation at/after ``lo`` affecting ``tags``.
+        """Earliest processed invalidation of ``tags`` that can end ``[lo, inf)``.
 
         This is the exact truncation point for a late insert: the entry was
-        definitely valid at ``lo`` (the database computed that) and stopped
-        being current no later than the first subsequent invalidation of any
-        of its dependencies.  Returns ``None`` when no such invalidation has
-        been processed (the entry is genuinely still valid here).
+        valid at ``lo`` *with the commit at ``lo`` applied* (the database
+        computed that) and stopped being current no later than the first
+        subsequent invalidation of any of its dependencies.  Returns ``None``
+        when no such invalidation has been processed (the entry is genuinely
+        still valid here).
         """
         first: Optional[int] = None
         for tag in tags:
@@ -736,7 +781,8 @@ class CacheServer:
                 if tag.table in self._table_invalidations:
                     histories.append(self._table_invalidations[tag.table])
             for history in histories:
-                index = bisect.bisect_left(history, lo)
+                # The first member t with _can_end(t, lo): sorted, so bisect.
+                index = bisect.bisect_right(history, lo)
                 if index < len(history) and (first is None or history[index] < first):
                     first = history[index]
         return first
@@ -763,7 +809,8 @@ class CacheServer:
         insert born before the horizon then truncates to at most that
         timestamp — i.e. to an interval that is itself entirely below the
         horizon and unreachable — instead of overclaiming up to the next
-        retained invalidation.
+        retained invalidation.  The head is an invalidation like any other:
+        an insert born *at* it reflects it and is bounded by the next one.
         """
         for histories in (self._tag_invalidations, self._table_invalidations):
             for history in histories.values():

@@ -13,7 +13,8 @@ Inside a read-only transaction every value the application sees — cached or
 freshly queried — is consistent with the database state at one timestamp.
 The library maintains a *pin set* of candidate serialization timestamps and
 narrows it lazily as data is observed (section 6.2); database queries are
-forced to a specific pinned snapshot only when they can no longer be avoided.
+forced to a specific pinned snapshot only when they can no longer be avoided,
+and from then on that snapshot is the transaction's one timestamp.
 
 Read/write transactions bypass the cache and run directly on the database, so
 TxCache never weakens the database's own isolation level (section 2.2).
@@ -143,21 +144,17 @@ class TxCacheClient:
         staleness = self.default_staleness if staleness is None else staleness
         fresh = self.pincushion.fresh_snapshots(staleness, mark_in_use=True)
         held = [snapshot.snapshot_id for snapshot in fresh]
-        pinned_by_us: list = []
         if not held:
             # No sufficiently fresh pinned snapshot exists: pin the latest
             # one now (paper section 5.4) so the pin set always has at least
             # one concrete serialization point.
-            snapshot_id = self._pin_new_snapshot()
-            held = [snapshot_id]
-            pinned_by_us = [snapshot_id]
+            held = [self._pin_new_snapshot()]
         pin_set = PinSet(held, star=True)
         self._state = ReadOnlyState(
             staleness=staleness,
             pin_set=pin_set,
             initial_bounds=pin_set.bounds(),
-            held_snapshot_ids=list(held),
-            pinned_by_us=pinned_by_us,
+            held_snapshot_ids=held,
         )
         self.stats.ro_transactions += 1
 
@@ -266,8 +263,9 @@ class TxCacheClient:
         """Run a query inside the current transaction.
 
         In a read-only transaction the query runs at the transaction's
-        (lazily chosen) snapshot; its validity interval narrows the pin set
-        and is folded into any enclosing cacheable functions.
+        (lazily chosen) snapshot, which from the first query on is the whole
+        pin set; its validity interval is folded into any enclosing
+        cacheable functions.
         """
         state = self._require_transaction()
         if isinstance(state, ReadWriteState):
@@ -277,6 +275,8 @@ class TxCacheClient:
         result = db_tx.query(query)
         self.stats.db_queries += 1
         if self.mode is ConsistencyMode.CONSISTENT:
+            # Decides nothing — the validity contains the snapshot the query
+            # ran at, and that is the pin set: the guard of invariant 2.
             state.pin_set.restrict(result.validity)
         state.accumulate_into_frames(result.validity, result.tags)
         return result
@@ -404,12 +404,21 @@ class TxCacheClient:
     # Internals: snapshots and database transactions
     # ==================================================================
     def _ensure_db_transaction(self, state: ReadOnlyState):
-        """Choose a timestamp and open the underlying DB transaction lazily."""
+        """Choose a timestamp and open the underlying DB transaction lazily.
+
+        Lazy selection ends here: every later query runs at the snapshot
+        opened now, so it is the transaction's one remaining serialization
+        point and the pin set collapses to it.  From then on a lookup asks
+        the cache for exactly that timestamp, a cached version that excludes
+        it is a consistency miss, and no later hit can narrow the set to
+        pins the database is not being read at.
+        """
         if state.db_transaction is not None:
             return state.db_transaction
 
         if self.mode is ConsistencyMode.CONSISTENT:
             chosen = self._choose_timestamp(state)
+            state.pin_set.choose(chosen)
         else:
             # Baseline modes behave like an unmodified deployment: database
             # reads simply run against the latest committed state.
@@ -428,31 +437,29 @@ class TxCacheClient:
         """
         pin_set = state.pin_set
         most_recent = pin_set.most_recent()
-        if most_recent is None:
-            if not pin_set.has_star:  # pragma: no cover - invariant 2
-                raise TxCacheError("pin set has neither timestamps nor ?")
-            fresh_ts = self._pin_new_snapshot()
-            state.pinned_by_us.append(fresh_ts)
-            state.held_snapshot_ids.append(fresh_ts)
-            pin_set.reify_star(fresh_ts)
-            return fresh_ts
-
-        if pin_set.has_star:
+        if most_recent is not None:
+            if not pin_set.has_star:
+                return most_recent
             age = self.clock.now() - self._wallclock_of_snapshot(most_recent)
-            if age > self.new_pin_threshold:
-                fresh_ts = self._pin_new_snapshot()
-                state.pinned_by_us.append(fresh_ts)
-                state.held_snapshot_ids.append(fresh_ts)
-                pin_set.reify_star(fresh_ts)
-                return fresh_ts
-        return most_recent
+            if age <= self.new_pin_threshold:
+                return most_recent
+        elif not pin_set.has_star:  # pragma: no cover - invariant 2
+            raise TxCacheError("pin set has neither timestamps nor ?")
+        fresh_ts = self._pin_new_snapshot()
+        state.held_snapshot_ids.append(fresh_ts)
+        return fresh_ts
 
     def _pin_new_snapshot(self) -> int:
-        """Pin the database's latest snapshot and register it."""
+        """Pin the database's latest snapshot, in use, as of now.
+
+        The pincushion entry owns the one database pin of a snapshot.  If
+        the latest snapshot is registered already, registering it again
+        refreshes its wall clock — it is current *now* — and the pin just
+        taken is surplus, dropped on the spot.
+        """
         snapshot_id = self.database.pin_latest()
-        self.pincushion.register(
-            snapshot_id, self.database.wallclock_of(snapshot_id), in_use=True
-        )
+        if not self.pincushion.register(snapshot_id, self.clock.now(), in_use=True):
+            self.database.unpin(snapshot_id)
         self.stats.pins_created += 1
         return snapshot_id
 

@@ -116,9 +116,18 @@ class PinSet:
             raise EmptyPinSetError("removing ? would empty the pin set")
         self._star = False
 
-    def reify_star(self, timestamp: int) -> None:
-        """Replace ``?`` with a newly pinned snapshot's timestamp."""
-        self.add_timestamp(timestamp)
+    def choose(self, timestamp: int) -> None:
+        """Collapse the set to ``timestamp``: the database is being asked there.
+
+        ``timestamp`` must be a member, or ``?`` must still be available to
+        stand for it (a newly pinned snapshot) — anything else would break
+        invariant 1, and raises :class:`EmptyPinSetError`.
+        """
+        if not self._star and timestamp not in self._timestamps:
+            raise EmptyPinSetError(
+                f"{timestamp} is not a serialization point of pin set {self._timestamps}"
+            )
+        self._timestamps = [int(timestamp)]
         self._star = False
 
     def restrict(self, interval: Interval) -> None:

@@ -72,8 +72,6 @@ class ReadOnlyState:
     initial_bounds: Optional[tuple]
     #: snapshot ids whose in-use count we bumped at the pincushion.
     held_snapshot_ids: List[int] = field(default_factory=list)
-    #: snapshot ids this transaction itself pinned on the database.
-    pinned_by_us: List[int] = field(default_factory=list)
     #: lazily created database read-only transaction (None until the first
     #: database query forces a timestamp choice).
     db_transaction: Optional[ReadOnlyTransaction] = None

@@ -7,10 +7,13 @@ the database, the paper places this bookkeeping in a lightweight daemon, the
 *pincushion*.
 
 The pincushion keeps a table of pinned snapshots: the snapshot id (which is a
-commit timestamp), the wall-clock time it corresponds to, and the number of
-running transactions that might be using it.  Read-only transactions ask it
-for all sufficiently fresh pinned snapshots at BEGIN and release them at
-COMMIT/ABORT; a periodic sweep unpins snapshots that are old and unused.
+commit timestamp), the latest wall-clock time at which it was seen to be the
+database's current state, and the number of running transactions that might
+be using it.  Each row stands for exactly one pin on the database, taken by
+the library instance that registered the row and dropped by the expiry sweep.
+Read-only transactions ask it for all sufficiently fresh pinned snapshots at
+BEGIN and release them at COMMIT/ABORT; a periodic sweep unpins snapshots
+that are old and unused.
 
 Thread safety
 -------------
@@ -119,24 +122,32 @@ class Pincushion:
     # ------------------------------------------------------------------
     # Registration and release
     # ------------------------------------------------------------------
-    def register(self, snapshot_id: int, wallclock: float, in_use: bool = True) -> PinnedSnapshot:
-        """Record a snapshot that a library instance just pinned.
+    def register(self, snapshot_id: int, wallclock: float, in_use: bool = True) -> bool:
+        """Record a snapshot a library instance just pinned; True if it is new.
 
-        If the snapshot is already registered its in-use count is simply
-        bumped (two transactions may race to pin the same latest snapshot).
+        ``wallclock`` is when the caller saw the snapshot to be the
+        database's latest, i.e. a moment at which it *was current* — not the
+        time of its commit, which would make the only snapshot of a quiet
+        spell look too old to every transaction.
+
+        A pincushion entry holds exactly one database pin.  If the snapshot
+        is already registered the answer is False and the caller must drop
+        the pin it took to get here: seeing it again only moves its wall
+        clock forward (and marks it in use), so a snapshot that stays the
+        latest is refreshed, never pinned twice.
         """
         with self._lock:
             self.stats.registrations += 1
             existing = self._snapshots.get(snapshot_id)
             if existing is not None:
+                existing.wallclock = max(existing.wallclock, wallclock)
                 if in_use:
                     existing.in_use += 1
-                return existing
-            snapshot = PinnedSnapshot(
+                return False
+            self._snapshots[snapshot_id] = PinnedSnapshot(
                 snapshot_id=snapshot_id, wallclock=wallclock, in_use=1 if in_use else 0
             )
-            self._snapshots[snapshot_id] = snapshot
-            return snapshot
+            return True
 
     def release(self, snapshot_ids: List[int]) -> None:
         """Drop the in-use marks a finishing transaction held."""

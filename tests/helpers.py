@@ -14,7 +14,11 @@ from:
 * :class:`ConsistencyHarness` — a randomized writes/reads workload over a
   single-version table that asserts the paper's core invariant (every
   read-only transaction observes exactly one database state) after every
-  transaction, usable while faults are being injected.
+  transaction, usable while faults are being injected;
+* :func:`assert_pin_invariant` / :func:`assert_pins_drain` — a pin is one
+  reference: the database's pins are exactly the pincushion's entries, one
+  each, and both are empty once clients are done and expiry has run.  The
+  root ``conftest.py`` asserts the former after every ``housekeeping()``.
 """
 
 from __future__ import annotations
@@ -23,6 +27,14 @@ import os
 import random
 from typing import Iterable, List, Optional, Tuple
 
+from repro.apps.rubis import (
+    IN_MEMORY_CONFIG,
+    RubisApp,
+    RubisClientSession,
+    create_rubis_schema,
+    populate_database,
+)
+from repro.apps.rubis.workload import BIDDING_MIX
 from repro.cache.cluster import CacheCluster
 from repro.cache.netserver import CacheNodeUnreachableError
 from repro.core.api import ConsistencyMode
@@ -394,6 +406,73 @@ class FaultInjector:
 
 
 # ----------------------------------------------------------------------
+# The benchmark's RUBiS driver, without importing perf/
+# ----------------------------------------------------------------------
+RUBIS_USERS = 24
+
+
+def rubis_sessions(
+    deployment: TxCacheDeployment, client, seed: int, staleness: float = 30.0, scale: int = 100
+) -> list:
+    """RUBiS loaded (data seed 42) and the bidding mix's 24 emulated users,
+    seeded ``seed * 1000 + i`` as ``perf/workloads.py`` seeds them."""
+    create_rubis_schema(deployment.database)
+    dataset = populate_database(deployment.database, IN_MEMORY_CONFIG.scaled(scale), seed=42)
+    app = RubisApp(client, dataset)
+    return [
+        RubisClientSession(
+            app, BIDDING_MIX, seed=seed * 1000 + i, staleness=staleness,
+            now_fn=deployment.clock.now,
+        )
+        for i in range(RUBIS_USERS)
+    ]
+
+
+def run_interactions(
+    deployment: TxCacheDeployment, sessions: list, first: int, count: int, dt: float = 0.010
+) -> None:
+    """Interactions ``first .. first + count`` round-robin, ``dt`` of virtual
+    time after each, housekeeping every 400.  Any exception propagates."""
+    for i in range(first, first + count):
+        sessions[i % len(sessions)].step()
+        deployment.advance(dt)
+        if (i + 1) % 400 == 0:
+            deployment.housekeeping()
+
+
+# ----------------------------------------------------------------------
+# Pin lifetime
+# ----------------------------------------------------------------------
+def pin_invariant_violation(deployment: TxCacheDeployment) -> Optional[str]:
+    """What breaks "a pin is one reference", or ``None``.
+
+    Every pincushion entry stands for exactly one pin on the database and
+    nothing else pins it.  Exact whenever no client is inside a pin (between
+    ``Database.pin_latest`` and ``Pincushion.register`` the library holds a
+    reference that is not yet, or no longer, the entry's).
+    """
+    pins = deployment.database.pinned_snapshots
+    registered = deployment.pincushion.pinned_ids
+    if set(pins) == set(registered) and all(count == 1 for count in pins.values()):
+        return None
+    return f"database pins {pins} are not one each for pincushion entries {registered}"
+
+
+def assert_pin_invariant(deployment: TxCacheDeployment) -> None:
+    violation = pin_invariant_violation(deployment)
+    assert violation is None, violation
+
+
+def assert_pins_drain(deployment: TxCacheDeployment) -> None:
+    """Once every client has finished, expiry leaves no pin anywhere."""
+    assert_pin_invariant(deployment)
+    deployment.advance(deployment.pincushion_expiry_seconds + 1.0)
+    deployment.housekeeping()
+    assert deployment.database.pinned_snapshots == {}
+    assert deployment.pincushion.pinned_ids == []
+
+
+# ----------------------------------------------------------------------
 # Consistency invariant workload
 # ----------------------------------------------------------------------
 class ConsistencyViolation(AssertionError):
@@ -506,6 +585,10 @@ class ConsistencyHarness:
             self.deployment.advance(self.rng.uniform(0.1, 20.0))
         elif action < 0.45:
             self.deployment.housekeeping(max_staleness=60.0)
+            if len(self.deployment.clients) == 1:
+                # The only client, between two of its transactions: nobody
+                # is inside a pin, so the invariant is exact.
+                assert_pin_invariant(self.deployment)
         else:
             self.read()
 

@@ -121,13 +121,22 @@ class TestPut:
         assert not entry.still_valid
         assert entry.interval.hi == 5  # not 9
 
-    def test_insert_born_at_latest_invalidation_keeps_birth_timestamp(self, server):
+    def test_insert_born_at_latest_invalidation_stays_still_valid(self, server):
+        """An entry born at 5 was read from the commit at 5, so that
+        commit's own invalidation — same tags, same timestamp, usually at
+        the node before the reader's put — does not bound it.  (This test
+        used to assert ``hi == 6``: the sliver every result read from a
+        once-written row was stored as.)"""
         invalidate(server, 5, tag(1))
-        server.put("k", "v-from-ts-5", Interval(5), tags=frozenset({tag(1)}))
+        tags = frozenset({tag(1)})
+        server.put("k", "v-from-ts-5", Interval(5), tags=tags)
         entry = server.versions_of("k")[0]
-        # Valid at its birth timestamp at least; nothing later is claimed.
-        assert entry.interval.lo == 5
-        assert entry.interval.hi == 6
+        assert entry.interval == Interval(5)
+        assert entry.tags == tags
+        assert server._tag_index == {tag(1): {"k"}}
+        # The next invalidation of the tag is the one that ends it.
+        invalidate(server, 8, tag(1))
+        assert server.versions_of("k")[0].interval == Interval(5, 8)
 
     def test_stale_eviction_prunes_histories_without_overclaiming(self, server):
         invalidate(server, 3, tag(1))
@@ -162,6 +171,37 @@ class TestInvalidationProcessing:
         entry = server.versions_of("k")[0]
         assert entry.interval == Interval(2, 9)
         assert server.stats.entries_invalidated == 1
+
+    def test_invalidation_at_birth_leaves_entry_still_valid(self, server):
+        """The stream-side twin of the late-insert rule: a put that beats its
+        own commit's invalidation to the node (deferred bus, concurrent
+        clients) is not truncated to the empty ``[5, 5)`` by it."""
+        tags = frozenset({tag(1)})
+        server.put("k", "v-from-ts-5", Interval(5), tags=tags)
+        invalidate(server, 5, tag(1))
+        entry = server.versions_of("k")[0]
+        assert entry.interval == Interval(5)
+        assert entry.tags == tags
+        assert server._tag_index == {tag(1): {"k"}}
+        assert server.stats.entries_invalidated == 0
+        invalidate(server, 6, tag(1))
+        entry = server.versions_of("k")[0]
+        assert entry.interval == Interval(5, 6)
+        assert not entry.tags and not server._tag_index
+        assert server.stats.entries_invalidated == 1
+
+    def test_spared_version_keeps_the_tags_a_truncated_sibling_shared(self, server):
+        """The tag indexes are per key: truncating ``[2, inf)`` must not take
+        the key out from under its sibling born at the invalidation."""
+        tags = frozenset({tag(1)})
+        server.put("k", "new", Interval(7), tags=tags)
+        server.put("k", "old", Interval(2), tags=tags)
+        invalidate(server, 7, tag(1))
+        old, new = server.versions_of("k")
+        assert (old.interval, new.interval) == (Interval(2, 7), Interval(7))
+        _assert_indexes_match_store(server)
+        invalidate(server, 9, tag(1))
+        assert server.versions_of("k")[1].interval == Interval(7, 9)
 
     def test_non_matching_tag_leaves_entry_valid(self, server):
         server.put("k", "v", Interval(2), tags=frozenset({tag(1)}))
@@ -225,8 +265,10 @@ class TestInvalidationIndexAgainstOracle:
     """The indexed invalidation path against a brute-force scan of the store.
 
     Truncation is key-granular: an invalidation that overlaps any still-valid
-    version of a key truncates every still-valid version of that key, so the
-    oracle closes the overlapping entries over their keys.
+    version of a key truncates every still-valid version of that key born
+    before it, so the oracle closes the overlapping entries over their keys
+    and keeps those born at or after the invalidation (the generator makes
+    records born at ``now`` and ``now + 1``).
     """
 
     KEYS = [f"k{i}" for i in range(16)]
@@ -266,7 +308,11 @@ class TestInvalidationIndexAgainstOracle:
                     for entry in before
                     if any(mine.overlaps(theirs) for mine in entry.tags for theirs in message_tags)
                 }
-                expected = {id(entry) for entry in before if entry.key in hit_keys}
+                expected = {
+                    id(entry)
+                    for entry in before
+                    if entry.key in hit_keys and entry.interval.lo < now
+                }
                 invalidate(server, now, *message_tags)
                 truncated = {id(entry) for entry in before if not entry.still_valid}
                 assert truncated == expected
@@ -375,8 +421,8 @@ class TestLookupAgainstItsDefinitions:
             key = rng.choice(self.KEYS)
             if step < 0.20:  # several versions per key: old bounded, new still valid
                 # Born up to two commits ahead of the stream this node has
-                # seen: the next invalidation truncates such an entry at its
-                # own birth, to an empty interval.
+                # seen: invalidations at or before its birth leave such an
+                # entry still valid.
                 lo = rng.randrange(max(0, now - 6), now + 3)
                 if rng.random() < 0.6:
                     put = (key, step, Interval(lo), frozenset({tag(rng.randrange(3))}))

@@ -64,11 +64,23 @@ class TestMutation:
         assert pins.would_survive(Interval(4, 9))
         assert not pins.would_survive(Interval(10, 20))
 
-    def test_reify_star(self):
-        pins = PinSet([], star=True)
-        pins.reify_star(7)
+    def test_choose_reifies_star(self):
+        pins = PinSet([3], star=True)
+        pins.choose(7)
         assert pins.timestamps == frozenset({7})
         assert not pins.has_star
+
+    def test_choose_collapses_to_a_member(self):
+        pins = PinSet([1, 5, 9], star=False)
+        pins.choose(5)
+        assert pins.timestamps == frozenset({5})
+        assert pins.bounds() == (5, 5)
+
+    def test_choose_outside_the_set_without_star_raises(self):
+        pins = PinSet([1, 5], star=False)
+        with pytest.raises(EmptyPinSetError):
+            pins.choose(7)
+        assert pins.timestamps == frozenset({1, 5})
 
     def test_remove_star_with_timestamps(self):
         pins = PinSet([4], star=True)
