@@ -25,6 +25,10 @@ result read from a just-written row as the sliver ``[lo, lo + 1)``.
 
 Eviction uses least-recently-used ordering over a byte budget, plus eager
 removal of entries too stale to satisfy any transaction's staleness limit.
+The eager part costs what it removes: every version that has an upper bound
+waits in a heap on that bound, every recorded invalidation message in a
+queue on its timestamp, and :meth:`CacheServer.evict_stale` pops both up to
+the horizon instead of walking the store and every history.
 
 Thread safety
 -------------
@@ -48,9 +52,9 @@ import bisect
 import functools
 import heapq
 import threading
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Deque, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.cache.entry import (
     CacheEntry,
@@ -223,6 +227,21 @@ class CacheServer:
         #: prefixes no lookup can reach.
         self._tag_invalidations: Dict[InvalidationTag, List[int]] = {}
         self._table_invalidations: Dict[str, List[int]] = {}
+        #: table name -> the precise-tag histories of that table, filed as
+        #: each history is created: a wildcard dependency is ended by any of
+        #: them, and asks these rather than every history of every table.
+        self._tag_histories_of_table: Dict[str, List[List[int]]] = {}
+        #: min-heap of ``(upper bound, key)``, one item per version that was
+        #: stored with, or truncated to, an upper bound.  It names the
+        #: version instead of holding it, so a version dropped some other
+        #: way is not kept alive; its item is a ghost, skipped when popped.
+        self._expiring: List[Tuple[int, str]] = []
+        #: stored versions that have an upper bound; what the heap holds
+        #: beyond them is ghosts, which :meth:`_sift_ghosts` keeps in check.
+        self._bounded_versions = 0
+        #: ``(timestamp, histories it was added to)`` per recorded message,
+        #: ascending by timestamp: what pruning has still to look at.
+        self._unpruned: Deque[Tuple[int, List[List[int]]]] = deque()
         self._used_bytes = 0
         #: Resident gossip-membership agent (attached by the deployment's
         #: GossipRunner; None on nodes not participating in gossip).  The
@@ -526,8 +545,16 @@ class CacheServer:
             size=estimate_size(key, value),
             last_access=self.clock.now(),
         )
-        versions.append(entry)
-        versions.sort(key=lambda e: e.interval.lo)
+        # Ascending by lower bound, after its equals: walk back from the end,
+        # where a newer version belongs.
+        index = len(versions)
+        lo = interval.lo
+        while index and versions[index - 1].interval.lo > lo:
+            index -= 1
+        versions.insert(index, entry)
+        if interval.hi is not None:
+            heapq.heappush(self._expiring, (interval.hi, key))
+            self._bounded_versions += 1
         self._used_bytes += entry.size
         self._keys_ever_stored.add(key)
         self._touch(key)
@@ -614,6 +641,7 @@ class CacheServer:
             removed += len(entries)
             self._lru.pop(key, None)
         self.stats.entries_discarded += removed
+        self._sift_ghosts()
         return removed
 
     # ------------------------------------------------------------------
@@ -625,8 +653,8 @@ class CacheServer:
         self.stats.invalidation_messages += 1
         timestamp = message.timestamp
         affected_keys: Set[str] = set()
+        grown = self._record_invalidations(message.tags, timestamp)
         for tag in message.tags:
-            self._record_tag_invalidation(tag, timestamp)
             if tag.is_wildcard:
                 affected_keys.update(self._table_index.get(tag.table, ()))
             else:
@@ -634,6 +662,12 @@ class CacheServer:
                 # A precise update also affects entries that depend on a
                 # wildcard (scan) of the same table.
                 affected_keys.update(self._wildcard_index.get(tag.table, ()))
+        if grown:
+            unpruned = self._unpruned
+            if not unpruned or unpruned[-1][0] <= timestamp:
+                unpruned.append((timestamp, grown))
+            else:
+                self._queue_late(timestamp, grown)
         for key in affected_keys:
             self._truncate_still_valid(key, timestamp)
         if timestamp > self.last_invalidation_timestamp:
@@ -656,16 +690,30 @@ class CacheServer:
     # ------------------------------------------------------------------
     @_locked
     def evict_stale(self, oldest_useful_timestamp: int) -> int:
-        """Drop entries that ended before ``oldest_useful_timestamp``.
+        """Drop entries that ended at or before ``oldest_useful_timestamp``.
 
         Such entries cannot satisfy any transaction within the staleness
         limit and are eagerly removed (paper section 4.1).  Returns the
         number of entries removed.
+
+        The versions with an upper bound wait in ``_expiring``, a heap on
+        that bound, so this pops the ones the horizon has reached and looks
+        at nothing else: the cost is the versions removed, not the versions
+        stored.  An item whose version LRU eviction or :meth:`discard_keys`
+        already dropped finds nothing to remove and is skipped.
         """
+        expiring = self._expiring
+        entries = self._entries
         removed = 0
-        for key in list(self._entries.keys()):
+        while expiring and expiring[0][0] <= oldest_useful_timestamp:
+            key = heapq.heappop(expiring)[1]
+            versions = entries.get(key)
+            if versions is None:
+                continue
+            # Every version of the key the horizon has reached goes now; the
+            # items of the others that went become ghosts.
             keep: List[CacheEntry] = []
-            for entry in self._entries[key]:
+            for entry in versions:
                 hi = entry.interval.hi
                 if hi is not None and hi <= oldest_useful_timestamp:
                     self._drop_entry(entry)
@@ -673,9 +721,9 @@ class CacheServer:
                 else:
                     keep.append(entry)
             if keep:
-                self._entries[key] = keep
+                entries[key] = keep
             else:
-                del self._entries[key]
+                del entries[key]
                 self._lru.pop(key, None)
         self._prune_invalidation_histories(oldest_useful_timestamp)
         self.stats.stale_evictions += removed
@@ -683,12 +731,21 @@ class CacheServer:
 
     @_locked
     def clear(self) -> None:
-        """Remove every entry (used between benchmark configurations)."""
+        """Remove every entry (used between benchmark configurations).
+
+        The expiry heap goes with the store — its items name versions that
+        no longer exist.  The invalidation histories, and the queue of what
+        is left to prune in them, deliberately stay: they are facts about
+        the stream this node has consumed, not about what it stores, and an
+        entry inserted after the clear must still be truncated by them.
+        """
         self._entries.clear()
         self._lru.clear()
         self._tag_index.clear()
         self._wildcard_index.clear()
         self._table_index.clear()
+        self._expiring.clear()
+        self._bounded_versions = 0
         self._used_bytes = 0
 
     # ------------------------------------------------------------------
@@ -704,12 +761,36 @@ class CacheServer:
             for entry in self._entries.pop(victim_key, []):
                 self._drop_entry(entry)
                 self.stats.lru_evictions += 1
+            self._sift_ghosts()
 
     def _drop_entry(self, entry: CacheEntry) -> None:
         self._used_bytes -= entry.size
         if self._used_bytes < 0:
             self._used_bytes = 0
-        self._unindex_tags(entry.key, entry.tags)
+        if entry.interval.hi is not None:
+            self._bounded_versions -= 1
+        if entry.tags:
+            self._unindex_tags(entry.key, entry.tags)
+
+    def _sift_ghosts(self) -> None:
+        """Keep the expiry heap to the versions that can still expire.
+
+        LRU eviction and :meth:`discard_keys` leave their victims' items on
+        the heap as ghosts, which :meth:`evict_stale` pops only when the
+        horizon reaches them.  Called where ghosts are made: should they
+        have come to outnumber the versions the heap is for, the items that
+        name no stored version are sifted out (paid for by the evictions
+        that made it necessary), so the heap never outgrows the store.
+        """
+        expiring = self._expiring
+        if len(expiring) > 2 * self._bounded_versions + 16:
+            entries = self._entries
+            expiring[:] = [
+                item
+                for item in set(expiring)
+                if any(entry.interval.hi == item[0] for entry in entries.get(item[1], ()))
+            ]
+            heapq.heapify(expiring)
 
     def _index_tags(self, key: str, tags: FrozenSet[InvalidationTag]) -> None:
         for tag in tags:
@@ -743,6 +824,8 @@ class CacheServer:
                 self._unindex_tags(key, entry.tags)
                 entry.interval = entry.interval.truncate(timestamp)
                 entry.tags = frozenset()
+                heapq.heappush(self._expiring, (timestamp, key))
+                self._bounded_versions += 1
                 self.stats.entries_invalidated += 1
             else:
                 spared.append(entry)
@@ -768,11 +851,7 @@ class CacheServer:
             histories = []
             if tag.is_wildcard:
                 # Any invalidation on the table affects a wildcard dependency.
-                histories.extend(
-                    history
-                    for other, history in self._tag_invalidations.items()
-                    if other.table == tag.table
-                )
+                histories.extend(self._tag_histories_of_table.get(tag.table, ()))
                 if tag.table in self._table_invalidations:
                     histories.append(self._table_invalidations[tag.table])
             else:
@@ -787,20 +866,50 @@ class CacheServer:
                     first = history[index]
         return first
 
-    def _record_tag_invalidation(self, tag: InvalidationTag, timestamp: int) -> None:
-        if tag.is_wildcard:
-            history = self._table_invalidations.setdefault(tag.table, [])
-        else:
-            history = self._tag_invalidations.setdefault(tag, [])
-        # The stream is timestamp-ordered, so this is almost always a plain
-        # append; the bisect covers a message replayed or re-delivered late
-        # (inserted once, O(log n) dedup — the history is sorted).
-        if not history or timestamp > history[-1]:
-            history.append(timestamp)
-        else:
-            index = bisect.bisect_left(history, timestamp)
-            if index == len(history) or history[index] != timestamp:
+    def _record_invalidations(
+        self, tags: Sequence[InvalidationTag], timestamp: int
+    ) -> List[List[int]]:
+        """Add ``timestamp`` to the history of each of a message's ``tags``.
+
+        Answers the histories that lengthened it (a replay lengthens none):
+        what the message is queued with for pruning.
+        """
+        grown: List[List[int]] = []
+        for tag in tags:
+            if tag.is_wildcard:
+                history = self._table_invalidations.setdefault(tag.table, [])
+            else:
+                history = self._tag_invalidations.get(tag)
+                if history is None:
+                    history = self._tag_invalidations[tag] = []
+                    self._tag_histories_of_table.setdefault(tag.table, []).append(history)
+            # The stream is timestamp-ordered, so this is almost always a
+            # plain append; the bisect covers a message replayed or
+            # re-delivered late (inserted once, O(log n) dedup — the history
+            # is sorted).
+            if not history or timestamp > history[-1]:
+                history.append(timestamp)
+            else:
+                index = bisect.bisect_left(history, timestamp)
+                if index != len(history) and history[index] == timestamp:
+                    continue
                 history.insert(index, timestamp)
+            grown.append(history)
+        return grown
+
+    def _queue_late(self, timestamp: int, grown: List[List[int]]) -> None:
+        """File a message delivered out of order at its place in ``_unpruned``.
+
+        Like the histories, the queue ascends and the stream appends to it;
+        a replayed or delayed message is walked back to where its timestamp
+        belongs, so pruning to a horizon meets it when a prune of every
+        history would have.
+        """
+        unpruned = self._unpruned
+        index = len(unpruned)
+        while index and unpruned[index - 1][0] > timestamp:
+            index -= 1
+        unpruned.insert(index, (timestamp, grown))
 
     def _prune_invalidation_histories(self, oldest_useful_timestamp: int) -> None:
         """Drop history prefixes no lookup can reach (called by evict_stale).
@@ -811,9 +920,19 @@ class CacheServer:
         horizon and unreachable — instead of overclaiming up to the next
         retained invalidation.  The head is an invalidation like any other:
         an insert born *at* it reflects it and is bounded by the next one.
+
+        Only a history that gained a member at or below the horizon since
+        it was last pruned can have a prefix to drop, and ``_unpruned``
+        names exactly those, one record per message: this pops the records
+        the horizon has reached and bisects the histories they name, not
+        every history there is.  Heads are the one thing kept for ever — one
+        integer per distinct tag ever invalidated: without an ``as_of`` on
+        ``put`` the node cannot tell a late insert born before a head, which
+        the head must still truncate, from one born after it.
         """
-        for histories in (self._tag_invalidations, self._table_invalidations):
-            for history in histories.values():
+        unpruned = self._unpruned
+        while unpruned and unpruned[0][0] <= oldest_useful_timestamp:
+            for history in unpruned.popleft()[1]:
                 index = bisect.bisect_right(history, oldest_useful_timestamp)
                 if index > 1:
                     del history[: index - 1]

@@ -47,7 +47,7 @@ from repro.core.transaction import CacheableFrame, ReadOnlyState, ReadWriteState
 from repro.db.database import Database
 from repro.db.executor import QueryResult
 from repro.db.query import Predicate, Query
-from repro.pincushion.pincushion import Pincushion
+from repro.pincushion.pincushion import PinnedSnapshot, Pincushion
 
 __all__ = ["ConsistencyMode", "TxCacheClient"]
 
@@ -91,7 +91,7 @@ class _TransactionScope:
 
     def __exit__(self, exc_type, exc, traceback) -> None:
         client = self._client
-        if client.in_transaction:
+        if client._state is not None:
             if exc_type is None:
                 client.commit()
             else:
@@ -129,6 +129,10 @@ class TxCacheClient:
         self.new_pin_threshold = new_pin_threshold
         self.stats = ClientStats()
         self._state: Optional[Union[ReadOnlyState, ReadWriteState]] = None
+        #: A scope holds nothing about the transaction it opens, so the two
+        #: argument-free ones are built once, not once per ``with``.
+        self._read_only_scope = _TransactionScope(self, True)
+        self._read_write_scope = _TransactionScope(self, False)
 
     # ==================================================================
     # Transaction control
@@ -140,21 +144,25 @@ class TxCacheClient:
         transaction is willing to observe; it defaults to the client's
         ``default_staleness``.
         """
-        self._check_no_transaction()
-        staleness = self.default_staleness if staleness is None else staleness
-        fresh = self.pincushion.fresh_snapshots(staleness, mark_in_use=True)
-        held = [snapshot.snapshot_id for snapshot in fresh]
+        if self._state is not None:
+            self._check_no_transaction()
+        if staleness is None:
+            staleness = self.default_staleness
+        held = self.pincushion.fresh_snapshots(staleness, mark_in_use=True)
         if not held:
             # No sufficiently fresh pinned snapshot exists: pin the latest
             # one now (paper section 5.4) so the pin set always has at least
             # one concrete serialization point.
             held = [self._pin_new_snapshot()]
-        pin_set = PinSet(held, star=True)
+        # The pincushion answers in snapshot-id order: the pin set adopts
+        # the ids as they come, and its bounds are the two ends.
+        timestamps = [snapshot.snapshot_id for snapshot in held]
         self._state = ReadOnlyState(
-            staleness=staleness,
-            pin_set=pin_set,
-            initial_bounds=pin_set.bounds(),
-            held_snapshot_ids=held,
+            staleness,
+            PinSet.from_ascending(timestamps),
+            (timestamps[0], timestamps[-1]),
+            held,
+            [],
         )
         self.stats.ro_transactions += 1
 
@@ -172,7 +180,9 @@ class TxCacheClient:
         staleness bound of a later transaction to guarantee they never
         observe time moving backwards (paper section 2.2).
         """
-        state = self._require_transaction()
+        state = self._state
+        if state is None:
+            self._require_transaction()
         try:
             if isinstance(state, ReadWriteState):
                 timestamp = state.db_transaction.commit()
@@ -208,11 +218,13 @@ class TxCacheClient:
 
     def read_only(self, staleness: Optional[float] = None) -> _TransactionScope:
         """Context manager form of BEGIN-RO ... COMMIT/ABORT."""
+        if staleness is None:
+            return self._read_only_scope
         return _TransactionScope(self, True, staleness)
 
     def read_write(self) -> _TransactionScope:
         """Context manager form of BEGIN-RW ... COMMIT/ABORT."""
-        return _TransactionScope(self, False)
+        return self._read_write_scope
 
     # ==================================================================
     # Cacheable functions
@@ -445,23 +457,24 @@ class TxCacheClient:
                 return most_recent
         elif not pin_set.has_star:  # pragma: no cover - invariant 2
             raise TxCacheError("pin set has neither timestamps nor ?")
-        fresh_ts = self._pin_new_snapshot()
-        state.held_snapshot_ids.append(fresh_ts)
-        return fresh_ts
+        pinned = self._pin_new_snapshot()
+        state.held.append(pinned)
+        return pinned.snapshot_id
 
-    def _pin_new_snapshot(self) -> int:
+    def _pin_new_snapshot(self) -> PinnedSnapshot:
         """Pin the database's latest snapshot, in use, as of now.
 
         The pincushion entry owns the one database pin of a snapshot.  If
         the latest snapshot is registered already, registering it again
         refreshes its wall clock — it is current *now* — and the pin just
-        taken is surplus, dropped on the spot.
+        taken is surplus, dropped on the spot.  Answers the pincushion's row,
+        which is what the transaction hands back at COMMIT/ABORT.
         """
         snapshot_id = self.database.pin_latest()
         if not self.pincushion.register(snapshot_id, self.clock.now(), in_use=True):
             self.database.unpin(snapshot_id)
         self.stats.pins_created += 1
-        return snapshot_id
+        return self.pincushion.snapshot(snapshot_id)
 
     def _wallclock_of_snapshot(self, snapshot_id: int) -> float:
         record = self.pincushion.snapshot(snapshot_id)
@@ -479,7 +492,7 @@ class TxCacheClient:
                 state.db_transaction.abort()
             else:
                 state.db_transaction.commit()
-        self.pincushion.release(state.held_snapshot_ids)
+        self.pincushion.release(state.held)
         if state.chosen_timestamp is not None:
             return state.chosen_timestamp
         most_recent = state.pin_set.most_recent()

@@ -46,15 +46,34 @@ STAR = _Star()
 
 
 class PinSet:
-    """The set of timestamps at which a transaction may be serialized."""
+    """The set of timestamps at which a transaction may be serialized.
+
+    Held as one ascending list of distinct ints, so the bounds are its two
+    ends and the survivors of a validity interval are one slice of it.  The
+    constructor puts any iterable into that form; :meth:`from_ascending`
+    adopts a list that is in it already — the pincushion hands a BEGIN its
+    pins in id order — and costs nothing per timestamp.
+    """
+
+    __slots__ = ("_timestamps", "_star")
 
     def __init__(self, timestamps: Iterable[int] = (), star: bool = True) -> None:
-        #: Ascending and distinct, so the bounds are its two ends and the
-        #: survivors of a validity interval are one slice of it.
         self._timestamps: List[int] = sorted({int(t) for t in timestamps})
         self._star = bool(star)
         if not self._timestamps and not self._star:
             raise EmptyPinSetError("a pin set must start with at least one element")
+
+    @classmethod
+    def from_ascending(cls, timestamps: List[int]) -> "PinSet":
+        """The pin set of ``timestamps`` and ``?``.
+
+        ``timestamps`` must be ints, ascending and distinct, and becomes the
+        set's own list: the caller keeps no use of it.
+        """
+        pin_set = cls.__new__(cls)
+        pin_set._timestamps = timestamps
+        pin_set._star = True
+        return pin_set
 
     # ------------------------------------------------------------------
     # Introspection
@@ -171,7 +190,8 @@ class PinSet:
 
     def copy(self) -> "PinSet":
         """An independent copy (used for what-if checks in tests)."""
-        clone = PinSet(self._timestamps, star=self._star)
+        clone = PinSet.from_ascending(list(self._timestamps))
+        clone._star = self._star
         return clone
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -1,6 +1,6 @@
 """Per-transaction state kept by the TxCache library.
 
-A read-only transaction carries its pin set, the snapshot ids it fetched (and
+A read-only transaction carries its pin set, the snapshots it fetched (and
 marked in-use) from the pincushion, the lazily started database transaction,
 and the stack of *frames* for nested cacheable functions.  Each frame
 accumulates the validity intervals and invalidation tags of everything the
@@ -10,13 +10,15 @@ become the cache entry's metadata (paper sections 6.1 and 6.3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Set
 
+from repro._compat import DATACLASS_SLOTS
 from repro.core.pinset import PinSet
 from repro.db.invalidation import InvalidationTag
 from repro.db.transactions import ReadOnlyTransaction, ReadWriteTransaction
 from repro.interval import Interval
+from repro.pincushion.pincushion import PinnedSnapshot
 
 __all__ = ["CacheableFrame", "ReadOnlyState", "ReadWriteState"]
 
@@ -60,9 +62,12 @@ class CacheableFrame:
         return Interval(lo, hi)
 
 
-@dataclass
+@dataclass(**DATACLASS_SLOTS)
 class ReadOnlyState:
-    """State of one read-only transaction."""
+    """State of one read-only transaction.
+
+    BEGIN supplies every list, so constructing one runs no default factory.
+    """
 
     staleness: float
     pin_set: PinSet
@@ -70,15 +75,16 @@ class ReadOnlyState:
     #: classify consistency misses: a miss is a consistency miss if a lookup
     #: over these original bounds would have hit.
     initial_bounds: Optional[tuple]
-    #: snapshot ids whose in-use count we bumped at the pincushion.
-    held_snapshot_ids: List[int] = field(default_factory=list)
+    #: the pincushion rows whose in-use count this transaction bumped,
+    #: handed back to ``Pincushion.release`` as they are.
+    held: List[PinnedSnapshot]
+    #: stack of in-flight cacheable function frames (innermost last).
+    frames: List[CacheableFrame]
     #: lazily created database read-only transaction (None until the first
     #: database query forces a timestamp choice).
     db_transaction: Optional[ReadOnlyTransaction] = None
     #: the timestamp chosen for database queries, once reified.
     chosen_timestamp: Optional[int] = None
-    #: stack of in-flight cacheable function frames (innermost last).
-    frames: List[CacheableFrame] = field(default_factory=list)
 
     @property
     def read_only(self) -> bool:

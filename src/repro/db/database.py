@@ -36,9 +36,10 @@ takes them in the other direction.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left, bisect_right
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.clock import Clock, SystemClock
 from repro.comm.multicast import InvalidationBus, InvalidationMessage
@@ -94,8 +95,13 @@ class Database:
         self.commit_lock = threading.RLock()
         #: last committed logical timestamp; the initial load commits at 0.
         self._last_committed = 0
-        #: logical timestamp -> wall-clock time of the commit.
-        self._commit_wallclock: Dict[int, float] = {0: self.clock.now()}
+        #: The commits vacuum has not yet put out of reach, as two parallel
+        #: columns — logical timestamp, wall-clock time of the commit — that
+        #: commits append to under the commit lock.  Both ascend, so either
+        #: is searched by bisection; :meth:`vacuum` drops the rows below
+        #: ``_oldest_available``, all but the newest.
+        self._commit_timestamps: List[int] = [0]
+        self._commit_wallclocks: List[float] = [self.clock.now()]
         #: pinned snapshot timestamp -> pin reference count.
         self._pins: Dict[int, int] = {}
         #: snapshots older than this may have been vacuumed away.
@@ -178,7 +184,10 @@ class Database:
         node stall every reader and writer queued on the lock.
         """
         with self.commit_lock:
-            self._commit_wallclock[timestamp] = self.clock.now()
+            self._commit_timestamps.append(timestamp)
+            # A commit is not older than the one before it, whatever a
+            # system clock stepping backwards says.
+            self._commit_wallclocks.append(max(self.clock.now(), self._commit_wallclocks[-1]))
             self.stats.commits += 1
             if tags:
                 self.invalidation_bus.enqueue(
@@ -200,11 +209,17 @@ class Database:
             self.invalidation_bus.deliver_pending()
 
     def wallclock_of(self, timestamp: int) -> float:
-        """Wall-clock time at which ``timestamp`` committed."""
-        try:
-            return self._commit_wallclock[timestamp]
-        except KeyError:
-            raise SnapshotTooOldError(f"no commit record for timestamp {timestamp}") from None
+        """Wall-clock time at which ``timestamp`` committed.
+
+        :class:`SnapshotTooOldError` if there is no such commit on record:
+        none ever was, or vacuum has moved past it.
+        """
+        with self.commit_lock:  # a committer appends to both columns
+            timestamps = self._commit_timestamps
+            index = bisect_left(timestamps, timestamp)
+            if index < len(timestamps) and timestamps[index] == timestamp:
+                return self._commit_wallclocks[index]
+        raise SnapshotTooOldError(f"no commit record for timestamp {timestamp}")
 
     def newest_timestamp_at_or_before(self, wallclock: float) -> int:
         """Newest commit timestamp whose commit time is <= ``wallclock``.
@@ -212,13 +227,18 @@ class Database:
         Used to translate a wall-clock staleness horizon (e.g. "30 seconds
         ago") into a logical timestamp, for example when eagerly evicting
         cache entries too stale to satisfy any transaction.
+
+        One bisection of the commit wall clocks, which ascend with the
+        timestamps beside them.  The answer is 0 when every commit on record
+        is later than ``wallclock`` — before the first commit, and also once
+        vacuum has dropped the commits that old: it keeps the newest commit
+        below the oldest pinned snapshot and nothing before it.  An answer
+        that is too low is safe for its one use: eager eviction waits for
+        the horizon to reach a commit still on record.
         """
-        with self.commit_lock:  # a committer mutates the mapping mid-commit
-            best = 0
-            for timestamp, committed_at in self._commit_wallclock.items():
-                if committed_at <= wallclock and timestamp > best:
-                    best = timestamp
-            return best
+        with self.commit_lock:  # a committer appends to both columns
+            index = bisect_right(self._commit_wallclocks, wallclock)
+            return self._commit_timestamps[index - 1] if index else 0
 
     # ------------------------------------------------------------------
     # Transactions
@@ -301,6 +321,14 @@ class Database:
         with self.commit_lock:
             removed, horizon = vacuum_database(self)
             self._oldest_available = horizon
+            # Snapshots below the horizon can no longer be opened, so nobody
+            # will ask when they committed — except of the newest of them,
+            # which is the staleness horizon for every wall clock between
+            # its commit and the next.
+            forgotten = bisect_left(self._commit_timestamps, horizon) - 1
+            if forgotten > 0:
+                del self._commit_timestamps[:forgotten]
+                del self._commit_wallclocks[:forgotten]
             self.stats.vacuum_runs += 1
             self.stats.versions_vacuumed += removed
             return removed

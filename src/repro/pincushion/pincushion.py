@@ -31,15 +31,17 @@ the lock order pincushion -> database is acyclic.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional, Sequence, Tuple
 
+from repro._compat import DATACLASS_SLOTS
 from repro.clock import Clock, SystemClock
 
 __all__ = ["PinnedSnapshot", "Pincushion", "PincushionStats"]
 
 
-@dataclass
+@dataclass(**DATACLASS_SLOTS)
 class PinnedSnapshot:
     """One row of the pincushion's table."""
 
@@ -64,6 +66,13 @@ class Pincushion:
     ``unpin_callback`` is invoked with a snapshot id when the pincushion
     decides to expire it; the TxCache deployment wires this to
     ``Database.unpin`` so the database can eventually vacuum old versions.
+
+    The table is kept in snapshot-id order where it is written
+    (:meth:`register`), which is also the order a BEGIN wants its pins in,
+    and beside each row sits the latest wall clock of any row up to it.
+    Ids and wall clocks both rise with time, so that column is normally the
+    rows' own wall clocks and the fresh pins are the table's tail: a BEGIN
+    finds where the tail starts by bisection and never looks at a stale row.
     """
 
     def __init__(
@@ -77,7 +86,13 @@ class Pincushion:
         self.expiry_seconds = expiry_seconds
         #: Serializes every operation (see "Thread safety" above).
         self._lock = threading.Lock()
-        self._snapshots: Dict[int, PinnedSnapshot] = {}
+        #: The table, ascending by snapshot id; ``_ids`` is its key column.
+        self._rows: List[PinnedSnapshot] = []
+        self._ids: List[int] = []
+        #: ``_seen_through[i]``: the latest wall clock among rows ``0..i``
+        #: (non-decreasing, so a cutoff is located by bisection; no row
+        #: before the first one that reaches the cutoff can be fresh).
+        self._seen_through: List[float] = []
         self.stats = PincushionStats()
 
     # ------------------------------------------------------------------
@@ -86,38 +101,40 @@ class Pincushion:
     def fresh_snapshots(self, staleness: float, mark_in_use: bool = True) -> List[PinnedSnapshot]:
         """Return every pinned snapshot within ``staleness`` seconds of now.
 
-        When ``mark_in_use`` is True (the normal path at transaction BEGIN)
-        each returned snapshot's in-use count is incremented; the caller must
-        balance it with :meth:`release` when the transaction finishes.
+        Ascending by snapshot id.  When ``mark_in_use`` is True (the normal
+        path at transaction BEGIN) each returned snapshot's in-use count is
+        incremented; the caller must balance it by handing the same rows to
+        :meth:`release` when the transaction finishes.
+
+        The cost is the rows returned: the table is already in id order, and
+        the rows before the first position whose ``_seen_through`` reaches
+        the cutoff are skipped unread.  Rows registered out of wall-clock
+        order can leave stale ones among the rest, hence the filter.
         """
         with self._lock:
             self.stats.fresh_requests += 1
             cutoff = self.clock.now() - staleness
-            fresh = [
-                snapshot
-                for snapshot in self._snapshots.values()
-                if snapshot.wallclock >= cutoff
-            ]
-            fresh.sort(key=lambda snapshot: snapshot.snapshot_id)
+            start = bisect_left(self._seen_through, cutoff)
+            fresh = [row for row in self._rows[start:] if row.wallclock >= cutoff]
             if mark_in_use:
-                for snapshot in fresh:
-                    snapshot.in_use += 1
+                for row in fresh:
+                    row.in_use += 1
             return fresh
 
     def snapshot(self, snapshot_id: int) -> Optional[PinnedSnapshot]:
         """Return the pinned snapshot with the given id, if registered."""
         with self._lock:
-            return self._snapshots.get(snapshot_id)
+            return self._find(snapshot_id)[1]
 
     @property
     def pinned_ids(self) -> List[int]:
         """Ids of every registered snapshot, ascending."""
         with self._lock:
-            return sorted(self._snapshots)
+            return list(self._ids)
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._snapshots)
+            return len(self._ids)
 
     # ------------------------------------------------------------------
     # Registration and release
@@ -135,28 +152,44 @@ class Pincushion:
         the pin it took to get here: seeing it again only moves its wall
         clock forward (and marks it in use), so a snapshot that stays the
         latest is refreshed, never pinned twice.
+
+        A new snapshot is normally the newest and is appended; one older
+        than a registered snapshot is inserted at its place, so the table
+        never needs sorting.
         """
         with self._lock:
             self.stats.registrations += 1
-            existing = self._snapshots.get(snapshot_id)
-            if existing is not None:
-                existing.wallclock = max(existing.wallclock, wallclock)
+            index, row = self._find(snapshot_id)
+            if row is not None:
+                if wallclock > row.wallclock:
+                    row.wallclock = wallclock
                 if in_use:
-                    existing.in_use += 1
-                return False
-            self._snapshots[snapshot_id] = PinnedSnapshot(
-                snapshot_id=snapshot_id, wallclock=wallclock, in_use=1 if in_use else 0
-            )
-            return True
+                    row.in_use += 1
+                created = False
+            else:
+                self._ids.insert(index, snapshot_id)
+                self._rows.insert(
+                    index, PinnedSnapshot(snapshot_id, wallclock, 1 if in_use else 0)
+                )
+                self._seen_through.insert(index, wallclock)
+                created = True
+            self._reseal_from(index)
+            return created
 
-    def release(self, snapshot_ids: List[int]) -> None:
-        """Drop the in-use marks a finishing transaction held."""
+    def release(self, snapshots: Sequence[PinnedSnapshot]) -> None:
+        """Drop the in-use marks a finishing transaction held.
+
+        ``snapshots`` are rows of the table — what :meth:`fresh_snapshots`
+        returned, or :meth:`snapshot` for a pin taken by :meth:`register` —
+        so a COMMIT costs one decrement per pin it held and looks nothing
+        up.  A row in use is never expired, so a held row is still the
+        table's.
+        """
         with self._lock:
             self.stats.releases += 1
-            for snapshot_id in snapshot_ids:
-                snapshot = self._snapshots.get(snapshot_id)
-                if snapshot is not None and snapshot.in_use > 0:
-                    snapshot.in_use -= 1
+            for row in snapshots:
+                if row.in_use > 0:
+                    row.in_use -= 1
 
     # ------------------------------------------------------------------
     # Expiry sweep
@@ -170,12 +203,39 @@ class Pincushion:
         with self._lock:
             threshold = self.expiry_seconds if older_than is None else older_than
             cutoff = self.clock.now() - threshold
+            rows, ids, seen_through = self._rows, self._ids, self._seen_through
             expired: List[int] = []
-            for snapshot_id, snapshot in list(self._snapshots.items()):
-                if snapshot.in_use == 0 and snapshot.wallclock < cutoff:
-                    del self._snapshots[snapshot_id]
-                    expired.append(snapshot_id)
+            index = 0
+            while index < len(rows):
+                row = rows[index]
+                if row.in_use == 0 and row.wallclock < cutoff:
+                    del rows[index], ids[index], seen_through[index]
+                    expired.append(row.snapshot_id)
                     self.stats.expirations += 1
                     if self._unpin_callback is not None:
-                        self._unpin_callback(snapshot_id)
+                        self._unpin_callback(row.snapshot_id)
+                else:
+                    index += 1
+            if expired:
+                self._reseal_from(0)
             return expired
+
+    def _find(self, snapshot_id: int) -> Tuple[int, Optional[PinnedSnapshot]]:
+        """Where ``snapshot_id`` is or belongs in the table, and its row if
+        it is registered."""
+        index = bisect_left(self._ids, snapshot_id)
+        if index < len(self._ids) and self._ids[index] == snapshot_id:
+            return index, self._rows[index]
+        return index, None
+
+    def _reseal_from(self, index: int) -> None:
+        """Restore ``_seen_through`` from ``index`` on, after a row there
+        was added or refreshed (the newest row, unless ids arrive out of
+        order: one step)."""
+        rows, seen_through = self._rows, self._seen_through
+        latest = seen_through[index - 1] if index else float("-inf")
+        for position in range(index, len(rows)):
+            wallclock = rows[position].wallclock
+            if wallclock > latest:
+                latest = wallclock
+            seen_through[position] = latest

@@ -247,7 +247,7 @@ def test_pincushion_refcounts_exact_under_contention():
     def worker(index):
         for _ in range(500):
             pincushion.register(1, wallclock=0.0, in_use=True)
-            pincushion.release([1])
+            pincushion.release([pincushion.snapshot(1)])
 
     run_threads(worker)
     snapshot = pincushion.snapshot(1)
