@@ -1,7 +1,7 @@
 """Throughput-vs-threads scaling of the concurrent request path.
 
-The claim under test: with the pooled socket transport and the thread-safe
-cache tier, K worker threads (each its own ``TxCacheClient``, the paper's
+The claim under test: with the multiplexed socket transport and the
+thread-safe cache tier, K worker threads (each its own ``TxCacheClient``, the paper's
 one-library-per-application-server topology) overlap their cache RPCs and
 wall-clock throughput scales with K, while a single thread is bound by one
 round trip at a time.  The socket runs model the LAN round trip of the
@@ -10,9 +10,9 @@ paper's gigabit testbed (see ``CacheServerProcess.simulated_latency_seconds``)
 scale, which the in-process series documents.
 
 Asserted as *shape* — zero errors, exact interaction counts, a warm hit
-rate, and how many RPCs a transport really had in flight at once, counted
-from the connections its pool had to dial — never as a ratio of two wall
-clocks.  The scaling curve is still printed.
+rate, and how many RPCs one connection really had in flight at once,
+counted by the node (``CacheServerProcess.max_in_flight_per_connection``) —
+never as a ratio of two wall clocks.  The scaling curve is still printed.
 """
 
 from __future__ import annotations
@@ -40,16 +40,15 @@ def test_concurrent_clients_scaling_curve(benchmark):
             assert point.hit_rate > 0.5  # the warmed cache served the hot table
             assert point.degraded_lookups == 0 and point.nodes_evicted == 0
 
-    # Measured ~3.5x at 4 threads on a single-core container; printed above,
-    # not gated.  The headline claim of the concurrency refactor as a count:
-    # pooled connections genuinely overlap RPCs.  A pool dials a further
-    # connection only while all it holds are busy, so one thread never needs
-    # a second, and four threads that overlap need more than one — the old
-    # one-socket-one-lock transport would end every run holding exactly 1.
+    # Printed above, not gated.  The headline claim of the concurrency
+    # refactor as a count: K threads genuinely overlap RPCs on the one
+    # connection per node.  One thread never has two in flight; threads
+    # that overlap do — a transport that serialized round trips would end
+    # every run at exactly 1.
     overlapped = {
         point.threads: point.peak_overlapped_rpcs for point in result.results["socket"]
     }
-    print(f"socket: most RPCs in flight on one transport, by threads: {overlapped}")
+    print(f"socket: most RPCs in flight on one connection, by threads: {overlapped}")
     assert overlapped[1] == 1
     for threads in (2, 4, 8):
         assert 2 <= overlapped[threads] <= threads, overlapped

@@ -1,29 +1,22 @@
-"""Multi-process driver smoke: the pipelined wire path lifts the pool cap.
+"""Multi-process driver smoke: many RPCs in flight on one socket per node.
 
-The claim under test is the headline of the fast-wire-path work: at equal
-worker count, the PR-4 deployment default (4 pooled one-in-flight
-connections per node) caps each application server at ``pool x nodes``
-in-flight RPCs, so with workers beyond the cap the excess RPCs serialize
-behind the sockets.  The pipelined transport + event-loop server keep every
-worker's RPC in flight on **one** socket per node.
+The claim under test: the multiplexed transport + event-loop node keep every
+worker thread's RPC in flight on **one** socket per node, so an application
+server's concurrency is not capped by a connection count.
 
-The drivers fork real worker processes (no client GIL in the measurement).
+The driver forks real worker processes (no client GIL in the measurement).
 What is asserted is *shape*, from counts the nodes keep — zero errors, the
-exact interaction count, a warm hit rate, how many requests one connection
-really had in flight, how many response frames went out per ``sendmsg`` —
-never a ratio of two wall clocks: forked workers on a shared two-core runner
-make those flaky gates.  The throughput ratios are still printed.
+exact interaction count, a warm hit rate, and how many requests one
+connection really had in flight — never a wall clock: forked workers on a
+shared two-core runner make those flaky gates.  The throughput is printed.
 """
 
 from __future__ import annotations
 
 from benchmarks.conftest import run_once
 from repro.bench.driver import MultiprocessConfig, run_multiprocess_benchmark
-from repro.bench.perflog import record_wire_benchmark
 
 #: 4 worker processes x 16 threads, 2 cache nodes, 20 ms modelled RTT.
-#: Pooled deployment default: 4 x 2 = 8 in-flight per process (half the
-#: workers wait); pipelined: all 16 in flight on one socket per node.
 WORKERS = dict(
     processes=4,
     threads_per_process=16,
@@ -33,100 +26,16 @@ WORKERS = dict(
 )
 
 
-#: Pooled connections per node in the pooled run: its cap on in-flight RPCs.
-POOL_SIZE = 4
-
-
-def test_pipelined_beats_pooled_at_equal_worker_count(benchmark):
+def test_worker_threads_overlap_their_rpcs_on_one_connection(benchmark):
     def run():
-        pooled = run_multiprocess_benchmark(
-            MultiprocessConfig(
-                transport="socket", socket_pool_size=POOL_SIZE, label="pooled-default", **WORKERS
-            )
-        )
-        pipelined = run_multiprocess_benchmark(
-            MultiprocessConfig(
-                transport="socket-pipelined", label="pipelined", **WORKERS
-            )
-        )
-        return pooled, pipelined
+        return run_multiprocess_benchmark(MultiprocessConfig(label="multiprocess", **WORKERS))
 
-    pooled, pipelined = run_once(benchmark, run)
-    print(f"\n{pooled.summary()}\n{pipelined.summary()}")
-    for result in (pooled, pipelined):
-        assert result.errors == 0
-        assert result.interactions == 4 * 16 * 20
-        assert result.hit_rate > 0.9  # warmed shared cache actually served
-        assert result.responses >= result.interactions  # the nodes answered them
-    # Measured ~2x on a single-core container (640 vs 1250 ops/s); printed,
-    # not gated.
-    ratio = pipelined.ops_per_second / pooled.ops_per_second
-    print(f"pipelined/pooled throughput ratio: {ratio:.2f}x")
-    # The headline, as a count: one pipelined socket carried more RPCs at
-    # once than a whole pooled transport can (one per connection, POOL_SIZE
-    # connections) — the same workers, genuinely overlapped on fewer
-    # sockets.  A regression to serialized round trips shows as 1.
-    assert pipelined.max_in_flight_per_connection > POOL_SIZE, pipelined.summary()
-
-
-def test_fast_wire_stack_beats_pickled_pipelining(benchmark):
-    """Tentpole combined claim: binary codec + read lease + write coalescing
-    beat the previous pipelined stack (pickle bodies, rendezvous reader, one
-    sendmsg per response) at equal worker count.
-
-    No modelled RTT here, unlike the test above: with the latency knob at
-    zero the wall clock is wire and scheduling cost — exactly the three
-    fronts this stack attacks.  The measured ops/s land in BENCH_wire.json
-    (under ``REPRO_BENCH_DIR``); what is asserted is frames per ``sendmsg``.
-    """
-    workers = dict(WORKERS, simulated_rpc_latency_seconds=0.0)
-
-    def run():
-        baseline = run_multiprocess_benchmark(
-            MultiprocessConfig(
-                transport="socket-pipelined",
-                wire_codec="pickle",
-                mux_read_lease=False,
-                write_coalescing=False,
-                label="pipelined-pickle",
-                **workers,
-            )
-        )
-        # Codec pinned, not defaulted: REPRO_WIRE_CODEC=pickle (the CI
-        # fallback matrix entry) would otherwise turn the "fast stack" into
-        # pickle bodies and quietly compare lease+coalescing alone.
-        fast = run_multiprocess_benchmark(
-            MultiprocessConfig(
-                transport="socket-pipelined",
-                wire_codec="binary",
-                label="fast-stack",
-                **workers,
-            )
-        )
-        return baseline, fast
-
-    baseline, fast = run_once(benchmark, run)
-    print(f"\n{baseline.summary()}\n{fast.summary()}")
-    for result in (baseline, fast):
-        assert result.errors == 0
-        assert result.interactions == 4 * 16 * 20
-        assert result.hit_rate > 0.9
-        assert result.responses >= result.interactions
-    ratio = fast.ops_per_second / baseline.ops_per_second
-    print(f"fast-stack/pickled throughput ratio: {ratio:.2f}x")
-    record_wire_benchmark(
-        "multiprocess",
-        {
-            "workers": dict(processes=4, threads_per_process=16),
-            "pickle_baseline_ops_per_second": round(baseline.ops_per_second, 1),
-            "fast_stack_ops_per_second": round(fast.ops_per_second, 1),
-            "speedup": round(ratio, 2),
-            "fast_stack_responses_per_sendmsg": round(fast.responses / fast.sendmsg_calls, 2),
-        },
-    )
-    # Shape, not a wall-clock ratio.  Without coalescing every response is
-    # its own syscall (or more); with it, responses that complete in one
-    # loop iteration share a gather, so the same workload leaves in fewer
-    # syscalls than it has responses (measured ~5 frames per sendmsg).
-    assert baseline.sendmsg_calls >= baseline.responses, baseline.summary()
-    assert fast.sendmsg_calls < fast.responses, fast.summary()
+    result = run_once(benchmark, run)
+    print(f"\n{result.summary()}")
+    assert result.errors == 0
+    assert result.interactions == 4 * 16 * 20
+    assert result.hit_rate > 0.9  # warmed shared cache actually served
+    assert result.responses >= result.interactions  # the nodes answered them
+    # The headline, as a count: one socket carried several of a process's
+    # RPCs at once.  A regression to serialized round trips shows as 1.
+    assert result.max_in_flight_per_connection > 1, result.summary()

@@ -1,9 +1,9 @@
 """Open-loop benchmark smoke: a short fixed-rate sweep on the fast stack.
 
 Two claims under test.  First, the open-loop machinery works end to end at
-benchmark scale: a small rate sweep on ``socket-pipelined`` + binary
-completes with zero errors, absorbs the low offered rates, and produces
-monotone percentile data.  Second, the ``figures-openloop`` experiment
+benchmark scale: a small rate sweep on thread-hosted nodes completes with
+zero errors, absorbs the low offered rates, and produces monotone
+percentile data.  Second, the ``figures-openloop`` experiment
 emits a ``BENCH_figures.json`` document that passes the schema validator —
 the same check CI runs against the example script, kept here so a schema
 drift fails fast in the test suite too.
@@ -35,8 +35,7 @@ def test_open_loop_rate_sweep_on_fast_stack(benchmark):
     config = OpenLoopConfig(
         processes=2,
         threads_per_process=4,
-        transport="socket-pipelined",
-        wire_codec="binary",
+        transport="socket",
         seed=7,
         label="openloop-smoke",
     )
@@ -87,7 +86,7 @@ def test_figures_openloop_smoke_emits_valid_document(benchmark, tmp_path):
 
     result = run_once(benchmark, run)
     assert result.recorded_path == target
-    assert result.transport == "pipelined+eventloop"
+    assert result.transport == "socket"
     document = load_benchmark(BENCH_FIGURES_FILENAME, path=target)
     problems = validate_figures_document(document)
     assert problems == [], f"schema problems: {problems}"

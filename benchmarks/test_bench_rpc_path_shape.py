@@ -18,7 +18,6 @@ import threading
 import time
 from collections import Counter
 
-import pytest
 
 from repro.cache.entry import LookupRequest, ValueBlob
 from repro.cache.netserver import CacheServerProcess, SocketTransport
@@ -43,8 +42,7 @@ CALL_EVENTS_PER_RPC_BOUND = CALL_EVENTS_PER_RPC_MEASURED * 1.25
 
 
 def _transport(address):
-    # The stack the trusted benchmark runs, whatever REPRO_WIRE_CODEC says.
-    return SocketTransport(address, pipelined=True, wire_codec="binary")
+    return SocketTransport(address)
 
 
 VALUE = {"row": list(range(10))}
@@ -64,7 +62,7 @@ def _hit(transport):
 
 
 def test_one_rpc_is_one_send_and_one_receive_on_the_client():
-    host = CacheNodeHost("shape", capacity_bytes=8 * 1024 * 1024, wire_codec="binary")
+    host = CacheNodeHost("shape", capacity_bytes=8 * 1024 * 1024)
     transport = _transport(host.address)
     python_calls: Counter = Counter()
     c_calls: Counter = Counter()
@@ -108,11 +106,9 @@ def test_one_rpc_is_one_send_and_one_receive_on_the_client():
     )
 
 
-def _node(write_coalescing=True):
+def _node():
     server = CacheServer(name="shape", capacity_bytes=8 * 1024 * 1024, clock=ManualClock())
-    return CacheServerProcess(
-        server, style="eventloop", wire_codec="binary", write_coalescing=write_coalescing
-    )
+    return CacheServerProcess(server)
 
 
 def _settled(process, at_least):
@@ -143,14 +139,13 @@ def test_the_node_writes_each_reply_in_the_event_that_read_the_request():
     assert process.max_in_flight_per_connection == 1
 
 
-@pytest.mark.parametrize("write_coalescing, sendmsgs", [(True, 1), (False, 32)])
-def test_a_burst_read_in_one_event_is_answered_in_one_gather(write_coalescing, sendmsgs):
+def test_a_burst_read_in_one_event_is_answered_in_one_gather():
     burst = 32
-    stream = bytearray([wire.MUX_MAGIC])
+    stream = bytearray([wire.WIRE_VERSION])
     for request_id in range(burst):
         for buffer in wire.encode_mux_frame(request_id, wire.OPCODES["ping"], ()):
             stream += buffer
-    with _node(write_coalescing) as process:
+    with _node() as process:
         sock = socket.create_connection(process.address, timeout=10)
         try:
             sock.sendall(stream)  # one segment: one readable event at the node
@@ -165,7 +160,7 @@ def test_a_burst_read_in_one_event_is_answered_in_one_gather(write_coalescing, s
             assert replied == set(range(burst))
         finally:
             sock.close()
-    assert process.sendmsg_calls == sendmsgs
+    assert process.sendmsg_calls == 1
     assert process.max_in_flight_per_connection == burst
 
 
@@ -229,9 +224,7 @@ def test_print_microseconds_per_rpc_beside_the_ping_pong_floor():
             echo.join(timeout=5)
             if echo.is_alive():
                 echo.kill()
-        host = CacheNodeHost(
-            "shape", capacity_bytes=8 * 1024 * 1024, wire_codec="binary", cpu_affinity=cpu
-        )
+        host = CacheNodeHost("shape", capacity_bytes=8 * 1024 * 1024, cpu_affinity=cpu)
         transport = _transport(host.address)
         try:
             _store_the_hit(transport)

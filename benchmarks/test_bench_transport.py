@@ -15,9 +15,7 @@ Two claims are checked here:
 
 from __future__ import annotations
 
-import contextlib
 import pickle
-import threading
 import time
 
 import pytest
@@ -29,8 +27,6 @@ from repro.bench.driver import BenchmarkConfig, run_benchmark
 from repro.bench.perflog import record_wire_benchmark
 from repro.cache.cluster import CacheCluster
 from repro.cache.entry import EntryRecord, LookupRequest, LookupResult, ValueBlob
-from repro.cache.netserver import CacheServerProcess, SocketTransport
-from repro.cache.server import CacheServer
 from repro.clock import ManualClock
 from repro.comm import wire
 from repro.db.invalidation import InvalidationTag
@@ -152,12 +148,9 @@ def test_wire_overhead_microbenchmark(benchmark):
 def test_codec_framing_microbenchmark(benchmark, wire_counters):
     """Frames/sec and bytes copied, small-lookup vs large-extract payloads.
 
-    Two claims: the legacy and multiplexed codecs are in the same cost
-    class for the small frames of the request path (the mux header costs 9
-    extra bytes, not a second pickling pass), and neither framing copies
-    payload bytes in userspace — the old ``header + data`` concatenation is
-    gone, so ``WIRE_COUNTERS.bytes_copied`` stays zero even for the
-    multi-megabyte extract payloads of a migration.
+    The framing copies no payload bytes in userspace — no header is
+    concatenated onto a body — so ``WIRE_COUNTERS.bytes_copied`` stays zero
+    even for the multi-megabyte extract payloads of a migration.
     """
     small_payload = (
         "multi_lookup",
@@ -184,7 +177,6 @@ def test_codec_framing_microbenchmark(benchmark, wire_counters):
         return rounds / (time.perf_counter() - start)
 
     def run():
-        legacy_small = round_trips(wire.encode_legacy_frame, small_payload, 3000)
         mux_small = round_trips(
             lambda p: wire.encode_mux_frame(7, wire.OPCODES["multi_lookup"], p),
             small_payload,
@@ -193,109 +185,33 @@ def test_codec_framing_microbenchmark(benchmark, wire_counters):
         mux_response = round_trips(
             lambda p: wire.encode_mux_frame(7, wire.OP_OK, p), small_response, 3000
         )
-        legacy_large = round_trips(wire.encode_legacy_frame, large_payload, 30)
         mux_large = round_trips(
             lambda p: wire.encode_mux_frame(7, wire.OPCODES["install_entries"], p),
             large_payload,
             30,
         )
         copied = wire.WIRE_COUNTERS.bytes_copied
-        return legacy_small, mux_small, mux_response, legacy_large, mux_large, copied
+        return mux_small, mux_response, mux_large, copied
 
-    legacy_small, mux_small, mux_response, legacy_large, mux_large, copied = run_once(
-        benchmark, run
-    )
+    mux_small, mux_response, mux_large, copied = run_once(benchmark, run)
     large_bytes = sum(
-        len(bytes(b)) for b in wire.encode_legacy_frame(large_payload)
+        len(bytes(b))
+        for b in wire.encode_mux_frame(7, wire.OPCODES["install_entries"], large_payload)
     )
     print(
-        f"\nsmall lookup frame:  legacy {legacy_small:9,.0f}/s   mux {mux_small:9,.0f}/s"
-        f"\nsmall result frame:  mux    {mux_response:9,.0f}/s"
-        f"\nlarge extract frame: legacy {legacy_large:9,.0f}/s   mux {mux_large:9,.0f}/s"
-        f"  ({large_bytes / 1e6:.1f} MB/frame)"
+        f"\nsmall lookup frame:  {mux_small:9,.0f}/s"
+        f"\nsmall result frame:  {mux_response:9,.0f}/s"
+        f"\nlarge extract frame: {mux_large:9,.0f}/s  ({large_bytes / 1e6:.1f} MB/frame)"
         f"\nencoder bytes copied: {copied} (payload copies eliminated)"
     )
-    # Same cost class on the hot path: the mux header must not add a
-    # second serialization pass.
-    assert mux_small > legacy_small * 0.5
     # The encoders never copy payload bytes: WIRE_COUNTERS only tracks
     # encoder/sender-side copies (the b"".join above is test-side decode
     # plumbing and is not counted).
     assert copied == 0
 
 
-def _interleaved_lookup_times(stacks, ops, rounds=100):
-    """Time ``ops`` hit lookups on each of several wire stacks, fairly.
-
-    ``stacks`` maps a label to ``(CacheServerProcess kwargs, SocketTransport
-    kwargs)``.  Every stack is opened first; they are then timed in short
-    rounds, taking turns and swapping the order each round, and a stack
-    reports its fastest round scaled to ``ops``.  Timing one whole stack
-    after another lets a host that changes speed in between decide the
-    comparison; here a slow spell costs every stack the same rounds, and the
-    per-stack minimum discards them.  Rounds are about a millisecond (15
-    lookups) because that is what an undisturbed window looks like on a
-    shared host: with both CPUs oversubscribed, 20 rounds of 75 still
-    inverted the comparison one run in three, 100 of 15 never did.
-    """
-    per_round = ops // rounds
-    with contextlib.ExitStack() as opened:
-        transports = {}
-        for label, (server_kwargs, transport_kwargs) in stacks.items():
-            server = CacheServer(name="wire", capacity_bytes=8 * 1024 * 1024, clock=ManualClock())
-            process = opened.enter_context(CacheServerProcess(server, **server_kwargs))
-            transport = SocketTransport(process.address, **transport_kwargs)
-            opened.callback(transport.close)
-            transport.put("k", {"v": 1}, Interval(0))
-            transports[label] = transport
-        fastest = dict.fromkeys(transports, float("inf"))
-        order = list(transports)
-        for _ in range(rounds):
-            for label in order:
-                lookup = transports[label].lookup
-                start = time.perf_counter()
-                for _ in range(per_round):
-                    lookup("k", 0, 5)
-                fastest[label] = min(fastest[label], time.perf_counter() - start)
-            order.reverse()
-    return {label: elapsed * ops / per_round for label, elapsed in fastest.items()}
-
-
-def test_pipelined_transport_overhead_microbenchmark(benchmark):
-    """Per-op wall cost of the pipelined wire path vs the pooled one.
-
-    Single-caller round trips over loopback, against both server engines.
-    The pipelined client adds a reader-thread rendezvous per RPC and the
-    event-loop server adds its selector pass, so this measures the fixed
-    price of the multiplexed path at concurrency 1 — the configuration it
-    is *worst* at; the win shows up under concurrent callers
-    (``benchmarks/test_bench_multiprocess.py``) where one socket carries
-    every in-flight RPC.
-    """
-    OPS = 1500
-
-    def run():
-        return _interleaved_lookup_times(
-            {
-                (style, pipelined): ({"style": style}, {"pipelined": pipelined})
-                for style in ("threaded", "eventloop")
-                for pipelined in (False, True)
-            },
-            OPS,
-        )
-
-    times = run_once(benchmark, run)
-    for (style, pipelined), elapsed in sorted(times.items()):
-        mode = "pipelined" if pipelined else "pooled   "
-        print(f"\n{style:9s} {mode}: {elapsed / OPS * 1e6:7.1f} us/op", end="")
-    print()
-    # The multiplexed path must stay in the same cost class as the pooled
-    # one at concurrency 1 (its worst case): no hidden extra round trips.
-    assert times[("eventloop", True)] < times[("threaded", False)] * 3.0
-
-
 # ----------------------------------------------------------------------
-# The three fast-wire fronts: binary codec, read lease, write coalescing
+# The binary codec
 # ----------------------------------------------------------------------
 #: The lookup shapes the binary codec was built for: (name, request args,
 #: response) — a scalar hit, a row-dict hit (one users row), and a miss.  A
@@ -340,12 +256,11 @@ def _lookup_shapes():
     ]
 
 
-def test_binary_codec_beats_pickle_on_lookup_round_trips(benchmark, wire_counters):
+def test_binary_codec_lookup_round_trips(benchmark, wire_counters):
     """One lookup round trip (encode request + decode request + encode
-    response + decode response) through the binary codec is not slower than
-    through pickle on any hot shape (it has measured about twice as fast,
-    which is the margin), and what a node spends encoding a hit does not
-    depend on what is inside the value."""
+    response + decode response) through the binary codec, beside pickle on
+    the same shapes (printed, not compared), and what a node spends encoding
+    a hit does not depend on what is inside the value."""
     ROUNDS = 4000
 
     def timed_binary(request, response):
@@ -433,11 +348,7 @@ def test_binary_codec_beats_pickle_on_lookup_round_trips(benchmark, wire_counter
     )
     # Per-decode round trips must not re-copy bodies through the counters.
     assert wire_counters.bytes_copied == 0
-    # Shape, not a wall-clock ratio: the codec must not lose to the pickle
-    # it replaced on any shape...
-    for name, (binary, pickled) in shapes.items():
-        assert binary <= pickled, f"{name}: binary {binary:.2e} s vs pickle {pickled:.2e} s"
-    # ...and twenty times the rows must not show in the node's encode time
+    # Twenty times the rows must not show in the node's encode time
     # (a walk of the value would cost ~20x; the copy of a few KiB does not).
     assert hit_encode[100] < 4 * hit_encode[5], hit_encode
 
@@ -557,105 +468,6 @@ def test_put_packed_layout_beats_pickle(benchmark):
         assert packed[0] == 1  # the packed layout, not the tagged fallback
         assert wire.decode_binary_args(opcode, packed) == args
         assert len(packed) < len(pickled), name
-
-
-def test_mux_read_lease_drops_rpc_round_trip_latency(benchmark):
-    """Tentpole claim #2: a single caller on the leased mux connection
-    (reading its own response, binary codec) completes lookups faster than
-    the PR-5 arrangement (reader-thread rendezvous, pickle bodies)."""
-    OPS = 1500
-
-    def run():
-        return _interleaved_lookup_times(
-            {
-                (read_lease, codec): (
-                    {"style": "eventloop", "wire_codec": codec},
-                    {"pipelined": True, "wire_codec": codec, "mux_read_lease": read_lease},
-                )
-                for read_lease in (False, True)
-                for codec in ("pickle", "binary")
-            },
-            OPS,
-        )
-
-    times = run_once(benchmark, run)
-    report = {}
-    for (read_lease, codec), elapsed in sorted(times.items()):
-        mode = "lease" if read_lease else "rendezvous"
-        report[f"{mode}-{codec}"] = round(elapsed / OPS * 1e6, 2)
-        print(f"\n{mode:10s} {codec:6s}: {elapsed / OPS * 1e6:7.1f} us/op", end="")
-    print()
-    record_wire_benchmark("rpc", {"us_per_lookup": report, "ops": OPS})
-    # The full fast stack beats the PR-5 baseline on the same machine...
-    assert times[(True, "binary")] < times[(False, "pickle")]
-    # ...and the lease alone pays at equal codec (no reader-thread handoff).
-    assert times[(True, "pickle")] < times[(False, "pickle")] * 1.1
-
-
-def test_write_coalescing_reduces_sendmsg_calls_under_concurrency(benchmark):
-    """Tentpole claim #3: with concurrent callers multiplexed on one
-    socket, the coalescing engine answers the same workload in strictly
-    fewer sendmsg syscalls (responses completing in one loop iteration
-    share a gather)."""
-    THREADS, OPS = 8, 300
-
-    def timed(write_coalescing):
-        server = CacheServer(
-            name="node", capacity_bytes=8 * 1024 * 1024, clock=ManualClock()
-        )
-        with CacheServerProcess(
-            server, style="eventloop", write_coalescing=write_coalescing
-        ) as process:
-            transport = SocketTransport(process.address, pipelined=True)
-            try:
-                for i in range(THREADS):
-                    transport.put(f"k{i}", i, Interval(0))
-                barrier = threading.Barrier(THREADS)
-
-                def worker(index):
-                    barrier.wait()
-                    for _ in range(OPS):
-                        assert transport.lookup(f"k{index}", 0, 5).hit
-
-                threads = [
-                    threading.Thread(target=worker, args=(i,)) for i in range(THREADS)
-                ]
-                start = time.perf_counter()
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join()
-                elapsed = time.perf_counter() - start
-            finally:
-                transport.close()
-        # Counter read after shutdown: the loop thread is joined, so the
-        # total is exact (a live read races the final increments).
-        return elapsed, process.sendmsg_calls
-
-    def run():
-        off = timed(False)
-        on = timed(True)
-        return off, on
-
-    (off_time, off_calls), (on_time, on_calls) = run_once(benchmark, run)
-    responses = THREADS * OPS
-    print(
-        f"\ncoalescing off: {off_calls:5d} sendmsg for {responses} responses,"
-        f" {off_time * 1e3:7.1f} ms"
-        f"\ncoalescing on:  {on_calls:5d} sendmsg for {responses} responses,"
-        f" {on_time * 1e3:7.1f} ms"
-    )
-    record_wire_benchmark(
-        "coalescing",
-        {
-            "responses": responses,
-            "sendmsg_calls_off": off_calls,
-            "sendmsg_calls_on": on_calls,
-            "wall_ms_off": round(off_time * 1e3, 1),
-            "wall_ms_on": round(on_time * 1e3, 1),
-        },
-    )
-    assert on_calls < off_calls
 
 
 def test_multi_lookup_encode_scratch_pins_allocations(benchmark):

@@ -33,14 +33,13 @@ from repro.bench.experiments import (
     figure8,
     figures_openloop,
     percore_openloop,
-    pipelined_clients,
     repair_openloop,
     validity_tracking_overhead,
 )
 
 EXPERIMENTS = (
     "fig5a", "fig5b", "fig6a", "fig6b", "fig7", "fig8", "overhead",
-    "concurrency", "concurrent-churn", "pipelined", "figures-openloop",
+    "concurrency", "concurrent-churn", "figures-openloop",
     "percore-openloop", "repair-openloop", "chaos-openloop",
 )
 
@@ -68,22 +67,9 @@ def run_experiment(name: str, settings: ExperimentSettings, smoke: bool = False)
         print(concurrent_clients().format_table())
     elif name == "concurrent-churn":
         print(concurrent_churn().format_table())
-    elif name == "pipelined":
-        # The fast wire path, measured without the client GIL: K forked
-        # worker processes per point, {pooled, pipelined} x {threaded,
-        # eventloop}.  The pooled deployment default caps in-flight RPCs at
-        # pool x nodes; the pipelined transport lifts the cap from one
-        # socket per node.
-        result = pipelined_clients()
-        print(result.format_table())
-        print(
-            "pipelined+eventloop over pooled deployment default at "
-            f"{result.process_counts[-1]} processes: "
-            f"{result.speedup_at(result.process_counts[-1]):.2f}x"
-        )
     elif name == "figures-openloop":
         # Figures 5-8 re-measured by the open-loop generator on the fast
-        # wire stack (socket-pipelined + binary codec): fixed offered rates,
+        # wire stack (thread-hosted nodes): fixed offered rates,
         # coordinated-omission-safe percentiles, results appended to
         # BENCH_figures.json.  --smoke shrinks to one configuration per
         # figure at one rate (CI schema validation, not benchmark numbers).

@@ -8,7 +8,7 @@ system as a system: K worker threads, each owning its own
 :class:`TxCacheClient` (one per emulated application server, exactly the
 paper's topology), drive transactions against one shared deployment and the
 driver reports *wall-clock* operations per second — the number that shows
-whether the request path (pooled socket transport, thread-safe cache tier,
+whether the request path (multiplexed socket transport, thread-safe cache tier,
 locked pincushion/bus) actually admits concurrent traffic.
 
 The benchmark driver below: run a RUBiS workload and derive peak throughput.
@@ -432,9 +432,6 @@ class ConcurrencyConfig:
     write_fraction: float = 0.05
     staleness: float = 30.0
     replication_factor: int = 1
-    #: Pooled connections per node; None sizes the pool to ``threads`` so
-    #: every worker can have an RPC in flight.
-    socket_pool_size: Optional[int] = None
     #: Modelled LAN round trip per cache RPC (see CacheServerProcess).  On a
     #: loopback interface an RPC is pure CPU and the GIL serializes it, so
     #: the default models the ~0.4 ms round trip of the paper's gigabit
@@ -470,10 +467,11 @@ class ConcurrencyResult:
     replica_served_lookups: int
     #: Exceptions escaped from workers (always 0 on a healthy run).
     errors: int
-    #: The most cache RPCs any one pooled transport had in flight at once,
-    #: read off the connections its pool ended up holding (see
-    #: ``SocketTransport.pooled_connections``); 0 for transports without a
-    #: pool.  A count, so "the round trips overlapped" needs no stopwatch.
+    #: The most cache RPCs any one connection had in flight at once, read
+    #: off the thread-hosted nodes once they are shut down
+    #: (``CacheServerProcess.max_in_flight_per_connection``); 0 without
+    #: such nodes.  A count, so "the round trips overlapped" needs no
+    #: stopwatch.
     peak_overlapped_rpcs: int = 0
 
     def summary(self) -> str:
@@ -550,7 +548,6 @@ def run_concurrent_benchmark(config: ConcurrencyConfig) -> ConcurrencyResult:
     """
     if config.threads < 1:
         raise ValueError("threads must be positive")
-    pool = config.socket_pool_size or max(1, config.threads)
     deployment = TxCacheDeployment(
         clock=SystemClock(),
         cache_nodes=config.cache_nodes,
@@ -558,7 +555,6 @@ def run_concurrent_benchmark(config: ConcurrencyConfig) -> ConcurrencyResult:
         transport=config.transport,
         default_staleness=config.staleness,
         replication_factor=config.replication_factor,
-        socket_pool_size=pool,
         simulated_rpc_latency_seconds=config.simulated_rpc_latency_seconds,
     )
     try:
@@ -614,7 +610,8 @@ def run_concurrent_benchmark(config: ConcurrencyConfig) -> ConcurrencyResult:
             merged += worker.client.stats
         interactions = sum(worker.completed for worker in workers)
         health = deployment.cache.health
-        return ConcurrencyResult(
+        nodes = list(deployment.cache.processes.values())
+        result = ConcurrencyResult(
             label=config.label,
             threads=config.threads,
             transport=config.transport,
@@ -629,13 +626,15 @@ def run_concurrent_benchmark(config: ConcurrencyConfig) -> ConcurrencyResult:
             nodes_evicted=health.nodes_evicted,
             replica_served_lookups=health.replica_served_lookups,
             errors=sum(worker.errors for worker in workers),
-            peak_overlapped_rpcs=max(
-                getattr(transport, "pooled_connections", 0)
-                for transport in deployment.cache.transports.values()
-            ),
         )
     finally:
         deployment.shutdown()
+    # Read after shutdown: the node's loop thread is joined, so the count
+    # is exact.
+    result.peak_overlapped_rpcs = max(
+        (getattr(node, "max_in_flight_per_connection", 0) for node in nodes), default=0
+    )
+    return result
 
 
 class _NoBarrier:
@@ -692,11 +691,6 @@ def start_pages_deployment(
     staleness: float,
     simulated_rpc_latency_seconds: float,
     rows: int,
-    socket_pipelined: Optional[bool] = None,
-    server_style: Optional[str] = None,
-    wire_codec: Optional[str] = None,
-    mux_read_lease: bool = True,
-    write_coalescing: bool = True,
     cpu_pinning: bool = False,
 ) -> TxCacheDeployment:
     """Build, load, and warm the networked deployment the forked workers dial.
@@ -712,13 +706,8 @@ def start_pages_deployment(
         cache_nodes=cache_nodes,
         cache_capacity_bytes_per_node=cache_capacity_bytes_per_node,
         transport=transport,
-        socket_pipelined=socket_pipelined,
-        cache_server_style=server_style,
         default_staleness=staleness,
         simulated_rpc_latency_seconds=simulated_rpc_latency_seconds,
-        wire_codec=wire_codec,
-        mux_read_lease=mux_read_lease,
-        write_coalescing=write_coalescing,
         cpu_pinning=cpu_pinning,
     )
     try:
@@ -748,10 +737,6 @@ def build_worker_stack(
     rows: int,
     staleness: float,
     clients: int,
-    socket_pipelined: Optional[bool] = None,
-    socket_pool_size: Optional[int] = None,
-    wire_codec: Optional[str] = None,
-    mux_read_lease: bool = True,
 ):
     """One forked worker's client-side stack: ``(cluster, client list)``.
 
@@ -774,15 +759,7 @@ def build_worker_stack(
         TableSchema.build("pages", ["id", "payload", "hits"], primary_key="id")
     )
     database.bulk_load("pages", _pages_rows(rows))
-    cluster = CacheCluster(
-        node_addresses=addresses,
-        transport=transport,
-        socket_pipelined=socket_pipelined,
-        socket_pool_size=socket_pool_size,
-        clock=clock,
-        wire_codec=wire_codec,
-        mux_read_lease=mux_read_lease,
-    )
+    cluster = CacheCluster(node_addresses=addresses, transport=transport, clock=clock)
     pincushion = Pincushion(clock=clock, unpin_callback=database.unpin)
     client_list = [
         TxCacheClient(
@@ -822,8 +799,8 @@ class MultiprocessConfig:
     :class:`repro.cache.cluster.CacheCluster` dialled at the coordinator's
     cache-node endpoints) and drives ``threads_per_process`` worker threads
     against the *shared* networked cache nodes.  What saturates first is
-    therefore the server side — exactly what the pipelined-transport /
-    event-loop-server comparison needs to expose.
+    therefore the server side: many RPCs in flight on one connection per
+    node.
 
     The workload is read-only by construction: the reproduction's database
     is an in-process object, so a forked worker's writes could not reach
@@ -835,14 +812,10 @@ class MultiprocessConfig:
 
     processes: int = 4
     #: Worker threads inside each process; with the modelled LAN round trip
-    #: they give each process several RPCs in flight, which is what makes
-    #: the pooled-vs-pipelined connection discipline observable.
+    #: they give each process several RPCs in flight on one connection.
     threads_per_process: int = 4
-    #: "socket" (pooled + threaded server) or "socket-pipelined"
-    #: (multiplexed + event-loop server); the overrides below mix and match.
+    #: "socket" (thread-hosted nodes) or "socket-process".
     transport: str = "socket"
-    socket_pipelined: Optional[bool] = None
-    server_style: Optional[str] = None
     cache_nodes: int = 2
     cache_capacity_bytes_per_node: int = 8 * 1024 * 1024
     rows: int = 256
@@ -850,19 +823,8 @@ class MultiprocessConfig:
     #: threads_per_process x this).
     interactions_per_thread: int = 300
     staleness: float = 30.0
-    #: Pooled connections per node per process (pooled mode only); None
-    #: sizes the pool to ``threads_per_process``.
-    socket_pool_size: Optional[int] = None
     #: Modelled LAN round trip per cache RPC (see CacheServerProcess).
     simulated_rpc_latency_seconds: float = 4e-4
-    #: Hot-path body codec on the pipelined wire ("binary" | "pickle";
-    #: None = the REPRO_WIRE_CODEC default).  Applied to the coordinator's
-    #: servers and every worker's client-only cluster.
-    wire_codec: Optional[str] = None
-    #: Calling-thread read lease on mux connections (see SocketTransport).
-    mux_read_lease: bool = True
-    #: One sendmsg gather per readiness event on event-loop servers.
-    write_coalescing: bool = True
     seed: int = 1
     label: str = ""
 
@@ -885,8 +847,8 @@ class MultiprocessResult:
     errors: int
     #: Counts the thread-hosted nodes kept over the measured phase — what
     #: the wire did, whatever the clock says.  Response frames the nodes
-    #: encoded; and, from event-loop nodes only (0 otherwise), ``sendmsg``
-    #: syscalls issued and the most requests one connection had in flight.
+    #: encoded; and (0 for process-hosted nodes) ``sendmsg`` syscalls issued
+    #: and the most requests one connection had in flight.
     responses: int = 0
     sendmsg_calls: int = 0
     max_in_flight_per_connection: int = 0
@@ -920,10 +882,6 @@ def _multiprocess_worker(index: int, addresses, config: MultiprocessConfig, barr
             rows=config.rows,
             staleness=config.staleness,
             clients=config.threads_per_process,
-            socket_pipelined=config.socket_pipelined,
-            socket_pool_size=config.socket_pool_size or max(1, config.threads_per_process),
-            wire_codec=config.wire_codec,
-            mux_read_lease=config.mux_read_lease,
         )
     except Exception as exc:  # noqa: BLE001 - reported via the queue
         bootstrap_error = f"{type(exc).__name__}: {exc}"
@@ -991,7 +949,7 @@ def run_multiprocess_benchmark(config: MultiprocessConfig) -> MultiprocessResult
         raise ValueError("processes must be positive")
     if config.threads_per_process < 1:
         raise ValueError("threads_per_process must be positive")
-    if config.transport not in ("socket", "socket-pipelined", "socket-process"):
+    if config.transport not in ("socket", "socket-process"):
         raise ValueError("multi-process driver requires a socket transport")
     deployment = start_pages_deployment(
         transport=config.transport,
@@ -1000,11 +958,6 @@ def run_multiprocess_benchmark(config: MultiprocessConfig) -> MultiprocessResult
         staleness=config.staleness,
         simulated_rpc_latency_seconds=config.simulated_rpc_latency_seconds,
         rows=config.rows,
-        socket_pipelined=config.socket_pipelined,
-        server_style=config.server_style,
-        wire_codec=config.wire_codec,
-        mux_read_lease=config.mux_read_lease,
-        write_coalescing=config.write_coalescing,
     )
     try:
         addresses = {
@@ -1047,7 +1000,7 @@ def run_multiprocess_benchmark(config: MultiprocessConfig) -> MultiprocessResult
             label=config.label,
             processes=config.processes,
             threads_per_process=config.threads_per_process,
-            transport=_transport_label(config),
+            transport=config.transport,
             interactions=interactions,
             wall_seconds=wall,
             ops_per_second=interactions / wall if wall > 0 else 0.0,
@@ -1066,18 +1019,3 @@ def run_multiprocess_benchmark(config: MultiprocessConfig) -> MultiprocessResult
     finally:
         deployment.shutdown()
 
-
-def _transport_label(config: MultiprocessConfig) -> str:
-    """Human-readable wire-path label: client framing x server engine."""
-    pipelined = (
-        config.socket_pipelined
-        if config.socket_pipelined is not None
-        else config.transport in ("socket-pipelined", "socket-process")
-    )
-    if config.transport == "socket-process":
-        style = "process"  # one OS process (one core) per cache node
-    else:
-        style = config.server_style or (
-            "eventloop" if config.transport == "socket-pipelined" else "threaded"
-        )
-    return f"{'pipelined' if pipelined else 'pooled'}+{style}"

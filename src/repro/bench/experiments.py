@@ -42,13 +42,10 @@ from repro.bench.driver import (
     ChurnEvent,
     ConcurrencyConfig,
     ConcurrencyResult,
-    MultiprocessConfig,
-    MultiprocessResult,
     TimedChurnEvent,
     rolling_restart_events,
     run_benchmark,
     run_concurrent_benchmark,
-    run_multiprocess_benchmark,
 )
 from repro.bench.loadgen import (
     ArrivalSchedule,
@@ -62,7 +59,6 @@ from repro.bench.loadgen import (
 )
 from repro.bench.perflog import record_figures_benchmark
 from repro.bench.report import format_table
-from repro.cache.netserver import DEFAULT_POOL_SIZE
 from repro.clock import ManualClock
 from repro.core.stats import MissType
 from repro.db.database import Database
@@ -80,7 +76,6 @@ __all__ = [
     "RollingRestartResult",
     "ConcurrentClientsResult",
     "ConcurrentChurnResult",
-    "PipelinedClientsResult",
     "FigureOpenLoopResult",
     "PerCoreOpenLoopResult",
     "RepairOpenLoopResult",
@@ -97,7 +92,6 @@ __all__ = [
     "rolling_restart",
     "concurrent_clients",
     "concurrent_churn",
-    "pipelined_clients",
     "percore_openloop",
     "repair_openloop",
     "chaos_openloop",
@@ -853,8 +847,8 @@ class ConcurrentClientsResult:
 
     ``results[transport]`` holds one :class:`ConcurrencyResult` per entry of
     ``thread_counts``.  The socket transport should scale: each worker keeps
-    an RPC in flight on its own pooled connection, so modelled network time
-    overlaps.  The in-process transport stays flat on CPython — every cache
+    an RPC in flight on the one connection per node, so modelled network
+    time overlaps.  The in-process transport stays flat on CPython — every cache
     call is pure Python under the GIL, which is itself a finding this
     experiment documents (the scaling lives in the transport, not the GIL).
     """
@@ -1014,131 +1008,6 @@ def concurrent_churn(
 
 
 # ----------------------------------------------------------------------
-# Pipelined clients: the fast wire path, measured without the client GIL
-# ----------------------------------------------------------------------
-@dataclass
-class PipelinedClientsResult:
-    """Throughput vs worker processes, per wire path.
-
-    ``results[variant]`` holds one :class:`MultiprocessResult` per entry of
-    ``process_counts``.  The four variants cover {legacy pooled, pipelined}
-    x {threaded server, event-loop server}:
-
-    * ``"pooled+threaded (pool=threads)"`` — PR 4's benchmark baseline: one
-      socket per concurrent RPC, one server thread per socket.
-    * ``"pooled+threaded"`` — PR 4's *deployment default*: 4 pooled
-      connections per node, so each application server is capped at
-      ``4 x nodes`` in-flight RPCs no matter how many worker threads it
-      runs.  This is the row the pipelined path must beat.
-    * ``"pipelined+eventloop"`` — the fast wire path: one multiplexed
-      socket per node (unbounded in-flight), served by the selector loop.
-    * ``"pipelined+threaded"`` — the control that shows why the event loop
-      exists: the threaded engine serves one mux connection sequentially,
-      so every modelled round trip is paid serially (head-of-line).
-    """
-
-    process_counts: List[int]
-    threads_per_process: int
-    results: Dict[str, List[MultiprocessResult]]
-    elapsed_seconds: float = 0.0
-
-    def speedup_at(self, processes: int) -> float:
-        """Pipelined+eventloop over the pooled deployment default."""
-        index = self.process_counts.index(processes)
-        baseline = self.results["pooled+threaded"][index].ops_per_second or 1.0
-        return self.results["pipelined+eventloop"][index].ops_per_second / baseline
-
-    def format_table(self) -> str:
-        rows = []
-        for variant, series in self.results.items():
-            for result in series:
-                rows.append(
-                    [
-                        variant,
-                        f"{result.processes}",
-                        f"{result.processes * result.threads_per_process}",
-                        f"{result.ops_per_second:,.0f}",
-                        f"{result.hit_rate:.1%}",
-                        f"{result.errors}",
-                    ]
-                )
-        return format_table(
-            ["wire path", "processes", "workers", "ops/sec", "hit rate", "errors"],
-            rows,
-            title=(
-                "Pipelined clients: multi-process wall-clock throughput "
-                f"({self.threads_per_process} threads/process, modelled RTT)"
-            ),
-        )
-
-
-def pipelined_clients(
-    process_counts: Sequence[int] = (1, 2, 4),
-    threads_per_process: int = 16,
-    interactions_per_thread: int = 25,
-    simulated_rpc_latency_seconds: float = 1e-2,
-    include_threaded_pipelined: bool = True,
-    seed: int = 1,
-) -> PipelinedClientsResult:
-    """Throughput-vs-processes under {pooled, pipelined} x {threaded, eventloop}.
-
-    Every point forks its worker processes (:func:`run_multiprocess_benchmark`),
-    so the curve measures the cache tier — transport discipline and server
-    engine — rather than the client GIL.  The modelled LAN round trip is
-    deliberately large relative to loopback so the binding constraint is
-    in-flight concurrency, which is exactly what the pooled and pipelined
-    disciplines differ in: with ``threads_per_process`` workers above the
-    pooled cap (``DEFAULT_POOL_SIZE x nodes``), the deployment-default
-    pooled transport serializes the excess behind its sockets while the
-    pipelined transport keeps every worker's RPC in flight on one socket
-    per node.
-
-    ``include_threaded_pipelined=False`` skips the head-of-line control row
-    (it pays every modelled round trip serially, so it is the slowest row
-    by design and dominates the experiment's wall time).
-    """
-    started = time.time()
-    variants: List[Tuple[str, dict]] = [
-        (
-            "pooled+threaded (pool=threads)",
-            dict(transport="socket", socket_pool_size=threads_per_process),
-        ),
-        # The deployment-default pool (DEFAULT_POOL_SIZE per node) — what a
-        # PR-4 deployment actually runs with, and the row to beat.
-        ("pooled+threaded", dict(transport="socket", socket_pool_size=DEFAULT_POOL_SIZE)),
-        ("pipelined+eventloop", dict(transport="socket-pipelined")),
-    ]
-    if include_threaded_pipelined:
-        variants.append(
-            (
-                "pipelined+threaded",
-                dict(transport="socket", socket_pipelined=True, server_style="threaded"),
-            )
-        )
-    results: Dict[str, List[MultiprocessResult]] = {}
-    for variant, overrides in variants:
-        series: List[MultiprocessResult] = []
-        for processes in process_counts:
-            config = MultiprocessConfig(
-                processes=processes,
-                threads_per_process=threads_per_process,
-                interactions_per_thread=interactions_per_thread,
-                simulated_rpc_latency_seconds=simulated_rpc_latency_seconds,
-                seed=seed,
-                label=f"pipelined-{variant}-{processes}p",
-                **overrides,
-            )
-            series.append(run_multiprocess_benchmark(config))
-        results[variant] = series
-    return PipelinedClientsResult(
-        process_counts=list(process_counts),
-        threads_per_process=threads_per_process,
-        results=results,
-        elapsed_seconds=time.time() - started,
-    )
-
-
-# ----------------------------------------------------------------------
 # Figures 5-8 re-measured open-loop on the fast wire stack
 # ----------------------------------------------------------------------
 #: Figure-5 cache-size points re-measured open-loop (paper labels; the
@@ -1172,7 +1041,7 @@ OPENLOOP_P99_SLO_SECONDS = 0.05
 
 @dataclass
 class FigureOpenLoopResult:
-    """Figures 5-8 re-measured open-loop on socket-pipelined + binary.
+    """Figures 5-8 re-measured open-loop on the thread-hosted wire stack.
 
     ``points[section]`` (``"figure5"`` … ``"figure8"``) holds one dict per
     (configuration, offered rate): offered rate, achieved goodput, merged
@@ -1253,8 +1122,7 @@ def figures_openloop(
 ) -> FigureOpenLoopResult:
     """Re-measure Figures 5-8 open-loop on the fast wire stack.
 
-    Every configuration runs on ``transport="socket-pipelined"`` with the
-    binary codec, driven by the coordinated-omission-safe open-loop
+    Every configuration runs on ``transport="socket"``, driven by the coordinated-omission-safe open-loop
     generator at each offered rate in ``rates`` — so alongside the
     throughput each point reports what the *tail* did at that offered
     load, which the closed-loop figures cannot show.  Results are appended
@@ -1282,8 +1150,7 @@ def figures_openloop(
             cache_nodes=cache_nodes,
             cache_capacity_bytes_per_node=max(16 * 1024, cache_bytes // cache_nodes),
             staleness=staleness,
-            transport="socket-pipelined",
-            wire_codec="binary",
+            transport="socket",
             seed=settings.seed,
             label=label,
         )
@@ -1347,10 +1214,10 @@ def figures_openloop(
 PERCORE_NODE_COUNTS = [1, 2, 4]
 
 #: The two hosting modes compared, as (label, transport) pairs: the same
-#: pipelined wire stack in front of nodes that share the coordinator's
+#: wire stack in front of nodes that share the coordinator's
 #: interpreter vs nodes that each own an OS process (and a core).
 PERCORE_HOSTINGS: List[Tuple[str, str]] = [
-    ("thread-hosted", "socket-pipelined"),
+    ("thread-hosted", "socket"),
     ("process-hosted", "socket-process"),
 ]
 
@@ -1364,7 +1231,7 @@ PERCORE_MIN_CORES = 4
 class PerCoreOpenLoopResult:
     """Goodput and tail vs node count, thread-hosted vs process-hosted.
 
-    Thread-hosted nodes (``"socket-pipelined"``) share the coordinator's
+    Thread-hosted nodes (``"socket"``) share the coordinator's
     interpreter: adding nodes adds ring slices but not serving CPU,
     because every node's codec and mux work contends on one GIL.
     Process-hosted nodes (``"socket-process"``) each own an interpreter,
@@ -1445,7 +1312,7 @@ def percore_openloop(
     (:func:`~repro.bench.loadgen.runner.run_openloop_benchmark`: forked
     driver processes, Poisson arrivals, CO-safe latency) with only the
     cache tier varied: ``cache_nodes`` in ``node_counts``, hosted either
-    as threads of the coordinator (``"socket-pipelined"``) or as one OS
+    as threads of the coordinator (``"socket"``) or as one OS
     process per node (``"socket-process"``, pinned one-per-core when
     ``cpu_pinning``).  The modelled RPC latency is zero so the binding
     resource is serving *CPU* — exactly the resource the process hosts
@@ -1484,7 +1351,6 @@ def percore_openloop(
                 transport=transport,
                 cache_nodes=nodes,
                 simulated_rpc_latency_seconds=0.0,
-                wire_codec="binary",
                 cpu_pinning=(cpu_pinning and transport == "socket-process"),
                 label=f"percore-{hosting}-{nodes}n",
             )
@@ -1620,7 +1486,7 @@ def repair_openloop(
     threads: int = 8,
     keys: int = 2400,
     value_bytes: int = 2048,
-    transport: str = "socket-pipelined",
+    transport: str = "socket",
     seed: int = 11,
     trials: int = 3,
     smoke: bool = False,
@@ -1670,7 +1536,6 @@ def repair_openloop(
             clock=SystemClock(),
             cache_nodes=3,
             transport=transport,
-            wire_codec="binary",
             replication_factor=2,
             migration_chunk_size=(keys if mode == "sync" else 32),
             background_maintenance=(mode == "budgeted"),
@@ -1913,7 +1778,6 @@ def chaos_openloop(
             clock=SystemClock(),
             cache_nodes=3,
             transport="socket-process",
-            wire_codec="binary",
             replication_factor=2,
             failure_threshold=2,
             rpc_timeout_seconds=1.0,

@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.bench.driver import (
-    _transport_label,
     build_worker_stack,
     fork_context,
     start_pages_deployment,
@@ -199,9 +198,8 @@ class OpenLoopConfig:
     The deployment knobs mirror :class:`repro.bench.driver.MultiprocessConfig`
     — same forked-worker topology, same read-only ``pages`` workload — but
     the load is driven by an arrival schedule at ``offered_rate`` ops/s
-    instead of a fixed per-thread interaction count.  Defaults select the
-    fast wire stack (pipelined multiplexed transport, binary codec), the
-    configuration the paper figures are re-measured on.
+    instead of a fixed per-thread interaction count.  The default transport
+    is the thread-hosted wire stack the paper figures are re-measured on.
     """
 
     offered_rate: float = 2000.0
@@ -211,19 +209,13 @@ class OpenLoopConfig:
     mode: str = "open"  # "open" | "closed" (CO-prone contrast)
     processes: int = 2
     threads_per_process: int = 4
-    transport: str = "socket-pipelined"
-    socket_pipelined: Optional[bool] = None
-    server_style: Optional[str] = None
+    transport: str = "socket"
     cache_nodes: int = 2
     cache_capacity_bytes_per_node: int = 8 * 1024 * 1024
     rows: int = 256
     staleness: float = 30.0
-    socket_pool_size: Optional[int] = None
     #: Modelled LAN round trip per cache RPC (see CacheServerProcess).
     simulated_rpc_latency_seconds: float = 4e-4
-    wire_codec: Optional[str] = "binary"
-    mux_read_lease: bool = True
-    write_coalescing: bool = True
     #: Pin each "socket-process" cache node to its own core (opt-in; the
     #: per-core experiment's intended deployment shape).
     cpu_pinning: bool = False
@@ -294,10 +286,6 @@ def _openloop_worker(
             rows=config.rows,
             staleness=config.staleness,
             clients=config.threads_per_process,
-            socket_pipelined=config.socket_pipelined,
-            socket_pool_size=config.socket_pool_size or max(1, config.threads_per_process),
-            wire_codec=config.wire_codec,
-            mux_read_lease=config.mux_read_lease,
         )
     except Exception as exc:  # noqa: BLE001 - reported via the queue
         bootstrap_error = f"{type(exc).__name__}: {exc}"
@@ -365,7 +353,7 @@ def run_openloop_benchmark(config: OpenLoopConfig) -> OpenLoopResult:
         raise ValueError("threads_per_process must be positive")
     if config.total_ops < 1:
         raise ValueError("total_ops must be positive")
-    if config.transport not in ("socket", "socket-pipelined", "socket-process"):
+    if config.transport not in ("socket", "socket-process"):
         raise ValueError("open-loop benchmark requires a socket transport")
     schedule = ArrivalSchedule(
         rate=config.offered_rate, kind=config.arrival, seed=config.seed
@@ -381,11 +369,6 @@ def run_openloop_benchmark(config: OpenLoopConfig) -> OpenLoopResult:
         staleness=config.staleness,
         simulated_rpc_latency_seconds=config.simulated_rpc_latency_seconds,
         rows=config.rows,
-        socket_pipelined=config.socket_pipelined,
-        server_style=config.server_style,
-        wire_codec=config.wire_codec,
-        mux_read_lease=config.mux_read_lease,
-        write_coalescing=config.write_coalescing,
         cpu_pinning=config.cpu_pinning,
     )
     try:
@@ -435,7 +418,7 @@ def run_openloop_benchmark(config: OpenLoopConfig) -> OpenLoopResult:
             arrival=config.arrival,
             processes=config.processes,
             threads_per_process=config.threads_per_process,
-            transport=_transport_label(config),
+            transport=config.transport,
             completed=completed,
             errors=sum(report["errors"] for report in reports),
             wall_seconds=wall,

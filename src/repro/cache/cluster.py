@@ -6,19 +6,20 @@ ring, exactly as the paper's TxCache library maps a key to a cache server.
 All nodes subscribe to the same invalidation stream.
 
 The cluster reaches each node through a :class:`CacheTransport`
-(:mod:`repro.comm.transport`), so the same routing logic serves two
+(:mod:`repro.comm.transport`), so the same routing logic serves three
 topologies:
 
 * ``transport="inprocess"`` — nodes are plain :class:`CacheServer` objects
   called directly (zero overhead; the original behaviour);
 * ``transport="socket"`` — each node runs as a
   :class:`repro.cache.netserver.CacheServerProcess` behind a TCP endpoint
-  and is reached via a :class:`repro.cache.netserver.SocketTransport`,
-  modelling the paper's real deployment of standalone cache servers;
+  on a thread of this process and is reached via a
+  :class:`repro.cache.netserver.SocketTransport`, modelling the paper's
+  real deployment of standalone cache servers;
 * ``transport="socket-process"`` — each node is a
   :class:`repro.cache.procnode.CacheNodeHost`, an **out-of-process** worker
   with its own interpreter (and optionally its own pinned CPU), reached
-  over the same pipelined wire stack.  The invalidation stream crosses the
+  over the same wire stack.  The invalidation stream crosses the
   process boundary over the wire too — synchronously per message by
   default, or batched per housekeeping flush with
   ``invalidation_batching=True`` (see :meth:`CacheCluster.flush_invalidations`).
@@ -70,7 +71,7 @@ so cluster-lock -> bus-lock would deadlock against bus-lock -> cluster-lock.
 Topology changes (``add_node``/``remove_node``/``adopt_ring``/``close``) are
 safe to run while traffic flows; per-node thread safety is provided by
 :class:`CacheServer`'s own lock, and per-connection concurrency by
-:class:`SocketTransport`'s pool.
+:class:`SocketTransport`, which multiplexes every caller over one socket.
 """
 
 from __future__ import annotations
@@ -110,21 +111,18 @@ from repro.comm.transport import (
     current_deadline,
     deadline_scope,
 )
-from repro.comm.wire import resolve_wire_codec
 from repro.db.invalidation import InvalidationTag
 from repro.interval import Interval
 
 __all__ = ["CacheCluster", "ClusterHealthStats", "PutOutcome"]
 
 #: Supported values of the ``transport`` constructor argument.
-#: ``"socket"`` is the PR-4 fast path (pooled one-in-flight connections to
-#: thread-per-connection servers); ``"socket-pipelined"`` is the multiplexed
-#: wire protocol to event-loop servers (see :mod:`repro.cache.netserver`);
-#: ``"socket-process"`` hosts each node in its **own OS process**
-#: (:class:`repro.cache.procnode.CacheNodeHost`) behind the same pipelined
-#: wire stack, so N nodes on one machine use N cores instead of sharing
-#: one GIL.
-TRANSPORT_KINDS = ("inprocess", "socket", "socket-pipelined", "socket-process")
+#: ``"socket"`` serves each node from a thread of this process over the
+#: wire stack of :mod:`repro.cache.netserver`; ``"socket-process"`` hosts
+#: each node in its **own OS process**
+#: (:class:`repro.cache.procnode.CacheNodeHost`) behind the same stack, so
+#: N nodes on one machine use N cores instead of sharing one GIL.
+TRANSPORT_KINDS = ("inprocess", "socket", "socket-process")
 
 #: Exceptions that mean "the node is unreachable" (never server-side errors).
 _FAILURE_EXCEPTIONS = (CacheNodeUnreachableError, ConnectionError, OSError)
@@ -253,15 +251,9 @@ class CacheCluster:
         transport: str = "inprocess",
         failure_threshold: int = 3,
         replication_factor: int = 1,
-        socket_pool_size: int = 4,
         rpc_timeout_seconds: float = 30.0,
         simulated_rpc_latency_seconds: float = 0.0,
-        socket_pipelined: Optional[bool] = None,
-        server_style: Optional[str] = None,
         node_addresses: Optional[Dict[str, Tuple[str, int]]] = None,
-        wire_codec: Optional[str] = None,
-        mux_read_lease: bool = True,
-        write_coalescing: bool = True,
         invalidation_batching: bool = False,
         cpu_pinning: bool = False,
         retry_policy: Optional[RetryPolicy] = None,
@@ -274,27 +266,9 @@ class CacheCluster:
             raise ValueError("failure_threshold must be positive")
         if replication_factor < 1:
             raise ValueError("replication_factor must be positive")
-        if socket_pool_size < 1:
-            raise ValueError("socket_pool_size must be positive")
         if node_addresses is not None and transport == "inprocess":
             raise ValueError("node_addresses requires a socket transport")
         self.transport_kind = transport
-        #: Pipelined (multiplexed) client framing; the "socket-pipelined"
-        #: and "socket-process" kinds turn it on, and any kind accepts an
-        #: explicit override.
-        self.socket_pipelined = (
-            socket_pipelined
-            if socket_pipelined is not None
-            else transport in ("socket-pipelined", "socket-process")
-        )
-        #: Serving engine of locally started cache nodes ("threaded" or
-        #: "eventloop"); defaults to the event loop for "socket-pipelined"
-        #: and "socket-process" (a process node always serves eventloop).
-        self.server_style = server_style or (
-            "eventloop"
-            if transport in ("socket-pipelined", "socket-process")
-            else "threaded"
-        )
         #: Endpoints of externally running cache nodes.  When set, the
         #: cluster is *client-only*: it dials the given addresses instead of
         #: starting servers (the multi-process benchmark workers attach to
@@ -302,24 +276,11 @@ class CacheCluster:
         self._node_addresses = dict(node_addresses) if node_addresses else None
         self.failure_threshold = failure_threshold
         self.replication_factor = replication_factor
-        #: Connections each SocketTransport keeps per node (= concurrent
-        #: in-flight RPCs per node per application server); ignored by the
-        #: in-process transport.
-        self.socket_pool_size = socket_pool_size
-        #: Connect/read timeout applied to every pooled connection.
+        #: Connect and per-RPC timeout of every socket transport.
         self.rpc_timeout_seconds = rpc_timeout_seconds
         #: Modelled LAN round trip served by each networked node (see
         #: :class:`repro.cache.netserver.CacheServerProcess`).
         self.simulated_rpc_latency_seconds = simulated_rpc_latency_seconds
-        #: Hot-path body codec of the pipelined framing ("binary" by
-        #: default; REPRO_WIRE_CODEC overrides); applied to both the
-        #: servers this cluster starts and the transports it dials.
-        self.wire_codec = resolve_wire_codec(wire_codec)
-        #: Calling-thread read lease on mux connections (see
-        #: :class:`repro.cache.netserver.SocketTransport`).
-        self.mux_read_lease = mux_read_lease
-        #: One sendmsg gather per readiness event on the event-loop engine.
-        self.write_coalescing = write_coalescing
         #: Buffer the invalidation stream per node and deliver it in
         #: batches from :meth:`flush_invalidations` (called by the
         #: deployment's housekeeping) instead of synchronously from inside
@@ -594,13 +555,7 @@ class CacheCluster:
         if self._node_addresses is not None:
             # Client-only cluster: the node runs elsewhere; just dial it.
             self._transports[name] = SocketTransport(
-                self._node_addresses[name],
-                name=name,
-                pool_size=self.socket_pool_size,
-                timeout_seconds=self.rpc_timeout_seconds,
-                pipelined=self.socket_pipelined,
-                wire_codec=self.wire_codec,
-                mux_read_lease=self.mux_read_lease,
+                self._node_addresses[name], name=name, timeout_seconds=self.rpc_timeout_seconds
             )
             return None
         if self.transport_kind == "socket-process":
@@ -616,20 +571,12 @@ class CacheCluster:
                 name,
                 capacity_bytes=capacity_bytes,
                 simulated_latency_seconds=self.simulated_rpc_latency_seconds,
-                wire_codec=self.wire_codec,
-                write_coalescing=self.write_coalescing,
                 cpu_affinity=cpu_affinity,
             )
             self._processes[name] = host
             try:
                 self._transports[name] = SocketTransport(
-                    host.address,
-                    name=name,
-                    pool_size=self.socket_pool_size,
-                    timeout_seconds=self.rpc_timeout_seconds,
-                    pipelined=self.socket_pipelined,
-                    wire_codec=self.wire_codec,
-                    mux_read_lease=self.mux_read_lease,
+                    host.address, name=name, timeout_seconds=self.rpc_timeout_seconds
                 )
             except BaseException:
                 # Connecting failed: reap the just-spawned node instead of
@@ -641,22 +588,12 @@ class CacheCluster:
         self._servers[name] = server
         if self.transport_kind != "inprocess":
             process = CacheServerProcess(
-                server,
-                simulated_latency_seconds=self.simulated_rpc_latency_seconds,
-                style=self.server_style,
-                wire_codec=self.wire_codec,
-                write_coalescing=self.write_coalescing,
+                server, simulated_latency_seconds=self.simulated_rpc_latency_seconds
             )
             self._processes[name] = process
             try:
                 self._transports[name] = SocketTransport(
-                    process.address,
-                    name=name,
-                    pool_size=self.socket_pool_size,
-                    timeout_seconds=self.rpc_timeout_seconds,
-                    pipelined=self.socket_pipelined,
-                    wire_codec=self.wire_codec,
-                    mux_read_lease=self.mux_read_lease,
+                    process.address, name=name, timeout_seconds=self.rpc_timeout_seconds
                 )
             except BaseException:
                 # Connecting failed: stop the just-started node instead of

@@ -1,66 +1,55 @@
-"""Cache nodes as real networked servers (TCP, framed wire protocol).
+"""Cache nodes as real networked servers: one TCP wire stack, both ends.
 
 The paper deploys cache nodes as standalone servers that application servers
 reach over a gigabit LAN.  This module provides that topology for the
-reproduction:
+reproduction, as one stack:
 
-* :class:`CacheServerProcess` serves one :class:`CacheServer` over TCP, with
-  a choice of two engines.  ``style="threaded"`` (the default) dedicates one
-  handler thread to each accepted connection — simple, debuggable, and how
-  the server has always run.  ``style="eventloop"`` serves *every*
-  connection from one ``selectors``-based loop thread: sockets are
-  non-blocking, the request path is answered in the event that read it,
-  maintenance ops are dispatched to a small worker pool, and responses are
-  written back **as they finish** — a slow ``extract_entries`` never
-  head-of-line blocks a ``lookup`` pipelined on the same connection.  Per-connection
-  backpressure bounds the number of requests in flight: a connection that
-  exceeds ``max_queued_per_connection`` stops being read until its backlog
-  drains, so one firehose client cannot swamp the worker pool.
-* :class:`SocketTransport` is the client side, in two generations.  The
-  *pooled* mode (``pipelined=False``) keeps up to ``pool_size`` legacy
-  one-request-in-flight connections.  The *pipelined* mode
-  (``pipelined=True``) multiplexes any number of outstanding RPCs over
-  ``mux_connections`` (default 1) sockets: each caller registers a
-  per-request :class:`repro.comm.wire.ResponseSlot`, one reader thread per
-  connection demultiplexes responses by ``request_id``, and the socket
-  count stays constant no matter how many client threads share the
-  transport.
+* :class:`CacheServerProcess` serves one :class:`CacheServer` over TCP from
+  one ``selectors`` loop thread: sockets are non-blocking, the request path
+  is answered in the event that read it, maintenance ops are dispatched to a
+  small worker pool, and responses are written back **as they finish** — a
+  slow ``extract_entries`` never head-of-line blocks a ``lookup`` sent after
+  it on the same connection.  Per-connection backpressure bounds the
+  requests in flight: a connection that reaches
+  ``max_queued_per_connection`` stops being read until its backlog drains,
+  so one firehose client cannot swamp the worker pool.
+* :class:`SocketTransport` is the client.  Any number of threads share one
+  connection per node, each RPC under its own ``request_id``; a caller that
+  finds the connection's *read lease* free reads its own reply off the
+  socket, and the others wait on their slots while the lease holder reads
+  for them.
 
-Both engines of the server accept both client generations on the same port:
-the framing is detected from the first byte of each connection (see
-:mod:`repro.comm.wire`).
+The same server runs on a thread of this process (``transport="socket"``)
+or in a child process (``transport="socket-process"``, see
+:mod:`repro.cache.procnode`).
 
 Wire protocol
 -------------
-Legacy frames are a 4-byte big-endian length plus a pickled payload; a
-request payload decodes to ``(op, args)`` and a response to ``("ok", value)``
-or ``("err", message)``.  Multiplexed frames carry a struct-packed
-``(request_id, opcode, length)`` header (``!QBI``); the opcode names the
-operation numerically on requests and carries ``OP_OK``/``OP_ERR`` on
-responses, whose body is the bare result (or error string).  Cached values
+A connection opens with one version byte (:data:`repro.comm.wire.WIRE_VERSION`);
+the node closes a connection that opens with anything else.  Every frame
+then carries a struct-packed ``(request_id, opcode, length)`` header
+(``!QBI``); the opcode names the operation on requests and carries
+``OP_OK``/``OP_ERR`` on responses.  The hot ops have binary bodies and the
+maintenance ops pickled ones (see :mod:`repro.comm.wire`).  Cached values
 are arbitrary Python objects that must round-trip exactly, so they are
 pickled (protocol 5) — once, by :class:`SocketTransport`, into a
 :class:`~repro.cache.entry.ValueBlob` that the server stores and returns
 without ever loading it; only the transport unpickles.  Both endpoints of
 the simulated deployment are trusted, the standard caveat for pickle-based
-RPC.  No path concatenates a
-header onto a payload: frames are written as buffer vectors with ``sendmsg``
-gather I/O (:func:`repro.comm.wire.send_buffers`).
+RPC.  No path concatenates a header onto a payload: frames are written as
+buffer vectors with ``sendmsg`` gather I/O
+(:func:`repro.comm.wire.send_buffers`).
 
 ``CacheServerProcess(simulated_latency_seconds=...)`` models the LAN round
-trip of the paper's gigabit testbed.  The threaded engine sleeps in the
-handler thread before serving (concurrent connections overlap their modelled
-latency, one thread each); the event-loop engine instead *delays the
-response* on a timer wheel inside the loop, so a thousand in-flight modelled
-round trips cost zero threads — the same modelling decision an asynchronous
-server would force in production.
+trip of the paper's gigabit testbed by *delaying the response* on a timer
+heap inside the loop, so a thousand in-flight modelled round trips cost
+zero threads.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import pickle
 import select
 import selectors
 import socket
@@ -75,23 +64,16 @@ from repro.cache.server import CacheServer, CacheServerStats
 from repro.comm import wire
 from repro.comm.multicast import InvalidationMessage
 from repro.comm.wire import (
-    BINARY_ACK,
-    BINARY_NAK,
     BINARY_OPCODES,
-    LEGACY_HEADER,
-    MAX_FRAME_BYTES,
-    MUX_HEADER,
-    MUX_MAGIC,
-    MUX_MAGIC_BINARY,
-    OP_ERR,
-    OP_OK,
-    OPCODES,
-    OPCODE_MASK,
     FLAG_BIN,
     FLAG_OOB,
+    OP_ERR,
+    OP_OK,
+    OPCODE_MASK,
+    OPCODES,
+    WIRE_VERSION,
     FrameAssembler,
     ResponseSlot,
-    recv_exactly,
 )
 from repro.comm.transport import current_deadline, remaining_deadline
 from repro.db.invalidation import InvalidationTag
@@ -105,31 +87,16 @@ __all__ = [
     "CacheNodeConnectError",
     "CacheNodeTimeoutError",
     "CacheNodeStreamPoisonedError",
-    "WireCodecMismatchError",
-    "DEFAULT_POOL_SIZE",
     "DEFAULT_WORKER_THREADS",
     "DEFAULT_MAX_QUEUED_PER_CONNECTION",
-    "SERVER_STYLES",
 ]
 
-#: Frame header of the legacy protocol (kept under its historical name; the
-#: multiplexed header lives in :mod:`repro.comm.wire`).
-_HEADER = LEGACY_HEADER
-
-#: Default size of a pooled :class:`SocketTransport` connection pool: how
-#: many legacy one-in-flight RPCs one application server keeps going to one
-#: cache node.  Ignored in pipelined mode, where one socket multiplexes.
-DEFAULT_POOL_SIZE = 4
-
-#: Worker threads of the event-loop engine's dispatch pool.
+#: Worker threads of the node's maintenance-op dispatch pool.
 DEFAULT_WORKER_THREADS = 4
 
-#: Per-connection backpressure bound of the event-loop engine: a connection
-#: with this many requests in flight stops being read until responses drain.
+#: Per-connection backpressure bound: a connection with this many requests
+#: in flight stops being read until responses drain.
 DEFAULT_MAX_QUEUED_PER_CONNECTION = 32
-
-#: Supported values of ``CacheServerProcess(style=...)``.
-SERVER_STYLES = ("threaded", "eventloop")
 
 #: How much either end asks the kernel for per ``recv``.  ``recv`` allocates
 #: its result at this size before shrinking it to what arrived, and from
@@ -139,7 +106,7 @@ SERVER_STYLES = ("threaded", "eventloop")
 _RECV_SIZE = 64 * 1024
 
 #: The multi-lookup opcode gets the reusable-scratch encode path on the
-#: pipelined binary client (see :class:`repro.comm.wire.EncodeScratch`).
+#: client (see :class:`repro.comm.wire.EncodeScratch`).
 _MULTI_LOOKUP_OPCODE = OPCODES["multi_lookup"]
 
 
@@ -213,19 +180,6 @@ class CacheNodeStreamPoisonedError(CacheNodeUnreachableError):
     """
 
 
-class WireCodecMismatchError(CacheTransportError):
-    """The two endpoints do not speak the same wire body codec.
-
-    Raised when a binary-codec client dials a server that answers the
-    codec handshake with :data:`repro.comm.wire.BINARY_NAK` (or not at
-    all — a server predating the handshake closes or stalls, which the
-    client treats the same way).  Deliberately *not* a
-    :class:`CacheNodeUnreachableError`: the node is reachable, the
-    deployment is misconfigured, and failure-aware routing must not paper
-    over that by degrading lookups.
-    """
-
-
 def _classify_unreachable(
     message: str,
     cause: BaseException,
@@ -248,30 +202,6 @@ def _classify_unreachable(
     else:
         cls = CacheNodeStreamPoisonedError
     return cls(message, node=node, op=op)
-
-
-# ----------------------------------------------------------------------
-# Legacy framing helpers (shared by both endpoints)
-# ----------------------------------------------------------------------
-def send_frame(sock: socket.socket, payload: object) -> None:
-    """Serialize ``payload`` and write it as one legacy frame.
-
-    The header and body go out as two gathered buffers (``sendmsg``), never
-    concatenated — the old ``header + data`` copied every payload twice.
-    """
-    wire.send_buffers(sock, wire.encode_legacy_frame(payload))
-
-
-def recv_frame(sock: socket.socket) -> object:
-    """Read one legacy frame and deserialize its payload.
-
-    Raises :class:`ConnectionError` on EOF (orderly shutdown of the peer).
-    """
-    header = recv_exactly(sock, _HEADER.size)
-    (length,) = _HEADER.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise CacheTransportError(f"oversized frame: {length} bytes")
-    return pickle.loads(recv_exactly(sock, length))
 
 
 # ----------------------------------------------------------------------
@@ -305,10 +235,9 @@ def _serve_invalidate_tags(server: CacheServer, batch: Sequence[tuple]) -> int:
     return len(batch)
 
 
-#: What serves each operation, as ``serve(server, *args)``, by the name a
-#: legacy frame carries and by the opcode a multiplexed one does.
-_SERVE_OP = {
-    op: _serves(op)
+#: What serves each opcode, as ``serve(server, *args)``.
+_SERVE_OPCODE = {
+    OPCODES[op]: _serves(op)
     for op in (
         "lookup", "multi_lookup", "put", "probe", "was_ever_stored",
         "evict_stale", "clear", "reset_stats", "extract_entries",
@@ -316,357 +245,29 @@ _SERVE_OP = {
         "versions_of", "key_digest", "keys_in_range",
     )
 }
-_SERVE_OP.update(
+_SERVE_OPCODE.update({
     # A locked snapshot, so the client sees a stable copy of the counters
-    # even while other handler threads mutate them.
-    stats=_serves("stats_snapshot"),
-    gossip=_serves("gossip_exchange"),
-    watermark=lambda server: server.last_invalidation_timestamp,
-    ping=lambda server: server.name,
-    invalidate_tags=_serve_invalidate_tags,
-)
-_SERVE_OPCODE = {OPCODES[op]: serve for op, serve in _SERVE_OP.items()}
+    # even while a worker thread mutates them.
+    OPCODES["stats"]: _serves("stats_snapshot"),
+    OPCODES["gossip"]: _serves("gossip_exchange"),
+    OPCODES["watermark"]: lambda server: server.last_invalidation_timestamp,
+    OPCODES["ping"]: lambda server: server.name,
+    OPCODES["invalidate_tags"]: _serve_invalidate_tags,
+})
 
 
-class CacheServerProcess:
-    """One cache node served over TCP in its own thread(s).
-
-    Wraps a :class:`CacheServer` and exposes it at a TCP endpoint.  Dispatch
-    takes no process-level lock — concurrent requests are synchronized by
-    the :class:`CacheServer`'s own reentrant lock, so the socket path has
-    exactly the same thread-safety contract as in-process callers.  The
-    wrapped server object remains reachable via :attr:`server` for tests and
-    introspection, but live traffic goes through the socket.
-
-    ``style`` selects the serving engine (see the module docstring):
-    ``"threaded"`` is one handler thread per connection; ``"eventloop"`` is
-    one selector loop plus a ``worker_threads``-wide dispatch pool, with
-    out-of-order response completion and per-connection backpressure
-    (``max_queued_per_connection``).  Both speak both wire framings.
-    """
-
-    def __init__(
-        self,
-        server: CacheServer,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        simulated_latency_seconds: float = 0.0,
-        style: str = "threaded",
-        worker_threads: int = DEFAULT_WORKER_THREADS,
-        max_queued_per_connection: int = DEFAULT_MAX_QUEUED_PER_CONNECTION,
-        wire_codec: Optional[str] = None,
-        write_coalescing: bool = True,
-    ) -> None:
-        if style not in SERVER_STYLES:
-            raise ValueError(f"unknown server style {style!r}; expected one of {SERVER_STYLES}")
-        if worker_threads < 1:
-            raise ValueError("worker_threads must be positive")
-        if max_queued_per_connection < 1:
-            raise ValueError("max_queued_per_connection must be positive")
-        self.server = server
-        self.style = style
-        #: "binary" (the default): this server answers the binary-codec
-        #: handshake with ACK and serves both codecs.  "pickle": a
-        #: pickle-only server — binary-codec clients are NAKed at the
-        #: handshake (the mixed-version deployment the fail-fast test pins).
-        self.wire_codec = wire.resolve_wire_codec(wire_codec)
-        self.simulated_latency_seconds = simulated_latency_seconds
-        self._listener = socket.create_server((host, port))
-        self.address: Tuple[str, int] = self._listener.getsockname()[:2]
-        self._running = True
-        self._engine: Optional[_EventLoopEngine] = None
-        if style == "eventloop":
-            self._engine = _EventLoopEngine(
-                self, self._listener, worker_threads, max_queued_per_connection,
-                write_coalescing,
-            )
-            return
-        #: Guards the connection/handler registries (mutated by the accept
-        #: loop, read by shutdown).
-        self._registry_lock = threading.Lock()
-        self._connections: List[socket.socket] = []
-        self._handler_threads: List[threading.Thread] = []
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name=f"cache-node-{server.name}", daemon=True
-        )
-        self._accept_thread.start()
-
-    @property
-    def running(self) -> bool:
-        """True until :meth:`shutdown` completes."""
-        return self._running
-
-    @property
-    def backpressure_pauses(self) -> int:
-        """Times the event-loop engine paused reading a connection (0 when threaded)."""
-        return self._engine.backpressure_pauses if self._engine is not None else 0
-
-    @property
-    def max_in_flight_per_connection(self) -> int:
-        """High-water mark of queued requests on any one connection (event loop)."""
-        return self._engine.max_in_flight if self._engine is not None else 0
-
-    @property
-    def sendmsg_calls(self) -> int:
-        """``sendmsg`` syscalls issued by the event-loop engine (0 when threaded).
-
-        The write-coalescing benchmark compares this against the response
-        count: with coalescing on, one readiness event writes every drained
-        response of a connection in one gather.
-        """
-        return self._engine.sendmsg_calls if self._engine is not None else 0
-
-    # ------------------------------------------------------------------
-    # Threaded engine
-    # ------------------------------------------------------------------
-    def _accept_loop(self) -> None:
-        while self._running:
-            try:
-                connection, _peer = self._listener.accept()
-            except OSError:
-                return  # listener closed: shutting down
-            _set_nodelay(connection)
-            handler = threading.Thread(
-                target=self._serve_connection,
-                args=(connection,),
-                name=f"cache-conn-{self.server.name}",
-                daemon=True,
-            )
-            with self._registry_lock:
-                if not self._running:
-                    # shutdown() ran between accept() and registration; it
-                    # will not see this socket, so close it here.
-                    _close_quietly(connection)
-                    continue
-                self._connections.append(connection)
-                self._handler_threads.append(handler)
-                # Started under the lock: shutdown() snapshots this list
-                # under the same lock and joins every thread in it, and
-                # joining a thread that was never started raises.
-                handler.start()
-
-    def _serve_connection(self, connection: socket.socket) -> None:
-        try:
-            # The first byte tells the two client generations apart: the
-            # multiplexed protocol opens with MUX_MAGIC, which can never
-            # begin a sane legacy length header.
-            try:
-                first = connection.recv(1)
-            except OSError:
-                return
-            if not first:
-                return
-            if first[0] == MUX_MAGIC_BINARY:
-                # Binary-codec handshake: the client will not send a frame
-                # until it sees the ACK, and a pickle-only server NAKs so
-                # the client fails fast instead of mis-decoding.
-                try:
-                    if self.wire_codec != "binary":
-                        connection.send(bytes([BINARY_NAK]))
-                        return
-                    connection.send(bytes([BINARY_ACK]))
-                except OSError:
-                    return
-                self._serve_mux_connection(connection)
-            elif first[0] == MUX_MAGIC:
-                self._serve_mux_connection(connection)
-            else:
-                self._serve_legacy_connection(connection, first)
-        finally:
-            _close_quietly(connection)
-            # Drop this connection from the registries so a client pool
-            # dropping and re-dialling connections (timeouts, failures)
-            # cannot grow them without bound over the process lifetime.
-            with self._registry_lock:
-                if connection in self._connections:
-                    self._connections.remove(connection)
-                current = threading.current_thread()
-                if current in self._handler_threads:
-                    self._handler_threads.remove(current)
-
-    def _serve_legacy_connection(
-        self, connection: socket.socket, prefix: Optional[bytes]
-    ) -> None:
-        while self._running:
-            try:
-                if prefix is not None:
-                    header = prefix + recv_exactly(connection, _HEADER.size - len(prefix))
-                    prefix = None
-                else:
-                    header = recv_exactly(connection, _HEADER.size)
-                (length,) = _HEADER.unpack(header)
-                if length > MAX_FRAME_BYTES:
-                    return  # corrupt frame header: the stream cannot resync
-                body = recv_exactly(connection, length)
-            except (ConnectionError, OSError):
-                return  # client went away or shutdown closed the socket
-            try:
-                request = pickle.loads(body)
-            except Exception as exc:
-                # Undecodable payload; the frame was consumed in full, so
-                # the stream is still in sync — report and keep serving.
-                try:
-                    send_frame(connection, ("err", f"bad request frame: {exc}"))
-                except OSError:
-                    return
-                continue
-            if self.simulated_latency_seconds > 0.0:
-                # Lock-free by construction: concurrent requests overlap
-                # their modelled network time like real round trips.
-                time.sleep(self.simulated_latency_seconds)
-            try:
-                op, args = request
-                result = self._dispatch(op, args)
-                response = ("ok", result)
-            except Exception as exc:  # server must survive bad requests
-                response = ("err", f"{type(exc).__name__}: {exc}")
-            try:
-                send_frame(connection, response)
-            except OSError:
-                return
-
-    def _serve_mux_connection(self, connection: socket.socket) -> None:
-        """Multiplexed framing on the threaded engine.
-
-        Requests are served in arrival order on this connection (the
-        event-loop engine is the one that completes out of order); the
-        response still carries the request id, so a pipelined client works
-        against either engine.
-        """
-        while self._running:
-            try:
-                header = recv_exactly(connection, MUX_HEADER.size)
-                request_id, opcode, length = MUX_HEADER.unpack(header)
-                if length > MAX_FRAME_BYTES:
-                    return
-                body = recv_exactly(connection, length)
-            except (ConnectionError, OSError):
-                return
-            if self.simulated_latency_seconds > 0.0:
-                time.sleep(self.simulated_latency_seconds)
-            buffers = self._execute_mux(request_id, opcode, body)
-            try:
-                wire.send_buffers(connection, buffers)
-            except OSError:
-                return
-
-    # ------------------------------------------------------------------
-    # Dispatch (shared by both engines)
-    # ------------------------------------------------------------------
-    def _execute_mux(
-        self, request_id: int, opcode: int, body: bytes
-    ) -> List[wire.Buffer]:
-        """Serve one multiplexed request; returns the response frame buffers.
-
-        The response uses the request's codec (``FLAG_BIN`` on the opcode):
-        the server keeps no per-connection codec state, so binary and pickle
-        frames can interleave freely on one connection — which is exactly
-        what a binary client does, pickling only the maintenance ops.
-        """
-        binary = opcode & FLAG_BIN
-        try:
-            serve = _SERVE_OPCODE.get(opcode & OPCODE_MASK)
-            if serve is None:
-                raise ValueError(f"unknown cache operation opcode {opcode & OPCODE_MASK}")
-            if binary:
-                result = serve(self.server, *wire.decode_binary_args(opcode & OPCODE_MASK, body))
-                return wire.encode_binary_mux_frame(request_id, OP_OK, result)
-            result = serve(self.server, *wire.decode_body(opcode & FLAG_OOB, body))
-            return wire.encode_mux_frame(request_id, OP_OK, result)
-        except Exception as exc:  # server must survive bad requests
-            message = f"{type(exc).__name__}: {exc}"
-            if binary:
-                return wire.encode_binary_mux_frame(request_id, OP_ERR, message)
-            return wire.encode_mux_frame(request_id, OP_ERR, message)
-
-    def _execute_legacy(
-        self, _request_id: Optional[int], _opcode: int, body: bytes
-    ) -> List[wire.Buffer]:
-        """Serve one legacy request (event-loop path); returns frame buffers.
-
-        Takes the same arguments as :meth:`_execute_mux` (a legacy frame
-        has no id or opcode, and the parser says so) so the engine calls
-        either through one name.
-        """
-        try:
-            request = pickle.loads(body)
-        except Exception as exc:
-            return wire.encode_legacy_frame(("err", f"bad request frame: {exc}"))
-        try:
-            op, args = request
-            result = self._dispatch(op, args)
-            response = ("ok", result)
-        except Exception as exc:
-            response = ("err", f"{type(exc).__name__}: {exc}")
-        return wire.encode_legacy_frame(response)
-
-    def _dispatch(self, op: str, args: tuple) -> object:
-        """Serve an operation named by a legacy frame."""
-        serve = _SERVE_OP.get(op)
-        if serve is None:
-            raise ValueError(f"unknown cache operation {op!r}")
-        return serve(self.server, *args)
-
-    # ------------------------------------------------------------------
-    def shutdown(self) -> None:
-        """Stop serving: close the listener and every connection, join threads.
-
-        Idempotent, and safe to call while handler threads are mid-request:
-        closing a connection wakes its handler out of ``recv``.
-        """
-        if self._engine is not None:
-            if self._running:
-                self._running = False
-                self._engine.shutdown()
-            return
-        with self._registry_lock:
-            if not self._running:
-                return
-            self._running = False
-            connections = list(self._connections)
-            handlers = list(self._handler_threads)
-        _close_quietly(self._listener)
-        for connection in connections:
-            _close_quietly(connection)
-        for handler in handlers:
-            handler.join(timeout=2.0)
-        self._accept_thread.join(timeout=2.0)
-
-    def __enter__(self) -> "CacheServerProcess":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.shutdown()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        host, port = self.address
-        return f"CacheServerProcess({self.server.name!r} @ {host}:{port}, {self.style})"
-
-
-# ----------------------------------------------------------------------
-# Event-loop engine
-# ----------------------------------------------------------------------
-class _EventLoopConnection:
-    """Per-connection state of the event-loop engine."""
+class _Connection:
+    """Per-connection state of the node's event loop."""
 
     __slots__ = (
-        "sock",
-        "assembler",
-        "pending",
-        "outgoing",
-        "in_flight",
-        "paused",
-        "closed",
+        "sock", "assembler", "pending", "outgoing", "in_flight", "paused", "closed",
         "want_write",
-        "greeted",
     )
 
     def __init__(self, sock: socket.socket) -> None:
         self.sock = sock
-        self.assembler = FrameAssembler()
-        #: True once the codec handshake reply (if any) has been sent; the
-        #: binary-codec client blocks on the ACK before its first frame.
-        self.greeted = False
+        #: Refuses the connection unless its first byte is the version byte.
+        self.assembler = FrameAssembler(hello=WIRE_VERSION)
         #: Parsed frames parked behind the backpressure bound; empty while
         #: the connection is under it.
         self.pending: list = []
@@ -683,8 +284,15 @@ class _EventLoopConnection:
         self.want_write = False
 
 
-class _EventLoopEngine:
-    """A ``selectors`` loop serving every connection of one cache node.
+class CacheServerProcess:
+    """One cache node served over TCP by one event-loop thread.
+
+    Wraps a :class:`CacheServer` and exposes it at a TCP endpoint.  Dispatch
+    takes no process-level lock — concurrent requests are synchronized by
+    the :class:`CacheServer`'s own reentrant lock, so the socket path has
+    exactly the same thread-safety contract as in-process callers.  The
+    wrapped server object remains reachable via :attr:`server` for tests and
+    introspection, but live traffic goes through the socket.
 
     One thread owns the selector: it accepts, reads, cuts frames, and
     writes responses.  The request path is answered **in the event that
@@ -698,13 +306,20 @@ class _EventLoopEngine:
     arrival order.  Modelled latency is a timer heap inside the loop: a
     delayed response occupies no thread while it "travels".  Both kinds of
     late response, and whatever a full socket refused, wait in
-    ``connection.outgoing`` for the loop's next flush.
+    ``connection.outgoing`` for the loop's next flush, where every whole
+    response a connection has waiting rides one ``sendmsg`` gather.
 
-    Backpressure: when a connection's :attr:`_EventLoopConnection.in_flight`
-    reaches ``max_queued_per_connection``, further frames are parked and
-    its read interest is dropped — the kernel socket buffer then fills and
-    the client's sends stall, which is TCP doing the flow control — and
-    reading resumes once the backlog drains below the bound.
+    Backpressure: when a connection's ``in_flight`` reaches
+    ``max_queued_per_connection``, further frames are parked and its read
+    interest is dropped — the kernel socket buffer then fills and the
+    client's sends stall, which is TCP doing the flow control — and reading
+    resumes once the backlog drains below the bound.  At a bound of 1 the
+    node reads nothing more from a connection until its reply has drained.
+
+    Counters, exact once :meth:`shutdown` has joined the loop:
+    ``sendmsg_calls``, ``backpressure_pauses``, and
+    ``max_in_flight_per_connection`` (the most requests any one connection
+    had in flight at once).
     """
 
     #: Operations dispatched to the worker pool instead of running inline
@@ -713,46 +328,57 @@ class _EventLoopEngine:
     #: (measured medians inside the server on the RUBiS bidding mix: a
     #: lookup batch 13 us, a put 8 us, one invalidation message 12 us,
     #: all index-driven) — a pool handoff costs more than the op — so it
-    #: normally runs inline, reactor style.  Maintenance ops can touch the whole store (an
-    #: eviction sweep scans everything under the server lock), so they go
-    #: to the pool — and while any is in flight the request path detours to
-    #: the pool too (see ``_dispatch``), so the loop thread never
-    #: queues on a lock a whole-store scan is holding.  This split is what
-    #: lets a fast lookup overtake a slow extract pipelined on the same
-    #: connection.
-    _POOLED_OPS = frozenset(
-        {"extract_entries", "install_entries", "discard_keys", "keys", "clear",
-         "evict_stale", "key_digest", "keys_in_range"}
+    #: normally runs inline, reactor style.  Maintenance ops can touch the
+    #: whole store (an eviction sweep scans everything under the server
+    #: lock), so they go to the pool — and while any is in flight the
+    #: request path detours to the pool too (see ``_dispatch``), so the loop
+    #: thread never queues on a lock a whole-store scan is holding.  This
+    #: split is what lets a fast lookup overtake a slow extract pipelined on
+    #: the same connection.
+    _POOLED_OPCODES = frozenset(
+        OPCODES[op]
+        for op in (
+            "extract_entries", "install_entries", "discard_keys", "keys", "clear",
+            "evict_stale", "key_digest", "keys_in_range",
+        )
     )
-    _POOLED_OPCODES = frozenset(OPCODES[op] for op in _POOLED_OPS)
+
+    #: Bodies above this size are decoded and served on the pool regardless
+    #: of op (a huge install/put payload must not stall the loop).
+    _INLINE_BODY_LIMIT = 64 * 1024
 
     #: Most buffers handed to one ``sendmsg`` (the kernel's limit is 1024).
     _MAX_GATHER = 256
 
     def __init__(
         self,
-        process: CacheServerProcess,
-        listener: socket.socket,
-        worker_threads: int,
-        max_queued_per_connection: int,
-        write_coalescing: bool = True,
+        server: CacheServer,
+        host: str = "127.0.0.1",
+        port: int = 0,
+        simulated_latency_seconds: float = 0.0,
+        worker_threads: int = DEFAULT_WORKER_THREADS,
+        max_queued_per_connection: int = DEFAULT_MAX_QUEUED_PER_CONNECTION,
     ) -> None:
-        self._process = process
-        self._listener = listener
+        if worker_threads < 1:
+            raise ValueError("worker_threads must be positive")
+        if max_queued_per_connection < 1:
+            raise ValueError("max_queued_per_connection must be positive")
+        self.server = server
+        self.simulated_latency_seconds = simulated_latency_seconds
         self._max_queued = max_queued_per_connection
-        #: With coalescing on, every whole response a connection has
-        #: waiting — the replies to all the frames of one read; the pool
-        #: completions and fired timers of one loop iteration — rides one
-        #: ``sendmsg`` gather instead of one syscall each.
-        self._coalesce = write_coalescing
+        self._listener = socket.create_server((host, port))
+        self.address: Tuple[str, int] = self._listener.getsockname()[:2]
+        self._running = True
         #: Connections given late responses since the last flush.  Touched
         #: only by the loop thread (workers post via the outbox), so no
         #: lock is needed.
         self._dirty: set = set()
         self.sendmsg_calls = 0
+        self.backpressure_pauses = 0
+        self.max_in_flight_per_connection = 0
         self._selector = selectors.DefaultSelector()
-        listener.setblocking(False)
-        self._selector.register(listener, selectors.EVENT_READ, None)
+        self._listener.setblocking(False)
+        self._selector.register(self._listener, selectors.EVENT_READ, None)
         #: Loop wakeup channel: workers write one byte after posting to the
         #: outbox; the loop drains it and the outbox together.
         self._wake_recv, self._wake_send = socket.socketpair()
@@ -766,7 +392,7 @@ class _EventLoopEngine:
         self._timer_seq = itertools.count()
         self._pool = ThreadPoolExecutor(
             max_workers=worker_threads,
-            thread_name_prefix=f"cache-worker-{process.server.name}",
+            thread_name_prefix=f"cache-worker-{server.name}",
         )
         #: Maintenance ops currently on the pool.  While nonzero, the
         #: request path detours to the pool as well: a whole-store op may
@@ -774,17 +400,20 @@ class _EventLoopEngine:
         #: wait on it (a blocked reactor stalls *every* connection).
         self._pooled_active = 0
         self._pooled_lock = threading.Lock()
-        self.backpressure_pauses = 0
-        self.max_in_flight = 0
         self._thread = threading.Thread(
-            target=self._run, name=f"cache-loop-{process.server.name}", daemon=True
+            target=self._run, name=f"cache-loop-{server.name}", daemon=True
         )
         self._thread.start()
+
+    @property
+    def running(self) -> bool:
+        """True until :meth:`shutdown` is called."""
+        return self._running
 
     # -- loop ------------------------------------------------------------
     def _run(self) -> None:
         try:
-            while self._process._running:
+            while self._running:
                 if self._dirty:
                     self._flush_dirty()
                 if self._timers:
@@ -827,8 +456,7 @@ class _EventLoopEngine:
                 return
             _set_nodelay(sock)
             sock.setblocking(False)
-            connection = _EventLoopConnection(sock)
-            self._selector.register(sock, selectors.EVENT_READ, connection)
+            self._selector.register(sock, selectors.EVENT_READ, _Connection(sock))
 
     def _drain_wakeups(self) -> None:
         try:
@@ -860,10 +488,11 @@ class _EventLoopEngine:
             self._flush_later(connection, responses)
 
     # -- per-connection I/O ---------------------------------------------
-    def _read(self, connection: _EventLoopConnection) -> None:
+    def _read(self, connection: _Connection) -> None:
         try:
             data = connection.sock.recv(_RECV_SIZE)
-            # No data is EOF; an oversized/corrupt header cannot be resynced.
+            # No data is EOF; a wrong version byte or an oversized header
+            # cannot be resynced.
             frames = connection.assembler.feed(data) if data else None
         except (BlockingIOError, InterruptedError):
             return
@@ -871,30 +500,10 @@ class _EventLoopEngine:
             frames = None
         if frames is None:
             self._close_connection(connection)
-            return
-        if not connection.greeted and connection.assembler.codec is not None:
-            connection.greeted = True
-            if connection.assembler.codec == "binary":
-                # ACK (or NAK) the binary-codec handshake before serving:
-                # the client sends no frames until it hears back, so this
-                # one blocking byte cannot stall behind request traffic.
-                reply = (
-                    BINARY_ACK
-                    if self._process.wire_codec == "binary"
-                    else BINARY_NAK
-                )
-                try:
-                    connection.sock.send(bytes([reply]))
-                except OSError:
-                    self._close_connection(connection)
-                    return
-                if reply == BINARY_NAK:
-                    self._close_connection(connection)
-                    return
-        if frames:
+        elif frames:
             self._dispatch(connection, frames)
 
-    def _dispatch(self, connection: _EventLoopConnection, frames: list) -> None:
+    def _dispatch(self, connection: _Connection, frames: list) -> None:
         """Serve ``frames`` behind any parked ones, up to the backpressure bound.
 
         The request path runs inline on the loop thread (the op is cheaper
@@ -912,9 +521,6 @@ class _EventLoopEngine:
         """
         if connection.pending:
             frames, connection.pending = connection.pending + frames, []
-        mode = connection.assembler.mode
-        process = self._process
-        execute = process._execute_mux if mode == "mux" else process._execute_legacy
         replies: list = []
         for index, (request_id, opcode, body) in enumerate(frames):
             if connection.in_flight >= self._max_queued:
@@ -926,9 +532,12 @@ class _EventLoopEngine:
                     connection.pending = frames[index:]
                     break
             connection.in_flight += 1
-            if connection.in_flight > self.max_in_flight:
-                self.max_in_flight = connection.in_flight
-            pooled_op = self._should_pool(mode, opcode, body)
+            if connection.in_flight > self.max_in_flight_per_connection:
+                self.max_in_flight_per_connection = connection.in_flight
+            pooled_op = (
+                len(body) > self._INLINE_BODY_LIMIT
+                or (opcode & OPCODE_MASK) in self._POOLED_OPCODES
+            )
             if pooled_op or self._pooled_active:
                 # Inline-class ops also detour to the pool while any
                 # maintenance op is in flight: it may hold the server lock,
@@ -936,11 +545,9 @@ class _EventLoopEngine:
                 if pooled_op:
                     with self._pooled_lock:
                         self._pooled_active += 1
-                self._pool.submit(
-                    self._work, connection, execute, request_id, opcode, body, pooled_op
-                )
+                self._pool.submit(self._work, connection, request_id, opcode, body, pooled_op)
             else:
-                replies.append(execute(request_id, opcode, body))
+                replies.append(self._execute(request_id, opcode, body))
         if replies:
             self._respond(connection, replies, now=True)
         should_pause = bool(connection.pending) or connection.in_flight >= self._max_queued
@@ -950,35 +557,39 @@ class _EventLoopEngine:
                 self.backpressure_pauses += 1
             self._update_interest(connection)
 
-    #: Bodies above this size are decoded and served on the pool regardless
-    #: of op (a huge install/put payload must not stall the loop).
-    _INLINE_BODY_LIMIT = 64 * 1024
+    def _execute(self, request_id: int, opcode: int, body: bytes) -> List[wire.Buffer]:
+        """Serve one request; returns the response frame buffers.
 
-    #: Op-name byte tags used to sniff pooled ops out of a legacy frame
-    #: (the mux header names the op; a legacy frame buries it in pickle —
-    #: the tuple's first element, always within the first few dozen bytes).
-    _LEGACY_POOL_TAGS = tuple(op.encode() for op in sorted(_POOLED_OPS))
-
-    def _should_pool(self, mode: str, opcode: int, body: bytes) -> bool:
-        if len(body) > self._INLINE_BODY_LIMIT:
-            return True
-        if mode == "mux":
-            return (opcode & OPCODE_MASK) in self._POOLED_OPCODES
-        head = body[:64]
-        return any(tag in head for tag in self._LEGACY_POOL_TAGS)
+        The response uses the request's body format (``FLAG_BIN`` on the
+        opcode): binary for the hot ops, pickle for the maintenance ops.
+        """
+        binary = opcode & FLAG_BIN
+        try:
+            serve = _SERVE_OPCODE.get(opcode & OPCODE_MASK)
+            if serve is None:
+                raise ValueError(f"unknown cache operation opcode {opcode & OPCODE_MASK}")
+            if binary:
+                result = serve(self.server, *wire.decode_binary_args(opcode & OPCODE_MASK, body))
+                return wire.encode_binary_mux_frame(request_id, OP_OK, result)
+            result = serve(self.server, *wire.decode_body(opcode & FLAG_OOB, body))
+            return wire.encode_mux_frame(request_id, OP_OK, result)
+        except Exception as exc:  # server must survive bad requests
+            message = f"{type(exc).__name__}: {exc}"
+            if binary:
+                return wire.encode_binary_mux_frame(request_id, OP_ERR, message)
+            return wire.encode_mux_frame(request_id, OP_ERR, message)
 
     def _work(
         self,
-        connection: _EventLoopConnection,
-        execute,
-        request_id: Optional[int],
+        connection: _Connection,
+        request_id: int,
         opcode: int,
         body: bytes,
-        tracked: bool = False,
+        tracked: bool,
     ) -> None:
         """Worker-pool entry: serve one request, post the response."""
         try:
-            buffers = execute(request_id, opcode, body)
+            buffers = self._execute(request_id, opcode, body)
             with self._outbox_lock:
                 self._outbox.append((connection, buffers))
             self._wake()
@@ -987,16 +598,14 @@ class _EventLoopEngine:
                 with self._pooled_lock:
                     self._pooled_active -= 1
 
-    def _respond(
-        self, connection: _EventLoopConnection, responses: list, now: bool = False
-    ) -> None:
+    def _respond(self, connection: _Connection, responses: list, now: bool = False) -> None:
         """Route completed responses: deliver, or hold for the modelled RTT.
 
         ``now`` marks the replies to the read in progress, which are written
         before the loop does anything else; a response that completed
         elsewhere joins this loop iteration's flush.
         """
-        latency = self._process.simulated_latency_seconds
+        latency = self.simulated_latency_seconds
         if latency > 0.0:
             heapq.heappush(
                 self._timers,
@@ -1007,7 +616,7 @@ class _EventLoopEngine:
         else:
             self._flush_later(connection, responses)
 
-    def _flush_later(self, connection: _EventLoopConnection, responses: list) -> None:
+    def _flush_later(self, connection: _Connection, responses: list) -> None:
         connection.outgoing.extend(responses)
         self._dirty.add(connection)
 
@@ -1023,20 +632,19 @@ class _EventLoopEngine:
         for connection in dirty:
             self._drain(connection)
 
-    def _drain(self, connection: _EventLoopConnection) -> None:
+    def _drain(self, connection: _Connection) -> None:
         """Flush queued output, then serve what its completion unparked."""
         self._flush(connection)
         if (connection.pending or connection.paused) and not connection.closed:
             self._dispatch(connection, [])
 
-    def _flush(self, connection: _EventLoopConnection, fresh: Optional[list] = None) -> None:
+    def _flush(self, connection: _Connection, fresh: Optional[list] = None) -> None:
         """Write queued responses, then ``fresh`` ones, while the socket takes them.
 
-        With coalescing every whole response waiting rides one ``sendmsg``
-        gather; without it each gets its own.  ``connection.outgoing`` is
-        touched only to keep what the socket refused: replies handed in as
-        ``fresh`` with nothing queued ahead of them — the request path —
-        go from the caller's list to the kernel.
+        Every whole response waiting rides one ``sendmsg`` gather.
+        ``connection.outgoing`` is touched only to keep what the socket
+        refused: replies handed in as ``fresh`` with nothing queued ahead of
+        them — the request path — go from the caller's list to the kernel.
         """
         if connection.closed:
             return
@@ -1049,7 +657,7 @@ class _EventLoopEngine:
         done = 0
         try:
             while done < len(queue):
-                batch = queue[done:] if self._coalesce else queue[done : done + 1]
+                batch = queue[done:]
                 if len(batch) == 1:
                     views = batch[0]
                 else:
@@ -1078,7 +686,7 @@ class _EventLoopEngine:
             connection.want_write = not connection.want_write
             self._update_interest(connection)
 
-    def _update_interest(self, connection: _EventLoopConnection) -> None:
+    def _update_interest(self, connection: _Connection) -> None:
         events = 0
         if not connection.paused:
             events |= selectors.EVENT_READ
@@ -1100,7 +708,7 @@ class _EventLoopEngine:
         except OSError:
             self._close_connection(connection)
 
-    def _close_connection(self, connection: _EventLoopConnection) -> None:
+    def _close_connection(self, connection: _Connection) -> None:
         if connection.closed:
             return
         connection.closed = True
@@ -1114,21 +722,26 @@ class _EventLoopEngine:
 
     # -- lifecycle -------------------------------------------------------
     def shutdown(self) -> None:
-        """Stop the loop (called with ``process._running`` already False)."""
+        """Stop serving: close the listener and every connection, join threads.
+
+        Idempotent, and safe to call while requests are in flight.
+        """
+        if not self._running:
+            return
+        self._running = False
         self._wake()
         self._thread.join(timeout=5.0)
         self._pool.shutdown(wait=True)
 
     def _teardown(self) -> None:
         """Loop-thread exit path: close every socket and the selector."""
-        self._flush_dirty()  # best-effort: drain coalesced responses first
+        self._flush_dirty()  # best-effort: drain late responses first
         for key in list(self._selector.get_map().values()):
-            fileobj = key.fileobj
-            if isinstance(key.data, _EventLoopConnection):
+            if isinstance(key.data, _Connection):
                 self._close_connection(key.data)
             else:
                 try:
-                    self._selector.unregister(fileobj)
+                    self._selector.unregister(key.fileobj)
                 except (KeyError, ValueError):
                     pass
         _close_quietly(self._listener)
@@ -1139,101 +752,66 @@ class _EventLoopEngine:
                 pass
         self._selector.close()
 
+    def __enter__(self) -> "CacheServerProcess":
+        return self
+
+    def __exit__(self, *_exc) -> None:
+        self.shutdown()
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        host, port = self.address
+        return f"CacheServerProcess({self.server.name!r} @ {host}:{port})"
+
 
 # ----------------------------------------------------------------------
 # Client side
 # ----------------------------------------------------------------------
 class _MuxConnection:
-    """One multiplexed client connection: many RPCs in flight, one socket.
+    """One client connection: many RPCs in flight, one socket.
 
     Callers register a :class:`ResponseSlot` under a fresh ``request_id``
     and write their frame (sends serialized by a per-connection lock).
     Responses are read with one ``recv`` into the connection's
-    :class:`FrameAssembler` and demultiplexed by ``request_id`` in one of
-    two ways:
+    :class:`FrameAssembler` and demultiplexed by ``request_id``: a caller
+    that has sent and finds the *read lease* free takes it and reads frames
+    off the socket itself, resolving every slot it sees, until its own
+    response lands — a single caller never waits on anything but ``recv``
+    and pays for no rendezvous.  (Nobody holds the lease while sending: a
+    sender can block, and the node may be unable to read until someone
+    drains its replies.)  A caller that finds the lease held follows: it
+    blocks on its slot while the holder reads for it.  Releasing the lease
+    kicks one waiting follower (without settling its slot) to take over,
+    so the lease is never orphaned while requests are outstanding.
 
-    * ``read_lease=True`` (the default): a caller that has sent and finds
-      the *read lease* free takes it and reads frames off the socket
-      itself, resolving every slot it sees, until its own response lands —
-      a single caller never waits on anything but ``recv`` and pays for no
-      rendezvous.  (Nobody holds the lease while sending: a sender can
-      block, and the node may be unable to read until someone drains its
-      replies.)  A caller that finds the lease held follows:
-      it blocks on its slot while the holder reads for it.  Releasing the
-      lease kicks one waiting follower (without settling its slot) to take
-      over, so the lease is never orphaned while requests are outstanding.
-    * ``read_lease=False``: the PR-5 arrangement — a dedicated reader
-      thread owns ``recv`` and callers only send and block on their slot.
-
-    ``codec="binary"`` performs the binary-codec handshake on construction
-    (send :data:`MUX_MAGIC_BINARY`, require :data:`BINARY_ACK` back) and
-    then encodes hot ops (:data:`repro.comm.wire.BINARY_OPS`) with the
-    compact binary codec; everything else stays pickled.  A server that
-    NAKs, closes, or stalls at the handshake raises
-    :class:`WireCodecMismatchError` — fail fast, never mis-decode.
+    Hot ops (:data:`repro.comm.wire.BINARY_OPS`) are encoded with the
+    binary codec; everything else is pickled.
 
     Any I/O failure — including a caller's wait timing out — poisons the
     whole connection: every pending slot fails with
     :class:`CacheNodeUnreachableError` and the owner dials a fresh
     connection on the next call (a stream that lost a response can never
-    be trusted again, exactly like the pooled transport's discipline).
+    be trusted again).
     """
 
-    def __init__(
-        self,
-        sock: socket.socket,
-        label: str,
-        timeout: Optional[float],
-        codec: str = "pickle",
-        read_lease: bool = True,
-    ) -> None:
+    def __init__(self, sock: socket.socket, label: str, timeout: Optional[float]) -> None:
         self._sock = sock
         self._label = label
         self._timeout = timeout
-        self._binary = codec == "binary"
-        self._read_lease = read_lease
         self._lock = threading.Lock()
         self._send_lock = threading.Lock()
-        #: Reusable encode buffer for the multi-lookup batch path (binary
-        #: codec only).  Shared per connection: encode + send + view
-        #: release all happen under ``_send_lock``.
-        self.scratch = wire.EncodeScratch() if self._binary else None
+        #: Reusable encode buffer for the multi-lookup batch path.  Shared
+        #: per connection: encode + send + view release all happen under
+        #: ``_send_lock``.
+        self.scratch = wire.EncodeScratch()
         self._pending: Dict[int, ResponseSlot] = {}
         self._ids = itertools.count(1)
         self._dead: Optional[BaseException] = None
         #: True while some caller is reading the socket (guarded by _lock).
         self._lease_held = False
-        hello = bytes([MUX_MAGIC_BINARY if self._binary else MUX_MAGIC])
         #: Cuts responses out of what ``recv`` returns; used only by the
-        #: current reader (lease holder or reader thread).  Primed with the
-        #: hello byte: responses come back in the framing it asks for.
+        #: lease holder.
         self._frames = FrameAssembler()
-        self._frames.feed(hello)
-        if self._binary:
-            # Handshake under the dial timeout (still set on the socket): a
-            # pickle-only server NAKs; a server predating the handshake
-            # closes or stalls (it reads 0xA8 as a legacy length byte and
-            # waits for a header that never comes) — every one of those is
-            # a codec mismatch, reported as such instead of a hang.
-            try:
-                sock.sendall(hello)
-                reply = recv_exactly(sock, 1)
-            except (ConnectionError, OSError) as exc:
-                _close_quietly(sock)
-                raise WireCodecMismatchError(
-                    f"cache node {label} did not complete the binary-codec "
-                    f"handshake ({exc}); it is likely a pickle-only server — "
-                    f"use wire_codec='pickle' to talk to it"
-                ) from exc
-            if reply[0] != BINARY_ACK:
-                _close_quietly(sock)
-                raise WireCodecMismatchError(
-                    f"cache node {label} refused the binary wire codec "
-                    f"(handshake reply 0x{reply[0]:02x}); use "
-                    f"wire_codec='pickle' to talk to this server"
-                )
-        else:
-            sock.sendall(hello)
+        sock.sendall(bytes([WIRE_VERSION]))
         # The socket blocks from here on (an idle connection is fine, and a
         # timeout set for one caller's read would also govern — or, flipped
         # mid-call, fail with EAGAIN — another caller's concurrent send).
@@ -1242,12 +820,6 @@ class _MuxConnection:
         sock.settimeout(None)
         self._readable = select.poll()
         self._readable.register(sock, select.POLLIN)
-        self._reader: Optional[threading.Thread] = None
-        if not read_lease:
-            self._reader = threading.Thread(
-                target=self._read_loop, name=f"mux-reader-{label}", daemon=True
-            )
-            self._reader.start()
 
     @property
     def dead(self) -> bool:
@@ -1258,8 +830,7 @@ class _MuxConnection:
         opcode = OPCODES.get(op)
         if opcode is None:
             # Fail fast, naming the op — no point paying a round trip for a
-            # request the server can only reject.  Same error class and
-            # message shape as the server-side rejection of the legacy path.
+            # request the server can only reject.
             raise CacheTransportError(
                 f"cache node {self._label}: unknown cache operation {op!r}"
             )
@@ -1293,7 +864,7 @@ class _MuxConnection:
             self._pending[request_id] = slot
         on_wire = False  # True once part of the frame may have been written
         try:
-            if self._binary and opcode == _MULTI_LOOKUP_OPCODE:
+            if opcode == _MULTI_LOOKUP_OPCODE:
                 # Batch requests encode into the connection's reusable
                 # scratch buffer instead of a fresh bytearray per call.
                 # Encode must happen under the send lock: the scratch is
@@ -1310,7 +881,7 @@ class _MuxConnection:
                     finally:
                         body.release()
             else:
-                if self._binary and opcode in BINARY_OPCODES:
+                if opcode in BINARY_OPCODES:
                     buffers = wire.encode_binary_request_frame(request_id, opcode, args)
                 else:
                     buffers = wire.encode_mux_frame(request_id, opcode, args)
@@ -1334,32 +905,27 @@ class _MuxConnection:
                 node=self._label,
                 op=op,
             ) from exc
-        if self._read_lease:
-            # A caller that finds the lease free reads its own reply.  It
-            # asks only now: a caller still queued for the send lock or
-            # blocked in ``send`` reads nothing, and holding the lease there
-            # would keep every other caller's reply in the kernel buffer —
-            # for good, if the node is itself blocked sending one of them.
-            with self._lock:
-                leader = not (self._lease_held or slot.settled)
-                if leader:
-                    self._lease_held = True
+        # A caller that finds the lease free reads its own reply.  It asks
+        # only now: a caller still queued for the send lock or blocked in
+        # ``send`` reads nothing, and holding the lease there would keep
+        # every other caller's reply in the kernel buffer — for good, if the
+        # node is itself blocked sending one of them.
+        with self._lock:
+            leader = not (self._lease_held or slot.settled)
             if leader:
-                try:
-                    self._read_as_leader(slot, deadline)
-                finally:
-                    self._release_lease()
-                if not slot.settled:
-                    # The leader only returns unsettled when its deadline
-                    # passed mid-wait; the stream may hold a half-read frame
-                    # and can no longer be trusted.
-                    self._timeout_poison(op=op)
-            elif not slot.settled:
-                self._await_leased(slot, deadline, op=op)
-        elif not slot.wait(None if deadline is None else deadline - time.monotonic()):
-            # The response stream is now untrustworthy (the reply may land
-            # after we stop waiting): poison the connection.
-            self._timeout_poison(op=op)
+                self._lease_held = True
+        if leader:
+            try:
+                self._read_as_leader(slot, deadline)
+            finally:
+                self._release_lease()
+            if not slot.settled:
+                # The leader only returns unsettled when its deadline passed
+                # mid-wait; the stream may hold a half-read frame and can no
+                # longer be trusted.
+                self._timeout_poison(op=op)
+        elif not slot.settled:
+            self._await_leased(slot, deadline, op=op)
         if slot.error is not None:
             raise _classify_unreachable(
                 f"cache node {self._label} unreachable: {slot.error}",
@@ -1453,7 +1019,6 @@ class _MuxConnection:
         self.fail(exc)
         raise exc
 
-    # -- frame resolution (leader and reader thread) ---------------------
     def _read_frames(self) -> None:
         """One ``recv``: settle the slot of every response it completed."""
         data = self._sock.recv(_RECV_SIZE)
@@ -1468,13 +1033,6 @@ class _MuxConnection:
                 slot = self._pending.pop(request_id, None)
             if slot is not None:
                 slot.resolve((opcode & OPCODE_MASK == OP_OK, value))
-
-    def _read_loop(self) -> None:
-        try:
-            while True:
-                self._read_frames()
-        except BaseException as exc:  # noqa: BLE001 - fanned out to callers
-            self.fail(exc)
 
     def fail(self, exc: BaseException) -> None:
         """Poison the connection: close it and fail every pending slot."""
@@ -1493,22 +1051,17 @@ class _MuxConnection:
 
 
 class SocketTransport:
-    """Framed-protocol client to one networked cache node.
+    """Client to one networked cache node.
 
-    Implements :class:`repro.comm.transport.CacheTransport` in one of two
-    modes.  **Pooled** (``pipelined=False``): up to ``pool_size`` persistent
-    legacy connections, each carrying one outstanding request at a time —
-    ``pool_size`` client threads proceed in parallel, further threads wait
-    for a connection to come free.  **Pipelined** (``pipelined=True``): the
-    multiplexed framing over ``mux_connections`` (default 1) sockets; every
-    client thread's RPC goes out immediately with its own ``request_id``
-    and a per-connection reader thread routes responses back, so in-flight
-    concurrency no longer costs a socket per thread.
+    Implements :class:`repro.comm.transport.CacheTransport` over one
+    connection (:class:`_MuxConnection`): every client thread's RPC goes out
+    at once under its own ``request_id`` and its reply is routed back by it,
+    so in-flight concurrency never costs a socket per thread.
 
-    Thread safety: fully thread-safe in both modes; any number of threads
-    may issue RPCs on one transport.  A connection that suffers any I/O
-    failure (or a response timeout) is discarded, never reused, and the
-    failure surfaces as :class:`CacheNodeUnreachableError`.
+    Thread safety: any number of threads may issue RPCs on one transport.
+    A connection that suffers any I/O failure (or a response timeout) is
+    discarded, never reused, and the failure surfaces as
+    :class:`CacheNodeUnreachableError`; the next call dials afresh.
     ``connect_timeout_seconds`` bounds dialling and ``timeout_seconds``
     bounds each RPC, so a hung node cannot strand a worker thread.
     :meth:`close` is idempotent.
@@ -1520,35 +1073,13 @@ class SocketTransport:
         name: Optional[str] = None,
         timeout_seconds: float = 30.0,
         connect_timeout_seconds: float = 5.0,
-        pool_size: int = DEFAULT_POOL_SIZE,
-        pipelined: bool = False,
-        mux_connections: int = 1,
-        wire_codec: Optional[str] = None,
-        mux_read_lease: bool = True,
     ) -> None:
-        if pool_size < 1:
-            raise ValueError("pool_size must be positive")
-        if mux_connections < 1:
-            raise ValueError("mux_connections must be positive")
         self.address = address
-        self.pool_size = pool_size
-        self.pipelined = pipelined
-        self.mux_connections = mux_connections
-        #: Body codec for the hot ops on the pipelined path ("binary" by
-        #: default, negotiated at dial time).  The pooled/legacy framing
-        #: has no codec byte, so it stays pickle regardless.
-        self.wire_codec = wire.resolve_wire_codec(wire_codec)
-        self.mux_read_lease = mux_read_lease
         self.timeout_seconds = timeout_seconds
         self.connect_timeout_seconds = connect_timeout_seconds
-        #: Guards the idle list / mux slots and the closed flag (never held
-        #: during I/O).
+        #: Guards the connection and the closed flag (never held during I/O).
         self._lock = threading.Lock()
-        #: Bounds in-flight RPCs in pooled mode: one permit per connection.
-        self._slots = threading.BoundedSemaphore(pool_size)
-        self._idle: List[socket.socket] = []
-        self._mux: List[Optional[_MuxConnection]] = [None] * mux_connections
-        self._mux_rr = itertools.count()
+        self._connection: Optional[_MuxConnection] = None
         self._closed = False
         #: RPCs issued per operation name (mirrors InProcessTransport's
         #: counter, so wire-op-cost tests pin the same numbers under every
@@ -1559,10 +1090,7 @@ class SocketTransport:
         # Eager first dial: verify the endpoint now (the cluster relies on
         # construction failing fast for an unreachable node) and learn (or
         # verify) the node's name from the server itself.
-        if pipelined:
-            self._mux_connection(0)
-        else:
-            self._checkin(self._dial())
+        self._mux_connection()
         self.name = name or self._call("ping")
 
     # ------------------------------------------------------------------
@@ -1594,18 +1122,14 @@ class SocketTransport:
                 node=label,
             ) from exc
         _set_nodelay(sock)
-        sock.settimeout(self.timeout_seconds)
         return sock
 
-    # -- pipelined mode --------------------------------------------------
-    def _mux_connection(self, index: Optional[int] = None) -> _MuxConnection:
-        """The live mux connection for this call, dialling if necessary."""
-        if index is None:
-            index = next(self._mux_rr) % self.mux_connections
+    def _mux_connection(self) -> _MuxConnection:
+        """The live connection, dialling one if there is none."""
         with self._lock:
             if self._closed:
                 raise CacheNodeUnreachableError(f"transport to {self.address} is closed")
-            connection = self._mux[index]
+            connection = self._connection
             if connection is not None and not connection.dead:
                 return connection
         # Dial outside the lock; first thread to store the fresh connection
@@ -1613,126 +1137,36 @@ class SocketTransport:
         fresh = _MuxConnection(
             self._dial(), label=f"{getattr(self, 'name', None) or self.address}",
             timeout=self.timeout_seconds,
-            codec=self.wire_codec if self.pipelined else "pickle",
-            read_lease=self.mux_read_lease,
         )
         with self._lock:
             if self._closed:
                 fresh.close()
                 raise CacheNodeUnreachableError(f"transport to {self.address} is closed")
-            current = self._mux[index]
+            current = self._connection
             if current is not None and not current.dead:
                 fresh.close()
                 return current
-            self._mux[index] = fresh
+            self._connection = fresh
             return fresh
 
     @property
     def scratch_allocations(self) -> int:
-        """Encode-scratch buffers ever allocated across live mux connections.
+        """Encode-scratch buffers the current connection ever allocated.
 
-        1 per binary mux connection in the steady state; the codec
-        microbenchmark pins that the multi-lookup batch path does not
-        allocate a fresh buffer per request.
+        1 in the steady state; the codec tests pin that the multi-lookup
+        batch path does not allocate a fresh buffer per request.
         """
-        with self._lock:
-            connections = list(self._mux)
-        return sum(
-            connection.scratch.allocations
-            for connection in connections
-            if connection is not None and connection.scratch is not None
-        )
-
-    # -- pooled mode -----------------------------------------------------
-    @property
-    def pooled_connections(self) -> int:
-        """Connections now idle in the pool (0 in pipelined mode).
-
-        The pool dials another connection only while every one it holds is
-        carrying an RPC, so on a quiet transport that has lost none to a
-        failure this is the most RPCs it ever had in flight at once — the
-        count the concurrency benchmark reads to show round trips really
-        overlapped.
-        """
-        with self._lock:
-            return len(self._idle)
-
-    def _checkout(self) -> socket.socket:
-        """An idle pooled connection, or a freshly dialled one."""
-        with self._lock:
-            if self._closed:
-                raise CacheNodeUnreachableError(
-                    f"transport to {self.address} is closed"
-                )
-            if self._idle:
-                return self._idle.pop()
-        return self._dial()
-
-    def _checkin(self, sock: socket.socket) -> None:
-        with self._lock:
-            if not self._closed:
-                self._idle.append(sock)
-                return
-        _close_quietly(sock)  # closed while this call was in flight
+        connection = self._connection
+        return 0 if connection is None else connection.scratch.allocations
 
     def _call(self, op: str, *args: object) -> object:
         with self._count_lock:
             self.op_counts[op] = self.op_counts.get(op, 0) + 1
-        if self.pipelined:
-            ok, value = self._mux_connection().call(op, args)
-            if not ok:
-                raise CacheTransportError(
-                    f"cache node {getattr(self, 'name', None) or self.address}: {value}"
-                )
-            return value
-        remaining = remaining_deadline()
-        if remaining is not None and remaining <= 0:
-            raise CacheNodeTimeoutError(
-                f"cache node at {self.address}: deadline expired before {op!r}",
-                node=getattr(self, "name", None) or str(self.address),
-                op=op,
+        ok, value = self._mux_connection().call(op, args)
+        if not ok:
+            raise CacheTransportError(
+                f"cache node {getattr(self, 'name', None) or self.address}: {value}"
             )
-        with self._slots:
-            sock = self._checkout()
-            deadline_capped = False
-            try:
-                remaining = remaining_deadline()
-                if remaining is not None and remaining < self.timeout_seconds:
-                    # Cap this attempt's read timeout by the per-op budget;
-                    # restored below before the socket re-enters the pool.
-                    sock.settimeout(max(remaining, 0.001))
-                    deadline_capped = True
-                send_frame(sock, (op, args))
-                response = recv_frame(sock)
-            except socket.timeout as exc:
-                _close_quietly(sock)
-                raise CacheNodeTimeoutError(
-                    f"cache node at {self.address} timed out on {op!r}: {exc}",
-                    node=getattr(self, "name", None) or str(self.address),
-                    op=op,
-                ) from exc
-            except (ConnectionError, OSError) as exc:
-                # Includes mid-stream resets: the connection's request/
-                # response stream can no longer be trusted, so drop it; the
-                # pool re-dials on the next call.
-                _close_quietly(sock)
-                raise CacheNodeStreamPoisonedError(
-                    f"cache node at {self.address} unreachable: {exc}",
-                    node=getattr(self, "name", None) or str(self.address),
-                    op=op,
-                ) from exc
-            except BaseException:
-                # Anything else (oversized frame, undecodable payload): the
-                # stream may be desynchronized and the fd must not leak —
-                # close rather than pool it, then let the error propagate.
-                _close_quietly(sock)
-                raise
-            if deadline_capped:
-                sock.settimeout(self.timeout_seconds)
-            self._checkin(sock)
-        status, value = response
-        if status != "ok":
-            raise CacheTransportError(f"cache node {self.name or self.address}: {value}")
         return value
 
     # -- cache operations ----------------------------------------------
@@ -1821,9 +1255,7 @@ class SocketTransport:
     # Both entry points send ``invalidate_tags``, the one op that carries
     # the stream, and neither calls the other: a tracer wrapping both under
     # one span name must see each delivery once.  Messages are normalized to
-    # (timestamp, tags) pairs so both body codecs carry the identical
-    # payload: tags are hot-path binary values (_T_TAG), and the pickle path
-    # round-trips the same tuples.
+    # (timestamp, tags) pairs; tags are hot-path binary values (_T_TAG).
     def process_invalidation(self, message: InvalidationMessage) -> None:
         self._call("invalidate_tags", [(message.timestamp, tuple(message.tags))])
 
@@ -1838,27 +1270,20 @@ class SocketTransport:
 
     # -- lifecycle ------------------------------------------------------
     def close(self) -> None:
-        """Close every connection; idempotent.
+        """Close the connection; idempotent.
 
-        Pooled calls already in flight finish their round trip (their
-        connection is closed when they check it back in); pipelined calls
-        in flight fail with :class:`CacheNodeUnreachableError`.  New calls
-        fail immediately.
+        Calls in flight fail with :class:`CacheNodeUnreachableError`, and
+        so does every later call.
         """
         with self._lock:
             self._closed = True
-            idle, self._idle = self._idle, []
-            mux, self._mux = list(self._mux), [None] * self.mux_connections
-        for sock in idle:
-            _close_quietly(sock)
-        for connection in mux:
-            if connection is not None:
-                connection.close()
+            connection, self._connection = self._connection, None
+        if connection is not None:
+            connection.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         host, port = self.address
-        mode = "pipelined" if self.pipelined else f"pooled[{self.pool_size}]"
-        return f"SocketTransport({self.name!r} @ {host}:{port}, {mode})"
+        return f"SocketTransport({self.name!r} @ {host}:{port})"
 
 
 def _unpack_value(record):
@@ -1876,8 +1301,7 @@ def _unpack_value(record):
 
 def _close_quietly(sock: socket.socket) -> None:
     # shutdown() wakes any thread blocked in recv() on this socket — a bare
-    # close() does not reliably do so — so graceful teardown doesn't hang
-    # waiting on handler threads.
+    # close() does not reliably do so — so teardown never waits on a reader.
     try:
         sock.shutdown(socket.SHUT_RDWR)
     except OSError:

@@ -2,7 +2,7 @@
 
 Thread-hosted "networked" nodes (:class:`repro.cache.netserver.CacheServerProcess`)
 share the coordinator's interpreter, so N nodes on one machine share one
-GIL — the binary codec and mux work of the fast wire stack is capped by a
+GIL — the codec and mux work of the wire stack is capped by a
 single interpreter's CPU.  :class:`CacheNodeHost` breaks that cap: it
 spawns the node as its **own OS process** running the same event-loop
 serving engine, so a machine scales with cores instead of threads.
@@ -11,7 +11,7 @@ Design notes:
 
 * **Spawn-safe entry point.**  :func:`_node_main` is a module-level
   function whose arguments are all picklable (node name, bind address,
-  capacity, wire-codec/coalescing knobs, optional CPU to pin), so the
+  capacity, serving limits, optional CPU to pin), so the
   host works under every multiprocessing start method.  ``fork`` is
   preferred when available — a forked node is serving in single-digit
   milliseconds, where ``spawn`` pays a full interpreter start.
@@ -79,8 +79,6 @@ def _node_main(
     simulated_latency_seconds: float,
     worker_threads: int,
     max_queued_per_connection: int,
-    wire_codec: Optional[str],
-    write_coalescing: bool,
     cpu_affinity: Optional[int],
 ) -> None:
     """Child entry point: serve one cache node until told to stop.
@@ -116,11 +114,8 @@ def _node_main(
             host=host,
             port=port,
             simulated_latency_seconds=simulated_latency_seconds,
-            style="eventloop",
             worker_threads=worker_threads,
             max_queued_per_connection=max_queued_per_connection,
-            wire_codec=wire_codec,
-            write_coalescing=write_coalescing,
         )
     except BaseException as exc:  # noqa: BLE001 - reported over the pipe
         try:
@@ -155,9 +150,6 @@ class CacheNodeHost:
     wire (``stats``/``keys``/...) like any remote deployment would.
     """
 
-    #: Marks this host as process-styled for diagnostics/labels.
-    style = "process"
-
     #: No in-process server object to reach into (it lives in the child).
     server = None
 
@@ -170,14 +162,11 @@ class CacheNodeHost:
         simulated_latency_seconds: float = 0.0,
         worker_threads: int = DEFAULT_WORKER_THREADS,
         max_queued_per_connection: int = DEFAULT_MAX_QUEUED_PER_CONNECTION,
-        wire_codec: Optional[str] = None,
-        write_coalescing: bool = True,
         cpu_affinity: Optional[int] = None,
         start_method: Optional[str] = None,
         ready_timeout_seconds: float = DEFAULT_READY_TIMEOUT_SECONDS,
     ) -> None:
         self.name = name
-        self.wire_codec = wire_codec
         self.cpu_affinity = cpu_affinity
         context = multiprocessing.get_context(start_method or preferred_start_method())
         self._conn, child_conn = context.Pipe()
@@ -196,8 +185,6 @@ class CacheNodeHost:
                 simulated_latency_seconds,
                 worker_threads,
                 max_queued_per_connection,
-                wire_codec,
-                write_coalescing,
                 cpu_affinity,
             ),
             name=f"cache-node-{name}",

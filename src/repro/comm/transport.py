@@ -9,10 +9,10 @@ deployment chooses how each node is reached:
 
 * :class:`InProcessTransport` — direct method calls on a local server, with
   zero overhead; behaviour is identical to the pre-transport code path.
-* :class:`repro.cache.netserver.SocketTransport` — a length-prefixed framed
-  protocol over TCP to a :class:`repro.cache.netserver.CacheServerProcess`,
-  which is how a production topology (RPC cost, batching, node churn) is
-  represented.
+* :class:`repro.cache.netserver.SocketTransport` — the framed wire
+  protocol of :mod:`repro.comm.wire` over TCP to a
+  :class:`repro.cache.netserver.CacheServerProcess`, which is how a
+  production topology (RPC cost, batching, node churn) is represented.
 
 Both transports carry the invalidation stream as well: a transport is what
 the deployment subscribes to the :class:`repro.comm.multicast.InvalidationBus`,
@@ -33,11 +33,10 @@ anti-entropy planning), the invalidation-stream entry points
 Thread safety: implementations must be safe for concurrent calls from many
 client threads, and ``close`` must be idempotent.  ``InProcessTransport``
 inherits this from :class:`CacheServer`'s per-server lock (direct calls,
-nothing to add); ``SocketTransport`` provides it either with a connection
-pool (up to ``pool_size`` RPCs in flight, one per pooled connection) or, in
-pipelined mode, by multiplexing any number of in-flight RPCs over one
-socket — per-request ids, a reader thread demultiplexing responses (see
-:mod:`repro.comm.wire` for the framing).
+nothing to add); ``SocketTransport`` provides it by multiplexing any number
+of in-flight RPCs over one socket — per-request ids, with whichever caller
+holds the read lease demultiplexing responses (see
+:mod:`repro.cache.netserver`).
 """
 
 from __future__ import annotations

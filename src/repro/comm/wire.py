@@ -1,53 +1,38 @@
 """The framed wire codec shared by both ends of the cache protocol.
 
-Two framings coexist on the same port (the server tells them apart by the
-first byte a connection sends):
+A connection opens with one version byte, :data:`WIRE_VERSION`; the node
+closes a connection that opens with anything else, so a peer speaking some
+other protocol costs only its own connection.  Every frame then starts with
+a struct-packed ``(request_id, opcode, length)`` header (:data:`MUX_HEADER`,
+``!QBI``).  Any number of requests may be in flight on one connection, and
+responses may arrive **out of order**: the ``request_id`` is how the client
+matches a response to its caller.
 
-* **Legacy framing** — a 4-byte big-endian length followed by the pickled
-  payload; exactly one request may be in flight per connection (the client
-  writes a frame and blocks reading the response).  This is the original
-  protocol of the socket transport and remains available behind
-  ``SocketTransport(pipelined=False)`` for parity testing.
-* **Multiplexed framing** — a connection opens with the single magic byte
-  ``MUX_MAGIC``; every frame then starts with a struct-packed
-  ``(request_id, opcode, length)`` header (:data:`MUX_HEADER`, ``!QBI``).
-  Any number of requests may be in flight on one connection, and responses
-  may arrive **out of order**: the ``request_id`` is how the client matches
-  a response to its caller.  ``MUX_MAGIC`` is unambiguous because a legacy
-  length header starting with ``0xA7`` would announce a ~2.8 GB frame, far
-  beyond :data:`MAX_FRAME_BYTES`.
-
-Opcodes name the cache operation numerically (:data:`OPCODES`), replacing
-the pickled operation-name string of the legacy payload; the two response
-opcodes ``OP_OK``/``OP_ERR`` carry the result.  The high bit of the opcode
-byte (:data:`FLAG_OOB`) marks a body with out-of-band pickle buffers.
+Opcodes name the cache operation numerically (:data:`OPCODES`); the two
+response opcodes ``OP_OK``/``OP_ERR`` carry the result.  Two flag bits ride
+on the opcode byte: :data:`FLAG_BIN` marks a binary body and
+:data:`FLAG_OOB` a pickle body with out-of-band buffers.
 
 Cached values
 -------------
 A cached value crosses the wire as a :class:`repro.cache.entry.ValueBlob`:
 the client end of a connection (``SocketTransport``) pickles the value once
 on the way in and unpickles it once on the way out, and everything in
-between — both codecs below, the node's store, a migration chunk — carries
-that marked byte run without looking inside.  The binary codec writes it as
-``tag, u32 length, raw bytes``; the pickle codec pickles the ``bytes``
-subclass, which copies the payload and never loads it.  A node therefore
-never runs ``pickle.loads`` or ``pickle.dumps`` on a value.
+between — both body formats below, the node's store, a migration chunk —
+carries that marked byte run without looking inside.  The binary codec
+writes it as ``tag, u32 length, raw bytes``; a pickle body pickles the
+``bytes`` subclass, which copies the payload and never loads it.  A node
+therefore never runs ``pickle.loads`` or ``pickle.dumps`` on a value.
 
-Codecs
+Bodies
 ------
-Multiplexed frame *bodies* come in two codecs.  The default is a compact
-tagged **binary** encoding (little-endian structs for keys, timestamps,
-intervals, lookup and entry records — see :func:`encode_binary_body`)
-used for the hot operations (:data:`BINARY_OPS`); frames carrying it set
-:data:`FLAG_BIN` in the opcode byte.  Everything else — maintenance ops,
-objects the binary codec has no tag for — stays **pickle**, so the two codecs
-interleave freely on one connection and the server needs no per-connection
-codec state.  A client that wants the binary codec opens with
-:data:`MUX_MAGIC_BINARY` instead of :data:`MUX_MAGIC` and waits for the
-server's one-byte answer (:data:`BINARY_ACK` or :data:`BINARY_NAK`), so a
-mixed-version pair fails fast instead of mis-decoding.  Malformed binary
-bodies raise :class:`WireDecodeError`, never anything that could take down
-a reactor.
+The hot operations (:data:`BINARY_OPS`) carry a compact tagged **binary**
+encoding (little-endian structs for keys, timestamps, intervals, lookup and
+entry records — see :func:`encode_binary_body`) and set :data:`FLAG_BIN`.
+Maintenance ops carry **pickle** bodies with the flag clear: the format
+follows the op, so the two interleave on one connection and the node keeps
+no per-connection codec state.  Malformed binary bodies raise
+:class:`WireDecodeError`, never anything that could take down a reactor.
 
 Copy discipline
 ---------------
@@ -64,7 +49,6 @@ microbenchmark can assert the fast paths stay copy-free.
 
 from __future__ import annotations
 
-import os
 import pickle
 import socket
 import struct
@@ -72,15 +56,10 @@ import threading
 from typing import List, Optional, Sequence, Tuple, Union
 
 __all__ = [
-    "LEGACY_HEADER",
     "MUX_HEADER",
-    "MUX_MAGIC",
-    "MUX_MAGIC_BINARY",
-    "BINARY_ACK",
-    "BINARY_NAK",
+    "WIRE_VERSION",
     "MAX_FRAME_BYTES",
     "OPCODES",
-    "OP_NAMES",
     "OP_OK",
     "OP_ERR",
     "FLAG_OOB",
@@ -88,13 +67,10 @@ __all__ = [
     "OPCODE_MASK",
     "BINARY_OPS",
     "BINARY_OPCODES",
-    "WIRE_CODECS",
     "PICKLE_PROTOCOL",
     "WireCounters",
     "WIRE_COUNTERS",
     "WireDecodeError",
-    "default_wire_codec",
-    "resolve_wire_codec",
     "encode_body",
     "decode_body",
     "encode_binary_body",
@@ -106,32 +82,16 @@ __all__ = [
     "encode_mux_frame",
     "encode_binary_mux_frame",
     "encode_binary_request_frame",
-    "encode_legacy_frame",
     "send_buffers",
     "recv_exactly",
 ]
 
-#: Legacy frame header: payload length, 4-byte big-endian unsigned.
-LEGACY_HEADER = struct.Struct("!I")
-
-#: Multiplexed frame header: (request_id: u64, opcode: u8, length: u32).
+#: Frame header: (request_id: u64, opcode: u8, length: u32).
 MUX_HEADER = struct.Struct("!QBI")
 
-#: First byte of a multiplexed connection.  Never a plausible legacy length
-#: prefix (it would imply a frame over MAX_FRAME_BYTES).
-MUX_MAGIC = 0xA7
-
-#: First byte of a multiplexed connection that wants the binary body codec.
-#: Like MUX_MAGIC, impossible as a legacy length prefix.  The server answers
-#: with exactly one byte — BINARY_ACK or BINARY_NAK — before any frames.
-MUX_MAGIC_BINARY = 0xA8
-
-#: Handshake replies to MUX_MAGIC_BINARY: ACK (the server speaks the binary
-#: codec) or NAK (pickle-only server; it closes right after).  A server that
-#: predates the codec sends nothing and closes or stalls — the client treats
-#: EOF/timeout on this byte as a NAK.
-BINARY_ACK = 0x06
-BINARY_NAK = 0x15
+#: The first byte of every connection, sent by the client without waiting
+#: for an answer; the node closes a connection that opens with any other.
+WIRE_VERSION = 0xA8
 
 #: Upper bound on a single frame, as a sanity check against corrupt headers.
 MAX_FRAME_BYTES = 256 * 1024 * 1024
@@ -197,50 +157,17 @@ FLAG_BIN = 0x20
 #: Mask recovering the request/response opcode from a flagged opcode byte.
 OPCODE_MASK = 0xFF & ~(FLAG_OOB | FLAG_BIN)
 
-#: Hot operations whose request/response bodies use the binary codec on a
-#: binary connection; maintenance ops keep pickle bodies.
+#: Hot operations, whose request and response bodies are binary;
+#: maintenance ops keep pickle bodies.
 BINARY_OPS = frozenset({"lookup", "multi_lookup", "put", "probe", "invalidate_tags"})
 
-#: The wire body codecs a connection can negotiate.
-WIRE_CODECS = ("binary", "pickle")
-
-#: Reverse opcode table (diagnostics and the threaded server's dispatch).
-OP_NAMES = {code: name for name, code in OPCODES.items()}
-
-#: Opcodes of :data:`BINARY_OPS` (the client's per-call codec check).
+#: Opcodes of :data:`BINARY_OPS` (the client's per-call body choice).
 BINARY_OPCODES = frozenset(OPCODES[name] for name in BINARY_OPS)
 
 
 class WireDecodeError(ValueError):
     """A binary frame body could not be decoded (malformed or truncated)."""
 
-
-def default_wire_codec() -> str:
-    """The wire codec to use when none is configured.
-
-    ``REPRO_WIRE_CODEC=binary|pickle`` overrides the default (``binary``) —
-    the CI matrix uses this to run the parity suites against one codec at a
-    time, mirroring ``REPRO_TRANSPORT``.
-    """
-    forced = os.environ.get("REPRO_WIRE_CODEC")
-    if not forced:
-        return "binary"
-    if forced not in WIRE_CODECS:
-        raise ValueError(
-            f"REPRO_WIRE_CODEC={forced!r}; expected one of {list(WIRE_CODECS)}"
-        )
-    return forced
-
-
-def resolve_wire_codec(codec: Optional[str]) -> str:
-    """Validate an explicit codec choice, or fall back to the default."""
-    if codec is None:
-        return default_wire_codec()
-    if codec not in WIRE_CODECS:
-        raise ValueError(
-            f"unknown wire codec {codec!r}; expected one of {list(WIRE_CODECS)}"
-        )
-    return codec
 
 #: Sub-header of an out-of-band body: the number of segments, then one
 #: length per segment.  Segment 0 is the pickle stream; segments 1.. are the
@@ -265,7 +192,7 @@ class WireCounters:
         self.reset()
 
     def reset(self) -> None:
-        #: Frames encoded (requests and responses, both framings).
+        #: Frames encoded (requests and responses).
         self.frames_encoded = 0
         #: Frames decoded from received bytes.
         self.frames_decoded = 0
@@ -281,7 +208,7 @@ WIRE_COUNTERS = WireCounters()
 
 
 # ----------------------------------------------------------------------
-# Body codec (shared by both framings)
+# Pickle body codec (the maintenance ops)
 # ----------------------------------------------------------------------
 def encode_body(payload: object) -> Tuple[int, List[Buffer]]:
     """Pickle ``payload`` into wire segments.
@@ -331,7 +258,7 @@ def decode_body(flags: int, body: Buffer) -> object:
 
 
 # ----------------------------------------------------------------------
-# Binary body codec (the hot-path alternative to pickle)
+# Binary body codec (the hot ops)
 # ----------------------------------------------------------------------
 # One tag byte per value.  Variable-length values (strings, bytes,
 # containers) pack ``tag | length << 8`` into a single little-endian u32, so
@@ -353,7 +280,8 @@ _T_DICT = 9
 _T_FROZENSET = 10
 _T_PICKLE = 11
 _T_INTERVAL = 12
-_T_INTERVAL_SET = 13
+# 13 is unassigned (it carried interval sets, which no op sends), so a
+# decoder refuses it.
 _T_LOOKUP_REQUEST = 14
 _T_LOOKUP_RESULT = 15
 _T_ENTRY_RECORD = 16
@@ -388,7 +316,6 @@ _unpack_f64 = _F64.unpack_from
 # (repro.cache.__init__ imports netserver, which imports this module), so
 # they are bound lazily on the first encode/decode instead of at import.
 _Interval = None
-_IntervalSet = None
 _LookupRequest = None
 _LookupResult = None
 _EntryRecord = None
@@ -397,14 +324,13 @@ _InvalidationTag = None
 
 
 def _bind_record_types() -> None:
-    global _Interval, _IntervalSet, _LookupRequest, _LookupResult
+    global _Interval, _LookupRequest, _LookupResult
     global _EntryRecord, _ValueBlob, _InvalidationTag
     from repro.cache.entry import EntryRecord, LookupRequest, LookupResult, ValueBlob
     from repro.db.invalidation import InvalidationTag
-    from repro.interval import Interval, IntervalSet
+    from repro.interval import Interval
 
     _Interval = Interval
-    _IntervalSet = IntervalSet
     _LookupRequest = LookupRequest
     _LookupResult = LookupResult
     _EntryRecord = EntryRecord
@@ -621,9 +547,6 @@ def _enc_value(out: bytearray, value: object) -> None:
     elif kind is _EntryRecord:
         out.append(_T_ENTRY_RECORD)
         value.pack_into(out, _enc_value)
-    elif kind is _IntervalSet:
-        out.append(_T_INTERVAL_SET)
-        value.pack_into(out)
     elif kind is frozenset:
         if len(value) > _MAX_INLINE_LEN:
             _enc_pickle(out, value)
@@ -824,8 +747,6 @@ def _dec_value(buf: bytes, offset: int) -> Tuple[object, int]:
         return _LookupRequest.unpack_from(buf, offset + 1)
     if tag == _T_ENTRY_RECORD:
         return _EntryRecord.unpack_from(buf, offset + 1, _dec_value)
-    if tag == _T_INTERVAL_SET:
-        return _IntervalSet.unpack_from(buf, offset + 1)
     if tag == _T_FROZENSET:
         count = _unpack_u32(buf, offset)[0] >> 8
         offset += 4
@@ -1151,18 +1072,6 @@ def encode_binary_request_frame(
     return [header, body]
 
 
-def encode_legacy_frame(payload: object) -> List[Buffer]:
-    """One legacy frame as a buffer vector.
-
-    Out-of-band segmentation needs the opcode flag bit, which the legacy
-    header lacks, so the legacy body is always one plain pickle stream —
-    exactly the original protocol, minus the old ``header + data`` copy.
-    """
-    data = pickle.dumps(payload, protocol=PICKLE_PROTOCOL)
-    WIRE_COUNTERS.frames_encoded += 1
-    return [LEGACY_HEADER.pack(len(data)), data]
-
-
 # ----------------------------------------------------------------------
 # Socket I/O helpers
 # ----------------------------------------------------------------------
@@ -1222,35 +1131,30 @@ def recv_exactly(sock: socket.socket, count: int) -> bytes:
 class FrameAssembler:
     """Cuts frames out of a byte stream, however ``recv`` chunked it.
 
-    The one frame parser: the event-loop server feeds it requests, the mux
-    client feeds it responses.  A frame that arrived whole is sliced
-    straight out of the bytes :meth:`feed` was given; the assembler's own
-    buffer holds only the head of a frame split across reads, until the
-    rest arrives.  The framing mode is detected from the first byte
-    (``MUX_MAGIC`` or a legacy length header), so one assembler serves
-    both client generations on the same listening socket; a client primes
-    its own with the hello byte it sent, since the responses come back in
-    the framing that byte asked for.
+    The one frame parser: the node feeds it requests, the client feeds it
+    responses.  A frame that arrived whole is sliced straight out of the
+    bytes :meth:`feed` was given; the assembler's own buffer holds only the
+    head of a frame split across reads, until the rest arrives.  The node's
+    assembler is built with the ``hello`` byte a connection must open with
+    (:data:`WIRE_VERSION`); the client's expects none, since replies carry
+    no version byte.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, hello: Optional[int] = None) -> None:
         #: The head of a split frame; empty between frames.
         self._buffer = bytearray()
         #: Bytes ``_buffer`` must hold before its frame can be cut: the
         #: header size until the header is in, then header + body.
         self._need = 0
-        #: None until the first byte arrives; then "mux" or "legacy".
-        self.mode: Optional[str] = None
-        #: Body codec the connection asked for: None until the first byte,
-        #: then "binary" (opened with MUX_MAGIC_BINARY) or "pickle".
-        self.codec: Optional[str] = None
+        #: The byte the stream must open with; None once it has arrived.
+        self._hello = hello
 
-    def feed(self, data: Buffer) -> List[Tuple[Optional[int], int, bytes]]:
+    def feed(self, data: Buffer) -> List[Tuple[int, int, bytes]]:
         """Add received bytes; return complete ``(request_id, opcode, body)``.
 
-        Legacy frames have no header fields, so they come back as
-        ``(None, 0, body)``.  Raises :class:`ValueError` on an oversized
-        frame (the stream cannot be resynchronized).
+        Raises :class:`ValueError` on a stream that does not open with the
+        expected hello byte, or on an oversized frame (neither can be
+        resynchronized).
         """
         if self._buffer:
             self._buffer += data
@@ -1262,32 +1166,24 @@ class FrameAssembler:
         if not data:
             return []
         offset = 0
-        if self.mode is None:
-            if data[0] == MUX_MAGIC or data[0] == MUX_MAGIC_BINARY:
-                self.mode = "mux"
-                self.codec = "binary" if data[0] == MUX_MAGIC_BINARY else "pickle"
-                offset = 1
-            else:
-                self.mode = "legacy"
-                self.codec = "pickle"
-        mux = self.mode == "mux"
-        header = MUX_HEADER if mux else LEGACY_HEADER
-        request_id, opcode = None, 0
-        frames: List[Tuple[Optional[int], int, bytes]] = []
+        if self._hello is not None:
+            if data[0] != self._hello:
+                raise ValueError(f"not a cache wire connection: first byte 0x{data[0]:02x}")
+            self._hello = None
+            offset = 1
+        size = MUX_HEADER.size
+        frames: List[Tuple[int, int, bytes]] = []
         end = len(data)
-        need = header.size
-        while end - offset >= header.size:
-            if mux:
-                request_id, opcode, length = header.unpack_from(data, offset)
-            else:
-                (length,) = header.unpack_from(data, offset)
+        need = size
+        while end - offset >= size:
+            request_id, opcode, length = MUX_HEADER.unpack_from(data, offset)
             if length > MAX_FRAME_BYTES:
                 raise ValueError(f"oversized frame: {length} bytes")
-            stop = offset + header.size + length
+            stop = offset + size + length
             if stop > end:
                 need += length
                 break
-            frames.append((request_id, opcode, data[offset + header.size : stop]))
+            frames.append((request_id, opcode, data[offset + size : stop]))
             offset = stop
         if offset < end:
             self._buffer += memoryview(data)[offset:]
@@ -1297,13 +1193,13 @@ class FrameAssembler:
 
 
 # ----------------------------------------------------------------------
-# Client-side response slot (the pipelined transport's rendezvous)
+# Client-side response slot (the read lease's rendezvous)
 # ----------------------------------------------------------------------
 class ResponseSlot:
     """One in-flight request's rendezvous between caller and reader.
 
-    The reader is either a dedicated thread or, under the read lease,
-    whichever caller currently holds the lease.  A caller that reads its
+    The reader is whichever caller currently holds the connection's read
+    lease.  A caller that reads its
     own reply never waits, so the slot builds its ``Event`` on the first
     :meth:`wait` or :meth:`clear` and the settling side sets it only if it
     is there.  That loses no wakeup: ``settled`` is written after the

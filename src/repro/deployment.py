@@ -9,9 +9,10 @@ do not repeat the plumbing.
 The ``transport`` option selects how the cache nodes are deployed:
 ``TxCacheDeployment(transport="inprocess")`` (the default) calls cache
 servers directly, while ``transport="socket"`` runs every node as a real
-TCP server (:class:`repro.cache.netserver.CacheServerProcess`) reached over
-a framed wire protocol — the paper's actual topology.  Socket deployments
-hold OS resources; call :meth:`TxCacheDeployment.shutdown` (or use the
+TCP server (:class:`repro.cache.netserver.CacheServerProcess`) on a thread
+of this process, reached over the one wire protocol — the paper's actual
+topology — and ``transport="socket-process"`` runs each such server in its
+own OS process.  Socket deployments hold OS resources; call :meth:`TxCacheDeployment.shutdown` (or use the
 deployment as a context manager) when done.
 """
 
@@ -61,12 +62,10 @@ class TxCacheDeployment:
     clock: Clock = field(default_factory=ManualClock)
     cache_nodes: int = 2
     cache_capacity_bytes_per_node: int = 64 * 1024 * 1024
-    #: "inprocess" (direct calls), "socket" (networked cache servers behind
-    #: pooled one-in-flight connections), "socket-pipelined" (the
-    #: multiplexed wire protocol to event-loop servers — the fast wire
-    #: path), or "socket-process" (each node in its own OS process behind
-    #: the pipelined wire stack, so nodes scale with cores — see
-    #: repro.cache.procnode).
+    #: "inprocess" (direct calls), "socket" (networked cache servers on
+    #: threads of this process — see repro.cache.netserver), or
+    #: "socket-process" (each node in its own OS process behind the same
+    #: wire stack, so nodes scale with cores — see repro.cache.procnode).
     transport: str = "inprocess"
     mode: ConsistencyMode = ConsistencyMode.CONSISTENT
     default_staleness: float = 30.0
@@ -76,25 +75,13 @@ class TxCacheDeployment:
     #: Consecutive transport failures before a cache node is evicted from
     #: the ring (failure-aware routing degrades to misses until then).
     failure_threshold: int = 3
-    #: Pooled connections per cache node under the socket transport: the
-    #: number of RPCs one application server keeps in flight to each node.
-    #: Size it to the number of worker threads sharing the deployment (more
-    #: buys nothing; fewer makes threads queue for a connection).
-    socket_pool_size: int = 4
-    #: Connect/read timeout for pooled connections; a node that stops
+    #: Connect and per-RPC timeout of the socket transports; a node that stops
     #: answering surfaces as unreachable (and degrades) within this bound
     #: instead of hanging a worker thread forever.
     rpc_timeout_seconds: float = 30.0
     #: Modelled LAN round-trip time served by each networked cache node
     #: (0 = loopback only).  See repro.cache.netserver.CacheServerProcess.
     simulated_rpc_latency_seconds: float = 0.0
-    #: Override the client framing (None = derived from ``transport``):
-    #: True multiplexes many in-flight RPCs per socket, False keeps the
-    #: pooled one-in-flight connections.  See repro.cache.netserver.
-    socket_pipelined: Optional[bool] = None
-    #: Override the cache-server engine ("threaded" | "eventloop"; None =
-    #: derived from ``transport``).
-    cache_server_style: Optional[str] = None
     #: Keys per chunk when live-migrating entries on a membership change.
     migration_chunk_size: int = 128
     #: Copies of each key across the cache tier (ring successor lists).
@@ -104,18 +91,6 @@ class TxCacheDeployment:
     #: Re-replicate under-replicated ranges automatically after a crash
     #: eviction (anti-entropy repair; only meaningful with replication).
     auto_repair: bool = True
-    #: Body codec of the hot ops on the pipelined wire ("binary" |
-    #: "pickle"; None = "binary" unless REPRO_WIRE_CODEC says otherwise).
-    #: Negotiated per connection, so mixed deployments fail fast instead
-    #: of mis-decoding.  See repro.comm.wire.
-    wire_codec: Optional[str] = None
-    #: Let the calling thread read its own response off a mux connection
-    #: when the read lease is free (drops the reader-thread rendezvous at
-    #: low concurrency); False restores the dedicated reader thread.
-    mux_read_lease: bool = True
-    #: Batch all drained responses per connection into one sendmsg gather
-    #: on the event-loop engine; False writes one sendmsg per response.
-    write_coalescing: bool = True
     #: Buffer the invalidation stream per node and ship each node's batch
     #: as one ``invalidate_tags`` RPC per :meth:`housekeeping` round,
     #: instead of one synchronous RPC per commit.  Consistency-safe (the
@@ -183,14 +158,8 @@ class TxCacheDeployment:
             transport=self.transport,
             failure_threshold=self.failure_threshold,
             replication_factor=self.replication_factor,
-            socket_pool_size=self.socket_pool_size,
             rpc_timeout_seconds=self.rpc_timeout_seconds,
             simulated_rpc_latency_seconds=self.simulated_rpc_latency_seconds,
-            socket_pipelined=self.socket_pipelined,
-            server_style=self.cache_server_style,
-            wire_codec=self.wire_codec,
-            mux_read_lease=self.mux_read_lease,
-            write_coalescing=self.write_coalescing,
             invalidation_batching=self.invalidation_batching,
             cpu_pinning=self.cpu_pinning,
             retry_policy=self.retry_policy,
@@ -382,7 +351,7 @@ class TxCacheDeployment:
     def shutdown(self) -> None:
         """Tear the deployment down (closes networked cache nodes).
 
-        Idempotent: every pooled client connection is closed and every
+        Idempotent: every client connection is closed and every
         socket server stopped on the first call, and later calls are no-ops.
         Safe to call while client threads are still issuing transactions —
         their in-flight cache RPCs either complete or degrade through the

@@ -36,7 +36,6 @@ UNBOUNDED: Optional[int] = None
 _BOUNDED_LO = struct.Struct("<Bq")
 _BOUNDED_LO_HI = struct.Struct("<Bqq")
 _LO_HI = struct.Struct("<qq")
-_COUNT = struct.Struct("<I")
 
 
 @dataclass(frozen=True, order=False, **DATACLASS_SLOTS)
@@ -284,33 +283,6 @@ class IntervalSet:
         raise ValueError(
             f"timestamp {timestamp} not in {interval!r} minus mask {self._intervals!r}"
         )
-
-    # ------------------------------------------------------------------
-    # Binary wire codec (see repro.comm.wire)
-    # ------------------------------------------------------------------
-    def pack_into(self, out: bytearray) -> None:
-        """Append a member count and every member's encoding to ``out``."""
-        out += _COUNT.pack(len(self._intervals))
-        for interval in self._intervals:
-            interval.pack_into(out)
-
-    @classmethod
-    def unpack_from(cls, buf: bytes, offset: int) -> Tuple["IntervalSet", int]:
-        """Decode one interval set; returns ``(set, next_offset)``.
-
-        Members were packed from an existing set, so they are already
-        disjoint and sorted; they are installed directly instead of being
-        re-merged through :meth:`add`.
-        """
-        (count,) = _COUNT.unpack_from(buf, offset)
-        offset += _COUNT.size
-        members: List[Interval] = []
-        for _ in range(count):
-            interval, offset = Interval.unpack_from(buf, offset)
-            members.append(interval)
-        result = cls.__new__(cls)
-        result._intervals = members
-        return result, offset
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"IntervalSet({self._intervals!r})"

@@ -44,21 +44,20 @@ from repro.db.schema import IndexSpec, TableSchema
 from repro.deployment import TxCacheDeployment
 
 #: Every cache transport kind; the parity suites parametrize over this.
-#: "socket" is the pooled client + thread-per-connection server (PR 4);
-#: "socket-pipelined" is the multiplexed client + event-loop server;
-#: "socket-process" hosts each node in its own OS process (PR 9) — same
-#: pipelined wire, but no in-process server object to reach into, so the
-#: suites introspect node state through :func:`node_views` instead.
-TRANSPORTS = ["inprocess", "socket", "socket-pipelined", "socket-process"]
+#: "socket" serves each node from a thread of the test process;
+#: "socket-process" hosts each node in its own OS process — same wire, but
+#: no in-process server object to reach into, so the suites introspect node
+#: state through :func:`node_views` instead.
+TRANSPORTS = ["inprocess", "socket", "socket-process"]
 
 
 def transports_under_test() -> List[str]:
     """Transports the parametrized suites should run against.
 
-    Defaults to all; set ``REPRO_TRANSPORT=inprocess``, ``socket``,
-    ``socket-pipelined`` or ``socket-process`` to restrict the run (used
-    by the CI matrix to exercise one wire path at a time without
-    multiplying every job's runtime).
+    Defaults to all; set ``REPRO_TRANSPORT=inprocess``, ``socket`` or
+    ``socket-process`` to restrict the run (used by the CI matrix to
+    exercise one hosting at a time without multiplying every job's
+    runtime).
     """
     forced = os.environ.get("REPRO_TRANSPORT")
     if not forced:
@@ -72,27 +71,6 @@ def transports_under_test() -> List[str]:
 
 #: "Until now" as an upper lookup bound (the client library's own value).
 FAR_FUTURE = 2**62
-
-#: Wire body codecs of the pipelined transport (see repro.comm.wire).
-WIRE_CODECS = ["binary", "pickle"]
-
-
-def wire_codecs_under_test() -> List[str]:
-    """Wire codecs the parametrized suites should run against.
-
-    Defaults to both; set ``REPRO_WIRE_CODEC=binary`` or ``pickle`` to
-    restrict the run (the CI matrix pins one codec per job the same way
-    ``REPRO_TRANSPORT`` pins one transport).
-    """
-    forced = os.environ.get("REPRO_WIRE_CODEC")
-    if not forced:
-        return list(WIRE_CODECS)
-    if forced not in WIRE_CODECS:
-        raise ValueError(
-            f"REPRO_WIRE_CODEC={forced!r}; expected one of {WIRE_CODECS}"
-        )
-    return [forced]
-
 
 def simple_schema(name: str = "users") -> TableSchema:
     """A small table used by many database tests."""

@@ -3,7 +3,7 @@
 Covers the thread-safety contract of every layer the concurrent request
 path crosses — :class:`CacheServer` (one reentrant lock per server), the
 :class:`InvalidationBus` (locked subscriber list and ordered delivery), the
-:class:`Pincushion` (exact in-use counts), the pooled
+:class:`Pincushion` (exact in-use counts), the multiplexed
 :class:`SocketTransport`, and :class:`TxCacheDeployment` lifecycle — plus
 the paper's one-snapshot invariant checked from eight threads at once via
 :class:`tests.helpers.ConsistencyHarness` under both transports.
@@ -260,16 +260,14 @@ def test_pincushion_refcounts_exact_under_contention():
 
 
 # ----------------------------------------------------------------------
-# SocketTransport pool
+# SocketTransport: one connection, however many callers
 # ----------------------------------------------------------------------
-def test_socket_transport_dials_lazily_and_caps_connections():
-    server = CacheServer(name="pool", clock=ManualClock())
+def test_socket_transport_multiplexes_callers_over_one_connection():
+    server = CacheServer(name="mux", clock=ManualClock())
     with CacheServerProcess(server, simulated_latency_seconds=0.005) as process:
-        transport = SocketTransport(process.address, pool_size=3)
+        transport = SocketTransport(process.address)
         try:
-            # Construction dials exactly one connection (the ping).
-            assert len(transport._idle) == 1
-
+            connection = transport._connection
             barrier = threading.Barrier(6)
 
             def worker(index):
@@ -278,11 +276,11 @@ def test_socket_transport_dials_lazily_and_caps_connections():
                     transport.probe(f"k{index}", 0, 10)
 
             run_threads(worker, count=6)
-            # Six threads shared at most pool_size connections.
-            with transport._lock:
-                assert 1 <= len(transport._idle) <= 3
+            # Six threads shared the one connection the constructor dialled.
+            assert transport._connection is connection and not connection.dead
         finally:
             transport.close()
+    assert 2 <= process.max_in_flight_per_connection <= 6
 
 
 def test_socket_transport_sets_tcp_nodelay():
@@ -290,7 +288,7 @@ def test_socket_transport_sets_tcp_nodelay():
     with CacheServerProcess(server) as process:
         transport = SocketTransport(process.address)
         try:
-            sock = transport._idle[0]
+            sock = transport._connection._sock
             assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
         finally:
             transport.close()
@@ -305,15 +303,10 @@ def test_socket_transport_read_timeout_surfaces_as_unreachable():
         # connection succeeds, the read must time out.
         transport = SocketTransport.__new__(SocketTransport)
         transport.address = address
-        transport.pool_size = 1
-        transport.pipelined = False
         transport.timeout_seconds = 0.2
         transport.connect_timeout_seconds = 0.5
         transport._lock = threading.Lock()
-        transport._slots = threading.BoundedSemaphore(1)
-        transport._idle = []
-        transport.mux_connections = 1
-        transport._mux = [None]
+        transport._connection = None
         transport._closed = False
         transport.op_counts = {}
         transport._count_lock = threading.Lock()
@@ -338,12 +331,9 @@ def test_socket_transport_close_is_idempotent_and_fails_fast():
             transport.probe("k", 0, 10)
 
 
-def test_shutdown_racing_accept_never_joins_an_unstarted_handler():
-    """shutdown() right after a connect lands while the accept loop is
-    registering that connection's handler thread; a handler registered but
-    not yet started made ``join`` raise (about 1 round in 30 before the fix,
-    so 400 rounds miss it about once in 10^5 runs).
-    """
+def test_shutdown_racing_a_connect_stops_the_loop():
+    """shutdown() right after a connect lands anywhere in the loop's accept
+    and register of that connection; the loop thread must still exit."""
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -356,7 +346,7 @@ def test_shutdown_racing_accept_never_joins_an_unstarted_handler():
                 process.shutdown()
             finally:
                 client.close()
-            assert not process._accept_thread.is_alive()
+            assert not process._thread.is_alive()
     finally:
         sys.setswitchinterval(interval)
 

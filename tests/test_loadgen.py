@@ -411,7 +411,7 @@ class TestOpenLoopBenchmark:
         assert result.completed == 600
         assert result.histogram.count == 600
         assert result.achieved_goodput > 0
-        assert result.transport == "pipelined+eventloop"
+        assert result.transport == "socket"
         assert 0.0 < result.hit_rate <= 1.0
         percentiles = result.percentiles()
         assert percentiles[50.0] <= percentiles[99.0]

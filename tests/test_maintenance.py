@@ -281,7 +281,7 @@ def test_wedged_repair_chunk_does_not_stall_foreground_lookups():
     allocation stall, not a lock holder).
     """
     with TxCacheDeployment(
-        cache_nodes=2, transport="socket-pipelined", replication_factor=2
+        cache_nodes=2, transport="socket", replication_factor=2
     ) as deployment:
         cluster = deployment.cache
         for i in range(20):

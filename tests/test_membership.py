@@ -265,7 +265,6 @@ class TestMembershipTransportParity:
             finally:
                 cluster.close()
         assert outcomes["socket"] == outcomes["inprocess"]
-        assert outcomes["socket-pipelined"] == outcomes["inprocess"]
         assert outcomes["socket-process"] == outcomes["inprocess"]
 
 

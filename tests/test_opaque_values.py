@@ -8,8 +8,8 @@ they are.  What this file pins:
 * **The node never materializes a value.**  A poison-pill object — one
   whose ``__setstate__`` records the attempt and raises in any process but
   the test's — goes through every path a value takes across a child-process
-  node (put, lookup, migration out and in, version introspection) under
-  both wire codecs, comes back equal, and the pill never trips.
+  node (put, lookup, migration out and in, version introspection), comes
+  back equal, and the pill never trips.
 * **Bytes in, same accounting out.**  The blob's length is what an
   in-process node would have charged for the object, so the same put
   sequence fills, sizes and evicts identically on both kinds of node.
@@ -31,7 +31,6 @@ from repro.clock import ManualClock
 from repro.comm.transport import InProcessTransport
 from repro.db.invalidation import InvalidationTag
 from repro.interval import Interval
-from tests.helpers import wire_codecs_under_test
 
 _TEST_PID = os.getpid()
 
@@ -70,13 +69,12 @@ def two_process_nodes():
             yield a, b
 
 
-@pytest.mark.parametrize("codec", wire_codecs_under_test())
-def test_a_node_process_never_unpickles_a_value(two_process_nodes, codec):
+def test_a_node_process_never_unpickles_a_value(two_process_nodes):
     PoisonPill.trips.value = 0
     host_a, host_b = two_process_nodes
     assert _TEST_PID not in (host_a.pid, host_b.pid)
-    a = SocketTransport(host_a.address, pipelined=True, wire_codec=codec)
-    b = SocketTransport(host_b.address, pipelined=True, wire_codec=codec)
+    a = SocketTransport(host_a.address)
+    b = SocketTransport(host_b.address)
     try:
         pill = PoisonPill({"rows": [{"id": i, "name": f"row{i}"} for i in range(5)]})
         tag = InvalidationTag("items", "id", 7)
@@ -117,12 +115,13 @@ def test_a_node_process_never_unpickles_a_value(two_process_nodes, codec):
 
 
 def test_the_pill_does_trip_where_a_value_is_unpickled(two_process_nodes):
-    """The detector detects: a pill pickled *outside* a blob is materialized
-    by the node's request decoder, which trips it, fails that one request
-    and leaves the node serving."""
+    """The detector detects: a pill sent *outside* a blob rides the binary
+    codec's pickle fallback and is materialized by the node's request
+    decoder, which trips it, fails that one request and leaves the node
+    serving."""
     PoisonPill.trips.value = 0
     host, _ = two_process_nodes
-    transport = SocketTransport(host.address, pipelined=True, wire_codec="pickle")
+    transport = SocketTransport(host.address)
     try:
         with pytest.raises(Exception, match="unpickled a cached value"):
             transport._call("put", "raw", PoisonPill(0), Interval(0), frozenset())
@@ -158,8 +157,8 @@ def test_socket_node_fills_sizes_and_evicts_like_an_in_process_node(seed):
     local = CacheServer(name="local", capacity_bytes=capacity, clock=ManualClock())
     remote = CacheServer(name="remote", capacity_bytes=capacity, clock=ManualClock())
     inproc = InProcessTransport(local)
-    with CacheServerProcess(remote, style="eventloop") as process:
-        wire = SocketTransport(process.address, pipelined=True)
+    with CacheServerProcess(remote) as process:
+        wire = SocketTransport(process.address)
         try:
             evictions = {"local": [], "remote": []}
             for key, value, interval in _seeded_puts(seed):
@@ -185,12 +184,11 @@ def test_socket_node_fills_sizes_and_evicts_like_an_in_process_node(seed):
             wire.close()
 
 
-@pytest.mark.parametrize("codec", wire_codecs_under_test())
 @pytest.mark.parametrize("value", [b"", b"raw \x00 bytes", ValueBlob(b"looks like a blob")])
-def test_a_bytes_value_round_trips_as_the_bytes_it_was(codec, value):
+def test_a_bytes_value_round_trips_as_the_bytes_it_was(value):
     server = CacheServer(name="n", capacity_bytes=1 << 20, clock=ManualClock())
-    with CacheServerProcess(server, style="eventloop") as process:
-        transport = SocketTransport(process.address, pipelined=True, wire_codec=codec)
+    with CacheServerProcess(server) as process:
+        transport = SocketTransport(process.address)
         try:
             transport.put("k", value, Interval(0))
             got = transport.lookup("k", 0, 5).value

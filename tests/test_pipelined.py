@@ -1,11 +1,10 @@
-"""Pipelined transport + event-loop server: the fast wire path's contracts.
+"""The multiplexed transport + event-loop node: the wire stack's contracts.
 
-Covers what the legacy parity suites cannot: out-of-order completion on one
-multiplexed connection, per-connection backpressure, poisoned-connection
-semantics (timeouts fail every pending RPC and the transport re-dials), and
-both framings coexisting on one listening socket, under both server engines.
-The tests are deterministic — slowness is injected with events, never
-timing guesses.
+Covers what the transport-parity suites cannot: out-of-order completion on
+one multiplexed connection, per-connection backpressure, and
+poisoned-connection semantics (timeouts fail every pending RPC and the
+transport re-dials).  The tests are deterministic — slowness is injected
+with events, never timing guesses.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ import threading
 
 import pytest
 
-from repro.cache.cluster import CacheCluster
 from repro.cache.netserver import (
     CacheNodeUnreachableError,
     CacheServerProcess,
@@ -52,8 +50,8 @@ def test_fast_lookup_overtakes_slow_extract_on_one_connection():
         return original(cursor, limit)
 
     server.extract_entries = stalled_extract
-    with CacheServerProcess(server, style="eventloop") as process:
-        transport = SocketTransport(process.address, pipelined=True)
+    with CacheServerProcess(server) as process:
+        transport = SocketTransport(process.address)
         try:
             transport.put("k", {"v": 1}, Interval(0))
             slow_result = {}
@@ -101,8 +99,8 @@ def test_reactor_stays_responsive_while_whole_store_op_holds_server_lock():
         return original_evict(oldest)
 
     server.evict_stale = stalled_evict
-    with CacheServerProcess(server, style="eventloop", worker_threads=4) as process:
-        transport = SocketTransport(process.address, pipelined=True)
+    with CacheServerProcess(server, worker_threads=4) as process:
+        transport = SocketTransport(process.address)
         try:
             transport.put("k", 1, Interval(0))
             evict_thread = threading.Thread(target=lambda: transport.evict_stale(0))
@@ -152,9 +150,9 @@ def test_backpressure_bounds_queue_pauses_reads_and_recovers():
 
     server.keys = stalled_keys
     with CacheServerProcess(
-        server, style="eventloop", worker_threads=flood, max_queued_per_connection=bound
+        server, worker_threads=flood, max_queued_per_connection=bound
     ) as process:
-        transport = SocketTransport(process.address, pipelined=True)
+        transport = SocketTransport(process.address)
         try:
             results = []
             threads = [
@@ -182,37 +180,18 @@ def test_backpressure_bounds_queue_pauses_reads_and_recovers():
 
 
 # ----------------------------------------------------------------------
-# Framing coexistence and engine matrix
+# Server-side errors
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("style", ["threaded", "eventloop"])
-def test_both_framings_share_one_listening_socket(style):
-    """A pooled and a pipelined client against the same server agree."""
-    with CacheServerProcess(make_server(), style=style) as process:
-        pooled = SocketTransport(process.address, pipelined=False)
-        pipelined = SocketTransport(process.address, pipelined=True)
-        try:
-            pooled.put("from-pooled", 1, Interval(0))
-            pipelined.put("from-mux", 2, Interval(0))
-            assert pooled.lookup("from-mux", 0, 5).value == 2
-            assert pipelined.lookup("from-pooled", 0, 5).value == 1
-            assert sorted(pipelined.keys()) == ["from-mux", "from-pooled"]
-        finally:
-            pooled.close()
-            pipelined.close()
-
-
-@pytest.mark.parametrize("style", ["threaded", "eventloop"])
-@pytest.mark.parametrize("pipelined", [False, True])
-def test_server_side_errors_surface_without_poisoning(style, pipelined):
+def test_server_side_errors_surface_without_poisoning():
     """Bad requests raise CacheTransportError; the stream keeps working.
 
-    An unknown op fails fast (client-side on the pipelined path, which can
-    check its opcode table; server-side on the legacy path); a structurally
-    bad request — wrong arity — always crosses the wire and exercises the
-    server's error response.  Neither may poison the connection.
+    An unknown op fails fast, client-side (the transport checks its opcode
+    table); a structurally bad request — wrong arity — crosses the wire and
+    exercises the server's error response.  Neither may poison the
+    connection.
     """
-    with CacheServerProcess(make_server(), style=style) as process:
-        transport = SocketTransport(process.address, pipelined=pipelined)
+    with CacheServerProcess(make_server()) as process:
+        transport = SocketTransport(process.address)
         try:
             with pytest.raises(CacheTransportError, match="unknown cache operation"):
                 transport._call("no-such-op")
@@ -238,10 +217,8 @@ def test_timeout_poisons_connection_and_transport_redials():
         return original()
 
     server.keys = stalled_keys
-    with CacheServerProcess(server, style="eventloop") as process:
-        transport = SocketTransport(
-            process.address, pipelined=True, timeout_seconds=0.3
-        )
+    with CacheServerProcess(server) as process:
+        transport = SocketTransport(process.address, timeout_seconds=0.3)
         try:
             with pytest.raises(CacheNodeUnreachableError, match="timed out"):
                 transport.keys()
@@ -265,8 +242,8 @@ def test_server_shutdown_fails_pending_pipelined_calls():
         return original()
 
     server.keys = stalled_keys
-    process = CacheServerProcess(server, style="eventloop")
-    transport = SocketTransport(process.address, pipelined=True)
+    process = CacheServerProcess(server)
+    transport = SocketTransport(process.address)
     try:
         failures = []
 
@@ -292,37 +269,10 @@ def test_server_shutdown_fails_pending_pipelined_calls():
 
 
 def test_transport_close_is_idempotent_and_fails_fast():
-    with CacheServerProcess(make_server(), style="eventloop") as process:
-        transport = SocketTransport(process.address, pipelined=True)
+    with CacheServerProcess(make_server()) as process:
+        transport = SocketTransport(process.address)
         assert transport.probe("k", 0, 5) is False
         transport.close()
         transport.close()  # second close must be a no-op
         with pytest.raises(CacheNodeUnreachableError):
             transport.probe("k", 0, 5)
-
-
-# ----------------------------------------------------------------------
-# Cluster-level explicit-override matrix
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("style", ["threaded", "eventloop"])
-@pytest.mark.parametrize("pipelined", [False, True])
-def test_cluster_override_matrix_serves_traffic(style, pipelined):
-    """Every {framing} x {engine} combination works behind the cluster."""
-    cluster = CacheCluster(
-        node_count=2,
-        capacity_bytes_per_node=1024 * 1024,
-        clock=ManualClock(),
-        transport="socket",
-        socket_pipelined=pipelined,
-        server_style=style,
-    )
-    try:
-        assert cluster.socket_pipelined is pipelined
-        assert cluster.server_style == style
-        for process in cluster.processes.values():
-            assert process.style == style
-        for i in range(20):
-            cluster.put(f"key-{i}", i, Interval(0))
-        assert all(cluster.lookup(f"key-{i}", 0, 5).hit for i in range(20))
-    finally:
-        cluster.close()

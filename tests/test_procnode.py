@@ -56,7 +56,7 @@ class TestHostLifecycle:
             assert host.running
             assert host.pid is not None and host.pid != os.getpid()
             assert host.exitcode is None  # still up
-            transport = SocketTransport(host.address, pipelined=True)
+            transport = SocketTransport(host.address)
             try:
                 assert transport.name == "n0"  # learned over the wire
                 assert transport.put("k", {"v": 1}, Interval(0)) is True

@@ -359,7 +359,7 @@ class TestRetryPolicy:
         degraded miss) within the per-op budget plus scheduling slop."""
         deployment = TxCacheDeployment(
             cache_nodes=2,
-            transport="socket-pipelined",
+            transport="socket",
             replication_factor=2,
             rpc_timeout_seconds=5.0,
             retry_policy=RetryPolicy(
@@ -443,7 +443,7 @@ class TestErrorTaxonomy:
 
     def test_expired_deadline_is_a_timeout_error(self):
         deployment = TxCacheDeployment(
-            cache_nodes=1, transport="socket-pipelined", clock=SystemClock()
+            cache_nodes=1, transport="socket", clock=SystemClock()
         )
         try:
             transport = deployment.cache._transports["cache0"]

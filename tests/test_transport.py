@@ -344,5 +344,4 @@ class TestIntegrationOverTcp:
             finally:
                 deployment.shutdown()
         assert patterns["socket"] == patterns["inprocess"]
-        assert patterns["socket-pipelined"] == patterns["inprocess"]
         assert patterns["socket-process"] == patterns["inprocess"]

@@ -50,19 +50,11 @@ def test_mux_frame_header_layout():
     assert length == sum(len(b) for b in buffers[1:])
 
 
-def test_legacy_frame_matches_historical_layout():
-    payload = ("ping", ())
-    header, data = wire.encode_legacy_frame(payload)
-    (length,) = wire.LEGACY_HEADER.unpack(bytes(header))
-    assert length == len(data)
-    assert pickle.loads(data) == payload
-
-
 def test_opcode_table_is_bijective_and_reserves_zero():
-    assert 0 not in wire.OP_NAMES
-    assert len(wire.OP_NAMES) == len(wire.OPCODES)
-    for name, code in wire.OPCODES.items():
-        assert wire.OP_NAMES[code] == name
+    codes = list(wire.OPCODES.values())
+    assert 0 not in codes
+    assert len(set(codes)) == len(codes)
+    for code in codes:
         assert code < wire.OP_OK  # responses and flags never collide
 
 
@@ -73,15 +65,14 @@ def _flatten(buffers):
     return b"".join(bytes(b) for b in buffers)
 
 
-def test_assembler_detects_mux_by_magic_and_reassembles_partials():
-    assembler = wire.FrameAssembler()
-    stream = bytes([wire.MUX_MAGIC])
+def test_assembler_checks_the_version_byte_and_reassembles_partials():
+    assembler = wire.FrameAssembler(hello=wire.WIRE_VERSION)
+    stream = bytes([wire.WIRE_VERSION])
     stream += _flatten(wire.encode_mux_frame(1, wire.OPCODES["ping"], ()))
     stream += _flatten(wire.encode_mux_frame(2, wire.OPCODES["probe"], ("k", 0, 5)))
     frames = []
     for i in range(0, len(stream), 3):  # drip-feed in 3-byte chunks
         frames.extend(assembler.feed(stream[i : i + 3]))
-    assert assembler.mode == "mux"
     assert [(f[0], f[1]) for f in frames] == [
         (1, wire.OPCODES["ping"]),
         (2, wire.OPCODES["probe"]),
@@ -89,26 +80,23 @@ def test_assembler_detects_mux_by_magic_and_reassembles_partials():
     assert wire.decode_body(0, frames[1][2]) == ("k", 0, 5)
 
 
-def test_assembler_detects_legacy_without_magic():
-    assembler = wire.FrameAssembler()
-    stream = _flatten(wire.encode_legacy_frame(("ping", ())))
-    stream += _flatten(wire.encode_legacy_frame(("probe", ("k", 0, 5))))
-    frames = assembler.feed(stream)
-    assert assembler.mode == "legacy"
-    assert [f[0] for f in frames] == [None, None]
-    assert pickle.loads(bytes(frames[1][2])) == ("probe", ("k", 0, 5))
+@pytest.mark.parametrize("first", [0xA7, 0x00], ids=["retired-hello", "length-prefix"])
+def test_assembler_refuses_a_stream_that_does_not_open_with_the_version_byte(first):
+    assembler = wire.FrameAssembler(hello=wire.WIRE_VERSION)
+    with pytest.raises(ValueError, match="not a cache wire connection"):
+        assembler.feed(bytes([first]) + _flatten(wire.encode_mux_frame(1, wire.OPCODES["ping"], ())))
 
 
 def test_assembler_rejects_oversized_frames():
     assembler = wire.FrameAssembler()
-    bogus = wire.LEGACY_HEADER.pack(wire.MAX_FRAME_BYTES + 1)
+    bogus = wire.MUX_HEADER.pack(1, wire.OPCODES["put"], wire.MAX_FRAME_BYTES + 1)
     with pytest.raises(ValueError, match="oversized"):
         assembler.feed(bogus)
 
 
 def test_multiple_frames_in_one_feed():
     assembler = wire.FrameAssembler()
-    stream = bytes([wire.MUX_MAGIC])
+    stream = b""
     for i in range(20):
         stream += _flatten(wire.encode_mux_frame(i, wire.OPCODES["keys"], ()))
     frames = assembler.feed(stream)
@@ -171,9 +159,9 @@ def _expected(frames):
     ]
 
 
-def _fed(chunks, hello=wire.MUX_MAGIC_BINARY):
-    assembler = wire.FrameAssembler()
-    frames = assembler.feed(bytes([hello]))
+def _fed(chunks):
+    assembler = wire.FrameAssembler(hello=wire.WIRE_VERSION)
+    frames = assembler.feed(bytes([wire.WIRE_VERSION]))
     for chunk in chunks:
         frames.extend(assembler.feed(chunk))
     assert assembler._buffer == b"", "bytes left over after the last whole frame"
@@ -188,14 +176,13 @@ def test_assembler_yields_the_same_frames_however_the_stream_is_cut(name):
     assert _fed([stream[i : i + 1] for i in range(len(stream))]) == expected
     for cut in range(len(stream) + 1):
         assert _fed([stream[:cut], stream[cut:]]) == expected, cut
-    # The hello byte may share a segment with the first frames, or not.
-    hello = bytes([wire.MUX_MAGIC_BINARY])
-    assembler = wire.FrameAssembler()
+    # The version byte may share a segment with the first frames, or not.
+    hello = bytes([wire.WIRE_VERSION])
+    assembler = wire.FrameAssembler(hello=wire.WIRE_VERSION)
     assert [
         (request_id, opcode, bytes(body))
         for request_id, opcode, body in assembler.feed(hello + stream)
     ] == expected
-    assert assembler.mode == "mux" and assembler.codec == "binary"
 
 
 def test_assembler_reassembles_a_300_kb_body_from_any_cut():
@@ -213,23 +200,10 @@ def test_assembler_reassembles_a_300_kb_body_from_any_cut():
         assert _fed([stream[:cut], stream[cut:]]) == expected, cut
 
 
-def test_assembler_cuts_legacy_frames_the_same_way():
-    payloads = [("ping", ()), ("probe", ("k", 0, 5)), ("keys", ())]
-    stream = b"".join(_flatten(wire.encode_legacy_frame(p)) for p in payloads)
-    for cut in range(len(stream) + 1):
-        assembler = wire.FrameAssembler()
-        frames = assembler.feed(stream[:cut]) + assembler.feed(stream[cut:])
-        assert [(f[0], f[1], pickle.loads(f[2])) for f in frames] == [
-            (None, 0, payload) for payload in payloads
-        ], cut
-        assert assembler.mode == "legacy"
-
-
 def test_assembler_keeps_no_copy_of_frames_that_arrived_whole():
     """Only the head of a frame split across reads is ever buffered."""
     stream = b"".join(_flatten(frame) for frame in _STREAMS["32-frames"])
     assembler = wire.FrameAssembler()
-    assembler.feed(bytes([wire.MUX_MAGIC]))
     assert len(assembler.feed(stream)) == 32 and not assembler._buffer
     assert len(assembler.feed(stream + stream[:20])) == 32
     assert bytes(assembler._buffer) == stream[:20]

@@ -1,5 +1,5 @@
-"""Binary wire codec: round-trip properties, malformed-frame safety,
-codec negotiation, the read lease, and write coalescing.
+"""Binary wire codec: round-trip properties, malformed-frame safety, and
+the client's read lease.
 
 The codec tests are property-based (Hypothesis): whatever the cache layer
 puts in a response must survive encode -> decode unchanged, and *no* byte
@@ -7,11 +7,6 @@ stream — truncated, mutated, or garbage — may raise anything other than
 :class:`~repro.comm.wire.WireDecodeError` out of the decoder.  The reactor
 depends on that contract: a malformed frame becomes an error response, never
 a crashed event loop.
-
-The negotiation tests pin the mixed-version story: a binary client dialing
-a pickle-only server fails fast with :class:`WireCodecMismatchError` (not
-the unreachable error failure-aware routing reacts to), and pickle/legacy
-clients keep working against binary servers unchanged.
 """
 
 from __future__ import annotations
@@ -26,22 +21,17 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from repro.cache.cluster import CacheCluster
 from repro.cache.entry import EntryRecord, LookupRequest, LookupResult, ValueBlob
 from repro.cache.netserver import (
     CacheNodeUnreachableError,
     CacheServerProcess,
     SocketTransport,
-    WireCodecMismatchError,
 )
 from repro.cache.server import CacheServer
 from repro.clock import ManualClock
 from repro.comm import wire
 from repro.db.invalidation import InvalidationTag
-from repro.interval import Interval, IntervalSet
-from tests.helpers import wire_codecs_under_test
-
-WIRE_CODECS = wire_codecs_under_test()
+from repro.interval import Interval
 
 
 def make_server(name="node"):
@@ -165,15 +155,6 @@ def test_intervals_round_trip(interval):
     assert decoded.lo == interval.lo and decoded.hi == interval.hi
 
 
-@given(st.lists(intervals, max_size=4))
-@settings(deadline=None)
-def test_interval_sets_round_trip(members):
-    interval_set = IntervalSet(members)
-    decoded = round_trip(interval_set)
-    assert isinstance(decoded, IntervalSet)
-    assert decoded.intervals == interval_set.intervals
-
-
 @given(lookup_requests)
 @settings(deadline=None)
 def test_lookup_requests_round_trip(request):
@@ -201,7 +182,7 @@ def test_value_blobs_round_trip_as_blobs_and_bytes_as_bytes(raw):
     assert type(blob) is ValueBlob and blob == raw
     plain = round_trip(raw)
     assert type(plain) is bytes and plain == raw
-    # The pickle codec (cold ops, legacy frames) carries the mark too.
+    # A pickle body (the maintenance ops) carries the mark too.
     flags, buffers = wire.encode_body([ValueBlob(raw), raw])
     blob, plain = wire.decode_body(flags, b"".join(buffers))
     assert type(blob) is ValueBlob and type(plain) is bytes and blob == plain == raw
@@ -433,9 +414,7 @@ def test_decode_error_is_a_value_error():
 def _dial_binary(address):
     sock = socket.create_connection(address)
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    sock.sendall(bytes([wire.MUX_MAGIC_BINARY]))
-    reply = wire.recv_exactly(sock, 1)
-    assert reply[0] == wire.BINARY_ACK
+    sock.sendall(bytes([wire.WIRE_VERSION]))
     return sock
 
 
@@ -450,11 +429,10 @@ def _read_mux_response(sock):
     return request_id, opcode & wire.OPCODE_MASK, value
 
 
-@pytest.mark.parametrize("style", ["threaded", "eventloop"])
-def test_garbage_binary_body_yields_error_response_not_a_dead_server(style):
+def test_garbage_binary_body_yields_error_response_not_a_dead_server():
     """A FLAG_BIN frame with an undecodable body must produce OP_ERR and
     leave the connection (and the server) fully functional."""
-    with CacheServerProcess(make_server(), style=style, wire_codec="binary") as process:
+    with CacheServerProcess(make_server()) as process:
         sock = _dial_binary(process.address)
         try:
             garbage = b"\xff\xfe\xfd\xfc"
@@ -479,11 +457,10 @@ def test_garbage_binary_body_yields_error_response_not_a_dead_server(style):
             sock.close()
 
 
-@pytest.mark.parametrize("style", ["threaded", "eventloop"])
-def test_binary_and_pickle_frames_interleave_on_one_connection(style):
+def test_binary_and_pickle_frames_interleave_on_one_connection():
     """The server keeps no per-connection codec state: it answers in the
-    codec each request arrived in, even alternating on one socket."""
-    with CacheServerProcess(make_server(), style=style, wire_codec="binary") as process:
+    body format each request arrived in, even alternating on one socket."""
+    with CacheServerProcess(make_server()) as process:
         sock = _dial_binary(process.address)
         try:
             binary = wire.encode_binary_request_frame(
@@ -504,65 +481,9 @@ def test_binary_and_pickle_frames_interleave_on_one_connection(style):
             sock.close()
 
 
-# ----------------------------------------------------------------------
-# Codec negotiation: mixed-version deployments fail fast
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("style", ["threaded", "eventloop"])
-def test_binary_client_against_pickle_only_server_fails_fast(style):
-    """The NAK path: a distinct, descriptive error — not 'unreachable',
-    which would make failure-aware routing degrade on a misconfiguration."""
-    with CacheServerProcess(make_server(), style=style, wire_codec="pickle") as process:
-        # The transport dials (and negotiates) eagerly at construction.
-        with pytest.raises(WireCodecMismatchError, match="refused the binary"):
-            SocketTransport(process.address, pipelined=True, wire_codec="binary")
-        assert not isinstance(WireCodecMismatchError("x"), CacheNodeUnreachableError)
-
-
-def test_binary_client_against_server_that_hangs_up_fails_fast():
-    """An old server that closes on the unknown 0xA8 magic byte (EOF before
-    any ACK/NAK) must also surface as a codec mismatch."""
-    listener = socket.socket()
-    listener.bind(("127.0.0.1", 0))
-    listener.listen(1)
-    address = listener.getsockname()
-
-    def accept_and_close():
-        conn, _ = listener.accept()
-        conn.recv(1)
-        conn.close()
-
-    acceptor = threading.Thread(target=accept_and_close)
-    acceptor.start()
-    try:
-        with pytest.raises(WireCodecMismatchError, match="handshake"):
-            SocketTransport(address, pipelined=True, wire_codec="binary")
-    finally:
-        acceptor.join(timeout=10)
-        listener.close()
-
-
-@pytest.mark.parametrize("style", ["threaded", "eventloop"])
-def test_pickle_and_legacy_clients_still_work_against_binary_servers(style):
-    """Upgrading the server first must not strand old clients: the pickle
-    mux framing and the legacy pooled framing are accepted unchanged."""
-    with CacheServerProcess(make_server(), style=style, wire_codec="binary") as process:
-        pickled = SocketTransport(process.address, pipelined=True, wire_codec="pickle")
-        legacy = SocketTransport(process.address, pipelined=False)
-        try:
-            pickled.put("a", 1, Interval(0))
-            legacy.put("b", 2, Interval(0))
-            assert pickled.lookup("b", 0, 5).value == 2
-            assert legacy.lookup("a", 0, 5).value == 1
-        finally:
-            pickled.close()
-            legacy.close()
-
-
-@pytest.mark.parametrize("codec", WIRE_CODECS)
-@pytest.mark.parametrize("style", ["threaded", "eventloop"])
-def test_matched_codec_serves_traffic(style, codec):
-    with CacheServerProcess(make_server(), style=style, wire_codec=codec) as process:
-        transport = SocketTransport(process.address, pipelined=True, wire_codec=codec)
+def test_hot_and_maintenance_ops_serve_traffic():
+    with CacheServerProcess(make_server()) as process:
+        transport = SocketTransport(process.address)
         try:
             assert transport.probe("k", 0, 5) is False
             transport.put("k", {"v": 1}, Interval(0), frozenset({InvalidationTag("t")}))
@@ -571,63 +492,20 @@ def test_matched_codec_serves_traffic(style, codec):
             assert result.tags == frozenset({InvalidationTag("t")})
             results = transport.multi_lookup([LookupRequest("k", 0, 5)])
             assert results[0].hit
-            # Maintenance ops ride the pickle fallback under both codecs.
+            # Maintenance ops ride pickle bodies.
             assert transport.keys() == ["k"]
         finally:
             transport.close()
 
 
 # ----------------------------------------------------------------------
-# REPRO_WIRE_CODEC environment knob
-# ----------------------------------------------------------------------
-def test_codec_defaults_to_binary(monkeypatch):
-    monkeypatch.delenv("REPRO_WIRE_CODEC", raising=False)
-    assert wire.default_wire_codec() == "binary"
-    assert wire.resolve_wire_codec(None) == "binary"
-
-
-def test_env_knob_switches_the_default(monkeypatch):
-    monkeypatch.setenv("REPRO_WIRE_CODEC", "pickle")
-    assert wire.default_wire_codec() == "pickle"
-    assert wire.resolve_wire_codec(None) == "pickle"
-    # An explicit argument still wins over the environment.
-    assert wire.resolve_wire_codec("binary") == "binary"
-    assert wire_codecs_under_test() == ["pickle"]
-
-
-def test_env_knob_reaches_server_and_transport(monkeypatch):
-    monkeypatch.setenv("REPRO_WIRE_CODEC", "pickle")
-    with CacheServerProcess(make_server(), style="eventloop") as process:
-        assert process.wire_codec == "pickle"
-        transport = SocketTransport(process.address, pipelined=True)
-        try:
-            assert transport.wire_codec == "pickle"
-            transport.put("k", 1, Interval(0))
-            assert transport.lookup("k", 0, 5).hit
-        finally:
-            transport.close()
-
-
-def test_invalid_codec_is_rejected():
-    with pytest.raises(ValueError, match="wire codec"):
-        wire.resolve_wire_codec("msgpack")
-
-
-# ----------------------------------------------------------------------
 # Read lease
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("codec", WIRE_CODECS)
-@pytest.mark.parametrize("read_lease", [False, True])
-def test_concurrent_callers_under_lease_and_rendezvous(read_lease, codec):
+def test_concurrent_callers_share_the_read_lease():
     """Many threads hammering one mux connection get their own answers back
-    under both reader arrangements (lease handoff and reader thread)."""
-    with CacheServerProcess(make_server(), style="eventloop", wire_codec=codec) as process:
-        transport = SocketTransport(
-            process.address,
-            pipelined=True,
-            wire_codec=codec,
-            mux_read_lease=read_lease,
-        )
+    through the lease handoff."""
+    with CacheServerProcess(make_server()) as process:
+        transport = SocketTransport(process.address)
         try:
             for i in range(16):
                 transport.put(f"k{i}", i, Interval(0))
@@ -653,46 +531,14 @@ def test_concurrent_callers_under_lease_and_rendezvous(read_lease, codec):
             transport.close()
 
 
-@pytest.mark.parametrize("read_lease", [False, True])
-def test_timeout_poisons_connection_under_both_reader_arrangements(read_lease):
-    server = make_server()
-    release = threading.Event()
-    original = server.keys
-
-    def stalled_keys():
-        assert release.wait(timeout=30)
-        return original()
-
-    server.keys = stalled_keys
-    with CacheServerProcess(server, style="eventloop") as process:
-        transport = SocketTransport(
-            process.address,
-            pipelined=True,
-            timeout_seconds=0.3,
-            mux_read_lease=read_lease,
-        )
-        try:
-            with pytest.raises(CacheNodeUnreachableError, match="timed out"):
-                transport.keys()
-            release.set()
-            # Poisoned connection discarded; the next call re-dials.
-            assert transport.probe("k", 0, 5) is False
-        finally:
-            release.set()
-            transport.close()
-
-
-@pytest.mark.parametrize("read_lease", [False, True])
-def test_lazily_built_slot_events_lose_no_wakeup_under_forced_switching(read_lease):
+def test_lazily_built_slot_events_lose_no_wakeup_under_forced_switching():
     """A slot builds its event only when its caller has to wait, while the
     reader settles it from another thread: with the interpreter switching
     threads every microsecond, a settle that raced the event's creation
     and got lost would strand its caller until the timeout."""
     threads, calls = 8, 250
-    with CacheServerProcess(make_server(), style="eventloop") as process:
-        transport = SocketTransport(
-            process.address, pipelined=True, timeout_seconds=10.0, mux_read_lease=read_lease
-        )
+    with CacheServerProcess(make_server()) as process:
+        transport = SocketTransport(process.address, timeout_seconds=10.0)
         for i in range(threads):
             transport.put(f"k{i}", i, Interval(0))
         errors = []
@@ -716,7 +562,7 @@ def test_lazily_built_slot_events_lose_no_wakeup_under_forced_switching(read_lea
                 assert not thread.is_alive()
         finally:
             sys.setswitchinterval(interval)
-            connection = transport._mux[0]
+            connection = transport._connection
             transport.close()
         assert errors == []
         assert not connection._lease_held
@@ -743,10 +589,10 @@ def test_unencodable_request_leaves_no_slot_to_absorb_the_lease_handoff():
     server.keys = stalled("keys", server.keys)
     server.evict_stale = stalled("evict_stale", server.evict_stale)
     timeout = 8.0
-    with CacheServerProcess(server, style="eventloop") as process:
-        transport = SocketTransport(process.address, pipelined=True, timeout_seconds=timeout)
+    with CacheServerProcess(server) as process:
+        transport = SocketTransport(process.address, timeout_seconds=timeout)
         try:
-            connection = transport._mux[0]
+            connection = transport._connection
             for op in ("keys_in_range", "multi_lookup", "put"):  # pickle and binary bodies
                 with pytest.raises(Exception, match="pickle"):
                     transport._call(op, lambda: None)
@@ -775,7 +621,7 @@ def test_unencodable_request_leaves_no_slot_to_absorb_the_lease_handoff():
             assert not follower.is_alive()
             assert results["evict_stale"][0] == 0
             assert time.monotonic() - released < timeout / 4
-            assert connection is transport._mux[0] and not connection.dead
+            assert connection is transport._connection and not connection.dead
             assert connection._pending == {} and not connection._lease_held
         finally:
             for gate in gates.values():
@@ -787,8 +633,8 @@ def test_a_failure_inside_send_poisons_even_when_it_is_not_an_oserror(monkeypatc
     """Once ``send`` has been entered half a frame may be on the wire, and
     whatever is written next would be read as the rest of it: any exception
     from there on — not only ``OSError`` — costs the connection."""
-    with CacheServerProcess(make_server(), style="eventloop") as process:
-        transport = SocketTransport(process.address, pipelined=True, timeout_seconds=8.0)
+    with CacheServerProcess(make_server()) as process:
+        transport = SocketTransport(process.address, timeout_seconds=8.0)
         try:
             send_buffers = wire.send_buffers
             caller = threading.current_thread()
@@ -800,7 +646,7 @@ def test_a_failure_inside_send_poisons_even_when_it_is_not_an_oserror(monkeypatc
                 raise MemoryError("resuming a partial write")
 
             for op, args in (("ping", ()), ("multi_lookup", ([LookupRequest("k", 0, 5)],))):
-                connection = transport._mux_connection(0)
+                connection = transport._mux_connection()
                 monkeypatch.setattr(wire, "send_buffers", half_a_frame)
                 with pytest.raises(MemoryError):
                     connection.call(op, args)
@@ -808,7 +654,7 @@ def test_a_failure_inside_send_poisons_even_when_it_is_not_an_oserror(monkeypatc
                 assert connection.dead and connection._pending == {}
                 assert not connection._lease_held
                 assert transport._call("ping") == "node"  # on a fresh connection
-                assert transport._mux[0] is not connection
+                assert transport._connection is not connection
         finally:
             transport.close()
 
@@ -835,8 +681,9 @@ class _FirstSendsFirst:
 
 
 def test_a_caller_blocked_in_send_does_not_hold_the_read_lease():
-    """The threaded node sends each reply, blocking, before it reads the
-    next request.  Ask it for a reply larger than the socket buffers, then
+    """At a backpressure bound of 1 the node reads nothing more from a
+    connection until its reply has drained.  Ask it for a reply larger than
+    the socket buffers, then
     send it a request larger than them on the same connection: the node
     cannot finish the reply until the client reads, and the client cannot
     finish the request until the node reads.  Whoever is stuck in ``send``
@@ -844,12 +691,12 @@ def test_a_caller_blocked_in_send_does_not_hold_the_read_lease():
     read lease — else both ends wait until a timeout poisons the connection."""
     payload = bytes(range(256)) * (8 * 1024)  # 2 MB against 32 KB buffers
     timeout = 8.0
-    with CacheServerProcess(make_server(), style="threaded") as process:
+    with CacheServerProcess(make_server(), max_queued_per_connection=1) as process:
         for option in (socket.SO_SNDBUF, socket.SO_RCVBUF):  # inherited on accept
             process._listener.setsockopt(socket.SOL_SOCKET, option, 32 * 1024)
-        transport = SocketTransport(process.address, pipelined=True, timeout_seconds=timeout)
+        transport = SocketTransport(process.address, timeout_seconds=timeout)
         try:
-            connection = transport._mux[0]
+            connection = transport._connection
             for option in (socket.SO_SNDBUF, socket.SO_RCVBUF):
                 connection._sock.setsockopt(socket.SOL_SOCKET, option, 32 * 1024)
             transport.put("big", payload, Interval(0))
@@ -876,7 +723,7 @@ def test_a_caller_blocked_in_send_does_not_hold_the_read_lease():
             assert time.monotonic() - started < timeout / 4
             assert results["lookup"].hit and results["lookup"].value == payload
             assert transport.lookup("other", 0, 5).value == payload
-            assert connection is transport._mux[0] and not connection.dead
+            assert connection is transport._connection and not connection.dead
             assert connection._pending == {} and not connection._lease_held
         finally:
             transport.close()
@@ -901,12 +748,12 @@ def test_the_lease_handoff_passes_over_a_caller_that_is_still_sending():
         return keys()
 
     server.keys = slow_keys
-    with CacheServerProcess(server, style="threaded") as process:
+    with CacheServerProcess(server, max_queued_per_connection=1) as process:
         for option in (socket.SO_SNDBUF, socket.SO_RCVBUF):
             process._listener.setsockopt(socket.SOL_SOCKET, option, 32 * 1024)
-        transport = SocketTransport(process.address, pipelined=True, timeout_seconds=timeout)
+        transport = SocketTransport(process.address, timeout_seconds=timeout)
         try:
-            connection = transport._mux[0]
+            connection = transport._connection
             for option in (socket.SO_SNDBUF, socket.SO_RCVBUF):
                 connection._sock.setsockopt(socket.SOL_SOCKET, option, 32 * 1024)
             transport.put("big", payload, Interval(0))
@@ -938,81 +785,11 @@ def test_the_lease_handoff_passes_over_a_caller_that_is_still_sending():
             assert results["keys"] == ["big"]
             assert results["lookup"].hit and results["lookup"].value == payload
             assert transport.lookup("other", 0, 5).value == payload
-            assert connection is transport._mux[0] and not connection.dead
+            assert connection is transport._connection and not connection.dead
             assert connection._pending == {} and not connection._lease_held
         finally:
             slow_op_may_finish.set()
             transport.close()
-
-
-# ----------------------------------------------------------------------
-# Write coalescing
-# ----------------------------------------------------------------------
-def _pump_pings(process, count):
-    """Send ``count`` back-to-back mux pings in one segment, read every
-    response back."""
-    sock = socket.create_connection(process.address)
-    try:
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        stream = bytearray([wire.MUX_MAGIC])
-        for request_id in range(count):
-            for buffer in wire.encode_mux_frame(request_id, wire.OPCODES["ping"], ()):
-                stream += bytes(buffer)
-        sock.sendall(bytes(stream))
-        seen = set()
-        for _ in range(count):
-            request_id, status, value = _read_mux_response(sock)
-            assert status == (wire.OP_OK & wire.OPCODE_MASK)
-            assert value == "node"
-            seen.add(request_id)
-        assert seen == set(range(count))
-    finally:
-        sock.close()
-
-
-def _sendmsg_calls_for_burst(write_coalescing, burst):
-    # The counter is read *after* shutdown joins the loop thread: the loop
-    # increments it after a client may already have seen the response, so a
-    # live read races by one either way.
-    with CacheServerProcess(
-        make_server(), style="eventloop", write_coalescing=write_coalescing
-    ) as process:
-        _pump_pings(process, burst)
-    return process.sendmsg_calls
-
-
-def test_write_coalescing_batches_responses_into_fewer_sendmsg_calls():
-    """Ping is served inline on the loop thread, so a burst arriving in one
-    read event produces one *coalesced* flush — against one sendmsg per
-    response with coalescing off."""
-    burst = 8
-    uncoalesced = _sendmsg_calls_for_burst(False, burst)
-    coalesced = _sendmsg_calls_for_burst(True, burst)
-    assert uncoalesced == burst
-    assert coalesced < uncoalesced
-
-
-# ----------------------------------------------------------------------
-# Cluster-level codec matrix
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("codec", WIRE_CODECS)
-def test_cluster_serves_traffic_under_each_codec(codec):
-    cluster = CacheCluster(
-        node_count=2,
-        capacity_bytes_per_node=1024 * 1024,
-        clock=ManualClock(),
-        transport="socket-pipelined",
-        wire_codec=codec,
-    )
-    try:
-        assert cluster.wire_codec == codec
-        for i in range(20):
-            cluster.put(f"key-{i}", {"row": i}, Interval(0))
-        for i in range(20):
-            result = cluster.lookup(f"key-{i}", 0, 5)
-            assert result.hit and result.value == {"row": i}
-    finally:
-        cluster.close()
 
 
 # ----------------------------------------------------------------------
@@ -1033,23 +810,20 @@ def test_invalidate_tags_args_round_trip_binary():
     assert wire.decode_binary_args(opcode, bytes(body)) == args
 
 
-def test_invalidate_tags_is_a_binary_op_on_both_framings():
-    # The batch is hot-path data (tags truncate entries), so it must ride
-    # the binary codec on binary connections; the opcode exists on the
-    # legacy framing too (by name), which test_procnode's parity suite
-    # exercises end to end.
+def test_invalidate_tags_is_a_binary_op():
+    # The batch is hot-path data (tags truncate entries), so it rides the
+    # binary codec; test_procnode's parity suite exercises it end to end.
     assert "invalidate_tags" in wire.BINARY_OPS
     assert wire.OPCODES["invalidate_tags"] in wire.BINARY_OPCODES
 
 
-@pytest.mark.parametrize("codec", WIRE_CODECS)
-def test_invalidate_tags_truncates_over_a_live_connection(codec):
+def test_invalidate_tags_truncates_over_a_live_connection():
     from repro.comm.multicast import InvalidationMessage
 
     server = make_server()
     server.put("k", {"v": 1}, Interval(2), frozenset({InvalidationTag.key("items", "id", 1)}))
-    with CacheServerProcess(server, style="eventloop", wire_codec=codec) as process:
-        transport = SocketTransport(process.address, pipelined=True, wire_codec=codec)
+    with CacheServerProcess(server) as process:
+        transport = SocketTransport(process.address)
         try:
             transport.process_invalidations(
                 [
@@ -1070,16 +844,15 @@ def test_invalidate_tags_truncates_over_a_live_connection(codec):
     assert server.stats.invalidation_messages == 3
 
 
-@pytest.mark.parametrize("codec", WIRE_CODECS)
-def test_single_message_rides_invalidate_tags(codec):
+def test_single_message_rides_invalidate_tags():
     """One message is a one-element batch of the one stream op, not an op
     of its own."""
     from repro.comm.multicast import InvalidationMessage
 
     server = make_server()
     server.put("k", {"v": 1}, Interval(2), frozenset({InvalidationTag.key("items", "id", 1)}))
-    with CacheServerProcess(server, style="eventloop", wire_codec=codec) as process:
-        transport = SocketTransport(process.address, pipelined=True, wire_codec=codec)
+    with CacheServerProcess(server) as process:
+        transport = SocketTransport(process.address)
         try:
             transport.op_counts.clear()
             transport.process_invalidation(
@@ -1097,8 +870,8 @@ def test_retired_invalidate_opcode_is_refused_not_misread():
     """Opcode 15 (the pickled single-message ``invalidate``) stays
     unassigned: a frame from a client that still sends it gets OP_ERR."""
     assert "invalidate" not in wire.OPCODES
-    assert 15 not in wire.OP_NAMES
-    with CacheServerProcess(make_server(), style="eventloop", wire_codec="binary") as process:
+    assert 15 not in wire.OPCODES.values()
+    with CacheServerProcess(make_server()) as process:
         sock = _dial_binary(process.address)
         try:
             sock.sendall(b"".join(bytes(b) for b in wire.encode_mux_frame(3, 15, ())))
@@ -1165,8 +938,8 @@ def test_encode_scratch_rolls_back_a_failed_encode():
 def test_mux_transport_pins_scratch_allocations_across_a_batch_run():
     """The transport-level no-new-allocations claim: one encode buffer
     serves every multi_lookup of a run (satellite of the per-core PR)."""
-    with CacheServerProcess(make_server(), style="eventloop", wire_codec="binary") as process:
-        transport = SocketTransport(process.address, pipelined=True, wire_codec="binary")
+    with CacheServerProcess(make_server()) as process:
+        transport = SocketTransport(process.address)
         try:
             for i in range(10):
                 transport.put(f"key-{i}", {"row": i}, Interval(0))

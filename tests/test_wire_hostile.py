@@ -7,7 +7,9 @@ library, with plain sockets, against both hostings of the event-loop node
 
 * **Hostile bytes.**  No byte sequence may crash or wedge a node: the
   connection that sent it gets ``OP_ERR`` or is closed, a connection opened
-  before the abuse keeps being served, and the node is still alive.
+  before the abuse keeps being served, and the node is still alive.  A
+  connection that does not open with the version byte — a retired
+  protocol's first bytes, or noise — is closed at once.
 * **A scripted session.**  The same request bytes, however they are cut
   into segments, draw byte-identical replies — identical to what the node
   of the commit before the read path was rewritten sent (recorded below).
@@ -16,6 +18,7 @@ library, with plain sockets, against both hostings of the event-loop node
 from __future__ import annotations
 
 import hashlib
+import pickle
 import random
 import socket
 import struct
@@ -44,10 +47,10 @@ def node(request):
         server = CacheServer(
             name=NODE_NAME, capacity_bytes=8 * 1024 * 1024, clock=ManualClock()
         )
-        with CacheServerProcess(server, style="eventloop", wire_codec="binary") as process:
-            yield process.address, lambda: process.running and process._engine._thread.is_alive()
+        with CacheServerProcess(server) as process:
+            yield process.address, lambda: process.running and process._thread.is_alive()
     else:
-        host = CacheNodeHost(NODE_NAME, capacity_bytes=8 * 1024 * 1024, wire_codec="binary")
+        host = CacheNodeHost(NODE_NAME, capacity_bytes=8 * 1024 * 1024)
         try:
             yield host.address, lambda: host.running
         finally:
@@ -55,19 +58,14 @@ def node(request):
 
 
 def binary_transport(address):
-    # Codec pinned, as on the nodes: REPRO_WIRE_CODEC must not move this file.
-    return SocketTransport(
-        address, pipelined=True, wire_codec="binary", timeout_seconds=REPLY_TIMEOUT
-    )
+    return SocketTransport(address, timeout_seconds=REPLY_TIMEOUT)
 
 
-def dial(address, hello=wire.MUX_MAGIC_BINARY):
+def dial(address, hello=wire.WIRE_VERSION):
     sock = socket.create_connection(address, timeout=REPLY_TIMEOUT)
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     if hello is not None:
         sock.sendall(bytes([hello]))
-        if hello == wire.MUX_MAGIC_BINARY:
-            assert wire.recv_exactly(sock, 1)[0] == wire.BINARY_ACK
     return sock
 
 
@@ -137,49 +135,51 @@ def abuses(seed):
     rng = random.Random(seed)
     cut = rng.randrange(1, wire.MUX_HEADER.size)
     body_cut = rng.randrange(wire.MUX_HEADER.size, len(PUT) - 1)
-    garbage = bytes(rng.randrange(256) for _ in range(rng.randrange(1, 40)))
+    garbage = bytes(
+        [rng.choice([b for b in range(256) if b != wire.WIRE_VERSION])]
+        + [rng.randrange(256) for _ in range(rng.randrange(40))]
+    )
     return {
         # The frame never completes; the sender gives up.  Nothing to answer.
-        "truncated-header": (wire.MUX_MAGIC_BINARY, PUT[:cut], True, {"closed"}),
-        "truncated-frame": (wire.MUX_MAGIC_BINARY, PUT[:body_cut], True, {"closed"}),
+        "truncated-header": (wire.WIRE_VERSION, PUT[:cut], True, {"closed"}),
+        "truncated-frame": (wire.WIRE_VERSION, PUT[:body_cut], True, {"closed"}),
         # A whole frame whose body stops short of what it describes.
         "truncated-body": (
-            wire.MUX_MAGIC_BINARY,
+            wire.WIRE_VERSION,
             header(3, OP["put"] | wire.FLAG_BIN, body_cut - wire.MUX_HEADER.size)
             + PUT[wire.MUX_HEADER.size : body_cut],
             False,
             {ERR},
         ),
         "oversized-length": (
-            wire.MUX_MAGIC_BINARY,
+            wire.WIRE_VERSION,
             header(4, OP["put"] | wire.FLAG_BIN, wire.MAX_FRAME_BYTES + 1 + rng.randrange(1 << 20)),
             False,
             {"closed"},
         ),
         "unknown-opcode": (
-            wire.MUX_MAGIC_BINARY,
+            wire.WIRE_VERSION,
             header(5, rng.choice([0, 15, 23, 31]) | wire.FLAG_BIN, 0),
             False,
             {ERR},
         ),
         "blob-length-flip": (
-            wire.MUX_MAGIC_BINARY, flip_bit(PUT, BLOB_LENGTH_AT, 4, rng), False, {ERR},
+            wire.WIRE_VERSION, flip_bit(PUT, BLOB_LENGTH_AT, 4, rng), False, {ERR},
         ),
         # Any three integers are a well-formed request, so a flipped bound
         # may just as well be answered; it must be answered, though.
         "qqq-flip": (
-            wire.MUX_MAGIC_BINARY, flip_bit(MULTI_LOOKUP, QQQ_AT, 24, rng), False, {ERR, OK},
+            wire.WIRE_VERSION, flip_bit(MULTI_LOOKUP, QQQ_AT, 24, rng), False, {ERR, OK},
         ),
         "frame-flip-anywhere": (
-            wire.MUX_MAGIC_BINARY,
+            wire.WIRE_VERSION,
             flip_bit(PUT, wire.MUX_HEADER.size, len(PUT) - wire.MUX_HEADER.size, rng),
             False,
             {ERR, OK},
         ),
-        # No magic byte: the garbage reads as a legacy length header, which
-        # is either absurd (hang up) or never satisfied (we hang up).
-        "garbage-before-magic": (
-            None, garbage + bytes([wire.MUX_MAGIC_BINARY]) + PUT, True, {"closed", "legacy"},
+        # Noise where the version byte belongs: the node hangs up.
+        "garbage-before-version": (
+            None, garbage + bytes([wire.WIRE_VERSION]) + PUT, True, {"closed"},
         ),
     }
 
@@ -196,15 +196,7 @@ def test_hostile_bytes_cost_only_the_connection_that_sent_them(node, seed):
                 victim.sendall(payload)
                 if hang_up:
                     victim.shutdown(socket.SHUT_WR)
-                if hello is None:
-                    # Legacy framing has no reply header to parse: any
-                    # bytes back are an error frame, none is a hang-up.
-                    try:
-                        got = "legacy" if victim.recv(4096) else "closed"
-                    except ConnectionError:
-                        got = "closed"
-                else:
-                    got = outcome(victim)
+                got = outcome(victim)
                 assert got in allowed, f"{name} (seed {seed}): {got!r}"
             finally:
                 victim.close()
@@ -212,6 +204,45 @@ def test_hostile_bytes_cost_only_the_connection_that_sent_them(node, seed):
             assert bystander._call("ping") == NODE_NAME
             (result,) = bystander.multi_lookup([LookupRequest("bystander", 1, 5, 1)])
             assert result.hit and result.value == {"n": 1}, name
+    finally:
+        bystander.close()
+
+
+#: First bytes of connections that do not speak this protocol: a request of
+#: the retired 4-byte-length + pickle framing, the retired 0xA7 hello before
+#: a well-formed frame, and a lone zero byte.
+FOREIGN_OPENINGS = {
+    "length-prefixed-pickle": (
+        struct.pack("!I", len(pickle.dumps(("ping", ())))) + pickle.dumps(("ping", ()))
+    ),
+    "retired-hello": bytes([0xA7]) + pickled_request(1, "ping"),
+    "zero-byte": b"\x00",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FOREIGN_OPENINGS))
+def test_a_connection_without_the_version_byte_is_closed(node, name):
+    """It costs only its own connection: a client connected before it, and
+    one connecting after it, keep being served."""
+    address, alive = node
+    bystander = binary_transport(address)
+    try:
+        bystander.put("bystander", {"n": 1}, Interval(1, None), frozenset({TAG}))
+        victim = dial(address, hello=None)
+        try:
+            victim.sendall(FOREIGN_OPENINGS[name])
+            (result,) = bystander.multi_lookup([LookupRequest("bystander", 1, 5, 1)])
+            assert result.hit and result.value == {"n": 1}
+            assert outcome(victim) == "closed"
+        finally:
+            victim.close()
+        assert alive()
+        assert bystander._call("ping") == NODE_NAME
+        late = binary_transport(address)
+        try:
+            assert late.lookup("bystander", 1, 5).value == {"n": 1}
+        finally:
+            late.close()
     finally:
         bystander.close()
 
@@ -287,21 +318,17 @@ def test_scripted_session_replies_are_byte_identical_to_the_recorded_ones(node, 
 # ----------------------------------------------------------------------
 # A reader that stalls: the overflow route
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("write_coalescing", [True, False])
-def test_a_client_that_stops_reading_gets_every_reply_once_it_reads(write_coalescing):
+def test_a_client_that_stops_reading_gets_every_reply_once_it_reads():
     """Forty pipelined lookups of a 300 KB value are 12 MB of replies to a
     client that is not reading: the socket fills, partial writes park in
     the connection's queue, the backpressure bound stops the node reading,
     and every reply still arrives whole, exactly once, when the client
-    drains it.  (With coalescing off the parent commit wrote one reply
-    twice here: its flush re-entered itself through the completion hook.)"""
+    drains it.  (A flush that re-entered itself through the completion
+    hook once wrote one reply twice here.)"""
     requests, bound = 40, 8
     server = CacheServer(name=NODE_NAME, capacity_bytes=8 * 1024 * 1024, clock=ManualClock())
     server.put("big", BIG, Interval(3, None), frozenset())
-    with CacheServerProcess(
-        server, style="eventloop", wire_codec="binary",
-        write_coalescing=write_coalescing, max_queued_per_connection=bound,
-    ) as process:
+    with CacheServerProcess(server, max_queued_per_connection=bound) as process:
         bystander = binary_transport(process.address)
         sock = dial(process.address)
         try:
