@@ -22,11 +22,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from repro.cache.entry import EntryRecord, LookupRequest, LookupResult, ValueBlob
-from repro.cache.netserver import (
-    CacheNodeUnreachableError,
-    CacheServerProcess,
-    SocketTransport,
-)
+from repro.cache.netserver import CacheServerProcess, SocketTransport
 from repro.cache.server import CacheServer
 from repro.clock import ManualClock
 from repro.comm import wire
@@ -501,7 +497,7 @@ def test_hot_and_maintenance_ops_serve_traffic():
 # ----------------------------------------------------------------------
 # Read lease
 # ----------------------------------------------------------------------
-def test_concurrent_callers_share_the_read_lease():
+def test_concurrent_callers_share_the_lease():
     """Many threads hammering one mux connection get their own answers back
     through the lease handoff."""
     with CacheServerProcess(make_server()) as process:
