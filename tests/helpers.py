@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import os
 import random
-from typing import Iterable, List, Optional, Tuple
+from contextlib import contextmanager
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro.apps.rubis import (
     IN_MEMORY_CONFIG,
@@ -36,7 +37,10 @@ from repro.apps.rubis import (
 )
 from repro.apps.rubis.workload import BIDDING_MIX
 from repro.cache.cluster import CacheCluster
-from repro.cache.netserver import CacheNodeUnreachableError
+from repro.cache.netserver import CacheNodeUnreachableError, CacheServerProcess
+from repro.cache.procnode import CacheNodeHost
+from repro.cache.server import CacheServer
+from repro.clock import ManualClock
 from repro.core.api import ConsistencyMode
 from repro.db.database import Database
 from repro.db.query import Eq, Select
@@ -71,6 +75,38 @@ def transports_under_test() -> List[str]:
 
 #: "Until now" as an upper lookup bound (the client library's own value).
 FAR_FUTURE = 2**62
+
+#: The two hostings of a node on the wire: a thread of the test process
+#: (``CacheServerProcess``), or a child process (``CacheNodeHost``).
+NODE_HOSTINGS = ["thread", "process"]
+
+
+@contextmanager
+def live_node(
+    hosting: str,
+    name: str = "node",
+    capacity_bytes: int = 4 * 1024 * 1024,
+    **options,
+) -> Iterator[object]:
+    """A running cache node, hosted as ``hosting`` (one of :data:`NODE_HOSTINGS`) says.
+
+    Yields the host; both kinds have ``address`` and ``running``.  A
+    thread-hosted node's ``server`` is its :class:`CacheServer` (on a
+    :class:`ManualClock`); a process-hosted one has none and is inspected
+    over the wire.  ``options`` are the constructor arguments both hostings
+    take: ``max_queued_per_connection``, ``simulated_latency_seconds``,
+    ``worker_threads``.
+    """
+    if hosting == "thread":
+        server = CacheServer(name=name, capacity_bytes=capacity_bytes, clock=ManualClock())
+        with CacheServerProcess(server, **options) as host:
+            yield host
+    elif hosting == "process":
+        with CacheNodeHost(name, capacity_bytes=capacity_bytes, **options) as host:
+            yield host
+    else:
+        raise ValueError(f"hosting={hosting!r}; expected one of {NODE_HOSTINGS}")
+
 
 def simple_schema(name: str = "users") -> TableSchema:
     """A small table used by many database tests."""

@@ -31,6 +31,7 @@ from repro.clock import ManualClock
 from repro.comm.transport import InProcessTransport
 from repro.db.invalidation import InvalidationTag
 from repro.interval import Interval
+from tests.helpers import NODE_HOSTINGS, live_node
 
 _TEST_PID = os.getpid()
 
@@ -184,10 +185,10 @@ def test_socket_node_fills_sizes_and_evicts_like_an_in_process_node(seed):
             wire.close()
 
 
+@pytest.mark.parametrize("hosting", NODE_HOSTINGS)
 @pytest.mark.parametrize("value", [b"", b"raw \x00 bytes", ValueBlob(b"looks like a blob")])
-def test_a_bytes_value_round_trips_as_the_bytes_it_was(value):
-    server = CacheServer(name="n", capacity_bytes=1 << 20, clock=ManualClock())
-    with CacheServerProcess(server) as process:
+def test_a_bytes_value_round_trips_as_the_bytes_it_was(value, hosting):
+    with live_node(hosting, "n", 1 << 20) as process:
         transport = SocketTransport(process.address)
         try:
             transport.put("k", value, Interval(0))

@@ -22,6 +22,7 @@ from repro.cache.netserver import (
 from repro.cache.server import CacheServer
 from repro.clock import ManualClock
 from repro.interval import Interval
+from tests.helpers import NODE_HOSTINGS, live_node
 
 
 def make_server(name="node"):
@@ -182,7 +183,8 @@ def test_backpressure_bounds_queue_pauses_reads_and_recovers():
 # ----------------------------------------------------------------------
 # Server-side errors
 # ----------------------------------------------------------------------
-def test_server_side_errors_surface_without_poisoning():
+@pytest.mark.parametrize("hosting", NODE_HOSTINGS)
+def test_server_side_errors_surface_without_poisoning(hosting):
     """Bad requests raise CacheTransportError; the stream keeps working.
 
     An unknown op fails fast, client-side (the transport checks its opcode
@@ -190,7 +192,7 @@ def test_server_side_errors_surface_without_poisoning():
     exercises the server's error response.  Neither may poison the
     connection.
     """
-    with CacheServerProcess(make_server()) as process:
+    with live_node(hosting) as process:
         transport = SocketTransport(process.address)
         try:
             with pytest.raises(CacheTransportError, match="unknown cache operation"):
@@ -268,8 +270,9 @@ def test_server_shutdown_fails_pending_pipelined_calls():
         process.shutdown()
 
 
-def test_transport_close_is_idempotent_and_fails_fast():
-    with CacheServerProcess(make_server()) as process:
+@pytest.mark.parametrize("hosting", NODE_HOSTINGS)
+def test_transport_close_is_idempotent_and_fails_fast(hosting):
+    with live_node(hosting) as process:
         transport = SocketTransport(process.address)
         assert transport.probe("k", 0, 5) is False
         transport.close()

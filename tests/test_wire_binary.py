@@ -28,6 +28,7 @@ from repro.clock import ManualClock
 from repro.comm import wire
 from repro.db.invalidation import InvalidationTag
 from repro.interval import Interval
+from tests.helpers import NODE_HOSTINGS, live_node
 
 
 def make_server(name="node"):
@@ -425,10 +426,11 @@ def _read_mux_response(sock):
     return request_id, opcode & wire.OPCODE_MASK, value
 
 
-def test_garbage_binary_body_yields_error_response_not_a_dead_server():
+@pytest.mark.parametrize("hosting", NODE_HOSTINGS)
+def test_garbage_binary_body_yields_error_response_not_a_dead_server(hosting):
     """A FLAG_BIN frame with an undecodable body must produce OP_ERR and
     leave the connection (and the server) fully functional."""
-    with CacheServerProcess(make_server()) as process:
+    with live_node(hosting) as process:
         sock = _dial_binary(process.address)
         try:
             garbage = b"\xff\xfe\xfd\xfc"
@@ -453,10 +455,11 @@ def test_garbage_binary_body_yields_error_response_not_a_dead_server():
             sock.close()
 
 
-def test_binary_and_pickle_frames_interleave_on_one_connection():
+@pytest.mark.parametrize("hosting", NODE_HOSTINGS)
+def test_binary_and_pickle_frames_interleave_on_one_connection(hosting):
     """The server keeps no per-connection codec state: it answers in the
     body format each request arrived in, even alternating on one socket."""
-    with CacheServerProcess(make_server()) as process:
+    with live_node(hosting) as process:
         sock = _dial_binary(process.address)
         try:
             binary = wire.encode_binary_request_frame(
@@ -477,8 +480,9 @@ def test_binary_and_pickle_frames_interleave_on_one_connection():
             sock.close()
 
 
-def test_hot_and_maintenance_ops_serve_traffic():
-    with CacheServerProcess(make_server()) as process:
+@pytest.mark.parametrize("hosting", NODE_HOSTINGS)
+def test_hot_and_maintenance_ops_serve_traffic(hosting):
+    with live_node(hosting) as process:
         transport = SocketTransport(process.address)
         try:
             assert transport.probe("k", 0, 5) is False
@@ -497,10 +501,11 @@ def test_hot_and_maintenance_ops_serve_traffic():
 # ----------------------------------------------------------------------
 # Read lease
 # ----------------------------------------------------------------------
-def test_concurrent_callers_share_the_lease():
+@pytest.mark.parametrize("hosting", NODE_HOSTINGS)
+def test_concurrent_callers_share_the_lease(hosting):
     """Many threads hammering one mux connection get their own answers back
     through the lease handoff."""
-    with CacheServerProcess(make_server()) as process:
+    with live_node(hosting) as process:
         transport = SocketTransport(process.address)
         try:
             for i in range(16):
@@ -527,13 +532,14 @@ def test_concurrent_callers_share_the_lease():
             transport.close()
 
 
-def test_lazily_built_slot_events_lose_no_wakeup_under_forced_switching():
+@pytest.mark.parametrize("hosting", NODE_HOSTINGS)
+def test_lazily_built_slot_events_lose_no_wakeup_under_forced_switching(hosting):
     """A slot builds its event only when its caller has to wait, while the
     reader settles it from another thread: with the interpreter switching
     threads every microsecond, a settle that raced the event's creation
     and got lost would strand its caller until the timeout."""
     threads, calls = 8, 250
-    with CacheServerProcess(make_server()) as process:
+    with live_node(hosting) as process:
         transport = SocketTransport(process.address, timeout_seconds=10.0)
         for i in range(threads):
             transport.put(f"k{i}", i, Interval(0))
@@ -625,11 +631,12 @@ def test_unencodable_request_leaves_no_slot_to_absorb_the_lease_handoff():
             transport.close()
 
 
-def test_a_failure_inside_send_poisons_even_when_it_is_not_an_oserror(monkeypatch):
+@pytest.mark.parametrize("hosting", NODE_HOSTINGS)
+def test_a_failure_inside_send_poisons_even_when_it_is_not_an_oserror(monkeypatch, hosting):
     """Once ``send`` has been entered half a frame may be on the wire, and
     whatever is written next would be read as the rest of it: any exception
     from there on — not only ``OSError`` — costs the connection."""
-    with CacheServerProcess(make_server()) as process:
+    with live_node(hosting) as process:
         transport = SocketTransport(process.address, timeout_seconds=8.0)
         try:
             send_buffers = wire.send_buffers
@@ -813,14 +820,14 @@ def test_invalidate_tags_is_a_binary_op():
     assert wire.OPCODES["invalidate_tags"] in wire.BINARY_OPCODES
 
 
-def test_invalidate_tags_truncates_over_a_live_connection():
+@pytest.mark.parametrize("hosting", NODE_HOSTINGS)
+def test_invalidate_tags_truncates_over_a_live_connection(hosting):
     from repro.comm.multicast import InvalidationMessage
 
-    server = make_server()
-    server.put("k", {"v": 1}, Interval(2), frozenset({InvalidationTag.key("items", "id", 1)}))
-    with CacheServerProcess(server) as process:
+    with live_node(hosting) as process:
         transport = SocketTransport(process.address)
         try:
+            transport.put("k", {"v": 1}, Interval(2), frozenset({InvalidationTag.key("items", "id", 1)}))
             transport.process_invalidations(
                 [
                     InvalidationMessage(
@@ -829,45 +836,47 @@ def test_invalidate_tags_truncates_over_a_live_connection():
                     for ts, tags in _invalidation_batch()
                 ]
             )
+            assert transport.watermark() == 9
+            (entry,) = transport.versions_of("k")
+            assert not entry.still_valid
+            # The first matching invalidation after the entry's birth
+            # truncates it (timestamp 4, the exact-tag message), not the
+            # later wildcard.
+            assert entry.interval.hi == 4
+            assert transport.stats().invalidation_messages == 3
         finally:
             transport.close()
-    assert server.last_invalidation_timestamp == 9
-    (entry,) = server.versions_of("k")
-    assert not entry.still_valid
-    # The first matching invalidation after the entry's birth truncates it
-    # (timestamp 4, the exact-tag message), not the later wildcard.
-    assert entry.interval.hi == 4
-    assert server.stats.invalidation_messages == 3
 
 
-def test_single_message_rides_invalidate_tags():
+@pytest.mark.parametrize("hosting", NODE_HOSTINGS)
+def test_single_message_rides_invalidate_tags(hosting):
     """One message is a one-element batch of the one stream op, not an op
     of its own."""
     from repro.comm.multicast import InvalidationMessage
 
-    server = make_server()
-    server.put("k", {"v": 1}, Interval(2), frozenset({InvalidationTag.key("items", "id", 1)}))
-    with CacheServerProcess(server) as process:
+    with live_node(hosting) as process:
         transport = SocketTransport(process.address)
         try:
+            transport.put("k", {"v": 1}, Interval(2), frozenset({InvalidationTag.key("items", "id", 1)}))
             transport.op_counts.clear()
             transport.process_invalidation(
                 InvalidationMessage(timestamp=4, tags=(InvalidationTag.key("items", "id", 1),))
             )
             assert transport.op_counts == {"invalidate_tags": 1}
+            (entry,) = transport.versions_of("k")
+            assert entry.interval.hi == 4
+            assert transport.stats().invalidation_messages == 1
         finally:
             transport.close()
-    (entry,) = server.versions_of("k")
-    assert entry.interval.hi == 4
-    assert server.stats.invalidation_messages == 1
 
 
-def test_retired_invalidate_opcode_is_refused_not_misread():
+@pytest.mark.parametrize("hosting", NODE_HOSTINGS)
+def test_retired_invalidate_opcode_is_refused_not_misread(hosting):
     """Opcode 15 (the pickled single-message ``invalidate``) stays
     unassigned: a frame from a client that still sends it gets OP_ERR."""
     assert "invalidate" not in wire.OPCODES
     assert 15 not in wire.OPCODES.values()
-    with CacheServerProcess(make_server()) as process:
+    with live_node(hosting) as process:
         sock = _dial_binary(process.address)
         try:
             sock.sendall(b"".join(bytes(b) for b in wire.encode_mux_frame(3, 15, ())))
@@ -931,10 +940,11 @@ def test_encode_scratch_rolls_back_a_failed_encode():
     body.release()
 
 
-def test_mux_transport_pins_scratch_allocations_across_a_batch_run():
+@pytest.mark.parametrize("hosting", NODE_HOSTINGS)
+def test_mux_transport_pins_scratch_allocations_across_a_batch_run(hosting):
     """The transport-level no-new-allocations claim: one encode buffer
     serves every multi_lookup of a run (satellite of the per-core PR)."""
-    with CacheServerProcess(make_server()) as process:
+    with live_node(hosting) as process:
         transport = SocketTransport(process.address)
         try:
             for i in range(10):

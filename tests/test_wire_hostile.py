@@ -3,7 +3,8 @@
 The node's read path cuts frames straight out of whatever ``recv`` returned
 and answers them in the same event, so this file drives it below the client
 library, with plain sockets, against both hostings of the event-loop node
-(a thread of this process, and a child process):
+(a thread of this process, and a child process) and, for the first two
+below, on every route a reply can take out of it (``ROUTES``):
 
 * **Hostile bytes.**  No byte sequence may crash or wedge a node: the
   connection that sent it gets ``OP_ERR`` or is closed, a connection opened
@@ -22,17 +23,18 @@ import pickle
 import random
 import socket
 import struct
+import time
 
 import pytest
 
 from repro.cache.entry import LookupRequest, ValueBlob
 from repro.cache.netserver import CacheServerProcess, SocketTransport
-from repro.cache.procnode import CacheNodeHost
 from repro.cache.server import CacheServer
 from repro.clock import ManualClock
 from repro.comm import wire
 from repro.db.invalidation import InvalidationTag
 from repro.interval import Interval
+from tests.helpers import NODE_HOSTINGS, live_node
 
 OP = wire.OPCODES
 NODE_NAME = "node"
@@ -40,21 +42,41 @@ TAG = InvalidationTag("items", "id", 7)
 REPLY_TIMEOUT = 10.0
 
 
-@pytest.fixture(params=["thread", "process"])
-def node(request):
+#: Node settings that change the route a request takes through the event
+#: loop: answered in the event that read it (replies gathered into one
+#: write), answered one write per reply at a backpressure bound of one, held
+#: on the timer heap for a modelled round trip, or both of the last two —
+#: each reply held, so the frames behind it are parked and the connection
+#: is not read until the timer has written it.
+ROUTES = {
+    "": {},
+    "-bound-1": {"max_queued_per_connection": 1},
+    "-latency": {"simulated_latency_seconds": 0.002},
+    "-parked": {"max_queued_per_connection": 1, "simulated_latency_seconds": 0.002},
+}
+
+
+def serve(hosting, **options):
     """A live event-loop node; yields ``(address, alive)``."""
-    if request.param == "thread":
-        server = CacheServer(
-            name=NODE_NAME, capacity_bytes=8 * 1024 * 1024, clock=ManualClock()
-        )
-        with CacheServerProcess(server) as process:
-            yield process.address, lambda: process.running and process._thread.is_alive()
-    else:
-        host = CacheNodeHost(NODE_NAME, capacity_bytes=8 * 1024 * 1024)
-        try:
+    with live_node(hosting, NODE_NAME, 8 * 1024 * 1024, **options) as host:
+        if hosting == "thread":
+            yield host.address, lambda: host.running and host._thread.is_alive()
+        else:
             yield host.address, lambda: host.running
-        finally:
-            host.shutdown()
+
+
+@pytest.fixture(params=NODE_HOSTINGS)
+def node(request):
+    yield from serve(request.param)
+
+
+@pytest.fixture(
+    params=[(hosting, route) for hosting in NODE_HOSTINGS for route in ROUTES],
+    ids=lambda param: param[0] + param[1],
+)
+def routed_node(request):
+    hosting, route = request.param
+    yield from serve(hosting, **ROUTES[route])
 
 
 def binary_transport(address):
@@ -185,8 +207,8 @@ def abuses(seed):
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_hostile_bytes_cost_only_the_connection_that_sent_them(node, seed):
-    address, alive = node
+def test_hostile_bytes_cost_only_the_connection_that_sent_them(routed_node, seed):
+    address, alive = routed_node
     bystander = binary_transport(address)
     try:
         bystander.put("bystander", {"n": 1}, Interval(1, None), frozenset({TAG}))
@@ -310,9 +332,26 @@ def run_session(address, chunk):
 
 
 @pytest.mark.parametrize("chunk", [0, 1, 7, 4096], ids=["whole", "bytewise", "by-7", "by-4096"])
-def test_scripted_session_replies_are_byte_identical_to_the_recorded_ones(node, chunk):
-    address, _alive = node
+def test_scripted_session_replies_are_byte_identical_to_the_recorded_ones(routed_node, chunk):
+    address, _alive = routed_node
     assert run_session(address, chunk) == RECORDED
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES), ids=lambda route: route[1:] or "inline")
+def test_each_route_takes_the_path_it_names(route):
+    """The session's first step is seven frames in one segment.  Unbounded,
+    all seven are in flight at once and no read is paused; at a bound of
+    one, never more than one is, and the connection's reads pause.  A
+    modelled round trip holds every step's replies for at least that long."""
+    options = ROUTES[route]
+    with live_node("thread", NODE_NAME, 8 * 1024 * 1024, **options) as host:
+        started = time.monotonic()
+        assert run_session(host.address, 0) == RECORDED
+        elapsed = time.monotonic() - started
+    bounded = "max_queued_per_connection" in options
+    assert host.max_in_flight_per_connection == (1 if bounded else 7)
+    assert (host.backpressure_pauses > 0) == bounded
+    assert elapsed >= len(SESSION) * options.get("simulated_latency_seconds", 0.0)
 
 
 # ----------------------------------------------------------------------
