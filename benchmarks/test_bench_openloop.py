@@ -102,8 +102,9 @@ def test_repair_openloop_smoke_budgeted_plane_matches_the_sweep(benchmark):
     complete the full schedule without errors, both repair scenarios
     re-replicate exactly the same damaged entries, and the budgeted run
     actually went through the maintenance plane (windows elapsed, repair
-    spread over real time) rather than degenerating into a synchronous
-    sweep.
+    spread over several chunks) rather than degenerating into a synchronous
+    sweep.  Counts, not wall-clock comparisons: how long either repair
+    took depends on the machine.
     """
 
     def run():
@@ -126,6 +127,7 @@ def test_repair_openloop_smoke_budgeted_plane_matches_the_sweep(benchmark):
     assert baseline.repaired == 0
     assert sync.repaired == budgeted.repaired == result.damaged
     # The budgeted run really was budgeted: the plane's clock saw multiple
-    # refill windows and the repair stretched past the sweep's duration.
+    # refill windows and the repair ran as more than one chunk.
     assert budgeted.budget_windows > 1
-    assert budgeted.repair_seconds > sync.repair_seconds > 0.0
+    assert budgeted.chunks_run > 1
+    assert sync.chunks_run == 0 and sync.repair_seconds > 0.0

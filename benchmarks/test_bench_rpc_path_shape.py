@@ -143,7 +143,7 @@ def test_a_burst_read_in_one_event_is_answered_in_one_gather():
     burst = 32
     stream = bytearray([wire.WIRE_VERSION])
     for request_id in range(burst):
-        for buffer in wire.encode_mux_frame(request_id, wire.OPCODES["ping"], ()):
+        for buffer in wire.encode_binary_request_frame(request_id, wire.OPCODES["ping"], ()):
             stream += buffer
     with _node() as process:
         sock = socket.create_connection(process.address, timeout=10)
@@ -155,7 +155,7 @@ def test_a_burst_read_in_one_event_is_answered_in_one_gather():
                     wire.recv_exactly(sock, wire.MUX_HEADER.size)
                 )
                 assert opcode == wire.OP_OK
-                assert wire.decode_body(0, wire.recv_exactly(sock, length)) == "shape"
+                assert wire.decode_binary_body(wire.recv_exactly(sock, length)) == "shape"
                 replied.add(request_id)
             assert replied == set(range(burst))
         finally:

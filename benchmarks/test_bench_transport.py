@@ -146,47 +146,51 @@ def test_wire_overhead_microbenchmark(benchmark):
 
 
 def test_codec_framing_microbenchmark(benchmark, wire_counters):
-    """Frames/sec and bytes copied, small-lookup vs large-extract payloads.
+    """Frames/sec and bytes copied, small-lookup vs large-install payloads.
 
     The framing copies no payload bytes in userspace — no header is
     concatenated onto a body — so ``WIRE_COUNTERS.bytes_copied`` stays zero
-    even for the multi-megabyte extract payloads of a migration.
+    even for the multi-megabyte install payloads of a migration.
     """
-    small_payload = (
-        "multi_lookup",
-        ([LookupRequest(f"key-{i}", 0, 40) for i in range(4)],),
-    )
+    small_payload = ([LookupRequest(f"key-{i}", 0, 40) for i in range(4)],)
     small_response = [
         LookupResult(hit=True, key=f"key-{i}", value={"row": i}, interval=Interval(0, 40))
         for i in range(4)
     ]
     large_payload = (
         [
-            EntryRecord(key=f"key-{i}", value={"payload": "x" * 512}, interval=Interval(0))
+            EntryRecord(
+                key=f"key-{i}", value=ValueBlob.pack({"payload": "x" * 512}), interval=Interval(0)
+            )
             for i in range(2000)
         ],
-        None,
     )
+    lookup, install = wire.OPCODES["multi_lookup"], wire.OPCODES["install_entries"]
 
-    def round_trips(encode, payload, rounds):
+    def round_trips(encode, decode, payload, rounds):
         start = time.perf_counter()
         for _ in range(rounds):
             buffers = encode(payload)
             body = b"".join(bytes(b) for b in buffers[1:])  # test-side reassembly
-            wire.decode_body(0, body)
+            decode(body)
         return rounds / (time.perf_counter() - start)
 
     def run():
         mux_small = round_trips(
-            lambda p: wire.encode_mux_frame(7, wire.OPCODES["multi_lookup"], p),
+            lambda p: wire.encode_binary_request_frame(7, lookup, p),
+            lambda body: wire.decode_binary_args(lookup, body),
             small_payload,
             3000,
         )
         mux_response = round_trips(
-            lambda p: wire.encode_mux_frame(7, wire.OP_OK, p), small_response, 3000
+            lambda p: wire.encode_binary_mux_frame(7, wire.OP_OK, p),
+            wire.decode_binary_body,
+            small_response,
+            3000,
         )
         mux_large = round_trips(
-            lambda p: wire.encode_mux_frame(7, wire.OPCODES["install_entries"], p),
+            lambda p: wire.encode_binary_request_frame(7, install, p),
+            lambda body: wire.decode_binary_args(install, body),
             large_payload,
             30,
         )
@@ -196,12 +200,12 @@ def test_codec_framing_microbenchmark(benchmark, wire_counters):
     mux_small, mux_response, mux_large, copied = run_once(benchmark, run)
     large_bytes = sum(
         len(bytes(b))
-        for b in wire.encode_mux_frame(7, wire.OPCODES["install_entries"], large_payload)
+        for b in wire.encode_binary_request_frame(7, install, large_payload)
     )
     print(
         f"\nsmall lookup frame:  {mux_small:9,.0f}/s"
         f"\nsmall result frame:  {mux_response:9,.0f}/s"
-        f"\nlarge extract frame: {mux_large:9,.0f}/s  ({large_bytes / 1e6:.1f} MB/frame)"
+        f"\nlarge install frame: {mux_large:9,.0f}/s  ({large_bytes / 1e6:.1f} MB/frame)"
         f"\nencoder bytes copied: {copied} (payload copies eliminated)"
     )
     # The encoders never copy payload bytes: WIRE_COUNTERS only tracks
@@ -280,7 +284,7 @@ def test_binary_codec_lookup_round_trips(benchmark, wire_counters):
         return (time.perf_counter() - start) / ROUNDS
 
     def timed_pickle(request, response):
-        protocol = wire.PICKLE_PROTOCOL
+        protocol = pickle.HIGHEST_PROTOCOL
         dumps, loads = pickle.dumps, pickle.loads
         request_body = dumps(request, protocol)
         response_body = dumps(response, protocol)
@@ -416,7 +420,7 @@ def test_put_packed_layout_beats_pickle(benchmark):
         return (time.perf_counter() - start) / ROUNDS
 
     def timed_pickle(args):
-        protocol = wire.PICKLE_PROTOCOL
+        protocol = pickle.HIGHEST_PROTOCOL
         dumps, loads = pickle.dumps, pickle.loads
         body = dumps(args, protocol)
         start = time.perf_counter()
@@ -463,7 +467,7 @@ def test_put_packed_layout_beats_pickle(benchmark):
     # the body, and it must show in every shape's size.
     for name, args in _put_shapes():
         packed = bytes(wire.encode_binary_args(opcode, args))
-        pickled = pickle.dumps(args, wire.PICKLE_PROTOCOL)
+        pickled = pickle.dumps(args, pickle.HIGHEST_PROTOCOL)
         print(f"{name:13s} packed {len(packed):4d} B  pickle {len(pickled):4d} B")
         assert packed[0] == 1  # the packed layout, not the tagged fallback
         assert wire.decode_binary_args(opcode, packed) == args

@@ -1407,6 +1407,8 @@ class RepairOpenLoopRun:
     repair_seconds: float
     budget_deferrals: int
     budget_windows: int
+    #: Maintenance chunks the plane ran (0 without a plane).
+    chunks_run: int
 
     @property
     def p50(self) -> float:
@@ -1598,6 +1600,7 @@ def repair_openloop(
                 budget_windows=(
                     plane.budget.windows if plane and plane.budget else 0
                 ),
+                chunks_run=(plane.stats.chunks_run if plane else 0),
             )
 
     def best_of(label: str, mode: str) -> RepairOpenLoopRun:

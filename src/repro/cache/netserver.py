@@ -29,16 +29,16 @@ A connection opens with one version byte (:data:`repro.comm.wire.WIRE_VERSION`);
 the node closes a connection that opens with anything else.  Every frame
 then carries a struct-packed ``(request_id, opcode, length)`` header
 (``!QBI``); the opcode names the operation on requests and carries
-``OP_OK``/``OP_ERR`` on responses.  The hot ops have binary bodies and the
-maintenance ops pickled ones (see :mod:`repro.comm.wire`).  Cached values
-are arbitrary Python objects that must round-trip exactly, so they are
-pickled (protocol 5) — once, by :class:`SocketTransport`, into a
-:class:`~repro.cache.entry.ValueBlob` that the server stores and returns
-without ever loading it; only the transport unpickles.  Both endpoints of
-the simulated deployment are trusted, the standard caveat for pickle-based
-RPC.  No path concatenates a header onto a payload: frames are written as
-buffer vectors with ``sendmsg`` gather I/O
-(:func:`repro.comm.wire.send_buffers`).
+``OP_OK``/``OP_ERR`` on responses.  Every body, request or reply, of every
+op, has the one binary format of :mod:`repro.comm.wire`, whose decoder
+builds only the shapes it names: no bytes a peer sends can make the node
+call anything.  Cached values are arbitrary Python objects that must
+round-trip exactly, so they are pickled — once, by
+:class:`SocketTransport`, into a :class:`~repro.cache.entry.ValueBlob` that
+the server stores and returns without ever loading it.  Only the client
+unpickles, and only the values it stored itself.  No path concatenates a
+header onto a payload: frames are written as buffer vectors with
+``sendmsg`` gather I/O (:func:`repro.comm.wire.send_buffers`).
 
 ``CacheServerProcess(simulated_latency_seconds=...)`` models the LAN round
 trip of the paper's gigabit testbed by *delaying the response* on a timer
@@ -48,6 +48,7 @@ zero threads.
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 import itertools
 import select
@@ -59,17 +60,13 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from repro.cache.entry import EntryRecord, LookupRequest, LookupResult, ValueBlob
+from repro.cache.entry import CacheEntry, EntryRecord, LookupRequest, LookupResult, ValueBlob
 from repro.cache.server import CacheServer, CacheServerStats
 from repro.comm import wire
 from repro.comm.multicast import InvalidationMessage
 from repro.comm.wire import (
-    BINARY_OPCODES,
-    FLAG_BIN,
-    FLAG_OOB,
     OP_ERR,
     OP_OK,
-    OPCODE_MASK,
     OPCODES,
     WIRE_VERSION,
     FrameAssembler,
@@ -242,13 +239,19 @@ _SERVE_OPCODE = {
         "lookup", "multi_lookup", "put", "probe", "was_ever_stored",
         "evict_stale", "clear", "reset_stats", "extract_entries",
         "install_entries", "discard_keys", "keys", "note_timestamp",
-        "versions_of", "key_digest", "keys_in_range",
+        "key_digest", "keys_in_range",
     )
 }
 _SERVE_OPCODE.update({
-    # A locked snapshot, so the client sees a stable copy of the counters
-    # even while a worker thread mutates them.
-    OPCODES["stats"]: _serves("stats_snapshot"),
+    # Two results cross as plain shapes the client rebuilds.  The counters
+    # are a locked snapshot, so the client sees a stable copy even while a
+    # worker thread mutates them; each stored version is a tuple of the
+    # CacheEntry fields, in order.
+    OPCODES["stats"]: lambda server: dataclasses.asdict(server.stats_snapshot()),
+    OPCODES["versions_of"]: lambda server, key: [
+        (e.key, e.value, e.interval, e.tags, e.size, e.last_access)
+        for e in server.versions_of(key)
+    ],
     OPCODES["gossip"]: _serves("gossip_exchange"),
     OPCODES["watermark"]: lambda server: server.last_invalidation_timestamp,
     OPCODES["ping"]: lambda server: server.name,
@@ -349,6 +352,10 @@ class CacheServerProcess:
 
     #: Most buffers handed to one ``sendmsg`` (the kernel's limit is 1024).
     _MAX_GATHER = 256
+
+    #: Longest error message a reply carries (an exception's text can quote
+    #: a whole request body).
+    _MAX_ERROR_CHARS = 4096
 
     def __init__(
         self,
@@ -536,7 +543,7 @@ class CacheServerProcess:
                 self.max_in_flight_per_connection = connection.in_flight
             pooled_op = (
                 len(body) > self._INLINE_BODY_LIMIT
-                or (opcode & OPCODE_MASK) in self._POOLED_OPCODES
+                or opcode in self._POOLED_OPCODES
             )
             if pooled_op or self._pooled_active:
                 # Inline-class ops also detour to the pool while any
@@ -560,24 +567,19 @@ class CacheServerProcess:
     def _execute(self, request_id: int, opcode: int, body: bytes) -> List[wire.Buffer]:
         """Serve one request; returns the response frame buffers.
 
-        The response uses the request's body format (``FLAG_BIN`` on the
-        opcode): binary for the hot ops, pickle for the maintenance ops.
+        Never raises: a request that does not decode, names no operation,
+        fails in the server or has a result the format cannot carry is
+        answered ``OP_ERR`` with a message short enough to always encode.
         """
-        binary = opcode & FLAG_BIN
         try:
-            serve = _SERVE_OPCODE.get(opcode & OPCODE_MASK)
+            serve = _SERVE_OPCODE.get(opcode)
             if serve is None:
-                raise ValueError(f"unknown cache operation opcode {opcode & OPCODE_MASK}")
-            if binary:
-                result = serve(self.server, *wire.decode_binary_args(opcode & OPCODE_MASK, body))
-                return wire.encode_binary_mux_frame(request_id, OP_OK, result)
-            result = serve(self.server, *wire.decode_body(opcode & FLAG_OOB, body))
-            return wire.encode_mux_frame(request_id, OP_OK, result)
+                raise ValueError(f"unknown cache operation opcode {opcode}")
+            result = serve(self.server, *wire.decode_binary_args(opcode, body))
+            return wire.encode_binary_mux_frame(request_id, OP_OK, result)
         except Exception as exc:  # server must survive bad requests
-            message = f"{type(exc).__name__}: {exc}"
-            if binary:
-                return wire.encode_binary_mux_frame(request_id, OP_ERR, message)
-            return wire.encode_mux_frame(request_id, OP_ERR, message)
+            message = f"{type(exc).__name__}: {exc}"[: self._MAX_ERROR_CHARS]
+            return wire.encode_binary_mux_frame(request_id, OP_ERR, message)
 
     def _work(
         self,
@@ -783,8 +785,9 @@ class _MuxConnection:
     kicks one waiting follower (without settling its slot) to take over,
     so the lease is never orphaned while requests are outstanding.
 
-    Hot ops (:data:`repro.comm.wire.BINARY_OPS`) are encoded with the
-    binary codec; everything else is pickled.
+    Every request is encoded with the one binary codec of
+    :mod:`repro.comm.wire`; a request it cannot carry raises at the sender
+    and is never registered as in flight.
 
     Any I/O failure — including a caller's wait timing out — poisons the
     whole connection: every pending slot fails with
@@ -881,10 +884,7 @@ class _MuxConnection:
                     finally:
                         body.release()
             else:
-                if opcode in BINARY_OPCODES:
-                    buffers = wire.encode_binary_request_frame(request_id, opcode, args)
-                else:
-                    buffers = wire.encode_mux_frame(request_id, opcode, args)
+                buffers = wire.encode_binary_request_frame(request_id, opcode, args)
                 with self._send_lock:
                     on_wire = True
                     wire.send_buffers(self._sock, buffers)
@@ -1025,14 +1025,11 @@ class _MuxConnection:
         if not data:
             raise ConnectionError("connection closed by peer")
         for request_id, opcode, body in self._frames.feed(data):
-            if opcode & FLAG_BIN:
-                value = wire.decode_binary_body(body)
-            else:
-                value = wire.decode_body(opcode & FLAG_OOB, body)
+            value = wire.decode_binary_body(body)
             with self._lock:
                 slot = self._pending.pop(request_id, None)
             if slot is not None:
-                slot.resolve((opcode & OPCODE_MASK == OP_OK, value))
+                slot.resolve((opcode == OP_OK, value))
 
     def fail(self, exc: BaseException) -> None:
         """Poison the connection: close it and fail every pending slot."""
@@ -1206,7 +1203,7 @@ class SocketTransport:
         self._call("clear")
 
     def stats(self) -> CacheServerStats:
-        return self._call("stats")
+        return CacheServerStats(**self._call("stats"))
 
     def reset_stats(self) -> None:
         self._call("reset_stats")
@@ -1238,8 +1235,8 @@ class SocketTransport:
     def watermark(self) -> int:
         return self._call("watermark")
 
-    def versions_of(self, key: str) -> list:
-        return [_unpack_value(entry) for entry in self._call("versions_of", key)]
+    def versions_of(self, key: str) -> List[CacheEntry]:
+        return [_unpack_value(CacheEntry(*fields)) for fields in self._call("versions_of", key)]
 
     # -- autonomous cluster plane ---------------------------------------
     def gossip(self, digest: dict) -> dict:

@@ -9,47 +9,45 @@ responses may arrive **out of order**: the ``request_id`` is how the client
 matches a response to its caller.
 
 Opcodes name the cache operation numerically (:data:`OPCODES`); the two
-response opcodes ``OP_OK``/``OP_ERR`` carry the result.  Two flag bits ride
-on the opcode byte: :data:`FLAG_BIN` marks a binary body and
-:data:`FLAG_OOB` a pickle body with out-of-band buffers.
+response opcodes ``OP_OK``/``OP_ERR`` carry the result.  The opcode byte is
+the opcode and nothing else.
+
+Bodies
+------
+Every body, of every opcode, in both directions, has one format: a compact
+tagged **binary** encoding (little-endian structs for keys, timestamps,
+intervals, lookup and entry records — see :func:`encode_binary_body`).  The
+format names a closed set of shapes: ``None``, bools, ints of any size,
+floats, strings (lone surrogates included), bytes, lists, tuples, dicts,
+frozensets, and the cache's records.  Anything else raises ``TypeError`` at
+the sender, before a byte is sent, and a decoder refuses any tag it does not
+name.  Decoding therefore only ever builds those shapes: no byte sequence a
+peer sends can make a node call anything.  Malformed bodies raise
+:class:`WireDecodeError`, never anything that could take down a reactor.
 
 Cached values
 -------------
 A cached value crosses the wire as a :class:`repro.cache.entry.ValueBlob`:
 the client end of a connection (``SocketTransport``) pickles the value once
 on the way in and unpickles it once on the way out, and everything in
-between — both body formats below, the node's store, a migration chunk —
-carries that marked byte run without looking inside.  The binary codec
-writes it as ``tag, u32 length, raw bytes``; a pickle body pickles the
-``bytes`` subclass, which copies the payload and never loads it.  A node
-therefore never runs ``pickle.loads`` or ``pickle.dumps`` on a value.
-
-Bodies
-------
-The hot operations (:data:`BINARY_OPS`) carry a compact tagged **binary**
-encoding (little-endian structs for keys, timestamps, intervals, lookup and
-entry records — see :func:`encode_binary_body`) and set :data:`FLAG_BIN`.
-Maintenance ops carry **pickle** bodies with the flag clear: the format
-follows the op, so the two interleave on one connection and the node keeps
-no per-connection codec state.  Malformed binary bodies raise
-:class:`WireDecodeError`, never anything that could take down a reactor.
+between — the node's store, a migration chunk — carries that marked byte
+run without looking inside.  The codec writes it as ``tag, u32 length, raw
+bytes``.  A node therefore never runs ``pickle.loads`` or ``pickle.dumps``:
+only the client trusts, and opens, its own values.
 
 Copy discipline
 ---------------
-Nothing in this module concatenates a header onto a payload.  Frames are
-written as *vectors of buffers* via :func:`send_buffers` (``socket.sendmsg``
-gather I/O, with a join fallback for sockets that lack it), and payloads are
-pickled once with protocol 5.  Objects that support pickle-5 out-of-band
-serialization (:class:`pickle.PickleBuffer` views over large values) are
-sent as separate segments and reassembled on the far side from zero-copy
-``memoryview`` slices of the received body.  :class:`WireCounters` tallies
-the bytes that *were* copied (the fallback paths) so the wire
-microbenchmark can assert the fast paths stay copy-free.
+Nothing in this module concatenates a header onto a body.  A body is
+encoded into one buffer (a blob's bytes are appended to it once), and
+frames are written as *vectors of buffers* via :func:`send_buffers`
+(``socket.sendmsg`` gather I/O, with a join fallback for sockets that lack
+it).  :class:`WireCounters` tallies the bytes that *were* copied again (the
+join fallback) so the wire microbenchmark can assert the fast path stays
+copy-free.
 """
 
 from __future__ import annotations
 
-import pickle
 import socket
 import struct
 import threading
@@ -62,24 +60,15 @@ __all__ = [
     "OPCODES",
     "OP_OK",
     "OP_ERR",
-    "FLAG_OOB",
-    "FLAG_BIN",
-    "OPCODE_MASK",
-    "BINARY_OPS",
-    "BINARY_OPCODES",
-    "PICKLE_PROTOCOL",
     "WireCounters",
     "WIRE_COUNTERS",
     "WireDecodeError",
-    "encode_body",
-    "decode_body",
     "encode_binary_body",
     "decode_binary_body",
     "encode_binary_args",
     "encode_binary_args_into",
     "decode_binary_args",
     "EncodeScratch",
-    "encode_mux_frame",
     "encode_binary_mux_frame",
     "encode_binary_request_frame",
     "send_buffers",
@@ -91,14 +80,10 @@ MUX_HEADER = struct.Struct("!QBI")
 
 #: The first byte of every connection, sent by the client without waiting
 #: for an answer; the node closes a connection that opens with any other.
-WIRE_VERSION = 0xA8
+WIRE_VERSION = 0xA9
 
 #: Upper bound on a single frame, as a sanity check against corrupt headers.
 MAX_FRAME_BYTES = 256 * 1024 * 1024
-
-#: Wire pickle protocol.  Protocol 5 (Python 3.8+) supports out-of-band
-#: buffers; it equals ``pickle.HIGHEST_PROTOCOL`` on every supported Python.
-PICKLE_PROTOCOL = 5
 
 #: Request opcodes: every cache operation the transport protocol names.
 OPCODES = {
@@ -123,21 +108,19 @@ OPCODES = {
     "ping": 17,
     # Autonomous cluster plane: membership-digest exchange piggybacked on
     # the cache wire, and the per-arc interval-set digests anti-entropy
-    # repair plans from instead of full key inventories.  All three ride
-    # the generic pickle body (small dicts/int tuples, not hot-path data).
+    # repair plans from instead of full key inventories.
     "gossip": 18,
     "key_digest": 19,
     "keys_in_range": 20,
     # Wire-delivered invalidation: a batch of (timestamp, tags) pairs
     # applied in order by the receiving node.  Process-hosted nodes cannot
     # share the in-process InvalidationBus, so the stream crosses the wire
-    # as this op — binary-codec eligible because tags are hot-path values
-    # (_T_TAG) and housekeeping may flush large batches.
+    # as this op.
     "invalidate_tags": 21,
     # Stored-version introspection: the full entry list for one key, used
     # by replica-placement checks and debugging.  Process-hosted nodes
     # have no in-process server object to inspect, so the check crosses
-    # the wire like everything else (pickle body — not a hot-path op).
+    # the wire like everything else.
     "versions_of": 22,
 }
 
@@ -145,35 +128,10 @@ OPCODES = {
 OP_OK = 0x40
 OP_ERR = 0x41
 
-#: Opcode flag: the body is segmented (pickle stream + out-of-band buffers).
-FLAG_OOB = 0x80
-
-#: Opcode flag: the body uses the binary codec (set per frame, so binary and
-#: pickle bodies interleave on one connection and the server keeps no
-#: per-connection codec state).  Request opcodes stay below 0x20 and the
-#: response opcodes use 0x40/0x41, so the flag never collides.
-FLAG_BIN = 0x20
-
-#: Mask recovering the request/response opcode from a flagged opcode byte.
-OPCODE_MASK = 0xFF & ~(FLAG_OOB | FLAG_BIN)
-
-#: Hot operations, whose request and response bodies are binary;
-#: maintenance ops keep pickle bodies.
-BINARY_OPS = frozenset({"lookup", "multi_lookup", "put", "probe", "invalidate_tags"})
-
-#: Opcodes of :data:`BINARY_OPS` (the client's per-call body choice).
-BINARY_OPCODES = frozenset(OPCODES[name] for name in BINARY_OPS)
-
 
 class WireDecodeError(ValueError):
-    """A binary frame body could not be decoded (malformed or truncated)."""
+    """A frame body could not be decoded (malformed, truncated, or unknown tag)."""
 
-
-#: Sub-header of an out-of-band body: the number of segments, then one
-#: length per segment.  Segment 0 is the pickle stream; segments 1.. are the
-#: raw out-of-band buffers, in ``buffer_callback`` order.
-_SEGMENT_COUNT = struct.Struct("!I")
-_SEGMENT_LENGTH = struct.Struct("!I")
 
 Buffer = Union[bytes, bytearray, memoryview]
 
@@ -198,8 +156,9 @@ class WireCounters:
         self.frames_decoded = 0
         #: Payload + header bytes handed to the socket layer.
         self.bytes_sent = 0
-        #: Bytes that crossed an extra userspace copy (sendmsg-fallback
-        #: joins and oob-subheader assembly).  Zero on the fast paths.
+        #: Bytes copied again on the way to the socket: the joined frame
+        #: of :func:`send_buffers`' fallback for sockets without
+        #: ``sendmsg``.  Zero on the fast path.
         self.bytes_copied = 0
 
 
@@ -208,65 +167,16 @@ WIRE_COUNTERS = WireCounters()
 
 
 # ----------------------------------------------------------------------
-# Pickle body codec (the maintenance ops)
-# ----------------------------------------------------------------------
-def encode_body(payload: object) -> Tuple[int, List[Buffer]]:
-    """Pickle ``payload`` into wire segments.
-
-    Returns ``(flags, buffers)``.  With no out-of-band buffers (the common
-    case: cache payloads are ordinary object graphs) ``flags`` is 0 and
-    ``buffers`` is the one-element pickle stream.  When the payload carries
-    :class:`pickle.PickleBuffer` views, ``flags`` is :data:`FLAG_OOB` and
-    ``buffers`` is ``[subheader, pickle_stream, *raw_buffers]`` — the large
-    buffers are never copied into the pickle stream.
-    """
-    oob: List[pickle.PickleBuffer] = []
-    data = pickle.dumps(payload, protocol=PICKLE_PROTOCOL, buffer_callback=oob.append)
-    if not oob:
-        return 0, [data]
-    segments: List[Buffer] = [data]
-    for buffer in oob:
-        segments.append(buffer.raw())
-    subheader = bytearray(_SEGMENT_COUNT.pack(len(segments)))
-    for segment in segments:
-        subheader += _SEGMENT_LENGTH.pack(len(segment))
-    WIRE_COUNTERS.bytes_copied += len(subheader)  # only the tiny subheader
-    return FLAG_OOB, [bytes(subheader)] + segments
-
-
-def decode_body(flags: int, body: Buffer) -> object:
-    """Decode one frame body produced by :func:`encode_body`.
-
-    The out-of-band path slices ``body`` with zero-copy memoryviews and
-    hands the raw buffers back to :func:`pickle.loads` via ``buffers=``.
-    """
-    if not flags & FLAG_OOB:
-        return pickle.loads(body)
-    view = memoryview(body)
-    (count,) = _SEGMENT_COUNT.unpack_from(view, 0)
-    offset = _SEGMENT_COUNT.size
-    lengths = []
-    for _ in range(count):
-        (length,) = _SEGMENT_LENGTH.unpack_from(view, offset)
-        offset += _SEGMENT_LENGTH.size
-        lengths.append(length)
-    segments = []
-    for length in lengths:
-        segments.append(view[offset : offset + length])
-        offset += length
-    return pickle.loads(segments[0], buffers=segments[1:])
-
-
-# ----------------------------------------------------------------------
-# Binary body codec (the hot ops)
+# Binary body codec (every body of every op)
 # ----------------------------------------------------------------------
 # One tag byte per value.  Variable-length values (strings, bytes,
 # containers) pack ``tag | length << 8`` into a single little-endian u32, so
 # the common small string costs 4 bytes of overhead and one struct call;
-# anything longer than 2**24-1 falls back to the pickle tag.  Record tags
+# anything longer than 2**24-1 is refused at the sender.  Record tags
 # delegate to the ``pack_into``/``unpack_from`` methods the record types
-# themselves define (cache/entry.py, interval.py); the pickle tag keeps the
-# codec total, so arbitrary payloads still round-trip.
+# themselves define (cache/entry.py, interval.py).  The tag table is closed:
+# a value of any other type raises TypeError at the sender, and a decoder
+# refuses any tag not listed here.
 _T_NONE = 0
 _T_TRUE = 1
 _T_FALSE = 2
@@ -278,7 +188,8 @@ _T_LIST = 7
 _T_TUPLE = 8
 _T_DICT = 9
 _T_FROZENSET = 10
-_T_PICKLE = 11
+# 11 is unassigned (it carried a pickle fallback, which let any peer make
+# the decoding node call any callable), so a decoder refuses it.
 _T_INTERVAL = 12
 # 13 is unassigned (it carried interval sets, which no op sends), so a
 # decoder refuses it.
@@ -298,6 +209,12 @@ _T_LIST8 = 22
 # A cached value already serialized by the client end (ValueBlob): one tag
 # byte, a plain u32 length (values outgrow the 24-bit inline length), raw.
 _T_BLOB = 23
+# Cold shapes, decoded only at the tail of the tag chain: an int outside
+# i64 (ring hashes reach 2**64) as signed little-endian bytes, and a string
+# with lone surrogates as its ``surrogatepass`` UTF-8.  Both use the
+# tagged-length u32.
+_T_BIGINT = 24
+_T_USTR = 25
 
 #: Longest string/bytes/container the tagged-length u32 can describe.
 _MAX_INLINE_LEN = (1 << 24) - 1
@@ -338,20 +255,22 @@ def _bind_record_types() -> None:
     _InvalidationTag = InvalidationTag
 
 
-def _enc_pickle(out: bytearray, value: object) -> None:
-    data = pickle.dumps(value, protocol=PICKLE_PROTOCOL)
-    out.append(_T_PICKLE)
-    out += _pack_u32(len(data))
-    out += data
+def _inline_len(count: int) -> int:
+    """``count`` if the tagged-length u32 can carry it; else ValueError."""
+    if count > _MAX_INLINE_LEN:
+        raise ValueError(f"{count} items or bytes exceed the wire's 24-bit length")
+    return count
 
 
-def _enc_str_cold(out: bytearray, value: str, raw: bytes) -> None:
-    """Slow half of string encoding: anything 255 bytes or longer."""
-    if len(raw) <= _MAX_INLINE_LEN:
-        out += _pack_u32(_T_STR | (len(raw) << 8))
-        out += raw
-    else:
-        _enc_pickle(out, value)
+def _enc_sized(out: bytearray, tag: int, raw: bytes) -> None:
+    """A byte run behind its tagged-length u32."""
+    out += _pack_u32(tag | (_inline_len(len(raw)) << 8))
+    out += raw
+
+
+def _enc_surrogates(out: bytearray, value: str) -> None:
+    """A string strict UTF-8 cannot encode (it holds lone surrogates)."""
+    _enc_sized(out, _T_USTR, value.encode("utf-8", "surrogatepass"))
 
 
 def _enc_int_cold(out: bytearray, value: int) -> None:
@@ -359,7 +278,8 @@ def _enc_int_cold(out: bytearray, value: int) -> None:
     try:
         packed = _pack_i64(value)
     except struct.error:
-        _enc_pickle(out, value)
+        size = (value.bit_length() + 8) // 8  # room for the sign bit
+        _enc_sized(out, _T_BIGINT, value.to_bytes(size, "little", signed=True))
     else:
         out.append(_T_INT)
         out += packed
@@ -398,7 +318,7 @@ def _enc_value(out: bytearray, value: object) -> None:
                 try:
                     raw = part.encode("utf-8")
                 except UnicodeEncodeError:
-                    _enc_pickle(out, part)
+                    _enc_surrogates(out, part)
                     continue
                 size = len(raw)
                 if size < 255:
@@ -406,20 +326,20 @@ def _enc_value(out: bytearray, value: object) -> None:
                     append(size)
                     out += raw
                 else:
-                    _enc_str_cold(out, part, raw)
+                    _enc_sized(out, _T_STR, raw)
             elif part is None:
                 append(_T_NONE)
             else:
                 _enc_value(out, part)
         _enc_value(out, fields["value"])
     elif kind is str:
-        # Strict utf-8 with a pickle fallback: lone surrogates are rare
-        # enough that routing them through pickle beats paying
-        # surrogatepass on every ordinary string.
+        # Strict utf-8, with a tag of its own for lone surrogates: they are
+        # rare enough that a cold path beats paying surrogatepass on every
+        # ordinary string.
         try:
             raw = value.encode("utf-8")
         except UnicodeEncodeError:
-            _enc_pickle(out, value)
+            _enc_surrogates(out, value)
             return
         size = len(raw)
         if size < 255:
@@ -427,7 +347,7 @@ def _enc_value(out: bytearray, value: object) -> None:
             out.append(size)
             out += raw
         else:
-            _enc_str_cold(out, value, raw)
+            _enc_sized(out, _T_STR, raw)
     elif kind is int:
         if 0 <= value <= 255:
             out.append(_T_INT8)
@@ -440,17 +360,14 @@ def _enc_value(out: bytearray, value: object) -> None:
         if count < 256:
             append(_T_DICT8)
             append(count)
-        elif count <= _MAX_INLINE_LEN:
-            out += _pack_u32(_T_DICT | (count << 8))
         else:
-            _enc_pickle(out, value)
-            return
+            out += _pack_u32(_T_DICT | (_inline_len(count) << 8))
         for key, item in value.items():
             if type(key) is str:
                 try:
                     raw = key.encode("utf-8")
                 except UnicodeEncodeError:
-                    _enc_pickle(out, key)
+                    _enc_surrogates(out, key)
                 else:
                     size = len(raw)
                     if size < 255:
@@ -458,7 +375,7 @@ def _enc_value(out: bytearray, value: object) -> None:
                         append(size)
                         out += raw
                     else:
-                        _enc_str_cold(out, key, raw)
+                        _enc_sized(out, _T_STR, raw)
             else:
                 _enc_value(out, key)
             kind2 = type(item)
@@ -466,7 +383,7 @@ def _enc_value(out: bytearray, value: object) -> None:
                 try:
                     raw = item.encode("utf-8")
                 except UnicodeEncodeError:
-                    _enc_pickle(out, item)
+                    _enc_surrogates(out, item)
                     continue
                 size = len(raw)
                 if size < 255:
@@ -474,7 +391,7 @@ def _enc_value(out: bytearray, value: object) -> None:
                     append(size)
                     out += raw
                 else:
-                    _enc_str_cold(out, item, raw)
+                    _enc_sized(out, _T_STR, raw)
             elif kind2 is int:
                 if 0 <= item <= 255:
                     append(_T_INT8)
@@ -494,18 +411,15 @@ def _enc_value(out: bytearray, value: object) -> None:
         if count < 256:
             append(_T_TUPLE8 if kind is tuple else _T_LIST8)
             append(count)
-        elif count <= _MAX_INLINE_LEN:
-            out += _pack_u32((_T_LIST if kind is list else _T_TUPLE) | (count << 8))
         else:
-            _enc_pickle(out, value)
-            return
+            out += _pack_u32((_T_LIST if kind is list else _T_TUPLE) | (_inline_len(count) << 8))
         for item in value:
             kind2 = type(item)
             if kind2 is str:
                 try:
                     raw = item.encode("utf-8")
                 except UnicodeEncodeError:
-                    _enc_pickle(out, item)
+                    _enc_surrogates(out, item)
                     continue
                 size = len(raw)
                 if size < 255:
@@ -513,7 +427,7 @@ def _enc_value(out: bytearray, value: object) -> None:
                     append(size)
                     out += raw
                 else:
-                    _enc_str_cold(out, item, raw)
+                    _enc_sized(out, _T_STR, raw)
             elif kind2 is int:
                 if 0 <= item <= 255:
                     append(_T_INT8)
@@ -535,12 +449,7 @@ def _enc_value(out: bytearray, value: object) -> None:
         out.append(_T_INTERVAL)
         value.pack_into(out)
     elif kind is bytes:
-        size = len(value)
-        if size <= _MAX_INLINE_LEN:
-            out += _pack_u32(_T_BYTES | (size << 8))
-            out += value
-        else:
-            _enc_pickle(out, value)
+        _enc_sized(out, _T_BYTES, value)
     elif kind is _LookupRequest:
         out.append(_T_LOOKUP_REQUEST)
         value.pack_into(out)
@@ -548,14 +457,11 @@ def _enc_value(out: bytearray, value: object) -> None:
         out.append(_T_ENTRY_RECORD)
         value.pack_into(out, _enc_value)
     elif kind is frozenset:
-        if len(value) > _MAX_INLINE_LEN:
-            _enc_pickle(out, value)
-            return
-        out += _pack_u32(_T_FROZENSET | (len(value) << 8))
+        out += _pack_u32(_T_FROZENSET | (_inline_len(len(value)) << 8))
         for item in value:
             _enc_value(out, item)
     else:
-        _enc_pickle(out, value)
+        raise TypeError(f"the wire format has no encoding for {kind.__name__!r}")
 
 
 # Truncation discipline: the hot paths below slice without bounds checks.
@@ -755,13 +661,20 @@ def _dec_value(buf: bytes, offset: int) -> Tuple[object, int]:
             item, offset = _dec_value(buf, offset)
             items.append(item)
         return frozenset(items), offset
-    if tag == _T_PICKLE:
-        size = _unpack_u32(buf, offset + 1)[0]
-        offset += 5
+    if tag == _T_BIGINT:
+        size = _unpack_u32(buf, offset)[0] >> 8
+        offset += 4
         end = offset + size
         if end > len(buf):
-            raise WireDecodeError("truncated pickle fallback")
-        return pickle.loads(buf[offset:end]), end
+            raise WireDecodeError("truncated int")
+        return int.from_bytes(buf[offset:end], "little", signed=True), end
+    if tag == _T_USTR:
+        size = _unpack_u32(buf, offset)[0] >> 8
+        offset += 4
+        end = offset + size
+        if end > len(buf):
+            raise WireDecodeError("truncated string")
+        return buf[offset:end].decode("utf-8", "surrogatepass"), end
     raise WireDecodeError(f"unknown value tag {tag}")
 
 
@@ -962,7 +875,7 @@ class EncodeScratch:
         except BaseException:
             del buf[start:]  # keep the shared buffer consistent
             raise
-        header = MUX_HEADER.pack(request_id, opcode | FLAG_BIN, len(buf) - start)
+        header = MUX_HEADER.pack(request_id, opcode, len(buf) - start)
         WIRE_COUNTERS.frames_encoded += 1
         return header, memoryview(buf)[start:]
 
@@ -1038,21 +951,12 @@ def decode_binary_args(opcode: int, body: Buffer) -> object:
 # ----------------------------------------------------------------------
 # Frame encoders
 # ----------------------------------------------------------------------
-def encode_mux_frame(request_id: int, opcode: int, payload: object) -> List[Buffer]:
-    """One multiplexed frame as a buffer vector (header never concatenated)."""
-    flags, buffers = encode_body(payload)
-    length = sum(len(b) for b in buffers)
-    header = MUX_HEADER.pack(request_id, opcode | flags, length)
-    WIRE_COUNTERS.frames_encoded += 1
-    return [header] + buffers
-
-
 def encode_binary_mux_frame(
     request_id: int, opcode: int, payload: object
 ) -> List[Buffer]:
-    """One multiplexed frame with a binary body (:data:`FLAG_BIN` set)."""
+    """One multiplexed frame as a buffer vector (header never concatenated)."""
     body = encode_binary_body(payload)
-    header = MUX_HEADER.pack(request_id, opcode | FLAG_BIN, len(body))
+    header = MUX_HEADER.pack(request_id, opcode, len(body))
     WIRE_COUNTERS.frames_encoded += 1
     return [header, body]
 
@@ -1067,7 +971,7 @@ def encode_binary_request_frame(
     request layout.
     """
     body = encode_binary_args(opcode, args)
-    header = MUX_HEADER.pack(request_id, opcode | FLAG_BIN, len(body))
+    header = MUX_HEADER.pack(request_id, opcode, len(body))
     WIRE_COUNTERS.frames_encoded += 1
     return [header, body]
 

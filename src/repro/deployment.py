@@ -88,9 +88,6 @@ class TxCacheDeployment:
     #: With R > 1 reads fail over to replicas and a node crash loses no
     #: cached state; 1 reproduces the paper's unreplicated deployment.
     replication_factor: int = 1
-    #: Re-replicate under-replicated ranges automatically after a crash
-    #: eviction (anti-entropy repair; only meaningful with replication).
-    auto_repair: bool = True
     #: Buffer the invalidation stream per node and ship each node's batch
     #: as one ``invalidate_tags`` RPC per :meth:`housekeeping` round,
     #: instead of one synchronous RPC per commit.  Consistency-safe (the
@@ -109,10 +106,6 @@ class TxCacheDeployment:
     gossip_suspect_seconds: float = 2.0
     #: Seconds a suspect stays unrefuted before it is confirmed dead.
     gossip_confirm_seconds: float = 4.0
-    #: Peers each agent exchanges digests with per gossip round.
-    gossip_fanout: int = 1
-    #: Seed of the runner's peer-selection RNG (rounds are deterministic).
-    gossip_seed: int = 0
     #: Run migration/repair sweeps as resumable background jobs pumped from
     #: :meth:`housekeeping` under an op/byte budget, instead of synchronous
     #: epoch-boundary sweeps.  See repro.cache.maintenance.
@@ -135,8 +128,6 @@ class TxCacheDeployment:
     supervision: Optional[bool] = None
     #: First respawn delay after a death; doubles each crash-loop rung.
     supervisor_backoff_base_seconds: float = 0.1
-    #: Ceiling of the respawn backoff ladder.
-    supervisor_backoff_max_seconds: float = 5.0
     #: Respawns allowed inside the window before the circuit breaker trips
     #: and the node is given up on (permanent eviction).
     supervisor_max_restarts: int = 5
@@ -164,9 +155,7 @@ class TxCacheDeployment:
             cpu_pinning=self.cpu_pinning,
             retry_policy=self.retry_policy,
         )
-        self.membership = ClusterMembership(
-            self.cache, chunk_size=self.migration_chunk_size, auto_repair=self.auto_repair
-        )
+        self.membership = ClusterMembership(self.cache, chunk_size=self.migration_chunk_size)
         if self.background_maintenance:
             budget = MaintenanceBudget(
                 clock=self.clock,
@@ -183,8 +172,6 @@ class TxCacheDeployment:
                 clock=self.clock,
                 suspect_timeout=self.gossip_suspect_seconds,
                 confirm_timeout=self.gossip_confirm_seconds,
-                fanout=self.gossip_fanout,
-                seed=self.gossip_seed,
             )
         self.supervisor: Optional[NodeSupervisor] = None
         supervise = (
@@ -199,7 +186,6 @@ class TxCacheDeployment:
                 gossip_runner=self.gossip_runner,
                 clock=self.clock,
                 backoff_base_seconds=self.supervisor_backoff_base_seconds,
-                backoff_max_seconds=self.supervisor_backoff_max_seconds,
                 max_restarts=self.supervisor_max_restarts,
                 restart_window_seconds=self.supervisor_restart_window_seconds,
             )

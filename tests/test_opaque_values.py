@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import pickle
 import random
 
 import pytest
@@ -116,20 +117,30 @@ def test_a_node_process_never_unpickles_a_value(two_process_nodes):
 
 
 def test_the_pill_does_trip_where_a_value_is_unpickled(two_process_nodes):
-    """The detector detects: a pill sent *outside* a blob rides the binary
-    codec's pickle fallback and is materialized by the node's request
-    decoder, which trips it, fails that one request and leaves the node
-    serving."""
+    """The detector detects, and nothing but a blob can carry a value.
+
+    A pill sent *outside* a blob is a type the wire format does not name:
+    the client refuses it before a byte is sent, and no process trips it.
+    A forked child that does unpickle a pill — what a node decoding a
+    pickle would do — trips it."""
     PoisonPill.trips.value = 0
     host, _ = two_process_nodes
     transport = SocketTransport(host.address)
     try:
-        with pytest.raises(Exception, match="unpickled a cached value"):
+        with pytest.raises(TypeError, match="no encoding for 'PoisonPill'"):
             transport._call("put", "raw", PoisonPill(0), Interval(0), frozenset())
-        assert PoisonPill.trips.value == 1
+        assert PoisonPill.trips.value == 0
         assert transport.put("fine", PoisonPill(0), Interval(0)) is True
+        assert transport.lookup("fine", 0, 0).value == PoisonPill(0)
     finally:
         transport.close()
+    child = multiprocessing.get_context("fork").Process(
+        target=pickle.loads, args=(pickle.dumps(PoisonPill(0)),)
+    )
+    child.start()
+    child.join(timeout=30)
+    assert child.exitcode not in (0, None)
+    assert PoisonPill.trips.value == 1
 
 
 # ----------------------------------------------------------------------

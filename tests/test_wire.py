@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import pickle
 import random
 import socket
 
@@ -19,34 +18,16 @@ from repro.interval import Interval
 # ----------------------------------------------------------------------
 def test_plain_body_round_trips():
     payload = ("multi_lookup", ([LookupRequest("k", 0, 5)],))
-    flags, buffers = wire.encode_body(payload)
-    assert flags == 0 and len(buffers) == 1
-    assert wire.decode_body(flags, buffers[0]) == payload
-
-
-def test_out_of_band_buffers_round_trip_without_copies():
-    """PickleBuffer payloads travel as separate segments, reassembled zero-copy."""
-    blob = bytearray(b"z" * 200_000)
-    payload = {"meta": 1, "blob": pickle.PickleBuffer(blob)}
-    flags, buffers = wire.encode_body(payload)
-    assert flags == wire.FLAG_OOB
-    # subheader + pickle stream + the raw buffer, which is *not* embedded
-    # in the pickle stream.
-    assert len(buffers) == 3
-    assert len(buffers[1]) < 1000  # the stream stays tiny
-    assert bytes(buffers[2]) == bytes(blob)
-    body = b"".join(bytes(b) for b in buffers)
-    decoded = wire.decode_body(flags, body)
-    assert bytes(decoded["blob"]) == bytes(blob)
-    assert decoded["meta"] == 1
+    body = wire.encode_binary_body(payload)
+    assert wire.decode_binary_body(bytes(body)) == payload
 
 
 def test_mux_frame_header_layout():
-    buffers = wire.encode_mux_frame(42, wire.OPCODES["lookup"], ("k", 0, 5))
+    buffers = wire.encode_binary_request_frame(42, wire.OPCODES["keys"], ())
     header = bytes(buffers[0])
     request_id, opcode, length = wire.MUX_HEADER.unpack(header)
     assert request_id == 42
-    assert opcode == wire.OPCODES["lookup"]
+    assert opcode == wire.OPCODES["keys"]  # the opcode byte is the opcode
     assert length == sum(len(b) for b in buffers[1:])
 
 
@@ -55,7 +36,7 @@ def test_opcode_table_is_bijective_and_reserves_zero():
     assert 0 not in codes
     assert len(set(codes)) == len(codes)
     for code in codes:
-        assert code < wire.OP_OK  # responses and flags never collide
+        assert code < wire.OP_OK  # requests and responses never collide
 
 
 # ----------------------------------------------------------------------
@@ -65,11 +46,15 @@ def _flatten(buffers):
     return b"".join(bytes(b) for b in buffers)
 
 
+def _request(request_id, op, args=()):
+    return wire.encode_binary_request_frame(request_id, wire.OPCODES[op], args)
+
+
 def test_assembler_checks_the_version_byte_and_reassembles_partials():
     assembler = wire.FrameAssembler(hello=wire.WIRE_VERSION)
     stream = bytes([wire.WIRE_VERSION])
-    stream += _flatten(wire.encode_mux_frame(1, wire.OPCODES["ping"], ()))
-    stream += _flatten(wire.encode_mux_frame(2, wire.OPCODES["probe"], ("k", 0, 5)))
+    stream += _flatten(_request(1, "ping"))
+    stream += _flatten(_request(2, "probe", ("k", 0, 5)))
     frames = []
     for i in range(0, len(stream), 3):  # drip-feed in 3-byte chunks
         frames.extend(assembler.feed(stream[i : i + 3]))
@@ -77,14 +62,16 @@ def test_assembler_checks_the_version_byte_and_reassembles_partials():
         (1, wire.OPCODES["ping"]),
         (2, wire.OPCODES["probe"]),
     ]
-    assert wire.decode_body(0, frames[1][2]) == ("k", 0, 5)
+    assert wire.decode_binary_args(wire.OPCODES["probe"], frames[1][2]) == ("k", 0, 5)
 
 
-@pytest.mark.parametrize("first", [0xA7, 0x00], ids=["retired-hello", "length-prefix"])
+@pytest.mark.parametrize(
+    "first", [0xA8, 0xA7, 0x00], ids=["previous-version", "retired-hello", "length-prefix"]
+)
 def test_assembler_refuses_a_stream_that_does_not_open_with_the_version_byte(first):
     assembler = wire.FrameAssembler(hello=wire.WIRE_VERSION)
     with pytest.raises(ValueError, match="not a cache wire connection"):
-        assembler.feed(bytes([first]) + _flatten(wire.encode_mux_frame(1, wire.OPCODES["ping"], ())))
+        assembler.feed(bytes([first]) + _flatten(_request(1, "ping")))
 
 
 def test_assembler_rejects_oversized_frames():
@@ -98,7 +85,7 @@ def test_multiple_frames_in_one_feed():
     assembler = wire.FrameAssembler()
     stream = b""
     for i in range(20):
-        stream += _flatten(wire.encode_mux_frame(i, wire.OPCODES["keys"], ()))
+        stream += _flatten(_request(i, "keys"))
     frames = assembler.feed(stream)
     assert [f[0] for f in frames] == list(range(20))
 
@@ -134,11 +121,11 @@ _STREAMS = {
             4, _OP["invalidate_tags"], ([(t, tuple(_TAGS)) for t in range(5, 9)],)
         )
     ],
-    "pickled-maintenance": [
-        wire.encode_mux_frame(5, _OP["extract_entries"], (None, 64)),
-        wire.encode_mux_frame(6, wire.OP_ERR, "ValueError: no"),
+    "maintenance": [
+        _request(5, "extract_entries", (None, 64)),
+        wire.encode_binary_mux_frame(6, wire.OP_ERR, "ValueError: no"),
     ],
-    "empty-body": [[wire.MUX_HEADER.pack(7, 15 | wire.FLAG_BIN, 0)]],
+    "empty-body": [[wire.MUX_HEADER.pack(7, 15, 0)]],
     "32-frames": [
         wire.encode_binary_mux_frame(100 + i, wire.OP_OK, [_HIT if i % 3 else _MISS])
         for i in range(32)
@@ -148,7 +135,7 @@ _BIG = [
     wire.encode_binary_request_frame(
         8, _OP["put"], ("big", ValueBlob(bytes(range(256)) * 1200), Interval(3, None), frozenset())
     ),
-    wire.encode_mux_frame(9, _OP["ping"], ()),
+    _request(9, "ping"),
 ]
 
 

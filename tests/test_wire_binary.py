@@ -11,6 +11,7 @@ a crashed event loop.
 
 from __future__ import annotations
 
+import pickle
 import socket
 import sys
 import threading
@@ -49,9 +50,9 @@ timestamps = st.integers(min_value=0, max_value=2**48)
 scalars = (
     st.none()
     | st.booleans()
-    | st.integers(min_value=-(2**70), max_value=2**70)
+    | st.integers(min_value=-(2**70), max_value=2**70)  # past i64 -> the big-int tag
     | st.floats(allow_nan=False)
-    | st.text(max_size=40)  # includes surrogates -> pickle fallback path
+    | st.text(max_size=40)  # includes lone surrogates -> the surrogate tag
     | st.binary(max_size=40)
     | st.binary(max_size=40).map(ValueBlob)  # a value as a node holds it
 )
@@ -179,10 +180,6 @@ def test_value_blobs_round_trip_as_blobs_and_bytes_as_bytes(raw):
     assert type(blob) is ValueBlob and blob == raw
     plain = round_trip(raw)
     assert type(plain) is bytes and plain == raw
-    # A pickle body (the maintenance ops) carries the mark too.
-    flags, buffers = wire.encode_body([ValueBlob(raw), raw])
-    blob, plain = wire.decode_body(flags, b"".join(buffers))
-    assert type(blob) is ValueBlob and type(plain) is bytes and blob == plain == raw
 
 
 @pytest.mark.parametrize("size", [0, 1, 255, 64 * 1024, (1 << 24) + 1])
@@ -302,13 +299,16 @@ def test_put_request_args_fall_back_to_tagged_bodies():
     for args in [
         (b"raw-key", 1, Interval(0), frozenset()),
         ("k", 1, None, frozenset()),
-        ("k", 1, Interval(0), {InvalidationTag("t")}),  # set, not frozenset
+        ("k", 1, Interval(0), (InvalidationTag("t"),)),  # tuple, not frozenset
         ("k", 1, Interval(0)),
         ("k",),
     ]:
         body = bytes(wire.encode_binary_args(opcode, args))
         assert body[0] == 0  # tagged-body marker
         assert wire.decode_binary_args(opcode, body) == args
+    # A set is a shape the format does not name: refused at the sender.
+    with pytest.raises(TypeError, match="no encoding for 'set'"):
+        wire.encode_binary_args(opcode, ("k", 1, Interval(0), {InvalidationTag("t")}))
 
 
 @given(keys, intervals, tags, st.data())
@@ -406,6 +406,89 @@ def test_decode_error_is_a_value_error():
 
 
 # ----------------------------------------------------------------------
+# A closed format: what it names, and what it refuses
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "value",
+    [2**63 - 1, 2**63, -(2**63), -(2**63) - 1, 2**64 - 1, -(2**64), 2**200, -(2**200)],
+)
+def test_ints_past_i64_round_trip_exactly(value):
+    """Ring hashes and digest sums reach 2**64: the big-int tag carries
+    them, alone and inside a key_digest reply."""
+    assert round_trip(value) == value and type(round_trip(value)) is int
+    reply = [(3, value, abs(value) % (1 << 64))]
+    assert round_trip(reply) == reply
+
+
+def test_strings_with_lone_surrogates_round_trip_in_every_position():
+    odd = "a\ud800b"
+    payload = {odd: [odd, (odd,)], "k": InvalidationTag(odd, odd, odd)}
+    assert round_trip(payload) == payload
+    assert round_trip(odd * 200) == odd * 200  # past the one-byte length
+
+
+def test_the_retired_pickle_tag_is_refused_without_being_loaded():
+    loaded = []
+    _Tripwire.calls = loaded
+    pickled = pickle.dumps(_Tripwire())
+    body = bytes([11]) + len(pickled).to_bytes(4, "little") + pickled
+    with pytest.raises(wire.WireDecodeError, match="unknown value tag 11"):
+        wire.decode_binary_body(body)
+    with pytest.raises(wire.WireDecodeError, match="unknown value tag 11"):
+        wire.decode_binary_args(wire.OPCODES["put"], bytes([0]) + body)
+    assert loaded == []
+
+
+@pytest.mark.parametrize(
+    "value", [{1, 2}, bytearray(b"x"), object(), len, ValueError("x")],
+    ids=["set", "bytearray", "object", "builtin", "exception"],
+)
+def test_a_type_the_format_does_not_name_is_refused_at_the_sender(value):
+    with pytest.raises(TypeError, match="no encoding for"):
+        wire.encode_binary_body([1, value])
+    with pytest.raises(TypeError, match="no encoding for"):
+        wire.encode_binary_args(wire.OPCODES["keys_in_range"], ([value],))
+
+
+def test_a_run_past_the_24_bit_length_is_refused_at_the_sender():
+    with pytest.raises(ValueError, match="24-bit length"):
+        wire.encode_binary_body(b"x" * (1 << 24))
+    with pytest.raises(ValueError, match="24-bit length"):
+        wire.encode_binary_body("x" * (1 << 24))
+    # A value blob has a u32 length of its own.
+    assert len(wire.encode_binary_body(ValueBlob(b"x" * (1 << 24)))) == 5 + (1 << 24)
+
+
+def test_an_error_reply_always_encodes():
+    """A request whose error text quotes its whole body — here a 5 MB
+    string of invalid UTF-8, whose repr is longer than any string the
+    format can carry — still gets an ``OP_ERR`` reply: the message is cut
+    before it is encoded."""
+    size = 5_000_000
+    body = bytes([5]) + size.to_bytes(3, "little") + b"\xff" * size
+    with CacheServerProcess(make_server()) as process:
+        buffers = process._execute(9, wire.OPCODES["keys"], body)
+        request_id, opcode, length = wire.MUX_HEADER.unpack(bytes(buffers[0]))
+        assert (request_id, opcode) == (9, wire.OP_ERR)
+        message = wire.decode_binary_body(bytes(buffers[1]))
+        assert message.startswith("WireDecodeError") and len(message) <= 4096
+
+
+class _Tripwire:
+    """Records that it was unpickled."""
+
+    calls: list = []
+
+    def __reduce__(self):
+        return (_tripped, ())
+
+
+def _tripped():
+    _Tripwire.calls.append(True)
+    return None
+
+
+# ----------------------------------------------------------------------
 # Reactor safety: garbage binary frames against a live server
 # ----------------------------------------------------------------------
 def _dial_binary(address):
@@ -419,28 +502,22 @@ def _read_mux_response(sock):
     header = wire.recv_exactly(sock, wire.MUX_HEADER.size)
     request_id, opcode, length = wire.MUX_HEADER.unpack(header)
     body = wire.recv_exactly(sock, length)
-    if opcode & wire.FLAG_BIN:
-        value = wire.decode_binary_body(body)
-    else:
-        value = wire.decode_body(opcode & wire.FLAG_OOB, body)
-    return request_id, opcode & wire.OPCODE_MASK, value
+    return request_id, opcode, wire.decode_binary_body(body)
 
 
 @pytest.mark.parametrize("hosting", NODE_HOSTINGS)
 def test_garbage_binary_body_yields_error_response_not_a_dead_server(hosting):
-    """A FLAG_BIN frame with an undecodable body must produce OP_ERR and
-    leave the connection (and the server) fully functional."""
+    """A frame with an undecodable body must produce OP_ERR and leave the
+    connection (and the server) fully functional."""
     with live_node(hosting) as process:
         sock = _dial_binary(process.address)
         try:
             garbage = b"\xff\xfe\xfd\xfc"
-            frame = wire.MUX_HEADER.pack(
-                7, wire.OPCODES["lookup"] | wire.FLAG_BIN, len(garbage)
-            )
+            frame = wire.MUX_HEADER.pack(7, wire.OPCODES["lookup"], len(garbage))
             sock.sendall(frame + garbage)
             request_id, status, value = _read_mux_response(sock)
             assert request_id == 7
-            assert status == (wire.OP_ERR & wire.OPCODE_MASK)
+            assert status == wire.OP_ERR
             assert "WireDecodeError" in value
             # Same connection, next request: still served.
             buffers = wire.encode_binary_request_frame(
@@ -449,31 +526,29 @@ def test_garbage_binary_body_yields_error_response_not_a_dead_server(hosting):
             sock.sendall(b"".join(bytes(b) for b in buffers))
             request_id, status, value = _read_mux_response(sock)
             assert request_id == 8
-            assert status == (wire.OP_OK & wire.OPCODE_MASK)
+            assert status == wire.OP_OK
             assert value is False
         finally:
             sock.close()
 
 
 @pytest.mark.parametrize("hosting", NODE_HOSTINGS)
-def test_binary_and_pickle_frames_interleave_on_one_connection(hosting):
-    """The server keeps no per-connection codec state: it answers in the
-    body format each request arrived in, even alternating on one socket."""
+def test_hot_and_maintenance_frames_interleave_on_one_connection(hosting):
+    """A hot op and a maintenance op share one connection and one body
+    format: the node keeps no per-connection codec state."""
     with live_node(hosting) as process:
         sock = _dial_binary(process.address)
         try:
-            binary = wire.encode_binary_request_frame(
-                1, wire.OPCODES["probe"], ("k", 0, 5)
-            )
-            pickled = wire.encode_mux_frame(2, wire.OPCODES["keys"], ())
+            hot = wire.encode_binary_request_frame(1, wire.OPCODES["probe"], ("k", 0, 5))
+            maintenance = wire.encode_binary_request_frame(2, wire.OPCODES["keys"], ())
             sock.sendall(
-                b"".join(bytes(b) for b in binary)
-                + b"".join(bytes(b) for b in pickled)
+                b"".join(bytes(b) for b in hot)
+                + b"".join(bytes(b) for b in maintenance)
             )
             responses = {}
             for _ in range(2):
                 request_id, status, value = _read_mux_response(sock)
-                assert status == (wire.OP_OK & wire.OPCODE_MASK)
+                assert status == wire.OP_OK
                 responses[request_id] = value
             assert responses == {1: False, 2: []}
         finally:
@@ -492,8 +567,9 @@ def test_hot_and_maintenance_ops_serve_traffic(hosting):
             assert result.tags == frozenset({InvalidationTag("t")})
             results = transport.multi_lookup([LookupRequest("k", 0, 5)])
             assert results[0].hit
-            # Maintenance ops ride pickle bodies.
+            # Maintenance ops ride the same binary bodies.
             assert transport.keys() == ["k"]
+            assert transport.stats().insertions == 1
         finally:
             transport.close()
 
@@ -595,8 +671,8 @@ def test_unencodable_request_leaves_no_slot_to_absorb_the_lease_handoff():
         transport = SocketTransport(process.address, timeout_seconds=timeout)
         try:
             connection = transport._connection
-            for op in ("keys_in_range", "multi_lookup", "put"):  # pickle and binary bodies
-                with pytest.raises(Exception, match="pickle"):
+            for op in ("keys_in_range", "multi_lookup", "put"):  # the scratch path and the plain one
+                with pytest.raises(TypeError, match="no encoding for 'function'"):
                     transport._call(op, lambda: None)
             assert connection._pending == {} and not connection._lease_held
 
@@ -813,11 +889,13 @@ def test_invalidate_tags_args_round_trip_binary():
     assert wire.decode_binary_args(opcode, bytes(body)) == args
 
 
-def test_invalidate_tags_is_a_binary_op():
-    # The batch is hot-path data (tags truncate entries), so it rides the
-    # binary codec; test_procnode's parity suite exercises it end to end.
-    assert "invalidate_tags" in wire.BINARY_OPS
-    assert wire.OPCODES["invalidate_tags"] in wire.BINARY_OPCODES
+def test_every_op_crosses_as_its_bare_opcode_and_a_binary_body():
+    # No flag bits ride on the opcode byte: every op, the invalidation
+    # batch included, has the one binary body format.
+    for op, opcode in wire.OPCODES.items():
+        header, body = wire.encode_binary_request_frame(1, opcode, ())
+        assert wire.MUX_HEADER.unpack(bytes(header))[1] == opcode, op
+        assert wire.decode_binary_args(opcode, bytes(body)) == (), op
 
 
 @pytest.mark.parametrize("hosting", NODE_HOSTINGS)
@@ -879,9 +957,9 @@ def test_retired_invalidate_opcode_is_refused_not_misread(hosting):
     with live_node(hosting) as process:
         sock = _dial_binary(process.address)
         try:
-            sock.sendall(b"".join(bytes(b) for b in wire.encode_mux_frame(3, 15, ())))
+            sock.sendall(b"".join(bytes(b) for b in wire.encode_binary_request_frame(3, 15, ())))
             request_id, status, value = _read_mux_response(sock)
-            assert (request_id, status) == (3, wire.OP_ERR & wire.OPCODE_MASK)
+            assert (request_id, status) == (3, wire.OP_ERR)
             assert "unknown cache operation opcode 15" in value
         finally:
             sock.close()
@@ -899,9 +977,9 @@ def test_encode_scratch_reuses_one_buffer_across_requests():
     opcode = wire.OPCODES["multi_lookup"]
     for request_id in range(200):
         header, body = scratch.encode_request_frame(request_id, opcode, _batch_args())
-        rid, flagged, length = wire.MUX_HEADER.unpack(bytes(header))
+        rid, opcode_byte, length = wire.MUX_HEADER.unpack(bytes(header))
         assert rid == request_id
-        assert flagged == opcode | wire.FLAG_BIN
+        assert opcode_byte == opcode
         assert length == len(body)
         assert wire.decode_binary_args(opcode, bytes(body)) == _batch_args()
         body.release()  # the send path releases before the next encode
@@ -922,16 +1000,15 @@ def test_encode_scratch_replaces_the_buffer_past_its_limit():
 
 def test_encode_scratch_rolls_back_a_failed_encode():
     class Exploding:
-        def __reduce__(self):
-            raise RuntimeError("unpicklable on purpose")
+        """A type the wire format does not name."""
 
     scratch = wire.EncodeScratch()
     opcode = wire.OPCODES["multi_lookup"]
     _header, body = scratch.encode_request_frame(1, opcode, _batch_args())
     good_length = len(scratch.buffer)
     body.release()
-    with pytest.raises(Exception):
-        scratch.encode_request_frame(2, opcode, (Exploding(),))
+    with pytest.raises(TypeError):
+        scratch.encode_request_frame(2, opcode, ([LookupRequest("k", 0, 1), Exploding()],))
     # The shared buffer holds no half-written layout: the next frame
     # starts exactly where the failed one tried to.
     assert len(scratch.buffer) == good_length

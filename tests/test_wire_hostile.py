@@ -11,6 +11,11 @@ below, on every route a reply can take out of it (``ROUTES``):
   before the abuse keeps being served, and the node is still alive.  A
   connection that does not open with the version byte — a retired
   protocol's first bytes, or noise — is closed at once.
+* **Well-formed pickles.**  A pickled object whose unpickling would create
+  a file, sent as a maintenance body or behind the retired pickle tag
+  inside a ``put``, is refused like any other unknown bytes: the file never
+  appears.  An AST check keeps ``pickle`` out of every module that decodes
+  peer bytes.
 * **A scripted session.**  The same request bytes, however they are cut
   into segments, draw byte-identical replies — identical to what the node
   of the commit before the read path was rewritten sent (recorded below).
@@ -18,15 +23,18 @@ below, on every route a reply can take out of it (``ROUTES``):
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import pickle
 import random
 import socket
 import struct
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cache.entry import LookupRequest, ValueBlob
 from repro.cache.netserver import CacheServerProcess, SocketTransport
 from repro.cache.server import CacheServer
@@ -99,10 +107,6 @@ def binary_request(request_id, op, args) -> bytes:
     return flat(wire.encode_binary_request_frame(request_id, OP[op], args))
 
 
-def pickled_request(request_id, op, args=()) -> bytes:
-    return flat(wire.encode_mux_frame(request_id, OP[op], args))
-
-
 def read_reply(sock):
     """One response frame as ``(request_id, opcode byte, raw body)``."""
     request_id, opcode, length = wire.MUX_HEADER.unpack(
@@ -114,7 +118,7 @@ def read_reply(sock):
 def outcome(sock):
     """What became of a connection after abuse: a reply status, or "closed"."""
     try:
-        return read_reply(sock)[1] & wire.OPCODE_MASK
+        return read_reply(sock)[1]
     except (ConnectionError, OSError) as exc:
         assert not isinstance(exc, socket.timeout), "the node neither answered nor hung up"
         return "closed"
@@ -168,20 +172,20 @@ def abuses(seed):
         # A whole frame whose body stops short of what it describes.
         "truncated-body": (
             wire.WIRE_VERSION,
-            header(3, OP["put"] | wire.FLAG_BIN, body_cut - wire.MUX_HEADER.size)
+            header(3, OP["put"], body_cut - wire.MUX_HEADER.size)
             + PUT[wire.MUX_HEADER.size : body_cut],
             False,
             {ERR},
         ),
         "oversized-length": (
             wire.WIRE_VERSION,
-            header(4, OP["put"] | wire.FLAG_BIN, wire.MAX_FRAME_BYTES + 1 + rng.randrange(1 << 20)),
+            header(4, OP["put"], wire.MAX_FRAME_BYTES + 1 + rng.randrange(1 << 20)),
             False,
             {"closed"},
         ),
         "unknown-opcode": (
             wire.WIRE_VERSION,
-            header(5, rng.choice([0, 15, 23, 31]) | wire.FLAG_BIN, 0),
+            header(5, rng.choice([0, 15, 23, 31]), 0),
             False,
             {ERR},
         ),
@@ -231,13 +235,15 @@ def test_hostile_bytes_cost_only_the_connection_that_sent_them(routed_node, seed
 
 
 #: First bytes of connections that do not speak this protocol: a request of
-#: the retired 4-byte-length + pickle framing, the retired 0xA7 hello before
-#: a well-formed frame, and a lone zero byte.
+#: the retired 4-byte-length + pickle framing, the retired 0xA7 hello and
+#: the previous wire version (whose maintenance ops carried pickle bodies)
+#: before a well-formed frame, and a lone zero byte.
 FOREIGN_OPENINGS = {
     "length-prefixed-pickle": (
         struct.pack("!I", len(pickle.dumps(("ping", ())))) + pickle.dumps(("ping", ()))
     ),
-    "retired-hello": bytes([0xA7]) + pickled_request(1, "ping"),
+    "retired-hello": bytes([0xA7]) + binary_request(1, "ping", ()),
+    "previous-version": bytes([0xA8]) + binary_request(1, "ping", ()),
     "zero-byte": b"\x00",
 }
 
@@ -270,6 +276,95 @@ def test_a_connection_without_the_version_byte_is_closed(node, name):
 
 
 # ----------------------------------------------------------------------
+# Well-formed pickles: nothing a peer sends is ever unpickled
+# ----------------------------------------------------------------------
+class Probe:
+    """Unpickling this opens ``path`` for writing, which creates the file."""
+
+    def __init__(self, path) -> None:
+        self.path = str(path)
+
+    def __reduce__(self):
+        return (open, (self.path, "w"))
+
+
+def probe_frames(path):
+    """name -> one whole frame that carries a pickled :class:`Probe`."""
+    pickled = pickle.dumps(Probe(path))
+    # A put body behind the tagged-args marker: tag 11 (the retired pickle
+    # fallback), a u32 length, the pickle.
+    tag_11 = bytes([0, 11]) + struct.pack("<I", len(pickled)) + pickled
+    return {
+        "keys-body": header(1, OP["keys"], len(pickled)) + pickled,
+        "put-tag-11": header(2, OP["put"], len(tag_11)) + tag_11,
+        # The same put as the previous wire version framed it, with the
+        # binary-body bit 0x20 set on the opcode.
+        "put-tag-11-flagged": header(3, OP["put"] | 0x20, len(tag_11)) + tag_11,
+    }
+
+
+def test_a_pickled_object_is_never_unpickled(routed_node, tmp_path):
+    """Each frame costs only an ``OP_ERR`` or its own connection, the file
+    its unpickling would create never appears, and a connection opened
+    before keeps being served."""
+    address, alive = routed_node
+    marker = tmp_path / "unpickled"
+    bystander = binary_transport(address)
+    try:
+        bystander.put("bystander", {"n": 1}, Interval(1, None), frozenset({TAG}))
+        for name, frame in probe_frames(marker).items():
+            victim = dial(address)
+            try:
+                victim.sendall(frame)
+                assert outcome(victim) in {ERR, "closed"}, name
+            finally:
+                victim.close()
+            assert not marker.exists(), f"{name}: the node ran the pickled callable"
+            assert alive(), f"node died of {name}"
+            assert bystander._call("ping") == NODE_NAME
+            (result,) = bystander.multi_lookup([LookupRequest("bystander", 1, 5, 1)])
+            assert result.hit and result.value == {"n": 1}, name
+    finally:
+        bystander.close()
+
+
+#: Names that reach the unpickler: the modules, and what they export.
+_PICKLE_MODULES = {"pickle", "_pickle", "cPickle"}
+_PICKLE_NAMES = {"loads", "load", "dumps", "dump", "Unpickler", "PickleBuffer"}
+
+
+def unpickling_references(source: str) -> list:
+    """Every import of a pickle module, and every use of one or of the
+    names that load and dump, in ``source``, as ``(line, name)``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, a.name) for a in node.names if a.name in _PICKLE_MODULES]
+        elif isinstance(node, ast.ImportFrom) and node.module in _PICKLE_MODULES:
+            found.append((node.lineno, node.module))
+        elif isinstance(node, ast.Name) and node.id in _PICKLE_MODULES | _PICKLE_NAMES:
+            found.append((node.lineno, node.id))
+        elif isinstance(node, ast.Attribute) and node.attr in _PICKLE_NAMES:
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.Constant) and node.value in _PICKLE_MODULES:
+            found.append((node.lineno, node.value))  # __import__("pickle")
+    return found
+
+
+def test_no_module_that_decodes_peer_bytes_can_unpickle():
+    root = Path(repro.__file__).parent
+    modules = sorted((root / "comm").glob("*.py")) + [root / "cache" / "netserver.py"]
+    assert root / "comm" / "wire.py" in modules
+    for path in modules:
+        assert unpickling_references(path.read_text()) == [], path
+    # The check sees what it is for.
+    assert unpickling_references("import pickle") == [(1, "pickle")]
+    assert unpickling_references("from pickle import loads") == [(1, "pickle")]
+    assert unpickling_references("x = codec.loads(b)") == [(1, "loads")]
+    assert unpickling_references("m = __import__('pickle')") == [(1, "pickle")]
+
+
+# ----------------------------------------------------------------------
 # A scripted session, cut every which way
 # ----------------------------------------------------------------------
 BIG = ValueBlob(bytes(range(256)) * 1200)  # 300 KB, served by the worker pool
@@ -283,30 +378,34 @@ SESSION = [
         + binary_request(3, "multi_lookup", ([LookupRequest("absent", 1, 5, 1), LookupRequest("k", 2, 3)],))
         + binary_request(4, "invalidate_tags", ([(7, (TAG,)), (9, (InvalidationTag("items", "id", 8),))],))
         + binary_request(5, "multi_lookup", ([LookupRequest("k", 1, 20, 1)],))
-        + pickled_request(6, "ping")
-        + header(7, 15 | wire.FLAG_BIN, 0),
+        + binary_request(6, "ping", ())
+        + header(7, 15, 0),
         7,
     ),
-    (pickled_request(8, "keys"), 1),
+    (binary_request(8, "keys", ()), 1),
     (binary_request(9, "put", ("big", BIG, Interval(3, None), frozenset())), 1),
     (binary_request(10, "multi_lookup", ([LookupRequest("big", 3, 5)],)), 1),
-    (pickled_request(11, "was_ever_stored", ("k",)), 1),
+    (binary_request(11, "was_ever_stored", ("k",)), 1),
 ]
 
-#: What the node of the parent commit (7e0093f) answered, per reply:
-#: (request_id, opcode byte, body length, first 16 hex digits of its SHA-256).
+#: What the node answers, per reply: (request_id, opcode byte, body length,
+#: first 16 hex digits of its SHA-256).  The hot-op replies (all but 6, 8
+#: and 11) carry the bodies the node of commit 7e0093f sent; only their
+#: opcode byte lost the binary-body bit (0x60/0x61 became 0x40/0x41) when
+#: every body became binary.  Replies 6, 8 and 11 were pickle bodies then
+#: and are re-recorded as the binary bodies that replaced them.
 RECORDED = [
-    (1, 0x60, 1, "4bf5122f344554c5"),
-    (2, 0x60, 72, "583997e82da5b462"),
-    (3, 0x60, 19, "cf82613ffebaedba"),
-    (4, 0x60, 2, "75046585de3d1d05"),
-    (5, 0x60, 66, "4c09061aa1a157da"),
-    (6, 0x40, 19, "51287f946185fc91"),
-    (7, 0x61, 47, "75d9cbdecd853595"),
-    (8, 0x40, 19, "e40ca76d662b9829"),
-    (9, 0x60, 1, "4bf5122f344554c5"),
-    (10, 0x60, 307238, "a97560e9ecc8a9e5"),
-    (11, 0x40, 4, "5280fce43ea9afbd"),
+    (1, 0x40, 1, "4bf5122f344554c5"),
+    (2, 0x40, 72, "583997e82da5b462"),
+    (3, 0x40, 19, "cf82613ffebaedba"),
+    (4, 0x40, 2, "75046585de3d1d05"),
+    (5, 0x40, 66, "4c09061aa1a157da"),
+    (6, 0x40, 6, "82465ecde8cc40b5"),
+    (7, 0x41, 47, "75d9cbdecd853595"),
+    (8, 0x40, 5, "713b394814315d86"),
+    (9, 0x40, 1, "4bf5122f344554c5"),
+    (10, 0x40, 307238, "a97560e9ecc8a9e5"),
+    (11, 0x40, 1, "4bf5122f344554c5"),
 ]
 
 
@@ -385,7 +484,7 @@ def test_a_client_that_stops_reading_gets_every_reply_once_it_reads():
             answered = []
             for _ in range(requests):
                 request_id, opcode, body = read_reply(sock)
-                assert opcode & wire.OPCODE_MASK == OK
+                assert opcode == OK
                 (result,) = wire.decode_binary_body(body)
                 assert result.hit and result.value == BIG
                 answered.append(request_id)
