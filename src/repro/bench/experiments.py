@@ -1503,8 +1503,9 @@ def repair_openloop(
     the run the repair fires:
 
     * ``synchronous sweep`` — the pre-plane behaviour, reproduced by a
-      whole-store ``migration_chunk_size`` so the sweep ships its pages as
-      a few giant lock-holding RPCs back to back;
+      whole-store ``migration_chunk_size`` (a node caps a page at
+      ``SCAN_PAGE_KEYS`` keys) so the sweep ships its pages as a few giant
+      lock-holding RPCs back to back;
     * ``budgeted plane`` — ``background_maintenance`` with a small op/byte
       budget on short real-time windows; a pumper thread trickles the same
       repair out as 32-entry chunks.

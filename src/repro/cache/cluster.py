@@ -959,30 +959,36 @@ class CacheCluster:
         """Push-pull membership-digest exchange with ``node``'s agent."""
         return self._transports[node].gossip(digest)
 
-    def key_digest(self, node: str, arcs) -> List[Tuple[int, int, int]]:
-        """Per-arc interval-set digests of ``node``'s stored keys.
+    def key_digest(
+        self, node: str, arcs, cursor: Optional[str] = None
+    ) -> Tuple[List[Tuple[int, int, int]], Optional[str]]:
+        """One page of per-arc interval-set digests of ``node``'s stored
+        keys, and the cursor of the next (``None`` after the last).
 
         Idempotent read: retried per the cluster policy under one deadline
         budget, so a repair sweep rides out a transient blip instead of
         writing the node off as a lost source.
         """
-        return self._retried_read(node, "key_digest", arcs)
+        return self._retried_read(node, "key_digest", arcs, cursor)
 
-    def keys_in_range(self, node: str, arcs) -> List[str]:
-        """``node``'s stored keys inside the given hash-space arcs.
+    def keys_in_range(
+        self, node: str, arcs, cursor: Optional[str] = None
+    ) -> Tuple[List[str], Optional[str]]:
+        """One page of ``node``'s stored keys inside the given hash-space
+        arcs, and the cursor of the next (``None`` after the last).
 
         Idempotent read: retried like :meth:`key_digest`.
         """
-        return self._retried_read(node, "keys_in_range", arcs)
+        return self._retried_read(node, "keys_in_range", arcs, cursor)
 
-    def _retried_read(self, node: str, op: str, arcs):
+    def _retried_read(self, node: str, op: str, arcs, cursor: Optional[str]):
         """A repair-planning read of one named node; failures are the
         planner's to handle, so they propagate once retries run out."""
         transport = self._transports[node]
         with self._op_scope():
             return self.retry_policy.run(
                 op,
-                lambda: getattr(transport, op)(list(arcs)),
+                lambda: getattr(transport, op)(list(arcs), cursor),
                 retry_on=_FAILURE_EXCEPTIONS,
                 rng=self._retry_rng,
             )

@@ -70,13 +70,13 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Optional, Set, Tuple
+from typing import Dict, Generator, Iterator, List, Optional, Set, Tuple
 
 # _FAILURE_EXCEPTIONS: the cluster's definition of "node unreachable";
 # migration treats a vanished source/target the same way routing does.
 from repro.cache.cluster import _FAILURE_EXCEPTIONS, CacheCluster
 from repro.cache.entry import EntryRecord
-from repro.cache.hashring import ConsistentHashRing, diff_replica_ownership
+from repro.cache.hashring import HASH_SPACE, ConsistentHashRing, diff_replica_ownership
 from repro.cache.maintenance import ChunkedJob, MaintenancePlane
 from repro.cache.server import CacheServer
 
@@ -115,9 +115,11 @@ class MembershipStats:
     #: Entry versions actually (re-)stored on an under-replicated node by
     #: repair sweeps (duplicate installs on up-to-date replicas don't count).
     entries_re_replicated: int = 0
-    #: ``key_digest`` round trips issued by repair sweeps (one per node).
+    #: ``key_digest`` round trips issued by repair sweeps (one per page of
+    #: each node's store: one per node while its store fits one page).
     repair_digest_rpcs: int = 0
-    #: ``keys_in_range`` round trips issued for arcs whose digests disagreed.
+    #: ``keys_in_range`` round trips (pages) issued for arcs whose digests
+    #: disagreed.
     repair_key_fetches: int = 0
     #: Ring arcs whose replica digests all matched (no key traffic at all).
     repair_arcs_clean: int = 0
@@ -287,13 +289,15 @@ class ClusterMembership:
         # Which keys belong on the target now, and who holds a copy?
         held_by: Dict[str, set] = {}
         for node in sources:
+            keys: set = set()
             try:
-                keys = cluster.keys_in_range(node, arcs)
+                for page in self._pages("keys_in_range", node, arcs):
+                    keys.update(page)
+                    yield (1, sum(len(key) for key in page) or 16)
             except _FAILURE_EXCEPTIONS:
                 cluster.note_transport_failure(node)
                 continue
-            held_by[node] = set(keys)
-            yield (1, sum(len(key) for key in keys) or 16)
+            held_by[node] = keys
         assigned: Dict[str, set] = {}
         claimed: set = set()
         for node in sources:  # sorted: the designated source is deterministic
@@ -375,13 +379,15 @@ class ClusterMembership:
 
         Three passes, all resumable at chunk granularity.  A *digest* pass
         fetches every member's per-arc key digests (one ``key_digest`` round
-        trip per node; see :meth:`repro.cache.server.CacheServer.key_digest`)
-        and compares the replicas of each arc — an arc whose digests all
-        match is provably in sync and generates **no key traffic at all**,
-        so the steady-state sweep costs N digest round trips and ships
-        nothing.  A *key* pass then fetches key lists only for the arcs
-        whose digests disagreed (``keys_in_range``) and plans, per key,
-        which replicas lack a copy and which live holder should supply it.
+        trip per page of its store, folded per arc; see
+        :meth:`repro.cache.server.CacheServer.key_digest`) and compares the
+        replicas of each arc — an arc whose digests all match is in sync
+        and generates **no key traffic at all**, so the steady-state sweep
+        costs one digest round trip per page, N while every store fits one
+        page, and ships nothing.  A *key* pass then fetches key lists (paged
+        alike) only for the arcs whose digests disagreed
+        (``keys_in_range``) and plans, per key, which replicas lack a copy
+        and which live holder should supply it.
         A *shipping* pass streams exactly the missing copies (bounded
         chunks, the same migration ops); installs go through the server's
         put semantics, so anything invalidated meanwhile is truncated on
@@ -404,6 +410,17 @@ class ClusterMembership:
         job.drain()
         return int(job.result or 0)
 
+    def _pages(self, op: str, node: str, arcs) -> Iterator[list]:
+        """Each page of ``op`` (``key_digest`` or ``keys_in_range``) over
+        ``node``'s store, one round trip apiece.  A chunk generator yields
+        once per page, so the maintenance budget sees every one."""
+        cursor: Optional[str] = None
+        while True:
+            page, cursor = getattr(self.cluster, op)(node, arcs, cursor)
+            yield page
+            if cursor is None:
+                return
+
     def _repair_chunks(self) -> Generator[Tuple[int, int], None, int]:
         """The repair sweep as a chunk generator (one yield per RPC page)."""
         factor = self.cluster.replication_factor
@@ -422,22 +439,29 @@ class ClusterMembership:
         for node in nodes:
             for arc in arcs_of[node]:
                 replicas_of.setdefault(arc, []).append(node)
-        # Digest pass: one cheap round trip per node.
+        # Digest pass: one cheap round trip per page of each node's store,
+        # folded per arc — exact, since the fold is commutative.
         arc_digest: Dict[Tuple[str, Tuple[int, int]], Tuple[int, int, int]] = {}
         reachable: Dict[str, bool] = {}
         for node in nodes:
+            arcs = arcs_of[node]
+            folded = [(0, 0, 0)] * len(arcs)
             try:
-                digests = self.cluster.key_digest(node, arcs_of[node])
+                for page in self._pages("key_digest", node, arcs):
+                    self.stats.repair_digest_rpcs += 1
+                    folded = [
+                        (count + c, xor ^ x, (total + t) % HASH_SPACE)
+                        for (count, xor, total), (c, x, t) in zip(folded, page)
+                    ]
+                    yield (1, 24 * max(1, len(arcs)))
             except _FAILURE_EXCEPTIONS:
+                self.stats.repair_digest_rpcs += 1  # the round trip that failed
                 self.cluster.note_transport_failure(node)
                 reachable[node] = False
                 continue
-            finally:
-                self.stats.repair_digest_rpcs += 1
             reachable[node] = True
-            for arc, digest in zip(arcs_of[node], digests):
-                arc_digest[(node, arc)] = tuple(digest)
-            yield (1, 24 * max(1, len(arcs_of[node])))
+            for arc, digest in zip(arcs, folded):
+                arc_digest[(node, arc)] = digest
         # An arc is dirty when its reachable replicas disagree; unreachable
         # replicas are neither repair sources nor targets (same stance as
         # the old full-inventory sweep).
@@ -465,16 +489,18 @@ class ClusterMembership:
             if not node_dirty:
                 held[node] = set()
                 continue
+            keys: set = set()
             try:
-                keys = self.cluster.keys_in_range(node, node_dirty)
+                for page in self._pages("keys_in_range", node, node_dirty):
+                    self.stats.repair_key_fetches += 1
+                    keys.update(page)
+                    yield (1, sum(len(key) for key in page))
             except _FAILURE_EXCEPTIONS:
+                self.stats.repair_key_fetches += 1  # the round trip that failed
                 self.cluster.note_transport_failure(node)
                 held[node] = None
                 continue
-            finally:
-                self.stats.repair_key_fetches += 1
-            held[node] = set(keys)
-            yield (1, sum(len(key) for key in keys))
+            held[node] = keys
         # source -> destination -> the keys the destination is missing.
         plan: Dict[str, Dict[str, set]] = {}
         key_sets = [keys for keys in held.values() if keys]

@@ -5,14 +5,13 @@ reach over a gigabit LAN.  This module provides that topology for the
 reproduction, as one stack:
 
 * :class:`CacheServerProcess` serves one :class:`CacheServer` over TCP from
-  one ``selectors`` loop thread: sockets are non-blocking, the request path
-  is answered in the event that read it, maintenance ops are dispatched to a
-  small worker pool, and responses are written back **as they finish** — a
-  slow ``extract_entries`` never head-of-line blocks a ``lookup`` sent after
-  it on the same connection.  Per-connection backpressure bounds the
-  requests in flight: a connection that reaches
-  ``max_queued_per_connection`` stops being read until its backlog drains,
-  so one firehose client cannot swamp the worker pool.
+  one ``selectors`` loop thread, and nothing else: sockets are
+  non-blocking, and every frame is served in the event that read it, in
+  arrival order.  No op holds the loop for long, because the ones that walk
+  the store serve one bounded page per frame
+  (:data:`repro.cache.server.SCAN_PAGE_KEYS`).  Per-connection backpressure
+  bounds the requests in flight: a connection that reaches
+  ``max_queued_per_connection`` stops being read until its replies drain.
 * :class:`SocketTransport` is the client.  Any number of threads share one
   connection per node, each RPC under its own ``request_id``; a caller that
   finds the connection's *read lease* free reads its own reply off the
@@ -56,8 +55,6 @@ import selectors
 import socket
 import threading
 import time
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.cache.entry import CacheEntry, EntryRecord, LookupRequest, LookupResult, ValueBlob
@@ -84,12 +81,8 @@ __all__ = [
     "CacheNodeConnectError",
     "CacheNodeTimeoutError",
     "CacheNodeStreamPoisonedError",
-    "DEFAULT_WORKER_THREADS",
     "DEFAULT_MAX_QUEUED_PER_CONNECTION",
 ]
-
-#: Worker threads of the node's maintenance-op dispatch pool.
-DEFAULT_WORKER_THREADS = 4
 
 #: Per-connection backpressure bound: a connection with this many requests
 #: in flight stops being read until responses drain.
@@ -243,10 +236,9 @@ _SERVE_OPCODE = {
     )
 }
 _SERVE_OPCODE.update({
-    # Two results cross as plain shapes the client rebuilds.  The counters
-    # are a locked snapshot, so the client sees a stable copy even while a
-    # worker thread mutates them; each stored version is a tuple of the
-    # CacheEntry fields, in order.
+    # Two results cross as plain shapes the client rebuilds: the counters as
+    # the fields of one consistent snapshot, each stored version as a tuple
+    # of the CacheEntry fields, in order.
     OPCODES["stats"]: lambda server: dataclasses.asdict(server.stats_snapshot()),
     OPCODES["versions_of"]: lambda server, key: [
         (e.key, e.value, e.interval, e.tags, e.size, e.last_access)
@@ -275,11 +267,11 @@ class _Connection:
         #: the connection is under it.
         self.pending: list = []
         #: Responses (each the list of its frame's buffers) not yet fully
-        #: written: those the socket would not take, and completions
-        #: waiting for this loop iteration's flush.  Replies to a read
-        #: normally leave without ever being queued here.
+        #: written: those the socket would not take, and held ones whose
+        #: timer fired, waiting for this loop iteration's flush.  Replies to
+        #: a read normally leave without ever being queued here.
         self.outgoing: list = []
-        #: Requests dispatched off this connection whose responses have not
+        #: Requests served off this connection whose responses have not
         #: been fully written yet — the quantity backpressure bounds.
         self.in_flight = 0
         self.paused = False
@@ -290,27 +282,24 @@ class _Connection:
 class CacheServerProcess:
     """One cache node served over TCP by one event-loop thread.
 
-    Wraps a :class:`CacheServer` and exposes it at a TCP endpoint.  Dispatch
-    takes no process-level lock — concurrent requests are synchronized by
-    the :class:`CacheServer`'s own reentrant lock, so the socket path has
-    exactly the same thread-safety contract as in-process callers.  The
+    Wraps a :class:`CacheServer` and exposes it at a TCP endpoint.  The
     wrapped server object remains reachable via :attr:`server` for tests and
     introspection, but live traffic goes through the socket.
 
-    One thread owns the selector: it accepts, reads, cuts frames, and
-    writes responses.  The request path is answered **in the event that
-    read it**: ``_read`` executes each frame as the parser hands it over
-    and writes all their replies with one ``sendmsg`` before the loop goes
-    back to ``select``.  Everything else is the overflow route, entered
-    only when it is needed.  Maintenance ops are dispatched on a small
-    :class:`ThreadPoolExecutor` and their responses come back to the loop
-    through a thread-safe outbox plus a socketpair wakeup, so responses are
-    written strictly by the loop thread, in completion order — **not**
-    arrival order.  Modelled latency is a timer heap inside the loop: a
-    delayed response occupies no thread while it "travels".  Both kinds of
-    late response, and whatever a full socket refused, wait in
-    ``connection.outgoing`` for the loop's next flush, where every whole
-    response a connection has waiting rides one ``sendmsg`` gather.
+    One thread owns the selector and does all of the node's work: it
+    accepts, reads, cuts frames, serves them and writes the replies.  Every
+    frame is answered **in the event that read it**, in arrival order:
+    ``_read`` executes each frame as the parser hands it over and writes all
+    their replies with one ``sendmsg`` before the loop goes back to
+    ``select``.  A frame that walks the store is one bounded page
+    (:data:`repro.cache.server.SCAN_PAGE_KEYS` keys at most, whatever limit
+    it asks for), so no frame holds the loop for long, and a node's replies
+    come out in an order the thread scheduler cannot change.  Modelled
+    latency is a timer heap inside the loop: a delayed response occupies no
+    thread while it "travels".  Held responses, and whatever a full socket
+    refused, wait in ``connection.outgoing`` for the loop's next flush,
+    where every whole response a connection has waiting rides one
+    ``sendmsg`` gather.
 
     Backpressure: when a connection's ``in_flight`` reaches
     ``max_queued_per_connection``, further frames are parked and its read
@@ -325,31 +314,6 @@ class CacheServerProcess:
     had in flight at once).
     """
 
-    #: Operations dispatched to the worker pool instead of running inline
-    #: on the loop thread.  The request path (lookups, puts, probes, the
-    #: invalidation stream) is microseconds of lock-synchronized work
-    #: (measured medians inside the server on the RUBiS bidding mix: a
-    #: lookup batch 13 us, a put 8 us, one invalidation message 12 us,
-    #: all index-driven) — a pool handoff costs more than the op — so it
-    #: normally runs inline, reactor style.  Maintenance ops can touch the
-    #: whole store (an eviction sweep scans everything under the server
-    #: lock), so they go to the pool — and while any is in flight the
-    #: request path detours to the pool too (see ``_dispatch``), so the loop
-    #: thread never queues on a lock a whole-store scan is holding.  This
-    #: split is what lets a fast lookup overtake a slow extract pipelined on
-    #: the same connection.
-    _POOLED_OPCODES = frozenset(
-        OPCODES[op]
-        for op in (
-            "extract_entries", "install_entries", "discard_keys", "keys", "clear",
-            "evict_stale", "key_digest", "keys_in_range",
-        )
-    )
-
-    #: Bodies above this size are decoded and served on the pool regardless
-    #: of op (a huge install/put payload must not stall the loop).
-    _INLINE_BODY_LIMIT = 64 * 1024
-
     #: Most buffers handed to one ``sendmsg`` (the kernel's limit is 1024).
     _MAX_GATHER = 256
 
@@ -363,11 +327,8 @@ class CacheServerProcess:
         host: str = "127.0.0.1",
         port: int = 0,
         simulated_latency_seconds: float = 0.0,
-        worker_threads: int = DEFAULT_WORKER_THREADS,
         max_queued_per_connection: int = DEFAULT_MAX_QUEUED_PER_CONNECTION,
     ) -> None:
-        if worker_threads < 1:
-            raise ValueError("worker_threads must be positive")
         if max_queued_per_connection < 1:
             raise ValueError("max_queued_per_connection must be positive")
         self.server = server
@@ -376,9 +337,7 @@ class CacheServerProcess:
         self._listener = socket.create_server((host, port))
         self.address: Tuple[str, int] = self._listener.getsockname()[:2]
         self._running = True
-        #: Connections given late responses since the last flush.  Touched
-        #: only by the loop thread (workers post via the outbox), so no
-        #: lock is needed.
+        #: Connections given held responses since the last flush.
         self._dirty: set = set()
         self.sendmsg_calls = 0
         self.backpressure_pauses = 0
@@ -386,27 +345,12 @@ class CacheServerProcess:
         self._selector = selectors.DefaultSelector()
         self._listener.setblocking(False)
         self._selector.register(self._listener, selectors.EVENT_READ, None)
-        #: Loop wakeup channel: workers write one byte after posting to the
-        #: outbox; the loop drains it and the outbox together.
+        #: Written once, by :meth:`shutdown`, to wake the loop from ``select``.
         self._wake_recv, self._wake_send = socket.socketpair()
-        self._wake_recv.setblocking(False)
-        self._wake_send.setblocking(False)
         self._selector.register(self._wake_recv, selectors.EVENT_READ, None)
-        self._outbox_lock = threading.Lock()
-        self._outbox: deque = deque()  # (connection, response_buffers)
         #: (deliver_at, seq, connection, responses) — modelled-latency timers.
         self._timers: list = []
         self._timer_seq = itertools.count()
-        self._pool = ThreadPoolExecutor(
-            max_workers=worker_threads,
-            thread_name_prefix=f"cache-worker-{server.name}",
-        )
-        #: Maintenance ops currently on the pool.  While nonzero, the
-        #: request path detours to the pool as well: a whole-store op may
-        #: be holding the CacheServer lock, and the loop thread must never
-        #: wait on it (a blocked reactor stalls *every* connection).
-        self._pooled_active = 0
-        self._pooled_lock = threading.Lock()
         self._thread = threading.Thread(
             target=self._run, name=f"cache-loop-{server.name}", daemon=True
         )
@@ -443,10 +387,10 @@ class CacheServerProcess:
                 for key, mask in events:
                     connection = key.data
                     if connection is None:
+                        # The listener, or the wakeup: the loop's own test
+                        # of ``_running`` is all a wakeup needs.
                         if key.fileobj is self._listener:
                             self._accept()
-                        else:
-                            self._drain_wakeups()
                         continue
                     if mask & selectors.EVENT_WRITE:
                         self._drain(connection)
@@ -465,34 +409,12 @@ class CacheServerProcess:
             sock.setblocking(False)
             self._selector.register(sock, selectors.EVENT_READ, _Connection(sock))
 
-    def _drain_wakeups(self) -> None:
-        try:
-            while self._wake_recv.recv(4096):
-                pass
-        except (BlockingIOError, InterruptedError):
-            pass
-        except OSError:
-            return
-        while True:
-            with self._outbox_lock:
-                if not self._outbox:
-                    return
-                connection, buffers = self._outbox.popleft()
-            self._respond(connection, [buffers])
-
-    def _wake(self) -> None:
-        try:
-            self._wake_send.send(b"\x00")
-        except (BlockingIOError, InterruptedError):
-            pass  # a wakeup is already pending; that is enough
-        except OSError:
-            pass  # shutting down
-
     def _fire_timers(self) -> None:
         now = time.monotonic()
         while self._timers and self._timers[0][0] <= now:
             _at, _seq, connection, responses = heapq.heappop(self._timers)
-            self._flush_later(connection, responses)
+            connection.outgoing.extend(responses)
+            self._dirty.add(connection)
 
     # -- per-connection I/O ---------------------------------------------
     def _read(self, connection: _Connection) -> None:
@@ -513,18 +435,11 @@ class CacheServerProcess:
     def _dispatch(self, connection: _Connection, frames: list) -> None:
         """Serve ``frames`` behind any parked ones, up to the backpressure bound.
 
-        The request path runs inline on the loop thread (the op is cheaper
-        than a pool handoff) and its replies are written together, at once;
-        maintenance ops and oversized payloads go to
-        the worker pool so they cannot stall the reactor, and while one is
-        in flight the request path follows it there (it may be holding the
-        server lock; the loop must stay free to read, write, and accept) —
-        that split is what lets a fast lookup overtake a slow extract on
-        one connection.
-        Frames beyond the bound are parked in ``connection.pending`` and the
-        connection stops being read; a flush that completes responses
-        re-enters here, so the backlog drains in arrival order as capacity
-        frees up.
+        Each frame is served on this thread, in arrival order, and the
+        replies are written together, at once.  Frames beyond the bound are
+        parked in ``connection.pending`` and the connection stops being
+        read; a flush that completes responses re-enters here, so the
+        backlog drains in arrival order as capacity frees up.
         """
         if connection.pending:
             frames, connection.pending = connection.pending + frames, []
@@ -533,7 +448,7 @@ class CacheServerProcess:
             if connection.in_flight >= self._max_queued:
                 # At the bound: writing the replies so far usually frees it.
                 if replies:
-                    self._respond(connection, replies, now=True)
+                    self._respond(connection, replies)
                     replies = []
                 if connection.in_flight >= self._max_queued or connection.closed:
                     connection.pending = frames[index:]
@@ -541,22 +456,9 @@ class CacheServerProcess:
             connection.in_flight += 1
             if connection.in_flight > self.max_in_flight_per_connection:
                 self.max_in_flight_per_connection = connection.in_flight
-            pooled_op = (
-                len(body) > self._INLINE_BODY_LIMIT
-                or opcode in self._POOLED_OPCODES
-            )
-            if pooled_op or self._pooled_active:
-                # Inline-class ops also detour to the pool while any
-                # maintenance op is in flight: it may hold the server lock,
-                # and the loop must never block on it.
-                if pooled_op:
-                    with self._pooled_lock:
-                        self._pooled_active += 1
-                self._pool.submit(self._work, connection, request_id, opcode, body, pooled_op)
-            else:
-                replies.append(self._execute(request_id, opcode, body))
+            replies.append(self._execute(request_id, opcode, body))
         if replies:
-            self._respond(connection, replies, now=True)
+            self._respond(connection, replies)
         should_pause = bool(connection.pending) or connection.in_flight >= self._max_queued
         if should_pause != connection.paused and not connection.closed:
             connection.paused = should_pause
@@ -581,49 +483,19 @@ class CacheServerProcess:
             message = f"{type(exc).__name__}: {exc}"[: self._MAX_ERROR_CHARS]
             return wire.encode_binary_mux_frame(request_id, OP_ERR, message)
 
-    def _work(
-        self,
-        connection: _Connection,
-        request_id: int,
-        opcode: int,
-        body: bytes,
-        tracked: bool,
-    ) -> None:
-        """Worker-pool entry: serve one request, post the response."""
-        try:
-            buffers = self._execute(request_id, opcode, body)
-            with self._outbox_lock:
-                self._outbox.append((connection, buffers))
-            self._wake()
-        finally:
-            if tracked:
-                with self._pooled_lock:
-                    self._pooled_active -= 1
-
-    def _respond(self, connection: _Connection, responses: list, now: bool = False) -> None:
-        """Route completed responses: deliver, or hold for the modelled RTT.
-
-        ``now`` marks the replies to the read in progress, which are written
-        before the loop does anything else; a response that completed
-        elsewhere joins this loop iteration's flush.
-        """
+    def _respond(self, connection: _Connection, responses: list) -> None:
+        """Write served responses now, or hold them for the modelled RTT."""
         latency = self.simulated_latency_seconds
         if latency > 0.0:
             heapq.heappush(
                 self._timers,
                 (time.monotonic() + latency, next(self._timer_seq), connection, responses),
             )
-        elif now:
-            self._flush(connection, responses)
         else:
-            self._flush_later(connection, responses)
-
-    def _flush_later(self, connection: _Connection, responses: list) -> None:
-        connection.outgoing.extend(responses)
-        self._dirty.add(connection)
+            self._flush(connection, responses)
 
     def _flush_dirty(self) -> None:
-        """Flush every connection given late responses since the last flush.
+        """Flush every connection given held responses since the last flush.
 
         Runs at the top of the loop body whenever the set is not empty,
         which every ``continue`` path re-enters — no response can sit
@@ -724,20 +596,22 @@ class CacheServerProcess:
 
     # -- lifecycle -------------------------------------------------------
     def shutdown(self) -> None:
-        """Stop serving: close the listener and every connection, join threads.
+        """Stop serving: close the listener and every connection, join the loop.
 
         Idempotent, and safe to call while requests are in flight.
         """
         if not self._running:
             return
         self._running = False
-        self._wake()
+        try:
+            self._wake_send.send(b"\x00")
+        except OSError:
+            pass  # the loop already exited, closing it
         self._thread.join(timeout=5.0)
-        self._pool.shutdown(wait=True)
 
     def _teardown(self) -> None:
         """Loop-thread exit path: close every socket and the selector."""
-        self._flush_dirty()  # best-effort: drain late responses first
+        self._flush_dirty()  # best-effort: drain held responses first
         for key in list(self._selector.get_map().values()):
             if isinstance(key.data, _Connection):
                 self._close_connection(key.data)
@@ -1242,11 +1116,15 @@ class SocketTransport:
     def gossip(self, digest: dict) -> dict:
         return self._call("gossip", dict(digest))
 
-    def key_digest(self, arcs) -> List[Tuple[int, int, int]]:
-        return self._call("key_digest", [tuple(arc) for arc in arcs])
+    def key_digest(
+        self, arcs, cursor: Optional[str] = None
+    ) -> Tuple[List[Tuple[int, int, int]], Optional[str]]:
+        digests, next_cursor = self._call("key_digest", [tuple(arc) for arc in arcs], cursor)
+        return digests, next_cursor
 
-    def keys_in_range(self, arcs) -> List[str]:
-        return self._call("keys_in_range", [tuple(arc) for arc in arcs])
+    def keys_in_range(self, arcs, cursor: Optional[str] = None) -> Tuple[List[str], Optional[str]]:
+        keys, next_cursor = self._call("keys_in_range", [tuple(arc) for arc in arcs], cursor)
+        return keys, next_cursor
 
     # -- invalidation stream -------------------------------------------
     # Both entry points send ``invalidate_tags``, the one op that carries

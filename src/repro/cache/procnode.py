@@ -47,7 +47,6 @@ from typing import Optional, Tuple
 
 from repro.cache.netserver import (
     DEFAULT_MAX_QUEUED_PER_CONNECTION,
-    DEFAULT_WORKER_THREADS,
     CacheNodeUnreachableError,
 )
 
@@ -77,15 +76,14 @@ def _node_main(
     port: int,
     capacity_bytes: int,
     simulated_latency_seconds: float,
-    worker_threads: int,
     max_queued_per_connection: int,
     cpu_affinity: Optional[int],
 ) -> None:
     """Child entry point: serve one cache node until told to stop.
 
     Module-level and fully picklable-argument so it survives ``spawn``.
-    The main thread parks on the control pipe; the serving engine runs on
-    the event-loop thread.  EOF on the pipe (the parent died without
+    The main thread parks on the control pipe; the node runs on its one
+    event-loop thread.  EOF on the pipe (the parent died without
     calling :meth:`CacheNodeHost.shutdown`) counts as a shutdown order, so
     an orphaned node exits instead of squatting on its port forever.
     """
@@ -114,7 +112,6 @@ def _node_main(
             host=host,
             port=port,
             simulated_latency_seconds=simulated_latency_seconds,
-            worker_threads=worker_threads,
             max_queued_per_connection=max_queued_per_connection,
         )
     except BaseException as exc:  # noqa: BLE001 - reported over the pipe
@@ -160,7 +157,6 @@ class CacheNodeHost:
         port: int = 0,
         capacity_bytes: int = 64 * 1024 * 1024,
         simulated_latency_seconds: float = 0.0,
-        worker_threads: int = DEFAULT_WORKER_THREADS,
         max_queued_per_connection: int = DEFAULT_MAX_QUEUED_PER_CONNECTION,
         cpu_affinity: Optional[int] = None,
         start_method: Optional[str] = None,
@@ -183,7 +179,6 @@ class CacheNodeHost:
                 port,
                 capacity_bytes,
                 simulated_latency_seconds,
-                worker_threads,
                 max_queued_per_connection,
                 cpu_affinity,
             ),

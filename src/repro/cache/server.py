@@ -33,9 +33,13 @@ the horizon instead of walking the store and every history.
 Thread safety
 -------------
 :class:`CacheServer` is fully thread-safe: one reentrant lock per server
-serializes every public operation, so the in-process transport (many client
-threads calling directly) and the netserver's thread-per-connection handlers
-may hit the same server concurrently.  A single per-server lock was chosen
+serializes every public operation, so the in-process transport's many client
+threads may call the same server concurrently.  A networked node calls it
+from one thread only, the loop that serves every frame in arrival order (see
+:mod:`repro.cache.netserver`), which is why the store walks a coordinator
+drives — :meth:`CacheServer.extract_entries`, :meth:`CacheServer.key_digest`
+and :meth:`CacheServer.keys_in_range` — serve one bounded page per call
+(:data:`SCAN_PAGE_KEYS`).  A single per-server lock was chosen
 over per-key lock striping after measuring both: the LRU ordering, the byte
 budget, and the statistics are whole-server state that every operation
 touches, so striping still needs a server-wide lock around exactly the
@@ -69,7 +73,13 @@ from repro.comm.multicast import InvalidationMessage
 from repro.db.invalidation import InvalidationTag
 from repro.interval import Interval
 
-__all__ = ["CacheServer", "CacheServerStats"]
+__all__ = ["CacheServer", "CacheServerStats", "SCAN_PAGE_KEYS"]
+
+#: Most keys one page of a store walk covers — :meth:`CacheServer.extract_entries`,
+#: :meth:`CacheServer.key_digest` and :meth:`CacheServer.keys_in_range` —
+#: whatever limit a caller asks for.  Hashing a key costs about 1.9 us, so a
+#: digest page is about 2 ms of a networked node's one loop thread.
+SCAN_PAGE_KEYS = 1024
 
 
 def _locked(method):
@@ -247,9 +257,8 @@ class CacheServer:
         #: GossipRunner; None on nodes not participating in gossip).  The
         #: ``gossip`` wire op delegates to it, which is how membership
         #: digests piggyback on the cache transport under every deployment
-        #: style.  The agent carries its own lock — digest exchange never
-        #: takes the server lock, so gossip keeps flowing while a
-        #: maintenance scan holds it.
+        #: style.  The agent carries its own lock; digest exchange never
+        #: takes the server lock.
         self.gossip_agent = None
 
     # ------------------------------------------------------------------
@@ -286,28 +295,63 @@ class CacheServer:
         with self._lock:
             return sorted(self._entries)
 
+    def _page(self, cursor: Optional[str], limit: int) -> Tuple[List[str], Optional[str]]:
+        """The next stored keys after ``cursor``, ascending, and the cursor
+        that resumes after them (``None`` once the walk is done).
+
+        At most ``limit`` keys, and never more than :data:`SCAN_PAGE_KEYS`:
+        the limit can come from a peer.  One linear scan plus a bounded heap
+        instead of re-sorting the whole key set; paging stays stateless
+        across calls (no server-side scan handle to leak or invalidate),
+        which a coordinator retrying against a live node depends on.
+        """
+        if limit < 1:
+            raise ValueError("limit must be positive")
+        limit = min(limit, SCAN_PAGE_KEYS)
+        candidates = (key for key in self._entries if cursor is None or key > cursor)
+        chunk = heapq.nsmallest(limit + 1, candidates)
+        if len(chunk) > limit:
+            del chunk[limit:]
+            return chunk, chunk[-1]
+        return chunk, None
+
     @_locked
-    def key_digest(self, arcs: Sequence[Tuple[int, int]]) -> List[Tuple[int, int, int]]:
-        """Per-arc interval-set digests of the stored keys (anti-entropy).
+    def key_digest(
+        self,
+        arcs: Sequence[Tuple[int, int]],
+        cursor: Optional[str] = None,
+        limit: int = SCAN_PAGE_KEYS,
+    ) -> Tuple[List[Tuple[int, int, int]], Optional[str]]:
+        """One page of per-arc interval-set digests of the stored keys (anti-entropy).
 
         For each hash-space arc ``[lo, hi)`` (wrapping allowed; ``lo == hi``
-        is the full circle) this folds every stored key whose ring point
-        falls inside the arc into an order-independent triple
+        is the full circle) this folds every key of the page whose ring
+        point falls inside the arc into an order-independent triple
         ``(count, xor, sum mod 2^64)`` of the keys' 64-bit ring hashes — a
-        Merkle-style leaf digest over the arc's key *set*.  Two replicas of
-        an arc that hold the same key set report the same triple, so repair
-        planning can prove an arc clean from one small round trip per node
-        instead of shipping full ``keys()`` inventories.  Reconciliation
+        Merkle-style leaf digest over the arc's key *set*.  The page is the
+        keys :meth:`extract_entries` would page with the same ``cursor`` and
+        ``limit``, and only they are hashed; the fold is commutative, so
+        folding every page's triples per arc (see
+        :meth:`repro.cache.membership.ClusterMembership.repair`) gives the
+        digest of the whole store.  Two replicas of an arc that hold the
+        same key set report the same triple, so repair planning can prove an
+        arc clean without shipping ``keys()`` inventories.  Reconciliation
         stays key-granular (matching :meth:`install_entries` semantics), so
         keys — not values or versions — are what the digest covers.
+
+        A paged digest is not a snapshot: a key stored or dropped between
+        two pages is counted by whichever page it falls in, or by none.
+        Repair is best effort across nodes anyway, and a difference it
+        misses now, the next sweep sees.
 
         Arcs within one call must be disjoint (ring segments are); a key on
         an arc boundary belongs to the arc it opens, mirroring
         :func:`repro.cache.hashring.range_contains`.
         """
         segments, starts, full_circle = _index_arcs(arcs)
+        chunk, next_cursor = self._page(cursor, limit)
         digests = [[0, 0, 0] for _ in arcs]
-        for key in self._entries:
+        for key in chunk:
             point = _ring_hash(key)
             index = _locate_arc(segments, starts, point)
             for target in full_circle if index is None else (*full_circle, index):
@@ -315,33 +359,41 @@ class CacheServer:
                 bucket[0] += 1
                 bucket[1] ^= point
                 bucket[2] = (bucket[2] + point) % HASH_SPACE
-        return [tuple(bucket) for bucket in digests]
+        return [tuple(bucket) for bucket in digests], next_cursor
 
     @_locked
-    def keys_in_range(self, arcs: Sequence[Tuple[int, int]]) -> List[str]:
-        """The stored keys whose ring points fall inside the given arcs.
+    def keys_in_range(
+        self,
+        arcs: Sequence[Tuple[int, int]],
+        cursor: Optional[str] = None,
+        limit: int = SCAN_PAGE_KEYS,
+    ) -> Tuple[List[str], Optional[str]]:
+        """One page of the stored keys whose ring points fall inside the arcs.
 
         The targeted follow-up to :meth:`key_digest`: once a digest
-        mismatch marks an arc dirty, repair fetches only that arc's keys —
-        never the whole store.  Sorted, stats-free, LRU-free.
+        mismatch marks an arc dirty, repair fetches only that arc's keys.
+        Pages like :meth:`key_digest` — the page's keys that lie in the
+        arcs, sorted, and the cursor to resume at — and is stats-free and
+        LRU-free.  A page can hold no key of the arcs and still not be the
+        last.
         """
         segments, starts, full_circle = _index_arcs(arcs)
-        if full_circle:
-            return sorted(self._entries)
-        return sorted(
-            key
-            for key in self._entries
-            if _locate_arc(segments, starts, _ring_hash(key)) is not None
-        )
+        chunk, next_cursor = self._page(cursor, limit)
+        if not full_circle:
+            chunk = [
+                key for key in chunk if _locate_arc(segments, starts, _ring_hash(key)) is not None
+            ]
+        return chunk, next_cursor
 
     def gossip_exchange(self, digest: dict) -> dict:
         """Merge a membership digest into the resident agent; answer with ours.
 
-        Deliberately *not* ``@_locked``: the agent synchronizes itself, so
-        membership traffic is never queued behind a store scan — a wedged
-        maintenance op must not stall failure detection.  Returns an empty
-        digest when no agent is attached (gossip disabled), which merges as
-        a no-op on the caller.
+        Not ``@_locked``: the agent carries its own lock and reads no store
+        state, so an in-process exchange never queues behind another
+        thread's store operation.  (A networked node serves it on its one
+        loop thread, behind at most the frames that arrived before it.)
+        Returns an empty digest when no agent is attached (gossip disabled),
+        which merges as a no-op on the caller.
         """
         agent = self.gossip_agent
         if agent is None:
@@ -574,32 +626,21 @@ class CacheServer:
         """Page through this node's entries for migration.
 
         Returns up to ``limit`` *keys'* worth of entry versions (all versions
-        of a key travel in the same chunk so a key is never half-migrated)
-        as :class:`EntryRecord` objects, plus a cursor: pass it back to
+        of a key travel in the same chunk so a key is never half-migrated;
+        never more than :data:`SCAN_PAGE_KEYS` keys) as
+        :class:`EntryRecord` objects, plus a cursor: pass it back to
         resume after the last returned key, or ``None`` when the scan is
         complete.  Extraction is non-destructive — entries stay on this node
         until the coordinator explicitly discards them — and does not touch
         hit/miss statistics or LRU ordering.
         """
-        if limit < 1:
-            raise ValueError("limit must be positive")
-        # One linear scan + a bounded heap per page instead of re-sorting the
-        # whole key set; paging stays stateless across calls (no server-side
-        # scan handle to leak or invalidate), which a migration coordinator
-        # retrying against a live node depends on.
-        candidates = (
-            key for key in self._entries if cursor is None or key > cursor
-        )
-        chunk = heapq.nsmallest(limit + 1, candidates)
-        more = len(chunk) > limit
-        chunk = chunk[:limit]
+        chunk, next_cursor = self._page(cursor, limit)
         records = [
             EntryRecord(key=key, value=entry.value, interval=entry.interval, tags=entry.tags)
             for key in chunk
             for entry in self._entries[key]
         ]
         self.stats.entries_extracted += len(records)
-        next_cursor = chunk[-1] if more else None
         return records, next_cursor
 
     @_locked

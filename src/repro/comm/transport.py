@@ -302,11 +302,17 @@ class CacheTransport(Protocol):
     def gossip(self, digest: dict) -> dict:
         """Push-pull membership-digest exchange with the node's agent."""
 
-    def key_digest(self, arcs: Sequence[Tuple[int, int]]) -> List[Tuple[int, int, int]]:
-        """Per-arc interval-set digests of the node's stored keys."""
+    def key_digest(
+        self, arcs: Sequence[Tuple[int, int]], cursor: Optional[str] = None
+    ) -> Tuple[List[Tuple[int, int, int]], Optional[str]]:
+        """One page of per-arc interval-set digests of the node's stored
+        keys, and the cursor of the next page (``None`` after the last)."""
 
-    def keys_in_range(self, arcs: Sequence[Tuple[int, int]]) -> List[str]:
-        """The stored keys whose hash points fall inside the given arcs."""
+    def keys_in_range(
+        self, arcs: Sequence[Tuple[int, int]], cursor: Optional[str] = None
+    ) -> Tuple[List[str], Optional[str]]:
+        """One page of the stored keys whose hash points fall inside the
+        given arcs, and the cursor of the next page (``None`` after the last)."""
 
     # ------------------------------------------------------------------
     # Invalidation stream (InvalidationBus subscriber surface)
@@ -427,13 +433,17 @@ class InProcessTransport:
         self._count("gossip")
         return self.server.gossip_exchange(digest)
 
-    def key_digest(self, arcs: Sequence[Tuple[int, int]]) -> List[Tuple[int, int, int]]:
+    def key_digest(
+        self, arcs: Sequence[Tuple[int, int]], cursor: Optional[str] = None
+    ) -> Tuple[List[Tuple[int, int, int]], Optional[str]]:
         self._count("key_digest")
-        return self.server.key_digest(arcs)
+        return self.server.key_digest(arcs, cursor)
 
-    def keys_in_range(self, arcs: Sequence[Tuple[int, int]]) -> List[str]:
+    def keys_in_range(
+        self, arcs: Sequence[Tuple[int, int]], cursor: Optional[str] = None
+    ) -> Tuple[List[str], Optional[str]]:
         self._count("keys_in_range")
-        return self.server.keys_in_range(arcs)
+        return self.server.keys_in_range(arcs, cursor)
 
     # -- invalidation stream -------------------------------------------
     def process_invalidation(self, message: InvalidationMessage) -> None:

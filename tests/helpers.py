@@ -94,8 +94,7 @@ def live_node(
     thread-hosted node's ``server`` is its :class:`CacheServer` (on a
     :class:`ManualClock`); a process-hosted one has none and is inspected
     over the wire.  ``options`` are the constructor arguments both hostings
-    take: ``max_queued_per_connection``, ``simulated_latency_seconds``,
-    ``worker_threads``.
+    take: ``max_queued_per_connection`` and ``simulated_latency_seconds``.
     """
     if hosting == "thread":
         server = CacheServer(name=name, capacity_bytes=capacity_bytes, clock=ManualClock())

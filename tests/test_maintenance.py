@@ -9,22 +9,22 @@ Four concerns:
   precise sum of every chunk's charge, match the budget's own ledger, and a
   budgeted repair re-replicates exactly what a synchronous sweep would;
 * **wire cost of repair** (pinned per transport via the transports'
-  ``op_counts``): a clean sweep is N ``key_digest`` round trips and nothing
-  else — no ``keys``, no ``keys_in_range``, no entry pages — and even a
-  dirty sweep never falls back to full ``keys`` inventories;
-* **foreground isolation**: a wedged repair chunk (an ``extract_entries``
-  RPC stuck server-side) must not stall foreground lookups on the
-  event-loop engine — maintenance ops detour to the worker pool while the
-  hot path keeps answering.
+  ``op_counts``): a clean sweep is one ``key_digest`` round trip per page
+  of each store — N for stores within one page — and nothing else: no
+  ``keys``, no ``keys_in_range``, no entry pages; and even a dirty sweep
+  never falls back to full ``keys`` inventories;
+* **foreground traffic between pages**: a node serves one frame at a time,
+  so a repair keeps out of the foreground's way by being made of bounded
+  pages — one frame each, with foreground probes answered between them.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 
 import pytest
 
+from repro.cache import server as server_module
 from repro.cache.cluster import CacheCluster
 from repro.cache.maintenance import ChunkedJob, MaintenanceBudget, MaintenancePlane
 from repro.cache.membership import ClusterMembership
@@ -269,52 +269,78 @@ def test_auto_repair_after_crash_goes_through_the_plane_when_attached():
 
 
 # ----------------------------------------------------------------------
-# Foreground isolation: a wedged chunk never stalls lookups
+# Foreground traffic between the pages of a repair
 # ----------------------------------------------------------------------
-def test_wedged_repair_chunk_does_not_stall_foreground_lookups():
-    """An extract page stuck server-side must not block the hot path.
+def test_budgeted_repair_interleaves_with_foreground_probes_page_by_page(monkeypatch):
+    """Each page of a repair is one bounded frame at the node, and the node
+    serves a foreground probe between any two of them.
 
-    The event-loop engine detours maintenance ops (``extract_entries``,
-    ``key_digest``, ...) to its worker pool, so one wedged repair chunk
-    occupies one worker while lookups keep being answered.  The wedge is
-    injected server-side *without* holding the server lock (a slow disk or
-    allocation stall, not a lock holder).
+    A node serves one frame at a time, so what keeps foreground traffic
+    moving through a repair is that the repair is made of pages.  Pages of
+    eight keys make every pass of the sweep — digests, key lists, entry
+    pages — span several frames over the wire.  After every page the drain
+    hands over to the foreground, whose probe must be answered before the
+    next page is asked for; every page stays within its limit; and the
+    sweep, folded across pages, re-replicates exactly what was lost.
     """
+    page_keys = 8
+    monkeypatch.setattr(server_module, "SCAN_PAGE_KEYS", page_keys)
     with TxCacheDeployment(
         cache_nodes=2, transport="socket", replication_factor=2
     ) as deployment:
         cluster = deployment.cache
-        for i in range(20):
+        for i in range(40):
             cluster.put(f"key{i}", f"value{i}", Interval(1, None))
         victim = "cache0"
-        cluster.discard_keys(victim, cluster.node_keys(victim)[:5])
-        plane = MaintenancePlane()
-        deployment.membership.plane = plane
-        deployment.membership.repair()
+        lost = cluster.node_keys(victim)[:5]
+        cluster.discard_keys(victim, lost)
+        pages = []
+        for server in cluster.servers.values():
+            take_page = server._page
 
-        wedge_seconds = 0.8
-        server = cluster.servers["cache1"]  # a repair source
-        original = server.extract_entries
+            def counted(cursor, limit, take_page=take_page):
+                chunk, next_cursor = take_page(cursor, limit)
+                pages.append((len(chunk), min(limit, page_keys)))
+                return chunk, next_cursor
 
-        def wedged(cursor=None, limit=64):
-            time.sleep(wedge_seconds)  # lock-free stall, then the real page
-            return original(cursor, limit)
+            server._page = counted
+        page_done, probed = threading.Event(), threading.Event()
+        ops = []
+        for op in ("key_digest", "keys_in_range", "extract_entries"):
+            original = getattr(cluster, op)
 
-        server.extract_entries = wedged
+            def handing_over(*args, op=op, original=original):
+                answer = original(*args)
+                ops.append(op)
+                page_done.set()  # the page is in: let the foreground in
+                assert probed.wait(timeout=10), "the foreground probe never came back"
+                probed.clear()
+                return answer
 
-        pump_thread = threading.Thread(target=plane.drain)
-        pump_thread.start()
+            monkeypatch.setattr(cluster, op, handing_over)
+        membership = deployment.membership
+        membership.chunk_size = 4
+        membership.plane = MaintenancePlane()
+        membership.repair()
+        drainer = threading.Thread(target=membership.plane.drain)
+        drainer.start()
+        probes = 0
         try:
-            # Foreground lookups throughout the wedge window.
-            deadline = time.monotonic() + wedge_seconds
-            latencies = []
-            while time.monotonic() < deadline:
-                started = time.perf_counter()
-                cluster.probe("key0", 0, 10)
-                latencies.append(time.perf_counter() - started)
-            assert len(latencies) > 10, "foreground starved during the wedge"
-            # No lookup waited anywhere near the wedge duration.
-            assert max(latencies) < wedge_seconds / 2
+            while drainer.is_alive() or page_done.is_set():
+                if not page_done.wait(timeout=0.05):
+                    continue
+                page_done.clear()
+                assert cluster.probe("key1", 0, 10)
+                probes += 1
+                probed.set()
         finally:
-            pump_thread.join(timeout=30)
-        assert plane.idle
+            probed.set()
+            drainer.join(timeout=30)
+        assert not drainer.is_alive()
+        assert membership.plane.idle
+        assert probes == len(ops)
+        assert {"key_digest", "keys_in_range", "extract_entries"} <= set(ops)
+        assert ops.count("key_digest") > len(cluster.servers)  # digests span pages
+        assert pages and all(size <= limit for size, limit in pages)
+        assert membership.stats.entries_re_replicated == len(lost)
+        assert set(lost) <= set(cluster.node_keys(victim))

@@ -687,9 +687,11 @@ def test_unencodable_request_leaves_no_slot_to_absorb_the_lease_handoff():
             assert arrived["keys"].wait(timeout=10)  # the leader is reading
             follower = threading.Thread(target=call, args=("evict_stale", 0))
             follower.start()
-            assert arrived["evict_stale"].wait(timeout=10)
-            time.sleep(0.2)  # let the follower park on its slot
+            time.sleep(0.2)  # let the follower send and park on its slot
+            # The node serves frames in arrival order: the follower's is
+            # served once the leader's is done.
             gates["keys"].set()
+            assert arrived["evict_stale"].wait(timeout=10)
             leader.join(timeout=10)
             assert not leader.is_alive() and results["keys"][0] == []
             # The leader is gone; only a handed-over lease gets this reply read.

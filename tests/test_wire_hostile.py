@@ -16,6 +16,8 @@ below, on every route a reply can take out of it (``ROUTES``):
   inside a ``put``, is refused like any other unknown bytes: the file never
   appears.  An AST check keeps ``pickle`` out of every module that decodes
   peer bytes.
+* **Walks of the store.**  A frame asking for the whole store in one reply
+  gets one page of it, and a limit below one is refused.
 * **A scripted session.**  The same request bytes, however they are cut
   into segments, draw byte-identical replies — identical to what the node
   of the commit before the read path was rewritten sent (recorded below).
@@ -35,9 +37,9 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.cache.entry import LookupRequest, ValueBlob
+from repro.cache.entry import EntryRecord, LookupRequest, ValueBlob
 from repro.cache.netserver import CacheServerProcess, SocketTransport
-from repro.cache.server import CacheServer
+from repro.cache.server import SCAN_PAGE_KEYS, CacheServer
 from repro.clock import ManualClock
 from repro.comm import wire
 from repro.db.invalidation import InvalidationTag
@@ -365,12 +367,60 @@ def test_no_module_that_decodes_peer_bytes_can_unpickle():
 
 
 # ----------------------------------------------------------------------
+# A walk of the store: one page, whatever limit the peer asks for
+# ----------------------------------------------------------------------
+STORE_KEYS = 5000
+EVERY_ARC = [(0, 0)]
+
+#: op -> (its arguments with a cursor and a limit, the keys a reply covers).
+WALKS = {
+    "extract_entries": (lambda limit: (None, limit), lambda page: len({r.key for r in page})),
+    "key_digest": (lambda limit: (EVERY_ARC, None, limit), lambda page: page[0][0]),
+    "keys_in_range": (lambda limit: (EVERY_ARC, None, limit), len),
+}
+
+
+def test_a_peer_asking_for_the_whole_store_gets_one_page(node):
+    """A frame asking to walk a 5 000-key store in one reply gets one page
+    and a cursor; a limit below one is refused; and a bystander's ping sent
+    behind it waits for that one page, not for the store."""
+    address, alive = node
+    filler = binary_transport(address)
+    try:
+        for start in range(0, STORE_KEYS, 1000):
+            filler.install_entries(
+                [EntryRecord(f"k{i:05d}", i, Interval(1, None)) for i in range(start, start + 1000)]
+            )
+    finally:
+        filler.close()
+    walker, bystander = dial(address), dial(address)
+    try:
+        for op, (arguments, keys_covered) in WALKS.items():
+            walker.sendall(binary_request(1, op, arguments(10**9)))
+            bystander.sendall(binary_request(2, "ping", ()))
+            request_id, opcode, body = read_reply(bystander)
+            assert (request_id, opcode, wire.decode_binary_body(body)) == (2, OK, NODE_NAME)
+            request_id, opcode, body = read_reply(walker)
+            assert (request_id, opcode) == (1, OK), op
+            page, cursor = wire.decode_binary_body(body)
+            assert keys_covered(page) == SCAN_PAGE_KEYS, op
+            assert cursor == f"k{SCAN_PAGE_KEYS - 1:05d}", op
+            for limit in (0, -1):
+                walker.sendall(binary_request(3, op, arguments(limit)))
+                assert read_reply(walker)[:2] == (3, ERR), (op, limit)
+        assert alive()
+    finally:
+        walker.close()
+        bystander.close()
+
+
+# ----------------------------------------------------------------------
 # A scripted session, cut every which way
 # ----------------------------------------------------------------------
-BIG = ValueBlob(bytes(range(256)) * 1200)  # 300 KB, served by the worker pool
+BIG = ValueBlob(bytes(range(256)) * 1200)  # 300 KB: a frame many reads long
 
-#: (request bytes, replies to wait for before sending more).  Requests in one
-#: step are all inline-class, so their replies come back in order.
+#: (request bytes, replies to wait for before sending more).  The node serves
+#: frames in arrival order, so a step's replies come back in request order.
 SESSION = [
     (
         binary_request(1, "put", ("k", ValueBlob.pack(("row", 7)), Interval(1, None), frozenset({TAG})))
@@ -440,8 +490,10 @@ def test_scripted_session_replies_are_byte_identical_to_the_recorded_ones(routed
 def test_each_route_takes_the_path_it_names(route):
     """The session's first step is seven frames in one segment.  Unbounded,
     several are in flight at once and no read is paused; at a bound of one,
-    never more than one is, and the connection's reads pause.  A
-    modelled round trip holds every step's replies for at least that long."""
+    never more than one is, and a reply held for its modelled round trip
+    pauses the connection's reads (so may one the socket would not take
+    whole).  A modelled round trip holds every step's replies for at least
+    that long."""
     options = ROUTES[route]
     with live_node("thread", NODE_NAME, 8 * 1024 * 1024, **options) as host:
         started = time.monotonic()
@@ -449,7 +501,10 @@ def test_each_route_takes_the_path_it_names(route):
         elapsed = time.monotonic() - started
     bounded = "max_queued_per_connection" in options
     assert (host.max_in_flight_per_connection == 1) == bounded
-    assert (host.backpressure_pauses > 0) == bounded
+    if not bounded:
+        assert host.backpressure_pauses == 0
+    if route == "-parked":
+        assert host.backpressure_pauses > 0
     assert elapsed >= len(SESSION) * options.get("simulated_latency_seconds", 0.0)
 
 
