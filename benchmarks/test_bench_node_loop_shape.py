@@ -2,8 +2,7 @@
 
 A cache node serves every frame on its one loop thread, in arrival order,
 and the operations that walk the store serve one bounded page per frame
-(:data:`repro.cache.server.SCAN_PAGE_KEYS` keys at most, whatever limit the
-frame asks for).  Asserted as *shape*, by counting — threads, hashed keys,
+(:data:`repro.cache.server.SCAN_PAGE_KEYS` keys at most).  Asserted as *shape*, by counting — threads, hashed keys,
 keys per page, reply order — never by a clock:
 
 * **one thread**: after every opcode, a put body far past one ``recv``
@@ -11,9 +10,9 @@ keys per page, reply order — never by a clock:
   a process-hosted one runs exactly two (the main thread parked on the
   control pipe, and the loop);
 * **bounded pages**: on a 5 000-key store no ``key_digest`` or
-  ``keys_in_range`` page hashes more keys than its limit, no
-  ``extract_entries`` page carries more keys than its limit, and the pages
-  of a walk fold back into exactly the whole store;
+  ``keys_in_range`` page hashes more keys than the page constant, no
+  ``extract_entries`` page carries more keys than its limit or the
+  constant, and the pages of a walk fold back into exactly the whole store;
 * **arrival order**: a ``lookup`` pipelined behind an ``extract_entries``
   page on one connection is answered after it.
 """
@@ -78,18 +77,19 @@ def _store():
     return server
 
 
-def _walk(method, *args, limit):
+def _walk(method, *args, **limit):
     """Every page of a walk, in order; the cursor goes back in as given."""
     pages, cursor = [], None
     while True:
-        page, cursor = method(*args, cursor, limit)
+        page, cursor = method(*args, cursor, **limit)
         pages.append(page)
         if cursor is None:
             return pages
 
 
-@pytest.mark.parametrize("limit", [100, SCAN_PAGE_KEYS, 10**9])
-def test_every_page_of_a_store_walk_stays_within_its_limit(monkeypatch, limit):
+@pytest.mark.parametrize("page", [100, SCAN_PAGE_KEYS])
+def test_every_page_of_a_store_walk_stays_within_its_limit(monkeypatch, page):
+    monkeypatch.setattr(server_module, "SCAN_PAGE_KEYS", page)
     server = _store()
     ring_hash = server_module._ring_hash
     points = {key: ring_hash(key) for key in _keys(STORE_KEYS)}
@@ -107,7 +107,6 @@ def test_every_page_of_a_store_walk_stays_within_its_limit(monkeypatch, limit):
         return ring_hash(key)
 
     monkeypatch.setattr(server_module, "_ring_hash", counted_hash)
-    page = min(limit, SCAN_PAGE_KEYS)
     full_pages = -(-STORE_KEYS // page)
 
     def hashing(method):
@@ -117,7 +116,7 @@ def test_every_page_of_a_store_walk_stays_within_its_limit(monkeypatch, limit):
 
         return call
 
-    digests = _walk(hashing(server.key_digest), HALVES, limit=limit)
+    digests = _walk(hashing(server.key_digest), HALVES)
     assert len(digests) == full_pages and max(hashed_per_call) <= page
     folded = [[0, 0, 0], [0, 0, 0]]
     for triples in digests:
@@ -128,14 +127,16 @@ def test_every_page_of_a_store_walk_stays_within_its_limit(monkeypatch, limit):
     assert folded == whole
 
     hashed_per_call.clear()
-    key_pages = _walk(hashing(server.keys_in_range), HALVES[:1], limit=limit)
+    key_pages = _walk(hashing(server.keys_in_range), HALVES[:1])
     assert len(key_pages) == full_pages and max(hashed_per_call) <= page
     assert [key for keys in key_pages for key in keys] == in_lower_half
 
-    entry_pages = _walk(server.extract_entries, limit=limit)
-    assert len(entry_pages) == full_pages
-    assert max(len({record.key for record in records}) for records in entry_pages) <= page
-    assert [record.key for records in entry_pages for record in records] == _keys(STORE_KEYS)
+    # A peer's limit past the page is clamped to it; one below it holds.
+    for limit in (10**9, page // 2):
+        entry_pages = _walk(server.extract_entries, limit=limit)
+        assert len(entry_pages) == -(-STORE_KEYS // min(limit, page))
+        assert max(len({record.key for record in records}) for records in entry_pages) <= limit
+        assert [record.key for records in entry_pages for record in records] == _keys(STORE_KEYS)
 
 
 @pytest.mark.parametrize("hosting", NODE_HOSTINGS)

@@ -157,12 +157,12 @@ def test_codec_framing_microbenchmark(benchmark, wire_counters):
         LookupResult(hit=True, key=f"key-{i}", value={"row": i}, interval=Interval(0, 40))
         for i in range(4)
     ]
-    large_payload = (
+    large_payload = (  # the largest batch one frame may carry, 2 MB of it
         [
             EntryRecord(
-                key=f"key-{i}", value=ValueBlob.pack({"payload": "x" * 512}), interval=Interval(0)
+                key=f"key-{i}", value=ValueBlob.pack({"payload": "x" * 2048}), interval=Interval(0)
             )
-            for i in range(2000)
+            for i in range(wire.MAX_BATCH_ITEMS)
         ],
     )
     lookup, install = wire.OPCODES["multi_lookup"], wire.OPCODES["install_entries"]

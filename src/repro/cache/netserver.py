@@ -9,7 +9,8 @@ reproduction, as one stack:
   non-blocking, and every frame is served in the event that read it, in
   arrival order.  No op holds the loop for long, because the ones that walk
   the store serve one bounded page per frame
-  (:data:`repro.cache.server.SCAN_PAGE_KEYS`).  Per-connection backpressure
+  (:data:`repro.cache.server.SCAN_PAGE_KEYS`) and a batch frame carries at
+  most :data:`repro.comm.wire.MAX_BATCH_ITEMS` items.  Per-connection backpressure
   bounds the requests in flight: a connection that reaches
   ``max_queued_per_connection`` stops being read until its replies drain.
 * :class:`SocketTransport` is the client.  Any number of threads share one
@@ -293,7 +294,9 @@ class CacheServerProcess:
     their replies with one ``sendmsg`` before the loop goes back to
     ``select``.  A frame that walks the store is one bounded page
     (:data:`repro.cache.server.SCAN_PAGE_KEYS` keys at most, whatever limit
-    it asks for), so no frame holds the loop for long, and a node's replies
+    it asks for), and a batch of more than
+    :data:`repro.comm.wire.MAX_BATCH_ITEMS` items is refused before it is
+    decoded, so no frame holds the loop for long, and a node's replies
     come out in an order the thread scheduler cannot change.  Modelled
     latency is a timer heap inside the loop: a delayed response occupies no
     thread while it "travels".  Held responses, and whatever a full socket
@@ -1049,8 +1052,19 @@ class SocketTransport:
     def lookup(self, key: str, lo: int, hi: int) -> LookupResult:
         return _unpack_value(self._call("lookup", key, lo, hi))
 
+    def _batches(self, op: str, items: list) -> list:
+        """``op`` over ``items`` in frames of at most ``wire.MAX_BATCH_ITEMS``
+        (one frame when empty); the results, one per frame.  The node serves
+        a connection's frames in order, so the slices apply in order, but a
+        batch split in two is not atomic against an invalidation between."""
+        step = wire.MAX_BATCH_ITEMS
+        if len(items) <= step:
+            return [self._call(op, items)]
+        return [self._call(op, items[i : i + step]) for i in range(0, len(items), step)]
+
     def multi_lookup(self, requests: Sequence[LookupRequest]) -> List[LookupResult]:
-        results = self._call("multi_lookup", list(requests))
+        parts = self._batches("multi_lookup", list(requests))
+        results = parts[0] if len(parts) == 1 else [result for part in parts for result in part]
         for result in results:
             _unpack_value(result)
         return results
@@ -1092,16 +1106,18 @@ class SocketTransport:
         return records, next_cursor
 
     def install_entries(self, records: Sequence[EntryRecord]) -> int:
-        return self._call(
-            "install_entries",
-            [
-                EntryRecord(r.key, ValueBlob.pack(r.value), r.interval, r.tags)
-                for r in records
-            ],
+        return sum(
+            self._batches(
+                "install_entries",
+                [
+                    EntryRecord(r.key, ValueBlob.pack(r.value), r.interval, r.tags)
+                    for r in records
+                ],
+            )
         )
 
     def discard_keys(self, keys: Sequence[str]) -> int:
-        return self._call("discard_keys", list(keys))
+        return sum(self._batches("discard_keys", list(keys)))
 
     def keys(self) -> List[str]:
         return self._call("keys")
@@ -1135,7 +1151,7 @@ class SocketTransport:
         self._call("invalidate_tags", [(message.timestamp, tuple(message.tags))])
 
     def process_invalidations(self, messages: Sequence[InvalidationMessage]) -> None:
-        self._call(
+        self._batches(
             "invalidate_tags",
             [(message.timestamp, tuple(message.tags)) for message in messages],
         )

@@ -75,10 +75,11 @@ from repro.interval import Interval
 
 __all__ = ["CacheServer", "CacheServerStats", "SCAN_PAGE_KEYS"]
 
-#: Most keys one page of a store walk covers — :meth:`CacheServer.extract_entries`,
-#: :meth:`CacheServer.key_digest` and :meth:`CacheServer.keys_in_range` —
-#: whatever limit a caller asks for.  Hashing a key costs about 1.9 us, so a
-#: digest page is about 2 ms of a networked node's one loop thread.
+#: Keys per page of :meth:`CacheServer.key_digest` and
+#: :meth:`CacheServer.keys_in_range`, and the most one page of
+#: :meth:`CacheServer.extract_entries` covers whatever limit a caller asks
+#: for.  Hashing a key costs about 1.9 us, so a digest page is about 2 ms of
+#: a networked node's one loop thread.
 SCAN_PAGE_KEYS = 1024
 
 
@@ -211,6 +212,10 @@ class CacheServer:
         self._lock = threading.RLock()
         #: key -> versions of that key, kept sorted by interval lower bound.
         self._entries: Dict[str, List[CacheEntry]] = {}
+        #: The stored keys, sorted, while a store walk is under way (see
+        #: ``_page``), and how much of the list is sorted; None between walks.
+        self._walk_keys: Optional[List[str]] = None
+        self._walk_sorted = 0
         #: LRU ordering over keys (most recently used last).
         self._lru: "OrderedDict[str, None]" = OrderedDict()
         #: precise tag -> keys of still-valid entries depending on it.
@@ -300,19 +305,40 @@ class CacheServer:
         that resumes after them (``None`` once the walk is done).
 
         At most ``limit`` keys, and never more than :data:`SCAN_PAGE_KEYS`:
-        the limit can come from a peer.  One linear scan plus a bounded heap
-        instead of re-sorting the whole key set; paging stays stateless
-        across calls (no server-side scan handle to leak or invalidate),
-        which a coordinator retrying against a live node depends on.
+        the limit can come from a peer.  Paging is stateless to the caller
+        (no scan handle to leak or invalidate, which a coordinator retrying
+        against a live node depends on); what the server keeps is a sorted
+        copy of its key set for the walk's duration, so a page is a bisect
+        and a slice instead of a pass over every key.  A walk's first page
+        sorts; a key stored meanwhile is appended to the copy by :meth:`put`
+        and merged in by the next page's sort (timsort merges a sorted run
+        with a short tail in linear time); a key dropped meanwhile is
+        skipped where it is met.  The copy goes when a walk ends.
         """
         if limit < 1:
             raise ValueError("limit must be positive")
         limit = min(limit, SCAN_PAGE_KEYS)
-        candidates = (key for key in self._entries if cursor is None or key > cursor)
-        chunk = heapq.nsmallest(limit + 1, candidates)
+        keys = self._walk_keys
+        if keys is None or cursor is None:
+            keys = self._walk_keys = sorted(self._entries)
+        elif len(keys) > self._walk_sorted:
+            keys.sort()
+        self._walk_sorted = len(keys)
+        entries = self._entries
+        position = 0 if cursor is None else bisect.bisect_right(keys, cursor)
+        chunk: List[str] = []
+        previous = cursor
+        while position < len(keys) and len(chunk) <= limit:
+            key = keys[position]
+            position += 1
+            # A key dropped and stored again is in the copy twice, side by side.
+            if key != previous and key in entries:
+                chunk.append(key)
+                previous = key
         if len(chunk) > limit:
             del chunk[limit:]
             return chunk, chunk[-1]
+        self._walk_keys = None
         return chunk, None
 
     @_locked
@@ -320,7 +346,6 @@ class CacheServer:
         self,
         arcs: Sequence[Tuple[int, int]],
         cursor: Optional[str] = None,
-        limit: int = SCAN_PAGE_KEYS,
     ) -> Tuple[List[Tuple[int, int, int]], Optional[str]]:
         """One page of per-arc interval-set digests of the stored keys (anti-entropy).
 
@@ -329,9 +354,9 @@ class CacheServer:
         point falls inside the arc into an order-independent triple
         ``(count, xor, sum mod 2^64)`` of the keys' 64-bit ring hashes — a
         Merkle-style leaf digest over the arc's key *set*.  The page is the
-        keys :meth:`extract_entries` would page with the same ``cursor`` and
-        ``limit``, and only they are hashed; the fold is commutative, so
-        folding every page's triples per arc (see
+        :data:`SCAN_PAGE_KEYS` keys after ``cursor`` that
+        :meth:`extract_entries` would page, and only they are hashed; the
+        fold is commutative, so folding every page's triples per arc (see
         :meth:`repro.cache.membership.ClusterMembership.repair`) gives the
         digest of the whole store.  Two replicas of an arc that hold the
         same key set report the same triple, so repair planning can prove an
@@ -349,7 +374,7 @@ class CacheServer:
         :func:`repro.cache.hashring.range_contains`.
         """
         segments, starts, full_circle = _index_arcs(arcs)
-        chunk, next_cursor = self._page(cursor, limit)
+        chunk, next_cursor = self._page(cursor, SCAN_PAGE_KEYS)
         digests = [[0, 0, 0] for _ in arcs]
         for key in chunk:
             point = _ring_hash(key)
@@ -366,7 +391,6 @@ class CacheServer:
         self,
         arcs: Sequence[Tuple[int, int]],
         cursor: Optional[str] = None,
-        limit: int = SCAN_PAGE_KEYS,
     ) -> Tuple[List[str], Optional[str]]:
         """One page of the stored keys whose ring points fall inside the arcs.
 
@@ -378,7 +402,7 @@ class CacheServer:
         last.
         """
         segments, starts, full_circle = _index_arcs(arcs)
-        chunk, next_cursor = self._page(cursor, limit)
+        chunk, next_cursor = self._page(cursor, SCAN_PAGE_KEYS)
         if not full_circle:
             chunk = [
                 key for key in chunk if _locate_arc(segments, starts, _ring_hash(key)) is not None
@@ -597,6 +621,12 @@ class CacheServer:
             size=estimate_size(key, value),
             last_access=self.clock.now(),
         )
+        walk = self._walk_keys
+        if walk is not None and not versions:
+            # A store walk is under way: its next page sorts this key in.
+            walk.append(key)
+            if len(walk) > 2 * len(self._entries) + SCAN_PAGE_KEYS:
+                self._walk_keys = None  # an abandoned walk; a later page re-sorts
         # Ascending by lower bound, after its equals: walk back from the end,
         # where a newer version belongs.
         index = len(versions)
@@ -781,6 +811,7 @@ class CacheServer:
         entry inserted after the clear must still be truncated by them.
         """
         self._entries.clear()
+        self._walk_keys = None
         self._lru.clear()
         self._tag_index.clear()
         self._wildcard_index.clear()

@@ -57,6 +57,7 @@ __all__ = [
     "MUX_HEADER",
     "WIRE_VERSION",
     "MAX_FRAME_BYTES",
+    "MAX_BATCH_ITEMS",
     "OPCODES",
     "OP_OK",
     "OP_ERR",
@@ -123,6 +124,18 @@ OPCODES = {
     # the wire like everything else.
     "versions_of": 22,
 }
+
+#: Most items one batch request may carry, the size of a page of a store
+#: walk.  A node serves each frame on its one thread, so
+#: :func:`decode_binary_args` refuses a larger batch from its header, before
+#: decoding an item; ``SocketTransport`` sends a larger batch as several
+#: frames.
+MAX_BATCH_ITEMS = 1024
+
+#: The batch requests: one argument, a list of items.
+_BATCH_OPCODES = frozenset(
+    OPCODES[op] for op in ("multi_lookup", "install_entries", "discard_keys", "invalidate_tags")
+)
 
 #: Response opcodes.
 OP_OK = 0x40
@@ -880,14 +893,37 @@ class EncodeScratch:
         return header, memoryview(buf)[start:]
 
 
+def _check_batch(body: Buffer) -> None:
+    """Refuse a batch request body unless it is one list argument of at most
+    :data:`MAX_BATCH_ITEMS` items, read from the list's header (or no
+    argument, which the server refuses in turn)."""
+    count = -1
+    if len(body) == 2 and body[0] == _T_TUPLE8 and body[1] == 0:
+        count = 0
+    elif len(body) >= 4 and body[0] == _T_TUPLE8 and body[1] == 1:
+        if body[2] == _T_LIST8:
+            count = body[3]
+        elif body[2] == _T_LIST and len(body) >= 6:
+            count = _unpack_u32(body, 2)[0] >> 8
+    if count < 0:
+        raise WireDecodeError("a batch request is one list argument")
+    if count > MAX_BATCH_ITEMS:
+        raise WireDecodeError(
+            f"a batch of {count} items; a frame carries at most {MAX_BATCH_ITEMS}"
+        )
+
+
 def decode_binary_args(opcode: int, body: Buffer) -> object:
     """Decode a binary request body for ``opcode``.
 
     The inverse of :func:`encode_binary_args`; malformed input raises
-    :class:`WireDecodeError` exactly like :func:`decode_binary_body`.
+    :class:`WireDecodeError` exactly like :func:`decode_binary_body`, and so
+    does a batch request of more than :data:`MAX_BATCH_ITEMS` items.
     """
     is_put = opcode == _PUT_OPCODE
     if opcode not in _SINGLE_KEY_OPCODES and not is_put:
+        if opcode in _BATCH_OPCODES:
+            _check_batch(body)
         return decode_binary_body(body)
     if type(body) is bytes:
         buf = body

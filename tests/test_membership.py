@@ -22,7 +22,7 @@ from repro.cache.entry import EntryRecord
 from repro.cache.hashring import ConsistentHashRing, _hash, diff_ownership, range_contains
 from repro.cache.membership import ClusterMembership
 from repro.core.keys import cache_key
-from repro.cache.server import CacheServer
+from repro.cache.server import SCAN_PAGE_KEYS, CacheServer
 from repro.clock import ManualClock
 from repro.comm.multicast import InvalidationBus, InvalidationMessage
 from repro.core.api import ConsistencyMode
@@ -307,6 +307,45 @@ class TestOwnershipPlumbing:
             by_key.setdefault(record.key, []).append(record)
         assert all(len(versions) == 2 for versions in by_key.values())
         assert server.stats.entries_extracted == 60
+
+    def test_each_page_is_the_next_stored_keys_after_its_cursor(self):
+        """Keys stored, dropped, and dropped then stored again between the
+        pages of walks: every page is what a fresh sort of the store gives
+        after its cursor, and the walk ends exactly when nothing is left."""
+        rng = random.Random(7)
+        server = CacheServer(clock=ManualClock(), capacity_bytes=1 << 26)
+        for i in range(0, 400, 2):
+            server.put(f"k{i:03d}", i, Interval(1, None))
+        for walk in range(4):
+            cursor, pages = None, 0
+            while True:
+                after = [key for key in server.keys() if cursor is None or key > cursor]
+                records, next_cursor = server.extract_entries(cursor, limit=9)
+                assert [record.key for record in records] == after[:9], (walk, pages)
+                assert next_cursor == (after[8] if len(after) > 9 else None), (walk, pages)
+                pages += 1
+                if next_cursor is None:
+                    break
+                cursor = next_cursor
+                for _ in range(rng.randrange(6)):
+                    server.put(f"k{rng.randrange(400):03d}", 0, Interval(2, None))
+                stored = server.keys()
+                for key in rng.sample(stored, min(3, len(stored))):
+                    server.discard_keys([key])
+                    if rng.random() < 0.5:
+                        server.put(key, 0, Interval(1, None))
+            assert pages > 10
+
+    def test_an_abandoned_walk_does_not_hold_every_key_stored_after_it(self):
+        server = CacheServer(clock=ManualClock(), capacity_bytes=1 << 26)
+        for i in range(100):
+            server.put(f"a{i:05d}", i, Interval(1, None))
+        server.extract_entries(None, limit=10)  # never resumed
+        for i in range(20_000):
+            server.put(f"b{i:05d}", i, Interval(1, None))
+            server.discard_keys([f"b{i:05d}"])
+        held = server._walk_keys
+        assert held is None or len(held) <= 2 * server.key_count + SCAN_PAGE_KEYS
 
     def test_install_entries_respects_put_semantics(self):
         source = CacheServer(name="src", clock=ManualClock(), capacity_bytes=1 << 22)

@@ -687,9 +687,13 @@ def test_unencodable_request_leaves_no_slot_to_absorb_the_lease_handoff():
             assert arrived["keys"].wait(timeout=10)  # the leader is reading
             follower = threading.Thread(target=call, args=("evict_stale", 0))
             follower.start()
-            time.sleep(0.2)  # let the follower send and park on its slot
-            # The node serves frames in arrival order: the follower's is
-            # served once the leader's is done.
+            # Wait until the follower is parked on its slot, so the lease
+            # can only reach it by hand-off.  The node serves frames in
+            # arrival order: the follower's is served once the leader's is.
+            deadline = time.monotonic() + 10
+            while not any(slot._event is not None for slot in list(connection._pending.values())):
+                assert time.monotonic() < deadline, "the follower never parked on its slot"
+                time.sleep(0.001)
             gates["keys"].set()
             assert arrived["evict_stale"].wait(timeout=10)
             leader.join(timeout=10)

@@ -16,8 +16,9 @@ below, on every route a reply can take out of it (``ROUTES``):
   inside a ``put``, is refused like any other unknown bytes: the file never
   appears.  An AST check keeps ``pickle`` out of every module that decodes
   peer bytes.
-* **Walks of the store.**  A frame asking for the whole store in one reply
-  gets one page of it, and a limit below one is refused.
+* **Walks of the store, and oversized batches.**  A frame asking for the
+  whole store in one reply gets one page of it, a limit below one is
+  refused, and so is a batch of more items than one frame may carry.
 * **A scripted session.**  The same request bytes, however they are cut
   into segments, draw byte-identical replies — identical to what the node
   of the commit before the read path was rewritten sent (recorded below).
@@ -367,23 +368,31 @@ def test_no_module_that_decodes_peer_bytes_can_unpickle():
 
 
 # ----------------------------------------------------------------------
-# A walk of the store: one page, whatever limit the peer asks for
+# A walk of the store: one page, whatever limit the peer asks for; a batch
+# past the bound: refused
 # ----------------------------------------------------------------------
 STORE_KEYS = 5000
 EVERY_ARC = [(0, 0)]
 
-#: op -> (its arguments with a cursor and a limit, the keys a reply covers).
+#: op -> (its arguments, from the start of the store, the keys a reply covers).
 WALKS = {
-    "extract_entries": (lambda limit: (None, limit), lambda page: len({r.key for r in page})),
-    "key_digest": (lambda limit: (EVERY_ARC, None, limit), lambda page: page[0][0]),
-    "keys_in_range": (lambda limit: (EVERY_ARC, None, limit), len),
+    "extract_entries": ((None, 10**9), lambda page: len({r.key for r in page})),
+    "key_digest": ((EVERY_ARC, None), lambda page: page[0][0]),
+    "keys_in_range": ((EVERY_ARC, None), len),
+}
+
+#: A batch far past what one frame may carry, each key of it stored.
+OVERSIZED = {
+    "discard_keys": ([f"k{i:05d}" for i in range(STORE_KEYS)] * 40,),
+    "multi_lookup": ([LookupRequest(f"k{i:05d}", 1, 5) for i in range(STORE_KEYS)] * 40,),
 }
 
 
 def test_a_peer_asking_for_the_whole_store_gets_one_page(node):
     """A frame asking to walk a 5 000-key store in one reply gets one page
-    and a cursor; a limit below one is refused; and a bystander's ping sent
-    behind it waits for that one page, not for the store."""
+    and a cursor, and an ``extract_entries`` limit below one is refused.  A
+    batch of 200 000 items is refused before it is decoded, and nothing of
+    it is served.  A bystander's ping sent behind any of them is answered."""
     address, alive = node
     filler = binary_transport(address)
     try:
@@ -396,7 +405,7 @@ def test_a_peer_asking_for_the_whole_store_gets_one_page(node):
     walker, bystander = dial(address), dial(address)
     try:
         for op, (arguments, keys_covered) in WALKS.items():
-            walker.sendall(binary_request(1, op, arguments(10**9)))
+            walker.sendall(binary_request(1, op, arguments))
             bystander.sendall(binary_request(2, "ping", ()))
             request_id, opcode, body = read_reply(bystander)
             assert (request_id, opcode, wire.decode_binary_body(body)) == (2, OK, NODE_NAME)
@@ -405,9 +414,20 @@ def test_a_peer_asking_for_the_whole_store_gets_one_page(node):
             page, cursor = wire.decode_binary_body(body)
             assert keys_covered(page) == SCAN_PAGE_KEYS, op
             assert cursor == f"k{SCAN_PAGE_KEYS - 1:05d}", op
-            for limit in (0, -1):
-                walker.sendall(binary_request(3, op, arguments(limit)))
-                assert read_reply(walker)[:2] == (3, ERR), (op, limit)
+        for limit in (0, -1):
+            walker.sendall(binary_request(3, "extract_entries", (None, limit)))
+            assert read_reply(walker)[:2] == (3, ERR), limit
+        for op, arguments in OVERSIZED.items():
+            walker.sendall(binary_request(4, op, arguments))
+            bystander.sendall(binary_request(5, "ping", ()))
+            request_id, opcode, body = read_reply(bystander)
+            assert (request_id, opcode, wire.decode_binary_body(body)) == (5, OK, NODE_NAME)
+            request_id, opcode, body = read_reply(walker)
+            assert (request_id, opcode) == (4, ERR), op
+            assert "at most" in wire.decode_binary_body(body), op
+        walker.sendall(binary_request(6, "keys", ()))
+        request_id, opcode, body = read_reply(walker)
+        assert (request_id, opcode, len(wire.decode_binary_body(body))) == (6, OK, STORE_KEYS)
         assert alive()
     finally:
         walker.close()
@@ -489,11 +509,12 @@ def test_scripted_session_replies_are_byte_identical_to_the_recorded_ones(routed
 @pytest.mark.parametrize("route", sorted(ROUTES), ids=lambda route: route[1:] or "inline")
 def test_each_route_takes_the_path_it_names(route):
     """The session's first step is seven frames in one segment.  Unbounded,
-    several are in flight at once and no read is paused; at a bound of one,
-    never more than one is, and a reply held for its modelled round trip
-    pauses the connection's reads (so may one the socket would not take
-    whole).  A modelled round trip holds every step's replies for at least
-    that long."""
+    several are in flight at once, their replies share writes and no read
+    is paused; at a bound of one, never more than one is, every reply is a
+    write of its own, and a reply held for its modelled round trip pauses
+    the connection's reads (so may one the socket would not take whole).  A
+    modelled round trip holds every step's replies for at least that
+    long."""
     options = ROUTES[route]
     with live_node("thread", NODE_NAME, 8 * 1024 * 1024, **options) as host:
         started = time.monotonic()
@@ -501,6 +522,7 @@ def test_each_route_takes_the_path_it_names(route):
         elapsed = time.monotonic() - started
     bounded = "max_queued_per_connection" in options
     assert (host.max_in_flight_per_connection == 1) == bounded
+    assert (host.sendmsg_calls >= len(RECORDED)) == bounded
     if not bounded:
         assert host.backpressure_pauses == 0
     if route == "-parked":
