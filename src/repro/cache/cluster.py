@@ -930,34 +930,39 @@ class CacheCluster:
     # ------------------------------------------------------------------
     # Key migration plumbing (used by the membership coordinator)
     # ------------------------------------------------------------------
+    def _transport(self, node: str) -> CacheTransport:
+        """The transport of a node the caller names; a node that has left
+        (or was evicted) is unreachable, like one that stopped answering."""
+        transport = self._transports.get(node)
+        if transport is None:
+            raise CacheNodeUnreachableError(f"cache node {node!r} is not in the cluster")
+        return transport
+
     def extract_entries(
         self, node: str, cursor: Optional[str] = None, limit: int = 64
     ) -> Tuple[List[EntryRecord], Optional[str]]:
         """One page of ``node``'s entries (see the transport operation)."""
-        return self._transports[node].extract_entries(cursor, limit)
+        return self._transport(node).extract_entries(cursor, limit)
 
     def install_entries(self, node: str, records: Sequence[EntryRecord]) -> int:
         """Install migrated records on ``node``; returns the stored count."""
-        return self._transports[node].install_entries(records)
+        return self._transport(node).install_entries(records)
 
     def discard_keys(self, node: str, keys: Sequence[str]) -> int:
         """Drop migrated-away keys from ``node``; returns the removed count."""
-        return self._transports[node].discard_keys(keys)
+        return self._transport(node).discard_keys(keys)
 
     def node_keys(self, node: str) -> List[str]:
         """The keys currently stored on ``node`` (replica-placement checks)."""
-        return self._transports[node].keys()
+        return self._transport(node).keys()
 
     def watermark(self, node: str) -> int:
         """``node``'s highest processed invalidation timestamp."""
-        return self._transports[node].watermark()
+        return self._transport(node).watermark()
 
-    # ------------------------------------------------------------------
-    # Autonomous cluster plane (gossip membership + digest repair)
-    # ------------------------------------------------------------------
-    def gossip(self, node: str, digest: dict) -> dict:
-        """Push-pull membership-digest exchange with ``node``'s agent."""
-        return self._transports[node].gossip(digest)
+    def note_timestamp(self, node: str, timestamp: int) -> None:
+        """Advance ``node``'s invalidation watermark to ``timestamp``."""
+        self._transport(node).note_timestamp(timestamp)
 
     def key_digest(
         self, node: str, arcs, cursor: Optional[str] = None
@@ -984,7 +989,7 @@ class CacheCluster:
     def _retried_read(self, node: str, op: str, arcs, cursor: Optional[str]):
         """A repair-planning read of one named node; failures are the
         planner's to handle, so they propagate once retries run out."""
-        transport = self._transports[node]
+        transport = self._transport(node)
         with self._op_scope():
             return self.retry_policy.run(
                 op,

@@ -19,11 +19,9 @@ list* queries, the classic DHT construction: the replica set of a key is the
 first R **distinct physical nodes** encountered walking the ring clockwise
 from the key's hash point (virtual points of a node already in the list are
 skipped).  :meth:`ConsistentHashRing.successors` returns that list (the
-primary first), :meth:`ConsistentHashRing.replica_ranges` inverts it into
-the arcs a node replicates, and :func:`diff_replica_ownership` generalizes
-:func:`diff_ownership` to whole replica sets, which is what lets the
-migration planner stream only the arcs whose replica set actually changed.
-Successor lists are minimally disruptive by construction: adding a node
+primary first), and :meth:`ConsistentHashRing.replica_ranges` inverts it
+into the arcs a node replicates, which are the arcs the membership mover
+names when a node joins, leaves or is re-warmed.  Successor lists are minimally disruptive by construction: adding a node
 inserts it at one position of each key's distinct-owner walk (displacing at
 most the last replica), and removing one promotes the next distinct owner.
 
@@ -50,9 +48,7 @@ _Routes = Tuple[List[int], List[Tuple[str, ...]]]
 __all__ = [
     "ConsistentHashRing",
     "OwnershipChange",
-    "ReplicaOwnershipChange",
     "diff_ownership",
-    "diff_replica_ownership",
     "range_contains",
     "HASH_SPACE",
 ]
@@ -81,21 +77,6 @@ class OwnershipChange:
     hi: int
     old_owner: str
     new_owner: str
-
-
-@dataclass(frozen=True)
-class ReplicaOwnershipChange:
-    """One hash-space arc whose *replica set* differs between two rings.
-
-    Generalizes :class:`OwnershipChange` from a single owner to the ordered
-    R-node successor list (primary first).  ``lo``/``hi`` follow the same
-    wrapping ``[lo, hi)`` convention.
-    """
-
-    lo: int
-    hi: int
-    old_owners: Tuple[str, ...]
-    new_owners: Tuple[str, ...]
 
 
 def range_contains(lo: int, hi: int, point: int) -> bool:
@@ -330,32 +311,3 @@ def diff_ownership(
             changes.append(OwnershipChange(lo=lo, hi=hi, old_owner=old_owner, new_owner=new_owner))
     return changes
 
-
-def diff_replica_ownership(
-    old: ConsistentHashRing, new: ConsistentHashRing, r: int
-) -> List[ReplicaOwnershipChange]:
-    """Every arc whose R-node replica set differs between ``old`` and ``new``.
-
-    The replica-set generalization of :func:`diff_ownership` (to which it
-    reduces for ``r == 1``): successor lists are piecewise constant between
-    ring points, so comparing them at each combined-point arc yields exactly
-    the ranges a membership change under R-way replication needs to touch —
-    an arc whose successor list is unchanged needs no migration traffic even
-    if other arcs moved.
-    """
-    if r < 1:
-        raise ValueError("replication factor must be positive")
-    points = sorted(set(old._points) | set(new._points))
-    if not points or not old._points or not new._points:
-        return []
-    changes: List[ReplicaOwnershipChange] = []
-    count = len(points)
-    for index, lo in enumerate(points):
-        hi = points[(index + 1) % count]
-        old_owners = old.successors_for_point(lo, r)
-        new_owners = new.successors_for_point(lo, r)
-        if old_owners != new_owners:
-            changes.append(
-                ReplicaOwnershipChange(lo=lo, hi=hi, old_owners=old_owners, new_owners=new_owners)
-            )
-    return changes

@@ -183,41 +183,27 @@ class MaintenancePlane:
         the chunk currently in flight: chunk boundaries are the preemption
         points of the whole maintenance plane.
         """
+        return self._pump(max_chunks, self.budget)
+
+    def drain(self) -> int:
+        """Pump ignoring the budget until every job completes (teardown aid).
+
+        Chunks are still charged to the budget, so its ledger stays exact."""
+        return self._pump(None, None)
+
+    def _pump(self, max_chunks: Optional[int], gate: Optional[MaintenanceBudget]) -> int:
+        """The one loop: run chunks until the queue drains, ``max_chunks``
+        have run, or ``gate`` (when given) has no allowance left."""
         ran = 0
         with self._lock:
-            while self._jobs:
-                if max_chunks is not None and ran >= max_chunks:
-                    break
-                if self.budget is not None and not self.budget.allows():
+            while self._jobs and (max_chunks is None or ran < max_chunks):
+                if gate is not None and not gate.allows():
                     self.stats.budget_deferrals += 1
                     break
                 job = self._jobs[0]
                 try:
                     done, ops, nbytes = job.step()
                 except Exception:  # noqa: BLE001 - a bad job must not wedge the plane
-                    self._jobs.popleft()
-                    self.stats.jobs_failed += 1
-                    continue
-                ran += 1
-                self.stats.chunks_run += 1
-                self.stats.ops_charged += ops
-                self.stats.bytes_charged += nbytes
-                if self.budget is not None:
-                    self.budget.charge(ops, nbytes)
-                if done:
-                    self._jobs.popleft()
-                    self.stats.jobs_completed += 1
-        return ran
-
-    def drain(self) -> int:
-        """Pump ignoring the budget until every job completes (teardown aid)."""
-        ran = 0
-        with self._lock:
-            while self._jobs:
-                job = self._jobs[0]
-                try:
-                    done, ops, nbytes = job.step()
-                except Exception:  # noqa: BLE001
                     self._jobs.popleft()
                     self.stats.jobs_failed += 1
                     continue

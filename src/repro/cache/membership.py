@@ -1,4 +1,4 @@
-"""Cluster membership: epochs, live key migration, failure-driven eviction.
+"""Cluster membership: epochs, one entry mover, failure-driven eviction.
 
 The paper assumes a mostly static cache-server list; this module is what
 turns the reproduction's cache tier into an *elastic* one.  A
@@ -7,30 +7,52 @@ turns the reproduction's cache tier into an *elastic* one.  A
 **epochs**: every join, leave, rejoin, or failure-driven eviction advances
 the epoch and is recorded in the membership history.
 
-**Live key migration.**  Consistent hashing already guarantees a membership
-change remaps only ~1/n of the key space, but without migration that slice
-cold-starts: every remapped key misses until traffic refills it.  A planned
-change instead *streams* the affected entries to their new owner before the
-ring is switched:
+**One entry mover.**  Consistent hashing already guarantees a membership
+change remaps only ~1/n of the key space; moving the entries of that slice
+keeps it warm.  Every movement is one chunk generator,
+:meth:`ClusterMembership._reconcile` ``(before, after, arcs)``: it gives
+each key in the named hash-ring arcs a copy on every member of its replica
+set under ``after``, taking each copy from a node that held the key under
+``before``.
 
-1. stage the change on a copy of the ring and diff ownership
-   (:func:`repro.cache.hashring.diff_ownership`) to find the arcs — and
-   therefore the source nodes — that change hands;
-2. carry each source's invalidation watermark over to the target
-   (``note_timestamp``), so migrated still-valid entries remain usable at
-   current timestamps on arrival;
-3. page through each source with ``extract_entries`` (bounded chunks, all
-   versions of a key in one chunk), keep the records the new ring routes
-   elsewhere, and ``install_entries`` them on their new owner — the
-   install path reuses the server's put semantics, so the
-   insert/invalidate race protection applies to in-flight records too;
-4. atomically adopt the new ring, then ``discard_keys`` the moved keys from
-   the sources (join) or shut the drained node down (leave).
+1. *Ask.*  Each named arc lies inside one segment of both rings, so the
+   successor lists at its start point name every node that can hold its
+   keys.  Each of them is inventoried over its share of the arcs with
+   paged ``keys_in_range``; a node that fails its inventory is neither a
+   source nor a destination.
+2. *Plan.*  A key goes to each reachable member of its ``after`` replica
+   set that lacks it, copied from one holder: one that loses the key under
+   ``after`` first (the copy that is moving is the one shipped), then in
+   ``before`` replica order, then by name.
+3. *Ship.*  Each source is paged with ``extract_entries`` (bounded pages,
+   all versions of a key in one page) and the planned records go out with
+   ``install_entries``, which reuses the server's put semantics, so the
+   insert/invalidate race protection applies to in-flight records too.
+4. *Discard.*  A holder that stays a member of ``after`` but no longer
+   replicates a key drops it once every replica has confirmed a copy.
+
+The callers differ only in the two rings and the arcs they name: a join
+stages the ring with the newcomer and moves the newcomer's arcs; a leave
+moves the leaver's arcs to the ring without it; a re-warm moves a
+cold-joined node's arcs from the ring it joined; and a repair names the
+arcs whose replicas' digests disagree, on the current ring for both.
+Joins and leaves drain the mover before the ring switches; re-warms and
+repairs are submitted to the :class:`repro.cache.maintenance.MaintenancePlane`
+when the coordinator has one (drained otherwise).
 
 Because every node subscribes to the same invalidation stream throughout,
-invalidations published during a migration reach both the old and the new
-owner; a record extracted before an invalidation and installed after it is
-truncated on insert by the target's tag history.
+invalidations published during a move reach both the old and the new
+holder; a record extracted before an invalidation and installed after it
+is truncated on insert by the destination's tag history.
+
+**Watermarks.**  Only a *fresh* node — a joiner or a respawned node,
+freshly provisioned, empty and subscribed to the stream from birth — has
+its invalidation watermark advanced, to the highest watermark of the nodes
+asked, so entries are usable at current timestamps the moment they land.
+No other node's watermark is ever moved: force-advancing a node that
+*missed* messages (a healed partition) would let its un-truncated
+still-valid entries claim validity through timestamps whose invalidations
+it never processed — a stale read.
 
 **Failure handling.**  The cluster itself degrades operations against an
 unreachable node to misses/no-ops and evicts the node from the ring after
@@ -38,32 +60,14 @@ unreachable node to misses/no-ops and evicts the node from the ring after
 :class:`repro.cache.cluster.CacheCluster`); the coordinator observes those
 evictions through the cluster's ``on_node_evicted`` hook, records an epoch,
 and allows the node (or a replacement with the same name) to *rejoin* later
-via :meth:`join` — warmed by migration like any other joiner.
+via :meth:`join` or :meth:`rejoin`.  The mover never evicts: a node that
+fails mid-move is only marked suspect, so a staged ring stays valid.
 
-**Replication.**  When the cluster runs with ``replication_factor=R > 1``
-the planner works on *replica sets* rather than single owners
-(:func:`repro.cache.hashring.diff_replica_ownership`): a join streams to the
-newcomer exactly the arcs whose successor list it enters, sources discard
-only keys they no longer replicate, and a leave drains the departing node's
-entries to every member of each key's new replica set (installs on nodes
-that already hold a copy are rejected as duplicates, so this is idempotent).
-After a *failure* eviction the crashed node's arcs are under-replicated —
-the surviving copies serve reads, but a second crash would lose them — so
-the coordinator runs an **anti-entropy repair** (:meth:`repair`): replicas
-first compare cheap per-arc key digests, then live holders stream entries
-(the same ``extract_entries``/``install_entries`` ops as migration) to the
-replicas of each key that lack a copy — and only for the arcs whose digests
-actually disagree.  When the coordinator carries a
-:class:`repro.cache.maintenance.MaintenancePlane`, the whole sweep runs as a
-resumable chunked background job under the plane's op/byte budget instead of
-synchronously at the epoch boundary.  Repair never
-advances a destination's invalidation watermark: established members are
-already current, and force-advancing a node that *missed* messages (a healed
-partition) would let its un-truncated still-valid entries claim validity
-through timestamps whose invalidations it never processed — a stale read.
-The watermark carry-over is therefore reserved for join targets, which are
-freshly provisioned (empty, subscribed to the stream from birth) and safe to
-advance per the paper's staleness rules.
+**Replication.**  With ``replication_factor=R > 1`` a crash leaves every
+arc the victim replicated one copy short, so each eviction is followed by
+an **anti-entropy repair** (:meth:`repair`): replicas first compare cheap
+per-arc key digests, and only the arcs whose digests disagree are handed
+to the mover — a clean sweep ships nothing.
 """
 
 from __future__ import annotations
@@ -73,14 +77,18 @@ from dataclasses import dataclass, field
 from typing import Dict, Generator, Iterator, List, Optional, Set, Tuple
 
 # _FAILURE_EXCEPTIONS: the cluster's definition of "node unreachable";
-# migration treats a vanished source/target the same way routing does.
+# the mover treats a vanished node the same way routing does.
 from repro.cache.cluster import _FAILURE_EXCEPTIONS, CacheCluster
 from repro.cache.entry import EntryRecord
-from repro.cache.hashring import HASH_SPACE, ConsistentHashRing, diff_replica_ownership
+from repro.cache.hashring import HASH_SPACE, ConsistentHashRing
 from repro.cache.maintenance import ChunkedJob, MaintenancePlane
 from repro.cache.server import CacheServer
 
 __all__ = ["ClusterMembership", "MembershipStats", "EpochRecord"]
+
+#: What a chunk generator yields per RPC page: ``(ops, approx_bytes)``.
+Chunks = Generator[Tuple[int, int], None, int]
+Arc = Tuple[int, int]
 
 
 @dataclass
@@ -94,22 +102,24 @@ class MembershipStats:
     failure_evictions: int = 0
     #: Administrative :meth:`ClusterMembership.evict` calls (no migration).
     manual_evictions: int = 0
-    #: Planned changes that ran with migration enabled.
+    #: Planned joins and leaves that ran the mover.
     migrations: int = 0
-    #: Hash-ring arcs that changed owner across all planned changes.
-    ranges_moved: int = 0
-    #: Entry versions shipped to a new owner.
+    #: Entry versions planned joins and leaves stored on a new replica.
     entries_migrated: int = 0
-    #: Distinct keys shipped to a new owner.
+    #: Distinct keys the mover copied onto at least one node (every caller).
     keys_migrated: int = 0
     #: extract_entries pages issued.
     migration_chunks: int = 0
-    #: Entry versions dropped from sources after a successful handoff.
+    #: Entry versions dropped by holders the new ring displaced.
     entries_discarded: int = 0
-    #: Sources that disappeared mid-migration (their slice cold-starts).
-    migration_sources_lost: int = 0
+    #: Nodes lost mid-move (a failed inventory or extract page): from then
+    #: on neither a source nor a destination of that move.
+    migration_nodes_lost: int = 0
     #: Install batches lost because the destination was unreachable.
     migration_install_failures: int = 0
+    #: ``keys_in_range`` round trips (pages) the mover issued, failed ones
+    #: included.
+    inventory_pages: int = 0
     #: Anti-entropy repair sweeps run (after failure evictions, or manual).
     repairs: int = 0
     #: Entry versions actually (re-)stored on an under-replicated node by
@@ -118,12 +128,9 @@ class MembershipStats:
     #: ``key_digest`` round trips issued by repair sweeps (one per page of
     #: each node's store: one per node while its store fits one page).
     repair_digest_rpcs: int = 0
-    #: ``keys_in_range`` round trips (pages) issued for arcs whose digests
-    #: disagreed.
-    repair_key_fetches: int = 0
     #: Ring arcs whose replica digests all matched (no key traffic at all).
     repair_arcs_clean: int = 0
-    #: Ring arcs whose replica digests disagreed (key lists were fetched).
+    #: Ring arcs whose replica digests disagreed (handed to the mover).
     repair_arcs_dirty: int = 0
     #: Budgeted re-warm sweeps started for a respawned/rejoined node.
     rewarms: int = 0
@@ -149,12 +156,9 @@ class ClusterMembership:
     cluster: CacheCluster
     #: Keys per extract_entries page during migration.
     chunk_size: int = 128
-    #: Run an anti-entropy repair sweep automatically after a failure-driven
-    #: eviction leaves key ranges under-replicated (replicated clusters only).
-    auto_repair: bool = True
-    #: Background maintenance plane.  When set, :meth:`repair` submits a
-    #: resumable chunked job to it (drained by the plane's pump under its
-    #: op/byte budget) instead of sweeping synchronously.
+    #: Background maintenance plane.  When set, :meth:`repair` and
+    #: :meth:`rejoin` submit a resumable chunked job to it (drained by the
+    #: plane's pump under its op/byte budget) instead of running it inline.
     plane: Optional[MaintenancePlane] = None
 
     epoch: int = field(init=False, default=0)
@@ -202,20 +206,22 @@ class ClusterMembership:
         """Add a node, optionally warming it by live migration.
 
         The node is provisioned outside the ring (it already receives the
-        invalidation stream), the entries its arcs will own are streamed
-        onto it from their current owners, and only then does the ring —
-        and with it live traffic — switch over.  With ``migrate=False``
-        this is a cold join: remapped keys start over.
+        invalidation stream), the entries of the arcs it will replicate are
+        moved onto it, and only then does the ring — and with it live
+        traffic — switch over.  With ``migrate=False`` this is a cold
+        join: remapped keys start over.
         """
         if name in self.cluster.ring:
             raise ValueError(f"cache node {name!r} is already a member")
         rejoining = name in self._departed
         server = self.cluster.provision_node(name, capacity_bytes)
-        new_ring = self.cluster.ring.copy()
-        new_ring.add_node(name, weight=weight)
-        if migrate and len(new_ring) > 1:
-            self._migrate_for_join(name, new_ring)
-        self.cluster.adopt_ring(new_ring)
+        ring = self.cluster.ring
+        staged = ring.copy()
+        staged.add_node(name, weight=weight)
+        if migrate and len(ring) > 0:
+            arcs = staged.replica_ranges(name, self.cluster.replication_factor)
+            self._migrate("join", self._reconcile(ring, staged, arcs, fresh=name))
+        self.cluster.adopt_ring(staged)
         if rejoining:
             self._departed.discard(name)
             self.stats.rejoins += 1
@@ -230,108 +236,54 @@ class ClusterMembership:
 
         The supervisor's rejoin path: the node enters the ring immediately
         (serving cold misses from its slice — availability first), and its
-        working set is streamed back as a resumable :class:`ChunkedJob` on
-        the maintenance plane, so recovery traffic is paced by the plane's
-        op/byte budget instead of spiking foreground p99 the way
-        ``join(migrate=True)``'s synchronous pre-warm would.  Without a
-        plane the sweep drains synchronously and the installed count is
-        returned; with one, 0 is returned and
-        ``stats.entries_rewarmed`` advances as the job is pumped.
+        arcs are moved back onto it from the ring it joined as a resumable
+        :class:`ChunkedJob` on the maintenance plane, so recovery traffic is
+        paced by the plane's op/byte budget instead of spiking foreground
+        p99 the way ``join(migrate=True)``'s synchronous pre-warm would.
+        The nodes that absorbed its slice meanwhile drop their displaced
+        copies, so the rejoin ends where a join would.  Without a plane the
+        job drains at once and the installed count is returned; with one, 0
+        is returned and ``stats.entries_rewarmed`` advances as the job is
+        pumped.
         """
+        before = self.cluster.ring.copy()
         self.join(name, capacity_bytes=capacity_bytes, weight=weight, migrate=False)
-        job = ChunkedJob("rewarm", self._rewarm_chunks(name))
-        if self.plane is not None:
-            self.plane.submit(job)
-            return 0
-        job.drain()
-        return int(job.result or 0)
-
-    def _rewarm_chunks(self, target: str) -> Generator[Tuple[int, int], None, int]:
-        """Stream ``target``'s arcs back onto it, one budget chunk per RPC.
-
-        The re-warm plan mirrors :meth:`_migrate_for_join` — each key is
-        shipped once, by the first ring-ordered holder — but runs *after*
-        ring adoption, chunked for the maintenance budget.  The watermark
-        carry-over is safe here for the same reason as a join target: the
-        respawned node is freshly provisioned (empty, subscribed to the
-        invalidation stream from birth), so it has missed no messages and
-        advancing it cannot fabricate validity (the PR-3 rule).  Displaced
-        copies on the nodes that absorbed the victim's slice are left to
-        age out, exactly like repair sources.
-        """
-        cluster = self.cluster
-        ring = cluster.ring
-        factor = cluster.replication_factor
-        if target not in ring.nodes or len(ring) <= 1:
-            return 0
+        ring = self.cluster.ring
+        arcs = ring.replica_ranges(name, self.cluster.replication_factor)
         self.stats.rewarms += 1
-        arcs = ring.replica_ranges(target, factor)
-        sources = [node for node in sorted(ring.nodes) if node != target]
-        # Watermark frontier first, so entries installed below are usable
-        # at current timestamps the moment they land.
-        frontier = 0
-        for node in sources:
-            try:
-                frontier = max(frontier, cluster.watermark(node))
-            except _FAILURE_EXCEPTIONS:
-                cluster.note_transport_failure(node)
-            yield (1, 16)
-        try:
-            transport = cluster.transports[target]
-            if frontier and transport.watermark() < frontier:
-                transport.note_timestamp(frontier)
-            yield (2, 16)
-        except _FAILURE_EXCEPTIONS:
-            cluster.note_transport_failure(target)
-            return 0  # the rejoined node died again; the supervisor re-runs
-        except KeyError:
-            return 0  # already evicted again
-        # Which keys belong on the target now, and who holds a copy?
-        held_by: Dict[str, set] = {}
-        for node in sources:
-            keys: set = set()
-            try:
-                for page in self._pages("keys_in_range", node, arcs):
-                    keys.update(page)
-                    yield (1, sum(len(key) for key in page) or 16)
-            except _FAILURE_EXCEPTIONS:
-                cluster.note_transport_failure(node)
-                continue
-            held_by[node] = keys
-        assigned: Dict[str, set] = {}
-        claimed: set = set()
-        for node in sources:  # sorted: the designated source is deterministic
-            for key in sorted(held_by.get(node, ())):
-                if key in claimed or target not in ring.successors(key, factor):
-                    continue
-                claimed.add(key)
-                assigned.setdefault(node, set()).add(key)
-        installed = 0
-        for source in sorted(assigned):
-            installed += yield from self._ship_missing(
-                source, {target: assigned[source]}, held_by.get(source) or set()
-            )
-        self.stats.entries_rewarmed += installed
-        return installed
+
+        def rewarm() -> Chunks:
+            installed = yield from self._reconcile(before, ring, arcs, fresh=name)
+            self.stats.entries_rewarmed += installed
+            return installed
+
+        return self._run("rewarm", rewarm())
 
     def leave(self, name: str, migrate: bool = True) -> None:
         """Remove a node, optionally draining its entries to the survivors.
 
-        With migration, every entry the departing node holds is streamed to
-        the node that owns its key under the new ring before routing
-        switches and the node shuts down; the departing slice stays warm.
+        With migration, the arcs the departing node replicated are moved to
+        the ring without it before routing switches and the node shuts
+        down; the departing slice stays warm.
         """
         if name not in self.cluster.ring:
             raise KeyError(name)
-        new_ring = self.cluster.ring.copy()
-        new_ring.remove_node(name)
-        if migrate and len(new_ring) > 0:
-            self._migrate_for_leave(name, new_ring)
-        self.cluster.adopt_ring(new_ring)
+        ring = self.cluster.ring
+        staged = ring.copy()
+        staged.remove_node(name)
+        if migrate and len(staged) > 0:
+            arcs = ring.replica_ranges(name, self.cluster.replication_factor)
+            self._migrate("leave", self._reconcile(ring, staged, arcs))
+        self.cluster.adopt_ring(staged)
         self.cluster.remove_node(name)  # ring removal already done; detaches node
         self._departed.add(name)
         self.stats.leaves += 1
         self._advance("leave", name)
+
+    def _migrate(self, label: str, chunks: Chunks) -> None:
+        """Drain a planned change's move before its ring is adopted."""
+        self.stats.migrations += 1
+        self.stats.entries_migrated += int(ChunkedJob(label, chunks).drain())
 
     def evict(self, name: str) -> None:
         """Forcibly drop a (presumed dead) node: no migration, epoch bump.
@@ -351,8 +303,6 @@ class ClusterMembership:
         self.cluster.remove_node(name)
         self.stats.manual_evictions += 1
         self._record_eviction(name)
-        if self.auto_repair and self.cluster.replication_factor > 1:
-            self.repair()
 
     def _on_failure_eviction(self, name: str) -> None:
         """Cluster hook: a node crossed the failure threshold and was evicted.
@@ -364,12 +314,11 @@ class ClusterMembership:
         """
         self.stats.failure_evictions += 1
         self._record_eviction(name)
-        if self.auto_repair and self.cluster.replication_factor > 1:
-            self.repair()
 
     def _record_eviction(self, name: str) -> None:
         self._departed.add(name)
         self._advance("evict", name)
+        self.repair()
 
     # ------------------------------------------------------------------
     # Anti-entropy repair (re-replication after a crash)
@@ -377,22 +326,16 @@ class ClusterMembership:
     def repair(self) -> int:
         """Restore the replication factor from the surviving copies.
 
-        Three passes, all resumable at chunk granularity.  A *digest* pass
-        fetches every member's per-arc key digests (one ``key_digest`` round
-        trip per page of its store, folded per arc; see
-        :meth:`repro.cache.server.CacheServer.key_digest`) and compares the
-        replicas of each arc — an arc whose digests all match is in sync
+        A *digest* pass fetches every member's per-arc key digests (one
+        ``key_digest`` round trip per page of its store, folded per arc;
+        see :meth:`repro.cache.server.CacheServer.key_digest`) and compares
+        the replicas of each arc — an arc whose digests all match is in sync
         and generates **no key traffic at all**, so the steady-state sweep
         costs one digest round trip per page, N while every store fits one
-        page, and ships nothing.  A *key* pass then fetches key lists (paged
-        alike) only for the arcs whose digests disagreed
-        (``keys_in_range``) and plans, per key, which replicas lack a copy
-        and which live holder should supply it.
-        A *shipping* pass streams exactly the missing copies (bounded
-        chunks, the same migration ops); installs go through the server's
-        put semantics, so anything invalidated meanwhile is truncated on
-        insert.  Reconciliation is key-granular: a replica that holds *any*
-        version of a key is considered current (finer, per-version
+        page, and ships nothing.  The arcs whose digests disagree go to the
+        mover on the current ring, which copies each key onto the replicas
+        that lack it.  Reconciliation is key-granular: a replica that holds
+        *any* version of a key is considered current (finer, per-version
         divergence ages out or is refilled by traffic).
 
         Without a :attr:`plane` the sweep runs synchronously and returns
@@ -403,12 +346,27 @@ class ClusterMembership:
         completes.  A no-op for unreplicated clusters and rings too small
         to replicate.
         """
-        job = ChunkedJob("repair", self._repair_chunks())
+        ring = self.cluster.ring
+        if self.cluster.replication_factor <= 1 or len(ring) <= 1:
+            return 0
+        self.stats.repairs += 1
+
+        def sweep() -> Chunks:
+            dirty = yield from self._dirty_arcs(ring)
+            installed = yield from self._reconcile(ring, ring, dirty)
+            self.stats.entries_re_replicated += installed
+            return installed
+
+        return self._run("repair", sweep())
+
+    def _run(self, label: str, chunks: Chunks) -> int:
+        """Submit a job to the plane (returning 0), or drain it without one
+        (returning its installed count)."""
+        job = ChunkedJob(label, chunks)
         if self.plane is not None:
             self.plane.submit(job)
             return 0
-        job.drain()
-        return int(job.result or 0)
+        return int(job.drain())
 
     def _pages(self, op: str, node: str, arcs) -> Iterator[list]:
         """Each page of ``op`` (``key_digest`` or ``keys_in_range``) over
@@ -421,30 +379,22 @@ class ClusterMembership:
             if cursor is None:
                 return
 
-    def _repair_chunks(self) -> Generator[Tuple[int, int], None, int]:
-        """The repair sweep as a chunk generator (one yield per RPC page)."""
+    def _dirty_arcs(self, ring: ConsistentHashRing) -> Generator[Tuple[int, int], None, List[Arc]]:
+        """The digest pass: the arcs whose reachable replicas disagree.
+
+        Replicas of one ring segment report the segment under the *same*
+        ``(start, end)`` arc tuple (see ``replica_ranges``), so digests are
+        directly comparable per arc across nodes.  An unreachable replica
+        takes no part in the comparison.
+        """
         factor = self.cluster.replication_factor
-        ring = self.cluster.ring
-        if factor <= 1 or len(ring) <= 1:
-            return 0
-        self.stats.repairs += 1
-        nodes = sorted(ring.nodes)
-        # Replicas of one ring segment report the segment under the *same*
-        # (start, end) arc tuple (see ``replica_ranges``), so digests are
-        # directly comparable per arc across nodes.
-        arcs_of: Dict[str, List[Tuple[int, int]]] = {
-            node: ring.replica_ranges(node, factor) for node in nodes
-        }
-        replicas_of: Dict[Tuple[int, int], List[str]] = {}
-        for node in nodes:
-            for arc in arcs_of[node]:
+        replicas_of: Dict[Arc, List[str]] = {}
+        arc_digest: Dict[Tuple[str, Arc], Tuple[int, int, int]] = {}
+        for node in sorted(ring.nodes):
+            arcs = ring.replica_ranges(node, factor)
+            for arc in arcs:
                 replicas_of.setdefault(arc, []).append(node)
-        # Digest pass: one cheap round trip per page of each node's store,
-        # folded per arc — exact, since the fold is commutative.
-        arc_digest: Dict[Tuple[str, Tuple[int, int]], Tuple[int, int, int]] = {}
-        reachable: Dict[str, bool] = {}
-        for node in nodes:
-            arcs = arcs_of[node]
+            # Folded per arc across pages — exact, since the fold commutes.
             folded = [(0, 0, 0)] * len(arcs)
             try:
                 for page in self._pages("key_digest", node, arcs):
@@ -457,96 +407,151 @@ class ClusterMembership:
             except _FAILURE_EXCEPTIONS:
                 self.stats.repair_digest_rpcs += 1  # the round trip that failed
                 self.cluster.note_transport_failure(node)
-                reachable[node] = False
                 continue
-            reachable[node] = True
             for arc, digest in zip(arcs, folded):
                 arc_digest[(node, arc)] = digest
-        # An arc is dirty when its reachable replicas disagree; unreachable
-        # replicas are neither repair sources nor targets (same stance as
-        # the old full-inventory sweep).
-        dirty_arcs: Set[Tuple[int, int]] = set()
+        dirty: List[Arc] = []
         for arc, replicas in sorted(replicas_of.items()):
-            seen = {
-                arc_digest[(node, arc)] for node in replicas if (node, arc) in arc_digest
-            }
+            seen = {arc_digest[(node, arc)] for node in replicas if (node, arc) in arc_digest}
             if len(seen) > 1:
-                dirty_arcs.add(arc)
+                dirty.append(arc)
                 self.stats.repair_arcs_dirty += 1
             else:
                 self.stats.repair_arcs_clean += 1
-        if not dirty_arcs:
+        return dirty
+
+    # ------------------------------------------------------------------
+    # The entry mover
+    # ------------------------------------------------------------------
+    def _reconcile(
+        self,
+        before: ConsistentHashRing,
+        after: ConsistentHashRing,
+        arcs: List[Arc],
+        fresh: Optional[str] = None,
+    ) -> Chunks:
+        """Give every key in ``arcs`` a copy on each member of its replica
+        set under ``after``, taken from a node that held it under ``before``.
+
+        A chunk generator (one yield per RPC) returning the number of entry
+        versions installed; see the module docstring for the four steps.
+        Every named arc must lie inside one segment of both rings, which
+        holds for the arcs of the finer of two rings that differ by one
+        node.  With ``fresh`` set, that freshly provisioned node's
+        watermark first advances to the highest watermark of the nodes
+        asked; no other watermark moves.
+        """
+        cluster = self.cluster
+        factor = cluster.replication_factor
+        if not arcs or not len(before) or not len(after):
             return 0
-        # Key pass: fetch key lists only for the arcs that disagreed.  Every
-        # replica of a dirty-arc key replicates that arc, so nodes with no
-        # dirty arcs can never be a source or target and are skipped.
-        held: Dict[str, Optional[set]] = {}
-        for node in nodes:
-            if not reachable[node]:
-                held[node] = None
-                continue
-            node_dirty = [arc for arc in arcs_of[node] if arc in dirty_arcs]
-            if not node_dirty:
-                held[node] = set()
-                continue
-            keys: set = set()
+        # Who is asked: every node that can hold an arc's keys, over its share.
+        arcs_of: Dict[str, List[Arc]] = {}
+        for arc in arcs:
+            nodes = set(before.successors_for_point(arc[0], factor))
+            for node in nodes.union(after.successors_for_point(arc[0], factor)):
+                arcs_of.setdefault(node, []).append(arc)
+        if fresh is not None:
+            marks: Dict[str, int] = {}
+            for node in sorted(arcs_of):
+                try:
+                    marks[node] = cluster.watermark(node)
+                except _FAILURE_EXCEPTIONS:
+                    cluster.note_transport_failure(node)
+                yield (1, 16)
+            frontier = max((mark for node, mark in marks.items() if node != fresh), default=0)
+            if marks.get(fresh, frontier) < frontier:
+                try:
+                    cluster.note_timestamp(fresh, frontier)
+                except _FAILURE_EXCEPTIONS:
+                    cluster.note_transport_failure(fresh)
+                yield (1, 16)
+        # The one inventory; an unreachable node has no entry in ``held``.
+        held: Dict[str, Set[str]] = {}
+        for node in sorted(arcs_of):
+            keys: Set[str] = set()
             try:
-                for page in self._pages("keys_in_range", node, node_dirty):
-                    self.stats.repair_key_fetches += 1
+                for page in self._pages("keys_in_range", node, arcs_of[node]):
+                    self.stats.inventory_pages += 1
                     keys.update(page)
-                    yield (1, sum(len(key) for key in page))
+                    yield (1, sum(len(key) for key in page) or 16)
             except _FAILURE_EXCEPTIONS:
-                self.stats.repair_key_fetches += 1  # the round trip that failed
-                self.cluster.note_transport_failure(node)
-                held[node] = None
+                self.stats.inventory_pages += 1  # the page that failed
+                self._lose(node)
                 continue
             held[node] = keys
-        # source -> destination -> the keys the destination is missing.
-        plan: Dict[str, Dict[str, set]] = {}
-        key_sets = [keys for keys in held.values() if keys]
-        for key in set().union(*key_sets) if key_sets else ():
-            replicas = ring.successors(key, factor)
-            holders = [node for node in replicas if held.get(node) and key in held[node]]
-            if not holders:
-                continue  # no reachable replica holds it; nothing to copy
-            source = holders[0]
-            for destination in replicas:
-                if held.get(destination) is not None and key not in held[destination]:
-                    plan.setdefault(source, {}).setdefault(destination, set()).add(key)
+        # source -> destination -> keys; holder -> keys it no longer replicates.
+        plan: Dict[str, Dict[str, Set[str]]] = {}
+        displaced: Dict[str, Set[str]] = {}
+        for key in set().union(*held.values()):
+            was, now = before.successors(key, factor), after.successors(key, factor)
+            holders = [node for node, keys in held.items() if key in keys]
+            missing = [node for node in now if node in held and key not in held[node]]
+            if missing:
+                source = min(
+                    holders,
+                    key=lambda node: (
+                        node in now, was.index(node) if node in was else factor, node
+                    ),
+                )
+                for node in missing:
+                    plan.setdefault(source, {}).setdefault(node, set()).add(key)
+            for node in holders:
+                if node not in now and node in after:
+                    displaced.setdefault(node, set()).add(key)
+        confirmed: Set[Tuple[str, str]] = set()
         installed = 0
         for source in sorted(plan):
             installed += yield from self._ship_missing(
-                source, plan[source], held[source] or set()
+                source, plan[source], held[source], confirmed
             )
-        self.stats.entries_re_replicated += installed
+        self.stats.keys_migrated += len({key for _, key in confirmed})
+        for node in sorted(displaced):
+            placed = sorted(
+                key
+                for key in displaced[node]
+                if all(
+                    key in held.get(replica, ()) or (replica, key) in confirmed
+                    for replica in after.successors(key, factor)
+                )
+            )
+            if not placed:
+                continue
+            try:
+                self.stats.entries_discarded += cluster.discard_keys(node, placed)
+            except _FAILURE_EXCEPTIONS:
+                # Stale copies age out; routing never returns there.
+                cluster.note_transport_failure(node)
+            yield (1, sum(len(key) for key in placed))
         return installed
 
-    def _key_inventory(self, nodes) -> Dict[str, Optional[set]]:
-        """Each node's stored key set; None for unreachable nodes."""
-        held: Dict[str, Optional[set]] = {}
-        for node in sorted(nodes):
-            try:
-                held[node] = set(self.cluster.node_keys(node))
-            except _FAILURE_EXCEPTIONS:
-                self.cluster.note_transport_failure(node)
-                held[node] = None  # neither a repair source nor a target
-        return held
+    def _lose(self, node: str) -> None:
+        """A node stopped answering mid-move: count it and mark it suspect
+        (never evicted from here, so a staged ring stays valid; the first
+        routed failure after the epoch switch completes the eviction)."""
+        self.stats.migration_nodes_lost += 1
+        self.cluster.note_transport_failure(node)
 
     def _ship_missing(
-        self, source: str, missing_by_dest: Dict[str, set], held_keys: set
-    ) -> Generator[Tuple[int, int], None, int]:
+        self,
+        source: str,
+        missing_by_dest: Dict[str, Set[str]],
+        held_keys: Set[str],
+        confirmed: Set[Tuple[str, str]],
+    ) -> Chunks:
         """Stream exactly the planned missing copies out of ``source``.
 
         A chunk generator: yields ``(ops, approx_bytes)`` after each extract
-        page (the page plus its install fan-out) and returns the number of
+        page (the page plus its install fan-out), adds each confirmed
+        ``(destination, key)`` to ``confirmed``, and returns the number of
         entry versions installed.
         """
         wanted = set().union(*missing_by_dest.values())
+        first, last = min(wanted), max(wanted)
         installed = 0
         # Pages arrive in ascending key order, so seed the cursor with the
         # largest held key below the first wanted one: the head pages —
         # which by construction contain nothing to ship — are never paged.
-        first = min(wanted)
         cursor: Optional[str] = max(
             (key for key in held_keys if key < first), default=None
         )
@@ -556,8 +561,7 @@ class ClusterMembership:
                     source, cursor, self.chunk_size
                 )
             except _FAILURE_EXCEPTIONS:
-                self.stats.migration_sources_lost += 1
-                self.cluster.note_transport_failure(source)
+                self._lose(source)
                 return installed
             self.stats.migration_chunks += 1
             by_target: Dict[str, List[EntryRecord]] = {}
@@ -568,15 +572,13 @@ class ClusterMembership:
                     if record.key in keys:
                         by_target.setdefault(destination, []).append(record)
             for destination, batch in by_target.items():
-                # Deliberately no watermark carry-over here (see the module
-                # docstring): repair peers are live stream subscribers, and
-                # force-advancing one that missed messages would fabricate
-                # validity its entries never earned.
                 try:
                     installed += self.cluster.install_entries(destination, batch)
                 except _FAILURE_EXCEPTIONS:
                     self.stats.migration_install_failures += 1
                     self.cluster.note_transport_failure(destination)
+                    continue
+                confirmed.update((destination, record.key) for record in batch)
             yield (
                 1 + len(by_target),
                 sum(
@@ -586,162 +588,8 @@ class ClusterMembership:
                 )
                 or 64,
             )
-            # Pages arrive in ascending key order, so once the cursor passes
-            # the last wanted key the remaining pages ship nothing.
-            if cursor is None or cursor >= max(wanted):
+            # Once the cursor passes the last wanted key the remaining pages
+            # ship nothing.
+            if cursor is None or cursor >= last:
                 break
         return installed
-
-    # ------------------------------------------------------------------
-    # Migration internals
-    # ------------------------------------------------------------------
-    def _migrate_for_join(self, target: str, new_ring: ConsistentHashRing) -> None:
-        """Stream the arcs whose replica set ``target`` enters, from their owners.
-
-        With ``replication_factor=1`` the replica diff degenerates to the
-        plain ownership diff and this is exactly the unreplicated plan: the
-        arcs the newcomer takes over, streamed from their previous owners
-        and discarded there afterwards.  With replication every moved key is
-        held by up to R old replicas, so each key is streamed once, by its
-        *designated* source — the first member of its old replica set that
-        actually holds a copy (per a key-list inventory), not R times by
-        every holder; ranking by the replica order rather than just "the
-        primary" also warms keys the primary happens to lack (e.g. a put
-        that landed while it was partitioned).  Afterwards each source
-        discards exactly the keys the newcomer displaced it from, but only
-        those whose arrival on the target was confirmed: a key whose
-        install failed keeps its old copies, the same conservatism as the
-        unreplicated path.
-        """
-        factor = self.cluster.replication_factor
-        old_ring = self.cluster.ring
-        changes = diff_replica_ownership(old_ring, new_ring, factor)
-        relevant = [change for change in changes if target in change.new_owners]
-        self.stats.ranges_moved += len(relevant)
-        sources = sorted({owner for change in relevant for owner in change.old_owners})
-        self.stats.migrations += 1
-        held = self._key_inventory(sources)
-
-        def designated(key: str) -> Optional[str]:
-            for node in old_ring.successors(key, factor):
-                if held.get(node) and key in held[node]:
-                    return node
-            return None
-
-        confirmed: set = set()
-        for source in sources:
-            moved_keys = self._stream_entries(
-                source,
-                keep=lambda key, source=source: (
-                    target in new_ring.successors(key, factor)
-                    and designated(key) == source
-                ),
-                target=target,
-                carry_watermark=True,
-            )
-            if moved_keys is not None:
-                confirmed.update(moved_keys)
-            # A None (source died mid-stream) cold-starts that slice on the
-            # target, exactly as before; other replicas keep their copies.
-        for source in sources:
-            try:
-                dropped = [
-                    key
-                    for key in self.cluster.node_keys(source)
-                    if key in confirmed
-                    and source not in new_ring.successors(key, factor)
-                ]
-                if dropped:
-                    self.stats.entries_discarded += self.cluster.discard_keys(
-                        source, dropped
-                    )
-            except _FAILURE_EXCEPTIONS:
-                # Stale copies age out; routing never returns there.
-                self.cluster.note_transport_failure(source)
-
-    def _migrate_for_leave(self, source: str, new_ring: ConsistentHashRing) -> None:
-        """Drain everything the departing ``source`` holds to the new owners."""
-        factor = self.cluster.replication_factor
-        self.stats.migrations += 1
-        # The replica diff lists the same arcs; for a leave every entry of
-        # the source moves, so the per-key route below is the whole story —
-        # but the ranges still feed the counters for observability.
-        self.stats.ranges_moved += len(
-            diff_replica_ownership(self.cluster.ring, new_ring, factor)
-        )
-        self._stream_entries(source, keep=lambda key: True, target=None, route=new_ring)
-        # No discard: the node is shut down right after routing switches.
-
-    def _stream_entries(
-        self, source, keep, target, route=None, carry_watermark=False
-    ) -> Optional[set]:
-        """Page entries out of ``source`` and install the kept ones.
-
-        ``target`` fixes the destination (join); with ``route`` instead, each
-        record goes to every member of its key's replica set under that ring
-        (leave; one node when unreplicated).  ``carry_watermark`` advances
-        each destination's invalidation watermark to the source's before
-        installing, so still-valid records are usable at current timestamps
-        on arrival — safe only for freshly provisioned join targets, which
-        hold no entries predating their stream subscription (an established
-        node whose watermark trails the source's has *missed* invalidations,
-        and advancing it would let its own still-valid entries serve stale
-        data).  Returns the set of moved keys, or None if the source became
-        unreachable mid-stream.
-        """
-        try:
-            source_watermark = self.cluster.watermark(source)
-        except _FAILURE_EXCEPTIONS:
-            self.stats.migration_sources_lost += 1
-            self.cluster.note_transport_failure(source)
-            return None
-        factor = self.cluster.replication_factor
-        watermarked: set = set()
-        moved_keys: set = set()
-        cursor: Optional[str] = None
-        while True:
-            try:
-                records, cursor = self.cluster.extract_entries(
-                    source, cursor, self.chunk_size
-                )
-            except _FAILURE_EXCEPTIONS:
-                self.stats.migration_sources_lost += 1
-                self.cluster.note_transport_failure(source)
-                return None
-            self.stats.migration_chunks += 1
-            by_target: Dict[str, List[EntryRecord]] = {}
-            for record in records:
-                if not keep(record.key):
-                    continue
-                if target is not None:
-                    destinations = [target]
-                else:
-                    destinations = [
-                        node
-                        for node in route.successors(record.key, factor)
-                        if node != source
-                    ]
-                for destination in destinations:
-                    by_target.setdefault(destination, []).append(record)
-            for destination, batch in by_target.items():
-                try:
-                    if carry_watermark and destination not in watermarked:
-                        transport = self.cluster.transports[destination]
-                        if transport.watermark() < source_watermark:
-                            transport.note_timestamp(source_watermark)
-                        watermarked.add(destination)
-                    self.cluster.install_entries(destination, batch)
-                except _FAILURE_EXCEPTIONS:
-                    # Destination died mid-install: its slice cold-starts.
-                    # Record the failure (suspect marking) without evicting,
-                    # so the staged ring stays valid; the first routed
-                    # failure after the epoch switch completes the eviction.
-                    self.stats.migration_install_failures += 1
-                    self.cluster.note_transport_failure(destination)
-                    continue
-                self.stats.entries_migrated += len(batch)
-                moved_keys.update(record.key for record in batch)
-            if cursor is None:
-                break
-        self.stats.keys_migrated += len(moved_keys)
-        return moved_keys

@@ -301,31 +301,6 @@ class TestSuccessorProperties:
         with pytest.raises(KeyError):
             ring.replica_ranges("zzz", 2)
 
-    def test_diff_replica_ownership_reduces_to_diff_ownership_for_r1(self):
-        from repro.cache.hashring import diff_ownership, diff_replica_ownership
-
-        old = ConsistentHashRing(["a", "b", "c"], virtual_nodes=30)
-        new = old.copy()
-        new.add_node("d")
-        plain = diff_ownership(old, new)
-        replicated = diff_replica_ownership(old, new, 1)
-        assert [(c.lo, c.hi, (c.old_owner,), (c.new_owner,)) for c in plain] == [
-            (c.lo, c.hi, c.old_owners, c.new_owners) for c in replicated
-        ]
-
-    def test_diff_replica_ownership_marks_only_changed_successor_lists(self):
-        from repro.cache.hashring import _hash, diff_replica_ownership, range_contains
-
-        old = ConsistentHashRing(["a", "b", "c"], virtual_nodes=30)
-        new = old.copy()
-        new.add_node("d")
-        changes = diff_replica_ownership(old, new, 2)
-        for i in range(300):
-            key = f"key-{i}"
-            point = _hash(key)
-            in_changed = any(range_contains(c.lo, c.hi, point) for c in changes)
-            assert in_changed == (old.successors(key, 2) != new.successors(key, 2)), key
-
 
 # ----------------------------------------------------------------------
 # Precomputed routing tables against a walk of the ring written here

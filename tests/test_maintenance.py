@@ -238,11 +238,11 @@ def test_budgeted_repair_matches_the_synchronous_sweep_exactly():
     assert sorted(cluster.node_keys(victim)) == sorted(
         sync_cluster.node_keys(victim)
     )
-    assert membership.stats.repair_key_fetches == sync_membership.stats.repair_key_fetches
+    assert membership.stats.inventory_pages == sync_membership.stats.inventory_pages
     assert membership.stats.repair_arcs_dirty == sync_membership.stats.repair_arcs_dirty
 
 
-def test_auto_repair_after_crash_goes_through_the_plane_when_attached():
+def test_repair_after_crash_goes_through_the_plane_when_attached():
     clock = ManualClock()
     deployment = TxCacheDeployment(
         clock=clock, cache_nodes=3, replication_factor=2,
@@ -266,6 +266,31 @@ def test_auto_repair_after_crash_goes_through_the_plane_when_attached():
             if node in owners:
                 for other in owners:
                     assert key in set(cluster.node_keys(other))
+
+
+def test_a_budgeted_repair_survives_a_node_leaving_between_its_chunks():
+    """A job that names a node which leaves before its next chunk treats the
+    node as unreachable, like one that stopped answering: the job finishes,
+    and the repair and the leave's drain together leave every key on its
+    full replica set."""
+    cluster = CacheCluster(node_count=4, clock=ManualClock(), replication_factor=2)
+    keys = [f"key{i}" for i in range(200)]
+    for key in keys:
+        cluster.put(key, key, Interval(1, None))
+    cluster.discard_keys("cache2", cluster.node_keys("cache2")[:20])
+    plane = MaintenancePlane()
+    membership = ClusterMembership(cluster, plane=plane)
+    membership.repair()
+    assert plane.pump(max_chunks=1) == 1
+    membership.leave("cache3")
+    plane.pump()
+    assert plane.idle
+    assert plane.stats.jobs_failed == 0
+    held = {node: set(cluster.node_keys(node)) for node in cluster.ring.nodes}
+    for key in keys:
+        assert sorted(node for node in held if key in held[node]) == sorted(
+            cluster.replicas_for(key)
+        ), key
 
 
 # ----------------------------------------------------------------------

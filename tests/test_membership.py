@@ -231,6 +231,94 @@ class TestLeaveMigration:
             cluster.close()
 
 
+class TestOneMover:
+    """Counted: what the one entry mover asks for and ships (R = 2)."""
+
+    @staticmethod
+    def build(transport_kind):
+        cluster = CacheCluster(
+            node_count=4,
+            capacity_bytes_per_node=4 * 1024 * 1024,
+            clock=ManualClock(),
+            transport=transport_kind,
+            replication_factor=2,
+            failure_threshold=2,
+        )
+        keys = [f"key-{i}" for i in range(300)]
+        for key in keys:
+            cluster.put(key, key, Interval(0))
+        return cluster, ClusterMembership(cluster, chunk_size=16), keys
+
+    @staticmethod
+    def holders(cluster, key):
+        return sorted(name for name, view in node_views(cluster).items() if view.versions_of(key))
+
+    def test_a_join_sends_no_whole_store_keys_frame(self, transport_kind):
+        cluster, membership, keys = self.build(transport_kind)
+        try:
+            for transport in cluster.transports.values():
+                transport.op_counts.clear()
+            membership.join("cache4", capacity_bytes=1 << 22)
+            asked = {}
+            for transport in cluster.transports.values():
+                for op, count in transport.op_counts.items():
+                    asked[op] = asked.get(op, 0) + count
+            assert asked.get("keys", 0) == 0
+            assert asked.get("keys_in_range", 0) >= 1
+            assert membership.stats.entries_migrated > 0
+            for key in keys:
+                assert self.holders(cluster, key) == sorted(cluster.replicas_for(key)), key
+        finally:
+            cluster.close()
+
+    def test_a_leave_installs_exactly_the_missing_replica_copies(self, transport_kind):
+        cluster, membership, keys = self.build(transport_kind)
+        try:
+            staged = cluster.ring.copy()
+            staged.remove_node("cache3")
+            missing = sum(
+                1
+                for key in keys
+                if "cache3" in self.holders(cluster, key)
+                for node in staged.successors(key, 2)
+                if node not in self.holders(cluster, key)
+            )
+            shipped = []
+            install = cluster.install_entries
+
+            def counted(node, records):
+                shipped.extend((node, record.key) for record in records)
+                return install(node, records)
+
+            cluster.install_entries = counted
+            membership.leave("cache3")
+            assert missing > 0
+            assert len(shipped) == len(set(shipped)) == missing
+            assert membership.stats.entries_migrated == missing
+            for key in keys:
+                assert self.holders(cluster, key) == sorted(cluster.replicas_for(key)), key
+        finally:
+            cluster.close()
+
+    def test_rejoin_after_a_failure_eviction_ends_on_the_replica_sets(self, transport_kind):
+        cluster, membership, keys = self.build(transport_kind)
+        try:
+            victim = "cache1"
+            routed_there = next(key for key in keys if cluster.replicas_for(key)[0] == victim)
+            cluster.fail_node(victim)
+            while victim in cluster.ring:
+                cluster.lookup(routed_there, 0, 5)  # networked kinds: threshold eviction
+            assert membership.stats.repairs == 1
+            assert membership.rejoin(victim, capacity_bytes=1 << 22) > 0
+            # The nodes that absorbed the victim's slice dropped their
+            # displaced copies: the placement a join reaches.
+            for key in keys:
+                assert self.holders(cluster, key) == sorted(cluster.replicas_for(key)), key
+            assert membership.stats.entries_discarded > 0
+        finally:
+            cluster.close()
+
+
 class TestMembershipTransportParity:
     def test_join_leave_sequence_matches_across_transports(self):
         """The same membership trace routes and serves identically whether
@@ -555,7 +643,9 @@ class TestFailureAccounting:
     def test_migration_failures_are_recorded_without_evicting(self):
         """A node dying mid-migration marks it suspect but never performs a
         ring eviction from inside the membership change; the first routed
-        failure afterwards completes it."""
+        failure afterwards completes it.  The mover asks every node that
+        can hold a moving key for its inventory first, so the dead
+        destination is found at its inventory page, before any install."""
         cluster = CacheCluster(
             node_count=3, clock=ManualClock(), transport="socket", failure_threshold=1
         )
@@ -566,7 +656,8 @@ class TestFailureAccounting:
             cluster.processes[victim].shutdown()  # dies before the drain
             survivor = next(n for n in cluster.ring.nodes if n != victim)
             membership.leave(survivor)  # drain must survive a dead destination
-            assert membership.stats.migration_install_failures >= 1
+            assert membership.stats.migration_nodes_lost == 1  # its failed inventory page
+            assert membership.stats.migration_install_failures == 0
             assert victim in cluster.ring  # not evicted mid-migration...
             assert victim in cluster.suspect_nodes  # ...but already suspect
             cluster.lookup(keys[0] if cluster.ring.node_for(keys[0]) == victim

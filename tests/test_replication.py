@@ -321,7 +321,7 @@ class TestRepair:
         serve values at timestamps whose invalidations it never processed."""
         bus = InvalidationBus()
         cluster = build_cluster(transport_kind, bus=bus, failure_threshold=100)
-        membership = ClusterMembership(cluster, auto_repair=False)
+        membership = ClusterMembership(cluster)
         fault = FaultInjector(cluster)
         try:
             keys = fill(cluster, count=60, tagged=True)
