@@ -8,12 +8,14 @@ Acceptance properties of the elasticity subsystem:
   hit-rate timeline shows no cold-miss trough — while the unreplicated run
   loses the dead node's slice and dips until traffic refills it;
 * a rolling restart (crash + warm rejoin of every node in turn) is covered
-  by replication during each downtime window.
+  by replication during each downtime window;
+* a SIGKILLed process-hosted node under open-loop load is respawned by the
+  supervisor with no consistency violation, and stays dead without it.
 """
 
 from __future__ import annotations
 
-from repro.bench.experiments import crash_churn, node_churn, rolling_restart
+from repro.bench.experiments import chaos_openloop, crash_churn, node_churn, rolling_restart
 
 from conftest import run_once
 
@@ -100,3 +102,18 @@ def test_rolling_restart_is_covered_by_replication(benchmark, settings):
     assert result.trough(result.replicated) >= result.trough(result.baseline) - 0.02
     assert result.replicated.hit_rate >= result.unreplicated.hit_rate
     assert result.trough(result.unreplicated) <= result.trough(result.replicated) - 0.02
+
+
+def test_chaos_openloop_smoke_respawns_the_victim_with_no_violations(benchmark):
+    """The supervised run brings the SIGKILLed node back and no hit ever
+    served another key's value; the unsupervised run respawns nothing.
+    Counts only: recovery seconds and spike width are machine-sensitive and
+    only printed."""
+    result = run_once(benchmark, chaos_openloop, smoke=True)
+    print()
+    print(result.format_table())
+
+    supervised = result.run_named("supervisor on")
+    assert supervised.respawns >= 1
+    assert supervised.consistency_violations == 0
+    assert result.run_named("supervisor off").respawns == 0

@@ -3,14 +3,9 @@
 Two claims under test.  First, the open-loop machinery works end to end at
 benchmark scale: a small rate sweep on thread-hosted nodes completes with
 zero errors, absorbs the low offered rates, and produces monotone
-percentile data.  Second, the ``figures-openloop`` experiment
-emits a ``BENCH_figures.json`` document that passes the schema validator —
-the same check CI runs against the example script, kept here so a schema
-drift fails fast in the test suite too.
-
-Wall-clock throughput numbers land in ``BENCH_wire.json`` (section
-``openloop``) to extend the perf trajectory; the figure curves themselves
-are appended to ``BENCH_figures.json`` by the experiment.
+percentile data.  Second, a smoke-sized ``figures-openloop`` run returns
+measured points for every figure, each carrying the configuration, offered
+rate, achieved goodput and ordered p50/p95/p99 the plots consume.
 """
 
 from __future__ import annotations
@@ -18,17 +13,22 @@ from __future__ import annotations
 from benchmarks.conftest import run_once
 from repro.bench.experiments import figures_openloop, repair_openloop
 from repro.bench.loadgen import OpenLoopConfig, capacity_report, run_rate_sweep
-from repro.bench.perflog import (
-    BENCH_FIGURES_FILENAME,
-    load_benchmark,
-    record_wire_benchmark,
-    validate_figures_document,
-)
 
 #: 2 worker processes x 4 threads against 2 cache nodes on the fast wire
 #: stack; rates low enough that a small CI runner absorbs the first and the
 #: sweep logic (knee, SLO point) has real data to chew on.
 SWEEP_RATES = [400.0, 1200.0]
+
+#: What every figure point reports: the acceptance currency of the
+#: open-loop re-measurement.
+FIGURE_POINT_KEYS = (
+    "configuration",
+    "offered_rate",
+    "achieved_goodput",
+    "p50_ms",
+    "p95_ms",
+    "p99_ms",
+)
 
 
 def test_open_loop_rate_sweep_on_fast_stack(benchmark):
@@ -57,41 +57,24 @@ def test_open_loop_rate_sweep_on_fast_stack(benchmark):
     assert knee.offered_rate >= SWEEP_RATES[0]
     model = capacity_report(sweep, cache_nodes=2, driver_cores=2)
     assert model is not None and model.concurrent_users > 0
-    record_wire_benchmark(
-        "openloop",
-        {
-            "transport": sweep.transport,
-            "rates": SWEEP_RATES,
-            "points": [
-                {
-                    "offered_rate": point.offered_rate,
-                    "achieved_goodput": round(point.achieved_goodput, 1),
-                    "p50_ms": round(point.p50 * 1e3, 3),
-                    "p99_ms": round(point.p99 * 1e3, 3),
-                }
-                for point in sweep.points
-            ],
-            "knee_ops_per_second": round(knee.achieved_goodput, 1),
-        },
-    )
 
 
-def test_figures_openloop_smoke_emits_valid_document(benchmark, tmp_path):
-    """The CI smoke contract: a smoke-sized figures-openloop run writes a
-    BENCH_figures.json that passes :func:`validate_figures_document`."""
-    target = str(tmp_path / BENCH_FIGURES_FILENAME)
-
-    def run():
-        return figures_openloop(smoke=True, path=target)
-
-    result = run_once(benchmark, run)
-    assert result.recorded_path == target
+def test_figures_openloop_smoke_emits_valid_document(benchmark):
+    """A smoke-sized figures-openloop run measures every figure: each
+    section has points, and every point reports the configuration, offered
+    rate, achieved goodput and p50 <= p95 <= p99 (milliseconds)."""
+    result = run_once(benchmark, figures_openloop, smoke=True)
+    print("\n" + result.format_table())
     assert result.transport == "socket"
-    document = load_benchmark(BENCH_FIGURES_FILENAME, path=target)
-    problems = validate_figures_document(document)
-    assert problems == [], f"schema problems: {problems}"
+    for section in ("figure5", "figure6", "figure7", "figure8"):
+        points = result.points[section]
+        assert points, f"section {section!r}: no measured points"
+        for point in points:
+            for key in FIGURE_POINT_KEYS:
+                assert key in point, (section, key)
+            assert point["p50_ms"] <= point["p95_ms"] <= point["p99_ms"], (section, point)
     # The capacity model rode along from the 512MB sweep.
-    assert document["sections"]["capacity"]["entries"][-1]["data"]["concurrent_users"] > 0
+    assert result.capacity is not None and result.capacity.concurrent_users > 0
 
 
 def test_repair_openloop_smoke_budgeted_plane_matches_the_sweep(benchmark):

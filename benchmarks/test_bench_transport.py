@@ -24,7 +24,6 @@ from benchmarks.conftest import run_once
 from repro.apps.rubis.datagen import IN_MEMORY_CONFIG
 from repro.bench.costmodel import CostParameters
 from repro.bench.driver import BenchmarkConfig, run_benchmark
-from repro.bench.perflog import record_wire_benchmark
 from repro.cache.cluster import CacheCluster
 from repro.cache.entry import EntryRecord, LookupRequest, LookupResult, ValueBlob
 from repro.clock import ManualClock
@@ -319,13 +318,7 @@ def test_binary_codec_lookup_round_trips(benchmark, wire_counters):
         return shapes, hit_encode
 
     shapes, hit_encode = run_once(benchmark, run)
-    report = {}
     for name, (binary, pickled) in shapes.items():
-        report[name] = {
-            "binary_ns_per_roundtrip": round(binary * 1e9, 1),
-            "pickle_ns_per_roundtrip": round(pickled * 1e9, 1),
-            "speedup": round(pickled / binary, 2),
-        }
         print(
             f"\n{name:13s} binary {binary * 1e9:7.0f} ns  "
             f"pickle {pickled * 1e9:7.0f} ns  ({pickled / binary:.2f}x)",
@@ -338,17 +331,6 @@ def test_binary_codec_lookup_round_trips(benchmark, wire_counters):
     print(
         f"node-side hit encode: {hit_encode[5] * 1e9:.0f} ns for a 5-row value, "
         f"{hit_encode[100] * 1e9:.0f} ns for a 100-row value"
-    )
-    record_wire_benchmark(
-        "codec",
-        {
-            "roundtrip": "encode request + decode request + encode response + decode response",
-            "shapes": report,
-            "aggregate_speedup": round(aggregate, 2),
-            "hit_encode_ns_by_rows": {
-                str(rows): round(seconds * 1e9, 1) for rows, seconds in hit_encode.items()
-            },
-        },
     )
     # Per-decode round trips must not re-copy bodies through the counters.
     assert wire_counters.bytes_copied == 0
@@ -405,8 +387,8 @@ def test_put_packed_layout_beats_pickle(benchmark):
     op on the generic path — gets the fixed packed request layout.  The
     packed request is smaller than the pickled one on every shape and
     decodes to the same arguments; one request cycle (encode + decode) has
-    measured faster than pickle, and that delta is printed and lands in
-    BENCH_wire.json as ``codec_put`` without being a gate."""
+    measured faster than pickle, and that delta is printed without being a
+    gate."""
     ROUNDS = 4000
     opcode = wire.OPCODES["put"]
 
@@ -438,13 +420,7 @@ def test_put_packed_layout_beats_pickle(benchmark):
         return shapes
 
     shapes = run_once(benchmark, run)
-    report = {}
     for name, (binary, pickled) in shapes.items():
-        report[name] = {
-            "binary_ns_per_cycle": round(binary * 1e9, 1),
-            "pickle_ns_per_cycle": round(pickled * 1e9, 1),
-            "speedup": round(pickled / binary, 2),
-        }
         print(
             f"\n{name:13s} binary {binary * 1e9:7.0f} ns  "
             f"pickle {pickled * 1e9:7.0f} ns  ({pickled / binary:.2f}x)",
@@ -454,14 +430,6 @@ def test_put_packed_layout_beats_pickle(benchmark):
     total_pickle = sum(p for _, p in shapes.values())
     aggregate = total_pickle / total_binary
     print(f"\nput aggregate speedup: {aggregate:.2f}x")
-    record_wire_benchmark(
-        "codec_put",
-        {
-            "cycle": "encode request + decode request (packed put layout)",
-            "shapes": report,
-            "aggregate_speedup": round(aggregate, 2),
-        },
-    )
     # Shape, not a wall-clock ratio: bytes per op.  The value is a byte run
     # either way; the packed layout's win is the key/interval/tags share of
     # the body, and it must show in every shape's size.
@@ -515,13 +483,3 @@ def test_multi_lookup_encode_scratch_pins_allocations(benchmark):
     assert allocations == 1
     # And reuse must not cost throughput (generous bound: same cost class).
     assert scratch_rate > fresh_rate * 0.5
-    record_wire_benchmark(
-        "codec_scratch",
-        {
-            "rounds": ROUNDS,
-            "batch_size": 8,
-            "fresh_frames_per_second": round(fresh_rate),
-            "scratch_frames_per_second": round(scratch_rate),
-            "scratch_allocations": allocations,
-        },
-    )

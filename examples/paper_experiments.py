@@ -9,8 +9,8 @@ Examples:
 
 ``--full`` uses larger datasets and longer measurement windows (slower but
 smoother curves); the default quick settings finish each experiment in well
-under a minute.  See EXPERIMENTS.md for the recorded paper-vs-measured
-comparison.
+under a minute.  Each experiment prints its table; what it reproduces is
+described in ``repro.bench.experiments``.
 """
 
 from __future__ import annotations
@@ -70,20 +70,15 @@ def run_experiment(name: str, settings: ExperimentSettings, smoke: bool = False)
     elif name == "figures-openloop":
         # Figures 5-8 re-measured by the open-loop generator on the fast
         # wire stack (thread-hosted nodes): fixed offered rates,
-        # coordinated-omission-safe percentiles, results appended to
-        # BENCH_figures.json.  --smoke shrinks to one configuration per
-        # figure at one rate (CI schema validation, not benchmark numbers).
-        result = figures_openloop(settings=settings, smoke=smoke)
-        print(result.format_table())
-        if result.recorded_path:
-            print(f"recorded -> {result.recorded_path}")
+        # coordinated-omission-safe percentiles.  --smoke shrinks to one
+        # configuration per figure at one rate (shape, not benchmark
+        # numbers).
+        print(figures_openloop(settings=settings, smoke=smoke).format_table())
     elif name == "percore-openloop":
         # Per-core cache nodes: the same fixed offered rate against
         # {1,2,4} nodes hosted as coordinator threads (one shared GIL)
-        # vs one OS process per node (one core per node, pinned).  The
-        # curve is appended to BENCH_wire.json section "percore"; on a
-        # 4-core machine the process-hosted goodput at 4 nodes should
-        # clear thread-hosted by >= 1.15x.  --smoke shrinks to one cell.
+        # vs one OS process per node (one core per node, pinned).
+        # --smoke shrinks to one cell.
         result = percore_openloop(smoke=smoke)
         print(result.format_table())
         if 4 in result.node_counts:
@@ -93,8 +88,6 @@ def run_experiment(name: str, settings: ExperimentSettings, smoke: bool = False)
                 f"({result.cpu_count} cores"
                 f"{'' if result.scaling_assertable else '; too few to assert scaling'})"
             )
-        if result.recorded_path:
-            print(f"recorded -> {result.recorded_path}")
     elif name == "repair-openloop":
         # Repair interference under fixed offered load: the budgeted
         # maintenance plane must re-replicate everything the synchronous
@@ -112,9 +105,8 @@ def run_experiment(name: str, settings: ExperimentSettings, smoke: bool = False)
         # hosted node mid-run and compare supervisor off (ring heals but
         # stays a node short) against supervisor on (detect, respawn,
         # gossip rejoin, budgeted re-warm: hit rate back to >= 90% of the
-        # pre-kill baseline with no operator action).  Appended to the
-        # "recovery" section of BENCH_wire.json.  --smoke shrinks the run
-        # (structure, not numbers).
+        # pre-kill baseline with no operator action).  --smoke shrinks the
+        # run (structure, not numbers).
         result = chaos_openloop(smoke=smoke)
         print(result.format_table())
         supervised = result.run_named("supervisor on")
@@ -128,8 +120,6 @@ def run_experiment(name: str, settings: ExperimentSettings, smoke: bool = False)
             + f", {supervised.respawns} respawn(s), "
             f"{supervised.consistency_violations} consistency violation(s)"
         )
-        if result.recorded_path:
-            print(f"recorded -> {result.recorded_path}")
     else:
         raise SystemExit(f"unknown experiment {name!r}")
     print(f"[{name} finished in {time.time() - started:.1f}s]\n")

@@ -57,7 +57,6 @@ from repro.bench.loadgen import (
     run_open_loop,
     run_rate_sweep,
 )
-from repro.bench.perflog import record_figures_benchmark
 from repro.bench.report import format_table
 from repro.clock import ManualClock
 from repro.core.stats import MissType
@@ -1061,7 +1060,6 @@ class FigureOpenLoopResult:
     transport: str
     points: Dict[str, List[Dict[str, object]]]
     capacity: Optional[CapacityModel]
-    recorded_path: Optional[str] = None
     elapsed_seconds: float = 0.0
 
     def format_table(self) -> str:
@@ -1091,7 +1089,7 @@ class FigureOpenLoopResult:
 
 
 def _openloop_points(sweep, configuration: str) -> List[Dict[str, object]]:
-    """Flatten one sweep into the per-point dicts BENCH_figures.json stores."""
+    """Flatten one sweep into one dict per offered rate."""
     return [
         {
             "configuration": configuration,
@@ -1117,20 +1115,16 @@ def figures_openloop(
     cache_nodes: int = 2,
     seconds_per_point: float = 2.0,
     smoke: bool = False,
-    record: bool = True,
-    path: Optional[str] = None,
 ) -> FigureOpenLoopResult:
     """Re-measure Figures 5-8 open-loop on the fast wire stack.
 
     Every configuration runs on ``transport="socket"``, driven by the coordinated-omission-safe open-loop
     generator at each offered rate in ``rates`` — so alongside the
     throughput each point reports what the *tail* did at that offered
-    load, which the closed-loop figures cannot show.  Results are appended
-    to ``BENCH_figures.json`` (sections ``figure5`` … ``figure8`` plus
-    ``capacity``) unless ``record=False``.
+    load, which the closed-loop figures cannot show.
 
     ``smoke=True`` shrinks the run to one configuration per figure at one
-    rate — enough to validate the emitted document's schema in CI without
+    rate — enough to check every figure's points end to end without
     benchmark-grade timings.
     """
     settings = settings or ExperimentSettings.quick()
@@ -1186,23 +1180,10 @@ def figures_openloop(
         result = sweep(f"fig8-openloop-{label}", cache_bytes, staleness)
         points["figure8"].extend(_openloop_points(result, label))
 
-    recorded_path: Optional[str] = None
-    if record:
-        for section in ("figure5", "figure6", "figure7", "figure8"):
-            recorded_path = record_figures_benchmark(
-                section,
-                {"transport": transport, "rates": list(rates), "points": points[section]},
-                path=path,
-            )
-        if capacity is not None:
-            recorded_path = record_figures_benchmark(
-                "capacity", capacity.to_dict(), path=path
-            )
     return FigureOpenLoopResult(
         transport=transport,
         points=points,
         capacity=capacity,
-        recorded_path=recorded_path,
         elapsed_seconds=time.time() - started,
     )
 
@@ -1239,16 +1220,17 @@ class PerCoreOpenLoopResult:
     one :class:`~repro.bench.loadgen.runner.OpenLoopResult` per entry of
     ``node_counts`` at the same fixed offered rate; on a machine with
     ``PERCORE_MIN_CORES``+ cores the process-hosted goodput at 4 nodes
-    has cleared the thread-hosted one by ≥1.15x (printed and recorded,
-    not asserted: it is a ratio of two wall clocks; on fewer cores there
-    is nothing for the extra processes to run on).
+    is compared with the thread-hosted one (printed, not asserted: it is
+    a ratio of two wall clocks; on fewer cores there is nothing for the
+    extra processes to run on).  ``points`` flattens the same cells into
+    one dict each, hosting by hosting and node count by node count.
     """
 
     offered_rate: float
     node_counts: List[int]
     results: Dict[str, List["OpenLoopResult"]]
     cpu_count: int
-    recorded_path: Optional[str] = None
+    points: List[Dict[str, object]]
     elapsed_seconds: float = 0.0
 
     def goodput(self, hosting: str, nodes: int) -> float:
@@ -1266,24 +1248,19 @@ class PerCoreOpenLoopResult:
         return self.cpu_count >= PERCORE_MIN_CORES and max(self.node_counts) >= 4
 
     def format_table(self) -> str:
-        rows = []
-        for hosting, series in self.results.items():
-            for nodes, result in zip(self.node_counts, series):
-                p = result.percentiles((50.0, 99.0))
-                q99 = result.queue_wait_histogram.percentile(99.0)
-                s99 = result.service_histogram.percentile(99.0)
-                rows.append(
-                    [
-                        hosting,
-                        f"{nodes}",
-                        f"{result.achieved_goodput:,.1f}",
-                        f"{p[50.0] * 1e3:.2f}",
-                        f"{p[99.0] * 1e3:.2f}",
-                        f"{q99 * 1e3:.2f}",
-                        f"{s99 * 1e3:.2f}",
-                        f"{result.hit_rate:.1%}",
-                    ]
-                )
+        rows = [
+            [
+                point["hosting"],
+                f"{point['nodes']}",
+                f"{point['achieved_goodput']:,.1f}",
+                f"{point['p50_ms']:.2f}",
+                f"{point['p99_ms']:.2f}",
+                f"{point['queue_wait_p99_ms']:.2f}",
+                f"{point['service_p99_ms']:.2f}",
+                f"{point['hit_rate']:.1%}",
+            ]
+            for point in self.points
+        ]
         return format_table(
             ["hosting", "nodes", "goodput/s", "p50 ms", "p99 ms", "q-wait p99", "service p99", "hit rate"],
             rows,
@@ -1303,8 +1280,6 @@ def percore_openloop(
     seconds_per_point: float = 2.0,
     cpu_pinning: bool = True,
     smoke: bool = False,
-    record: bool = True,
-    path: Optional[str] = None,
 ) -> PerCoreOpenLoopResult:
     """Sweep node count x hosting mode at one fixed offered rate.
 
@@ -1318,15 +1293,12 @@ def percore_openloop(
     resource is serving *CPU* — exactly the resource the process hosts
     multiply and the thread hosts share.
 
-    The full curve (goodput, p50/p99, queue-wait/service split per cell)
-    is appended to the ``percore`` section of ``BENCH_wire.json`` unless
-    ``record=False``.  ``smoke=True`` shrinks to one node count at a low
-    rate — schema validation, not measurement.
+    ``smoke=True`` shrinks to one node count at a low rate — shape, not
+    measurement.
     """
     import os as _os
 
     from repro.bench.loadgen.runner import run_openloop_benchmark
-    from repro.bench.perflog import record_wire_benchmark
 
     started = time.time()
     if node_counts is None:
@@ -1374,24 +1346,14 @@ def percore_openloop(
             )
         results[hosting] = series
 
-    outcome = PerCoreOpenLoopResult(
+    return PerCoreOpenLoopResult(
         offered_rate=offered_rate,
         node_counts=counts,
         results=results,
         cpu_count=cpu_count,
+        points=points,
+        elapsed_seconds=time.time() - started,
     )
-    if record:
-        data: Dict[str, object] = {
-            "offered_rate": offered_rate,
-            "cpu_count": cpu_count,
-            "node_counts": counts,
-            "points": points,
-        }
-        if 4 in counts:
-            data["process_speedup_at_4_nodes"] = outcome.process_speedup_at(4)
-        outcome.recorded_path = record_wire_benchmark("percore", data, path=path)
-    outcome.elapsed_seconds = time.time() - started
-    return outcome
 
 
 # ----------------------------------------------------------------------
@@ -1687,7 +1649,6 @@ class ChaosOpenLoopResult:
     transport: str
     kill_at_seconds: float
     bin_seconds: float
-    recorded_path: Optional[str] = None
     elapsed_seconds: float = 0.0
 
     def run_named(self, label: str) -> ChaosOpenLoopRun:
@@ -1741,8 +1702,6 @@ def chaos_openloop(
     seed: int = 13,
     bin_seconds: float = 0.25,
     smoke: bool = False,
-    record: bool = True,
-    path: Optional[str] = None,
 ) -> ChaosOpenLoopResult:
     """Measure crash recovery under open-loop load, supervisor on vs off.
 
@@ -1758,9 +1717,8 @@ def chaos_openloop(
     how long the hit rate takes to return to 90% of its pre-kill baseline
     and how wide the service-p99 spike is.
 
-    The result is appended to the ``recovery`` section of
-    ``BENCH_wire.json``.  ``smoke=True`` shrinks the run for CI (schema,
-    not numbers).
+    ``smoke=True`` shrinks the run to a few seconds (the counts, not the
+    timings).
     """
     from repro.clock import SystemClock
     from repro.deployment import TxCacheDeployment
@@ -1916,47 +1874,15 @@ def chaos_openloop(
         measure("supervisor off", False),
         measure("supervisor on", True),
     ]
-    outcome = ChaosOpenLoopResult(
+    return ChaosOpenLoopResult(
         runs=runs,
         offered_rate=rate,
         keys=keys,
         transport="socket-process",
         kill_at_seconds=kill_at,
         bin_seconds=bin_seconds,
+        elapsed_seconds=time.time() - started,
     )
-    if record:
-        from repro.bench.perflog import record_wire_benchmark
-
-        data: Dict[str, object] = {
-            "offered_rate": rate,
-            "keys": keys,
-            "transport": "socket-process",
-            "kill_at_seconds": kill_at,
-            "bin_seconds": bin_seconds,
-            "runs": [
-                {
-                    "label": run.label,
-                    "achieved_goodput": run.stats.achieved_rate,
-                    "p50_ms": run.p50 * 1e3,
-                    "p99_ms": run.p99 * 1e3,
-                    "baseline_hit_rate": run.baseline_hit_rate,
-                    "recovery_seconds": run.recovery_seconds,
-                    "restored": run.restored,
-                    "p99_spike_seconds": run.p99_spike_seconds,
-                    "final_hit_rate": run.final_hit_rate,
-                    "degraded_lookups": run.degraded_lookups,
-                    "consistency_violations": run.consistency_violations,
-                    "respawns": run.respawns,
-                    "circuit_breaker_trips": run.circuit_breaker_trips,
-                    "entries_rewarmed": run.entries_rewarmed,
-                    "errors": run.stats.errors,
-                }
-                for run in runs
-            ],
-        }
-        outcome.recorded_path = record_wire_benchmark("recovery", data, path=path)
-    outcome.elapsed_seconds = time.time() - started
-    return outcome
 
 
 # ----------------------------------------------------------------------

@@ -93,19 +93,6 @@ class CapacityModel:
         )
         return format_table(header, rows, title=title)
 
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "sustained_ops_per_second": self.sustained_ops_per_second,
-            "p99_at_sustained_ms": self.p99_at_sustained * 1e3,
-            "cache_nodes": self.cache_nodes,
-            "driver_cores": self.driver_cores,
-            "ops_per_core": self.ops_per_core,
-            "ops_per_node": self.ops_per_node,
-            "think_time_seconds": self.think_time_seconds,
-            "concurrent_users": self.concurrent_users,
-        }
-
 
 def capacity_report(
     sweep: SweepResult,

@@ -10,7 +10,7 @@ failure-driven evictions performed by the cluster's failure-aware routing.
 
 from repro.cache.cluster import CacheCluster, ClusterHealthStats
 from repro.cache.entry import CacheEntry, EntryRecord, LookupRequest, LookupResult
-from repro.cache.hashring import ConsistentHashRing, OwnershipChange, diff_ownership
+from repro.cache.hashring import ConsistentHashRing
 from repro.cache.membership import ClusterMembership, EpochRecord, MembershipStats
 from repro.cache.netserver import (
     CacheNodeUnreachableError,
@@ -28,8 +28,6 @@ __all__ = [
     "LookupRequest",
     "LookupResult",
     "ConsistentHashRing",
-    "OwnershipChange",
-    "diff_ownership",
     "ClusterMembership",
     "EpochRecord",
     "MembershipStats",

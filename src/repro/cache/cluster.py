@@ -20,9 +20,8 @@ topologies:
   :class:`repro.cache.procnode.CacheNodeHost`, an **out-of-process** worker
   with its own interpreter (and optionally its own pinned CPU), reached
   over the same wire stack.  The invalidation stream crosses the
-  process boundary over the wire too — synchronously per message by
-  default, or batched per housekeeping flush with
-  ``invalidation_batching=True`` (see :meth:`CacheCluster.flush_invalidations`).
+  process boundary over the wire too, one message at a time in commit
+  order, as it reaches every other node.
 
 Batched lookups (:meth:`CacheCluster.multi_lookup`) group requests by
 responsible node and issue one round trip per node, which is where a
@@ -176,35 +175,12 @@ class _NodeStreamGuard:
     into an exception.  Failures are routed into the cluster's failure
     accounting instead, so a dead node is detected (and eventually evicted)
     from the invalidation path exactly as from the lookup path.
-
-    With ``batching=True`` (the cluster's ``invalidation_batching`` knob)
-    the guard buffers the stream instead of delivering synchronously, and
-    :meth:`flush` ships the whole buffer as one ``invalidate_tags`` RPC —
-    the housekeeping-flushed delivery mode for out-of-process nodes, where a
-    per-message round trip from inside every commit would be the dominant
-    cost.  Buffering is consistency-safe because lookups bound their open
-    intervals by the node's invalidation watermark: an undelivered batch
-    only holds the watermark back (fewer hits at fresh timestamps), it can
-    never let a stale entry satisfy a too-new read.  Watermark-only
-    advances (:meth:`note_timestamp`) are buffered as empty-tag messages so
-    delivery order matches publish order exactly.
     """
 
-    def __init__(
-        self,
-        cluster: "CacheCluster",
-        name: str,
-        transport: CacheTransport,
-        batching: bool = False,
-    ) -> None:
+    def __init__(self, cluster: "CacheCluster", name: str, transport: CacheTransport) -> None:
         self._cluster = cluster
         self.name = name
         self.transport = transport
-        self.batching = batching
-        #: Guards the pending buffer: the bus delivers from publisher
-        #: threads while housekeeping flushes from the application thread.
-        self._lock = threading.Lock()
-        self._pending: List[InvalidationMessage] = []
 
     def _deliver(self, send: Callable[[], None]) -> None:
         try:
@@ -214,27 +190,10 @@ class _NodeStreamGuard:
             self._cluster._note_failure(self.name)
 
     def process_invalidation(self, message: InvalidationMessage) -> None:
-        if self.batching:
-            with self._lock:
-                self._pending.append(message)
-            return
         self._deliver(lambda: self.transport.process_invalidation(message))
 
     def note_timestamp(self, timestamp: int) -> None:
-        if self.batching:
-            with self._lock:
-                self._pending.append(InvalidationMessage(timestamp=timestamp))
-            return
         self._deliver(lambda: self.transport.note_timestamp(timestamp))
-
-    def flush(self) -> int:
-        """Deliver the buffered stream in one batch; returns the count."""
-        with self._lock:
-            if not self._pending:
-                return 0
-            batch, self._pending = self._pending, []
-        self._deliver(lambda: self.transport.process_invalidations(batch))
-        return len(batch)
 
 
 class CacheCluster:
@@ -246,7 +205,6 @@ class CacheCluster:
         capacity_bytes_per_node: int = 64 * 1024 * 1024,
         clock: Optional[Clock] = None,
         invalidation_bus: Optional[InvalidationBus] = None,
-        virtual_nodes: int = 100,
         node_names: Optional[Sequence[str]] = None,
         transport: str = "inprocess",
         failure_threshold: int = 3,
@@ -254,7 +212,6 @@ class CacheCluster:
         rpc_timeout_seconds: float = 30.0,
         simulated_rpc_latency_seconds: float = 0.0,
         node_addresses: Optional[Dict[str, Tuple[str, int]]] = None,
-        invalidation_batching: bool = False,
         cpu_pinning: bool = False,
         retry_policy: Optional[RetryPolicy] = None,
     ) -> None:
@@ -281,14 +238,6 @@ class CacheCluster:
         #: Modelled LAN round trip served by each networked node (see
         #: :class:`repro.cache.netserver.CacheServerProcess`).
         self.simulated_rpc_latency_seconds = simulated_rpc_latency_seconds
-        #: Buffer the invalidation stream per node and deliver it in
-        #: batches from :meth:`flush_invalidations` (called by the
-        #: deployment's housekeeping) instead of synchronously from inside
-        #: every commit.  Off by default: synchronous delivery keeps
-        #: truncation immediate; batching trades watermark freshness (and
-        #: nothing else — see :class:`_NodeStreamGuard`) for one
-        #: ``invalidate_tags`` RPC per flush per node.
-        self.invalidation_batching = invalidation_batching
         #: Pin each process-hosted node to its own CPU (opt-in;
         #: round-robin over the machine's cores).  Ignored by the other
         #: transport kinds — threads in one interpreter gain nothing from
@@ -336,7 +285,7 @@ class CacheCluster:
             # and threads) when a later node fails to come up.
             self._teardown_nodes()
             raise
-        self.ring = ConsistentHashRing(nodes=list(self._transports), virtual_nodes=virtual_nodes)
+        self.ring = ConsistentHashRing(nodes=list(self._transports))
         if invalidation_bus is not None:
             self.attach_invalidation_bus(invalidation_bus)
 
@@ -405,19 +354,6 @@ class CacheCluster:
         self._bus = bus
         for name, transport in self._transports.items():
             self._subscribe_node(name, transport)
-
-    def flush_invalidations(self) -> int:
-        """Deliver every node's buffered invalidation batch; returns the
-        total number of messages shipped.
-
-        A no-op (returns 0) unless the cluster was built with
-        ``invalidation_batching=True``; the deployment calls this from its
-        housekeeping pass so batched delivery rides the existing
-        maintenance cadence.
-        """
-        with self._state_lock:
-            guards = list(self._stream_guards.values())
-        return sum(guard.flush() for guard in guards)
 
     def add_node(self, name: str, capacity_bytes: int, clock: Optional[Clock] = None) -> CacheServer:
         """Add a cache node to the cluster (keys re-map via the ring).
@@ -612,9 +548,7 @@ class CacheCluster:
         # every invalidation tag twice.
         with self._state_lock:
             stale = self._stream_guards.pop(name, None)
-            guard = _NodeStreamGuard(
-                self, name, transport, batching=self.invalidation_batching
-            )
+            guard = _NodeStreamGuard(self, name, transport)
             self._stream_guards[name] = guard
         # Bus calls happen outside the state lock (see "Thread safety").
         if stale is not None:

@@ -9,10 +9,8 @@ lookup for a key.
 Beyond plain key routing the ring answers *ownership-range* queries, which is
 what the membership subsystem (:mod:`repro.cache.membership`) needs to plan a
 live migration: :meth:`ConsistentHashRing.owned_ranges` lists the hash-space
-arcs a node is responsible for, and :func:`diff_ownership` computes exactly
-which arcs change hands between two ring configurations (e.g. before and
-after a node joins).  Nodes may carry a *weight*, scaling their virtual-node
-count and therefore the share of the key space they own.
+arcs a node is responsible for.  Nodes may carry a *weight*, scaling their
+virtual-node count and therefore the share of the key space they own.
 
 **Replication.**  For R-way replication the ring also answers *successor
 list* queries, the classic DHT construction: the replica set of a key is the
@@ -38,7 +36,6 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 #: What routing reads: the ring's points, and the successor list of the
@@ -47,8 +44,6 @@ _Routes = Tuple[List[int], List[Tuple[str, ...]]]
 
 __all__ = [
     "ConsistentHashRing",
-    "OwnershipChange",
-    "diff_ownership",
     "range_contains",
     "HASH_SPACE",
 ]
@@ -61,22 +56,6 @@ def _hash(data: str) -> int:
     """Stable 64-bit hash of a string (first 8 bytes of its SHA-1)."""
     digest = hashlib.sha1(data.encode()).digest()
     return int.from_bytes(digest[:8], "big")
-
-
-@dataclass(frozen=True)
-class OwnershipChange:
-    """One hash-space arc whose owner differs between two rings.
-
-    The arc is the half-open interval ``[lo, hi)``; when ``lo >= hi`` it
-    wraps around the top of the hash space.  Keys hashing into the arc were
-    routed to ``old_owner`` by the old ring and to ``new_owner`` by the new
-    one.
-    """
-
-    lo: int
-    hi: int
-    old_owner: str
-    new_owner: str
 
 
 def range_contains(lo: int, hi: int, point: int) -> bool:
@@ -284,30 +263,3 @@ class ConsistentHashRing:
             if node in table[index]:
                 ranges.append((points[index - 1], point))
         return ranges
-
-
-def diff_ownership(
-    old: ConsistentHashRing, new: ConsistentHashRing
-) -> List[OwnershipChange]:
-    """Every hash-space arc whose owner differs between ``old`` and ``new``.
-
-    Ownership is piecewise constant between ring points, so the combined
-    point set of both rings partitions the circle into arcs on which both
-    rings' routing is constant; comparing the owners at each arc's start
-    point yields the exact set of ranges a membership change moves.  This is
-    what makes migration *incremental*: only the returned arcs' keys need to
-    be touched.
-    """
-    points = sorted(set(old._points) | set(new._points))
-    if not points or not old._points or not new._points:
-        return []
-    changes: List[OwnershipChange] = []
-    count = len(points)
-    for index, lo in enumerate(points):
-        hi = points[(index + 1) % count]
-        old_owner = old.node_for_point(lo)
-        new_owner = new.node_for_point(lo)
-        if old_owner != new_owner:
-            changes.append(OwnershipChange(lo=lo, hi=hi, old_owner=old_owner, new_owner=new_owner))
-    return changes
-

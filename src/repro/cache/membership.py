@@ -83,6 +83,7 @@ from repro.cache.entry import EntryRecord
 from repro.cache.hashring import HASH_SPACE, ConsistentHashRing
 from repro.cache.maintenance import ChunkedJob, MaintenancePlane
 from repro.cache.server import CacheServer
+from repro.comm import wire
 
 __all__ = ["ClusterMembership", "MembershipStats", "EpochRecord"]
 
@@ -368,16 +369,23 @@ class ClusterMembership:
             return 0
         return int(job.drain())
 
-    def _pages(self, op: str, node: str, arcs) -> Iterator[list]:
+    def _pages(self, op: str, node: str, arcs) -> Iterator[Tuple[int, list]]:
         """Each page of ``op`` (``key_digest`` or ``keys_in_range``) over
-        ``node``'s store, one round trip apiece.  A chunk generator yields
-        once per page, so the maintenance budget sees every one."""
-        cursor: Optional[str] = None
-        while True:
-            page, cursor = getattr(self.cluster, op)(node, arcs, cursor)
-            yield page
-            if cursor is None:
-                return
+        ``node``'s store, one round trip apiece, with the index in ``arcs``
+        of the page's first arc.  A node walks at most
+        :data:`~repro.comm.wire.MAX_BATCH_ITEMS` arcs at a time, so a
+        longer list is walked as consecutive walks of that many.  A chunk
+        generator yields once per page, so the maintenance budget sees
+        every one."""
+        step = wire.MAX_BATCH_ITEMS
+        for first in range(0, len(arcs), step):
+            group = arcs[first:first + step]
+            cursor: Optional[str] = None
+            while True:
+                page, cursor = getattr(self.cluster, op)(node, group, cursor)
+                yield first, page
+                if cursor is None:
+                    break
 
     def _dirty_arcs(self, ring: ConsistentHashRing) -> Generator[Tuple[int, int], None, List[Arc]]:
         """The digest pass: the arcs whose reachable replicas disagree.
@@ -397,13 +405,13 @@ class ClusterMembership:
             # Folded per arc across pages — exact, since the fold commutes.
             folded = [(0, 0, 0)] * len(arcs)
             try:
-                for page in self._pages("key_digest", node, arcs):
+                for first, page in self._pages("key_digest", node, arcs):
                     self.stats.repair_digest_rpcs += 1
-                    folded = [
+                    folded[first:first + len(page)] = [
                         (count + c, xor ^ x, (total + t) % HASH_SPACE)
-                        for (count, xor, total), (c, x, t) in zip(folded, page)
+                        for (count, xor, total), (c, x, t) in zip(folded[first:], page)
                     ]
-                    yield (1, 24 * max(1, len(arcs)))
+                    yield (1, 24 * max(1, len(page)))
             except _FAILURE_EXCEPTIONS:
                 self.stats.repair_digest_rpcs += 1  # the round trip that failed
                 self.cluster.note_transport_failure(node)
@@ -471,7 +479,7 @@ class ClusterMembership:
         for node in sorted(arcs_of):
             keys: Set[str] = set()
             try:
-                for page in self._pages("keys_in_range", node, arcs_of[node]):
+                for _first, page in self._pages("keys_in_range", node, arcs_of[node]):
                     self.stats.inventory_pages += 1
                     keys.update(page)
                     yield (1, sum(len(key) for key in page) or 16)

@@ -216,8 +216,7 @@ def _serve_invalidate_tags(server: CacheServer, batch: Sequence[tuple]) -> int:
 
     This is how out-of-process nodes subscribe to the InvalidationBus — the
     bus cannot call into another address space, so the guard ships the
-    stream here instead.  Applied in order; returns the batch size so the
-    flush path can account delivered messages.
+    stream here instead.  Applied in order; returns the batch size.
     """
     for timestamp, tags in batch:
         server.process_invalidation(

@@ -323,9 +323,8 @@ class CacheTransport(Protocol):
     def process_invalidations(self, messages: Sequence[InvalidationMessage]) -> None:
         """Forward a batch of invalidation messages, in timestamp order.
 
-        The batched form exists for housekeeping-flushed delivery to
-        out-of-process nodes: one ``invalidate_tags`` RPC instead of one
-        round trip per message.  Semantically identical to calling
+        The batch form of the ``invalidate_tags`` op: one RPC for many
+        messages.  Semantically identical to calling
         :meth:`process_invalidation` once per message.
         """
 

@@ -126,16 +126,24 @@ OPCODES = {
 }
 
 #: Most items one batch request may carry, the size of a page of a store
-#: walk.  A node serves each frame on its one thread, so
-#: :func:`decode_binary_args` refuses a larger batch from its header, before
-#: decoding an item; ``SocketTransport`` sends a larger batch as several
-#: frames.
+#: walk, and most arcs one store walk may name.  A node serves each frame on
+#: its one thread, so :func:`decode_binary_args` refuses a longer list from
+#: its header, before decoding an item; ``SocketTransport`` sends a larger
+#: batch as several frames, and the membership mover walks a longer arcs
+#: list as several walks.
 MAX_BATCH_ITEMS = 1024
 
-#: The batch requests: one argument, a list of items.
-_BATCH_OPCODES = frozenset(
-    OPCODES[op] for op in ("multi_lookup", "install_entries", "discard_keys", "invalidate_tags")
-)
+#: The requests whose first argument is a list of items, and the most
+#: arguments each takes: a batch is that one list, a store walk over ring
+#: arcs (``key_digest``, ``keys_in_range``) the arcs and a cursor.
+_LIST_ARGUMENTS = {
+    OPCODES["multi_lookup"]: 1,
+    OPCODES["install_entries"]: 1,
+    OPCODES["discard_keys"]: 1,
+    OPCODES["invalidate_tags"]: 1,
+    OPCODES["key_digest"]: 2,
+    OPCODES["keys_in_range"]: 2,
+}
 
 #: Response opcodes.
 OP_OK = 0x40
@@ -893,20 +901,21 @@ class EncodeScratch:
         return header, memoryview(buf)[start:]
 
 
-def _check_batch(body: Buffer) -> None:
-    """Refuse a batch request body unless it is one list argument of at most
-    :data:`MAX_BATCH_ITEMS` items, read from the list's header (or no
-    argument, which the server refuses in turn)."""
+def _check_batch(body: Buffer, arguments: int) -> None:
+    """Refuse a request body unless its first of at most ``arguments``
+    arguments is a list of at most :data:`MAX_BATCH_ITEMS` items, read from
+    the list's header (or it has no argument, which the server refuses in
+    turn)."""
     count = -1
     if len(body) == 2 and body[0] == _T_TUPLE8 and body[1] == 0:
         count = 0
-    elif len(body) >= 4 and body[0] == _T_TUPLE8 and body[1] == 1:
+    elif len(body) >= 4 and body[0] == _T_TUPLE8 and 1 <= body[1] <= arguments:
         if body[2] == _T_LIST8:
             count = body[3]
         elif body[2] == _T_LIST and len(body) >= 6:
             count = _unpack_u32(body, 2)[0] >> 8
     if count < 0:
-        raise WireDecodeError("a batch request is one list argument")
+        raise WireDecodeError("a batch request starts with a list argument")
     if count > MAX_BATCH_ITEMS:
         raise WireDecodeError(
             f"a batch of {count} items; a frame carries at most {MAX_BATCH_ITEMS}"
@@ -918,12 +927,14 @@ def decode_binary_args(opcode: int, body: Buffer) -> object:
 
     The inverse of :func:`encode_binary_args`; malformed input raises
     :class:`WireDecodeError` exactly like :func:`decode_binary_body`, and so
-    does a batch request of more than :data:`MAX_BATCH_ITEMS` items.
+    does a batch request of more than :data:`MAX_BATCH_ITEMS` items or a
+    store walk over more arcs.
     """
     is_put = opcode == _PUT_OPCODE
     if opcode not in _SINGLE_KEY_OPCODES and not is_put:
-        if opcode in _BATCH_OPCODES:
-            _check_batch(body)
+        arguments = _LIST_ARGUMENTS.get(opcode)
+        if arguments:
+            _check_batch(body, arguments)
         return decode_binary_body(body)
     if type(body) is bytes:
         buf = body

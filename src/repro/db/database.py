@@ -23,7 +23,7 @@ The coarse-grained pieces concurrent clients contend on are protected by
 critical section (timestamp allocation, version stamping, and the
 invalidation *enqueue* — held together so the bus always sees commits in
 timestamp order), snapshot pinning, and vacuum.  Invalidation *delivery*
-runs after the lock is released (:meth:`Database.flush_invalidations`):
+runs after the lock is released (:meth:`Database.deliver_invalidations`):
 it can block on networked cache nodes, and a hung node must never stall
 readers queued on the commit lock.  Read-only queries run lock-free
 against the no-overwrite storage: a reader's snapshot timestamp makes
@@ -178,7 +178,7 @@ class Database:
         """Record a commit and enqueue its invalidation message.
 
         The message is only *enqueued* here (cheap, order-validated); the
-        committer delivers it via :meth:`flush_invalidations` after
+        committer delivers it via :meth:`deliver_invalidations` after
         releasing the commit lock.  Delivery can block on networked cache
         nodes, and holding the commit lock across that would let one hung
         node stall every reader and writer queued on the lock.
@@ -195,7 +195,7 @@ class Database:
                 )
                 self.stats.invalidations_published += 1
 
-    def flush_invalidations(self) -> None:
+    def deliver_invalidations(self) -> None:
         """Deliver enqueued invalidations (committers call this unlocked).
 
         A no-op when the bus is in deferred mode (tests drive delivery

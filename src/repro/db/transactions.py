@@ -177,7 +177,7 @@ class ReadWriteTransaction(_BaseTransaction):
         # Delivery happens outside the lock: it can block on networked cache
         # nodes (up to the transport timeout for a hung one), and readers
         # queued on the commit lock must not pay for that.
-        self._db.flush_invalidations()
+        self._db.deliver_invalidations()
         return timestamp
 
     def abort(self) -> None:

@@ -88,12 +88,6 @@ class TxCacheDeployment:
     #: With R > 1 reads fail over to replicas and a node crash loses no
     #: cached state; 1 reproduces the paper's unreplicated deployment.
     replication_factor: int = 1
-    #: Buffer the invalidation stream per node and ship each node's batch
-    #: as one ``invalidate_tags`` RPC per :meth:`housekeeping` round,
-    #: instead of one synchronous RPC per commit.  Consistency-safe (the
-    #: watermark bounds every lookup) but watermark freshness then depends
-    #: on the housekeeping cadence; off by default.
-    invalidation_batching: bool = False
     #: Pin each "socket-process" cache node to its own CPU core (opt-in;
     #: ignored by the in-interpreter transports).
     cpu_pinning: bool = False
@@ -151,7 +145,6 @@ class TxCacheDeployment:
             replication_factor=self.replication_factor,
             rpc_timeout_seconds=self.rpc_timeout_seconds,
             simulated_rpc_latency_seconds=self.simulated_rpc_latency_seconds,
-            invalidation_batching=self.invalidation_batching,
             cpu_pinning=self.cpu_pinning,
             retry_policy=self.retry_policy,
         )
@@ -234,8 +227,6 @@ class TxCacheDeployment:
         * vacuum tuple versions nothing can see any more;
         * eagerly evict cache entries too stale to satisfy any transaction
           within ``max_staleness`` seconds;
-        * with ``invalidation_batching``, flush each node's buffered
-          invalidation batch (one ``invalidate_tags`` RPC per node);
         * with ``gossip``, run one gossip round (tick every agent, exchange
           digests, confirm deaths);
         * with ``supervision``, run one supervisor pass (detect dead nodes,
@@ -257,7 +248,6 @@ class TxCacheDeployment:
                 self.cache.evict_stale(horizon_ts)
 
         stages = [
-            ("flush_invalidations", self.cache.flush_invalidations),
             ("expire_old_snapshots", self.pincushion.expire_old_snapshots),
             ("vacuum", self.database.vacuum),
             ("evict_stale", evict_stale),

@@ -162,12 +162,6 @@ class TestOwnershipRanges:
         with pytest.raises(KeyError):
             ConsistentHashRing(["a"]).owned_ranges("zzz")
 
-    def test_diff_ownership_empty_for_identical_rings(self):
-        from repro.cache.hashring import diff_ownership
-
-        ring = ConsistentHashRing(["a", "b"])
-        assert diff_ownership(ring, ring.copy()) == []
-
     def test_copy_is_independent(self):
         ring = ConsistentHashRing(["a", "b"])
         clone = ring.copy()
@@ -388,10 +382,8 @@ class TestRoutingTablesAgainstBruteForce:
             assert sorted(ring.nodes) == sorted(members)
             self._check(ring, members, rng)
 
-    def test_diff_ownership_equals_owner_comparison_at_every_combined_point(self):
+    def test_staged_copy_routes_every_combined_point_like_a_clockwise_walk(self):
         import random
-
-        from repro.cache.hashring import diff_ownership
 
         rng = random.Random(11)
         old = ConsistentHashRing(["a", "b", "c"], virtual_nodes=self.VIRTUAL_NODES)
@@ -403,14 +395,9 @@ class TestRoutingTablesAgainstBruteForce:
         old_points = self._oracle_points(members)
         new_points = self._oracle_points({"a": 40, "c": 40, "d": 80})
         combined = sorted({point for point, _ in old_points} | {point for point, _ in new_points})
-        expected = []
-        for index, lo in enumerate(combined):
-            before = self._walk(old_points, lo, 1)[0]
-            after = self._walk(new_points, lo, 1)[0]
-            if before != after:
-                expected.append((lo, combined[(index + 1) % len(combined)], before, after))
-        changes = diff_ownership(old, new)
-        assert [(c.lo, c.hi, c.old_owner, c.new_owner) for c in changes] == expected
+        for point in combined:
+            assert old.node_for_point(point) == self._walk(old_points, point, 1)[0]
+            assert new.node_for_point(point) == self._walk(new_points, point, 1)[0]
         # The staged copy left the original ring (and its tables) alone.
         self._check(old, members, rng)
 

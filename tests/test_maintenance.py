@@ -29,6 +29,7 @@ from repro.cache.cluster import CacheCluster
 from repro.cache.maintenance import ChunkedJob, MaintenanceBudget, MaintenancePlane
 from repro.cache.membership import ClusterMembership
 from repro.clock import ManualClock
+from repro.comm import wire
 from repro.deployment import TxCacheDeployment
 from repro.interval import Interval
 from tests.helpers import transports_under_test
@@ -189,6 +190,30 @@ def test_dirty_repair_fetches_keys_only_for_divergent_arcs(transport):
         assert sorted(cluster.node_keys(victim)) == sorted(
             set(cluster.node_keys(victim)) | set(lost)
         )
+
+
+@pytest.mark.parametrize("transport", transports_under_test())
+def test_a_node_share_longer_than_one_walk_is_walked_in_groups(transport, monkeypatch):
+    """A node walks at most ``wire.MAX_BATCH_ITEMS`` arcs per frame (a
+    thread-hosted node refuses more from the list header), so the mover
+    walks a longer share as consecutive walks and repair still restores
+    every lost key."""
+    monkeypatch.setattr(wire, "MAX_BATCH_ITEMS", 16)
+    with TxCacheDeployment(
+        cache_nodes=3, transport=transport, replication_factor=2
+    ) as deployment:
+        cluster = deployment.cache
+        for i in range(30):
+            cluster.put(f"key{i}", f"value{i}", Interval(1, None))
+        victim = "cache1"
+        lost = cluster.node_keys(victim)[:10]
+        cluster.discard_keys(victim, lost)
+        shares = [len(cluster.ring.replica_ranges(node, 2)) for node in cluster.ring.nodes]
+        assert min(shares) > 16
+        _reset_op_counts(cluster)
+        assert deployment.membership.repair() == len(lost)
+        assert _sum_op_counts(cluster).get("key_digest") == sum(-(-share // 16) for share in shares)
+        assert set(lost) <= set(cluster.node_keys(victim))
 
 
 # ----------------------------------------------------------------------

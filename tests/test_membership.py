@@ -19,7 +19,7 @@ import pytest
 
 from repro.cache.cluster import CacheCluster
 from repro.cache.entry import EntryRecord
-from repro.cache.hashring import ConsistentHashRing, _hash, diff_ownership, range_contains
+from repro.cache.hashring import ConsistentHashRing, _hash, range_contains
 from repro.cache.membership import ClusterMembership
 from repro.core.keys import cache_key
 from repro.cache.server import SCAN_PAGE_KEYS, CacheServer
@@ -360,19 +360,18 @@ class TestMembershipTransportParity:
 # Ring diff / extraction plumbing
 # ----------------------------------------------------------------------
 class TestOwnershipPlumbing:
-    def test_diff_ownership_covers_exactly_the_new_nodes_gain(self):
+    def test_adding_a_node_moves_keys_only_onto_it(self):
         old = ConsistentHashRing(["a", "b", "c"])
         new = old.copy()
         new.add_node("d")
-        changes = diff_ownership(old, new)
-        assert changes and all(change.new_owner == "d" for change in changes)
-        # Every key that changes owner falls in a reported range, and every
-        # reported range routes to the new node.
+        gained = new.owned_ranges("d")
+        moved = 0
         for i in range(500):
             key = f"key-{i}"
-            point = _hash(key)
-            in_changed = any(range_contains(c.lo, c.hi, point) for c in changes)
-            assert in_changed == (old.node_for(key) != new.node_for(key))
+            in_gained = any(range_contains(lo, hi, _hash(key)) for lo, hi in gained)
+            assert in_gained == (old.node_for(key) != new.node_for(key))
+            moved += in_gained
+        assert moved
 
     def test_extract_entries_pages_all_versions_of_a_key_together(self):
         server = CacheServer(clock=ManualClock(), capacity_bytes=1 << 22)

@@ -15,10 +15,10 @@ node as its own OS process.  What that changes — and what this suite pins:
   replica and never degrade at all.
 * **Invalidation delivery.**  The in-process ``InvalidationBus`` cannot call
   into another address space, so process-hosted nodes receive the stream
-  over the wire (the ``invalidate_tags`` op).  Wire delivery — synchronous
-  per message or batched behind ``invalidation_batching=True`` and flushed
-  by housekeeping — must truncate exactly what in-process delivery
-  truncates, watermark movement included.
+  over the wire (the ``invalidate_tags`` op).  Wire delivery — one message
+  at a time from the bus, or a whole batch in one ``invalidate_tags``
+  call — must truncate exactly what in-process delivery truncates,
+  watermark movement included.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from repro.cache.procnode import CacheNodeHost
 from repro.clock import ManualClock
 from repro.comm.multicast import InvalidationBus, InvalidationMessage
 from repro.db.invalidation import InvalidationTag
-from repro.deployment import TxCacheDeployment
 from repro.interval import Interval
 from tests.helpers import node_views
 
@@ -233,8 +232,11 @@ MESSAGES = [
 
 
 class TestWireInvalidationParity:
-    def _run(self, transport, batching=False):
-        bus = InvalidationBus()
+    def _run(self, transport, batched=False):
+        # ``batched`` skips the bus: one ``process_invalidations`` call per
+        # node carries the whole stream (tag messages and the watermark-only
+        # advance, in order).
+        bus = None if batched else InvalidationBus()
         cluster = CacheCluster(
             node_count=3,
             capacity_bytes_per_node=1 << 20,
@@ -242,15 +244,15 @@ class TestWireInvalidationParity:
             invalidation_bus=bus,
             transport=transport,
             replication_factor=2,
-            invalidation_batching=batching,
         )
         try:
             keys = _fill_tagged(cluster)
-            for message in MESSAGES:
-                bus.publish(message)
-            if batching:
-                delivered = cluster.flush_invalidations()
-                assert delivered == len(MESSAGES) * cluster.node_count
+            if batched:
+                for node in cluster.transports.values():
+                    node.process_invalidations(MESSAGES)
+            else:
+                for message in MESSAGES:
+                    bus.publish(message)
             return _invalidation_state(cluster, keys)
         finally:
             cluster.close()
@@ -258,56 +260,5 @@ class TestWireInvalidationParity:
     def test_synchronous_wire_delivery_matches_inprocess_truncation(self):
         assert self._run("socket-process") == self._run("inprocess")
 
-    def test_batched_flush_matches_synchronous_delivery(self):
-        # Batching buffers the stream (tag messages AND watermark advances,
-        # in order) until the flush; afterwards every node must be in the
-        # exact state synchronous delivery produces.
-        assert self._run("socket-process", batching=True) == self._run("inprocess")
-
-    def test_unflushed_batch_delivers_nothing(self):
-        bus = InvalidationBus()
-        cluster = CacheCluster(
-            node_count=2,
-            capacity_bytes_per_node=1 << 20,
-            clock=ManualClock(),
-            invalidation_bus=bus,
-            transport="socket-process",
-            invalidation_batching=True,
-        )
-        try:
-            _fill_tagged(cluster, count=10)
-            bus.publish(MESSAGES[-1])
-            for view in node_views(cluster).values():
-                assert view.last_invalidation_timestamp == 0
-            assert cluster.flush_invalidations() == cluster.node_count
-            for view in node_views(cluster).values():
-                assert view.last_invalidation_timestamp == MESSAGES[-1].timestamp
-            assert cluster.flush_invalidations() == 0  # drained
-        finally:
-            cluster.close()
-
-
-def test_deployment_housekeeping_flushes_batched_invalidations():
-    from repro.db.schema import TableSchema
-
-    with TxCacheDeployment(
-        cache_nodes=2, transport="socket-process", invalidation_batching=True
-    ) as deployment:
-        deployment.database.create_table(
-            TableSchema.build("items", ["id", "value"], primary_key="id")
-        )
-        deployment.database.bulk_load("items", [{"id": 1, "value": "a"}])
-        transaction = deployment.database.begin_rw()
-        from repro.db.query import Eq
-
-        transaction.update("items", Eq("id", 1), {"value": "b"})
-        timestamp = transaction.commit()
-        cluster = deployment.cache
-        # The commit's invalidations are buffered, not yet delivered.
-        assert all(
-            cluster.watermark(name) < timestamp for name in cluster.transports
-        )
-        deployment.housekeeping()
-        assert all(
-            cluster.watermark(name) >= timestamp for name in cluster.transports
-        )
+    def test_one_wire_batch_per_node_matches_per_message_delivery(self):
+        assert self._run("socket-process", batched=True) == self._run("inprocess")

@@ -381,18 +381,26 @@ WALKS = {
     "keys_in_range": ((EVERY_ARC, None), len),
 }
 
-#: A batch far past what one frame may carry, each key of it stored.
+#: 200 000 disjoint arcs covering the ring.
+_ARC = (1 << 64) // 200_000
+HOSTILE_ARCS = [(i * _ARC, (i + 1) * _ARC) for i in range(200_000)]
+
+#: A batch far past what one frame may carry, each key of it stored, and a
+#: store walk over far more arcs than one walk may name.
 OVERSIZED = {
     "discard_keys": ([f"k{i:05d}" for i in range(STORE_KEYS)] * 40,),
     "multi_lookup": ([LookupRequest(f"k{i:05d}", 1, 5) for i in range(STORE_KEYS)] * 40,),
+    "key_digest": (HOSTILE_ARCS, None),
+    "keys_in_range": (HOSTILE_ARCS, None),
 }
 
 
 def test_a_peer_asking_for_the_whole_store_gets_one_page(node):
     """A frame asking to walk a 5 000-key store in one reply gets one page
     and a cursor, and an ``extract_entries`` limit below one is refused.  A
-    batch of 200 000 items is refused before it is decoded, and nothing of
-    it is served.  A bystander's ping sent behind any of them is answered."""
+    batch of 200 000 items, or a walk over 200 000 arcs, is refused before
+    it is decoded, and nothing of it is served.  A bystander's ping sent
+    behind any of them is answered."""
     address, alive = node
     filler = binary_transport(address)
     try:
