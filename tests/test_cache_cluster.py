@@ -5,11 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro.cache.cluster import CacheCluster
+from repro.cache.hashring import ConsistentHashRing
 from repro.cache.server import CacheServerStats
 from repro.clock import ManualClock
 from repro.comm.multicast import InvalidationBus, InvalidationMessage
 from repro.db.invalidation import InvalidationTag
 from repro.interval import Interval
+from tests.helpers import FAR_FUTURE, FaultInjector, node_views, transports_under_test
 
 
 @pytest.fixture
@@ -49,6 +51,11 @@ class TestRouting:
         cluster.remove_node("extra")
         assert cluster.node_count == 3
 
+    def test_ring_places_the_hash_rings_default_virtual_nodes(self, cluster):
+        default = ConsistentHashRing(nodes=["cache0", "cache1", "cache2"])
+        for node in default.nodes:
+            assert cluster.ring.owned_ranges(node) == default.owned_ranges(node)
+
     def test_remove_unknown_node_raises(self, cluster):
         """Regression: remove_node used to pop-with-default and silently
         succeed on a typo'd name."""
@@ -69,6 +76,60 @@ class TestInvalidationFanout:
             assert server.last_invalidation_timestamp == 5
         stats = cluster.aggregate_stats()
         assert stats.entries_invalidated == 60
+
+
+class TestSynchronousInvalidationDelivery:
+    """Each node applies the stream as it is published, in commit order:
+    a message has reached every reachable node by the time ``publish``
+    returns, with no housekeeping round in between."""
+
+    @pytest.mark.parametrize("transport", transports_under_test())
+    def test_publish_reaches_every_node_before_it_returns(self, transport):
+        bus = InvalidationBus()
+        cluster = CacheCluster(
+            node_count=3, clock=ManualClock(), invalidation_bus=bus, transport=transport
+        )
+        try:
+            keys = [f"key-{i}" for i in range(30)]
+            for i, key in enumerate(keys):
+                cluster.put(key, i, Interval(0), frozenset({InvalidationTag.key("t", "id", i)}))
+            bus.publish(InvalidationMessage(timestamp=5, tags=(InvalidationTag.key("t", "id", 0),)))
+            bus.publish(InvalidationMessage(timestamp=6, tags=()))  # watermark only
+            assert {view.last_invalidation_timestamp for view in node_views(cluster).values()} == {6}
+            assert not cluster.lookup(keys[0], 6, FAR_FUTURE).hit
+            assert cluster.lookup(keys[0], 1, 4).hit
+            assert all(cluster.lookup(key, 6, FAR_FUTURE).hit for key in keys[1:])
+        finally:
+            cluster.close()
+
+    @pytest.mark.parametrize("transport", transports_under_test())
+    def test_an_unreachable_node_degrades_the_stream_instead_of_failing_the_publisher(
+        self, transport
+    ):
+        bus = InvalidationBus()
+        cluster = CacheCluster(
+            node_count=3,
+            clock=ManualClock(),
+            invalidation_bus=bus,
+            transport=transport,
+            failure_threshold=10,
+        )
+        try:
+            fault = FaultInjector(cluster)
+            fault.partition("cache1")
+            bus.publish(InvalidationMessage(timestamp=4, tags=(InvalidationTag.wildcard("t"),)))
+            assert cluster.health.degraded_ops == 1
+            assert cluster.suspect_nodes == ["cache1"]
+            fault.heal("cache1")
+            views = node_views(cluster)
+            assert views["cache1"].last_invalidation_timestamp == 0  # it missed the message
+            assert views["cache0"].last_invalidation_timestamp == 4
+            assert views["cache2"].last_invalidation_timestamp == 4
+            bus.publish(InvalidationMessage(timestamp=7, tags=()))
+            assert {view.last_invalidation_timestamp for view in views.values()} == {7}
+            assert cluster.health.degraded_ops == 1
+        finally:
+            cluster.close()
 
 
 class TestBusMembership:

@@ -162,6 +162,13 @@ class TestOwnershipRanges:
         with pytest.raises(KeyError):
             ConsistentHashRing(["a"]).owned_ranges("zzz")
 
+    def test_a_copy_owns_exactly_the_ranges_of_its_original(self):
+        ring = ConsistentHashRing(["a", "b"])
+        clone = ring.copy()
+        for node in ring.nodes:
+            assert clone.owned_ranges(node) == ring.owned_ranges(node)
+            assert clone.replica_ranges(node, 2) == ring.replica_ranges(node, 2)
+
     def test_copy_is_independent(self):
         ring = ConsistentHashRing(["a", "b"])
         clone = ring.copy()

@@ -459,6 +459,50 @@ class TestOwnershipPlumbing:
         assert not server.lookup("a", 0, 5).hit
         assert server.was_ever_stored("a")  # history is kept
 
+    @staticmethod
+    def _scripted_walks(monkeypatch, pages_per_walk):
+        """A membership whose cluster answers every ``key_digest`` walk in
+        ``pages_per_walk`` pages (one digest per arc, split evenly), and
+        the ``(arcs, cursor)`` of each round trip it was asked for."""
+        cluster = CacheCluster(node_count=1, clock=ManualClock())
+        calls = []
+
+        def key_digest(node, arcs, cursor=None):
+            calls.append((list(arcs), cursor))
+            page = 0 if cursor is None else int(cursor)
+            size = -(-len(arcs) // pages_per_walk)
+            digests = [(1, 0, 0)] * len(arcs[page * size:(page + 1) * size])
+            following = str(page + 1) if page + 1 < pages_per_walk else None
+            return digests, following
+
+        monkeypatch.setattr(cluster, "key_digest", key_digest)
+        return ClusterMembership(cluster), calls
+
+    def test_a_long_arcs_list_is_walked_in_groups_of_max_batch_items(self, monkeypatch):
+        from repro.comm import wire
+
+        membership, calls = self._scripted_walks(monkeypatch, pages_per_walk=1)
+        arcs = [(i * 10, i * 10 + 5) for i in range(2 * wire.MAX_BATCH_ITEMS + 452)]
+        firsts = [first for first, _ in membership._pages("key_digest", "cache0", arcs)]
+        assert firsts == [0, wire.MAX_BATCH_ITEMS, 2 * wire.MAX_BATCH_ITEMS]
+        assert [len(group) for group, _ in calls] == [wire.MAX_BATCH_ITEMS, wire.MAX_BATCH_ITEMS, 452]
+        assert [arc for group, _ in calls for arc in group] == arcs
+
+    def test_each_group_is_paged_to_its_end_before_the_next(self, monkeypatch):
+        from repro.comm import wire
+
+        monkeypatch.setattr(wire, "MAX_BATCH_ITEMS", 4)
+        membership, calls = self._scripted_walks(monkeypatch, pages_per_walk=2)
+        arcs = [(i * 10, i * 10 + 5) for i in range(6)]
+        pages = list(membership._pages("key_digest", "cache0", arcs))
+        assert calls == [(arcs[:4], None), (arcs[:4], "1"), (arcs[4:], None), (arcs[4:], "1")]
+        assert [(first, len(page)) for first, page in pages] == [(0, 2), (0, 2), (4, 1), (4, 1)]
+
+    def test_an_empty_arcs_list_costs_no_round_trip(self, monkeypatch):
+        membership, calls = self._scripted_walks(monkeypatch, pages_per_walk=1)
+        assert list(membership._pages("key_digest", "cache0", [])) == []
+        assert calls == []
+
 
 # ----------------------------------------------------------------------
 # Failure-aware routing

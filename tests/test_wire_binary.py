@@ -1040,3 +1040,66 @@ def test_mux_transport_pins_scratch_allocations_across_a_batch_run(hosting):
             assert transport.scratch_allocations == 1
         finally:
             transport.close()
+
+
+# ----------------------------------------------------------------------
+# The list bound: a batch or a store walk is refused from its header
+# ----------------------------------------------------------------------
+#: One item of each batch op's list argument, by its index.
+BATCH_ITEMS = {
+    "multi_lookup": lambda i: LookupRequest(f"key-{i}", 0, 40),
+    "install_entries": lambda i: EntryRecord(f"key-{i}", i, Interval(1, None)),
+    "discard_keys": lambda i: f"key-{i}",
+    "invalidate_tags": lambda i: (i + 1, (InvalidationTag.key("items", "id", i),)),
+}
+
+WALK_OPS = ["key_digest", "keys_in_range"]
+
+
+def _arcs(count):
+    return [(i * 7, i * 7 + 5) for i in range(count)]
+
+
+@pytest.mark.parametrize("op", sorted(BATCH_ITEMS))
+def test_a_batch_is_bounded_at_max_batch_items_from_its_header(op):
+    opcode = wire.OPCODES[op]
+    full = ([BATCH_ITEMS[op](i) for i in range(wire.MAX_BATCH_ITEMS)],)
+    assert wire.decode_binary_args(opcode, bytes(wire.encode_binary_args(opcode, full))) == full
+    over = ([BATCH_ITEMS[op](i) for i in range(wire.MAX_BATCH_ITEMS + 1)],)
+    body = bytes(wire.encode_binary_args(opcode, over))
+    with pytest.raises(wire.WireDecodeError, match="at most"):
+        wire.decode_binary_args(opcode, body)
+    # The count is read from the list header: cut off after it, the body
+    # is still refused for its size, not for being truncated.
+    with pytest.raises(wire.WireDecodeError, match="at most"):
+        wire.decode_binary_args(opcode, body[:8])
+
+
+@pytest.mark.parametrize("op", WALK_OPS)
+def test_a_store_walk_over_max_batch_items_arcs_decodes(op):
+    opcode = wire.OPCODES[op]
+    for cursor in (None, "key-00042"):
+        args = (_arcs(wire.MAX_BATCH_ITEMS), cursor)
+        body = bytes(wire.encode_binary_args(opcode, args))
+        assert wire.decode_binary_args(opcode, body) == args
+
+
+@pytest.mark.parametrize("op", WALK_OPS)
+def test_a_store_walk_over_one_arc_too_many_is_refused_from_its_header(op):
+    opcode = wire.OPCODES[op]
+    for cursor in (None, "key-00042"):
+        body = bytes(wire.encode_binary_args(opcode, (_arcs(wire.MAX_BATCH_ITEMS + 1), cursor)))
+        with pytest.raises(wire.WireDecodeError, match="at most"):
+            wire.decode_binary_args(opcode, body)
+        with pytest.raises(wire.WireDecodeError, match="at most"):
+            wire.decode_binary_args(opcode, body[:8])
+
+
+@pytest.mark.parametrize("op", WALK_OPS)
+def test_a_store_walk_with_an_argument_past_arcs_and_cursor_is_refused(op):
+    # The bound is read from the first of at most two arguments; a third
+    # would put an unbounded list out of the header's reach.
+    opcode = wire.OPCODES[op]
+    body = bytes(wire.encode_binary_args(opcode, (_arcs(4), None, _arcs(4))))
+    with pytest.raises(wire.WireDecodeError, match="list argument"):
+        wire.decode_binary_args(opcode, body)
