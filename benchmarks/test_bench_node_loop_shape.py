@@ -153,7 +153,7 @@ def test_a_lookup_pipelined_behind_a_page_is_answered_after_it(hosting):
             filler.close()
         requests = [
             (1, "extract_entries", (None, 10**9)),
-            (2, "lookup", ("k00000", 1, 5)),
+            (2, "probe", ("k00000", 1, 5)),
             (3, "multi_lookup", ([LookupRequest("k00001", 1, 5)],)),
         ]
         with socket.create_connection(host.address, timeout=10.0) as sock:

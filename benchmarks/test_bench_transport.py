@@ -267,11 +267,11 @@ def test_binary_codec_lookup_round_trips(benchmark, wire_counters):
     ROUNDS = 4000
 
     def timed_binary(request, response):
-        # Exactly what crosses the wire: requests take the fixed lookup
-        # args layout, responses the tagged record body.
+        # Exactly what crosses the wire: a lookup is a batch of one, its
+        # request and its one-result response both tagged bodies.
         encode, decode = wire.encode_binary_body, wire.decode_binary_body
         enc_args, dec_args = wire.encode_binary_args, wire.decode_binary_args
-        opcode = wire.OPCODES["lookup"]
+        opcode = wire.OPCODES["multi_lookup"]
         request_body = bytes(enc_args(opcode, request))
         response_body = bytes(encode(response))
         start = time.perf_counter()
@@ -310,7 +310,8 @@ def test_binary_codec_lookup_round_trips(benchmark, wire_counters):
 
     def run():
         shapes = {}
-        for name, request, response in _lookup_shapes():
+        for name, (key, lo, hi), response in _lookup_shapes():
+            request, response = ([LookupRequest(key, lo, hi)],), [response]
             binary = min(timed_binary(request, response) for _ in range(3))
             pickled = min(timed_pickle(request, response) for _ in range(3))
             shapes[name] = (binary, pickled)

@@ -1460,7 +1460,7 @@ def repair_openloop(
     Each scenario gets a fresh 3-node replicated deployment on the fast
     wire stack, warmed with ``keys`` entries of ``value_bytes`` each, then
     damaged by discarding half of one replica's keys.  A seeded Poisson
-    schedule drives ``cluster.probe`` lookups from ``threads`` workers in
+    schedule drives primary-node ``probe`` lookups from ``threads`` workers in
     open-loop mode (queueing delay is charged to the tail), and at 30% of
     the run the repair fires:
 
@@ -1543,7 +1543,8 @@ def repair_openloop(
                 rng = random.Random(seed * 1000 + thread_index)
 
                 def execute(op_index: int) -> object:
-                    return cluster.probe(f"key{rng.randrange(keys)}", 0, 10)
+                    key = f"key{rng.randrange(keys)}"
+                    return cluster.transport_for(key).probe(key, 0, 10)
 
                 return execute
 

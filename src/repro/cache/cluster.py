@@ -54,8 +54,8 @@ applies per node).  A hit served by a non-primary replica is classified in
 With ``replication_factor=1`` every code path is exactly the unreplicated
 behaviour.
 
-**Thread safety.**  The routed operations (``lookup``, ``multi_lookup``,
-``put``, ``probe``, …) are fully thread-safe: any number of application
+**Thread safety.**  The routed operations (``multi_lookup``, ``put``,
+``evict_stale``, …) are fully thread-safe: any number of application
 threads may share one cluster.  A single internal lock guards changes to the
 ring, the transport registry, and the failure-accounting state (failure
 counts, suspect set, health counters); it is held only for those in-memory
@@ -149,7 +149,7 @@ class ClusterHealthStats:
     #: Puts silently dropped because the node was down (with replication:
     #: because no replica accepted the write).
     degraded_puts: int = 0
-    #: Other operations (probes, eviction sweeps, invalidations…) skipped.
+    #: Other operations (eviction sweeps, invalidations, stats…) skipped.
     degraded_ops: int = 0
     #: Reads answered by a non-primary replica after the primary failed.
     replica_served_lookups: int = 0
@@ -244,8 +244,8 @@ class CacheCluster:
         #: pinning.
         self.cpu_pinning = cpu_pinning
         self._cpu_cursor = 0
-        #: Bounded-retry policy for idempotent reads (lookup, multi_lookup,
-        #: probe, key_digest, keys_in_range, versions_of): transient
+        #: Bounded-retry policy for idempotent reads (multi_lookup, probe,
+        #: key_digest, keys_in_range, versions_of): transient
         #: connection failures retry with exponential backoff + jitter
         #: before the read fails over to the next replica, all under one
         #: per-op deadline budget (``retry_policy.deadline_seconds``,
@@ -656,7 +656,7 @@ class CacheCluster:
         """``transport.<op>(*args)`` on ``node``; :data:`_UNANSWERED` if it
         could not be reached.
 
-        Where ``lookup``/``multi_lookup``/``put``/``probe`` meet a failure.
+        Where ``multi_lookup`` and ``put`` meet a failure.
         A node that answers costs the call itself; only a connection-level
         failure enters the cluster :class:`RetryPolicy` (the failed call is
         its attempt 1, and only idempotent ops get another), and only a
@@ -685,27 +685,6 @@ class CacheCluster:
             self._note_success(node)
         return answer
 
-    def _read_from_replicas(self, key: str, op: str, *args):
-        """``transport.<op>(*args)`` on the first reachable replica of ``key``.
-
-        The failover walk behind ``lookup``/``probe``/``was_ever_stored``,
-        under one deadline budget.  Returns ``(answer, failed_over)``;
-        ``answer`` is :data:`_UNANSWERED` when every replica was
-        unreachable or the budget ran out (the caller degrades).
-        """
-        failed_over = False
-        with self._op_scope() as deadline:
-            for node in self._replicas(key):
-                if deadline is not None and time.monotonic() >= deadline:
-                    # Out of deadline budget: degrade rather than charge a
-                    # transport failure to replicas we never actually asked.
-                    break
-                answer = self._ask(node, op, *args)
-                if answer is not _UNANSWERED:
-                    return answer, failed_over
-                failed_over = True
-        return _UNANSWERED, failed_over
-
     def _degraded_lookup(self, key: str) -> LookupResult:
         """The synthetic miss of a key with no reachable replica."""
         self._bump_health("degraded_lookups")
@@ -722,21 +701,8 @@ class CacheCluster:
     # Cache operations (routed, degrading on node failure)
     # ------------------------------------------------------------------
     def lookup(self, key: str, lo: int, hi: int) -> LookupResult:
-        """Route a versioned lookup to the responsible node.
-
-        With replication the lookup fails over along the key's replica set:
-        an unreachable primary is noted (suspect marking, threshold
-        eviction) and the next replica is asked.  Only when *every* replica
-        is unreachable does the cluster yield a synthetic (degraded) miss —
-        to the application a fully dead replica set looks like an empty
-        cache, never an exception.
-        """
-        result, failed_over = self._read_from_replicas(key, "lookup", key, lo, hi)
-        if result is _UNANSWERED:
-            return self._degraded_lookup(key)
-        if failed_over:
-            self._record_failover_read(result.hit)
-        return result
+        """Route a versioned lookup to the responsible node: a batch of one."""
+        return self.multi_lookup([LookupRequest(key, lo, hi)])[0]
 
     def multi_lookup(self, requests: Sequence[LookupRequest]) -> List[LookupResult]:
         """Answer a batch of lookups, one round trip per node touched.
@@ -821,22 +787,6 @@ class CacheCluster:
             self._bump_health("degraded_puts")
         return PutOutcome(stored, sent)
 
-    def probe(self, key: str, lo: int, hi: int) -> bool:
-        """Statistics-free hit check (first reachable replica answers)."""
-        answer, _failed_over = self._read_from_replicas(key, "probe", key, lo, hi)
-        if answer is _UNANSWERED:
-            self._bump_health("degraded_ops")
-            return False
-        return answer
-
-    def was_ever_stored(self, key: str) -> bool:
-        """True if a reachable replica of ``key`` has ever stored it."""
-        answer, _failed_over = self._read_from_replicas(key, "was_ever_stored", key)
-        if answer is _UNANSWERED:
-            self._bump_health("degraded_ops")
-            return False
-        return answer
-
     def _on_every_node(self, op: str, *args) -> list:
         """``transport.<op>(*args)`` on every node; the answers of those
         reached.  An unreachable node is skipped: one degraded op, and the
@@ -856,10 +806,6 @@ class CacheCluster:
     def evict_stale(self, oldest_useful_timestamp: int) -> int:
         """Eagerly drop too-stale entries on every reachable node."""
         return sum(self._on_every_node("evict_stale", oldest_useful_timestamp))
-
-    def clear(self) -> None:
-        """Empty every reachable node."""
-        self._on_every_node("clear")
 
     # ------------------------------------------------------------------
     # Key migration plumbing (used by the membership coordinator)

@@ -229,10 +229,9 @@ def _serve_invalidate_tags(server: CacheServer, batch: Sequence[tuple]) -> int:
 _SERVE_OPCODE = {
     OPCODES[op]: _serves(op)
     for op in (
-        "lookup", "multi_lookup", "put", "probe", "was_ever_stored",
-        "evict_stale", "clear", "reset_stats", "extract_entries",
-        "install_entries", "discard_keys", "keys", "note_timestamp",
-        "key_digest", "keys_in_range",
+        "multi_lookup", "put", "probe", "evict_stale", "reset_stats",
+        "extract_entries", "install_entries", "discard_keys",
+        "note_timestamp", "key_digest", "keys_in_range",
     )
 }
 _SERVE_OPCODE.update({
@@ -1048,9 +1047,6 @@ class SocketTransport:
     # and returns ValueBlob bytes.  A record that carries no blob (a miss,
     # or an entry someone put on a thread-hosted node's server directly)
     # passes through as it is.
-    def lookup(self, key: str, lo: int, hi: int) -> LookupResult:
-        return _unpack_value(self._call("lookup", key, lo, hi))
-
     def _batches(self, op: str, items: list) -> list:
         """``op`` over ``items`` in frames of at most ``wire.MAX_BATCH_ITEMS``
         (one frame when empty); the results, one per frame.  The node serves
@@ -1080,14 +1076,8 @@ class SocketTransport:
     def probe(self, key: str, lo: int, hi: int) -> bool:
         return self._call("probe", key, lo, hi)
 
-    def was_ever_stored(self, key: str) -> bool:
-        return self._call("was_ever_stored", key)
-
     def evict_stale(self, oldest_useful_timestamp: int) -> int:
         return self._call("evict_stale", oldest_useful_timestamp)
-
-    def clear(self) -> None:
-        self._call("clear")
 
     def stats(self) -> CacheServerStats:
         return CacheServerStats(**self._call("stats"))
@@ -1119,7 +1109,13 @@ class SocketTransport:
         return sum(self._batches("discard_keys", list(keys)))
 
     def keys(self) -> List[str]:
-        return self._call("keys")
+        """Every stored key, sorted: the full-circle ``keys_in_range`` walk,
+        one page per frame."""
+        keys, cursor = self.keys_in_range([(0, 0)])
+        while cursor is not None:
+            page, cursor = self.keys_in_range([(0, 0)], cursor)
+            keys += page
+        return keys
 
     def watermark(self) -> int:
         return self._call("watermark")

@@ -425,11 +425,6 @@ class CacheServer:
         return agent.exchange(digest)
 
     @_locked
-    def was_ever_stored(self, key: str) -> bool:
-        """True if ``key`` has ever been inserted on this server."""
-        return key in self._keys_ever_stored
-
-    @_locked
     def stats_snapshot(self) -> CacheServerStats:
         """A consistent copy of the counters, taken under the server lock.
 

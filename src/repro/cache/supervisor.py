@@ -34,8 +34,8 @@ tombstone (PR-8 semantics) is what lets the reborn node's alive records
 propagate instead of losing to the tombstone.
 
 **Circuit breaker**: a node that keeps crashing is not worth respawning
-forever.  More than ``max_restarts`` successful respawns inside
-``restart_window_seconds`` trips the breaker: the node falls back to the
+forever.  More than :data:`MAX_RESTARTS` successful respawns inside
+:data:`RESTART_WINDOW_SECONDS` trips the breaker: the node falls back to the
 pre-supervisor behaviour — permanent eviction — and stays down until an
 operator intervenes (:meth:`reset`).
 """
@@ -54,6 +54,13 @@ __all__ = ["NodeSupervisor", "SupervisorStats", "NODE_STATES"]
 
 #: The per-node states of the supervision state machine.
 NODE_STATES = ("serving", "backoff", "gave_up")
+
+#: Respawns allowed inside the window before the circuit breaker trips and
+#: the node is given up on (permanent eviction).
+MAX_RESTARTS = 5
+
+#: Width of the circuit-breaker restart-counting window, in clock seconds.
+RESTART_WINDOW_SECONDS = 60.0
 
 
 @dataclass
@@ -114,13 +121,9 @@ class NodeSupervisor:
         backoff_multiplier: float = 2.0,
         backoff_max_seconds: float = 5.0,
         jitter_fraction: float = 0.5,
-        max_restarts: int = 5,
-        restart_window_seconds: float = 60.0,
         probe_suspects: bool = True,
         seed: int = 0,
     ) -> None:
-        if max_restarts < 1:
-            raise ValueError("max_restarts must be positive")
         self.cluster = cluster
         self.membership = membership
         self.gossip_runner = gossip_runner
@@ -129,8 +132,10 @@ class NodeSupervisor:
         self.backoff_multiplier = backoff_multiplier
         self.backoff_max_seconds = backoff_max_seconds
         self.jitter_fraction = jitter_fraction
-        self.max_restarts = max_restarts
-        self.restart_window_seconds = restart_window_seconds
+        #: The circuit breaker's bounds; a test may narrow them on the
+        #: instance before the first crash.
+        self.max_restarts = MAX_RESTARTS
+        self.restart_window_seconds = RESTART_WINDOW_SECONDS
         self.probe_suspects = probe_suspects
         self.stats = SupervisorStats()
         self._rng = random.Random(seed)

@@ -19,16 +19,15 @@ the deployment subscribes to the :class:`repro.comm.multicast.InvalidationBus`,
 so invalidations follow the same path as cache operations regardless of how
 the node is deployed.
 
-The operations mirror the cache server's public surface: ``lookup``,
-``multi_lookup`` (a batch of lookups answered in one round trip),
-``put``, ``probe``, ``was_ever_stored``, ``evict_stale``, ``clear`` and
-``stats``, plus the key-migration operations used by the membership
-subsystem (``extract_entries``, ``install_entries``, ``discard_keys``,
-``keys``, ``watermark``), the autonomous-cluster-plane operations
+The operations are what the system sends a node: ``multi_lookup`` (every
+lookup, a batch of one or many answered in one round trip), ``put``,
+``probe``, ``evict_stale`` and ``stats``, plus the key-migration operations
+used by the membership subsystem (``extract_entries``, ``install_entries``,
+``discard_keys``, ``watermark``), the autonomous-cluster-plane operations
 (``gossip`` digest exchange, ``key_digest``/``keys_in_range`` for per-arc
 anti-entropy planning), the invalidation-stream entry points
-(``process_invalidation``, ``note_timestamp``) and lifecycle helpers
-(``reset_stats``, ``close``).
+(``process_invalidation``, ``note_timestamp``), introspection (``keys``,
+``versions_of``) and lifecycle helpers (``reset_stats``, ``close``).
 
 Thread safety: implementations must be safe for concurrent calls from many
 client threads, and ``close`` must be idempotent.  ``InProcessTransport``
@@ -84,7 +83,6 @@ __all__ = [
 #: errors surface to the caller exactly as before retries existed.
 IDEMPOTENT_OPS = frozenset(
     {
-        "lookup",
         "multi_lookup",
         "probe",
         "key_digest",
@@ -235,11 +233,9 @@ class CacheTransport(Protocol):
     # ------------------------------------------------------------------
     # Cache operations
     # ------------------------------------------------------------------
-    def lookup(self, key: str, lo: int, hi: int) -> LookupResult:
-        """Versioned lookup of ``key`` over the timestamp range ``[lo, hi]``."""
-
     def multi_lookup(self, requests: Sequence[LookupRequest]) -> List[LookupResult]:
-        """Answer a batch of lookups in one round trip, in order."""
+        """Answer a batch of versioned lookups, each of a key over a
+        timestamp range ``[lo, hi]``, in one round trip, in order."""
 
     def put(
         self,
@@ -258,14 +254,8 @@ class CacheTransport(Protocol):
     def probe(self, key: str, lo: int, hi: int) -> bool:
         """Statistics-free hit check over ``[lo, hi]``."""
 
-    def was_ever_stored(self, key: str) -> bool:
-        """True if ``key`` has ever been inserted on the node."""
-
     def evict_stale(self, oldest_useful_timestamp: int) -> int:
         """Eagerly drop entries too stale to be useful; returns the count."""
-
-    def clear(self) -> None:
-        """Empty the node."""
 
     def stats(self) -> CacheServerStats:
         """A snapshot of the node's counters."""
@@ -288,7 +278,10 @@ class CacheTransport(Protocol):
         """Drop every version of the given keys (post-migration cleanup)."""
 
     def keys(self) -> List[str]:
-        """The keys currently stored on the node (sorted, stats-free)."""
+        """The keys currently stored on the node (sorted, stats-free).
+
+        Over a socket this is the full-circle ``keys_in_range`` walk, one
+        bounded page per frame."""
 
     def watermark(self) -> int:
         """The node's highest processed invalidation timestamp."""
@@ -358,10 +351,6 @@ class InProcessTransport:
         self.op_counts[op] = self.op_counts.get(op, 0) + 1
 
     # -- cache operations ----------------------------------------------
-    def lookup(self, key: str, lo: int, hi: int) -> LookupResult:
-        self._count("lookup")
-        return self.server.lookup(key, lo, hi)
-
     def multi_lookup(self, requests: Sequence[LookupRequest]) -> List[LookupResult]:
         self._count("multi_lookup")
         return self.server.multi_lookup(requests)
@@ -380,17 +369,9 @@ class InProcessTransport:
         self._count("probe")
         return self.server.probe(key, lo, hi)
 
-    def was_ever_stored(self, key: str) -> bool:
-        self._count("was_ever_stored")
-        return self.server.was_ever_stored(key)
-
     def evict_stale(self, oldest_useful_timestamp: int) -> int:
         self._count("evict_stale")
         return self.server.evict_stale(oldest_useful_timestamp)
-
-    def clear(self) -> None:
-        self._count("clear")
-        self.server.clear()
 
     def stats(self) -> CacheServerStats:
         self._count("stats")

@@ -24,6 +24,9 @@ the sender, before a byte is sent, and a decoder refuses any tag it does not
 name.  Decoding therefore only ever builds those shapes: no byte sequence a
 peer sends can make a node call anything.  Malformed bodies raise
 :class:`WireDecodeError`, never anything that could take down a reactor.
+A request body is its argument tuple in that encoding; only ``put``, the
+hot write, packs its key, interval and tags ahead of the tagged value (see
+:func:`encode_binary_args`).
 
 Cached values
 -------------
@@ -81,30 +84,32 @@ MUX_HEADER = struct.Struct("!QBI")
 
 #: The first byte of every connection, sent by the client without waiting
 #: for an answer; the node closes a connection that opens with any other.
-WIRE_VERSION = 0xA9
+WIRE_VERSION = 0xAA
 
 #: Upper bound on a single frame, as a sanity check against corrupt headers.
 MAX_FRAME_BYTES = 256 * 1024 * 1024
 
-#: Request opcodes: every cache operation the transport protocol names.
+#: Request opcodes: every cache operation the transport protocol names.  A
+#: number no longer listed stays unassigned, so an old client's frame is
+#: refused rather than misread.
 OPCODES = {
-    "lookup": 1,
+    # 1 was the single-key lookup; every lookup is a ``multi_lookup``.
     "multi_lookup": 2,
     "put": 3,
     "probe": 4,
-    "was_ever_stored": 5,
+    # 5 was the ever-stored check; a miss carries ``key_ever_stored``.
     "evict_stale": 6,
-    "clear": 7,
+    # 7 emptied the node; nothing sent it.
     "stats": 8,
     "reset_stats": 9,
     "extract_entries": 10,
     "install_entries": 11,
     "discard_keys": 12,
-    "keys": 13,
+    # 13 sent the whole key set in one frame; ``SocketTransport.keys``
+    # pages ``keys_in_range`` over the full circle instead.
     "watermark": 14,
     # 15 was the pickled single-message ``invalidate``; the stream crosses
-    # the wire only as ``invalidate_tags``.  The number stays unassigned so
-    # an old client's frame is refused rather than misread.
+    # the wire only as ``invalidate_tags``.
     "note_timestamp": 16,
     "ping": 17,
     # Autonomous cluster plane: membership-digest exchange piggybacked on
@@ -740,24 +745,17 @@ def decode_binary_body(body: Buffer) -> object:
 
 
 # ----------------------------------------------------------------------
-# Fixed request-argument layout for the single-key hot ops
+# Fixed request-argument layout of ``put``
 # ----------------------------------------------------------------------
-#: Opcodes whose binary request bodies use the fixed layout of
-#: :func:`encode_binary_args` instead of a tagged value walk.
-_SINGLE_KEY_OPCODES = frozenset((OPCODES["lookup"], OPCODES["probe"]))
-
-#: ``put`` gets its own fixed layout: key, packed interval, tag list, then
-#: the value — a blob from ``SocketTransport``, so nothing is walked.
+#: ``put`` gets a fixed layout: key, packed interval, tag list, then the
+#: value — a blob from ``SocketTransport``, so nothing is walked.  Every
+#: other request body is the plain tagged encoding of its argument tuple.
 _PUT_OPCODE = OPCODES["put"]
 
-#: Request-body markers: a packed single-key layout, or a generic tagged
-#: body for arguments the packed layout cannot carry.
+#: ``put`` body markers: the packed layout, or a generic tagged body for
+#: arguments the packed layout cannot carry.
 _ARGS_PACKED = 1
 _ARGS_TAGGED = 0
-
-_QQ = struct.Struct("<qq")
-_pack_qq = _QQ.pack
-_unpack_qq = _QQ.unpack_from
 
 
 def encode_binary_args_into(out: bytearray, opcode: int, args: object) -> None:
@@ -766,38 +764,14 @@ def encode_binary_args_into(out: bytearray, opcode: int, args: object) -> None:
     The append-into form exists so a connection can reuse one scratch
     buffer across requests (:class:`EncodeScratch`); ``out`` may already
     hold earlier frames' bytes and only the tail belongs to this request.
-    A fallback path that bails mid-encode rolls the buffer back to its
-    entry length before re-encoding, so a shared buffer never keeps a
-    half-written layout.
+    A ``put`` that bails out of its packed layout mid-encode rolls the
+    buffer back to its entry length before re-encoding, so a shared buffer
+    never keeps a half-written layout.
     """
     if _Interval is None:
         _bind_record_types()
-    start = len(out)
-    if opcode in _SINGLE_KEY_OPCODES:
-        if type(args) is tuple and len(args) == 3:
-            key, lo, hi = args
-            if type(key) is str:
-                try:
-                    raw = key.encode("utf-8")
-                    tail = _pack_qq(lo, hi)
-                except (UnicodeEncodeError, struct.error, OverflowError, TypeError):
-                    pass
-                else:
-                    append = out.append
-                    append(_ARGS_PACKED)
-                    size = len(raw)
-                    if size < 255:
-                        append(size)
-                    else:
-                        append(255)
-                        out += _pack_u32(size)
-                    out += raw
-                    out += tail
-                    return
-        out.append(_ARGS_TAGGED)
-        _enc_value(out, args)
-        return
     if opcode == _PUT_OPCODE:
+        start = len(out)
         if (
             type(args) is tuple
             and len(args) == 4
@@ -827,21 +801,19 @@ def encode_binary_args_into(out: bytearray, opcode: int, args: object) -> None:
             except (UnicodeEncodeError, struct.error, OverflowError, TypeError):
                 del out[start:]  # roll back the partial packed layout
         out.append(_ARGS_TAGGED)
-        _enc_value(out, args)
-        return
     _enc_value(out, args)
 
 
 def encode_binary_args(opcode: int, args: object) -> bytearray:
     """Encode a request argument tuple as ``opcode``'s binary body.
 
-    ``lookup`` and ``probe`` — the single-key hot ops — skip the tagged
-    value encoding entirely: their bodies are a marker byte, the key (one
-    length byte, 255 escaping to a u32), and the two bounds as signed
-    64-bit integers.  One struct call per request instead of a recursive
-    value walk — the same trick memcached's binary protocol plays with its
-    fixed GET header.  Arguments the fixed layout cannot carry (non-str
-    key, bounds beyond 64 bits) fall back to a tagged body behind the
+    Every request but ``put`` is the tagged encoding of its argument tuple.
+    ``put`` — the hot write — skips the tagged walk of its key, interval
+    and tags: its body is a marker byte, the key (one length byte, 255
+    escaping to a u32), the packed interval, a one-byte tag count and the
+    tags, then the value, the same trick memcached's binary protocol plays
+    with its fixed headers.  Arguments the fixed layout cannot carry
+    (non-str key, 255 tags or more) fall back to a tagged body behind the
     marker byte, so the fast path never constrains the API.
     """
     out = bytearray()
@@ -930,12 +902,13 @@ def decode_binary_args(opcode: int, body: Buffer) -> object:
     does a batch request of more than :data:`MAX_BATCH_ITEMS` items or a
     store walk over more arcs.
     """
-    is_put = opcode == _PUT_OPCODE
-    if opcode not in _SINGLE_KEY_OPCODES and not is_put:
+    if opcode != _PUT_OPCODE:
         arguments = _LIST_ARGUMENTS.get(opcode)
         if arguments:
             _check_batch(body, arguments)
         return decode_binary_body(body)
+    if _Interval is None:
+        _bind_record_types()
     if type(body) is bytes:
         buf = body
     elif type(body) is memoryview:
@@ -957,15 +930,6 @@ def decode_binary_args(opcode: int, body: Buffer) -> object:
                 key = raw.decode("utf-8")
             except UnicodeDecodeError:
                 key = raw.decode("utf-8", "surrogatepass")
-            if not is_put:
-                lo, hi = _unpack_qq(buf, end)
-                if end + 16 != len(buf):
-                    raise WireDecodeError(
-                        f"malformed binary request: {len(buf) - end - 16} trailing bytes"
-                    )
-                return key, lo, hi
-            if _Interval is None:
-                _bind_record_types()
             interval, offset = _Interval.unpack_from(buf, end)
             count = buf[offset]
             offset += 1
@@ -974,25 +938,21 @@ def decode_binary_args(opcode: int, body: Buffer) -> object:
                 tag, offset = _dec_value(buf, offset)
                 tags.append(tag)
             value, offset = _dec_value(buf, offset)
-            if offset != len(buf):
-                raise WireDecodeError(
-                    f"malformed binary request: {len(buf) - offset} trailing bytes"
-                )
-            return key, value, interval, frozenset(tags)
-        if marker == _ARGS_TAGGED:
-            if _Interval is None:
-                _bind_record_types()
+        elif marker == _ARGS_TAGGED:
             value, offset = _dec_value(buf, 1)
-            if offset != len(buf):
-                raise WireDecodeError(
-                    f"malformed binary request: {len(buf) - offset} trailing bytes"
-                )
-            return value
-        raise WireDecodeError(f"unknown binary request marker {marker}")
+        else:
+            raise WireDecodeError(f"unknown binary request marker {marker}")
+        if offset != len(buf):
+            raise WireDecodeError(
+                f"malformed binary request: {len(buf) - offset} trailing bytes"
+            )
     except WireDecodeError:
         raise
     except Exception as exc:
         raise WireDecodeError(f"malformed binary request: {exc!r}") from exc
+    if marker == _ARGS_PACKED:
+        return key, value, interval, frozenset(tags)
+    return value
 
 
 # ----------------------------------------------------------------------
@@ -1014,8 +974,7 @@ def encode_binary_request_frame(
     """One multiplexed request frame with a binary args body.
 
     Like :func:`encode_binary_mux_frame` but routed through
-    :func:`encode_binary_args`, so the single-key hot ops get their fixed
-    request layout.
+    :func:`encode_binary_args`, so ``put`` gets its fixed request layout.
     """
     body = encode_binary_args(opcode, args)
     header = MUX_HEADER.pack(request_id, opcode, len(body))

@@ -122,11 +122,6 @@ class TxCacheDeployment:
     supervision: Optional[bool] = None
     #: First respawn delay after a death; doubles each crash-loop rung.
     supervisor_backoff_base_seconds: float = 0.1
-    #: Respawns allowed inside the window before the circuit breaker trips
-    #: and the node is given up on (permanent eviction).
-    supervisor_max_restarts: int = 5
-    #: Width of the circuit-breaker restart-counting window.
-    supervisor_restart_window_seconds: float = 60.0
 
     def __post_init__(self) -> None:
         self.invalidation_bus = InvalidationBus()
@@ -179,8 +174,6 @@ class TxCacheDeployment:
                 gossip_runner=self.gossip_runner,
                 clock=self.clock,
                 backoff_base_seconds=self.supervisor_backoff_base_seconds,
-                max_restarts=self.supervisor_max_restarts,
-                restart_window_seconds=self.supervisor_restart_window_seconds,
             )
             for name in self.cache.transports:
                 self.supervisor.register(

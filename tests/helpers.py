@@ -37,6 +37,7 @@ from repro.apps.rubis import (
 )
 from repro.apps.rubis.workload import BIDDING_MIX
 from repro.cache.cluster import CacheCluster
+from repro.cache.entry import LookupRequest, LookupResult
 from repro.cache.netserver import CacheNodeUnreachableError, CacheServerProcess
 from repro.cache.procnode import CacheNodeHost
 from repro.cache.server import CacheServer
@@ -75,6 +76,12 @@ def transports_under_test() -> List[str]:
 
 #: "Until now" as an upper lookup bound (the client library's own value).
 FAR_FUTURE = 2**62
+
+def lookup_one(transport, key: str, lo: int, hi: int) -> LookupResult:
+    """One versioned lookup through a transport: a ``multi_lookup`` of one,
+    which is how the client library sends every lookup."""
+    return transport.multi_lookup([LookupRequest(key, lo, hi)])[0]
+
 
 #: The two hostings of a node on the wire: a thread of the test process
 #: (``CacheServerProcess``), or a child process (``CacheNodeHost``).

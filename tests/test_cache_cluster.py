@@ -36,12 +36,12 @@ class TestRouting:
     def test_server_for_is_stable(self, cluster):
         assert cluster.server_for("abc") is cluster.server_for("abc")
 
-    def test_probe_and_was_ever_stored(self, cluster):
+    def test_probe_and_key_ever_stored(self, cluster):
         cluster.put("k", 1, Interval(0, 5))
-        assert cluster.probe("k", 0, 4)
-        assert not cluster.probe("k", 6, 9)
-        assert cluster.was_ever_stored("k")
-        assert not cluster.was_ever_stored("other")
+        assert cluster.transport_for("k").probe("k", 0, 4)
+        assert not cluster.transport_for("k").probe("k", 6, 9)
+        assert cluster.lookup("k", 6, 9).key_ever_stored
+        assert not cluster.lookup("other", 6, 9).key_ever_stored
 
     def test_add_and_remove_node(self, cluster):
         cluster.add_node("extra", capacity_bytes=1024)
@@ -200,12 +200,11 @@ class TestAggregation:
         assert cluster.used_bytes > 0
         assert cluster.entry_count == 1
 
-    def test_evict_stale_and_clear(self, cluster):
+    def test_evict_stale_drops_only_the_stale(self, cluster):
         cluster.put("a", 1, Interval(0, 3))
         cluster.put("b", 2, Interval(5, 9))
         assert cluster.evict_stale(4) == 1
-        cluster.clear()
-        assert cluster.entry_count == 0
+        assert cluster.entry_count == 1
 
     def test_reset_stats(self, cluster):
         cluster.put("a", 1, Interval(0))

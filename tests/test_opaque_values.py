@@ -32,7 +32,7 @@ from repro.clock import ManualClock
 from repro.comm.transport import InProcessTransport
 from repro.db.invalidation import InvalidationTag
 from repro.interval import Interval
-from tests.helpers import NODE_HOSTINGS, live_node
+from tests.helpers import NODE_HOSTINGS, live_node, lookup_one
 
 _TEST_PID = os.getpid()
 
@@ -88,7 +88,7 @@ def test_a_node_process_never_unpickles_a_value(two_process_nodes):
         )
         assert hit.hit and hit.value == pill and hit.tags == frozenset({tag})
         assert not miss.hit and miss.value is None
-        assert a.lookup("pill", 3, 9).value == pill
+        assert lookup_one(a, "pill", 3, 9).value == pill
 
         records, cursor = a.extract_entries()
         assert cursor is None
@@ -97,8 +97,8 @@ def test_a_node_process_never_unpickles_a_value(two_process_nodes):
             "old": PoisonPill("bounded"),
         }
         assert b.install_entries(records) == 2
-        assert b.lookup("pill", 3, 9).value == pill
-        assert b.lookup("old", 1, 1).value == PoisonPill("bounded")
+        assert lookup_one(b, "pill", 3, 9).value == pill
+        assert lookup_one(b, "old", 1, 1).value == PoisonPill("bounded")
 
         (version,) = b.versions_of("pill")
         assert version.value == pill
@@ -108,7 +108,7 @@ def test_a_node_process_never_unpickles_a_value(two_process_nodes):
 
         # Both nodes are still serving, and neither ever tripped the pill.
         assert a.put("after", PoisonPill(1), Interval(4)) is True
-        assert a.lookup("after", 4, 4).value == PoisonPill(1)
+        assert lookup_one(a, "after", 4, 4).value == PoisonPill(1)
         assert b.keys() == ["old", "pill"]
         assert PoisonPill.trips.value == 0
     finally:
@@ -131,7 +131,7 @@ def test_the_pill_does_trip_where_a_value_is_unpickled(two_process_nodes):
             transport._call("put", "raw", PoisonPill(0), Interval(0), frozenset())
         assert PoisonPill.trips.value == 0
         assert transport.put("fine", PoisonPill(0), Interval(0)) is True
-        assert transport.lookup("fine", 0, 0).value == PoisonPill(0)
+        assert lookup_one(transport, "fine", 0, 0).value == PoisonPill(0)
     finally:
         transport.close()
     child = multiprocessing.get_context("fork").Process(
@@ -203,12 +203,12 @@ def test_a_bytes_value_round_trips_as_the_bytes_it_was(value, hosting):
         transport = SocketTransport(process.address)
         try:
             transport.put("k", value, Interval(0))
-            got = transport.lookup("k", 0, 5).value
+            got = lookup_one(transport, "k", 0, 5).value
             assert type(got) is type(value) and got == value
             (record,), _ = transport.extract_entries()
             assert type(record.value) is type(value) and record.value == value
             transport.install_entries([EntryRecord("k2", value, Interval(0))])
-            got = transport.lookup("k2", 0, 5).value
+            got = lookup_one(transport, "k2", 0, 5).value
             assert type(got) is type(value) and got == value
         finally:
             transport.close()

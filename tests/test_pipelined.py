@@ -24,7 +24,7 @@ from repro.cache.netserver import (
 from repro.cache.server import CacheServer
 from repro.clock import ManualClock
 from repro.interval import Interval
-from tests.helpers import NODE_HOSTINGS, live_node
+from tests.helpers import NODE_HOSTINGS, live_node, lookup_one
 
 
 def make_server(name="node"):
@@ -50,13 +50,13 @@ def test_backpressure_bounds_queue_pauses_reads_and_recovers():
     latency = 0.1
     server = make_server()
     served = []
-    original = server.keys
+    original = server.keys_in_range
 
-    def timed_keys():
+    def timed_keys_in_range(*args):
         served.append(time.monotonic())
-        return original()
+        return original(*args)
 
-    server.keys = timed_keys
+    server.keys_in_range = timed_keys_in_range
     with CacheServerProcess(
         server, simulated_latency_seconds=latency, max_queued_per_connection=bound
     ) as process:
@@ -100,9 +100,9 @@ def test_server_side_errors_surface_without_poisoning(hosting):
             with pytest.raises(CacheTransportError, match="unknown cache operation"):
                 transport._call("no-such-op")
             with pytest.raises(CacheTransportError, match="TypeError"):
-                transport._call("lookup")  # missing key/lo/hi
+                transport._call("probe")  # missing key/lo/hi
             assert transport.put("k", 1, Interval(0)) is True
-            assert transport.lookup("k", 0, 5).hit
+            assert lookup_one(transport, "k", 0, 5).hit
         finally:
             transport.close()
 
@@ -114,13 +114,13 @@ def test_timeout_poisons_connection_and_transport_redials():
     """A timed-out RPC fails every pending call; the next call reconnects."""
     server = make_server()
     release = threading.Event()
-    original = server.keys
+    original = server.keys_in_range
 
-    def stalled_keys():
+    def stalled_keys_in_range(*args):
         assert release.wait(timeout=30)
-        return original()
+        return original(*args)
 
-    server.keys = stalled_keys
+    server.keys_in_range = stalled_keys_in_range
     with CacheServerProcess(server) as process:
         transport = SocketTransport(process.address, timeout_seconds=0.3)
         try:
@@ -141,13 +141,13 @@ def test_server_shutdown_fails_pending_pipelined_calls():
     caller waiting for it fails, and so does the next call."""
     server = make_server()
     served = threading.Event()
-    original = server.keys
+    original = server.keys_in_range
 
-    def keys():
+    def keys_in_range(*args):
         served.set()
-        return original()
+        return original(*args)
 
-    server.keys = keys
+    server.keys_in_range = keys_in_range
     # The reply waits on the timer heap far longer than the test runs.
     process = CacheServerProcess(server, simulated_latency_seconds=60.0)
     transport = SocketTransport(process.address, name=server.name)  # no ping

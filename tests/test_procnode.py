@@ -36,7 +36,7 @@ from repro.clock import ManualClock
 from repro.comm.multicast import InvalidationBus, InvalidationMessage
 from repro.db.invalidation import InvalidationTag
 from repro.interval import Interval
-from tests.helpers import node_views
+from tests.helpers import lookup_one, node_views
 
 
 def _port_refuses(address) -> bool:
@@ -59,7 +59,7 @@ class TestHostLifecycle:
             try:
                 assert transport.name == "n0"  # learned over the wire
                 assert transport.put("k", {"v": 1}, Interval(0)) is True
-                result = transport.lookup("k", 0, 5)
+                result = lookup_one(transport, "k", 0, 5)
                 assert result.hit and result.value == {"v": 1}
             finally:
                 transport.close()

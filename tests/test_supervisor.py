@@ -16,7 +16,7 @@ import time
 
 import pytest
 
-from tests.helpers import ConsistencyHarness, FaultInjector, transports_under_test
+from tests.helpers import ConsistencyHarness, FaultInjector, lookup_one, transports_under_test
 from repro.cache.netserver import (
     CacheNodeConnectError,
     CacheNodeTimeoutError,
@@ -99,12 +99,10 @@ class TestSupervisorStateMachine:
         """Pinned acceptance behaviour: a node that keeps dying is
         permanently given up on after max_restarts inside the window."""
         clock = ManualClock()
-        with _supervised_deployment(
-            clock,
-            supervisor_max_restarts=3,
-            supervisor_restart_window_seconds=1000.0,
-        ) as deployment:
+        with _supervised_deployment(clock) as deployment:
             supervisor = deployment.supervisor
+            supervisor.max_restarts = 3
+            supervisor.restart_window_seconds = 1000.0
             for _ in range(3):
                 deployment.cache.fail_node("cache1")
                 supervisor.pump()
@@ -134,12 +132,10 @@ class TestSupervisorStateMachine:
 
     def test_breaker_window_forgives_old_restarts(self):
         clock = ManualClock()
-        with _supervised_deployment(
-            clock,
-            supervisor_max_restarts=2,
-            supervisor_restart_window_seconds=10.0,
-        ) as deployment:
+        with _supervised_deployment(clock) as deployment:
             supervisor = deployment.supervisor
+            supervisor.max_restarts = 2
+            supervisor.restart_window_seconds = 10.0
             for round_index in range(4):
                 deployment.cache.fail_node("cache1")
                 supervisor.pump()
@@ -302,7 +298,7 @@ class TestRetryPolicy:
         import random as _random
 
         result = policy.run(
-            "lookup",
+            "multi_lookup",
             flaky,
             retry_on=(CacheNodeUnreachableError,),
             rng=_random.Random(0),
@@ -345,7 +341,7 @@ class TestRetryPolicy:
         with deadline_scope(started + 0.1):
             with pytest.raises(CacheNodeUnreachableError):
                 policy.run(
-                    "lookup",
+                    "multi_lookup",
                     failing,
                     retry_on=(CacheNodeUnreachableError,),
                     rng=_random.Random(0),
@@ -401,11 +397,11 @@ class TestRetryPolicy:
                     self._inner = inner
                     self.failures_left = 1
 
-                def lookup(self, *args, **kwargs):
+                def multi_lookup(self, *args, **kwargs):
                     if self.failures_left > 0:
                         self.failures_left -= 1
                         raise CacheNodeUnreachableError("transient blip")
-                    return self._inner.lookup(*args, **kwargs)
+                    return self._inner.multi_lookup(*args, **kwargs)
 
                 def __getattr__(self, attr):
                     return getattr(self._inner, attr)
@@ -449,9 +445,9 @@ class TestErrorTaxonomy:
             transport = deployment.cache._transports["cache0"]
             with deadline_scope(time.monotonic() - 1.0):
                 with pytest.raises(CacheNodeTimeoutError) as excinfo:
-                    transport.lookup("key", 1, 1)
+                    lookup_one(transport, "key", 1, 1)
             assert isinstance(excinfo.value, CacheNodeUnreachableError)
-            assert excinfo.value.op == "lookup"
+            assert excinfo.value.op == "multi_lookup"
             # An expired deadline is the caller's condition, not the
             # node's: the connection must still work afterwards.
             assert transport.watermark() >= 0
@@ -589,7 +585,7 @@ class TestProcessRecovery:
             def inflight(index):
                 started = time.monotonic()
                 try:
-                    transport.lookup(f"key{index}", 1, 1)
+                    lookup_one(transport, f"key{index}", 1, 1)
                     results.append(("ok", time.monotonic() - started))
                 except CacheNodeUnreachableError as exc:
                     results.append((exc, time.monotonic() - started))

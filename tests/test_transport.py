@@ -30,7 +30,7 @@ from repro.db.invalidation import InvalidationTag
 from repro.deployment import TxCacheDeployment
 from repro.interval import Interval
 from tests.test_integration import build_bank_deployment, transfer
-from tests.helpers import FAR_FUTURE, node_views, simple_schema, transports_under_test
+from tests.helpers import FAR_FUTURE, lookup_one, node_views, simple_schema, transports_under_test
 
 # Overridable with REPRO_TRANSPORT=inprocess|socket (CI transport matrix).
 TRANSPORTS = transports_under_test()
@@ -77,9 +77,9 @@ def _replay_trace(cluster: CacheCluster, bus: InvalidationBus, seed: int = 7) ->
             results.append(cluster.lookup(key, lo, lo + rng.randrange(8)))
         elif op == 3:
             lo = rng.randrange(timestamp + 2)
-            results.append(cluster.probe(key, lo, lo + rng.randrange(8)))
+            results.append(cluster.transport_for(key).probe(key, lo, lo + rng.randrange(8)))
         elif op == 4:
-            results.append(cluster.was_ever_stored(key))
+            results.append(cluster.lookup(key, 0, 0).key_ever_stored)
         elif op == 5:  # batched lookups spanning several nodes
             requests = [
                 LookupRequest(
@@ -144,13 +144,12 @@ def test_cluster_operations_work_over_any_transport(cluster):
     assert cluster.lookup("k", 0, 4).hit
     assert cluster.lookup("k", 0, 4).value == {"a": 1}
     assert not cluster.lookup("k", 6, 9).hit
-    assert cluster.probe("k", 0, 4)
-    assert cluster.was_ever_stored("k")
-    assert not cluster.was_ever_stored("absent")
+    assert cluster.transport_for("k").probe("k", 0, 4)
+    assert cluster.lookup("k", 6, 9).key_ever_stored
+    assert not cluster.lookup("absent", 0, 4).key_ever_stored
     assert cluster.evict_stale(10) == 1
     cluster.put("k2", 2, Interval(0))
-    cluster.clear()
-    assert cluster.entry_count == 0
+    assert [key for node in cluster.transports for key in cluster.node_keys(node)] == ["k2"]
 
 
 def test_multi_lookup_groups_by_node_and_preserves_order(cluster):
@@ -190,7 +189,7 @@ def test_multi_lookup_matches_singleton_lookups(cluster):
     assert [b.value for b in batched] == [s.value for s in singles]
     for request, result in zip(requests, batched):
         if not result.hit:
-            assert result.fresh_version_exists == cluster.probe(
+            assert result.fresh_version_exists == cluster.transport_for(request.key).probe(
                 request.key, request.fresh_lo, FAR_FUTURE
             )
     assert [b.fresh_version_exists for b in batched] == [i % 4 == 1 for i in range(20)]
@@ -231,7 +230,7 @@ class TestSocketTransport:
                 transport._call("no-such-op")
             # The connection is still usable afterwards.
             assert transport.put("k", 1, Interval(0)) is True
-            assert transport.lookup("k", 0, 5).hit
+            assert lookup_one(transport, "k", 0, 5).hit
             transport.close()
 
     def test_calls_after_close_raise(self):
@@ -257,7 +256,7 @@ class TestSocketTransport:
             first = SocketTransport(process.address)
             second = SocketTransport(process.address)
             first.put("k", "from-first", Interval(0))
-            assert second.lookup("k", 0, 5).value == "from-first"
+            assert lookup_one(second, "k", 0, 5).value == "from-first"
             assert second.stats().insertions == 1
             first.close()
             second.close()

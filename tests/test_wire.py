@@ -23,11 +23,11 @@ def test_plain_body_round_trips():
 
 
 def test_mux_frame_header_layout():
-    buffers = wire.encode_binary_request_frame(42, wire.OPCODES["keys"], ())
+    buffers = wire.encode_binary_request_frame(42, wire.OPCODES["watermark"], ())
     header = bytes(buffers[0])
     request_id, opcode, length = wire.MUX_HEADER.unpack(header)
     assert request_id == 42
-    assert opcode == wire.OPCODES["keys"]  # the opcode byte is the opcode
+    assert opcode == wire.OPCODES["watermark"]  # the opcode byte is the opcode
     assert length == sum(len(b) for b in buffers[1:])
 
 
@@ -66,7 +66,7 @@ def test_assembler_checks_the_version_byte_and_reassembles_partials():
 
 
 @pytest.mark.parametrize(
-    "first", [0xA8, 0xA7, 0x00], ids=["previous-version", "retired-hello", "length-prefix"]
+    "first", [0xA9, 0xA7, 0x00], ids=["previous-version", "retired-hello", "length-prefix"]
 )
 def test_assembler_refuses_a_stream_that_does_not_open_with_the_version_byte(first):
     assembler = wire.FrameAssembler(hello=wire.WIRE_VERSION)
@@ -85,7 +85,7 @@ def test_multiple_frames_in_one_feed():
     assembler = wire.FrameAssembler()
     stream = b""
     for i in range(20):
-        stream += _flatten(_request(i, "keys"))
+        stream += _flatten(_request(i, "watermark"))
     frames = assembler.feed(stream)
     assert [f[0] for f in frames] == list(range(20))
 

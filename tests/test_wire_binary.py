@@ -29,7 +29,7 @@ from repro.clock import ManualClock
 from repro.comm import wire
 from repro.db.invalidation import InvalidationTag
 from repro.interval import Interval
-from tests.helpers import NODE_HOSTINGS, live_node
+from tests.helpers import NODE_HOSTINGS, live_node, lookup_one
 
 
 def make_server(name="node"):
@@ -229,33 +229,16 @@ def test_multi_lookup_request_payloads_round_trip(requests):
     assert round_trip(payload) == payload
 
 
-@given(keys, timestamps, timestamps, st.sampled_from(["lookup", "probe"]))
+@given(keys, timestamps, timestamps)
 @settings(deadline=None)
-def test_single_key_request_args_round_trip(key, lo, span, op):
-    """The fixed lookup/probe request layout is exact for every key and
-    every 64-bit bound (oversized keys take the u32 length escape)."""
+def test_probe_request_args_are_the_plain_tagged_body(key, lo, span):
+    """Every request but ``put`` is the tagged encoding of its argument
+    tuple, with no marker byte, and round-trips for every key and bound."""
     args = (key, lo, lo + span)
-    opcode = wire.OPCODES[op]
+    opcode = wire.OPCODES["probe"]
     body = bytes(wire.encode_binary_args(opcode, args))
+    assert body == bytes(wire.encode_binary_body(args))
     assert wire.decode_binary_args(opcode, body) == args
-
-
-def test_single_key_request_args_fall_back_to_tagged_bodies():
-    """Arguments the packed layout cannot carry (bounds beyond 64 bits,
-    odd arities, non-str keys) still round-trip via the tagged fallback."""
-    opcode = wire.OPCODES["lookup"]
-    for args in [
-        ("k", 0, 2**70),
-        ("k", -(2**70), 1),
-        ("k", 0, None),
-        (b"raw-bytes-key", 0, 1),
-        ("k", 0),
-        ("k", 0, 1, 2),
-    ]:
-        body = bytes(wire.encode_binary_args(opcode, args))
-        assert body[0] == 0  # tagged-body marker
-        assert wire.decode_binary_args(opcode, body) == args
-    # Non-single-key ops use the plain tagged body, no marker byte.
     payload = (["a", "b"],)
     body = bytes(wire.encode_binary_args(wire.OPCODES["multi_lookup"], payload))
     assert body == bytes(wire.encode_binary_body(payload))
@@ -265,7 +248,7 @@ def test_single_key_request_args_fall_back_to_tagged_bodies():
 @given(keys, timestamps, timestamps, st.data())
 @settings(deadline=None, max_examples=60)
 def test_malformed_request_args_never_raise_anything_else(key, lo, span, data):
-    opcode = wire.OPCODES["lookup"]
+    opcode = wire.OPCODES["probe"]
     body = bytearray(wire.encode_binary_args(opcode, (key, lo, lo + span)))
     if data.draw(st.booleans()):
         body = body[: data.draw(st.integers(0, max(0, len(body) - 1)))]
@@ -467,7 +450,7 @@ def test_an_error_reply_always_encodes():
     size = 5_000_000
     body = bytes([5]) + size.to_bytes(3, "little") + b"\xff" * size
     with CacheServerProcess(make_server()) as process:
-        buffers = process._execute(9, wire.OPCODES["keys"], body)
+        buffers = process._execute(9, wire.OPCODES["versions_of"], body)
         request_id, opcode, length = wire.MUX_HEADER.unpack(bytes(buffers[0]))
         assert (request_id, opcode) == (9, wire.OP_ERR)
         message = wire.decode_binary_body(bytes(buffers[1]))
@@ -513,7 +496,7 @@ def test_garbage_binary_body_yields_error_response_not_a_dead_server(hosting):
         sock = _dial_binary(process.address)
         try:
             garbage = b"\xff\xfe\xfd\xfc"
-            frame = wire.MUX_HEADER.pack(7, wire.OPCODES["lookup"], len(garbage))
+            frame = wire.MUX_HEADER.pack(7, wire.OPCODES["multi_lookup"], len(garbage))
             sock.sendall(frame + garbage)
             request_id, status, value = _read_mux_response(sock)
             assert request_id == 7
@@ -540,7 +523,9 @@ def test_hot_and_maintenance_frames_interleave_on_one_connection(hosting):
         sock = _dial_binary(process.address)
         try:
             hot = wire.encode_binary_request_frame(1, wire.OPCODES["probe"], ("k", 0, 5))
-            maintenance = wire.encode_binary_request_frame(2, wire.OPCODES["keys"], ())
+            maintenance = wire.encode_binary_request_frame(
+                2, wire.OPCODES["keys_in_range"], ([(0, 0)], None)
+            )
             sock.sendall(
                 b"".join(bytes(b) for b in hot)
                 + b"".join(bytes(b) for b in maintenance)
@@ -550,7 +535,7 @@ def test_hot_and_maintenance_frames_interleave_on_one_connection(hosting):
                 request_id, status, value = _read_mux_response(sock)
                 assert status == wire.OP_OK
                 responses[request_id] = value
-            assert responses == {1: False, 2: []}
+            assert responses == {1: False, 2: ([], None)}
         finally:
             sock.close()
 
@@ -562,7 +547,7 @@ def test_hot_and_maintenance_ops_serve_traffic(hosting):
         try:
             assert transport.probe("k", 0, 5) is False
             transport.put("k", {"v": 1}, Interval(0), frozenset({InvalidationTag("t")}))
-            result = transport.lookup("k", 0, 5)
+            result = lookup_one(transport, "k", 0, 5)
             assert result.hit and result.value == {"v": 1}
             assert result.tags == frozenset({InvalidationTag("t")})
             results = transport.multi_lookup([LookupRequest("k", 0, 5)])
@@ -592,7 +577,7 @@ def test_concurrent_callers_share_the_lease(hosting):
                 try:
                     for i in range(start, start + 50):
                         index = i % 16
-                        result = transport.lookup(f"k{index}", 0, 5)
+                        result = lookup_one(transport, f"k{index}", 0, 5)
                         assert result.hit and result.value == index
                 except Exception as exc:  # surfaced below
                     errors.append(exc)
@@ -624,7 +609,7 @@ def test_lazily_built_slot_events_lose_no_wakeup_under_forced_switching(hosting)
         def worker(index):
             try:
                 for _ in range(calls):
-                    result = transport.lookup(f"k{index}", 0, 5)
+                    result = lookup_one(transport, f"k{index}", 0, 5)
                     assert result.hit and result.value == index
             except Exception as exc:  # surfaced below
                 errors.append(exc)
@@ -653,7 +638,7 @@ def test_unencodable_request_leaves_no_slot_to_absorb_the_lease_handoff():
     waiting is never told to take the lease over: its reply sits in the
     kernel buffer until its timeout poisons the connection."""
     server = make_server()
-    gates = {"keys": threading.Event(), "evict_stale": threading.Event()}
+    gates = {"keys_in_range": threading.Event(), "evict_stale": threading.Event()}
     arrived = {name: threading.Event() for name in gates}
 
     def stalled(name, original):
@@ -664,7 +649,7 @@ def test_unencodable_request_leaves_no_slot_to_absorb_the_lease_handoff():
 
         return call
 
-    server.keys = stalled("keys", server.keys)
+    server.keys_in_range = stalled("keys_in_range", server.keys_in_range)
     server.evict_stale = stalled("evict_stale", server.evict_stale)
     timeout = 8.0
     with CacheServerProcess(server) as process:
@@ -682,9 +667,9 @@ def test_unencodable_request_leaves_no_slot_to_absorb_the_lease_handoff():
                 started = time.monotonic()
                 results[name] = (getattr(transport, name)(*args), time.monotonic() - started)
 
-            leader = threading.Thread(target=call, args=("keys",))
+            leader = threading.Thread(target=call, args=("keys_in_range", [(0, 0)]))
             leader.start()
-            assert arrived["keys"].wait(timeout=10)  # the leader is reading
+            assert arrived["keys_in_range"].wait(timeout=10)  # the leader is reading
             follower = threading.Thread(target=call, args=("evict_stale", 0))
             follower.start()
             # Wait until the follower is parked on its slot, so the lease
@@ -694,10 +679,10 @@ def test_unencodable_request_leaves_no_slot_to_absorb_the_lease_handoff():
             while not any(slot._event is not None for slot in list(connection._pending.values())):
                 assert time.monotonic() < deadline, "the follower never parked on its slot"
                 time.sleep(0.001)
-            gates["keys"].set()
+            gates["keys_in_range"].set()
             assert arrived["evict_stale"].wait(timeout=10)
             leader.join(timeout=10)
-            assert not leader.is_alive() and results["keys"][0] == []
+            assert not leader.is_alive() and results["keys_in_range"][0] == ([], None)
             # The leader is gone; only a handed-over lease gets this reply read.
             released = time.monotonic()
             gates["evict_stale"].set()
@@ -796,7 +781,9 @@ def test_a_caller_blocked_in_send_does_not_hold_the_read_lease():
 
             # The put registers first, the lookup sends first.
             big_request = threading.Thread(target=call, args=("put", "other", payload, Interval(0)))
-            big_reply = gate.first = threading.Thread(target=call, args=("lookup", "big", 0, 5))
+            big_reply = gate.first = threading.Thread(
+                target=call, args=("multi_lookup", [LookupRequest("big", 0, 5)])
+            )
             started = time.monotonic()
             big_request.start()
             assert gate.other_waiting.wait(timeout=10)
@@ -806,8 +793,9 @@ def test_a_caller_blocked_in_send_does_not_hold_the_read_lease():
                 assert not thread.is_alive()
             assert errors == []
             assert time.monotonic() - started < timeout / 4
-            assert results["lookup"].hit and results["lookup"].value == payload
-            assert transport.lookup("other", 0, 5).value == payload
+            [result] = results["multi_lookup"]
+            assert result.hit and result.value == payload
+            assert lookup_one(transport, "other", 0, 5).value == payload
             assert connection is transport._connection and not connection.dead
             assert connection._pending == {} and not connection._lease_held
         finally:
@@ -825,14 +813,14 @@ def test_the_lease_handoff_passes_over_a_caller_that_is_still_sending():
     timeout = 8.0
     server = make_server()
     slow_op_arrived, slow_op_may_finish = threading.Event(), threading.Event()
-    keys = server.keys
+    keys_in_range = server.keys_in_range
 
-    def slow_keys():
+    def slow_keys_in_range(*args):
         slow_op_arrived.set()
         assert slow_op_may_finish.wait(timeout=30)
-        return keys()
+        return keys_in_range(*args)
 
-    server.keys = slow_keys
+    server.keys_in_range = slow_keys_in_range
     with CacheServerProcess(server, max_queued_per_connection=1) as process:
         for option in (socket.SO_SNDBUF, socket.SO_RCVBUF):
             process._listener.setsockopt(socket.SOL_SOCKET, option, 32 * 1024)
@@ -855,7 +843,9 @@ def test_the_lease_handoff_passes_over_a_caller_that_is_still_sending():
             assert slow_op_arrived.wait(timeout=10)  # the leader is reading
             gate = connection._send_lock = _FirstSendsFirst()
             sender = threading.Thread(target=call, args=("put", "other", payload, Interval(0)))
-            follower = gate.first = threading.Thread(target=call, args=("lookup", "big", 0, 5))
+            follower = gate.first = threading.Thread(
+                target=call, args=("multi_lookup", [LookupRequest("big", 0, 5)])
+            )
             sender.start()
             assert gate.other_waiting.wait(timeout=10)  # registered, not sent
             follower.start()
@@ -868,8 +858,9 @@ def test_the_lease_handoff_passes_over_a_caller_that_is_still_sending():
             assert errors == []
             assert time.monotonic() - released < timeout / 4
             assert results["keys"] == ["big"]
-            assert results["lookup"].hit and results["lookup"].value == payload
-            assert transport.lookup("other", 0, 5).value == payload
+            [result] = results["multi_lookup"]
+            assert result.hit and result.value == payload
+            assert lookup_one(transport, "other", 0, 5).value == payload
             assert connection is transport._connection and not connection.dead
             assert connection._pending == {} and not connection._lease_held
         finally:
@@ -954,19 +945,30 @@ def test_single_message_rides_invalidate_tags(hosting):
             transport.close()
 
 
+#: Opcodes a node no longer serves: 1 the single-key lookup, 5 the
+#: ever-stored check, 7 emptying the node, 13 the whole key set in one
+#: frame, and 15 the pickled single-message ``invalidate``.
+RETIRED_OPCODES = [1, 5, 7, 13, 15]
+
+
+@pytest.mark.parametrize("opcode", RETIRED_OPCODES)
 @pytest.mark.parametrize("hosting", NODE_HOSTINGS)
-def test_retired_invalidate_opcode_is_refused_not_misread(hosting):
-    """Opcode 15 (the pickled single-message ``invalidate``) stays
-    unassigned: a frame from a client that still sends it gets OP_ERR."""
+def test_a_retired_opcode_is_refused_not_misread(hosting, opcode):
+    """A retired opcode stays unassigned: a frame from a client that still
+    sends it gets OP_ERR, and the connection goes on serving."""
     assert "invalidate" not in wire.OPCODES
-    assert 15 not in wire.OPCODES.values()
+    assert opcode not in wire.OPCODES.values()
     with live_node(hosting) as process:
         sock = _dial_binary(process.address)
         try:
-            sock.sendall(b"".join(bytes(b) for b in wire.encode_binary_request_frame(3, 15, ())))
+            sock.sendall(b"".join(bytes(b) for b in wire.encode_binary_request_frame(3, opcode, ())))
             request_id, status, value = _read_mux_response(sock)
             assert (request_id, status) == (3, wire.OP_ERR)
-            assert "unknown cache operation opcode 15" in value
+            assert f"unknown cache operation opcode {opcode}" in value
+            sock.sendall(
+                b"".join(bytes(b) for b in wire.encode_binary_request_frame(4, wire.OPCODES["ping"], ()))
+            )
+            assert _read_mux_response(sock) == (4, wire.OP_OK, "node")
         finally:
             sock.close()
 

@@ -45,7 +45,7 @@ from repro.clock import ManualClock
 from repro.comm import wire
 from repro.db.invalidation import InvalidationTag
 from repro.interval import Interval
-from tests.helpers import NODE_HOSTINGS, live_node
+from tests.helpers import NODE_HOSTINGS, live_node, lookup_one
 
 OP = wire.OPCODES
 NODE_NAME = "node"
@@ -271,7 +271,7 @@ def test_a_connection_without_the_version_byte_is_closed(node, name):
         assert bystander._call("ping") == NODE_NAME
         late = binary_transport(address)
         try:
-            assert late.lookup("bystander", 1, 5).value == {"n": 1}
+            assert lookup_one(late, "bystander", 1, 5).value == {"n": 1}
         finally:
             late.close()
     finally:
@@ -298,7 +298,7 @@ def probe_frames(path):
     # fallback), a u32 length, the pickle.
     tag_11 = bytes([0, 11]) + struct.pack("<I", len(pickled)) + pickled
     return {
-        "keys-body": header(1, OP["keys"], len(pickled)) + pickled,
+        "extract-entries-body": header(1, OP["extract_entries"], len(pickled)) + pickled,
         "put-tag-11": header(2, OP["put"], len(tag_11)) + tag_11,
         # The same put as the previous wire version framed it, with the
         # binary-body bit 0x20 set on the opcode.
@@ -400,7 +400,8 @@ def test_a_peer_asking_for_the_whole_store_gets_one_page(node):
     and a cursor, and an ``extract_entries`` limit below one is refused.  A
     batch of 200 000 items, or a walk over 200 000 arcs, is refused before
     it is decoded, and nothing of it is served.  A bystander's ping sent
-    behind any of them is answered."""
+    behind any of them is answered.  No frame asks for the whole key set
+    at once any more: its retired opcode is refused."""
     address, alive = node
     filler = binary_transport(address)
     try:
@@ -433,9 +434,11 @@ def test_a_peer_asking_for_the_whole_store_gets_one_page(node):
             request_id, opcode, body = read_reply(walker)
             assert (request_id, opcode) == (4, ERR), op
             assert "at most" in wire.decode_binary_body(body), op
-        walker.sendall(binary_request(6, "keys", ()))
+        # The frame that sent the whole key set in one reply is retired.
+        walker.sendall(header(6, 13, 0))
         request_id, opcode, body = read_reply(walker)
-        assert (request_id, opcode, len(wire.decode_binary_body(body))) == (6, OK, STORE_KEYS)
+        assert (request_id, opcode) == (6, ERR)
+        assert "unknown cache operation opcode 13" in wire.decode_binary_body(body)
         assert alive()
     finally:
         walker.close()
@@ -460,18 +463,21 @@ SESSION = [
         + header(7, 15, 0),
         7,
     ),
-    (binary_request(8, "keys", ()), 1),
+    (binary_request(8, "keys_in_range", ([(0, 0)], None)), 1),
     (binary_request(9, "put", ("big", BIG, Interval(3, None), frozenset())), 1),
     (binary_request(10, "multi_lookup", ([LookupRequest("big", 3, 5)],)), 1),
-    (binary_request(11, "was_ever_stored", ("k",)), 1),
+    (binary_request(11, "probe", ("k", 1, 5)), 1),
 ]
 
 #: What the node answers, per reply: (request_id, opcode byte, body length,
 #: first 16 hex digits of its SHA-256).  The hot-op replies (all but 6, 8
 #: and 11) carry the bodies the node of commit 7e0093f sent; only their
 #: opcode byte lost the binary-body bit (0x60/0x61 became 0x40/0x41) when
-#: every body became binary.  Replies 6, 8 and 11 were pickle bodies then
-#: and are re-recorded as the binary bodies that replaced them.
+#: every body became binary.  Reply 6 was a pickle body then and is
+#: re-recorded as the binary body that replaced it.  Requests 8 and 11
+#: asked for the whole key set and the ever-stored check until those ops
+#: were retired; they are recorded as the full-circle ``keys_in_range``
+#: page (``(["k"], None)``) and the ``probe`` (``True``) that replaced them.
 RECORDED = [
     (1, 0x40, 1, "4bf5122f344554c5"),
     (2, 0x40, 72, "583997e82da5b462"),
@@ -480,7 +486,7 @@ RECORDED = [
     (5, 0x40, 66, "4c09061aa1a157da"),
     (6, 0x40, 6, "82465ecde8cc40b5"),
     (7, 0x41, 47, "75d9cbdecd853595"),
-    (8, 0x40, 5, "713b394814315d86"),
+    (8, 0x40, 8, "5ff98e136473419f"),
     (9, 0x40, 1, "4bf5122f344554c5"),
     (10, 0x40, 307238, "a97560e9ecc8a9e5"),
     (11, 0x40, 1, "4bf5122f344554c5"),

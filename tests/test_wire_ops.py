@@ -17,16 +17,17 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cache.cluster import CacheCluster
 from repro.cache.entry import CacheEntry, EntryRecord, LookupRequest
 from repro.cache.netserver import SocketTransport
-from repro.cache.server import CacheServer
+from repro.cache.server import SCAN_PAGE_KEYS, CacheServer
 from repro.clock import ManualClock
 from repro.comm import wire
 from repro.comm.multicast import InvalidationMessage
 from repro.comm.transport import InProcessTransport
 from repro.db.invalidation import InvalidationTag
 from repro.interval import Interval
-from tests.helpers import FAR_FUTURE, NODE_HOSTINGS, live_node
+from tests.helpers import FAR_FUTURE, NODE_HOSTINGS, live_node, lookup_one
 
 NODE_NAME = "node"
 CAPACITY = 1 << 20
@@ -48,8 +49,8 @@ def prepare(t) -> None:
     t.put("c", b"raw \x00 bytes", Interval(1, 6))
     t.put("d", ("tuple", None, 1.5), Interval(5), frozenset({USER_9}))
     t.process_invalidations([InvalidationMessage(timestamp=4, tags=(ITEM_2,))])
-    t.lookup("a", 3, 9)
-    t.lookup("zz", 0, 9)
+    lookup_one(t, "a", 3, 9)
+    lookup_one(t, "zz", 0, 9)
 
 
 def ping(t):
@@ -60,19 +61,14 @@ def ping(t):
 
 #: op -> the calls that exercise it.  Each sends that opcode only.
 CASES = {
-    "lookup": lambda t: [
-        t.lookup("a", 3, 9),
-        t.lookup("a", 1, 2),
-        t.lookup("b", 2, 3),
-        t.lookup("b", 5, 9),
-        t.lookup("c", 7, 9),
-        t.lookup("zz", 0, 9),
-    ],
     "multi_lookup": lambda t: t.multi_lookup(
         [
             LookupRequest("a", 3, FAR_FUTURE),
             LookupRequest("a", 0, 9, 4),
+            LookupRequest("a", 1, 2),
             LookupRequest("b", 2, 3),
+            LookupRequest("b", 5, 9),
+            LookupRequest("c", 7, 9),
             LookupRequest("d", 5, 9, 6),
             LookupRequest("zz", 0, 9),
         ]
@@ -85,9 +81,7 @@ CASES = {
         t.put("g", b"x" * (2 * CAPACITY), Interval(6)),  # larger than the cache
     ],
     "probe": lambda t: [t.probe("a", 3, 9), t.probe("b", 5, 9), t.probe("zz", 0, 9)],
-    "was_ever_stored": lambda t: [t.was_ever_stored("a"), t.was_ever_stored("zz")],
     "evict_stale": lambda t: t.evict_stale(5),
-    "clear": lambda t: t.clear(),
     "stats": lambda t: t.stats(),
     "reset_stats": lambda t: t.reset_stats(),
     "extract_entries": lambda t: [t.extract_entries(None, 2), t.extract_entries("b", 64)],
@@ -98,7 +92,6 @@ CASES = {
         ]
     ),
     "discard_keys": lambda t: t.discard_keys(["a", "zz", "c"]),
-    "keys": lambda t: t.keys(),
     "watermark": lambda t: t.watermark(),
     "note_timestamp": lambda t: t.note_timestamp(8),
     "ping": ping,
@@ -134,7 +127,7 @@ def observe(t) -> dict:
         "versions": {key: plain(t.versions_of(key)) for key in keys},
         "watermark": t.watermark(),
         "lookups": [
-            t.lookup(key, lo, hi)
+            lookup_one(t, key, lo, hi)
             for key in keys + ["zz"]
             for lo, hi in ((0, 2), (3, 9), (9, FAR_FUTURE))
         ],
@@ -164,3 +157,29 @@ def test_an_op_over_the_wire_answers_and_acts_like_the_server(op, hosting):
             assert observe(remote) == observe(local)
         finally:
             remote.close()
+
+
+@pytest.mark.parametrize("hosting", NODE_HOSTINGS)
+def test_keys_walks_the_store_one_page_per_frame(hosting):
+    """No frame carries the whole key set: ``keys`` over a socket is the
+    full-circle ``keys_in_range`` walk, one bounded page per frame, for the
+    transport and for the cluster's ``node_keys`` alike."""
+    stored = sorted(f"key-{i:05d}" for i in range(2 * SCAN_PAGE_KEYS + SCAN_PAGE_KEYS // 2))
+    pages = -(-len(stored) // SCAN_PAGE_KEYS)
+    with live_node(hosting, NODE_NAME, 8 * CAPACITY) as host:
+        transport = SocketTransport(host.address)
+        cluster = CacheCluster(transport="socket", node_addresses={NODE_NAME: host.address})
+        try:
+            transport.install_entries([EntryRecord(key, 0, Interval(1)) for key in stored])
+            if hosting == "thread":
+                assert host.server.keys() == stored
+            for reader, keys in (
+                (transport, transport.keys),
+                (cluster.transports[NODE_NAME], lambda: cluster.node_keys(NODE_NAME)),
+            ):
+                reader.op_counts.clear()
+                assert keys() == stored
+                assert reader.op_counts == {"keys_in_range": pages}
+        finally:
+            cluster.close()
+            transport.close()
