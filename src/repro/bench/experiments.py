@@ -40,12 +40,10 @@ from repro.bench.driver import (
     BenchmarkConfig,
     BenchmarkResult,
     ChurnEvent,
-    ConcurrencyConfig,
-    ConcurrencyResult,
-    TimedChurnEvent,
+    apply_churn,
+    check_churn_window,
     rolling_restart_events,
     run_benchmark,
-    run_concurrent_benchmark,
 )
 from repro.bench.loadgen import (
     ArrivalSchedule,
@@ -57,10 +55,12 @@ from repro.bench.loadgen import (
     run_open_loop,
     run_rate_sweep,
 )
+from repro.bench.loadgen.runner import start_pages_deployment
 from repro.bench.report import format_table
 from repro.clock import ManualClock
 from repro.core.stats import MissType
 from repro.db.database import Database
+from repro.db.errors import SerializationError
 from repro.db.query import Eq, Select
 from repro.db.schema import TableSchema
 
@@ -75,6 +75,7 @@ __all__ = [
     "RollingRestartResult",
     "ConcurrentClientsResult",
     "ConcurrentChurnResult",
+    "ThreadedPoint",
     "FigureOpenLoopResult",
     "PerCoreOpenLoopResult",
     "RepairOpenLoopResult",
@@ -91,6 +92,7 @@ __all__ = [
     "rolling_restart",
     "concurrent_clients",
     "concurrent_churn",
+    "run_threaded_point",
     "percore_openloop",
     "repair_openloop",
     "chaos_openloop",
@@ -840,11 +842,152 @@ def rolling_restart(
 # ----------------------------------------------------------------------
 # Concurrent clients: throughput-vs-threads scaling (wall clock)
 # ----------------------------------------------------------------------
+#: Rows in the threaded points' hot ``pages`` table.
+_THREADED_ROWS = 256
+
+
+@dataclass
+class ThreadedPoint:
+    """One closed-loop run of K client threads on one deployment."""
+
+    label: str
+    threads: int
+    transport: str
+    #: Interactions that completed without an error.
+    interactions: int
+    wall_seconds: float
+    ops_per_second: float
+    hit_rate: float
+    #: Update transactions aborted by a first-committer-wins race with
+    #: another worker.  The write is *dropped* (the interaction still counts
+    #: toward throughput); a real application server would retry it.
+    write_conflicts: int
+    degraded_lookups: int
+    nodes_evicted: int
+    #: Interactions that raised (always 0 on a healthy run).
+    errors: int
+    #: The most cache RPCs any one connection had in flight at once, read
+    #: off the thread-hosted nodes once they are shut down
+    #: (``CacheServerProcess.max_in_flight_per_connection``); 0 without
+    #: such nodes.  A count, so "the round trips overlapped" needs no
+    #: stopwatch.
+    max_in_flight_per_connection: int = 0
+
+
+def run_threaded_point(
+    threads: int,
+    transport: str,
+    total: int,
+    *,
+    churn: Sequence[ChurnEvent] = (),
+    replication_factor: int = 1,
+    simulated_rpc_latency_seconds: float = 4e-4,
+    write_fraction: float = 0.05,
+    seed: int = 1,
+    label: str = "",
+) -> ThreadedPoint:
+    """Drive ``total`` interactions from ``threads`` client threads, closed-loop.
+
+    A fresh ``pages`` deployment (:func:`start_pages_deployment`, warmed)
+    and :func:`run_open_loop` in ``"closed"`` mode.  Each thread owns one
+    :class:`~repro.core.api.TxCacheClient` (one emulated application server,
+    the paper's topology) and an RNG seeded ``seed * 1000 + index``: a
+    ``write_fraction`` of its interactions update one row (a
+    :class:`SerializationError` counts as a write conflict), the rest read
+    1-3 rows through ``bench_get_row`` in one read-only transaction.  A
+    ``churn`` event fires, in order and under a lock, inside the thread that
+    claims operation index ``at_interaction``.
+    """
+    check_churn_window(churn, total)
+    deployment = start_pages_deployment(
+        transport=transport,
+        cache_nodes=2,
+        cache_capacity_bytes_per_node=8 * 1024 * 1024,
+        staleness=30.0,  # every client's read-only transactions use it
+        simulated_rpc_latency_seconds=simulated_rpc_latency_seconds,
+        rows=_THREADED_ROWS,
+        replication_factor=replication_factor,
+    )
+    events = tuple(sorted(churn, key=lambda event: event.at_interaction))
+    fired = [0]  # events[:fired[0]] have been applied
+    churn_lock = threading.Lock()
+    clients = []
+    write_conflicts = [0] * threads
+
+    def due(op_index: int) -> bool:
+        return fired[0] < len(events) and events[fired[0]].at_interaction <= op_index
+
+    def fire_churn(op_index: int) -> None:
+        with churn_lock:
+            while due(op_index):
+                event = events[fired[0]]
+                fired[0] += 1
+                apply_churn(deployment, event)
+
+    def make_executor(thread_index: int):
+        rng = random.Random(seed * 1000 + thread_index)
+        client = deployment.client()
+        clients.append(client)
+
+        @client.cacheable(name="bench_get_row")
+        def get_row(row_id):
+            return client.query(Select("pages", Eq("id", row_id))).rows[0]
+
+        def execute(op_index: int) -> None:
+            if due(op_index):
+                fire_churn(op_index)
+            if rng.random() < write_fraction:
+                row_id = rng.randrange(_THREADED_ROWS)
+                try:
+                    with client.read_write():
+                        client.update(
+                            "pages", Eq("id", row_id), {"hits": rng.randrange(1 << 30)}
+                        )
+                except SerializationError:
+                    # First-committer-wins: another worker updated the same
+                    # row concurrently.  Real app servers retry; we count.
+                    write_conflicts[thread_index] += 1
+                return
+            with client.read_only():
+                for _ in range(rng.randint(1, 3)):
+                    get_row(rng.randrange(_THREADED_ROWS))
+
+        return execute
+
+    try:
+        stats = run_open_loop([0.0] * total, make_executor, threads=threads, mode="closed")
+        nodes = list(deployment.cache.processes.values())
+        health = deployment.cache.health
+        hits = sum(client.stats.hits for client in clients)
+        lookups = sum(client.stats.lookups for client in clients)
+    finally:
+        deployment.shutdown()
+    return ThreadedPoint(
+        label=label,
+        threads=threads,
+        transport=transport,
+        interactions=stats.completed,
+        wall_seconds=stats.wall_seconds,
+        ops_per_second=stats.achieved_rate,
+        hit_rate=hits / lookups if lookups else 0.0,
+        write_conflicts=sum(write_conflicts),
+        degraded_lookups=health.degraded_lookups,
+        nodes_evicted=health.nodes_evicted,
+        errors=stats.errors,
+        # Read after shutdown: the node's loop thread is joined, so the
+        # count is exact.
+        max_in_flight_per_connection=max(
+            (getattr(node, "max_in_flight_per_connection", 0) for node in nodes),
+            default=0,
+        ),
+    )
+
+
 @dataclass
 class ConcurrentClientsResult:
     """Wall-clock throughput as worker threads are added, per transport.
 
-    ``results[transport]`` holds one :class:`ConcurrencyResult` per entry of
+    ``results[transport]`` holds one :class:`ThreadedPoint` per entry of
     ``thread_counts``.  The socket transport should scale: each worker keeps
     an RPC in flight on the one connection per node, so modelled network
     time overlaps.  The in-process transport stays flat on CPython — every cache
@@ -853,7 +996,7 @@ class ConcurrentClientsResult:
     """
 
     thread_counts: List[int]
-    results: Dict[str, List[ConcurrencyResult]]
+    results: Dict[str, List[ThreadedPoint]]
     elapsed_seconds: float = 0.0
 
     def scaling(self, transport: str) -> List[float]:
@@ -894,32 +1037,28 @@ def concurrent_clients(
 ) -> ConcurrentClientsResult:
     """Measure the throughput-vs-threads scaling curve under both transports.
 
-    Each point builds a fresh deployment and drives it with K worker
-    threads, each owning a :class:`repro.core.api.TxCacheClient`.  The
-    socket points model the paper's LAN round trip
+    Each point (:func:`run_threaded_point`) builds a fresh deployment and
+    drives ``threads * interactions_per_thread`` interactions from K
+    worker threads.  The socket points model the paper's LAN round trip
     (``simulated_rpc_latency_seconds``) so there is network time for
     concurrent requests to overlap — on a bare loopback a single Python
     thread already saturates one core and no transport could scale.
     """
     started = time.time()
-    results: Dict[str, List[ConcurrencyResult]] = {}
+    results: Dict[str, List[ThreadedPoint]] = {}
     for transport in transports:
-        series: List[ConcurrencyResult] = []
-        for threads in thread_counts:
-            series.append(
-                run_concurrent_benchmark(
-                    ConcurrencyConfig(
-                        threads=threads,
-                        transport=transport,
-                        interactions_per_thread=interactions_per_thread,
-                        write_fraction=write_fraction,
-                        simulated_rpc_latency_seconds=simulated_rpc_latency_seconds,
-                        seed=seed,
-                        label=f"concurrent-{transport}-{threads}t",
-                    )
-                )
+        results[transport] = [
+            run_threaded_point(
+                threads,
+                transport,
+                threads * interactions_per_thread,
+                write_fraction=write_fraction,
+                simulated_rpc_latency_seconds=simulated_rpc_latency_seconds,
+                seed=seed,
+                label=f"concurrent-{transport}-{threads}t",
             )
-        results[transport] = series
+            for threads in thread_counts
+        ]
     return ConcurrentClientsResult(
         thread_counts=list(thread_counts),
         results=results,
@@ -931,8 +1070,8 @@ def concurrent_clients(
 class ConcurrentChurnResult:
     """A crash/rejoin cycle applied while K threads drive traffic."""
 
-    baseline: ConcurrencyResult
-    churned: ConcurrencyResult
+    baseline: ThreadedPoint
+    churned: ThreadedPoint
     elapsed_seconds: float = 0.0
 
     def format_table(self) -> str:
@@ -972,32 +1111,32 @@ def concurrent_churn(
     threshold eviction, and the warm rejoin's live migration all execute
     *while* worker threads issue transactions, which is exactly the window
     where an unsynchronized cache tier would corrupt state or deadlock.
+    ``cache0`` crashes at 30 % of the interactions and rejoins at 60 %.
     With ``replication_factor >= 2`` the surviving replicas keep serving the
     dead node's keys, so reads never observe the crash as an error.
     """
     started = time.time()
+    total = threads * interactions_per_thread
 
-    def config(label: str, churn) -> ConcurrencyConfig:
-        return ConcurrencyConfig(
-            threads=threads,
-            transport=transport,
-            interactions_per_thread=interactions_per_thread,
-            simulated_rpc_latency_seconds=simulated_rpc_latency_seconds,
-            replication_factor=replication_factor,
+    def point(label: str, churn: Sequence[ChurnEvent]) -> ThreadedPoint:
+        return run_threaded_point(
+            threads,
+            transport,
+            total,
             churn=churn,
+            replication_factor=replication_factor,
+            simulated_rpc_latency_seconds=simulated_rpc_latency_seconds,
             seed=seed,
             label=label,
         )
 
-    baseline = run_concurrent_benchmark(config("concurrent-steady", ()))
-    churned = run_concurrent_benchmark(
-        config(
-            "concurrent-crash-rejoin",
-            (
-                TimedChurnEvent(0.3, "crash", node="cache0"),
-                TimedChurnEvent(0.6, "join", node="cache0"),
-            ),
-        )
+    baseline = point("concurrent-steady", ())
+    churned = point(
+        "concurrent-crash-rejoin",
+        (
+            ChurnEvent(int(0.3 * total), "crash", node="cache0"),
+            ChurnEvent(int(0.6 * total), "join", node="cache0"),
+        ),
     )
     return ConcurrentChurnResult(
         baseline=baseline,
@@ -1051,7 +1190,7 @@ class FigureOpenLoopResult:
 
     Honesty note: the open-loop re-measurement drives the multi-process
     ``pages`` workload (read-only by construction — see
-    :class:`~repro.bench.driver.MultiprocessConfig`), so the staleness axis
+    :func:`~repro.bench.loadgen.runner.build_worker_stack`), so the staleness axis
     (figure7) and the consistency-miss rows (figure8) measure the *wire
     stack's* latency under those deployment settings, not invalidation
     pressure; the cache-size axis does produce genuine capacity misses.

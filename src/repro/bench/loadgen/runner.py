@@ -1,53 +1,59 @@
-"""The open-loop engine and the multi-process open-loop benchmark.
+"""The wall-clock engine and the multi-process benchmark built on it.
 
-:func:`run_open_loop` is the measurement core: worker threads pull
-operations off a *pre-computed arrival schedule* and charge each
-operation's latency from its **scheduled** arrival time, not from the
-moment a worker got around to issuing it.  A stalled system therefore
-accumulates queueing delay in the recorded tail instead of silently
-thinning the arrivals — the coordinated-omission fix (wrk2/HdrHistogram
-style).  The same engine runs a ``"closed"`` mode that issues
-back-to-back and times only service, purely so tests and reports can
-show the two distributions diverge under a stall.
+:func:`run_open_loop` is the one engine every wall-clock experiment in
+:mod:`repro.bench` runs on.  Worker threads claim operation indices in
+order.  In ``"open"`` mode each operation has a *pre-computed scheduled
+arrival* and its latency is charged from that arrival, not from the moment
+a worker got around to issuing it: a stalled system accumulates queueing
+delay in the recorded tail instead of silently thinning the arrivals (the
+coordinated-omission fix, wrk2/HdrHistogram style).  In ``"closed"`` mode
+the threads issue back-to-back and time only service: that is how the
+threaded experiments (:func:`repro.bench.experiments.concurrent_clients`)
+measure how fast K workers go, and it is the contrast that shows the two
+distributions diverge under a stall.
 
-:func:`run_openloop_benchmark` wires the engine on top of the
-multi-process driver's bootstrap (:mod:`repro.bench.driver`): the
-coordinator starts the networked deployment, forks worker processes,
-and each worker generates its own share of the arrival schedule
-(Poisson splitting keeps the superposed offered rate exact) and drives
-it with its own thread pool against the shared cache nodes.  Latency
-histograms merge across threads and processes; the result reports
-offered rate vs achieved goodput and the merged percentiles.
+:func:`run_openloop_benchmark` drives the engine from forked worker
+processes: the coordinator starts the networked deployment
+(:func:`start_pages_deployment`), forks the workers, and each worker builds
+its own client stack (:func:`build_worker_stack`), generates its own share
+of the arrival schedule (Poisson splitting keeps the superposed offered
+rate exact) and drives it with its own thread pool against the shared
+cache nodes.  Latency histograms merge across threads and processes; the
+result reports offered rate vs achieved goodput, the merged percentiles,
+and what the nodes counted on the wire.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import random
 import threading
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.bench.driver import (
-    build_worker_stack,
-    fork_context,
-    start_pages_deployment,
-)
 from repro.bench.loadgen.histogram import DEFAULT_PERCENTILES, LatencyHistogram
 from repro.bench.loadgen.schedule import ArrivalSchedule
+from repro.clock import SystemClock
+from repro.comm.wire import WIRE_COUNTERS
 from repro.db.query import Eq, Select
+from repro.db.schema import TableSchema
+from repro.deployment import TxCacheDeployment
 
 __all__ = [
     "OpenLoopConfig",
     "OpenLoopResult",
     "OpenLoopStats",
+    "build_worker_stack",
+    "fork_context",
     "run_open_loop",
     "run_openloop_benchmark",
+    "start_pages_deployment",
 ]
 
 #: Engine modes: ``"open"`` charges latency from the scheduled arrival,
-#: ``"closed"`` issues back-to-back and times only service (the
-#: coordinated-omission-prone baseline, kept for contrast).
+#: ``"closed"`` issues back-to-back and times only service (how fast K
+#: workers go; the coordinated-omission-prone contrast to ``"open"``).
 LOOP_MODES = ("open", "closed")
 
 
@@ -105,7 +111,9 @@ def run_open_loop(
     look deceptively fast.
 
     Failed operations count as errors and record no latency sample (they
-    produced no result; goodput already reflects the loss).
+    produced no result; goodput already reflects the loss).  A
+    ``make_executor`` that raises stops the run before any operation: the
+    start barrier is broken and the exception is re-raised here.
     """
     if mode not in LOOP_MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {list(LOOP_MODES)}")
@@ -129,13 +137,23 @@ def run_open_loop(
         start_box[0] = time.perf_counter()
 
     barrier = threading.Barrier(threads, action=set_start)
+    factory_errors: List[BaseException] = []
 
     def run_thread(thread_index: int) -> None:
-        execute = make_executor(thread_index)
+        try:
+            execute = make_executor(thread_index)
+        except BaseException as exc:  # noqa: BLE001 - re-raised by the caller
+            # Release the threads already waiting at the start barrier.
+            factory_errors.append(exc)
+            barrier.abort()
+            return
         histogram = histograms[thread_index]
         queue_wait_histogram = queue_wait_histograms[thread_index]
         service_histogram = service_histograms[thread_index]
-        barrier.wait()
+        try:
+            barrier.wait()
+        except threading.BrokenBarrierError:
+            return  # another thread's factory failed
         start = start_box[0]
         while True:
             with index_lock:
@@ -177,6 +195,8 @@ def run_open_loop(
             thread.start()
         for thread in pool:
             thread.join()
+    if factory_errors:
+        raise factory_errors[0]
     wall = time.perf_counter() - start_box[0]
     return OpenLoopStats(
         completed=sum(completed),
@@ -189,24 +209,140 @@ def run_open_loop(
 
 
 # ----------------------------------------------------------------------
-# Multi-process open-loop benchmark (shares the driver's bootstrap)
+# The ``pages`` deployment and the forked workers' client stacks
+# ----------------------------------------------------------------------
+def _pages_rows(rows: int) -> List[dict]:
+    """The hot table every worker replicates identically."""
+    return [{"id": i, "payload": "x" * 128, "hits": 0} for i in range(rows)]
+
+
+def start_pages_deployment(
+    *,
+    transport: str,
+    cache_nodes: int,
+    cache_capacity_bytes_per_node: int,
+    staleness: float,
+    simulated_rpc_latency_seconds: float,
+    rows: int,
+    replication_factor: int = 1,
+    cpu_pinning: bool = False,
+) -> TxCacheDeployment:
+    """Build, load, and warm the deployment a wall-clock experiment drives.
+
+    Shared by :func:`run_openloop_benchmark` (whose forked workers dial its
+    nodes) and the threaded experiments (whose workers are clients of it):
+    one ``pages`` table, one warmup pass so every worker starts from hits
+    (the paper restores a cache snapshot; the warmup plays the same role).
+    The deployment is shut down on a bootstrap failure so a broken config
+    never leaks server threads.
+    """
+    deployment = TxCacheDeployment(
+        clock=SystemClock(),
+        cache_nodes=cache_nodes,
+        cache_capacity_bytes_per_node=cache_capacity_bytes_per_node,
+        transport=transport,
+        default_staleness=staleness,
+        replication_factor=replication_factor,
+        simulated_rpc_latency_seconds=simulated_rpc_latency_seconds,
+        cpu_pinning=cpu_pinning,
+    )
+    try:
+        deployment.database.create_table(
+            TableSchema.build("pages", ["id", "payload", "hits"], primary_key="id")
+        )
+        deployment.database.bulk_load("pages", _pages_rows(rows))
+        warm_client = deployment.client(default_staleness=staleness)
+
+        @warm_client.cacheable(name="bench_get_row")
+        def warm_get_row(row_id):
+            return warm_client.query(Select("pages", Eq("id", row_id))).rows[0]
+
+        for row_id in range(rows):
+            with warm_client.read_only(staleness=staleness):
+                warm_get_row(row_id)
+    except BaseException:
+        deployment.shutdown()
+        raise
+    return deployment
+
+
+def build_worker_stack(
+    addresses,
+    *,
+    transport: str,
+    rows: int,
+    staleness: float,
+    clients: int,
+):
+    """One forked worker's client-side stack: ``(cluster, client list)``.
+
+    Each worker process owns its own database replica, pincushion, and a
+    client-only :class:`~repro.cache.cluster.CacheCluster` dialled at the
+    coordinator's cache-node endpoints.  No invalidation bus — the
+    multi-process workload is read-only by construction (the reproduction's
+    database is an in-process object), so the stream stays silent and every
+    replica's identical ``pages`` load keeps the shared cache coherent.
+    The caller owns the cluster and must ``close()`` it.
+    """
+    from repro.cache.cluster import CacheCluster
+    from repro.core.api import TxCacheClient
+    from repro.db.database import Database
+    from repro.pincushion.pincushion import Pincushion
+
+    clock = SystemClock()
+    database = Database(clock=clock)
+    database.create_table(
+        TableSchema.build("pages", ["id", "payload", "hits"], primary_key="id")
+    )
+    database.bulk_load("pages", _pages_rows(rows))
+    cluster = CacheCluster(node_addresses=addresses, transport=transport, clock=clock)
+    pincushion = Pincushion(clock=clock, unpin_callback=database.unpin)
+    client_list = [
+        TxCacheClient(
+            database=database,
+            cache=cluster,
+            pincushion=pincushion,
+            clock=clock,
+            default_staleness=staleness,
+        )
+        for _ in range(clients)
+    ]
+    return cluster, client_list
+
+
+def fork_context():
+    """The multiprocessing context the benchmark forks workers with.
+
+    Fork keeps the already-imported interpreter (fast, Linux); spawn is the
+    portable fallback — worker entry points and their arguments are
+    picklable either way.
+    """
+    methods = multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context("fork" if "fork" in methods else methods[0])
+
+
+# ----------------------------------------------------------------------
+# Multi-process benchmark on the engine
 # ----------------------------------------------------------------------
 @dataclass
 class OpenLoopConfig:
-    """One open-loop measurement: an offered rate against one deployment.
+    """One wall-clock measurement from forked worker processes.
 
-    The deployment knobs mirror :class:`repro.bench.driver.MultiprocessConfig`
-    — same forked-worker topology, same read-only ``pages`` workload — but
-    the load is driven by an arrival schedule at ``offered_rate`` ops/s
-    instead of a fixed per-thread interaction count.  The default transport
-    is the thread-hosted wire stack the paper figures are re-measured on.
+    ``processes`` forked workers, each with ``threads_per_process`` worker
+    threads and its own client stack (:func:`build_worker_stack`), drive
+    the read-only ``pages`` workload against one shared deployment
+    (:func:`start_pages_deployment`).  In ``"open"`` mode the load is an
+    arrival schedule at ``offered_rate`` ops/s; in ``"closed"`` mode the
+    workers issue ``total_ops`` back-to-back and the schedule's times go
+    unused.  The default transport is the thread-hosted wire stack the
+    paper figures are re-measured on.
     """
 
     offered_rate: float = 2000.0
     #: Operations in the schedule; duration ≈ total_ops / offered_rate.
     total_ops: int = 4000
     arrival: str = "poisson"  # "poisson" | "uniform"
-    mode: str = "open"  # "open" | "closed" (CO-prone contrast)
+    mode: str = "open"  # "open" | "closed"
     processes: int = 2
     threads_per_process: int = 4
     transport: str = "socket"
@@ -225,7 +361,7 @@ class OpenLoopConfig:
 
 @dataclass
 class OpenLoopResult:
-    """Outcome of one multi-process open-loop measurement."""
+    """Outcome of one multi-process measurement."""
 
     label: str
     offered_rate: float
@@ -244,6 +380,13 @@ class OpenLoopResult:
     #: scheduled arrival -> issue, and issue -> completion.
     queue_wait_histogram: LatencyHistogram = field(default_factory=LatencyHistogram)
     service_histogram: LatencyHistogram = field(default_factory=LatencyHistogram)
+    #: Counts the thread-hosted nodes kept over the measured phase — what
+    #: the wire did, whatever the clock says.  Response frames the nodes
+    #: encoded; and (0 for process-hosted nodes) ``sendmsg`` syscalls issued
+    #: and the most requests one connection had in flight.
+    responses: int = 0
+    sendmsg_calls: int = 0
+    max_in_flight_per_connection: int = 0
 
     def percentiles(self, points: Sequence[float] = DEFAULT_PERCENTILES) -> Dict[float, float]:
         return self.histogram.percentiles(points)
@@ -272,9 +415,9 @@ def _openloop_worker(
 ) -> None:
     """One forked worker: generate this process's arrivals and drive them.
 
-    Runs in a child process.  Like the closed-loop driver's worker, it must
-    always reach the barrier, so bootstrap failures are carried past it and
-    reported through the queue instead of deadlocking the coordinator.
+    Runs in a child process.  It must always reach the barrier, so
+    bootstrap failures are carried past it and reported through the queue
+    instead of deadlocking the coordinator.
     """
     cluster = None
     bootstrap_error: Optional[str] = None
@@ -389,8 +532,16 @@ def run_openloop_benchmark(config: OpenLoopConfig) -> OpenLoopResult:
         ]
         for worker in workers:
             worker.start()
+        nodes = list(deployment.cache.processes.values())
+
+        def sendmsg_calls() -> int:
+            return sum(getattr(node, "sendmsg_calls", 0) for node in nodes)
+
         barrier.wait(timeout=120)
         started = time.perf_counter()
+        # Warm-up is over and the workers are other processes: from here on
+        # every frame this process encodes is a node's response.
+        frames_before, sendmsg_before = WIRE_COUNTERS.frames_encoded, sendmsg_calls()
         reports = [queue.get(timeout=600) for _ in workers]
         wall = time.perf_counter() - started
         for worker in workers:
@@ -427,6 +578,11 @@ def run_openloop_benchmark(config: OpenLoopConfig) -> OpenLoopResult:
             histogram=histogram,
             queue_wait_histogram=queue_wait,
             service_histogram=service,
+            responses=WIRE_COUNTERS.frames_encoded - frames_before,
+            sendmsg_calls=sendmsg_calls() - sendmsg_before,
+            max_in_flight_per_connection=max(
+                getattr(node, "max_in_flight_per_connection", 0) for node in nodes
+            ),
         )
     finally:
         deployment.shutdown()

@@ -18,7 +18,7 @@ Two invariants (paper section 6.2.1) govern the pin set:
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from typing import FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.core.exceptions import EmptyPinSetError
@@ -122,12 +122,6 @@ class PinSet:
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
-    def add_timestamp(self, timestamp: int) -> None:
-        """Add a concrete timestamp (used when ``?`` is reified)."""
-        timestamp = int(timestamp)
-        if timestamp not in self._timestamps:
-            insort(self._timestamps, timestamp)
-
     def remove_star(self) -> None:
         """Drop ``?``: the transaction has observed data and can no longer
         run on an arbitrary new snapshot."""

@@ -133,16 +133,6 @@ class Interval:
         hi = max(self.lo, timestamp)
         return Interval(self.lo, hi)
 
-    def clamp_upper(self, timestamp: Optional[int]) -> "Interval":
-        """Return this interval intersected with ``(-inf, timestamp)``.
-
-        Unlike :meth:`truncate` this never widens the interval and treats
-        ``None`` as "no clamp".
-        """
-        if timestamp is None:
-            return self
-        return self.intersect(Interval(self.lo, timestamp)) if timestamp >= self.lo else Interval(self.lo, self.lo)
-
     def subtract(self, other: "Interval") -> List["Interval"]:
         """Return this interval minus ``other`` as a list of 0-2 intervals."""
         if other.empty or not self.intersects(other):

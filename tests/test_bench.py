@@ -6,8 +6,12 @@ import pytest
 
 from repro.apps.rubis.datagen import IN_MEMORY_CONFIG
 from repro.bench.costmodel import BufferCache, ClusterSpec, CostModel
-from repro.bench.driver import BenchmarkConfig, run_benchmark
-from repro.bench.experiments import ExperimentSettings, validity_tracking_overhead
+from repro.bench.driver import BenchmarkConfig, ChurnEvent, run_benchmark
+from repro.bench.experiments import (
+    ExperimentSettings,
+    run_threaded_point,
+    validity_tracking_overhead,
+)
 from repro.bench.report import format_series, format_table
 from repro.core.api import ConsistencyMode
 from repro.db.executor import QueryResult
@@ -188,19 +192,46 @@ class TestReport:
         assert "hit rate" in text and "1:" in text
 
 
-def test_churn_event_outside_measurement_phase_is_rejected():
+def _benchmark_with_churn(churn):
+    return run_benchmark(
+        BenchmarkConfig(
+            database_config=IN_MEMORY_CONFIG,
+            cache_size_bytes=64 * 1024,
+            measure_interactions=100,
+            churn=churn,
+        )
+    )
+
+
+def _threaded_point_with_churn(churn):
+    return run_threaded_point(2, "inprocess", 100, churn=churn)
+
+
+@pytest.mark.parametrize(
+    "run", [_benchmark_with_churn, _threaded_point_with_churn], ids=["run_benchmark", "threaded"]
+)
+@pytest.mark.parametrize("at_interaction", [-1, 100])
+def test_churn_event_outside_measurement_phase_is_rejected(run, at_interaction):
     """Regression: a churn event that would never fire must be an error,
     not a silent no-op producing a baseline run in disguise."""
-    import pytest
-
-    from repro.apps.rubis.datagen import IN_MEMORY_CONFIG
-    from repro.bench.driver import BenchmarkConfig, ChurnEvent, run_benchmark
-
-    config = BenchmarkConfig(
-        database_config=IN_MEMORY_CONFIG,
-        cache_size_bytes=64 * 1024,
-        measure_interactions=100,
-        churn=(ChurnEvent(100, "join"),),
-    )
     with pytest.raises(ValueError, match="outside"):
-        run_benchmark(config)
+        run((ChurnEvent(at_interaction, "join"),))
+
+
+def test_threaded_crash_and_rejoin_fire_at_their_interactions():
+    """One churn path on threads: a crash at interaction 60 and a warm
+    rejoin at 140 fire inside the workers that claim those indices."""
+    point = run_threaded_point(
+        4,
+        "inprocess",
+        200,
+        churn=(
+            ChurnEvent(60, "crash", node="cache0"),
+            ChurnEvent(140, "join", node="cache0"),
+        ),
+        replication_factor=2,
+    )
+    assert point.nodes_evicted == 1
+    assert point.errors == 0
+    assert point.interactions == 200
+    assert point.degraded_lookups == 0

@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
+import threading
 import time
 
 import pytest
@@ -243,6 +244,28 @@ class TestOpenLoopEngine:
         assert stats.errors == 10
         assert stats.completed == 40
         assert stats.histogram.count == 40
+
+    def test_a_failing_executor_factory_stops_the_run(self):
+        # Regression: the thread whose factory raised never reached the start
+        # barrier, so the other thread waited there forever.
+        def make_executor(thread_index: int):
+            if thread_index == 1:
+                raise RuntimeError("no client")
+            return lambda op_index: None
+
+        raised = []
+
+        def run() -> None:
+            try:
+                run_open_loop([0.0] * 10, make_executor, threads=2, mode="closed")
+            except RuntimeError as exc:
+                raised.append(str(exc))
+
+        caller = threading.Thread(target=run, daemon=True)
+        caller.start()
+        caller.join(timeout=5)
+        assert not caller.is_alive(), "run_open_loop hung on a failed executor factory"
+        assert raised == ["no client"]
 
     def test_empty_schedule(self):
         stats = run_open_loop([], _stalling_executor_factory(-1, 0.0), threads=2)
