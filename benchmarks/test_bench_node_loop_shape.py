@@ -163,7 +163,7 @@ def test_a_lookup_pipelined_behind_a_page_is_answered_after_it(hosting):
                 [
                     buffer
                     for request_id, op, args in requests
-                    for buffer in wire.encode_binary_request_frame(request_id, wire.OPCODES[op], args)
+                    for buffer in wire.encode_binary_mux_frame(request_id, wire.OPCODES[op], args)
                 ],
             )
             answered = []

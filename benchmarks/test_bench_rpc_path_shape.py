@@ -143,7 +143,7 @@ def test_a_burst_read_in_one_event_is_answered_in_one_gather():
     burst = 32
     stream = bytearray([wire.WIRE_VERSION])
     for request_id in range(burst):
-        for buffer in wire.encode_binary_request_frame(request_id, wire.OPCODES["ping"], ()):
+        for buffer in wire.encode_binary_mux_frame(request_id, wire.OPCODES["ping"], ()):
             stream += buffer
     with _node() as process:
         sock = socket.create_connection(process.address, timeout=10)

@@ -176,7 +176,7 @@ def test_codec_framing_microbenchmark(benchmark, wire_counters):
 
     def run():
         mux_small = round_trips(
-            lambda p: wire.encode_binary_request_frame(7, lookup, p),
+            lambda p: wire.encode_binary_mux_frame(7, lookup, p),
             lambda body: wire.decode_binary_args(lookup, body),
             small_payload,
             3000,
@@ -188,7 +188,7 @@ def test_codec_framing_microbenchmark(benchmark, wire_counters):
             3000,
         )
         mux_large = round_trips(
-            lambda p: wire.encode_binary_request_frame(7, install, p),
+            lambda p: wire.encode_binary_mux_frame(7, install, p),
             lambda body: wire.decode_binary_args(install, body),
             large_payload,
             30,
@@ -199,7 +199,7 @@ def test_codec_framing_microbenchmark(benchmark, wire_counters):
     mux_small, mux_response, mux_large, copied = run_once(benchmark, run)
     large_bytes = sum(
         len(bytes(b))
-        for b in wire.encode_binary_request_frame(7, install, large_payload)
+        for b in wire.encode_binary_mux_frame(7, install, large_payload)
     )
     print(
         f"\nsmall lookup frame:  {mux_small:9,.0f}/s"
@@ -383,104 +383,17 @@ def _put_shapes():
     ]
 
 
-def test_put_packed_layout_beats_pickle(benchmark):
-    """Satellite of the open-loop PR: ``put`` — the miss-fill op, last hot
-    op on the generic path — gets the fixed packed request layout.  The
-    packed request is smaller than the pickled one on every shape and
-    decodes to the same arguments; one request cycle (encode + decode) has
-    measured faster than pickle, and that delta is printed without being a
-    gate."""
-    ROUNDS = 4000
+def test_put_body_is_smaller_than_pickle_and_round_trips():
+    """A ``put`` body — the miss-fill op, the hot write — is the tagged
+    encoding of its argument tuple like every other request.  On every
+    representative shape it decodes to the same arguments and is smaller
+    than the same arguments pickled: the value is a byte run either way,
+    and the key, interval and tags cost less tagged than pickled."""
     opcode = wire.OPCODES["put"]
-
-    def timed_binary(args):
-        enc_args, dec_args = wire.encode_binary_args, wire.decode_binary_args
-        body = bytes(enc_args(opcode, args))
-        start = time.perf_counter()
-        for _ in range(ROUNDS):
-            enc_args(opcode, args)
-            dec_args(opcode, body)
-        return (time.perf_counter() - start) / ROUNDS
-
-    def timed_pickle(args):
-        protocol = pickle.HIGHEST_PROTOCOL
-        dumps, loads = pickle.dumps, pickle.loads
-        body = dumps(args, protocol)
-        start = time.perf_counter()
-        for _ in range(ROUNDS):
-            dumps(args, protocol)
-            loads(body)
-        return (time.perf_counter() - start) / ROUNDS
-
-    def run():
-        shapes = {}
-        for name, args in _put_shapes():
-            binary = min(timed_binary(args) for _ in range(3))
-            pickled = min(timed_pickle(args) for _ in range(3))
-            shapes[name] = (binary, pickled)
-        return shapes
-
-    shapes = run_once(benchmark, run)
-    for name, (binary, pickled) in shapes.items():
-        print(
-            f"\n{name:13s} binary {binary * 1e9:7.0f} ns  "
-            f"pickle {pickled * 1e9:7.0f} ns  ({pickled / binary:.2f}x)",
-            end="",
-        )
-    total_binary = sum(b for b, _ in shapes.values())
-    total_pickle = sum(p for _, p in shapes.values())
-    aggregate = total_pickle / total_binary
-    print(f"\nput aggregate speedup: {aggregate:.2f}x")
-    # Shape, not a wall-clock ratio: bytes per op.  The value is a byte run
-    # either way; the packed layout's win is the key/interval/tags share of
-    # the body, and it must show in every shape's size.
     for name, args in _put_shapes():
-        packed = bytes(wire.encode_binary_args(opcode, args))
+        body = bytes(wire.encode_binary_args(opcode, args))
         pickled = pickle.dumps(args, pickle.HIGHEST_PROTOCOL)
-        print(f"{name:13s} packed {len(packed):4d} B  pickle {len(pickled):4d} B")
-        assert packed[0] == 1  # the packed layout, not the tagged fallback
-        assert wire.decode_binary_args(opcode, packed) == args
-        assert len(packed) < len(pickled), name
-
-
-def test_multi_lookup_encode_scratch_pins_allocations(benchmark):
-    """The batch encode path allocates no new buffers after warm-up.
-
-    Two claims from the per-core PR's codec satellite: encoding a batch of
-    multi-lookup frames into the shared :class:`wire.EncodeScratch` is at
-    least as fast as a fresh ``bytearray`` per request, and a whole run of
-    frames touches exactly **one** allocation (``allocations == 1``) —
-    the buffer grows monotonically and is never replaced mid-run.
-    """
-    from repro.cache.entry import LookupRequest
-
-    opcode = wire.OPCODES["multi_lookup"]
-    args = ([LookupRequest(f"key-{i}", 0, 40) for i in range(8)],)
-    ROUNDS = 4000
-
-    def fresh_buffers():
-        start = time.perf_counter()
-        for _ in range(ROUNDS):
-            wire.encode_binary_args(opcode, args)
-        return ROUNDS / (time.perf_counter() - start)
-
-    def scratch_frames():
-        scratch = wire.EncodeScratch()
-        start = time.perf_counter()
-        for request_id in range(ROUNDS):
-            _header, body = scratch.encode_request_frame(request_id, opcode, args)
-            body.release()
-        return ROUNDS / (time.perf_counter() - start), scratch.allocations
-
-    def run():
-        return fresh_buffers(), *scratch_frames()
-
-    fresh_rate, scratch_rate, allocations = run_once(benchmark, run)
-    print(
-        f"\nmulti-lookup encode: fresh buffer {fresh_rate:9,.0f}/s"
-        f"   scratch {scratch_rate:9,.0f}/s   allocations={allocations}"
-    )
-    # The no-new-allocations pin: one buffer for the entire run.
-    assert allocations == 1
-    # And reuse must not cost throughput (generous bound: same cost class).
-    assert scratch_rate > fresh_rate * 0.5
+        print(f"\n{name:13s} tagged {len(body):4d} B  pickle {len(pickled):4d} B", end="")
+        assert body == bytes(wire.encode_binary_body(args))
+        assert wire.decode_binary_args(opcode, body) == args
+        assert len(body) < len(pickled), name

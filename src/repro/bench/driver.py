@@ -77,7 +77,6 @@ class ChurnEvent:
     action: str  # "join" | "leave" | "crash"
     node: Optional[str] = None
     migrate: bool = True
-    weight: float = 1.0
 
 
 def check_churn_window(churn: Sequence[ChurnEvent], total: int) -> None:
@@ -116,7 +115,7 @@ def apply_churn(deployment: TxCacheDeployment, event: ChurnEvent) -> None:
                 deployment.membership.evict(name)
             except KeyError:
                 pass  # a worker's failed RPCs already evicted it
-        deployment.add_cache_node(name=name, weight=event.weight, migrate=event.migrate)
+        deployment.add_cache_node(name=name, migrate=event.migrate)
     elif event.action == "leave":
         name = event.node or deployment.cache.ring.nodes[-1]
         deployment.remove_cache_node(name, migrate=event.migrate)

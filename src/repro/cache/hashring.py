@@ -9,8 +9,7 @@ lookup for a key.
 Beyond plain key routing the ring answers *ownership-range* queries, which is
 what the membership subsystem (:mod:`repro.cache.membership`) needs to plan a
 live migration: :meth:`ConsistentHashRing.owned_ranges` lists the hash-space
-arcs a node is responsible for.  Nodes may carry a *weight*, scaling their
-virtual-node count and therefore the share of the key space they own.
+arcs a node is responsible for.
 
 **Replication.**  For R-way replication the ring also answers *successor
 list* queries, the classic DHT construction: the replica set of a key is the
@@ -80,8 +79,8 @@ class ConsistentHashRing:
         self._virtual_nodes = virtual_nodes
         self._ring: List[Tuple[int, str]] = []
         self._points: List[int] = []
-        #: node name -> number of virtual points it placed on the ring.
-        self._nodes: Dict[str, int] = {}
+        #: Member node names, in joining order (a dict as an ordered set).
+        self._nodes: Dict[str, None] = {}
         #: replication factor -> routing tables of the current ``_ring``.
         self._routes: Dict[int, _Routes] = {}
         for node in nodes:
@@ -90,21 +89,13 @@ class ConsistentHashRing:
     # ------------------------------------------------------------------
     # Membership
     # ------------------------------------------------------------------
-    def add_node(self, node: str, weight: float = 1.0) -> None:
-        """Add a node and its virtual points to the ring.
-
-        ``weight`` scales the node's virtual-node count (and therefore its
-        expected share of the key space): a weight-2 node owns roughly twice
-        as many keys as a weight-1 node.
-        """
+    def add_node(self, node: str) -> None:
+        """Add a node and its ``virtual_nodes`` points to the ring."""
         if node in self._nodes:
             return
-        if weight <= 0:
-            raise ValueError("weight must be positive")
-        replicas = max(1, round(self._virtual_nodes * weight))
-        self._nodes[node] = replicas
+        self._nodes[node] = None
         ring, points = list(self._ring), list(self._points)
-        for replica in range(replicas):
+        for replica in range(self._virtual_nodes):
             point = _hash(f"{node}#{replica}")
             index = bisect.bisect(points, point)
             points.insert(index, point)
@@ -118,11 +109,11 @@ class ConsistentHashRing:
         rather than rebuilding the whole ring: O(vnodes * log points) instead
         of O(nodes * vnodes).
         """
-        replicas = self._nodes.pop(node, None)
-        if replicas is None:
+        if node not in self._nodes:
             return
+        del self._nodes[node]
         ring, points = list(self._ring), list(self._points)
-        for replica in range(replicas):
+        for replica in range(self._virtual_nodes):
             point = _hash(f"{node}#{replica}")
             index = bisect.bisect_left(points, point)
             # Several nodes could collide on one point; scan the equal run
@@ -154,10 +145,6 @@ class ConsistentHashRing:
     def nodes(self) -> List[str]:
         """Current member node names."""
         return list(self._nodes)
-
-    def weight_of(self, node: str) -> float:
-        """The node's weight, expressed as its virtual-node fraction."""
-        return self._nodes[node] / self._virtual_nodes
 
     def __len__(self) -> int:
         return len(self._nodes)

@@ -201,7 +201,6 @@ class ClusterMembership:
         self,
         name: str,
         capacity_bytes: int = 64 * 1024 * 1024,
-        weight: float = 1.0,
         migrate: bool = True,
     ) -> CacheServer:
         """Add a node, optionally warming it by live migration.
@@ -218,7 +217,7 @@ class ClusterMembership:
         server = self.cluster.provision_node(name, capacity_bytes)
         ring = self.cluster.ring
         staged = ring.copy()
-        staged.add_node(name, weight=weight)
+        staged.add_node(name)
         if migrate and len(ring) > 0:
             arcs = staged.replica_ranges(name, self.cluster.replication_factor)
             self._migrate("join", self._reconcile(ring, staged, arcs, fresh=name))
@@ -232,7 +231,7 @@ class ClusterMembership:
             self._advance("join", name)
         return server
 
-    def rejoin(self, name: str, capacity_bytes: int = 64 * 1024 * 1024, weight: float = 1.0) -> int:
+    def rejoin(self, name: str, capacity_bytes: int = 64 * 1024 * 1024) -> int:
         """Cold-join a respawned node, then re-warm it under the budget.
 
         The supervisor's rejoin path: the node enters the ring immediately
@@ -248,7 +247,7 @@ class ClusterMembership:
         pumped.
         """
         before = self.cluster.ring.copy()
-        self.join(name, capacity_bytes=capacity_bytes, weight=weight, migrate=False)
+        self.join(name, capacity_bytes=capacity_bytes, migrate=False)
         ring = self.cluster.ring
         arcs = ring.replica_ranges(name, self.cluster.replication_factor)
         self.stats.rewarms += 1

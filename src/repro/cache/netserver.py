@@ -30,10 +30,12 @@ the node closes a connection that opens with anything else.  Every frame
 then carries a struct-packed ``(request_id, opcode, length)`` header
 (``!QBI``); the opcode names the operation on requests and carries
 ``OP_OK``/``OP_ERR`` on responses.  Every body, request or reply, of every
-op, has the one binary format of :mod:`repro.comm.wire`, whose decoder
-builds only the shapes it names: no bytes a peer sends can make the node
-call anything.  Cached values are arbitrary Python objects that must
-round-trip exactly, so they are pickled — once, by
+op, has the one binary format of :mod:`repro.comm.wire` — a request's is
+its argument tuple, a reply's its result — and both ends build frames with
+the one encoder, :func:`repro.comm.wire.encode_binary_mux_frame`.  The
+decoder builds only the shapes the format names: no bytes a peer sends can
+make the node call anything.  Cached values are arbitrary Python objects
+that must round-trip exactly, so they are pickled — once, by
 :class:`SocketTransport`, into a :class:`~repro.cache.entry.ValueBlob` that
 the server stores and returns without ever loading it.  Only the client
 unpickles, and only the values it stored itself.  No path concatenates a
@@ -79,9 +81,6 @@ __all__ = [
     "SocketTransport",
     "CacheTransportError",
     "CacheNodeUnreachableError",
-    "CacheNodeConnectError",
-    "CacheNodeTimeoutError",
-    "CacheNodeStreamPoisonedError",
     "DEFAULT_MAX_QUEUED_PER_CONNECTION",
 ]
 
@@ -95,10 +94,6 @@ DEFAULT_MAX_QUEUED_PER_CONNECTION = 32
 #: cost it an mmap, an mremap, a munmap and a page fault per request (25 us
 #: of an 85 us round trip, measured).  A larger frame just takes more reads.
 _RECV_SIZE = 64 * 1024
-
-#: The multi-lookup opcode gets the reusable-scratch encode path on the
-#: client (see :class:`repro.comm.wire.EncodeScratch`).
-_MULTI_LOOKUP_OPCODE = OPCODES["multi_lookup"]
 
 
 def _set_nodelay(sock: socket.socket) -> None:
@@ -121,12 +116,12 @@ class CacheNodeUnreachableError(CacheTransportError):
     connectivity loss, never on an application-level error that would
     otherwise be masked.
 
-    The common base of a small taxonomy — :class:`CacheNodeConnectError`,
-    :class:`CacheNodeTimeoutError`, :class:`CacheNodeStreamPoisonedError` —
-    so retry decisions and health accounting can branch on *how* the node
-    was unreachable without string-matching messages.  Every instance
-    carries ``node`` (the node name or address label, when known) and
-    ``op`` (the operation in flight, when there was one).
+    One class for every way of not reaching a node — a failed or timed-out
+    dial, an RPC timeout or an expired per-op deadline, a connection lost
+    mid-stream — because nothing that catches it branches on which: the
+    message says.  Every instance carries ``node`` (the node name or
+    address label, when known) and ``op`` (the operation in flight, when
+    there was one).
     """
 
     def __init__(
@@ -139,60 +134,6 @@ class CacheNodeUnreachableError(CacheTransportError):
         super().__init__(message)
         self.node = node
         self.op = op
-
-
-class CacheNodeConnectError(CacheNodeUnreachableError):
-    """Dialling the node failed outright (refused, unresolvable, no route).
-
-    The cheapest failure mode: no request was ever sent, so a retry risks
-    nothing, and a refused connect returns in microseconds — the signature
-    of a crashed process whose port is gone.
-    """
-
-
-class CacheNodeTimeoutError(CacheNodeUnreachableError):
-    """The node accepted the connection but a wait ran out of time.
-
-    Raised both for a per-attempt RPC timeout and for a propagated per-op
-    deadline (:func:`repro.comm.transport.deadline_scope`) expiring before
-    the attempt could start.  Unlike a connect failure, time already spent
-    is gone — retry logic must check the remaining deadline budget.
-    """
-
-
-class CacheNodeStreamPoisonedError(CacheNodeUnreachableError):
-    """The connection died mid-stream with requests outstanding.
-
-    The request/response stream can no longer be trusted (a response may
-    have been half-read, or may land after the caller stopped waiting), so
-    the whole connection was poisoned and every pending call failed.  The
-    request *may have executed* server-side: safe to retry only for
-    idempotent operations.
-    """
-
-
-def _classify_unreachable(
-    message: str,
-    cause: BaseException,
-    *,
-    node: Optional[str] = None,
-    op: Optional[str] = None,
-) -> CacheNodeUnreachableError:
-    """Wrap a connection-level failure in the matching taxonomy class.
-
-    A cause that already carries a taxonomy (a poisoning exception fanned
-    out to every pending slot) keeps its class, so the caller that timed
-    out and the callers it poisoned report consistently; a bare socket
-    timeout becomes :class:`CacheNodeTimeoutError`; anything else is a
-    mid-stream loss, :class:`CacheNodeStreamPoisonedError`.
-    """
-    if isinstance(cause, CacheNodeUnreachableError):
-        cls = type(cause)
-    elif isinstance(cause, socket.timeout):
-        cls = CacheNodeTimeoutError
-    else:
-        cls = CacheNodeStreamPoisonedError
-    return cls(message, node=node, op=op)
 
 
 # ----------------------------------------------------------------------
@@ -677,10 +618,6 @@ class _MuxConnection:
         self._timeout = timeout
         self._lock = threading.Lock()
         self._send_lock = threading.Lock()
-        #: Reusable encode buffer for the multi-lookup batch path.  Shared
-        #: per connection: encode + send + view release all happen under
-        #: ``_send_lock``.
-        self.scratch = wire.EncodeScratch()
         self._pending: Dict[int, ResponseSlot] = {}
         self._ids = itertools.count(1)
         self._dead: Optional[BaseException] = None
@@ -722,7 +659,7 @@ class _MuxConnection:
                 # The op's deadline budget is already spent (dial, earlier
                 # retries, or earlier replicas consumed it): fail before any
                 # I/O.  The connection itself is fine — no poisoning.
-                raise CacheNodeTimeoutError(
+                raise CacheNodeUnreachableError(
                     f"cache node {self._label}: deadline expired before {op!r}",
                     node=self._label,
                     op=op,
@@ -732,9 +669,8 @@ class _MuxConnection:
         slot = ResponseSlot()
         with self._lock:
             if self._dead is not None:
-                raise _classify_unreachable(
+                raise CacheNodeUnreachableError(
                     f"connection to {self._label} is dead: {self._dead}",
-                    self._dead,
                     node=self._label,
                     op=op,
                 )
@@ -742,27 +678,10 @@ class _MuxConnection:
             self._pending[request_id] = slot
         on_wire = False  # True once part of the frame may have been written
         try:
-            if opcode == _MULTI_LOOKUP_OPCODE:
-                # Batch requests encode into the connection's reusable
-                # scratch buffer instead of a fresh bytearray per call.
-                # Encode must happen under the send lock: the scratch is
-                # shared, and the memoryview handed to sendmsg must be
-                # released before the next request appends (a live export
-                # blocks the bytearray resize).
-                with self._send_lock:
-                    header, body = self.scratch.encode_request_frame(
-                        request_id, opcode, args
-                    )
-                    try:
-                        on_wire = True
-                        wire.send_buffers(self._sock, (header, body))
-                    finally:
-                        body.release()
-            else:
-                buffers = wire.encode_binary_request_frame(request_id, opcode, args)
-                with self._send_lock:
-                    on_wire = True
-                    wire.send_buffers(self._sock, buffers)
+            buffers = wire.encode_binary_mux_frame(request_id, opcode, args)
+            with self._send_lock:
+                on_wire = True
+                wire.send_buffers(self._sock, buffers)
         except BaseException as exc:
             if not on_wire:
                 # The request would not encode, so no reply will come: a
@@ -775,7 +694,7 @@ class _MuxConnection:
             self.fail(exc)
             if not isinstance(exc, OSError):
                 raise
-            raise CacheNodeStreamPoisonedError(
+            raise CacheNodeUnreachableError(
                 f"cache node {self._label} unreachable: {exc}",
                 node=self._label,
                 op=op,
@@ -802,9 +721,8 @@ class _MuxConnection:
         elif not slot.settled:
             self._await_leased(slot, deadline, op=op)
         if slot.error is not None:
-            raise _classify_unreachable(
+            raise CacheNodeUnreachableError(
                 f"cache node {self._label} unreachable: {slot.error}",
-                slot.error,
                 node=self._label,
                 op=op,
             ) from slot.error
@@ -886,7 +804,7 @@ class _MuxConnection:
                     return
 
     def _timeout_poison(self, op: Optional[str] = None) -> None:
-        exc = CacheNodeTimeoutError(
+        exc = CacheNodeUnreachableError(
             f"cache node {self._label} timed out after {self._timeout}s",
             node=self._label,
             op=op,
@@ -973,7 +891,7 @@ class SocketTransport:
         if remaining is not None:
             # Dialling draws on the same per-op budget as the RPC itself.
             if remaining <= 0:
-                raise CacheNodeTimeoutError(
+                raise CacheNodeUnreachableError(
                     f"cache node at {self.address}: deadline expired before dial",
                     node=label,
                 )
@@ -983,13 +901,8 @@ class SocketTransport:
                 connect_timeout = remaining
         try:
             sock = socket.create_connection(self.address, timeout=connect_timeout)
-        except socket.timeout as exc:
-            raise CacheNodeTimeoutError(
-                f"cache node at {self.address} timed out connecting: {exc}",
-                node=label,
-            ) from exc
         except OSError as exc:
-            raise CacheNodeConnectError(
+            raise CacheNodeUnreachableError(
                 f"cache node at {self.address} unreachable: {exc}",
                 node=label,
             ) from exc
@@ -1020,16 +933,6 @@ class SocketTransport:
                 return current
             self._connection = fresh
             return fresh
-
-    @property
-    def scratch_allocations(self) -> int:
-        """Encode-scratch buffers the current connection ever allocated.
-
-        1 in the steady state; the codec tests pin that the multi-lookup
-        batch path does not allocate a fresh buffer per request.
-        """
-        connection = self._connection
-        return 0 if connection is None else connection.scratch.allocations
 
     def _call(self, op: str, *args: object) -> object:
         with self._count_lock:

@@ -600,12 +600,10 @@ class CacheServer:
             if first is not None:
                 interval = Interval(interval.lo, first)
 
-        versions = self._entries.setdefault(key, [])
+        versions = self._entries.get(key, ())
         for existing in versions:
             if existing.interval.contains_interval(interval):
                 self.stats.rejected_insertions += 1
-                if not self._entries[key]:
-                    del self._entries[key]
                 return False
 
         entry = CacheEntry(
@@ -616,12 +614,16 @@ class CacheServer:
             size=estimate_size(key, value),
             last_access=self.clock.now(),
         )
-        walk = self._walk_keys
-        if walk is not None and not versions:
-            # A store walk is under way: its next page sorts this key in.
-            walk.append(key)
-            if len(walk) > 2 * len(self._entries) + SCAN_PAGE_KEYS:
-                self._walk_keys = None  # an abandoned walk; a later page re-sorts
+        if not versions:
+            # The key enters the store only once its entry exists: a put
+            # that raised above leaves nothing for a store walk to sort.
+            versions = self._entries[key] = []
+            walk = self._walk_keys
+            if walk is not None:
+                # A store walk is under way: its next page sorts this key in.
+                walk.append(key)
+                if len(walk) > 2 * len(self._entries) + SCAN_PAGE_KEYS:
+                    self._walk_keys = None  # an abandoned walk; a later page re-sorts
         # Ascending by lower bound, after its equals: walk back from the end,
         # where a newer version belongs.
         index = len(versions)
@@ -794,26 +796,6 @@ class CacheServer:
         self._prune_invalidation_histories(oldest_useful_timestamp)
         self.stats.stale_evictions += removed
         return removed
-
-    @_locked
-    def clear(self) -> None:
-        """Remove every entry (used between benchmark configurations).
-
-        The expiry heap goes with the store — its items name versions that
-        no longer exist.  The invalidation histories, and the queue of what
-        is left to prune in them, deliberately stay: they are facts about
-        the stream this node has consumed, not about what it stores, and an
-        entry inserted after the clear must still be truncated by them.
-        """
-        self._entries.clear()
-        self._walk_keys = None
-        self._lru.clear()
-        self._tag_index.clear()
-        self._wildcard_index.clear()
-        self._table_index.clear()
-        self._expiring.clear()
-        self._bounded_versions = 0
-        self._used_bytes = 0
 
     # ------------------------------------------------------------------
     # Internals

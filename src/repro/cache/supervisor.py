@@ -92,7 +92,6 @@ class _NodeRecord:
 
     name: str
     capacity_bytes: int
-    weight: float = 1.0
     state: str = "serving"
     #: Consecutive failed respawn attempts (drives the backoff ladder
     #: together with the recent-restart count).
@@ -144,17 +143,14 @@ class NodeSupervisor:
     # ------------------------------------------------------------------
     # Registration
     # ------------------------------------------------------------------
-    def register(self, name: str, capacity_bytes: int, weight: float = 1.0) -> None:
+    def register(self, name: str, capacity_bytes: int) -> None:
         """Start supervising ``name`` (idempotent; spec is remembered for
         respawn — a crashed node comes back at its registered capacity)."""
         record = self._nodes.get(name)
         if record is None:
-            self._nodes[name] = _NodeRecord(
-                name=name, capacity_bytes=capacity_bytes, weight=weight
-            )
+            self._nodes[name] = _NodeRecord(name=name, capacity_bytes=capacity_bytes)
         else:
             record.capacity_bytes = capacity_bytes
-            record.weight = weight
 
     def forget(self, name: str) -> None:
         """Stop supervising ``name`` (planned removals must not respawn)."""
@@ -281,9 +277,7 @@ class NodeSupervisor:
             record.failed_attempts = 0
             return 0
         try:
-            self.membership.rejoin(
-                name, capacity_bytes=record.capacity_bytes, weight=record.weight
-            )
+            self.membership.rejoin(name, capacity_bytes=record.capacity_bytes)
         except Exception:
             # Spawn failed (port, fork, handshake…): climb the backoff
             # ladder and try again later.  Never let a bad spawn take the

@@ -24,9 +24,8 @@ the sender, before a byte is sent, and a decoder refuses any tag it does not
 name.  Decoding therefore only ever builds those shapes: no byte sequence a
 peer sends can make a node call anything.  Malformed bodies raise
 :class:`WireDecodeError`, never anything that could take down a reactor.
-A request body is its argument tuple in that encoding; only ``put``, the
-hot write, packs its key, interval and tags ahead of the tagged value (see
-:func:`encode_binary_args`).
+A request body is its argument tuple in that encoding, for every op; one
+encoder, :func:`encode_binary_mux_frame`, builds request and reply frames.
 
 Cached values
 -------------
@@ -70,11 +69,8 @@ __all__ = [
     "encode_binary_body",
     "decode_binary_body",
     "encode_binary_args",
-    "encode_binary_args_into",
     "decode_binary_args",
-    "EncodeScratch",
     "encode_binary_mux_frame",
-    "encode_binary_request_frame",
     "send_buffers",
     "recv_exactly",
 ]
@@ -84,7 +80,7 @@ MUX_HEADER = struct.Struct("!QBI")
 
 #: The first byte of every connection, sent by the client without waiting
 #: for an answer; the node closes a connection that opens with any other.
-WIRE_VERSION = 0xAA
+WIRE_VERSION = 0xAB
 
 #: Upper bound on a single frame, as a sanity check against corrupt headers.
 MAX_FRAME_BYTES = 256 * 1024 * 1024
@@ -322,8 +318,8 @@ def _enc_value(out: bytearray, value: object) -> None:
     kind = type(value)
     if kind is _LookupResult:
         # First compare on purpose: with scalars inlined into the container
-        # loops and request args on their fixed layout, the values reaching
-        # this dispatch on the hot path are result records and their tags.
+        # loops, the values reaching this dispatch on the hot path are
+        # result records and their tags.
         out.append(_T_LOOKUP_RESULT)
         value.pack_into(out, _enc_value)
     elif kind is _ValueBlob:
@@ -497,10 +493,9 @@ def _enc_value(out: bytearray, value: object) -> None:
 # caught by decode_binary_body's exact-length check.  Either way malformed
 # input surfaces as WireDecodeError without paying a compare per value.
 # The compare chain is ordered by measured frequency on lookup round trips:
-# with strings/ints/floats inlined into the container loops and requests on
-# the fixed args layout, the values that actually reach this dispatch are
-# result records, value blobs and tags.  Each position down the chain costs
-# ~18 ns per decoded value.
+# with strings/ints/floats inlined into the container loops, the values
+# that actually reach this dispatch are result records, value blobs and
+# tags.  Each position down the chain costs ~18 ns per decoded value.
 def _dec_value(buf: bytes, offset: int) -> Tuple[object, int]:
     tag = buf[offset]
     if tag == _T_LOOKUP_RESULT:
@@ -744,135 +739,6 @@ def decode_binary_body(body: Buffer) -> object:
     return value
 
 
-# ----------------------------------------------------------------------
-# Fixed request-argument layout of ``put``
-# ----------------------------------------------------------------------
-#: ``put`` gets a fixed layout: key, packed interval, tag list, then the
-#: value — a blob from ``SocketTransport``, so nothing is walked.  Every
-#: other request body is the plain tagged encoding of its argument tuple.
-_PUT_OPCODE = OPCODES["put"]
-
-#: ``put`` body markers: the packed layout, or a generic tagged body for
-#: arguments the packed layout cannot carry.
-_ARGS_PACKED = 1
-_ARGS_TAGGED = 0
-
-
-def encode_binary_args_into(out: bytearray, opcode: int, args: object) -> None:
-    """Append ``opcode``'s binary request body for ``args`` onto ``out``.
-
-    The append-into form exists so a connection can reuse one scratch
-    buffer across requests (:class:`EncodeScratch`); ``out`` may already
-    hold earlier frames' bytes and only the tail belongs to this request.
-    A ``put`` that bails out of its packed layout mid-encode rolls the
-    buffer back to its entry length before re-encoding, so a shared buffer
-    never keeps a half-written layout.
-    """
-    if _Interval is None:
-        _bind_record_types()
-    if opcode == _PUT_OPCODE:
-        start = len(out)
-        if (
-            type(args) is tuple
-            and len(args) == 4
-            and type(args[0]) is str
-            and type(args[2]) is _Interval
-            and type(args[3]) is frozenset
-            and len(args[3]) < 255
-        ):
-            key, value, interval, tags = args
-            try:
-                raw = key.encode("utf-8")
-                append = out.append
-                append(_ARGS_PACKED)
-                size = len(raw)
-                if size < 255:
-                    append(size)
-                else:
-                    append(255)
-                    out += _pack_u32(size)
-                out += raw
-                interval.pack_into(out)
-                append(len(tags))
-                for tag in tags:
-                    _enc_value(out, tag)
-                _enc_value(out, value)
-                return
-            except (UnicodeEncodeError, struct.error, OverflowError, TypeError):
-                del out[start:]  # roll back the partial packed layout
-        out.append(_ARGS_TAGGED)
-    _enc_value(out, args)
-
-
-def encode_binary_args(opcode: int, args: object) -> bytearray:
-    """Encode a request argument tuple as ``opcode``'s binary body.
-
-    Every request but ``put`` is the tagged encoding of its argument tuple.
-    ``put`` — the hot write — skips the tagged walk of its key, interval
-    and tags: its body is a marker byte, the key (one length byte, 255
-    escaping to a u32), the packed interval, a one-byte tag count and the
-    tags, then the value, the same trick memcached's binary protocol plays
-    with its fixed headers.  Arguments the fixed layout cannot carry
-    (non-str key, 255 tags or more) fall back to a tagged body behind the
-    marker byte, so the fast path never constrains the API.
-    """
-    out = bytearray()
-    encode_binary_args_into(out, opcode, args)
-    return out
-
-
-class EncodeScratch:
-    """A reusable encode buffer shared by every request on one connection.
-
-    ``encode_binary_body`` allocates a fresh ``bytearray`` per request;
-    on the multi-lookup batch path that allocation dominates small-batch
-    encode cost.  The scratch instead appends each request's body at the
-    current end of one long-lived buffer and hands back a ``memoryview``
-    slice over the newly written region.  CPython shrinks a bytearray's
-    allocation on ``del buf[:]``, so the buffer is never truncated —
-    it grows monotonically and is replaced wholesale (counted in
-    :attr:`allocations`) only once it exceeds ``limit_bytes``.
-
-    Contract: the returned view **exports** the buffer, which blocks the
-    resize any later append needs — the caller must ``release()`` the view
-    (or let it die) before the next :meth:`encode_request_frame`.  The
-    mux client does encode+send+release under its per-connection send
-    lock, which also makes the scratch single-writer.
-    """
-
-    __slots__ = ("buffer", "limit_bytes", "allocations")
-
-    def __init__(self, limit_bytes: int = 1 << 20) -> None:
-        self.buffer = bytearray()
-        self.limit_bytes = limit_bytes
-        #: Buffers ever allocated (starts at 1; +1 per wholesale reset).
-        #: The codec microbenchmark pins this at 1 across a whole batch
-        #: of requests — the no-new-allocations claim.
-        self.allocations = 1
-
-    def encode_request_frame(
-        self, request_id: int, opcode: int, args: object
-    ) -> Tuple[Buffer, memoryview]:
-        """Encode one request frame into the scratch.
-
-        Returns ``(header, body_view)`` where ``body_view`` is a
-        memoryview over this request's region of the shared buffer.
-        """
-        buf = self.buffer
-        if len(buf) > self.limit_bytes:
-            buf = self.buffer = bytearray()
-            self.allocations += 1
-        start = len(buf)
-        try:
-            encode_binary_args_into(buf, opcode, args)
-        except BaseException:
-            del buf[start:]  # keep the shared buffer consistent
-            raise
-        header = MUX_HEADER.pack(request_id, opcode, len(buf) - start)
-        WIRE_COUNTERS.frames_encoded += 1
-        return header, memoryview(buf)[start:]
-
-
 def _check_batch(body: Buffer, arguments: int) -> None:
     """Refuse a request body unless its first of at most ``arguments``
     arguments is a list of at most :data:`MAX_BATCH_ITEMS` items, read from
@@ -894,65 +760,24 @@ def _check_batch(body: Buffer, arguments: int) -> None:
         )
 
 
+def encode_binary_args(opcode: int, args: object) -> bytearray:
+    """Encode a request argument tuple as ``opcode``'s binary body: the
+    tagged encoding of the tuple, for every op alike."""
+    return encode_binary_body(args)
+
+
 def decode_binary_args(opcode: int, body: Buffer) -> object:
     """Decode a binary request body for ``opcode``.
 
     The inverse of :func:`encode_binary_args`; malformed input raises
     :class:`WireDecodeError` exactly like :func:`decode_binary_body`, and so
     does a batch request of more than :data:`MAX_BATCH_ITEMS` items or a
-    store walk over more arcs.
+    store walk over more arcs, refused from the list's header.
     """
-    if opcode != _PUT_OPCODE:
-        arguments = _LIST_ARGUMENTS.get(opcode)
-        if arguments:
-            _check_batch(body, arguments)
-        return decode_binary_body(body)
-    if _Interval is None:
-        _bind_record_types()
-    if type(body) is bytes:
-        buf = body
-    elif type(body) is memoryview:
-        base = body.obj
-        buf = base if type(base) is bytes and len(base) == len(body) else bytes(body)
-    else:
-        buf = bytes(body)
-    try:
-        marker = buf[0]
-        if marker == _ARGS_PACKED:
-            size = buf[1]
-            offset = 2
-            if size == 255:
-                size = _unpack_u32(buf, 2)[0]
-                offset = 6
-            end = offset + size
-            raw = buf[offset:end]
-            try:
-                key = raw.decode("utf-8")
-            except UnicodeDecodeError:
-                key = raw.decode("utf-8", "surrogatepass")
-            interval, offset = _Interval.unpack_from(buf, end)
-            count = buf[offset]
-            offset += 1
-            tags = []
-            for _ in range(count):
-                tag, offset = _dec_value(buf, offset)
-                tags.append(tag)
-            value, offset = _dec_value(buf, offset)
-        elif marker == _ARGS_TAGGED:
-            value, offset = _dec_value(buf, 1)
-        else:
-            raise WireDecodeError(f"unknown binary request marker {marker}")
-        if offset != len(buf):
-            raise WireDecodeError(
-                f"malformed binary request: {len(buf) - offset} trailing bytes"
-            )
-    except WireDecodeError:
-        raise
-    except Exception as exc:
-        raise WireDecodeError(f"malformed binary request: {exc!r}") from exc
-    if marker == _ARGS_PACKED:
-        return key, value, interval, frozenset(tags)
-    return value
+    arguments = _LIST_ARGUMENTS.get(opcode)
+    if arguments:
+        _check_batch(body, arguments)
+    return decode_binary_body(body)
 
 
 # ----------------------------------------------------------------------
@@ -961,22 +786,12 @@ def decode_binary_args(opcode: int, body: Buffer) -> object:
 def encode_binary_mux_frame(
     request_id: int, opcode: int, payload: object
 ) -> List[Buffer]:
-    """One multiplexed frame as a buffer vector (header never concatenated)."""
-    body = encode_binary_body(payload)
-    header = MUX_HEADER.pack(request_id, opcode, len(body))
-    WIRE_COUNTERS.frames_encoded += 1
-    return [header, body]
+    """One multiplexed frame as a buffer vector (header never concatenated).
 
-
-def encode_binary_request_frame(
-    request_id: int, opcode: int, args: object
-) -> List[Buffer]:
-    """One multiplexed request frame with a binary args body.
-
-    Like :func:`encode_binary_mux_frame` but routed through
-    :func:`encode_binary_args`, so ``put`` gets its fixed request layout.
+    The one frame encoder: a request's payload is its argument tuple, a
+    reply's its result or error message.
     """
-    body = encode_binary_args(opcode, args)
+    body = encode_binary_body(payload)
     header = MUX_HEADER.pack(request_id, opcode, len(body))
     WIRE_COUNTERS.frames_encoded += 1
     return [header, body]

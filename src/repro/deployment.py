@@ -275,7 +275,6 @@ class TxCacheDeployment:
         self,
         name: Optional[str] = None,
         capacity_bytes: Optional[int] = None,
-        weight: float = 1.0,
         migrate: bool = True,
     ) -> CacheServer:
         """Grow the cache tier by one node (warm join via live migration).
@@ -292,16 +291,13 @@ class TxCacheDeployment:
         server = self.membership.join(
             name,
             capacity_bytes=capacity_bytes or self.cache_capacity_bytes_per_node,
-            weight=weight,
             migrate=migrate,
         )
         if self.gossip_runner is not None:
             self.gossip_runner.register(name)
         if self.supervisor is not None:
             self.supervisor.register(
-                name,
-                capacity_bytes=capacity_bytes or self.cache_capacity_bytes_per_node,
-                weight=weight,
+                name, capacity_bytes=capacity_bytes or self.cache_capacity_bytes_per_node
             )
         return server
 

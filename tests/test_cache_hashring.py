@@ -120,30 +120,6 @@ class TestMinimalDisruption:
         assert ring.nodes == reference.nodes
 
 
-class TestWeights:
-    def test_weighted_node_owns_a_proportional_share(self):
-        ring = ConsistentHashRing(virtual_nodes=150)
-        ring.add_node("light")
-        ring.add_node("heavy", weight=3.0)
-        keys = [f"key-{i}" for i in range(4000)]
-        share = ring.distribution(keys)["heavy"] / len(keys)
-        assert 0.6 < share < 0.9  # expectation 0.75
-
-    def test_weight_of_and_validation(self):
-        ring = ConsistentHashRing(virtual_nodes=100)
-        ring.add_node("a", weight=0.5)
-        assert ring.weight_of("a") == 0.5
-        with pytest.raises(ValueError):
-            ring.add_node("b", weight=0)
-
-    def test_weighted_remove_deletes_all_points(self):
-        ring = ConsistentHashRing(["a"], virtual_nodes=100)
-        ring.add_node("heavy", weight=2.5)
-        ring.remove_node("heavy")
-        assert all(owner == "a" for _point, owner in ring._ring)
-        assert len(ring._points) == 100
-
-
 class TestOwnershipRanges:
     def test_owned_ranges_cover_exactly_the_nodes_keys(self):
         from repro.cache.hashring import _hash, range_contains
@@ -196,31 +172,25 @@ class TestProperties:
 # ----------------------------------------------------------------------
 # Replication: successor lists and replica ranges
 # ----------------------------------------------------------------------
-#: Random weighted node sets: name -> weight.  Small virtual-node counts
-#: keep the O(points^2) replica_ranges checks fast without changing the
-#: properties under test.
-weighted_nodes = st.dictionaries(
-    st.sampled_from([f"n{i}" for i in range(10)]),
-    st.sampled_from([0.5, 1.0, 1.5, 2.0]),
-    min_size=1,
-    max_size=7,
-)
+#: Random node sets.  Small virtual-node counts keep the O(points^2)
+#: replica_ranges checks fast without changing the properties under test.
+node_sets = st.sets(st.sampled_from([f"n{i}" for i in range(10)]), min_size=1, max_size=7)
 
 KEYS = [f"key-{i}" for i in range(40)]
 
 
-def build_weighted(nodes, virtual_nodes=8):
+def build_ring(nodes, virtual_nodes=8):
     ring = ConsistentHashRing(virtual_nodes=virtual_nodes)
     for name in sorted(nodes):
-        ring.add_node(name, weight=nodes[name])
+        ring.add_node(name)
     return ring
 
 
 class TestSuccessorProperties:
-    @given(weighted_nodes, st.integers(min_value=1, max_value=4))
+    @given(node_sets, st.integers(min_value=1, max_value=4))
     @settings(max_examples=60, deadline=None)
     def test_successors_are_distinct_members_primary_first(self, nodes, r):
-        ring = build_weighted(nodes)
+        ring = build_ring(nodes)
         for key in KEYS:
             replicas = ring.successors(key, r)
             assert len(replicas) == min(r, len(ring))
@@ -228,13 +198,13 @@ class TestSuccessorProperties:
             assert all(node in ring for node in replicas)
             assert replicas[0] == ring.node_for(key)
 
-    @given(weighted_nodes, st.integers(min_value=1, max_value=4))
+    @given(node_sets, st.integers(min_value=1, max_value=4))
     @settings(max_examples=40, deadline=None)
     def test_join_changes_replica_sets_minimally(self, nodes, r):
         """Adding a node inserts it at one position of each key's
         distinct-owner walk: the new replica set is a subset of the old one
         plus the newcomer, and at most one old replica is displaced."""
-        ring = build_weighted(nodes)
+        ring = build_ring(nodes)
         before = {key: ring.successors(key, r) for key in KEYS}
         ring.add_node("newcomer")
         for key in KEYS:
@@ -245,10 +215,10 @@ class TestSuccessorProperties:
             survivors = [node for node in new if node != "newcomer"]
             assert survivors == [node for node in old if node in set(survivors)]
 
-    @given(weighted_nodes, st.integers(min_value=1, max_value=4))
+    @given(node_sets, st.integers(min_value=1, max_value=4))
     @settings(max_examples=40, deadline=None)
     def test_leave_promotes_the_next_successor_only(self, nodes, r):
-        ring = build_weighted(nodes)
+        ring = build_ring(nodes)
         victim = sorted(nodes)[0]
         before = {key: ring.successors(key, r) for key in KEYS}
         ring.remove_node(victim)
@@ -266,7 +236,7 @@ class TestSuccessorProperties:
             assert kept == list(new[: len(kept)])
             assert len(set(new) - set(kept)) <= 1
 
-    @given(weighted_nodes, st.integers(min_value=1, max_value=4))
+    @given(node_sets, st.integers(min_value=1, max_value=4))
     @settings(max_examples=30, deadline=None)
     def test_replica_ranges_partition_the_ring_exactly(self, nodes, r):
         """Every hash-space point lies in exactly min(r, n) nodes'
@@ -274,7 +244,7 @@ class TestSuccessorProperties:
         own arcs never overlap."""
         from repro.cache.hashring import _hash, range_contains
 
-        ring = build_weighted(nodes)
+        ring = build_ring(nodes)
         ranges = {node: ring.replica_ranges(node, r) for node in ring.nodes}
         for key in KEYS:
             point = _hash(key)
@@ -313,14 +283,14 @@ class TestRoutingTablesAgainstBruteForce:
 
     VIRTUAL_NODES = 40
 
-    @staticmethod
-    def _oracle_points(members):
+    @classmethod
+    def _oracle_points(cls, members):
         from repro.cache.hashring import _hash
 
         return sorted(
             (_hash(f"{node}#{replica}"), node)
-            for node, replicas in members.items()
-            for replica in range(replicas)
+            for node in members
+            for replica in range(cls.VIRTUAL_NODES)
         )
 
     @staticmethod
@@ -374,18 +344,18 @@ class TestRoutingTablesAgainstBruteForce:
 
         rng = random.Random(seed)
         ring = ConsistentHashRing(virtual_nodes=self.VIRTUAL_NODES)
-        members = {}
+        members = set()
         self._check(ring, members, rng)
         for _step in range(14):
             absent = [f"n{i}" for i in range(6) if f"n{i}" not in members]
             if absent and (not members or rng.random() < 0.6):
-                node, weight = rng.choice(absent), rng.choice([0.5, 1.0, 1.0, 2.5])
-                ring.add_node(node, weight=weight)
-                members[node] = max(1, round(self.VIRTUAL_NODES * weight))
+                node = rng.choice(absent)
+                ring.add_node(node)
+                members.add(node)
             else:
                 node = rng.choice(sorted(members))
                 ring.remove_node(node)
-                del members[node]
+                members.remove(node)
             assert sorted(ring.nodes) == sorted(members)
             self._check(ring, members, rng)
 
@@ -396,11 +366,11 @@ class TestRoutingTablesAgainstBruteForce:
         old = ConsistentHashRing(["a", "b", "c"], virtual_nodes=self.VIRTUAL_NODES)
         old.successors("warm", 2)  # tables built before the copy must not leak into it
         new = old.copy()
-        new.add_node("d", weight=2.0)
+        new.add_node("d")
         new.remove_node("b")
-        members = {name: self.VIRTUAL_NODES for name in "abc"}
+        members = set("abc")
         old_points = self._oracle_points(members)
-        new_points = self._oracle_points({"a": 40, "c": 40, "d": 80})
+        new_points = self._oracle_points({"a", "c", "d"})
         combined = sorted({point for point, _ in old_points} | {point for point, _ in new_points})
         for point in combined:
             assert old.node_for_point(point) == self._walk(old_points, point, 1)[0]

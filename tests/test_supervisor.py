@@ -17,12 +17,7 @@ import time
 import pytest
 
 from tests.helpers import ConsistencyHarness, FaultInjector, lookup_one, transports_under_test
-from repro.cache.netserver import (
-    CacheNodeConnectError,
-    CacheNodeTimeoutError,
-    CacheNodeUnreachableError,
-    SocketTransport,
-)
+from repro.cache.netserver import CacheNodeUnreachableError, SocketTransport
 from repro.clock import ManualClock, SystemClock
 from repro.comm.transport import (
     IDEMPOTENT_OPS,
@@ -416,41 +411,42 @@ class TestRetryPolicy:
 
 
 # ----------------------------------------------------------------------
-# Error taxonomy (satellite a)
+# One unreachable error, naming the node and the op
 # ----------------------------------------------------------------------
 class TestErrorTaxonomy:
-    def test_connect_refused_is_a_connect_error(self):
+    def test_a_refused_dial_is_unreachable_and_names_the_node(self):
         import socket as _socket
 
         probe = _socket.socket()
         probe.bind(("127.0.0.1", 0))
         port = probe.getsockname()[1]
         probe.close()  # nothing listens here any more
-        with pytest.raises(CacheNodeConnectError) as excinfo:
-            # The transport dials eagerly; a refused port surfaces as the
-            # connect-variant either here or on the first RPC.
+        with pytest.raises(CacheNodeUnreachableError) as excinfo:
+            # The transport dials eagerly; a refused port surfaces either
+            # here or on the first RPC.
             SocketTransport(
                 ("127.0.0.1", port), name="ghost", connect_timeout_seconds=1.0
             ).watermark()
-        # The taxonomy still is-a CacheNodeUnreachableError (old handlers
-        # keep working) and names the address it was dialling.
-        assert isinstance(excinfo.value, CacheNodeUnreachableError)
+        assert type(excinfo.value) is CacheNodeUnreachableError
         assert excinfo.value.node is not None
 
-    def test_expired_deadline_is_a_timeout_error(self):
+    def test_an_expired_deadline_is_unreachable_and_leaves_the_connection_usable(self):
         deployment = TxCacheDeployment(
             cache_nodes=1, transport="socket", clock=SystemClock()
         )
         try:
             transport = deployment.cache._transports["cache0"]
+            connection = transport._connection
             with deadline_scope(time.monotonic() - 1.0):
-                with pytest.raises(CacheNodeTimeoutError) as excinfo:
+                with pytest.raises(CacheNodeUnreachableError) as excinfo:
                     lookup_one(transport, "key", 1, 1)
-            assert isinstance(excinfo.value, CacheNodeUnreachableError)
+            assert type(excinfo.value) is CacheNodeUnreachableError
+            assert excinfo.value.node is not None
             assert excinfo.value.op == "multi_lookup"
             # An expired deadline is the caller's condition, not the
-            # node's: the connection must still work afterwards.
+            # node's: the connection is not poisoned and serves the next call.
             assert transport.watermark() >= 0
+            assert transport._connection is connection and not connection.dead
         finally:
             deployment.shutdown()
 

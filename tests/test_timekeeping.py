@@ -6,8 +6,8 @@ columns that ``vacuum`` trims.  Their definitions are walks — every version
 of every key, every history, every commit — and are kept here as the
 reference the ordered structures are driven against in lockstep, over seeded
 schedules that mix in everything else that removes a version (LRU eviction,
-``discard_keys``, ``clear``) or adds one (``install_entries``, late and
-replayed invalidations).
+``discard_keys``) or adds one (``install_entries``, late and replayed
+invalidations).
 
 The schedules are meant to have teeth: each of these hand edits to
 ``cache/server.py`` fails ``test_store_indexes_histories_and_stats_agree``
@@ -193,8 +193,6 @@ class TestEvictionAndPruningAgainstTheirDefinitions:
                     EntryRecord(key, "moved", Interval(lo, lo + 2), frozenset()),
                     EntryRecord(key, "moved", Interval(lo + 2), frozenset({self._tag(rng)})),
                 ])  # fmt: skip
-            elif step < 0.785:
-                both("clear")
             else:  # lookups decide whom LRU eviction takes
                 lo = rng.randrange(max(0, now - 8), now + 2)
                 clock.advance(0.25)
@@ -266,28 +264,6 @@ class TestEvictionAndPruningAgainstTheirDefinitions:
         assert server._bounded_versions == stored > 0
         assert server.evict_stale(10**6) == stored and server.entry_count == 0
         assert server._expiring == [] and server.used_bytes == 0
-
-    def test_clear_takes_the_heap_and_leaves_the_stream(self):
-        server = CacheServer(name="c0", capacity_bytes=1 << 20, clock=ManualClock())
-        tag = InvalidationTag.key("users", "id", 1)
-        server.put("bounded", 1, Interval(1, 4))
-        server.put("valid", 2, Interval(1), frozenset({tag}))
-        for timestamp in (3, 5):
-            server.process_invalidation(InvalidationMessage(timestamp=timestamp, tags=(tag,)))
-        server.clear()
-        assert server._expiring == [] and server._bounded_versions == 0
-        # A version stored after the clear is charged, and an item from
-        # before it must not pay that back.
-        server.put("bounded", 1, Interval(6, 9))
-        assert server.evict_stale(4) == 0
-        assert server.used_bytes > 0 and server.entry_count == 1
-        # The histories survived, and so did the record of what to prune.
-        assert server._tag_invalidations[tag] == [3, 5]
-        assert server.put("late", 3, Interval(2), frozenset({tag}))
-        assert server.versions_of("late")[0].interval == Interval(2, 3)
-        server.evict_stale(5)
-        assert server._tag_invalidations[tag] == [5] and not server._unpruned
-
 
 # ----------------------------------------------------------------------
 # The database's commit wall clocks

@@ -23,7 +23,7 @@ def test_plain_body_round_trips():
 
 
 def test_mux_frame_header_layout():
-    buffers = wire.encode_binary_request_frame(42, wire.OPCODES["watermark"], ())
+    buffers = wire.encode_binary_mux_frame(42, wire.OPCODES["watermark"], ())
     header = bytes(buffers[0])
     request_id, opcode, length = wire.MUX_HEADER.unpack(header)
     assert request_id == 42
@@ -47,7 +47,7 @@ def _flatten(buffers):
 
 
 def _request(request_id, op, args=()):
-    return wire.encode_binary_request_frame(request_id, wire.OPCODES[op], args)
+    return wire.encode_binary_mux_frame(request_id, wire.OPCODES[op], args)
 
 
 def test_assembler_checks_the_version_byte_and_reassembles_partials():
@@ -66,7 +66,9 @@ def test_assembler_checks_the_version_byte_and_reassembles_partials():
 
 
 @pytest.mark.parametrize(
-    "first", [0xA9, 0xA7, 0x00], ids=["previous-version", "retired-hello", "length-prefix"]
+    "first",
+    [0xAA, 0xA9, 0xA8, 0xA7, 0x00],
+    ids=["previous-version", "version-0xa9", "version-0xa8", "retired-hello", "length-prefix"],
 )
 def test_assembler_refuses_a_stream_that_does_not_open_with_the_version_byte(first):
     assembler = wire.FrameAssembler(hello=wire.WIRE_VERSION)
@@ -112,12 +114,12 @@ _STREAMS = {
     "hit-with-tags": [wire.encode_binary_mux_frame(1, wire.OP_OK, [_HIT])],
     "miss": [wire.encode_binary_mux_frame(2, wire.OP_OK, [_MISS])],
     "put": [
-        wire.encode_binary_request_frame(
+        wire.encode_binary_mux_frame(
             3, _OP["put"], ("k", ValueBlob.pack([1, 2]), Interval(3, None), _TAGS)
         )
     ],
     "invalidate-batch": [
-        wire.encode_binary_request_frame(
+        wire.encode_binary_mux_frame(
             4, _OP["invalidate_tags"], ([(t, tuple(_TAGS)) for t in range(5, 9)],)
         )
     ],
@@ -132,7 +134,7 @@ _STREAMS = {
     ],
 }
 _BIG = [
-    wire.encode_binary_request_frame(
+    wire.encode_binary_mux_frame(
         8, _OP["put"], ("big", ValueBlob(bytes(range(256)) * 1200), Interval(3, None), frozenset())
     ),
     _request(9, "ping"),

@@ -20,13 +20,14 @@ import time
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.cache.entry import EntryRecord, LookupRequest, LookupResult, ValueBlob
 from repro.cache.netserver import CacheServerProcess, SocketTransport
 from repro.cache.server import CacheServer
 from repro.clock import ManualClock
 from repro.comm import wire
+from repro.comm.multicast import InvalidationMessage
 from repro.db.invalidation import InvalidationTag
 from repro.interval import Interval
 from tests.helpers import NODE_HOSTINGS, live_node, lookup_one
@@ -202,7 +203,6 @@ def test_value_blob_sizes_and_truncation(size):
             wire.decode_binary_body(body[:cut])
     opcode = wire.OPCODES["put"]
     put = bytes(wire.encode_binary_args(opcode, ("k", blob, Interval(1), frozenset())))
-    assert put[0] == 1  # the packed layout
     carried = wire.decode_binary_args(opcode, put)[1]
     assert type(carried) is ValueBlob and carried == blob
     with pytest.raises(wire.WireDecodeError):
@@ -232,8 +232,8 @@ def test_multi_lookup_request_payloads_round_trip(requests):
 @given(keys, timestamps, timestamps)
 @settings(deadline=None)
 def test_probe_request_args_are_the_plain_tagged_body(key, lo, span):
-    """Every request but ``put`` is the tagged encoding of its argument
-    tuple, with no marker byte, and round-trips for every key and bound."""
+    """Every request is the tagged encoding of its argument tuple, with no
+    marker byte, and round-trips for every key and bound."""
     args = (key, lo, lo + span)
     opcode = wire.OPCODES["probe"]
     body = bytes(wire.encode_binary_args(opcode, args))
@@ -261,37 +261,23 @@ def test_malformed_request_args_never_raise_anything_else(key, lo, span, data):
         pass  # the only acceptable exception
 
 
-@given(keys, values, intervals, tags)
+@given(st.tuples(keys, values, intervals, tags))
+@example(args=(b"raw-key", 1, Interval(0), frozenset()))
+@example(args=("k", 1, None, frozenset()))
+@example(args=("k", 1, Interval(0), (InvalidationTag("t"),)))  # tuple, not frozenset
+@example(args=("k", 1, Interval(0)))
+@example(args=("k",))
 @settings(deadline=None)
-def test_put_request_args_round_trip_packed(key, value, interval, tag_set):
-    """``put``'s fixed layout is exact for every key, value, interval, and
-    tag set the cache layer can send (the value rides the tagged codec
-    inside the packed frame, so arbitrary values still round-trip)."""
-    args = (key, value, interval, tag_set)
+def test_put_request_args_are_the_plain_tagged_body(args):
+    """``put`` crosses like every other request: its body is the tagged
+    encoding of its argument tuple, with no marker byte, exact for every
+    key, value, interval and tag set the cache layer can send — and for
+    the argument tuples only a peer would send (a non-str key, no interval,
+    a tuple of tags, the wrong arity), which the node then refuses."""
     opcode = wire.OPCODES["put"]
     body = bytes(wire.encode_binary_args(opcode, args))
-    assert body[0] == 1  # packed-layout marker
+    assert body == bytes(wire.encode_binary_body(args))
     assert wire.decode_binary_args(opcode, body) == args
-
-
-def test_put_request_args_fall_back_to_tagged_bodies():
-    """Arguments the packed put layout cannot carry (non-str key, a plain
-    set instead of a frozenset, a missing interval, wrong arity) still
-    round-trip via the tagged fallback."""
-    opcode = wire.OPCODES["put"]
-    for args in [
-        (b"raw-key", 1, Interval(0), frozenset()),
-        ("k", 1, None, frozenset()),
-        ("k", 1, Interval(0), (InvalidationTag("t"),)),  # tuple, not frozenset
-        ("k", 1, Interval(0)),
-        ("k",),
-    ]:
-        body = bytes(wire.encode_binary_args(opcode, args))
-        assert body[0] == 0  # tagged-body marker
-        assert wire.decode_binary_args(opcode, body) == args
-    # A set is a shape the format does not name: refused at the sender.
-    with pytest.raises(TypeError, match="no encoding for 'set'"):
-        wire.encode_binary_args(opcode, ("k", 1, Interval(0), {InvalidationTag("t")}))
 
 
 @given(keys, intervals, tags, st.data())
@@ -418,7 +404,7 @@ def test_the_retired_pickle_tag_is_refused_without_being_loaded():
     with pytest.raises(wire.WireDecodeError, match="unknown value tag 11"):
         wire.decode_binary_body(body)
     with pytest.raises(wire.WireDecodeError, match="unknown value tag 11"):
-        wire.decode_binary_args(wire.OPCODES["put"], bytes([0]) + body)
+        wire.decode_binary_args(wire.OPCODES["put"], body)
     assert loaded == []
 
 
@@ -431,6 +417,8 @@ def test_a_type_the_format_does_not_name_is_refused_at_the_sender(value):
         wire.encode_binary_body([1, value])
     with pytest.raises(TypeError, match="no encoding for"):
         wire.encode_binary_args(wire.OPCODES["keys_in_range"], ([value],))
+    with pytest.raises(TypeError, match="no encoding for"):
+        wire.encode_binary_args(wire.OPCODES["put"], ("k", 1, Interval(0), value))
 
 
 def test_a_run_past_the_24_bit_length_is_refused_at_the_sender():
@@ -503,7 +491,7 @@ def test_garbage_binary_body_yields_error_response_not_a_dead_server(hosting):
             assert status == wire.OP_ERR
             assert "WireDecodeError" in value
             # Same connection, next request: still served.
-            buffers = wire.encode_binary_request_frame(
+            buffers = wire.encode_binary_mux_frame(
                 8, wire.OPCODES["probe"], ("k", 0, 5)
             )
             sock.sendall(b"".join(bytes(b) for b in buffers))
@@ -522,8 +510,8 @@ def test_hot_and_maintenance_frames_interleave_on_one_connection(hosting):
     with live_node(hosting) as process:
         sock = _dial_binary(process.address)
         try:
-            hot = wire.encode_binary_request_frame(1, wire.OPCODES["probe"], ("k", 0, 5))
-            maintenance = wire.encode_binary_request_frame(
+            hot = wire.encode_binary_mux_frame(1, wire.OPCODES["probe"], ("k", 0, 5))
+            maintenance = wire.encode_binary_mux_frame(
                 2, wire.OPCODES["keys_in_range"], ([(0, 0)], None)
             )
             sock.sendall(
@@ -656,7 +644,7 @@ def test_unencodable_request_leaves_no_slot_to_absorb_the_lease_handoff():
         transport = SocketTransport(process.address, timeout_seconds=timeout)
         try:
             connection = transport._connection
-            for op in ("keys_in_range", "multi_lookup", "put"):  # the scratch path and the plain one
+            for op in ("keys_in_range", "multi_lookup", "put"):
                 with pytest.raises(TypeError, match="no encoding for 'function'"):
                     transport._call(op, lambda: None)
             assert connection._pending == {} and not connection._lease_held
@@ -890,9 +878,75 @@ def test_every_op_crosses_as_its_bare_opcode_and_a_binary_body():
     # No flag bits ride on the opcode byte: every op, the invalidation
     # batch included, has the one binary body format.
     for op, opcode in wire.OPCODES.items():
-        header, body = wire.encode_binary_request_frame(1, opcode, ())
+        header, body = wire.encode_binary_mux_frame(1, opcode, ())
         assert wire.MUX_HEADER.unpack(bytes(header))[1] == opcode, op
         assert wire.decode_binary_args(opcode, bytes(body)) == (), op
+
+
+_TAG = InvalidationTag.key("items", "id", 1)
+
+#: Every opcode, the client call that sends it, and the argument tuple that
+#: call puts on the wire (a value as the blob the client packs it into).
+CLIENT_CALLS = {
+    "multi_lookup": (
+        lambda t: t.multi_lookup([LookupRequest("k", 1, 5)]), ([LookupRequest("k", 1, 5)],)
+    ),
+    "put": (
+        lambda t: t.put("k", {"v": 1}, Interval(1), frozenset({_TAG})),
+        ("k", ValueBlob.pack({"v": 1}), Interval(1), frozenset({_TAG})),
+    ),
+    "probe": (lambda t: t.probe("k", 1, 5), ("k", 1, 5)),
+    "evict_stale": (lambda t: t.evict_stale(3), (3,)),
+    "stats": (lambda t: t.stats(), ()),
+    "reset_stats": (lambda t: t.reset_stats(), ()),
+    "extract_entries": (lambda t: t.extract_entries(None, 64), (None, 64)),
+    "install_entries": (
+        lambda t: t.install_entries([EntryRecord("k", 1, Interval(1))]),
+        ([EntryRecord("k", ValueBlob.pack(1), Interval(1))],),
+    ),
+    "discard_keys": (lambda t: t.discard_keys(["k"]), (["k"],)),
+    "watermark": (lambda t: t.watermark(), ()),
+    "note_timestamp": (lambda t: t.note_timestamp(7), (7,)),
+    "ping": (lambda t: t._call("ping"), ()),
+    "gossip": (lambda t: t.gossip({}), ({},)),
+    "key_digest": (lambda t: t.key_digest([(0, 0)]), ([(0, 0)], None)),
+    "keys_in_range": (lambda t: t.keys_in_range([(0, 0)]), ([(0, 0)], None)),
+    "invalidate_tags": (
+        lambda t: t.process_invalidation(InvalidationMessage(timestamp=4, tags=(_TAG,))),
+        ([(4, (_TAG,))],),
+    ),
+    "versions_of": (lambda t: t.versions_of("k"), ("k",)),
+}
+
+
+@pytest.mark.parametrize("op", sorted(CLIENT_CALLS))
+def test_the_client_sends_every_op_as_the_tagged_encoding_of_its_arguments(monkeypatch, op):
+    """One request encoding on the wire: whatever the op, the one frame the
+    client writes is the mux header and the tagged encoding of the call's
+    argument tuple, which the node decodes for every op alike."""
+    assert set(CLIENT_CALLS) == set(wire.OPCODES)
+    call, args = CLIENT_CALLS[op]
+    sent = []
+    send_buffers = wire.send_buffers
+
+    def recording(sock, buffers):
+        sent.append(b"".join(bytes(b) for b in buffers))
+        return send_buffers(sock, buffers)
+
+    with live_node("thread") as process:
+        transport = SocketTransport(process.address, name="node")
+        try:
+            monkeypatch.setattr(wire, "send_buffers", recording)
+            call(transport)
+        finally:
+            monkeypatch.undo()
+            transport.close()
+    (frame,) = sent
+    _request_id, opcode, length = wire.MUX_HEADER.unpack_from(frame)
+    body = frame[wire.MUX_HEADER.size :]
+    assert (opcode, length) == (wire.OPCODES[op], len(body))
+    assert body == bytes(wire.encode_binary_body(args))
+    assert wire.decode_binary_args(opcode, body) == args
 
 
 @pytest.mark.parametrize("hosting", NODE_HOSTINGS)
@@ -961,87 +1015,16 @@ def test_a_retired_opcode_is_refused_not_misread(hosting, opcode):
     with live_node(hosting) as process:
         sock = _dial_binary(process.address)
         try:
-            sock.sendall(b"".join(bytes(b) for b in wire.encode_binary_request_frame(3, opcode, ())))
+            sock.sendall(b"".join(bytes(b) for b in wire.encode_binary_mux_frame(3, opcode, ())))
             request_id, status, value = _read_mux_response(sock)
             assert (request_id, status) == (3, wire.OP_ERR)
             assert f"unknown cache operation opcode {opcode}" in value
             sock.sendall(
-                b"".join(bytes(b) for b in wire.encode_binary_request_frame(4, wire.OPCODES["ping"], ()))
+                b"".join(bytes(b) for b in wire.encode_binary_mux_frame(4, wire.OPCODES["ping"], ()))
             )
             assert _read_mux_response(sock) == (4, wire.OP_OK, "node")
         finally:
             sock.close()
-
-
-# ----------------------------------------------------------------------
-# EncodeScratch: the multi-lookup batch path's reusable encode buffer
-# ----------------------------------------------------------------------
-def _batch_args(size=6):
-    return ([LookupRequest(f"key-{i}", 0, 40) for i in range(size)],)
-
-
-def test_encode_scratch_reuses_one_buffer_across_requests():
-    scratch = wire.EncodeScratch()
-    opcode = wire.OPCODES["multi_lookup"]
-    for request_id in range(200):
-        header, body = scratch.encode_request_frame(request_id, opcode, _batch_args())
-        rid, opcode_byte, length = wire.MUX_HEADER.unpack(bytes(header))
-        assert rid == request_id
-        assert opcode_byte == opcode
-        assert length == len(body)
-        assert wire.decode_binary_args(opcode, bytes(body)) == _batch_args()
-        body.release()  # the send path releases before the next encode
-    assert scratch.allocations == 1  # the no-new-allocations claim
-
-
-def test_encode_scratch_replaces_the_buffer_past_its_limit():
-    scratch = wire.EncodeScratch(limit_bytes=256)
-    opcode = wire.OPCODES["multi_lookup"]
-    for request_id in range(50):
-        _header, body = scratch.encode_request_frame(request_id, opcode, _batch_args())
-        body.release()
-    # The buffer grew past the cap and was replaced wholesale (not
-    # truncated in place, which would shrink the allocation every frame).
-    assert scratch.allocations > 1
-    assert len(scratch.buffer) <= 256 + 1024  # bounded, not monotone growth
-
-
-def test_encode_scratch_rolls_back_a_failed_encode():
-    class Exploding:
-        """A type the wire format does not name."""
-
-    scratch = wire.EncodeScratch()
-    opcode = wire.OPCODES["multi_lookup"]
-    _header, body = scratch.encode_request_frame(1, opcode, _batch_args())
-    good_length = len(scratch.buffer)
-    body.release()
-    with pytest.raises(TypeError):
-        scratch.encode_request_frame(2, opcode, ([LookupRequest("k", 0, 1), Exploding()],))
-    # The shared buffer holds no half-written layout: the next frame
-    # starts exactly where the failed one tried to.
-    assert len(scratch.buffer) == good_length
-    _header, body = scratch.encode_request_frame(3, opcode, _batch_args())
-    assert wire.decode_binary_args(opcode, bytes(body)) == _batch_args()
-    body.release()
-
-
-@pytest.mark.parametrize("hosting", NODE_HOSTINGS)
-def test_mux_transport_pins_scratch_allocations_across_a_batch_run(hosting):
-    """The transport-level no-new-allocations claim: one encode buffer
-    serves every multi_lookup of a run (satellite of the per-core PR)."""
-    with live_node(hosting) as process:
-        transport = SocketTransport(process.address)
-        try:
-            for i in range(10):
-                transport.put(f"key-{i}", {"row": i}, Interval(0))
-            for _ in range(100):
-                results = transport.multi_lookup(
-                    [LookupRequest(f"key-{i}", 0, 40) for i in range(10)]
-                )
-                assert all(result.hit for result in results)
-            assert transport.scratch_allocations == 1
-        finally:
-            transport.close()
 
 
 # ----------------------------------------------------------------------

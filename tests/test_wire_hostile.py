@@ -107,7 +107,7 @@ def flat(buffers) -> bytes:
 
 
 def binary_request(request_id, op, args) -> bytes:
-    return flat(wire.encode_binary_request_frame(request_id, OP[op], args))
+    return flat(wire.encode_binary_mux_frame(request_id, OP[op], args))
 
 
 def read_reply(sock):
@@ -133,10 +133,10 @@ def outcome(sock):
 PUT = binary_request(1, "put", ("victim", ValueBlob.pack(list(range(50))), Interval(1, None), frozenset({TAG})))
 MULTI_LOOKUP = binary_request(2, "multi_lookup", ([LookupRequest("bystander", 1, 5, 1)],))
 
-#: Where the blob's u32 length sits in PUT: right after its tag byte, and
-#: the blob is the last thing in the body.
+#: Where the blob's u32 length sits in PUT: the body is the argument tuple
+#: (tag, count), then the key (tag, length, bytes), then the blob's tag.
 _BLOB = ValueBlob.pack(list(range(50)))
-BLOB_LENGTH_AT = len(PUT) - len(_BLOB) - 4
+BLOB_LENGTH_AT = wire.MUX_HEADER.size + 2 + 2 + len("victim") + 1
 #: Where the request's ``<qqq`` sits in MULTI_LOOKUP: the last 24 bytes.
 QQQ_AT = len(MULTI_LOOKUP) - 24
 
@@ -238,15 +238,18 @@ def test_hostile_bytes_cost_only_the_connection_that_sent_them(routed_node, seed
 
 
 #: First bytes of connections that do not speak this protocol: a request of
-#: the retired 4-byte-length + pickle framing, the retired 0xA7 hello and
-#: the previous wire version (whose maintenance ops carried pickle bodies)
-#: before a well-formed frame, and a lone zero byte.
+#: the retired 4-byte-length + pickle framing; before a well-formed frame,
+#: the retired 0xA7 hello and the three versions before this one (0xAA
+#: packed ``put``'s key, interval and tags, 0xA9 ``probe``'s too, and 0xA8's
+#: maintenance ops carried pickle bodies); and a lone zero byte.
 FOREIGN_OPENINGS = {
     "length-prefixed-pickle": (
         struct.pack("!I", len(pickle.dumps(("ping", ())))) + pickle.dumps(("ping", ()))
     ),
     "retired-hello": bytes([0xA7]) + binary_request(1, "ping", ()),
-    "previous-version": bytes([0xA8]) + binary_request(1, "ping", ()),
+    "previous-version": bytes([0xAA]) + binary_request(1, "ping", ()),
+    "version-0xa9": bytes([0xA9]) + binary_request(1, "ping", ()),
+    "version-0xa8": bytes([0xA8]) + binary_request(1, "ping", ()),
     "zero-byte": b"\x00",
 }
 
@@ -294,9 +297,12 @@ class Probe:
 def probe_frames(path):
     """name -> one whole frame that carries a pickled :class:`Probe`."""
     pickled = pickle.dumps(Probe(path))
-    # A put body behind the tagged-args marker: tag 11 (the retired pickle
-    # fallback), a u32 length, the pickle.
-    tag_11 = bytes([0, 11]) + struct.pack("<I", len(pickled)) + pickled
+    # A put body whose value is tag 11 (the retired pickle fallback), a u32
+    # length and the pickle: a four-argument tuple, the key "k", then that.
+    tag_11 = (
+        bytes([wire._T_TUPLE8, 4, wire._T_STR8, 1]) + b"k"
+        + bytes([11]) + struct.pack("<I", len(pickled)) + pickled
+    )
     return {
         "extract-entries-body": header(1, OP["extract_entries"], len(pickled)) + pickled,
         "put-tag-11": header(2, OP["put"], len(tag_11)) + tag_11,
@@ -443,6 +449,27 @@ def test_a_peer_asking_for_the_whole_store_gets_one_page(node):
     finally:
         walker.close()
         bystander.close()
+
+
+def test_a_put_the_node_cannot_store_leaves_its_store_walks_working(node):
+    """A ``put`` whose key is not a string gets ``OP_ERR`` and leaves
+    nothing behind: the walks of the store that repair, migration and
+    drains page through are still served on the same connection."""
+    address, alive = node
+    sock = dial(address)
+    try:
+        sock.sendall(binary_request(1, "put", ("k", ValueBlob.pack(1), Interval(0), frozenset())))
+        assert read_reply(sock)[:2] == (1, OK)
+        sock.sendall(binary_request(2, "put", (5, ValueBlob.pack(1), Interval(0), frozenset())))
+        assert read_reply(sock)[:2] == (2, ERR)
+        for request_id, (op, (arguments, _covered)) in enumerate(WALKS.items(), start=3):
+            sock.sendall(binary_request(request_id, op, arguments))
+            reply_id, opcode, body = read_reply(sock)
+            assert (reply_id, opcode) == (request_id, OK), op
+            assert wire.decode_binary_body(body)[1] is None, op
+        assert alive()
+    finally:
+        sock.close()
 
 
 # ----------------------------------------------------------------------
