@@ -5,7 +5,7 @@ the key, hash it to a node, send one lookup, intersect one interval with the
 pin set — and none of the machinery that exists for failing nodes.  Asserted
 as *shape*, by counting under ``sys.setprofile`` (deterministic, no clock):
 which functions a hit enters, how often the ring hashes, and how many Python
-function calls one hit makes.
+function calls one hit makes; and that a batch of hits asks each node once.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from collections import Counter
 
 from repro.cache import hashring
 from repro.comm.transport import RetryPolicy
+from repro.core import api
 from repro.db.query import Eq, Select
 from repro.db.schema import TableSchema
 from repro.deployment import TxCacheDeployment
@@ -110,3 +111,65 @@ def test_a_hit_on_a_healthy_cluster_runs_only_the_lookup():
         )
     finally:
         deployment.shutdown()
+
+
+def test_a_batch_asks_each_node_once():
+    """``call_all`` of ``ROWS`` hits over two nodes: one ``multi_lookup``
+    per node, one ring hash per key, two round trips counted.  A batch of
+    one enters exactly the functions a plain call does."""
+    deployment = TxCacheDeployment(cache_nodes=2, transport="inprocess")
+    try:
+        deployment.database.create_table(
+            TableSchema.build("items", ["id", "price"], primary_key="id")
+        )
+        deployment.database.bulk_load("items", [{"id": i, "price": i} for i in range(ROWS)])
+        client = deployment.client()
+
+        def price_of(item_id):
+            return client.query(Select("items", Eq("id", item_id))).rows[0]["price"]
+
+        get_price = client.make_cacheable(price_of, name="shape.get_price")
+        with client.read_only():
+            for item_id in range(ROWS):
+                get_price(item_id)
+        deployment.advance(0.1)
+        transports = deployment.cache.transports
+        keys_by_node = Counter(
+            deployment.cache.replicas_for(get_price.__txcache_key_maker__((i,), {}))[0]
+            for i in range(ROWS)
+        )
+        assert sorted(keys_by_node) == sorted(transports)  # the keys span both
+
+        client.begin_ro()
+        sent = {name: t.op_counts["multi_lookup"] for name, t in transports.items()}
+        rpcs, hits = client.stats.cache_rpcs, client.stats.hits
+        calls = [(get_price, (i,)) for i in range(ROWS)]
+        values = []
+        python_calls, _ = _profiled(lambda: values.extend(client.call_all(calls)))
+        assert values == list(range(ROWS))
+        assert client.stats.hits - hits == ROWS
+        asked = {name: t.op_counts["multi_lookup"] - sent[name] for name, t in transports.items()}
+        assert asked == {name: 1 for name in transports}
+        assert python_calls[hashring._hash.__code__] == ROWS
+        assert client.stats.cache_rpcs - rpcs == 2
+
+        # Beside the driving lambda, a batch of one enters only call_all and
+        # its plain loop before the calls a single hit makes.
+        single, _ = _profiled(lambda: get_price(7))
+        batch_of_one, _ = _profiled(lambda: client.call_all([(get_price, (7,))]))
+        client.commit()
+        loop = {(api.__file__, "call_all"), (api.__file__, "<listcomp>")}
+        assert _below_the_test(batch_of_one, skip=loop) == _below_the_test(single)
+    finally:
+        deployment.shutdown()
+
+
+def _below_the_test(python_calls: Counter, skip=frozenset()) -> Counter:
+    """Python calls by (file, function), leaving out this file's and ``skip``."""
+    return Counter(
+        {
+            (code.co_filename, code.co_name): count
+            for code, count in python_calls.items()
+            if code.co_filename != __file__ and (code.co_filename, code.co_name) not in skip
+        }
+    )

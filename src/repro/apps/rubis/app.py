@@ -12,6 +12,14 @@ granularities:
   the completed item tables, so even this "fine-grained" function spans
   multiple queries.
 
+Where a page always makes several independent cacheable calls, it makes
+them with one :meth:`TxCacheClient.call_all`, so their lookups share one
+round trip per cache node: the home page (categories and regions), both
+search pages (an item's listing price; the region search also fetches its
+items that way), view item (price, bid count and seller), bid history (the
+bidders), buy now, put bid and put comment (the item and the user, and put
+bid's price), and about me (the items bid on and the listing prices).
+
 Read/write interactions (registering users and items, placing bids, buy-now
 purchases, storing comments) bypass the cache and run directly against the
 database inside ``BEGIN-RW`` transactions.
@@ -158,8 +166,9 @@ class RubisApp:
     # Coarse-grained page implementations (read-only interactions)
     # ==================================================================
     def _home_page(self) -> Dict[str, Any]:
-        categories = self.get_categories()
-        regions = self.get_regions()
+        categories, regions = self.client.call_all(
+            [(self.get_categories, ()), (self.get_regions, ())]
+        )
         return {
             "title": "RUBiS auction site",
             "category_count": len(categories),
@@ -191,7 +200,7 @@ class RubisApp:
             )
         ).rows
         items = items[page * PAGE_SIZE : (page + 1) * PAGE_SIZE]
-        listings = [self._listing_for(item) for item in items]
+        listings = self._listings_for(items)
         return {
             "category": category_id,
             "page": page,
@@ -209,11 +218,10 @@ class RubisApp:
         ).rows
         item_ids = [m["item_id"] for m in mappings]
         item_ids = item_ids[page * PAGE_SIZE : (page + 1) * PAGE_SIZE]
-        listings = []
-        for item_id in item_ids:
-            item = self.get_item(item_id)
-            if item is not None and not item["closed"]:
-                listings.append(self._listing_for(item))
+        items = self.client.call_all([(self.get_item, (item_id,)) for item_id in item_ids])
+        listings = self._listings_for(
+            [item for item in items if item is not None and not item["closed"]]
+        )
         return {
             "category": category_id,
             "region": region_id,
@@ -228,9 +236,13 @@ class RubisApp:
         item = self.get_item(item_id)
         if item is None:
             return {"error": "item not found", "item_id": item_id, "html": _render("missing")}
-        price = self.get_item_current_price(item_id)
-        bid_count = self.get_item_bid_count(item_id)
-        seller = self.get_user(item["seller"])
+        price, bid_count, seller = self.client.call_all(
+            [
+                (self.get_item_current_price, (item_id,)),
+                (self.get_item_bid_count, (item_id,)),
+                (self.get_user, (item["seller"],)),
+            ]
+        )
         return {
             "item": item,
             "price": price,
@@ -256,17 +268,16 @@ class RubisApp:
         bids = self.client.query(
             Select("bids", Eq("item_id", item_id), order_by="bid", descending=True)
         ).rows
-        entries = []
-        for bid in bids:
-            bidder = self.get_user(bid["user_id"])
-            entries.append(
-                {
-                    "bid": bid["bid"],
-                    "qty": bid["qty"],
-                    "bidder": bidder["nickname"] if bidder else None,
-                    "date": bid["date"],
-                }
-            )
+        bidders = self.client.call_all([(self.get_user, (bid["user_id"],)) for bid in bids])
+        entries = [
+            {
+                "bid": bid["bid"],
+                "qty": bid["qty"],
+                "bidder": bidder["nickname"] if bidder else None,
+                "date": bid["date"],
+            }
+            for bid, bidder in zip(bids, bidders)
+        ]
         return {
             "item": item["name"] if item else None,
             "bids": entries,
@@ -274,8 +285,9 @@ class RubisApp:
         }
 
     def _buy_now_page(self, item_id: int, user_id: int) -> Dict[str, Any]:
-        item = self.get_item(item_id)
-        user = self.get_user(user_id)
+        item, user = self.client.call_all(
+            [(self.get_item, (item_id,)), (self.get_user, (user_id,))]
+        )
         return {
             "item": item,
             "buyer": user["nickname"] if user else None,
@@ -283,9 +295,13 @@ class RubisApp:
         }
 
     def _put_bid_page(self, item_id: int, user_id: int) -> Dict[str, Any]:
-        item = self.get_item(item_id)
-        price = self.get_item_current_price(item_id)
-        user = self.get_user(user_id)
+        item, price, user = self.client.call_all(
+            [
+                (self.get_item, (item_id,)),
+                (self.get_item_current_price, (item_id,)),
+                (self.get_user, (user_id,)),
+            ]
+        )
         return {
             "item": item,
             "current_price": price,
@@ -294,8 +310,9 @@ class RubisApp:
         }
 
     def _put_comment_page(self, item_id: int, to_user_id: int) -> Dict[str, Any]:
-        item = self.get_item(item_id)
-        user = self.get_user(to_user_id)
+        item, user = self.client.call_all(
+            [(self.get_item, (item_id,)), (self.get_user, (to_user_id,))]
+        )
         return {
             "item": item,
             "to_user": user["nickname"] if user else None,
@@ -316,17 +333,17 @@ class RubisApp:
         selling = self.client.query(Select("items", Eq("seller", user_id))).rows
         sold = self.client.query(Select("old_items", Eq("seller", user_id))).rows
         bids = self.client.query(Select("bids", Eq("user_id", user_id))).rows
-        bid_items = []
-        for bid in bids[:PAGE_SIZE]:
-            item = self.get_item(bid["item_id"])
-            if item is not None:
-                bid_items.append(self._listing_for(item))
+        items = self.client.call_all(
+            [(self.get_item, (bid["item_id"],)) for bid in bids[:PAGE_SIZE]]
+        )
+        bid_items = self._listings_for([item for item in items if item is not None])
         bought = self.client.query(Select("buy_now", Eq("buyer_id", user_id))).rows
         comments = self.get_user_comments(user_id)
+        listings = self._listings_for(selling + sold)
         return {
             "user": user,
-            "selling": [self._listing_for(item) for item in selling],
-            "sold": [self._listing_for(item) for item in sold],
+            "selling": listings[: len(selling)],
+            "sold": listings[len(selling) :],
             "bid_items": bid_items,
             "bought": bought,
             "comments": comments,
@@ -482,15 +499,21 @@ class RubisApp:
     # ==================================================================
     # Helpers
     # ==================================================================
-    def _listing_for(self, item: Dict[str, Any]) -> Dict[str, Any]:
-        """A compact listing entry, using the fine-grained price function."""
-        price = self.get_item_current_price(item["id"])
-        return {
-            "id": item["id"],
-            "name": item["name"],
-            "price": price,
-            "end_date": item["end_date"],
-        }
+    def _listings_for(self, items: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
+        """Compact listing entries, priced by the fine-grained price function
+        in one batch."""
+        prices = self.client.call_all(
+            [(self.get_item_current_price, (item["id"],)) for item in items]
+        )
+        return [
+            {
+                "id": item["id"],
+                "name": item["name"],
+                "price": price,
+                "end_date": item["end_date"],
+            }
+            for item, price in zip(items, prices)
+        ]
 
 
 def _render(template: str, **values: Any) -> str:

@@ -704,7 +704,9 @@ class CacheCluster:
         """Route a versioned lookup to the responsible node: a batch of one."""
         return self.multi_lookup([LookupRequest(key, lo, hi)])[0]
 
-    def multi_lookup(self, requests: Sequence[LookupRequest]) -> List[LookupResult]:
+    def multi_lookup(
+        self, requests: Sequence[LookupRequest], asked: Optional[List[str]] = None
+    ) -> List[LookupResult]:
         """Answer a batch of lookups, one round trip per node touched.
 
         Requests are grouped by primary node in one pass, each group is one
@@ -717,6 +719,9 @@ class CacheCluster:
         reachable replica left are answered with degraded misses.  When
         the deadline budget runs out, what is still queued degrades at
         once instead of charging failures to nodes that were never asked.
+
+        ``asked``, when given, is appended the node of every round trip the
+        batch made, so a caller can count them without routing a key again.
         """
         results: List[Optional[LookupResult]] = [None] * len(requests)
         pending: Dict[str, List[int]] = {}
@@ -735,6 +740,8 @@ class CacheCluster:
                     for index in indices:
                         results[index] = self._degraded_lookup(requests[index].key)
                     continue
+                if asked is not None:
+                    asked.append(node)
                 answers = self._ask(
                     node, "multi_lookup", [requests[index] for index in indices]
                 )

@@ -5,7 +5,9 @@ programming model of the paper:
 
 * ``begin_ro(staleness)`` / ``begin_rw()`` / ``commit()`` / ``abort()``;
 * ``make_cacheable(fn)`` (and the :meth:`TxCacheClient.cacheable` decorator)
-  to designate pure functions whose results are transparently cached;
+  to designate pure functions whose results are transparently cached, and
+  ``call_all(calls)`` to make several such calls with one lookup round trip
+  per cache node;
 * ``query`` / ``insert`` / ``update`` / ``delete`` to access the database
   within a transaction.
 
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import functools
 from enum import Enum
-from typing import Any, Callable, Dict, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.cache.cluster import CacheCluster
 from repro.cache.entry import LookupRequest
@@ -53,6 +55,9 @@ __all__ = ["ConsistencyMode", "TxCacheClient"]
 
 #: Upper bound of a lookup over "any time from X until now".
 _FAR_FUTURE = 2**62
+
+#: The keyword arguments of a batched call (it has none); never mutated.
+_NO_KWARGS: Dict[str, Any] = {}
 
 
 class ConsistencyMode(Enum):
@@ -133,6 +138,9 @@ class TxCacheClient:
         #: argument-free ones are built once, not once per ``with``.
         self._read_only_scope = _TransactionScope(self, True)
         self._read_write_scope = _TransactionScope(self, False)
+        #: The keys this transaction stored since the innermost open
+        #: :meth:`call_all` sent its batch; ``None`` while none is open.
+        self._batch_stores: Optional[Set[str]] = None
 
     # ==================================================================
     # Transaction control
@@ -183,6 +191,7 @@ class TxCacheClient:
         state = self._state
         if state is None:
             self._require_transaction()
+        self._refuse_mid_call(state)
         try:
             if isinstance(state, ReadWriteState):
                 timestamp = state.db_transaction.commit()
@@ -196,6 +205,7 @@ class TxCacheClient:
     def abort(self) -> None:
         """ABORT: abandon the current transaction."""
         state = self._require_transaction()
+        self._refuse_mid_call(state)
         try:
             if isinstance(state, ReadWriteState):
                 state.db_transaction.abort()
@@ -249,6 +259,7 @@ class TxCacheClient:
             return self._call_cacheable(fn, make_key, display_name, args, kwargs)
 
         wrapper.__txcache_wrapped__ = fn  # type: ignore[attr-defined]
+        wrapper.__txcache_key_maker__ = make_key  # type: ignore[attr-defined]
         wrapper.__txcache_name__ = display_name  # type: ignore[attr-defined]
         return wrapper
 
@@ -267,6 +278,95 @@ class TxCacheClient:
             return self.make_cacheable(inner, name=name)
 
         return decorator
+
+    def call_all(self, calls: Sequence[Tuple[Callable[..., Any], tuple]]) -> List[Any]:
+        """Make several cacheable calls, looking them all up at once.
+
+        ``calls`` is a list of ``(cacheable, args)`` pairs, each
+        ``cacheable`` a wrapper :meth:`make_cacheable` returned.  Results,
+        statistics, database queries, pin-set evolution and stored entries
+        are those of ``[fn(*args) for fn, args in calls]``; the difference
+        is that the lookups go out as one :meth:`CacheCluster.multi_lookup`,
+        one round trip per cache node touched, and ``stats.cache_rpcs``
+        counts those round trips.  An extension: the paper's library looks
+        up one call at a time.
+
+        The batch is sent at the pin-set bounds and ``fresh_lo`` of the
+        moment it is sent, each distinct key once.  The answers are then
+        taken in call order, and a call uses its answer only if
+
+        (a) this transaction has not stored the call's key since the batch
+            was sent (a miss run by an earlier call may have put it,
+            directly or from a nested call), and
+        (b) the answer is a miss, or a hit whose effective interval leaves
+            the current pin set a timestamp (:meth:`PinSet.would_survive`).
+
+        Any other call makes the ordinary single lookup.  The rule is exact
+        because bounds only narrow.  A node answers the newest version whose
+        interval meets ``[lo, hi]``, so a version that still meets the
+        narrower bounds is also the newest that meets them; and a miss over
+        the wider bounds is a miss over the narrower ones too, with the same
+        ``fresh_version_exists``.  What the client cannot see is left out:
+        other clients' writes in between, and a node's LRU order — the
+        batch's hits refresh theirs when it is sent, which under capacity
+        pressure can change what a later put evicts.
+
+        Fewer than two calls, ``NO_CACHE`` mode, a read/write transaction
+        and no transaction at all are the plain loop.
+        """
+        state = self._state
+        if (
+            len(calls) < 2
+            or not isinstance(state, ReadOnlyState)
+            or self.mode is ConsistencyMode.NO_CACHE
+        ):
+            return [fn(*args) for fn, args in calls]
+        lo, hi = self._lookup_bounds(state)
+        initial = state.initial_bounds
+        fresh_lo = initial[0] if initial else 0
+        keys: List[str] = []
+        slots: Dict[str, int] = {}
+        requests: List[LookupRequest] = []
+        for fn, args in calls:
+            key = fn.__txcache_key_maker__(args, _NO_KWARGS)
+            keys.append(key)
+            if key not in slots:
+                slots[key] = len(requests)
+                requests.append(LookupRequest(key, lo, hi, fresh_lo))
+        asked: List[str] = []
+        answers = self.cache.multi_lookup(requests, asked)
+        self.stats.cache_rpcs += len(asked)
+
+        consistent = self.mode is ConsistencyMode.CONSISTENT
+        outer = self._batch_stores
+        stored = self._batch_stores = set()
+        values = []
+        try:
+            for (fn, args), key in zip(calls, keys):
+                answer = answers[slots[key]]
+                if key not in stored and (
+                    not answer.hit
+                    or not consistent
+                    or state.pin_set.would_survive(answer.interval)
+                ):
+                    values.append(
+                        self._take_answer(
+                            state,
+                            answer,
+                            fn.__txcache_wrapped__,
+                            key,
+                            fn.__txcache_name__,
+                            args,
+                            _NO_KWARGS,
+                        )
+                    )
+                else:
+                    values.append(fn(*args))
+        finally:
+            self._batch_stores = outer
+            if outer is not None:
+                outer |= stored
+        return values
 
     # ==================================================================
     # Database access within a transaction
@@ -340,7 +440,19 @@ class TxCacheClient:
             [LookupRequest(key, lo, hi, initial[0] if initial else 0)]
         )
         self.stats.cache_rpcs += 1
+        return self._take_answer(state, result, fn, key, display_name, args, kwargs)
 
+    def _take_answer(
+        self,
+        state: ReadOnlyState,
+        result,
+        fn: Callable[..., Any],
+        key: str,
+        display_name: str,
+        args: tuple,
+        kwargs: dict,
+    ) -> Any:
+        """A cacheable call's value, given the cache's answer for its key."""
         # A hit is usable if it leaves the transaction a serialization
         # point, and using it narrows the pin set to those that remain.
         if result.hit and (
@@ -377,6 +489,9 @@ class TxCacheClient:
         # replication_factor=1, the paper's deployment; fewer than R after a
         # crash shrinks the ring below the factor).
         self.stats.cache_rpcs += self.cache.put(key, value, interval, tags).replicas
+        stored = self._batch_stores
+        if stored is not None:
+            stored.add(key)
         # The enclosing functions (if any) already accumulated everything the
         # inner function observed, because database/cache observations are
         # folded into every frame on the stack as they happen.
@@ -483,10 +598,6 @@ class TxCacheClient:
         return self.database.wallclock_of(snapshot_id)
 
     def _finish_read_only(self, state: ReadOnlyState, abort: bool) -> int:
-        if state.frames:
-            raise TxCacheError(
-                "transaction finished while cacheable functions are still executing"
-            )
         if state.db_transaction is not None and state.db_transaction.active:
             if abort:
                 state.db_transaction.abort()
@@ -501,6 +612,16 @@ class TxCacheClient:
     # ==================================================================
     # Internals: transaction-state plumbing
     # ==================================================================
+    @staticmethod
+    def _refuse_mid_call(state: Union[ReadOnlyState, ReadWriteState]) -> None:
+        """COMMIT or ABORT from inside a running cacheable function is an
+        error, raised before the transaction is touched: the scope that
+        began it still holds it, and its ABORT releases the pins."""
+        if isinstance(state, ReadOnlyState) and state.frames:
+            raise TxCacheError(
+                "transaction finished while cacheable functions are still executing"
+            )
+
     def _check_no_transaction(self) -> None:
         if self._state is not None:
             raise TransactionInProgressError("a transaction is already in progress")

@@ -60,8 +60,9 @@ class ClientStats:
     db_queries: int = 0
     pins_created: int = 0
     cache_bypassed_calls: int = 0
-    #: Cache round trips issued (a batched multi-key lookup counts once, a
-    #: put counts once); the cost model charges network cost per round trip.
+    #: Cache round trips issued (a lookup counts once, a ``call_all`` batch
+    #: once per node it went to, a put once per replica); the cost model
+    #: charges network cost per round trip.
     cache_rpcs: int = 0
 
     # ------------------------------------------------------------------

@@ -432,16 +432,22 @@ RUBIS_USERS = 24
 
 
 def rubis_sessions(
-    deployment: TxCacheDeployment, client, seed: int, staleness: float = 30.0, scale: int = 100
+    deployment: TxCacheDeployment,
+    client,
+    seed: int,
+    staleness: float = 30.0,
+    scale: int = 100,
+    mix=BIDDING_MIX,
 ) -> list:
-    """RUBiS loaded (data seed 42) and the bidding mix's 24 emulated users,
-    seeded ``seed * 1000 + i`` as ``perf/workloads.py`` seeds them."""
+    """RUBiS loaded (data seed 42) and ``mix``'s 24 emulated users (the
+    bidding mix by default), seeded ``seed * 1000 + i`` as
+    ``perf/workloads.py`` seeds them."""
     create_rubis_schema(deployment.database)
     dataset = populate_database(deployment.database, IN_MEMORY_CONFIG.scaled(scale), seed=42)
     app = RubisApp(client, dataset)
     return [
         RubisClientSession(
-            app, BIDDING_MIX, seed=seed * 1000 + i, staleness=staleness,
+            app, mix, seed=seed * 1000 + i, staleness=staleness,
             now_fn=deployment.clock.now,
         )
         for i in range(RUBIS_USERS)

@@ -359,19 +359,33 @@ class TestNestedCacheableCalls:
             assert profile_page(2) == "profile:renamed"
 
     def test_unbalanced_frames_detected(self):
-        _dep, client = build_deployment()
+        dep, client = build_deployment()
         get_user = make_get_user(client)
 
         @client.cacheable(name="bad_page")
-        def bad_page(user_id):
-            client.commit()  # illegal: finishing the transaction mid-call
+        def bad_page(user_id, finish):
+            get_user(user_id)
+            getattr(client, finish)()  # illegal: finishing the transaction mid-call
             return user_id
 
-        client.begin_ro()
-        with pytest.raises(TxCacheError):
-            bad_page(1)
-        if client.in_transaction:
+        for finish in ("commit", "abort"):
+            client.begin_ro()
+            with pytest.raises(TxCacheError):
+                bad_page(1, finish)
+            # Refused before the transaction was touched: it is still open,
+            # and the enclosing scope's ABORT hands its pins back.
+            assert client.in_transaction
             client.abort()
+            with pytest.raises(TxCacheError):
+                with client.read_only():
+                    bad_page(2, finish)
+            assert not client.in_transaction
+        pincushion = dep.pincushion
+        rows = [pincushion.snapshot(snapshot_id) for snapshot_id in pincushion.pinned_ids]
+        assert rows and all(row.in_use == 0 for row in rows)
+        dep.advance(dep.pincushion_expiry_seconds + 1.0)
+        pincushion.expire_old_snapshots()
+        assert pincushion.pinned_ids == []
 
 
 class TestMissClassification:

@@ -10,7 +10,8 @@ probe's answer (``fresh_version_exists``).  Two checks:
   watermark advances and stale evictions, each miss's flag equals what the
   standalone ``probe`` op answers for ``(fresh_lo, FAR_FUTURE)``;
 * a RUBiS bidding run classifies every miss as the two-request client
-  would have: the companion probe is sent beside each lookup and compared.
+  would have: the companion probe is sent beside each looked-up key and
+  compared.
 """
 
 from __future__ import annotations
@@ -95,9 +96,10 @@ def test_a_miss_carries_the_answer_of_the_probe_it_replaced(transport_kind, seed
 def test_rubis_bidding_misses_classify_as_the_two_request_client_classified_them():
     """2 000 interactions of the bidding mix, 24 users, 10 s staleness on a
     clock that advances 20 ms per interaction (40 s in all, so snapshots
-    age out and pin sets narrow).  Beside every lookup the test sends the
-    companion probe the two-request client sent, and every miss must carry
-    the probe's answer and be classified by it.
+    age out and pin sets narrow).  Beside every key of every lookup batch
+    the test sends the companion probe the two-request client sent, and
+    every miss must carry the probe's answer for its own key and be
+    classified by it.
 
     This used to compare the run's totals with figures recorded from an
     older commit, and swallowed the mix's then-known ``EmptyPinSetError``;
@@ -111,20 +113,25 @@ def test_rubis_bidding_misses_classify_as_the_two_request_client_classified_them
         sessions = rubis_sessions(deployment, client, seed=1, staleness=10.0, scale=400)
         cluster = deployment.cache
         folded_lookup = cluster.multi_lookup
-        record_miss = client.stats.record_miss
-        last = {}
+        classify = client._classify_miss
+        #: key -> the probe sent beside the latest lookup of that key.
+        probes = {}
+        counted = {"round_trips": 0, "classified": 0}
 
-        def lookup_and_probe(requests):
-            (request,) = requests
-            (result,) = results = folded_lookup(requests)
-            last["result"] = result
-            last["probe"] = cluster.transport_for(request.key).probe(
-                request.key, request.fresh_lo, FAR_FUTURE
+        def lookup_and_probe(requests, asked=None):
+            results = folded_lookup(requests, asked)
+            for request in requests:
+                probes[request.key] = cluster.transport_for(request.key).probe(
+                    request.key, request.fresh_lo, FAR_FUTURE
+                )
+            # One round trip per node the batch's keys live on.
+            counted["round_trips"] += len(
+                {cluster.replicas_for(request.key)[0] for request in requests}
             )
             return results
 
-        def checked_record_miss(miss_type):
-            result, probe = last["result"], last["probe"]
+        def checked_classify(result):
+            probe = probes[result.key]
             if result.hit:
                 # A hit the pin set could not use lies inside the window.
                 assert probe
@@ -134,21 +141,26 @@ def test_rubis_bidding_misses_classify_as_the_two_request_client_classified_them
                 expected = MissType.COMPULSORY
             else:
                 expected = MissType.CONSISTENCY if probe else MissType.STALE_OR_CAPACITY
+            miss_type = classify(result)
             assert miss_type is expected, result
-            record_miss(miss_type)
+            counted["classified"] += 1
+            return miss_type
 
         cluster.multi_lookup = lookup_and_probe
-        client.stats.record_miss = checked_record_miss
+        client._classify_miss = checked_classify
         run_interactions(deployment, sessions, 0, 2000, dt=0.020)
         stats = client.stats
-        # The run exercised every answer, and one lookup per cacheable call
-        # plus one put per miss is still all the cache traffic there is.
+        assert counted["classified"] == stats.misses
+        # The run exercised every answer, and the lookup round trips plus one
+        # put per miss are still all the cache traffic there is.
         assert all(
             stats.misses_by_type[kind] > 50
             for kind in (MissType.COMPULSORY, MissType.STALE_OR_CAPACITY, MissType.CONSISTENCY)
         ), stats.misses_by_type
         assert stats.misses_by_type[MissType.DEGRADED] == 0
         assert stats.hits > stats.misses > 500
-        assert stats.cache_rpcs == stats.cacheable_calls + stats.misses
+        assert stats.cache_rpcs == counted["round_trips"] + stats.misses
+        # Pages batch their calls: fewer round trips than lookups.
+        assert counted["round_trips"] < stats.cacheable_calls
     finally:
         deployment.shutdown()
