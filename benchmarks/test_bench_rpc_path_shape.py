@@ -224,7 +224,7 @@ def test_print_microseconds_per_rpc_beside_the_ping_pong_floor():
             echo.join(timeout=5)
             if echo.is_alive():
                 echo.kill()
-        host = CacheNodeHost("shape", capacity_bytes=8 * 1024 * 1024, cpu_affinity=cpu)
+        host = CacheNodeHost("shape", capacity_bytes=8 * 1024 * 1024)
         transport = _transport(host.address)
         try:
             _store_the_hit(transport)

@@ -32,7 +32,6 @@ from repro.bench.experiments import (
     figure7,
     figure8,
     figures_openloop,
-    percore_openloop,
     repair_openloop,
     validity_tracking_overhead,
 )
@@ -40,7 +39,7 @@ from repro.bench.experiments import (
 EXPERIMENTS = (
     "fig5a", "fig5b", "fig6a", "fig6b", "fig7", "fig8", "overhead",
     "concurrency", "concurrent-churn", "figures-openloop",
-    "percore-openloop", "repair-openloop", "chaos-openloop",
+    "repair-openloop", "chaos-openloop",
 )
 
 
@@ -74,20 +73,6 @@ def run_experiment(name: str, settings: ExperimentSettings, smoke: bool = False)
         # configuration per figure at one rate (shape, not benchmark
         # numbers).
         print(figures_openloop(settings=settings, smoke=smoke).format_table())
-    elif name == "percore-openloop":
-        # Per-core cache nodes: the same fixed offered rate against
-        # {1,2,4} nodes hosted as coordinator threads (one shared GIL)
-        # vs one OS process per node (one core per node, pinned).
-        # --smoke shrinks to one cell.
-        result = percore_openloop(smoke=smoke)
-        print(result.format_table())
-        if 4 in result.node_counts:
-            print(
-                f"process-hosted over thread-hosted at 4 nodes: "
-                f"{result.process_speedup_at(4):.2f}x "
-                f"({result.cpu_count} cores"
-                f"{'' if result.scaling_assertable else '; too few to assert scaling'})"
-            )
     elif name == "repair-openloop":
         # Repair interference under fixed offered load: the budgeted
         # maintenance plane must re-replicate everything the synchronous

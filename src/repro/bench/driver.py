@@ -50,6 +50,9 @@ __all__ = [
     "run_benchmark",
 ]
 
+#: Interactions between two ``deployment.housekeeping`` rounds of a run.
+HOUSEKEEPING_EVERY = 400
+
 #: Smallest clock advance per interaction; keeps time moving even for
 #: interactions fully absorbed by idle capacity.
 _MIN_TIME_STEP = 1e-5
@@ -166,7 +169,6 @@ class BenchmarkConfig:
     sessions: int = 24
     warmup_interactions: int = 2000
     measure_interactions: int = 4000
-    housekeeping_every: int = 400
     seed: int = 1
     label: str = ""
     #: Membership changes applied during the measurement phase (node-churn
@@ -329,7 +331,7 @@ def _run_on_deployment(
             clock.advance(step_time)
             elapsed += step_time
 
-            if (step + 1) % config.housekeeping_every == 0:
+            if (step + 1) % HOUSEKEEPING_EVERY == 0:
                 deployment.housekeeping(config.staleness)
             if (
                 timeline is not None

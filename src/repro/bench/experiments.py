@@ -49,7 +49,6 @@ from repro.bench.loadgen import (
     ArrivalSchedule,
     CapacityModel,
     OpenLoopConfig,
-    OpenLoopResult,
     OpenLoopStats,
     capacity_report,
     run_open_loop,
@@ -77,7 +76,6 @@ __all__ = [
     "ConcurrentChurnResult",
     "ThreadedPoint",
     "FigureOpenLoopResult",
-    "PerCoreOpenLoopResult",
     "RepairOpenLoopResult",
     "RepairOpenLoopRun",
     "ChaosOpenLoopResult",
@@ -93,11 +91,8 @@ __all__ = [
     "concurrent_clients",
     "concurrent_churn",
     "run_threaded_point",
-    "percore_openloop",
     "repair_openloop",
     "chaos_openloop",
-    "PERCORE_MIN_CORES",
-    "PERCORE_NODE_COUNTS",
     "validity_tracking_overhead",
     "PAPER_IN_MEMORY_CACHE_MB",
     "PAPER_DISK_BOUND_CACHE_GB",
@@ -1328,174 +1323,6 @@ def figures_openloop(
 
 
 # ----------------------------------------------------------------------
-# Per-core cache nodes: thread-hosted vs process-hosted scaling
-# ----------------------------------------------------------------------
-#: Node counts swept by :func:`percore_openloop`.
-PERCORE_NODE_COUNTS = [1, 2, 4]
-
-#: The two hosting modes compared, as (label, transport) pairs: the same
-#: wire stack in front of nodes that share the coordinator's
-#: interpreter vs nodes that each own an OS process (and a core).
-PERCORE_HOSTINGS: List[Tuple[str, str]] = [
-    ("thread-hosted", "socket"),
-    ("process-hosted", "socket-process"),
-]
-
-#: Cores the machine needs before the process-hosted goodput advantage at
-#: 4 nodes is asserted (on fewer cores both modes share the same CPUs and
-#: the experiment only documents the curve).
-PERCORE_MIN_CORES = 4
-
-
-@dataclass
-class PerCoreOpenLoopResult:
-    """Goodput and tail vs node count, thread-hosted vs process-hosted.
-
-    Thread-hosted nodes (``"socket"``) share the coordinator's
-    interpreter: adding nodes adds ring slices but not serving CPU,
-    because every node's codec and mux work contends on one GIL.
-    Process-hosted nodes (``"socket-process"``) each own an interpreter,
-    so the same machine serves with N cores.  ``results[hosting]`` holds
-    one :class:`~repro.bench.loadgen.runner.OpenLoopResult` per entry of
-    ``node_counts`` at the same fixed offered rate; on a machine with
-    ``PERCORE_MIN_CORES``+ cores the process-hosted goodput at 4 nodes
-    is compared with the thread-hosted one (printed, not asserted: it is
-    a ratio of two wall clocks; on fewer cores there is nothing for the
-    extra processes to run on).  ``points`` flattens the same cells into
-    one dict each, hosting by hosting and node count by node count.
-    """
-
-    offered_rate: float
-    node_counts: List[int]
-    results: Dict[str, List["OpenLoopResult"]]
-    cpu_count: int
-    points: List[Dict[str, object]]
-    elapsed_seconds: float = 0.0
-
-    def goodput(self, hosting: str, nodes: int) -> float:
-        index = self.node_counts.index(nodes)
-        return self.results[hosting][index].achieved_goodput
-
-    def process_speedup_at(self, nodes: int) -> float:
-        """Process-hosted goodput over thread-hosted at ``nodes`` nodes."""
-        baseline = self.goodput("thread-hosted", nodes) or 1.0
-        return self.goodput("process-hosted", nodes) / baseline
-
-    @property
-    def scaling_assertable(self) -> bool:
-        """Whether this machine can even show per-core scaling."""
-        return self.cpu_count >= PERCORE_MIN_CORES and max(self.node_counts) >= 4
-
-    def format_table(self) -> str:
-        rows = [
-            [
-                point["hosting"],
-                f"{point['nodes']}",
-                f"{point['achieved_goodput']:,.1f}",
-                f"{point['p50_ms']:.2f}",
-                f"{point['p99_ms']:.2f}",
-                f"{point['queue_wait_p99_ms']:.2f}",
-                f"{point['service_p99_ms']:.2f}",
-                f"{point['hit_rate']:.1%}",
-            ]
-            for point in self.points
-        ]
-        return format_table(
-            ["hosting", "nodes", "goodput/s", "p50 ms", "p99 ms", "q-wait p99", "service p99", "hit rate"],
-            rows,
-            title=(
-                f"Per-core cache nodes: {self.offered_rate:,.0f} ops/s offered, "
-                f"{self.cpu_count} cores"
-            ),
-        )
-
-
-def percore_openloop(
-    offered_rate: float = 4000.0,
-    node_counts: Optional[Sequence[int]] = None,
-    *,
-    processes: int = 2,
-    threads_per_process: int = 8,
-    seconds_per_point: float = 2.0,
-    cpu_pinning: bool = True,
-    smoke: bool = False,
-) -> PerCoreOpenLoopResult:
-    """Sweep node count x hosting mode at one fixed offered rate.
-
-    Every cell is the same open-loop measurement
-    (:func:`~repro.bench.loadgen.runner.run_openloop_benchmark`: forked
-    driver processes, Poisson arrivals, CO-safe latency) with only the
-    cache tier varied: ``cache_nodes`` in ``node_counts``, hosted either
-    as threads of the coordinator (``"socket"``) or as one OS
-    process per node (``"socket-process"``, pinned one-per-core when
-    ``cpu_pinning``).  The modelled RPC latency is zero so the binding
-    resource is serving *CPU* — exactly the resource the process hosts
-    multiply and the thread hosts share.
-
-    ``smoke=True`` shrinks to one node count at a low rate — shape, not
-    measurement.
-    """
-    import os as _os
-
-    from repro.bench.loadgen.runner import run_openloop_benchmark
-
-    started = time.time()
-    if node_counts is None:
-        node_counts = [1] if smoke else list(PERCORE_NODE_COUNTS)
-    if smoke:
-        offered_rate = min(offered_rate, 400.0)
-        processes, threads_per_process = 1, 2
-        seconds_per_point = min(seconds_per_point, 1.0)
-    counts = [int(count) for count in node_counts]
-    cpu_count = _os.cpu_count() or 1
-
-    results: Dict[str, List["OpenLoopResult"]] = {}
-    points: List[Dict[str, object]] = []
-    for hosting, transport in PERCORE_HOSTINGS:
-        series: List["OpenLoopResult"] = []
-        for nodes in counts:
-            config = OpenLoopConfig(
-                offered_rate=offered_rate,
-                total_ops=max(1, int(offered_rate * seconds_per_point)),
-                processes=processes,
-                threads_per_process=threads_per_process,
-                transport=transport,
-                cache_nodes=nodes,
-                simulated_rpc_latency_seconds=0.0,
-                cpu_pinning=(cpu_pinning and transport == "socket-process"),
-                label=f"percore-{hosting}-{nodes}n",
-            )
-            result = run_openloop_benchmark(config)
-            series.append(result)
-            p = result.percentiles((50.0, 99.0))
-            points.append(
-                {
-                    "hosting": hosting,
-                    "transport": result.transport,
-                    "nodes": nodes,
-                    "offered_rate": offered_rate,
-                    "achieved_goodput": result.achieved_goodput,
-                    "p50_ms": p[50.0] * 1e3,
-                    "p99_ms": p[99.0] * 1e3,
-                    "queue_wait_p99_ms": result.queue_wait_histogram.percentile(99.0) * 1e3,
-                    "service_p99_ms": result.service_histogram.percentile(99.0) * 1e3,
-                    "hit_rate": result.hit_rate,
-                    "errors": result.errors,
-                }
-            )
-        results[hosting] = series
-
-    return PerCoreOpenLoopResult(
-        offered_rate=offered_rate,
-        node_counts=counts,
-        results=results,
-        cpu_count=cpu_count,
-        points=points,
-        elapsed_seconds=time.time() - started,
-    )
-
-
-# ----------------------------------------------------------------------
 # Repair interference: synchronous sweep vs budgeted maintenance plane
 # ----------------------------------------------------------------------
 @dataclass
@@ -1604,7 +1431,8 @@ def repair_openloop(
     the run the repair fires:
 
     * ``synchronous sweep`` — the pre-plane behaviour, reproduced by a
-      whole-store ``migration_chunk_size`` (a node caps a page at
+      whole-store membership page size (``deployment.membership.chunk_size``
+      set to ``keys``; a node caps a page at
       ``SCAN_PAGE_KEYS`` keys) so the sweep ships its pages as a few giant
       lock-holding RPCs back to back;
     * ``budgeted plane`` — ``background_maintenance`` with a small op/byte
@@ -1641,7 +1469,6 @@ def repair_openloop(
             cache_nodes=3,
             transport=transport,
             replication_factor=2,
-            migration_chunk_size=(keys if mode == "sync" else 32),
             background_maintenance=(mode == "budgeted"),
             maintenance_ops_per_interval=8,
             maintenance_bytes_per_interval=192 << 10,
@@ -1649,6 +1476,7 @@ def repair_openloop(
         ) as deployment:
             cluster = deployment.cache
             membership = deployment.membership
+            membership.chunk_size = keys if mode == "sync" else 32
             for i in range(keys):
                 cluster.put(f"key{i}", payload, Interval(1, None))
             held = cluster.node_keys(victim)

@@ -225,7 +225,6 @@ def start_pages_deployment(
     simulated_rpc_latency_seconds: float,
     rows: int,
     replication_factor: int = 1,
-    cpu_pinning: bool = False,
 ) -> TxCacheDeployment:
     """Build, load, and warm the deployment a wall-clock experiment drives.
 
@@ -244,7 +243,6 @@ def start_pages_deployment(
         default_staleness=staleness,
         replication_factor=replication_factor,
         simulated_rpc_latency_seconds=simulated_rpc_latency_seconds,
-        cpu_pinning=cpu_pinning,
     )
     try:
         deployment.database.create_table(
@@ -352,9 +350,6 @@ class OpenLoopConfig:
     staleness: float = 30.0
     #: Modelled LAN round trip per cache RPC (see CacheServerProcess).
     simulated_rpc_latency_seconds: float = 4e-4
-    #: Pin each "socket-process" cache node to its own core (opt-in; the
-    #: per-core experiment's intended deployment shape).
-    cpu_pinning: bool = False
     seed: int = 1
     label: str = ""
 
@@ -512,7 +507,6 @@ def run_openloop_benchmark(config: OpenLoopConfig) -> OpenLoopResult:
         staleness=config.staleness,
         simulated_rpc_latency_seconds=config.simulated_rpc_latency_seconds,
         rows=config.rows,
-        cpu_pinning=config.cpu_pinning,
     )
     try:
         addresses = {

@@ -18,10 +18,9 @@ topologies:
   real deployment of standalone cache servers;
 * ``transport="socket-process"`` — each node is a
   :class:`repro.cache.procnode.CacheNodeHost`, an **out-of-process** worker
-  with its own interpreter (and optionally its own pinned CPU), reached
-  over the same wire stack.  The invalidation stream crosses the
-  process boundary over the wire too, one message at a time in commit
-  order, as it reaches every other node.
+  with its own interpreter, reached over the same wire stack.  The
+  invalidation stream crosses the process boundary over the wire too, one
+  message at a time in commit order, as it reaches every other node.
 
 Batched lookups (:meth:`CacheCluster.multi_lookup`) group requests by
 responsible node and issue one round trip per node, which is where a
@@ -75,7 +74,6 @@ safe to run while traffic flows; per-node thread safety is provided by
 
 from __future__ import annotations
 
-import os
 import random
 import threading
 import time
@@ -212,7 +210,6 @@ class CacheCluster:
         rpc_timeout_seconds: float = 30.0,
         simulated_rpc_latency_seconds: float = 0.0,
         node_addresses: Optional[Dict[str, Tuple[str, int]]] = None,
-        cpu_pinning: bool = False,
         retry_policy: Optional[RetryPolicy] = None,
     ) -> None:
         if transport not in TRANSPORT_KINDS:
@@ -238,12 +235,6 @@ class CacheCluster:
         #: Modelled LAN round trip served by each networked node (see
         #: :class:`repro.cache.netserver.CacheServerProcess`).
         self.simulated_rpc_latency_seconds = simulated_rpc_latency_seconds
-        #: Pin each process-hosted node to its own CPU (opt-in;
-        #: round-robin over the machine's cores).  Ignored by the other
-        #: transport kinds — threads in one interpreter gain nothing from
-        #: pinning.
-        self.cpu_pinning = cpu_pinning
-        self._cpu_cursor = 0
         #: Bounded-retry policy for idempotent reads (multi_lookup, probe,
         #: key_digest, keys_in_range, versions_of): transient
         #: connection failures retry with exponential backoff + jitter
@@ -499,15 +490,10 @@ class CacheCluster:
             # register (and the injected clock cannot cross the process
             # boundary — the child keeps system time, which is what the
             # timestamp-interval protocol assumes of a remote node anyway).
-            cpu_affinity: Optional[int] = None
-            if self.cpu_pinning:
-                cpu_affinity = self._cpu_cursor % (os.cpu_count() or 1)
-                self._cpu_cursor += 1
             host = CacheNodeHost(
                 name,
                 capacity_bytes=capacity_bytes,
                 simulated_latency_seconds=self.simulated_rpc_latency_seconds,
-                cpu_affinity=cpu_affinity,
             )
             self._processes[name] = host
             try:
@@ -899,26 +885,39 @@ class CacheCluster:
         """Reset the counters of every reachable node."""
         self._on_every_node("reset_stats")
 
+    def _local_servers(self) -> List[CacheServer]:
+        """Every ring node's server, all of which must live in this process.
+
+        Raises :class:`RuntimeError` naming the nodes whose server runs
+        elsewhere (``"socket-process"`` children, or a client-only
+        cluster's remote nodes): a sum over the servers at hand would
+        silently leave them out.  Count those nodes over the wire
+        (``transports[name].stats()`` / ``keys()``) instead.
+        """
+        with self._state_lock:  # a concurrent eviction mutates _servers
+            remote = [name for name in self._transports if name not in self._servers]
+            servers = list(self._servers.values())
+        if remote:
+            raise RuntimeError(
+                f"cache nodes {sorted(remote)} do not run in this process; "
+                "their contents are only reachable over the wire"
+            )
+        return servers
+
     @property
     def used_bytes(self) -> int:
-        """Total bytes in use across the cluster."""
-        with self._state_lock:  # a concurrent eviction mutates _servers
-            servers = list(self._servers.values())
-        return sum(server.used_bytes for server in servers)
+        """Total bytes in use across the cluster (in-process servers only)."""
+        return sum(server.used_bytes for server in self._local_servers())
 
     @property
     def capacity_bytes(self) -> int:
-        """Total capacity across the cluster."""
-        with self._state_lock:
-            servers = list(self._servers.values())
-        return sum(server.capacity_bytes for server in servers)
+        """Total capacity across the cluster (in-process servers only)."""
+        return sum(server.capacity_bytes for server in self._local_servers())
 
     @property
     def entry_count(self) -> int:
-        """Total entries across the cluster."""
-        with self._state_lock:
-            servers = list(self._servers.values())
-        return sum(server.entry_count for server in servers)
+        """Total entries across the cluster (in-process servers only)."""
+        return sum(server.entry_count for server in self._local_servers())
 
     def key_distribution(self, keys: Sequence[str]) -> Dict[str, int]:
         """How a set of keys spreads over nodes (for balance diagnostics)."""

@@ -1,19 +1,16 @@
-"""Out-of-process cache nodes: one OS process (and one core) per node.
+"""Out-of-process cache nodes: one OS process per node.
 
 Thread-hosted "networked" nodes (:class:`repro.cache.netserver.CacheServerProcess`)
-share the coordinator's interpreter, so N nodes on one machine share one
-GIL — the codec and mux work of the wire stack is capped by a
-single interpreter's CPU.  :class:`CacheNodeHost` breaks that cap: it
+share the coordinator's interpreter and its GIL.  :class:`CacheNodeHost`
 spawns the node as its **own OS process** running the same event-loop
-serving engine, so a machine scales with cores instead of threads.
+serving engine in an interpreter of its own.
 
 Design notes:
 
 * **Spawn-safe entry point.**  :func:`_node_main` is a module-level
   function whose arguments are all picklable (node name, bind address,
-  capacity, serving limits, optional CPU to pin), so the
-  host works under every multiprocessing start method.  ``fork`` is
-  preferred when available — a forked node is serving in single-digit
+  capacity, serving limits), so the host works under every
+  multiprocessing start method.  ``fork`` is preferred when available — a forked node is serving in single-digit
   milliseconds, where ``spawn`` pays a full interpreter start.
 * **Readiness handshake over a pipe.**  The child builds its
   :class:`~repro.cache.server.CacheServer` +
@@ -33,15 +30,14 @@ Design notes:
   escalates graceful pipe shutdown → ``terminate()`` → ``kill()`` and
   always reaps the child — no zombies, and the node's port dies with the
   process.  :meth:`kill` (SIGKILL, no warning) exists for crash tests.
-* **CPU affinity** is an opt-in knob (``cpu_affinity=<cpu index>``),
-  applied by the child via ``os.sched_setaffinity`` where the platform
-  has it; one node per core is the intended deployment shape.
+* **CPUs.**  The child runs on the CPUs of the process that spawned it:
+  pin the parent (``os.sched_setaffinity``) and its nodes inherit the
+  same set.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import os
 import sys
 from typing import Optional, Tuple
 
@@ -77,7 +73,6 @@ def _node_main(
     capacity_bytes: int,
     simulated_latency_seconds: float,
     max_queued_per_connection: int,
-    cpu_affinity: Optional[int],
 ) -> None:
     """Child entry point: serve one cache node until told to stop.
 
@@ -95,11 +90,6 @@ def _node_main(
             parent_conn.close()
         except OSError:
             pass
-    if cpu_affinity is not None and hasattr(os, "sched_setaffinity"):
-        try:
-            os.sched_setaffinity(0, {cpu_affinity})
-        except OSError:
-            pass  # affinity is advisory: an invalid CPU must not kill the node
     try:
         # Imported here, not at module top: the child needs them, and under
         # spawn the import cost lands in the child where it belongs.
@@ -158,13 +148,9 @@ class CacheNodeHost:
         capacity_bytes: int = 64 * 1024 * 1024,
         simulated_latency_seconds: float = 0.0,
         max_queued_per_connection: int = DEFAULT_MAX_QUEUED_PER_CONNECTION,
-        cpu_affinity: Optional[int] = None,
-        start_method: Optional[str] = None,
-        ready_timeout_seconds: float = DEFAULT_READY_TIMEOUT_SECONDS,
     ) -> None:
         self.name = name
-        self.cpu_affinity = cpu_affinity
-        context = multiprocessing.get_context(start_method or preferred_start_method())
+        context = multiprocessing.get_context(preferred_start_method())
         self._conn, child_conn = context.Pipe()
         # Under spawn the parent's end is not inherited, so the child gets
         # None for it; under fork it must close its inherited copy.
@@ -180,7 +166,6 @@ class CacheNodeHost:
                 capacity_bytes,
                 simulated_latency_seconds,
                 max_queued_per_connection,
-                cpu_affinity,
             ),
             name=f"cache-node-{name}",
             daemon=True,  # a crashed coordinator must not leave nodes behind
@@ -190,7 +175,7 @@ class CacheNodeHost:
         self._proc.start()
         self._pid = self._proc.pid
         child_conn.close()  # the child's end lives in the child now
-        self.address: Tuple[str, int] = self._await_ready(ready_timeout_seconds)
+        self.address: Tuple[str, int] = self._await_ready(DEFAULT_READY_TIMEOUT_SECONDS)
 
     def _await_ready(self, timeout: float) -> Tuple[str, int]:
         try:

@@ -62,6 +62,12 @@ MAX_RESTARTS = 5
 #: Width of the circuit-breaker restart-counting window, in clock seconds.
 RESTART_WINDOW_SECONDS = 60.0
 
+#: Growth of the respawn delay per crash-loop rung.
+BACKOFF_MULTIPLIER = 2.0
+
+#: Cap on any one respawn delay, in clock seconds (before jitter).
+BACKOFF_MAX_SECONDS = 5.0
+
 
 @dataclass
 class SupervisorStats:
@@ -117,10 +123,7 @@ class NodeSupervisor:
         gossip_runner=None,
         clock: Optional[Clock] = None,
         backoff_base_seconds: float = 0.1,
-        backoff_multiplier: float = 2.0,
-        backoff_max_seconds: float = 5.0,
         jitter_fraction: float = 0.5,
-        probe_suspects: bool = True,
         seed: int = 0,
     ) -> None:
         self.cluster = cluster
@@ -128,14 +131,11 @@ class NodeSupervisor:
         self.gossip_runner = gossip_runner
         self.clock = clock or SystemClock()
         self.backoff_base_seconds = backoff_base_seconds
-        self.backoff_multiplier = backoff_multiplier
-        self.backoff_max_seconds = backoff_max_seconds
         self.jitter_fraction = jitter_fraction
         #: The circuit breaker's bounds; a test may narrow them on the
         #: instance before the first crash.
         self.max_restarts = MAX_RESTARTS
         self.restart_window_seconds = RESTART_WINDOW_SECONDS
-        self.probe_suspects = probe_suspects
         self.stats = SupervisorStats()
         self._rng = random.Random(seed)
         self._nodes: Dict[str, _NodeRecord] = {}
@@ -217,7 +217,7 @@ class NodeSupervisor:
                 pass  # raced with a routed eviction; same outcome
             self._mark_dead(record, self.clock.now())
             return
-        if self.probe_suspects and record.name in self.cluster.suspect_nodes:
+        if record.name in self.cluster.suspect_nodes:
             # A cheap idempotent probe: either clears the suspicion via the
             # routed success path or pushes the node toward the threshold
             # without waiting for more foreground failures.
@@ -250,8 +250,8 @@ class NodeSupervisor:
         self._prune_window(record, now)
         rung = max(len(record.restart_times), record.failed_attempts)
         delay = min(
-            self.backoff_base_seconds * (self.backoff_multiplier**rung),
-            self.backoff_max_seconds,
+            self.backoff_base_seconds * (BACKOFF_MULTIPLIER**rung),
+            BACKOFF_MAX_SECONDS,
         )
         if self.jitter_fraction > 0:
             delay *= 1.0 - self.jitter_fraction * self._rng.random()

@@ -91,6 +91,12 @@ IDEMPOTENT_OPS = frozenset(
     }
 )
 
+#: Growth of the retry backoff delay per attempt.
+RETRY_BACKOFF_MULTIPLIER = 2.0
+
+#: Cap on any one retry backoff delay, in seconds (before jitter).
+RETRY_MAX_BACKOFF_SECONDS = 0.25
+
 #: Thread-local carrier of the current per-op deadline (monotonic seconds).
 #: One budget spans dial + retries + replica failover for a single routed
 #: cluster operation; transports consult it to cap their per-attempt waits.
@@ -155,11 +161,9 @@ class RetryPolicy:
 
     #: Attempts per node per operation (1 = no retries).
     max_attempts: int = 3
-    #: First backoff delay; doubles (times ``backoff_multiplier``) per retry.
+    #: First backoff delay; grows ``RETRY_BACKOFF_MULTIPLIER``-fold per
+    #: retry, up to ``RETRY_MAX_BACKOFF_SECONDS``.
     base_backoff_seconds: float = 0.01
-    backoff_multiplier: float = 2.0
-    #: Cap on any single backoff delay.
-    max_backoff_seconds: float = 0.25
     #: Fraction of each delay randomized away (0 = deterministic ladder,
     #: 1 = anywhere in ``[0, delay]``).  Jitter decorrelates retry storms
     #: from many client threads hitting one recovering node.
@@ -175,8 +179,8 @@ class RetryPolicy:
     def backoff_seconds(self, attempt: int, rng: random.Random) -> float:
         """Jittered delay before retry number ``attempt`` (0-based)."""
         delay = min(
-            self.base_backoff_seconds * (self.backoff_multiplier**attempt),
-            self.max_backoff_seconds,
+            self.base_backoff_seconds * (RETRY_BACKOFF_MULTIPLIER**attempt),
+            RETRY_MAX_BACKOFF_SECONDS,
         )
         if self.jitter_fraction > 0:
             delay *= 1.0 - self.jitter_fraction * rng.random()
@@ -188,7 +192,6 @@ class RetryPolicy:
         call: Callable[[], object],
         retry_on: Tuple[type, ...],
         rng: random.Random,
-        sleep: Callable[[float], None] = time.sleep,
         failure: Optional[BaseException] = None,
     ) -> object:
         """Run ``call`` with retries (idempotent ops only) under the deadline.
@@ -219,7 +222,7 @@ class RetryPolicy:
             if remaining is not None and remaining <= delay:
                 raise failure
             if delay > 0:
-                sleep(delay)
+                time.sleep(delay)
             failure = None
 
 

@@ -65,7 +65,7 @@ class TxCacheDeployment:
     #: "inprocess" (direct calls), "socket" (networked cache servers on
     #: threads of this process — see repro.cache.netserver), or
     #: "socket-process" (each node in its own OS process behind the same
-    #: wire stack, so nodes scale with cores — see repro.cache.procnode).
+    #: wire stack — see repro.cache.procnode).
     transport: str = "inprocess"
     mode: ConsistencyMode = ConsistencyMode.CONSISTENT
     default_staleness: float = 30.0
@@ -82,15 +82,10 @@ class TxCacheDeployment:
     #: Modelled LAN round-trip time served by each networked cache node
     #: (0 = loopback only).  See repro.cache.netserver.CacheServerProcess.
     simulated_rpc_latency_seconds: float = 0.0
-    #: Keys per chunk when live-migrating entries on a membership change.
-    migration_chunk_size: int = 128
     #: Copies of each key across the cache tier (ring successor lists).
     #: With R > 1 reads fail over to replicas and a node crash loses no
     #: cached state; 1 reproduces the paper's unreplicated deployment.
     replication_factor: int = 1
-    #: Pin each "socket-process" cache node to its own CPU core (opt-in;
-    #: ignored by the in-interpreter transports).
-    cpu_pinning: bool = False
     #: Run the gossip membership plane: a per-node SWIM-style agent plus an
     #: app-server observer relay digests each :meth:`housekeeping` round, so
     #: the node set converges without a coordinator and confirmed deaths
@@ -140,10 +135,9 @@ class TxCacheDeployment:
             replication_factor=self.replication_factor,
             rpc_timeout_seconds=self.rpc_timeout_seconds,
             simulated_rpc_latency_seconds=self.simulated_rpc_latency_seconds,
-            cpu_pinning=self.cpu_pinning,
             retry_policy=self.retry_policy,
         )
-        self.membership = ClusterMembership(self.cache, chunk_size=self.migration_chunk_size)
+        self.membership = ClusterMembership(self.cache)
         if self.background_maintenance:
             budget = MaintenanceBudget(
                 clock=self.clock,

@@ -164,15 +164,25 @@ class TestJoinMigration:
         cluster, membership = build_membership(transport_kind)
         try:
             keys = fill(cluster, tagged=False)
-            total_before = cluster.entry_count
+
+            def versions_held():
+                held = {}
+                for name, view in node_views(cluster).items():
+                    for key in keys:
+                        versions = len(view.versions_of(key))
+                        if versions:
+                            held[name, key] = versions
+                return held
+
+            assert sum(versions_held().values()) == len(keys)
             membership.join("cache3", capacity_bytes=1 << 22)
-            # Migration copies then discards: the cluster-wide entry count is
-            # unchanged and no node holds a key it no longer owns.
-            assert cluster.entry_count == total_before
-            for name, view in node_views(cluster).items():
-                for key in keys:
-                    if view.versions_of(key):
-                        assert cluster.ring.node_for(key) == name
+            # Migration copies then discards: the cluster still holds one
+            # version per key, each on the node that now owns it.
+            held = versions_held()
+            assert sum(held.values()) == len(keys)
+            assert {key for _, key in held} == set(keys)
+            assert all(cluster.ring.node_for(key) == name for name, key in held)
+            assert any(name == "cache3" for name, _ in held)
             assert membership.stats.entries_discarded == membership.stats.entries_migrated
         finally:
             cluster.close()

@@ -1,13 +1,13 @@
 """Process-hosted cache nodes: lifecycle, crash supervision, invalidations.
 
-The per-core execution mode (`transport="socket-process"`) runs each cache
+The process-hosted mode (`transport="socket-process"`) runs each cache
 node as its own OS process.  What that changes — and what this suite pins:
 
 * **Lifecycle.**  :class:`CacheNodeHost` must hand back a serving address
   before its constructor returns (readiness handshake), shut down to exit
   code 0, surface a crash as a signal exit code, and never leave a zombie
   process or a bound port behind — whether the exit was graceful, SIGKILL,
-  or a failed startup.
+  or a failed startup.  The child runs on its parent's CPUs.
 * **Supervision.**  A SIGKILLed child is indistinguishable from a dead
   network peer: routed reads degrade to misses, the failure counter climbs,
   and the cluster evicts the node through the same suspect → evict path a
@@ -93,11 +93,50 @@ class TestHostLifecycle:
             with pytest.raises(CacheNodeUnreachableError, match="failed to start"):
                 CacheNodeHost("n3", port=taken_port, capacity_bytes=1 << 20)
 
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform"
+    )
+    def test_child_runs_on_its_parents_cpus(self):
+        before = os.sched_getaffinity(0)
+        pinned = {max(before)}
+        os.sched_setaffinity(0, pinned)
+        try:
+            with CacheNodeHost("n4", capacity_bytes=1 << 20) as host:
+                assert os.sched_getaffinity(host.pid) == pinned
+        finally:
+            os.sched_setaffinity(0, before)
+
 
 # ----------------------------------------------------------------------
 # Cluster supervision: crash → degrade → evict, failover, clean teardown
 # ----------------------------------------------------------------------
 class TestClusterSupervision:
+    def test_cluster_totals_refuse_to_leave_out_process_hosted_nodes(self):
+        cluster = CacheCluster(
+            node_count=2,
+            capacity_bytes_per_node=1 << 20,
+            clock=ManualClock(),
+            transport="socket-process",
+        )
+        try:
+            for i in range(50):
+                cluster.put(f"key-{i}", i, Interval(0))
+            assert cluster.aggregate_stats().insertions == 50
+            # The servers live in the children: a sum over this process's
+            # servers would read 0, so each total raises instead.
+            for total in ("entry_count", "used_bytes", "capacity_bytes"):
+                with pytest.raises(RuntimeError, match="cache0.*cache1"):
+                    getattr(cluster, total)
+            held = sum(
+                1
+                for view in node_views(cluster).values()
+                for i in range(50)
+                if view.versions_of(f"key-{i}")
+            )
+            assert held == 50
+        finally:
+            cluster.close()
+
     def test_sigkill_mid_run_degrades_misses_then_evicts(self):
         cluster = CacheCluster(
             node_count=3,

@@ -18,9 +18,11 @@ import pytest
 
 from tests.helpers import ConsistencyHarness, FaultInjector, lookup_one, transports_under_test
 from repro.cache.netserver import CacheNodeUnreachableError, SocketTransport
+from repro.cache.supervisor import BACKOFF_MAX_SECONDS, _NodeRecord
 from repro.clock import ManualClock, SystemClock
 from repro.comm.transport import (
     IDEMPOTENT_OPS,
+    RETRY_MAX_BACKOFF_SECONDS,
     RetryPolicy,
     deadline_scope,
 )
@@ -408,6 +410,71 @@ class TestRetryPolicy:
             assert name in cluster.transports
         finally:
             deployment.shutdown()
+
+
+# ----------------------------------------------------------------------
+# The two backoff ladders and their caps
+# ----------------------------------------------------------------------
+#: Respawn delays for rungs 0-9 of a supervisor seeded 0 (base 0.1 s,
+#: jitter 0.5), recorded before its growth and cap became constants.
+SUPERVISOR_LADDER = [
+    0.057778907424, 0.124204559706, 0.315885683834, 0.696433299883,
+    1.190980222905, 2.552105380079, 3.040503527413, 4.241718184803,
+    3.808507614619, 3.541544901362,
+]
+
+#: ``RetryPolicy()`` delays for attempts 0-9 drawn from ``Random(7)``.
+RETRY_LADDER = [
+    0.008380836176, 0.018491508261, 0.026981310539, 0.077102548533,
+    0.117129439655, 0.204288885386, 0.242750134403, 0.186570533351,
+    0.245313042695, 0.195794289542,
+]
+
+
+class TestBackoffCaps:
+    def test_a_deep_crash_loop_never_waits_past_the_cap(self):
+        clock = ManualClock()
+        with _supervised_deployment(clock) as deployment:
+            supervisor = deployment.supervisor
+            supervisor.max_restarts = 100
+            supervisor.restart_window_seconds = 1e6
+            # Ten respawns in the window: uncapped, the last rung would wait
+            # 0.1 * 2**9 = 51 s.
+            for _ in range(10):
+                deployment.cache.fail_node("cache1")
+                supervisor.pump()
+                assert supervisor.states["cache1"] == "backoff"
+                clock.advance(BACKOFF_MAX_SECONDS)
+                assert supervisor.pump() == 1
+            assert supervisor.stats.respawns == 10
+
+    def test_supervisor_ladder_is_unchanged_and_capped(self):
+        with _supervised_deployment() as deployment:
+            supervisor = deployment.supervisor
+            delays = [
+                supervisor._backoff_delay(
+                    _NodeRecord(name="n", capacity_bytes=1, failed_attempts=rung), 0.0
+                )
+                for rung in range(len(SUPERVISOR_LADDER))
+            ]
+            assert delays == pytest.approx(SUPERVISOR_LADDER, abs=1e-12)
+            supervisor.jitter_fraction = 0.0
+            deep = _NodeRecord(name="n", capacity_bytes=1, failed_attempts=40)
+            assert supervisor._backoff_delay(deep, 0.0) == BACKOFF_MAX_SECONDS == 5.0
+
+    def test_retry_ladder_is_unchanged_and_capped(self):
+        import random as _random
+
+        rng = _random.Random(7)
+        policy = RetryPolicy()
+        delays = [policy.backoff_seconds(attempt, rng) for attempt in range(len(RETRY_LADDER))]
+        assert delays == pytest.approx(RETRY_LADDER, abs=1e-12)
+        assert all(
+            policy.backoff_seconds(attempt, rng) <= RETRY_MAX_BACKOFF_SECONDS
+            for attempt in range(64)
+        )
+        flat = RetryPolicy(jitter_fraction=0.0)
+        assert flat.backoff_seconds(40, rng) == RETRY_MAX_BACKOFF_SECONDS == 0.25
 
 
 # ----------------------------------------------------------------------
