@@ -15,19 +15,19 @@ Acceptance properties of the elasticity subsystem:
 
 from __future__ import annotations
 
-from repro.bench.experiments import chaos_openloop, crash_churn, node_churn, rolling_restart
+from repro.bench.experiments import chaos_openloop, churn
 
 from conftest import run_once
 
 
-def test_node_churn_recovery(benchmark, settings):
-    result = run_once(benchmark, node_churn, settings=settings)
+def test_join_churn_recovery(benchmark, settings):
+    result = run_once(benchmark, churn, "join", settings=settings)
     print()
     print(result.format_table())
 
-    baseline = result.baseline
-    migrated = result.with_migration
-    cold = result.without_migration
+    baseline = result.runs["baseline"]
+    migrated = result.runs["join + migration"]
+    cold = result.runs["join, cold"]
 
     # One membership epoch per join; only the migrating run ships entries.
     assert migrated.membership_epochs == 1
@@ -39,12 +39,12 @@ def test_node_churn_recovery(benchmark, settings):
     # With migration the join is invisible: overall hit rate and the
     # post-join recovery stay within a few points of the baseline.
     assert migrated.hit_rate >= baseline.hit_rate - 0.03
-    assert result.recovered(migrated) >= result.recovered(baseline) - 0.03
-    assert result.trough(migrated) >= result.trough(baseline) - 0.03
+    assert result.recovered("join + migration") >= result.recovered("baseline") - 0.03
+    assert result.trough("join + migration") >= result.trough("baseline") - 0.03
 
     # Without migration the remapped slice cold-starts: a visible trough
     # below the migrated run, and a lower overall hit rate.
-    assert result.trough(cold) <= result.trough(migrated) - 0.02
+    assert result.trough("join, cold") <= result.trough("join + migration") - 0.02
     assert cold.hit_rate <= migrated.hit_rate - 0.01
 
     # No failures were involved in a planned join.
@@ -56,13 +56,13 @@ def test_crash_with_replication_has_no_cold_miss_trough(benchmark, settings):
     """Tier-2 acceptance: with R=2, killing a cache node mid-workload loses
     no cached state — the crash timeline shows no cold-miss trough and the
     replicated hit rate is at least the unreplicated one."""
-    result = run_once(benchmark, crash_churn, settings=settings)
+    result = run_once(benchmark, churn, "crash", settings=settings)
     print()
     print(result.format_table())
 
-    baseline = result.baseline
-    replicated = result.replicated
-    unreplicated = result.unreplicated
+    baseline = result.runs["baseline"]
+    replicated = result.runs["crash, R=2"]
+    unreplicated = result.runs["crash, unreplicated"]
 
     # The crash was detected and evicted in both crashing runs.
     assert replicated.nodes_evicted == 1
@@ -73,35 +73,39 @@ def test_crash_with_replication_has_no_cold_miss_trough(benchmark, settings):
     # replica always answers) and its hit-rate curve shows no trough below
     # the no-crash baseline.
     assert replicated.degraded_lookups == 0
-    assert result.trough(replicated) >= result.trough(baseline) - 0.02
-    assert result.recovered(replicated) >= result.recovered(baseline) - 0.02
+    assert result.trough("crash, R=2") >= result.trough("baseline") - 0.02
+    assert result.recovered("crash, R=2") >= result.recovered("baseline") - 0.02
     assert replicated.hit_rate >= baseline.hit_rate - 0.02
 
     # The unreplicated run loses the dead node's slice: replicated crash
     # hit-rate >= unreplicated, and the unreplicated timeline dips.
     assert replicated.hit_rate >= unreplicated.hit_rate
-    assert result.trough(unreplicated) <= result.trough(replicated) - 0.02
+    assert result.trough("crash, unreplicated") <= result.trough("crash, R=2") - 0.02
 
 
 def test_rolling_restart_is_covered_by_replication(benchmark, settings):
     """Crash + warm rejoin of every node in turn: replication covers each
     downtime window, so the whole restart stays near the baseline; without
     replication every restart cold-starts a slice."""
-    result = run_once(benchmark, rolling_restart, settings=settings)
+    result = run_once(benchmark, churn, "rolling-restart", settings=settings)
     print()
     print(result.format_table())
 
+    baseline = result.runs["baseline"]
+    replicated = result.runs["replicated"]
+    unreplicated = result.runs["unreplicated"]
+
     # Two epochs per restarted node: the crash eviction and the rejoin.
     restarted = len(result.events) // 2
-    assert result.replicated.membership_epochs == 2 * restarted
-    assert result.unreplicated.membership_epochs == 2 * restarted
+    assert replicated.membership_epochs == 2 * restarted
+    assert unreplicated.membership_epochs == 2 * restarted
     # The warm rejoins actually migrated entries back onto the restarts.
-    assert result.replicated.entries_migrated > 0
+    assert replicated.entries_migrated > 0
 
-    assert result.replicated.hit_rate >= result.baseline.hit_rate - 0.02
-    assert result.trough(result.replicated) >= result.trough(result.baseline) - 0.02
-    assert result.replicated.hit_rate >= result.unreplicated.hit_rate
-    assert result.trough(result.unreplicated) <= result.trough(result.replicated) - 0.02
+    assert replicated.hit_rate >= baseline.hit_rate - 0.02
+    assert result.trough("replicated") >= result.trough("baseline") - 0.02
+    assert replicated.hit_rate >= unreplicated.hit_rate
+    assert result.trough("unreplicated") <= result.trough("replicated") - 0.02
 
 
 def test_chaos_openloop_smoke_respawns_the_victim_with_no_violations(benchmark):

@@ -20,7 +20,7 @@ never as a ratio of two wall clocks.  The scaling curve is still printed.
 from __future__ import annotations
 
 from benchmarks.conftest import run_once
-from repro.bench.experiments import concurrent_churn, concurrent_clients
+from repro.bench.experiments import concurrent_clients
 
 
 def test_concurrent_clients_scaling_curve(benchmark):
@@ -57,22 +57,3 @@ def test_concurrent_clients_scaling_curve(benchmark):
     assert all(
         point.max_in_flight_per_connection == 0 for point in result.results["inprocess"]
     )
-
-
-def test_concurrent_churn_crash_rejoin_under_load(benchmark):
-    """A crash + warm rejoin with 4 threads driving traffic stays clean."""
-
-    def run():
-        return concurrent_churn(threads=4, interactions_per_thread=300)
-
-    result = run_once(benchmark, run)
-    print("\n" + result.format_table())
-
-    for point in (result.baseline, result.churned):
-        assert point.errors == 0
-        assert point.interactions == 4 * 300
-    # The crash was detected and evicted while traffic flowed...
-    assert result.churned.nodes_evicted >= 1
-    # ...and with R=2 the surviving replicas cover the dead node's keys, so
-    # no read had to degrade to a synthetic miss.
-    assert result.churned.degraded_lookups == 0

@@ -23,23 +23,22 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.bench.experiments import (
+    CHURN_SCHEDULES,
     ExperimentSettings,
     chaos_openloop,
-    concurrent_churn,
+    churn,
     concurrent_clients,
     figure5,
     figure6,
     figure7,
     figure8,
-    figures_openloop,
     repair_openloop,
     validity_tracking_overhead,
 )
 
 EXPERIMENTS = (
     "fig5a", "fig5b", "fig6a", "fig6b", "fig7", "fig8", "overhead",
-    "concurrency", "concurrent-churn", "figures-openloop",
-    "repair-openloop", "chaos-openloop",
+    "concurrency", "churn", "repair-openloop", "chaos-openloop",
 )
 
 
@@ -64,15 +63,13 @@ def run_experiment(name: str, settings: ExperimentSettings, smoke: bool = False)
         # figures): the socket series should scale, the in-process series
         # documents the GIL bound.
         print(concurrent_clients().format_table())
-    elif name == "concurrent-churn":
-        print(concurrent_churn().format_table())
-    elif name == "figures-openloop":
-        # Figures 5-8 re-measured by the open-loop generator on the fast
-        # wire stack (thread-hosted nodes): fixed offered rates,
-        # coordinated-omission-safe percentiles.  --smoke shrinks to one
-        # configuration per figure at one rate (shape, not benchmark
-        # numbers).
-        print(figures_openloop(settings=settings, smoke=smoke).format_table())
+    elif name == "churn":
+        # Hit-rate timelines through a node join, a crash and a rolling
+        # restart (beyond the paper's static cache tier), each against an
+        # undisturbed baseline.
+        for schedule in CHURN_SCHEDULES:
+            print(churn(schedule, settings=settings).format_table())
+            print()
     elif name == "repair-openloop":
         # Repair interference under fixed offered load: the budgeted
         # maintenance plane must re-replicate everything the synchronous
@@ -126,7 +123,7 @@ def main() -> None:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="shrink the open-loop figure run to a schema-validating smoke",
+        help="shrink the open-loop experiments to a structure-checking smoke",
     )
     args = parser.parse_args()
 

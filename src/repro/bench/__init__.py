@@ -13,12 +13,11 @@ per-interaction demand on the bottleneck resource.
 from repro.bench.costmodel import ClusterSpec, CostModel, CostParameters
 from repro.bench.driver import BenchmarkConfig, BenchmarkResult, ChurnEvent, run_benchmark
 from repro.bench.experiments import (
+    churn,
     figure5,
     figure6,
     figure7,
     figure8,
-    figures_openloop,
-    node_churn,
     validity_tracking_overhead,
 )
 from repro.bench.loadgen import (
@@ -39,7 +38,6 @@ __all__ = [
     "OpenLoopConfig",
     "OpenLoopResult",
     "capacity_report",
-    "figures_openloop",
     "run_openloop_benchmark",
     "run_rate_sweep",
     "CostModel",
@@ -53,6 +51,6 @@ __all__ = [
     "figure6",
     "figure7",
     "figure8",
-    "node_churn",
+    "churn",
     "validity_tracking_overhead",
 ]

@@ -63,9 +63,8 @@ class ChurnEvent:
     """One cache-tier membership change, fired before interaction ``at_interaction``.
 
     ``action`` is ``"join"`` (a node is added; ``migrate`` selects a warm
-    join via live key migration or a cold one), ``"leave"`` (a planned
-    removal, drained when ``migrate``), or ``"crash"`` (the node dies
-    without warning; failure-aware routing detects and evicts it).  A
+    join via live key migration or a cold one) or ``"crash"`` (the node
+    dies without warning; failure-aware routing detects and evicts it).  A
     *rolling restart* is expressed as interleaved crash/join pairs per node
     (see :func:`rolling_restart_events`): joining a node whose crash has not
     crossed the failure-detection threshold yet completes the eviction
@@ -77,7 +76,7 @@ class ChurnEvent:
     """
 
     at_interaction: int
-    action: str  # "join" | "leave" | "crash"
+    action: str  # "join" | "crash"
     node: Optional[str] = None
     migrate: bool = True
 
@@ -119,9 +118,6 @@ def apply_churn(deployment: TxCacheDeployment, event: ChurnEvent) -> None:
             except KeyError:
                 pass  # a worker's failed RPCs already evicted it
         deployment.add_cache_node(name=name, migrate=event.migrate)
-    elif event.action == "leave":
-        name = event.node or deployment.cache.ring.nodes[-1]
-        deployment.remove_cache_node(name, migrate=event.migrate)
     elif event.action == "crash":
         name = event.node or deployment.cache.ring.nodes[-1]
         deployment.cache.fail_node(name)
@@ -130,13 +126,13 @@ def apply_churn(deployment: TxCacheDeployment, event: ChurnEvent) -> None:
 
 
 def rolling_restart_events(
-    nodes: Sequence[str], start: int, downtime: int, gap: int, migrate: bool = True
+    nodes: Sequence[str], start: int, downtime: int, gap: int
 ) -> List[ChurnEvent]:
     """A rolling-restart schedule: crash then rejoin each node in turn.
 
-    Node ``i`` crashes at ``start + i * gap`` and rejoins (a warm join when
-    ``migrate``) ``downtime`` interactions later; ``gap`` must exceed
-    ``downtime`` for at most one node to be down at a time.
+    Node ``i`` crashes at ``start + i * gap`` and warm-rejoins ``downtime``
+    interactions later; ``gap`` must exceed ``downtime`` for at most one
+    node to be down at a time.
     """
     if downtime < 1 or gap <= downtime:
         raise ValueError("need gap > downtime >= 1 for a one-at-a-time rolling restart")
@@ -144,7 +140,7 @@ def rolling_restart_events(
     for index, node in enumerate(nodes):
         offset = start + index * gap
         events.append(ChurnEvent(offset, "crash", node=node))
-        events.append(ChurnEvent(offset + downtime, "join", node=node, migrate=migrate))
+        events.append(ChurnEvent(offset + downtime, "join", node=node))
     return events
 
 

@@ -16,6 +16,8 @@ paper reports:
 * :func:`validity_tracking_overhead` — the §8.1 observation that the
   database modifications (validity tracking + invalidation tags) have
   negligible overhead compared to a stock database.
+* :func:`churn` — beyond the paper's static cache tier: hit-rate timelines
+  through a node join, a crash or a rolling restart (:data:`CHURN_SCHEDULES`).
 
 Scaling: the paper's cache sizes are given in MB/GB against an 850 MB /
 6 GB database.  The reproduction scales the dataset down by
@@ -30,12 +32,13 @@ from __future__ import annotations
 import random
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.apps.rubis.datagen import DISK_BOUND_CONFIG, IN_MEMORY_CONFIG, RubisConfig
 from repro.apps.rubis.schema import create_rubis_schema
 from repro.apps.rubis.datagen import populate_database
+from repro.bench.costmodel import ClusterSpec
 from repro.bench.driver import (
     BenchmarkConfig,
     BenchmarkResult,
@@ -45,15 +48,7 @@ from repro.bench.driver import (
     rolling_restart_events,
     run_benchmark,
 )
-from repro.bench.loadgen import (
-    ArrivalSchedule,
-    CapacityModel,
-    OpenLoopConfig,
-    OpenLoopStats,
-    capacity_report,
-    run_open_loop,
-    run_rate_sweep,
-)
+from repro.bench.loadgen import ArrivalSchedule, OpenLoopStats, run_open_loop
 from repro.bench.loadgen.runner import start_pages_deployment
 from repro.bench.report import format_table
 from repro.clock import ManualClock
@@ -70,12 +65,8 @@ __all__ = [
     "Figure8Result",
     "OverheadResult",
     "ChurnResult",
-    "CrashChurnResult",
-    "RollingRestartResult",
     "ConcurrentClientsResult",
-    "ConcurrentChurnResult",
     "ThreadedPoint",
-    "FigureOpenLoopResult",
     "RepairOpenLoopResult",
     "RepairOpenLoopRun",
     "ChaosOpenLoopResult",
@@ -84,18 +75,15 @@ __all__ = [
     "figure6",
     "figure7",
     "figure8",
-    "figures_openloop",
-    "node_churn",
-    "crash_churn",
-    "rolling_restart",
+    "churn",
     "concurrent_clients",
-    "concurrent_churn",
     "run_threaded_point",
     "repair_openloop",
     "chaos_openloop",
     "validity_tracking_overhead",
     "PAPER_IN_MEMORY_CACHE_MB",
     "PAPER_DISK_BOUND_CACHE_GB",
+    "CHURN_SCHEDULES",
 ]
 
 #: Bytes of simulated cache per "paper megabyte" of cache (in-memory
@@ -501,337 +489,156 @@ def figure8(settings: Optional[ExperimentSettings] = None) -> Figure8Result:
 
 
 # ----------------------------------------------------------------------
-# Node churn: cache-tier elasticity (beyond the paper's static deployment)
+# Churn: cache-tier elasticity (beyond the paper's static deployment)
 # ----------------------------------------------------------------------
-def _churn_config(
-    settings: ExperimentSettings,
-    label: str,
-    churn,
-    window: int,
-    transport: str,
-    cache_mb: float,
-    replication: int = 1,
-) -> BenchmarkConfig:
-    """One churn-scenario benchmark config (shared by the churn experiments).
+def _churn_at(measure: int) -> int:
+    """The measured interaction a single join or crash fires at."""
+    return max(1, int(measure * 0.35))
 
-    Capacity is held constant *per copy*: a deployment enabling R-way
-    replication provisions R× memory, so replicated-vs-not comparisons
-    isolate the availability effect of replication, not its capacity cost.
-    """
-    cfg = settings.config(
-        IN_MEMORY_CONFIG,
-        cache_size_bytes=_cache_bytes(cache_mb) * replication,
-        label=label,
+
+def _restart_each_node(measure: int, nodes: List[str]) -> List[ChurnEvent]:
+    gap = max(2, measure // 4)
+    return rolling_restart_events(
+        nodes, start=max(1, measure // 4), downtime=max(1, gap // 3), gap=gap
     )
-    cfg.transport = transport
-    cfg.replication_factor = replication
-    cfg.churn = churn
-    cfg.hit_rate_window = window
-    return cfg
 
+
+#: One row per :func:`churn` schedule: cache MB per copy (a run at
+#: replication R provisions R× memory, so replicated-vs-not comparisons
+#: isolate availability, not capacity), interactions per hit-rate window,
+#: the schedule's events given the measured interactions and the initial
+#: node names, and the runs as ``(label, replication factor, a join
+#: migrates)``.  The first run is the undisturbed baseline: it fires no
+#: event.
+CHURN_SCHEDULES = {
+    "join": (
+        512,
+        150,
+        lambda measure, nodes: [ChurnEvent(_churn_at(measure), "join")],
+        (("baseline", 1, True), ("join + migration", 1, True), ("join, cold", 1, False)),
+    ),
+    "crash": (
+        768,
+        150,
+        lambda measure, nodes: [ChurnEvent(_churn_at(measure), "crash")],
+        (("baseline", 2, True), ("crash, R=2", 2, True), ("crash, unreplicated", 1, True)),
+    ),
+    "rolling-restart": (
+        768,
+        100,
+        _restart_each_node,
+        (("baseline", 2, True), ("replicated", 2, True), ("unreplicated", 1, True)),
+    ),
+}
 
 
 @dataclass
 class ChurnResult:
-    """Hit-rate recovery after a cache node joins mid-measurement.
+    """Hit-rate timelines of one churn schedule: a baseline and two variants.
 
-    Three runs of the same workload: an undisturbed baseline, a join with
-    live key migration, and a cold join.  The timelines (one hit-rate sample
-    per ``window`` interactions) show the cold join's miss trough and how
-    migration removes it.
+    ``runs`` maps each run's label to its result, baseline first; every
+    run samples its hit rate once per ``window`` measured interactions.
     """
 
+    schedule: str
     window: int
-    join_at: int
-    baseline: BenchmarkResult
-    with_migration: BenchmarkResult
-    without_migration: BenchmarkResult
-    elapsed_seconds: float = 0.0
+    events: List[ChurnEvent]
+    runs: Dict[str, BenchmarkResult]
 
-    def _post_join_windows(self, result: BenchmarkResult) -> List[float]:
-        start = self.join_at // self.window
-        return result.hit_rate_timeline[start:]
+    def _windows_from_first_event(self, label: str) -> List[float]:
+        start = min(event.at_interaction for event in self.events) // self.window
+        return self.runs[label].hit_rate_timeline[start:]
 
-    def trough(self, result: BenchmarkResult) -> float:
-        """Worst post-join window hit rate (the cold-miss dip, if any)."""
-        windows = self._post_join_windows(result)
+    def trough(self, label: str) -> float:
+        """Worst window hit rate from the one holding the first event on."""
+        windows = self._windows_from_first_event(label)
         return min(windows) if windows else 0.0
 
-    def recovered(self, result: BenchmarkResult) -> float:
-        """Mean hit rate over the second half of the post-join windows."""
-        windows = self._post_join_windows(result)
+    def recovered(self, label: str) -> float:
+        """Mean hit rate over the second half of those windows."""
+        windows = self._windows_from_first_event(label)
         tail = windows[len(windows) // 2 :]
         return sum(tail) / len(tail) if tail else 0.0
 
     def format_table(self) -> str:
-        rows = []
-        for label, result in (
-            ("no churn (baseline)", self.baseline),
-            ("join + migration", self.with_migration),
-            ("join, cold", self.without_migration),
-        ):
-            rows.append(
-                [
-                    label,
-                    f"{result.hit_rate:.1%}",
-                    f"{self.trough(result):.1%}",
-                    f"{self.recovered(result):.1%}",
-                    f"{result.entries_migrated}",
-                    f"{result.membership_epochs}",
-                ]
-            )
-        return format_table(
-            ["scenario", "overall hit rate", "post-join trough", "recovered", "entries migrated", "epochs"],
-            rows,
-            title=(
-                f"Node churn: one node joins at interaction {self.join_at} "
-                f"(hit rate per {self.window}-interaction window)"
-            ),
+        rows = [
+            [
+                label,
+                f"{result.hit_rate:.1%}",
+                f"{self.trough(label):.1%}",
+                f"{self.recovered(label):.1%}",
+                f"{result.membership_epochs}",
+                f"{result.entries_migrated}",
+                f"{result.replica_hits}",
+                f"{result.degraded_lookups}",
+                f"{result.nodes_evicted}",
+            ]
+            for label, result in self.runs.items()
+        ]
+        events = ", ".join(
+            f"{event.action}{' ' + event.node if event.node else ''} at {event.at_interaction}"
+            for event in self.events
         )
-
-
-def node_churn(
-    settings: Optional[ExperimentSettings] = None,
-    cache_mb: float = 512,
-    join_fraction: float = 0.35,
-    window: int = 150,
-    transport: str = "inprocess",
-) -> ChurnResult:
-    """Measure hit-rate recovery after a planned cache-node join.
-
-    A node joins the warmed cluster ``join_fraction`` of the way through the
-    measurement phase.  With live migration the remapped slice arrives warm
-    and the hit rate stays within a few points of the no-churn baseline;
-    without it the slice cold-starts and the timeline shows a miss trough
-    that only refills with traffic.
-    """
-    settings = settings or ExperimentSettings.quick()
-    started = time.time()
-    join_at = max(1, int(settings.measure_interactions * join_fraction))
-
-    def config(label: str, churn) -> BenchmarkConfig:
-        return _churn_config(settings, label, churn, window, transport, cache_mb)
-
-    baseline = run_benchmark(config("churn-baseline", ()))
-    with_migration = run_benchmark(
-        config("churn-join-migrated", (ChurnEvent(join_at, "join", migrate=True),))
-    )
-    without_migration = run_benchmark(
-        config("churn-join-cold", (ChurnEvent(join_at, "join", migrate=False),))
-    )
-    return ChurnResult(
-        window=window,
-        join_at=join_at,
-        baseline=baseline,
-        with_migration=with_migration,
-        without_migration=without_migration,
-        elapsed_seconds=time.time() - started,
-    )
-
-
-# ----------------------------------------------------------------------
-# Crash churn: unplanned node death, with and without replication
-# ----------------------------------------------------------------------
-@dataclass
-class CrashChurnResult:
-    """Hit-rate impact of an unplanned node crash, by replication factor.
-
-    Three runs of the same workload: an undisturbed replicated baseline, a
-    mid-measurement crash with replication, and the same crash without it.
-    A planned leave can migrate; a crash cannot — so this is the scenario
-    replication exists for: with R >= 2 the surviving replicas keep serving
-    the dead node's slice (no cold-miss trough), while the unreplicated run
-    loses it outright and shows the trough until traffic refills it.
-    """
-
-    window: int
-    crash_at: int
-    replication_factor: int
-    baseline: BenchmarkResult
-    replicated: BenchmarkResult
-    unreplicated: BenchmarkResult
-    elapsed_seconds: float = 0.0
-
-    def _post_crash_windows(self, result: BenchmarkResult) -> List[float]:
-        start = self.crash_at // self.window
-        return result.hit_rate_timeline[start:]
-
-    def trough(self, result: BenchmarkResult) -> float:
-        """Worst post-crash window hit rate (the cold-miss dip, if any)."""
-        windows = self._post_crash_windows(result)
-        return min(windows) if windows else 0.0
-
-    def recovered(self, result: BenchmarkResult) -> float:
-        """Mean hit rate over the second half of the post-crash windows."""
-        windows = self._post_crash_windows(result)
-        tail = windows[len(windows) // 2 :]
-        return sum(tail) / len(tail) if tail else 0.0
-
-    def format_table(self) -> str:
-        rows = []
-        for label, result in (
-            (f"no crash (R={self.replication_factor})", self.baseline),
-            (f"crash, R={self.replication_factor}", self.replicated),
-            ("crash, unreplicated", self.unreplicated),
-        ):
-            rows.append(
-                [
-                    label,
-                    f"{result.hit_rate:.1%}",
-                    f"{self.trough(result):.1%}",
-                    f"{self.recovered(result):.1%}",
-                    f"{result.replica_hits}",
-                    f"{result.degraded_lookups}",
-                    f"{result.nodes_evicted}",
-                ]
-            )
         return format_table(
             [
-                "scenario",
-                "overall hit rate",
-                "post-crash trough",
+                "run",
+                "hit rate",
+                "trough",
                 "recovered",
+                "epochs",
+                "migrated",
                 "replica hits",
-                "degraded lookups",
+                "degraded",
                 "evicted",
             ],
             rows,
             title=(
-                f"Crash churn: one node dies at interaction {self.crash_at} "
+                f"Churn '{self.schedule}': {events} "
                 f"(hit rate per {self.window}-interaction window)"
             ),
         )
 
 
-def crash_churn(
-    settings: Optional[ExperimentSettings] = None,
-    cache_mb: float = 768,
-    crash_fraction: float = 0.35,
-    window: int = 150,
-    transport: str = "inprocess",
-    replication_factor: int = 2,
-) -> CrashChurnResult:
-    """Measure hit-rate survival of an unplanned cache-node crash.
+def churn(schedule: str, settings: Optional[ExperimentSettings] = None) -> ChurnResult:
+    """Run one churn schedule of :data:`CHURN_SCHEDULES` on the cost-model driver.
 
-    A node crashes ``crash_fraction`` of the way through the measurement
-    phase.  With ``replication_factor >= 2`` every key has a live copy on a
-    ring successor, reads fail over, and anti-entropy repair restores the
-    replication factor — the hit-rate timeline stays within a few points of
-    the no-crash baseline.  Unreplicated, the dead node's slice is simply
-    gone and the timeline shows the cold-miss trough.
+    * ``"join"``: a node joins 35 % of the way through the measurement.
+      With live migration the remapped slice arrives warm and the hit rate
+      stays near the baseline; a cold join shows a miss trough that only
+      traffic refills.
+    * ``"crash"``: a node dies without warning at the same point.  With
+      R = 2 every key has a live copy on a ring successor, reads fail
+      over, and the timeline stays near the baseline; unreplicated, the
+      dead node's slice is gone and the timeline dips.
+    * ``"rolling-restart"``: every node crashes and warm-rejoins in turn,
+      one at a time.  Replication covers each downtime window, and each
+      warm rejoin migrates the node's slice back.
     """
+    if schedule not in CHURN_SCHEDULES:
+        raise ValueError(
+            f"unknown churn schedule {schedule!r}; "
+            f"expected one of {', '.join(map(repr, CHURN_SCHEDULES))}"
+        )
+    cache_mb, window, make_events, run_specs = CHURN_SCHEDULES[schedule]
     settings = settings or ExperimentSettings.quick()
-    started = time.time()
-    crash_at = max(1, int(settings.measure_interactions * crash_fraction))
-
-    def config(label: str, churn, replication: int) -> BenchmarkConfig:
-        return _churn_config(
-            settings, label, churn, window, transport, cache_mb, replication
+    # The initial ring is always cache0..cacheN-1 of the driver's cluster.
+    node_count = ClusterSpec.in_memory_default().cache_nodes
+    events = make_events(settings.measure_interactions, [f"cache{i}" for i in range(node_count)])
+    runs: Dict[str, BenchmarkResult] = {}
+    for index, (label, replication, migrate) in enumerate(run_specs):
+        cfg = settings.config(
+            IN_MEMORY_CONFIG,
+            cache_size_bytes=_cache_bytes(cache_mb) * replication,
+            label=f"churn-{schedule}: {label}",
         )
-
-    crash = (ChurnEvent(crash_at, "crash"),)
-    baseline = run_benchmark(config("crash-baseline", (), replication_factor))
-    replicated = run_benchmark(config("crash-replicated", crash, replication_factor))
-    unreplicated = run_benchmark(config("crash-unreplicated", crash, 1))
-    return CrashChurnResult(
-        window=window,
-        crash_at=crash_at,
-        replication_factor=replication_factor,
-        baseline=baseline,
-        replicated=replicated,
-        unreplicated=unreplicated,
-        elapsed_seconds=time.time() - started,
-    )
-
-
-# ----------------------------------------------------------------------
-# Rolling restart: crash + warm rejoin across the whole tier
-# ----------------------------------------------------------------------
-@dataclass
-class RollingRestartResult:
-    """Hit-rate impact of restarting every cache node, one at a time."""
-
-    window: int
-    events: List[ChurnEvent]
-    baseline: BenchmarkResult
-    replicated: BenchmarkResult
-    unreplicated: BenchmarkResult
-    elapsed_seconds: float = 0.0
-
-    def trough(self, result: BenchmarkResult) -> float:
-        """Worst window hit rate across the whole restart schedule."""
-        start = min(event.at_interaction for event in self.events) // self.window
-        windows = result.hit_rate_timeline[start:]
-        return min(windows) if windows else 0.0
-
-    def format_table(self) -> str:
-        rows = []
-        for label, result in (
-            ("no restarts", self.baseline),
-            ("rolling restart, replicated", self.replicated),
-            ("rolling restart, unreplicated", self.unreplicated),
-        ):
-            rows.append(
-                [
-                    label,
-                    f"{result.hit_rate:.1%}",
-                    f"{self.trough(result):.1%}",
-                    f"{result.membership_epochs}",
-                    f"{result.entries_migrated}",
-                    f"{result.replica_hits}",
-                ]
-            )
-        return format_table(
-            ["scenario", "overall hit rate", "worst window", "epochs", "migrated", "replica hits"],
-            rows,
-            title="Rolling restart: every cache node crashes and warm-rejoins in turn",
+        cfg.replication_factor = replication
+        cfg.churn = tuple(
+            event if migrate else replace(event, migrate=False)
+            for event in (events if index else ())
         )
-
-
-def rolling_restart(
-    settings: Optional[ExperimentSettings] = None,
-    cache_mb: float = 768,
-    window: int = 100,
-    transport: str = "inprocess",
-    replication_factor: int = 2,
-) -> RollingRestartResult:
-    """Crash-and-rejoin every cache node in sequence (ops-style restart).
-
-    Each node dies without warning and rejoins warm ``downtime``
-    interactions later; the next node follows after a gap.  Replication
-    covers the downtime window (reads fail over to the survivor's copies);
-    the warm rejoin re-migrates the node's slice on the way back in.
-    """
-    settings = settings or ExperimentSettings.quick()
-    started = time.time()
-    measure = settings.measure_interactions
-    start = max(1, measure // 4)
-    gap = max(2, measure // 4)
-    downtime = max(1, gap // 3)
-
-    def config(label: str, churn, replication: int) -> BenchmarkConfig:
-        return _churn_config(
-            settings, label, churn, window, transport, cache_mb, replication
-        )
-
-    # Derive the node names from the same cluster spec the driver resolves
-    # for these configs (the initial ring is always cache0..cacheN-1).
-    node_count = config("restart-probe", (), replication_factor).resolved_cluster().cache_nodes
-    events = rolling_restart_events(
-        [f"cache{i}" for i in range(node_count)], start=start, downtime=downtime, gap=gap
-    )
-
-    baseline = run_benchmark(config("restart-baseline", (), replication_factor))
-    replicated = run_benchmark(config("restart-replicated", tuple(events), replication_factor))
-    unreplicated = run_benchmark(config("restart-unreplicated", tuple(events), 1))
-    return RollingRestartResult(
-        window=window,
-        events=events,
-        baseline=baseline,
-        replicated=replicated,
-        unreplicated=unreplicated,
-        elapsed_seconds=time.time() - started,
-    )
+        cfg.hit_rate_window = window
+        runs[label] = run_benchmark(cfg)
+    return ChurnResult(schedule=schedule, window=window, events=events, runs=runs)
 
 
 # ----------------------------------------------------------------------
@@ -1057,267 +864,6 @@ def concurrent_clients(
     return ConcurrentClientsResult(
         thread_counts=list(thread_counts),
         results=results,
-        elapsed_seconds=time.time() - started,
-    )
-
-
-@dataclass
-class ConcurrentChurnResult:
-    """A crash/rejoin cycle applied while K threads drive traffic."""
-
-    baseline: ThreadedPoint
-    churned: ThreadedPoint
-    elapsed_seconds: float = 0.0
-
-    def format_table(self) -> str:
-        rows = []
-        for label, result in (("steady state", self.baseline), ("crash + rejoin", self.churned)):
-            rows.append(
-                [
-                    label,
-                    f"{result.ops_per_second:,.0f}",
-                    f"{result.hit_rate:.1%}",
-                    f"{result.degraded_lookups}",
-                    f"{result.nodes_evicted}",
-                    f"{result.errors}",
-                ]
-            )
-        return format_table(
-            ["scenario", "ops/sec", "hit rate", "degraded lookups", "evicted", "errors"],
-            rows,
-            title=(
-                f"Concurrent churn: {self.churned.threads} threads on "
-                f"{self.churned.transport}, one node crashes and warm-rejoins mid-run"
-            ),
-        )
-
-
-def concurrent_churn(
-    threads: int = 4,
-    transport: str = "socket",
-    interactions_per_thread: int = 400,
-    simulated_rpc_latency_seconds: float = 4e-4,
-    replication_factor: int = 2,
-    seed: int = 1,
-) -> ConcurrentChurnResult:
-    """Crash and warm-rejoin a cache node while K worker threads run.
-
-    The concurrent analogue of :func:`crash_churn`: failure detection,
-    threshold eviction, and the warm rejoin's live migration all execute
-    *while* worker threads issue transactions, which is exactly the window
-    where an unsynchronized cache tier would corrupt state or deadlock.
-    ``cache0`` crashes at 30 % of the interactions and rejoins at 60 %.
-    With ``replication_factor >= 2`` the surviving replicas keep serving the
-    dead node's keys, so reads never observe the crash as an error.
-    """
-    started = time.time()
-    total = threads * interactions_per_thread
-
-    def point(label: str, churn: Sequence[ChurnEvent]) -> ThreadedPoint:
-        return run_threaded_point(
-            threads,
-            transport,
-            total,
-            churn=churn,
-            replication_factor=replication_factor,
-            simulated_rpc_latency_seconds=simulated_rpc_latency_seconds,
-            seed=seed,
-            label=label,
-        )
-
-    baseline = point("concurrent-steady", ())
-    churned = point(
-        "concurrent-crash-rejoin",
-        (
-            ChurnEvent(int(0.3 * total), "crash", node="cache0"),
-            ChurnEvent(int(0.6 * total), "join", node="cache0"),
-        ),
-    )
-    return ConcurrentChurnResult(
-        baseline=baseline,
-        churned=churned,
-        elapsed_seconds=time.time() - started,
-    )
-
-
-# ----------------------------------------------------------------------
-# Figures 5-8 re-measured open-loop on the fast wire stack
-# ----------------------------------------------------------------------
-#: Figure-5 cache-size points re-measured open-loop (paper labels; the
-#: in-memory MB points map through ``_cache_bytes``, disk GB through
-#: ``_disk_cache_bytes``, and the budget is split across the cache nodes).
-OPENLOOP_FIGURE5_CONFIGS: List[Tuple[str, int, float]] = [
-    ("in-mem 64MB", _cache_bytes(64), 30.0),
-    ("in-mem 512MB", _cache_bytes(512), 30.0),
-    ("in-mem 1024MB", _cache_bytes(1024), 30.0),
-    ("disk 1GB", _disk_cache_bytes(1), 30.0),
-    ("disk 9GB", _disk_cache_bytes(9), 30.0),
-]
-
-#: Figure-7 staleness points (seconds) at the 512MB cache label.
-OPENLOOP_FIGURE7_STALENESS = [1.0, 30.0, 120.0]
-
-#: Figure-8's four configurations (same labels as :func:`figure8`).
-OPENLOOP_FIGURE8_CONFIGS: List[Tuple[str, int, float]] = [
-    ("in-mem 512MB / 30s", _cache_bytes(512), 30.0),
-    ("in-mem 512MB / 15s", _cache_bytes(512), 15.0),
-    ("in-mem 64MB / 30s", _cache_bytes(64), 30.0),
-    ("disk 9GB / 30s", _disk_cache_bytes(9), 30.0),
-]
-
-#: Offered rates (ops/s) each configuration is measured at.
-OPENLOOP_DEFAULT_RATES = [1000.0, 2000.0, 4000.0]
-
-#: p99 SLO (seconds) the capacity model provisions against.
-OPENLOOP_P99_SLO_SECONDS = 0.05
-
-
-@dataclass
-class FigureOpenLoopResult:
-    """Figures 5-8 re-measured open-loop on the thread-hosted wire stack.
-
-    ``points[section]`` (``"figure5"`` … ``"figure8"``) holds one dict per
-    (configuration, offered rate): offered rate, achieved goodput, merged
-    p50/p95/p99/p99.9 in milliseconds, hit rate, and errors.  Figure 6 is
-    the hit-rate view of the Figure 5 runs, as in the closed-loop
-    reproduction — same measurements, no re-run.  ``capacity`` is the
-    concurrent-user model derived from the 512MB sweep's p99-SLO point.
-
-    Honesty note: the open-loop re-measurement drives the multi-process
-    ``pages`` workload (read-only by construction — see
-    :func:`~repro.bench.loadgen.runner.build_worker_stack`), so the staleness axis
-    (figure7) and the consistency-miss rows (figure8) measure the *wire
-    stack's* latency under those deployment settings, not invalidation
-    pressure; the cache-size axis does produce genuine capacity misses.
-    """
-
-    transport: str
-    points: Dict[str, List[Dict[str, object]]]
-    capacity: Optional[CapacityModel]
-    elapsed_seconds: float = 0.0
-
-    def format_table(self) -> str:
-        rows = []
-        for section in ("figure5", "figure6", "figure7", "figure8"):
-            for point in self.points.get(section, []):
-                rows.append(
-                    [
-                        section,
-                        str(point["configuration"]),
-                        f"{point['offered_rate']:,.0f}",
-                        f"{point['achieved_goodput']:,.1f}",
-                        f"{point['p50_ms']:.2f}",
-                        f"{point['p95_ms']:.2f}",
-                        f"{point['p99_ms']:.2f}",
-                        f"{point['hit_rate']:.1%}",
-                    ]
-                )
-        table = format_table(
-            ["figure", "configuration", "offered/s", "achieved/s", "p50 ms", "p95 ms", "p99 ms", "hit rate"],
-            rows,
-            title=f"Figures 5-8, open-loop on {self.transport}",
-        )
-        if self.capacity is not None:
-            table = table + "\n\n" + self.capacity.format_table()
-        return table
-
-
-def _openloop_points(sweep, configuration: str) -> List[Dict[str, object]]:
-    """Flatten one sweep into one dict per offered rate."""
-    return [
-        {
-            "configuration": configuration,
-            "offered_rate": point.offered_rate,
-            "achieved_goodput": point.achieved_goodput,
-            "p50_ms": point.p50 * 1e3,
-            "p95_ms": point.p95 * 1e3,
-            "p99_ms": point.p99 * 1e3,
-            "p99_9_ms": point.p999 * 1e3,
-            "hit_rate": point.hit_rate,
-            "errors": point.errors,
-        }
-        for point in sweep.points
-    ]
-
-
-def figures_openloop(
-    settings: Optional[ExperimentSettings] = None,
-    *,
-    rates: Optional[Sequence[float]] = None,
-    processes: int = 2,
-    threads_per_process: int = 4,
-    cache_nodes: int = 2,
-    seconds_per_point: float = 2.0,
-    smoke: bool = False,
-) -> FigureOpenLoopResult:
-    """Re-measure Figures 5-8 open-loop on the fast wire stack.
-
-    Every configuration runs on ``transport="socket"``, driven by the coordinated-omission-safe open-loop
-    generator at each offered rate in ``rates`` — so alongside the
-    throughput each point reports what the *tail* did at that offered
-    load, which the closed-loop figures cannot show.
-
-    ``smoke=True`` shrinks the run to one configuration per figure at one
-    rate — enough to check every figure's points end to end without
-    benchmark-grade timings.
-    """
-    settings = settings or ExperimentSettings.quick()
-    started = time.time()
-    if rates is None:
-        rates = [800.0] if smoke else list(OPENLOOP_DEFAULT_RATES)
-    duration = 1.0 if smoke else seconds_per_point
-
-    figure5_configs = OPENLOOP_FIGURE5_CONFIGS[1:2] if smoke else OPENLOOP_FIGURE5_CONFIGS
-    figure7_staleness = OPENLOOP_FIGURE7_STALENESS[1:2] if smoke else OPENLOOP_FIGURE7_STALENESS
-    figure8_configs = OPENLOOP_FIGURE8_CONFIGS[:1] if smoke else OPENLOOP_FIGURE8_CONFIGS
-
-    def sweep(label: str, cache_bytes: int, staleness: float):
-        config = OpenLoopConfig(
-            processes=processes,
-            threads_per_process=threads_per_process,
-            cache_nodes=cache_nodes,
-            cache_capacity_bytes_per_node=max(16 * 1024, cache_bytes // cache_nodes),
-            staleness=staleness,
-            transport="socket",
-            seed=settings.seed,
-            label=label,
-        )
-        return run_rate_sweep(config, rates=rates, seconds_per_point=duration)
-
-    transport = ""
-    points: Dict[str, List[Dict[str, object]]] = {}
-
-    figure5_points: List[Dict[str, object]] = []
-    capacity: Optional[CapacityModel] = None
-    for label, cache_bytes, staleness in figure5_configs:
-        result = sweep(f"fig5-openloop-{label}", cache_bytes, staleness)
-        transport = result.transport
-        figure5_points.extend(_openloop_points(result, label))
-        if capacity is None and "512MB" in label:
-            capacity = capacity_report(
-                result,
-                cache_nodes=cache_nodes,
-                driver_cores=processes,
-                slo_seconds=OPENLOOP_P99_SLO_SECONDS,
-            )
-    points["figure5"] = figure5_points
-    # Figure 6 is the hit-rate view of the same runs (no re-measurement).
-    points["figure6"] = [dict(point) for point in figure5_points]
-
-    points["figure7"] = []
-    for staleness in figure7_staleness:
-        result = sweep(f"fig7-openloop-{staleness:g}s", _cache_bytes(512), staleness)
-        points["figure7"].extend(_openloop_points(result, f"512MB / {staleness:g}s"))
-
-    points["figure8"] = []
-    for label, cache_bytes, staleness in figure8_configs:
-        result = sweep(f"fig8-openloop-{label}", cache_bytes, staleness)
-        points["figure8"].extend(_openloop_points(result, label))
-
-    return FigureOpenLoopResult(
-        transport=transport,
-        points=points,
-        capacity=capacity,
         elapsed_seconds=time.time() - started,
     )
 

@@ -2,13 +2,23 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.apps.rubis.datagen import IN_MEMORY_CONFIG
 from repro.bench.costmodel import BufferCache, ClusterSpec, CostModel
-from repro.bench.driver import BenchmarkConfig, ChurnEvent, run_benchmark
+from repro.bench.driver import (
+    BenchmarkConfig,
+    ChurnEvent,
+    apply_churn,
+    rolling_restart_events,
+    run_benchmark,
+)
 from repro.bench.experiments import (
+    ChurnResult,
     ExperimentSettings,
+    churn,
     run_threaded_point,
     validity_tracking_overhead,
 )
@@ -16,6 +26,7 @@ from repro.bench.report import format_series, format_table
 from repro.core.api import ConsistencyMode
 from repro.db.executor import QueryResult
 from repro.db.query import Select
+from repro.deployment import TxCacheDeployment
 from repro.interval import Interval
 
 
@@ -218,12 +229,15 @@ def test_churn_event_outside_measurement_phase_is_rejected(run, at_interaction):
         run((ChurnEvent(at_interaction, "join"),))
 
 
-def test_threaded_crash_and_rejoin_fire_at_their_interactions():
+@pytest.mark.parametrize("transport", ["inprocess", "socket"])
+def test_threaded_crash_and_rejoin_fire_at_their_interactions(transport):
     """One churn path on threads: a crash at interaction 60 and a warm
-    rejoin at 140 fire inside the workers that claim those indices."""
+    rejoin at 140 fire inside the workers that claim those indices.  With
+    R=2 the survivor serves the dead node's keys, so no worker errs and no
+    read degrades while the eviction and the live migration run."""
     point = run_threaded_point(
         4,
-        "inprocess",
+        transport,
         200,
         churn=(
             ChurnEvent(60, "crash", node="cache0"),
@@ -235,3 +249,64 @@ def test_threaded_crash_and_rejoin_fire_at_their_interactions():
     assert point.errors == 0
     assert point.interactions == 200
     assert point.degraded_lookups == 0
+
+
+@pytest.mark.parametrize("action", ["leave", "drain"])
+def test_apply_churn_refuses_an_action_it_does_not_know(action):
+    """A churn event is a join or a crash; anything else is an error, not
+    a membership change."""
+    with TxCacheDeployment() as deployment:
+        with pytest.raises(ValueError, match="unknown churn action"):
+            apply_churn(deployment, ChurnEvent(0, action, node="cache0"))
+        assert deployment.cache.ring.nodes == ["cache0", "cache1"]
+
+
+def test_rolling_restart_events_place_each_crash_and_rejoin():
+    events = rolling_restart_events(["a", "b", "c"], start=10, downtime=3, gap=7)
+    assert [(e.at_interaction, e.action, e.node, e.migrate) for e in events] == [
+        (10, "crash", "a", True),
+        (13, "join", "a", True),
+        (17, "crash", "b", True),
+        (20, "join", "b", True),
+        (24, "crash", "c", True),
+        (27, "join", "c", True),
+    ]
+
+
+@pytest.mark.parametrize("downtime, gap", [(0, 5), (3, 3), (4, 3)])
+def test_rolling_restart_events_refuse_overlapping_downtimes(downtime, gap):
+    with pytest.raises(ValueError, match="gap > downtime >= 1"):
+        rolling_restart_events(["a", "b"], start=1, downtime=downtime, gap=gap)
+
+
+def _timeline_result(window, first_event, timeline):
+    return ChurnResult(
+        schedule="crash",
+        window=window,
+        events=[ChurnEvent(first_event + 100, "join"), ChurnEvent(first_event, "crash")],
+        runs={"run": SimpleNamespace(hit_rate_timeline=timeline)},
+    )
+
+
+def test_churn_trough_and_recovery_read_from_the_first_event_window():
+    # The first event, at interaction 250, falls in window 2 (200-299);
+    # windows 0-1 are before it.
+    result = _timeline_result(100, 250, [0.1, 0.2, 0.3, 0.6, 0.7, 0.9, 0.8])
+    assert result.trough("run") == 0.3
+    # Windows from 2 on: [0.3, 0.6, 0.7, 0.9, 0.8]; the second half is the
+    # last three.
+    assert result.recovered("run") == pytest.approx((0.7 + 0.9 + 0.8) / 3)
+
+
+def test_churn_trough_and_recovery_of_an_empty_tail_are_zero():
+    result = _timeline_result(100, 500, [0.5, 0.6])
+    assert result.trough("run") == 0.0
+    assert result.recovered("run") == 0.0
+
+
+def test_churn_names_its_schedules_when_asked_for_another():
+    with pytest.raises(ValueError) as refused:
+        churn("nope")
+    message = str(refused.value)
+    for schedule in ("'join'", "'crash'", "'rolling-restart'"):
+        assert schedule in message
