@@ -104,6 +104,7 @@ from repro.comm.multicast import InvalidationBus, InvalidationMessage
 from repro.comm.transport import (
     CacheTransport,
     InProcessTransport,
+    _DEADLINE,
     RetryPolicy,
     current_deadline,
     deadline_scope,
@@ -623,11 +624,12 @@ class CacheCluster:
     def _op_scope(self) -> deadline_scope:
         """One deadline budget for a whole routed operation.
 
-        Opened at the top of every routed read: dial time, per-node
-        retries, and the replica-failover walk all draw on the same
-        budget, so a hung node cannot multiply the worst case by the
-        number of replicas.  A scope already active (a nested routed call)
-        keeps governing — budgets never stack.
+        Opened at the top of every routed read (``multi_lookup`` sets the
+        same scope in place): dial time, per-node retries, and the
+        replica-failover walk all draw on the same budget, so a hung node
+        cannot multiply the worst case by the number of replicas.  A scope
+        already active (a nested routed call) keeps governing — budgets
+        never stack.
         """
         deadline = current_deadline()
         if deadline is None:
@@ -642,13 +644,10 @@ class CacheCluster:
         """``transport.<op>(*args)`` on ``node``; :data:`_UNANSWERED` if it
         could not be reached.
 
-        Where ``multi_lookup`` and ``put`` meet a failure.
-        A node that answers costs the call itself; only a connection-level
-        failure enters the cluster :class:`RetryPolicy` (the failed call is
-        its attempt 1, and only idempotent ops get another), and only a
-        node still failing after that is charged (suspect marking,
-        threshold eviction).  A node whose transport is already gone is
-        nobody's failure.
+        Where ``put`` meets a failure (``multi_lookup`` makes the same
+        first attempt in place).  A node that answers costs the call
+        itself; only a connection-level failure goes to :meth:`_retry`.  A
+        node whose transport is already gone is nobody's failure.
         """
         transport = self._transports.get(node)
         if transport is None:
@@ -656,17 +655,30 @@ class CacheCluster:
         try:
             answer = getattr(transport, op)(*args)
         except _FAILURE_EXCEPTIONS as failure:
-            try:
-                answer = self.retry_policy.run(
-                    op,
-                    lambda: getattr(transport, op)(*args),
-                    retry_on=_FAILURE_EXCEPTIONS,
-                    rng=self._retry_rng,
-                    failure=failure,
-                )
-            except _FAILURE_EXCEPTIONS:
-                self._note_failure(node)
-                return _UNANSWERED
+            return self._retry(node, transport, op, args, failure)
+        if node in self._suspects:
+            self._note_success(node)
+        return answer
+
+    def _retry(self, node: str, transport: CacheTransport, op: str, args: tuple, failure):
+        """What a failed first attempt of ``transport.<op>(*args)`` costs.
+
+        The failure enters the cluster :class:`RetryPolicy` as its attempt
+        1, and only idempotent ops get another.  A node still failing after
+        that is charged (suspect marking, threshold eviction) and the call
+        is :data:`_UNANSWERED`; a suspect that answers a retry is cleared.
+        """
+        try:
+            answer = self.retry_policy.run(
+                op,
+                lambda: getattr(transport, op)(*args),
+                retry_on=_FAILURE_EXCEPTIONS,
+                rng=self._retry_rng,
+                failure=failure,
+            )
+        except _FAILURE_EXCEPTIONS:
+            self._note_failure(node)
+            return _UNANSWERED
         if node in self._suspects:
             self._note_success(node)
         return answer
@@ -719,7 +731,17 @@ class CacheCluster:
                 results[index] = self._degraded_lookup(request.key)
         #: request index -> the nodes that failed it (failed requests only).
         tried: Dict[int, Set[str]] = {}
-        with self._op_scope() as deadline:
+        # The op's deadline scope, set in place (see ``_op_scope``): a scope
+        # already active keeps governing, and only one opened here is undone.
+        outer = getattr(_DEADLINE, "value", None)
+        deadline = outer
+        if outer is None:
+            budget = self.retry_policy.deadline_seconds
+            if budget is None:
+                budget = self.rpc_timeout_seconds
+            if budget is not None:
+                deadline = _DEADLINE.value = time.monotonic() + budget
+        try:
             while pending:
                 node, indices = pending.popitem()
                 if deadline is not None and time.monotonic() >= deadline:
@@ -728,9 +750,20 @@ class CacheCluster:
                     continue
                 if asked is not None:
                     asked.append(node)
-                answers = self._ask(
-                    node, "multi_lookup", [requests[index] for index in indices]
-                )
+                # A batch routed wholly to one node goes as it came.
+                whole = len(indices) == len(requests)
+                batch = requests if whole else [requests[index] for index in indices]
+                transport = self._transports.get(node)
+                if transport is None:
+                    answers = _UNANSWERED
+                else:
+                    try:
+                        answers = transport.multi_lookup(batch)
+                    except _FAILURE_EXCEPTIONS as failure:
+                        answers = self._retry(node, transport, "multi_lookup", (batch,), failure)
+                    else:
+                        if node in self._suspects:
+                            self._note_success(node)
                 if answers is _UNANSWERED:
                     # Each request moves to its next untried live replica,
                     # or degrades when none remain.
@@ -745,10 +778,15 @@ class CacheCluster:
                         else:
                             results[index] = self._degraded_lookup(key)
                     continue
+                if whole and not tried:
+                    return answers
                 for index, answer in zip(indices, answers):
                     results[index] = answer
                     if index in tried:
                         self._record_failover_read(answer.hit)
+        finally:
+            if outer is None:
+                _DEADLINE.value = None
         return results  # type: ignore[return-value]  # every slot is filled
 
     def put(

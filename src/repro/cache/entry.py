@@ -215,7 +215,7 @@ class EntryRecord:
         return record, offset
 
 
-@dataclass(frozen=True, **DATACLASS_SLOTS)
+@dataclass(**DATACLASS_SLOTS)
 class LookupRequest:
     """One element of a batched (multi-key) cache lookup.
 
@@ -226,6 +226,10 @@ class LookupRequest:
     version reaches past it, which is what tells a consistency miss from a
     stale one.  The default, 0, is a window open to all of time: any stored
     version counts.
+
+    Immutable by convention, like :class:`LookupResult`: nothing assigns to
+    a field after construction.  Not ``frozen``, which would cost one
+    ``object.__setattr__`` per field on every cacheable call.
     """
 
     key: str
@@ -266,21 +270,23 @@ class LookupRequest:
             key = raw.decode("utf-8", "surrogatepass")
         lo, hi, fresh_lo = _unpack_lo_hi_fresh(buf, end)
         request = _new(cls)
-        _set(request, "key", key)
-        _set(request, "lo", lo)
-        _set(request, "hi", hi)
-        _set(request, "fresh_lo", fresh_lo)
+        request.key = key
+        request.lo = lo
+        request.hi = hi
+        request.fresh_lo = fresh_lo
         return request, end + 24
 
 
-@dataclass(frozen=True, **DATACLASS_SLOTS)
+@dataclass(**DATACLASS_SLOTS)
 class LookupResult:
     """Outcome of a cache lookup.
 
     Slotted (with the other wire-crossing records above) where the
     interpreter supports it: lookup results are created once per cacheable
     call and pickled across the socket transports, so skipping the
-    per-instance ``__dict__`` pays on both allocation and codec time.
+    per-instance ``__dict__`` pays on both allocation and codec time.  For
+    the same reason not ``frozen``: immutability is a convention — only
+    the decoder that builds a result fills in its fields.
     """
 
     hit: bool
@@ -424,8 +430,8 @@ class LookupResult:
                         raise ValueError(f"invalid interval: hi={hi} < lo={lo}")
                     index = 2
                 interval = _new(Interval)
-                _set(interval, "lo", lo)
-                _set(interval, "hi", hi)
+                interval.lo = lo
+                interval.hi = hi
             if flags & 64:
                 lo = bounds[index]
                 if flags & 128:
@@ -443,8 +449,8 @@ class LookupResult:
                     raw_interval = interval
                 else:
                     raw_interval = _new(Interval)
-                    _set(raw_interval, "lo", lo)
-                    _set(raw_interval, "hi", hi)
+                    raw_interval.lo = lo
+                    raw_interval.hi = hi
         tags: FrozenSet[InvalidationTag] = _EMPTY_TAGS
         if tag_count == 1:
             # One tag is the overwhelmingly common hit shape (one table/
@@ -459,13 +465,13 @@ class LookupResult:
             tags = frozenset(items)
         value, offset = dec_value(buf, offset)
         result = _new(cls)
-        _set(result, "hit", True if flags & 1 else False)
-        _set(result, "key", key)
-        _set(result, "value", value)
-        _set(result, "interval", interval)
-        _set(result, "raw_interval", raw_interval)
-        _set(result, "tags", tags)
-        _set(result, "key_ever_stored", True if flags & 2 else False)
-        _set(result, "fresh_version_exists", True if flags & 4 else False)
-        _set(result, "degraded", True if flags & 8 else False)
+        result.hit = True if flags & 1 else False
+        result.key = key
+        result.value = value
+        result.interval = interval
+        result.raw_interval = raw_interval
+        result.tags = tags
+        result.key_ever_stored = True if flags & 2 else False
+        result.fresh_version_exists = True if flags & 4 else False
+        result.degraded = True if flags & 8 else False
         return result, offset

@@ -1079,7 +1079,7 @@ def _unpack_value(record):
     """Unpickle, in place, the blob a just-decoded record carries.
 
     ``record`` is a LookupResult, EntryRecord or CacheEntry fresh off the
-    wire, so nothing else holds it; two of the three are frozen, hence the
+    wire, so nothing else holds it; ``EntryRecord`` is frozen, hence the
     ``object.__setattr__``.
     """
     value = record.value

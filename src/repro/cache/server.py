@@ -216,7 +216,8 @@ class CacheServer:
         #: ``_page``), and how much of the list is sorted; None between walks.
         self._walk_keys: Optional[List[str]] = None
         self._walk_sorted = 0
-        #: LRU ordering over keys (most recently used last).
+        #: LRU ordering over keys (most recently used last): exactly the
+        #: keys of ``_entries``.
         self._lru: "OrderedDict[str, None]" = OrderedDict()
         #: precise tag -> keys of still-valid entries depending on it.
         self._tag_index: Dict[InvalidationTag, Set[str]] = {}
@@ -474,7 +475,9 @@ class CacheServer:
         if best is not None:
             self.stats.hits += 1
             best.last_access = self.clock.now()
-            self._touch(key)
+            # Safe without a membership test: a key with versions is in
+            # the LRU order.
+            self._lru.move_to_end(key)
             raw_interval = best.interval
             return LookupResult(
                 hit=True,

@@ -126,8 +126,10 @@ class deadline_scope:
     per-attempt timeouts (dial and RPC waits), so one budget bounds an
     entire routed operation — including retries and replica failover —
     instead of each attempt getting a fresh full timeout.  Entering and
-    leaving cost one thread-local assignment each: every routed cache
-    operation opens one.
+    leaving cost one thread-local assignment each.  The cluster's repair
+    reads open one; ``CacheCluster.multi_lookup``, on every cacheable
+    call's path, sets and restores the same thread-local in place, by the
+    same nesting rule.
     """
 
     __slots__ = ("_deadline", "_previous")
@@ -354,8 +356,11 @@ class InProcessTransport:
         self.op_counts[op] = self.op_counts.get(op, 0) + 1
 
     # -- cache operations ----------------------------------------------
+    # The two operations of a cacheable call count in place: a hit's
+    # whole budget is a handful of Python calls.
     def multi_lookup(self, requests: Sequence[LookupRequest]) -> List[LookupResult]:
-        self._count("multi_lookup")
+        counts = self.op_counts
+        counts["multi_lookup"] = counts.get("multi_lookup", 0) + 1
         return self.server.multi_lookup(requests)
 
     def put(
@@ -365,7 +370,8 @@ class InProcessTransport:
         interval: Interval,
         tags: FrozenSet[InvalidationTag] = frozenset(),
     ) -> bool:
-        self._count("put")
+        counts = self.op_counts
+        counts["put"] = counts.get("put", 0) + 1
         return self.server.put(key, value, interval, tags)
 
     def probe(self, key: str, lo: int, hi: int) -> bool:

@@ -189,14 +189,26 @@ class TxCacheClient:
         observe time moving backwards (paper section 2.2).
         """
         state = self._state
+        if isinstance(state, ReadOnlyState) and not state.frames:
+            try:
+                db_transaction = state.db_transaction
+                if db_transaction is not None and db_transaction.active:
+                    db_transaction.commit()
+                self.pincushion.release(state.held)
+                timestamp = state.chosen_timestamp
+                if timestamp is None:
+                    # The newest pin left in the set (``PinSet.most_recent``).
+                    timestamps = state.pin_set._timestamps
+                    timestamp = timestamps[-1] if timestamps else self.database.latest_timestamp
+                self.stats.commits += 1
+                return timestamp
+            finally:
+                self._state = None
         if state is None:
             self._require_transaction()
-        self._refuse_mid_call(state)
+        self._refuse_mid_call(state)  # a read-only state that gets here raises
         try:
-            if isinstance(state, ReadWriteState):
-                timestamp = state.db_transaction.commit()
-            else:
-                timestamp = self._finish_read_only(state, abort=False)
+            timestamp = state.db_transaction.commit()
             self.stats.commits += 1
             return timestamp
         finally:
@@ -210,7 +222,9 @@ class TxCacheClient:
             if isinstance(state, ReadWriteState):
                 state.db_transaction.abort()
             else:
-                self._finish_read_only(state, abort=True)
+                if state.db_transaction is not None and state.db_transaction.active:
+                    state.db_transaction.abort()
+                self.pincushion.release(state.held)
             self.stats.aborts += 1
         finally:
             self._state = None
@@ -429,7 +443,15 @@ class TxCacheClient:
             return fn(*args, **kwargs)
 
         key = make_key(args, kwargs)
-        lo, hi = self._lookup_bounds(state)
+        if self.mode is ConsistencyMode.CONSISTENT:
+            # The pin set's two ends, read in place (``PinSet.bounds``).
+            timestamps = state.pin_set._timestamps
+            if not timestamps:  # pragma: no cover - begin_ro guarantees bounds
+                raise TxCacheError("pin set has no concrete timestamps")
+            lo = timestamps[0]
+            hi = timestamps[-1]
+        else:
+            lo, hi = self._lookup_bounds(state)
         # The request carries the lower bound of the staleness window the
         # transaction started with beside the pin-set bounds, so a miss
         # comes back already saying whether a fresh enough version exists:
@@ -596,18 +618,6 @@ class TxCacheClient:
         if record is not None:
             return record.wallclock
         return self.database.wallclock_of(snapshot_id)
-
-    def _finish_read_only(self, state: ReadOnlyState, abort: bool) -> int:
-        if state.db_transaction is not None and state.db_transaction.active:
-            if abort:
-                state.db_transaction.abort()
-            else:
-                state.db_transaction.commit()
-        self.pincushion.release(state.held)
-        if state.chosen_timestamp is not None:
-            return state.chosen_timestamp
-        most_recent = state.pin_set.most_recent()
-        return most_recent if most_recent is not None else self.database.latest_timestamp
 
     # ==================================================================
     # Internals: transaction-state plumbing

@@ -38,24 +38,30 @@ _BOUNDED_LO_HI = struct.Struct("<Bqq")
 _LO_HI = struct.Struct("<qq")
 
 
-@dataclass(frozen=True, order=False, **DATACLASS_SLOTS)
+@dataclass(unsafe_hash=True, **DATACLASS_SLOTS)
 class Interval:
     """A half-open validity interval ``[lo, hi)`` of logical timestamps.
 
     ``hi is None`` denotes an unbounded interval (still valid).  Intervals
-    are immutable; all operations return new intervals.  Slotted on
-    interpreters that support it: every cached value and every wire frame
-    carries intervals, so skipping the per-instance ``__dict__`` roughly
-    halves the record footprint and buys a few percent on construction and
-    attribute reads (measured in ``benchmarks/test_bench_transport.py``).
+    are immutable by convention: all operations return new intervals, and
+    nothing assigns to ``lo`` or ``hi`` after construction — which is what
+    makes the value hash (equal intervals hash equal) safe.  Not
+    ``frozen``: a frozen dataclass pays one ``object.__setattr__`` per
+    field, and one hit builds an interval.  Slotted on interpreters that
+    support it: every cached value and every wire frame carries intervals,
+    so skipping the per-instance ``__dict__`` roughly halves the record
+    footprint and buys a few percent on construction and attribute reads
+    (measured in ``benchmarks/test_bench_transport.py``).
     """
 
     lo: int
     hi: Optional[int] = UNBOUNDED
 
-    def __post_init__(self) -> None:
-        if self.hi is not None and self.hi < self.lo:
-            raise ValueError(f"invalid interval: hi={self.hi} < lo={self.lo}")
+    def __init__(self, lo: int, hi: Optional[int] = UNBOUNDED) -> None:
+        if hi is not None and hi < lo:
+            raise ValueError(f"invalid interval: hi={hi} < lo={lo}")
+        self.lo = lo
+        self.hi = hi
 
     # ------------------------------------------------------------------
     # Predicates
@@ -175,8 +181,8 @@ class Interval:
             hi = None
             offset += _BOUNDED_LO.size
         interval = object.__new__(cls)
-        object.__setattr__(interval, "lo", lo)
-        object.__setattr__(interval, "hi", hi)
+        interval.lo = lo
+        interval.hi = hi
         return interval, offset
 
     # ------------------------------------------------------------------

@@ -262,3 +262,42 @@ class TestPutToADeadReplica:
             assert cluster.suspect_nodes == ["cache0"]
         finally:
             cluster.close()
+
+
+class TestSuspectRecovery:
+    @pytest.mark.parametrize("shape", ["alone", "with every node"])
+    def test_a_suspect_that_answers_is_cleared_and_its_count_reset(self, shape):
+        """The healthy path is what clears a suspect: one failure marks the
+        node, its next answered lookup (a batch of its own or one batch
+        with every node's keys) recovers it, and the failure count starts
+        over — at ``failure_threshold=2`` one more failure does not evict."""
+        cluster, wrappers = build(1, failure_threshold=2)
+        try:
+            grouped = keys_by_primary(cluster)
+            key = grouped["cache0"][0]
+            keys = [key] if shape == "alone" else [group[0] for group in grouped.values()]
+            fill(cluster, keys)
+            requests = [LookupRequest(k, 1, 5) for k in keys]
+            node = wrappers["cache0"]
+
+            node.dead = True
+            results = cluster.multi_lookup(requests)
+            assert [r.degraded for r in results] == [k == key for k in keys]
+            assert cluster.suspect_nodes == ["cache0"]
+            assert cluster.health.suspect_marks == 1 and cluster.health.recoveries == 0
+
+            node.dead = False
+            results = cluster.multi_lookup(requests)
+            assert all(r.hit and not r.degraded for r in results)
+            assert cluster.suspect_nodes == []
+            assert cluster.health.recoveries == 1
+
+            node.dead = True
+            cluster.multi_lookup(requests)
+            assert cluster.suspect_nodes == ["cache0"]
+            assert "cache0" in cluster.ring.nodes
+            assert cluster.health.transport_failures == 2
+            assert cluster.health.suspect_marks == 2
+            assert cluster.health.nodes_evicted == 0
+        finally:
+            cluster.close()

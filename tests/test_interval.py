@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -38,11 +40,27 @@ class TestIntervalBasics:
     def test_invalid_interval_rejected(self):
         with pytest.raises(ValueError):
             Interval(5, 3)
+        # The codec builds intervals without the constructor and checks too.
+        packed = bytearray()
+        Interval(3, 5).pack_into(packed)
+        assert Interval.unpack_from(bytes(packed), 0) == (Interval(3, 5), len(packed))
+        inverted = bytes(packed[:1]) + struct.pack("<qq", 5, 3)
+        with pytest.raises(ValueError):
+            Interval.unpack_from(inverted, 0)
 
     def test_equality_and_hash(self):
         assert Interval(1, 2) == Interval(1, 2)
         assert hash(Interval(1, None)) == hash(Interval(1, None))
         assert Interval(1, 2) != Interval(1, 3)
+        assert Interval(1) != Interval(1, 2)
+        # Immutable by convention, not frozen: equal values still hash
+        # equal, so intervals work as dict keys and set members.
+        for interval in (Interval(1, 2), Interval(1)):
+            twin = Interval(interval.lo, interval.hi)
+            assert twin is not interval and hash(twin) == hash(interval)
+            assert {interval: "v"}[twin] == "v"
+            assert twin in {interval}
+        assert len({Interval(1, 2), Interval(1, 2), Interval(1), Interval(1, None)}) == 2
 
 
 class TestIntervalIntersection:

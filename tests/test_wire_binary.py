@@ -11,6 +11,7 @@ a crashed event loop.
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 import socket
 import sys
@@ -152,12 +153,18 @@ def test_intervals_round_trip(interval):
     decoded = round_trip(interval)
     assert decoded == interval
     assert decoded.lo == interval.lo and decoded.hi == interval.hi
+    # Both construction routes give the same value, hash and dict/set key.
+    rebuilt = Interval(interval.lo, interval.hi)
+    assert decoded == rebuilt and hash(decoded) == hash(rebuilt) == hash(interval)
+    assert {rebuilt: "v"}[decoded] == "v" and decoded in {interval}
 
 
 @given(lookup_requests)
 @settings(deadline=None)
 def test_lookup_requests_round_trip(request):
-    assert round_trip(request) == request
+    decoded = round_trip(request)
+    assert decoded == request
+    assert decoded == LookupRequest(request.key, request.lo, request.hi, request.fresh_lo)
 
 
 def test_lookup_request_layout_carries_the_staleness_bound():
@@ -219,7 +226,10 @@ def test_entry_records_round_trip(record):
 @given(lookup_results())
 @settings(deadline=None)
 def test_lookup_results_round_trip(result):
-    assert_results_equal(round_trip(result), result)
+    decoded = round_trip(result)
+    assert_results_equal(decoded, result)
+    # Compared by value, whichever route built it: decoder or constructor.
+    assert decoded == result == dataclasses.replace(result)
 
 
 @given(st.lists(lookup_requests, min_size=1, max_size=6))
