@@ -4,8 +4,9 @@ One cache RPC from a single caller is one request frame written, one
 response frame read, and — at the node — one reply written in the event
 that read the request.  Asserted as *shape*, by counting (deterministic, no
 clock): the client's socket calls, rendezvous objects and call events per
-RPC under ``sys.setprofile``, and the node's ``sendmsg`` counter.  The
-microseconds are printed beside a bare ping-pong floor, never asserted.
+RPC under ``sys.setprofile``, the node's ``sendmsg`` counter and the call
+events on its loop thread per RPC.  The microseconds are printed beside a
+bare ping-pong floor, never asserted.
 """
 
 from __future__ import annotations
@@ -34,11 +35,21 @@ REQUESTS = [LookupRequest("k", 1, 5, 1)]
 #: Call events (``'call'`` + ``'c_call'``, CPython 3.11) on the client per
 #: hit ``multi_lookup``, from ``SocketTransport.multi_lookup`` down to the
 #: socket and back, codec included.  The commit before the wire path was
-#: collapsed measured 128 with this same test (ISSUE 19 counted 143 on a
-#: request with more in it); this one measures 84.  The bound is the new
-#: count plus 25 % headroom, as in test_bench_lookup_path_shape.py.
-CALL_EVENTS_PER_RPC_MEASURED = 84
+#: collapsed measured 128 with this same test (143 on a request with more in
+#: it); the collapsed path measured 82, and one pass through the client
+#: call, with ``multi_lookup``'s body written without the generic walk,
+#: measures 63.  The bound is the count plus 25 % headroom, as in
+#: test_bench_lookup_path_shape.py.
+CALL_EVENTS_PER_RPC_MEASURED = 63
 CALL_EVENTS_PER_RPC_BOUND = CALL_EVENTS_PER_RPC_MEASURED * 1.25
+
+#: Call events, counted the same way, on a thread-hosted node's loop thread
+#: per hit ``multi_lookup`` from one caller: ``select`` handing over the
+#: request, its decode, the lookup, the reply's encode and its ``sendmsg``.
+#: Serving each frame through the dispatch/respond/flush route measured 91;
+#: serving a lone frame in place, with the one-buffer lookup reply, 68.
+NODE_CALL_EVENTS_PER_RPC_MEASURED = 68
+NODE_CALL_EVENTS_PER_RPC_BOUND = NODE_CALL_EVENTS_PER_RPC_MEASURED * 1.25
 
 
 def _transport(address):
@@ -96,19 +107,20 @@ def test_one_rpc_is_one_send_and_one_receive_on_the_client():
     print(f"\nclient call events per hit RPC: {events:.1f}")
     assert events <= CALL_EVENTS_PER_RPC_BOUND, (
         f"{events:.1f} call events per RPC; measured {CALL_EVENTS_PER_RPC_MEASURED} "
-        "when this bound was set:\n"
-        + "\n".join(
-            f"  {count / RPCS:5.1f}  {code.co_filename.rsplit('/', 1)[-1]}:{code.co_name}"
-            for code, count in python_calls.most_common()
-        )
-        + "\n"
-        + "\n".join(f"  {count / RPCS:5.1f}  {name}" for name, count in c_calls.most_common())
+        "when this bound was set:\n" + _call_events_report(python_calls, c_calls, RPCS)
     )
 
 
 def _node():
     server = CacheServer(name="shape", capacity_bytes=8 * 1024 * 1024, clock=ManualClock())
     return CacheServerProcess(server)
+
+
+def _call_events_report(python_calls, c_calls, rpcs):
+    return "\n".join(
+        f"  {count / rpcs:5.1f}  {code.co_filename.rsplit('/', 1)[-1]}:{code.co_name}"
+        for code, count in python_calls.most_common()
+    ) + "\n" + "\n".join(f"  {count / rpcs:5.1f}  {name}" for name, count in c_calls.most_common())
 
 
 def _settled(process, at_least):
@@ -124,19 +136,45 @@ def _settled(process, at_least):
 
 
 def test_the_node_writes_each_reply_in_the_event_that_read_the_request():
-    with _node() as process:
+    python_calls: Counter = Counter()
+    c_calls: Counter = Counter()
+    recording = [False]
+
+    def profile(frame, event, arg):
+        if recording[0]:
+            if event == "call":
+                python_calls[frame.f_code] += 1
+            elif event == "c_call":
+                c_calls[getattr(arg, "__qualname__", repr(arg))] += 1
+
+    # Installed for threads started from here: the node's loop thread only.
+    threading.setprofile(profile)
+    try:
+        process = _node()
+    finally:
+        threading.setprofile(None)
+    with process:
         transport = _transport(process.address)
         try:
             _store_the_hit(transport)
             before = _settled(process, sum(transport.op_counts.values()))
             assert before == sum(transport.op_counts.values())
+            recording[0] = True
             _hit(transport)
             assert _settled(process, before + RPCS) == before + RPCS
+            recording[0] = False
         finally:
             transport.close()
     assert process.sendmsg_calls == before + RPCS  # exact: the loop is joined
     assert process.backpressure_pauses == 0
     assert process.max_in_flight_per_connection == 1
+    events = (sum(python_calls.values()) + sum(c_calls.values())) / RPCS
+    print(f"\nnode loop call events per hit RPC: {events:.1f}")
+    assert events <= NODE_CALL_EVENTS_PER_RPC_BOUND, (
+        f"{events:.1f} call events per RPC on the node; measured "
+        f"{NODE_CALL_EVENTS_PER_RPC_MEASURED} when this bound was set:\n"
+        + _call_events_report(python_calls, c_calls, RPCS)
+    )
 
 
 def test_a_burst_read_in_one_event_is_answered_in_one_gather():

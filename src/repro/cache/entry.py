@@ -114,7 +114,6 @@ class CacheEntry:
             *still-valid*: invalidation messages may later truncate it.
         tags: invalidation tags (only meaningful for still-valid entries).
         size: charged size in bytes.
-        last_access: wall-clock time of the most recent hit (LRU ordering).
     """
 
     key: str
@@ -122,7 +121,6 @@ class CacheEntry:
     interval: Interval
     tags: FrozenSet[InvalidationTag] = frozenset()
     size: int = 0
-    last_access: float = 0.0
 
     @property
     def still_valid(self) -> bool:
@@ -276,6 +274,72 @@ class LookupRequest:
         request.fresh_lo = fresh_lo
         return request, end + 24
 
+    # A batch is :meth:`pack_into` / :meth:`unpack_from` over a list, each
+    # record behind the codec's ``tag`` byte, unrolled into one call: the
+    # bytes are the generic walk's (``tests/test_wire_binary.py`` compares).
+    @classmethod
+    def pack_batch_into(cls, out: bytearray, requests: list, tag: int) -> bool:
+        """Append ``tag`` and the record of each request, in order.
+
+        False at the first item that is not exactly a :class:`LookupRequest`,
+        with the records before it already appended.
+        """
+        append = out.append
+        pack = _LO_HI_FRESH.pack
+        for request in requests:
+            if type(request) is not cls:
+                return False
+            key = request.key
+            try:
+                raw = key.encode("utf-8")
+            except UnicodeEncodeError:
+                raw = key.encode("utf-8", "surrogatepass")
+            size = len(raw)
+            append(tag)
+            if size < 255:
+                append(size)
+            else:
+                append(255)
+                out += _KEYLEN.pack(size)
+            out += raw
+            out += pack(request.lo, request.hi, request.fresh_lo)
+        return True
+
+    @classmethod
+    def unpack_batch_from(
+        cls, buf: bytes, offset: int, count: int, tag: int
+    ) -> Tuple[Optional[list], int]:
+        """``count`` records, each behind ``tag``, from ``offset``.
+
+        ``(None, offset)`` at the first item behind another tag.  Truncated
+        input raises as :meth:`unpack_from` does.
+        """
+        requests = []
+        add = requests.append
+        for _ in range(count):
+            if buf[offset] != tag:
+                return None, offset
+            keylen = buf[offset + 1]
+            offset += 2
+            if keylen == 255:
+                (keylen,) = _unpack_keylen(buf, offset)
+                offset += 4
+            end = offset + keylen
+            raw = buf[offset:end]
+            try:
+                key = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                key = raw.decode("utf-8", "surrogatepass")
+            lo, hi, fresh_lo = _unpack_lo_hi_fresh(buf, end)
+            request = _new(cls)
+            request.key = key
+            request.lo = lo
+            request.hi = hi
+            request.fresh_lo = fresh_lo
+            add(request)
+            offset = end + 24
+        return requests, offset
+
 
 @dataclass(**DATACLASS_SLOTS)
 class LookupResult:
@@ -334,23 +398,23 @@ class LookupResult:
         interval = self.interval
         raw_interval = self.raw_interval
         tags = self.tags
-        bounds = []
+        bounds: tuple = ()
         if interval is not None:
             flags |= _F_HAS_INTERVAL
-            bounds.append(interval.lo)
             hi = interval.hi
             if hi is None:
                 flags |= _F_INTERVAL_UNBOUNDED
+                bounds = (interval.lo,)
             else:
-                bounds.append(hi)
+                bounds = (interval.lo, hi)
         if raw_interval is not None:
             flags |= _F_HAS_RAW
-            bounds.append(raw_interval.lo)
             hi = raw_interval.hi
             if hi is None:
                 flags |= _F_RAW_UNBOUNDED
+                bounds += (raw_interval.lo,)
             else:
-                bounds.append(hi)
+                bounds += (raw_interval.lo, hi)
         append = out.append
         append(flags)
         # Tag count as one byte (255 escapes to a u32): nearly every hit

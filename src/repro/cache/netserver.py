@@ -31,8 +31,9 @@ then carries a struct-packed ``(request_id, opcode, length)`` header
 (``!QBI``); the opcode names the operation on requests and carries
 ``OP_OK``/``OP_ERR`` on responses.  Every body, request or reply, of every
 op, has the one binary format of :mod:`repro.comm.wire` — a request's is
-its argument tuple, a reply's its result — and both ends build frames with
-the one encoder, :func:`repro.comm.wire.encode_binary_mux_frame`.  The
+its argument tuple (:func:`repro.comm.wire.encode_binary_args`), a reply's
+its result (:func:`repro.comm.wire.encode_binary_mux_frame`, and
+:func:`repro.comm.wire.encode_lookup_reply` for ``multi_lookup``).  The
 decoder builds only the shapes the format names: no bytes a peer sends can
 make the node call anything.  Cached values are arbitrary Python objects
 that must round-trip exactly, so they are pickled — once, by
@@ -40,7 +41,8 @@ that must round-trip exactly, so they are pickled — once, by
 the server stores and returns without ever loading it.  Only the client
 unpickles, and only the values it stored itself.  No path concatenates a
 header onto a payload: frames are written as buffer vectors with
-``sendmsg`` gather I/O (:func:`repro.comm.wire.send_buffers`).
+``sendmsg`` gather I/O (:func:`repro.comm.wire.send_buffers`), or as one
+buffer whose header was packed into room left in front of the body.
 
 ``CacheServerProcess(simulated_latency_seconds=...)`` models the LAN round
 trip of the paper's gigabit testbed by *delaying the response* on a timer
@@ -94,6 +96,8 @@ DEFAULT_MAX_QUEUED_PER_CONNECTION = 32
 #: cost it an mmap, an mremap, a munmap and a page fault per request (25 us
 #: of an 85 us round trip, measured).  A larger frame just takes more reads.
 _RECV_SIZE = 64 * 1024
+
+_pack_header = wire.MUX_HEADER.pack
 
 
 def _set_nodelay(sock: socket.socket) -> None:
@@ -166,11 +170,14 @@ def _serve_invalidate_tags(server: CacheServer, batch: Sequence[tuple]) -> int:
     return len(batch)
 
 
-#: What serves each opcode, as ``serve(server, *args)``.
+_MULTI_LOOKUP = OPCODES["multi_lookup"]
+
+#: What serves each opcode but ``multi_lookup`` (see
+#: :meth:`CacheServerProcess._execute`), as ``serve(server, *args)``.
 _SERVE_OPCODE = {
     OPCODES[op]: _serves(op)
     for op in (
-        "multi_lookup", "put", "probe", "evict_stale", "reset_stats",
+        "put", "probe", "evict_stale", "reset_stats",
         "extract_entries", "install_entries", "discard_keys",
         "note_timestamp", "key_digest", "keys_in_range",
     )
@@ -181,7 +188,7 @@ _SERVE_OPCODE.update({
     # of the CacheEntry fields, in order.
     OPCODES["stats"]: lambda server: dataclasses.asdict(server.stats_snapshot()),
     OPCODES["versions_of"]: lambda server, key: [
-        (e.key, e.value, e.interval, e.tags, e.size, e.last_access)
+        (e.key, e.value, e.interval, e.tags, e.size)
         for e in server.versions_of(key)
     ],
     OPCODES["gossip"]: _serves("gossip_exchange"),
@@ -229,9 +236,11 @@ class CacheServerProcess:
     One thread owns the selector and does all of the node's work: it
     accepts, reads, cuts frames, serves them and writes the replies.  Every
     frame is answered **in the event that read it**, in arrival order:
-    ``_read`` executes each frame as the parser hands it over and writes all
-    their replies with one ``sendmsg`` before the loop goes back to
-    ``select``.  A frame that walks the store is one bounded page
+    a read that brings one frame, with nothing parked, queued or held on
+    its connection, is served and answered in ``_read`` itself; any other
+    goes to ``_dispatch``, which executes each frame as the parser hands it
+    over and writes all their replies with one ``sendmsg`` before the loop
+    goes back to ``select``.  A frame that walks the store is one bounded page
     (:data:`repro.cache.server.SCAN_PAGE_KEYS` keys at most, whatever limit
     it asks for), and a batch of more than
     :data:`repro.comm.wire.MAX_BATCH_ITEMS` items is refused before it is
@@ -371,6 +380,39 @@ class CacheServerProcess:
             frames = None
         if frames is None:
             self._close_connection(connection)
+        elif (
+            len(frames) == 1
+            and not connection.pending
+            and not connection.outgoing
+            and connection.in_flight < self._max_queued
+            and not self.simulated_latency_seconds
+        ):
+            # One frame with nothing parked, queued or held ahead of it: it
+            # is served and its reply written here, with one ``sendmsg``.
+            # Anything else takes _dispatch, _respond and _flush.
+            in_flight = connection.in_flight + 1
+            if in_flight > self.max_in_flight_per_connection:
+                self.max_in_flight_per_connection = in_flight
+            response = self._execute(*frames[0])
+            try:
+                sent = connection.sock.sendmsg(response)
+                self.sendmsg_calls += 1
+            except (BlockingIOError, InterruptedError):
+                sent = 0
+            except OSError:
+                self._close_connection(connection)
+                return
+            if sent < sum(map(len, response)):
+                # The socket took part of it: the rest waits for EVENT_WRITE,
+                # and a connection now at the bound stops being read.
+                _drop_sent(response, sent)
+                connection.outgoing.append(response)
+                connection.in_flight = in_flight
+                connection.want_write = True
+                if in_flight >= self._max_queued:
+                    connection.paused = True
+                    self.backpressure_pauses += 1
+                self._update_interest(connection)
         elif frames:
             self._dispatch(connection, frames)
 
@@ -411,11 +453,17 @@ class CacheServerProcess:
     def _execute(self, request_id: int, opcode: int, body: bytes) -> List[wire.Buffer]:
         """Serve one request; returns the response frame buffers.
 
-        Never raises: a request that does not decode, names no operation,
-        fails in the server or has a result the format cannot carry is
-        answered ``OP_ERR`` with a message short enough to always encode.
+        ``multi_lookup``, the op of every cacheable call, goes straight to
+        the server's method, looked up per request (tests wrap it), and its
+        reply is one buffer.  Never raises: a request that does not decode,
+        names no operation, fails in the server or has a result the format
+        cannot carry is answered ``OP_ERR`` with a message short enough to
+        always encode.
         """
         try:
+            if opcode == _MULTI_LOOKUP:
+                results = self.server.multi_lookup(*wire.decode_binary_args(opcode, body))
+                return [wire.encode_lookup_reply(request_id, results)]
             serve = _SERVE_OPCODE.get(opcode)
             if serve is None:
                 raise ValueError(f"unknown cache operation opcode {opcode}")
@@ -483,11 +531,7 @@ class CacheServerProcess:
                 for response in batch:
                     size = sum(map(len, response))
                     if sent < size:
-                        # A partial write: keep the unsent tail at the head.
-                        while sent >= len(response[0]):
-                            sent -= len(response.pop(0))
-                        if sent:
-                            response[0] = memoryview(response[0])[sent:]
+                        _drop_sent(response, sent)  # the tail stays at the head
                         break
                     sent -= size
                     done += 1
@@ -666,6 +710,9 @@ class _MuxConnection:
                 )
             if deadline is None or scoped < deadline:
                 deadline = scoped
+        # Encoded before a slot is registered: a request the codec refuses
+        # was never in flight.
+        body = wire.encode_binary_args(opcode, args)
         slot = ResponseSlot()
         with self._lock:
             if self._dead is not None:
@@ -675,21 +722,13 @@ class _MuxConnection:
                     op=op,
                 )
             request_id = next(self._ids)
+            header = _pack_header(request_id, opcode, len(body))
             self._pending[request_id] = slot
-        on_wire = False  # True once part of the frame may have been written
+        wire.WIRE_COUNTERS.frames_encoded += 1
         try:
-            buffers = wire.encode_binary_mux_frame(request_id, opcode, args)
             with self._send_lock:
-                on_wire = True
-                wire.send_buffers(self._sock, buffers)
+                wire.send_buffers(self._sock, (header, body))
         except BaseException as exc:
-            if not on_wire:
-                # The request would not encode, so no reply will come: a
-                # slot left registered would absorb every lease hand-off
-                # meant for a caller that is really waiting.
-                with self._lock:
-                    self._pending.pop(request_id, None)
-                raise
             # Half a frame may be out; nothing sent after it would be framed.
             self.fail(exc)
             if not isinstance(exc, OSError):
@@ -708,18 +747,46 @@ class _MuxConnection:
             leader = not (self._lease_held or slot.settled)
             if leader:
                 self._lease_held = True
-        if leader:
+        if leader or (not slot.settled and self._await_leased(slot, deadline, op)):
+            # Holding the read lease: read, decode and settle frames until
+            # this caller's own slot settles.  Frames for *other* requests
+            # are settled along the way (their callers wake directly off
+            # this thread's ``recv``).  The deadline is enforced by waiting
+            # for the socket to be readable before each read.
             try:
-                self._read_as_leader(slot, deadline)
+                while not slot.settled:
+                    if deadline is not None:
+                        remaining = deadline - time.monotonic()
+                        if remaining <= 0 or not self._readable.poll(remaining * 1000.0):
+                            break
+                    data = self._sock.recv(_RECV_SIZE)
+                    if not data:
+                        raise ConnectionError("connection closed by peer")
+                    for reply_id, status, reply in self._frames.feed(data):
+                        value = wire.decode_binary_body(reply)
+                        with self._lock:
+                            waiter = self._pending.pop(reply_id, None)
+                        if waiter is not None:
+                            waiter.resolve((status == OP_OK, value))
+            except BaseException as exc:  # noqa: BLE001 - fanned out to callers
+                self.fail(exc)
             finally:
-                self._release_lease()
+                # Free the lease and kick one waiting caller to take it
+                # over: without the kick a follower could block on its slot
+                # with no one reading the socket, its response in the kernel
+                # buffer until its timeout.  That waiter kicks on in turn.
+                # A slot nobody waits on yet is passed over: its caller is
+                # still sending, and looks at the lease itself once done.
+                with self._lock:
+                    self._lease_held = False
+                    if self._pending:
+                        for pending in self._pending.values():
+                            if not pending.settled and pending.kick():
+                                break
             if not slot.settled:
-                # The leader only returns unsettled when its deadline passed
-                # mid-wait; the stream may hold a half-read frame and can no
-                # longer be trusted.
+                # The deadline passed mid-wait; the stream may hold a
+                # half-read frame and can no longer be trusted.
                 self._timeout_poison(op=op)
-        elif not slot.settled:
-            self._await_leased(slot, deadline, op=op)
         if slot.error is not None:
             raise CacheNodeUnreachableError(
                 f"cache node {self._label} unreachable: {slot.error}",
@@ -731,13 +798,15 @@ class _MuxConnection:
     # -- read lease ------------------------------------------------------
     def _await_leased(
         self, slot: ResponseSlot, deadline: Optional[float], op: Optional[str] = None
-    ) -> None:
-        """Follow whoever holds the lease until ``slot`` settles.
+    ) -> bool:
+        """Follow whoever holds the lease: False once ``slot`` settles, True
+        once this caller has taken the lease over (it then reads in
+        :meth:`call`).
 
         Entered only by a caller that found the lease held.  It blocks on
         its slot; woken without a result it was *kicked* (the lease was
         released before its response arrived), so it takes the lease if it
-        is still free and reads for itself, else goes back to waiting.
+        is still free, else goes back to waiting.
         """
         while True:
             with self._lock:
@@ -746,62 +815,19 @@ class _MuxConnection:
                 # wait sequence can never lose that wakeup.
                 slot.clear()
                 if slot.settled:
-                    return
+                    return False
                 if self._dead is not None:
                     slot.fail(self._dead)
-                    return
-                leader = not self._lease_held
-                if leader:
+                    return False
+                if not self._lease_held:
                     self._lease_held = True
-            if leader:
-                try:
-                    self._read_as_leader(slot, deadline)
-                finally:
-                    self._release_lease()
-                if slot.settled:
-                    return
-                self._timeout_poison(op=op)  # deadline passed mid-read
+                    return True
             remaining = None if deadline is None else deadline - time.monotonic()
             if remaining is not None and remaining <= 0:
                 self._timeout_poison(op=op)
             slot.wait(remaining)
             # Woken — settled, failed, or merely kicked: the loop top
             # distinguishes the three under the lock.
-
-    def _read_as_leader(self, slot: ResponseSlot, deadline: Optional[float]) -> None:
-        """Read and resolve frames until ``slot`` settles or ``deadline``.
-
-        Frames for *other* requests are resolved along the way (their
-        callers wake directly off this thread's ``recv``).  A deadline is
-        enforced by waiting for the socket to be readable before each read;
-        hitting it returns with the slot unsettled and the caller poisons
-        the connection.  Any other failure poisons it here.
-        """
-        try:
-            while not slot.settled:
-                if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0 or not self._readable.poll(remaining * 1000.0):
-                        return  # deadline hit mid-read; the caller poisons
-                self._read_frames()
-        except BaseException as exc:  # noqa: BLE001 - fanned out to callers
-            self.fail(exc)
-
-    def _release_lease(self) -> None:
-        """Free the lease and kick one waiting caller to contend for it.
-
-        Without the kick a follower could block on its slot with no one
-        reading the socket — its response would sit in the kernel buffer
-        until its timeout.  Kicking exactly one waiter keeps the handoff
-        cheap; that waiter re-kicks when it releases in turn.  A slot
-        nobody waits on yet is passed over: its caller is still sending,
-        and will look at the lease itself once that is done.
-        """
-        with self._lock:
-            self._lease_held = False
-            for pending in self._pending.values():
-                if not pending.settled and pending.kick():
-                    return
 
     def _timeout_poison(self, op: Optional[str] = None) -> None:
         exc = CacheNodeUnreachableError(
@@ -811,18 +837,6 @@ class _MuxConnection:
         )
         self.fail(exc)
         raise exc
-
-    def _read_frames(self) -> None:
-        """One ``recv``: settle the slot of every response it completed."""
-        data = self._sock.recv(_RECV_SIZE)
-        if not data:
-            raise ConnectionError("connection closed by peer")
-        for request_id, opcode, body in self._frames.feed(data):
-            value = wire.decode_binary_body(body)
-            with self._lock:
-                slot = self._pending.pop(request_id, None)
-            if slot is not None:
-                slot.resolve((opcode == OP_OK, value))
 
     def fail(self, exc: BaseException) -> None:
         """Poison the connection: close it and fail every pending slot."""
@@ -937,7 +951,12 @@ class SocketTransport:
     def _call(self, op: str, *args: object) -> object:
         with self._count_lock:
             self.op_counts[op] = self.op_counts.get(op, 0) + 1
-        ok, value = self._mux_connection().call(op, args)
+        # The live connection is read without the lock: a call that races
+        # close() fails on the closed connection as it would after it.
+        connection = self._connection
+        if connection is None or connection._dead is not None:
+            connection = self._mux_connection()
+        ok, value = connection.call(op, args)
         if not ok:
             raise CacheTransportError(
                 f"cache node {getattr(self, 'name', None) or self.address}: {value}"
@@ -961,10 +980,15 @@ class SocketTransport:
         return [self._call(op, items[i : i + step]) for i in range(0, len(items), step)]
 
     def multi_lookup(self, requests: Sequence[LookupRequest]) -> List[LookupResult]:
-        parts = self._batches("multi_lookup", list(requests))
-        results = parts[0] if len(parts) == 1 else [result for part in parts for result in part]
+        if len(requests) <= wire.MAX_BATCH_ITEMS:
+            results = self._call("multi_lookup", list(requests))
+        else:
+            parts = self._batches("multi_lookup", list(requests))
+            results = [result for part in parts for result in part]
         for result in results:
-            _unpack_value(result)
+            value = result.value
+            if type(value) is ValueBlob:
+                result.value = value.unpack()
         return results
 
     def put(
@@ -1086,6 +1110,15 @@ def _unpack_value(record):
     if type(value) is ValueBlob:
         object.__setattr__(record, "value", value.unpack())
     return record
+
+
+def _drop_sent(response: list, sent: int) -> None:
+    """Cut the first ``sent`` bytes, fewer than it holds, off a response's
+    buffers, in place."""
+    while sent >= len(response[0]):
+        sent -= len(response.pop(0))
+    if sent:
+        response[0] = memoryview(response[0])[sent:]
 
 
 def _close_quietly(sock: socket.socket) -> None:

@@ -474,7 +474,6 @@ class CacheServer:
         best, best_lo, best_hi, fresh = self._newest_usable(key, lo, hi, fresh_lo)
         if best is not None:
             self.stats.hits += 1
-            best.last_access = self.clock.now()
             # Safe without a membership test: a key with versions is in
             # the LRU order.
             self._lru.move_to_end(key)
@@ -615,7 +614,6 @@ class CacheServer:
             interval=interval,
             tags=tags if interval.unbounded else frozenset(),
             size=estimate_size(key, value),
-            last_access=self.clock.now(),
         )
         if not versions:
             # The key enters the store only once its entry exists: a put

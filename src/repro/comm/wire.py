@@ -24,8 +24,11 @@ the sender, before a byte is sent, and a decoder refuses any tag it does not
 name.  Decoding therefore only ever builds those shapes: no byte sequence a
 peer sends can make a node call anything.  Malformed bodies raise
 :class:`WireDecodeError`, never anything that could take down a reactor.
-A request body is its argument tuple in that encoding, for every op; one
-encoder, :func:`encode_binary_mux_frame`, builds request and reply frames.
+A request body is its argument tuple in that encoding, for every op
+(:func:`encode_binary_args`; ``multi_lookup``'s is written and read
+without the generic walk, to the same bytes), and a reply body its result
+(:func:`encode_binary_mux_frame`; :func:`encode_lookup_reply` for
+``multi_lookup``).
 
 Cached values
 -------------
@@ -40,7 +43,8 @@ only the client trusts, and opens, its own values.
 Copy discipline
 ---------------
 Nothing in this module concatenates a header onto a body.  A body is
-encoded into one buffer (a blob's bytes are appended to it once), and
+encoded into one buffer (a blob's bytes are appended to it once) — for a
+lookup reply, behind room for the header, which is packed in place — and
 frames are written as *vectors of buffers* via :func:`send_buffers`
 (``socket.sendmsg`` gather I/O, with a join fallback for sockets that lack
 it).  :class:`WireCounters` tallies the bytes that *were* copied again (the
@@ -71,12 +75,15 @@ __all__ = [
     "encode_binary_args",
     "decode_binary_args",
     "encode_binary_mux_frame",
+    "encode_lookup_reply",
     "send_buffers",
     "recv_exactly",
 ]
 
 #: Frame header: (request_id: u64, opcode: u8, length: u32).
 MUX_HEADER = struct.Struct("!QBI")
+_HEADER_SIZE = MUX_HEADER.size
+_pack_header_into = MUX_HEADER.pack_into
 
 #: The first byte of every connection, sent by the client without waiting
 #: for an answer; the node closes a connection that opens with any other.
@@ -145,6 +152,8 @@ _LIST_ARGUMENTS = {
     OPCODES["key_digest"]: 2,
     OPCODES["keys_in_range"]: 2,
 }
+
+_MULTI_LOOKUP = OPCODES["multi_lookup"]
 
 #: Response opcodes.
 OP_OK = 0x40
@@ -330,13 +339,15 @@ def _enc_value(out: bytearray, value: object) -> None:
         out += value
     elif kind is _InvalidationTag:
         # The fields come straight out of the instance dict (InvalidationTag
-        # is an ordinary, non-slotted dataclass) and the table/column
-        # strings — short ASCII identifiers — take the inline str path.
+        # is an ordinary, non-slotted dataclass); the table/column strings —
+        # short ASCII identifiers — and the value, usually a small int or a
+        # string, take the inline paths.
         append = out.append
         append(_T_TAG)
         fields = value.__dict__
-        for part in (fields["table"], fields["column"]):
-            if type(part) is str:
+        for part in (fields["table"], fields["column"], fields["value"]):
+            kind2 = type(part)
+            if kind2 is str:
                 try:
                     raw = part.encode("utf-8")
                 except UnicodeEncodeError:
@@ -349,11 +360,13 @@ def _enc_value(out: bytearray, value: object) -> None:
                     out += raw
                 else:
                     _enc_sized(out, _T_STR, raw)
+            elif kind2 is int and 0 <= part <= 255:
+                append(_T_INT8)
+                append(part)
             elif part is None:
                 append(_T_NONE)
             else:
                 _enc_value(out, part)
-        _enc_value(out, fields["value"])
     elif kind is str:
         # Strict utf-8, with a tag of its own for lone surrogates: they are
         # rare enough that a cold path beats paying surrogatepass on every
@@ -708,6 +721,25 @@ def encode_binary_body(payload: object) -> bytearray:
     return out
 
 
+def _as_bytes(body: Buffer) -> bytes:
+    """A frame body as bytes, copied only when it has to be."""
+    if type(body) is memoryview:
+        # Frame bodies arrive as a memoryview over exactly the body bytes;
+        # unwrap instead of copying.
+        base = body.obj
+        if type(base) is bytes and len(base) == len(body):
+            return base
+    return bytes(body)
+
+
+def _malformed(exc: Exception) -> WireDecodeError:
+    return WireDecodeError(f"malformed binary body: {exc!r}")
+
+
+def _trailing(buf: bytes, offset: int) -> WireDecodeError:
+    return WireDecodeError(f"malformed binary body: {len(buf) - offset} trailing bytes")
+
+
 def decode_binary_body(body: Buffer) -> object:
     """Decode a binary frame body.
 
@@ -717,25 +749,15 @@ def decode_binary_body(body: Buffer) -> object:
     """
     if _Interval is None:
         _bind_record_types()
-    if type(body) is bytes:
-        buf = body
-    elif type(body) is memoryview:
-        # Frame bodies arrive as a memoryview over exactly the body bytes;
-        # unwrap instead of copying.
-        base = body.obj
-        buf = base if type(base) is bytes and len(base) == len(body) else bytes(body)
-    else:
-        buf = bytes(body)
+    buf = body if type(body) is bytes else _as_bytes(body)
     try:
         value, offset = _dec_value(buf, 0)
     except WireDecodeError:
         raise
     except Exception as exc:
-        raise WireDecodeError(f"malformed binary body: {exc!r}") from exc
+        raise _malformed(exc) from exc
     if offset != len(buf):
-        raise WireDecodeError(
-            f"malformed binary body: {len(buf) - offset} trailing bytes"
-        )
+        raise _trailing(buf, offset)
     return value
 
 
@@ -762,7 +784,26 @@ def _check_batch(body: Buffer, arguments: int) -> None:
 
 def encode_binary_args(opcode: int, args: object) -> bytearray:
     """Encode a request argument tuple as ``opcode``'s binary body: the
-    tagged encoding of the tuple, for every op alike."""
+    tagged encoding of the tuple, for every op alike.
+
+    ``multi_lookup``'s ``(requests,)`` — a tuple of one list of
+    :class:`~repro.cache.entry.LookupRequest` — is written without the
+    generic walk: the tuple's and the list's headers, then the records.
+    The bytes are the walk's.
+    """
+    if opcode == _MULTI_LOOKUP and type(args) is tuple and len(args) == 1:
+        requests = args[0]
+        if type(requests) is list:
+            if _Interval is None:
+                _bind_record_types()
+            count = len(requests)
+            if count < 256:
+                out = bytearray((_T_TUPLE8, 1, _T_LIST8, count))
+            else:
+                out = bytearray((_T_TUPLE8, 1))
+                out += _pack_u32(_T_LIST | (_inline_len(count) << 8))
+            if _LookupRequest.pack_batch_into(out, requests, _T_LOOKUP_REQUEST):
+                return out
     return encode_binary_body(args)
 
 
@@ -773,11 +814,41 @@ def decode_binary_args(opcode: int, body: Buffer) -> object:
     :class:`WireDecodeError` exactly like :func:`decode_binary_body`, and so
     does a batch request of more than :data:`MAX_BATCH_ITEMS` items or a
     store walk over more arcs, refused from the list's header.
+
+    ``multi_lookup``'s ``(requests,)`` is read without the generic walk: the
+    list's header, then the records.  A list holding anything but request
+    records takes the walk, which decides what it is.
     """
-    arguments = _LIST_ARGUMENTS.get(opcode)
-    if arguments:
-        _check_batch(body, arguments)
-    return decode_binary_body(body)
+    if opcode != _MULTI_LOOKUP:
+        arguments = _LIST_ARGUMENTS.get(opcode)
+        if arguments:
+            _check_batch(body, arguments)
+        return decode_binary_body(body)
+    _check_batch(body, 1)
+    if not body[1]:  # no argument, which the server refuses
+        return decode_binary_body(body)
+    if _Interval is None:
+        _bind_record_types()
+    buf = body if type(body) is bytes else _as_bytes(body)
+    try:
+        if buf[2] == _T_LIST8:
+            count, offset = buf[3], 4
+        else:
+            count, offset = _unpack_u32(buf, 2)[0] >> 8, 6
+        requests, offset = _LookupRequest.unpack_batch_from(
+            buf, offset, count, _T_LOOKUP_REQUEST
+        )
+        if requests is None:
+            value, offset = _dec_value(buf, 0)
+        else:
+            value = (requests,)
+    except WireDecodeError:
+        raise
+    except Exception as exc:
+        raise _malformed(exc) from exc
+    if offset != len(buf):
+        raise _trailing(buf, offset)
+    return value
 
 
 # ----------------------------------------------------------------------
@@ -788,13 +859,46 @@ def encode_binary_mux_frame(
 ) -> List[Buffer]:
     """One multiplexed frame as a buffer vector (header never concatenated).
 
-    The one frame encoder: a request's payload is its argument tuple, a
-    reply's its result or error message.
+    A request's payload is its argument tuple, a reply's its result or
+    error message.
     """
     body = encode_binary_body(payload)
     header = MUX_HEADER.pack(request_id, opcode, len(body))
     WIRE_COUNTERS.frames_encoded += 1
     return [header, body]
+
+
+def encode_lookup_reply(request_id: int, results: object) -> bytearray:
+    """A ``multi_lookup`` ``OP_OK`` reply frame as one buffer.
+
+    The body is written behind room left for the header, which is packed
+    into it once the body's length is known — nothing is concatenated.  A
+    list of :class:`~repro.cache.entry.LookupResult` is written without the
+    generic walk's per-item dispatch; the bytes are
+    ``encode_binary_body(results)``'s.
+    """
+    if _Interval is None:
+        _bind_record_types()
+    out = bytearray(_HEADER_SIZE)
+    if type(results) is list:
+        count = len(results)
+        append = out.append
+        if count < 256:
+            append(_T_LIST8)
+            append(count)
+        else:
+            out += _pack_u32(_T_LIST | (_inline_len(count) << 8))
+        for result in results:
+            if type(result) is _LookupResult:
+                append(_T_LOOKUP_RESULT)
+                result.pack_into(out, _enc_value)
+            else:
+                _enc_value(out, result)
+    else:
+        _enc_value(out, results)
+    _pack_header_into(out, 0, request_id, OP_OK, len(out) - _HEADER_SIZE)
+    WIRE_COUNTERS.frames_encoded += 1
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -811,12 +915,14 @@ def send_buffers(sock: socket.socket, buffers: Sequence[Buffer]) -> None:
     """
     total = sum(map(len, buffers))
     WIRE_COUNTERS.bytes_sent += total
-    if not hasattr(sock, "sendmsg"):  # pragma: no cover - exotic platforms
+    try:
+        sendmsg = sock.sendmsg
+    except AttributeError:  # pragma: no cover - exotic platforms
         data = b"".join(buffers)
         WIRE_COUNTERS.bytes_copied += len(data)
         sock.sendall(data)
         return
-    sent = sock.sendmsg(buffers)
+    sent = sendmsg(buffers)
     if sent == total:
         return
     views = [memoryview(b).cast("B") for b in buffers if len(b)]
@@ -827,7 +933,7 @@ def send_buffers(sock: socket.socket, buffers: Sequence[Buffer]) -> None:
                 return
         if sent:
             views[0] = views[0][sent:]
-        sent = sock.sendmsg(views)
+        sent = sendmsg(views)
 
 
 def recv_exactly(sock: socket.socket, count: int) -> bytes:

@@ -350,7 +350,7 @@ class _DefinitionServer(CacheServer):
     intersects the request, asked by building the request ``Interval``, the
     effective interval and their :meth:`Interval.intersect` for every
     version.  ``CacheServer`` compares the same bounds in place; everything
-    else (statistics, LRU order, ``last_access``, the store) is shared code.
+    else (statistics, LRU order, the store) is shared code.
     """
 
     def _lookup(self, key, lo, hi, fresh_lo):
@@ -374,7 +374,6 @@ class _DefinitionServer(CacheServer):
                 fresh_version_exists=fresh,
             )
         self.stats.hits += 1
-        best.last_access = self.clock.now()
         self._touch(key)
         return LookupResult(
             hit=True,
@@ -412,7 +411,7 @@ class TestLookupAgainstItsDefinitions:
     @staticmethod
     def _store(server):
         return [
-            (entry.key, entry.interval, entry.tags, entry.last_access)
+            (entry.key, entry.interval, entry.tags)
             for key in server.keys()
             for entry in server.versions_of(key)
         ]

@@ -232,11 +232,139 @@ def test_lookup_results_round_trip(result):
     assert decoded == result == dataclasses.replace(result)
 
 
+#: Keys at the one-byte length's edge (255 escapes to a u32), and with a
+#: lone surrogate (strict UTF-8 refuses it).
+EDGE_KEYS = ["k" * 254, "k" * 255, "k" * 256, "\ud800", "x\udfffy" * 40]
+
+
+def _generic_request_decode(body):
+    """``multi_lookup``'s body read by the generic walk: the definition."""
+    wire._check_batch(body, 1)
+    return wire.decode_binary_body(body)
+
+
 @given(st.lists(lookup_requests, min_size=1, max_size=6))
+@example(requests=[LookupRequest(key, 1, 5, 1) for key in EDGE_KEYS])
 @settings(deadline=None)
 def test_multi_lookup_request_payloads_round_trip(requests):
+    """``multi_lookup``'s body is written and read without the generic walk,
+    and the bytes are the walk's."""
     payload = (requests,)
     assert round_trip(payload) == payload
+    opcode = wire.OPCODES["multi_lookup"]
+    body = bytes(wire.encode_binary_args(opcode, payload))
+    assert body == bytes(wire.encode_binary_body(payload))
+    decoded = wire.decode_binary_args(opcode, body)
+    assert type(decoded) is tuple and type(decoded[0]) is list
+    assert decoded == payload == _generic_request_decode(body)
+
+
+@pytest.mark.parametrize("count", [0, 1, 255, 256, wire.MAX_BATCH_ITEMS])
+def test_multi_lookup_bodies_of_every_list_header_are_the_walks(count):
+    """Both list headers (one-byte count below 256, u32 from there), to the
+    most items a frame carries — and a list holding something else, which
+    both directions hand to the generic walk."""
+    opcode = wire.OPCODES["multi_lookup"]
+    requests = [
+        LookupRequest(EDGE_KEYS[i % len(EDGE_KEYS)] + str(i), i, i + 3, i // 2) for i in range(count)
+    ]
+    for payload in ((requests,), (requests + ["not a request"],), (requests + [None],)):
+        if len(payload[0]) > wire.MAX_BATCH_ITEMS:
+            continue
+        body = bytes(wire.encode_binary_args(opcode, payload))
+        assert body == bytes(wire.encode_binary_body(payload))
+        assert wire.decode_binary_args(opcode, body) == payload == _generic_request_decode(body)
+    with pytest.raises(TypeError, match="no encoding for 'function'"):
+        wire.encode_binary_args(opcode, (requests + [lambda: None],))
+
+
+@given(st.lists(lookup_requests, min_size=0, max_size=4), st.data())
+@example(requests=[LookupRequest("k" * 300, 1, 5)], data=None)
+@settings(deadline=None, max_examples=150)
+def test_malformed_multi_lookup_bodies_are_refused_as_the_walk_refuses_them(requests, data):
+    """Truncated or bit-flipped, a ``multi_lookup`` body decodes to what the
+    generic walk makes of it, or is refused with the walk's message: an
+    error reply's bytes do not depend on which path read the request."""
+    opcode = wire.OPCODES["multi_lookup"]
+    body = bytearray(wire.encode_binary_args(opcode, (requests,)))
+    if data is None:
+        body = body[:-30]
+    elif data.draw(st.booleans()):
+        body = body[: data.draw(st.integers(0, max(0, len(body) - 1)))]
+    else:
+        index = data.draw(st.integers(0, len(body) - 1))
+        body[index] ^= data.draw(st.integers(1, 255))
+    body = bytes(body)
+    outcomes = []
+    for decode in (lambda b: wire.decode_binary_args(opcode, b), _generic_request_decode):
+        try:
+            outcomes.append(("value", decode(body)))
+        except wire.WireDecodeError as exc:  # the only acceptable exception
+            outcomes.append(("refused", str(exc)))
+    assert outcomes[0] == outcomes[1]
+
+
+def _reply_cases():
+    """Lookup results of every shape a node's reply carries."""
+    tag_sets = [
+        frozenset(),
+        frozenset({InvalidationTag("items", "id", 7)}),
+        frozenset(InvalidationTag("items", "id", i) for i in range(300)),
+    ]
+    values_ = [ValueBlob.pack({"row": list(range(10))}), {"row": 1}, None, "x" * 300]
+    cases = []
+    for i, key in enumerate(EDGE_KEYS + ["k"]):
+        bounded = Interval(i, i + 4)
+        cases += [
+            LookupResult(False, key, key_ever_stored=bool(i % 2), fresh_version_exists=True),
+            LookupResult(False, key, degraded=True),
+            # A still-valid entry: effective bounded, stored unbounded.
+            LookupResult(
+                True, key, value=values_[i % len(values_)], interval=Interval(i, i + 9),
+                raw_interval=Interval(i), tags=tag_sets[i % len(tag_sets)], key_ever_stored=True,
+            ),
+            # A truncated entry: the same interval object as both.
+            LookupResult(
+                True, key, value=values_[(i + 1) % len(values_)], interval=bounded,
+                raw_interval=bounded, key_ever_stored=True,
+            ),
+            LookupResult(True, key, value=values_[(i + 2) % len(values_)], interval=Interval(i)),
+        ]
+    return cases
+
+
+@pytest.mark.parametrize("count", [0, 1, 255, 256, wire.MAX_BATCH_ITEMS])
+def test_the_one_buffer_multi_lookup_reply_carries_the_walks_body(count):
+    cases = _reply_cases()
+    results = [cases[i % len(cases)] for i in range(count)]
+    for payload in (results, results + ["not a result"], "an error message"):
+        frame = wire.encode_lookup_reply(9, payload)
+        body = bytes(frame[wire.MUX_HEADER.size :])
+        assert body == bytes(wire.encode_binary_body(payload))
+        assert wire.MUX_HEADER.unpack_from(frame) == (9, wire.OP_OK, len(body))
+
+
+@given(st.lists(lookup_results(), max_size=4))
+@settings(deadline=None)
+def test_the_one_buffer_multi_lookup_reply_of_any_results_is_the_walks(results):
+    frame = wire.encode_lookup_reply(3, results)
+    assert bytes(frame[wire.MUX_HEADER.size :]) == bytes(wire.encode_binary_body(results))
+
+
+def test_a_node_answers_multi_lookup_with_one_buffer_holding_the_walks_body():
+    server = make_server()
+    blob = ValueBlob.pack({"row": 1})
+    server.put("hit", blob, Interval(1), frozenset({InvalidationTag("items", "id", 7)}))
+    server.put("old", blob, Interval(1, 3))
+    requests = [LookupRequest(key, 1, 5, 1) for key in ("hit", "old", "absent")]
+    opcode = wire.OPCODES["multi_lookup"]
+    body = bytes(wire.encode_binary_args(opcode, (requests,)))
+    # A lookup moves LRU order and counters, not the answers.
+    expected = bytes(wire.encode_binary_body(server.multi_lookup(requests)))
+    with CacheServerProcess(server) as process:
+        (frame,) = process._execute(5, opcode, body)
+    assert wire.MUX_HEADER.unpack_from(frame) == (5, wire.OP_OK, len(expected))
+    assert bytes(frame[wire.MUX_HEADER.size :]) == expected
 
 
 @given(keys, timestamps, timestamps)

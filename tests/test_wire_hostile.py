@@ -164,6 +164,7 @@ def abuses(seed):
     rng = random.Random(seed)
     cut = rng.randrange(1, wire.MUX_HEADER.size)
     body_cut = rng.randrange(wire.MUX_HEADER.size, len(PUT) - 1)
+    lookup_cut = rng.randrange(wire.MUX_HEADER.size, len(MULTI_LOOKUP) - 1)
     garbage = bytes(
         [rng.choice([b for b in range(256) if b != wire.WIRE_VERSION])]
         + [rng.randrange(256) for _ in range(rng.randrange(40))]
@@ -205,6 +206,33 @@ def abuses(seed):
             flip_bit(PUT, wire.MUX_HEADER.size, len(PUT) - wire.MUX_HEADER.size, rng),
             False,
             {ERR, OK},
+        ),
+        # multi_lookup's body is read without the generic walk; abused, it
+        # is refused all the same.
+        "lookup-truncated-body": (
+            wire.WIRE_VERSION,
+            header(6, OP["multi_lookup"], lookup_cut - wire.MUX_HEADER.size)
+            + MULTI_LOOKUP[wire.MUX_HEADER.size : lookup_cut],
+            False,
+            {ERR},
+        ),
+        "lookup-flip-anywhere": (
+            wire.WIRE_VERSION,
+            flip_bit(
+                MULTI_LOOKUP, wire.MUX_HEADER.size, len(MULTI_LOOKUP) - wire.MUX_HEADER.size, rng
+            ),
+            False,
+            {ERR, OK},
+        ),
+        "lookup-oversized-batch": (
+            wire.WIRE_VERSION,
+            binary_request(
+                7,
+                "multi_lookup",
+                ([LookupRequest("bystander", 1, 5, 1)] * (wire.MAX_BATCH_ITEMS + 1 + rng.randrange(8)),),
+            ),
+            False,
+            {ERR},
         ),
         # Noise where the version byte belongs: the node hangs up.
         "garbage-before-version": (
@@ -611,3 +639,35 @@ def test_a_client_that_stops_reading_gets_every_reply_once_it_reads():
         finally:
             sock.close()
             bystander.close()
+
+
+@pytest.mark.parametrize("bound", [1, 8])
+def test_a_lone_reply_the_socket_will_not_take_whole_finishes_on_the_overflow_route(bound):
+    """A lone frame is answered in the event that read it, but a reply
+    larger than the socket will take leaves its tail queued for the loop:
+    the rest goes out as the client reads, a request sent behind it is
+    answered after it, and only a connection that the tail holds at its
+    bound stops being read."""
+    server = CacheServer(name=NODE_NAME, capacity_bytes=8 * 1024 * 1024, clock=ManualClock())
+    server.put("big", BIG, Interval(3, None), frozenset())
+    with CacheServerProcess(server, max_queued_per_connection=bound) as process:
+        process._listener.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 32 * 1024)
+        sock = dial(process.address)
+        try:
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 32 * 1024)
+            sock.sendall(binary_request(1, "multi_lookup", ([LookupRequest("big", 3, 5)],)))
+            deadline = time.monotonic() + REPLY_TIMEOUT
+            while process.sendmsg_calls < 1:  # the in-place write, partial
+                assert time.monotonic() < deadline
+                time.sleep(0.001)
+            sock.sendall(binary_request(2, "ping", ()))
+            request_id, opcode, body = read_reply(sock)
+            assert (request_id, opcode) == (1, OK)
+            (result,) = wire.decode_binary_body(body)
+            assert result.hit and result.value == BIG
+            assert read_reply(sock)[:2] == (2, OK)
+        finally:
+            sock.close()
+    assert process.sendmsg_calls > 2  # the tail took writes of its own
+    assert process.max_in_flight_per_connection == min(bound, 2)
+    assert (process.backpressure_pauses > 0) == (bound == 1)
