@@ -19,7 +19,6 @@ from benchmarks.conftest import run_once
 from repro.apps.rubis.datagen import IN_MEMORY_CONFIG
 from repro.bench.driver import BenchmarkConfig, run_benchmark
 from repro.cache.server import CacheServer
-from repro.clock import ManualClock
 from repro.comm.multicast import InvalidationMessage
 from repro.db.invalidation import InvalidationTag
 from repro.interval import Interval
@@ -91,7 +90,7 @@ def test_staleness_window_value(benchmark):
 # ----------------------------------------------------------------------
 @pytest.fixture()
 def populated_server():
-    server = CacheServer(capacity_bytes=64 * 1024 * 1024, clock=ManualClock())
+    server = CacheServer(capacity_bytes=64 * 1024 * 1024)
     for i in range(5000):
         server.put(
             f"key-{i}",
@@ -115,7 +114,7 @@ def test_cache_lookup_microbenchmark(benchmark, populated_server):
 
 
 def test_cache_put_microbenchmark(benchmark):
-    server = CacheServer(capacity_bytes=256 * 1024 * 1024, clock=ManualClock())
+    server = CacheServer(capacity_bytes=256 * 1024 * 1024)
     counter = iter(range(10**9))
 
     def put():

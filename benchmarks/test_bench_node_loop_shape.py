@@ -30,7 +30,6 @@ from repro.cache.entry import EntryRecord, LookupRequest
 from repro.cache.hashring import HASH_SPACE
 from repro.cache.netserver import SocketTransport
 from repro.cache.server import SCAN_PAGE_KEYS, CacheServer
-from repro.clock import ManualClock
 from repro.comm import wire
 from repro.interval import Interval
 from tests.helpers import NODE_HOSTINGS, live_node
@@ -71,7 +70,7 @@ HALVES = [(0, HASH_SPACE // 2), (HASH_SPACE // 2, 0)]
 
 
 def _store():
-    server = CacheServer(name=NODE, capacity_bytes=1 << 30, clock=ManualClock())
+    server = CacheServer(name=NODE, capacity_bytes=1 << 30)
     for key in _keys(STORE_KEYS):
         server.put(key, 0, Interval(1, None))
     return server

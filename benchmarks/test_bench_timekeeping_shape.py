@@ -15,7 +15,6 @@ import sys
 
 from benchmarks.test_bench_lookup_path_shape import _profiled
 from repro.cache.server import CacheServer
-from repro.clock import ManualClock
 from repro.comm.multicast import InvalidationMessage
 from repro.db.invalidation import InvalidationTag
 from repro.db.query import Eq
@@ -81,7 +80,7 @@ def test_an_empty_transaction_costs_its_fresh_pins_not_the_stale_ones():
 def _evict_stale_events(stored: int, expiring: int = 50) -> int:
     """Call events of one ``evict_stale`` that removes ``expiring`` versions
     from a store of ``stored``."""
-    server = CacheServer(name="shape", capacity_bytes=1 << 30, clock=ManualClock())
+    server = CacheServer(name="shape", capacity_bytes=1 << 30)
     for i in range(stored):
         # Every key keeps one version; the first ``expiring`` end by 100.
         hi = 100 - i if i < expiring else 1000 + i
@@ -102,7 +101,7 @@ def _prune_events(untouched: int, grown: int = 50) -> int:
     """Call events of one ``evict_stale`` whose horizon passes ``grown``
     histories' newest members, beside ``untouched`` histories already pruned
     to their heads."""
-    server = CacheServer(name="shape", capacity_bytes=1 << 30, clock=ManualClock())
+    server = CacheServer(name="shape", capacity_bytes=1 << 30)
 
     def invalidate(timestamp: int, serial: int) -> None:
         tag = InvalidationTag.key("items", "id", serial)

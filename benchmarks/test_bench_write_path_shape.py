@@ -40,7 +40,7 @@ def _median_seconds(timed_call, prepare=lambda repeat: None) -> float:
 def _invalidation_seconds(bystanders: int) -> float:
     """Median time to invalidate one precise tag beside ``bystanders``
     still-valid entries that depend on other keys of the same table."""
-    server = CacheServer(name="shape", capacity_bytes=1 << 30, clock=ManualClock())
+    server = CacheServer(name="shape", capacity_bytes=1 << 30)
     for i in range(bystanders):
         server.put(f"item:{i}", i, Interval(1), frozenset({InvalidationTag.key("items", "id", i)}))
     target = InvalidationTag.key("items", "id", -1)

@@ -9,7 +9,9 @@ microbenchmark measures on the frame codec path.  ``Interval``,
 ``LookupRequest`` and ``LookupResult`` are not ``frozen`` as well: their
 immutability is a convention (nothing assigns to a field after
 construction), because a frozen dataclass pays one ``object.__setattr__``
-per field and every cache hit builds all three.
+per field and every cache hit builds all three.  The database's
+``QueryResult`` and access paths follow the same rule: every statement
+builds one of each.
 """
 
 from __future__ import annotations

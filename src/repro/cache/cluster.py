@@ -507,7 +507,7 @@ class CacheCluster:
                 self._processes.pop(name).shutdown()
                 raise
             return None
-        server = CacheServer(name=name, capacity_bytes=capacity_bytes, clock=clock)
+        server = CacheServer(name=name, capacity_bytes=capacity_bytes)
         self._servers[name] = server
         if self.transport_kind != "inprocess":
             process = CacheServerProcess(

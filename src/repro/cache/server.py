@@ -68,7 +68,6 @@ from repro.cache.entry import (
     estimate_size,
 )
 from repro.cache.hashring import HASH_SPACE, _hash as _ring_hash
-from repro.clock import Clock, SystemClock
 from repro.comm.multicast import InvalidationMessage
 from repro.db.invalidation import InvalidationTag
 from repro.interval import Interval
@@ -201,11 +200,9 @@ class CacheServer:
         self,
         name: str = "cache0",
         capacity_bytes: int = 64 * 1024 * 1024,
-        clock: Optional[Clock] = None,
     ) -> None:
         self.name = name
         self.capacity_bytes = capacity_bytes
-        self.clock = clock or SystemClock()
         self.stats = CacheServerStats()
         #: Serializes every public operation (see "Thread safety" above).
         #: Reentrant so composite operations (install_entries -> put) nest.

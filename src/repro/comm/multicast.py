@@ -34,15 +34,15 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, List, Protocol, Tuple
+from typing import Deque, List, NamedTuple, Protocol, Tuple
 
 __all__ = ["InvalidationMessage", "Subscriber", "InvalidationBus"]
 
 
-@dataclass(frozen=True)
-class InvalidationMessage:
+class InvalidationMessage(NamedTuple):
     """One entry of the invalidation stream.
+
+    A named pair, like the tags it carries: hashing and equality run in C.
 
     Attributes:
         timestamp: commit timestamp of the update transaction.
@@ -51,7 +51,7 @@ class InvalidationMessage:
     """
 
     timestamp: int
-    tags: Tuple = field(default_factory=tuple)
+    tags: Tuple = ()
 
 
 class Subscriber(Protocol):

@@ -259,6 +259,7 @@ _pack_i64 = _I64.pack
 _unpack_i64 = _I64.unpack_from
 _pack_f64 = _F64.pack
 _unpack_f64 = _F64.unpack_from
+_tuple_new = tuple.__new__
 
 # The record types live above this module in the import graph
 # (repro.cache.__init__ imports netserver, which imports this module), so
@@ -338,14 +339,12 @@ def _enc_value(out: bytearray, value: object) -> None:
         out += _pack_u32(len(value))
         out += value
     elif kind is _InvalidationTag:
-        # The fields come straight out of the instance dict (InvalidationTag
-        # is an ordinary, non-slotted dataclass); the table/column strings —
-        # short ASCII identifiers — and the value, usually a small int or a
-        # string, take the inline paths.
+        # A tag is a named 3-tuple: (table, column, value) in order.  The
+        # table/column strings — short ASCII identifiers — and the value,
+        # usually a small int or a string, take the inline paths.
         append = out.append
         append(_T_TAG)
-        fields = value.__dict__
-        for part in (fields["table"], fields["column"], fields["value"]):
+        for part in value:
             kind2 = type(part)
             if kind2 is str:
                 try:
@@ -562,15 +561,8 @@ def _dec_value(buf: bytes, offset: int) -> Tuple[object, int]:
             offset = end
         else:
             value, offset = _dec_value(buf, offset)
-        # Bypass the frozen-dataclass __init__ (one object.__setattr__ per
-        # field, ~2x the cost of the whole tag decode): InvalidationTag is
-        # non-slotted, so the fields go straight into the instance dict.
-        result = _InvalidationTag.__new__(_InvalidationTag)
-        fields = result.__dict__
-        fields["table"] = table
-        fields["column"] = column
-        fields["value"] = value
-        return result, offset
+        # The named tuple's own __new__ is a Python frame; the tuple's is not.
+        return _tuple_new(_InvalidationTag, (table, column, value)), offset
     if tag == _T_DICT8:
         count = buf[offset + 1]
         offset += 2

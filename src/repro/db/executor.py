@@ -51,6 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, List, Optional, Set
 
+from repro._compat import DATACLASS_SLOTS
 from repro.db.errors import UnknownTableError
 from repro.db.invalidation import InvalidationTag
 from repro.db.planner import AccessPath, plan_select
@@ -62,7 +63,7 @@ from repro.interval import Interval
 __all__ = ["QueryResult", "Executor", "ExecutorStats"]
 
 
-@dataclass(frozen=True)
+@dataclass(**DATACLASS_SLOTS)
 class QueryResult:
     """The rows of a query plus its consistency metadata.
 
@@ -72,8 +73,8 @@ class QueryResult:
             query's snapshot timestamp).
         tags: invalidation tags describing the query's dependencies.
         timestamp: snapshot timestamp the query ran at.
-        examined: number of tuple versions inspected (used by the benchmark
-            cost model to approximate I/O and CPU work).
+        examined: number of tuple versions the scan visited (used by the
+            benchmark cost model to approximate I/O and CPU work).
         access_methods: access-method kinds used, for diagnostics.
     """
 
@@ -236,8 +237,9 @@ class Executor:
     ) -> List[Dict[str, Any]]:
         table = self._table(select.table)
         path = plan_select(select, table)
-        acc.access_methods.append(path.kind)
-        self._note_access(path.kind)
+        kind = path.kind
+        acc.access_methods.append(kind)
+        self._note_access(kind)
         if self.track_validity:
             acc.tags.update(path.tags())
 
@@ -245,9 +247,10 @@ class Executor:
             dict(version.values)
             for version in self._scan(path, table, select.predicate, timestamp, tx_id, acc)
         ]
-        rows = self._order_limit_project(
-            rows, select.order_by, select.descending, select.limit, select.columns
-        )
+        if select.order_by is not None or select.limit is not None or select.columns is not None:
+            rows = self._order_limit_project(
+                rows, select.order_by, select.descending, select.limit, select.columns
+            )
         return rows
 
     def visible_versions(
@@ -280,6 +283,16 @@ class Executor:
         folds each matching version's committed bounds into it: a visible
         one narrows the result tuple validity, an invisible one moves the
         mask edge on its side of ``timestamp``.
+
+        When the path hands over one row's versions newest first, the walk
+        stops at the first matching version born at or before ``timestamp``
+        that is visible or carries a committed end above its start.  Each
+        older version of the row ended no later than that one began: it is
+        invisible, and its end, a mask floor, is no greater than the bound
+        that version already set (its start as the result's lower bound, or
+        its end as the floor).  Neither stop may be taken at a version born
+        and gone in one commit, nor at the reader's own uncommitted delete:
+        those bound nothing, so an older version's end still counts.
         """
         track = acc is not None and self.track_validity
         if track:
@@ -291,7 +304,8 @@ class Executor:
         matches = None if path.decides(predicate) else predicate.matches
         visible: List[TupleVersion] = []
         examined = 0
-        for version in path.candidates(table):
+        candidates, newest_first = path.walk(table)
+        for version in candidates:
             examined += 1
             if matches is not None and not matches(version.values):
                 continue
@@ -324,18 +338,23 @@ class Executor:
                         lo = xmin
                     if end is not None and (hi is None or end < hi):
                         hi = end
-            elif track and end != xmin:
+                if newest_first:
+                    break
+            elif end != xmin:
                 # A phantom, valid over the committed facts [xmin, end) —
                 # nothing at all when one commit created and deleted it.
                 if xmin > timestamp:
-                    if ceil is None or xmin < ceil:
+                    if track and (ceil is None or xmin < ceil):
                         ceil = xmin
-                elif end is not None and end > floor:
+                elif end is not None:
                     # Deleted at or before the snapshot.  ``end is None``
                     # here is our own provisional delete: the committed
                     # interval still contains the snapshot, and a version
                     # invisible only to us must not constrain the result.
-                    floor = end
+                    if track and end > floor:
+                        floor = end
+                    if newest_first:
+                        break
         if acc is not None:
             acc.examined += examined
             if track:
@@ -366,9 +385,10 @@ class Executor:
                     for column, value in inner_row.items():
                         row.setdefault(column, value)
                 merged.append(row)
-        merged = self._order_limit_project(
-            merged, join.order_by, join.descending, join.limit, None
-        )
+        if join.order_by is not None or join.limit is not None:
+            merged = self._order_limit_project(
+                merged, join.order_by, join.descending, join.limit, None
+            )
         return merged
 
     def _execute_aggregate(

@@ -19,11 +19,11 @@ Two kinds are provided, matching the paper's access-method taxonomy:
 from __future__ import annotations
 
 import bisect
-from typing import Any, Dict, Iterable, Iterator, List, Optional
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.db.errors import ConstraintError
 from repro.db.schema import IndexSpec
-from repro.db.tuples import TupleVersion
+from repro.db.tuples import TupleVersion, UncommittedMark
 
 __all__ = ["HashIndex", "OrderedIndex", "build_index"]
 
@@ -36,20 +36,37 @@ class HashIndex:
         self.column = spec.column
         self.unique = spec.unique
         self._buckets: Dict[Any, List[TupleVersion]] = {}
+        #: Keys of a unique index whose bucket has held versions of more
+        #: than one row (a deleted key inserted again).  Every other bucket
+        #: of a unique index holds one row's versions, oldest first.
+        self._mixed: Set[Any] = set()
 
     # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
     def insert(self, version: TupleVersion) -> None:
-        """Index a newly created tuple version."""
+        """Index a newly created tuple version.
+
+        A unique index refuses a second *current* row for one key: a version
+        no transaction deleted, or one deleted by a transaction still in
+        flight other than the inserting one (that delete may yet abort).
+        """
         key = version.values.get(self.column)
         bucket = self._buckets.setdefault(key, [])
-        if self.unique:
+        if self.unique and bucket and (key in self._mixed or bucket[0].row_id != version.row_id):
+            # A bucket of this row's own versions cannot conflict: an update.
+            inserter = version.xmin
             for existing in bucket:
-                if existing.is_current() and existing.row_id != version.row_id:
+                xmax = existing.xmax
+                if existing.row_id != version.row_id and (
+                    xmax is None or (type(xmax) is UncommittedMark and xmax != inserter)
+                ):
                     raise ConstraintError(
                         f"unique index {self.spec.name} violated for key {key!r}"
                     )
+            # Marked before the version is appended: a reader that copies
+            # the bucket and then finds the key unmarked saw one row.
+            self._mixed.add(key)
         bucket.append(version)
 
     def remove(self, version: TupleVersion) -> None:
@@ -64,6 +81,7 @@ class HashIndex:
             pass
         if not bucket:
             del self._buckets[key]
+            self._mixed.discard(key)
 
     # ------------------------------------------------------------------
     # Access methods
@@ -71,6 +89,23 @@ class HashIndex:
     def lookup(self, key: Any) -> List[TupleVersion]:
         """All versions (visible or not) whose indexed column equals ``key``."""
         return list(self._buckets.get(key, ()))
+
+    def walk(self, key: Any) -> Tuple[List[TupleVersion], bool]:
+        """``lookup(key)`` in the order a scan visits it, and whether that
+        order is one row's versions newest first.
+
+        It is, on a unique index, unless the bucket has held a second row;
+        otherwise the versions come oldest first.
+        """
+        bucket = self._buckets.get(key)
+        if bucket is None:
+            return [], False
+        if self.unique:
+            versions = bucket[::-1]
+            # Checked after the copy; ``insert`` marks before it appends.
+            if key not in self._mixed:
+                return versions, True
+        return bucket[:], False
 
     def keys(self) -> Iterator[Any]:
         """Iterate over distinct indexed keys."""

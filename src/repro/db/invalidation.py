@@ -15,8 +15,7 @@ table the tags are collapsed into a single wildcard tag.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, FrozenSet, Iterable, Optional, Set
+from typing import Any, FrozenSet, Iterable, NamedTuple, Optional, Set
 
 __all__ = ["InvalidationTag", "collapse_tags", "tags_for_modified_tuple"]
 
@@ -25,12 +24,16 @@ __all__ = ["InvalidationTag", "collapse_tags", "tags_for_modified_tuple"]
 WILDCARD_COLLAPSE_THRESHOLD = 64
 
 
-@dataclass(frozen=True)
-class InvalidationTag:
+class InvalidationTag(NamedTuple):
     """One dependency tag.
 
     ``column is None`` (and ``value is None``) denotes the wildcard tag
     ``table:?`` that matches every key of the table.
+
+    A tag is a named 3-tuple, so hashing and equality run in C: every query,
+    commit, cache entry and stream message builds, hashes or compares a few.
+    It therefore also compares equal to the plain tuple
+    ``(table, column, value)``; nothing stores the two side by side.
     """
 
     table: str
@@ -45,12 +48,12 @@ class InvalidationTag:
     @staticmethod
     def wildcard(table: str) -> "InvalidationTag":
         """Construct the wildcard tag for ``table``."""
-        return InvalidationTag(table=table)
+        return InvalidationTag(table)
 
     @staticmethod
     def key(table: str, column: str, value: Any) -> "InvalidationTag":
         """Construct a precise ``table:column=value`` tag."""
-        return InvalidationTag(table=table, column=column, value=value)
+        return InvalidationTag(table, column, value)
 
     def overlaps(self, other: "InvalidationTag") -> bool:
         """True if an update bearing ``other`` may affect data tagged ``self``.
@@ -78,10 +81,7 @@ def tags_for_modified_tuple(
     One tag per index the tuple is listed in, keyed by the tuple's value for
     that index's column (paper section 5.3).
     """
-    tags: Set[InvalidationTag] = set()
-    for column in indexed_columns:
-        tags.add(InvalidationTag.key(table_name, column, values.get(column)))
-    return tags
+    return {InvalidationTag(table_name, column, values.get(column)) for column in indexed_columns}
 
 
 def collapse_tags(

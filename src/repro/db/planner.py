@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, FrozenSet, Iterable, List, Optional, Tuple
 
+from repro._compat import DATACLASS_SLOTS
 from repro.db.invalidation import InvalidationTag
 from repro.db.query import And, Eq, In, Predicate, Range, Select
 from repro.db.table import Table
@@ -25,7 +26,7 @@ from repro.db.tuples import TupleVersion
 __all__ = ["AccessPath", "IndexEqualityPath", "IndexRangePath", "SeqScanPath", "plan_select"]
 
 
-@dataclass(frozen=True)
+@dataclass(**DATACLASS_SLOTS)
 class AccessPath:
     """Base class: how the executor obtains candidate tuple versions."""
 
@@ -34,6 +35,15 @@ class AccessPath:
     def candidates(self, table: Table) -> Iterable[TupleVersion]:
         """Yield every candidate version (visible or not)."""
         raise NotImplementedError
+
+    def walk(self, table: Table) -> Tuple[Iterable[TupleVersion], bool]:
+        """The candidates in the order the executor's scan visits them, and
+        whether they are the versions of one row, newest first.
+
+        Only then may the scan stop before the last candidate (see
+        :meth:`repro.db.executor.Executor._scan`).
+        """
+        return self.candidates(table), False
 
     def tags(self) -> FrozenSet[InvalidationTag]:
         """Invalidation tags describing what this access depends on."""
@@ -54,7 +64,7 @@ class AccessPath:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
+@dataclass(**DATACLASS_SLOTS)
 class IndexEqualityPath(AccessPath):
     """Equality lookup(s) against an index."""
 
@@ -70,6 +80,11 @@ class IndexEqualityPath(AccessPath):
             return lookup(self.keys[0])
         return [version for key in self.keys for version in lookup(key)]
 
+    def walk(self, table: Table) -> Tuple[Iterable[TupleVersion], bool]:
+        if len(self.keys) == 1:
+            return table.index_on(self.column).walk(self.keys[0])
+        return self.candidates(table), False
+
     def decides(self, predicate: Predicate) -> bool:
         # A bucket holds the versions whose column ``==`` the key, which is
         # all a bare Eq asks — of a key that equals itself.  Eq on a NaN
@@ -80,16 +95,16 @@ class IndexEqualityPath(AccessPath):
         return len(self.keys) == 1 and self.keys[0] is value and value == value
 
     def tags(self) -> FrozenSet[InvalidationTag]:
-        return frozenset(
-            InvalidationTag.key(self.table, self.column, key) for key in self.keys
-        )
+        if len(self.keys) == 1:
+            return frozenset((InvalidationTag(self.table, self.column, self.keys[0]),))
+        return frozenset(InvalidationTag(self.table, self.column, key) for key in self.keys)
 
     @property
     def kind(self) -> str:
         return "index_eq"
 
 
-@dataclass(frozen=True)
+@dataclass(**DATACLASS_SLOTS)
 class IndexRangePath(AccessPath):
     """Range scan against an ordered index."""
 
@@ -112,7 +127,7 @@ class IndexRangePath(AccessPath):
         return "index_range"
 
 
-@dataclass(frozen=True)
+@dataclass(**DATACLASS_SLOTS)
 class SeqScanPath(AccessPath):
     """Full sequential scan of the table."""
 
@@ -142,7 +157,11 @@ def plan_select(select: Select, table: Table) -> AccessPath:
     candidate unless the path :meth:`~AccessPath.decides` it, so the path
     only needs to be a superset of the matching rows.
     """
-    conjuncts = _conjuncts(select.predicate)
+    predicate = select.predicate
+    # The commonest statement of all, a primary-key select, is a bare Eq.
+    if type(predicate) is Eq and table.has_index_on(predicate.column):
+        return IndexEqualityPath(select.table, predicate.column, (predicate.value,))
+    conjuncts = _conjuncts(predicate)
 
     # Index equality lookup: Eq or In on any indexed column.
     for part in conjuncts:

@@ -15,6 +15,10 @@ Predicates are structured so the planner can recognise index-friendly shapes:
   a wildcard tag;
 * anything else (including :class:`Func`, an arbitrary Python predicate)
   plans as a sequential scan with a wildcard tag.
+
+Every record is hashable and equal by value (``unsafe_hash``) but not
+``frozen``: nothing assigns to a field after construction, and a frozen
+dataclass pays an ``object.__setattr__`` per field on every statement.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ class Predicate:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class TruePredicate(Predicate):
     """Matches every row (a full-table select)."""
 
@@ -58,7 +62,7 @@ class TruePredicate(Predicate):
         return True
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Eq(Predicate):
     """``column = value``."""
 
@@ -69,7 +73,7 @@ class Eq(Predicate):
         return row.get(self.column) == self.value
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class In(Predicate):
     """``column IN (values)``."""
 
@@ -77,14 +81,14 @@ class In(Predicate):
     values: Tuple[Any, ...]
 
     def __init__(self, column: str, values: Sequence[Any]) -> None:
-        object.__setattr__(self, "column", column)
-        object.__setattr__(self, "values", tuple(values))
+        self.column = column
+        self.values = tuple(values)
 
     def matches(self, row: Dict[str, Any]) -> bool:
         return row.get(self.column) in self.values
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Range(Predicate):
     """``lo <= column <= hi`` with optional open bounds."""
 
@@ -113,7 +117,7 @@ class Range(Predicate):
         return True
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class And(Predicate):
     """Conjunction of predicates."""
 
@@ -126,26 +130,26 @@ class And(Predicate):
                 flattened.extend(part.parts)
             else:
                 flattened.append(part)
-        object.__setattr__(self, "parts", tuple(flattened))
+        self.parts = tuple(flattened)
 
     def matches(self, row: Dict[str, Any]) -> bool:
         return all(part.matches(row) for part in self.parts)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Or(Predicate):
     """Disjunction of predicates (always planned as a sequential scan)."""
 
     parts: Tuple[Predicate, ...]
 
     def __init__(self, *parts: Predicate) -> None:
-        object.__setattr__(self, "parts", tuple(parts))
+        self.parts = tuple(parts)
 
     def matches(self, row: Dict[str, Any]) -> bool:
         return any(part.matches(row) for part in self.parts)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Not(Predicate):
     """Negation of a predicate (always planned as a sequential scan)."""
 
@@ -155,7 +159,7 @@ class Not(Predicate):
         return not self.part.matches(row)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Func(Predicate):
     """Arbitrary Python predicate.  Forces a sequential scan.
 
@@ -177,7 +181,7 @@ class Query:
     """Base class for executable queries."""
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Select(Query):
     """Select rows from one table.
 
@@ -208,15 +212,15 @@ class Select(Query):
         descending: bool = False,
         limit: Optional[int] = None,
     ) -> None:
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "predicate", predicate or TruePredicate())
-        object.__setattr__(self, "columns", tuple(columns) if columns is not None else None)
-        object.__setattr__(self, "order_by", order_by)
-        object.__setattr__(self, "descending", descending)
-        object.__setattr__(self, "limit", limit)
+        self.table = table
+        self.predicate = predicate or TruePredicate()
+        self.columns = tuple(columns) if columns is not None else None
+        self.order_by = order_by
+        self.descending = descending
+        self.limit = limit
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Join(Query):
     """Nested-loop join of an outer select against an inner table.
 
@@ -249,18 +253,18 @@ class Join(Query):
         descending: bool = False,
         limit: Optional[int] = None,
     ) -> None:
-        object.__setattr__(self, "outer", outer)
-        object.__setattr__(self, "inner_table", inner_table)
-        object.__setattr__(self, "outer_column", on[0])
-        object.__setattr__(self, "inner_column", on[1])
-        object.__setattr__(self, "inner_predicate", inner_predicate or TruePredicate())
-        object.__setattr__(self, "inner_prefix", inner_prefix)
-        object.__setattr__(self, "order_by", order_by)
-        object.__setattr__(self, "descending", descending)
-        object.__setattr__(self, "limit", limit)
+        self.outer = outer
+        self.inner_table = inner_table
+        self.outer_column = on[0]
+        self.inner_column = on[1]
+        self.inner_predicate = inner_predicate or TruePredicate()
+        self.inner_prefix = inner_prefix
+        self.order_by = order_by
+        self.descending = descending
+        self.limit = limit
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Aggregate(Query):
     """Aggregate over the rows of a select.
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 from typing import Any, Dict, Iterator, List, Optional
 
-from repro.db.errors import UnknownIndexError
+from repro.db.errors import ConstraintError, UnknownIndexError
 from repro.db.index import HashIndex, OrderedIndex, build_index
 from repro.db.schema import TableSchema
 from repro.db.tuples import Stamp, TupleVersion
@@ -31,6 +31,8 @@ class Table:
         self._indexes: Dict[str, HashIndex] = {}
         for spec in schema.all_index_specs():
             self._indexes[spec.column] = build_index(spec)
+        #: The indexed column names, in index order (fixed by the schema).
+        self.indexed_columns = tuple(self._indexes)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -39,11 +41,6 @@ class Table:
     def primary_key(self) -> str:
         """Name of the primary key column."""
         return self.schema.primary_key
-
-    @property
-    def indexes(self) -> Dict[str, HashIndex]:
-        """Mapping of indexed column name to index object."""
-        return dict(self._indexes)
 
     def index_on(self, column: str) -> HashIndex:
         """Return the index on ``column`` or raise :class:`UnknownIndexError`."""
@@ -100,9 +97,17 @@ class Table:
         if row_id is None:
             row_id = self.new_row_id()
         version = TupleVersion(row_id=row_id, values=dict(values), xmin=xmin)
+        indexed = 0
+        try:
+            for index in self._indexes.values():
+                index.insert(version)
+                indexed += 1
+        except ConstraintError:
+            # A refused version is stored nowhere.
+            for index in list(self._indexes.values())[:indexed]:
+                index.remove(version)
+            raise
         self._rows.setdefault(row_id, []).append(version)
-        for index in self._indexes.values():
-            index.insert(version)
         return version
 
     def remove_version(self, version: TupleVersion) -> None:

@@ -123,7 +123,11 @@ class ReadWriteTransaction(_BaseTransaction):
             self._claim_for_write(old)
             new_values = dict(old.values)
             new_values.update(changes)
-            new_version = table.add_version(new_values, xmin=self._mark, row_id=old.row_id)
+            try:
+                new_version = table.add_version(new_values, xmin=self._mark, row_id=old.row_id)
+            except BaseException:
+                old.xmax = None  # a refused new version leaves the row unclaimed
+                raise
             self._created.append((table_name, new_version))
             self._deleted.append((table_name, old))
         return len(targets)
@@ -225,9 +229,9 @@ class ReadWriteTransaction(_BaseTransaction):
     def _collect_tags(self) -> frozenset:
         tags: Set[InvalidationTag] = set()
         for table_name, version in self._created + self._deleted:
-            table = self._db.table(table_name)
-            indexed_columns = list(table.indexes.keys())
             tags.update(
-                tags_for_modified_tuple(table_name, indexed_columns, version.values)
+                tags_for_modified_tuple(
+                    table_name, self._db.table(table_name).indexed_columns, version.values
+                )
             )
         return collapse_tags(tags)

@@ -104,7 +104,7 @@ def live_node(
     take: ``max_queued_per_connection`` and ``simulated_latency_seconds``.
     """
     if hosting == "thread":
-        server = CacheServer(name=name, capacity_bytes=capacity_bytes, clock=ManualClock())
+        server = CacheServer(name=name, capacity_bytes=capacity_bytes)
         with CacheServerProcess(server, **options) as host:
             yield host
     elif hosting == "process":

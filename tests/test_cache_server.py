@@ -8,7 +8,6 @@ import pytest
 
 from repro.cache.entry import EntryRecord, LookupRequest, LookupResult
 from repro.cache.server import CacheServer
-from repro.clock import ManualClock
 from repro.comm.multicast import InvalidationMessage
 from repro.core.transaction import CacheableFrame
 from repro.db.invalidation import InvalidationTag
@@ -17,7 +16,7 @@ from repro.interval import Interval
 
 @pytest.fixture
 def server():
-    return CacheServer(name="c0", capacity_bytes=1024 * 1024, clock=ManualClock())
+    return CacheServer(name="c0", capacity_bytes=1024 * 1024)
 
 
 def tag(value, column="id", table="users"):
@@ -302,7 +301,7 @@ class TestInvalidationIndexAgainstOracle:
     def test_truncated_set_and_indexes_match_brute_force(self, seed):
         rng = random.Random(seed)
         # Room for about ten entries, so puts keep evicting whole keys.
-        server = CacheServer(name="c0", capacity_bytes=800, clock=ManualClock())
+        server = CacheServer(name="c0", capacity_bytes=800)
         now = 1
         for _ in range(600):
             step = rng.random()
@@ -401,11 +400,11 @@ class TestLookupAgainstItsDefinitions:
 
     KEYS = [f"k{i}" for i in range(6)]
 
-    def _pair(self, clock):
+    def _pair(self):
         # Room for about a dozen entries: lookups decide who is evicted.
         return (
-            CacheServer(name="c0", capacity_bytes=1000, clock=clock),
-            _DefinitionServer(name="c0", capacity_bytes=1000, clock=clock),
+            CacheServer(name="c0", capacity_bytes=1000),
+            _DefinitionServer(name="c0", capacity_bytes=1000),
         )
 
     @staticmethod
@@ -419,8 +418,7 @@ class TestLookupAgainstItsDefinitions:
     @pytest.mark.parametrize("seed", range(8))
     def test_version_interval_flag_stats_and_lru_order_agree(self, seed):
         rng = random.Random(seed)
-        clock = ManualClock()
-        server, definition = self._pair(clock)
+        server, definition = self._pair()
         now = 1
         hits = truncated_hits = flagged = 0
         for _ in range(1500):
@@ -456,7 +454,6 @@ class TestLookupAgainstItsDefinitions:
                 lo = rng.randrange(max(0, now - 8), now + 2)
                 hi = lo + rng.randrange(-1, 5)  # hi == lo - 1 is the empty request
                 fresh_lo = rng.randrange(max(0, now - 8), now + 2)
-                clock.advance(0.25)
                 if rng.random() < 0.5:
                     result = server.lookup(key, lo, hi, fresh_lo)
                     expected = definition.lookup(key, lo, hi, fresh_lo)
@@ -523,10 +520,8 @@ class TestFrameFoldAgainstIntersect:
 
 class TestEviction:
     def test_lru_eviction_when_over_capacity(self):
-        clock = ManualClock()
-        server = CacheServer(capacity_bytes=2000, clock=clock)
+        server = CacheServer(capacity_bytes=2000)
         for i in range(30):
-            clock.advance(1.0)
             server.put(f"k{i}", "x" * 100, Interval(0))
         assert server.used_bytes <= 2000
         assert server.stats.lru_evictions > 0
@@ -534,18 +529,16 @@ class TestEviction:
         assert server.lookup("k29", 0, 10).hit
 
     def test_recently_used_keys_survive(self):
-        clock = ManualClock()
-        server = CacheServer(capacity_bytes=3000, clock=clock)
+        server = CacheServer(capacity_bytes=3000)
         server.put("hot", "x" * 100, Interval(0))
         for i in range(40):
-            clock.advance(1.0)
             server.lookup("hot", 0, 10)
             server.put(f"cold{i}", "x" * 100, Interval(0))
         assert server.lookup("hot", 0, 10).hit
 
     def test_evictions_are_not_errors(self, server):
         """Evicted entries simply miss later (cache entries are never pinned)."""
-        small = CacheServer(capacity_bytes=500, clock=ManualClock())
+        small = CacheServer(capacity_bytes=500)
         small.put("a", "x" * 400, Interval(0))
         small.put("b", "y" * 400, Interval(0))
         assert small.lookup("b", 0, 10).hit

@@ -69,7 +69,7 @@ def run_threads(worker, count=THREADS):
 # CacheServer: 8-thread mixed get/put/invalidate over one node
 # ----------------------------------------------------------------------
 def test_cache_server_mixed_stress_preserves_invariants():
-    server = CacheServer(name="stress", capacity_bytes=256 * 1024, clock=ManualClock())
+    server = CacheServer(name="stress", capacity_bytes=256 * 1024)
     timestamps = itertools.count(1)
     tag = InvalidationTag("items", "id", "7")
 
@@ -263,7 +263,7 @@ def test_pincushion_refcounts_exact_under_contention():
 # SocketTransport: one connection, however many callers
 # ----------------------------------------------------------------------
 def test_socket_transport_multiplexes_callers_over_one_connection():
-    server = CacheServer(name="mux", clock=ManualClock())
+    server = CacheServer(name="mux")
     with CacheServerProcess(server, simulated_latency_seconds=0.005) as process:
         transport = SocketTransport(process.address)
         try:
@@ -284,7 +284,7 @@ def test_socket_transport_multiplexes_callers_over_one_connection():
 
 
 def test_socket_transport_sets_tcp_nodelay():
-    server = CacheServer(name="nagle", clock=ManualClock())
+    server = CacheServer(name="nagle")
     with CacheServerProcess(server) as process:
         transport = SocketTransport(process.address)
         try:
@@ -321,7 +321,7 @@ def test_socket_transport_read_timeout_surfaces_as_unreachable():
 
 
 def test_socket_transport_close_is_idempotent_and_fails_fast():
-    server = CacheServer(name="closing", clock=ManualClock())
+    server = CacheServer(name="closing")
     with CacheServerProcess(server) as process:
         transport = SocketTransport(process.address)
         assert transport.probe("k", 0, 10) is False
@@ -338,7 +338,7 @@ def test_shutdown_racing_a_connect_stops_the_loop():
     sys.setswitchinterval(1e-6)
     try:
         for round_number in range(400):
-            process = CacheServerProcess(CacheServer(name="race", clock=ManualClock()))
+            process = CacheServerProcess(CacheServer(name="race"))
             client = socket.create_connection(process.address, timeout=5.0)
             try:
                 for _ in range(round_number % 200):

@@ -12,7 +12,7 @@ import random
 import pytest
 
 from repro.db.database import Database
-from repro.db.errors import SerializationError
+from repro.db.errors import ConstraintError, SerializationError
 from repro.db.executor import Executor
 from repro.db.invalidation import InvalidationTag
 from repro.db.planner import plan_select
@@ -256,6 +256,70 @@ class TestExecutorStats:
         db.executor.remove_observer
 
 
+class TestNewestFirstWalk:
+    """A primary-key bucket of one row is walked newest first, and the walk
+    stops at the first version that bounds every older one."""
+
+    def _chain(self, updates):
+        db = build_database(rows=3)
+        db.pin_latest()  # keeps every version from vacuum
+        for score in range(updates):
+            update_user(db, 2, score=100.0 + score)
+        return db
+
+    def _agree(self, db, query, timestamp, tx_id=None):
+        result = db.executor.execute(query, timestamp, tx_id)
+        rows, validity, tags, examined = reference_execute(db, query, timestamp, tx_id)
+        assert (result.rows, result.validity, result.tags) == (rows, validity, tags)
+        assert result.examined <= examined
+        return result
+
+    def test_a_long_chain_read_at_its_latest_snapshot_examines_one_version(self):
+        db = self._chain(40)
+        result = self._agree(db, Select("users", Eq("id", 2)), db.latest_timestamp)
+        assert [row["score"] for row in result.rows] == [139.0]
+        assert result.validity == Interval(40, None)
+        assert result.examined == 1
+
+    def test_an_old_snapshot_walks_back_to_its_version(self):
+        db = self._chain(40)
+        result = self._agree(db, Select("users", Eq("id", 2)), 10)
+        assert [row["score"] for row in result.rows] == [109.0]
+        assert result.validity == Interval(10, 11)
+        assert result.examined == 31
+
+    def test_the_readers_own_uncommitted_delete_does_not_stop_the_walk(self):
+        db = self._chain(1)
+        tx = db.begin_rw()
+        tx.delete("users", Eq("id", 2))
+        result = self._agree(db, Select("users", Eq("id", 2)), tx.snapshot_timestamp, tx.tx_id)
+        # The older version's end bounds the empty result from below.
+        assert result.rows == [] and result.validity == Interval(1, None)
+        assert result.examined == 2
+
+    def test_a_version_born_and_gone_in_one_commit_does_not_stop_the_walk(self):
+        db = build_database(rows=3)
+        db.pin_latest()
+        tx = db.begin_rw()
+        tx.update("users", Eq("id", 2), {"name": "renamed"})  # born and gone ...
+        tx.update("users", Eq("id", 2), {"score": 9.0})  # ... in this commit
+        timestamp = tx.commit()
+        query = Select("users", And(Eq("id", 2), Eq("score", 2.0)))
+        result = self._agree(db, query, timestamp)
+        # Only the first version's end says the row was there before.
+        assert result.rows == [] and result.validity == Interval(timestamp, None)
+        assert result.examined == 3
+
+    def test_updates_and_deletes_find_their_row_through_the_walk(self):
+        db = self._chain(40)
+        tx = db.begin_rw()
+        assert tx.update("users", Eq("id", 2), {"score": 0.5}) == 1
+        assert tx.delete("users", Eq("id", 2)) == 1
+        tx.commit()
+        result = self._agree(db, Select("users", Eq("id", 2)), db.latest_timestamp)
+        assert result.rows == []
+
+
 # ----------------------------------------------------------------------
 # The executor against its definitions
 # ----------------------------------------------------------------------
@@ -268,7 +332,8 @@ def reference_execute(database, query, timestamp, tx_id=None):
     is :meth:`IntervalSet.piece_containing` — one ``Interval`` per version,
     the mask merged and re-sorted on every insertion.  Slow and obviously
     right; the executor keeps four integers instead and must agree on
-    ``(rows, validity, tags, examined)``.
+    ``(rows, validity, tags)``.  ``examined`` here is every candidate; the
+    executor may stop a one-row walk early, so it visits at most as many.
     """
     validity = Interval(0, None)
     mask = IntervalSet()
@@ -331,12 +396,15 @@ class _History:
 
     Up to three read/write transactions are in flight at once; each step
     begins one, writes through one (insert, update of an unindexed, a
-    hash-indexed or a range-indexed column, delete, insert and delete of
-    one row in the same transaction), commits or aborts one, pins or
-    unpins a snapshot, or vacuums.
+    hash-indexed, a range-indexed or the primary-key column, delete, insert
+    and delete of one row in the same transaction, insert of an id deleted
+    before, a delete that is then aborted), commits or aborts one, pins or
+    unpins a snapshot, or vacuums.  So the primary key's buckets are both
+    kinds: one row's versions, and a deleted key's versions beside a newer
+    row's.
     """
 
-    QUERIED_IDS = (1, 2, 3, 100, 101, 102, 999)
+    QUERIED_IDS = (1, 2, 3, 4, 6, 100, 101, 102, 999)
 
     def __init__(self, seed, track_validity=True):
         self.rng = random.Random(seed)
@@ -355,9 +423,13 @@ class _History:
             [{"id": i, "name": f"acct{i}", "region": 0, "score": 10.0 * i} for i in range(3)],
         )
         self.live_ids = list(range(1, 7))
+        self.gone_ids = []  # queried ids deleted or moved by a key update
         self.next_id = 100
+        self.saw_mixed_bucket = self.saw_one_row_bucket = False
         self.in_flight = []
         self.pins = [self.db.pin_latest()]  # history accumulates from the start
+        delete_user(self.db, 6)
+        insert_user(self.db, 6)  # a mixed bucket from the start
 
     def step(self):
         rng, db = self.rng, self.db
@@ -380,8 +452,9 @@ class _History:
 
     def _write(self, tx):
         rng = self.rng
-        target = Eq("id", rng.choice(self.live_ids))
-        kind = rng.randrange(6)
+        target_id = rng.choice(self.live_ids)
+        target = Eq("id", target_id)
+        kind = rng.randrange(10)
         try:
             if kind == 0:
                 tx.update("users", target, {"score": float(rng.randrange(4))})
@@ -390,8 +463,23 @@ class _History:
             elif kind == 2:
                 tx.update("users", target, {"region": rng.randrange(3)})
             elif kind == 3:
+                if tx.delete("users", target) and target_id in self.QUERIED_IDS:
+                    self.gone_ids.append(target_id)
+            elif kind == 6:
+                new_id = self.next_id
+                self.next_id += 1
+                if tx.update("users", target, {"id": new_id}):
+                    self.live_ids.append(new_id)
+                    if target_id in self.QUERIED_IDS:
+                        self.gone_ids.append(target_id)
+            elif kind in (7, 9) and self.gone_ids:
+                row_id = rng.choice(self.gone_ids)  # its bucket is queried
+                tx.insert("users", {"id": row_id, "name": "user2", "region": 0, "score": 2.0})
+            elif kind == 8:
                 tx.delete("users", target)
-            else:
+                self.in_flight.remove(tx)
+                tx.abort()
+            elif kind in (4, 5):
                 row_id = self.next_id
                 self.next_id += 1
                 tx.insert(
@@ -402,7 +490,7 @@ class _History:
                     tx.delete("users", Eq("id", row_id))  # born and gone in one commit
                 else:
                     self.live_ids.append(row_id)
-        except SerializationError:
+        except (SerializationError, ConstraintError):
             self.in_flight.remove(tx)
             tx.abort()
 
@@ -429,6 +517,11 @@ class _History:
         its own writes); returns how many comparisons were made."""
         readers = [(ts, None) for ts in range(self.db.latest_timestamp + 1)]
         readers += [(tx.snapshot_timestamp, tx.tx_id) for tx in self.in_flight]
+        primary_key = self.db.table("users").index_on("id")
+        for row_id in self.QUERIED_IDS:
+            one_row = primary_key.walk(row_id)[1]
+            self.saw_one_row_bucket |= one_row
+            self.saw_mixed_bucket |= bool(primary_key.lookup(row_id)) and not one_row
         compared = 0
         for query in self.queries():
             for timestamp, tx_id in readers:
@@ -438,7 +531,7 @@ class _History:
                 )
                 context = (query, timestamp, tx_id)
                 assert result.rows == rows, context
-                assert result.examined == examined, context
+                assert result.examined <= examined, context
                 if self.db.executor.track_validity:
                     assert result.validity == validity, context
                     assert result.tags == tags, context
@@ -462,6 +555,7 @@ class TestExecutorAgainstItsDefinitions:
                 compared += history.check_every_query_at_every_snapshot()
         assert history.db.latest_timestamp >= 10  # the history did commit
         assert compared > 1000
+        assert history.saw_one_row_bucket and history.saw_mixed_bucket
 
     def test_untracked_executor_returns_the_same_rows_and_counts(self):
         history = _History(seed=3, track_validity=False)
@@ -471,7 +565,9 @@ class TestExecutorAgainstItsDefinitions:
 
     def test_equal_keys_of_different_types_share_a_bucket(self):
         """1, 1.0 and True are one dict key; the index condition answers
-        for all three spellings without re-evaluating the predicate."""
+        for all three spellings without re-evaluating the predicate.  The
+        bucket is one row's: at timestamp 1 the walk stops at the newest
+        version, at 0 it passes it (born later) to reach the visible one."""
         db = build_database(rows=3)
         update_user(db, 1, score=7.0)  # a dead version in the bucket
         for key in (1, 1.0, True):
@@ -481,9 +577,9 @@ class TestExecutorAgainstItsDefinitions:
                     db, Select("users", Eq("id", key)), timestamp
                 )
                 assert [row["id"] for row in result.rows] == [1]
-                assert (result.rows, result.validity, result.examined) == (rows, validity, examined)
-                assert result.tags == tags
-                assert result.examined == 2
+                assert (result.rows, result.validity, result.tags) == (rows, validity, tags)
+                assert examined == 2
+                assert result.examined == (2 if timestamp == 0 else 1)
 
     def test_nan_key_matches_nothing_on_the_index_path(self):
         """``Eq`` on a NaN matches no row (NaN != NaN) although the index

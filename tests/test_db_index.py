@@ -7,7 +7,7 @@ import pytest
 from repro.db.errors import ConstraintError
 from repro.db.index import HashIndex, OrderedIndex, build_index
 from repro.db.schema import IndexSpec
-from repro.db.tuples import TupleVersion
+from repro.db.tuples import TupleVersion, UncommittedMark
 
 
 def make_version(row_id, **values):
@@ -67,6 +67,52 @@ class TestHashIndex:
         v = make_version(1, name=None)
         index.insert(v)
         assert index.lookup(None) == [v]
+
+
+class TestUniqueBuckets:
+    """What ``walk`` hands the executor: one row's versions newest first,
+    or a bucket that has held two rows (or a non-unique one) oldest first."""
+
+    def test_one_rows_versions_come_newest_first(self):
+        index = HashIndex(IndexSpec("id", unique=True))
+        versions = [make_version(1, id=7) for _ in range(3)]
+        for version in versions:
+            index.insert(version)
+            version.xmax = 5
+        assert index.walk(7) == (versions[::-1], True)
+        assert index.lookup(7) == versions
+        assert index.walk(8) == ([], False)
+
+    def test_a_bucket_that_takes_a_second_row_is_walked_oldest_first(self):
+        index = HashIndex(IndexSpec("id", unique=True))
+        old, new = make_version(1, id=7), make_version(2, id=7)
+        index.insert(old)
+        old.xmax = 5  # deleted and committed: the key is free
+        index.insert(new)
+        assert index.walk(7) == ([old, new], False)
+        index.remove(old)
+        assert index.walk(7) == ([new], False)  # once mixed, until emptied
+        index.remove(new)
+        index.insert(make_version(3, id=7))
+        assert index.walk(7)[1] is True
+
+    def test_a_non_unique_bucket_is_walked_oldest_first(self):
+        index = HashIndex(IndexSpec("region"))
+        versions = [make_version(1, region=1), make_version(1, region=1)]
+        for version in versions:
+            index.insert(version)
+        assert index.walk(1) == (versions, False)
+
+    def test_a_delete_in_flight_keeps_the_key_taken_but_for_its_own_transaction(self):
+        index = HashIndex(IndexSpec("id", unique=True))
+        old = make_version(1, id=7)
+        index.insert(old)
+        old.xmax = UncommittedMark(3)
+        with pytest.raises(ConstraintError):
+            index.insert(TupleVersion(row_id=2, values={"id": 7}, xmin=UncommittedMark(4)))
+        assert index.walk(7) == ([old], True)  # a refused row leaves no mark
+        index.insert(TupleVersion(row_id=2, values={"id": 7}, xmin=UncommittedMark(3)))
+        assert index.walk(7)[1] is False
 
 
 class TestOrderedIndex:

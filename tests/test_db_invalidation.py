@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 from repro.db.invalidation import (
     InvalidationTag,
     collapse_tags,
@@ -35,6 +37,38 @@ class TestInvalidationTag:
     def test_tags_are_hashable_and_deduplicate(self):
         tags = {InvalidationTag.key("t", "c", 1), InvalidationTag.key("t", "c", 1)}
         assert len(tags) == 1
+
+
+class TestTagRecord:
+    """A tag is a named 3-tuple: built, hashed and compared by value."""
+
+    def test_keyword_and_positional_construction_agree(self):
+        tag = InvalidationTag("users", "id", 3)
+        assert tag == InvalidationTag(table="users", column="id", value=3)
+        assert tag == InvalidationTag.key("users", "id", 3)
+        assert (tag.table, tag.column, tag.value) == ("users", "id", 3)
+        assert InvalidationTag("users") == InvalidationTag.wildcard("users")
+        assert InvalidationTag(table="users").is_wildcard
+        assert InvalidationTag("users").value is None
+
+    def test_equal_tags_hash_equal_and_unequal_ones_differ(self):
+        assert hash(InvalidationTag("t", "c", 1)) == hash(InvalidationTag.key("t", "c", 1))
+        assert InvalidationTag("t", "c", 1) != InvalidationTag("t", "c", 2)
+        assert InvalidationTag("t", "c", 1) != InvalidationTag("u", "c", 1)
+        assert InvalidationTag("t") != InvalidationTag("t", "c", None)
+
+    def test_str_and_repr(self):
+        assert str(InvalidationTag.key("users", "name", "alice")) == "users:name='alice'"
+        assert str(InvalidationTag.wildcard("users")) == "users:?"
+        assert repr(InvalidationTag("users", "id", 3)) == (
+            "InvalidationTag(table='users', column='id', value=3)"
+        )
+
+    def test_pickle_round_trip(self):
+        for tag in (InvalidationTag.key("users", "id", 3), InvalidationTag.wildcard("users")):
+            copy = pickle.loads(pickle.dumps(tag))
+            assert copy == tag and type(copy) is InvalidationTag
+            assert copy.overlaps(tag)
 
 
 class TestTagsForModifiedTuple:

@@ -150,3 +150,34 @@ class TestPathDecidesPredicate:
         nan = float("nan")
         t = table()
         assert not plan_select(Select("users", Eq("name", nan)), t).decides(Eq("name", nan))
+
+
+class TestQueryRecords:
+    """Statements are plain records, yet hashable and equal by value."""
+
+    def test_select_and_eq_are_equal_and_hash_equal_by_value(self):
+        a = Select("users", Eq("id", 3), columns=["id"], order_by="id", limit=2)
+        b = Select("users", Eq("id", 3), columns=("id",), order_by="id", limit=2)
+        assert a == b and hash(a) == hash(b)
+        assert Eq("id", 3) == Eq("id", 3) and hash(Eq("id", 3)) == hash(Eq("id", 3))
+        assert Select("users", Eq("id", 3)) != Select("users", Eq("id", 4))
+        assert len({a, b, Select("users", Eq("id", 4))}) == 2
+
+    def test_composite_records_are_hashable_by_value(self):
+        first = And(Eq("id", 1), In("name", ["a", "b"]), Range("region", 0, 2))
+        second = And(Eq("id", 1), And(In("name", ("a", "b")), Range("region", 0, 2)))
+        assert first == second and hash(first) == hash(second)
+        assert hash(Or(Eq("id", 1), Not(Eq("id", 2)))) == hash(Or(Eq("id", 1), Not(Eq("id", 2))))
+        assert Select("users").predicate == Select("users").predicate
+
+
+class TestBareEq:
+    """A bare Eq on an indexed column plans straight to the index."""
+
+    def test_it_plans_as_the_conjunct_walk_would(self):
+        t = table()
+        for predicate in (Eq("id", 3), Eq("name", "u1"), Eq("region", 1)):
+            path = plan_select(Select("users", predicate), t)
+            assert path == IndexEqualityPath("users", predicate.column, (predicate.value,))
+            assert path.decides(predicate)
+            assert path.tags() == frozenset({InvalidationTag.key("users", predicate.column, predicate.value)})

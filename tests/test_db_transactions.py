@@ -6,7 +6,7 @@ import pytest
 
 from repro.comm.multicast import InvalidationBus
 from repro.db.database import Database
-from repro.db.errors import SerializationError, TransactionStateError
+from repro.db.errors import ConstraintError, SerializationError, TransactionStateError
 from repro.db.invalidation import InvalidationTag
 from repro.db.query import And, Eq, Func, In, Range, Select
 from repro.db.tuples import visible_at
@@ -156,6 +156,64 @@ class TestSnapshotIsolation:
         second.update("users", Eq("id", 2), {"score": 20.0})
         first.commit()
         second.commit()
+
+
+class TestUniqueKeys:
+    """A deleted key is free only once its delete commits (or is the
+    inserter's own): otherwise an aborted delete would leave two current
+    rows under one primary key."""
+
+    ROW = {"id": 1, "name": "again", "region": 0, "score": 0.0}
+
+    def test_a_key_deleted_by_a_transaction_in_flight_is_still_taken(self, db):
+        deleter = db.begin_rw()
+        assert deleter.delete("users", Eq("id", 1)) == 1
+        inserter = db.begin_rw()
+        with pytest.raises(ConstraintError):
+            inserter.insert("users", dict(self.ROW))
+        inserter.abort()
+        deleter.abort()
+        rows = db.begin_ro().query(Select("users", Eq("id", 1))).rows
+        assert [row["name"] for row in rows] == ["user1"]
+
+    def test_a_key_is_free_once_its_delete_commits(self, db):
+        deleter = db.begin_rw()
+        deleter.delete("users", Eq("id", 1))
+        deleter.commit()
+        inserter = db.begin_rw()
+        inserter.insert("users", dict(self.ROW))
+        inserter.commit()
+        rows = db.begin_ro().query(Select("users", Eq("id", 1))).rows
+        assert [row["name"] for row in rows] == ["again"]
+
+    def test_a_transaction_may_delete_and_insert_its_own_key(self, db):
+        tx = db.begin_rw()
+        tx.delete("users", Eq("id", 1))
+        tx.insert("users", dict(self.ROW))
+        assert [row["name"] for row in tx.query(Select("users", Eq("id", 1))).rows] == ["again"]
+        timestamp = tx.commit()
+        for at, name in ((timestamp - 1, "user1"), (timestamp, "again")):
+            rows = db.begin_ro(snapshot_id=at).query(Select("users", Eq("id", 1))).rows
+            assert [row["name"] for row in rows] == [name]
+
+    def test_a_refused_key_update_leaves_the_row_unclaimed_and_unchanged(self, db):
+        tx = db.begin_rw()
+        with pytest.raises(ConstraintError):
+            tx.update("users", Eq("id", 1), {"id": 2})
+        tx.abort()
+        assert [v.xmax for v in db.table("users").versions_of(1)] == [None]
+        other = db.begin_rw()
+        assert other.update("users", Eq("id", 1), {"score": 5.0}) == 1
+        other.commit()
+        rows = db.begin_ro().query(Select("users", Eq("id", 2))).rows
+        assert [row["name"] for row in rows] == ["user2"]
+
+    def test_a_key_inserted_by_a_transaction_in_flight_is_taken(self, db):
+        first = db.begin_rw()
+        first.insert("users", {**self.ROW, "id": 50})
+        second = db.begin_rw()
+        with pytest.raises(ConstraintError):
+            second.insert("users", {**self.ROW, "id": 50})
 
 
 def _full_scan_targets(tx, predicate):

@@ -374,7 +374,7 @@ class TestOwnershipPlumbing:
         assert moved
 
     def test_extract_entries_pages_all_versions_of_a_key_together(self):
-        server = CacheServer(clock=ManualClock(), capacity_bytes=1 << 22)
+        server = CacheServer(capacity_bytes=1 << 22)
         for i in range(30):
             server.put(f"key-{i:02d}", i, Interval(0, 5))
             server.put(f"key-{i:02d}", i * 10, Interval(5, 9))
@@ -400,7 +400,7 @@ class TestOwnershipPlumbing:
         pages of walks: every page is what a fresh sort of the store gives
         after its cursor, and the walk ends exactly when nothing is left."""
         rng = random.Random(7)
-        server = CacheServer(clock=ManualClock(), capacity_bytes=1 << 26)
+        server = CacheServer(capacity_bytes=1 << 26)
         for i in range(0, 400, 2):
             server.put(f"k{i:03d}", i, Interval(1, None))
         for walk in range(4):
@@ -424,7 +424,7 @@ class TestOwnershipPlumbing:
             assert pages > 10
 
     def test_an_abandoned_walk_does_not_hold_every_key_stored_after_it(self):
-        server = CacheServer(clock=ManualClock(), capacity_bytes=1 << 26)
+        server = CacheServer(capacity_bytes=1 << 26)
         for i in range(100):
             server.put(f"a{i:05d}", i, Interval(1, None))
         server.extract_entries(None, limit=10)  # never resumed
@@ -435,8 +435,8 @@ class TestOwnershipPlumbing:
         assert held is None or len(held) <= 2 * server.key_count + SCAN_PAGE_KEYS
 
     def test_install_entries_respects_put_semantics(self):
-        source = CacheServer(name="src", clock=ManualClock(), capacity_bytes=1 << 22)
-        target = CacheServer(name="dst", clock=ManualClock(), capacity_bytes=1 << 22)
+        source = CacheServer(name="src", capacity_bytes=1 << 22)
+        target = CacheServer(name="dst", capacity_bytes=1 << 22)
         source.put("k", "v", Interval(0), frozenset({InvalidationTag.key("t", "id", 1)}))
         records, _ = source.extract_entries()
         # The target already saw the invalidation the source has not: the
@@ -450,7 +450,7 @@ class TestOwnershipPlumbing:
         assert target.install_entries(records) == 0
 
     def test_discard_keys_releases_capacity(self):
-        server = CacheServer(clock=ManualClock(), capacity_bytes=1 << 22)
+        server = CacheServer(capacity_bytes=1 << 22)
         server.put("a", "x" * 100, Interval(0))
         server.put("b", "y" * 100, Interval(0))
         used = server.used_bytes

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.comm.multicast import InvalidationBus, InvalidationMessage
@@ -20,6 +22,28 @@ class Recorder:
 
 def message(ts, *tags):
     return InvalidationMessage(timestamp=ts, tags=tuple(tags))
+
+
+class TestMessageRecord:
+    """A stream message is a named pair, equal and hashable by value."""
+
+    def test_keyword_and_positional_construction_agree(self):
+        tag = InvalidationTag.key("users", "id", 1)
+        assert InvalidationMessage(3, (tag,)) == InvalidationMessage(timestamp=3, tags=(tag,))
+        assert InvalidationMessage(3).tags == ()
+        assert InvalidationMessage(3, (tag,)).timestamp == 3
+        assert hash(InvalidationMessage(3, (tag,))) == hash(message(3, tag))
+        assert InvalidationMessage(3) != InvalidationMessage(4)
+
+    def test_repr_and_pickle_round_trip(self):
+        sent = message(7, InvalidationTag.wildcard("items"))
+        assert repr(sent) == (
+            "InvalidationMessage(timestamp=7, tags=(InvalidationTag(table='items', "
+            "column=None, value=None),))"
+        )
+        copy = pickle.loads(pickle.dumps(sent))
+        assert copy == sent and type(copy) is InvalidationMessage
+        assert type(copy.tags[0]) is InvalidationTag
 
 
 class TestSynchronousDelivery:

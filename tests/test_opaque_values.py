@@ -28,7 +28,6 @@ from repro.cache.entry import EntryRecord, LookupRequest, ValueBlob, estimate_si
 from repro.cache.netserver import CacheServerProcess, SocketTransport
 from repro.cache.procnode import CacheNodeHost
 from repro.cache.server import CacheServer
-from repro.clock import ManualClock
 from repro.comm.transport import InProcessTransport
 from repro.db.invalidation import InvalidationTag
 from repro.interval import Interval
@@ -166,8 +165,8 @@ def _seeded_puts(seed: int, count: int = 120):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_socket_node_fills_sizes_and_evicts_like_an_in_process_node(seed):
     capacity = 4096  # a few dozen entries: the sequence evicts many times
-    local = CacheServer(name="local", capacity_bytes=capacity, clock=ManualClock())
-    remote = CacheServer(name="remote", capacity_bytes=capacity, clock=ManualClock())
+    local = CacheServer(name="local", capacity_bytes=capacity)
+    remote = CacheServer(name="remote", capacity_bytes=capacity)
     inproc = InProcessTransport(local)
     with CacheServerProcess(remote) as process:
         wire = SocketTransport(process.address)

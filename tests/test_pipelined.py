@@ -22,13 +22,12 @@ from repro.cache.netserver import (
     SocketTransport,
 )
 from repro.cache.server import CacheServer
-from repro.clock import ManualClock
 from repro.interval import Interval
 from tests.helpers import NODE_HOSTINGS, live_node, lookup_one
 
 
 def make_server(name="node"):
-    return CacheServer(name=name, capacity_bytes=4 * 1024 * 1024, clock=ManualClock())
+    return CacheServer(name=name, capacity_bytes=4 * 1024 * 1024)
 
 
 # ----------------------------------------------------------------------

@@ -114,10 +114,9 @@ class Schedule:
         self.database.bulk_load(
             TABLE, [{"id": i, "grp": i % len(GROUPS), "v": i} for i in IDS if i % 3]
         )
-        clock = ManualClock()
-        self.server = CacheServer("source", capacity_bytes=1 << 22, clock=clock)
+        self.server = CacheServer("source", capacity_bytes=1 << 22)
         #: Sees the same stream, stores nothing until the migration.
-        self.target = CacheServer("target", capacity_bytes=1 << 22, clock=clock)
+        self.target = CacheServer("target", capacity_bytes=1 << 22)
         self.bus.subscribe(self.server)
         self.bus.subscribe(self.target)
         self.queries = _queries()

@@ -128,11 +128,10 @@ class TestEvictionAndPruningAgainstTheirDefinitions:
     @pytest.mark.parametrize("seed", range(10))
     def test_store_indexes_histories_and_stats_agree(self, seed):
         rng = random.Random(seed)
-        clock = ManualClock()
         # Room for about fifteen entries, so LRU eviction leaves ghosts on
         # the expiry heap all through the schedule.
         pair = [
-            cls(name="c0", capacity_bytes=1200, clock=clock)
+            cls(name="c0", capacity_bytes=1200)
             for cls in (CacheServer, _WalkingServer)
         ]
 
@@ -195,7 +194,6 @@ class TestEvictionAndPruningAgainstTheirDefinitions:
                 ])  # fmt: skip
             else:  # lookups decide whom LRU eviction takes
                 lo = rng.randrange(max(0, now - 8), now + 2)
-                clock.advance(0.25)
                 both("lookup", key, lo, lo + rng.randrange(4))
             assert _state(pair[0]) == _state(pair[1])
             # The heap covers every version that can expire, and a push
@@ -222,7 +220,7 @@ class TestEvictionAndPruningAgainstTheirDefinitions:
         class Value:
             pass
 
-        server = CacheServer(name="c0", capacity_bytes=300, clock=ManualClock())
+        server = CacheServer(name="c0", capacity_bytes=300)
         value = Value()
         gone = weakref.ref(value)
         server.put("old", value, Interval(1, 5))
@@ -241,7 +239,7 @@ class TestEvictionAndPruningAgainstTheirDefinitions:
         """Ascending by lower bound, equals in arrival order — which of two
         versions born together a lookup returns depends on it."""
         rng = random.Random(seed)
-        server = CacheServer(name="c0", capacity_bytes=1 << 20, clock=ManualClock())
+        server = CacheServer(name="c0", capacity_bytes=1 << 20)
         arrived = []
         for serial in range(200):
             lo = rng.randrange(12)
@@ -255,7 +253,7 @@ class TestEvictionAndPruningAgainstTheirDefinitions:
     def test_ghosts_are_sifted_out_when_nothing_pops_them(self):
         """Bounded versions churning through a small cache with no
         ``evict_stale`` in sight: the heap stays the size of the store."""
-        server = CacheServer(name="c0", capacity_bytes=600, clock=ManualClock())
+        server = CacheServer(name="c0", capacity_bytes=600)
         for i in range(3000):
             server.put(f"k{i}", i, Interval(i, i + 2))
             assert server.entry_count < 10 and len(server._expiring) < 2 * 10 + 17

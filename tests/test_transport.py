@@ -218,13 +218,13 @@ def test_invalidations_reach_every_node(transport_kind):
 # ----------------------------------------------------------------------
 class TestSocketTransport:
     def test_transport_learns_node_name(self):
-        with CacheServerProcess(CacheServer(name="nodeX", clock=ManualClock())) as process:
+        with CacheServerProcess(CacheServer(name="nodeX")) as process:
             transport = SocketTransport(process.address)
             assert transport.name == "nodeX"
             transport.close()
 
     def test_server_survives_bad_requests(self):
-        with CacheServerProcess(CacheServer(clock=ManualClock())) as process:
+        with CacheServerProcess(CacheServer()) as process:
             transport = SocketTransport(process.address)
             with pytest.raises(CacheTransportError, match="unknown cache operation"):
                 transport._call("no-such-op")
@@ -234,14 +234,14 @@ class TestSocketTransport:
             transport.close()
 
     def test_calls_after_close_raise(self):
-        with CacheServerProcess(CacheServer(clock=ManualClock())) as process:
+        with CacheServerProcess(CacheServer()) as process:
             transport = SocketTransport(process.address)
             transport.close()
             with pytest.raises(CacheTransportError):
                 transport.probe("k", 0, 1)
 
     def test_graceful_shutdown_disconnects_clients(self):
-        process = CacheServerProcess(CacheServer(clock=ManualClock()))
+        process = CacheServerProcess(CacheServer())
         transport = SocketTransport(process.address)
         assert transport.probe("k", 0, 1) is False
         process.shutdown()
@@ -252,7 +252,7 @@ class TestSocketTransport:
         process.shutdown()  # idempotent
 
     def test_multiple_connections_share_one_node(self):
-        with CacheServerProcess(CacheServer(clock=ManualClock())) as process:
+        with CacheServerProcess(CacheServer()) as process:
             first = SocketTransport(process.address)
             second = SocketTransport(process.address)
             first.put("k", "from-first", Interval(0))
@@ -262,10 +262,10 @@ class TestSocketTransport:
             second.close()
 
     def test_conforms_to_transport_protocol(self):
-        with CacheServerProcess(CacheServer(clock=ManualClock())) as process:
+        with CacheServerProcess(CacheServer()) as process:
             transport = SocketTransport(process.address)
             assert isinstance(transport, CacheTransport)
-            assert isinstance(InProcessTransport(CacheServer(clock=ManualClock())), CacheTransport)
+            assert isinstance(InProcessTransport(CacheServer()), CacheTransport)
             transport.close()
 
 

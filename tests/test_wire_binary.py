@@ -26,7 +26,6 @@ from hypothesis import example, given, settings, strategies as st
 from repro.cache.entry import EntryRecord, LookupRequest, LookupResult, ValueBlob
 from repro.cache.netserver import CacheServerProcess, SocketTransport
 from repro.cache.server import CacheServer
-from repro.clock import ManualClock
 from repro.comm import wire
 from repro.comm.multicast import InvalidationMessage
 from repro.db.invalidation import InvalidationTag
@@ -35,7 +34,7 @@ from tests.helpers import NODE_HOSTINGS, live_node, lookup_one
 
 
 def make_server(name="node"):
-    return CacheServer(name=name, capacity_bytes=4 * 1024 * 1024, clock=ManualClock())
+    return CacheServer(name=name, capacity_bytes=4 * 1024 * 1024)
 
 
 def round_trip(value):
@@ -1226,3 +1225,57 @@ def test_a_store_walk_with_an_argument_past_arcs_and_cursor_is_refused(op):
     body = bytes(wire.encode_binary_args(opcode, (_arcs(4), None, _arcs(4))))
     with pytest.raises(wire.WireDecodeError, match="list argument"):
         wire.decode_binary_args(opcode, body)
+
+
+# ----------------------------------------------------------------------
+# Tags keep their bytes
+# ----------------------------------------------------------------------
+#: One tag of each shape the codec writes: small int, wildcard, non-ASCII
+#: string, big int, None and float values.
+_TAG_SHAPES = (
+    InvalidationTag.key("items", "id", 7),
+    InvalidationTag.wildcard("users"),
+    InvalidationTag.key("users", "nickname", "zoë"),
+    InvalidationTag.key("bids", "item_id", 1 << 40),
+    InvalidationTag.key("t", "c", None),
+    InvalidationTag.key("t", "c", 2.5),
+)
+#: A ``multi_lookup`` reply of one hit per tag shape, and an
+#: ``invalidate_tags`` batch of them, as the codec wrote both while a tag
+#: was a frozen dataclass.  A tag is a named tuple now; its bytes are not
+#: allowed to notice.
+_TAGGED_HITS_FRAME = bytes.fromhex(
+    "0000000000000005400000010b16060ff301026b30030000000000000003000000000000"
+    "001112056974656d731202696413071701000000760ff301026b31030000000000000003"
+    "00000000000000111205757365727300001701000000760ff301026b3203000000000000"
+    "000300000000000000111205757365727312086e69636b6e616d6512047a6fc3ab170100"
+    "0000760ff301026b33030000000000000003000000000000001112046269647312076974"
+    "656d5f69640300000000000100001701000000760ff301026b3403000000000000000300"
+    "00000000000011120174120163001701000000760ff301026b3503000000000000000300"
+    "00000000000011120174120163040000000000000440170100000076"
+)
+_INVALIDATE_TAGS_BODY = bytes.fromhex(
+    "150116031502130415031112056974656d73120269641307111205757365727300001112"
+    "05757365727312086e69636b6e616d6512047a6fc3ab1502130615001502130915031112"
+    "046269647312076974656d5f696403000000000001000011120174120163001112017412"
+    "0163040000000000000440"
+)
+
+
+def test_tags_cross_the_wire_in_the_bytes_they_always_had():
+    hits = [
+        LookupResult(True, f"k{i}", ValueBlob(b"v"), Interval(3), Interval(3), frozenset({tag}), True)
+        for i, tag in enumerate(_TAG_SHAPES)
+    ]
+    assert bytes(wire.encode_lookup_reply(5, hits)) == _TAGGED_HITS_FRAME
+    assert bytes(wire.encode_binary_body(hits)) == _TAGGED_HITS_FRAME[wire.MUX_HEADER.size :]
+    decoded = wire.decode_binary_body(_TAGGED_HITS_FRAME[wire.MUX_HEADER.size :])
+    assert decoded == hits
+    assert [type(tag) for result in decoded for tag in result.tags] == [InvalidationTag] * 6
+
+    opcode = wire.OPCODES["invalidate_tags"]
+    batch = [(4, _TAG_SHAPES[:3]), (6, ()), (9, _TAG_SHAPES[3:])]
+    assert bytes(wire.encode_binary_args(opcode, (batch,))) == _INVALIDATE_TAGS_BODY
+    (decoded_batch,) = wire.decode_binary_args(opcode, _INVALIDATE_TAGS_BODY)
+    assert [(timestamp, tuple(tags)) for timestamp, tags in decoded_batch] == batch
+    assert all(type(tag) is InvalidationTag for _, tags in decoded_batch for tag in tags)

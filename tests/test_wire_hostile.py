@@ -41,7 +41,6 @@ import repro
 from repro.cache.entry import EntryRecord, LookupRequest, ValueBlob
 from repro.cache.netserver import CacheServerProcess, SocketTransport
 from repro.cache.server import SCAN_PAGE_KEYS, CacheServer
-from repro.clock import ManualClock
 from repro.comm import wire
 from repro.db.invalidation import InvalidationTag
 from repro.interval import Interval
@@ -610,7 +609,7 @@ def test_a_client_that_stops_reading_gets_every_reply_once_it_reads():
     drains it.  (A flush that re-entered itself through the completion
     hook once wrote one reply twice here.)"""
     requests, bound = 40, 8
-    server = CacheServer(name=NODE_NAME, capacity_bytes=8 * 1024 * 1024, clock=ManualClock())
+    server = CacheServer(name=NODE_NAME, capacity_bytes=8 * 1024 * 1024)
     server.put("big", BIG, Interval(3, None), frozenset())
     with CacheServerProcess(server, max_queued_per_connection=bound) as process:
         bystander = binary_transport(process.address)
@@ -648,7 +647,7 @@ def test_a_lone_reply_the_socket_will_not_take_whole_finishes_on_the_overflow_ro
     the rest goes out as the client reads, a request sent behind it is
     answered after it, and only a connection that the tail holds at its
     bound stops being read."""
-    server = CacheServer(name=NODE_NAME, capacity_bytes=8 * 1024 * 1024, clock=ManualClock())
+    server = CacheServer(name=NODE_NAME, capacity_bytes=8 * 1024 * 1024)
     server.put("big", BIG, Interval(3, None), frozenset())
     with CacheServerProcess(server, max_queued_per_connection=bound) as process:
         process._listener.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 32 * 1024)

@@ -21,7 +21,6 @@ from repro.cache.cluster import CacheCluster
 from repro.cache.entry import CacheEntry, EntryRecord, LookupRequest
 from repro.cache.netserver import SocketTransport
 from repro.cache.server import SCAN_PAGE_KEYS, CacheServer
-from repro.clock import ManualClock
 from repro.comm import wire
 from repro.comm.multicast import InvalidationMessage
 from repro.comm.transport import InProcessTransport
@@ -142,7 +141,7 @@ def test_every_opcode_has_a_case():
 @pytest.mark.parametrize("op", sorted(CASES))
 def test_an_op_over_the_wire_answers_and_acts_like_the_server(op, hosting):
     local = InProcessTransport(
-        CacheServer(name=NODE_NAME, capacity_bytes=CAPACITY, clock=ManualClock())
+        CacheServer(name=NODE_NAME, capacity_bytes=CAPACITY)
     )
     with live_node(hosting, NODE_NAME, CAPACITY) as host:
         remote = SocketTransport(host.address)
