@@ -26,7 +26,6 @@ from repro.bench.costmodel import CostParameters
 from repro.bench.driver import BenchmarkConfig, run_benchmark
 from repro.cache.cluster import CacheCluster
 from repro.cache.entry import EntryRecord, LookupRequest, LookupResult, ValueBlob
-from repro.clock import ManualClock
 from repro.comm import wire
 from repro.db.invalidation import InvalidationTag
 from repro.interval import Interval
@@ -101,7 +100,7 @@ def test_wire_overhead_microbenchmark(benchmark):
     def timed_trace(kind: str):
         cluster = CacheCluster(
             node_count=2, capacity_bytes_per_node=4 * 1024 * 1024,
-            clock=ManualClock(), transport=kind,
+            transport=kind,
         )
         try:
             start = time.perf_counter()

@@ -263,6 +263,8 @@ def populate_database(
     comment_rows = []
     comment_id = 0
     total_comments = config.users * config.comments_per_user
+    # Built once: ``rng.choice`` reads only the list's length and one item.
+    item_ids = dataset.active_item_ids + dataset.old_item_ids
     for _ in range(total_comments):
         comment_id += 1
         comment_rows.append(
@@ -270,7 +272,7 @@ def populate_database(
                 "id": comment_id,
                 "from_user_id": rng.choice(dataset.user_ids),
                 "to_user_id": rng.choice(dataset.user_ids),
-                "item_id": rng.choice(dataset.active_item_ids + dataset.old_item_ids),
+                "item_id": rng.choice(item_ids),
                 "rating": rng.randint(-5, 5),
                 "date": base_date - rng.uniform(0, 30 * 86400),
                 "comment": "A fine transaction.",

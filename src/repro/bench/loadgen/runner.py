@@ -293,7 +293,7 @@ def build_worker_stack(
         TableSchema.build("pages", ["id", "payload", "hits"], primary_key="id")
     )
     database.bulk_load("pages", _pages_rows(rows))
-    cluster = CacheCluster(node_addresses=addresses, transport=transport, clock=clock)
+    cluster = CacheCluster(node_addresses=addresses, transport=transport)
     pincushion = Pincushion(clock=clock, unpin_callback=database.unpin)
     client_list = [
         TxCacheClient(

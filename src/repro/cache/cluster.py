@@ -99,7 +99,6 @@ from repro.cache.netserver import (
 )
 from repro.cache.procnode import CacheNodeHost
 from repro.cache.server import CacheServer, CacheServerStats
-from repro.clock import Clock, SystemClock
 from repro.comm.multicast import InvalidationBus, InvalidationMessage
 from repro.comm.transport import (
     CacheTransport,
@@ -202,7 +201,6 @@ class CacheCluster:
         self,
         node_count: int = 2,
         capacity_bytes_per_node: int = 64 * 1024 * 1024,
-        clock: Optional[Clock] = None,
         invalidation_bus: Optional[InvalidationBus] = None,
         node_names: Optional[Sequence[str]] = None,
         transport: str = "inprocess",
@@ -254,7 +252,6 @@ class CacheCluster:
         #: Called with the node name after a failure-driven ring eviction
         #: (the membership coordinator hooks this to record an epoch).
         self.on_node_evicted: Optional[Callable[[str], None]] = None
-        self._clock = clock or SystemClock()
         self._bus: Optional[InvalidationBus] = None
         self._servers: Dict[str, CacheServer] = {}
         self._transports: Dict[str, CacheTransport] = {}
@@ -271,7 +268,7 @@ class CacheCluster:
                 node_names = [f"cache{i}" for i in range(node_count)]
         try:
             for name in node_names:
-                self._start_node(name, capacity_bytes_per_node, self._clock)
+                self._start_node(name, capacity_bytes_per_node)
         except BaseException:
             # Don't orphan already-started networked nodes (listener sockets
             # and threads) when a later node fails to come up.
@@ -347,21 +344,19 @@ class CacheCluster:
         for name, transport in self._transports.items():
             self._subscribe_node(name, transport)
 
-    def add_node(self, name: str, capacity_bytes: int, clock: Optional[Clock] = None) -> CacheServer:
+    def add_node(self, name: str, capacity_bytes: int) -> CacheServer:
         """Add a cache node to the cluster (keys re-map via the ring).
 
         This is the *cold* join: remapped keys start over on the new node.
         For a warm join that migrates entries, use
         :meth:`repro.cache.membership.ClusterMembership.join`.
         """
-        server = self.provision_node(name, capacity_bytes, clock)
+        server = self.provision_node(name, capacity_bytes)
         with self._state_lock:
             self.ring.add_node(name)
         return server
 
-    def provision_node(
-        self, name: str, capacity_bytes: int, clock: Optional[Clock] = None
-    ) -> CacheServer:
+    def provision_node(self, name: str, capacity_bytes: int) -> CacheServer:
         """Start a node (transport + invalidation stream) *outside* the ring.
 
         The membership coordinator uses this to warm a joining node with
@@ -371,7 +366,7 @@ class CacheCluster:
         with self._state_lock:
             if name in self._transports:
                 raise ValueError(f"cache node {name!r} already exists")
-            server = self._start_node(name, capacity_bytes, clock or self._clock)
+            server = self._start_node(name, capacity_bytes)
         if self._bus is not None:
             self._subscribe_node(name, self._transports[name])
         return server
@@ -477,9 +472,7 @@ class CacheCluster:
         self._servers.clear()
         self._stream_guards.clear()
 
-    def _start_node(
-        self, name: str, capacity_bytes: int, clock: Clock
-    ) -> Optional[CacheServer]:
+    def _start_node(self, name: str, capacity_bytes: int) -> Optional[CacheServer]:
         if self._node_addresses is not None:
             # Client-only cluster: the node runs elsewhere; just dial it.
             self._transports[name] = SocketTransport(
@@ -488,9 +481,8 @@ class CacheCluster:
             return None
         if self.transport_kind == "socket-process":
             # The node lives in its own OS process: no local CacheServer to
-            # register (and the injected clock cannot cross the process
-            # boundary — the child keeps system time, which is what the
-            # timestamp-interval protocol assumes of a remote node anyway).
+            # register.  A node reads no clock (staleness reaches it as a
+            # database timestamp), so no clock has to cross the boundary.
             host = CacheNodeHost(
                 name,
                 capacity_bytes=capacity_bytes,

@@ -142,10 +142,10 @@ class Database:
         database) and no invalidations are published — this models restoring
         a database snapshot before an experiment, as the paper does.
         """
-        table = self.table(table_name)
+        add_version = self.table(table_name).add_version
         count = 0
         for values in rows:
-            table.add_version(dict(values), xmin=0)
+            add_version(values, 0)  # copies the row
             count += 1
         return count
 

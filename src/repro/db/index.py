@@ -52,7 +52,12 @@ class HashIndex:
         flight other than the inserting one (that delete may yet abort).
         """
         key = version.values.get(self.column)
-        bucket = self._buckets.setdefault(key, [])
+        # One ``setdefault``, so two writers creating one key's bucket at
+        # once cannot each install their own.
+        created = [version]
+        bucket = self._buckets.setdefault(key, created)
+        if bucket is created:
+            return
         if self.unique and bucket and (key in self._mixed or bucket[0].row_id != version.row_id):
             # A bucket of this row's own versions cannot conflict: an update.
             inserter = version.xmin

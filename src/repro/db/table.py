@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Mapping, Optional
 
 from repro.db.errors import ConstraintError, UnknownIndexError
 from repro.db.index import HashIndex, OrderedIndex, build_index
@@ -33,6 +33,15 @@ class Table:
             self._indexes[spec.column] = build_index(spec)
         #: The indexed column names, in index order (fixed by the schema).
         self.indexed_columns = tuple(self._indexes)
+        #: ``(name, type, nullable, column)`` of each column that can refuse
+        #: a value (a type other than ``object``, or not nullable), in
+        #: schema order; ``add_version`` checks a row against these.
+        self._checked_columns = tuple(
+            (column.name, column.type, column.nullable, column)
+            for column in schema.columns
+            if column.type is not object or not column.nullable
+        )
+        self._column_names = frozenset(schema.column_names)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -79,35 +88,44 @@ class Table:
     # ------------------------------------------------------------------
     # Version creation / stamping
     # ------------------------------------------------------------------
-    def new_row_id(self) -> int:
-        """Allocate a fresh logical row id."""
-        return next(self._row_counter)
-
-    def add_version(self, values: Dict[str, Any], xmin: Stamp, row_id: Optional[int] = None) -> TupleVersion:
-        """Create and index a new tuple version.
+    def add_version(self, values: Mapping[str, Any], xmin: Stamp, row_id: Optional[int] = None) -> TupleVersion:
+        """Create and index a new tuple version from a copy of ``values``.
 
         ``row_id`` defaults to a fresh logical row (an INSERT); supplying an
-        existing row id creates a successor version (an UPDATE).
+        existing row id creates a successor version (an UPDATE).  A value
+        that does not fit its column raises the column's ``TypeError``
+        (checked in schema order), an unknown column ``KeyError``, and a
+        second current row for a unique key ``ConstraintError``; a refused
+        version is stored nowhere.
         """
-        for column in self.schema.columns:
-            column.validate(values.get(column.name))
-        unknown = set(values) - set(self.schema.column_names)
-        if unknown:
+        row = dict(values)
+        for name, kind, nullable, column in self._checked_columns:
+            value = row.get(name)
+            if value is None:
+                if not nullable:
+                    column.validate(value)
+            elif kind is not object and not isinstance(value, kind):
+                column.validate(value)
+        if not self._column_names.issuperset(row):
+            unknown = set(row) - self._column_names
             raise KeyError(f"unknown columns {sorted(unknown)} for table {self.name!r}")
         if row_id is None:
-            row_id = self.new_row_id()
-        version = TupleVersion(row_id=row_id, values=dict(values), xmin=xmin)
-        indexed = 0
+            row_id = next(self._row_counter)
+        version = TupleVersion(row_id, row, xmin)
         try:
             for index in self._indexes.values():
                 index.insert(version)
-                indexed += 1
         except ConstraintError:
-            # A refused version is stored nowhere.
-            for index in list(self._indexes.values())[:indexed]:
-                index.remove(version)
+            for done in self._indexes.values():
+                if done is index:
+                    break
+                done.remove(version)
             raise
-        self._rows.setdefault(row_id, []).append(version)
+        versions = self._rows.get(row_id)
+        if versions is None:
+            self._rows[row_id] = [version]
+        else:
+            versions.append(version)
         return version
 
     def remove_version(self, version: TupleVersion) -> None:

@@ -17,9 +17,10 @@ tuples.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Optional, Union
 
+from repro._compat import DATACLASS_SLOTS
 from repro.interval import Interval
 
 __all__ = ["UncommittedMark", "TupleVersion", "visible_at", "validity_of"]
@@ -40,7 +41,7 @@ class UncommittedMark:
 Stamp = Union[int, UncommittedMark]
 
 
-@dataclass
+@dataclass(**DATACLASS_SLOTS)
 class TupleVersion:
     """One version of a logical row.
 
@@ -58,7 +59,6 @@ class TupleVersion:
     values: Dict[str, Any]
     xmin: Stamp
     xmax: Optional[Stamp] = None
-    _size: int = field(default=0, repr=False)
 
     def is_current(self) -> bool:
         """True if no committed or pending transaction has deleted it."""

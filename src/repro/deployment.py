@@ -128,7 +128,6 @@ class TxCacheDeployment:
         self.cache = CacheCluster(
             node_count=self.cache_nodes,
             capacity_bytes_per_node=self.cache_capacity_bytes_per_node,
-            clock=self.clock,
             invalidation_bus=self.invalidation_bus,
             transport=self.transport,
             failure_threshold=self.failure_threshold,

@@ -7,7 +7,6 @@ import pytest
 from repro.cache.cluster import CacheCluster
 from repro.cache.hashring import ConsistentHashRing
 from repro.cache.server import CacheServerStats
-from repro.clock import ManualClock
 from repro.comm.multicast import InvalidationBus, InvalidationMessage
 from repro.db.invalidation import InvalidationTag
 from repro.interval import Interval
@@ -16,7 +15,7 @@ from tests.helpers import FAR_FUTURE, FaultInjector, node_views, transports_unde
 
 @pytest.fixture
 def cluster():
-    return CacheCluster(node_count=3, capacity_bytes_per_node=256 * 1024, clock=ManualClock())
+    return CacheCluster(node_count=3, capacity_bytes_per_node=256 * 1024)
 
 
 class TestRouting:
@@ -67,7 +66,7 @@ class TestRouting:
 class TestInvalidationFanout:
     def test_all_nodes_receive_invalidations(self):
         bus = InvalidationBus()
-        cluster = CacheCluster(node_count=3, clock=ManualClock(), invalidation_bus=bus)
+        cluster = CacheCluster(node_count=3, invalidation_bus=bus)
         # Insert still-valid entries on every node.
         for i in range(60):
             cluster.put(f"key-{i}", i, Interval(0), frozenset({InvalidationTag.key("t", "id", i)}))
@@ -87,7 +86,7 @@ class TestSynchronousInvalidationDelivery:
     def test_publish_reaches_every_node_before_it_returns(self, transport):
         bus = InvalidationBus()
         cluster = CacheCluster(
-            node_count=3, clock=ManualClock(), invalidation_bus=bus, transport=transport
+            node_count=3, invalidation_bus=bus, transport=transport
         )
         try:
             keys = [f"key-{i}" for i in range(30)]
@@ -109,7 +108,6 @@ class TestSynchronousInvalidationDelivery:
         bus = InvalidationBus()
         cluster = CacheCluster(
             node_count=3,
-            clock=ManualClock(),
             invalidation_bus=bus,
             transport=transport,
             failure_threshold=10,
@@ -139,7 +137,7 @@ class TestBusMembership:
         The cluster used to leave the removed server subscribed, so it kept
         processing every invalidation forever (and kept the object alive)."""
         bus = InvalidationBus()
-        cluster = CacheCluster(node_count=3, clock=ManualClock(), invalidation_bus=bus)
+        cluster = CacheCluster(node_count=3, invalidation_bus=bus)
         removed_server = cluster.servers["cache1"]
         assert len(bus.subscribers) == 3
 
@@ -154,7 +152,7 @@ class TestBusMembership:
 
     def test_node_added_after_attach_is_subscribed(self):
         bus = InvalidationBus()
-        cluster = CacheCluster(node_count=1, clock=ManualClock(), invalidation_bus=bus)
+        cluster = CacheCluster(node_count=1, invalidation_bus=bus)
         extra = cluster.add_node("extra", capacity_bytes=1024)
         bus.publish(InvalidationMessage(timestamp=3, tags=()))
         assert extra.last_invalidation_timestamp == 3

@@ -22,7 +22,6 @@ import pytest
 from repro.cache.cluster import CacheCluster, PutOutcome
 from repro.cache.entry import LookupRequest
 from repro.cache.netserver import CacheNodeUnreachableError
-from repro.clock import ManualClock
 from repro.comm.transport import RetryPolicy, deadline_scope
 from repro.interval import Interval
 
@@ -60,7 +59,6 @@ class CountingTransport:
 def build(replication_factor: int, failure_threshold: int = 100, deadline_seconds=None):
     cluster = CacheCluster(
         node_names=NODES,
-        clock=ManualClock(),
         replication_factor=replication_factor,
         failure_threshold=failure_threshold,
         retry_policy=RetryPolicy(

@@ -22,7 +22,6 @@ import pytest
 
 from repro.cache.cluster import CacheCluster
 from repro.cache.entry import LookupRequest
-from repro.clock import ManualClock
 from repro.comm.multicast import InvalidationMessage
 from repro.core.stats import MissType
 from repro.db.invalidation import InvalidationTag
@@ -37,7 +36,6 @@ def test_a_miss_carries_the_answer_of_the_probe_it_replaced(transport_kind, seed
     cluster = CacheCluster(
         node_count=1,
         capacity_bytes_per_node=1 << 20,
-        clock=ManualClock(),
         transport=transport_kind,
     )
     try:

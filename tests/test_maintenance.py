@@ -219,8 +219,8 @@ def test_a_node_share_longer_than_one_walk_is_walked_in_groups(transport, monkey
 # ----------------------------------------------------------------------
 # Budgeted repair: exact accounting, parity with the synchronous sweep
 # ----------------------------------------------------------------------
-def _damaged_cluster(clock: ManualClock):
-    cluster = CacheCluster(node_count=3, clock=clock, replication_factor=2)
+def _damaged_cluster():
+    cluster = CacheCluster(node_count=3, replication_factor=2)
     for i in range(40):
         cluster.put(f"key{i}", f"value{i}", Interval(1, None))
     victim = "cache2"
@@ -230,14 +230,13 @@ def _damaged_cluster(clock: ManualClock):
 
 
 def test_budgeted_repair_matches_the_synchronous_sweep_exactly():
-    sync_clock = ManualClock()
-    sync_cluster, _, sync_lost = _damaged_cluster(sync_clock)
+    sync_cluster, _, sync_lost = _damaged_cluster()
     sync_membership = ClusterMembership(sync_cluster, chunk_size=4)
     sync_installed = sync_membership.repair()
     assert sync_installed == len(sync_lost)
 
     clock = ManualClock()
-    cluster, victim, lost = _damaged_cluster(clock)
+    cluster, victim, lost = _damaged_cluster()
     budget = MaintenanceBudget(
         clock=clock, ops_per_interval=2, bytes_per_interval=1 << 20,
         interval_seconds=1.0,
@@ -298,7 +297,7 @@ def test_a_budgeted_repair_survives_a_node_leaving_between_its_chunks():
     node as unreachable, like one that stopped answering: the job finishes,
     and the repair and the leave's drain together leave every key on its
     full replica set."""
-    cluster = CacheCluster(node_count=4, clock=ManualClock(), replication_factor=2)
+    cluster = CacheCluster(node_count=4, replication_factor=2)
     keys = [f"key{i}" for i in range(200)]
     for key in keys:
         cluster.put(key, key, Interval(1, None))

@@ -23,7 +23,6 @@ from repro.cache.hashring import ConsistentHashRing, _hash, range_contains
 from repro.cache.membership import ClusterMembership
 from repro.core.keys import cache_key
 from repro.cache.server import SCAN_PAGE_KEYS, CacheServer
-from repro.clock import ManualClock
 from repro.comm.multicast import InvalidationBus, InvalidationMessage
 from repro.core.api import ConsistencyMode
 from repro.core.stats import MissType
@@ -46,7 +45,6 @@ def build_membership(transport_kind, nodes=3, bus=None):
     cluster = CacheCluster(
         node_count=nodes,
         capacity_bytes_per_node=4 * 1024 * 1024,
-        clock=ManualClock(),
         invalidation_bus=bus,
         transport=transport_kind,
     )
@@ -239,7 +237,6 @@ class TestOneMover:
         cluster = CacheCluster(
             node_count=4,
             capacity_bytes_per_node=4 * 1024 * 1024,
-            clock=ManualClock(),
             transport=transport_kind,
             replication_factor=2,
             failure_threshold=2,
@@ -465,7 +462,7 @@ class TestOwnershipPlumbing:
         """A membership whose cluster answers every ``key_digest`` walk in
         ``pages_per_walk`` pages (one digest per arc, split evenly), and
         the ``(arcs, cursor)`` of each round trip it was asked for."""
-        cluster = CacheCluster(node_count=1, clock=ManualClock())
+        cluster = CacheCluster(node_count=1)
         calls = []
 
         def key_digest(node, arcs, cursor=None):
@@ -511,7 +508,7 @@ class TestOwnershipPlumbing:
 class TestFailureAwareRouting:
     def test_dead_socket_node_degrades_then_evicts(self):
         cluster = CacheCluster(
-            node_count=3, clock=ManualClock(), transport="socket", failure_threshold=3
+            node_count=3, transport="socket", failure_threshold=3
         )
         membership = ClusterMembership(cluster)
         try:
@@ -542,7 +539,7 @@ class TestFailureAwareRouting:
     def test_degradation_only_on_connectivity_errors(self):
         """A server-side error response must still raise (it is a bug, not
         a dead node)."""
-        cluster = CacheCluster(node_count=1, clock=ManualClock(), transport="socket")
+        cluster = CacheCluster(node_count=1, transport="socket")
         try:
             transport = cluster.transports["cache0"]
             with pytest.raises(Exception, match="unknown cache operation"):
@@ -612,7 +609,7 @@ class TestFailureAwareRouting:
             deployment.shutdown()
 
     def test_inprocess_fail_node_evicts_immediately(self):
-        cluster = CacheCluster(node_count=2, clock=ManualClock())
+        cluster = CacheCluster(node_count=2)
         membership = ClusterMembership(cluster)
         try:
             cluster.fail_node("cache0")
@@ -647,7 +644,7 @@ class TestFailureAwareRouting:
     def test_crashed_invalidation_subscriber_degrades_publishing(self):
         bus = InvalidationBus()
         cluster = CacheCluster(
-            node_count=2, clock=ManualClock(), invalidation_bus=bus,
+            node_count=2, invalidation_bus=bus,
             transport="socket", failure_threshold=2,
         )
         try:
@@ -666,7 +663,7 @@ class TestFailureAccounting:
     def test_any_successful_op_clears_suspect_status(self):
         """A suspect node that answers a routed operation again must have
         its consecutive-failure count reset."""
-        cluster = CacheCluster(node_count=2, clock=ManualClock(), failure_threshold=3)
+        cluster = CacheCluster(node_count=2, failure_threshold=3)
         try:
             cluster.note_transport_failure("cache0")
             cluster.note_transport_failure("cache0")
@@ -690,7 +687,7 @@ class TestFailureAccounting:
         can hold a moving key for its inventory first, so the dead
         destination is found at its inventory page, before any install."""
         cluster = CacheCluster(
-            node_count=3, clock=ManualClock(), transport="socket", failure_threshold=1
+            node_count=3, transport="socket", failure_threshold=1
         )
         membership = ClusterMembership(cluster)
         try:
@@ -711,7 +708,7 @@ class TestFailureAccounting:
             cluster.close()
 
     def test_manual_evict_counts_separately_from_failure_evictions(self):
-        cluster = CacheCluster(node_count=2, clock=ManualClock())
+        cluster = CacheCluster(node_count=2)
         membership = ClusterMembership(cluster)
         try:
             membership.evict("cache0")
@@ -728,7 +725,7 @@ class TestFailureAccounting:
 # ----------------------------------------------------------------------
 class TestClusterApi:
     def test_remove_unknown_node_raises_key_error(self, transport_kind):
-        cluster = CacheCluster(node_count=2, clock=ManualClock(), transport=transport_kind)
+        cluster = CacheCluster(node_count=2, transport=transport_kind)
         try:
             with pytest.raises(KeyError):
                 cluster.remove_node("no-such-node")
@@ -737,7 +734,7 @@ class TestClusterApi:
             cluster.close()
 
     def test_adopt_ring_rejects_unknown_members(self):
-        cluster = CacheCluster(node_count=2, clock=ManualClock())
+        cluster = CacheCluster(node_count=2)
         try:
             rogue = ConsistentHashRing(["cache0", "cache1", "ghost"])
             with pytest.raises(ValueError):
@@ -747,7 +744,7 @@ class TestClusterApi:
 
     def test_provision_node_receives_stream_but_no_traffic(self):
         bus = InvalidationBus()
-        cluster = CacheCluster(node_count=2, clock=ManualClock(), invalidation_bus=bus)
+        cluster = CacheCluster(node_count=2, invalidation_bus=bus)
         try:
             server = cluster.provision_node("warmup", capacity_bytes=1 << 20)
             assert "warmup" not in cluster.ring

@@ -32,7 +32,6 @@ import pytest
 from repro.cache.cluster import CacheCluster
 from repro.cache.netserver import CacheNodeUnreachableError, SocketTransport
 from repro.cache.procnode import CacheNodeHost
-from repro.clock import ManualClock
 from repro.comm.multicast import InvalidationBus, InvalidationMessage
 from repro.db.invalidation import InvalidationTag
 from repro.interval import Interval
@@ -115,7 +114,6 @@ class TestClusterSupervision:
         cluster = CacheCluster(
             node_count=2,
             capacity_bytes_per_node=1 << 20,
-            clock=ManualClock(),
             transport="socket-process",
         )
         try:
@@ -141,7 +139,6 @@ class TestClusterSupervision:
         cluster = CacheCluster(
             node_count=3,
             capacity_bytes_per_node=1 << 20,
-            clock=ManualClock(),
             transport="socket-process",
             failure_threshold=2,
         )
@@ -170,7 +167,6 @@ class TestClusterSupervision:
         cluster = CacheCluster(
             node_count=3,
             capacity_bytes_per_node=1 << 20,
-            clock=ManualClock(),
             transport="socket-process",
             replication_factor=2,
             failure_threshold=1000,  # keep the corpse in the ring: pure failover
@@ -194,7 +190,6 @@ class TestClusterSupervision:
         cluster = CacheCluster(
             node_count=3,
             capacity_bytes_per_node=1 << 20,
-            clock=ManualClock(),
             transport="socket-process",
         )
         hosts = dict(cluster.processes)
@@ -213,7 +208,6 @@ class TestClusterSupervision:
         cluster = CacheCluster(
             node_count=2,
             capacity_bytes_per_node=1 << 20,
-            clock=ManualClock(),
             transport="socket-process",
             failure_threshold=2,
         )
@@ -279,7 +273,6 @@ class TestWireInvalidationParity:
         cluster = CacheCluster(
             node_count=3,
             capacity_bytes_per_node=1 << 20,
-            clock=ManualClock(),
             invalidation_bus=bus,
             transport=transport,
             replication_factor=2,

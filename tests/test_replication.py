@@ -21,7 +21,6 @@ import pytest
 
 from repro.cache.cluster import CacheCluster
 from repro.cache.membership import ClusterMembership
-from repro.clock import ManualClock
 from repro.comm.multicast import InvalidationBus, InvalidationMessage
 from repro.core.keys import cache_key
 from repro.core.stats import MissType
@@ -48,7 +47,6 @@ def build_cluster(transport_kind, nodes=3, factor=2, bus=None, failure_threshold
     return CacheCluster(
         node_count=nodes,
         capacity_bytes_per_node=4 * 1024 * 1024,
-        clock=ManualClock(),
         invalidation_bus=bus,
         transport=transport_kind,
         replication_factor=factor,

@@ -22,7 +22,6 @@ from repro.cache.netserver import (
     SocketTransport,
 )
 from repro.cache.server import CacheServer
-from repro.clock import ManualClock
 from repro.comm.multicast import InvalidationBus, InvalidationMessage
 from repro.comm.transport import CacheTransport, InProcessTransport
 from repro.core.api import ConsistencyMode
@@ -46,7 +45,6 @@ def cluster(transport_kind):
     cluster = CacheCluster(
         node_count=3,
         capacity_bytes_per_node=256 * 1024,
-        clock=ManualClock(),
         transport=transport_kind,
     )
     yield cluster
@@ -107,7 +105,6 @@ def test_trace_parity_with_inprocess(transport_kind):
     reference = CacheCluster(
         node_count=3,
         capacity_bytes_per_node=256 * 1024,
-        clock=ManualClock(),
         invalidation_bus=reference_bus,
         transport="inprocess",
     )
@@ -115,7 +112,6 @@ def test_trace_parity_with_inprocess(transport_kind):
     subject = CacheCluster(
         node_count=3,
         capacity_bytes_per_node=256 * 1024,
-        clock=ManualClock(),
         invalidation_bus=subject_bus,
         transport=transport_kind,
     )
@@ -198,7 +194,7 @@ def test_multi_lookup_matches_singleton_lookups(cluster):
 def test_invalidations_reach_every_node(transport_kind):
     bus = InvalidationBus()
     cluster = CacheCluster(
-        node_count=3, clock=ManualClock(), invalidation_bus=bus, transport=transport_kind
+        node_count=3, invalidation_bus=bus, transport=transport_kind
     )
     try:
         for i in range(30):
