@@ -30,7 +30,8 @@ def _build_database(track_validity: bool) -> Database:
 
 def _query_stream(database: Database, count: int = 500) -> None:
     rng = random.Random(11)
-    item_ids = [v.values["id"] for v in database.table("items").scan_versions()]
+    items = database.table("items")
+    item_ids = [items.row_of(version)["id"] for version in items.scan_versions()]
     transaction = database.begin_ro()
     for _ in range(count):
         transaction.query(Select("items", Eq("id", rng.choice(item_ids))))

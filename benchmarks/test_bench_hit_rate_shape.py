@@ -45,8 +45,10 @@ def _row_versions(database):
     """(table, id) -> {xmin: xmax} of the versions vacuum has not removed."""
     versions = {}
     for table in PRIMARY_KEY_READS:
-        for version in database.table(table).scan_versions():
-            versions.setdefault((table, version.values["id"]), {})[version.xmin] = version.xmax
+        stored = database.table(table)
+        for version in stored.scan_versions():
+            key = (table, stored.row_of(version)["id"])
+            versions.setdefault(key, {})[version.xmin] = version.xmax
     return versions
 
 

@@ -1465,12 +1465,9 @@ def validity_tracking_overhead(
 
     def run(database: Database) -> float:
         rng = random.Random(seed)
-        item_ids = [
-            row.values["id"] for row in database.table("items").scan_versions()
-        ]
-        user_ids = [
-            row.values["id"] for row in database.table("users").scan_versions()
-        ]
+        items, users = database.table("items"), database.table("users")
+        item_ids = [items.row_of(version)["id"] for version in items.scan_versions()]
+        user_ids = [users.row_of(version)["id"] for version in users.scan_versions()]
         transaction = database.begin_ro()
         start = time.perf_counter()
         for index in range(queries):

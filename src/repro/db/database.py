@@ -140,12 +140,14 @@ class Database:
 
         Rows become visible at timestamp 0 (the initial state of the
         database) and no invalidations are published — this models restoring
-        a database snapshot before an experiment, as the paper does.
+        a database snapshot before an experiment, as the paper does.  Each
+        row goes through :meth:`Table.add_version`, the one insert path,
+        which stores its values as a tuple in column order.
         """
         add_version = self.table(table_name).add_version
         count = 0
         for values in rows:
-            add_version(values, 0)  # copies the row
+            add_version(values, 0)
             count += 1
         return count
 

@@ -49,7 +49,7 @@ three beside this one over seeded histories and requires equal results.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, List, Optional, Set
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro._compat import DATACLASS_SLOTS
 from repro.db.errors import UnknownTableError
@@ -235,6 +235,31 @@ class Executor:
         tx_id: Optional[int],
         acc: _Accumulator,
     ) -> List[Dict[str, Any]]:
+        table, versions = self._select_versions(select, timestamp, tx_id, acc)
+        # Where a row leaves the database it becomes a dict.
+        columns = select.columns
+        if columns is None:
+            row_of = table.row_of
+            return [row_of(version) for version in versions]
+        get = table.positions.get
+        picks = [(column, get(column)) for column in columns]
+        return [
+            {
+                column: None if position is None else version.values[position]
+                for column, position in picks
+            }
+            for version in versions
+        ]
+
+    def _select_versions(
+        self,
+        select: Select,
+        timestamp: int,
+        tx_id: Optional[int],
+        acc: _Accumulator,
+    ) -> Tuple[Table, List[TupleVersion]]:
+        """The table and the visible versions ``select`` returns, ordered and
+        limited as it asks."""
         table = self._table(select.table)
         path = plan_select(select, table)
         kind = path.kind
@@ -242,16 +267,20 @@ class Executor:
         self._note_access(kind)
         if self.track_validity:
             acc.tags.update(path.tags())
+        versions = self._scan(path, table, select.predicate, timestamp, tx_id, acc)
+        if select.order_by is not None or select.limit is not None:
+            # An unknown column reads None in every row: the order stays.
+            position = table.positions.get(select.order_by)
+            if position is None:
+                key = None
+            else:
 
-        rows = [
-            dict(version.values)
-            for version in self._scan(path, table, select.predicate, timestamp, tx_id, acc)
-        ]
-        if select.order_by is not None or select.limit is not None or select.columns is not None:
-            rows = self._order_limit_project(
-                rows, select.order_by, select.descending, select.limit, select.columns
-            )
-        return rows
+                def key(version: TupleVersion) -> Tuple[bool, Any]:
+                    value = version.values[position]
+                    return (value is None, value)
+
+            versions = self._order_limit(versions, key, select.descending, select.limit)
+        return table, versions
 
     def visible_versions(
         self, table: Table, predicate: Predicate, timestamp: int, tx_id: Optional[int]
@@ -302,12 +331,13 @@ class Executor:
         # paper's delayed-visibility-check refinement) — unless the access
         # path has already decided it for every candidate.
         matches = None if path.decides(predicate) else predicate.matches
+        positions = table.positions
         visible: List[TupleVersion] = []
         examined = 0
         candidates, newest_first = path.walk(table)
         for version in candidates:
             examined += 1
-            if matches is not None and not matches(version.values):
+            if matches is not None and not matches(version.values, positions):
                 continue
             xmin = version.xmin
             xmax = version.xmax
@@ -398,16 +428,21 @@ class Executor:
         tx_id: Optional[int],
         acc: _Accumulator,
     ) -> List[Dict[str, Any]]:
-        rows = self._execute_select(aggregate.source, timestamp, tx_id, acc)
+        source = aggregate.source
+        table, versions = self._select_versions(source, timestamp, tx_id, acc)
         function = aggregate.function
         if function == "count":
-            value: Any = len(rows)
+            value: Any = len(versions)
         else:
-            values = [
-                row[aggregate.column]
-                for row in rows
-                if row.get(aggregate.column) is not None
-            ]
+            column = aggregate.column
+            # A column the table lacks, or the source's projection drops,
+            # reads None in every row, and None values are left out.
+            if source.columns is not None and column not in source.columns:
+                position = None
+            else:
+                position = table.positions.get(column)
+            read = [] if position is None else [version.values[position] for version in versions]
+            values = [value for value in read if value is not None]
             if function == "sum":
                 value = sum(values) if values else 0
             elif function == "max":
@@ -424,6 +459,22 @@ class Executor:
     # Helpers
     # ------------------------------------------------------------------
     @staticmethod
+    def _order_limit(
+        items: List[Any],
+        key: Optional[Callable[[Any], Tuple[bool, Any]]],
+        descending: bool,
+        limit: Optional[int],
+    ) -> List[Any]:
+        """``items`` sorted by ``key`` (``(value is None, value)`` of the
+        ordering column, so ``None`` sorts last, first when descending;
+        ``key is None`` keeps their order), cut to ``limit``."""
+        if key is not None:
+            items = sorted(items, key=key, reverse=descending)
+        if limit is not None:
+            items = items[:limit]
+        return items
+
+    @staticmethod
     def _order_limit_project(
         rows: List[Dict[str, Any]],
         order_by: Optional[str],
@@ -431,14 +482,9 @@ class Executor:
         limit: Optional[int],
         columns,
     ) -> List[Dict[str, Any]]:
-        if order_by is not None:
-            rows = sorted(
-                rows,
-                key=lambda row: (row.get(order_by) is None, row.get(order_by)),
-                reverse=descending,
-            )
-        if limit is not None:
-            rows = rows[:limit]
+        """Order, limit and project result dicts (a join's rows)."""
+        key = None if order_by is None else lambda row: (row.get(order_by) is None, row.get(order_by))
+        rows = Executor._order_limit(rows, key, descending, limit)
         if columns is not None:
             rows = [{column: row.get(column) for column in columns} for row in rows]
         return rows

@@ -31,9 +31,11 @@ __all__ = ["HashIndex", "OrderedIndex", "build_index"]
 class HashIndex:
     """Equality-only index from column value to tuple versions."""
 
-    def __init__(self, spec: IndexSpec) -> None:
+    def __init__(self, spec: IndexSpec, position: int) -> None:
         self.spec = spec
-        self.column = spec.column
+        #: Where the indexed column sits in a version's values; the table
+        #: that owns the index hands it over.
+        self.position = position
         self.unique = spec.unique
         self._buckets: Dict[Any, List[TupleVersion]] = {}
         #: Keys of a unique index whose bucket has held versions of more
@@ -44,20 +46,25 @@ class HashIndex:
     # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
-    def insert(self, version: TupleVersion) -> None:
-        """Index a newly created tuple version.
+    def key_of(self, version: TupleVersion) -> Any:
+        """The indexed column's value in ``version``."""
+        return version.values[self.position]
+
+    def insert(self, version: TupleVersion) -> bool:
+        """Index a newly created tuple version; True if its key was new.
 
         A unique index refuses a second *current* row for one key: a version
         no transaction deleted, or one deleted by a transaction still in
         flight other than the inserting one (that delete may yet abort).
         """
-        key = version.values.get(self.column)
+        key = version.values[self.position]  # key_of, inline: a load runs this per index per row
         # One ``setdefault``, so two writers creating one key's bucket at
-        # once cannot each install their own.
+        # once cannot each install their own, and exactly one of them
+        # learns that the key is new.
         created = [version]
         bucket = self._buckets.setdefault(key, created)
         if bucket is created:
-            return
+            return True
         if self.unique and bucket and (key in self._mixed or bucket[0].row_id != version.row_id):
             # A bucket of this row's own versions cannot conflict: an update.
             inserter = version.xmin
@@ -73,20 +80,24 @@ class HashIndex:
             # the bucket and then finds the key unmarked saw one row.
             self._mixed.add(key)
         bucket.append(version)
+        return False
 
-    def remove(self, version: TupleVersion) -> None:
-        """Drop a version (called by vacuum once it is dead to all snapshots)."""
-        key = version.values.get(self.column)
+    def remove(self, version: TupleVersion) -> bool:
+        """Drop a version (called by vacuum once it is dead to all snapshots);
+        True if that emptied and deleted its key's bucket."""
+        key = self.key_of(version)
         bucket = self._buckets.get(key)
         if not bucket:
-            return
+            return False
         try:
             bucket.remove(version)
         except ValueError:
             pass
-        if not bucket:
-            del self._buckets[key]
-            self._mixed.discard(key)
+        if bucket:
+            return False
+        del self._buckets[key]
+        self._mixed.discard(key)
+        return True
 
     # ------------------------------------------------------------------
     # Access methods
@@ -128,24 +139,26 @@ class OrderedIndex(HashIndex):
     and removal stay cheap.
     """
 
-    def __init__(self, spec: IndexSpec) -> None:
-        super().__init__(spec)
+    def __init__(self, spec: IndexSpec, position: int) -> None:
+        super().__init__(spec, position)
         self._sorted_keys: List[Any] = []
 
-    def insert(self, version: TupleVersion) -> None:
-        key = version.values.get(self.column)
-        existed = key in self._buckets
-        super().insert(version)
-        if not existed:
-            bisect.insort(self._sorted_keys, _orderable(key))
+    # A key enters the sorted list exactly when an insert created its
+    # bucket, and leaves exactly when a remove deleted it: asking the
+    # buckets before or after instead lets two inserters of one new key
+    # both see it missing.  ``insort`` and ``list.remove`` each run in C
+    # on a plain key, so writers on other keys cannot interleave with them.
+    def insert(self, version: TupleVersion) -> bool:
+        if not super().insert(version):
+            return False
+        bisect.insort(self._sorted_keys, _orderable(self.key_of(version)))
+        return True
 
-    def remove(self, version: TupleVersion) -> None:
-        key = version.values.get(self.column)
-        super().remove(version)
-        if key not in self._buckets:
-            pos = bisect.bisect_left(self._sorted_keys, _orderable(key))
-            if pos < len(self._sorted_keys) and self._sorted_keys[pos] == _orderable(key):
-                self._sorted_keys.pop(pos)
+    def remove(self, version: TupleVersion) -> bool:
+        if not super().remove(version):
+            return False
+        self._sorted_keys.remove(_orderable(self.key_of(version)))
+        return True
 
     def range_scan(
         self,
@@ -205,6 +218,7 @@ def _orderable(key: Any) -> Any:
     return _NoneLow() if key is None else key
 
 
-def build_index(spec: IndexSpec) -> HashIndex:
-    """Construct the right index implementation for ``spec``."""
-    return OrderedIndex(spec) if spec.ordered else HashIndex(spec)
+def build_index(spec: IndexSpec, position: int) -> HashIndex:
+    """Construct the right index implementation for ``spec``, over the
+    column at ``position`` of a version's values."""
+    return OrderedIndex(spec, position) if spec.ordered else HashIndex(spec, position)

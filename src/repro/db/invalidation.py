@@ -15,7 +15,7 @@ table the tags are collapsed into a single wildcard tag.
 
 from __future__ import annotations
 
-from typing import Any, FrozenSet, Iterable, NamedTuple, Optional, Set
+from typing import Any, FrozenSet, Iterable, NamedTuple, Optional, Sequence, Set, Tuple
 
 __all__ = ["InvalidationTag", "collapse_tags", "tags_for_modified_tuple"]
 
@@ -74,14 +74,19 @@ class InvalidationTag(NamedTuple):
 
 
 def tags_for_modified_tuple(
-    table_name: str, indexed_columns: Iterable[str], values: dict
+    table_name: str, indexed_positions: Iterable[Tuple[str, int]], values: Sequence[Any]
 ) -> Set[InvalidationTag]:
     """Tags produced when one tuple of ``table_name`` is added/deleted/changed.
 
     One tag per index the tuple is listed in, keyed by the tuple's value for
-    that index's column (paper section 5.3).
+    that index's column (paper section 5.3).  ``indexed_positions`` is the
+    table's ``(column, position)`` per index, and ``values`` the version's
+    values in column order.
     """
-    return {InvalidationTag(table_name, column, values.get(column)) for column in indexed_columns}
+    return {
+        InvalidationTag(table_name, column, values[position])
+        for column, position in indexed_positions
+    }
 
 
 def collapse_tags(

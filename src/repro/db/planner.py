@@ -131,8 +131,8 @@ class IndexRangePath(AccessPath):
 class SeqScanPath(AccessPath):
     """Full sequential scan of the table."""
 
-    def candidates(self, table: Table) -> Iterable[TupleVersion]:
-        yield from table.scan_versions()
+    def candidates(self, table: Table) -> List[TupleVersion]:
+        return table.scan_versions()
 
     def tags(self) -> FrozenSet[InvalidationTag]:
         return frozenset({InvalidationTag.wildcard(self.table)})

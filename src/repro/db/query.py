@@ -16,6 +16,10 @@ Predicates are structured so the planner can recognise index-friendly shapes:
 * anything else (including :class:`Func`, an arbitrary Python predicate)
   plans as a sequential scan with a wildcard tag.
 
+A predicate reads a stored row, a tuple of values in its table's column
+order, through the table's ``positions`` map (column name -> position); a
+column the table does not have reads as ``None``.
+
 Every record is hashable and equal by value (``unsafe_hash``) but not
 ``frozen``: nothing assigns to a field after construction, and a frozen
 dataclass pays an ``object.__setattr__`` per field on every statement.
@@ -24,7 +28,7 @@ dataclass pays an ``object.__setattr__`` per field on every statement.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
     "Predicate",
@@ -49,8 +53,9 @@ __all__ = [
 class Predicate:
     """Base class for row predicates."""
 
-    def matches(self, row: Dict[str, Any]) -> bool:
-        """Return True if ``row`` satisfies the predicate."""
+    def matches(self, row: Tuple[Any, ...], positions: Mapping[str, int]) -> bool:
+        """Return True if ``row``, read through ``positions``, satisfies the
+        predicate."""
         raise NotImplementedError
 
 
@@ -58,7 +63,7 @@ class Predicate:
 class TruePredicate(Predicate):
     """Matches every row (a full-table select)."""
 
-    def matches(self, row: Dict[str, Any]) -> bool:
+    def matches(self, row: Tuple[Any, ...], positions: Mapping[str, int]) -> bool:
         return True
 
 
@@ -69,8 +74,9 @@ class Eq(Predicate):
     column: str
     value: Any
 
-    def matches(self, row: Dict[str, Any]) -> bool:
-        return row.get(self.column) == self.value
+    def matches(self, row: Tuple[Any, ...], positions: Mapping[str, int]) -> bool:
+        position = positions.get(self.column)
+        return (None if position is None else row[position]) == self.value
 
 
 @dataclass(unsafe_hash=True)
@@ -84,8 +90,9 @@ class In(Predicate):
         self.column = column
         self.values = tuple(values)
 
-    def matches(self, row: Dict[str, Any]) -> bool:
-        return row.get(self.column) in self.values
+    def matches(self, row: Tuple[Any, ...], positions: Mapping[str, int]) -> bool:
+        position = positions.get(self.column)
+        return (None if position is None else row[position]) in self.values
 
 
 @dataclass(unsafe_hash=True)
@@ -98,8 +105,11 @@ class Range(Predicate):
     lo_inclusive: bool = True
     hi_inclusive: bool = True
 
-    def matches(self, row: Dict[str, Any]) -> bool:
-        value = row.get(self.column)
+    def matches(self, row: Tuple[Any, ...], positions: Mapping[str, int]) -> bool:
+        position = positions.get(self.column)
+        if position is None:
+            return False
+        value = row[position]
         if value is None:
             return False
         if self.lo is not None:
@@ -132,8 +142,8 @@ class And(Predicate):
                 flattened.append(part)
         self.parts = tuple(flattened)
 
-    def matches(self, row: Dict[str, Any]) -> bool:
-        return all(part.matches(row) for part in self.parts)
+    def matches(self, row: Tuple[Any, ...], positions: Mapping[str, int]) -> bool:
+        return all(part.matches(row, positions) for part in self.parts)
 
 
 @dataclass(unsafe_hash=True)
@@ -145,8 +155,8 @@ class Or(Predicate):
     def __init__(self, *parts: Predicate) -> None:
         self.parts = tuple(parts)
 
-    def matches(self, row: Dict[str, Any]) -> bool:
-        return any(part.matches(row) for part in self.parts)
+    def matches(self, row: Tuple[Any, ...], positions: Mapping[str, int]) -> bool:
+        return any(part.matches(row, positions) for part in self.parts)
 
 
 @dataclass(unsafe_hash=True)
@@ -155,14 +165,15 @@ class Not(Predicate):
 
     part: Predicate
 
-    def matches(self, row: Dict[str, Any]) -> bool:
-        return not self.part.matches(row)
+    def matches(self, row: Tuple[Any, ...], positions: Mapping[str, int]) -> bool:
+        return not self.part.matches(row, positions)
 
 
 @dataclass(unsafe_hash=True)
 class Func(Predicate):
     """Arbitrary Python predicate.  Forces a sequential scan.
 
+    ``fn`` is called with the row as a column name -> value dict.
     ``description`` is used in diagnostics and plan explanations; the
     function itself must be deterministic and side-effect free.
     """
@@ -170,8 +181,9 @@ class Func(Predicate):
     fn: Callable[[Dict[str, Any]], bool]
     description: str = "<func>"
 
-    def matches(self, row: Dict[str, Any]) -> bool:
-        return bool(self.fn(row))
+    def matches(self, row: Tuple[Any, ...], positions: Mapping[str, int]) -> bool:
+        # ``positions`` lists the columns in row order.
+        return bool(self.fn(dict(zip(positions, row))))
 
 
 # ----------------------------------------------------------------------

@@ -113,7 +113,8 @@ class ReadWriteTransaction(_BaseTransaction):
         """Update every visible row matching ``predicate``.
 
         Each update supersedes the old version (its ``xmax`` becomes this
-        transaction's mark) and creates a new version with the merged values.
+        transaction's mark) and creates a new version: the old one's values
+        with ``changes`` put in place.
         Returns the number of rows updated.
         """
         self._check_active()
@@ -121,10 +122,8 @@ class ReadWriteTransaction(_BaseTransaction):
         targets = self._visible_matching(table_name, predicate)
         for old in targets:
             self._claim_for_write(old)
-            new_values = dict(old.values)
-            new_values.update(changes)
             try:
-                new_version = table.add_version(new_values, xmin=self._mark, row_id=old.row_id)
+                new_version = table.add_version(changes, xmin=self._mark, prior=old)
             except BaseException:
                 old.xmax = None  # a refused new version leaves the row unclaimed
                 raise
@@ -231,7 +230,7 @@ class ReadWriteTransaction(_BaseTransaction):
         for table_name, version in self._created + self._deleted:
             tags.update(
                 tags_for_modified_tuple(
-                    table_name, self._db.table(table_name).indexed_columns, version.values
+                    table_name, self._db.table(table_name).indexed_positions, version.values
                 )
             )
         return collapse_tags(tags)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Union
+from typing import Any, Optional, Tuple, Union
 
 from repro._compat import DATACLASS_SLOTS
 from repro.interval import Interval
@@ -48,7 +48,9 @@ class TupleVersion:
     Attributes:
         row_id: identity of the logical row; all versions of the same row
             share it.
-        values: column name to value mapping for this version.
+        values: this version's values, one per column in its table's
+            schema order (see :class:`repro.db.table.Table`, the one
+            module that maps a column name to its position).
         xmin: commit timestamp of the creating transaction (or an
             :class:`UncommittedMark` while that transaction is in flight).
         xmax: commit timestamp of the deleting/superseding transaction,
@@ -56,7 +58,7 @@ class TupleVersion:
     """
 
     row_id: int
-    values: Dict[str, Any]
+    values: Tuple[Any, ...]
     xmin: Stamp
     xmax: Optional[Stamp] = None
 

@@ -348,11 +348,11 @@ def reference_execute(database, query, timestamp, tx_id=None):
         rows = []
         for version in path.candidates(table):
             examined += 1
-            if not sel.predicate.matches(version.values):
+            if not sel.predicate.matches(version.values, table.positions):
                 continue
             interval = validity_of(version)
             if visible_at(version, timestamp, tx_id):
-                rows.append(dict(version.values))
+                rows.append(table.row_of(version))
                 if interval is not None:
                     validity = validity.intersect(interval)
             elif interval is not None and not interval.contains(timestamp):

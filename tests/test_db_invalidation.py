@@ -9,6 +9,8 @@ from repro.db.invalidation import (
     collapse_tags,
     tags_for_modified_tuple,
 )
+from repro.db.table import Table
+from tests.helpers import simple_schema
 
 
 class TestInvalidationTag:
@@ -73,15 +75,21 @@ class TestTagRecord:
 
 class TestTagsForModifiedTuple:
     def test_one_tag_per_index(self):
-        tags = tags_for_modified_tuple("users", ["id", "name"], {"id": 1, "name": "a"})
+        tags = tags_for_modified_tuple("users", [("id", 0), ("name", 1)], (1, "a", 2))
         assert tags == {
             InvalidationTag.key("users", "id", 1),
             InvalidationTag.key("users", "name", "a"),
         }
 
     def test_missing_column_yields_none_key(self):
-        tags = tags_for_modified_tuple("users", ["region"], {"id": 1})
-        assert tags == {InvalidationTag.key("users", "region", None)}
+        table = Table(simple_schema())
+        version = table.add_version({"id": 1}, xmin=0)  # name and region left out
+        tags = tags_for_modified_tuple("users", table.indexed_positions, version.values)
+        assert tags == {
+            InvalidationTag.key("users", "id", 1),
+            InvalidationTag.key("users", "name", None),
+            InvalidationTag.key("users", "region", None),
+        }
 
 
 class TestCollapseTags:

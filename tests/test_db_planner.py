@@ -110,15 +110,15 @@ class TestPlanCandidates:
         t = populated_table()
         path = plan_select(Select("users", Eq("name", "u1")), t)
         candidates = path.candidates(t)
-        assert [v.values["id"] for v in candidates] == [1, 3]
+        assert [t.row_of(v)["id"] for v in candidates] == [1, 3]
         t.remove_version(candidates[0])
-        assert [v.values["id"] for v in candidates] == [1, 3]
-        assert [v.values["id"] for v in path.candidates(t)] == [3]
+        assert [t.row_of(v)["id"] for v in candidates] == [1, 3]
+        assert [t.row_of(v)["id"] for v in path.candidates(t)] == [3]
 
     def test_multi_key_candidates_follow_key_order(self):
         t = populated_table()
         path = plan_select(Select("users", In("id", [3, 9, 1])), t)
-        assert [v.values["id"] for v in path.candidates(t)] == [3, 1]
+        assert [t.row_of(v)["id"] for v in path.candidates(t)] == [3, 1]
 
 
 class TestPathDecidesPredicate:

@@ -20,10 +20,12 @@ class TestVersionStorage:
         v2 = table.add_version({"id": 2, "name": "b", "region": 1, "score": 2.0}, xmin=0)
         assert v1.row_id != v2.row_id
 
-    def test_add_version_with_existing_row_id(self, table):
+    def test_add_version_with_a_prior_version(self, table):
         v1 = table.add_version({"id": 1, "name": "a", "region": 0, "score": 1.0}, xmin=0)
-        v2 = table.add_version({"id": 1, "name": "a2", "region": 0, "score": 1.0}, xmin=3, row_id=v1.row_id)
+        v2 = table.add_version({"name": "a2"}, xmin=3, prior=v1)
+        assert v2.row_id == v1.row_id
         assert table.versions_of(v1.row_id) == [v1, v2]
+        assert table.row_of(v2) == {"id": 1, "name": "a2", "region": 0, "score": 1.0}
 
     def test_unknown_column_rejected(self, table):
         with pytest.raises(KeyError):
@@ -43,7 +45,7 @@ class TestVersionStorage:
 
     def test_counts(self, table):
         v1 = table.add_version({"id": 1, "name": "a", "region": 0, "score": 1.0}, xmin=0)
-        table.add_version({"id": 1, "name": "a2", "region": 0, "score": 1.0}, xmin=2, row_id=v1.row_id)
+        table.add_version({"name": "a2"}, xmin=2, prior=v1)
         table.add_version({"id": 2, "name": "b", "region": 1, "score": 2.0}, xmin=0)
         assert table.row_count() == 2
         assert table.version_count() == 3

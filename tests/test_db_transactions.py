@@ -218,10 +218,11 @@ class TestUniqueKeys:
 
 def _full_scan_targets(tx, predicate):
     """The reference answer: every stored version, predicate, then visibility."""
+    table = tx._db.table("users")
     return [
         version
-        for version in tx._db.table("users").scan_versions()
-        if predicate.matches(version.values)
+        for version in table.scan_versions()
+        if predicate.matches(version.values, table.positions)
         and visible_at(version, tx.snapshot_timestamp, tx.tx_id)
     ]
 
@@ -291,7 +292,7 @@ class TestWriteTargetsMatchFullScan:
         tx = aged.begin_rw()
         assert tx.update("users", Eq("id", 3), {"score": 30.0}) == 1
         (target,) = _assert_targets_match_scan(tx, Eq("id", 3))
-        assert target.values["score"] == 30.0  # its own new version, not the old one
+        assert tx._db.table("users").row_of(target)["score"] == 30.0  # its own new version, not the old one
         assert tx.update("users", Eq("id", 3), {"score": 31.0}) == 1
         tx.commit()
         rows = aged.begin_ro().query(Select("users", Eq("id", 3))).rows
@@ -312,7 +313,7 @@ class TestWriteTargetsMatchFullScan:
         assert aged.table("users").version_count() > 9 + 20
         tx = aged.begin_rw()
         (target,) = _assert_targets_match_scan(tx, Eq("id", 2))
-        assert target.values["score"] == 19.0
+        assert aged.table("users").row_of(target)["score"] == 19.0
         assert tx.update("users", Eq("id", 2), {"score": -1.0}) == 1
 
     @pytest.mark.parametrize("predicate", [Eq("id", 1), Eq("score", 1.0)], ids=["index", "scan"])

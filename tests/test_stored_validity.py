@@ -66,17 +66,17 @@ class History:
 
     def __init__(self, database: Database) -> None:
         self.latest = database.latest_timestamp
+        self.table = database.table(TABLE)
         self.versions = [
-            version
-            for version in database.table(TABLE).scan_versions()
-            if isinstance(version.xmin, int)
+            version for version in self.table.scan_versions() if isinstance(version.xmin, int)
         ]
         self._results: Dict[Predicate, List[frozenset]] = {}
 
     def results(self, predicate: Predicate) -> List[frozenset]:
         """The query's result — the versions it returns — at 0 … latest."""
         if predicate not in self._results:
-            matching = [v for v in self.versions if predicate.matches(v.values)]
+            positions = self.table.positions
+            matching = [v for v in self.versions if predicate.matches(v.values, positions)]
             self._results[predicate] = [
                 frozenset(id(v) for v in matching if visible_at(v, timestamp))
                 for timestamp in range(self.latest + 1)
@@ -84,11 +84,12 @@ class History:
         return self._results[predicate]
 
     def rows_at(self, predicate: Predicate, timestamp: int) -> list:
-        return sorted(
-            (v.values["id"], v.values["v"])
+        rows = [
+            self.table.row_of(v)
             for v in self.versions
-            if predicate.matches(v.values) and visible_at(v, timestamp)
-        )
+            if predicate.matches(v.values, self.table.positions) and visible_at(v, timestamp)
+        ]
+        return sorted((row["id"], row["v"]) for row in rows)
 
     def validity(self, predicate: Predicate, timestamp: int) -> Interval:
         """The maximal interval around ``timestamp`` with one unchanged result."""
