@@ -145,6 +145,14 @@ def populate_database(
     invalidations), mirroring the paper's practice of restoring a database
     snapshot before each run.  Returns a :class:`RubisDataset` describing the
     generated identifiers.
+
+    Rows stream into their tables: users, completed items, bids and comments
+    are generators that ``bulk_load`` draws one row at a time, so a row is
+    stored before the next is made.  Only the active items and their
+    ``item_cat_reg`` rows are held, because the bids drawn after the
+    completed items decide each active item's bid summary.  Every value is
+    drawn from ``seed`` in one fixed order: users, active items, completed
+    items, bids, comments.
     """
     rng = random.Random(seed)
     dataset = RubisDataset(config=config)
@@ -169,10 +177,13 @@ def populate_database(
     dataset.category_ids = [row["id"] for row in categories]
 
     # Users ------------------------------------------------------------------
-    users = []
-    for user_id in range(1, config.users + 1):
-        users.append(
-            {
+    dataset.user_ids = list(range(1, config.users + 1))
+    dataset.next_user_id = config.users
+    user_regions = [0]  # user id -> region, in place of the user rows
+
+    def users():
+        for user_id in dataset.user_ids:
+            row = {
                 "id": user_id,
                 "firstname": f"First{user_id}",
                 "lastname": f"Last{user_id}",
@@ -184,63 +195,58 @@ def populate_database(
                 "creation_date": base_date - rng.uniform(0, 365 * 86400),
                 "region": rng.choice(dataset.region_ids),
             }
-        )
-    database.bulk_load("users", users)
-    dataset.user_ids = [row["id"] for row in users]
-    dataset.next_user_id = config.users
+            user_regions.append(row["region"])
+            yield row
+
+    database.bulk_load("users", users())
 
     # Items (active and completed) -------------------------------------------
     description_filler = "x" * config.description_bytes
-    item_id = 0
-    active_rows, old_rows, cat_reg_rows = [], [], []
-    users_by_id = {row["id"]: row for row in users}
-    for _ in range(config.active_items):
-        item_id += 1
+    active_rows, cat_reg_rows = [], []
+    for item_id in range(1, config.active_items + 1):
         seller = rng.choice(dataset.user_ids)
         category = rng.choice(dataset.category_ids)
         initial_price = float(rng.randint(1, 500))
-        row = _item_row(
-            item_id, seller, category, initial_price, description_filler,
-            start=base_date - rng.uniform(0, 7 * 86400),
-            end=base_date + rng.uniform(1 * 86400, 7 * 86400),
-            rng=rng,
+        active_rows.append(
+            _item_row(
+                item_id, seller, category, initial_price, description_filler,
+                start=base_date - rng.uniform(0, 7 * 86400),
+                end=base_date + rng.uniform(1 * 86400, 7 * 86400),
+                rng=rng,
+            )
         )
-        active_rows.append(row)
-        cat_reg_rows.append(
-            {
-                "item_id": item_id,
-                "category": category,
-                "region": users_by_id[seller]["region"],
-            }
-        )
-    for _ in range(config.old_items):
-        item_id += 1
-        seller = rng.choice(dataset.user_ids)
-        category = rng.choice(dataset.category_ids)
-        initial_price = float(rng.randint(1, 500))
-        row = _item_row(
-            item_id, seller, category, initial_price, description_filler,
-            start=base_date - rng.uniform(30 * 86400, 60 * 86400),
-            end=base_date - rng.uniform(1 * 86400, 29 * 86400),
-            rng=rng,
-        )
-        old_rows.append(row)
+        cat_reg_rows.append({"item_id": item_id, "category": category, "region": user_regions[seller]})
     dataset.active_item_ids = [row["id"] for row in active_rows]
-    dataset.old_item_ids = [row["id"] for row in old_rows]
-    dataset.next_item_id = item_id
+    dataset.old_item_ids = list(
+        range(config.active_items + 1, config.active_items + config.old_items + 1)
+    )
+    dataset.next_item_id = config.active_items + config.old_items
 
-    # Bids (generated before loading items so per-item bid summaries are
-    # reflected in the stored item rows) --------------------------------------
-    bid_rows = []
-    bid_id = 0
-    for row in active_rows:
-        bids = rng.randint(0, config.bids_per_item * 2)
-        price = row["initial_price"]
-        for _ in range(bids):
-            bid_id += 1
-            price += float(rng.randint(1, 10))
-            bid_rows.append(
-                {
+    def old_items():
+        for item_id in dataset.old_item_ids:
+            seller = rng.choice(dataset.user_ids)
+            category = rng.choice(dataset.category_ids)
+            initial_price = float(rng.randint(1, 500))
+            yield _item_row(
+                item_id, seller, category, initial_price, description_filler,
+                start=base_date - rng.uniform(30 * 86400, 60 * 86400),
+                end=base_date - rng.uniform(1 * 86400, 29 * 86400),
+                rng=rng,
+            )
+
+    database.bulk_load("old_items", old_items())
+
+    # Bids (drawn before the active items are stored, so that each item's
+    # row carries its bid summary) --------------------------------------------
+    def bids():
+        bid_id = 0
+        for row in active_rows:
+            count = rng.randint(0, config.bids_per_item * 2)
+            price = row["initial_price"]
+            for _ in range(count):
+                bid_id += 1
+                price += float(rng.randint(1, 10))
+                yield {
                     "id": bid_id,
                     "user_id": rng.choice(dataset.user_ids),
                     "item_id": row["id"],
@@ -249,26 +255,23 @@ def populate_database(
                     "max_bid": price + float(rng.randint(0, 5)),
                     "date": base_date - rng.uniform(0, 86400),
                 }
-            )
-        row["nb_of_bids"] = bids
-        row["max_bid"] = price if bids else None
+            row["nb_of_bids"] = count
+            row["max_bid"] = price if count else None
+        dataset.next_bid_id = bid_id
 
+    database.bulk_load("bids", bids())
     database.bulk_load("items", active_rows)
-    database.bulk_load("old_items", old_rows)
     database.bulk_load("item_cat_reg", cat_reg_rows)
-    database.bulk_load("bids", bid_rows)
-    dataset.next_bid_id = bid_id
+    del active_rows, cat_reg_rows  # stored: not held through the comments
 
     # Comments ----------------------------------------------------------------
-    comment_rows = []
-    comment_id = 0
     total_comments = config.users * config.comments_per_user
     # Built once: ``rng.choice`` reads only the list's length and one item.
     item_ids = dataset.active_item_ids + dataset.old_item_ids
-    for _ in range(total_comments):
-        comment_id += 1
-        comment_rows.append(
-            {
+
+    def comments():
+        for comment_id in range(1, total_comments + 1):
+            yield {
                 "id": comment_id,
                 "from_user_id": rng.choice(dataset.user_ids),
                 "to_user_id": rng.choice(dataset.user_ids),
@@ -277,9 +280,9 @@ def populate_database(
                 "date": base_date - rng.uniform(0, 30 * 86400),
                 "comment": "A fine transaction.",
             }
-        )
-    database.bulk_load("comments", comment_rows)
-    dataset.next_comment_id = comment_id
+
+    database.bulk_load("comments", comments())
+    dataset.next_comment_id = total_comments
 
     return dataset
 

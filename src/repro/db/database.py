@@ -25,12 +25,65 @@ invalidation *enqueue* — held together so the bus always sees commits in
 timestamp order), snapshot pinning, and vacuum.  Invalidation *delivery*
 runs after the lock is released (:meth:`Database.deliver_invalidations`):
 it can block on networked cache nodes, and a hung node must never stall
-readers queued on the commit lock.  Read-only queries run lock-free
-against the no-overwrite storage: a reader's snapshot timestamp makes
-versions stamped by later commits invisible, so the only requirement is
-that a version's ``xmin`` assignment is a single reference store (it is).
-The lock order is database -> invalidation bus -> cache server; no path
-takes them in the other direction.
+readers queued on the commit lock.  The lock order is database ->
+invalidation bus -> cache server; no path takes them in the other
+direction.
+
+Storage concurrency
+-------------------
+This is the one statement of who may change the stored versions, under
+which lock, and why each step that takes no lock is safe; ``table.py`` and
+``index.py`` point here.  Three kinds of actor touch storage.
+
+*Readers* — every query, read-only or inside a read/write transaction —
+change nothing and take no lock.  A reader's snapshot timestamp makes
+versions stamped by later commits invisible, so it needs only to see each
+structure whole.  Each step that reads shared state is one C-level
+operation, which no other Python thread can interleave with:
+
+* a version's ``xmin`` and ``xmax`` are single attribute loads, and a
+  commit stamps them with single reference stores;
+* ``Table.scan_versions`` copies the row slots with one
+  ``list(dict.values())`` and each list slot with one ``list.extend``;
+  ``Table.versions_of`` and ``current_version_of`` read a slot with one
+  ``dict.get`` and copy a list slot with one slice;
+* ``HashIndex.lookup`` and ``walk`` read a bucket with one ``dict.get``
+  and copy a list bucket with one slice (``walk`` reads ``_mixed`` after
+  its copy: a writer marks a key before it publishes the version that
+  mixes it); ``OrderedIndex.range_scan`` copies the sorted keys with one
+  slice before it bisects them;
+* a lone version (a row's slot or a key's bucket) is a single reference:
+  a reader holds either the lone version or the list that replaced it,
+  and both hold every version a snapshot older than the write can see.
+
+*Writers* — a read/write transaction's ``insert``, ``update`` and
+``delete``, ``abort``, and ``bulk_load`` — add and drop versions outside
+the commit lock:
+
+* a new row's id is one ``next()`` on the table's ``itertools.count``;
+* a row's slot is changed only by the writer that drew its id or that
+  holds the write claim on its current version (``xmax`` set to its
+  mark), so one thread at a time turns a lone version into a list or
+  appends to it; a list never turns back into a lone version, so no
+  append lands on a list that has left the table.  The claim itself is
+  not yet one step: ``_claim_for_write`` reads ``xmax`` and then stores
+  the mark, so two writers that both read ``None`` both claim the row;
+* each index's buckets, ``_mixed`` marks and sorted keys change only under
+  that index's own lock (``HashIndex._lock``): bucket creation, the
+  lone-to-list upgrade (the unique check and the ``_mixed`` mark come
+  before the list is published), an append, and ``remove``'s
+  empty-check-and-delete are each one critical section, as are an ordered
+  index's ``insort`` and key removal with the bucket change that causes
+  them;
+* ``commit`` stamps ``xmin`` and ``xmax``, appends to :attr:`superseded`
+  and enqueues invalidations under the commit lock.
+
+*Vacuum* runs under the commit lock, so no commit interleaves with it, and
+removes only versions superseded at or before its horizon: never a row's
+current version, so a row being updated keeps its slot.  It drops a
+version from its row's slot (one ``list.remove``, or one ``del`` of a
+slot no writer can reach) and from each index under that index's lock.
+An abort removes its own uncommitted versions the same way.
 """
 
 from __future__ import annotations
@@ -142,7 +195,9 @@ class Database:
         database) and no invalidations are published — this models restoring
         a database snapshot before an experiment, as the paper does.  Each
         row goes through :meth:`Table.add_version`, the one insert path,
-        which stores its values as a tuple in column order.
+        which stores its values as a tuple in column order.  ``rows`` may be
+        any iterable of mappings, a generator included: it is consumed one
+        row at a time, and each row is stored before the next is drawn.
         """
         add_version = self.table(table_name).add_version
         count = 0

@@ -19,7 +19,8 @@ Two kinds are provided, matching the paper's access-method taxonomy:
 from __future__ import annotations
 
 import bisect
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+import threading
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
 from repro.db.errors import ConstraintError
 from repro.db.schema import IndexSpec
@@ -29,7 +30,15 @@ __all__ = ["HashIndex", "OrderedIndex", "build_index"]
 
 
 class HashIndex:
-    """Equality-only index from column value to tuple versions."""
+    """Equality-only index from column value to tuple versions.
+
+    ``_buckets`` maps a key to its one version, or to a list of its
+    versions, oldest first, once it has a second, as ``Table._rows`` does
+    for a row: most keys never get one.  A list never turns back into a
+    lone version.  Writers and vacuum change the buckets under
+    :attr:`_lock`; readers take no lock (see "Storage concurrency" in
+    :mod:`repro.db.database`).
+    """
 
     def __init__(self, spec: IndexSpec, position: int) -> None:
         self.spec = spec
@@ -37,11 +46,15 @@ class HashIndex:
         #: that owns the index hands it over.
         self.position = position
         self.unique = spec.unique
-        self._buckets: Dict[Any, List[TupleVersion]] = {}
+        #: key -> its one version, or a list of its versions, oldest first.
+        self._buckets: Dict[Any, Union[TupleVersion, List[TupleVersion]]] = {}
         #: Keys of a unique index whose bucket has held versions of more
         #: than one row (a deleted key inserted again).  Every other bucket
         #: of a unique index holds one row's versions, oldest first.
         self._mixed: Set[Any] = set()
+        #: Held by every change to ``_buckets``, ``_mixed`` and an ordered
+        #: index's sorted keys.
+        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Maintenance
@@ -58,53 +71,80 @@ class HashIndex:
         flight other than the inserting one (that delete may yet abort).
         """
         key = version.values[self.position]  # key_of, inline: a load runs this per index per row
-        # One ``setdefault``, so two writers creating one key's bucket at
-        # once cannot each install their own, and exactly one of them
-        # learns that the key is new.
-        created = [version]
-        bucket = self._buckets.setdefault(key, created)
-        if bucket is created:
-            return True
-        if self.unique and bucket and (key in self._mixed or bucket[0].row_id != version.row_id):
-            # A bucket of this row's own versions cannot conflict: an update.
-            inserter = version.xmin
-            for existing in bucket:
-                xmax = existing.xmax
-                if existing.row_id != version.row_id and (
-                    xmax is None or (type(xmax) is UncommittedMark and xmax != inserter)
-                ):
-                    raise ConstraintError(
-                        f"unique index {self.spec.name} violated for key {key!r}"
-                    )
-            # Marked before the version is appended: a reader that copies
-            # the bucket and then finds the key unmarked saw one row.
-            self._mixed.add(key)
-        bucket.append(version)
-        return False
+        buckets = self._buckets
+        # acquire/release rather than ``with`` (here and in ``remove``): half
+        # the cost, paid once per index per stored version.
+        lock = self._lock
+        lock.acquire()
+        try:
+            bucket = buckets.get(key)
+            if bucket is None:
+                buckets[key] = version
+                self._key_added(key)
+                return True
+            lone = type(bucket) is not list
+            first = bucket if lone else bucket[0]
+            if self.unique and (key in self._mixed or first.row_id != version.row_id):
+                # A bucket of this row's own versions cannot conflict: an update.
+                inserter = version.xmin
+                for existing in (bucket,) if lone else bucket:
+                    xmax = existing.xmax
+                    if existing.row_id != version.row_id and (
+                        xmax is None or (type(xmax) is UncommittedMark and xmax != inserter)
+                    ):
+                        raise ConstraintError(
+                            f"unique index {self.spec.name} violated for key {key!r}"
+                        )
+                # Marked before the version is published.
+                self._mixed.add(key)
+            if lone:
+                buckets[key] = [bucket, version]
+            else:
+                bucket.append(version)
+            return False
+        finally:
+            lock.release()
 
     def remove(self, version: TupleVersion) -> bool:
-        """Drop a version (called by vacuum once it is dead to all snapshots);
-        True if that emptied and deleted its key's bucket."""
+        """Drop a version (called by vacuum once it is dead to all snapshots,
+        and by an abort); True if that emptied and deleted its key's bucket."""
         key = self.key_of(version)
-        bucket = self._buckets.get(key)
-        if not bucket:
-            return False
+        buckets = self._buckets
+        lock = self._lock
+        lock.acquire()
         try:
-            bucket.remove(version)
-        except ValueError:
-            pass
-        if bucket:
-            return False
-        del self._buckets[key]
-        self._mixed.discard(key)
-        return True
+            bucket = buckets.get(key)
+            if type(bucket) is list:
+                try:
+                    bucket.remove(version)
+                except ValueError:
+                    return False
+                if bucket:
+                    return False
+            elif bucket is not version:
+                return False
+            del buckets[key]
+            self._mixed.discard(key)
+            self._key_removed(key)
+            return True
+        finally:
+            lock.release()
+
+    def _key_added(self, key: Any) -> None:
+        """A bucket for ``key`` was created (called under :attr:`_lock`)."""
+
+    def _key_removed(self, key: Any) -> None:
+        """``key``'s bucket was deleted (called under :attr:`_lock`)."""
 
     # ------------------------------------------------------------------
     # Access methods
     # ------------------------------------------------------------------
     def lookup(self, key: Any) -> List[TupleVersion]:
         """All versions (visible or not) whose indexed column equals ``key``."""
-        return list(self._buckets.get(key, ()))
+        bucket = self._buckets.get(key)
+        if bucket is None:
+            return []
+        return bucket[:] if type(bucket) is list else [bucket]
 
     def walk(self, key: Any) -> Tuple[List[TupleVersion], bool]:
         """``lookup(key)`` in the order a scan visits it, and whether that
@@ -116,49 +156,43 @@ class HashIndex:
         bucket = self._buckets.get(key)
         if bucket is None:
             return [], False
+        if type(bucket) is not list:
+            return [bucket], self.unique
         if self.unique:
             versions = bucket[::-1]
-            # Checked after the copy; ``insert`` marks before it appends.
-            if key not in self._mixed:
+            if key not in self._mixed:  # after the copy: see "Storage concurrency" in database.py
                 return versions, True
         return bucket[:], False
 
     def keys(self) -> Iterator[Any]:
         """Iterate over distinct indexed keys."""
-        return iter(self._buckets.keys())
+        return iter(list(self._buckets))
 
     def __len__(self) -> int:
-        return sum(len(bucket) for bucket in self._buckets.values())
+        return sum(
+            len(bucket) if type(bucket) is list else 1
+            for bucket in list(self._buckets.values())
+        )
 
 
 class OrderedIndex(HashIndex):
     """Index supporting both equality lookups and range scans.
 
     Implemented as a hash index plus a sorted key list maintained with
-    ``bisect``; version lists are shared with the hash buckets so insertion
-    and removal stay cheap.
+    ``bisect``: a key enters the list exactly when an insert created its
+    bucket, and leaves exactly when a remove deleted it, under the same
+    hold of the index's lock.
     """
 
     def __init__(self, spec: IndexSpec, position: int) -> None:
         super().__init__(spec, position)
         self._sorted_keys: List[Any] = []
 
-    # A key enters the sorted list exactly when an insert created its
-    # bucket, and leaves exactly when a remove deleted it: asking the
-    # buckets before or after instead lets two inserters of one new key
-    # both see it missing.  ``insort`` and ``list.remove`` each run in C
-    # on a plain key, so writers on other keys cannot interleave with them.
-    def insert(self, version: TupleVersion) -> bool:
-        if not super().insert(version):
-            return False
-        bisect.insort(self._sorted_keys, _orderable(self.key_of(version)))
-        return True
+    def _key_added(self, key: Any) -> None:
+        bisect.insort(self._sorted_keys, _orderable(key))
 
-    def remove(self, version: TupleVersion) -> bool:
-        if not super().remove(version):
-            return False
-        self._sorted_keys.remove(_orderable(self.key_of(version)))
-        return True
+    def _key_removed(self, key: Any) -> None:
+        self._sorted_keys.remove(_orderable(key))
 
     def range_scan(
         self,
@@ -171,7 +205,7 @@ class OrderedIndex(HashIndex):
 
         ``None`` bounds are open.  Versions are yielded in key order.
         """
-        keys = self._sorted_keys
+        keys = self._sorted_keys[:]
         start = 0
         if lo is not None:
             olo = _orderable(lo)
@@ -180,10 +214,14 @@ class OrderedIndex(HashIndex):
         if hi is not None:
             ohi = _orderable(hi)
             end = bisect.bisect_right(keys, ohi) if hi_inclusive else bisect.bisect_left(keys, ohi)
+        buckets = self._buckets
         for orderable_key in keys[start:end]:
             key = orderable_key.value if isinstance(orderable_key, _NoneLow) else orderable_key
-            for version in self._buckets.get(key, ()):
-                yield version
+            bucket = buckets.get(key)
+            if type(bucket) is list:
+                yield from bucket[:]
+            elif bucket is not None:
+                yield bucket
 
 
 class _NoneLow:

@@ -37,20 +37,10 @@ class Table:
     -------
     ``_rows`` maps a row id to its one version, or to a list of its
     versions, oldest first, once it has a second.  Most rows never get one,
-    and a list per row would cost more than the row's values.  Concurrent
-    writers and vacuum cannot lose a version between the two shapes:
-
-    * a row's versions are added only by the insert that drew its id, or by
-      the transaction holding the write claim on its current version, so
-      one thread at a time turns a lone version into a list or appends;
-    * vacuum removes only superseded versions, never a row's claimed
-      current one, so a row being updated keeps its slot; and nothing turns
-      a list back into a lone version, so no append can land on a list that
-      has left the table.
-
-    Readers copy a slot's list before walking it (:meth:`scan_versions`,
-    :meth:`versions_of`), so a concurrent vacuum's ``list.remove`` cannot
-    make them skip a version.
+    and a list per row would cost more than the row's values.  A list never
+    turns back into a lone version.  Which thread may change a slot, and
+    why readers need no lock, is "Storage concurrency" in
+    :mod:`repro.db.database`.
     """
 
     def __init__(self, schema: TableSchema) -> None:
@@ -219,8 +209,8 @@ class Table:
     def scan_versions(self) -> List[TupleVersion]:
         """Every stored version, row by row, each row's oldest first.
 
-        The slots are copied in one C call before the walk, so a concurrent
-        insert cannot change the dict's size under it.
+        Safe beside writers and vacuum: see "Storage concurrency" in
+        :mod:`repro.db.database`.
         """
         versions: List[TupleVersion] = []
         append, extend = versions.append, versions.extend
@@ -244,8 +234,7 @@ class Table:
         """The current (undeleted) version of a row, if any."""
         slot = self._rows.get(row_id)
         if type(slot) is list:
-            # One slice, so a vacuum emptying the list cannot race an index.
-            tail = slot[-1:]
+            tail = slot[-1:]  # one slice: see "Storage concurrency" in database.py
             slot = tail[0] if tail else None
         return slot if slot is not None and slot.is_current() else None
 

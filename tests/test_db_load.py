@@ -102,9 +102,14 @@ def test_the_benchmark_rubis_database_loads_byte_identical():
 #: (61 449 rows): GC-tracked objects, and bytes ``tracemalloc`` still counts
 #: after the load.  When each version held a dict and each row a list of its
 #: versions, that was 4.20 objects and 902 bytes; as a tuple in column
-#: order, with a lone version held without a list, it is 3.20 and 652.
-ROW_OBJECTS_BOUND = 3.6
-ROW_BYTES_BOUND = 760
+#: order, with a lone version held without a list, 3.20 and 649; with an
+#: index key's lone version held without a list too, 1.36 and 522.
+ROW_OBJECTS_BOUND = 1.6
+ROW_BYTES_BOUND = 600
+#: What a load holds at its peak, per row: the ``tracemalloc`` high-water
+#: mark.  Generating every row as a dict before storing any read 965 bytes;
+#: streaming the rows into their tables reads 529.
+ROW_PEAK_BYTES_BOUND = 700
 
 
 def test_a_loaded_row_keeps_its_values_and_little_else():
@@ -114,6 +119,7 @@ def test_a_loaded_row_keeps_its_values_and_little_else():
     try:
         bytes_before, _ = tracemalloc.get_traced_memory()
         database, _dataset = _rubis_database()
+        _, peak = tracemalloc.get_traced_memory()
         gc.collect()
         bytes_after, _ = tracemalloc.get_traced_memory()
     finally:
@@ -123,6 +129,7 @@ def test_a_loaded_row_keeps_its_values_and_little_else():
     assert rows == 61449
     assert objects / rows < ROW_OBJECTS_BOUND, objects / rows
     assert (bytes_after - bytes_before) / rows < ROW_BYTES_BOUND, (bytes_after - bytes_before) / rows
+    assert (peak - bytes_before) / rows < ROW_PEAK_BYTES_BOUND, (peak - bytes_before) / rows
 
 
 class _CountingList(list):
@@ -207,21 +214,25 @@ LOADERS = pytest.mark.parametrize("load", [_bulk_insert, _tx_insert], ids=["bulk
 
 
 def _assert_indexes_consistent(database: Database) -> None:
+    """Every stored version is indexed once under its own key, every key
+    has a version, the mixed marks name keys, and an ordered index's sorted
+    keys are its keys."""
     table = database.table("t")
     stored = table.scan_versions()
     for column in table.indexed_columns:
         index = table.index_on(column)
+        keys = list(index.keys())
+        buckets = {key: index.lookup(key) for key in keys}
         indexed = sorted(
-            (version.row_id, id(version))
-            for bucket in index._buckets.values()
-            for version in bucket
+            (version.row_id, id(version)) for bucket in buckets.values() for version in bucket
         )
         assert indexed == sorted((version.row_id, id(version)) for version in stored), column
-        for key, bucket in index._buckets.items():
+        assert len(index) == len(indexed)
+        for key, bucket in buckets.items():
             assert bucket and all(table.row_of(version)[column] == key for version in bucket)
-        assert index._mixed <= set(index._buckets)
+        assert index._mixed <= set(keys)
         if isinstance(index, OrderedIndex):
-            assert index._sorted_keys == sorted(_orderable(key) for key in index._buckets)
+            assert index._sorted_keys == sorted(_orderable(key) for key in keys)
 
 
 @LOADERS

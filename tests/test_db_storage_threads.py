@@ -4,9 +4,10 @@ Read-only queries run lock-free (see ``repro.db.database``), so a scan may
 walk a table while another thread inserts into it, and a row may gain
 versions while vacuum removes its superseded ones.  The threaded tests run
 at a switch interval of a microsecond, so the interpreter hands over
-between threads as often as it can; the last test forces the one
-interleaving that would lose a version if a row's list of versions ever
-turned back into a lone version.
+between threads as often as it can; where a race has one narrow window,
+a forced interleaving hits it every time.  An index key's bucket, like a
+row's slot, holds a lone version until the key's second, and every change
+to an index's buckets is made under that index's lock.
 """
 
 from __future__ import annotations
@@ -15,10 +16,14 @@ import sys
 import threading
 from contextlib import contextmanager
 
+import pytest
+
 from repro.clock import ManualClock
 from repro.db.database import Database
+from repro.db.index import HashIndex, OrderedIndex
 from repro.db.query import Eq, Func, Select
-from repro.db.schema import TableSchema
+from repro.db.schema import IndexSpec, TableSchema
+from repro.db.tuples import TupleVersion
 
 
 @contextmanager
@@ -166,3 +171,135 @@ def test_a_vacuum_between_reading_a_rows_slot_and_appending_to_it_loses_nothing(
         (current,) = table.versions_of(4)[-1:]
         assert table.row_of(current) == {"id": 3, "v": 100 + i}
         assert table.index_on("id").lookup(3) == table.versions_of(4)
+
+
+# ----------------------------------------------------------------------
+# An index key's bucket under a remover and inserters
+# ----------------------------------------------------------------------
+def _index(kind, unique: bool = True) -> HashIndex:
+    return kind(IndexSpec("k", unique=unique, ordered=kind is OrderedIndex), 0)
+
+
+def _version(row_id: int, key, xmax=None) -> TupleVersion:
+    return TupleVersion(row_id, (key,), 0, xmax)
+
+
+def _assert_keys_hold(index: HashIndex, expected: dict) -> None:
+    lost = {key: versions for key, versions in expected.items() if index.lookup(key) != versions}
+    assert not lost, f"{len(lost)} keys lost a version, e.g. {next(iter(lost.items()))}"
+    assert len(index) == sum(len(versions) for versions in expected.values())
+    if isinstance(index, OrderedIndex):
+        assert index._sorted_keys == sorted(expected)
+
+
+INDEX_KINDS = pytest.mark.parametrize("kind", [HashIndex, OrderedIndex])
+
+
+@INDEX_KINDS
+def test_an_insert_racing_the_removal_of_its_keys_last_version_survives(kind):
+    """One thread removes the only version of each key while another
+    inserts a new version of each.  A remove that found a bucket empty and
+    deleted it in a second step took an insert landing in between with it."""
+    keys = 50_000
+    index = _index(kind)
+    old = [_version(key, key, xmax=1) for key in range(keys)]  # dead: vacuum's to remove
+    new = [_version(keys + key, key) for key in range(keys)]
+    for version in old:
+        index.insert(version)
+
+    def remove():
+        for version in old:
+            index.remove(version)
+
+    def insert():
+        for version in new:
+            index.insert(version)
+
+    _run(remove, insert)
+    _assert_keys_hold(index, {key: [new[key]] for key in range(keys)})
+
+
+class _InsertDuringDelete(dict):
+    """Buckets that, as ``remove`` deletes the armed key, start an insert of
+    that key on another thread and give it a moment to land: the
+    interleaving the threaded test above can only hope to hit."""
+
+    def __init__(self, buckets, index, version) -> None:
+        super().__init__(buckets)
+        self.index, self.version, self.inserter = index, version, None
+
+    def __delitem__(self, key) -> None:
+        if self.inserter is None and key == self.index.key_of(self.version):
+            self.inserter = threading.Thread(target=self.index.insert, args=(self.version,))
+            self.inserter.start()
+            self.inserter.join(0.05)
+        super().__delitem__(key)
+
+
+@INDEX_KINDS
+def test_an_insert_between_a_removes_empty_check_and_its_delete_survives(kind):
+    index = _index(kind)
+    old, other, new = _version(1, "k", xmax=1), _version(2, "j"), _version(3, "k")
+    index.insert(old)
+    index.insert(other)
+    index._buckets = buckets = _InsertDuringDelete(index._buckets, index, new)
+    assert index.remove(old)
+    buckets.inserter.join()
+    _assert_keys_hold(index, {"j": [other], "k": [new]})
+
+
+@INDEX_KINDS
+def test_two_inserts_racing_to_give_lone_keys_a_second_version_keep_both(kind):
+    """Every key holds one version; two threads each add a version under
+    every key of a non-unique index, so both race to turn the lone version
+    into a list."""
+    keys = 20_000
+    index = _index(kind, unique=False)
+    first = [_version(key, key) for key in range(keys)]
+    for version in first:
+        index.insert(version)
+    seconds = [[_version((1 + side) * keys + key, key) for key in range(keys)] for side in (0, 1)]
+
+    def inserter(versions):
+        def insert():
+            for version in versions:
+                index.insert(version)
+
+        return insert
+
+    _run(inserter(seconds[0]), inserter(seconds[1]))
+    for key in range(keys):
+        versions = index.lookup(key)
+        assert versions[0] is first[key]
+        assert sorted(versions[1:], key=id) == sorted([seconds[0][key], seconds[1][key]], key=id), key
+    assert len(index) == 3 * keys
+
+
+def test_a_range_scan_beside_inserts_of_lower_keys_yields_its_whole_range():
+    """Each insert of a lower key moves every key in the scanned range one
+    place along the sorted list; a scan that bisected the live list and
+    then sliced it could slide its window off the top of the range."""
+    index = _index(OrderedIndex, unique=False)
+    lower = 20_000
+    scanned = range(lower, lower + 10)
+    for key in scanned:
+        index.insert(_version(key, key))
+    scanning, done = threading.Event(), threading.Event()
+    seen = []
+
+    def insert():
+        try:
+            assert scanning.wait(10)
+            for key in range(lower - 1, -1, -1):
+                index.insert(_version(key, key))
+        finally:
+            done.set()
+
+    def scan():
+        scanning.set()
+        while not done.is_set():
+            seen.append([version.row_id for version in index.range_scan(scanned[0], scanned[-1])])
+
+    _run(insert, scan)
+    wrong = [keys for keys in seen if keys != list(scanned)]
+    assert seen and not wrong, f"{len(wrong)} of {len(seen)} scans, e.g. {wrong[0][:12]}"
