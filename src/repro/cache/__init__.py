@@ -3,6 +3,9 @@
 Cache nodes can be reached in-process (zero overhead) or as real networked
 servers over TCP (:mod:`repro.cache.netserver`); the cluster routes through
 either via the :class:`repro.comm.transport.CacheTransport` abstraction.
+The networked runtime (``netserver``, ``procnode``, ``gossip``,
+``supervisor``) is not imported here: it loads when a deployment asks for
+it, and the transport failure classes live in :mod:`repro.comm.transport`.
 The cache tier is elastic: :mod:`repro.cache.membership` versions the node
 set into epochs, live-migrates keys on planned joins/leaves, and records
 failure-driven evictions performed by the cluster's failure-aware routing.
@@ -12,12 +15,6 @@ from repro.cache.cluster import CacheCluster, ClusterHealthStats
 from repro.cache.entry import CacheEntry, EntryRecord, LookupRequest, LookupResult
 from repro.cache.hashring import ConsistentHashRing
 from repro.cache.membership import ClusterMembership, EpochRecord, MembershipStats
-from repro.cache.netserver import (
-    CacheNodeUnreachableError,
-    CacheServerProcess,
-    CacheTransportError,
-    SocketTransport,
-)
 from repro.cache.server import CacheServer, CacheServerStats
 
 __all__ = [
@@ -33,8 +30,4 @@ __all__ = [
     "MembershipStats",
     "CacheServer",
     "CacheServerStats",
-    "CacheServerProcess",
-    "SocketTransport",
-    "CacheTransportError",
-    "CacheNodeUnreachableError",
 ]

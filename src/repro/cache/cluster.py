@@ -22,6 +22,11 @@ topologies:
   invalidation stream crosses the process boundary over the wire too, one
   message at a time in commit order, as it reaches every other node.
 
+The networked kinds are this repository's runtime, not the paper's system:
+one function, :func:`repro.cache.procnode.start_node`, starts (or only
+dials) every networked node, imported only when a node is not in-process.
+What "unreachable" means lives in :mod:`repro.comm.transport`.
+
 Batched lookups (:meth:`CacheCluster.multi_lookup`) group requests by
 responsible node and issue one round trip per node, which is where a
 networked topology recovers most of its RPC cost.
@@ -79,6 +84,7 @@ import threading
 import time
 from dataclasses import dataclass
 from typing import (
+    TYPE_CHECKING,
     Callable,
     Dict,
     FrozenSet,
@@ -92,24 +98,24 @@ from typing import (
 
 from repro.cache.entry import EntryRecord, LookupRequest, LookupResult
 from repro.cache.hashring import ConsistentHashRing
-from repro.cache.netserver import (
-    CacheNodeUnreachableError,
-    CacheServerProcess,
-    SocketTransport,
-)
-from repro.cache.procnode import CacheNodeHost
 from repro.cache.server import CacheServer, CacheServerStats
 from repro.comm.multicast import InvalidationBus, InvalidationMessage
 from repro.comm.transport import (
+    CacheNodeUnreachableError,
     CacheTransport,
     InProcessTransport,
     _DEADLINE,
+    _FAILURE_EXCEPTIONS,
     RetryPolicy,
     current_deadline,
     deadline_scope,
 )
 from repro.db.invalidation import InvalidationTag
 from repro.interval import Interval
+
+if TYPE_CHECKING:  # the runtime layer loads only for a networked cluster
+    from repro.cache.netserver import CacheServerProcess
+    from repro.cache.procnode import CacheNodeHost
 
 __all__ = ["CacheCluster", "ClusterHealthStats", "PutOutcome"]
 
@@ -120,9 +126,6 @@ __all__ = ["CacheCluster", "ClusterHealthStats", "PutOutcome"]
 #: (:class:`repro.cache.procnode.CacheNodeHost`) behind the same stack, so
 #: N nodes on one machine use N cores instead of sharing one GIL.
 TRANSPORT_KINDS = ("inprocess", "socket", "socket-process")
-
-#: Exceptions that mean "the node is unreachable" (never server-side errors).
-_FAILURE_EXCEPTIONS = (CacheNodeUnreachableError, ConnectionError, OSError)
 
 #: What a routed call yields when its node could not be reached (an answer
 #: may be None or False, so absence needs its own value).
@@ -473,51 +476,24 @@ class CacheCluster:
         self._stream_guards.clear()
 
     def _start_node(self, name: str, capacity_bytes: int) -> Optional[CacheServer]:
-        if self._node_addresses is not None:
-            # Client-only cluster: the node runs elsewhere; just dial it.
-            self._transports[name] = SocketTransport(
-                self._node_addresses[name], name=name, timeout_seconds=self.rpc_timeout_seconds
-            )
-            return None
-        if self.transport_kind == "socket-process":
-            # The node lives in its own OS process: no local CacheServer to
-            # register.  A node reads no clock (staleness reaches it as a
-            # database timestamp), so no clock has to cross the boundary.
-            host = CacheNodeHost(
-                name,
-                capacity_bytes=capacity_bytes,
-                simulated_latency_seconds=self.simulated_rpc_latency_seconds,
-            )
-            self._processes[name] = host
-            try:
-                self._transports[name] = SocketTransport(
-                    host.address, name=name, timeout_seconds=self.rpc_timeout_seconds
-                )
-            except BaseException:
-                # Connecting failed: reap the just-spawned node instead of
-                # leaving an orphaned process squatting on its port.
-                self._processes.pop(name).shutdown()
-                raise
-            return None
-        server = CacheServer(name=name, capacity_bytes=capacity_bytes)
-        self._servers[name] = server
-        if self.transport_kind != "inprocess":
-            process = CacheServerProcess(
-                server, simulated_latency_seconds=self.simulated_rpc_latency_seconds
-            )
-            self._processes[name] = process
-            try:
-                self._transports[name] = SocketTransport(
-                    process.address, name=name, timeout_seconds=self.rpc_timeout_seconds
-                )
-            except BaseException:
-                # Connecting failed: stop the just-started node instead of
-                # leaving its listener thread orphaned.
-                self._processes.pop(name).shutdown()
-                self._servers.pop(name)
-                raise
-        else:
+        if self.transport_kind == "inprocess":
+            server = self._servers[name] = CacheServer(name=name, capacity_bytes=capacity_bytes)
             self._transports[name] = InProcessTransport(server)
+            return server
+        from repro.cache.procnode import start_node  # the runtime layer, on demand
+
+        server, host, self._transports[name] = start_node(
+            self.transport_kind,
+            name,
+            capacity_bytes,
+            address=self._node_addresses[name] if self._node_addresses else None,
+            simulated_latency_seconds=self.simulated_rpc_latency_seconds,
+            timeout_seconds=self.rpc_timeout_seconds,
+        )
+        if host is not None:
+            self._processes[name] = host
+        if server is not None:
+            self._servers[name] = server
         return server
 
     def _subscribe_node(self, name: str, transport: CacheTransport) -> None:

@@ -58,7 +58,8 @@ import random
 import threading
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.clock import Clock
+from repro.clock import Clock, ManualClock
+from repro.comm.transport import _FAILURE_EXCEPTIONS
 
 __all__ = [
     "ALIVE",
@@ -428,8 +429,6 @@ class GossipRunner:
 
     def run_rounds(self, rounds: int, advance: float = 0.0) -> None:
         """Convenience: several rounds, optionally advancing a manual clock."""
-        from repro.clock import ManualClock
-
         for _ in range(rounds):
             if advance and isinstance(self.clock, ManualClock):
                 self.clock.advance(advance)
@@ -460,10 +459,6 @@ class GossipRunner:
         transport = self.cluster.transports.get(node)
         if transport is None:
             return None
-        # The cluster's definition of "unreachable" (import deferred to dodge
-        # the cluster -> server -> gossip import cycle at module load).
-        from repro.cache.cluster import _FAILURE_EXCEPTIONS
-
         try:
             reply = transport.gossip(digest)
         except _FAILURE_EXCEPTIONS:

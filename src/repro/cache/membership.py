@@ -76,14 +76,14 @@ import sys
 from dataclasses import dataclass, field
 from typing import Dict, Generator, Iterator, List, Optional, Set, Tuple
 
-# _FAILURE_EXCEPTIONS: the cluster's definition of "node unreachable";
-# the mover treats a vanished node the same way routing does.
-from repro.cache.cluster import _FAILURE_EXCEPTIONS, CacheCluster
+from repro.cache.cluster import CacheCluster
 from repro.cache.entry import EntryRecord
 from repro.cache.hashring import HASH_SPACE, ConsistentHashRing
 from repro.cache.maintenance import ChunkedJob, MaintenancePlane
 from repro.cache.server import CacheServer
-from repro.comm import wire
+# _FAILURE_EXCEPTIONS: the transport's definition of "node unreachable";
+# the mover treats a vanished node the same way routing does.
+from repro.comm.transport import _FAILURE_EXCEPTIONS, MAX_BATCH_ITEMS
 
 __all__ = ["ClusterMembership", "MembershipStats", "EpochRecord"]
 
@@ -372,11 +372,11 @@ class ClusterMembership:
         """Each page of ``op`` (``key_digest`` or ``keys_in_range``) over
         ``node``'s store, one round trip apiece, with the index in ``arcs``
         of the page's first arc.  A node walks at most
-        :data:`~repro.comm.wire.MAX_BATCH_ITEMS` arcs at a time, so a
+        :data:`~repro.comm.transport.MAX_BATCH_ITEMS` arcs at a time, so a
         longer list is walked as consecutive walks of that many.  A chunk
         generator yields once per page, so the maintenance budget sees
         every one."""
-        step = wire.MAX_BATCH_ITEMS
+        step = MAX_BATCH_ITEMS
         for first in range(0, len(arcs), step):
             group = arcs[first:first + step]
             cursor: Optional[str] = None

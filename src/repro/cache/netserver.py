@@ -74,6 +74,7 @@ from repro.comm.wire import (
     FrameAssembler,
     ResponseSlot,
 )
+from repro.comm.transport import CacheNodeUnreachableError, CacheTransportError
 from repro.comm.transport import current_deadline, remaining_deadline
 from repro.db.invalidation import InvalidationTag
 from repro.interval import Interval
@@ -81,8 +82,6 @@ from repro.interval import Interval
 __all__ = [
     "CacheServerProcess",
     "SocketTransport",
-    "CacheTransportError",
-    "CacheNodeUnreachableError",
     "DEFAULT_MAX_QUEUED_PER_CONNECTION",
 ]
 
@@ -106,38 +105,6 @@ def _set_nodelay(sock: socket.socket) -> None:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     except OSError:  # pragma: no cover - non-TCP sockets in exotic setups
         pass
-
-
-class CacheTransportError(RuntimeError):
-    """A cache RPC failed (connection lost or server-side error)."""
-
-
-class CacheNodeUnreachableError(CacheTransportError):
-    """The node could not be reached at all (connection-level I/O failure).
-
-    Distinguished from a server-side error response so failure-aware routing
-    (:class:`repro.cache.cluster.CacheCluster`) degrades only on genuine
-    connectivity loss, never on an application-level error that would
-    otherwise be masked.
-
-    One class for every way of not reaching a node — a failed or timed-out
-    dial, an RPC timeout or an expired per-op deadline, a connection lost
-    mid-stream — because nothing that catches it branches on which: the
-    message says.  Every instance carries ``node`` (the node name or
-    address label, when known) and ``op`` (the operation in flight, when
-    there was one).
-    """
-
-    def __init__(
-        self,
-        message: str,
-        *,
-        node: Optional[str] = None,
-        op: Optional[str] = None,
-    ) -> None:
-        super().__init__(message)
-        self.node = node
-        self.op = op
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,8 @@
 Thread-hosted "networked" nodes (:class:`repro.cache.netserver.CacheServerProcess`)
 share the coordinator's interpreter and its GIL.  :class:`CacheNodeHost`
 spawns the node as its **own OS process** running the same event-loop
-serving engine in an interpreter of its own.
+serving engine in an interpreter of its own.  :func:`start_node`, which the
+cluster imports only for a networked node, starts and dials either kind.
 
 Design notes:
 
@@ -25,7 +26,7 @@ Design notes:
   :meth:`repro.cache.netserver.SocketTransport.process_invalidations`).
 * **Supervision.**  The parent end exposes ``running`` / ``exitcode``;
   a dead child makes every RPC fail with
-  :class:`~repro.cache.netserver.CacheNodeUnreachableError`, which feeds
+  :class:`~repro.comm.transport.CacheNodeUnreachableError`, which feeds
   the cluster's existing suspect → evict path.  :meth:`shutdown`
   escalates graceful pipe shutdown → ``terminate()`` → ``kill()`` and
   always reaps the child — no zombies, and the node's port dies with the
@@ -41,12 +42,12 @@ import multiprocessing
 import sys
 from typing import Optional, Tuple
 
-from repro.cache.netserver import (
-    DEFAULT_MAX_QUEUED_PER_CONNECTION,
-    CacheNodeUnreachableError,
-)
+from repro.cache.netserver import DEFAULT_MAX_QUEUED_PER_CONNECTION
+from repro.cache.netserver import CacheServerProcess, SocketTransport
+from repro.cache.server import CacheServer
+from repro.comm.transport import CacheNodeUnreachableError
 
-__all__ = ["CacheNodeHost", "preferred_start_method"]
+__all__ = ["CacheNodeHost", "preferred_start_method", "start_node"]
 
 #: How long the parent waits for the child's readiness message before
 #: declaring the node unreachable and reaping it.
@@ -91,11 +92,6 @@ def _node_main(
         except OSError:
             pass
     try:
-        # Imported here, not at module top: the child needs them, and under
-        # spawn the import cost lands in the child where it belongs.
-        from repro.cache.netserver import CacheServerProcess
-        from repro.cache.server import CacheServer
-
         server = CacheServer(name=name, capacity_bytes=capacity_bytes)
         process = CacheServerProcess(
             server,
@@ -299,3 +295,41 @@ class CacheNodeHost:
         host, port = self.address
         state = "up" if self.running else f"exit={self.exitcode}"
         return f"CacheNodeHost({self.name!r} @ {host}:{port}, pid={self.pid}, {state})"
+
+
+def start_node(
+    kind: str,
+    name: str,
+    capacity_bytes: int,
+    address: Optional[Tuple[str, int]] = None,
+    simulated_latency_seconds: float = 0.0,
+    timeout_seconds: float = 30.0,
+) -> Tuple[Optional[CacheServer], Optional[object], SocketTransport]:
+    """Start one networked cache node and dial it: ``(server, host, transport)``,
+    ``host`` a :class:`~repro.cache.netserver.CacheServerProcess` or a
+    :class:`CacheNodeHost`.
+
+    ``kind`` is ``"socket"`` (a local :class:`CacheServer` served from a
+    thread) or ``"socket-process"`` (a child process: no local server).
+    Given ``address`` the node runs elsewhere and is only dialled.  A node
+    reads no clock, so none crosses to it.  If the first dial fails, the
+    node just started is stopped before the error propagates.
+    """
+    server = host = None
+    if address is None:
+        if kind == "socket-process":
+            host = CacheNodeHost(
+                name, capacity_bytes=capacity_bytes,
+                simulated_latency_seconds=simulated_latency_seconds,
+            )
+        else:
+            server = CacheServer(name=name, capacity_bytes=capacity_bytes)
+            host = CacheServerProcess(server, simulated_latency_seconds=simulated_latency_seconds)
+        address = host.address
+    try:
+        transport = SocketTransport(address, name=name, timeout_seconds=timeout_seconds)
+    except BaseException:
+        if host is not None:
+            host.shutdown()
+        raise
+    return server, host, transport

@@ -46,9 +46,10 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.cache.cluster import _FAILURE_EXCEPTIONS, CacheCluster
+from repro.cache.cluster import CacheCluster
 from repro.cache.membership import ClusterMembership
 from repro.clock import Clock, SystemClock
+from repro.comm.transport import _FAILURE_EXCEPTIONS
 
 __all__ = ["NodeSupervisor", "SupervisorStats", "NODE_STATES"]
 

@@ -67,12 +67,58 @@ if TYPE_CHECKING:  # cache modules import repro.comm; avoid the import cycle
 __all__ = [
     "CacheTransport",
     "InProcessTransport",
+    "CacheTransportError",
+    "CacheNodeUnreachableError",
+    "MAX_BATCH_ITEMS",
     "RetryPolicy",
     "IDEMPOTENT_OPS",
     "current_deadline",
     "deadline_scope",
     "remaining_deadline",
 ]
+
+class CacheTransportError(RuntimeError):
+    """A cache RPC failed (connection lost or server-side error)."""
+
+
+class CacheNodeUnreachableError(CacheTransportError):
+    """The node could not be reached at all (connection-level I/O failure).
+
+    Distinguished from a server-side error response so failure-aware routing
+    (:class:`repro.cache.cluster.CacheCluster`) degrades only on genuine
+    connectivity loss, never on an application-level error that would
+    otherwise be masked.
+
+    One class for every way of not reaching a node — a failed or timed-out
+    dial, an RPC timeout or an expired per-op deadline, a connection lost
+    mid-stream — because nothing that catches it branches on which: the
+    message says.  Every instance carries ``node`` (the node name or
+    address label, when known) and ``op`` (the operation in flight, when
+    there was one).
+    """
+
+    def __init__(
+        self,
+        message: str,
+        *,
+        node: Optional[str] = None,
+        op: Optional[str] = None,
+    ) -> None:
+        super().__init__(message)
+        self.node = node
+        self.op = op
+
+
+#: Exceptions that mean "the node is unreachable" (never server-side errors).
+_FAILURE_EXCEPTIONS = (CacheNodeUnreachableError, ConnectionError, OSError)
+
+#: Most items one batch request may carry, the size of a page of a store
+#: walk, and most arcs one store walk may name.  A node serves each frame on
+#: its one thread, so :func:`repro.comm.wire.decode_binary_args` refuses a
+#: longer list from its header, before decoding an item; ``SocketTransport``
+#: sends a larger batch as several frames, and the membership mover walks a
+#: longer arcs list as several walks.
+MAX_BATCH_ITEMS = 1024
 
 #: Operations safe to retry blind: re-running one cannot change node state,
 #: so a retry after an ambiguous connection failure (the response may or may

@@ -59,6 +59,11 @@ import struct
 import threading
 from typing import List, Optional, Sequence, Tuple, Union
 
+from repro.cache.entry import EntryRecord, LookupRequest, LookupResult, ValueBlob
+from repro.comm.transport import MAX_BATCH_ITEMS
+from repro.db.invalidation import InvalidationTag
+from repro.interval import Interval
+
 __all__ = [
     "MUX_HEADER",
     "WIRE_VERSION",
@@ -132,14 +137,6 @@ OPCODES = {
     # the wire like everything else.
     "versions_of": 22,
 }
-
-#: Most items one batch request may carry, the size of a page of a store
-#: walk, and most arcs one store walk may name.  A node serves each frame on
-#: its one thread, so :func:`decode_binary_args` refuses a longer list from
-#: its header, before decoding an item; ``SocketTransport`` sends a larger
-#: batch as several frames, and the membership mover walks a longer arcs
-#: list as several walks.
-MAX_BATCH_ITEMS = 1024
 
 #: The requests whose first argument is a list of items, and the most
 #: arguments each takes: a batch is that one list, a store walk over ring
@@ -261,32 +258,6 @@ _pack_f64 = _F64.pack
 _unpack_f64 = _F64.unpack_from
 _tuple_new = tuple.__new__
 
-# The record types live above this module in the import graph
-# (repro.cache.__init__ imports netserver, which imports this module), so
-# they are bound lazily on the first encode/decode instead of at import.
-_Interval = None
-_LookupRequest = None
-_LookupResult = None
-_EntryRecord = None
-_ValueBlob = None
-_InvalidationTag = None
-
-
-def _bind_record_types() -> None:
-    global _Interval, _LookupRequest, _LookupResult
-    global _EntryRecord, _ValueBlob, _InvalidationTag
-    from repro.cache.entry import EntryRecord, LookupRequest, LookupResult, ValueBlob
-    from repro.db.invalidation import InvalidationTag
-    from repro.interval import Interval
-
-    _Interval = Interval
-    _LookupRequest = LookupRequest
-    _LookupResult = LookupResult
-    _EntryRecord = EntryRecord
-    _ValueBlob = ValueBlob
-    _InvalidationTag = InvalidationTag
-
-
 def _inline_len(count: int) -> int:
     """``count`` if the tagged-length u32 can carry it; else ValueError."""
     if count > _MAX_INLINE_LEN:
@@ -326,19 +297,19 @@ def _enc_int_cold(out: bytearray, value: int) -> None:
 # of frame setup per call — measured slower on these recursive functions.)
 def _enc_value(out: bytearray, value: object) -> None:
     kind = type(value)
-    if kind is _LookupResult:
+    if kind is LookupResult:
         # First compare on purpose: with scalars inlined into the container
         # loops, the values reaching this dispatch on the hot path are
         # result records and their tags.
         out.append(_T_LOOKUP_RESULT)
         value.pack_into(out, _enc_value)
-    elif kind is _ValueBlob:
+    elif kind is ValueBlob:
         # The value of every hit, put and migrated record: appended as it
         # stands, whatever the value's shape or size.
         out.append(_T_BLOB)
         out += _pack_u32(len(value))
         out += value
-    elif kind is _InvalidationTag:
+    elif kind is InvalidationTag:
         # A tag is a named 3-tuple: (table, column, value) in order.  The
         # table/column strings — short ASCII identifiers — and the value,
         # usually a small int or a string, take the inline paths.
@@ -479,15 +450,15 @@ def _enc_value(out: bytearray, value: object) -> None:
     elif kind is float:
         out.append(_T_FLOAT)
         out += _pack_f64(value)
-    elif kind is _Interval:
+    elif kind is Interval:
         out.append(_T_INTERVAL)
         value.pack_into(out)
     elif kind is bytes:
         _enc_sized(out, _T_BYTES, value)
-    elif kind is _LookupRequest:
+    elif kind is LookupRequest:
         out.append(_T_LOOKUP_REQUEST)
         value.pack_into(out)
-    elif kind is _EntryRecord:
+    elif kind is EntryRecord:
         out.append(_T_ENTRY_RECORD)
         value.pack_into(out, _enc_value)
     elif kind is frozenset:
@@ -511,14 +482,14 @@ def _enc_value(out: bytearray, value: object) -> None:
 def _dec_value(buf: bytes, offset: int) -> Tuple[object, int]:
     tag = buf[offset]
     if tag == _T_LOOKUP_RESULT:
-        return _LookupResult.unpack_from(buf, offset + 1, _dec_value)
+        return LookupResult.unpack_from(buf, offset + 1, _dec_value)
     if tag == _T_BLOB:
         size = _unpack_u32(buf, offset + 1)[0]
         offset += 5
         end = offset + size
         if end > len(buf):
             raise WireDecodeError("truncated value blob")
-        return _ValueBlob(buf[offset:end]), end
+        return ValueBlob(buf[offset:end]), end
     if tag == _T_TAG:
         # One tag per hit response makes this as hot as the result record
         # itself.  Table and column are short identifier strings and the
@@ -562,7 +533,7 @@ def _dec_value(buf: bytes, offset: int) -> Tuple[object, int]:
         else:
             value, offset = _dec_value(buf, offset)
         # The named tuple's own __new__ is a Python frame; the tuple's is not.
-        return _tuple_new(_InvalidationTag, (table, column, value)), offset
+        return _tuple_new(InvalidationTag, (table, column, value)), offset
     if tag == _T_DICT8:
         count = buf[offset + 1]
         offset += 2
@@ -643,7 +614,7 @@ def _dec_value(buf: bytes, offset: int) -> Tuple[object, int]:
     if tag == _T_FALSE:
         return False, offset + 1
     if tag == _T_INTERVAL:
-        return _Interval.unpack_from(buf, offset + 1)
+        return Interval.unpack_from(buf, offset + 1)
     if tag == _T_STR:
         size = _unpack_u32(buf, offset)[0] >> 8
         offset += 4
@@ -676,9 +647,9 @@ def _dec_value(buf: bytes, offset: int) -> Tuple[object, int]:
             raise WireDecodeError("truncated bytes")
         return buf[offset:end], end
     if tag == _T_LOOKUP_REQUEST:
-        return _LookupRequest.unpack_from(buf, offset + 1)
+        return LookupRequest.unpack_from(buf, offset + 1)
     if tag == _T_ENTRY_RECORD:
-        return _EntryRecord.unpack_from(buf, offset + 1, _dec_value)
+        return EntryRecord.unpack_from(buf, offset + 1, _dec_value)
     if tag == _T_FROZENSET:
         count = _unpack_u32(buf, offset)[0] >> 8
         offset += 4
@@ -706,8 +677,6 @@ def _dec_value(buf: bytes, offset: int) -> Tuple[object, int]:
 
 def encode_binary_body(payload: object) -> bytearray:
     """Encode ``payload`` with the binary codec into one body buffer."""
-    if _Interval is None:
-        _bind_record_types()
     out = bytearray()
     _enc_value(out, payload)
     return out
@@ -739,8 +708,6 @@ def decode_binary_body(body: Buffer) -> object:
     reactor and the client reader rely on decode failures being typed and
     containable, exactly like a server-side dispatch error.
     """
-    if _Interval is None:
-        _bind_record_types()
     buf = body if type(body) is bytes else _as_bytes(body)
     try:
         value, offset = _dec_value(buf, 0)
@@ -786,15 +753,13 @@ def encode_binary_args(opcode: int, args: object) -> bytearray:
     if opcode == _MULTI_LOOKUP and type(args) is tuple and len(args) == 1:
         requests = args[0]
         if type(requests) is list:
-            if _Interval is None:
-                _bind_record_types()
             count = len(requests)
             if count < 256:
                 out = bytearray((_T_TUPLE8, 1, _T_LIST8, count))
             else:
                 out = bytearray((_T_TUPLE8, 1))
                 out += _pack_u32(_T_LIST | (_inline_len(count) << 8))
-            if _LookupRequest.pack_batch_into(out, requests, _T_LOOKUP_REQUEST):
+            if LookupRequest.pack_batch_into(out, requests, _T_LOOKUP_REQUEST):
                 return out
     return encode_binary_body(args)
 
@@ -819,15 +784,13 @@ def decode_binary_args(opcode: int, body: Buffer) -> object:
     _check_batch(body, 1)
     if not body[1]:  # no argument, which the server refuses
         return decode_binary_body(body)
-    if _Interval is None:
-        _bind_record_types()
     buf = body if type(body) is bytes else _as_bytes(body)
     try:
         if buf[2] == _T_LIST8:
             count, offset = buf[3], 4
         else:
             count, offset = _unpack_u32(buf, 2)[0] >> 8, 6
-        requests, offset = _LookupRequest.unpack_batch_from(
+        requests, offset = LookupRequest.unpack_batch_from(
             buf, offset, count, _T_LOOKUP_REQUEST
         )
         if requests is None:
@@ -869,8 +832,6 @@ def encode_lookup_reply(request_id: int, results: object) -> bytearray:
     generic walk's per-item dispatch; the bytes are
     ``encode_binary_body(results)``'s.
     """
-    if _Interval is None:
-        _bind_record_types()
     out = bytearray(_HEADER_SIZE)
     if type(results) is list:
         count = len(results)
@@ -881,7 +842,7 @@ def encode_lookup_reply(request_id: int, results: object) -> bytearray:
         else:
             out += _pack_u32(_T_LIST | (_inline_len(count) << 8))
         for result in results:
-            if type(result) is _LookupResult:
+            if type(result) is LookupResult:
                 append(_T_LOOKUP_RESULT)
                 result.pack_into(out, _enc_value)
             else:

@@ -146,10 +146,9 @@ class ReadWriteTransaction(_BaseTransaction):
     def commit(self) -> int:
         """Commit: stamp provisional versions and publish invalidations.
 
-        Returns the commit timestamp.  Raises :class:`SerializationError` if
-        a first-committer-wins conflict is detected (the error is raised at
-        write time in this implementation; the commit-time re-check is a
-        safety net for the concurrent-use case).
+        Returns the commit timestamp.  A first-committer-wins conflict is
+        refused at write time, when :meth:`_claim_for_write` claims the row,
+        so commit raises no :class:`SerializationError`.
         """
         self._check_active()
         if not self._created and not self._deleted:
@@ -206,24 +205,28 @@ class ReadWriteTransaction(_BaseTransaction):
         )
 
     def _claim_for_write(self, version: TupleVersion) -> None:
-        """Mark ``version`` superseded by this transaction, detecting conflicts."""
-        xmax = version.xmax
-        if isinstance(xmax, UncommittedMark):
-            if xmax.tx_id != self.tx_id:
+        """Mark ``version`` superseded by this transaction, detecting conflicts.
+
+        Check and mark are one step under the commit lock, which every claim
+        and commit holds: two writers must not both find ``xmax`` empty."""
+        with self._db.commit_lock:
+            xmax = version.xmax
+            if isinstance(xmax, UncommittedMark):
+                if xmax.tx_id != self.tx_id:
+                    raise SerializationError(
+                        f"row {version.row_id} is being modified by transaction {xmax.tx_id}"
+                    )
+                return
+            if xmax is not None:
+                # Deleted by a transaction that committed after our snapshot.
                 raise SerializationError(
-                    f"row {version.row_id} is being modified by transaction {xmax.tx_id}"
+                    f"row {version.row_id} was modified by a concurrent transaction"
                 )
-            return
-        if xmax is not None:
-            # Deleted by a transaction that committed after our snapshot.
-            raise SerializationError(
-                f"row {version.row_id} was modified by a concurrent transaction"
-            )
-        if isinstance(version.xmin, int) and version.xmin > self.snapshot_timestamp:
-            raise SerializationError(
-                f"row {version.row_id} was created after this transaction's snapshot"
-            )
-        version.xmax = self._mark
+            if isinstance(version.xmin, int) and version.xmin > self.snapshot_timestamp:
+                raise SerializationError(
+                    f"row {version.row_id} was created after this transaction's snapshot"
+                )
+            version.xmax = self._mark
 
     def _collect_tags(self) -> frozenset:
         tags: Set[InvalidationTag] = set()

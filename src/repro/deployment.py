@@ -12,27 +12,35 @@ servers directly, while ``transport="socket"`` runs every node as a real
 TCP server (:class:`repro.cache.netserver.CacheServerProcess`) on a thread
 of this process, reached over the one wire protocol — the paper's actual
 topology — and ``transport="socket-process"`` runs each such server in its
-own OS process.  Socket deployments hold OS resources; call :meth:`TxCacheDeployment.shutdown` (or use the
-deployment as a context manager) when done.
+own OS process.  Socket deployments hold OS resources; call
+:meth:`TxCacheDeployment.shutdown` (or use the deployment as a context
+manager) when done.
+
+The wire stack, process-hosted nodes, gossip and the supervisor are this
+repository's runtime around the paper's system; each loads only when an
+option asks for it (a networked ``transport``, ``gossip``, supervision).
+README "Architecture" orders the layers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.cache.cluster import CacheCluster
-from repro.cache.gossip import GossipRunner
 from repro.cache.maintenance import MaintenanceBudget, MaintenancePlane
 from repro.cache.membership import ClusterMembership
 from repro.cache.server import CacheServer
-from repro.cache.supervisor import NodeSupervisor
 from repro.clock import Clock, ManualClock
 from repro.comm.multicast import InvalidationBus
 from repro.comm.transport import RetryPolicy
 from repro.core.api import ConsistencyMode, TxCacheClient
 from repro.db.database import Database
 from repro.pincushion.pincushion import Pincushion
+
+if TYPE_CHECKING:  # runtime layer: imported below only when its flag is on
+    from repro.cache.gossip import GossipRunner
+    from repro.cache.supervisor import NodeSupervisor
 
 __all__ = ["TxCacheDeployment", "HousekeepingError"]
 
@@ -147,6 +155,8 @@ class TxCacheDeployment:
             self.membership.plane = MaintenancePlane(budget=budget)
         self.gossip_runner: Optional[GossipRunner] = None
         if self.gossip:
+            from repro.cache.gossip import GossipRunner
+
             self.gossip_runner = GossipRunner(
                 self.cache,
                 self.membership,
@@ -161,6 +171,8 @@ class TxCacheDeployment:
             else self.supervision
         )
         if supervise:
+            from repro.cache.supervisor import NodeSupervisor
+
             self.supervisor = NodeSupervisor(
                 self.cache,
                 self.membership,

@@ -20,6 +20,7 @@ import pytest
 
 from repro.clock import ManualClock
 from repro.db.database import Database
+from repro.db.errors import SerializationError
 from repro.db.index import HashIndex, OrderedIndex
 from repro.db.query import Eq, Func, Select
 from repro.db.schema import IndexSpec, TableSchema
@@ -303,3 +304,60 @@ def test_a_range_scan_beside_inserts_of_lower_keys_yields_its_whole_range():
     _run(insert, scan)
     wrong = [keys for keys in seen if keys != list(scanned)]
     assert seen and not wrong, f"{len(wrong)} of {len(seen)} scans, e.g. {wrong[0][:12]}"
+
+
+# ----------------------------------------------------------------------
+# Two writers claiming one row
+# ----------------------------------------------------------------------
+_XMAX = TupleVersion.xmax  # the slot itself, under the property below
+
+
+class _ClaimReadReplayed(TupleVersion):
+    """A version whose ``xmax``, read by a write claim, first lets another
+    writer's whole update run on its own thread and then hands the claim
+    what it read before that writer started: the one interleaving in which
+    two writers both find the row unclaimed."""
+
+    __slots__ = ()
+    rival = None
+
+    @property
+    def xmax(self):
+        value = _XMAX.__get__(self)
+        rival = _ClaimReadReplayed.rival
+        if rival is not None and sys._getframe(1).f_code.co_name == "_claim_for_write":
+            _ClaimReadReplayed.rival = None
+            rival.start()
+            rival.join(timeout=0.5)  # a claim under a lock holds the rival back
+        return value
+
+    @xmax.setter
+    def xmax(self, value):
+        _XMAX.__set__(self, value)
+
+
+def test_a_write_claim_and_a_rival_update_of_its_row_leave_one_current_version():
+    database = _database(5)
+    (version,) = database.table("t").index_on("id").lookup(3)
+    outcome = []
+
+    def rival():
+        transaction = database.begin_rw()
+        try:
+            transaction.update("t", Eq("id", 3), {"v": 200})
+        except SerializationError:
+            transaction.abort()
+            outcome.append("refused")
+        else:
+            transaction.commit()
+            outcome.append("committed")
+
+    version.__class__ = _ClaimReadReplayed
+    _ClaimReadReplayed.rival = thread = threading.Thread(target=rival)
+    writer = database.begin_rw()
+    assert writer.update("t", Eq("id", 3), {"v": 100}) == 1
+    thread.join(10)  # started by the claim's read
+    writer.commit()
+    rows = database.begin_ro().query(Select("t", Func(lambda row: row["id"] == 3))).rows
+    assert rows == [{"id": 3, "v": 100}]
+    assert outcome == ["refused"]

@@ -24,6 +24,7 @@ import threading
 
 import pytest
 
+from repro.cache import membership as membership_module
 from repro.cache import server as server_module
 from repro.cache.cluster import CacheCluster
 from repro.cache.maintenance import ChunkedJob, MaintenanceBudget, MaintenancePlane
@@ -194,11 +195,13 @@ def test_dirty_repair_fetches_keys_only_for_divergent_arcs(transport):
 
 @pytest.mark.parametrize("transport", transports_under_test())
 def test_a_node_share_longer_than_one_walk_is_walked_in_groups(transport, monkeypatch):
-    """A node walks at most ``wire.MAX_BATCH_ITEMS`` arcs per frame (a
+    """A node walks at most ``MAX_BATCH_ITEMS`` arcs per frame (a
     thread-hosted node refuses more from the list header), so the mover
     walks a longer share as consecutive walks and repair still restores
-    every lost key."""
+    every lost key.  The node reads the bound through ``wire``, the mover
+    through ``membership``; both are lowered."""
     monkeypatch.setattr(wire, "MAX_BATCH_ITEMS", 16)
+    monkeypatch.setattr(membership_module, "MAX_BATCH_ITEMS", 16)
     with TxCacheDeployment(
         cache_nodes=3, transport=transport, replication_factor=2
     ) as deployment:

@@ -20,10 +20,12 @@ import pytest
 from repro.cache.cluster import CacheCluster
 from repro.cache.entry import EntryRecord
 from repro.cache.hashring import ConsistentHashRing, _hash, range_contains
+from repro.cache import membership as membership_module
 from repro.cache.membership import ClusterMembership
 from repro.core.keys import cache_key
 from repro.cache.server import SCAN_PAGE_KEYS, CacheServer
 from repro.comm.multicast import InvalidationBus, InvalidationMessage
+from repro.comm.transport import MAX_BATCH_ITEMS
 from repro.core.api import ConsistencyMode
 from repro.core.stats import MissType
 from repro.db.query import Eq, Select
@@ -477,19 +479,15 @@ class TestOwnershipPlumbing:
         return ClusterMembership(cluster), calls
 
     def test_a_long_arcs_list_is_walked_in_groups_of_max_batch_items(self, monkeypatch):
-        from repro.comm import wire
-
         membership, calls = self._scripted_walks(monkeypatch, pages_per_walk=1)
-        arcs = [(i * 10, i * 10 + 5) for i in range(2 * wire.MAX_BATCH_ITEMS + 452)]
+        arcs = [(i * 10, i * 10 + 5) for i in range(2 * MAX_BATCH_ITEMS + 452)]
         firsts = [first for first, _ in membership._pages("key_digest", "cache0", arcs)]
-        assert firsts == [0, wire.MAX_BATCH_ITEMS, 2 * wire.MAX_BATCH_ITEMS]
-        assert [len(group) for group, _ in calls] == [wire.MAX_BATCH_ITEMS, wire.MAX_BATCH_ITEMS, 452]
+        assert firsts == [0, MAX_BATCH_ITEMS, 2 * MAX_BATCH_ITEMS]
+        assert [len(group) for group, _ in calls] == [MAX_BATCH_ITEMS, MAX_BATCH_ITEMS, 452]
         assert [arc for group, _ in calls for arc in group] == arcs
 
     def test_each_group_is_paged_to_its_end_before_the_next(self, monkeypatch):
-        from repro.comm import wire
-
-        monkeypatch.setattr(wire, "MAX_BATCH_ITEMS", 4)
+        monkeypatch.setattr(membership_module, "MAX_BATCH_ITEMS", 4)
         membership, calls = self._scripted_walks(monkeypatch, pages_per_walk=2)
         arcs = [(i * 10, i * 10 + 5) for i in range(6)]
         pages = list(membership._pages("key_digest", "cache0", arcs))

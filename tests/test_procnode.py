@@ -23,9 +23,11 @@ node as its own OS process.  What that changes — and what this suite pins:
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import signal
 import socket
+import threading
 
 import pytest
 
@@ -229,6 +231,33 @@ class TestClusterSupervision:
             assert victim not in cluster.processes
         finally:
             cluster.close()
+
+
+@pytest.mark.parametrize("transport", ["socket", "socket-process"])
+def test_a_failed_first_dial_leaves_no_node_running(transport, monkeypatch):
+    """Every networked node starts through one function with one
+    dial-with-clean-up: when the second node's first dial fails, the
+    constructor raises and both nodes, the one that dialled and the one
+    that did not, are stopped."""
+    threads_before = set(threading.enumerate())
+    dial = SocketTransport._dial
+    dials = []
+
+    def dial_then_fail(self):
+        dials.append(self.address)
+        if len(dials) == 2:
+            raise CacheNodeUnreachableError(f"cache node at {self.address} refused (test)")
+        return dial(self)
+
+    monkeypatch.setattr(SocketTransport, "_dial", dial_then_fail)
+    with pytest.raises(CacheNodeUnreachableError) as failure:
+        CacheCluster(node_count=2, capacity_bytes_per_node=1 << 20, transport=transport)
+    # ``failure`` keeps the raising frames, and what they held, alive:
+    # a node left running is not reaped by the collector behind the test.
+    assert "refused" in str(failure.value) and len(dials) == 2
+    assert multiprocessing.active_children() == []
+    assert set(threading.enumerate()) <= threads_before
+    assert all(_port_refuses(address) for address in dials)
 
 
 # ----------------------------------------------------------------------
