@@ -86,7 +86,7 @@ def run_experiment(name: str, settings: ExperimentSettings, smoke: bool = False)
         # Chaos recovery under fixed offered load: SIGKILL one process-
         # hosted node mid-run and compare supervisor off (ring heals but
         # stays a node short) against supervisor on (detect, respawn,
-        # gossip rejoin, budgeted re-warm: hit rate back to >= 90% of the
+        # rejoin, budgeted re-warm: hit rate back to >= 90% of the
         # pre-kill baseline with no operator action).  --smoke shrinks the
         # run (structure, not numbers).
         result = chaos_openloop(smoke=smoke)

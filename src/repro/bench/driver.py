@@ -36,6 +36,7 @@ from repro.apps.rubis.schema import create_rubis_schema
 from repro.apps.rubis.workload import BIDDING_MIX, RubisClientSession, WorkloadMix
 from repro.bench.costmodel import ClusterSpec, CostModel, CostParameters, InteractionCost
 from repro.clock import ManualClock
+from repro.comm.transport import _FAILURE_EXCEPTIONS
 from repro.core.api import ConsistencyMode
 from repro.core.stats import MissType
 from repro.deployment import TxCacheDeployment
@@ -104,15 +105,18 @@ def apply_churn(deployment: TxCacheDeployment, event: ChurnEvent) -> None:
         cluster = deployment.cache
         if name is not None and name in cluster.ring:
             # A restart of a crashed node whose failure has not crossed the
-            # detection threshold yet (socket transport keeps dead endpoints
-            # in the ring until enough traffic fails): complete the
-            # eviction first, then rejoin warm.
-            process = cluster.processes.get(name)
-            dead = name in cluster.suspect_nodes or (
-                process is not None and not process.running
-            )
-            if not dead and name in cluster.ring:
-                raise ValueError(f"churn join of live member {name!r}")
+            # detection threshold yet (under every transport a crashed node
+            # stays in the ring until enough traffic fails, and no traffic
+            # may have reached it): complete the eviction first, then rejoin
+            # warm.  A node that is not suspect must fail a probe.
+            transport = cluster.transports.get(name)
+            if transport is not None and name not in cluster.suspect_nodes:
+                try:
+                    transport.watermark()
+                except _FAILURE_EXCEPTIONS:
+                    pass
+                else:
+                    raise ValueError(f"churn join of live member {name!r}")
             try:
                 deployment.membership.evict(name)
             except KeyError:

@@ -1150,8 +1150,9 @@ class ChaosOpenLoopResult:
     corpse).  ``supervisor off`` shows the pre-supervision behaviour: the
     ring heals around the corpse but stays a node short, so the steady
     hit rate recovers only as far as the surviving replicas reach.
-    ``supervisor on`` must detect the death, respawn the child, rejoin it
-    over gossip, and re-warm it through the budgeted maintenance plane —
+    ``supervisor on`` must detect the death (the child's exit code),
+    respawn the child, and re-warm it through the budgeted maintenance
+    plane —
     restoring the hit rate to >= 90% of the pre-kill baseline with no
     operator action, zero consistency violations, and zero degraded reads
     at replication factor 2.
@@ -1202,7 +1203,7 @@ class ChaosOpenLoopResult:
             title=(
                 f"Chaos recovery: SIGKILL one of 3 process-hosted nodes at "
                 f"{self.kill_at_seconds:.1f}s under {self.offered_rate:,.0f} "
-                "ops/s Poisson (R=2, gossip, budgeted re-warm)"
+                "ops/s Poisson (R=2, budgeted re-warm)"
             ),
         )
 
@@ -1220,7 +1221,7 @@ def chaos_openloop(
     """Measure crash recovery under open-loop load, supervisor on vs off.
 
     Each scenario warms a 3-node ``socket-process`` deployment (R=2,
-    gossip, budgeted maintenance) with ``keys`` entries whose values
+    budgeted maintenance) with ``keys`` entries whose values
     encode their key (an inline one-snapshot check: a hit whose value
     names a different key is a consistency violation), then drives seeded
     Poisson lookups from ``threads`` workers.  At 30% of the run a chaos
@@ -1257,9 +1258,6 @@ def chaos_openloop(
             replication_factor=2,
             failure_threshold=2,
             rpc_timeout_seconds=1.0,
-            gossip=True,
-            gossip_suspect_seconds=0.3,
-            gossip_confirm_seconds=0.6,
             background_maintenance=True,
             maintenance_ops_per_interval=128,
             maintenance_bytes_per_interval=2 << 20,

@@ -3,12 +3,13 @@
 Cache nodes can be reached in-process (zero overhead) or as real networked
 servers over TCP (:mod:`repro.cache.netserver`); the cluster routes through
 either via the :class:`repro.comm.transport.CacheTransport` abstraction.
-The networked runtime (``netserver``, ``procnode``, ``gossip``,
-``supervisor``) is not imported here: it loads when a deployment asks for
-it, and the transport failure classes live in :mod:`repro.comm.transport`.
-The cache tier is elastic: :mod:`repro.cache.membership` versions the node
-set into epochs, live-migrates keys on planned joins/leaves, and records
-failure-driven evictions performed by the cluster's failure-aware routing.
+The networked runtime (``netserver``, ``procnode``, ``supervisor``) is not
+imported here: it loads when a deployment asks for it, and the transport
+failure classes live in :mod:`repro.comm.transport`.  The cache tier is
+elastic: :mod:`repro.cache.membership` versions the node set into epochs,
+live-migrates keys on planned joins/leaves, and records failure-driven
+evictions performed by the cluster's failure-aware routing, the one
+failure detector under every transport.
 """
 
 from repro.cache.cluster import CacheCluster, ClusterHealthStats

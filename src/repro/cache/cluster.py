@@ -188,7 +188,7 @@ class _NodeStreamGuard:
             send()
         except _FAILURE_EXCEPTIONS:
             self._cluster._bump_health("degraded_ops")
-            self._cluster._note_failure(self.name)
+            self._cluster._note_failure(self.name, via=self.transport)
 
     def process_invalidation(self, message: InvalidationMessage) -> None:
         self._deliver(lambda: self.transport.process_invalidation(message))
@@ -404,22 +404,24 @@ class CacheCluster:
         self._teardown_detached(detached)
 
     def fail_node(self, name: str) -> None:
-        """Simulate a node crash (tests and the churn benchmark).
+        """Crash a node without warning (tests and churn schedules).
 
-        Under the socket transport the node's server process is shut down
-        and nothing else: routing still points at the dead endpoint, so the
-        failure path (suspect marking, degraded results, threshold eviction)
-        is exercised exactly as a real crash would.  Under the in-process
-        transport there is no wire to fail, so the node is evicted
-        immediately — the post-detection state of a crash.
+        The node stops answering and nothing else changes, under every
+        transport: a networked node's server is shut down, and an
+        in-process node's transport is crashed
+        (:meth:`InProcessTransport.crash`).  Routing still points at the
+        dead node, so the failure path (suspect marking, degraded results,
+        threshold eviction) detects it exactly as it would a real crash.
+        Its store is lost: a rejoin starts the node empty.
         """
-        if name not in self._transports:
+        transport = self._transports.get(name)
+        if transport is None:
             raise KeyError(name)
         process = self._processes.get(name)
         if process is not None:
             process.shutdown()
         else:
-            self._evict_node(name)
+            transport.crash()
 
     def close(self) -> None:
         """Shut down every node (connections, socket servers, subscriptions).
@@ -533,10 +535,19 @@ class CacheCluster:
         """
         self._note_failure(node, evict=False)
 
-    def _note_failure(self, node: str, evict: bool = True) -> None:
-        """Record one transport failure; evict the node at the threshold."""
+    def _note_failure(
+        self, node: str, evict: bool = True, via: Optional[CacheTransport] = None
+    ) -> None:
+        """Record one transport failure; evict the node at the threshold.
+
+        ``via`` is the transport the failed call went through, when known.
+        A failure on a transport the node no longer has is not charged: the
+        node was evicted since, and the one of that name now in the cluster
+        (a rejoin) never failed.
+        """
         with self._state_lock:
-            if node not in self._transports:
+            current = self._transports.get(node)
+            if current is None or (via is not None and via is not current):
                 return
             self.health.transport_failures += 1
             count = self._failures.get(node, 0) + 1
@@ -645,7 +656,7 @@ class CacheCluster:
                 failure=failure,
             )
         except _FAILURE_EXCEPTIONS:
-            self._note_failure(node)
+            self._note_failure(node, via=transport)
             return _UNANSWERED
         if node in self._suspects:
             self._note_success(node)
@@ -718,8 +729,9 @@ class CacheCluster:
                     continue
                 if asked is not None:
                     asked.append(node)
-                # A batch routed wholly to one node goes as it came.
-                whole = len(indices) == len(requests)
+                # A batch routed wholly to one node goes as it came; after a
+                # failover the indices may cover the batch in another order.
+                whole = not tried and len(indices) == len(requests)
                 batch = requests if whole else [requests[index] for index in indices]
                 transport = self._transports.get(node)
                 if transport is None:
@@ -746,7 +758,7 @@ class CacheCluster:
                         else:
                             results[index] = self._degraded_lookup(key)
                     continue
-                if whole and not tried:
+                if whole:
                     return answers
                 for index, answer in zip(indices, answers):
                     results[index] = answer
@@ -799,7 +811,7 @@ class CacheCluster:
                 answers.append(getattr(transport, op)(*args))
             except _FAILURE_EXCEPTIONS:
                 self._bump_health("degraded_ops")
-                self._note_failure(node)
+                self._note_failure(node, via=transport)
         return answers
 
     def evict_stale(self, oldest_useful_timestamp: int) -> int:

@@ -158,7 +158,6 @@ _SERVE_OPCODE.update({
         (e.key, e.value, e.interval, e.tags, e.size)
         for e in server.versions_of(key)
     ],
-    OPCODES["gossip"]: _serves("gossip_exchange"),
     OPCODES["watermark"]: lambda server: server.last_invalidation_timestamp,
     OPCODES["ping"]: lambda server: server.name,
     OPCODES["invalidate_tags"]: _serve_invalidate_tags,
@@ -1017,10 +1016,7 @@ class SocketTransport:
     def versions_of(self, key: str) -> List[CacheEntry]:
         return [_unpack_value(CacheEntry(*fields)) for fields in self._call("versions_of", key)]
 
-    # -- autonomous cluster plane ---------------------------------------
-    def gossip(self, digest: dict) -> dict:
-        return self._call("gossip", dict(digest))
-
+    # -- anti-entropy planning -----------------------------------------
     def key_digest(
         self, arcs, cursor: Optional[str] = None
     ) -> Tuple[List[Tuple[int, int, int]], Optional[str]]:

@@ -256,13 +256,6 @@ class CacheServer:
         #: ascending by timestamp: what pruning has still to look at.
         self._unpruned: Deque[Tuple[int, List[List[int]]]] = deque()
         self._used_bytes = 0
-        #: Resident gossip-membership agent (attached by the deployment's
-        #: GossipRunner; None on nodes not participating in gossip).  The
-        #: ``gossip`` wire op delegates to it, which is how membership
-        #: digests piggyback on the cache transport under every deployment
-        #: style.  The agent carries its own lock; digest exchange never
-        #: takes the server lock.
-        self.gossip_agent = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -406,21 +399,6 @@ class CacheServer:
                 key for key in chunk if _locate_arc(segments, starts, _ring_hash(key)) is not None
             ]
         return chunk, next_cursor
-
-    def gossip_exchange(self, digest: dict) -> dict:
-        """Merge a membership digest into the resident agent; answer with ours.
-
-        Not ``@_locked``: the agent carries its own lock and reads no store
-        state, so an in-process exchange never queues behind another
-        thread's store operation.  (A networked node serves it on its one
-        loop thread, behind at most the frames that arrived before it.)
-        Returns an empty digest when no agent is attached (gossip disabled),
-        which merges as a no-op on the caller.
-        """
-        agent = self.gossip_agent
-        if agent is None:
-            return {}
-        return agent.exchange(digest)
 
     @_locked
     def stats_snapshot(self) -> CacheServerStats:

@@ -18,20 +18,19 @@ every registered node and drives a small per-node state machine::
 has an exit code is dead even if routing has not noticed yet (it is evicted
 on the spot, through the membership coordinator so the epoch history and
 auto-repair fire exactly as for a routed eviction); a node that is simply
-*gone* from the cluster was evicted by routing failures or a gossip death
-confirmation, and is picked up for respawn the same way.  Suspect nodes get
-a cheap wire probe so a wedged-but-alive child is either cleared or pushed
-toward the failure threshold without waiting for foreground traffic.
+*gone* from the cluster was evicted by the routing threshold — a crash
+under any transport, in-process included, is only ever its failed RPCs —
+and is picked up for respawn the same way.  Suspect nodes get a cheap wire
+probe so a wedged-but-alive node is either cleared or pushed toward the
+failure threshold without waiting for foreground traffic.
 
 **Respawn** waits out an exponential backoff with jitter (on the injected
 clock, so tests are deterministic), then rejoins through
 :meth:`repro.cache.membership.ClusterMembership.rejoin`: the node enters the
 ring cold and its working set streams back as a budgeted
 :class:`~repro.cache.maintenance.ChunkedJob` on the maintenance plane, so
-recovery traffic cannot spike foreground p99.  When gossip runs, the rejoin
-is registered with the runner — the incarnation bump above the dead
-tombstone (PR-8 semantics) is what lets the reborn node's alive records
-propagate instead of losing to the tombstone.
+recovery traffic cannot spike foreground p99.  The respawned node is a new
+server: it comes back with an empty store, as a restarted process does.
 
 **Circuit breaker**: a node that keeps crashing is not worth respawning
 forever.  More than :data:`MAX_RESTARTS` successful respawns inside
@@ -77,7 +76,7 @@ class SupervisorStats:
     #: Node deaths noticed (dead child process, or an eviction observed).
     deaths_detected: int = 0
     #: Dead children the supervisor evicted itself (exit code seen before
-    #: routing or gossip got there).
+    #: routing got there).
     direct_evictions: int = 0
     #: Successful respawns (node provisioned, rejoined, re-warm queued).
     respawns: int = 0
@@ -121,7 +120,6 @@ class NodeSupervisor:
         self,
         cluster: CacheCluster,
         membership: ClusterMembership,
-        gossip_runner=None,
         clock: Optional[Clock] = None,
         backoff_base_seconds: float = 0.1,
         jitter_fraction: float = 0.5,
@@ -129,7 +127,6 @@ class NodeSupervisor:
     ) -> None:
         self.cluster = cluster
         self.membership = membership
-        self.gossip_runner = gossip_runner
         self.clock = clock or SystemClock()
         self.backoff_base_seconds = backoff_base_seconds
         self.jitter_fraction = jitter_fraction
@@ -191,8 +188,8 @@ class NodeSupervisor:
                     if record.state == "serving":
                         continue
                 else:
-                    # Evicted behind our back (routing threshold or a gossip
-                    # death confirmation): same death, different detector.
+                    # Evicted behind our back by the routing threshold: the
+                    # same death, noticed by the traffic that hit it.
                     self._mark_dead(record, now)
             if record.state == "backoff" and now >= record.next_attempt_at:
                 if self._breaker_tripped(record, now):
@@ -287,11 +284,6 @@ class NodeSupervisor:
             record.failed_attempts += 1
             record.next_attempt_at = now + self._backoff_delay(record, now)
             return 0
-        if self.gossip_runner is not None:
-            # Incarnation bump above the tombstone: without it the reborn
-            # node's alive records lose to the circulating dead record and
-            # gossip would re-evict it immediately.
-            self.gossip_runner.register(name)
         record.state = "serving"
         record.failed_attempts = 0
         record.restart_times.append(now)

@@ -23,9 +23,8 @@ The operations are what the system sends a node: ``multi_lookup`` (every
 lookup, a batch of one or many answered in one round trip), ``put``,
 ``probe``, ``evict_stale`` and ``stats``, plus the key-migration operations
 used by the membership subsystem (``extract_entries``, ``install_entries``,
-``discard_keys``, ``watermark``), the autonomous-cluster-plane operations
-(``gossip`` digest exchange, ``key_digest``/``keys_in_range`` for per-arc
-anti-entropy planning), the invalidation-stream entry points
+``discard_keys``, ``watermark``), ``key_digest``/``keys_in_range`` for
+per-arc anti-entropy planning, the invalidation-stream entry points
 (``process_invalidation``, ``note_timestamp``), introspection (``keys``,
 ``versions_of``) and lifecycle helpers (``reset_stats``, ``close``).
 
@@ -341,11 +340,8 @@ class CacheTransport(Protocol):
         """All stored versions of one key (replica-placement introspection)."""
 
     # ------------------------------------------------------------------
-    # Autonomous cluster plane (gossip membership + digest repair)
+    # Anti-entropy planning (digest repair)
     # ------------------------------------------------------------------
-    def gossip(self, digest: dict) -> dict:
-        """Push-pull membership-digest exchange with the node's agent."""
-
     def key_digest(
         self, arcs: Sequence[Tuple[int, int]], cursor: Optional[str] = None
     ) -> Tuple[List[Tuple[int, int, int]], Optional[str]]:
@@ -380,6 +376,19 @@ class CacheTransport(Protocol):
     # ------------------------------------------------------------------
     def close(self) -> None:
         """Release any resources (connections) held by the transport."""
+
+
+class _CrashedServer:
+    """What an in-process node's transport calls once the node has crashed:
+    every attribute raises, as every RPC to a dead process fails."""
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def __getattr__(self, attribute: str):
+        raise CacheNodeUnreachableError(
+            f"cache node {self.name!r} has crashed", node=self.name, op=attribute
+        )
 
 
 class InProcessTransport:
@@ -463,11 +472,7 @@ class InProcessTransport:
         self._count("versions_of")
         return self.server.versions_of(key)
 
-    # -- autonomous cluster plane ---------------------------------------
-    def gossip(self, digest: dict) -> dict:
-        self._count("gossip")
-        return self.server.gossip_exchange(digest)
-
+    # -- anti-entropy planning -----------------------------------------
     def key_digest(
         self, arcs: Sequence[Tuple[int, int]], cursor: Optional[str] = None
     ) -> Tuple[List[Tuple[int, int, int]], Optional[str]]:
@@ -495,6 +500,12 @@ class InProcessTransport:
         self.server.note_timestamp(timestamp)
 
     # -- lifecycle ------------------------------------------------------
+    def crash(self) -> None:
+        """Crash the node: from now on every call raises
+        :class:`CacheNodeUnreachableError`, and its store is gone.  A live
+        node's calls are untouched: the server is swapped, not tested."""
+        self.server = _CrashedServer(self.name)
+
     def close(self) -> None:
         """Nothing to release for an in-process server."""
 

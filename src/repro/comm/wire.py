@@ -120,10 +120,10 @@ OPCODES = {
     # the wire only as ``invalidate_tags``.
     "note_timestamp": 16,
     "ping": 17,
-    # Autonomous cluster plane: membership-digest exchange piggybacked on
-    # the cache wire, and the per-arc interval-set digests anti-entropy
-    # repair plans from instead of full key inventories.
-    "gossip": 18,
+    # 18 was the gossip membership-digest exchange; failure detection is
+    # the routing threshold, which sends nothing of its own.
+    # The per-arc interval-set digests anti-entropy repair plans from
+    # instead of full key inventories.
     "key_digest": 19,
     "keys_in_range": 20,
     # Wire-delivered invalidation: a batch of (timestamp, tags) pairs

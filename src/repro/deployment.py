@@ -16,10 +16,12 @@ own OS process.  Socket deployments hold OS resources; call
 :meth:`TxCacheDeployment.shutdown` (or use the deployment as a context
 manager) when done.
 
-The wire stack, process-hosted nodes, gossip and the supervisor are this
+The wire stack, process-hosted nodes and the supervisor are this
 repository's runtime around the paper's system; each loads only when an
-option asks for it (a networked ``transport``, ``gossip``, supervision).
-README "Architecture" orders the layers.
+option asks for it (a networked ``transport``, supervision).  A crashed
+node is detected one way under every transport: the routing threshold of
+:class:`repro.cache.cluster.CacheCluster` counts its failed RPCs.  README
+"Architecture" orders the layers.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from repro.db.database import Database
 from repro.pincushion.pincushion import Pincushion
 
 if TYPE_CHECKING:  # runtime layer: imported below only when its flag is on
-    from repro.cache.gossip import GossipRunner
     from repro.cache.supervisor import NodeSupervisor
 
 __all__ = ["TxCacheDeployment", "HousekeepingError"]
@@ -50,7 +51,7 @@ class HousekeepingError(Exception):
 
     ``failures`` maps stage name to the exception it raised.  Raised at the
     end of :meth:`TxCacheDeployment.housekeeping` so one broken chore (say a
-    gossip round against a dying node) cannot starve the others — the
+    maintenance chunk against a dying node) cannot starve the others — the
     supervisor pump and the maintenance plane must keep running precisely
     when things are failing.
     """
@@ -94,15 +95,6 @@ class TxCacheDeployment:
     #: With R > 1 reads fail over to replicas and a node crash loses no
     #: cached state; 1 reproduces the paper's unreplicated deployment.
     replication_factor: int = 1
-    #: Run the gossip membership plane: a per-node SWIM-style agent plus an
-    #: app-server observer relay digests each :meth:`housekeeping` round, so
-    #: the node set converges without a coordinator and confirmed deaths
-    #: drive ring eviction.  See repro.cache.gossip.
-    gossip: bool = False
-    #: Seconds without heartbeat progress before a peer is suspected.
-    gossip_suspect_seconds: float = 2.0
-    #: Seconds a suspect stays unrefuted before it is confirmed dead.
-    gossip_confirm_seconds: float = 4.0
     #: Run migration/repair sweeps as resumable background jobs pumped from
     #: :meth:`housekeeping` under an op/byte budget, instead of synchronous
     #: epoch-boundary sweeps.  See repro.cache.maintenance.
@@ -153,17 +145,6 @@ class TxCacheDeployment:
                 interval_seconds=self.maintenance_interval_seconds,
             )
             self.membership.plane = MaintenancePlane(budget=budget)
-        self.gossip_runner: Optional[GossipRunner] = None
-        if self.gossip:
-            from repro.cache.gossip import GossipRunner
-
-            self.gossip_runner = GossipRunner(
-                self.cache,
-                self.membership,
-                clock=self.clock,
-                suspect_timeout=self.gossip_suspect_seconds,
-                confirm_timeout=self.gossip_confirm_seconds,
-            )
         self.supervisor: Optional[NodeSupervisor] = None
         supervise = (
             self.transport == "socket-process"
@@ -176,7 +157,6 @@ class TxCacheDeployment:
             self.supervisor = NodeSupervisor(
                 self.cache,
                 self.membership,
-                gossip_runner=self.gossip_runner,
                 clock=self.clock,
                 backoff_base_seconds=self.supervisor_backoff_base_seconds,
             )
@@ -225,8 +205,6 @@ class TxCacheDeployment:
         * vacuum tuple versions nothing can see any more;
         * eagerly evict cache entries too stale to satisfy any transaction
           within ``max_staleness`` seconds;
-        * with ``gossip``, run one gossip round (tick every agent, exchange
-          digests, confirm deaths);
         * with ``supervision``, run one supervisor pass (detect dead nodes,
           respawn any whose backoff has elapsed);
         * with ``background_maintenance``, pump queued maintenance chunks
@@ -250,8 +228,6 @@ class TxCacheDeployment:
             ("vacuum", self.database.vacuum),
             ("evict_stale", evict_stale),
         ]
-        if self.gossip_runner is not None:
-            stages.append(("gossip_round", self.gossip_runner.round))
         if self.supervisor is not None:
             # Supervisor before the plane: a rejoin queued this pass gets
             # its re-warm chunks pumped in the same housekeeping round.
@@ -298,8 +274,6 @@ class TxCacheDeployment:
             capacity_bytes=capacity_bytes or self.cache_capacity_bytes_per_node,
             migrate=migrate,
         )
-        if self.gossip_runner is not None:
-            self.gossip_runner.register(name)
         if self.supervisor is not None:
             self.supervisor.register(
                 name, capacity_bytes=capacity_bytes or self.cache_capacity_bytes_per_node
@@ -311,8 +285,6 @@ class TxCacheDeployment:
         if self.supervisor is not None:
             # Planned removal: supervision must not resurrect the node.
             self.supervisor.forget(name)
-        if self.gossip_runner is not None:
-            self.gossip_runner.leave(name)
         self.membership.leave(name, migrate=migrate)
 
     # ------------------------------------------------------------------

@@ -255,6 +255,35 @@ def node_views(cluster: CacheCluster) -> "dict[str, NodeView]":
 # ----------------------------------------------------------------------
 # Fault injection
 # ----------------------------------------------------------------------
+def crash_and_detect(cluster: CacheCluster, name: str) -> None:
+    """Crash ``name`` (:meth:`CacheCluster.fail_node`) and drive the routing
+    threshold to its eviction with traffic: one stale-entry sweep of every
+    node per failure the threshold counts, as housekeeping sends."""
+    cluster.fail_node(name)
+    for _ in range(cluster.failure_threshold):
+        cluster.evict_stale(0)
+    assert name not in cluster.transports
+
+
+def failover_batch(replicas_for, keys) -> Tuple[List[str], str]:
+    """Three of ``keys`` and the node to fail, such that the failed node's
+    one key fails over onto the node the other two are routed to.
+
+    The batch is ``[a, b, c]``: ``b``'s primary is the returned node, and
+    ``a`` and ``c``'s primary is ``b``'s second replica.  Once ``b``'s
+    primary fails, that replica's group covers the whole batch, in the
+    order ``a, c, b``.  ``replicas_for`` maps a key to its replica set.
+    """
+    for middle in keys:
+        replicas = replicas_for(middle)
+        if len(replicas) < 2:
+            continue
+        routed_on = [key for key in keys if replicas_for(key)[0] == replicas[1]]
+        if len(routed_on) >= 2:
+            return [routed_on[0], middle, routed_on[1]], replicas[0]
+    raise LookupError("no key fails over onto the node of two others")
+
+
 class PartitionableTransport:
     """A transport wrapper that can simulate a network partition.
 
@@ -271,54 +300,12 @@ class PartitionableTransport:
         self.inner = inner
         self.name = inner.name
         self.partitioned = False
-        # Seeded gossip-link faults (see set_gossip_faults): probability of
-        # dropping a gossip exchange, and a reply-delay queue modelling a
-        # slow link that delivers old digests late.
-        self._gossip_drop = 0.0
-        self._gossip_delay = 0
-        self._gossip_rng = random.Random(0)
-        self._gossip_queue: list = []
-
-    def set_gossip_faults(
-        self, drop_rate: float = 0.0, delay_replies: int = 0, seed: int = 0
-    ) -> None:
-        """Degrade only this link's gossip traffic, deterministically.
-
-        ``drop_rate`` drops each exchange (raising the same unreachable
-        error a lost datagram round produces) with seeded probability;
-        ``delay_replies`` holds every reply back ``delay_replies`` exchanges
-        — the caller receives a digest that old instead, which is how stale
-        records from before a partition arrive *after* it healed.
-        """
-        self._gossip_drop = drop_rate
-        self._gossip_delay = delay_replies
-        self._gossip_rng = random.Random(seed)
-        self._gossip_queue = []
 
     def close(self) -> None:
         # Teardown must always work, partitioned or not.
         self.inner.close()
 
-    def _gossip(self, digest):
-        if self.partitioned:
-            raise CacheNodeUnreachableError(
-                f"cache node {self.name!r} is partitioned (fault injection)"
-            )
-        if self._gossip_drop and self._gossip_rng.random() < self._gossip_drop:
-            raise CacheNodeUnreachableError(
-                f"gossip to {self.name!r} dropped (fault injection)"
-            )
-        reply = self.inner.gossip(digest)
-        if not self._gossip_delay:
-            return reply
-        self._gossip_queue.append(reply)
-        if len(self._gossip_queue) > self._gossip_delay:
-            return self._gossip_queue.pop(0)
-        return {}  # reply still in flight; an empty digest merges as a no-op
-
     def __getattr__(self, attr):
-        if attr == "gossip":
-            return self._gossip
         target = getattr(self.inner, attr)
         if not callable(target):
             return target
@@ -347,7 +334,7 @@ class FaultInjector:
             if current is None:
                 if wrapper is not None:
                     # Node evicted since: keep driving the detached link so a
-                    # test can still heal it / drain its delayed replies.
+                    # test can still heal it.
                     return wrapper
                 raise KeyError(name)
             wrapper = PartitionableTransport(current)
@@ -368,29 +355,16 @@ class FaultInjector:
         """Restore connectivity to a partitioned node."""
         self._wrapper_for(name).partitioned = False
 
-    def gossip_faults(
-        self, name: str, drop_rate: float = 0.0, delay_replies: int = 0, seed: int = 0
-    ) -> None:
-        """Degrade only the gossip traffic on the link to ``name``.
-
-        Seeded and per-link: data-path RPCs are untouched, gossip exchanges
-        are dropped with ``drop_rate`` probability and replies are delivered
-        ``delay_replies`` exchanges late (stale digests after a heal).
-        Call with defaults to clear the faults.
-        """
-        self._wrapper_for(name).set_gossip_faults(
-            drop_rate=drop_rate, delay_replies=delay_replies, seed=seed
-        )
-
     def crash(self, name: str) -> None:
-        """Kill the node outright (see :meth:`CacheCluster.fail_node`)."""
+        """Crash the node (see :meth:`CacheCluster.fail_node`): it stops
+        answering, and the routing threshold detects it."""
         self.cluster.fail_node(name)
 
     def kill(self, name: str) -> None:
         """SIGKILL a process-hosted node's child — no cleanup, no eviction.
 
-        Unlike :meth:`crash` (which shuts the node down *and* evicts it),
-        this only murders the OS process, exactly like the kernel OOM killer
+        Unlike :meth:`crash` (which shuts the node down cleanly), this only
+        murders the OS process, exactly like the kernel OOM killer
         would: routing still points at the corpse until failure-aware
         routing or the supervisor notices.  Requires a ``socket-process``
         cluster (other transports have no child to kill).

@@ -251,6 +251,21 @@ def test_threaded_crash_and_rejoin_fire_at_their_interactions(transport):
     assert point.degraded_lookups == 0
 
 
+@pytest.mark.parametrize("transport", ["inprocess", "socket"])
+def test_a_join_right_after_a_crash_restarts_the_node(transport):
+    """No traffic reached the crashed node, so nothing suspects it: the
+    join finds it does not answer, evicts it and rejoins it.  A join of a
+    live member is still refused."""
+    with TxCacheDeployment(cache_nodes=3, transport=transport) as deployment:
+        with pytest.raises(ValueError, match="live member"):
+            apply_churn(deployment, ChurnEvent(0, "join", node="cache1"))
+        apply_churn(deployment, ChurnEvent(0, "crash", node="cache1"))
+        apply_churn(deployment, ChurnEvent(1, "join", node="cache1"))
+        assert "cache1" in deployment.cache.ring
+        changes = [record.change for record in deployment.membership.history]
+        assert changes[-2:] == ["evict", "rejoin"]
+
+
 @pytest.mark.parametrize("action", ["leave", "drain"])
 def test_apply_churn_refuses_an_action_it_does_not_know(action):
     """A churn event is a join or a crash; anything else is an error, not

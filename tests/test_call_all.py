@@ -32,7 +32,7 @@ from repro.core.stats import MissType
 from repro.db.query import Eq, Select
 from repro.db.schema import TableSchema
 from repro.deployment import TxCacheDeployment
-from tests.helpers import node_views, rubis_sessions, run_interactions
+from tests.helpers import failover_batch, node_views, rubis_sessions, run_interactions
 
 
 def plain_loop(calls):
@@ -272,3 +272,35 @@ def test_outside_a_transaction_and_read_write_are_the_plain_loop(mode):
     stats = library.client.stats
     # pair's nested get calls bypass too: four calls, no cache traffic.
     assert (stats.cache_bypassed_calls, stats.lookups, stats.cache_rpcs) == (4, 0, 0)
+
+
+def test_a_batch_that_fails_over_gets_each_call_its_own_value():
+    """Over sockets with R = 2 and one node shut down: the dead node's call
+    fails over onto the node that answers the rest of the batch, and every
+    call still returns its own row."""
+    deployment = TxCacheDeployment(
+        cache_nodes=3,
+        cache_capacity_bytes_per_node=4 << 20,
+        transport="socket",
+        replication_factor=2,
+        default_staleness=60.0,
+    )
+    try:
+        database = deployment.database
+        database.create_table(TableSchema.build("rows", ["id", "v"], primary_key="id"))
+        database.bulk_load("rows", [{"id": i, "v": f"row{i}"} for i in range(40)])
+        client = deployment.client()
+        get = client.make_cacheable(
+            lambda i: client.query(Select("rows", Eq("id", i))).rows[0]["v"], name="get"
+        )
+        key_of = {get.__txcache_key_maker__((i,), {}): i for i in range(40)}
+        batch, victim = failover_batch(deployment.cache.replicas_for, list(key_of))
+        rows = [key_of[key] for key in batch]
+        with client.read_only():
+            plain_loop([(get, (i,)) for i in rows])
+        deployment.cache.processes[victim].shutdown()
+        with client.read_only():
+            assert client.call_all([(get, (i,)) for i in rows]) == [f"row{i}" for i in rows]
+        assert client.stats.hits == 3
+    finally:
+        deployment.shutdown()

@@ -2,7 +2,7 @@
 
 The paper's TxCache is a client library, cache servers, the pincushion and
 a database with an invalidation stream (Figure 1).  The wire stack,
-process-hosted nodes, gossip and the supervisor are the runtime this
+process-hosted nodes and the supervisor are the runtime this
 repository adds around it.  ``LAYERS`` orders every module: a module's
 module-level imports name no later layer, and the runtime (layer 5) loads
 only when a deployment's options ask for it.  README "Architecture" prints
@@ -50,7 +50,6 @@ LAYERS = {
     "repro.comm.wire": (5, "*extension*"),
     "repro.cache.netserver": (5, "*extension*"),
     "repro.cache.procnode": (5, "*extension*"),
-    "repro.cache.gossip": (5, "*extension*"),
     "repro.cache.supervisor": (5, "*extension*"),
     "repro.apps.*": (6, "§8"),
     "repro.bench.*": (6, "§8"),
@@ -61,7 +60,6 @@ RUNTIME = (
     "repro.comm.wire",
     "repro.cache.netserver",
     "repro.cache.procnode",
-    "repro.cache.gossip",
     "repro.cache.supervisor",
     "socket",
     "selectors",
@@ -149,7 +147,7 @@ from repro.db.query import Eq, Select
 from repro.db.schema import TableSchema
 
 deployment = repro.TxCacheDeployment(
-    replication_factor=2, background_maintenance=True, gossip=GOSSIP
+    replication_factor=2, background_maintenance=True
 )
 database = deployment.database
 database.create_table(TableSchema.build("users", ["id", "name"], primary_key="id"))
@@ -182,12 +180,11 @@ print(json.dumps(sorted(name for name in RUNTIME if name in sys.modules)))
 """
 
 
-@pytest.mark.parametrize("gossip, loaded", [(False, []), (True, ["repro.cache.gossip"])])
-def test_an_in_process_deployment_loads_no_wire_runtime(gossip, loaded):
-    script = _SCENARIO.replace("GOSSIP", repr(gossip)).replace("RUNTIME", repr(RUNTIME))
+def test_an_in_process_deployment_loads_no_wire_runtime():
+    script = _SCENARIO.replace("RUNTIME", repr(RUNTIME))
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     result = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
     )
     assert result.returncode == 0, result.stderr
-    assert json.loads(result.stdout.splitlines()[-1]) == loaded
+    assert json.loads(result.stdout.splitlines()[-1]) == []

@@ -33,7 +33,7 @@ from repro.clock import ManualClock
 from repro.comm import wire
 from repro.deployment import TxCacheDeployment
 from repro.interval import Interval
-from tests.helpers import transports_under_test
+from tests.helpers import crash_and_detect, transports_under_test
 
 # ----------------------------------------------------------------------
 # Budget / job / plane units
@@ -278,7 +278,7 @@ def test_repair_after_crash_goes_through_the_plane_when_attached():
     cluster = deployment.cache
     for i in range(20):
         cluster.put(f"key{i}", f"value{i}", Interval(1, None))
-    cluster.fail_node("cache1")  # inprocess: evicts immediately, auto-repair
+    crash_and_detect(cluster, "cache1")  # the threshold evicts it: auto-repair
     plane = deployment.membership.plane
     assert plane.pending_jobs == 1  # queued as a background job, not swept
     while not plane.idle:

@@ -25,14 +25,20 @@ from repro.cache.membership import ClusterMembership
 from repro.core.keys import cache_key
 from repro.cache.server import SCAN_PAGE_KEYS, CacheServer
 from repro.comm.multicast import InvalidationBus, InvalidationMessage
-from repro.comm.transport import MAX_BATCH_ITEMS
+from repro.comm.transport import MAX_BATCH_ITEMS, CacheNodeUnreachableError, RetryPolicy
 from repro.core.api import ConsistencyMode
 from repro.core.stats import MissType
 from repro.db.query import Eq, Select
 from repro.db.invalidation import InvalidationTag
 from repro.deployment import TxCacheDeployment
 from repro.interval import Interval
-from tests.helpers import node_views, transports_under_test
+from tests.helpers import (
+    build_deployment,
+    crash_and_detect,
+    node_views,
+    transports_under_test,
+    update_user,
+)
 
 # Overridable with REPRO_TRANSPORT=inprocess|socket (CI transport matrix).
 TRANSPORTS = transports_under_test()
@@ -306,7 +312,7 @@ class TestOneMover:
             routed_there = next(key for key in keys if cluster.replicas_for(key)[0] == victim)
             cluster.fail_node(victim)
             while victim in cluster.ring:
-                cluster.lookup(routed_there, 0, 5)  # networked kinds: threshold eviction
+                cluster.lookup(routed_there, 0, 5)  # threshold eviction
             assert membership.stats.repairs == 1
             assert membership.rejoin(victim, capacity_bytes=1 << 22) > 0
             # The nodes that absorbed the victim's slice dropped their
@@ -606,16 +612,47 @@ class TestFailureAwareRouting:
         finally:
             deployment.shutdown()
 
-    def test_inprocess_fail_node_evicts_immediately(self):
-        cluster = CacheCluster(node_count=2)
+    def test_an_in_process_crash_is_evicted_at_the_threshold_not_before(self):
+        """An in-process crash is detected like any other: each routed call
+        to the node fails, and the threshold evicts it."""
+        cluster = CacheCluster(node_count=3, failure_threshold=3)
         membership = ClusterMembership(cluster)
         try:
-            cluster.fail_node("cache0")
-            assert "cache0" not in cluster.ring
-            assert cluster.node_count == 1
+            keys = fill(cluster, count=30, tagged=False)
+            victim = cluster.ring.node_for(keys[0])
+            cluster.fail_node(victim)
+            assert victim in cluster.ring and cluster.suspect_nodes == []
+            for failures in range(1, cluster.failure_threshold):
+                result = cluster.lookup(keys[0], 0, 6)
+                assert not result.hit and result.degraded
+                assert victim in cluster.ring
+                assert cluster.suspect_nodes == [victim]
+                assert cluster.health.transport_failures == failures
+            assert membership.epoch == 0
+            cluster.put(keys[0], "again", Interval(0))
+            assert victim not in cluster.ring
+            assert cluster.node_count == 2
+            assert cluster.health.nodes_evicted == 1
             assert membership.epoch == 1
+            assert membership.history[-1].change == "evict"
         finally:
             cluster.close()
+
+    def test_a_commit_to_a_crashed_in_process_node_counts_as_its_failure(self):
+        deployment, _client = build_deployment(cache_nodes=2)
+        try:
+            deployment.cache.fail_node("cache0")
+            update_user(deployment, 1, score=1.0)
+            assert deployment.cache.suspect_nodes == ["cache0"]
+            assert deployment.cache.health.transport_failures == 1
+            assert deployment.cache.health.degraded_ops == 1
+            for user_id in range(2, deployment.failure_threshold + 1):
+                update_user(deployment, user_id, score=1.0)
+            assert "cache0" not in deployment.cache.ring
+            assert deployment.membership.history[-1].change == "evict"
+            assert len(deployment.invalidation_bus.subscribers) == 1
+        finally:
+            deployment.shutdown()
 
     def test_rejoin_after_failure_eviction(self, transport_kind):
         cluster, membership = build_membership(transport_kind)
@@ -623,12 +660,10 @@ class TestFailureAwareRouting:
             keys = fill(cluster, tagged=False)
             victim = cluster.ring.node_for(keys[0])
             cluster.fail_node(victim)
-            if transport_kind != "inprocess":
-                # Networked kinds keep the dead endpoint in the ring until
-                # enough routed traffic fails (threshold eviction).
-                while victim in cluster.ring:
-                    cluster.lookup(keys[0], 0, 6)
-            assert victim not in cluster.ring
+            # The dead node stays in the ring until enough routed traffic
+            # fails (threshold eviction).
+            while victim in cluster.ring:
+                cluster.lookup(keys[0], 0, 6)
             # Refill the survivors so the rejoin has something to migrate.
             for key in keys:
                 cluster.put(key, "warm", Interval(0))
@@ -705,6 +740,36 @@ class TestFailureAccounting:
         finally:
             cluster.close()
 
+    def test_a_failure_on_an_evicted_transport_is_not_charged_to_the_rejoin(self):
+        """A call still in flight on a node's old transport fails after the
+        node was evicted and rejoined: the rejoined node never failed, so
+        the failure is not charged to it."""
+        cluster = CacheCluster(
+            node_count=2, failure_threshold=1, retry_policy=RetryPolicy(max_attempts=1)
+        )
+        membership = ClusterMembership(cluster)
+        try:
+            key = next(
+                f"key-{i}" for i in range(100) if cluster.ring.node_for(f"key-{i}") == "cache0"
+            )
+            old = cluster.transports["cache0"]
+
+            def rejoined_meanwhile(requests):
+                membership.evict("cache0")
+                membership.join("cache0", capacity_bytes=1 << 20)
+                raise CacheNodeUnreachableError("connection lost")
+
+            old.multi_lookup = rejoined_meanwhile
+            result = cluster.lookup(key, 0, 5)
+            assert "cache0" in cluster.ring
+            assert cluster.suspect_nodes == []
+            assert cluster.health.transport_failures == 0
+            assert cluster.health.nodes_evicted == 0
+            # Its one replica was the node that failed it: a degraded miss.
+            assert result.degraded
+        finally:
+            cluster.close()
+
     def test_manual_evict_counts_separately_from_failure_evictions(self):
         cluster = CacheCluster(node_count=2)
         membership = ClusterMembership(cluster)
@@ -712,7 +777,7 @@ class TestFailureAccounting:
             membership.evict("cache0")
             assert membership.stats.manual_evictions == 1
             assert membership.stats.failure_evictions == 0
-            cluster.fail_node("cache1")
+            crash_and_detect(cluster, "cache1")
             assert membership.stats.failure_evictions == 1
         finally:
             cluster.close()

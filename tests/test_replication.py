@@ -22,6 +22,7 @@ import pytest
 from repro.cache.cluster import CacheCluster
 from repro.cache.membership import ClusterMembership
 from repro.comm.multicast import InvalidationBus, InvalidationMessage
+from repro.comm.transport import CacheNodeUnreachableError
 from repro.core.keys import cache_key
 from repro.core.stats import MissType
 from repro.db.invalidation import InvalidationTag
@@ -30,6 +31,7 @@ from repro.interval import Interval
 from tests.helpers import (
     ConsistencyHarness,
     FaultInjector,
+    failover_batch,
     node_view,
     node_views,
     transports_under_test,
@@ -192,6 +194,30 @@ class TestCrashFailover:
             assert all(result.hit for result in results)
             assert not any(result.degraded for result in results)
             assert cluster.health.replica_hits > 0
+        finally:
+            cluster.close()
+
+    def test_a_failed_over_batch_is_answered_in_request_order(self):
+        """The failed node's request fails over onto the node that holds the
+        rest of the batch: that node's group covers the whole batch in
+        another order, and each request still gets its own answer."""
+        from repro.cache.entry import LookupRequest
+
+        cluster = build_cluster("inprocess", failure_threshold=10)
+        try:
+            keys = fill(cluster, tagged=False)
+            batch, victim = failover_batch(cluster.replicas_for, keys)
+
+            def unreachable(requests):
+                raise CacheNodeUnreachableError(f"cache node {victim!r} is down")
+
+            cluster.transports[victim].multi_lookup = unreachable
+            results = cluster.multi_lookup([LookupRequest(key, 0, 5) for key in batch])
+            assert [result.key for result in results] == batch
+            assert [result.value for result in results] == [
+                {"i": keys.index(key)} for key in batch
+            ]
+            assert cluster.health.replica_hits == 1
         finally:
             cluster.close()
 
@@ -415,9 +441,8 @@ class TestReplicatedMigration:
             keys = fill(cluster, tagged=False)
             victim = cluster.ring.nodes[0]
             cluster.fail_node(victim)
-            if transport_kind != "inprocess":
-                while victim in cluster.ring:
-                    cluster.lookup(keys[0], 0, 5)
+            while victim in cluster.ring:
+                cluster.lookup(keys[0], 0, 5)  # threshold eviction
             membership.join(victim, capacity_bytes=1 << 22)
             assert membership.history[-1].change == "rejoin"
             for key in keys:
@@ -443,9 +468,8 @@ class TestInvalidationDelivery:
             fill(cluster, count=30)
             victim = cluster.ring.nodes[0]
             cluster.fail_node(victim)
-            if transport_kind != "inprocess":
-                while victim in cluster.ring:
-                    cluster.lookup("key-0", 0, 5)
+            while victim in cluster.ring:
+                cluster.lookup("key-0", 0, 5)  # threshold eviction
             membership.join(victim, capacity_bytes=1 << 22)  # re-warm
             # A coordinator re-attaching the bus (e.g. after re-warming the
             # tier) must replace subscriptions, not stack them.

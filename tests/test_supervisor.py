@@ -2,11 +2,12 @@
 retry/deadline on the wire client, and housekeeping stage isolation.
 
 The deterministic state-machine tests run on the in-process transport with
-a manual clock (a crash is ``fail_node``; backoff and the breaker window
-advance by hand).  The process tests SIGKILL real ``socket-process``
-children and drive recovery solely through ``housekeeping()`` — the way a
-deployment timer would — asserting the node returns to serving with its
-working set re-warmed and the one-snapshot invariant intact throughout.
+a manual clock (a crash is ``fail_node``, driven to its threshold eviction
+by traffic; backoff and the breaker window advance by hand).  The process
+tests SIGKILL real ``socket-process`` children and drive recovery solely
+through ``housekeeping()`` — the way a deployment timer would — asserting
+the node returns to serving with its working set re-warmed and the
+one-snapshot invariant intact throughout.
 """
 
 from __future__ import annotations
@@ -16,7 +17,13 @@ import time
 
 import pytest
 
-from tests.helpers import ConsistencyHarness, FaultInjector, lookup_one, transports_under_test
+from tests.helpers import (
+    ConsistencyHarness,
+    FaultInjector,
+    crash_and_detect,
+    lookup_one,
+    transports_under_test,
+)
 from repro.cache.netserver import CacheNodeUnreachableError, SocketTransport
 from repro.cache.supervisor import BACKOFF_MAX_SECONDS, _NodeRecord
 from repro.clock import ManualClock, SystemClock
@@ -62,7 +69,7 @@ class TestSupervisorStateMachine:
             supervisor = deployment.supervisor
             for i in range(40):
                 deployment.cache.put(f"key{i}", f"value{i}", Interval(1, None))
-            deployment.cache.fail_node("cache1")
+            crash_and_detect(deployment.cache, "cache1")
             assert "cache1" not in deployment.cache.transports
 
             supervisor.pump()  # detects the eviction, enters backoff
@@ -80,11 +87,37 @@ class TestSupervisorStateMachine:
             assert deployment.membership.stats.entries_rewarmed > 0
             assert len(deployment.cache.node_keys("cache1")) > 0
 
+    def test_a_respawned_node_comes_back_with_an_empty_store(self):
+        """A respawn is a new server: nothing of the crashed store survives,
+        and what the node holds again is what the re-warm moves back."""
+        clock = ManualClock()
+        with _supervised_deployment(clock, background_maintenance=True) as deployment:
+            supervisor = deployment.supervisor
+            for i in range(40):
+                deployment.cache.put(f"key{i}", f"value{i}", Interval(1, None))
+            crashed = deployment.cache.servers["cache1"]
+            assert crashed.entry_count > 0
+            crash_and_detect(deployment.cache, "cache1")
+            supervisor.pump()
+            clock.advance(1.0)
+            assert supervisor.pump() == 1
+            assert deployment.cache.servers["cache1"] is not crashed
+            # The re-warm is queued on the plane, not run yet.
+            assert deployment.cache.node_keys("cache1") == []
+            plane = deployment.membership.plane
+            for _ in range(50):
+                if plane.idle:
+                    break
+                plane.pump()
+                clock.advance(1.0)
+            assert plane.idle
+            assert len(deployment.cache.node_keys("cache1")) > 0
+
     def test_backoff_gates_the_respawn(self):
         clock = ManualClock()
         with _supervised_deployment(clock) as deployment:
             supervisor = deployment.supervisor
-            deployment.cache.fail_node("cache1")
+            crash_and_detect(deployment.cache, "cache1")
             supervisor.pump()
             # Backoff has not elapsed: pumping again must not respawn.
             assert supervisor.pump() == 0
@@ -101,13 +134,13 @@ class TestSupervisorStateMachine:
             supervisor.max_restarts = 3
             supervisor.restart_window_seconds = 1000.0
             for _ in range(3):
-                deployment.cache.fail_node("cache1")
+                crash_and_detect(deployment.cache, "cache1")
                 supervisor.pump()
                 _pump_until_serving(supervisor, clock, "cache1")
             assert supervisor.stats.respawns == 3
 
             # The fourth death trips the breaker instead of respawning.
-            deployment.cache.fail_node("cache1")
+            crash_and_detect(deployment.cache, "cache1")
             supervisor.pump()
             clock.advance(100.0)
             assert supervisor.pump() == 0
@@ -134,7 +167,7 @@ class TestSupervisorStateMachine:
             supervisor.max_restarts = 2
             supervisor.restart_window_seconds = 10.0
             for round_index in range(4):
-                deployment.cache.fail_node("cache1")
+                crash_and_detect(deployment.cache, "cache1")
                 supervisor.pump()
                 _pump_until_serving(supervisor, clock, "cache1")
                 # Space the crashes wider than the window: the breaker's
@@ -158,7 +191,7 @@ class TestSupervisorStateMachine:
         clock = ManualClock()
         with _supervised_deployment(clock) as deployment:
             supervisor = deployment.supervisor
-            deployment.cache.fail_node("cache1")
+            crash_and_detect(deployment.cache, "cache1")
             supervisor.pump()
             # An operator beats the supervisor to it.
             deployment.add_cache_node("cache1")
@@ -172,7 +205,7 @@ class TestSupervisorStateMachine:
         with _supervised_deployment(clock) as deployment:
             supervisor = deployment.supervisor
             supervisor.jitter_fraction = 0.0
-            deployment.cache.fail_node("cache1")
+            crash_and_detect(deployment.cache, "cache1")
             supervisor.pump()
 
             real_rejoin = deployment.membership.rejoin
@@ -199,32 +232,6 @@ class TestSupervisorStateMachine:
             # Each failed spawn pushed the next attempt further out.
             assert delays[1] > delays[0] > 0
 
-    def test_gossip_rejoin_beats_the_tombstone(self):
-        clock = ManualClock()
-        with _supervised_deployment(
-            clock,
-            gossip=True,
-            gossip_suspect_seconds=0.5,
-            gossip_confirm_seconds=1.0,
-        ) as deployment:
-            supervisor = deployment.supervisor
-            deployment.cache.fail_node("cache1")
-            # Let gossip notice, confirm, and tombstone the death.
-            for _ in range(8):
-                clock.advance(0.5)
-                try:
-                    deployment.housekeeping()
-                except HousekeepingError:
-                    pass
-            _pump_until_serving(supervisor, clock, "cache1")
-            # Gossip must not re-kill the reborn node: run several more
-            # rounds and confirm it stays in the ring.
-            for _ in range(8):
-                clock.advance(0.5)
-                deployment.housekeeping()
-            assert "cache1" in deployment.cache.transports
-            assert supervisor.states["cache1"] == "serving"
-
 
 # ----------------------------------------------------------------------
 # Housekeeping stage isolation (satellite b)
@@ -244,7 +251,7 @@ class TestHousekeepingIsolation:
             deployment.database.vacuum = lambda: ran.append("vacuum") or vacuum()
 
             # Kill a node so the supervisor stage has real work to do.
-            deployment.cache.fail_node("cache1")
+            crash_and_detect(deployment.cache, "cache1")
             deployment.supervisor.pump()
             clock.advance(1.0)
 
@@ -441,7 +448,7 @@ class TestBackoffCaps:
             # Ten respawns in the window: uncapped, the last rung would wait
             # 0.1 * 2**9 = 51 s.
             for _ in range(10):
-                deployment.cache.fail_node("cache1")
+                crash_and_detect(deployment.cache, "cache1")
                 supervisor.pump()
                 assert supervisor.states["cache1"] == "backoff"
                 clock.advance(BACKOFF_MAX_SECONDS)
@@ -534,9 +541,6 @@ class TestProcessRecovery:
             replication_factor=2,
             failure_threshold=2,
             rpc_timeout_seconds=2.0,
-            gossip=True,
-            gossip_suspect_seconds=0.3,
-            gossip_confirm_seconds=0.6,
             background_maintenance=True,
             maintenance_ops_per_interval=256,
             maintenance_bytes_per_interval=2 << 20,
@@ -633,7 +637,6 @@ class TestProcessRecovery:
             simulated_rpc_latency_seconds=0.25,
             rpc_timeout_seconds=10.0,
             supervision=False,  # isolate the failure path from respawn
-            gossip=False,
             background_maintenance=False,
         )
         try:

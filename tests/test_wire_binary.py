@@ -1045,7 +1045,6 @@ CLIENT_CALLS = {
     "watermark": (lambda t: t.watermark(), ()),
     "note_timestamp": (lambda t: t.note_timestamp(7), (7,)),
     "ping": (lambda t: t._call("ping"), ()),
-    "gossip": (lambda t: t.gossip({}), ({},)),
     "key_digest": (lambda t: t.key_digest([(0, 0)]), ([(0, 0)], None)),
     "keys_in_range": (lambda t: t.keys_in_range([(0, 0)]), ([(0, 0)], None)),
     "invalidate_tags": (
@@ -1138,8 +1137,9 @@ def test_single_message_rides_invalidate_tags(hosting):
 
 #: Opcodes a node no longer serves: 1 the single-key lookup, 5 the
 #: ever-stored check, 7 emptying the node, 13 the whole key set in one
-#: frame, and 15 the pickled single-message ``invalidate``.
-RETIRED_OPCODES = [1, 5, 7, 13, 15]
+#: frame, 15 the pickled single-message ``invalidate``, and 18 the
+#: membership-digest exchange.
+RETIRED_OPCODES = [1, 5, 7, 13, 15, 18]
 
 
 @pytest.mark.parametrize("opcode", RETIRED_OPCODES)

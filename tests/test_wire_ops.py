@@ -94,7 +94,6 @@ CASES = {
     "watermark": lambda t: t.watermark(),
     "note_timestamp": lambda t: t.note_timestamp(8),
     "ping": ping,
-    "gossip": lambda t: t.gossip({}),
     "key_digest": lambda t: [t.key_digest(ARCS), t.key_digest(ARCS, "b")],
     "keys_in_range": lambda t: [t.keys_in_range([arc], cursor) for arc in ARCS for cursor in (None, "b")],
     "invalidate_tags": lambda t: t.process_invalidations(
