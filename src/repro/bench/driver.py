@@ -36,7 +36,6 @@ from repro.apps.rubis.schema import create_rubis_schema
 from repro.apps.rubis.workload import BIDDING_MIX, RubisClientSession, WorkloadMix
 from repro.bench.costmodel import ClusterSpec, CostModel, CostParameters, InteractionCost
 from repro.clock import ManualClock
-from repro.comm.transport import _FAILURE_EXCEPTIONS
 from repro.core.api import ConsistencyMode
 from repro.core.stats import MissType
 from repro.deployment import TxCacheDeployment
@@ -65,11 +64,12 @@ class ChurnEvent:
 
     ``action`` is ``"join"`` (a node is added; ``migrate`` selects a warm
     join via live key migration or a cold one) or ``"crash"`` (the node
-    dies without warning; failure-aware routing detects and evicts it).  A
-    *rolling restart* is expressed as interleaved crash/join pairs per node
-    (see :func:`rolling_restart_events`): joining a node whose crash has not
-    crossed the failure-detection threshold yet completes the eviction
-    first, exactly as an operator restarting a wedged process would.
+    dies without warning; the routing threshold evicts it once enough calls
+    to it fail).  A *rolling restart* is expressed as interleaved
+    crash/join pairs per node (see :func:`rolling_restart_events`): joining
+    a node whose crash the threshold has not evicted yet probes it until
+    it does, as an operator restarting a wedged process would first
+    confirm it is down.
 
     :func:`run_benchmark` counts interactions of its measurement phase; a
     threaded wall-clock run counts the operation indices its workers claim
@@ -95,32 +95,22 @@ def check_churn_window(churn: Sequence[ChurnEvent], total: int) -> None:
 def apply_churn(deployment: TxCacheDeployment, event: ChurnEvent) -> None:
     """Apply one membership change to a running deployment.
 
-    Worker threads may be driving traffic meanwhile, and their failed RPCs
-    drive threshold eviction: the crashed node a join finds in the ring can
-    be evicted by a worker before the join evicts it itself.  Losing that
-    race means the failure detector already did the job.
+    A join of a crashed node that is still in the ring (no traffic may have
+    reached it yet) first probes it with :meth:`CacheCluster.probe_node`
+    until the routing threshold evicts it: at most ``failure_threshold``
+    probes, fewer when worker threads' failed calls got there first.  A
+    member that answers a probe is live, and joining it is a
+    ``ValueError``.
     """
     if event.action == "join":
         name = event.node
         cluster = deployment.cache
-        if name is not None and name in cluster.ring:
-            # A restart of a crashed node whose failure has not crossed the
-            # detection threshold yet (under every transport a crashed node
-            # stays in the ring until enough traffic fails, and no traffic
-            # may have reached it): complete the eviction first, then rejoin
-            # warm.  A node that is not suspect must fail a probe.
-            transport = cluster.transports.get(name)
-            if transport is not None and name not in cluster.suspect_nodes:
-                try:
-                    transport.watermark()
-                except _FAILURE_EXCEPTIONS:
-                    pass
-                else:
+        if name is not None:
+            for _ in range(cluster.failure_threshold):
+                if name not in cluster.transports:
+                    break
+                if cluster.probe_node(name):
                     raise ValueError(f"churn join of live member {name!r}")
-            try:
-                deployment.membership.evict(name)
-            except KeyError:
-                pass  # a worker's failed RPCs already evicted it
         deployment.add_cache_node(name=name, migrate=event.migrate)
     elif event.action == "crash":
         name = event.node or deployment.cache.ring.nodes[-1]

@@ -1150,12 +1150,12 @@ class ChaosOpenLoopResult:
     corpse).  ``supervisor off`` shows the pre-supervision behaviour: the
     ring heals around the corpse but stays a node short, so the steady
     hit rate recovers only as far as the surviving replicas reach.
-    ``supervisor on`` must detect the death (the child's exit code),
-    respawn the child, and re-warm it through the budgeted maintenance
-    plane —
-    restoring the hit rate to >= 90% of the pre-kill baseline with no
-    operator action, zero consistency violations, and zero degraded reads
-    at replication factor 2.
+    ``supervisor on`` must detect the death (the routing threshold, fed
+    by failed lookups and the supervisor's probes), respawn the child, and
+    re-warm it through the budgeted maintenance plane — restoring the hit
+    rate to >= 90% of the pre-kill baseline with no operator action, zero
+    consistency violations, and zero degraded reads at replication
+    factor 2.
     """
 
     runs: List[ChaosOpenLoopRun]

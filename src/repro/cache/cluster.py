@@ -623,10 +623,11 @@ class CacheCluster:
         """``transport.<op>(*args)`` on ``node``; :data:`_UNANSWERED` if it
         could not be reached.
 
-        Where ``put`` meets a failure (``multi_lookup`` makes the same
-        first attempt in place).  A node that answers costs the call
-        itself; only a connection-level failure goes to :meth:`_retry`.  A
-        node whose transport is already gone is nobody's failure.
+        Where ``put`` and :meth:`probe_node` meet a failure
+        (``multi_lookup`` makes the same first attempt in place).  A node
+        that answers costs the call itself; only a connection-level failure
+        goes to :meth:`_retry`.  A node whose transport is already gone is
+        nobody's failure.
         """
         transport = self._transports.get(node)
         if transport is None:
@@ -817,6 +818,15 @@ class CacheCluster:
     def evict_stale(self, oldest_useful_timestamp: int) -> int:
         """Eagerly drop too-stale entries on every reachable node."""
         return sum(self._on_every_node("evict_stale", oldest_useful_timestamp))
+
+    def probe_node(self, node: str) -> bool:
+        """Whether ``node`` answers one ``watermark`` call.
+
+        A routed call like any other: a failure is charged to the node and
+        evicts it at the threshold, an answer clears its suspicion.  A node
+        no longer in the cluster does not answer and is charged nothing.
+        """
+        return self._ask(node, "watermark") is not _UNANSWERED
 
     # ------------------------------------------------------------------
     # Key migration plumbing (used by the membership coordinator)

@@ -60,8 +60,10 @@ unreachable node to misses/no-ops and evicts the node from the ring after
 :class:`repro.cache.cluster.CacheCluster`); the coordinator observes those
 evictions through the cluster's ``on_node_evicted`` hook, records an epoch,
 and allows the node (or a replacement with the same name) to *rejoin* later
-via :meth:`join` or :meth:`rejoin`.  The mover never evicts: a node that
-fails mid-move is only marked suspect, so a staged ring stays valid.
+via :meth:`join` or :meth:`rejoin`.  That threshold is the only way a node
+leaves the ring unplanned: the coordinator has no eviction of its own, and
+the mover never evicts either — a node that fails mid-move is only marked
+suspect, so a staged ring stays valid.
 
 **Replication.**  With ``replication_factor=R > 1`` a crash leaves every
 arc the victim replicated one copy short, so each eviction is followed by
@@ -101,8 +103,6 @@ class MembershipStats:
     rejoins: int = 0
     #: Failure-driven ring evictions observed via the cluster hook.
     failure_evictions: int = 0
-    #: Administrative :meth:`ClusterMembership.evict` calls (no migration).
-    manual_evictions: int = 0
     #: Planned joins and leaves that ran the mover.
     migrations: int = 0
     #: Entry versions planned joins and leaves stored on a new replica.
@@ -285,25 +285,6 @@ class ClusterMembership:
         self.stats.migrations += 1
         self.stats.entries_migrated += int(ChunkedJob(label, chunks).drain())
 
-    def evict(self, name: str) -> None:
-        """Forcibly drop a (presumed dead) node: no migration, epoch bump.
-
-        This is the manual form of what the cluster does automatically after
-        repeated transport failures, including the follow-up: on a
-        replicated cluster the eviction leaves the victim's arcs one copy
-        short, so the same anti-entropy repair runs afterwards.  Without
-        replication the node's slice of the key space cold-starts on the
-        survivors.
-        """
-        if name not in self.cluster.ring:
-            raise KeyError(name)
-        new_ring = self.cluster.ring.copy()
-        new_ring.remove_node(name)
-        self.cluster.adopt_ring(new_ring)
-        self.cluster.remove_node(name)
-        self.stats.manual_evictions += 1
-        self._record_eviction(name)
-
     def _on_failure_eviction(self, name: str) -> None:
         """Cluster hook: a node crossed the failure threshold and was evicted.
 
@@ -313,9 +294,6 @@ class ClusterMembership:
         factor from the surviving copies.
         """
         self.stats.failure_evictions += 1
-        self._record_eviction(name)
-
-    def _record_eviction(self, name: str) -> None:
         self._departed.add(name)
         self._advance("evict", name)
         self.repair()

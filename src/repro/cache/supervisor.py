@@ -13,16 +13,15 @@ every registered node and drives a small per-node state machine::
                       gave_up   (circuit breaker: too many restarts
                                  inside the window — permanent eviction)
 
-**Detection** is pull-based, from :meth:`pump` (called by the deployment's
-``housekeeping()`` — no hidden threads): a process-hosted node whose child
-has an exit code is dead even if routing has not noticed yet (it is evicted
-on the spot, through the membership coordinator so the epoch history and
-auto-repair fire exactly as for a routed eviction); a node that is simply
-*gone* from the cluster was evicted by the routing threshold — a crash
-under any transport, in-process included, is only ever its failed RPCs —
-and is picked up for respawn the same way.  Suspect nodes get a cheap wire
-probe so a wedged-but-alive node is either cleared or pushed toward the
-failure threshold without waiting for foreground traffic.
+**Detection** is the routing threshold's, under every transport.  Each
+:meth:`pump` (called by the deployment's ``housekeeping()`` — no hidden
+threads) sends every serving node one probe,
+:meth:`repro.cache.cluster.CacheCluster.probe_node`, a routed call whose
+failure is charged to the threshold exactly like a failed lookup.  A node
+the threshold evicted — by these probes, or by the traffic that hit it
+first — is dead; the supervisor never evicts one itself.  So an idle
+deployment finds a crash after ``failure_threshold`` pumps, and a busy one
+sooner.
 
 **Respawn** waits out an exponential backoff with jitter (on the injected
 clock, so tests are deterministic), then rejoins through
@@ -48,7 +47,6 @@ from typing import Dict, List, Optional
 from repro.cache.cluster import CacheCluster
 from repro.cache.membership import ClusterMembership
 from repro.clock import Clock, SystemClock
-from repro.comm.transport import _FAILURE_EXCEPTIONS
 
 __all__ = ["NodeSupervisor", "SupervisorStats", "NODE_STATES"]
 
@@ -73,21 +71,12 @@ BACKOFF_MAX_SECONDS = 5.0
 class SupervisorStats:
     """Counters kept by one :class:`NodeSupervisor`."""
 
-    #: Node deaths noticed (dead child process, or an eviction observed).
+    #: Node deaths noticed (threshold evictions of supervised nodes).
     deaths_detected: int = 0
-    #: Dead children the supervisor evicted itself (exit code seen before
-    #: routing got there).
-    direct_evictions: int = 0
     #: Successful respawns (node provisioned, rejoined, re-warm queued).
     respawns: int = 0
     #: Respawn attempts that failed to bring a node up (retried later).
     respawn_failures: int = 0
-    #: Budgeted re-warm jobs queued (or drained, without a plane).
-    rewarm_jobs: int = 0
-    #: Health probes sent to suspect nodes.
-    probes: int = 0
-    #: Probes that failed (counted toward the routing failure threshold).
-    probe_failures: int = 0
     #: Circuit-breaker trips: nodes given up on after crash-looping.
     circuit_breaker_trips: int = 0
 
@@ -180,58 +169,17 @@ class NodeSupervisor:
         for record in list(self._nodes.values()):
             if record.state == "gave_up":
                 continue
-            present = record.name in self.cluster.transports
             if record.state == "serving":
-                if present:
-                    self._check_live_node(record)
-                    # _check_live_node may have moved it to backoff.
-                    if record.state == "serving":
-                        continue
-                else:
-                    # Evicted behind our back by the routing threshold: the
-                    # same death, noticed by the traffic that hit it.
-                    self._mark_dead(record, now)
+                if self.cluster.probe_node(record.name):
+                    continue
+                if record.name in self.cluster.transports:
+                    continue  # failed, short of the threshold
+                self._mark_dead(record, now)
             if record.state == "backoff" and now >= record.next_attempt_at:
                 if self._breaker_tripped(record, now):
                     continue
                 respawned += self._attempt_respawn(record, now)
         return respawned
-
-    # ------------------------------------------------------------------
-    # Detection
-    # ------------------------------------------------------------------
-    def _check_live_node(self, record: _NodeRecord) -> None:
-        """Death checks for a node still in the ring."""
-        host = self.cluster.processes.get(record.name)
-        exitcode = getattr(host, "exitcode", None)
-        if host is not None and exitcode is not None:
-            # The child is a corpse even though routing still points at it:
-            # evict now (epoch + auto-repair via the membership coordinator)
-            # instead of waiting for foreground traffic to trip over it.
-            self.stats.direct_evictions += 1
-            try:
-                self.membership.evict(record.name)
-            except KeyError:
-                pass  # raced with a routed eviction; same outcome
-            self._mark_dead(record, self.clock.now())
-            return
-        if record.name in self.cluster.suspect_nodes:
-            # A cheap idempotent probe: either clears the suspicion via the
-            # routed success path or pushes the node toward the threshold
-            # without waiting for more foreground failures.
-            self.stats.probes += 1
-            transport = self.cluster.transports.get(record.name)
-            if transport is None:
-                return
-            try:
-                transport.watermark()
-            except _FAILURE_EXCEPTIONS:
-                self.stats.probe_failures += 1
-                self.cluster._note_failure(record.name)
-                if record.name not in self.cluster.transports:
-                    self._mark_dead(record, self.clock.now())
-            else:
-                self.cluster._note_success(record.name)
 
     def _mark_dead(self, record: _NodeRecord, now: float) -> None:
         self.stats.deaths_detected += 1
@@ -288,5 +236,4 @@ class NodeSupervisor:
         record.failed_attempts = 0
         record.restart_times.append(now)
         self.stats.respawns += 1
-        self.stats.rewarm_jobs += 1
         return 1

@@ -20,8 +20,10 @@ The wire stack, process-hosted nodes and the supervisor are this
 repository's runtime around the paper's system; each loads only when an
 option asks for it (a networked ``transport``, supervision).  A crashed
 node is detected one way under every transport: the routing threshold of
-:class:`repro.cache.cluster.CacheCluster` counts its failed RPCs.  README
-"Architecture" orders the layers.
+:class:`repro.cache.cluster.CacheCluster` counts its failed calls — routed
+traffic, housekeeping's stale-entry sweeps and, with supervision, one
+probe per :meth:`TxCacheDeployment.housekeeping` pass — and is the only
+thing that evicts a node.  README "Architecture" orders the layers.
 """
 
 from __future__ import annotations
@@ -205,8 +207,9 @@ class TxCacheDeployment:
         * vacuum tuple versions nothing can see any more;
         * eagerly evict cache entries too stale to satisfy any transaction
           within ``max_staleness`` seconds;
-        * with ``supervision``, run one supervisor pass (detect dead nodes,
-          respawn any whose backoff has elapsed);
+        * with ``supervision``, run one supervisor pass (probe every
+          serving node, charging a failure to the routing threshold;
+          respawn evicted nodes whose backoff has elapsed);
         * with ``background_maintenance``, pump queued maintenance chunks
           under the plane's budget.
 

@@ -254,8 +254,8 @@ def test_threaded_crash_and_rejoin_fire_at_their_interactions(transport):
 @pytest.mark.parametrize("transport", ["inprocess", "socket"])
 def test_a_join_right_after_a_crash_restarts_the_node(transport):
     """No traffic reached the crashed node, so nothing suspects it: the
-    join finds it does not answer, evicts it and rejoins it.  A join of a
-    live member is still refused."""
+    join probes it until the threshold evicts it, then rejoins it.  A join
+    of a live member is still refused."""
     with TxCacheDeployment(cache_nodes=3, transport=transport) as deployment:
         with pytest.raises(ValueError, match="live member"):
             apply_churn(deployment, ChurnEvent(0, "join", node="cache1"))
@@ -264,6 +264,8 @@ def test_a_join_right_after_a_crash_restarts_the_node(transport):
         assert "cache1" in deployment.cache.ring
         changes = [record.change for record in deployment.membership.history]
         assert changes[-2:] == ["evict", "rejoin"]
+        assert deployment.cache.health.transport_failures == deployment.failure_threshold
+        assert deployment.membership.stats.failure_evictions == 1
 
 
 @pytest.mark.parametrize("action", ["leave", "drain"])

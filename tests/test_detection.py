@@ -2,12 +2,13 @@
 
 A cache node that stops answering is found by the calls that reach it —
 routed lookups and puts, the invalidation stream of commits, the stale-entry
-sweeps housekeeping sends — and after ``failure_threshold`` consecutive
-failures it is evicted from the ring.  A node that answers in between is
-cleared.  These tests hold that rule on every transport kind, for a crash
-(:meth:`CacheCluster.fail_node`: the store is gone) and for a partition
-(:class:`tests.helpers.FaultInjector`: the store is kept), and pin the churn
-schedules' exact counts that rest on it.
+sweeps housekeeping sends, the supervisor's probes — and after
+``failure_threshold`` consecutive failures it is evicted from the ring.  A
+node that answers in between is cleared.  These tests hold that rule on
+every transport kind, for a crash (:meth:`CacheCluster.fail_node`: the
+store is gone) and for a partition (:class:`tests.helpers.FaultInjector`:
+the store is kept), and pin the churn schedules' exact counts that rest on
+it.
 """
 
 from __future__ import annotations
@@ -288,6 +289,45 @@ def test_a_planned_leave_is_no_failure(transport_kind):
         assert cluster.health.degraded_lookups == 0
     finally:
         cluster.close()
+
+
+def test_supervision_alone_detects_an_idle_crash_at_the_threshold(transport_kind):
+    """A crashed node that no traffic reaches is found by the supervisor's
+    one probe per housekeeping pass, charged to the threshold like any
+    failed call: evicted after exactly ``failure_threshold`` passes, under
+    every transport, and then respawned once its backoff has run out."""
+    deployment = TxCacheDeployment(
+        cache_nodes=3,
+        transport=transport_kind,
+        replication_factor=2,
+        supervision=True,
+        supervisor_backoff_base_seconds=0.1,
+    )
+    try:
+        supervisor = deployment.supervisor
+        deployment.cache.fail_node("cache1")
+        for passes in range(1, deployment.failure_threshold):
+            deployment.housekeeping()
+            assert "cache1" in deployment.cache.ring, passes
+            assert supervisor.states["cache1"] == "serving"
+        assert deployment.membership.epoch == 0
+        deployment.housekeeping()
+        assert "cache1" not in deployment.cache.ring
+        assert supervisor.states["cache1"] == "backoff"
+        assert deployment.membership.history[-1].change == "evict"
+        assert deployment.cache.health.transport_failures == deployment.failure_threshold
+        deployment.housekeeping()  # no time has passed: still backing off
+        assert supervisor.states["cache1"] == "backoff"
+        deployment.advance(1.0)
+        deployment.housekeeping()
+        assert "cache1" in deployment.cache.ring
+        assert supervisor.states["cache1"] == "serving"
+        assert supervisor.stats.respawns == 1
+        deployment.housekeeping()
+        assert supervisor.stats.deaths_detected == 1
+        assert deployment.cache.health.nodes_evicted == 1
+    finally:
+        deployment.shutdown()
 
 
 #: ``churn(schedule)``'s counts per run label: hit rate (6 places), replica

@@ -77,7 +77,7 @@ class TestEpochs:
             assert membership.epoch == 0
             membership.join("cache3", capacity_bytes=1 << 20)
             membership.leave("cache3")
-            membership.evict("cache0")
+            crash_and_detect(cluster, "cache0")
             assert membership.epoch == 3
             assert [record.change for record in membership.history] == [
                 "genesis", "join", "leave", "evict",
@@ -742,8 +742,8 @@ class TestFailureAccounting:
 
     def test_a_failure_on_an_evicted_transport_is_not_charged_to_the_rejoin(self):
         """A call still in flight on a node's old transport fails after the
-        node was evicted and rejoined: the rejoined node never failed, so
-        the failure is not charged to it."""
+        node left the cluster and rejoined it: the rejoined node never
+        failed, so the failure is not charged to it."""
         cluster = CacheCluster(
             node_count=2, failure_threshold=1, retry_policy=RetryPolicy(max_attempts=1)
         )
@@ -755,7 +755,7 @@ class TestFailureAccounting:
             old = cluster.transports["cache0"]
 
             def rejoined_meanwhile(requests):
-                membership.evict("cache0")
+                membership.leave("cache0", migrate=False)
                 membership.join("cache0", capacity_bytes=1 << 20)
                 raise CacheNodeUnreachableError("connection lost")
 
@@ -767,18 +767,6 @@ class TestFailureAccounting:
             assert cluster.health.nodes_evicted == 0
             # Its one replica was the node that failed it: a degraded miss.
             assert result.degraded
-        finally:
-            cluster.close()
-
-    def test_manual_evict_counts_separately_from_failure_evictions(self):
-        cluster = CacheCluster(node_count=2)
-        membership = ClusterMembership(cluster)
-        try:
-            membership.evict("cache0")
-            assert membership.stats.manual_evictions == 1
-            assert membership.stats.failure_evictions == 0
-            crash_and_detect(cluster, "cache1")
-            assert membership.stats.failure_evictions == 1
         finally:
             cluster.close()
 

@@ -250,10 +250,17 @@ class TestHousekeepingIsolation:
             deployment.pincushion.expire_old_snapshots = broken_expiry
             deployment.database.vacuum = lambda: ran.append("vacuum") or vacuum()
 
-            # Kill a node so the supervisor stage has real work to do.
-            crash_and_detect(deployment.cache, "cache1")
-            deployment.supervisor.pump()
+            # Crash a node so the supervisor stage has real work to do: its
+            # probes find the crash, one failure per pass.
+            deployment.cache.fail_node("cache1")
+            for _ in range(deployment.failure_threshold):
+                with pytest.raises(HousekeepingError) as excinfo:
+                    deployment.housekeeping()
+                assert set(excinfo.value.failures) == {"expire_old_snapshots"}
+            assert "cache1" not in deployment.cache.ring
+            assert deployment.supervisor.states["cache1"] == "backoff"
             clock.advance(1.0)
+            ran.clear()
 
             with pytest.raises(HousekeepingError) as excinfo:
                 deployment.housekeeping()
@@ -263,7 +270,8 @@ class TestHousekeepingIsolation:
             # ...and every later stage still ran: vacuum executed and the
             # supervisor respawned the dead node in the same pass.
             assert ran == ["expiry", "vacuum"]
-            assert "cache1" in deployment.cache.transports
+            assert "cache1" in deployment.cache.ring
+            assert deployment.supervisor.stats.respawns == 1
 
     def test_multiple_failures_are_all_collected(self):
         with _supervised_deployment() as deployment:
@@ -575,11 +583,7 @@ class TestProcessRecovery:
             assert deployment.cache.processes[victim].exitcode is not None
 
             supervisor = deployment.supervisor
-            self._housekeep_until(
-                deployment,
-                lambda: supervisor.states.get(victim) == "serving"
-                and victim in deployment.cache.transports,
-            )
+            self._housekeep_until(deployment, lambda: supervisor.stats.respawns == 1)
             # Drain the budgeted re-warm, then the full working set must be
             # servable again — including from the reborn node.
             self._housekeep_until(
