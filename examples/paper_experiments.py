@@ -32,13 +32,12 @@ from repro.bench.experiments import (
     figure6,
     figure7,
     figure8,
-    repair_openloop,
     validity_tracking_overhead,
 )
 
 EXPERIMENTS = (
     "fig5a", "fig5b", "fig6a", "fig6b", "fig7", "fig8", "overhead",
-    "concurrency", "churn", "repair-openloop", "chaos-openloop",
+    "concurrency", "churn", "chaos-openloop",
 )
 
 
@@ -70,25 +69,13 @@ def run_experiment(name: str, settings: ExperimentSettings, smoke: bool = False)
         for schedule in CHURN_SCHEDULES:
             print(churn(schedule, settings=settings).format_table())
             print()
-    elif name == "repair-openloop":
-        # Repair interference under fixed offered load: the budgeted
-        # maintenance plane must re-replicate everything the synchronous
-        # sweep does while keeping the foreground p99 near the no-repair
-        # baseline.  --smoke shrinks the run (structure, not numbers).
-        result = repair_openloop(smoke=smoke)
-        print(result.format_table())
-        print(
-            "p99 vs no-repair baseline: synchronous sweep "
-            f"{result.p99_ratio('synchronous sweep'):.2f}x, budgeted plane "
-            f"{result.p99_ratio('budgeted plane'):.2f}x"
-        )
     elif name == "chaos-openloop":
         # Chaos recovery under fixed offered load: SIGKILL one process-
         # hosted node mid-run and compare supervisor off (ring heals but
         # stays a node short) against supervisor on (detect, respawn,
-        # rejoin, budgeted re-warm: hit rate back to >= 90% of the
-        # pre-kill baseline with no operator action).  --smoke shrinks the
-        # run (structure, not numbers).
+        # warm rejoin: hit rate back to >= 90% of the pre-kill baseline
+        # with no operator action).  --smoke shrinks the run (structure,
+        # not numbers).
         result = chaos_openloop(smoke=smoke)
         print(result.format_table())
         supervised = result.run_named("supervisor on")
@@ -123,7 +110,7 @@ def main() -> None:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="shrink the open-loop experiments to a structure-checking smoke",
+        help="shrink the chaos experiment to a structure-checking smoke",
     )
     args = parser.parse_args()
 

@@ -67,8 +67,6 @@ __all__ = [
     "ChurnResult",
     "ConcurrentClientsResult",
     "ThreadedPoint",
-    "RepairOpenLoopResult",
-    "RepairOpenLoopRun",
     "ChaosOpenLoopResult",
     "ChaosOpenLoopRun",
     "figure5",
@@ -78,7 +76,6 @@ __all__ = [
     "churn",
     "concurrent_clients",
     "run_threaded_point",
-    "repair_openloop",
     "chaos_openloop",
     "validity_tracking_overhead",
     "PAPER_IN_MEMORY_CACHE_MB",
@@ -869,239 +866,6 @@ def concurrent_clients(
 
 
 # ----------------------------------------------------------------------
-# Repair interference: synchronous sweep vs budgeted maintenance plane
-# ----------------------------------------------------------------------
-@dataclass
-class RepairOpenLoopRun:
-    """One measured scenario of :func:`repair_openloop`."""
-
-    label: str
-    stats: OpenLoopStats
-    repaired: int
-    repair_seconds: float
-    budget_deferrals: int
-    budget_windows: int
-    #: Maintenance chunks the plane ran (0 without a plane).
-    chunks_run: int
-
-    @property
-    def p50(self) -> float:
-        return self.stats.histogram.percentile(50.0)
-
-    @property
-    def p99(self) -> float:
-        return self.stats.histogram.percentile(99.0)
-
-
-@dataclass
-class RepairOpenLoopResult:
-    """Open-loop tail latency while a replica repair runs mid-measurement.
-
-    Three runs over identically damaged clusters: no repair at all (the
-    baseline tail), the old synchronous sweep (whole-store extract pages
-    fired at 30% of the schedule), and the maintenance plane pumping the
-    same repair as small chunks under an op/byte budget.  The claim under
-    test: the budgeted plane re-replicates everything the sweep does while
-    keeping the foreground p99 near the baseline, where the synchronous
-    sweep spikes it.
-    """
-
-    runs: List[RepairOpenLoopRun]
-    offered_rate: float
-    keys: int
-    damaged: int
-    transport: str
-    elapsed_seconds: float = 0.0
-
-    def run_named(self, label: str) -> RepairOpenLoopRun:
-        for run in self.runs:
-            if run.label == label:
-                return run
-        raise KeyError(label)
-
-    def p99_ratio(self, label: str) -> float:
-        baseline = self.run_named("no repair").p99
-        if baseline <= 0.0:
-            return 0.0
-        return self.run_named(label).p99 / baseline
-
-    def format_table(self) -> str:
-        rows = []
-        for run in self.runs:
-            ratio = self.p99_ratio(run.label)
-            rows.append(
-                [
-                    run.label,
-                    f"{run.stats.achieved_rate:,.0f}",
-                    f"{run.p50 * 1e3:.2f} ms",
-                    f"{run.p99 * 1e3:.2f} ms",
-                    f"{ratio:.2f}x",
-                    f"{run.stats.errors}",
-                    f"{run.repaired}",
-                    f"{run.repair_seconds:.2f}s",
-                    f"{run.budget_deferrals}",
-                ]
-            )
-        return format_table(
-            [
-                "scenario", "goodput/s", "p50", "p99", "p99 vs baseline",
-                "errors", "repaired", "repair time", "deferrals",
-            ],
-            rows,
-            title=(
-                f"Repair under open-loop load: {self.offered_rate:,.0f} ops/s "
-                f"Poisson on {self.transport}, {self.damaged} of {self.keys} "
-                "entries lost on one replica, repair fired mid-run"
-            ),
-        )
-
-
-def repair_openloop(
-    rate: float = 1200.0,
-    seconds: float = 4.0,
-    threads: int = 8,
-    keys: int = 2400,
-    value_bytes: int = 2048,
-    transport: str = "socket",
-    seed: int = 11,
-    trials: int = 3,
-    smoke: bool = False,
-) -> RepairOpenLoopResult:
-    """Measure repair interference with the open-loop generator.
-
-    Each scenario gets a fresh 3-node replicated deployment on the fast
-    wire stack, warmed with ``keys`` entries of ``value_bytes`` each, then
-    damaged by discarding half of one replica's keys.  A seeded Poisson
-    schedule drives primary-node ``probe`` lookups from ``threads`` workers in
-    open-loop mode (queueing delay is charged to the tail), and at 30% of
-    the run the repair fires:
-
-    * ``synchronous sweep`` — the pre-plane behaviour, reproduced by a
-      whole-store membership page size (``deployment.membership.chunk_size``
-      set to ``keys``; a node caps a page at
-      ``SCAN_PAGE_KEYS`` keys) so the sweep ships its pages as a few giant
-      lock-holding RPCs back to back;
-    * ``budgeted plane`` — ``background_maintenance`` with a small op/byte
-      budget on short real-time windows; a pumper thread trickles the same
-      repair out as 32-entry chunks.
-
-    Each scenario runs ``trials`` times and reports its best (lowest-p99)
-    trial: scheduler noise on a shared machine only ever *adds* latency, so
-    the min across trials isolates the systematic interference of the
-    repair itself from jitter that would otherwise dominate a 1%-tail over
-    a few thousand samples.
-
-    ``smoke=True`` shrinks the run for CI (structure, not numbers).
-    """
-    from repro.clock import SystemClock
-    from repro.deployment import TxCacheDeployment
-    from repro.interval import Interval
-
-    started = time.time()
-    if smoke:
-        rate, seconds, threads = 400.0, 1.5, 4
-        keys, value_bytes, trials = 400, 512, 1
-    arrival_times = ArrivalSchedule(rate, kind="poisson", seed=seed).times(
-        int(rate * seconds)
-    )
-    trigger = seconds * 0.3
-    payload = "x" * value_bytes
-    victim = "cache1"
-    damaged_box = [0]
-
-    def measure(label: str, mode: str) -> RepairOpenLoopRun:
-        with TxCacheDeployment(
-            clock=SystemClock(),
-            cache_nodes=3,
-            transport=transport,
-            replication_factor=2,
-            background_maintenance=(mode == "budgeted"),
-            maintenance_ops_per_interval=8,
-            maintenance_bytes_per_interval=192 << 10,
-            maintenance_interval_seconds=0.05,
-        ) as deployment:
-            cluster = deployment.cache
-            membership = deployment.membership
-            membership.chunk_size = keys if mode == "sync" else 32
-            for i in range(keys):
-                cluster.put(f"key{i}", payload, Interval(1, None))
-            held = cluster.node_keys(victim)
-            lost = held[: len(held) // 2]
-            cluster.discard_keys(victim, lost)
-            damaged_box[0] = len(lost)
-
-            repair_span = [0.0]
-            stop = threading.Event()
-
-            def fire_repair() -> None:
-                if stop.wait(trigger):
-                    return
-                repair_started = time.perf_counter()
-                membership.repair()  # sync: blocks; budgeted: submits
-                plane = membership.plane
-                while plane is not None and not plane.idle and not stop.is_set():
-                    # One chunk per pump: the budget caps each window's
-                    # total, the pacing keeps chunks from bursting
-                    # back-to-back within it.
-                    plane.pump(max_chunks=1)
-                    time.sleep(0.01)
-                repair_span[0] = time.perf_counter() - repair_started
-
-            repair_thread = None
-            if mode != "none":
-                repair_thread = threading.Thread(target=fire_repair)
-                repair_thread.start()
-
-            def make_executor(thread_index: int):
-                rng = random.Random(seed * 1000 + thread_index)
-
-                def execute(op_index: int) -> object:
-                    key = f"key{rng.randrange(keys)}"
-                    return cluster.transport_for(key).probe(key, 0, 10)
-
-                return execute
-
-            stats = run_open_loop(arrival_times, make_executor, threads=threads)
-            if repair_thread is not None:
-                repair_thread.join(timeout=30)
-                if repair_thread.is_alive():
-                    stop.set()
-                    repair_thread.join(timeout=5)
-            plane = membership.plane
-            return RepairOpenLoopRun(
-                label=label,
-                stats=stats,
-                repaired=membership.stats.entries_re_replicated,
-                repair_seconds=repair_span[0],
-                budget_deferrals=(plane.stats.budget_deferrals if plane else 0),
-                budget_windows=(
-                    plane.budget.windows if plane and plane.budget else 0
-                ),
-                chunks_run=(plane.stats.chunks_run if plane else 0),
-            )
-
-    def best_of(label: str, mode: str) -> RepairOpenLoopRun:
-        return min(
-            (measure(label, mode) for _ in range(max(1, trials))),
-            key=lambda run: run.p99,
-        )
-
-    runs = [
-        best_of("no repair", "none"),
-        best_of("synchronous sweep", "sync"),
-        best_of("budgeted plane", "budgeted"),
-    ]
-    return RepairOpenLoopResult(
-        runs=runs,
-        offered_rate=rate,
-        keys=keys,
-        damaged=damaged_box[0],
-        transport=transport,
-        elapsed_seconds=time.time() - started,
-    )
-
-
-# ----------------------------------------------------------------------
 # Chaos recovery: SIGKILL a node mid-run, supervisor on vs off
 # ----------------------------------------------------------------------
 @dataclass
@@ -1124,7 +888,8 @@ class ChaosOpenLoopRun:
     consistency_violations: int
     respawns: int
     circuit_breaker_trips: int
-    entries_rewarmed: int
+    #: Entry versions the respawn's warm join moved onto the new node.
+    entries_migrated: int
     housekeeping_errors: int
 
     @property
@@ -1152,10 +917,9 @@ class ChaosOpenLoopResult:
     hit rate recovers only as far as the surviving replicas reach.
     ``supervisor on`` must detect the death (the routing threshold, fed
     by failed lookups and the supervisor's probes), respawn the child, and
-    re-warm it through the budgeted maintenance plane — restoring the hit
-    rate to >= 90% of the pre-kill baseline with no operator action, zero
-    consistency violations, and zero degraded reads at replication
-    factor 2.
+    rejoin it warm — restoring the hit rate to >= 90% of the pre-kill
+    baseline with no operator action, zero consistency violations, and
+    zero degraded reads at replication factor 2.
     """
 
     runs: List[ChaosOpenLoopRun]
@@ -1203,7 +967,7 @@ class ChaosOpenLoopResult:
             title=(
                 f"Chaos recovery: SIGKILL one of 3 process-hosted nodes at "
                 f"{self.kill_at_seconds:.1f}s under {self.offered_rate:,.0f} "
-                "ops/s Poisson (R=2, budgeted re-warm)"
+                "ops/s Poisson (R=2, warm rejoin)"
             ),
         )
 
@@ -1220,10 +984,10 @@ def chaos_openloop(
 ) -> ChaosOpenLoopResult:
     """Measure crash recovery under open-loop load, supervisor on vs off.
 
-    Each scenario warms a 3-node ``socket-process`` deployment (R=2,
-    budgeted maintenance) with ``keys`` entries whose values
-    encode their key (an inline one-snapshot check: a hit whose value
-    names a different key is a consistency violation), then drives seeded
+    Each scenario warms a 3-node ``socket-process`` deployment (R=2) with
+    ``keys`` entries whose values encode their key (an inline one-snapshot
+    check: a hit whose value names a different key is a consistency
+    violation), then drives seeded
     Poisson lookups from ``threads`` workers.  At 30% of the run a chaos
     thread SIGKILLs ``cache1``'s OS process — no shutdown handshake, no
     eviction, exactly an OOM kill — and from then on pumps
@@ -1258,12 +1022,7 @@ def chaos_openloop(
             replication_factor=2,
             failure_threshold=2,
             rpc_timeout_seconds=1.0,
-            background_maintenance=True,
-            maintenance_ops_per_interval=128,
-            maintenance_bytes_per_interval=2 << 20,
-            maintenance_interval_seconds=0.05,
             supervision=supervised,
-            supervisor_backoff_base_seconds=0.05,
         ) as deployment:
             cluster = deployment.cache
             for i in range(keys):
@@ -1378,7 +1137,7 @@ def chaos_openloop(
                 circuit_breaker_trips=(
                     supervisor.stats.circuit_breaker_trips if supervisor else 0
                 ),
-                entries_rewarmed=deployment.membership.stats.entries_rewarmed,
+                entries_migrated=deployment.membership.stats.entries_migrated,
                 housekeeping_errors=housekeeping_errors[0],
             )
 

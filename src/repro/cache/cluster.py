@@ -499,7 +499,7 @@ class CacheCluster:
         return server
 
     def _subscribe_node(self, name: str, transport: CacheTransport) -> None:
-        # Idempotent per node: re-attaching the bus (or re-warming an
+        # Idempotent per node: re-attaching the bus (or provisioning an
         # evicted-then-rejoined node) must replace the node's guard, not add
         # a second one — two live guards for the same node would deliver
         # every invalidation tag twice.

@@ -18,7 +18,7 @@ from the key's hash point (virtual points of a node already in the list are
 skipped).  :meth:`ConsistentHashRing.successors` returns that list (the
 primary first), and :meth:`ConsistentHashRing.replica_ranges` inverts it
 into the arcs a node replicates, which are the arcs the membership mover
-names when a node joins, leaves or is re-warmed.  Successor lists are minimally disruptive by construction: adding a node
+names when a node joins or leaves.  Successor lists are minimally disruptive by construction: adding a node
 inserts it at one position of each key's distinct-owner walk (displacing at
 most the last replica), and removing one promotes the next distinct owner.
 

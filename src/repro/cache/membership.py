@@ -9,7 +9,7 @@ the epoch and is recorded in the membership history.
 
 **One entry mover.**  Consistent hashing already guarantees a membership
 change remaps only ~1/n of the key space; moving the entries of that slice
-keeps it warm.  Every movement is one chunk generator,
+keeps it warm.  Every movement is one call,
 :meth:`ClusterMembership._reconcile` ``(before, after, arcs)``: it gives
 each key in the named hash-ring arcs a copy on every member of its replica
 set under ``after``, taking each copy from a node that held the key under
@@ -32,13 +32,13 @@ set under ``after``, taking each copy from a node that held the key under
    replicates a key drops it once every replica has confirmed a copy.
 
 The callers differ only in the two rings and the arcs they name: a join
-stages the ring with the newcomer and moves the newcomer's arcs; a leave
-moves the leaver's arcs to the ring without it; a re-warm moves a
-cold-joined node's arcs from the ring it joined; and a repair names the
-arcs whose replicas' digests disagree, on the current ring for both.
-Joins and leaves drain the mover before the ring switches; re-warms and
-repairs are submitted to the :class:`repro.cache.maintenance.MaintenancePlane`
-when the coordinator has one (drained otherwise).
+(a respawned node's too) stages the ring with the newcomer and moves the
+newcomer's arcs; a leave moves the leaver's arcs to the ring without it;
+and a repair names the arcs whose replicas' digests disagree, on the
+current ring for both.  The mover runs synchronously, before a join or
+leave switches the ring.  It needs no budget: every step is a bounded
+page, one frame at the node, and a node serves its frames one at a time,
+so a foreground lookup is answered between any two pages of a move.
 
 Because every node subscribes to the same invalidation stream throughout,
 invalidations published during a move reach both the old and the new
@@ -59,11 +59,11 @@ unreachable node to misses/no-ops and evicts the node from the ring after
 ``failure_threshold`` consecutive failures (see
 :class:`repro.cache.cluster.CacheCluster`); the coordinator observes those
 evictions through the cluster's ``on_node_evicted`` hook, records an epoch,
-and allows the node (or a replacement with the same name) to *rejoin* later
-via :meth:`join` or :meth:`rejoin`.  That threshold is the only way a node
-leaves the ring unplanned: the coordinator has no eviction of its own, and
-the mover never evicts either — a node that fails mid-move is only marked
-suspect, so a staged ring stays valid.
+and allows the node (or a replacement with the same name, such as the
+supervisor's respawn) to *rejoin* later via :meth:`join`.  That threshold
+is the only way a node leaves the ring unplanned: the coordinator has no
+eviction of its own, and the mover never evicts either — a node that fails
+mid-move is only marked suspect, so a staged ring stays valid.
 
 **Replication.**  With ``replication_factor=R > 1`` a crash leaves every
 arc the victim replicated one copy short, so each eviction is followed by
@@ -74,14 +74,12 @@ to the mover — a clean sweep ships nothing.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
-from typing import Dict, Generator, Iterator, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.cache.cluster import CacheCluster
 from repro.cache.entry import EntryRecord
 from repro.cache.hashring import HASH_SPACE, ConsistentHashRing
-from repro.cache.maintenance import ChunkedJob, MaintenancePlane
 from repro.cache.server import CacheServer
 # _FAILURE_EXCEPTIONS: the transport's definition of "node unreachable";
 # the mover treats a vanished node the same way routing does.
@@ -89,8 +87,6 @@ from repro.comm.transport import _FAILURE_EXCEPTIONS, MAX_BATCH_ITEMS
 
 __all__ = ["ClusterMembership", "MembershipStats", "EpochRecord"]
 
-#: What a chunk generator yields per RPC page: ``(ops, approx_bytes)``.
-Chunks = Generator[Tuple[int, int], None, int]
 Arc = Tuple[int, int]
 
 
@@ -103,9 +99,9 @@ class MembershipStats:
     rejoins: int = 0
     #: Failure-driven ring evictions observed via the cluster hook.
     failure_evictions: int = 0
-    #: Planned joins and leaves that ran the mover.
+    #: Joins (respawns included) and leaves that ran the mover.
     migrations: int = 0
-    #: Entry versions planned joins and leaves stored on a new replica.
+    #: Entry versions joins and leaves stored on a new replica.
     entries_migrated: int = 0
     #: Distinct keys the mover copied onto at least one node (every caller).
     keys_migrated: int = 0
@@ -133,10 +129,6 @@ class MembershipStats:
     repair_arcs_clean: int = 0
     #: Ring arcs whose replica digests disagreed (handed to the mover).
     repair_arcs_dirty: int = 0
-    #: Budgeted re-warm sweeps started for a respawned/rejoined node.
-    rewarms: int = 0
-    #: Entry versions streamed onto a rejoined node by re-warm sweeps.
-    entries_rewarmed: int = 0
 
 
 @dataclass(frozen=True)
@@ -157,10 +149,6 @@ class ClusterMembership:
     cluster: CacheCluster
     #: Keys per extract_entries page during migration.
     chunk_size: int = 128
-    #: Background maintenance plane.  When set, :meth:`repair` and
-    #: :meth:`rejoin` submit a resumable chunked job to it (drained by the
-    #: plane's pump under its op/byte budget) instead of running it inline.
-    plane: Optional[MaintenancePlane] = None
 
     epoch: int = field(init=False, default=0)
     history: List[EpochRecord] = field(init=False, default_factory=list)
@@ -209,7 +197,9 @@ class ClusterMembership:
         invalidation stream), the entries of the arcs it will replicate are
         moved onto it, and only then does the ring — and with it live
         traffic — switch over.  With ``migrate=False`` this is a cold
-        join: remapped keys start over.
+        join: remapped keys start over.  A departed name joining again
+        (the supervisor's respawn, an operator's re-add) is a rejoin: the
+        same move, recorded as ``"rejoin"``.
         """
         if name in self.cluster.ring:
             raise ValueError(f"cache node {name!r} is already a member")
@@ -220,7 +210,7 @@ class ClusterMembership:
         staged.add_node(name)
         if migrate and len(ring) > 0:
             arcs = staged.replica_ranges(name, self.cluster.replication_factor)
-            self._migrate("join", self._reconcile(ring, staged, arcs, fresh=name))
+            self._migrate(ring, staged, arcs, fresh=name)
         self.cluster.adopt_ring(staged)
         if rejoining:
             self._departed.discard(name)
@@ -230,34 +220,6 @@ class ClusterMembership:
             self.stats.joins += 1
             self._advance("join", name)
         return server
-
-    def rejoin(self, name: str, capacity_bytes: int = 64 * 1024 * 1024) -> int:
-        """Cold-join a respawned node, then re-warm it under the budget.
-
-        The supervisor's rejoin path: the node enters the ring immediately
-        (serving cold misses from its slice — availability first), and its
-        arcs are moved back onto it from the ring it joined as a resumable
-        :class:`ChunkedJob` on the maintenance plane, so recovery traffic is
-        paced by the plane's op/byte budget instead of spiking foreground
-        p99 the way ``join(migrate=True)``'s synchronous pre-warm would.
-        The nodes that absorbed its slice meanwhile drop their displaced
-        copies, so the rejoin ends where a join would.  Without a plane the
-        job drains at once and the installed count is returned; with one, 0
-        is returned and ``stats.entries_rewarmed`` advances as the job is
-        pumped.
-        """
-        before = self.cluster.ring.copy()
-        self.join(name, capacity_bytes=capacity_bytes, migrate=False)
-        ring = self.cluster.ring
-        arcs = ring.replica_ranges(name, self.cluster.replication_factor)
-        self.stats.rewarms += 1
-
-        def rewarm() -> Chunks:
-            installed = yield from self._reconcile(before, ring, arcs, fresh=name)
-            self.stats.entries_rewarmed += installed
-            return installed
-
-        return self._run("rewarm", rewarm())
 
     def leave(self, name: str, migrate: bool = True) -> None:
         """Remove a node, optionally draining its entries to the survivors.
@@ -273,17 +235,23 @@ class ClusterMembership:
         staged.remove_node(name)
         if migrate and len(staged) > 0:
             arcs = ring.replica_ranges(name, self.cluster.replication_factor)
-            self._migrate("leave", self._reconcile(ring, staged, arcs))
+            self._migrate(ring, staged, arcs)
         self.cluster.adopt_ring(staged)
         self.cluster.remove_node(name)  # ring removal already done; detaches node
         self._departed.add(name)
         self.stats.leaves += 1
         self._advance("leave", name)
 
-    def _migrate(self, label: str, chunks: Chunks) -> None:
-        """Drain a planned change's move before its ring is adopted."""
+    def _migrate(
+        self,
+        before: ConsistentHashRing,
+        after: ConsistentHashRing,
+        arcs: List[Arc],
+        fresh: Optional[str] = None,
+    ) -> None:
+        """Run a join's or leave's move before its ring is adopted."""
         self.stats.migrations += 1
-        self.stats.entries_migrated += int(ChunkedJob(label, chunks).drain())
+        self.stats.entries_migrated += self._reconcile(before, after, arcs, fresh=fresh)
 
     def _on_failure_eviction(self, name: str) -> None:
         """Cluster hook: a node crossed the failure threshold and was evicted.
@@ -316,55 +284,42 @@ class ClusterMembership:
         *any* version of a key is considered current (finer, per-version
         divergence ages out or is refilled by traffic).
 
-        Without a :attr:`plane` the sweep runs synchronously and returns
-        the number of entry versions actually re-stored.  With one, the
-        sweep is submitted as a chunked background job — drained by the
-        plane's pump under its op/byte budget — and this returns 0
-        immediately; ``stats.entries_re_replicated`` advances as the job
-        completes.  A no-op for unreplicated clusters and rings too small
-        to replicate.
+        Returns the number of entry versions actually re-stored.  A no-op
+        for unreplicated clusters and rings too small to replicate.
         """
         ring = self.cluster.ring
         if self.cluster.replication_factor <= 1 or len(ring) <= 1:
             return 0
         self.stats.repairs += 1
+        installed = self._reconcile(ring, ring, self._dirty_arcs(ring))
+        self.stats.entries_re_replicated += installed
+        return installed
 
-        def sweep() -> Chunks:
-            dirty = yield from self._dirty_arcs(ring)
-            installed = yield from self._reconcile(ring, ring, dirty)
-            self.stats.entries_re_replicated += installed
-            return installed
-
-        return self._run("repair", sweep())
-
-    def _run(self, label: str, chunks: Chunks) -> int:
-        """Submit a job to the plane (returning 0), or drain it without one
-        (returning its installed count)."""
-        job = ChunkedJob(label, chunks)
-        if self.plane is not None:
-            self.plane.submit(job)
-            return 0
-        return int(job.drain())
-
-    def _pages(self, op: str, node: str, arcs) -> Iterator[Tuple[int, list]]:
-        """Each page of ``op`` (``key_digest`` or ``keys_in_range``) over
+    def _pages(self, op: str, node: str, arcs) -> List[Tuple[int, list]]:
+        """Every page of ``op`` (``key_digest`` or ``keys_in_range``) over
         ``node``'s store, one round trip apiece, with the index in ``arcs``
         of the page's first arc.  A node walks at most
         :data:`~repro.comm.transport.MAX_BATCH_ITEMS` arcs at a time, so a
-        longer list is walked as consecutive walks of that many.  A chunk
-        generator yields once per page, so the maintenance budget sees
-        every one."""
-        step = MAX_BATCH_ITEMS
-        for first in range(0, len(arcs), step):
-            group = arcs[first:first + step]
+        longer list is walked as consecutive walks of that many.  Each
+        round trip, a failed one included, counts in ``repair_digest_rpcs``
+        or ``inventory_pages``."""
+        walk = getattr(self.cluster, op)
+        pages: List[Tuple[int, list]] = []
+        for first in range(0, len(arcs), MAX_BATCH_ITEMS):
+            group = arcs[first:first + MAX_BATCH_ITEMS]
             cursor: Optional[str] = None
             while True:
-                page, cursor = getattr(self.cluster, op)(node, group, cursor)
-                yield first, page
+                if op == "key_digest":
+                    self.stats.repair_digest_rpcs += 1
+                else:
+                    self.stats.inventory_pages += 1
+                page, cursor = walk(node, group, cursor)
+                pages.append((first, page))
                 if cursor is None:
                     break
+        return pages
 
-    def _dirty_arcs(self, ring: ConsistentHashRing) -> Generator[Tuple[int, int], None, List[Arc]]:
+    def _dirty_arcs(self, ring: ConsistentHashRing) -> List[Arc]:
         """The digest pass: the arcs whose reachable replicas disagree.
 
         Replicas of one ring segment report the segment under the *same*
@@ -382,17 +337,15 @@ class ClusterMembership:
             # Folded per arc across pages — exact, since the fold commutes.
             folded = [(0, 0, 0)] * len(arcs)
             try:
-                for first, page in self._pages("key_digest", node, arcs):
-                    self.stats.repair_digest_rpcs += 1
-                    folded[first:first + len(page)] = [
-                        (count + c, xor ^ x, (total + t) % HASH_SPACE)
-                        for (count, xor, total), (c, x, t) in zip(folded[first:], page)
-                    ]
-                    yield (1, 24 * max(1, len(page)))
+                pages = self._pages("key_digest", node, arcs)
             except _FAILURE_EXCEPTIONS:
-                self.stats.repair_digest_rpcs += 1  # the round trip that failed
                 self.cluster.note_transport_failure(node)
                 continue
+            for first, page in pages:
+                folded[first:first + len(page)] = [
+                    (count + c, xor ^ x, (total + t) % HASH_SPACE)
+                    for (count, xor, total), (c, x, t) in zip(folded[first:], page)
+                ]
             for arc, digest in zip(arcs, folded):
                 arc_digest[(node, arc)] = digest
         dirty: List[Arc] = []
@@ -414,17 +367,16 @@ class ClusterMembership:
         after: ConsistentHashRing,
         arcs: List[Arc],
         fresh: Optional[str] = None,
-    ) -> Chunks:
+    ) -> int:
         """Give every key in ``arcs`` a copy on each member of its replica
         set under ``after``, taken from a node that held it under ``before``.
 
-        A chunk generator (one yield per RPC) returning the number of entry
-        versions installed; see the module docstring for the four steps.
-        Every named arc must lie inside one segment of both rings, which
-        holds for the arcs of the finer of two rings that differ by one
-        node.  With ``fresh`` set, that freshly provisioned node's
-        watermark first advances to the highest watermark of the nodes
-        asked; no other watermark moves.
+        Returns the number of entry versions installed; see the module
+        docstring for the four steps.  Every named arc must lie inside one
+        segment of both rings, which holds for the arcs of the finer of two
+        rings that differ by one node.  With ``fresh`` set, that freshly
+        provisioned node's watermark first advances to the highest
+        watermark of the nodes asked; no other watermark moves.
         """
         cluster = self.cluster
         factor = cluster.replication_factor
@@ -443,28 +395,21 @@ class ClusterMembership:
                     marks[node] = cluster.watermark(node)
                 except _FAILURE_EXCEPTIONS:
                     cluster.note_transport_failure(node)
-                yield (1, 16)
             frontier = max((mark for node, mark in marks.items() if node != fresh), default=0)
             if marks.get(fresh, frontier) < frontier:
                 try:
                     cluster.note_timestamp(fresh, frontier)
                 except _FAILURE_EXCEPTIONS:
                     cluster.note_transport_failure(fresh)
-                yield (1, 16)
         # The one inventory; an unreachable node has no entry in ``held``.
         held: Dict[str, Set[str]] = {}
         for node in sorted(arcs_of):
-            keys: Set[str] = set()
             try:
-                for _first, page in self._pages("keys_in_range", node, arcs_of[node]):
-                    self.stats.inventory_pages += 1
-                    keys.update(page)
-                    yield (1, sum(len(key) for key in page) or 16)
+                pages = self._pages("keys_in_range", node, arcs_of[node])
             except _FAILURE_EXCEPTIONS:
-                self.stats.inventory_pages += 1  # the page that failed
                 self._lose(node)
                 continue
-            held[node] = keys
+            held[node] = set().union(*(page for _first, page in pages))
         # source -> destination -> keys; holder -> keys it no longer replicates.
         plan: Dict[str, Dict[str, Set[str]]] = {}
         displaced: Dict[str, Set[str]] = {}
@@ -487,9 +432,7 @@ class ClusterMembership:
         confirmed: Set[Tuple[str, str]] = set()
         installed = 0
         for source in sorted(plan):
-            installed += yield from self._ship_missing(
-                source, plan[source], held[source], confirmed
-            )
+            installed += self._ship_missing(source, plan[source], held[source], confirmed)
         self.stats.keys_migrated += len({key for _, key in confirmed})
         for node in sorted(displaced):
             placed = sorted(
@@ -507,7 +450,6 @@ class ClusterMembership:
             except _FAILURE_EXCEPTIONS:
                 # Stale copies age out; routing never returns there.
                 cluster.note_transport_failure(node)
-            yield (1, sum(len(key) for key in placed))
         return installed
 
     def _lose(self, node: str) -> None:
@@ -523,13 +465,11 @@ class ClusterMembership:
         missing_by_dest: Dict[str, Set[str]],
         held_keys: Set[str],
         confirmed: Set[Tuple[str, str]],
-    ) -> Chunks:
+    ) -> int:
         """Stream exactly the planned missing copies out of ``source``.
 
-        A chunk generator: yields ``(ops, approx_bytes)`` after each extract
-        page (the page plus its install fan-out), adds each confirmed
-        ``(destination, key)`` to ``confirmed``, and returns the number of
-        entry versions installed.
+        Adds each confirmed ``(destination, key)`` to ``confirmed`` and
+        returns the number of entry versions installed.
         """
         wanted = set().union(*missing_by_dest.values())
         first, last = min(wanted), max(wanted)
@@ -564,15 +504,6 @@ class ClusterMembership:
                     self.cluster.note_transport_failure(destination)
                     continue
                 confirmed.update((destination, record.key) for record in batch)
-            yield (
-                1 + len(by_target),
-                sum(
-                    len(record.key) + sys.getsizeof(record.value) + 48
-                    for batch in by_target.values()
-                    for record in batch
-                )
-                or 64,
-            )
             # Once the cursor passes the last wanted key the remaining pages
             # ship nothing.
             if cursor is None or cursor >= last:

@@ -1,4 +1,4 @@
-"""Self-healing supervision of cache nodes: detect, respawn, re-warm.
+"""Self-healing supervision of cache nodes: detect, respawn, warm rejoin.
 
 A crashed cache node used to be *only* evicted: the ring healed around the
 corpse (replicas served its keys, repair restored the replication factor),
@@ -6,9 +6,9 @@ but the cluster stayed one node short until an operator called
 ``add_cache_node``.  :class:`NodeSupervisor` closes that loop.  It watches
 every registered node and drives a small per-node state machine::
 
-    serving ──death──▶ backoff ──respawn──▶ rejoining ──▶ serving
-                         │  ▲                  (re-warm trickles in
-                         │  └── spawn failed       under the budget)
+    serving ──death──▶ backoff ──respawn (warm join)──▶ serving
+                         │  ▲
+                         │  └── spawn failed
                          ▼
                       gave_up   (circuit breaker: too many restarts
                                  inside the window — permanent eviction)
@@ -25,11 +25,10 @@ sooner.
 
 **Respawn** waits out an exponential backoff with jitter (on the injected
 clock, so tests are deterministic), then rejoins through
-:meth:`repro.cache.membership.ClusterMembership.rejoin`: the node enters the
-ring cold and its working set streams back as a budgeted
-:class:`~repro.cache.maintenance.ChunkedJob` on the maintenance plane, so
-recovery traffic cannot spike foreground p99.  The respawned node is a new
-server: it comes back with an empty store, as a restarted process does.
+:meth:`repro.cache.membership.ClusterMembership.join` with migration, as an
+operator's ``add_cache_node`` would: the respawned node is a new server
+with an empty store, as a restarted process is, and its share of the
+working set is moved onto it before the ring switches back to it.
 
 **Circuit breaker**: a node that keeps crashing is not worth respawning
 forever.  More than :data:`MAX_RESTARTS` successful respawns inside
@@ -63,8 +62,14 @@ RESTART_WINDOW_SECONDS = 60.0
 #: Growth of the respawn delay per crash-loop rung.
 BACKOFF_MULTIPLIER = 2.0
 
+#: First respawn delay after a death, in clock seconds (before jitter).
+BACKOFF_BASE_SECONDS = 0.1
+
 #: Cap on any one respawn delay, in clock seconds (before jitter).
 BACKOFF_MAX_SECONDS = 5.0
+
+#: Largest share of a respawn delay that jitter may take off.
+JITTER_FRACTION = 0.5
 
 
 @dataclass
@@ -73,7 +78,7 @@ class SupervisorStats:
 
     #: Node deaths noticed (threshold evictions of supervised nodes).
     deaths_detected: int = 0
-    #: Successful respawns (node provisioned, rejoined, re-warm queued).
+    #: Successful respawns (node provisioned and rejoined warm).
     respawns: int = 0
     #: Respawn attempts that failed to bring a node up (retried later).
     respawn_failures: int = 0
@@ -110,21 +115,18 @@ class NodeSupervisor:
         cluster: CacheCluster,
         membership: ClusterMembership,
         clock: Optional[Clock] = None,
-        backoff_base_seconds: float = 0.1,
-        jitter_fraction: float = 0.5,
-        seed: int = 0,
     ) -> None:
         self.cluster = cluster
         self.membership = membership
         self.clock = clock or SystemClock()
-        self.backoff_base_seconds = backoff_base_seconds
-        self.jitter_fraction = jitter_fraction
-        #: The circuit breaker's bounds; a test may narrow them on the
-        #: instance before the first crash.
+        #: The backoff ladder and the circuit breaker's bounds; a test may
+        #: narrow them on the instance before the first crash.
+        self.backoff_base_seconds = BACKOFF_BASE_SECONDS
+        self.jitter_fraction = JITTER_FRACTION
         self.max_restarts = MAX_RESTARTS
         self.restart_window_seconds = RESTART_WINDOW_SECONDS
         self.stats = SupervisorStats()
-        self._rng = random.Random(seed)
+        self._rng = random.Random(0)
         self._nodes: Dict[str, _NodeRecord] = {}
 
     # ------------------------------------------------------------------
@@ -223,7 +225,9 @@ class NodeSupervisor:
             record.failed_attempts = 0
             return 0
         try:
-            self.membership.rejoin(name, capacity_bytes=record.capacity_bytes)
+            self.membership.join(
+                name, capacity_bytes=record.capacity_bytes, migrate=True
+            )
         except Exception:
             # Spawn failed (port, fork, handshake…): climb the backoff
             # ladder and try again later.  Never let a bad spawn take the

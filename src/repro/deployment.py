@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional
 
 from repro.cache.cluster import CacheCluster
-from repro.cache.maintenance import MaintenanceBudget, MaintenancePlane
 from repro.cache.membership import ClusterMembership
 from repro.cache.server import CacheServer
 from repro.clock import Clock, ManualClock
@@ -53,9 +52,8 @@ class HousekeepingError(Exception):
 
     ``failures`` maps stage name to the exception it raised.  Raised at the
     end of :meth:`TxCacheDeployment.housekeeping` so one broken chore (say a
-    maintenance chunk against a dying node) cannot starve the others — the
-    supervisor pump and the maintenance plane must keep running precisely
-    when things are failing.
+    pincushion sweep that raises) cannot starve the others — the supervisor
+    pump must keep running precisely when things are failing.
     """
 
     def __init__(self, failures: dict) -> None:
@@ -97,28 +95,16 @@ class TxCacheDeployment:
     #: With R > 1 reads fail over to replicas and a node crash loses no
     #: cached state; 1 reproduces the paper's unreplicated deployment.
     replication_factor: int = 1
-    #: Run migration/repair sweeps as resumable background jobs pumped from
-    #: :meth:`housekeeping` under an op/byte budget, instead of synchronous
-    #: epoch-boundary sweeps.  See repro.cache.maintenance.
-    background_maintenance: bool = False
-    #: Budget: maintenance RPCs allowed per interval.
-    maintenance_ops_per_interval: int = 64
-    #: Budget: maintenance payload bytes allowed per interval.
-    maintenance_bytes_per_interval: int = 1 << 20
-    #: Budget refill interval, on the deployment clock.
-    maintenance_interval_seconds: float = 1.0
     #: Retry/backoff/deadline policy of the cache wire client (idempotent
     #: reads only; None = the RetryPolicy defaults).  Disable retries with
     #: ``RetryPolicy(max_attempts=1)``.  See repro.comm.transport.
     retry_policy: Optional[RetryPolicy] = None
-    #: Supervise cache nodes: detect crashed children, respawn them with
-    #: backoff, and re-warm via the maintenance plane.  None = on for the
+    #: Supervise cache nodes: respawn evicted ones with backoff and rejoin
+    #: them warm (see repro.cache.supervisor).  None = on for the
     #: "socket-process" transport (real child processes that can die), off
     #: otherwise; the supervisor still works on any transport when forced
     #: on (an evicted in-process node is "dead" and gets respawned).
     supervision: Optional[bool] = None
-    #: First respawn delay after a death; doubles each crash-loop rung.
-    supervisor_backoff_base_seconds: float = 0.1
 
     def __post_init__(self) -> None:
         self.invalidation_bus = InvalidationBus()
@@ -139,14 +125,6 @@ class TxCacheDeployment:
             retry_policy=self.retry_policy,
         )
         self.membership = ClusterMembership(self.cache)
-        if self.background_maintenance:
-            budget = MaintenanceBudget(
-                clock=self.clock,
-                ops_per_interval=self.maintenance_ops_per_interval,
-                bytes_per_interval=self.maintenance_bytes_per_interval,
-                interval_seconds=self.maintenance_interval_seconds,
-            )
-            self.membership.plane = MaintenancePlane(budget=budget)
         self.supervisor: Optional[NodeSupervisor] = None
         supervise = (
             self.transport == "socket-process"
@@ -156,12 +134,7 @@ class TxCacheDeployment:
         if supervise:
             from repro.cache.supervisor import NodeSupervisor
 
-            self.supervisor = NodeSupervisor(
-                self.cache,
-                self.membership,
-                clock=self.clock,
-                backoff_base_seconds=self.supervisor_backoff_base_seconds,
-            )
+            self.supervisor = NodeSupervisor(self.cache, self.membership, clock=self.clock)
             for name in self.cache.transports:
                 self.supervisor.register(
                     name, capacity_bytes=self.cache_capacity_bytes_per_node
@@ -209,9 +182,7 @@ class TxCacheDeployment:
           within ``max_staleness`` seconds;
         * with ``supervision``, run one supervisor pass (probe every
           serving node, charging a failure to the routing threshold;
-          respawn evicted nodes whose backoff has elapsed);
-        * with ``background_maintenance``, pump queued maintenance chunks
-          under the plane's budget.
+          respawn evicted nodes whose backoff has elapsed).
 
         Stages are isolated: a failing stage is recorded and the remaining
         stages still run — the cluster must keep healing exactly when parts
@@ -232,11 +203,7 @@ class TxCacheDeployment:
             ("evict_stale", evict_stale),
         ]
         if self.supervisor is not None:
-            # Supervisor before the plane: a rejoin queued this pass gets
-            # its re-warm chunks pumped in the same housekeeping round.
             stages.append(("supervisor_pump", self.supervisor.pump))
-        if self.membership.plane is not None:
-            stages.append(("maintenance_pump", self.membership.plane.pump))
 
         failures: dict = {}
         for label, stage in stages:

@@ -301,7 +301,6 @@ def test_supervision_alone_detects_an_idle_crash_at_the_threshold(transport_kind
         transport=transport_kind,
         replication_factor=2,
         supervision=True,
-        supervisor_backoff_base_seconds=0.1,
     )
     try:
         supervisor = deployment.supervisor

@@ -42,7 +42,6 @@ LAYERS = {
     "repro.comm": (2, "package"),
     "repro.cache.cluster": (3, "§4"),
     "repro.core.*": (3, "§2, §6"),
-    "repro.cache.maintenance": (4, "*extension*"),
     "repro.cache.membership": (4, "*extension*"),
     "repro.deployment": (4, "Figure 1"),
     "repro.cache": (4, "package"),
@@ -146,9 +145,7 @@ import repro
 from repro.db.query import Eq, Select
 from repro.db.schema import TableSchema
 
-deployment = repro.TxCacheDeployment(
-    replication_factor=2, background_maintenance=True
-)
+deployment = repro.TxCacheDeployment(replication_factor=2)
 database = deployment.database
 database.create_table(TableSchema.build("users", ["id", "name"], primary_key="id"))
 database.bulk_load("users", [{"id": i, "name": f"user{i}"} for i in range(40)])

@@ -1,25 +1,25 @@
-"""The budgeted maintenance plane and the digest-based repair wire cost.
+"""Anti-entropy repair: its wire cost, its outcome, and its pages.
 
-Four concerns:
+Three concerns:
 
-* unit behaviour of :class:`MaintenanceBudget` / :class:`ChunkedJob` /
-  :class:`MaintenancePlane` on a manual clock — window refills, post-hoc
-  overdraw, deferrals, failed jobs not poisoning the queue;
-* **exact budget accounting**: the op/byte totals the plane reports are the
-  precise sum of every chunk's charge, match the budget's own ledger, and a
-  budgeted repair re-replicates exactly what a synchronous sweep would;
 * **wire cost of repair** (pinned per transport via the transports'
   ``op_counts``): a clean sweep is one ``key_digest`` round trip per page
   of each store — N for stores within one page — and nothing else: no
   ``keys``, no ``keys_in_range``, no entry pages; and even a dirty sweep
   never falls back to full ``keys`` inventories;
+* **outcome**: a threshold eviction at R = 2 is followed by a repair that
+  leaves every surviving key on its full replica set; the outcome does not
+  depend on the page size, a node leaving between two pages is a node
+  lost, and a repair that raises leaves the next one to finish its work;
 * **foreground traffic between pages**: a node serves one frame at a time,
   so a repair keeps out of the foreground's way by being made of bounded
   pages — one frame each, with foreground probes answered between them.
+  That is why the synchronous sweep needs no budget.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 
 import pytest
@@ -27,107 +27,10 @@ import pytest
 from repro.cache import membership as membership_module
 from repro.cache import server as server_module
 from repro.cache.cluster import CacheCluster
-from repro.cache.maintenance import ChunkedJob, MaintenanceBudget, MaintenancePlane
-from repro.cache.membership import ClusterMembership
-from repro.clock import ManualClock
 from repro.comm import wire
 from repro.deployment import TxCacheDeployment
 from repro.interval import Interval
 from tests.helpers import crash_and_detect, transports_under_test
-
-# ----------------------------------------------------------------------
-# Budget / job / plane units
-# ----------------------------------------------------------------------
-def test_budget_refills_per_interval_on_the_injected_clock():
-    clock = ManualClock()
-    budget = MaintenanceBudget(
-        clock=clock, ops_per_interval=2, bytes_per_interval=100, interval_seconds=1.0
-    )
-    assert budget.allows()
-    budget.charge(2, 10)
-    assert not budget.allows()  # ops exhausted
-    clock.advance(0.5)
-    assert not budget.allows()  # window not over yet
-    clock.advance(0.5)
-    assert budget.allows()  # refilled
-    assert budget.windows == 2
-    budget.charge(1, 500)  # single chunk may overdraw bytes post-hoc
-    assert not budget.allows()
-    assert (budget.consumed_ops, budget.consumed_bytes) == (3, 510)
-
-
-def test_budget_rejects_degenerate_parameters():
-    for kwargs in (
-        {"ops_per_interval": 0},
-        {"bytes_per_interval": 0},
-        {"interval_seconds": 0.0},
-    ):
-        with pytest.raises(ValueError):
-            MaintenanceBudget(clock=ManualClock(), **kwargs)
-
-
-def test_chunked_job_steps_chunks_and_captures_the_result():
-    def chunks():
-        yield (1, 10)
-        yield (2, 20)
-        return "done"
-
-    job = ChunkedJob("demo", chunks())
-    assert job.step() == (False, 1, 10)
-    assert job.step() == (False, 2, 20)
-    done, ops, nbytes = job.step()
-    assert done and (ops, nbytes) == (0, 0)
-    assert job.result == "done"
-
-
-def test_plane_pump_defers_on_an_exhausted_window_and_resumes():
-    clock = ManualClock()
-    budget = MaintenanceBudget(
-        clock=clock, ops_per_interval=2, bytes_per_interval=1 << 20,
-        interval_seconds=1.0,
-    )
-    plane = MaintenancePlane(budget=budget)
-
-    def chunks():
-        for _ in range(6):
-            yield (1, 1)
-        return "finished"
-
-    job = plane.submit(ChunkedJob("six", chunks()))
-    assert plane.pump() == 2  # window pays for 2 ops, then a deferral
-    assert plane.stats.budget_deferrals == 1
-    assert not plane.idle
-    ran = 0
-    while not plane.idle:
-        clock.advance(1.0)
-        ran += plane.pump()
-    assert job.result == "finished"
-    assert plane.stats.jobs_completed == 1
-    # Exact accounting: every chunk's charge is in both ledgers.
-    assert plane.stats.ops_charged == budget.consumed_ops == 6
-    assert plane.stats.bytes_charged == budget.consumed_bytes == 6
-    assert plane.stats.chunks_run == 2 + ran
-
-
-def test_a_raising_job_fails_without_poisoning_the_queue():
-    plane = MaintenancePlane()
-
-    def bad():
-        yield (1, 1)
-        raise RuntimeError("boom")
-
-    def good():
-        yield (1, 1)
-        return 7
-
-    plane.submit(ChunkedJob("bad", bad()))
-    survivor = plane.submit(ChunkedJob("good", good()))
-    plane.drain()
-    assert plane.stats.jobs_failed == 1
-    assert plane.stats.jobs_completed == 1
-    assert survivor.result == 7
-    assert plane.idle
-
 
 # ----------------------------------------------------------------------
 # Repair wire cost, pinned via transport op counters
@@ -220,99 +123,19 @@ def test_a_node_share_longer_than_one_walk_is_walked_in_groups(transport, monkey
 
 
 # ----------------------------------------------------------------------
-# Budgeted repair: exact accounting, parity with the synchronous sweep
+# Repair after a threshold eviction
 # ----------------------------------------------------------------------
-def _damaged_cluster():
-    cluster = CacheCluster(node_count=3, replication_factor=2)
-    for i in range(40):
-        cluster.put(f"key{i}", f"value{i}", Interval(1, None))
-    victim = "cache2"
-    lost = cluster.node_keys(victim)[: len(cluster.node_keys(victim)) // 2]
-    cluster.discard_keys(victim, lost)
-    return cluster, victim, lost
-
-
-def test_budgeted_repair_matches_the_synchronous_sweep_exactly():
-    sync_cluster, _, sync_lost = _damaged_cluster()
-    sync_membership = ClusterMembership(sync_cluster, chunk_size=4)
-    sync_installed = sync_membership.repair()
-    assert sync_installed == len(sync_lost)
-
-    clock = ManualClock()
-    cluster, victim, lost = _damaged_cluster()
-    budget = MaintenanceBudget(
-        clock=clock, ops_per_interval=2, bytes_per_interval=1 << 20,
-        interval_seconds=1.0,
-    )
-    plane = MaintenancePlane(budget=budget)
-    membership = ClusterMembership(cluster, chunk_size=4, plane=plane)
-    assert membership.repair() == 0  # submitted, not yet run
-    assert plane.pending_jobs == 1
-    pumps = 0
-    while not plane.idle:
-        plane.pump()
-        clock.advance(1.0)
-        pumps += 1
-        assert pumps < 1000, "budgeted repair failed to converge"
-    # The budget throttled the sweep across many windows ...
-    assert plane.stats.budget_deferrals > 0
-    assert budget.windows > 2
-    # ... the ledgers agree to the op ...
-    assert plane.stats.ops_charged == budget.consumed_ops
-    assert plane.stats.bytes_charged == budget.consumed_bytes
-    # ... and the outcome is identical to the synchronous sweep.
-    assert membership.stats.entries_re_replicated == sync_installed
-    assert sorted(cluster.node_keys(victim)) == sorted(
-        sync_cluster.node_keys(victim)
-    )
-    assert membership.stats.inventory_pages == sync_membership.stats.inventory_pages
-    assert membership.stats.repair_arcs_dirty == sync_membership.stats.repair_arcs_dirty
-
-
-def test_repair_after_crash_goes_through_the_plane_when_attached():
-    clock = ManualClock()
-    deployment = TxCacheDeployment(
-        clock=clock, cache_nodes=3, replication_factor=2,
-        background_maintenance=True, maintenance_ops_per_interval=4,
-    )
+def test_a_threshold_eviction_at_r2_returns_with_every_key_on_its_replica_set():
+    deployment = TxCacheDeployment(cache_nodes=3, replication_factor=2)
     cluster = deployment.cache
-    for i in range(20):
-        cluster.put(f"key{i}", f"value{i}", Interval(1, None))
-    crash_and_detect(cluster, "cache1")  # the threshold evicts it: auto-repair
-    plane = deployment.membership.plane
-    assert plane.pending_jobs == 1  # queued as a background job, not swept
-    while not plane.idle:
-        deployment.housekeeping()  # housekeeping is the pump
-        deployment.advance(1.0)
-    assert deployment.membership.stats.repairs == 1
-    # Every surviving key is back at full replication: both survivors hold it.
-    for node in ("cache0", "cache2"):
-        held = set(cluster.node_keys(node))
-        for key in held:
-            owners = cluster.ring.successors(key, 2)
-            if node in owners:
-                for other in owners:
-                    assert key in set(cluster.node_keys(other))
-
-
-def test_a_budgeted_repair_survives_a_node_leaving_between_its_chunks():
-    """A job that names a node which leaves before its next chunk treats the
-    node as unreachable, like one that stopped answering: the job finishes,
-    and the repair and the leave's drain together leave every key on its
-    full replica set."""
-    cluster = CacheCluster(node_count=4, replication_factor=2)
-    keys = [f"key{i}" for i in range(200)]
+    keys = [f"key{i}" for i in range(20)]
     for key in keys:
-        cluster.put(key, key, Interval(1, None))
-    cluster.discard_keys("cache2", cluster.node_keys("cache2")[:20])
-    plane = MaintenancePlane()
-    membership = ClusterMembership(cluster, plane=plane)
-    membership.repair()
-    assert plane.pump(max_chunks=1) == 1
-    membership.leave("cache3")
-    plane.pump()
-    assert plane.idle
-    assert plane.stats.jobs_failed == 0
+        cluster.put(key, f"value-{key}", Interval(1, None))
+    crash_and_detect(cluster, "cache1")  # the threshold evicts it: auto-repair
+    assert "cache1" not in cluster.ring
+    assert deployment.membership.stats.repairs == 1
+    assert deployment.membership.stats.entries_re_replicated > 0
+    # R = 2 lost no key, and each is back on both members of its replica set.
     held = {node: set(cluster.node_keys(node)) for node in cluster.ring.nodes}
     for key in keys:
         assert sorted(node for node in held if key in held[node]) == sorted(
@@ -321,14 +144,130 @@ def test_a_budgeted_repair_survives_a_node_leaving_between_its_chunks():
 
 
 # ----------------------------------------------------------------------
+# One repair path: its outcome at any page size, under a leave, after an error
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("transport", transports_under_test())
+def test_a_repair_in_small_pages_matches_a_whole_store_sweep_exactly(transport):
+    """The page size moves only the number of entry pages: a sweep of
+    four-key pages and a sweep of whole-store pages re-store the same
+    versions, walk the same digest and inventory pages and find the same
+    arcs dirty."""
+    with TxCacheDeployment(
+        cache_nodes=3, transport=transport, replication_factor=2
+    ) as deployment:
+        cluster = deployment.cache
+        membership = deployment.membership
+        keys = [f"key{i}" for i in range(40)]
+        for key in keys:
+            cluster.put(key, f"value-{key}", Interval(1, None))
+        victim = "cache2"
+        lost = cluster.node_keys(victim)[: len(cluster.node_keys(victim)) // 2]
+        outcomes = []
+        for chunk_size in (4, len(keys)):
+            cluster.discard_keys(victim, lost)
+            before = dataclasses.replace(membership.stats)
+            membership.chunk_size = chunk_size
+            installed = membership.repair()
+            after = membership.stats
+            outcomes.append(
+                (
+                    installed,
+                    sorted(cluster.node_keys(victim)),
+                    after.repair_digest_rpcs - before.repair_digest_rpcs,
+                    after.inventory_pages - before.inventory_pages,
+                    after.repair_arcs_dirty - before.repair_arcs_dirty,
+                    after.migration_chunks - before.migration_chunks,
+                )
+            )
+        small, whole = outcomes
+        assert small[0] == whole[0] == len(lost)
+        assert small[1:5] == whole[1:5]
+        assert set(lost) <= set(small[1])
+        assert small[5] > whole[5]  # the same entries, in more pages
+
+
+@pytest.mark.parametrize("transport", transports_under_test())
+def test_a_repair_survives_a_node_leaving_between_its_pages(transport, monkeypatch):
+    """A node that leaves between two pages of a repair is, for the rest of
+    that repair, a node that stopped answering: the repair finishes without
+    raising, and the repair and the leave's drain together leave every key
+    on its full replica set."""
+    with TxCacheDeployment(
+        cache_nodes=4, transport=transport, replication_factor=2
+    ) as deployment:
+        cluster = deployment.cache
+        membership = deployment.membership
+        membership.chunk_size = 4
+        keys = [f"key{i}" for i in range(200)]
+        for key in keys:
+            cluster.put(key, key, Interval(1, None))
+        cluster.discard_keys("cache2", cluster.node_keys("cache2")[:20])
+        real_extract = cluster.extract_entries
+        state = {"left": False, "leaving": False, "pages_after": 0}
+
+        def extract_then_leave(node, cursor, limit):
+            if state["left"] and not state["leaving"]:
+                state["pages_after"] += 1
+            page = real_extract(node, cursor, limit)
+            if not state["left"]:
+                state["left"] = state["leaving"] = True
+                membership.leave("cache3")  # between this page and the next
+                state["leaving"] = False
+            return page
+
+        monkeypatch.setattr(cluster, "extract_entries", extract_then_leave)
+        membership.repair()
+        assert state["left"] and state["pages_after"] > 0
+        assert "cache3" not in cluster.ring
+        held = {node: set(cluster.node_keys(node)) for node in cluster.ring.nodes}
+        for key in keys:
+            assert sorted(node for node in held if key in held[node]) == sorted(
+                cluster.replicas_for(key)
+            ), key
+
+
+def test_a_repair_that_raises_does_not_poison_the_next_one(monkeypatch):
+    """An error the mover does not take for a lost node (a bug, say) leaves
+    the repair that met it; the membership stays usable, and the next
+    repair restores every key the failed one did not."""
+    deployment = TxCacheDeployment(cache_nodes=3, replication_factor=2)
+    cluster = deployment.cache
+    membership = deployment.membership
+    for i in range(40):
+        cluster.put(f"key{i}", f"value{i}", Interval(1, None))
+    victim = "cache2"
+    lost = cluster.node_keys(victim)[: len(cluster.node_keys(victim)) // 2]
+    cluster.discard_keys(victim, lost)
+    real_install = cluster.install_entries
+    raises = [1]
+
+    def install_raising_once(node, records):
+        if raises[0]:
+            raises[0] -= 1
+            raise RuntimeError("boom")
+        return real_install(node, records)
+
+    monkeypatch.setattr(cluster, "install_entries", install_raising_once)
+    with pytest.raises(RuntimeError, match="boom"):
+        membership.repair()
+    assert not set(lost) & set(cluster.node_keys(victim))
+    assert membership.repair() == len(lost)
+    assert set(lost) <= set(cluster.node_keys(victim))
+    assert membership.repair() == 0  # nothing left over
+    assert membership.stats.repairs == 3
+    assert membership.stats.entries_re_replicated == len(lost)
+
+
+# ----------------------------------------------------------------------
 # Foreground traffic between the pages of a repair
 # ----------------------------------------------------------------------
-def test_budgeted_repair_interleaves_with_foreground_probes_page_by_page(monkeypatch):
+def test_repair_interleaves_with_foreground_probes_page_by_page(monkeypatch):
     """Each page of a repair is one bounded frame at the node, and the node
     serves a foreground probe between any two of them.
 
     A node serves one frame at a time, so what keeps foreground traffic
-    moving through a repair is that the repair is made of pages.  Pages of
+    moving through a repair is that the repair is made of pages: no budget
+    is needed to keep it out of the foreground's way.  Pages of
     eight keys make every pass of the sweep — digests, key lists, entry
     pages — span several frames over the wire.  After every page the drain
     hands over to the foreground, whose probe must be answered before the
@@ -372,9 +311,8 @@ def test_budgeted_repair_interleaves_with_foreground_probes_page_by_page(monkeyp
             monkeypatch.setattr(cluster, op, handing_over)
         membership = deployment.membership
         membership.chunk_size = 4
-        membership.plane = MaintenancePlane()
-        membership.repair()
-        drainer = threading.Thread(target=membership.plane.drain)
+        repaired = []
+        drainer = threading.Thread(target=lambda: repaired.append(membership.repair()))
         drainer.start()
         probes = 0
         try:
@@ -389,7 +327,7 @@ def test_budgeted_repair_interleaves_with_foreground_probes_page_by_page(monkeyp
             probed.set()
             drainer.join(timeout=30)
         assert not drainer.is_alive()
-        assert membership.plane.idle
+        assert repaired == [len(lost)]
         assert probes == len(ops)
         assert {"key_digest", "keys_in_range", "extract_entries"} <= set(ops)
         assert ops.count("key_digest") > len(cluster.servers)  # digests span pages

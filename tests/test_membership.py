@@ -314,7 +314,9 @@ class TestOneMover:
             while victim in cluster.ring:
                 cluster.lookup(routed_there, 0, 5)  # threshold eviction
             assert membership.stats.repairs == 1
-            assert membership.rejoin(victim, capacity_bytes=1 << 22) > 0
+            membership.join(victim, capacity_bytes=1 << 22)
+            assert membership.stats.rejoins == 1
+            assert membership.stats.entries_migrated > 0
             # The nodes that absorbed the victim's slice dropped their
             # displaced copies: the placement a join reaches.
             for key in keys:

@@ -6,8 +6,8 @@ a manual clock (a crash is ``fail_node``, driven to its threshold eviction
 by traffic; backoff and the breaker window advance by hand).  The process
 tests SIGKILL real ``socket-process`` children and drive recovery solely
 through ``housekeeping()`` — the way a deployment timer would — asserting
-the node returns to serving with its working set re-warmed and the
-one-snapshot invariant intact throughout.
+the node returns to serving with its working set moved back by its warm
+rejoin and the one-snapshot invariant intact throughout.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import time
 import pytest
 
 from tests.helpers import (
+    FAR_FUTURE,
     ConsistencyHarness,
     FaultInjector,
     crash_and_detect,
@@ -25,8 +26,13 @@ from tests.helpers import (
     transports_under_test,
 )
 from repro.cache.netserver import CacheNodeUnreachableError, SocketTransport
-from repro.cache.supervisor import BACKOFF_MAX_SECONDS, _NodeRecord
+from repro.cache.supervisor import (
+    BACKOFF_BASE_SECONDS,
+    BACKOFF_MAX_SECONDS,
+    _NodeRecord,
+)
 from repro.clock import ManualClock, SystemClock
+from repro.comm.multicast import InvalidationMessage
 from repro.comm.transport import (
     IDEMPOTENT_OPS,
     RETRY_MAX_BACKOFF_SECONDS,
@@ -44,7 +50,6 @@ def _supervised_deployment(clock=None, **overrides):
         transport="inprocess",
         replication_factor=2,
         supervision=True,
-        supervisor_backoff_base_seconds=0.1,
     )
     settings.update(overrides)
     return TxCacheDeployment(**settings)
@@ -82,19 +87,23 @@ class TestSupervisorStateMachine:
             assert supervisor.states["cache1"] == "serving"
             assert "cache1" in deployment.cache.transports
             assert supervisor.stats.respawns == 1
-            # The rejoin re-warmed the node's share of the working set.
-            assert deployment.membership.stats.rewarms == 1
-            assert deployment.membership.stats.entries_rewarmed > 0
+            # The respawn is a warm join: the node's share of the working
+            # set was moved onto it before the ring switched back.
+            assert deployment.membership.stats.rejoins == 1
+            assert deployment.membership.stats.migrations == 1
+            assert deployment.membership.stats.entries_migrated > 0
             assert len(deployment.cache.node_keys("cache1")) > 0
 
     def test_a_respawned_node_comes_back_with_an_empty_store(self):
         """A respawn is a new server: nothing of the crashed store survives,
-        and what the node holds again is what the re-warm moves back."""
+        and what the node holds again is exactly what its warm join moved
+        back — its share of the working set."""
         clock = ManualClock()
-        with _supervised_deployment(clock, background_maintenance=True) as deployment:
+        with _supervised_deployment(clock) as deployment:
             supervisor = deployment.supervisor
-            for i in range(40):
-                deployment.cache.put(f"key{i}", f"value{i}", Interval(1, None))
+            keys = [f"key{i}" for i in range(40)]
+            for key in keys:
+                deployment.cache.put(key, f"value-{key}", Interval(1, None))
             crashed = deployment.cache.servers["cache1"]
             assert crashed.entry_count > 0
             crash_and_detect(deployment.cache, "cache1")
@@ -102,16 +111,51 @@ class TestSupervisorStateMachine:
             clock.advance(1.0)
             assert supervisor.pump() == 1
             assert deployment.cache.servers["cache1"] is not crashed
-            # The re-warm is queued on the plane, not run yet.
-            assert deployment.cache.node_keys("cache1") == []
-            plane = deployment.membership.plane
-            for _ in range(50):
-                if plane.idle:
-                    break
-                plane.pump()
-                clock.advance(1.0)
-            assert plane.idle
-            assert len(deployment.cache.node_keys("cache1")) > 0
+            held = deployment.cache.node_keys("cache1")
+            assert len(held) == deployment.membership.stats.entries_migrated > 0
+            assert sorted(held) == sorted(
+                key for key in keys if "cache1" in deployment.cache.replicas_for(key)
+            )
+
+    def test_a_respawn_is_recorded_as_a_rejoin_epoch(self):
+        """A respawn goes through the ``join`` an operator's re-add uses:
+        the eviction and the rejoin are two epochs, and the node is a
+        member again in the second."""
+        clock = ManualClock()
+        with _supervised_deployment(clock) as deployment:
+            membership = deployment.membership
+            crash_and_detect(deployment.cache, "cache1")
+            deployment.supervisor.pump()
+            clock.advance(1.0)
+            assert deployment.supervisor.pump() == 1
+            evict, rejoin = membership.history[-2:]
+            assert (evict.change, evict.node) == ("evict", "cache1")
+            assert evict.members == ("cache0", "cache2")
+            assert (rejoin.change, rejoin.node) == ("rejoin", "cache1")
+            assert rejoin.members == ("cache0", "cache1", "cache2")
+            assert rejoin.epoch == evict.epoch + 1 == membership.epoch
+            assert (membership.stats.joins, membership.stats.rejoins) == (0, 1)
+
+    def test_a_respawned_node_starts_at_the_survivors_watermark(self):
+        """The respawned node is fresh, so its warm join advances its
+        watermark to the survivors': an entry moved onto it serves the
+        current timestamp the moment it lands."""
+        clock = ManualClock()
+        with _supervised_deployment(clock) as deployment:
+            cluster = deployment.cache
+            for i in range(40):
+                cluster.put(f"key{i}", f"value{i}", Interval(1, None))
+            deployment.invalidation_bus.publish(InvalidationMessage(timestamp=9, tags=()))
+            crash_and_detect(cluster, "cache1")
+            deployment.supervisor.pump()
+            clock.advance(1.0)
+            assert deployment.supervisor.pump() == 1
+            assert cluster.watermark("cache0") == cluster.watermark("cache2") == 9
+            assert cluster.watermark("cache1") == 9
+            held = cluster.node_keys("cache1")
+            reborn = cluster.transports["cache1"]
+            assert held
+            assert all(lookup_one(reborn, key, 9, FAR_FUTURE).hit for key in held)
 
     def test_backoff_gates_the_respawn(self):
         clock = ManualClock()
@@ -208,16 +252,16 @@ class TestSupervisorStateMachine:
             crash_and_detect(deployment.cache, "cache1")
             supervisor.pump()
 
-            real_rejoin = deployment.membership.rejoin
+            real_join = deployment.membership.join
             boom = [2]
 
-            def flaky_rejoin(name, **kwargs):
+            def flaky_join(name, **kwargs):
                 if boom[0] > 0:
                     boom[0] -= 1
                     raise OSError("address in use")
-                return real_rejoin(name, **kwargs)
+                return real_join(name, **kwargs)
 
-            deployment.membership.rejoin = flaky_rejoin
+            deployment.membership.join = flaky_join
             delays = []
             for _ in range(3):
                 clock.advance(100.0)
@@ -463,6 +507,24 @@ class TestBackoffCaps:
                 assert supervisor.pump() == 1
             assert supervisor.stats.respawns == 10
 
+    def test_the_first_respawn_waits_the_instance_backoff_base(self):
+        """The ladder starts at ``BACKOFF_BASE_SECONDS``; a test may narrow
+        or widen it on the instance, as it may the breaker's bounds."""
+        clock = ManualClock()
+        with _supervised_deployment(clock) as deployment:
+            supervisor = deployment.supervisor
+            assert supervisor.backoff_base_seconds == BACKOFF_BASE_SECONDS == 0.1
+            supervisor.backoff_base_seconds = 2.0
+            supervisor.jitter_fraction = 0.0
+            crash_and_detect(deployment.cache, "cache1")
+            supervisor.pump()
+            clock.advance(1.5)
+            assert supervisor.pump() == 0
+            assert supervisor.states["cache1"] == "backoff"
+            clock.advance(1.0)
+            assert supervisor.pump() == 1
+            assert supervisor.states["cache1"] == "serving"
+
     def test_supervisor_ladder_is_unchanged_and_capped(self):
         with _supervised_deployment() as deployment:
             supervisor = deployment.supervisor
@@ -549,12 +611,7 @@ class TestProcessRecovery:
             replication_factor=2,
             failure_threshold=2,
             rpc_timeout_seconds=2.0,
-            background_maintenance=True,
-            maintenance_ops_per_interval=256,
-            maintenance_bytes_per_interval=2 << 20,
-            maintenance_interval_seconds=0.02,
             supervision=True,
-            supervisor_backoff_base_seconds=0.05,
         )
         settings.update(overrides)
         return TxCacheDeployment(**settings)
@@ -584,19 +641,15 @@ class TestProcessRecovery:
 
             supervisor = deployment.supervisor
             self._housekeep_until(deployment, lambda: supervisor.stats.respawns == 1)
-            # Drain the budgeted re-warm, then the full working set must be
-            # servable again — including from the reborn node.
-            self._housekeep_until(
-                deployment,
-                lambda: deployment.membership.plane.idle,
-            )
+            # The respawn was a warm join: the full working set is servable
+            # again — including from the reborn node.
             hits = sum(
                 1
                 for i in range(keys)
                 if deployment.cache.lookup(f"key{i}", 1, 1).hit
             )
             assert hits == keys
-            assert deployment.membership.stats.entries_rewarmed > 0
+            assert deployment.membership.stats.entries_migrated > 0
             assert len(deployment.cache.node_keys(victim)) > 0
             assert supervisor.stats.respawns == 1
         finally:
@@ -622,7 +675,15 @@ class TestProcessRecovery:
             pumper = threading.Thread(target=timer)
             pumper.start()
             try:
-                harness.run(120)  # crash, respawn, and re-warm mid-workload
+                # The workload spans the crash, the respawn and the warm
+                # rejoin: 120 interactions can end inside the backoff, so
+                # it runs on until the respawn, then past it.
+                harness.run(120)
+                deadline = time.time() + 30
+                while deployment.supervisor.stats.respawns < 1:
+                    assert time.time() < deadline, "cache1 was never respawned"
+                    harness.run(10)
+                harness.run(30)
             finally:
                 stop.set()
                 pumper.join(timeout=10)
@@ -641,7 +702,6 @@ class TestProcessRecovery:
             simulated_rpc_latency_seconds=0.25,
             rpc_timeout_seconds=10.0,
             supervision=False,  # isolate the failure path from respawn
-            background_maintenance=False,
         )
         try:
             cluster = deployment.cache

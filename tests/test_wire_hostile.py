@@ -646,9 +646,15 @@ def test_a_lone_reply_the_socket_will_not_take_whole_finishes_on_the_overflow_ro
     larger than the socket will take leaves its tail queued for the loop:
     the rest goes out as the client reads, a request sent behind it is
     answered after it, and only a connection that the tail holds at its
-    bound stops being read."""
+    bound stops being read.
+
+    The reply is 3 MB: larger than the loopback's socket buffers grow to,
+    so its tail is still queued when the ping arrives.  A 300 KB reply
+    sometimes fitted whole, and the node then rightly served the ping
+    alone."""
+    huge = ValueBlob(bytes(range(256)) * 12 * 1024)
     server = CacheServer(name=NODE_NAME, capacity_bytes=8 * 1024 * 1024)
-    server.put("big", BIG, Interval(3, None), frozenset())
+    server.put("big", huge, Interval(3, None), frozenset())
     with CacheServerProcess(server, max_queued_per_connection=bound) as process:
         process._listener.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 32 * 1024)
         sock = dial(process.address)
@@ -663,7 +669,7 @@ def test_a_lone_reply_the_socket_will_not_take_whole_finishes_on_the_overflow_ro
             request_id, opcode, body = read_reply(sock)
             assert (request_id, opcode) == (1, OK)
             (result,) = wire.decode_binary_body(body)
-            assert result.hit and result.value == BIG
+            assert result.hit and result.value == huge
             assert read_reply(sock)[:2] == (2, OK)
         finally:
             sock.close()
