@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.db.database import Database
-from repro.db.schema import IndexSpec, TableSchema
+from repro.db.schema import TableSchema
 
 __all__ = ["rubis_schemas", "create_rubis_schema", "ITEM_COLUMNS"]
 
@@ -74,13 +74,13 @@ def rubis_schemas() -> List[TableSchema]:
             "items",
             ITEM_COLUMNS,
             primary_key="id",
-            indexes=["seller", "category", IndexSpec("end_date", ordered=True)],
+            indexes=["seller", "category", "end_date"],
         ),
         TableSchema.build(
             "old_items",
             ITEM_COLUMNS,
             primary_key="id",
-            indexes=["seller", "category", IndexSpec("end_date", ordered=True)],
+            indexes=["seller", "category", "end_date"],
         ),
         TableSchema.build(
             "bids",

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.db.executor import QueryResult
-from repro.db.query import Aggregate, Join, Query, Select
+from repro.db.query import Aggregate, Query, Select
 
 __all__ = ["CostParameters", "ClusterSpec", "BufferCache", "CostModel", "InteractionCost"]
 
@@ -272,6 +272,4 @@ class CostModel:
             return query.table
         if isinstance(query, Aggregate):
             return query.source.table
-        if isinstance(query, Join):
-            return query.outer.table
         return "<unknown>"

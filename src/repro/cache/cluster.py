@@ -176,25 +176,34 @@ class _NodeStreamGuard:
     into an exception.  Failures are routed into the cluster's failure
     accounting instead, so a dead node is detected (and eventually evicted)
     from the invalidation path exactly as from the lookup path.
+
+    A message the node did not take stays in :attr:`missed` and goes, in
+    order, ahead of the next one: a node below the threshold must not let a
+    later message move its watermark past an invalidation it never applied.
+    A replay of a message the node did apply (a reply lost after the node
+    applied it) changes nothing there.  The list goes with the guard when
+    the node is evicted.
     """
 
     def __init__(self, cluster: "CacheCluster", name: str, transport: CacheTransport) -> None:
         self._cluster = cluster
         self.name = name
         self.transport = transport
-
-    def _deliver(self, send: Callable[[], None]) -> None:
-        try:
-            send()
-        except _FAILURE_EXCEPTIONS:
-            self._cluster._bump_health("degraded_ops")
-            self._cluster._note_failure(self.name, via=self.transport)
+        #: Messages not yet delivered, oldest first.
+        self.missed: List[InvalidationMessage] = []
 
     def process_invalidation(self, message: InvalidationMessage) -> None:
-        self._deliver(lambda: self.transport.process_invalidation(message))
-
-    def note_timestamp(self, timestamp: int) -> None:
-        self._deliver(lambda: self.transport.note_timestamp(timestamp))
+        transport = self.transport
+        try:
+            if self.missed:
+                transport.process_invalidations(self.missed + [message])
+                self.missed = []
+            else:
+                transport.process_invalidation(message)
+        except _FAILURE_EXCEPTIONS:
+            self.missed.append(message)
+            self._cluster._bump_health("degraded_ops")
+            self._cluster._note_failure(self.name, via=transport)
 
 
 class CacheCluster:

@@ -34,7 +34,6 @@ from repro.db.query import (
     Eq,
     Func,
     In,
-    Join,
     Or,
     Range,
     Select,
@@ -55,7 +54,6 @@ __all__ = [
     "QueryResult",
     "InvalidationTag",
     "Select",
-    "Join",
     "Aggregate",
     "Eq",
     "In",

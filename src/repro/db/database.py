@@ -50,8 +50,7 @@ operation, which no other Python thread can interleave with:
 * ``HashIndex.lookup`` and ``walk`` read a bucket with one ``dict.get``
   and copy a list bucket with one slice (``walk`` reads ``_mixed`` after
   its copy: a writer marks a key before it publishes the version that
-  mixes it); ``OrderedIndex.range_scan`` copies the sorted keys with one
-  slice before it bisects them;
+  mixes it);
 * a lone version (a row's slot or a key's bucket) is a single reference:
   a reader holds either the lone version or the list that replaced it,
   and both hold every version a snapshot older than the write can see.
@@ -68,13 +67,11 @@ the commit lock:
   append lands on a list that has left the table.  The claim itself is
   not yet one step: ``_claim_for_write`` reads ``xmax`` and then stores
   the mark, so two writers that both read ``None`` both claim the row;
-* each index's buckets, ``_mixed`` marks and sorted keys change only under
-  that index's own lock (``HashIndex._lock``): bucket creation, the
+* each index's buckets and ``_mixed`` marks change only under that
+  index's own lock (``HashIndex._lock``): bucket creation, the
   lone-to-list upgrade (the unique check and the ``_mixed`` mark come
   before the list is published), an append, and ``remove``'s
-  empty-check-and-delete are each one critical section, as are an ordered
-  index's ``insort`` and key removal with the bucket change that causes
-  them;
+  empty-check-and-delete are each one critical section;
 * ``commit`` stamps ``xmin`` and ``xmax``, appends to :attr:`superseded`
   and enqueues invalidations under the commit lock.
 

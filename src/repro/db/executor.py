@@ -55,7 +55,7 @@ from repro._compat import DATACLASS_SLOTS
 from repro.db.errors import UnknownTableError
 from repro.db.invalidation import InvalidationTag
 from repro.db.planner import AccessPath, plan_select
-from repro.db.query import Aggregate, And, Eq, Join, Predicate, Query, Select
+from repro.db.query import Aggregate, Predicate, Query, Select
 from repro.db.table import Table
 from repro.db.tuples import TupleVersion, UncommittedMark
 from repro.interval import Interval
@@ -115,7 +115,6 @@ class ExecutorStats:
     rows_returned: int = 0
     seq_scans: int = 0
     index_lookups: int = 0
-    range_scans: int = 0
 
     def reset(self) -> None:
         self.queries = 0
@@ -123,11 +122,10 @@ class ExecutorStats:
         self.rows_returned = 0
         self.seq_scans = 0
         self.index_lookups = 0
-        self.range_scans = 0
 
 
 class _Accumulator:
-    """Mutable validity/tag accumulator shared across sub-plans of a query.
+    """Mutable validity/tag accumulator of one query.
 
     ``[lo, hi)`` is the result tuple validity (``hi is None``: unbounded).
     ``floor`` and ``ceil`` are the invalidity mask (see the module
@@ -180,8 +178,6 @@ class Executor:
         acc = _Accumulator()
         if isinstance(query, Select):
             rows = self._execute_select(query, timestamp, tx_id, acc)
-        elif isinstance(query, Join):
-            rows = self._execute_join(query, timestamp, tx_id, acc)
         elif isinstance(query, Aggregate):
             rows = self._execute_aggregate(query, timestamp, tx_id, acc)
         else:
@@ -287,9 +283,10 @@ class Executor:
     ) -> List[TupleVersion]:
         """The versions an UPDATE/DELETE targets, found the way SELECT finds rows.
 
-        Candidates come from the planner's access path (index lookup or
-        range scan when the predicate allows, sequential scan otherwise), so
-        dead versions of other rows kept for stale snapshots cost nothing.
+        Candidates come from the planner's access path (an index lookup when
+        the predicate allows, a sequential scan otherwise), so an indexed
+        statement pays nothing for dead versions of other rows kept for
+        stale snapshots.
         The list is complete before the caller adds or claims any version.
         Not a query: it counts in no statistic and tracks no validity.
         """
@@ -391,36 +388,6 @@ class Executor:
                 acc.lo, acc.hi, acc.floor, acc.ceil = lo, hi, floor, ceil
         return visible
 
-    def _execute_join(
-        self,
-        join: Join,
-        timestamp: int,
-        tx_id: Optional[int],
-        acc: _Accumulator,
-    ) -> List[Dict[str, Any]]:
-        outer_rows = self._execute_select(join.outer, timestamp, tx_id, acc)
-        merged: List[Dict[str, Any]] = []
-        for outer_row in outer_rows:
-            key = outer_row.get(join.outer_column)
-            inner_select = Select(
-                join.inner_table,
-                predicate=And(Eq(join.inner_column, key), join.inner_predicate),
-            )
-            inner_rows = self._execute_select(inner_select, timestamp, tx_id, acc)
-            for inner_row in inner_rows:
-                row = dict(outer_row)
-                if join.inner_prefix:
-                    row.update({f"{join.inner_prefix}{k}": v for k, v in inner_row.items()})
-                else:
-                    for column, value in inner_row.items():
-                        row.setdefault(column, value)
-                merged.append(row)
-        if join.order_by is not None or join.limit is not None:
-            merged = self._order_limit_project(
-                merged, join.order_by, join.descending, join.limit, None
-            )
-        return merged
-
     def _execute_aggregate(
         self,
         aggregate: Aggregate,
@@ -474,25 +441,8 @@ class Executor:
             items = items[:limit]
         return items
 
-    @staticmethod
-    def _order_limit_project(
-        rows: List[Dict[str, Any]],
-        order_by: Optional[str],
-        descending: bool,
-        limit: Optional[int],
-        columns,
-    ) -> List[Dict[str, Any]]:
-        """Order, limit and project result dicts (a join's rows)."""
-        key = None if order_by is None else lambda row: (row.get(order_by) is None, row.get(order_by))
-        rows = Executor._order_limit(rows, key, descending, limit)
-        if columns is not None:
-            rows = [{column: row.get(column) for column in columns} for row in rows]
-        return rows
-
     def _note_access(self, kind: str) -> None:
         if kind == "seq_scan":
             self.stats.seq_scans += 1
         elif kind == "index_eq":
             self.stats.index_lookups += 1
-        elif kind == "index_range":
-            self.stats.range_scans += 1

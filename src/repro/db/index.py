@@ -8,25 +8,23 @@ the visibility check feed the invalidity mask (phantom tracking, paper
 section 5.2), which is why indexes deliberately return invisible versions as
 well.
 
-Two kinds are provided, matching the paper's access-method taxonomy:
-
-* :class:`HashIndex` — equality lookups only; produces precise
-  ``TABLE:KEY`` invalidation tags.
-* :class:`OrderedIndex` — also supports range scans; range scans produce
-  wildcard ``TABLE:?`` tags because the set of keys they depend on is open.
+There is one kind, :class:`HashIndex`: equality lookups only, which is the
+one access path that earns precise ``TABLE:COL=VALUE`` invalidation tags
+(paper section 5.3).  Every other read is a sequential scan with a wildcard
+``TABLE:?`` tag, so an index that could also walk a key range would tag
+nothing more precisely.
 """
 
 from __future__ import annotations
 
-import bisect
 import threading
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
+from typing import Any, Dict, Iterator, List, Set, Tuple, Union
 
 from repro.db.errors import ConstraintError
 from repro.db.schema import IndexSpec
 from repro.db.tuples import TupleVersion, UncommittedMark
 
-__all__ = ["HashIndex", "OrderedIndex", "build_index"]
+__all__ = ["HashIndex"]
 
 
 class HashIndex:
@@ -52,8 +50,7 @@ class HashIndex:
         #: than one row (a deleted key inserted again).  Every other bucket
         #: of a unique index holds one row's versions, oldest first.
         self._mixed: Set[Any] = set()
-        #: Held by every change to ``_buckets``, ``_mixed`` and an ordered
-        #: index's sorted keys.
+        #: Held by every change to ``_buckets`` and ``_mixed``.
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -63,8 +60,8 @@ class HashIndex:
         """The indexed column's value in ``version``."""
         return version.values[self.position]
 
-    def insert(self, version: TupleVersion) -> bool:
-        """Index a newly created tuple version; True if its key was new.
+    def insert(self, version: TupleVersion) -> None:
+        """Index a newly created tuple version.
 
         A unique index refuses a second *current* row for one key: a version
         no transaction deleted, or one deleted by a transaction still in
@@ -80,8 +77,7 @@ class HashIndex:
             bucket = buckets.get(key)
             if bucket is None:
                 buckets[key] = version
-                self._key_added(key)
-                return True
+                return
             lone = type(bucket) is not list
             first = bucket if lone else bucket[0]
             if self.unique and (key in self._mixed or first.row_id != version.row_id):
@@ -101,7 +97,6 @@ class HashIndex:
                 buckets[key] = [bucket, version]
             else:
                 bucket.append(version)
-            return False
         finally:
             lock.release()
 
@@ -125,16 +120,9 @@ class HashIndex:
                 return False
             del buckets[key]
             self._mixed.discard(key)
-            self._key_removed(key)
             return True
         finally:
             lock.release()
-
-    def _key_added(self, key: Any) -> None:
-        """A bucket for ``key`` was created (called under :attr:`_lock`)."""
-
-    def _key_removed(self, key: Any) -> None:
-        """``key``'s bucket was deleted (called under :attr:`_lock`)."""
 
     # ------------------------------------------------------------------
     # Access methods
@@ -173,90 +161,3 @@ class HashIndex:
             len(bucket) if type(bucket) is list else 1
             for bucket in list(self._buckets.values())
         )
-
-
-class OrderedIndex(HashIndex):
-    """Index supporting both equality lookups and range scans.
-
-    Implemented as a hash index plus a sorted key list maintained with
-    ``bisect``: a key enters the list exactly when an insert created its
-    bucket, and leaves exactly when a remove deleted it, under the same
-    hold of the index's lock.
-    """
-
-    def __init__(self, spec: IndexSpec, position: int) -> None:
-        super().__init__(spec, position)
-        self._sorted_keys: List[Any] = []
-
-    def _key_added(self, key: Any) -> None:
-        bisect.insort(self._sorted_keys, _orderable(key))
-
-    def _key_removed(self, key: Any) -> None:
-        self._sorted_keys.remove(_orderable(key))
-
-    def range_scan(
-        self,
-        lo: Optional[Any] = None,
-        hi: Optional[Any] = None,
-        lo_inclusive: bool = True,
-        hi_inclusive: bool = True,
-    ) -> Iterable[TupleVersion]:
-        """Yield versions whose indexed key falls in ``[lo, hi]``.
-
-        ``None`` bounds are open.  Versions are yielded in key order.
-        """
-        keys = self._sorted_keys[:]
-        start = 0
-        if lo is not None:
-            olo = _orderable(lo)
-            start = bisect.bisect_left(keys, olo) if lo_inclusive else bisect.bisect_right(keys, olo)
-        end = len(keys)
-        if hi is not None:
-            ohi = _orderable(hi)
-            end = bisect.bisect_right(keys, ohi) if hi_inclusive else bisect.bisect_left(keys, ohi)
-        buckets = self._buckets
-        for orderable_key in keys[start:end]:
-            key = orderable_key.value if isinstance(orderable_key, _NoneLow) else orderable_key
-            bucket = buckets.get(key)
-            if type(bucket) is list:
-                yield from bucket[:]
-            elif bucket is not None:
-                yield bucket
-
-
-class _NoneLow:
-    """Wrapper ordering ``None`` keys below everything else."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: Any = None) -> None:
-        self.value = value
-
-    def __lt__(self, other: object) -> bool:
-        return not isinstance(other, _NoneLow)
-
-    def __gt__(self, other: object) -> bool:
-        return False
-
-    def __le__(self, other: object) -> bool:
-        return True
-
-    def __ge__(self, other: object) -> bool:
-        return isinstance(other, _NoneLow)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _NoneLow)
-
-    def __hash__(self) -> int:  # pragma: no cover - not used as dict key
-        return hash(None)
-
-
-def _orderable(key: Any) -> Any:
-    """Map ``None`` keys onto a totally ordered sentinel."""
-    return _NoneLow() if key is None else key
-
-
-def build_index(spec: IndexSpec, position: int) -> HashIndex:
-    """Construct the right index implementation for ``spec``, over the
-    column at ``position`` of a version's values."""
-    return OrderedIndex(spec, position) if spec.ordered else HashIndex(spec, position)

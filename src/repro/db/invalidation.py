@@ -3,9 +3,9 @@
 Every still-valid cache object carries a set of invalidation tags describing
 which parts of the database it depends on.  A tag has two parts: a table name
 and an optional index-key description.  Index equality lookups produce the
-precise two-part form (``USERS:NAME=ALICE``); sequential scans and range
-scans produce the wildcard form (``USERS:?``), which exists for completeness
-and is expected to be rare.
+precise two-part form (``USERS:NAME=ALICE``); a sequential scan, the only
+other access path, produces the wildcard form (``USERS:?``), which exists
+for completeness and is expected to be rare.
 
 At query time the database derives tags from the access methods in the query
 plan.  At update time each added/deleted/modified tuple yields one tag per

@@ -1,29 +1,31 @@
 """Access-method selection (a miniature query planner).
 
 The planner inspects a select's predicate and the available indexes and picks
-one of three access paths, mirroring the access methods the paper's modified
-PostgreSQL distinguishes when assigning invalidation tags (section 5.3):
+one of two access paths, the distinction the paper's modified PostgreSQL
+draws when assigning invalidation tags (section 5.3):
 
 * **index equality lookup** — when the predicate contains an ``Eq`` (or
   ``In``) conjunct on an indexed column.  Produces precise ``TABLE:KEY``
   invalidation tags, one per looked-up key.
-* **index range scan** — when the predicate contains a ``Range`` conjunct on
-  an ordered index.  Produces a wildcard ``TABLE:?`` tag.
-* **sequential scan** — everything else.  Also a wildcard tag.
+* **sequential scan** — everything else, a ``Range`` included.  Produces a
+  wildcard ``TABLE:?`` tag.
+
+A conjunct the path does not decide is a filter: the executor applies the
+whole predicate to every candidate before its visibility check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Any, FrozenSet, Iterable, List, Tuple
 
 from repro._compat import DATACLASS_SLOTS
 from repro.db.invalidation import InvalidationTag
-from repro.db.query import And, Eq, In, Predicate, Range, Select
+from repro.db.query import And, Eq, In, Predicate, Select
 from repro.db.table import Table
 from repro.db.tuples import TupleVersion
 
-__all__ = ["AccessPath", "IndexEqualityPath", "IndexRangePath", "SeqScanPath", "plan_select"]
+__all__ = ["AccessPath", "IndexEqualityPath", "SeqScanPath", "plan_select"]
 
 
 @dataclass(**DATACLASS_SLOTS)
@@ -105,29 +107,6 @@ class IndexEqualityPath(AccessPath):
 
 
 @dataclass(**DATACLASS_SLOTS)
-class IndexRangePath(AccessPath):
-    """Range scan against an ordered index."""
-
-    column: str = ""
-    lo: Optional[Any] = None
-    hi: Optional[Any] = None
-    lo_inclusive: bool = True
-    hi_inclusive: bool = True
-
-    def candidates(self, table: Table) -> Iterable[TupleVersion]:
-        index = table.ordered_index_on(self.column)
-        assert index is not None, "planner selected a range path without an ordered index"
-        yield from index.range_scan(self.lo, self.hi, self.lo_inclusive, self.hi_inclusive)
-
-    def tags(self) -> FrozenSet[InvalidationTag]:
-        return frozenset({InvalidationTag.wildcard(self.table)})
-
-    @property
-    def kind(self) -> str:
-        return "index_range"
-
-
-@dataclass(**DATACLASS_SLOTS)
 class SeqScanPath(AccessPath):
     """Full sequential scan of the table."""
 
@@ -152,10 +131,10 @@ def _conjuncts(predicate: Predicate) -> List[Predicate]:
 def plan_select(select: Select, table: Table) -> AccessPath:
     """Choose the access path for ``select`` against ``table``.
 
-    Preference order: index equality lookup, then index range scan, then
-    sequential scan.  The executor re-applies the full predicate to every
-    candidate unless the path :meth:`~AccessPath.decides` it, so the path
-    only needs to be a superset of the matching rows.
+    An index equality lookup if any conjunct allows one, else a sequential
+    scan.  The executor re-applies the full predicate to every candidate
+    unless the path :meth:`~AccessPath.decides` it, so the path only needs
+    to be a superset of the matching rows.
     """
     predicate = select.predicate
     # The commonest statement of all, a primary-key select, is a bare Eq.
@@ -172,17 +151,5 @@ def plan_select(select: Select, table: Table) -> AccessPath:
             # and an UPDATE takes its targets from these candidates.
             keys = tuple(dict.fromkeys(part.values))
             return IndexEqualityPath(table=select.table, column=part.column, keys=keys)
-
-    # Index range scan: Range on an ordered index.
-    for part in conjuncts:
-        if isinstance(part, Range) and table.ordered_index_on(part.column) is not None:
-            return IndexRangePath(
-                table=select.table,
-                column=part.column,
-                lo=part.lo,
-                hi=part.hi,
-                lo_inclusive=part.lo_inclusive,
-                hi_inclusive=part.hi_inclusive,
-            )
 
     return SeqScanPath(table=select.table)

@@ -3,18 +3,17 @@
 The RUBiS and MediaWiki applications in the paper issue SQL through PHP; this
 reproduction uses a small structured query model instead of a SQL parser.
 The model is expressive enough for everything the evaluation needs —
-predicate selects, nested-loop joins, ordering/limits, and aggregates — while
-keeping the planner's access-method choice (and therefore invalidation-tag
-assignment) explicit and testable.
+predicate selects, ordering/limits, and aggregates — while keeping the
+planner's access-method choice (and therefore invalidation-tag assignment)
+explicit and testable.
 
 Predicates are structured so the planner can recognise index-friendly shapes:
 
 * :class:`Eq` / :class:`In` on an indexed column plan as index equality
   lookups and yield precise ``TABLE:COL=VALUE`` invalidation tags;
-* :class:`Range` on an ordered index plans as an index range scan and yields
-  a wildcard tag;
-* anything else (including :class:`Func`, an arbitrary Python predicate)
-  plans as a sequential scan with a wildcard tag.
+* anything else (a :class:`Range`, or :class:`Func`, an arbitrary Python
+  predicate, among them) plans as a sequential scan with a wildcard tag, and
+  a conjunct beside an indexed ``Eq`` filters the lookup's rows.
 
 A predicate reads a stored row, a tuple of values in its table's column
 order, through the table's ``positions`` map (column name -> position); a
@@ -42,7 +41,6 @@ __all__ = [
     "Func",
     "Query",
     "Select",
-    "Join",
     "Aggregate",
 ]
 
@@ -227,50 +225,6 @@ class Select(Query):
         self.table = table
         self.predicate = predicate or TruePredicate()
         self.columns = tuple(columns) if columns is not None else None
-        self.order_by = order_by
-        self.descending = descending
-        self.limit = limit
-
-
-@dataclass(unsafe_hash=True)
-class Join(Query):
-    """Nested-loop join of an outer select against an inner table.
-
-    For every row produced by ``outer``, the executor looks up rows of
-    ``inner_table`` whose ``inner_column`` equals the outer row's
-    ``outer_column`` (using an index when available), applies
-    ``inner_predicate``, and emits the merged row.  Columns of the inner row
-    are prefixed with ``inner_prefix`` when it is given, which keeps same-name
-    columns from colliding.
-    """
-
-    outer: Select
-    inner_table: str
-    outer_column: str
-    inner_column: str
-    inner_predicate: Predicate = field(default_factory=TruePredicate)
-    inner_prefix: str = ""
-    order_by: Optional[str] = None
-    descending: bool = False
-    limit: Optional[int] = None
-
-    def __init__(
-        self,
-        outer: Select,
-        inner_table: str,
-        on: Tuple[str, str],
-        inner_predicate: Optional[Predicate] = None,
-        inner_prefix: str = "",
-        order_by: Optional[str] = None,
-        descending: bool = False,
-        limit: Optional[int] = None,
-    ) -> None:
-        self.outer = outer
-        self.inner_table = inner_table
-        self.outer_column = on[0]
-        self.inner_column = on[1]
-        self.inner_predicate = inner_predicate or TruePredicate()
-        self.inner_prefix = inner_prefix
         self.order_by = order_by
         self.descending = descending
         self.limit = limit

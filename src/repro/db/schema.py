@@ -38,25 +38,21 @@ class Column:
 
 @dataclass(frozen=True)
 class IndexSpec:
-    """Specification of a secondary index.
+    """Specification of a secondary index: a hash index, supporting equality
+    lookups only.
 
     Attributes:
         column: the indexed column.
-        ordered: if True the index supports range scans (a B-tree in the
-            paper's PostgreSQL); otherwise it is a hash index supporting only
-            equality lookups.
         unique: enforce at most one *current* row per key.
     """
 
     column: str
-    ordered: bool = False
     unique: bool = False
 
     @property
     def name(self) -> str:
         """Canonical index name, used in diagnostics."""
-        kind = "btree" if self.ordered else "hash"
-        return f"{kind}:{self.column}"
+        return f"hash:{self.column}"
 
 
 @dataclass(frozen=True)
@@ -119,7 +115,7 @@ class TableSchema:
 
     def all_index_specs(self) -> List[IndexSpec]:
         """All index specs, including the implicit primary-key index."""
-        specs = [IndexSpec(column=self.primary_key, ordered=False, unique=True)]
+        specs = [IndexSpec(column=self.primary_key, unique=True)]
         for spec in self.indexes:
             if spec.column != self.primary_key:
                 specs.append(spec)

@@ -7,7 +7,7 @@ from operator import itemgetter
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.db.errors import ConstraintError, UnknownIndexError
-from repro.db.index import HashIndex, OrderedIndex, build_index
+from repro.db.index import HashIndex
 from repro.db.schema import TableSchema
 from repro.db.tuples import Stamp, TupleVersion
 
@@ -64,7 +64,7 @@ class Table:
             self._pick = lambda values: (values[only],)
         self._indexes: Dict[str, HashIndex] = {}
         for spec in schema.all_index_specs():
-            self._indexes[spec.column] = build_index(spec, self.positions[spec.column])
+            self._indexes[spec.column] = HashIndex(spec, self.positions[spec.column])
         #: The indexed column names, in index order (fixed by the schema).
         self.indexed_columns = tuple(self._indexes)
         #: ``(column, position)`` of each indexed column, in index order.
@@ -99,11 +99,6 @@ class Table:
     def has_index_on(self, column: str) -> bool:
         """True if ``column`` is indexed."""
         return column in self._indexes
-
-    def ordered_index_on(self, column: str) -> Optional[OrderedIndex]:
-        """Return an ordered index on ``column`` if one exists."""
-        index = self._indexes.get(column)
-        return index if isinstance(index, OrderedIndex) else None
 
     def row_count(self) -> int:
         """Number of logical rows (including rows with only dead versions)."""

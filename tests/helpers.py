@@ -45,7 +45,7 @@ from repro.clock import ManualClock
 from repro.core.api import ConsistencyMode
 from repro.db.database import Database
 from repro.db.query import Eq, Select
-from repro.db.schema import IndexSpec, TableSchema
+from repro.db.schema import TableSchema
 from repro.deployment import TxCacheDeployment
 
 #: Every cache transport kind; the parity suites parametrize over this.
@@ -120,7 +120,7 @@ def simple_schema(name: str = "users") -> TableSchema:
         name,
         ["id", "name", "region", "score"],
         primary_key="id",
-        indexes=["name", IndexSpec("region", ordered=True)],
+        indexes=["name", "region"],
     )
 
 

@@ -16,7 +16,7 @@ from repro.db.errors import ConstraintError, SerializationError
 from repro.db.executor import Executor
 from repro.db.invalidation import InvalidationTag
 from repro.db.planner import plan_select
-from repro.db.query import Aggregate, And, Eq, Func, In, Join, Or, Range, Select
+from repro.db.query import Aggregate, And, Eq, Func, In, Or, Range, Select
 from repro.db.schema import TableSchema
 from repro.db.tuples import validity_of, visible_at
 from repro.clock import ManualClock
@@ -126,31 +126,6 @@ class TestAggregates:
             Aggregate(Select("users"), "max")
 
 
-class TestJoins:
-    def test_join_merges_rows(self):
-        db = Database(clock=ManualClock())
-        db.create_table(simple_schema("users"))
-        db.create_table(simple_schema("accounts"))
-        db.bulk_load("users", [{"id": 1, "name": "a", "region": 7, "score": 0.0}])
-        db.bulk_load("accounts", [{"id": 7, "name": "acct", "region": 0, "score": 9.0}])
-        result = db.begin_ro().query(
-            Join(Select("users"), "accounts", on=("region", "id"), inner_prefix="acct_")
-        )
-        assert len(result.rows) == 1
-        assert result.rows[0]["acct_score"] == 9.0
-        assert result.rows[0]["name"] == "a"
-
-    def test_join_tags_include_both_tables(self):
-        db = Database(clock=ManualClock())
-        db.create_table(simple_schema("users"))
-        db.create_table(simple_schema("accounts"))
-        db.bulk_load("users", [{"id": 1, "name": "a", "region": 7, "score": 0.0}])
-        db.bulk_load("accounts", [{"id": 7, "name": "acct", "region": 0, "score": 9.0}])
-        result = db.begin_ro().query(Join(Select("users"), "accounts", on=("region", "id")))
-        tables = {tag.table for tag in result.tags}
-        assert tables == {"users", "accounts"}
-
-
 class TestValidityIntervals:
     def test_initial_data_is_valid_from_zero(self, db):
         result = db.begin_ro().query(Select("users", Eq("id", 1)))
@@ -222,8 +197,10 @@ class TestQueryTags:
         result = db.begin_ro().query(Select("users", Eq("score", 3.0)))
         assert result.tags == frozenset({InvalidationTag.wildcard("users")})
 
-    def test_range_scan_gets_wildcard_tag(self, db):
+    def test_range_select_seq_scans_with_a_wildcard_tag(self, db):
         result = db.begin_ro().query(Select("users", Range("region", 0, 1)))
+        assert sorted(row["id"] for row in result.rows) == [1, 3, 4, 6, 7, 9, 10]
+        assert result.access_methods == ("seq_scan",)
         assert result.tags == frozenset({InvalidationTag.wildcard("users")})
 
 
@@ -357,26 +334,20 @@ def reference_execute(database, query, timestamp, tx_id=None):
                     validity = validity.intersect(interval)
             elif interval is not None and not interval.contains(timestamp):
                 mask.add(interval)
-        return Executor._order_limit_project(
-            rows, sel.order_by, sel.descending, sel.limit, sel.columns
-        )
+        if sel.order_by is not None:
+            # None last (first when descending); a stable sort keeps ties.
+            rows.sort(
+                key=lambda row: (row.get(sel.order_by) is None, row.get(sel.order_by)),
+                reverse=sel.descending,
+            )
+        if sel.limit is not None:
+            rows = rows[: sel.limit]
+        if sel.columns is not None:
+            rows = [{column: row.get(column) for column in sel.columns} for row in rows]
+        return rows
 
     if isinstance(query, Select):
         rows = select(query)
-    elif isinstance(query, Join):
-        rows = []
-        for outer_row in select(query.outer):
-            inner = Select(
-                query.inner_table,
-                And(Eq(query.inner_column, outer_row.get(query.outer_column)), query.inner_predicate),
-            )
-            for inner_row in select(inner):
-                row = dict(outer_row)
-                row.update({f"{query.inner_prefix}{k}": v for k, v in inner_row.items()})
-                rows.append(row)
-        rows = Executor._order_limit_project(
-            rows, query.order_by, query.descending, query.limit, None
-        )
     else:
         source = select(query.source)
         values = [row[query.column] for row in source if row.get(query.column) is not None]
@@ -392,11 +363,11 @@ def reference_execute(database, query, timestamp, tx_id=None):
 
 
 class _History:
-    """A seeded random history over two small tables.
+    """A seeded random history over one small table.
 
     Up to three read/write transactions are in flight at once; each step
-    begins one, writes through one (insert, update of an unindexed, a
-    hash-indexed, a range-indexed or the primary-key column, delete, insert
+    begins one, writes through one (insert, update of an unindexed, either
+    secondary-indexed or the primary-key column, delete, insert
     and delete of one row in the same transaction, insert of an id deleted
     before, a delete that is then aborted), commits or aborts one, pins or
     unpins a snapshot, or vacuums.  So the primary key's buckets are both
@@ -410,17 +381,12 @@ class _History:
         self.rng = random.Random(seed)
         self.db = Database(clock=ManualClock(), track_validity=track_validity)
         self.db.create_table(simple_schema("users"))
-        self.db.create_table(simple_schema("accounts"))
         self.db.bulk_load(
             "users",
             [
                 {"id": i, "name": f"user{i % 4}", "region": i % 3, "score": float(i % 4)}
                 for i in range(1, 7)
             ],
-        )
-        self.db.bulk_load(
-            "accounts",
-            [{"id": i, "name": f"acct{i}", "region": 0, "score": 10.0 * i} for i in range(3)],
         )
         self.live_ids = list(range(1, 7))
         self.gone_ids = []  # queried ids deleted or moved by a key update
@@ -504,7 +470,6 @@ class _History:
             Select("users", And(Eq("id", 2), Eq("region", 2))),
             Select("users", Range("region", 1, 2), order_by="score", limit=3),
             Select("users", columns=["id", "score"], order_by="id", descending=True),
-            Join(Select("users", Range("id", 1, 101)), "accounts", on=("region", "id"), inner_prefix="a_"),
             Aggregate(Select("users", Eq("region", 0)), "count"),
             Aggregate(Select("users", Eq("name", "user2")), "max", "score"),
             Aggregate(Select("users"), "sum", "score"),

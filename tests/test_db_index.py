@@ -1,14 +1,11 @@
-"""Tests for hash and ordered indexes."""
+"""Tests for the hash index."""
 
 from __future__ import annotations
-
-import sys
-import threading
 
 import pytest
 
 from repro.db.errors import ConstraintError
-from repro.db.index import HashIndex, OrderedIndex, build_index
+from repro.db.index import HashIndex
 from repro.db.schema import IndexSpec
 from repro.db.tuples import TupleVersion, UncommittedMark
 
@@ -118,90 +115,3 @@ class TestUniqueBuckets:
         assert index.walk(7) == ([old], True)  # a refused row leaves no mark
         index.insert(TupleVersion(row_id=2, values=(7,), xmin=UncommittedMark(3)))
         assert index.walk(7)[1] is False
-
-
-class TestOrderedIndex:
-    def build(self, keys):
-        index = OrderedIndex(IndexSpec("k", ordered=True), 0)
-        versions = [make_version(i, k=key) for i, key in enumerate(keys)]
-        for v in versions:
-            index.insert(v)
-        return index, versions
-
-    def test_range_scan_inclusive(self):
-        index, _ = self.build([5, 1, 9, 3, 7])
-        keys = [index.key_of(v) for v in index.range_scan(3, 7)]
-        assert keys == [3, 5, 7]
-
-    def test_range_scan_exclusive_bounds(self):
-        index, _ = self.build([1, 2, 3, 4, 5])
-        keys = [index.key_of(v) for v in index.range_scan(2, 4, lo_inclusive=False, hi_inclusive=False)]
-        assert keys == [3]
-
-    def test_range_scan_open_bounds(self):
-        index, _ = self.build([4, 2, 8])
-        assert [index.key_of(v) for v in index.range_scan()] == [2, 4, 8]
-        assert [index.key_of(v) for v in index.range_scan(lo=4)] == [4, 8]
-        assert [index.key_of(v) for v in index.range_scan(hi=4)] == [2, 4]
-
-    def test_equality_lookup_still_works(self):
-        index, _ = self.build([4, 2, 8])
-        assert len(index.lookup(4)) == 1
-
-    def test_remove_updates_sorted_keys(self):
-        index, versions = self.build([4, 2, 8])
-        target = next(v for v in versions if index.key_of(v) == 4)
-        index.remove(target)
-        assert [index.key_of(v) for v in index.range_scan()] == [2, 8]
-
-    def test_duplicate_keys_in_range(self):
-        index = OrderedIndex(IndexSpec("k", ordered=True), 0)
-        for i in range(4):
-            index.insert(make_version(i, k=5))
-        assert len(list(index.range_scan(5, 5))) == 4
-
-    def test_two_inserters_of_one_new_key_sort_it_once(self):
-        """A key enters the sorted list exactly when an insert created its
-        bucket.  Asking the buckets before inserting let two threads that
-        both found a key missing insort it twice, and a range scan then
-        yield its versions twice."""
-        keys = 20_000
-        index = OrderedIndex(IndexSpec("k", ordered=True), 0)
-        start = threading.Barrier(2)
-
-        def insert_all():
-            start.wait()
-            for key in range(keys):
-                index.insert(make_version(key, k=key))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=insert_all) for _ in range(2)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-        finally:
-            sys.setswitchinterval(interval)
-        assert index._sorted_keys == list(range(keys))
-        assert sum(1 for _ in index.range_scan()) == 2 * keys
-        for key in range(0, keys, 4):
-            for version in index.lookup(key):
-                index.remove(version)
-        assert index._sorted_keys == [key for key in range(keys) if key % 4]
-
-    def test_none_keys_sort_first(self):
-        index = OrderedIndex(IndexSpec("k", ordered=True), 0)
-        index.insert(make_version(1, k=None))
-        index.insert(make_version(2, k=3))
-        all_keys = [index.key_of(v) for v in index.range_scan()]
-        assert all_keys[0] is None
-
-
-class TestBuildIndex:
-    def test_builds_hash_for_unordered(self):
-        assert type(build_index(IndexSpec("x"), 0)) is HashIndex
-
-    def test_builds_ordered_for_ordered(self):
-        assert type(build_index(IndexSpec("x", ordered=True), 0)) is OrderedIndex

@@ -29,9 +29,9 @@ class TestColumn:
 
 
 class TestIndexSpec:
-    def test_names_distinguish_hash_and_btree(self):
+    def test_an_index_is_named_by_its_column(self):
         assert IndexSpec("a").name == "hash:a"
-        assert IndexSpec("a", ordered=True).name == "btree:a"
+        assert IndexSpec("a", unique=True).name == "hash:a"
 
 
 class TestTableSchema:

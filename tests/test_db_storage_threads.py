@@ -16,12 +16,10 @@ import sys
 import threading
 from contextlib import contextmanager
 
-import pytest
-
 from repro.clock import ManualClock
 from repro.db.database import Database
 from repro.db.errors import SerializationError
-from repro.db.index import HashIndex, OrderedIndex
+from repro.db.index import HashIndex
 from repro.db.query import Eq, Func, Select
 from repro.db.schema import IndexSpec, TableSchema
 from repro.db.tuples import TupleVersion
@@ -177,8 +175,8 @@ def test_a_vacuum_between_reading_a_rows_slot_and_appending_to_it_loses_nothing(
 # ----------------------------------------------------------------------
 # An index key's bucket under a remover and inserters
 # ----------------------------------------------------------------------
-def _index(kind, unique: bool = True) -> HashIndex:
-    return kind(IndexSpec("k", unique=unique, ordered=kind is OrderedIndex), 0)
+def _index(unique: bool = True) -> HashIndex:
+    return HashIndex(IndexSpec("k", unique=unique), 0)
 
 
 def _version(row_id: int, key, xmax=None) -> TupleVersion:
@@ -189,20 +187,14 @@ def _assert_keys_hold(index: HashIndex, expected: dict) -> None:
     lost = {key: versions for key, versions in expected.items() if index.lookup(key) != versions}
     assert not lost, f"{len(lost)} keys lost a version, e.g. {next(iter(lost.items()))}"
     assert len(index) == sum(len(versions) for versions in expected.values())
-    if isinstance(index, OrderedIndex):
-        assert index._sorted_keys == sorted(expected)
 
 
-INDEX_KINDS = pytest.mark.parametrize("kind", [HashIndex, OrderedIndex])
-
-
-@INDEX_KINDS
-def test_an_insert_racing_the_removal_of_its_keys_last_version_survives(kind):
+def test_an_insert_racing_the_removal_of_its_keys_last_version_survives():
     """One thread removes the only version of each key while another
     inserts a new version of each.  A remove that found a bucket empty and
     deleted it in a second step took an insert landing in between with it."""
     keys = 50_000
-    index = _index(kind)
+    index = _index()
     old = [_version(key, key, xmax=1) for key in range(keys)]  # dead: vacuum's to remove
     new = [_version(keys + key, key) for key in range(keys)]
     for version in old:
@@ -237,9 +229,8 @@ class _InsertDuringDelete(dict):
         super().__delitem__(key)
 
 
-@INDEX_KINDS
-def test_an_insert_between_a_removes_empty_check_and_its_delete_survives(kind):
-    index = _index(kind)
+def test_an_insert_between_a_removes_empty_check_and_its_delete_survives():
+    index = _index()
     old, other, new = _version(1, "k", xmax=1), _version(2, "j"), _version(3, "k")
     index.insert(old)
     index.insert(other)
@@ -249,13 +240,12 @@ def test_an_insert_between_a_removes_empty_check_and_its_delete_survives(kind):
     _assert_keys_hold(index, {"j": [other], "k": [new]})
 
 
-@INDEX_KINDS
-def test_two_inserts_racing_to_give_lone_keys_a_second_version_keep_both(kind):
+def test_two_inserts_racing_to_give_lone_keys_a_second_version_keep_both():
     """Every key holds one version; two threads each add a version under
     every key of a non-unique index, so both race to turn the lone version
     into a list."""
     keys = 20_000
-    index = _index(kind, unique=False)
+    index = _index(unique=False)
     first = [_version(key, key) for key in range(keys)]
     for version in first:
         index.insert(version)
@@ -274,36 +264,6 @@ def test_two_inserts_racing_to_give_lone_keys_a_second_version_keep_both(kind):
         assert versions[0] is first[key]
         assert sorted(versions[1:], key=id) == sorted([seconds[0][key], seconds[1][key]], key=id), key
     assert len(index) == 3 * keys
-
-
-def test_a_range_scan_beside_inserts_of_lower_keys_yields_its_whole_range():
-    """Each insert of a lower key moves every key in the scanned range one
-    place along the sorted list; a scan that bisected the live list and
-    then sliced it could slide its window off the top of the range."""
-    index = _index(OrderedIndex, unique=False)
-    lower = 20_000
-    scanned = range(lower, lower + 10)
-    for key in scanned:
-        index.insert(_version(key, key))
-    scanning, done = threading.Event(), threading.Event()
-    seen = []
-
-    def insert():
-        try:
-            assert scanning.wait(10)
-            for key in range(lower - 1, -1, -1):
-                index.insert(_version(key, key))
-        finally:
-            done.set()
-
-    def scan():
-        scanning.set()
-        while not done.is_set():
-            seen.append([version.row_id for version in index.range_scan(scanned[0], scanned[-1])])
-
-    _run(insert, scan)
-    wrong = [keys for keys in seen if keys != list(scanned)]
-    assert seen and not wrong, f"{len(wrong)} of {len(seen)} scans, e.g. {wrong[0][:12]}"
 
 
 # ----------------------------------------------------------------------

@@ -71,10 +71,6 @@ class TestIndexes:
         with pytest.raises(UnknownIndexError):
             table.index_on("score")
 
-    def test_ordered_index_detection(self, table):
-        assert table.ordered_index_on("region") is not None
-        assert table.ordered_index_on("name") is None
-
     def test_indexes_updated_on_insert(self, table):
         table.add_version({"id": 1, "name": "alice", "region": 2, "score": 0.0}, xmin=0)
         assert len(table.index_on("name").lookup("alice")) == 1

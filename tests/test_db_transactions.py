@@ -241,7 +241,8 @@ def _write(tx, kind, predicate):
     return tx.delete("users", predicate)
 
 
-#: id/name are hash-indexed, region is an ordered index, score is not indexed.
+#: id, name and region are hash-indexed, score is not indexed; a Range is a
+#: filter on whichever path the rest of the predicate plans.
 WRITE_PREDICATES = {
     "indexed-eq": Eq("id", 2),
     "indexed-in-with-repeat": In("id", (4, 1, 4)),
@@ -249,8 +250,9 @@ WRITE_PREDICATES = {
     "unindexed-eq": Eq("score", 3.0),
     "unindexed-func": Func(lambda row: row["score"] > 2.5),
     "and-indexed-unindexed": And(Eq("region", 1), Func(lambda row: row["score"] > 1.5)),
-    "ordered-range": Range("region", 1, 2),
-    "ordered-open-range": Range("region", lo=1, lo_inclusive=False),
+    "range": Range("region", 1, 2),
+    "open-range": Range("region", lo=1, lo_inclusive=False),
+    "range-beside-indexed-eq": And(Eq("region", 1), Range("score", 1.0, 5.0)),
     "matches-nothing": Eq("id", 999),
 }
 

@@ -23,6 +23,7 @@ from repro.cache.entry import LookupRequest
 from repro.cache.membership import ClusterMembership
 from repro.comm.multicast import InvalidationBus
 from repro.comm.transport import RetryPolicy
+from repro.db.query import Eq, Select
 from repro.deployment import TxCacheDeployment
 from repro.interval import Interval
 from tests.helpers import (
@@ -215,6 +216,46 @@ def test_a_commit_reaching_a_crashed_node_counts_toward_its_eviction(transport_k
         assert node_view(deployment.cache, "cache0").last_invalidation_timestamp == (
             deployment.database.latest_timestamp
         )
+    finally:
+        deployment.shutdown()
+
+
+def test_an_invalidation_a_node_missed_goes_ahead_of_the_next(transport_kind):
+    """A node below the threshold that missed a commit's invalidation must
+    not let a later message move its watermark past the gap, or it serves
+    the entry that invalidation should have truncated."""
+    deployment = TxCacheDeployment(
+        cache_nodes=2, transport=transport_kind, failure_threshold=3
+    )
+    try:
+        deployment.database.create_table(simple_schema())
+        deployment.database.bulk_load(
+            "users",
+            [{"id": i, "name": f"user{i}", "region": 0, "score": float(i)} for i in range(1, 6)],
+        )
+        client = deployment.client()
+
+        @client.cacheable(name="score")
+        def score(uid):
+            return client.query(Select("users", Eq("id", uid))).rows[0]["score"]
+
+        with client.read_only(0.0):
+            assert score(1) == 1.0
+        nodes = sorted(deployment.cache.transports)
+        fault = FaultInjector(deployment.cache)
+        for name in nodes:
+            fault.partition(name)
+        update_user(deployment, 1, score=99.0)
+        assert deployment.cache.suspect_nodes == nodes
+        assert deployment.cache.health.degraded_ops == len(nodes)  # one charge each
+        for name in nodes:
+            fault.heal(name)
+        delivered = update_user(deployment, 2, score=5.0)
+        deployment.advance(1)
+        with client.read_only(0.0):
+            assert score(1) == 99.0
+        for name in nodes:
+            assert node_view(deployment.cache, name).last_invalidation_timestamp == delivered
     finally:
         deployment.shutdown()
 
