@@ -18,7 +18,7 @@ from repro.clock import ManualClock
 from repro.comm.multicast import InvalidationMessage
 from repro.db.database import Database
 from repro.db.invalidation import InvalidationTag
-from repro.db.query import Eq, Range
+from repro.db.query import Eq, TruePredicate
 from repro.db.schema import TableSchema
 from repro.interval import Interval
 
@@ -62,10 +62,11 @@ def _update_seconds(dead_versions: int) -> float:
     database = Database(clock=ManualClock())
     database.create_table(TableSchema.build("accounts", ["id", "balance"], primary_key="id"))
     database.bulk_load(
-        "accounts", [{"id": i, "balance": 0} for i in range(dead_versions + 1)]
+        "accounts", [{"id": i, "balance": 0} for i in range(1, dead_versions + 1)]
     )
     purge = database.begin_rw()
-    assert purge.delete("accounts", Range("id", lo=1)) == dead_versions
+    assert purge.delete("accounts", TruePredicate()) == dead_versions
+    purge.insert("accounts", {"id": 0, "balance": 0})
     purge.commit()
     assert database.table("accounts").version_count() == dead_versions + 1
 

@@ -37,8 +37,10 @@ connection-level transport failures, marks the node *suspect*, and degrades
 to the semantics of an empty cache (lookups miss, puts are dropped) instead
 of raising.  All of that is paid for when a call fails, not before: against
 a node that answers, a routed operation is the ring lookup and the plain
-transport call (``CacheCluster._ask``).  After ``failure_threshold``
-consecutive failures the node is evicted from the ring entirely — its key
+transport call (``CacheCluster._ask``).  Any call the node answers clears
+it (a routed lookup or put, a probe, a stale-entry sweep, a delivered
+invalidation), so after ``failure_threshold`` consecutive failures the node
+is evicted from the ring entirely — its key
 ranges fall to the surviving successors — and the
 :class:`repro.cache.membership.ClusterMembership` coordinator (when attached
 via :attr:`on_node_evicted`) records a new membership epoch.  Counters for all of this live in
@@ -175,7 +177,8 @@ class _NodeStreamGuard:
     guard, one unreachable cache node would turn every update transaction
     into an exception.  Failures are routed into the cluster's failure
     accounting instead, so a dead node is detected (and eventually evicted)
-    from the invalidation path exactly as from the lookup path.
+    from the invalidation path exactly as from the lookup path: a failed
+    delivery is charged, and a delivered message clears a suspect node.
 
     A message the node did not take stays in :attr:`missed` and goes, in
     order, ahead of the next one: a node below the threshold must not let a
@@ -204,6 +207,9 @@ class _NodeStreamGuard:
             self.missed.append(message)
             self._cluster._bump_health("degraded_ops")
             self._cluster._note_failure(self.name, via=transport)
+            return
+        if self.name in self._cluster._suspects:
+            self._cluster._note_success(self.name)
 
 
 class CacheCluster:
@@ -811,7 +817,7 @@ class CacheCluster:
     def _on_every_node(self, op: str, *args) -> list:
         """``transport.<op>(*args)`` on every node; the answers of those
         reached.  An unreachable node is skipped: one degraded op, and the
-        failure charged to it."""
+        failure charged to it.  A suspect that answers is cleared."""
         answers = []
         for node in list(self._transports):
             transport = self._transports.get(node)
@@ -822,6 +828,9 @@ class CacheCluster:
             except _FAILURE_EXCEPTIONS:
                 self._bump_health("degraded_ops")
                 self._note_failure(node, via=transport)
+                continue
+            if node in self._suspects:
+                self._note_success(node)
         return answers
 
     def evict_stale(self, oldest_useful_timestamp: int) -> int:

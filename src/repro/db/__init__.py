@@ -6,6 +6,9 @@ This package reproduces the database-side support TxCache requires
 * multiversion storage with snapshot isolation, so read-only transactions can
   run against slightly stale *pinned* snapshots (``PIN`` / ``UNPIN`` /
   ``BEGIN SNAPSHOTID`` in the paper's modified PostgreSQL);
+* a small structured query model (:mod:`repro.db.query`): a select over an
+  ``Eq``, an ``And`` of ``Eq``s or every row, with an optional ordering and
+  limit, and a ``count`` or ``max`` over one;
 * per-query *validity intervals*, computed as the intersection of the
   validity times of the returned tuples minus an *invalidity mask* built from
   tuples that matched the query predicate but failed the visibility check;
@@ -28,17 +31,7 @@ from repro.db.errors import (
 )
 from repro.db.executor import QueryResult
 from repro.db.invalidation import InvalidationTag
-from repro.db.query import (
-    Aggregate,
-    And,
-    Eq,
-    Func,
-    In,
-    Or,
-    Range,
-    Select,
-    TruePredicate,
-)
+from repro.db.query import Aggregate, And, Eq, Select, TruePredicate
 from repro.db.schema import Column, IndexSpec, TableSchema
 from repro.db.transactions import ReadOnlyTransaction, ReadWriteTransaction
 
@@ -56,11 +49,7 @@ __all__ = [
     "Select",
     "Aggregate",
     "Eq",
-    "In",
-    "Range",
     "And",
-    "Or",
-    "Func",
     "TruePredicate",
     "Column",
     "TableSchema",

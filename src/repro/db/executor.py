@@ -233,19 +233,8 @@ class Executor:
     ) -> List[Dict[str, Any]]:
         table, versions = self._select_versions(select, timestamp, tx_id, acc)
         # Where a row leaves the database it becomes a dict.
-        columns = select.columns
-        if columns is None:
-            row_of = table.row_of
-            return [row_of(version) for version in versions]
-        get = table.positions.get
-        picks = [(column, get(column)) for column in columns]
-        return [
-            {
-                column: None if position is None else version.values[position]
-                for column, position in picks
-            }
-            for version in versions
-        ]
+        row_of = table.row_of
+        return [row_of(version) for version in versions]
 
     def _select_versions(
         self,
@@ -395,32 +384,15 @@ class Executor:
         tx_id: Optional[int],
         acc: _Accumulator,
     ) -> List[Dict[str, Any]]:
-        source = aggregate.source
-        table, versions = self._select_versions(source, timestamp, tx_id, acc)
-        function = aggregate.function
-        if function == "count":
-            value: Any = len(versions)
-        else:
-            column = aggregate.column
-            # A column the table lacks, or the source's projection drops,
-            # reads None in every row, and None values are left out.
-            if source.columns is not None and column not in source.columns:
-                position = None
-            else:
-                position = table.positions.get(column)
-            read = [] if position is None else [version.values[position] for version in versions]
-            values = [value for value in read if value is not None]
-            if function == "sum":
-                value = sum(values) if values else 0
-            elif function == "max":
-                value = max(values) if values else None
-            elif function == "min":
-                value = min(values) if values else None
-            elif function == "avg":
-                value = (sum(values) / len(values)) if values else None
-            else:  # pragma: no cover - guarded by Aggregate.__post_init__
-                raise ValueError(f"unsupported aggregate {function!r}")
-        return [{"value": value}]
+        table, versions = self._select_versions(aggregate.source, timestamp, tx_id, acc)
+        if aggregate.function == "count":
+            return [{"value": len(versions)}]
+        # ``max``.  A column the table lacks reads None in every row, and
+        # None values are left out.
+        position = table.positions.get(aggregate.column)
+        read = [] if position is None else [version.values[position] for version in versions]
+        values = [value for value in read if value is not None]
+        return [{"value": max(values) if values else None}]
 
     # ------------------------------------------------------------------
     # Helpers

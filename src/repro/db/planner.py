@@ -4,11 +4,11 @@ The planner inspects a select's predicate and the available indexes and picks
 one of two access paths, the distinction the paper's modified PostgreSQL
 draws when assigning invalidation tags (section 5.3):
 
-* **index equality lookup** — when the predicate contains an ``Eq`` (or
-  ``In``) conjunct on an indexed column.  Produces precise ``TABLE:KEY``
-  invalidation tags, one per looked-up key.
-* **sequential scan** — everything else, a ``Range`` included.  Produces a
-  wildcard ``TABLE:?`` tag.
+* **index equality lookup** — when the predicate is, or has as a
+  conjunct, an ``Eq`` on an indexed column.  Produces the precise
+  ``TABLE:KEY`` invalidation tag of the looked-up key.
+* **sequential scan** — everything else.  Produces a wildcard ``TABLE:?``
+  tag.
 
 A conjunct the path does not decide is a filter: the executor applies the
 whole predicate to every candidate before its visibility check.
@@ -21,7 +21,7 @@ from typing import Any, FrozenSet, Iterable, List, Tuple
 
 from repro._compat import DATACLASS_SLOTS
 from repro.db.invalidation import InvalidationTag
-from repro.db.query import And, Eq, In, Predicate, Select
+from repro.db.query import And, Eq, Predicate, Select
 from repro.db.table import Table
 from repro.db.tuples import TupleVersion
 
@@ -68,24 +68,19 @@ class AccessPath:
 
 @dataclass(**DATACLASS_SLOTS)
 class IndexEqualityPath(AccessPath):
-    """Equality lookup(s) against an index."""
+    """Equality lookup against an index."""
 
     column: str = ""
-    keys: Tuple[Any, ...] = ()
+    key: Any = None
 
     def candidates(self, table: Table) -> List[TupleVersion]:
         # ``lookup`` copies the bucket, and that copy is what the executor
         # iterates: a concurrent vacuum's ``list.remove`` on the live bucket
         # would make a reader skip a version.
-        lookup = table.index_on(self.column).lookup
-        if len(self.keys) == 1:
-            return lookup(self.keys[0])
-        return [version for key in self.keys for version in lookup(key)]
+        return table.index_on(self.column).lookup(self.key)
 
     def walk(self, table: Table) -> Tuple[Iterable[TupleVersion], bool]:
-        if len(self.keys) == 1:
-            return table.index_on(self.column).walk(self.keys[0])
-        return self.candidates(table), False
+        return table.index_on(self.column).walk(self.key)
 
     def decides(self, predicate: Predicate) -> bool:
         # A bucket holds the versions whose column ``==`` the key, which is
@@ -94,12 +89,10 @@ class IndexEqualityPath(AccessPath):
         if type(predicate) is not Eq or predicate.column != self.column:
             return False
         value = predicate.value
-        return len(self.keys) == 1 and self.keys[0] is value and value == value
+        return self.key is value and value == value
 
     def tags(self) -> FrozenSet[InvalidationTag]:
-        if len(self.keys) == 1:
-            return frozenset((InvalidationTag(self.table, self.column, self.keys[0]),))
-        return frozenset(InvalidationTag(self.table, self.column, key) for key in self.keys)
+        return frozenset((InvalidationTag(self.table, self.column, self.key),))
 
     @property
     def kind(self) -> str:
@@ -139,17 +132,8 @@ def plan_select(select: Select, table: Table) -> AccessPath:
     predicate = select.predicate
     # The commonest statement of all, a primary-key select, is a bare Eq.
     if type(predicate) is Eq and table.has_index_on(predicate.column):
-        return IndexEqualityPath(select.table, predicate.column, (predicate.value,))
-    conjuncts = _conjuncts(predicate)
-
-    # Index equality lookup: Eq or In on any indexed column.
-    for part in conjuncts:
+        return IndexEqualityPath(select.table, predicate.column, predicate.value)
+    for part in _conjuncts(predicate):
         if isinstance(part, Eq) and table.has_index_on(part.column):
-            return IndexEqualityPath(table=select.table, column=part.column, keys=(part.value,))
-        if isinstance(part, In) and table.has_index_on(part.column) and part.values:
-            # Each key once: a repeated value would yield its versions twice,
-            # and an UPDATE takes its targets from these candidates.
-            keys = tuple(dict.fromkeys(part.values))
-            return IndexEqualityPath(table=select.table, column=part.column, keys=keys)
-
+            return IndexEqualityPath(select.table, part.column, part.value)
     return SeqScanPath(table=select.table)

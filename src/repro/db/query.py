@@ -2,18 +2,18 @@
 
 The RUBiS and MediaWiki applications in the paper issue SQL through PHP; this
 reproduction uses a small structured query model instead of a SQL parser.
-The model is expressive enough for everything the evaluation needs —
-predicate selects, ordering/limits, and aggregates — while keeping the
-planner's access-method choice (and therefore invalidation-tag assignment)
-explicit and testable.
+It holds the statements the applications and benchmarks send — a select
+with an optional ordering and limit, and a ``count`` or ``max`` over one —
+while keeping the planner's access-method choice (and therefore
+invalidation-tag assignment) explicit and testable.
 
-Predicates are structured so the planner can recognise index-friendly shapes:
+A predicate is an :class:`Eq`, an :class:`And` of predicates, or
+:class:`TruePredicate` (no predicate: every row):
 
-* :class:`Eq` / :class:`In` on an indexed column plan as index equality
-  lookups and yield precise ``TABLE:COL=VALUE`` invalidation tags;
-* anything else (a :class:`Range`, or :class:`Func`, an arbitrary Python
-  predicate, among them) plans as a sequential scan with a wildcard tag, and
-  a conjunct beside an indexed ``Eq`` filters the lookup's rows.
+* an :class:`Eq` on an indexed column plans as an index equality lookup
+  and yields a precise ``TABLE:COL=VALUE`` invalidation tag;
+* anything else plans as a sequential scan with a wildcard tag, and a
+  conjunct beside an indexed ``Eq`` filters the lookup's rows.
 
 A predicate reads a stored row, a tuple of values in its table's column
 order, through the table's ``positions`` map (column name -> position); a
@@ -27,18 +27,13 @@ dataclass pays an ``object.__setattr__`` per field on every statement.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Any, Mapping, Optional, Tuple
 
 __all__ = [
     "Predicate",
     "TruePredicate",
     "Eq",
-    "In",
-    "Range",
     "And",
-    "Or",
-    "Not",
-    "Func",
     "Query",
     "Select",
     "Aggregate",
@@ -78,54 +73,6 @@ class Eq(Predicate):
 
 
 @dataclass(unsafe_hash=True)
-class In(Predicate):
-    """``column IN (values)``."""
-
-    column: str
-    values: Tuple[Any, ...]
-
-    def __init__(self, column: str, values: Sequence[Any]) -> None:
-        self.column = column
-        self.values = tuple(values)
-
-    def matches(self, row: Tuple[Any, ...], positions: Mapping[str, int]) -> bool:
-        position = positions.get(self.column)
-        return (None if position is None else row[position]) in self.values
-
-
-@dataclass(unsafe_hash=True)
-class Range(Predicate):
-    """``lo <= column <= hi`` with optional open bounds."""
-
-    column: str
-    lo: Optional[Any] = None
-    hi: Optional[Any] = None
-    lo_inclusive: bool = True
-    hi_inclusive: bool = True
-
-    def matches(self, row: Tuple[Any, ...], positions: Mapping[str, int]) -> bool:
-        position = positions.get(self.column)
-        if position is None:
-            return False
-        value = row[position]
-        if value is None:
-            return False
-        if self.lo is not None:
-            if self.lo_inclusive:
-                if value < self.lo:
-                    return False
-            elif value <= self.lo:
-                return False
-        if self.hi is not None:
-            if self.hi_inclusive:
-                if value > self.hi:
-                    return False
-            elif value >= self.hi:
-                return False
-        return True
-
-
-@dataclass(unsafe_hash=True)
 class And(Predicate):
     """Conjunction of predicates."""
 
@@ -144,46 +91,6 @@ class And(Predicate):
         return all(part.matches(row, positions) for part in self.parts)
 
 
-@dataclass(unsafe_hash=True)
-class Or(Predicate):
-    """Disjunction of predicates (always planned as a sequential scan)."""
-
-    parts: Tuple[Predicate, ...]
-
-    def __init__(self, *parts: Predicate) -> None:
-        self.parts = tuple(parts)
-
-    def matches(self, row: Tuple[Any, ...], positions: Mapping[str, int]) -> bool:
-        return any(part.matches(row, positions) for part in self.parts)
-
-
-@dataclass(unsafe_hash=True)
-class Not(Predicate):
-    """Negation of a predicate (always planned as a sequential scan)."""
-
-    part: Predicate
-
-    def matches(self, row: Tuple[Any, ...], positions: Mapping[str, int]) -> bool:
-        return not self.part.matches(row, positions)
-
-
-@dataclass(unsafe_hash=True)
-class Func(Predicate):
-    """Arbitrary Python predicate.  Forces a sequential scan.
-
-    ``fn`` is called with the row as a column name -> value dict.
-    ``description`` is used in diagnostics and plan explanations; the
-    function itself must be deterministic and side-effect free.
-    """
-
-    fn: Callable[[Dict[str, Any]], bool]
-    description: str = "<func>"
-
-    def matches(self, row: Tuple[Any, ...], positions: Mapping[str, int]) -> bool:
-        # ``positions`` lists the columns in row order.
-        return bool(self.fn(dict(zip(positions, row))))
-
-
 # ----------------------------------------------------------------------
 # Queries
 # ----------------------------------------------------------------------
@@ -198,7 +105,6 @@ class Select(Query):
     Attributes:
         table: table name.
         predicate: row filter (default: match all rows).
-        columns: optional projection (column names to keep).
         order_by: optional column to sort the result by.
         descending: sort direction for ``order_by``.
         limit: optional maximum number of rows returned.  The validity
@@ -208,7 +114,6 @@ class Select(Query):
 
     table: str
     predicate: Predicate = field(default_factory=TruePredicate)
-    columns: Optional[Tuple[str, ...]] = None
     order_by: Optional[str] = None
     descending: bool = False
     limit: Optional[int] = None
@@ -217,14 +122,12 @@ class Select(Query):
         self,
         table: str,
         predicate: Optional[Predicate] = None,
-        columns: Optional[Sequence[str]] = None,
         order_by: Optional[str] = None,
         descending: bool = False,
         limit: Optional[int] = None,
     ) -> None:
         self.table = table
         self.predicate = predicate or TruePredicate()
-        self.columns = tuple(columns) if columns is not None else None
         self.order_by = order_by
         self.descending = descending
         self.limit = limit
@@ -234,16 +137,16 @@ class Select(Query):
 class Aggregate(Query):
     """Aggregate over the rows of a select.
 
-    Supported functions: ``count``, ``sum``, ``max``, ``min``, ``avg``.
-    The result is a single row ``{"value": ...}``; for ``max``/``min`` over
-    an empty input the value is ``None``, for ``count``/``sum`` it is ``0``.
+    Supported functions: ``count`` and ``max``.  The result is a single row
+    ``{"value": ...}``; ``max`` leaves ``None`` values out and over no
+    value is ``None``.
     """
 
     source: Select
     function: str
     column: Optional[str] = None
 
-    _SUPPORTED = ("count", "sum", "max", "min", "avg")
+    _SUPPORTED = ("count", "max")
 
     def __post_init__(self) -> None:
         if self.function not in self._SUPPORTED:

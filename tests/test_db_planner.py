@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from repro.db.invalidation import InvalidationTag
 from repro.db.planner import IndexEqualityPath, SeqScanPath, plan_select
-from repro.db.query import And, Eq, Func, In, Not, Or, Range, Select
+from repro.db.query import And, Eq, Select, TruePredicate
 from repro.db.table import Table
 from tests.helpers import simple_schema
 
@@ -18,7 +18,7 @@ class TestPlanSelection:
         path = plan_select(Select("users", Eq("id", 3)), table())
         assert isinstance(path, IndexEqualityPath)
         assert path.column == "id"
-        assert path.keys == (3,)
+        assert path.key == 3
 
     def test_eq_on_secondary_index(self):
         path = plan_select(Select("users", Eq("name", "bob")), table())
@@ -29,36 +29,15 @@ class TestPlanSelection:
         path = plan_select(Select("users", Eq("score", 1.0)), table())
         assert isinstance(path, SeqScanPath)
 
-    def test_in_on_indexed_column(self):
-        path = plan_select(Select("users", In("id", [1, 2, 3])), table())
-        assert isinstance(path, IndexEqualityPath)
-        assert path.keys == (1, 2, 3)
-
-    def test_range_on_an_indexed_column_seq_scans(self):
-        for column, lo, hi in (("region", 1, 2), ("name", "a", "b")):
-            path = plan_select(Select("users", Range(column, lo, hi)), table())
-            assert isinstance(path, SeqScanPath)
-
     def test_conjunction_prefers_equality(self):
-        predicate = And(Range("region", 0, 2), Eq("id", 5))
+        predicate = And(Eq("score", 1.0), Eq("id", 5))
         path = plan_select(Select("users", predicate), table())
         assert isinstance(path, IndexEqualityPath)
+        assert (path.column, path.key) == ("id", 5)
 
     def test_conjunction_without_an_indexed_equality_seq_scans(self):
-        predicate = And(Range("region", 0, 2), Eq("score", 1.0))
+        predicate = And(Eq("score", 1.0), TruePredicate())
         path = plan_select(Select("users", predicate), table())
-        assert isinstance(path, SeqScanPath)
-
-    def test_or_uses_seq_scan(self):
-        path = plan_select(Select("users", Or(Eq("id", 1), Eq("id", 2))), table())
-        assert isinstance(path, SeqScanPath)
-
-    def test_not_uses_seq_scan(self):
-        path = plan_select(Select("users", Not(Eq("id", 1))), table())
-        assert isinstance(path, SeqScanPath)
-
-    def test_func_uses_seq_scan(self):
-        path = plan_select(Select("users", Func(lambda row: True)), table())
         assert isinstance(path, SeqScanPath)
 
     def test_no_predicate_uses_seq_scan(self):
@@ -71,14 +50,8 @@ class TestPlanTags:
         path = plan_select(Select("users", Eq("name", "alice")), table())
         assert path.tags() == frozenset({InvalidationTag.key("users", "name", "alice")})
 
-    def test_in_path_has_one_tag_per_key(self):
-        path = plan_select(Select("users", In("id", [1, 2])), table())
-        assert path.tags() == frozenset(
-            {InvalidationTag.key("users", "id", 1), InvalidationTag.key("users", "id", 2)}
-        )
-
-    def test_range_select_has_wildcard_tag(self):
-        path = plan_select(Select("users", Range("region", 0, 5)), table())
+    def test_unindexed_select_has_wildcard_tag(self):
+        path = plan_select(Select("users", Eq("score", 1.0)), table())
         assert path.tags() == frozenset({InvalidationTag.wildcard("users")})
 
     def test_seq_scan_has_wildcard_tag(self):
@@ -88,7 +61,7 @@ class TestPlanTags:
     def test_kind_labels(self):
         t = table()
         assert plan_select(Select("users", Eq("id", 1)), t).kind == "index_eq"
-        assert plan_select(Select("users", Range("region", 0, 1)), t).kind == "seq_scan"
+        assert plan_select(Select("users", Eq("score", 1.0)), t).kind == "seq_scan"
         assert plan_select(Select("users"), t).kind == "seq_scan"
 
 
@@ -111,11 +84,6 @@ class TestPlanCandidates:
         assert [t.row_of(v)["id"] for v in candidates] == [1, 3]
         assert [t.row_of(v)["id"] for v in path.candidates(t)] == [3]
 
-    def test_multi_key_candidates_follow_key_order(self):
-        t = populated_table()
-        path = plan_select(Select("users", In("id", [3, 9, 1])), t)
-        assert [t.row_of(v)["id"] for v in path.candidates(t)] == [3, 1]
-
 
 class TestPathDecidesPredicate:
     """A path may spare the executor the per-version predicate only when
@@ -130,9 +98,8 @@ class TestPathDecidesPredicate:
         t = table()
         for predicate in (
             And(Eq("id", 3), Eq("region", 1)),  # a second conjunct to evaluate
-            In("id", [3]),
-            Range("region", 1, 2),
             Eq("score", 1.0),  # no index: a sequential scan decides nothing
+            TruePredicate(),
         ):
             assert not plan_select(Select("users", predicate), t).decides(predicate)
 
@@ -152,18 +119,17 @@ class TestQueryRecords:
     """Statements are plain records, yet hashable and equal by value."""
 
     def test_select_and_eq_are_equal_and_hash_equal_by_value(self):
-        a = Select("users", Eq("id", 3), columns=["id"], order_by="id", limit=2)
-        b = Select("users", Eq("id", 3), columns=("id",), order_by="id", limit=2)
+        a = Select("users", Eq("id", 3), order_by="id", limit=2)
+        b = Select("users", Eq("id", 3), order_by="id", limit=2)
         assert a == b and hash(a) == hash(b)
         assert Eq("id", 3) == Eq("id", 3) and hash(Eq("id", 3)) == hash(Eq("id", 3))
         assert Select("users", Eq("id", 3)) != Select("users", Eq("id", 4))
         assert len({a, b, Select("users", Eq("id", 4))}) == 2
 
     def test_composite_records_are_hashable_by_value(self):
-        first = And(Eq("id", 1), In("name", ["a", "b"]), Range("region", 0, 2))
-        second = And(Eq("id", 1), And(In("name", ("a", "b")), Range("region", 0, 2)))
+        first = And(Eq("id", 1), Eq("name", "a"), Eq("region", 0))
+        second = And(Eq("id", 1), And(Eq("name", "a"), Eq("region", 0)))
         assert first == second and hash(first) == hash(second)
-        assert hash(Or(Eq("id", 1), Not(Eq("id", 2)))) == hash(Or(Eq("id", 1), Not(Eq("id", 2))))
         assert Select("users").predicate == Select("users").predicate
 
 
@@ -174,6 +140,6 @@ class TestBareEq:
         t = table()
         for predicate in (Eq("id", 3), Eq("name", "u1"), Eq("region", 1)):
             path = plan_select(Select("users", predicate), t)
-            assert path == IndexEqualityPath("users", predicate.column, (predicate.value,))
+            assert path == IndexEqualityPath("users", predicate.column, predicate.value)
             assert path.decides(predicate)
             assert path.tags() == frozenset({InvalidationTag.key("users", predicate.column, predicate.value)})

@@ -21,7 +21,7 @@ from repro.bench.experiments import churn
 from repro.cache.cluster import CacheCluster
 from repro.cache.entry import LookupRequest
 from repro.cache.membership import ClusterMembership
-from repro.comm.multicast import InvalidationBus
+from repro.comm.multicast import InvalidationBus, InvalidationMessage
 from repro.comm.transport import RetryPolicy
 from repro.db.query import Eq, Select
 from repro.deployment import TxCacheDeployment
@@ -258,6 +258,37 @@ def test_an_invalidation_a_node_missed_goes_ahead_of_the_next(transport_kind):
             assert node_view(deployment.cache, name).last_invalidation_timestamp == delivered
     finally:
         deployment.shutdown()
+
+
+@pytest.mark.parametrize("answered", ["invalidation", "sweep"])
+def test_only_consecutive_failures_count_toward_the_threshold(transport_kind, answered):
+    """Invalidations a node does not take alternate with calls it answers —
+    a delivered invalidation, or a stale-entry sweep — so no two failures
+    are consecutive: each answer clears the node, and three failures in
+    five calls evict nobody."""
+    bus = InvalidationBus()
+    cluster, membership = build(transport_kind, threshold=3, bus=bus)
+    try:
+        fault = FaultInjector(cluster)
+        for timestamp in range(1, 6):
+            if timestamp % 2:
+                fault.partition("cache1")
+                bus.publish(InvalidationMessage(timestamp=timestamp, tags=()))
+                assert cluster.suspect_nodes == ["cache1"]
+                fault.heal("cache1")
+            else:
+                if answered == "invalidation":
+                    bus.publish(InvalidationMessage(timestamp=timestamp, tags=()))
+                else:
+                    cluster.evict_stale(0)
+                assert cluster.suspect_nodes == []
+        assert "cache1" in cluster.ring
+        assert cluster.health.nodes_evicted == 0
+        assert membership.epoch == 0
+        bus.publish(InvalidationMessage(timestamp=6, tags=()))
+        assert node_view(cluster, "cache1").last_invalidation_timestamp == 6
+    finally:
+        cluster.close()
 
 
 def test_a_batch_across_a_crashed_node_answers_in_request_order(transport_kind):

@@ -38,7 +38,7 @@ from repro.cache.server import CacheServer
 from repro.clock import ManualClock
 from repro.comm.multicast import InvalidationBus
 from repro.db.database import Database
-from repro.db.query import And, Eq, Predicate, Range, Select
+from repro.db.query import And, Eq, Predicate, Select
 from repro.db.schema import TableSchema
 from repro.db.tuples import visible_at
 from repro.interval import Interval
@@ -46,8 +46,9 @@ from repro.interval import Interval
 TABLE = "rows"
 IDS = range(6)
 GROUPS = range(2)
-#: A group read keeps only rows at or above this, so most writes to its
-#: group invalidate its tag without changing its result (tag coarseness).
+#: A row's unindexed ``big`` column says whether its ``v`` is at or above
+#: this.  A group read keeps only its big rows, so most writes to its group
+#: invalidate its tag without changing its result (tag coarseness).
 BIG = 1000
 
 
@@ -57,7 +58,7 @@ def _queries() -> Dict[str, Tuple[Predicate, bool]]:
         f"row:{i}": (Eq("id", i), True) for i in IDS
     }
     for g in GROUPS:
-        queries[f"big:{g}"] = (And(Eq("grp", g), Range("v", lo=BIG)), False)
+        queries[f"big:{g}"] = (And(Eq("grp", g), Eq("big", True)), False)
     return queries
 
 
@@ -110,10 +111,13 @@ class Schedule:
         self.bus = InvalidationBus()
         self.database = Database(clock=ManualClock(), invalidation_bus=self.bus)
         self.database.create_table(
-            TableSchema.build(TABLE, ["id", "grp", "v"], primary_key="id", indexes=["grp"])
+            TableSchema.build(
+                TABLE, ["id", "grp", "v", "big"], primary_key="id", indexes=["grp"]
+            )
         )
         self.database.bulk_load(
-            TABLE, [{"id": i, "grp": i % len(GROUPS), "v": i} for i in IDS if i % 3]
+            TABLE,
+            [{"id": i, "grp": i % len(GROUPS), "v": i, "big": False} for i in IDS if i % 3],
         )
         self.server = CacheServer("source", capacity_bytes=1 << 22)
         #: Sees the same stream, stores nothing until the migration.
@@ -137,7 +141,10 @@ class Schedule:
             current = tx.query(Select(TABLE, Eq("id", row_id))).rows
             if not current:
                 value = rng.choice((rng.randrange(100), BIG + rng.randrange(100)))
-                tx.insert(TABLE, {"id": row_id, "grp": row_id % len(GROUPS), "v": value})
+                tx.insert(
+                    TABLE,
+                    {"id": row_id, "grp": row_id % len(GROUPS), "v": value, "big": value >= BIG},
+                )
             elif rng.random() < 0.2:
                 tx.delete(TABLE, Eq("id", row_id))
             else:
@@ -146,7 +153,7 @@ class Schedule:
                 value = current[0]["v"] + 1
                 if rng.random() < 0.1:
                     value = (value + BIG) % (2 * BIG)
-                tx.update(TABLE, Eq("id", row_id), {"v": value})
+                tx.update(TABLE, Eq("id", row_id), {"v": value, "big": value >= BIG})
         tx.commit()
         for put in self.pending:
             put[0] -= 1
