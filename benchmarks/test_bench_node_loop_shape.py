@@ -32,7 +32,7 @@ from repro.cache.netserver import SocketTransport
 from repro.cache.server import SCAN_PAGE_KEYS, CacheServer
 from repro.comm import wire
 from repro.interval import Interval
-from tests.helpers import NODE_HOSTINGS, live_node
+from tests.helpers import NODE_HOSTINGS, live_node, recv_exactly
 from tests.test_wire_ops import CAPACITY, CASES, prepare
 
 STORE_KEYS = 5000
@@ -168,8 +168,8 @@ def test_a_lookup_pipelined_behind_a_page_is_answered_after_it(hosting):
             answered = []
             for _ in requests:
                 request_id, opcode, length = wire.MUX_HEADER.unpack(
-                    wire.recv_exactly(sock, wire.MUX_HEADER.size)
+                    recv_exactly(sock, wire.MUX_HEADER.size)
                 )
-                wire.recv_exactly(sock, length)
+                recv_exactly(sock, length)
                 answered.append((request_id, opcode))
         assert answered == [(request_id, wire.OP_OK) for request_id, _op, _args in requests]

@@ -37,7 +37,10 @@ connection-level transport failures, marks the node *suspect*, and degrades
 to the semantics of an empty cache (lookups miss, puts are dropped) instead
 of raising.  All of that is paid for when a call fails, not before: against
 a node that answers, a routed operation is the ring lookup and the plain
-transport call (``CacheCluster._ask``).  Any call the node answers clears
+transport call (``CacheCluster._ask``).  A routed call makes one attempt
+per node and a failure is charged to the node once: there are no retries
+and nothing sleeps, so a routed read waits at most one dial timeout plus
+one RPC timeout per replica it tries.  Any call the node answers clears
 it (a routed lookup or put, a probe, a stale-entry sweep, a delivered
 invalidation), so after ``failure_threshold`` consecutive failures the node
 is evicted from the ring entirely — its key
@@ -81,9 +84,7 @@ safe to run while traffic flows; per-node thread safety is provided by
 
 from __future__ import annotations
 
-import random
 import threading
-import time
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
@@ -106,11 +107,7 @@ from repro.comm.transport import (
     CacheNodeUnreachableError,
     CacheTransport,
     InProcessTransport,
-    _DEADLINE,
     _FAILURE_EXCEPTIONS,
-    RetryPolicy,
-    current_deadline,
-    deadline_scope,
 )
 from repro.db.invalidation import InvalidationTag
 from repro.interval import Interval
@@ -227,7 +224,6 @@ class CacheCluster:
         rpc_timeout_seconds: float = 30.0,
         simulated_rpc_latency_seconds: float = 0.0,
         node_addresses: Optional[Dict[str, Tuple[str, int]]] = None,
-        retry_policy: Optional[RetryPolicy] = None,
     ) -> None:
         if transport not in TRANSPORT_KINDS:
             raise ValueError(
@@ -252,17 +248,6 @@ class CacheCluster:
         #: Modelled LAN round trip served by each networked node (see
         #: :class:`repro.cache.netserver.CacheServerProcess`).
         self.simulated_rpc_latency_seconds = simulated_rpc_latency_seconds
-        #: Bounded-retry policy for idempotent reads (multi_lookup, probe,
-        #: key_digest, keys_in_range, versions_of): transient
-        #: connection failures retry with exponential backoff + jitter
-        #: before the read fails over to the next replica, all under one
-        #: per-op deadline budget (``retry_policy.deadline_seconds``,
-        #: defaulting to ``rpc_timeout_seconds``) spanning dial + retries +
-        #: failover.  Non-idempotent ops (put, invalidations) never retry
-        #: blind.  Pass ``RetryPolicy(max_attempts=1)`` to disable retries.
-        self.retry_policy = retry_policy or RetryPolicy()
-        #: Jitter source for retry backoff (seeded: reproducible schedules).
-        self._retry_rng = random.Random(0x7C5)
         self.health = ClusterHealthStats()
         #: Guards ring, transport registry, and failure accounting (held for
         #: in-memory updates only; see "Thread safety" in the module doc).
@@ -615,33 +600,15 @@ class CacheCluster:
     # ------------------------------------------------------------------
     # The routed call: plain when the node answers, and what a failure costs
     # ------------------------------------------------------------------
-    def _op_scope(self) -> deadline_scope:
-        """One deadline budget for a whole routed operation.
-
-        Opened at the top of every routed read (``multi_lookup`` sets the
-        same scope in place): dial time, per-node retries, and the
-        replica-failover walk all draw on the same budget, so a hung node
-        cannot multiply the worst case by the number of replicas.  A scope
-        already active (a nested routed call) keeps governing — budgets
-        never stack.
-        """
-        deadline = current_deadline()
-        if deadline is None:
-            budget = self.retry_policy.deadline_seconds
-            if budget is None:
-                budget = self.rpc_timeout_seconds
-            if budget is not None:
-                deadline = time.monotonic() + budget
-        return deadline_scope(deadline)
-
     def _ask(self, node: str, op: str, *args):
         """``transport.<op>(*args)`` on ``node``; :data:`_UNANSWERED` if it
         could not be reached.
 
         Where ``put`` and :meth:`probe_node` meet a failure
-        (``multi_lookup`` makes the same first attempt in place).  A node
-        that answers costs the call itself; only a connection-level failure
-        goes to :meth:`_retry`.  A node whose transport is already gone is
+        (``multi_lookup`` makes the same call in place).  A node that
+        answers costs the call itself; a connection-level failure is
+        charged to the node once (:meth:`_note_failure`) and the call is
+        :data:`_UNANSWERED`.  A node whose transport is already gone is
         nobody's failure.
         """
         transport = self._transports.get(node)
@@ -649,28 +616,6 @@ class CacheCluster:
             return _UNANSWERED
         try:
             answer = getattr(transport, op)(*args)
-        except _FAILURE_EXCEPTIONS as failure:
-            return self._retry(node, transport, op, args, failure)
-        if node in self._suspects:
-            self._note_success(node)
-        return answer
-
-    def _retry(self, node: str, transport: CacheTransport, op: str, args: tuple, failure):
-        """What a failed first attempt of ``transport.<op>(*args)`` costs.
-
-        The failure enters the cluster :class:`RetryPolicy` as its attempt
-        1, and only idempotent ops get another.  A node still failing after
-        that is charged (suspect marking, threshold eviction) and the call
-        is :data:`_UNANSWERED`; a suspect that answers a retry is cleared.
-        """
-        try:
-            answer = self.retry_policy.run(
-                op,
-                lambda: getattr(transport, op)(*args),
-                retry_on=_FAILURE_EXCEPTIONS,
-                rng=self._retry_rng,
-                failure=failure,
-            )
         except _FAILURE_EXCEPTIONS:
             self._note_failure(node, via=transport)
             return _UNANSWERED
@@ -709,9 +654,7 @@ class CacheCluster:
         the requests one at a time.  Only when a group's node is
         unreachable do its requests fail over to their next untried
         replica (re-batched per replica node), and only requests with no
-        reachable replica left are answered with degraded misses.  When
-        the deadline budget runs out, what is still queued degrades at
-        once instead of charging failures to nodes that were never asked.
+        reachable replica left are answered with degraded misses.
 
         ``asked``, when given, is appended the node of every round trip the
         batch made, so a caller can count them without routing a key again.
@@ -726,63 +669,46 @@ class CacheCluster:
                 results[index] = self._degraded_lookup(request.key)
         #: request index -> the nodes that failed it (failed requests only).
         tried: Dict[int, Set[str]] = {}
-        # The op's deadline scope, set in place (see ``_op_scope``): a scope
-        # already active keeps governing, and only one opened here is undone.
-        outer = getattr(_DEADLINE, "value", None)
-        deadline = outer
-        if outer is None:
-            budget = self.retry_policy.deadline_seconds
-            if budget is None:
-                budget = self.rpc_timeout_seconds
-            if budget is not None:
-                deadline = _DEADLINE.value = time.monotonic() + budget
-        try:
-            while pending:
-                node, indices = pending.popitem()
-                if deadline is not None and time.monotonic() >= deadline:
-                    for index in indices:
-                        results[index] = self._degraded_lookup(requests[index].key)
-                    continue
-                if asked is not None:
-                    asked.append(node)
-                # A batch routed wholly to one node goes as it came; after a
-                # failover the indices may cover the batch in another order.
-                whole = not tried and len(indices) == len(requests)
-                batch = requests if whole else [requests[index] for index in indices]
-                transport = self._transports.get(node)
-                if transport is None:
+        while pending:
+            node, indices = pending.popitem()
+            if asked is not None:
+                asked.append(node)
+            # A batch routed wholly to one node goes as it came; after a
+            # failover the indices may cover the batch in another order.
+            whole = not tried and len(indices) == len(requests)
+            batch = requests if whole else [requests[index] for index in indices]
+            transport = self._transports.get(node)
+            if transport is None:
+                answers = _UNANSWERED
+            else:
+                try:
+                    answers = transport.multi_lookup(batch)
+                except _FAILURE_EXCEPTIONS:
+                    self._note_failure(node, via=transport)
                     answers = _UNANSWERED
                 else:
-                    try:
-                        answers = transport.multi_lookup(batch)
-                    except _FAILURE_EXCEPTIONS as failure:
-                        answers = self._retry(node, transport, "multi_lookup", (batch,), failure)
+                    if node in self._suspects:
+                        self._note_success(node)
+            if answers is _UNANSWERED:
+                # Each request moves to its next untried live replica, or
+                # degrades when none remain.
+                for index in indices:
+                    key = requests[index].key
+                    failed = tried.setdefault(index, set())
+                    failed.add(node)
+                    for replica in self._replicas(key):
+                        if replica not in failed and replica in self._transports:
+                            pending.setdefault(replica, []).append(index)
+                            break
                     else:
-                        if node in self._suspects:
-                            self._note_success(node)
-                if answers is _UNANSWERED:
-                    # Each request moves to its next untried live replica,
-                    # or degrades when none remain.
-                    for index in indices:
-                        key = requests[index].key
-                        failed = tried.setdefault(index, set())
-                        failed.add(node)
-                        for replica in self._replicas(key):
-                            if replica not in failed and replica in self._transports:
-                                pending.setdefault(replica, []).append(index)
-                                break
-                        else:
-                            results[index] = self._degraded_lookup(key)
-                    continue
-                if whole:
-                    return answers
-                for index, answer in zip(indices, answers):
-                    results[index] = answer
-                    if index in tried:
-                        self._record_failover_read(answer.hit)
-        finally:
-            if outer is None:
-                _DEADLINE.value = None
+                        results[index] = self._degraded_lookup(key)
+                continue
+            if whole:
+                return answers
+            for index, answer in zip(indices, answers):
+                results[index] = answer
+                if index in tried:
+                    self._record_failover_read(answer.hit)
         return results  # type: ignore[return-value]  # every slot is filled
 
     def put(
@@ -889,11 +815,10 @@ class CacheCluster:
         """One page of per-arc interval-set digests of ``node``'s stored
         keys, and the cursor of the next (``None`` after the last).
 
-        Idempotent read: retried per the cluster policy under one deadline
-        budget, so a repair sweep rides out a transient blip instead of
-        writing the node off as a lost source.
+        One call: a failure propagates to the repair planner, which notes
+        it and leaves the node out of the sweep.
         """
-        return self._retried_read(node, "key_digest", arcs, cursor)
+        return self._transport(node).key_digest(list(arcs), cursor)
 
     def keys_in_range(
         self, node: str, arcs, cursor: Optional[str] = None
@@ -901,21 +826,9 @@ class CacheCluster:
         """One page of ``node``'s stored keys inside the given hash-space
         arcs, and the cursor of the next (``None`` after the last).
 
-        Idempotent read: retried like :meth:`key_digest`.
+        One call, failing like :meth:`key_digest`.
         """
-        return self._retried_read(node, "keys_in_range", arcs, cursor)
-
-    def _retried_read(self, node: str, op: str, arcs, cursor: Optional[str]):
-        """A repair-planning read of one named node; failures are the
-        planner's to handle, so they propagate once retries run out."""
-        transport = self._transport(node)
-        with self._op_scope():
-            return self.retry_policy.run(
-                op,
-                lambda: getattr(transport, op)(list(arcs), cursor),
-                retry_on=_FAILURE_EXCEPTIONS,
-                rng=self._retry_rng,
-            )
+        return self._transport(node).keys_in_range(list(arcs), cursor)
 
     # ------------------------------------------------------------------
     # Statistics

@@ -75,7 +75,6 @@ from repro.comm.wire import (
     ResponseSlot,
 )
 from repro.comm.transport import CacheNodeUnreachableError, CacheTransportError
-from repro.comm.transport import current_deadline, remaining_deadline
 from repro.db.invalidation import InvalidationTag
 from repro.interval import Interval
 
@@ -659,23 +658,8 @@ class _MuxConnection:
             raise CacheTransportError(
                 f"cache node {self._label}: unknown cache operation {op!r}"
             )
-        # This call's absolute deadline: the per-attempt timeout capped by
-        # the propagated per-op deadline scope (whichever expires first).
-        now = time.monotonic()
-        deadline = None if self._timeout is None else now + self._timeout
-        scoped = current_deadline()
-        if scoped is not None:
-            if scoped <= now:
-                # The op's deadline budget is already spent (dial, earlier
-                # retries, or earlier replicas consumed it): fail before any
-                # I/O.  The connection itself is fine — no poisoning.
-                raise CacheNodeUnreachableError(
-                    f"cache node {self._label}: deadline expired before {op!r}",
-                    node=self._label,
-                    op=op,
-                )
-            if deadline is None or scoped < deadline:
-                deadline = scoped
+        # This call's absolute deadline: its own RPC timeout.
+        deadline = None if self._timeout is None else time.monotonic() + self._timeout
         # Encoded before a slot is registered: a request the codec refuses
         # was never in flight.
         body = wire.encode_binary_args(opcode, args)
@@ -866,21 +850,10 @@ class SocketTransport:
     # ------------------------------------------------------------------
     def _dial(self) -> socket.socket:
         label = getattr(self, "name", None) or str(self.address)
-        connect_timeout = self.connect_timeout_seconds
-        remaining = remaining_deadline()
-        if remaining is not None:
-            # Dialling draws on the same per-op budget as the RPC itself.
-            if remaining <= 0:
-                raise CacheNodeUnreachableError(
-                    f"cache node at {self.address}: deadline expired before dial",
-                    node=label,
-                )
-            if connect_timeout is not None:
-                connect_timeout = min(connect_timeout, remaining)
-            else:
-                connect_timeout = remaining
         try:
-            sock = socket.create_connection(self.address, timeout=connect_timeout)
+            sock = socket.create_connection(
+                self.address, timeout=self.connect_timeout_seconds
+            )
         except OSError as exc:
             raise CacheNodeUnreachableError(
                 f"cache node at {self.address} unreachable: {exc}",

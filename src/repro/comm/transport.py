@@ -35,17 +35,18 @@ nothing to add); ``SocketTransport`` provides it by multiplexing any number
 of in-flight RPCs over one socket — per-request ids, with whichever caller
 holds the read lease demultiplexing responses (see
 :mod:`repro.cache.netserver`).
+
+Failure: a transport makes one attempt per call, bounded by its own dial
+and RPC timeouts, and an unreachable node raises
+:class:`CacheNodeUnreachableError`.  Nothing here retries or sleeps; the
+cluster charges the failure to the node once and fails over or degrades
+(see :mod:`repro.cache.cluster`).
 """
 
 from __future__ import annotations
 
-import random
-import threading
-import time
-from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
-    Callable,
     FrozenSet,
     List,
     Optional,
@@ -69,11 +70,6 @@ __all__ = [
     "CacheTransportError",
     "CacheNodeUnreachableError",
     "MAX_BATCH_ITEMS",
-    "RetryPolicy",
-    "IDEMPOTENT_OPS",
-    "current_deadline",
-    "deadline_scope",
-    "remaining_deadline",
 ]
 
 class CacheTransportError(RuntimeError):
@@ -89,9 +85,8 @@ class CacheNodeUnreachableError(CacheTransportError):
     otherwise be masked.
 
     One class for every way of not reaching a node — a failed or timed-out
-    dial, an RPC timeout or an expired per-op deadline, a connection lost
-    mid-stream — because nothing that catches it branches on which: the
-    message says.  Every instance carries ``node`` (the node name or
+    dial, an RPC timeout, a connection lost mid-stream — because nothing
+    that catches it branches on which: the message says.  Every instance carries ``node`` (the node name or
     address label, when known) and ``op`` (the operation in flight, when
     there was one).
     """
@@ -118,160 +113,6 @@ _FAILURE_EXCEPTIONS = (CacheNodeUnreachableError, ConnectionError, OSError)
 #: sends a larger batch as several frames, and the membership mover walks a
 #: longer arcs list as several walks.
 MAX_BATCH_ITEMS = 1024
-
-#: Operations safe to retry blind: re-running one cannot change node state,
-#: so a retry after an ambiguous connection failure (the response may or may
-#: not have been computed) is always harmless.  ``put`` and the invalidation
-#: ops are deliberately absent — a blind ``put`` retry could re-insert an
-#: entry an invalidation already truncated, and replayed invalidation
-#: batches would double-advance watermark accounting; their connection
-#: errors surface to the caller exactly as before retries existed.
-IDEMPOTENT_OPS = frozenset(
-    {
-        "multi_lookup",
-        "probe",
-        "key_digest",
-        "keys_in_range",
-        "versions_of",
-    }
-)
-
-#: Growth of the retry backoff delay per attempt.
-RETRY_BACKOFF_MULTIPLIER = 2.0
-
-#: Cap on any one retry backoff delay, in seconds (before jitter).
-RETRY_MAX_BACKOFF_SECONDS = 0.25
-
-#: Thread-local carrier of the current per-op deadline (monotonic seconds).
-#: One budget spans dial + retries + replica failover for a single routed
-#: cluster operation; transports consult it to cap their per-attempt waits.
-_DEADLINE = threading.local()
-
-
-def current_deadline() -> Optional[float]:
-    """The active per-op deadline (``time.monotonic()`` terms), or None."""
-    return getattr(_DEADLINE, "value", None)
-
-
-def remaining_deadline() -> Optional[float]:
-    """Seconds left in the active deadline scope (None when no scope)."""
-    deadline = current_deadline()
-    if deadline is None:
-        return None
-    return deadline - time.monotonic()
-
-
-class deadline_scope:
-    """Establish a per-op deadline for every transport call in the block.
-
-    The deadline is an absolute ``time.monotonic()`` instant (None: no
-    deadline), and ``with ... as`` binds it.  Scopes nest: the inner scope
-    wins for its duration and the outer one is restored on exit.
-    Transports treat the scoped deadline as a *cap* on their own
-    per-attempt timeouts (dial and RPC waits), so one budget bounds an
-    entire routed operation — including retries and replica failover —
-    instead of each attempt getting a fresh full timeout.  Entering and
-    leaving cost one thread-local assignment each.  The cluster's repair
-    reads open one; ``CacheCluster.multi_lookup``, on every cacheable
-    call's path, sets and restores the same thread-local in place, by the
-    same nesting rule.
-    """
-
-    __slots__ = ("_deadline", "_previous")
-
-    def __init__(self, deadline: Optional[float]) -> None:
-        self._deadline = deadline
-
-    def __enter__(self) -> Optional[float]:
-        self._previous = getattr(_DEADLINE, "value", None)
-        _DEADLINE.value = self._deadline
-        return self._deadline
-
-    def __exit__(self, exc_type, exc, traceback) -> None:
-        _DEADLINE.value = self._previous
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded-retry policy for idempotent cache reads.
-
-    The cluster makes the first attempt of a routed call itself and comes
-    to :meth:`run` only when that attempt failed: transient connection
-    failures against one node are retried up to ``max_attempts`` times
-    (the failed first attempt included) with exponential backoff and
-    jitter, all under the op's single deadline budget
-    (``deadline_seconds``, defaulting to the cluster's
-    ``rpc_timeout_seconds``).  Only operations in :data:`IDEMPOTENT_OPS`
-    ever retry; everything else gets exactly one attempt, preserving the
-    pre-retry failure semantics of writes.
-    """
-
-    #: Attempts per node per operation (1 = no retries).
-    max_attempts: int = 3
-    #: First backoff delay; grows ``RETRY_BACKOFF_MULTIPLIER``-fold per
-    #: retry, up to ``RETRY_MAX_BACKOFF_SECONDS``.
-    base_backoff_seconds: float = 0.01
-    #: Fraction of each delay randomized away (0 = deterministic ladder,
-    #: 1 = anywhere in ``[0, delay]``).  Jitter decorrelates retry storms
-    #: from many client threads hitting one recovering node.
-    jitter_fraction: float = 0.5
-    #: Deadline budget per routed operation; None uses the cluster's
-    #: ``rpc_timeout_seconds``.
-    deadline_seconds: Optional[float] = None
-
-    def retries(self, op: str) -> bool:
-        """Whether ``op`` may be retried blind."""
-        return op in IDEMPOTENT_OPS and self.max_attempts > 1
-
-    def backoff_seconds(self, attempt: int, rng: random.Random) -> float:
-        """Jittered delay before retry number ``attempt`` (0-based)."""
-        delay = min(
-            self.base_backoff_seconds * (RETRY_BACKOFF_MULTIPLIER**attempt),
-            RETRY_MAX_BACKOFF_SECONDS,
-        )
-        if self.jitter_fraction > 0:
-            delay *= 1.0 - self.jitter_fraction * rng.random()
-        return delay
-
-    def run(
-        self,
-        op: str,
-        call: Callable[[], object],
-        retry_on: Tuple[type, ...],
-        rng: random.Random,
-        failure: Optional[BaseException] = None,
-    ) -> object:
-        """Run ``call`` with retries (idempotent ops only) under the deadline.
-
-        Exceptions in ``retry_on`` are retried; anything else propagates
-        immediately.  A retry is abandoned (the last failure re-raised)
-        when the backoff delay would cross the active deadline scope —
-        retried reads never exceed their propagated deadline.  ``failure``
-        is what a first attempt the caller already made raised: it counts
-        as attempt 1, so ``run`` starts at the backoff before attempt 2.
-        """
-        if not self.retries(op):
-            if failure is not None:
-                raise failure
-            return call()
-        attempt = 0
-        while True:
-            if failure is None:
-                try:
-                    return call()
-                except retry_on as error:
-                    failure = error
-            attempt += 1
-            if attempt >= self.max_attempts:
-                raise failure
-            delay = self.backoff_seconds(attempt - 1, rng)
-            remaining = remaining_deadline()
-            if remaining is not None and remaining <= delay:
-                raise failure
-            if delay > 0:
-                time.sleep(delay)
-            failure = None
-
 
 @runtime_checkable
 class CacheTransport(Protocol):

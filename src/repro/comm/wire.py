@@ -82,7 +82,6 @@ __all__ = [
     "encode_binary_mux_frame",
     "encode_lookup_reply",
     "send_buffers",
-    "recv_exactly",
 ]
 
 #: Frame header: (request_id: u64, opcode: u8, length: u32).
@@ -887,26 +886,6 @@ def send_buffers(sock: socket.socket, buffers: Sequence[Buffer]) -> None:
         if sent:
             views[0] = views[0][sent:]
         sent = sendmsg(views)
-
-
-def recv_exactly(sock: socket.socket, count: int) -> bytes:
-    """Read exactly ``count`` bytes; raises ConnectionError on EOF."""
-    if count == 0:
-        return b""
-    first = sock.recv(count)
-    if not first:
-        raise ConnectionError("connection closed by peer")
-    if len(first) == count:
-        return first
-    chunks = [first]
-    remaining = count - len(first)
-    while remaining:
-        chunk = sock.recv(remaining)
-        if not chunk:
-            raise ConnectionError("connection closed by peer")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
 
 
 # ----------------------------------------------------------------------

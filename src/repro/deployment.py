@@ -36,7 +36,6 @@ from repro.cache.membership import ClusterMembership
 from repro.cache.server import CacheServer
 from repro.clock import Clock, ManualClock
 from repro.comm.multicast import InvalidationBus
-from repro.comm.transport import RetryPolicy
 from repro.core.api import ConsistencyMode, TxCacheClient
 from repro.db.database import Database
 from repro.pincushion.pincushion import Pincushion
@@ -95,10 +94,6 @@ class TxCacheDeployment:
     #: With R > 1 reads fail over to replicas and a node crash loses no
     #: cached state; 1 reproduces the paper's unreplicated deployment.
     replication_factor: int = 1
-    #: Retry/backoff/deadline policy of the cache wire client (idempotent
-    #: reads only; None = the RetryPolicy defaults).  Disable retries with
-    #: ``RetryPolicy(max_attempts=1)``.  See repro.comm.transport.
-    retry_policy: Optional[RetryPolicy] = None
     #: Supervise cache nodes: respawn evicted ones with backoff and rejoin
     #: them warm (see repro.cache.supervisor).  None = on for the
     #: "socket-process" transport (real child processes that can die), off
@@ -122,7 +117,6 @@ class TxCacheDeployment:
             replication_factor=self.replication_factor,
             rpc_timeout_seconds=self.rpc_timeout_seconds,
             simulated_rpc_latency_seconds=self.simulated_rpc_latency_seconds,
-            retry_policy=self.retry_policy,
         )
         self.membership = ClusterMembership(self.cache)
         self.supervisor: Optional[NodeSupervisor] = None

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import os
 import random
+import socket
 from contextlib import contextmanager
 from typing import Iterable, Iterator, List, Optional, Tuple
 
@@ -112,6 +113,19 @@ def live_node(
             yield host
     else:
         raise ValueError(f"hosting={hosting!r}; expected one of {NODE_HOSTINGS}")
+
+
+def recv_exactly(sock: socket.socket, count: int) -> bytes:
+    """Read exactly ``count`` bytes from a raw socket; raises
+    ConnectionError on EOF (the raw-frame tests read replies with it)."""
+    chunks = []
+    while count:
+        chunk = sock.recv(count)
+        if not chunk:
+            raise ConnectionError("connection closed by peer")
+        chunks.append(chunk)
+        count -= len(chunk)
+    return b"".join(chunks)
 
 
 def simple_schema(name: str = "users") -> TableSchema:

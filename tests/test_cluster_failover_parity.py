@@ -1,14 +1,12 @@
 """Failure handling left the healthy path, not the cluster.
 
 A routed call is a plain transport call until it fails; only then do the
-retry policy, the replica failover walk and suspect bookkeeping run.  These
-tests pin what that must not change: a batch of one and a batch of many go
-through the same steps (equal results, equal :class:`ClusterHealthStats`,
-equal suspects and evictions), a dead node is called exactly
-``max_attempts`` times per operation, an exhausted deadline degrades what
-is still queued without charging nodes that were never asked, and ``put``
-reports the replicas it was sent to.  The expected counters are the ones
-the code before the rewrite produced for the same scenarios.
+replica failover walk and suspect bookkeeping run.  These tests pin what
+that must not change: a batch of one and a batch of many go through the
+same steps (equal results, equal :class:`ClusterHealthStats`, equal
+suspects and evictions), a dead node is called exactly once per operation
+and nothing sleeps, a failure is charged once and cleared by the node's
+next answer, and ``put`` reports the replicas it was sent to.
 """
 
 from __future__ import annotations
@@ -21,23 +19,20 @@ import pytest
 
 from repro.cache.cluster import CacheCluster, PutOutcome
 from repro.cache.entry import LookupRequest
+from repro.cache.hashring import HASH_SPACE
 from repro.cache.netserver import CacheNodeUnreachableError
-from repro.comm.transport import RetryPolicy, deadline_scope
 from repro.interval import Interval
 
-MAX_ATTEMPTS = 3
 NODES = ["cache0", "cache1", "cache2"]
 
 
 class CountingTransport:
-    """Counts calls per operation; raises like a dead node while ``dead``;
-    ``delay_seconds`` makes a dead node slow to fail."""
+    """Counts calls per operation; raises like a dead node while ``dead``."""
 
     def __init__(self, inner) -> None:
         self.inner = inner
         self.name = inner.name
         self.dead = False
-        self.delay_seconds = 0.0
         self.calls: Dict[str, int] = {}
 
     def close(self) -> None:
@@ -49,21 +44,17 @@ class CountingTransport:
         def counted(*args, **kwargs):
             self.calls[op] = self.calls.get(op, 0) + 1
             if self.dead:
-                time.sleep(self.delay_seconds)
                 raise CacheNodeUnreachableError(f"{self.name} is down (test)")
             return target(*args, **kwargs)
 
         return counted
 
 
-def build(replication_factor: int, failure_threshold: int = 100, deadline_seconds=None):
+def build(replication_factor: int, failure_threshold: int = 100):
     cluster = CacheCluster(
         node_names=NODES,
         replication_factor=replication_factor,
         failure_threshold=failure_threshold,
-        retry_policy=RetryPolicy(
-            max_attempts=MAX_ATTEMPTS, base_backoff_seconds=0.0, deadline_seconds=deadline_seconds
-        ),
     )
     wrappers = {}
     for name in NODES:
@@ -126,7 +117,7 @@ class TestBatchOfOneAndBatchOfManyAgree:
         singles, batch = run_both_shapes(2, 100, one_key_on_the_dead_node)
         assert singles == batch
         assert all(hit for _key, hit, _value, _degraded in batch["results"])
-        assert batch["dead_calls"] == MAX_ATTEMPTS
+        assert batch["dead_calls"] == 1
         assert batch["suspects"] == ["cache0"]
         health = batch["health"]
         assert health["transport_failures"] == 1
@@ -141,7 +132,7 @@ class TestBatchOfOneAndBatchOfManyAgree:
         assert singles == batch
         degraded = [degraded for _key, _hit, _value, degraded in batch["results"]]
         assert degraded == [False, False, True, False, False]
-        assert batch["dead_calls"] == MAX_ATTEMPTS
+        assert batch["dead_calls"] == 1
         health = batch["health"]
         assert health["transport_failures"] == 1
         assert health["degraded_lookups"] == 1
@@ -154,88 +145,130 @@ class TestBatchOfOneAndBatchOfManyAgree:
         assert batch["members"] == ["cache1", "cache2"]
         assert batch["suspects"] == []
         assert batch["health"]["nodes_evicted"] == 1
-        assert batch["dead_calls"] == MAX_ATTEMPTS
+        assert batch["dead_calls"] == 1
 
-    def test_a_dead_node_is_called_max_attempts_times_per_operation(self):
+    def test_a_dead_node_is_called_once_per_operation(self):
         """Per operation, not per key: one batch holding three keys of the
-        dead node is one routed call to it (retried), three batches of one
-        are three."""
+        dead node is one call to it, three batches of one are three."""
         singles, batch = run_both_shapes(2, 100, lambda grouped: grouped["cache0"][:3])
         assert singles["results"] == batch["results"]
-        assert batch["dead_calls"] == MAX_ATTEMPTS
+        assert batch["dead_calls"] == 1
         assert batch["health"]["transport_failures"] == 1
-        assert singles["dead_calls"] == 3 * MAX_ATTEMPTS
+        assert singles["dead_calls"] == 3
         assert singles["health"]["transport_failures"] == 3
         for shape in (singles, batch):
             assert shape["health"]["replica_served_lookups"] == 3
             assert shape["health"]["replica_hits"] == 3
 
-    def test_a_flaky_node_answers_on_the_retry_and_is_not_charged(self):
-        cluster, wrappers = build(1)
+
+class TestOneAttemptPerNode:
+    @pytest.mark.parametrize("replication_factor", [1, 2])
+    @pytest.mark.parametrize("keys_on_the_dead_node", [1, 3], ids=["batch of one", "batch of three"])
+    def test_a_dead_node_gets_one_call_per_operation_and_nothing_sleeps(
+        self, replication_factor, keys_on_the_dead_node, monkeypatch
+    ):
+        """A routed lookup, a probe and a digest page each ask the dead node
+        once: the failure is charged (or, for the digest, raised to the
+        repair planner) at once, with no second attempt and no sleep."""
+        sleeps: List[float] = []
+        monkeypatch.setattr(time, "sleep", sleeps.append)
+        cluster, wrappers = build(replication_factor)
+        try:
+            keys = keys_by_primary(cluster)["cache0"][:keys_on_the_dead_node]
+            fill(cluster, keys)
+            dead = wrappers["cache0"]
+            dead.calls.clear()
+            dead.dead = True
+            results = cluster.multi_lookup([LookupRequest(key, 1, 5) for key in keys])
+            assert all(r.hit != r.degraded for r in results)
+            assert all(r.hit for r in results) == (replication_factor == 2)
+            assert not cluster.probe_node("cache0")
+            with pytest.raises(CacheNodeUnreachableError):
+                cluster.key_digest("cache0", [(0, HASH_SPACE)])
+            assert dead.calls == {"multi_lookup": 1, "watermark": 1, "key_digest": 1}
+            assert sleeps == []
+            assert cluster.health.transport_failures == 2
+        finally:
+            cluster.close()
+
+    @pytest.mark.parametrize("replication_factor", [1, 2])
+    def test_a_node_that_fails_once_is_charged_once_and_cleared_by_its_next_answer(
+        self, replication_factor
+    ):
+        """One transient failure costs the read it hit (a degraded miss
+        alone, the replica's answer at R=2) and one charge: the node stays
+        in the ring as a suspect, and its next answer clears it."""
+        cluster, wrappers = build(replication_factor, failure_threshold=2)
         try:
             key = keys_by_primary(cluster)["cache0"][0]
             fill(cluster, [key])
             flaky = wrappers["cache0"]
             real = flaky.inner.multi_lookup
-            failures = [2]  # attempts 1 and 2 fail, attempt 3 answers
+            failures = [1]
 
-            def fail_twice(requests):
+            def fail_once(requests):
                 if failures[0]:
                     failures[0] -= 1
                     raise CacheNodeUnreachableError("blip")
                 return real(requests)
 
-            flaky.inner.multi_lookup = fail_twice
+            flaky.inner.multi_lookup = fail_once
+            (result,) = cluster.multi_lookup([LookupRequest(key, 1, 5)])
+            if replication_factor == 1:
+                assert result.degraded and not result.hit
+            else:
+                assert result.hit and not result.degraded
+                assert cluster.health.replica_hits == 1
+            assert flaky.calls["multi_lookup"] == 1
+            assert cluster.health.transport_failures == 1
+            assert cluster.suspect_nodes == ["cache0"]
+            assert "cache0" in cluster.ring.nodes
+
             (result,) = cluster.multi_lookup([LookupRequest(key, 1, 5)])
             assert result.hit and not result.degraded
-            assert flaky.calls["multi_lookup"] == MAX_ATTEMPTS
-            assert dataclasses.asdict(cluster.health) == dataclasses.asdict(
-                type(cluster.health)()
-            )
+            assert flaky.calls["multi_lookup"] == 2
             assert cluster.suspect_nodes == []
+            assert cluster.health.recoveries == 1
+            assert cluster.health.nodes_evicted == 0
         finally:
             cluster.close()
 
-
-class TestExhaustedDeadline:
-    def test_expired_budget_degrades_without_asking_anyone(self):
-        cluster, wrappers = build(2)
+    def test_a_dead_node_in_a_mixed_batch_is_charged_alone(self):
+        """R = 1: every node of the batch is asked once; the live nodes
+        answer their keys, the dead node's key degrades, and only the dead
+        node is charged."""
+        cluster, wrappers = build(1)
         try:
-            keys = [key for group in keys_by_primary(cluster).values() for key in group[:2]]
-            fill(cluster, keys)
-            for wrapper in wrappers.values():
-                wrapper.calls.clear()
-            with deadline_scope(time.monotonic() - 1.0):
-                results = cluster.multi_lookup([LookupRequest(key, 1, 5) for key in keys])
-                single = cluster.lookup(keys[0], 1, 5)
-            assert all(r.degraded and not r.hit for r in results + [single])
-            assert all(wrapper.calls == {} for wrapper in wrappers.values())
-            assert cluster.health.degraded_lookups == len(keys) + 1
-            assert cluster.health.degraded_ops == 0
-            assert cluster.health.transport_failures == 0
-            assert cluster.suspect_nodes == []
-        finally:
-            cluster.close()
-
-    def test_budget_spent_on_a_dead_node_is_not_charged_to_the_others(self):
-        """The dead node eats the whole budget failing; the groups still
-        queued degrade, and only the node that was asked is a suspect."""
-        cluster, wrappers = build(1, deadline_seconds=0.05)
-        try:
-            grouped = keys_by_primary(cluster)
-            # Groups are taken last-queued first: the dead node's goes first.
-            keys = grouped["cache1"][:2] + grouped["cache2"][:2] + grouped["cache0"][:1]
+            keys = one_key_on_the_dead_node(keys_by_primary(cluster))
             fill(cluster, keys)
             for wrapper in wrappers.values():
                 wrapper.calls.clear()
             wrappers["cache0"].dead = True
-            wrappers["cache0"].delay_seconds = 0.06
             results = cluster.multi_lookup([LookupRequest(key, 1, 5) for key in keys])
-            assert all(r.degraded for r in results)
-            assert wrappers["cache0"].calls == {"multi_lookup": 1}  # no budget for a retry
-            assert wrappers["cache1"].calls == {} and wrappers["cache2"].calls == {}
+            assert [r.hit for r in results] == [True, True, False, True, True]
+            assert [r.degraded for r in results] == [False, False, True, False, False]
+            assert {name: wrapper.calls for name, wrapper in wrappers.items()} == {
+                name: {"multi_lookup": 1} for name in NODES
+            }
             assert cluster.health.transport_failures == 1
-            assert cluster.health.degraded_lookups == len(keys)
+            assert cluster.suspect_nodes == ["cache0"]
+        finally:
+            cluster.close()
+
+    def test_a_sweep_asks_a_dead_node_once_and_skips_it(self):
+        """``evict_stale`` goes to every node: the dead one is called once,
+        counted as one degraded op and charged once; the others answer."""
+        cluster, wrappers = build(1)
+        try:
+            for wrapper in wrappers.values():
+                wrapper.calls.clear()
+            wrappers["cache0"].dead = True
+            assert cluster.evict_stale(0) == 0
+            assert {name: wrapper.calls for name, wrapper in wrappers.items()} == {
+                name: {"evict_stale": 1} for name in NODES
+            }
+            assert cluster.health.degraded_ops == 1
+            assert cluster.health.transport_failures == 1
             assert cluster.suspect_nodes == ["cache0"]
         finally:
             cluster.close()

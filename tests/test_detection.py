@@ -22,7 +22,6 @@ from repro.cache.cluster import CacheCluster
 from repro.cache.entry import LookupRequest
 from repro.cache.membership import ClusterMembership
 from repro.comm.multicast import InvalidationBus, InvalidationMessage
-from repro.comm.transport import RetryPolicy
 from repro.db.query import Eq, Select
 from repro.deployment import TxCacheDeployment
 from repro.interval import Interval
@@ -42,14 +41,13 @@ def transport_kind(request):
     return request.param
 
 
-def build(transport_kind, threshold=3, bus=None, retry_policy=None):
+def build(transport_kind, threshold=3, bus=None):
     cluster = CacheCluster(
         node_count=3,
         capacity_bytes_per_node=1 << 22,
         transport=transport_kind,
         failure_threshold=threshold,
         invalidation_bus=bus,
-        retry_policy=retry_policy,
     )
     return cluster, ClusterMembership(cluster)
 
@@ -131,9 +129,7 @@ def test_intermittent_loss_evicts_at_the_first_run_of_threshold_failures(transpo
     clears it.  The node is evicted exactly when the first run of
     ``failure_threshold`` consecutive losses completes, and until then
     every delivered lookup is a hit from its kept store."""
-    cluster, membership = build(
-        transport_kind, threshold=3, retry_policy=RetryPolicy(max_attempts=1)
-    )
+    cluster, membership = build(transport_kind, threshold=3)
     try:
         keys = fill(cluster)
         victim = cluster.ring.node_for(keys[0])

@@ -25,7 +25,7 @@ from repro.cache.membership import ClusterMembership
 from repro.core.keys import cache_key
 from repro.cache.server import SCAN_PAGE_KEYS, CacheServer
 from repro.comm.multicast import InvalidationBus, InvalidationMessage
-from repro.comm.transport import MAX_BATCH_ITEMS, CacheNodeUnreachableError, RetryPolicy
+from repro.comm.transport import MAX_BATCH_ITEMS, CacheNodeUnreachableError
 from repro.core.api import ConsistencyMode
 from repro.core.stats import MissType
 from repro.db.query import Eq, Select
@@ -746,9 +746,7 @@ class TestFailureAccounting:
         """A call still in flight on a node's old transport fails after the
         node left the cluster and rejoined it: the rejoined node never
         failed, so the failure is not charged to it."""
-        cluster = CacheCluster(
-            node_count=2, failure_threshold=1, retry_policy=RetryPolicy(max_attempts=1)
-        )
+        cluster = CacheCluster(node_count=2, failure_threshold=1)
         membership = ClusterMembership(cluster)
         try:
             key = next(

@@ -1,5 +1,5 @@
-"""Self-healing supervision: crash respawn, backoff, circuit breaker,
-retry/deadline on the wire client, and housekeeping stage isolation.
+"""Self-healing supervision: crash respawn, backoff, circuit breaker, the
+wire client's unreachable error, and housekeeping stage isolation.
 
 The deterministic state-machine tests run on the in-process transport with
 a manual clock (a crash is ``fail_node``, driven to its threshold eviction
@@ -33,12 +33,6 @@ from repro.cache.supervisor import (
 )
 from repro.clock import ManualClock, SystemClock
 from repro.comm.multicast import InvalidationMessage
-from repro.comm.transport import (
-    IDEMPOTENT_OPS,
-    RETRY_MAX_BACKOFF_SECONDS,
-    RetryPolicy,
-    deadline_scope,
-)
 from repro.deployment import HousekeepingError, TxCacheDeployment
 from repro.interval import Interval
 
@@ -338,141 +332,7 @@ def _raise_runtime():
 
 
 # ----------------------------------------------------------------------
-# Retry policy and deadline propagation
-# ----------------------------------------------------------------------
-class TestRetryPolicy:
-    def test_idempotent_read_retries_to_success(self):
-        policy = RetryPolicy(max_attempts=3, base_backoff_seconds=0.0)
-        attempts = [0]
-
-        def flaky():
-            attempts[0] += 1
-            if attempts[0] < 3:
-                raise CacheNodeUnreachableError("transient")
-            return "value"
-
-        import random as _random
-
-        result = policy.run(
-            "multi_lookup",
-            flaky,
-            retry_on=(CacheNodeUnreachableError,),
-            rng=_random.Random(0),
-        )
-        assert result == "value"
-        assert attempts[0] == 3
-
-    def test_non_idempotent_ops_never_retry(self):
-        assert "put" not in IDEMPOTENT_OPS
-        assert "invalidate_tags" not in IDEMPOTENT_OPS
-        policy = RetryPolicy(max_attempts=5, base_backoff_seconds=0.0)
-        attempts = [0]
-
-        def failing():
-            attempts[0] += 1
-            raise CacheNodeUnreachableError("down")
-
-        import random as _random
-
-        with pytest.raises(CacheNodeUnreachableError):
-            policy.run(
-                "put",
-                failing,
-                retry_on=(CacheNodeUnreachableError,),
-                rng=_random.Random(0),
-            )
-        assert attempts[0] == 1
-
-    def test_retries_stop_at_the_propagated_deadline(self):
-        policy = RetryPolicy(max_attempts=10, base_backoff_seconds=0.05)
-        attempts = [0]
-
-        def failing():
-            attempts[0] += 1
-            raise CacheNodeUnreachableError("down")
-
-        import random as _random
-
-        started = time.monotonic()
-        with deadline_scope(started + 0.1):
-            with pytest.raises(CacheNodeUnreachableError):
-                policy.run(
-                    "multi_lookup",
-                    failing,
-                    retry_on=(CacheNodeUnreachableError,),
-                    rng=_random.Random(0),
-                )
-        elapsed = time.monotonic() - started
-        assert elapsed < 1.0  # nowhere near 10 full backoffs
-        assert attempts[0] < 10
-
-    def test_cluster_read_never_exceeds_its_deadline(self):
-        """Acceptance: a routed read against dead replicas returns (as a
-        degraded miss) within the per-op budget plus scheduling slop."""
-        deployment = TxCacheDeployment(
-            cache_nodes=2,
-            transport="socket",
-            replication_factor=2,
-            rpc_timeout_seconds=5.0,
-            retry_policy=RetryPolicy(
-                max_attempts=3, deadline_seconds=1.0, base_backoff_seconds=0.05
-            ),
-            clock=SystemClock(),
-            failure_threshold=1000,  # keep the corpses routable
-        )
-        fault = FaultInjector(deployment.cache)
-        try:
-            deployment.cache.put("key", "value", Interval(1, None))
-            for name in list(deployment.cache.transports):
-                fault.partition(name)
-            started = time.monotonic()
-            result = deployment.cache.lookup("key", 1, 1)
-            elapsed = time.monotonic() - started
-            assert not result.hit and result.degraded
-            assert elapsed < 2.5  # 1s budget + backoffs/slop, not 5s timeouts
-        finally:
-            deployment.shutdown()
-
-    def test_flaky_node_is_healed_by_retry_not_evicted(self):
-        """One transient failure per op stays below any eviction threshold
-        because the retry succeeds and notes the node healthy again."""
-        deployment = TxCacheDeployment(
-            cache_nodes=2,
-            transport="inprocess",
-            replication_factor=1,
-            retry_policy=RetryPolicy(max_attempts=3, base_backoff_seconds=0.0),
-        )
-        try:
-            cluster = deployment.cache
-            cluster.put("key", "value", Interval(1, None))
-            name = cluster.replicas_for("key")[0]
-            inner = cluster._transports[name]
-
-            class FlakyOnce:
-                def __init__(self, inner):
-                    self._inner = inner
-                    self.failures_left = 1
-
-                def multi_lookup(self, *args, **kwargs):
-                    if self.failures_left > 0:
-                        self.failures_left -= 1
-                        raise CacheNodeUnreachableError("transient blip")
-                    return self._inner.multi_lookup(*args, **kwargs)
-
-                def __getattr__(self, attr):
-                    return getattr(self._inner, attr)
-
-            cluster._transports[name] = FlakyOnce(inner)
-            result = cluster.lookup("key", 1, 1)
-            assert result.hit and result.value == "value"
-            assert cluster.health.nodes_evicted == 0
-            assert name in cluster.transports
-        finally:
-            deployment.shutdown()
-
-
-# ----------------------------------------------------------------------
-# The two backoff ladders and their caps
+# The supervisor's backoff ladder and its cap
 # ----------------------------------------------------------------------
 #: Respawn delays for rungs 0-9 of a supervisor seeded 0 (base 0.1 s,
 #: jitter 0.5), recorded before its growth and cap became constants.
@@ -480,13 +340,6 @@ SUPERVISOR_LADDER = [
     0.057778907424, 0.124204559706, 0.315885683834, 0.696433299883,
     1.190980222905, 2.552105380079, 3.040503527413, 4.241718184803,
     3.808507614619, 3.541544901362,
-]
-
-#: ``RetryPolicy()`` delays for attempts 0-9 drawn from ``Random(7)``.
-RETRY_LADDER = [
-    0.008380836176, 0.018491508261, 0.026981310539, 0.077102548533,
-    0.117129439655, 0.204288885386, 0.242750134403, 0.186570533351,
-    0.245313042695, 0.195794289542,
 ]
 
 
@@ -539,21 +392,6 @@ class TestBackoffCaps:
             deep = _NodeRecord(name="n", capacity_bytes=1, failed_attempts=40)
             assert supervisor._backoff_delay(deep, 0.0) == BACKOFF_MAX_SECONDS == 5.0
 
-    def test_retry_ladder_is_unchanged_and_capped(self):
-        import random as _random
-
-        rng = _random.Random(7)
-        policy = RetryPolicy()
-        delays = [policy.backoff_seconds(attempt, rng) for attempt in range(len(RETRY_LADDER))]
-        assert delays == pytest.approx(RETRY_LADDER, abs=1e-12)
-        assert all(
-            policy.backoff_seconds(attempt, rng) <= RETRY_MAX_BACKOFF_SECONDS
-            for attempt in range(64)
-        )
-        flat = RetryPolicy(jitter_fraction=0.0)
-        assert flat.backoff_seconds(40, rng) == RETRY_MAX_BACKOFF_SECONDS == 0.25
-
-
 # ----------------------------------------------------------------------
 # One unreachable error, naming the node and the op
 # ----------------------------------------------------------------------
@@ -574,24 +412,51 @@ class TestErrorTaxonomy:
         assert type(excinfo.value) is CacheNodeUnreachableError
         assert excinfo.value.node is not None
 
-    def test_an_expired_deadline_is_unreachable_and_leaves_the_connection_usable(self):
+
+# ----------------------------------------------------------------------
+# A hung node costs a read one RPC timeout per replica it tries
+# ----------------------------------------------------------------------
+class TestHungReplicas:
+    RPC_TIMEOUT_SECONDS = 0.3
+
+    @pytest.mark.parametrize("replication_factor", [1, 2])
+    def test_a_read_of_hung_replicas_waits_one_rpc_timeout_per_replica(
+        self, replication_factor
+    ):
+        """Every replica of the key hangs in ``multi_lookup``: the routed
+        read asks each once, waits out each one's RPC timeout, and returns
+        a degraded miss, with one failure charged per replica."""
         deployment = TxCacheDeployment(
-            cache_nodes=1, transport="socket", clock=SystemClock()
+            cache_nodes=2,
+            transport="socket",
+            replication_factor=replication_factor,
+            rpc_timeout_seconds=self.RPC_TIMEOUT_SECONDS,
+            clock=SystemClock(),
+            failure_threshold=1000,  # keep the hung nodes routable
         )
+        released = threading.Event()
+        asked = []
+
+        def hang(requests):
+            asked.append(len(requests))
+            released.wait(10.0)
+            return []
+
         try:
-            transport = deployment.cache._transports["cache0"]
-            connection = transport._connection
-            with deadline_scope(time.monotonic() - 1.0):
-                with pytest.raises(CacheNodeUnreachableError) as excinfo:
-                    lookup_one(transport, "key", 1, 1)
-            assert type(excinfo.value) is CacheNodeUnreachableError
-            assert excinfo.value.node is not None
-            assert excinfo.value.op == "multi_lookup"
-            # An expired deadline is the caller's condition, not the
-            # node's: the connection is not poisoned and serves the next call.
-            assert transport.watermark() >= 0
-            assert transport._connection is connection and not connection.dead
+            cluster = deployment.cache
+            cluster.put("key", "value", Interval(1, None))
+            for server in cluster.servers.values():
+                server.multi_lookup = hang
+            started = time.monotonic()
+            result = cluster.lookup("key", 1, 1)
+            elapsed = time.monotonic() - started
+            assert not result.hit and result.degraded
+            assert asked == [1] * replication_factor
+            assert cluster.health.transport_failures == replication_factor
+            floor = replication_factor * self.RPC_TIMEOUT_SECONDS
+            assert floor * 0.9 <= elapsed < floor + 1.0
         finally:
+            released.set()
             deployment.shutdown()
 
 

@@ -30,7 +30,7 @@ from repro.comm import wire
 from repro.comm.multicast import InvalidationMessage
 from repro.db.invalidation import InvalidationTag
 from repro.interval import Interval
-from tests.helpers import NODE_HOSTINGS, live_node, lookup_one
+from tests.helpers import NODE_HOSTINGS, live_node, lookup_one, recv_exactly
 
 
 def make_server(name="node"):
@@ -607,9 +607,9 @@ def _dial_binary(address):
 
 
 def _read_mux_response(sock):
-    header = wire.recv_exactly(sock, wire.MUX_HEADER.size)
+    header = recv_exactly(sock, wire.MUX_HEADER.size)
     request_id, opcode, length = wire.MUX_HEADER.unpack(header)
-    body = wire.recv_exactly(sock, length)
+    body = recv_exactly(sock, length)
     return request_id, opcode, wire.decode_binary_body(body)
 
 

@@ -44,7 +44,7 @@ from repro.cache.server import SCAN_PAGE_KEYS, CacheServer
 from repro.comm import wire
 from repro.db.invalidation import InvalidationTag
 from repro.interval import Interval
-from tests.helpers import NODE_HOSTINGS, live_node, lookup_one
+from tests.helpers import NODE_HOSTINGS, live_node, lookup_one, recv_exactly
 
 OP = wire.OPCODES
 NODE_NAME = "node"
@@ -112,9 +112,9 @@ def binary_request(request_id, op, args) -> bytes:
 def read_reply(sock):
     """One response frame as ``(request_id, opcode byte, raw body)``."""
     request_id, opcode, length = wire.MUX_HEADER.unpack(
-        wire.recv_exactly(sock, wire.MUX_HEADER.size)
+        recv_exactly(sock, wire.MUX_HEADER.size)
     )
-    return request_id, opcode, wire.recv_exactly(sock, length)
+    return request_id, opcode, recv_exactly(sock, length)
 
 
 def outcome(sock):
