@@ -90,7 +90,6 @@ from typing import (
     TYPE_CHECKING,
     Callable,
     Dict,
-    FrozenSet,
     List,
     NamedTuple,
     Optional,
@@ -716,7 +715,7 @@ class CacheCluster:
         key: str,
         value: object,
         interval: Interval,
-        tags: FrozenSet[InvalidationTag] = frozenset(),
+        tags: Tuple[InvalidationTag, ...] = (),
     ) -> PutOutcome:
         """Insert one version of ``key`` on its full replica set.
 

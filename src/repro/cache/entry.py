@@ -5,7 +5,7 @@ from __future__ import annotations
 import pickle
 import struct
 from dataclasses import dataclass
-from typing import Any, Callable, FrozenSet, Optional, Tuple
+from typing import Any, Callable, Optional, Tuple
 
 from repro._compat import DATACLASS_SLOTS
 from repro.db.invalidation import InvalidationTag
@@ -56,7 +56,7 @@ _F_RAW_UNBOUNDED = 128
 
 _new = object.__new__
 _set = object.__setattr__
-_EMPTY_TAGS: FrozenSet[InvalidationTag] = frozenset()
+_EMPTY_TAGS: Tuple[InvalidationTag, ...] = ()
 
 #: Fixed per-entry bookkeeping overhead charged against the byte budget, in
 #: addition to the serialized size of the key and value.
@@ -112,14 +112,15 @@ class CacheEntry:
         interval: validity interval of the value.  An unbounded interval
             means the value was current when inserted and the entry is
             *still-valid*: invalidation messages may later truncate it.
-        tags: invalidation tags (only meaningful for still-valid entries).
+        tags: invalidation tags, as the tuple they were read as (only a
+            still-valid entry has any).
         size: charged size in bytes.
     """
 
     key: str
     value: Any
     interval: Interval
-    tags: FrozenSet[InvalidationTag] = frozenset()
+    tags: Tuple[InvalidationTag, ...] = ()
     size: int = 0
 
     @property
@@ -155,7 +156,7 @@ class EntryRecord:
     key: str
     value: Any
     interval: Interval
-    tags: FrozenSet[InvalidationTag] = frozenset()
+    tags: Tuple[InvalidationTag, ...] = ()
 
     # ------------------------------------------------------------------
     # Binary wire codec (see repro.comm.wire)
@@ -209,7 +210,7 @@ class EntryRecord:
         _set(record, "key", key)
         _set(record, "value", value)
         _set(record, "interval", interval)
-        _set(record, "tags", frozenset(tags))
+        _set(record, "tags", tuple(tags))
         return record, offset
 
 
@@ -365,7 +366,7 @@ class LookupResult:
     #: functions.
     raw_interval: Optional[Interval] = None
     #: Invalidation tags of the returned entry (still-valid entries only).
-    tags: FrozenSet[InvalidationTag] = frozenset()
+    tags: Tuple[InvalidationTag, ...] = ()
     #: True if the key has ever been stored on the contacted server; used by
     #: the client library to classify misses (compulsory vs other).
     key_ever_stored: bool = False
@@ -515,18 +516,18 @@ class LookupResult:
                     raw_interval = _new(Interval)
                     raw_interval.lo = lo
                     raw_interval.hi = hi
-        tags: FrozenSet[InvalidationTag] = _EMPTY_TAGS
+        tags: Tuple[InvalidationTag, ...] = _EMPTY_TAGS
         if tag_count == 1:
             # One tag is the overwhelmingly common hit shape (one table/
             # column pair invalidates the entry); skip the list round trip.
             tag, offset = dec_value(buf, offset)
-            tags = frozenset((tag,))
+            tags = (tag,)
         elif tag_count:
             items = []
             for _ in range(tag_count):
                 tag, offset = dec_value(buf, offset)
                 items.append(tag)
-            tags = frozenset(items)
+            tags = tuple(items)
         value, offset = dec_value(buf, offset)
         result = _new(cls)
         result.hit = True if flags & 1 else False

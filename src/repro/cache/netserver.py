@@ -60,7 +60,7 @@ import selectors
 import socket
 import threading
 import time
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cache.entry import CacheEntry, EntryRecord, LookupRequest, LookupResult, ValueBlob
 from repro.cache.server import CacheServer, CacheServerStats
@@ -816,8 +816,8 @@ class SocketTransport:
     A connection that suffers any I/O failure (or a response timeout) is
     discarded, never reused, and the failure surfaces as
     :class:`CacheNodeUnreachableError`; the next call dials afresh.
-    ``connect_timeout_seconds`` bounds dialling and ``timeout_seconds``
-    bounds each RPC, so a hung node cannot strand a worker thread.
+    ``timeout_seconds`` bounds dialling and each RPC, so a hung node
+    cannot strand a worker thread.
     :meth:`close` is idempotent.
     """
 
@@ -826,11 +826,9 @@ class SocketTransport:
         address: Tuple[str, int],
         name: Optional[str] = None,
         timeout_seconds: float = 30.0,
-        connect_timeout_seconds: float = 5.0,
     ) -> None:
         self.address = address
         self.timeout_seconds = timeout_seconds
-        self.connect_timeout_seconds = connect_timeout_seconds
         #: Guards the connection and the closed flag (never held during I/O).
         self._lock = threading.Lock()
         self._connection: Optional[_MuxConnection] = None
@@ -851,9 +849,7 @@ class SocketTransport:
     def _dial(self) -> socket.socket:
         label = getattr(self, "name", None) or str(self.address)
         try:
-            sock = socket.create_connection(
-                self.address, timeout=self.connect_timeout_seconds
-            )
+            sock = socket.create_connection(self.address, timeout=self.timeout_seconds)
         except OSError as exc:
             raise CacheNodeUnreachableError(
                 f"cache node at {self.address} unreachable: {exc}",
@@ -935,7 +931,7 @@ class SocketTransport:
         key: str,
         value: object,
         interval: Interval,
-        tags: FrozenSet[InvalidationTag] = frozenset(),
+        tags: Tuple[InvalidationTag, ...] = (),
     ) -> bool:
         return self._call("put", key, ValueBlob.pack(value), interval, tags)
 

@@ -58,7 +58,7 @@ import heapq
 import threading
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import Deque, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Deque, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.cache.entry import (
     CacheEntry,
@@ -148,6 +148,15 @@ def _discard_from(index: Dict, slot, key: str) -> None:
             del index[slot]
 
 
+def _keys_of(bucket) -> Iterable[str]:
+    """The keys of a ``_tag_index`` bucket: a lone key or a set of them."""
+    if bucket is None:
+        return ()
+    if type(bucket) is str:
+        return (bucket,)
+    return bucket
+
+
 @dataclass
 class CacheServerStats:
     """Counters exposed by a cache server."""
@@ -216,14 +225,15 @@ class CacheServer:
         #: LRU ordering over keys (most recently used last): exactly the
         #: keys of ``_entries``.
         self._lru: "OrderedDict[str, None]" = OrderedDict()
-        #: precise tag -> keys of still-valid entries depending on it.
-        self._tag_index: Dict[InvalidationTag, Set[str]] = {}
+        #: precise tag -> the keys of still-valid entries depending on it: a
+        #: lone key bare, two or more as a set.  Most tags name one row, read
+        #: by one cached call, and a bare key costs no set.
+        self._tag_index: Dict[InvalidationTag, Union[str, Set[str]]] = {}
         #: table name -> keys of still-valid entries holding that table's
         #: wildcard tag (a precise invalidation affects these as well).
+        #: A wildcard invalidation of a table reaches these and the keys of
+        #: the table's precise tags in ``_tag_index``.
         self._wildcard_index: Dict[str, Set[str]] = {}
-        #: table name -> keys of still-valid entries with any tag on it
-        #: (needed to resolve wildcard invalidations).
-        self._table_index: Dict[str, Set[str]] = {}
         #: every key ever stored (for compulsory-miss classification).
         self._keys_ever_stored: Set[str] = set()
         #: highest invalidation timestamp processed so far.
@@ -548,7 +558,7 @@ class CacheServer:
         key: str,
         value: object,
         interval: Interval,
-        tags: FrozenSet[InvalidationTag] = frozenset(),
+        tags: Iterable[InvalidationTag] = (),
     ) -> bool:
         """Insert one version of ``key``.
 
@@ -560,6 +570,9 @@ class CacheServer:
         only matching invalidations are at or before its lower bound is
         stored still valid, because it was read from those commits'
         results (:func:`_can_end`).
+
+        A still-valid entry keeps ``tuple(tags)``, whatever collection they
+        came in; a bounded one keeps none.
         """
         if interval.empty:
             self.stats.rejected_insertions += 1
@@ -587,7 +600,7 @@ class CacheServer:
             key=key,
             value=value,
             interval=interval,
-            tags=tags if interval.unbounded else frozenset(),
+            tags=tuple(tags) if interval.unbounded else (),
             size=estimate_size(key, value),
         )
         if not versions:
@@ -698,14 +711,20 @@ class CacheServer:
         timestamp = message.timestamp
         affected_keys: Set[str] = set()
         grown = self._record_invalidations(message.tags, timestamp)
+        tag_index = self._tag_index
         for tag in message.tags:
             if tag.is_wildcard:
-                affected_keys.update(self._table_index.get(tag.table, ()))
+                # Every entry with a tag on the table: a walk of the precise
+                # tags, on a message no workload sends.
+                table = tag.table
+                for precise, bucket in tag_index.items():
+                    if precise.table == table:
+                        affected_keys.update(_keys_of(bucket))
             else:
-                affected_keys.update(self._tag_index.get(tag, ()))
-                # A precise update also affects entries that depend on a
-                # wildcard (scan) of the same table.
-                affected_keys.update(self._wildcard_index.get(tag.table, ()))
+                affected_keys.update(_keys_of(tag_index.get(tag)))
+            # Either kind also affects entries that depend on a wildcard
+            # (scan) of the same table.
+            affected_keys.update(self._wildcard_index.get(tag.table, ()))
         if grown:
             unpruned = self._unpruned
             if not unpruned or unpruned[-1][0] <= timestamp:
@@ -817,21 +836,37 @@ class CacheServer:
             ]
             heapq.heapify(expiring)
 
-    def _index_tags(self, key: str, tags: FrozenSet[InvalidationTag]) -> None:
+    def _index_tags(self, key: str, tags: Iterable[InvalidationTag]) -> None:
+        tag_index = self._tag_index
         for tag in tags:
             if tag.is_wildcard:
                 self._wildcard_index.setdefault(tag.table, set()).add(key)
+                continue
+            bucket = tag_index.get(tag)
+            if bucket is None:
+                tag_index[tag] = key
+            elif type(bucket) is str:
+                if bucket != key:
+                    tag_index[tag] = {bucket, key}
             else:
-                self._tag_index.setdefault(tag, set()).add(key)
-            self._table_index.setdefault(tag.table, set()).add(key)
+                bucket.add(key)
 
-    def _unindex_tags(self, key: str, tags: FrozenSet[InvalidationTag]) -> None:
+    def _unindex_tags(self, key: str, tags: Iterable[InvalidationTag]) -> None:
+        tag_index = self._tag_index
         for tag in tags:
             if tag.is_wildcard:
                 _discard_from(self._wildcard_index, tag.table, key)
+                continue
+            bucket = tag_index.get(tag)
+            if bucket is None:
+                continue
+            if type(bucket) is str:
+                if bucket == key:
+                    del tag_index[tag]
             else:
-                _discard_from(self._tag_index, tag, key)
-            _discard_from(self._table_index, tag.table, key)
+                bucket.discard(key)
+                if len(bucket) == 1:
+                    tag_index[tag] = bucket.pop()
 
     def _truncate_still_valid(self, key: str, timestamp: int) -> None:
         """End every still-valid version of ``key`` born before ``timestamp``.
@@ -848,7 +883,7 @@ class CacheServer:
             if _can_end(timestamp, entry.interval.lo):
                 self._unindex_tags(key, entry.tags)
                 entry.interval = entry.interval.truncate(timestamp)
-                entry.tags = frozenset()
+                entry.tags = ()
                 heapq.heappush(self._expiring, (timestamp, key))
                 self._bounded_versions += 1
                 self.stats.entries_invalidated += 1
@@ -860,7 +895,7 @@ class CacheServer:
             self._index_tags(key, entry.tags)
 
     def _first_invalidation_after(
-        self, tags: FrozenSet[InvalidationTag], lo: int
+        self, tags: Iterable[InvalidationTag], lo: int
     ) -> Optional[int]:
         """Earliest processed invalidation of ``tags`` that can end ``[lo, inf)``.
 

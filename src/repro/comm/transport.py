@@ -47,7 +47,6 @@ from __future__ import annotations
 
 from typing import (
     TYPE_CHECKING,
-    FrozenSet,
     List,
     Optional,
     Protocol,
@@ -133,7 +132,7 @@ class CacheTransport(Protocol):
         key: str,
         value: object,
         interval: Interval,
-        tags: FrozenSet[InvalidationTag] = frozenset(),
+        tags: Tuple[InvalidationTag, ...] = (),
     ) -> bool:
         """Insert one version of ``key``; True if it was stored.
 
@@ -264,7 +263,7 @@ class InProcessTransport:
         key: str,
         value: object,
         interval: Interval,
-        tags: FrozenSet[InvalidationTag] = frozenset(),
+        tags: Tuple[InvalidationTag, ...] = (),
     ) -> bool:
         counts = self.op_counts
         counts["put"] = counts.get("put", 0) + 1

@@ -505,7 +505,7 @@ class TxCacheClient:
         finally:
             state.frames.pop()
         interval = frame.validity
-        tags = frozenset(frame.tags) if interval.unbounded else frozenset()
+        tags = tuple(frame.tags) if interval.unbounded else ()
         # A replicated put fans out to the key's replica set, so it costs one
         # round trip per replica actually in the ring (one with
         # replication_factor=1, the paper's deployment; fewer than R after a

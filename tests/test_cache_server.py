@@ -85,7 +85,7 @@ class TestVersionedLookup:
         server.note_timestamp(5)
         result = server.lookup("k", 2, 5)
         assert result.raw_interval == Interval(2, None)
-        assert result.tags == tags
+        assert set(result.tags) == tags
 
 
 class TestPut:
@@ -141,8 +141,8 @@ class TestPut:
         server.put("k", "v-from-ts-5", Interval(5), tags=tags)
         entry = server.versions_of("k")[0]
         assert entry.interval == Interval(5)
-        assert entry.tags == tags
-        assert server._tag_index == {tag(1): {"k"}}
+        assert set(entry.tags) == tags
+        assert _tag_index_as_sets(server) == {tag(1): {"k"}}
         # The next invalidation of the tag is the one that ends it.
         invalidate(server, 8, tag(1))
         assert server.versions_of("k")[0].interval == Interval(5, 8)
@@ -190,8 +190,8 @@ class TestInvalidationProcessing:
         invalidate(server, 5, tag(1))
         entry = server.versions_of("k")[0]
         assert entry.interval == Interval(5)
-        assert entry.tags == tags
-        assert server._tag_index == {tag(1): {"k"}}
+        assert set(entry.tags) == tags
+        assert _tag_index_as_sets(server) == {tag(1): {"k"}}
         assert server.stats.entries_invalidated == 0
         invalidate(server, 6, tag(1))
         entry = server.versions_of("k")[0]
@@ -245,6 +245,44 @@ class TestInvalidationProcessing:
         assert server.versions_of("a")[0].interval.hi == 9
         assert server.versions_of("b")[0].interval.hi == 9
 
+    def test_wildcard_invalidation_ends_every_entry_with_a_tag_on_its_table(self, server):
+        """``users:?`` reaches a lone key's tag, a shared tag and a
+        ``users:?``-tagged entry alike; it spares other tables, and entries
+        born at or after it."""
+        users_scan = InvalidationTag.wildcard("users")
+        server.put("lone", 1, Interval(2), tags=(tag(1),))
+        server.put("shared-a", 2, Interval(2), tags=(tag(2),))
+        server.put("shared-b", 3, Interval(3), tags=(tag(2), tag(5, table="items")))
+        server.put("scan", 4, Interval(2), tags=(users_scan,))
+        server.put("items", 5, Interval(2), tags=(tag(1, table="items"),))
+        server.put("items-scan", 6, Interval(2), tags=(InvalidationTag.wildcard("items"),))
+        server.put("born-at", 7, Interval(9), tags=(tag(3),))
+        server.put("born-after", 8, Interval(10), tags=(users_scan,))
+        invalidate(server, 9, users_scan)
+        ends = {key: server.versions_of(key)[0].interval.hi for key in server.keys()}
+        assert ends == {
+            "lone": 9, "shared-a": 9, "shared-b": 9, "scan": 9,
+            "items": None, "items-scan": None, "born-at": None, "born-after": None,
+        }
+        assert server.stats.entries_invalidated == 4
+        _assert_indexes_match_store(server)
+
+    def test_a_tags_lone_key_is_kept_bare(self, server):
+        """A tag indexes one key as the key itself, switches to a set at its
+        second key, back to the bare key at one, and leaves the index with
+        its last."""
+        server.put("a", 1, Interval(2), tags=(tag(1), tag(2)))
+        assert server._tag_index == {tag(1): "a", tag(2): "a"}
+        server.put("b", 2, Interval(2), tags=(tag(1),))
+        server.put("c", 3, Interval(2), tags=(tag(1),))
+        assert server._tag_index == {tag(1): {"a", "b", "c"}, tag(2): "a"}
+        invalidate(server, 5, tag(2))
+        assert server._tag_index == {tag(1): {"b", "c"}}
+        server.discard_keys(["b"])
+        assert server._tag_index == {tag(1): "c"}
+        server.discard_keys(["c"])
+        assert server._tag_index == {}
+
 
 def _still_valid_entries(server):
     return [
@@ -255,19 +293,27 @@ def _still_valid_entries(server):
     ]
 
 
+def _tag_index_as_sets(server):
+    """``_tag_index`` with each bucket as a set: a lone key is kept bare."""
+    return {
+        t: {bucket} if isinstance(bucket, str) else set(bucket)
+        for t, bucket in server._tag_index.items()
+    }
+
+
 def _assert_indexes_match_store(server):
-    """The three tag indexes hold exactly the still-valid entries' tags."""
-    precise, wildcard, by_table = {}, {}, {}
+    """The two tag indexes hold exactly the still-valid entries' tags."""
+    precise, wildcard = {}, {}
     for entry in _still_valid_entries(server):
         for t in entry.tags:
             if t.is_wildcard:
                 wildcard.setdefault(t.table, set()).add(entry.key)
             else:
                 precise.setdefault(t, set()).add(entry.key)
-            by_table.setdefault(t.table, set()).add(entry.key)
-    assert server._tag_index == precise
+    assert _tag_index_as_sets(server) == precise
     assert server._wildcard_index == wildcard
-    assert server._table_index == by_table
+    # A tag's lone key is bare, whichever way the tag came to have one.
+    assert all(isinstance(b, str) or len(b) > 1 for b in server._tag_index.values())
 
 
 class TestInvalidationIndexAgainstOracle:

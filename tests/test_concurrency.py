@@ -304,7 +304,6 @@ def test_socket_transport_read_timeout_surfaces_as_unreachable():
         transport = SocketTransport.__new__(SocketTransport)
         transport.address = address
         transport.timeout_seconds = 0.2
-        transport.connect_timeout_seconds = 0.5
         transport._lock = threading.Lock()
         transport._connection = None
         transport._closed = False

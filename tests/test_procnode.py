@@ -260,6 +260,30 @@ def test_a_failed_first_dial_leaves_no_node_running(transport, monkeypatch):
     assert all(_port_refuses(address) for address in dials)
 
 
+@pytest.mark.parametrize("transport", ["socket", "socket-process"])
+def test_the_deployments_rpc_timeout_bounds_every_dial(transport, monkeypatch):
+    """A node that will not take a connection costs a dial at most the one
+    timeout the deployment sets, as an RPC it will not answer does."""
+    from repro.deployment import TxCacheDeployment
+
+    connect = socket.create_connection
+    timeouts = []
+
+    def recording_connect(address, timeout=None, *args, **kwargs):
+        timeouts.append(timeout)
+        return connect(address, timeout, *args, **kwargs)
+
+    monkeypatch.setattr(socket, "create_connection", recording_connect)
+    deployment = TxCacheDeployment(
+        transport=transport, cache_nodes=2, rpc_timeout_seconds=0.3, supervision=False
+    )
+    try:
+        assert timeouts == [0.3, 0.3]
+        assert all(t.timeout_seconds == 0.3 for t in deployment.cache._transports.values())
+    finally:
+        deployment.shutdown()
+
+
 # ----------------------------------------------------------------------
 # Wire-delivered invalidations: truncation parity with in-process delivery
 # ----------------------------------------------------------------------

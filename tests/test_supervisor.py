@@ -407,7 +407,7 @@ class TestErrorTaxonomy:
             # The transport dials eagerly; a refused port surfaces either
             # here or on the first RPC.
             SocketTransport(
-                ("127.0.0.1", port), name="ghost", connect_timeout_seconds=1.0
+                ("127.0.0.1", port), name="ghost", timeout_seconds=1.0
             ).watermark()
         assert type(excinfo.value) is CacheNodeUnreachableError
         assert excinfo.value.node is not None

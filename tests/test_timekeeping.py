@@ -105,7 +105,6 @@ def _state(server):
         "used_bytes": server._used_bytes,
         "tag_index": server._tag_index,
         "wildcard_index": server._wildcard_index,
-        "table_index": server._table_index,
         "tag_invalidations": server._tag_invalidations,
         "table_invalidations": server._table_invalidations,
         "watermark": server.last_invalidation_timestamp,
