@@ -43,44 +43,42 @@ operation, which no other Python thread can interleave with:
 
 * a version's ``xmin`` and ``xmax`` are single attribute loads, and a
   commit stamps them with single reference stores;
-* ``Table.scan_versions`` copies the row slots with one
-  ``list(dict.values())`` and each list slot with one ``list.extend``;
-  ``Table.versions_of`` and ``current_version_of`` read a slot with one
-  ``dict.get`` and copy a list slot with one slice;
-* ``HashIndex.lookup`` and ``walk`` read a bucket with one ``dict.get``
-  and copy a list bucket with one slice (``walk`` reads ``_mixed`` after
-  its copy: a writer marks a key before it publishes the version that
-  mixes it);
-* a lone version (a row's slot or a key's bucket) is a single reference:
-  a reader holds either the lone version or the list that replaced it,
-  and both hold every version a snapshot older than the write can see.
+* a table's rows are its primary-key index's buckets:
+  ``Table.scan_versions`` (``HashIndex.versions``) copies the buckets with
+  one ``list(dict.values())`` and each list bucket with one
+  ``list.extend``;
+* ``HashIndex.lookup`` and ``walk`` (and so ``Table.versions_of`` and
+  ``current_version_of``) read a bucket with one ``dict.get`` and copy a
+  list bucket with one slice (``walk`` reads ``_mixed`` after its copy: a
+  writer marks a key before it publishes the version that mixes it);
+* a key's lone version is a single reference: a reader holds either the
+  lone version or the list that replaced it, and both hold every version
+  a snapshot older than the write can see.
 
 *Writers* — a read/write transaction's ``insert``, ``update`` and
 ``delete``, ``abort``, and ``bulk_load`` — add and drop versions outside
 the commit lock:
 
-* a new row's id is one ``next()`` on the table's ``itertools.count``;
-* a row's slot is changed only by the writer that drew its id or that
-  holds the write claim on its current version (``xmax`` set to its
-  mark), so one thread at a time turns a lone version into a list or
-  appends to it; a list never turns back into a lone version, so no
-  append lands on a list that has left the table.  The claim itself is
-  not yet one step: ``_claim_for_write`` reads ``xmax`` and then stores
-  the mark, so two writers that both read ``None`` both claim the row;
-* each index's buckets and ``_mixed`` marks change only under that
-  index's own lock (``HashIndex._lock``): bucket creation, the
-  lone-to-list upgrade (the unique check and the ``_mixed`` mark come
-  before the list is published), an append, and ``remove``'s
-  empty-check-and-delete are each one critical section;
+* each index's buckets and ``_mixed`` marks, the primary key's (the rows)
+  included, change only under that index's own lock
+  (``HashIndex._lock``): bucket creation, the lone-to-list upgrade (the
+  unique check and the ``_mixed`` mark come before the list is
+  published), an append, and ``remove``'s empty-check-and-delete are each
+  one critical section.  A list never turns back into a lone version, and
+  a bucket emptied and deleted is created afresh by the next insert, so
+  no append lands on a list that has left the index.  That lock is the
+  one rule for writers of storage;
+* a row's next version is added only by the writer that holds the write
+  claim on its current version (``xmax`` set to its mark), taken by
+  ``_claim_for_write`` under the commit lock;
 * ``commit`` stamps ``xmin`` and ``xmax``, appends to :attr:`superseded`
   and enqueues invalidations under the commit lock.
 
 *Vacuum* runs under the commit lock, so no commit interleaves with it, and
 removes only versions superseded at or before its horizon: never a row's
-current version, so a row being updated keeps its slot.  It drops a
-version from its row's slot (one ``list.remove``, or one ``del`` of a
-slot no writer can reach) and from each index under that index's lock.
-An abort removes its own uncommitted versions the same way.
+current version, so a row being updated keeps its bucket.  It drops a
+version from each index, its row's bucket included, under that index's
+lock.  An abort removes its own uncommitted versions the same way.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ nothing more precisely.
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, Iterator, List, Set, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Set, Tuple, Union
 
 from repro.db.errors import ConstraintError
 from repro.db.schema import IndexSpec
@@ -31,11 +31,11 @@ class HashIndex:
     """Equality-only index from column value to tuple versions.
 
     ``_buckets`` maps a key to its one version, or to a list of its
-    versions, oldest first, once it has a second, as ``Table._rows`` does
-    for a row: most keys never get one.  A list never turns back into a
-    lone version.  Writers and vacuum change the buckets under
-    :attr:`_lock`; readers take no lock (see "Storage concurrency" in
-    :mod:`repro.db.database`).
+    versions, oldest first, once it has a second: most keys never get one.
+    A list never turns back into a lone version.  A table's primary-key
+    index is its row store: a row is its key's bucket.  Writers and vacuum
+    change the buckets under :attr:`_lock`; readers take no lock (see
+    "Storage concurrency" in :mod:`repro.db.database`).
     """
 
     def __init__(self, spec: IndexSpec, position: int) -> None:
@@ -46,9 +46,11 @@ class HashIndex:
         self.unique = spec.unique
         #: key -> its one version, or a list of its versions, oldest first.
         self._buckets: Dict[Any, Union[TupleVersion, List[TupleVersion]]] = {}
-        #: Keys of a unique index whose bucket has held versions of more
-        #: than one row (a deleted key inserted again).  Every other bucket
-        #: of a unique index holds one row's versions, oldest first.
+        #: Keys of a unique index whose bucket has taken a version that was
+        #: not the next version of a row already under the key (a deleted
+        #: key inserted again, or an update that moved a row to the key).
+        #: Every other bucket of a unique index holds one row's versions,
+        #: oldest first.
         self._mixed: Set[Any] = set()
         #: Held by every change to ``_buckets`` and ``_mixed``.
         self._lock = threading.Lock()
@@ -60,12 +62,15 @@ class HashIndex:
         """The indexed column's value in ``version``."""
         return version.values[self.position]
 
-    def insert(self, version: TupleVersion) -> None:
+    def insert(self, version: TupleVersion, prior: Optional[TupleVersion] = None) -> None:
         """Index a newly created tuple version.
 
-        A unique index refuses a second *current* row for one key: a version
-        no transaction deleted, or one deleted by a transaction still in
-        flight other than the inserting one (that delete may yet abort).
+        ``prior`` is the version ``version`` supersedes (an UPDATE), if any;
+        where both carry the same key, ``version`` is the next version of
+        the row already under it.  A unique index refuses a second *current*
+        row for one key: a version other than ``prior`` that no transaction
+        deleted, or one deleted by a transaction still in flight other than
+        the inserting one (that delete may yet abort).
         """
         key = version.values[self.position]  # key_of, inline: a load runs this per index per row
         buckets = self._buckets
@@ -79,13 +84,15 @@ class HashIndex:
                 buckets[key] = version
                 return
             lone = type(bucket) is not list
-            first = bucket if lone else bucket[0]
-            if self.unique and (key in self._mixed or first.row_id != version.row_id):
-                # A bucket of this row's own versions cannot conflict: an update.
+            if self.unique and (
+                prior is None or key in self._mixed or prior.values[self.position] != key
+            ):
+                # A bucket of one row's versions cannot conflict with the
+                # row's next version: an update that keeps the key.
                 inserter = version.xmin
                 for existing in (bucket,) if lone else bucket:
                     xmax = existing.xmax
-                    if existing.row_id != version.row_id and (
+                    if existing is not prior and (
                         xmax is None or (type(xmax) is UncommittedMark and xmax != inserter)
                     ):
                         raise ConstraintError(
@@ -152,9 +159,24 @@ class HashIndex:
                 return versions, True
         return bucket[:], False
 
+    def versions(self) -> List[TupleVersion]:
+        """Every indexed version, key by key, each key's oldest first."""
+        versions: List[TupleVersion] = []
+        append, extend = versions.append, versions.extend
+        for bucket in list(self._buckets.values()):
+            if type(bucket) is list:
+                extend(bucket)
+            else:
+                append(bucket)
+        return versions
+
     def keys(self) -> Iterator[Any]:
         """Iterate over distinct indexed keys."""
         return iter(list(self._buckets))
+
+    def key_count(self) -> int:
+        """Number of distinct indexed keys."""
+        return len(self._buckets)
 
     def __len__(self) -> int:
         return sum(

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-import itertools
 from operator import itemgetter
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.db.errors import ConstraintError, UnknownIndexError
 from repro.db.index import HashIndex
@@ -35,20 +34,22 @@ class Table:
 
     History
     -------
-    ``_rows`` maps a row id to its one version, or to a list of its
-    versions, oldest first, once it has a second.  Most rows never get one,
-    and a list per row would cost more than the row's values.  A list never
-    turns back into a lone version.  Which thread may change a slot, and
-    why readers need no lock, is "Storage concurrency" in
+    A row is its primary-key value, and the primary key's unique index is
+    the table's one row store: its bucket for a key holds the key's one
+    version, or a list of its versions, oldest first, once it has a second.
+    Most rows never get one, and a list per row would cost more than the
+    row's values.  An UPDATE that keeps the key appends the row's next
+    version to the key's bucket; one that changes the key stores its
+    version as a new row under the new key, so the old key's row ends
+    where the new key's row begins.  A deleted key inserted again shares
+    its bucket with the rows it held before.  Which thread may change a
+    bucket, and why readers need no lock, is "Storage concurrency" in
     :mod:`repro.db.database`.
     """
 
     def __init__(self, schema: TableSchema) -> None:
         self.schema = schema
         self.name = schema.name
-        self._row_counter = itertools.count(1)
-        #: row_id -> its one version, or a list of its versions, oldest first.
-        self._rows: Dict[int, Union[TupleVersion, List[TupleVersion]]] = {}
         #: The column names in schema order: the order of every version's values.
         self.columns: Tuple[str, ...] = tuple(schema.column_names)
         #: Column name -> position in a version's values.
@@ -65,6 +66,8 @@ class Table:
         self._indexes: Dict[str, HashIndex] = {}
         for spec in schema.all_index_specs():
             self._indexes[spec.column] = HashIndex(spec, self.positions[spec.column])
+        #: The primary key's index: the row store.
+        self._primary = self._indexes[schema.primary_key]
         #: The indexed column names, in index order (fixed by the schema).
         self.indexed_columns = tuple(self._indexes)
         #: ``(column, position)`` of each indexed column, in index order.
@@ -101,16 +104,17 @@ class Table:
         return column in self._indexes
 
     def row_count(self) -> int:
-        """Number of logical rows (including rows with only dead versions)."""
-        return len(self._rows)
+        """Number of stored primary-key values (including keys with only
+        dead versions)."""
+        return self._primary.key_count()
 
     def version_count(self) -> int:
         """Total number of stored tuple versions."""
-        return sum(len(slot) if type(slot) is list else 1 for slot in list(self._rows.values()))
+        return len(self._primary)
 
     def current_row_count(self) -> int:
         """Number of rows that still have a current (undeleted) version."""
-        return sum(1 for row_id in list(self._rows) if self.current_version_of(row_id) is not None)
+        return sum(1 for key in self._primary.keys() if self.current_version_of(key) is not None)
 
     # ------------------------------------------------------------------
     # Version creation / stamping
@@ -123,8 +127,10 @@ class Table:
         Without ``prior`` the version is a fresh logical row (an INSERT):
         ``values`` maps column names to values, and a column it leaves out
         is stored as ``None``.  With ``prior``, the row's current version,
-        it is that row's next version (an UPDATE): ``values`` holds only the
-        changed columns and the rest are ``prior``'s.
+        it supersedes ``prior`` (an UPDATE): ``values`` holds only the
+        changed columns and the rest are ``prior``'s.  It is the row's next
+        version if it keeps the primary key, and a new row under the new
+        key if it does not.
 
         A value that does not fit its column raises the column's
         ``TypeError`` (checked in schema order), an unknown column
@@ -153,48 +159,24 @@ class Table:
             positions = self.positions
             for name, value in values.items():
                 row[positions[name]] = value
-            version = TupleVersion(prior.row_id, tuple(row), xmin)
+            version = TupleVersion(tuple(row), xmin)
         elif len(values) == len(self.columns):
-            version = TupleVersion(next(self._row_counter), self._pick(values), xmin)
+            version = TupleVersion(self._pick(values), xmin)
         else:
-            version = TupleVersion(next(self._row_counter), tuple(map(get, self.columns)), xmin)
+            version = TupleVersion(tuple(map(get, self.columns)), xmin)
         try:
             for index in self._indexes.values():
-                index.insert(version)
+                index.insert(version, prior)
         except ConstraintError:
             for done in self._indexes.values():
                 if done is index:
                     break
                 done.remove(version)
             raise
-        rows = self._rows
-        row_id = version.row_id
-        slot = rows.get(row_id)
-        if slot is None:
-            rows[row_id] = version
-        elif type(slot) is list:
-            slot.append(version)
-        else:
-            rows[row_id] = [slot, version]
         return version
 
     def remove_version(self, version: TupleVersion) -> None:
         """Physically remove a version (used by abort cleanup and vacuum)."""
-        row_id = version.row_id
-        slot = self._rows.get(row_id)
-        if slot is None:
-            return
-        if type(slot) is list:
-            try:
-                slot.remove(version)
-            except ValueError:
-                return
-            if not slot:
-                del self._rows[row_id]
-        elif slot is version:
-            del self._rows[row_id]
-        else:
-            return
         for index in self._indexes.values():
             index.remove(version)
 
@@ -202,36 +184,21 @@ class Table:
     # Scans
     # ------------------------------------------------------------------
     def scan_versions(self) -> List[TupleVersion]:
-        """Every stored version, row by row, each row's oldest first.
+        """Every stored version, key by key, each key's oldest first.
 
         Safe beside writers and vacuum: see "Storage concurrency" in
         :mod:`repro.db.database`.
         """
-        versions: List[TupleVersion] = []
-        append, extend = versions.append, versions.extend
-        for slot in list(self._rows.values()):
-            if type(slot) is list:
-                extend(slot)
-            else:
-                append(slot)
-        return versions
+        return self._primary.versions()
 
-    def versions_of(self, row_id: int) -> List[TupleVersion]:
-        """All versions of one logical row, oldest first."""
-        slot = self._rows.get(row_id)
-        if slot is None:
-            return []
-        if type(slot) is list:
-            return slot[:]
-        return [slot]
+    def versions_of(self, key: Any) -> List[TupleVersion]:
+        """All versions stored under primary-key value ``key``, oldest first."""
+        return self._primary.lookup(key)
 
-    def current_version_of(self, row_id: int) -> Optional[TupleVersion]:
-        """The current (undeleted) version of a row, if any."""
-        slot = self._rows.get(row_id)
-        if type(slot) is list:
-            tail = slot[-1:]  # one slice: see "Storage concurrency" in database.py
-            slot = tail[0] if tail else None
-        return slot if slot is not None and slot.is_current() else None
+    def current_version_of(self, key: Any) -> Optional[TupleVersion]:
+        """The current (undeleted) version of the row with primary key ``key``, if any."""
+        versions = self._primary.lookup(key)
+        return versions[-1] if versions and versions[-1].is_current() else None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Table {self.name} rows={self.row_count()} versions={self.version_count()}>"

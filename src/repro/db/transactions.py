@@ -26,6 +26,7 @@ from repro.db.tuples import TupleVersion, UncommittedMark
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.db.database import Database
+    from repro.db.table import Table
 
 __all__ = ["ReadWriteTransaction", "ReadOnlyTransaction"]
 
@@ -121,7 +122,7 @@ class ReadWriteTransaction(_BaseTransaction):
         table = self._db.table(table_name)
         targets = self._visible_matching(table_name, predicate)
         for old in targets:
-            self._claim_for_write(old)
+            self._claim_for_write(table, old)
             try:
                 new_version = table.add_version(changes, xmin=self._mark, prior=old)
             except BaseException:
@@ -134,9 +135,10 @@ class ReadWriteTransaction(_BaseTransaction):
     def delete(self, table_name: str, predicate: Predicate) -> int:
         """Delete every visible row matching ``predicate``; returns the count."""
         self._check_active()
+        table = self._db.table(table_name)
         targets = self._visible_matching(table_name, predicate)
         for old in targets:
-            self._claim_for_write(old)
+            self._claim_for_write(table, old)
             self._deleted.append((table_name, old))
         return len(targets)
 
@@ -204,8 +206,9 @@ class ReadWriteTransaction(_BaseTransaction):
             self._db.table(table_name), predicate, self.snapshot_timestamp, self.tx_id
         )
 
-    def _claim_for_write(self, version: TupleVersion) -> None:
-        """Mark ``version`` superseded by this transaction, detecting conflicts.
+    def _claim_for_write(self, table: "Table", version: TupleVersion) -> None:
+        """Mark ``version``, a row of ``table``, superseded by this
+        transaction, detecting conflicts.
 
         Check and mark are one step under the commit lock, which every claim
         and commit holds: two writers must not both find ``xmax`` empty."""
@@ -214,17 +217,17 @@ class ReadWriteTransaction(_BaseTransaction):
             if isinstance(xmax, UncommittedMark):
                 if xmax.tx_id != self.tx_id:
                     raise SerializationError(
-                        f"row {version.row_id} is being modified by transaction {xmax.tx_id}"
+                        f"{_row_name(table, version)} is being modified by transaction {xmax.tx_id}"
                     )
                 return
             if xmax is not None:
                 # Deleted by a transaction that committed after our snapshot.
                 raise SerializationError(
-                    f"row {version.row_id} was modified by a concurrent transaction"
+                    f"{_row_name(table, version)} was modified by a concurrent transaction"
                 )
             if isinstance(version.xmin, int) and version.xmin > self.snapshot_timestamp:
                 raise SerializationError(
-                    f"row {version.row_id} was created after this transaction's snapshot"
+                    f"{_row_name(table, version)} was created after this transaction's snapshot"
                 )
             version.xmax = self._mark
 
@@ -237,3 +240,9 @@ class ReadWriteTransaction(_BaseTransaction):
                 )
             )
         return collapse_tags(tags)
+
+
+def _row_name(table: "Table", version: TupleVersion) -> str:
+    """How a conflict names a row: by its table and primary-key value."""
+    key = table.primary_key
+    return f"row {table.name}.{key}={version.values[table.positions[key]]!r}"

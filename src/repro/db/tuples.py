@@ -45,9 +45,11 @@ Stamp = Union[int, UncommittedMark]
 class TupleVersion:
     """One version of a logical row.
 
+    A row's identity is its primary-key value: its versions are the ones
+    its table's primary-key index holds under that value (see
+    :class:`repro.db.table.Table`).
+
     Attributes:
-        row_id: identity of the logical row; all versions of the same row
-            share it.
         values: this version's values, one per column in its table's
             schema order (see :class:`repro.db.table.Table`, the one
             module that maps a column name to its position).
@@ -57,7 +59,6 @@ class TupleVersion:
             ``None`` while the version is current.
     """
 
-    row_id: int
     values: Tuple[Any, ...]
     xmin: Stamp
     xmax: Optional[Stamp] = None

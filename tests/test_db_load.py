@@ -2,7 +2,8 @@
 
 The RUBiS dataset is the benchmark's starting state, so its loaded form is
 pinned by a digest of everything the storage holds: every table's rows and
-versions, every index bucket and the mixed-bucket marks.
+versions, each named by its primary-key value, every index bucket and the
+mixed-bucket marks.
 Making a load cheaper must leave that digest alone.
 
 ``add_version`` is the one insert path: ``bulk_load`` and a transaction's
@@ -33,7 +34,7 @@ from repro.db.tuples import TupleVersion
 #: SHA-256 of ``_database_digest`` over ``IN_MEMORY_CONFIG.scaled(10)`` at
 #: data seed 42 (the benchmark's RUBiS database), and of ``_dataset_digest``
 #: over the ids it returns.
-RUBIS_DATABASE_SHA256 = "4b83cdeb184f2758232adb328cfe41f8782bd0722108582577ac10a0ffd8462c"
+RUBIS_DATABASE_SHA256 = "87e3ced9db55ac045fcfc0a1eda40b085e670f2d199184da3ea4370ad4bee7c8"
 RUBIS_DATASET_SHA256 = "8377486f112fcb4babff3c208d797d2c53684116b7a0dc28e9125a61db5d6e1b"
 
 
@@ -46,15 +47,16 @@ def _database_digest(database: Database) -> str:
 
     for name in sorted(database.tables):
         table = database.table(name)
+        primary_key = table.index_on(table.primary_key).key_of
         feed("table", name, table.row_count(), table.version_count())
         for version in table.scan_versions():
             row = table.row_of(version)
-            feed(version.row_id, version.row_id, list(row.items()), version.xmin, version.xmax)
+            feed(primary_key(version), list(row.items()), version.xmin, version.xmax)
         for column in table.indexed_columns:
             index = table.index_on(column)
             feed("index", column)
             for key in index.keys():
-                feed(key, [version.row_id for version in index.lookup(key)])
+                feed(key, [primary_key(version) for version in index.lookup(key)])
             feed("mixed", sorted(index._mixed, key=repr))
     return digest.hexdigest()
 
@@ -96,9 +98,11 @@ def test_the_benchmark_rubis_database_loads_byte_identical():
 #: after the load.  When each version held a dict and each row a list of its
 #: versions, that was 4.20 objects and 902 bytes; as a tuple in column
 #: order, with a lone version held without a list, 3.20 and 649; with an
-#: index key's lone version held without a list too, 1.36 and 522.
+#: index key's lone version held without a list too, 1.36 and 522; with
+#: the primary key's index as the one row store and no row id, 1.36 and
+#: 452.
 ROW_OBJECTS_BOUND = 1.6
-ROW_BYTES_BOUND = 600
+ROW_BYTES_BOUND = 495
 #: What a load holds at its peak, per row: the ``tracemalloc`` high-water
 #: mark.  Generating every row as a dict before storing any read 965 bytes;
 #: streaming the rows into their tables reads 529.
@@ -215,10 +219,8 @@ def _assert_indexes_consistent(database: Database) -> None:
         index = table.index_on(column)
         keys = list(index.keys())
         buckets = {key: index.lookup(key) for key in keys}
-        indexed = sorted(
-            (version.row_id, id(version)) for bucket in buckets.values() for version in bucket
-        )
-        assert indexed == sorted((version.row_id, id(version)) for version in stored), column
+        indexed = sorted(id(version) for bucket in buckets.values() for version in bucket)
+        assert indexed == sorted(id(version) for version in stored), column
         assert len(index) == len(indexed)
         for key, bucket in buckets.items():
             assert bucket and all(table.row_of(version)[column] == key for version in bucket)
@@ -267,11 +269,13 @@ def test_a_duplicate_key_mid_load_keeps_the_earlier_rows_and_every_index(load, c
         load(database, [_row(1), _row(2), _row(3), duplicate, _row(4)])
     table = database.table("t")
     assert _stored_ids(database) == [1, 2, 3]
-    assert sorted(version.row_id for version in table.scan_versions()) == [1, 2, 3]
+    stored = {key: [table.row_of(version) for version in table.versions_of(key)] for key in (2, 9)}
+    assert stored == {2: [_row(2)], 9: []}
     _assert_indexes_consistent(database)
     assert sorted(table.index_on("region").keys()) == [0, 1, 2]
-    # The refused row used up a row id: the counter does not roll back.
-    assert table.add_version(_row(4), xmin=0).row_id == 5
+    # The refusal left nothing behind to trip a later row.
+    later = table.add_version(_row(4), xmin=0)
+    assert table.versions_of(4) == [later]
     _assert_indexes_consistent(database)
     rows = database.begin_ro().query(Select("t", Eq("email", "e2"))).rows
     assert [row["id"] for row in rows] == [2]
@@ -334,16 +338,140 @@ def test_an_update_copies_its_row_once_into_a_new_version():
 
 
 # ----------------------------------------------------------------------
+# A row is its primary-key value
+# ----------------------------------------------------------------------
+def _select(database: Database, snapshot: int, predicate) -> list:
+    return database.begin_ro(snapshot).query(Select("t", predicate)).rows
+
+
+def test_an_update_of_the_primary_key_ends_one_row_and_starts_another_at_its_commit():
+    database = _typed_database()
+    database.bulk_load("t", [_row(1), _row(2)])
+    before = database.pin_latest()
+    tx = database.begin_rw()
+    assert tx.update("t", Eq("id", 1), {"id": 5, "name": "moved"}) == 1
+    moved_at = tx.commit()
+    after = database.pin_latest()
+    moved = _row(5, name="moved", region=1, email="e1")
+    for predicate, at_before, at_after in [
+        (Eq("id", 1), [_row(1)], []),
+        (Eq("id", 5), [], [moved]),
+        (Eq("email", "e1"), [_row(1)], [moved]),
+        (Eq("note", None), [_row(1), _row(2)], [_row(2), moved]),  # a sequential scan
+    ]:
+        assert _select(database, before, predicate) == at_before, predicate
+        assert sorted(_select(database, after, predicate), key=lambda row: row["id"]) == at_after
+    old_key = database.begin_ro(before).query(Select("t", Eq("id", 1)))
+    new_key = database.begin_ro(after).query(Select("t", Eq("id", 5)))
+    assert (old_key.validity.lo, old_key.validity.hi) == (0, moved_at)
+    assert (new_key.validity.lo, new_key.validity.hi) == (moved_at, None)
+    # The old key is free again and the new one taken.
+    _tx_insert(database, [_row(1, email="e9")])
+    with pytest.raises(ConstraintError):
+        _tx_insert(database, [_row(5, email="e8")])
+    rows = _select(database, database.latest_timestamp, Eq("id", 1))
+    assert [row["email"] for row in rows] == ["e9"]
+    _assert_indexes_consistent(database)
+
+
+@LOADERS
+def test_a_key_is_refused_while_its_row_is_current(load):
+    """Refused while the row is current, and while a delete of it is in
+    flight (that delete may yet abort); taken again once the delete
+    commits."""
+    database = _typed_database()
+    load(database, [_row(1), _row(2)])
+    with pytest.raises(ConstraintError):
+        load(database, [_row(1, email="e9")])
+    deleter = database.begin_rw()
+    assert deleter.delete("t", Eq("id", 1)) == 1
+    with pytest.raises(ConstraintError):
+        load(database, [_row(1, email="e9")])
+    deleter.commit()
+    assert _stored_ids(database) == [1, 2]
+    _assert_indexes_consistent(database)
+    load(database, [_row(1, email="e9")])
+    rows = _select(database, database.latest_timestamp, Eq("id", 1))
+    assert [row["email"] for row in rows] == ["e9"]
+    _assert_indexes_consistent(database)
+
+
+def test_a_deleted_key_inserted_again_is_walked_oldest_first():
+    database = _typed_database()
+    database.bulk_load("t", [_row(1)])
+    pinned = database.pin_latest()
+    tx = database.begin_rw()
+    tx.delete("t", Eq("id", 1))
+    deleted_at = tx.commit()
+    gap = database.pin_latest()
+    _tx_insert(database, [_row(1, name="again")])
+    inserted_at = database.latest_timestamp
+    versions, one_row = database.table("t").index_on("id").walk(1)
+    assert not one_row
+    assert [(version.values[1], version.xmin, version.xmax) for version in versions] == [
+        ("n1", 0, deleted_at),
+        ("again", inserted_at, None),
+    ]
+    assert [row["name"] for row in _select(database, pinned, Eq("id", 1))] == ["n1"]
+    assert _select(database, gap, Eq("id", 1)) == []
+    assert [row["name"] for row in _select(database, inserted_at, Eq("id", 1))] == ["again"]
+
+
+def test_an_update_that_keeps_a_unique_secondary_value_is_not_a_conflict():
+    database = Database(clock=ManualClock())
+    database.create_table(
+        TableSchema.build(
+            "users",
+            ["id", "nickname", "rating"],
+            primary_key="id",
+            indexes=[IndexSpec("nickname", unique=True)],
+        )
+    )
+    database.bulk_load(
+        "users", [{"id": 1, "nickname": "a", "rating": 0}, {"id": 2, "nickname": "b", "rating": 0}]
+    )
+
+    def update(user: int, changes: dict, times: int = 1) -> None:
+        tx = database.begin_rw()
+        try:
+            for _ in range(times):
+                assert tx.update("users", Eq("id", user), changes) == 1
+        except BaseException:
+            tx.abort()
+            raise
+        tx.commit()
+
+    def nicknames() -> list:
+        rows = database.begin_ro().query(Select("users", Eq("rating", 3))).rows
+        return sorted((row["id"], row["nickname"]) for row in rows)
+
+    update(1, {"rating": 1}, times=2)
+    update(1, {"rating": 2})
+    with pytest.raises(ConstraintError):
+        update(2, {"nickname": "a"})
+    # Once user 1 gives "a" up, user 2 takes it, and both update again
+    # while "a"'s bucket holds versions of the two of them.
+    update(1, {"nickname": "c"})
+    update(2, {"nickname": "a"})
+    update(2, {"rating": 3}, times=2)
+    update(1, {"rating": 3})
+    assert nicknames() == [(1, "c"), (2, "a")]
+    with pytest.raises(ConstraintError):
+        update(1, {"nickname": "a"})
+    assert nicknames() == [(1, "c"), (2, "a")]
+
+
+# ----------------------------------------------------------------------
 # TupleVersion
 # ----------------------------------------------------------------------
 def test_tuple_version_record():
-    version = TupleVersion(row_id=1, values=(1,), xmin=0)
+    version = TupleVersion(values=(1,), xmin=0)
     if sys.version_info >= (3, 10):
         assert not hasattr(version, "__dict__")
-    assert repr(version) == "TupleVersion(row_id=1, values=(1,), xmin=0, xmax=None)"
-    assert version == TupleVersion(1, (1,), 0, None)
-    assert version != TupleVersion(1, (1,), 0, 3)
-    assert version != TupleVersion(2, (1,), 0)
+    assert repr(version) == "TupleVersion(values=(1,), xmin=0, xmax=None)"
+    assert version == TupleVersion((1,), 0, None)
+    assert version != TupleVersion((1,), 0, 3)
+    assert version != TupleVersion((2,), 0)
     assert TupleVersion.__hash__ is None
     version.xmax = 3
-    assert version == TupleVersion(1, (1,), 0, 3)
+    assert version == TupleVersion((1,), 0, 3)

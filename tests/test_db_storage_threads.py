@@ -5,9 +5,10 @@ walk a table while another thread inserts into it, and a row may gain
 versions while vacuum removes its superseded ones.  The threaded tests run
 at a switch interval of a microsecond, so the interpreter hands over
 between threads as often as it can; where a race has one narrow window,
-a forced interleaving hits it every time.  An index key's bucket, like a
-row's slot, holds a lone version until the key's second, and every change
-to an index's buckets is made under that index's lock.
+a forced interleaving hits it every time.  A row is its primary key's
+bucket in that key's index; an index key's bucket holds a lone version
+until the key's second, and every change to an index's buckets is made
+under that index's lock.
 """
 
 from __future__ import annotations
@@ -99,8 +100,8 @@ def test_a_sequential_scan_survives_inserts_committed_under_it():
 def test_a_row_updated_while_vacuum_removes_its_past_keeps_its_history():
     """One thread updates a row over and over; another vacuums its
     superseded versions, held back by a pinned snapshot until it is released
-    midway.  The row's lone version becomes a list at its first update and
-    stays one, so no version lands on a list that has left the table."""
+    midway.  The key's lone version becomes a list at its first update and
+    stays one, so no version lands on a list that has left the index."""
     database = _database(5)
     table = database.table("t")
     pinned = database.pin_latest()
@@ -115,7 +116,7 @@ def test_a_row_updated_while_vacuum_removes_its_past_keeps_its_history():
                 assert transaction.update("t", Eq("id", 3), {"v": 1000 + i}) == 1
                 transaction.commit()
                 if i == updates // 2:
-                    assert len(table.versions_of(4)) == i + 2  # the pin kept them
+                    assert len(table.versions_of(3)) == i + 2  # the pin kept them
                     halfway.set()
                     assert released.wait(10)
         finally:
@@ -131,48 +132,74 @@ def test_a_row_updated_while_vacuum_removes_its_past_keeps_its_history():
 
     _run(update, vacuum)
     assert sum(vacuumed) > updates // 2
-    (current,) = [v for v in table.scan_versions() if v.row_id == 4 and v.is_current()]
+    (current,) = [v for v in table.scan_versions() if v.values[0] == 3 and v.is_current()]
     # Exactly the versions vacuum has not reached, then the current one.
-    not_vacuumed = [version for _table, version in database.superseded if version.row_id == 4]
-    assert table.versions_of(4) == not_vacuumed + [current]
-    assert table.index_on("id").lookup(3) == table.versions_of(4)
+    not_vacuumed = [version for _table, version in database.superseded if version.values[0] == 3]
+    assert table.versions_of(3) == not_vacuumed + [current]
     assert table.version_count() == 5 + len(not_vacuumed)
     assert table.row_of(current) == {"id": 3, "v": 1000 + updates - 1}
     rows = database.begin_ro().query(Select("t", Eq("v", 1000 + updates - 1))).rows
     assert rows == [{"id": 3, "v": 1000 + updates - 1}]
     database.vacuum()
-    assert table.versions_of(4) == [current]
+    assert table.versions_of(3) == [current]
 
 
 class _VacuumBetweenReadAndAppend(dict):
-    """A row map that runs a vacuum each time an UPDATE has read a row's
-    slot, before it appends to it: the interleaving the threaded test above
-    can only hope to hit."""
+    """Primary-key buckets that, each time an insert into the index has read
+    the armed key's bucket, start a vacuum on another thread and give it a
+    moment to run before the insert appends: the interleaving the threaded
+    test above can only hope to hit."""
 
-    def __init__(self, rows, database, row_id) -> None:
-        super().__init__(rows)
-        self.database, self.row_id, self.armed = database, row_id, False
+    def __init__(self, buckets, database, key) -> None:
+        super().__init__(buckets)
+        self.database, self.key, self.armed, self.vacuums = database, key, False, []
 
     def get(self, key, default=None):
-        slot = super().get(key, default)
-        if self.armed and key == self.row_id:
-            self.armed = False  # the vacuum's own reads pass through
-            self.database.vacuum()
-        return slot
+        bucket = super().get(key, default)
+        if self.armed and key == self.key and sys._getframe(1).f_code.co_name == "insert":
+            self.armed = False
+            vacuum = threading.Thread(target=self.database.vacuum)
+            self.vacuums.append(vacuum)
+            vacuum.start()
+            vacuum.join(0.05)  # an index change under its lock holds the vacuum back
+        return bucket
+
+    def settle(self) -> None:
+        for vacuum in self.vacuums:
+            vacuum.join(10)
+            assert not vacuum.is_alive()
 
 
-def test_a_vacuum_between_reading_a_rows_slot_and_appending_to_it_loses_nothing():
+def test_a_vacuum_between_reading_a_keys_bucket_and_appending_to_it_loses_nothing():
+    """Each UPDATE appends to the key's bucket while vacuum removes the
+    version the one before superseded; then the key is deleted and inserted
+    again while vacuum removes every version the bucket held."""
     database = _database(5)
     table = database.table("t")
-    rows = table._rows = _VacuumBetweenReadAndAppend(table._rows, database, 4)
+    index = table.index_on("id")
+    index._buckets = buckets = _VacuumBetweenReadAndAppend(index._buckets, database, 3)
+    values = [3]
     for i in range(5):
         transaction = database.begin_rw()
-        rows.armed = True
+        buckets.armed = True
         assert transaction.update("t", Eq("id", 3), {"v": 100 + i}) == 1
+        buckets.settle()
         transaction.commit()
-        (current,) = table.versions_of(4)[-1:]
-        assert table.row_of(current) == {"id": 3, "v": 100 + i}
-        assert table.index_on("id").lookup(3) == table.versions_of(4)
+        values.append(100 + i)
+        # The version this update superseded stays until the next vacuum.
+        assert [table.row_of(version)["v"] for version in table.versions_of(3)] == values[-2:]
+    transaction = database.begin_rw()
+    assert transaction.delete("t", Eq("id", 3)) == 1
+    transaction.commit()
+    transaction = database.begin_rw()
+    buckets.armed = True
+    transaction.insert("t", {"id": 3, "v": 200})
+    buckets.settle()
+    transaction.commit()
+    assert len(buckets.vacuums) == 6
+    (again,) = table.versions_of(3)
+    assert table.row_of(again) == {"id": 3, "v": 200} and again.is_current()
+    assert table.version_count() == 5
 
 
 # ----------------------------------------------------------------------
@@ -182,8 +209,8 @@ def _index(unique: bool = True) -> HashIndex:
     return HashIndex(IndexSpec("k", unique=unique), 0)
 
 
-def _version(row_id: int, key, xmax=None) -> TupleVersion:
-    return TupleVersion(row_id, (key,), 0, xmax)
+def _version(key, xmax=None) -> TupleVersion:
+    return TupleVersion((key,), 0, xmax)
 
 
 def _assert_keys_hold(index: HashIndex, expected: dict) -> None:
@@ -198,8 +225,8 @@ def test_an_insert_racing_the_removal_of_its_keys_last_version_survives():
     deleted it in a second step took an insert landing in between with it."""
     keys = 50_000
     index = _index()
-    old = [_version(key, key, xmax=1) for key in range(keys)]  # dead: vacuum's to remove
-    new = [_version(keys + key, key) for key in range(keys)]
+    old = [_version(key, xmax=1) for key in range(keys)]  # dead: vacuum's to remove
+    new = [_version(key) for key in range(keys)]
     for version in old:
         index.insert(version)
 
@@ -234,7 +261,7 @@ class _InsertDuringDelete(dict):
 
 def test_an_insert_between_a_removes_empty_check_and_its_delete_survives():
     index = _index()
-    old, other, new = _version(1, "k", xmax=1), _version(2, "j"), _version(3, "k")
+    old, other, new = _version("k", xmax=1), _version("j"), _version("k")
     index.insert(old)
     index.insert(other)
     index._buckets = buckets = _InsertDuringDelete(index._buckets, index, new)
@@ -249,10 +276,10 @@ def test_two_inserts_racing_to_give_lone_keys_a_second_version_keep_both():
     into a list."""
     keys = 20_000
     index = _index(unique=False)
-    first = [_version(key, key) for key in range(keys)]
+    first = [_version(key) for key in range(keys)]
     for version in first:
         index.insert(version)
-    seconds = [[_version((1 + side) * keys + key, key) for key in range(keys)] for side in (0, 1)]
+    seconds = [[_version(key) for key in range(keys)] for _side in (0, 1)]
 
     def inserter(versions):
         def insert():
@@ -265,7 +292,8 @@ def test_two_inserts_racing_to_give_lone_keys_a_second_version_keep_both():
     for key in range(keys):
         versions = index.lookup(key)
         assert versions[0] is first[key]
-        assert sorted(versions[1:], key=id) == sorted([seconds[0][key], seconds[1][key]], key=id), key
+        racers = [seconds[0][key], seconds[1][key]]
+        assert sorted(map(id, versions[1:])) == sorted(map(id, racers)), key
     assert len(index) == 3 * keys
 
 

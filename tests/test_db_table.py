@@ -15,16 +15,17 @@ def table():
 
 
 class TestVersionStorage:
-    def test_add_version_assigns_row_ids(self, table):
+    def test_add_version_stores_a_row_under_its_primary_key(self, table):
         v1 = table.add_version({"id": 1, "name": "a", "region": 0, "score": 1.0}, xmin=0)
         v2 = table.add_version({"id": 2, "name": "b", "region": 1, "score": 2.0}, xmin=0)
-        assert v1.row_id != v2.row_id
+        assert table.versions_of(1) == [v1]
+        assert table.versions_of(2) == [v2]
+        assert table.versions_of(3) == []
 
     def test_add_version_with_a_prior_version(self, table):
         v1 = table.add_version({"id": 1, "name": "a", "region": 0, "score": 1.0}, xmin=0)
         v2 = table.add_version({"name": "a2"}, xmin=3, prior=v1)
-        assert v2.row_id == v1.row_id
-        assert table.versions_of(v1.row_id) == [v1, v2]
+        assert table.versions_of(1) == [v1, v2]
         assert table.row_of(v2) == {"id": 1, "name": "a2", "region": 0, "score": 1.0}
 
     def test_unknown_column_rejected(self, table):
@@ -33,9 +34,10 @@ class TestVersionStorage:
 
     def test_current_version_of(self, table):
         v1 = table.add_version({"id": 1, "name": "a", "region": 0, "score": 1.0}, xmin=0)
-        assert table.current_version_of(v1.row_id) is v1
+        assert table.current_version_of(1) is v1
         v1.xmax = 4
-        assert table.current_version_of(v1.row_id) is None
+        assert table.current_version_of(1) is None
+        assert table.current_version_of(2) is None
 
     def test_remove_version(self, table):
         v1 = table.add_version({"id": 1, "name": "a", "region": 0, "score": 1.0}, xmin=0)

@@ -6,8 +6,8 @@ from repro.db.tuples import TupleVersion, UncommittedMark, validity_of, visible_
 from repro.interval import Interval
 
 
-def version(xmin, xmax=None, row_id=1):
-    return TupleVersion(row_id=row_id, values={"id": row_id}, xmin=xmin, xmax=xmax)
+def version(xmin, xmax=None):
+    return TupleVersion(values=(1,), xmin=xmin, xmax=xmax)
 
 
 class TestVisibility:
